@@ -271,11 +271,10 @@ fn bench_server_throughput(c: &mut Criterion) {
 
     // ---- Skewed-batch scenario: Zipf-hot serving traffic. ----
     // Production batches are skewed, not uniform: hot sources repeat and
-    // whole pairs duplicate. The batch execution planner behind the
-    // session's submit coalesces those duplicates and shares forward-BFS
-    // state across same-source runs; here the same Zipf batches flow
-    // through the full wire path (v2 pipelined client, mmap-backed
-    // session) and must stay bit-identical to in-process submit.
+    // whole pairs duplicate. The session's submit coalesces those
+    // duplicates; here the same Zipf batches flow through the full wire
+    // path (v2 pipelined client, mmap-backed session) and must stay
+    // bit-identical to in-process submit.
     let zipf_batches: Vec<Vec<QueryRequest>> = zipf_workload
         .chunks(BATCH)
         .map(|chunk| {
@@ -311,15 +310,12 @@ fn bench_server_throughput(c: &mut Criterion) {
             client.recv(ticket).expect("recv");
         }
         let skew_rps = (ROUNDS * zipf_batches.len() * BATCH) as f64 / t0.elapsed().as_secs_f64();
-        let planner = qbs.engine_stats().planner;
         println!(
             "skewed-batch scenario: zipf(1.5) {BATCH}-request batches, depth-4 pipelined \
-             client: {skew_rps:.0} req/s (uniform loopback peak {best:.0} req/s); planner \
-             coalesced {} slots, memoized {} labels, reused {} fwd levels",
-            planner.dedup_hits, planner.labels_memoized, planner.fwd_levels_reused,
+             client: {skew_rps:.0} req/s (uniform loopback peak {best:.0} req/s)"
         );
         assert!(
-            planner.dedup_hits > 0,
+            qbs.engine_stats().planner.dedup_hits > 0,
             "a zipf(1.5) batch must contain coalescable duplicates"
         );
     }

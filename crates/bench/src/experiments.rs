@@ -1175,7 +1175,7 @@ pub fn mixed_batch(config: &ExperimentConfig) -> Result<MixedBatch, QbsError> {
 }
 
 // ---------------------------------------------------------------------------
-// Batch planner — planner on/off differential over all backends (CI tripwire)
+// Batch planner — submit vs one-at-a-time over all backends (CI tripwire)
 // ---------------------------------------------------------------------------
 
 /// Batch-planner differential result for one dataset.
@@ -1185,26 +1185,20 @@ pub struct BatchPlanRow {
     pub dataset: String,
     /// Requests in the Zipf-skewed batch (incl. duplicates).
     pub requests: usize,
-    /// Whether planner-on outcomes matched planner-off outcomes on the
-    /// owned, mmap-view and compact backends, slot for slot.
+    /// Whether `submit` matched the one-at-a-time reference on the owned,
+    /// mmap-view and compact backends, slot for slot.
     pub identical: bool,
-    /// Planner-off batch throughput on the owned backend (req/s).
-    pub off_qps: f64,
-    /// Planner-on batch throughput on the owned backend (req/s).
-    pub on_qps: f64,
+    /// `submit` batch throughput on the owned backend (req/s).
+    pub submit_qps: f64,
     /// Duplicate slots coalesced by the planner.
     pub dedup_hits: u64,
-    /// Label fetches served from the per-batch memo.
-    pub labels_memoized: u64,
-    /// Forward-BFS levels reused from retained same-source state.
-    pub fwd_levels_reused: u64,
 }
 
-/// The batch-planner differential: a Zipf-skewed distance batch is
-/// submitted with the planner on and off over all three backends; any
-/// slot-level disagreement is drift. CI runs this at tiny scale and fails
-/// the pipeline on any drift; throughput and reuse counters are recorded
-/// so the planner's payoff is tracked per PR.
+/// The batch-planner differential: a Zipf-skewed distance batch (so slots
+/// repeat and the dedupe layer has work) is submitted over all three
+/// backends and compared with one-at-a-time execution; any slot-level
+/// disagreement is drift. CI runs this at tiny scale and fails the
+/// pipeline on any drift.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct BatchPlan {
     /// One row per dataset.
@@ -1212,7 +1206,7 @@ pub struct BatchPlan {
 }
 
 impl BatchPlan {
-    /// Whether every dataset's planned batch was bit-identical.
+    /// Whether every dataset's submitted batch was bit-identical.
     pub fn all_identical(&self) -> bool {
         self.rows.iter().all(|r| r.identical)
     }
@@ -1220,34 +1214,21 @@ impl BatchPlan {
     /// Renders the comparison.
     pub fn render(&self) -> String {
         let mut t = TextTable::new(
-            "Batch planner: planner on/off over owned + view + compact backends",
+            "Batch planner: submit vs one-at-a-time over owned + view + compact backends",
             &[
                 "Dataset",
                 "requests",
-                "off q/s",
-                "on q/s",
-                "speedup",
+                "submit q/s",
                 "coalesced",
-                "labels memo",
-                "lvls reused",
                 "identical",
             ],
         );
         for r in &self.rows {
-            let speedup = if r.off_qps > 0.0 {
-                r.on_qps / r.off_qps
-            } else {
-                0.0
-            };
             t.add_row(vec![
                 r.dataset.clone(),
                 fmt_count(r.requests),
-                format!("{:.0}", r.off_qps),
-                format!("{:.0}", r.on_qps),
-                format!("{speedup:.2}x"),
+                format!("{:.0}", r.submit_qps),
                 fmt_count(r.dedup_hits as usize),
-                fmt_count(r.labels_memoized as usize),
-                fmt_count(r.fwd_levels_reused as usize),
                 if r.identical {
                     "yes".into()
                 } else {
@@ -1259,9 +1240,9 @@ impl BatchPlan {
     }
 }
 
-/// Runs the batch-planner differential: build → Zipf batch → planner
-/// on/off over owned, mmap-view and compact backends → slot-by-slot
-/// comparison (plus the one-at-a-time reference).
+/// Runs the batch-planner differential: build → Zipf batch → `submit` over
+/// owned, mmap-view and compact backends → slot-by-slot comparison with
+/// the one-at-a-time reference.
 pub fn batch_plan(config: &ExperimentConfig) -> Result<BatchPlan, QbsError> {
     let nonce = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
@@ -1299,38 +1280,27 @@ pub fn batch_plan(config: &ExperimentConfig) -> Result<BatchPlan, QbsError> {
                 .map(|req| qbs_core::execute_on(&owned, &mut ws, req))
                 .collect();
 
-            // One warmup submit per engine so the timed pass measures the
-            // planner, not workspace-pool allocation.
-            let planned = qbs_core::QueryEngine::with_threads(&owned, 2)?;
-            planned.submit(&requests);
+            // One warmup submit so the timed pass measures the batch path,
+            // not workspace-pool allocation.
+            let engine = qbs_core::QueryEngine::with_threads(&owned, 2)?;
+            engine.submit(&requests);
+            let dedup_hits = engine.planner_stats().dedup_hits;
             let t0 = Instant::now();
-            let on = planned.submit(&requests);
-            let on_qps = qps(t0.elapsed(), requests.len());
-            let stats = planned.planner_stats();
+            let submitted = engine.submit(&requests);
+            let submit_qps = qps(t0.elapsed(), requests.len());
 
-            let vanilla = qbs_core::QueryEngine::with_threads(&owned, 2)?.with_planner(false);
-            vanilla.submit(&requests);
-            let t0 = Instant::now();
-            let off = vanilla.submit(&requests);
-            let off_qps = qps(t0.elapsed(), requests.len());
-
-            let view_on = qbs_core::QueryEngine::with_threads(&view, 2)?.submit(&requests);
-            let compact_on = qbs_core::QueryEngine::with_threads(&compact, 2)?.submit(&requests);
-            let identical = on == reference
-                && off == reference
-                && view_on == reference
-                && compact_on == reference;
+            let view_out = qbs_core::QueryEngine::with_threads(&view, 2)?.submit(&requests);
+            let compact_out = qbs_core::QueryEngine::with_threads(&compact, 2)?.submit(&requests);
+            let identical =
+                submitted == reference && view_out == reference && compact_out == reference;
 
             std::fs::remove_file(&path).ok();
             Ok(BatchPlanRow {
                 dataset: spec.id.name().to_string(),
                 requests: requests.len(),
                 identical,
-                off_qps,
-                on_qps,
-                dedup_hits: stats.dedup_hits,
-                labels_memoized: stats.labels_memoized,
-                fwd_levels_reused: stats.fwd_levels_reused,
+                submit_qps,
+                dedup_hits,
             })
         })
         .collect::<Result<Vec<_>, QbsError>>()?;

@@ -129,9 +129,10 @@ impl std::fmt::Display for CacheStats {
     }
 }
 
-/// Cache key: normalised endpoints plus the query mode.
+/// Cache key: normalised endpoints plus the query mode. Also the key the
+/// batch dedupe ([`crate::plan`]) groups the slots of a frame by.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-struct CacheKey {
+pub(crate) struct CacheKey {
     u: VertexId,
     v: VertexId,
     mode: QueryMode,
@@ -142,7 +143,7 @@ impl CacheKey {
     /// pair; path-graph and sketch answers keep their orientation (their
     /// payloads record source/target, so serving a reversed hit would not
     /// be bit-identical).
-    fn for_request(req: &QueryRequest) -> CacheKey {
+    pub(crate) fn for_request(req: &QueryRequest) -> CacheKey {
         let (u, v) = match req.mode {
             QueryMode::Distance => (req.source.min(req.target), req.source.max(req.target)),
             QueryMode::PathGraph | QueryMode::Sketch => (req.source, req.target),
@@ -340,14 +341,6 @@ impl AnswerCache {
     /// only the `Arc` handle is cloned under the shard lock; the answer
     /// itself is shaped (cloned) after the lock is released.
     pub fn lookup(&self, req: &QueryRequest) -> Option<QueryOutcome> {
-        self.lookup_body(req).map(|body| body.shape(&req.opts))
-    }
-
-    /// The un-shaped half of [`AnswerCache::lookup`]: returns the cached
-    /// canonical body, counting one hit or one miss. The batch planner
-    /// uses this to shape one cached body into every coalesced slot while
-    /// still charging the counters exactly once per distinct key.
-    pub(crate) fn lookup_body(&self, req: &QueryRequest) -> Option<Arc<AnswerBody>> {
         let key = CacheKey::for_request(req);
         let body = {
             let mut shard = self.shard(&key).lock().expect("cache shard poisoned");
@@ -357,7 +350,7 @@ impl AnswerCache {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
         };
-        body
+        body.map(|body| body.shape(&req.opts))
     }
 
     /// Offers a freshly computed answer for admission. `hint` is the

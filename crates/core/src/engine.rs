@@ -2,12 +2,16 @@
 //!
 //! A [`QueryEngine`] is the serving-side companion of the index: it owns a
 //! pool of [`QueryWorkspace`]s and fans batches of queries out over a
-//! scoped worker pool. Each worker checks one workspace out of the pool for
-//! the whole batch and pulls query indices from a shared atomic cursor in
-//! small chunks — a work-stealing discipline (idle workers keep claiming
+//! scoped worker pool — the calling thread plus `threads − 1` spawned
+//! ones. Each worker checks one workspace out of the pool for the whole
+//! batch and pulls query indices from a shared atomic cursor in small
+//! chunks — a work-stealing discipline (idle workers keep claiming
 //! whatever work remains) that keeps all cores busy even when per-query
 //! cost is highly skewed, which it is: a query whose endpoints are far
 //! apart expands orders of magnitude more frontier than an adjacent pair.
+//! That fan-out is the only place in this crate that spawns query
+//! threads; [`QueryEngine::submit`] has one path through it, behind the
+//! duplicate-request coalescing of [`crate::plan`].
 //!
 //! The engine is generic over its [`IndexStore`] backend:
 //! `QueryEngine<'_, QbsIndex>` (the default) serves the owned index, while
@@ -30,9 +34,7 @@
 //! freely — with **per-request** outcomes, so one out-of-range pair yields
 //! one [`QueryOutcome::Error`] slot instead of poisoning the batch. An
 //! optional sharded LRU [`AnswerCache`] slots in front of the executor
-//! ([`QueryEngine::with_answer_cache`]). This is the *only* batch surface:
-//! the old homogeneous `query_batch`/`distance_batch` wrappers (whole-batch
-//! failure, no cache) are gone — build `QueryRequest`s instead.
+//! ([`QueryEngine::with_answer_cache`]). This is the only batch surface.
 //!
 //! ```
 //! use qbs_core::request::QueryRequest;
@@ -69,7 +71,7 @@ use crate::QbsError;
 /// How many query indices a worker claims per cursor fetch. Small enough
 /// that skewed batches still balance, large enough that the atomic is not
 /// contended on microsecond queries.
-pub(crate) const CLAIM_CHUNK: usize = 16;
+const CLAIM_CHUNK: usize = 16;
 
 /// A concurrent batch query engine over a borrowed [`IndexStore`].
 pub struct QueryEngine<'idx, S: IndexStore = QbsIndex> {
@@ -86,10 +88,7 @@ pub struct QueryEngine<'idx, S: IndexStore = QbsIndex> {
     /// session façade (or several engines over the same store) can share
     /// one cache.
     cache: Option<Arc<AnswerCache>>,
-    /// Whether [`QueryEngine::submit`] runs the batch execution planner
-    /// (`true` by default; see [`crate::plan`]).
-    planner: bool,
-    /// Planner effectiveness counters. `Arc` for the same reason as the
+    /// Coalesced-duplicate counters. `Arc` for the same reason as the
     /// cache: the session façade accumulates across transient engines.
     counters: Arc<PlannerCounters>,
     /// Observability registry fed with per-stage request timings. `Arc`
@@ -128,7 +127,6 @@ impl<'idx, S: IndexStore> QueryEngine<'idx, S> {
             threads,
             workspaces: Mutex::new(Vec::new()),
             cache: None,
-            planner: true,
             counters: Arc::new(PlannerCounters::default()),
             metrics: None,
             batch_ns: AtomicStageNanos::default(),
@@ -151,7 +149,6 @@ impl<'idx, S: IndexStore> QueryEngine<'idx, S> {
             threads,
             workspaces: Mutex::new(pool),
             cache,
-            planner: true,
             counters,
             metrics,
             batch_ns: AtomicStageNanos::default(),
@@ -187,36 +184,16 @@ impl<'idx, S: IndexStore> QueryEngine<'idx, S> {
         self
     }
 
-    /// Enables or disables the batch execution planner (enabled by
-    /// default). With the planner off, [`QueryEngine::submit`] executes
-    /// every slot independently — the pre-planner behaviour, kept for
-    /// differential testing and benchmarking; outcomes are bit-identical
-    /// either way.
-    pub fn with_planner(mut self, enabled: bool) -> Self {
-        self.planner = enabled;
-        self
-    }
-
-    /// Snapshot of the planner's effectiveness counters (coalesced
-    /// duplicate slots, memoized label fetches, reused forward-BFS
-    /// levels). All zero while the planner is disabled.
+    /// Snapshot of the planner's counter: duplicate batch slots served
+    /// from another slot's computation.
     pub fn planner_stats(&self) -> PlannerStats {
         self.counters.snapshot()
     }
 
-    pub(crate) fn planner_counters(&self) -> &PlannerCounters {
-        &self.counters
-    }
-
     /// The metrics registry, when attached *and* recording — the one
     /// check instrumented paths branch on.
-    pub(crate) fn obs(&self) -> Option<&Metrics> {
+    fn obs(&self) -> Option<&Metrics> {
         self.metrics.as_deref().filter(|m| m.is_enabled())
-    }
-
-    /// Per-batch stage accumulator (slow-query breakdown sink).
-    pub(crate) fn batch_obs(&self) -> &AtomicStageNanos {
-        &self.batch_ns
     }
 
     /// Takes the per-stage time sums accumulated since the last call —
@@ -227,14 +204,11 @@ impl<'idx, S: IndexStore> QueryEngine<'idx, S> {
     }
 
     /// Executes one request on `ws` with stage instrumentation, flushing
-    /// the request's stage figures into the metrics registry. The shared
-    /// per-request execution body of [`QueryEngine::execute`] and the
-    /// non-planned [`QueryEngine::submit`] path.
-    pub(crate) fn execute_observed(
-        &self,
-        ws: &mut QueryWorkspace,
-        request: &QueryRequest,
-    ) -> QueryOutcome {
+    /// the request's stage figures into the metrics registry — one sample
+    /// per computation, so a coalesced job contributes one. The shared
+    /// per-request execution body of [`QueryEngine::execute`] and
+    /// [`QueryEngine::submit`].
+    fn execute_observed(&self, ws: &mut QueryWorkspace, request: &QueryRequest) -> QueryOutcome {
         let metrics = self.obs();
         ws.obs.enabled = metrics.is_some();
         let t = ws.obs.start();
@@ -247,10 +221,6 @@ impl<'idx, S: IndexStore> QueryEngine<'idx, S> {
             ws.obs.enabled = false;
         }
         outcome
-    }
-
-    pub(crate) fn cache_ref(&self) -> Option<&AnswerCache> {
-        self.cache.as_deref()
     }
 
     /// The attached answer cache, if any.
@@ -312,61 +282,75 @@ impl<'idx, S: IndexStore> QueryEngine<'idx, S> {
     /// [`crate::request::QueryOptions::use_cache`] go through the attached
     /// answer cache. Outcomes are bit-identical across storage backends.
     ///
-    /// Batches of two or more requests run through the batch execution
-    /// planner ([`crate::plan`]): duplicate requests are coalesced onto
-    /// one computation, endpoint labels are memoized per batch, and
-    /// same-source distance runs share one forward BFS — all without
-    /// changing a single answered bit (disable with
-    /// [`QueryEngine::with_planner`] to compare).
+    /// Requests repeated inside the batch are coalesced first
+    /// ([`crate::plan`]): each distinct key is executed once — one search,
+    /// one cache lookup, at most one admission — and its answer shaped
+    /// into every duplicate slot by that slot's own options, without
+    /// changing a single answered bit.
     pub fn submit(&self, requests: &[QueryRequest]) -> Vec<QueryOutcome> {
-        if self.planner && requests.len() >= 2 {
-            return plan::submit_planned(self, requests);
+        // A lone request has nothing to coalesce and records no planner sample.
+        let timed = self.obs().filter(|_| requests.len() >= 2);
+        let timed = timed.map(|m| (m, std::time::Instant::now()));
+        let dedup = plan::dedupe(requests, self.store.num_vertices());
+        if let Some((m, t)) = timed {
+            let d = t.elapsed();
+            m.record_batch_stage(Stage::Planner, d);
+            self.batch_ns
+                .add_one(Stage::Planner, crate::obs::saturating_ns(d));
         }
-        self.fan_out(requests, |_store, ws, req| self.execute_observed(ws, req))
+        let Some(dedup) = dedup else {
+            return self.fan_out(requests);
+        };
+        self.counters
+            .add_dedup_hits((requests.len() - dedup.jobs.len()) as u64);
+        dedup.shape(requests, self.fan_out(&dedup.jobs))
     }
 
-    /// Shared batch driver: fans `op` out over the scoped worker pool with
-    /// the chunked work-stealing cursor, one result slot per item, in
-    /// input order. `op` must be infallible — per-item failures are
-    /// values (see [`QueryOutcome`]), not panics.
-    fn fan_out<T: Sync, R: Send + Sync>(
-        &self,
-        items: &[T],
-        op: impl Fn(&S, &mut QueryWorkspace, &T) -> R + Sync,
-    ) -> Vec<R> {
-        let workers = self.threads.min(items.len().div_ceil(CLAIM_CHUNK)).max(1);
+    /// The one batch driver: executes `requests` over the scoped worker
+    /// pool with the chunked work-stealing cursor, one outcome slot per
+    /// request, in input order. The calling thread is one of the workers.
+    /// Execution is infallible — per-request failures are values (see
+    /// [`QueryOutcome`]), not panics.
+    fn fan_out(&self, requests: &[QueryRequest]) -> Vec<QueryOutcome> {
+        let workers = self
+            .threads
+            .min(requests.len().div_ceil(CLAIM_CHUNK))
+            .max(1);
         if workers == 1 {
             let mut ws = self.checkout();
-            let out = items
+            let out = requests
                 .iter()
-                .map(|item| op(self.store, &mut ws, item))
+                .map(|req| self.execute_observed(&mut ws, req))
                 .collect();
             self.checkin(ws);
             return out;
         }
 
         let cursor = AtomicUsize::new(0);
-        let slots: Vec<OnceLock<R>> = (0..items.len()).map(|_| OnceLock::new()).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut ws = self.checkout();
-                    loop {
-                        let start = cursor.fetch_add(CLAIM_CHUNK, Ordering::Relaxed);
-                        if start >= items.len() {
-                            break;
-                        }
-                        let end = (start + CLAIM_CHUNK).min(items.len());
-                        for idx in start..end {
-                            let answer = op(self.store, &mut ws, &items[idx]);
-                            slots[idx]
-                                .set(answer)
-                                .unwrap_or_else(|_| panic!("slot {idx} filled twice"));
-                        }
-                    }
-                    self.checkin(ws);
-                });
+        let slots: Vec<OnceLock<QueryOutcome>> =
+            (0..requests.len()).map(|_| OnceLock::new()).collect();
+        let claim_loop = || {
+            let mut ws = self.checkout();
+            loop {
+                let start = cursor.fetch_add(CLAIM_CHUNK, Ordering::Relaxed);
+                if start >= requests.len() {
+                    break;
+                }
+                let end = (start + CLAIM_CHUNK).min(requests.len());
+                for idx in start..end {
+                    let outcome = self.execute_observed(&mut ws, &requests[idx]);
+                    slots[idx]
+                        .set(outcome)
+                        .unwrap_or_else(|_| panic!("slot {idx} filled twice"));
+                }
             }
+            self.checkin(ws);
+        };
+        std::thread::scope(|scope| {
+            for _ in 1..workers {
+                scope.spawn(claim_loop);
+            }
+            claim_loop();
         });
 
         slots
@@ -375,7 +359,7 @@ impl<'idx, S: IndexStore> QueryEngine<'idx, S> {
             .collect()
     }
 
-    pub(crate) fn checkout(&self) -> QueryWorkspace {
+    fn checkout(&self) -> QueryWorkspace {
         self.workspaces
             .lock()
             .expect("workspace pool poisoned")
@@ -383,7 +367,7 @@ impl<'idx, S: IndexStore> QueryEngine<'idx, S> {
             .unwrap_or_else(|| QueryWorkspace::for_vertices(self.store.num_vertices()))
     }
 
-    pub(crate) fn checkin(&self, ws: QueryWorkspace) {
+    fn checkin(&self, ws: QueryWorkspace) {
         let mut pool = self.workspaces.lock().expect("workspace pool poisoned");
         // Bound retained memory at one workspace per configured worker;
         // surplus workspaces (possible when several batches run on this

@@ -264,7 +264,7 @@ pub fn ns_to_ms(ns: u64) -> f64 {
 pub enum Stage {
     /// Time a batch spent queued between the reactor and a worker.
     QueueWait,
-    /// Batch-planner analysis (dedupe, memo setup, scheduling).
+    /// Batch-planner analysis: the duplicate-request pass of a batch.
     Planner,
     /// Landmark-label intersection: sketch / `d⊤` bound computation.
     SketchBound,

@@ -1,66 +1,40 @@
-//! The batch execution planner behind [`QueryEngine::submit`].
+//! Intra-batch request dedupe behind [`QueryEngine::submit`].
 //!
-//! Serving traffic is skewed: hot sources and repeated pairs dominate real
-//! batches. The planner exploits three kinds of intra-batch redundancy
-//! without changing a single answered bit:
+//! Skewed serving traffic repeats itself inside one frame, so before a
+//! batch fans out its slots are grouped by their normalised cache key
+//! (`(u, v, mode)`, distance orientation-free — the key of
+//! [`crate::cache`]). Each distinct key becomes one *job*: a request that
+//! asks for the union of what its slots ask for, executed once — one
+//! search, one cache lookup, at most one admission — whose outcome is
+//! shaped into every duplicate slot by that slot's own options, so no
+//! answered bit changes. Requests with an out-of-range endpoint are never
+//! coalesced: each keeps its exact per-slot error payload and
+//! cache-counter behaviour.
 //!
-//! 1. **Coalescing** — requests are grouped by their normalised cache key
-//!    (`(u, v, mode)`, distance orientation-free). Each distinct key is
-//!    computed once and the canonical answer body is shaped into every
-//!    duplicate slot, so duplicates cost one search, one cache lookup and
-//!    at most one admission.
-//! 2. **Label/sketch memoization** — each endpoint's effective label is
-//!    fetched once per worker per batch through the epoch-stamped
-//!    [`LabelMemo`](crate::workspace), instead of once per query the
-//!    endpoint appears in; `SketchBounds` are then derived from the memo.
-//! 3. **Source-grouped scheduling with a shared forward BFS** — distance
-//!    jobs are sorted so same-source runs are contiguous, a whole run is
-//!    claimed by one worker, and consecutive queries of the run resume one
-//!    forward BFS ([`crate::search`]'s `guided_distance_resumed`) instead
-//!    of re-expanding it from scratch. BFS levels from a fixed source on
-//!    the fixed sparsified graph `G⁻` are canonical, and the resumed
-//!    search reveals them under a per-query level cap that replays the
-//!    vanilla schedule step for step — so the shared path is bit-identical
-//!    by construction, not merely by Eq. 5's schedule-independence.
+//! Every job runs the same per-query pipeline as a one-at-a-time
+//! [`QueryEngine::execute`], on the engine's one fan-out; a frame without
+//! duplicate keys allocates nothing beyond the key map and takes the
+//! plain fan-out directly. No search state is shared between queries.
 //!
-//! Only `QueryMode::Distance` jobs whose endpoints are distinct
-//! non-landmark vertices take the shared path; everything else (path
-//! graphs, sketches, landmark endpoints, self pairs) runs the vanilla
-//! per-query pipeline inside the same fan-out. Requests with an
-//! out-of-range endpoint are never coalesced: each keeps its exact
-//! per-slot error payload and cache-counter behaviour.
+//! Coalesced duplicate slots are counted in [`PlannerCounters`]; the
+//! snapshot rides in [`crate::EngineStats`], so across the `Stats` frame.
 //!
-//! The planner publishes its effectiveness through [`PlannerCounters`]:
-//! coalesced duplicate slots, memoized label fetches, and forward-BFS
-//! levels served from retained state. The snapshot rides in
-//! [`crate::EngineStats`] and therefore across the wire to
-//! `qbs client --stats`.
+//! [`QueryEngine::submit`]: crate::engine::QueryEngine::submit
+//! [`QueryEngine::execute`]: crate::engine::QueryEngine::execute
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use qbs_graph::VertexId;
+use crate::cache::CacheKey;
+use crate::request::{QueryOptions, QueryOutcome, QueryRequest};
 
-use crate::cache::AnswerCache;
-use crate::engine::{QueryEngine, CLAIM_CHUNK};
-use crate::obs::Stage;
-use crate::request::{self, AnswerBody, QueryMode, QueryOutcome, QueryRequest};
-use crate::search;
-use crate::sketch;
-use crate::store::IndexStore;
-use crate::workspace::QueryWorkspace;
-
-/// Shared atomic counters of planner effectiveness. One instance lives in
-/// each [`QueryEngine`] (the [`crate::Qbs`] façade threads a single
-/// instance through its transient engines so the counts accumulate for
+/// Shared atomic counter of planner effectiveness. One instance lives in
+/// each [`crate::QueryEngine`] (the [`crate::Qbs`] façade passes a single
+/// instance through its transient engines so the count accumulates for
 /// the session's lifetime).
 #[derive(Debug, Default)]
 pub struct PlannerCounters {
     dedup_hits: AtomicU64,
-    labels_memoized: AtomicU64,
-    fwd_levels_reused: AtomicU64,
 }
 
 impl PlannerCounters {
@@ -68,21 +42,11 @@ impl PlannerCounters {
     pub fn snapshot(&self) -> PlannerStats {
         PlannerStats {
             dedup_hits: self.dedup_hits.load(Ordering::Relaxed),
-            labels_memoized: self.labels_memoized.load(Ordering::Relaxed),
-            fwd_levels_reused: self.fwd_levels_reused.load(Ordering::Relaxed),
         }
     }
 
-    fn add(&self, dedup: u64, labels: u64, levels: u64) {
-        if dedup > 0 {
-            self.dedup_hits.fetch_add(dedup, Ordering::Relaxed);
-        }
-        if labels > 0 {
-            self.labels_memoized.fetch_add(labels, Ordering::Relaxed);
-        }
-        if levels > 0 {
-            self.fwd_levels_reused.fetch_add(levels, Ordering::Relaxed);
-        }
+    pub(crate) fn add_dedup_hits(&self, hits: u64) {
+        self.dedup_hits.fetch_add(hits, Ordering::Relaxed);
     }
 }
 
@@ -92,353 +56,101 @@ impl PlannerCounters {
 pub struct PlannerStats {
     /// Duplicate batch slots served from another slot's computation.
     pub dedup_hits: u64,
-    /// Effective-label fetches answered from the per-batch memo.
-    pub labels_memoized: u64,
-    /// Forward-BFS levels revealed from retained same-source state
-    /// instead of being re-expanded.
-    pub fwd_levels_reused: u64,
 }
 
-/// One unit of planned work: a distinct request key plus every batch slot
-/// it answers.
-struct Job {
-    /// Canonical request (the first occurrence's orientation).
-    request: QueryRequest,
-    /// Batch slots this job's answer fans out to.
-    slots: Vec<u32>,
-    /// At least one slot opted into the cache.
-    any_cached: bool,
-    /// Both endpoints in range (out-of-range jobs replay the vanilla
-    /// error path slot by slot).
-    in_range: bool,
-    /// Eligible for the shared forward BFS: distance mode, distinct
-    /// non-landmark endpoints.
-    shareable: bool,
-    /// The endpoint the shared forward BFS roots at (the batch-hotter of
-    /// the two — distance answers are orientation-free).
-    group_source: VertexId,
+/// A frame with at least one duplicate key, grouped into distinct jobs.
+pub(crate) struct Dedup {
+    /// One request per distinct key, in first-occurrence order (the first
+    /// occurrence's orientation), with `use_cache` / `collect_stats` on
+    /// when any of its slots has it on; out-of-range slots are solo jobs.
+    pub(crate) jobs: Vec<QueryRequest>,
+    /// The job answering each batch slot.
+    slot_job: Vec<u32>,
+    /// The last slot of each job — the one that takes the outcome by move.
+    last_slot: Vec<u32>,
 }
 
-fn mode_tag(mode: QueryMode) -> u8 {
-    match mode {
-        QueryMode::Distance => 0,
-        QueryMode::PathGraph => 1,
-        QueryMode::Sketch => 2,
-    }
-}
-
-/// The coalescing key: the request's cache key. Distance is symmetric, so
-/// both orientations fold into one job; path-graph and sketch answers
-/// record their endpoints and keep their orientation.
-fn normalized_key(req: &QueryRequest) -> (VertexId, VertexId, u8) {
-    match req.mode {
-        QueryMode::Distance => (
-            req.source.min(req.target),
-            req.source.max(req.target),
-            mode_tag(req.mode),
-        ),
-        _ => (req.source, req.target, mode_tag(req.mode)),
-    }
-}
-
-/// Plans and executes a batch: coalesce → group by source → fan out over
-/// the worker pool with whole same-source runs claimed atomically.
-pub(crate) fn submit_planned<S: IndexStore>(
-    engine: &QueryEngine<'_, S>,
-    requests: &[QueryRequest],
-) -> Vec<QueryOutcome> {
-    let store = engine.store();
-    let n = store.num_vertices();
-    let landmarks = store.landmark_filter();
-    let obs = engine.obs();
-    let t_plan = obs.map(|_| std::time::Instant::now());
-
-    // 1. Coalesce slots into jobs keyed by normalised request.
-    let mut jobs: Vec<Job> = Vec::new();
-    let mut by_key: HashMap<(VertexId, VertexId, u8), usize> =
-        HashMap::with_capacity(requests.len());
-    for (slot, req) in requests.iter().enumerate() {
-        let in_range = (req.source as usize) < n && (req.target as usize) < n;
-        if !in_range {
-            // Error payloads are orientation-sensitive and every vanilla
-            // execution counts its own cache miss — keep each slot solo.
-            jobs.push(Job {
-                request: *req,
-                slots: vec![slot as u32],
-                any_cached: req.opts.use_cache,
-                in_range: false,
-                shareable: false,
-                group_source: req.source,
-            });
-            continue;
-        }
-        match by_key.entry(normalized_key(req)) {
-            Entry::Occupied(e) => {
-                let job = &mut jobs[*e.get()];
-                job.slots.push(slot as u32);
-                job.any_cached |= req.opts.use_cache;
-            }
-            Entry::Vacant(e) => {
-                e.insert(jobs.len());
-                let shareable = req.mode == QueryMode::Distance
-                    && req.source != req.target
-                    && !landmarks.contains(req.source)
-                    && !landmarks.contains(req.target);
-                jobs.push(Job {
-                    request: *req,
-                    slots: vec![slot as u32],
-                    any_cached: req.opts.use_cache,
-                    in_range: true,
-                    shareable,
-                    group_source: req.source,
-                });
-            }
-        }
-    }
-    let dedup_hits = (requests.len() - jobs.len()) as u64;
-
-    // 2. Root every shareable job at its batch-hotter endpoint, so a hot
-    //    vertex pulls all its pairs into one forward-BFS group even when
-    //    it appears as `target` (distance is orientation-free). Ties pick
-    //    the smaller id, deterministically.
-    let mut freq: HashMap<VertexId, u32> = HashMap::new();
-    for job in jobs.iter().filter(|j| j.shareable) {
-        *freq.entry(job.request.source).or_insert(0) += 1;
-        *freq.entry(job.request.target).or_insert(0) += 1;
-    }
-    for job in jobs.iter_mut().filter(|j| j.shareable) {
-        let (u, v) = (job.request.source, job.request.target);
-        let (fu, fv) = (freq[&u], freq[&v]);
-        job.group_source = if fv > fu || (fv == fu && v < u) { v } else { u };
-    }
-
-    // 3. Schedule: shareable jobs first, stably sorted by group source so
-    //    same-source runs are contiguous; everything else keeps input
-    //    order. A multi-job run is claimed whole by one worker (that is
-    //    what keeps the resumable forward side hot) — but long runs are
-    //    split into claim-sized units so a skewed head vertex spreads
-    //    over the pool instead of serialising on one worker. Splitting
-    //    costs at most one forward re-root per worker per source: a
-    //    worker that claims consecutive units of the same run resumes
-    //    straight through the boundary (the retained origin still
-    //    matches). Leftovers are packed into CLAIM_CHUNK-sized units
-    //    like the vanilla fan-out.
-    let mut order: Vec<usize> = (0..jobs.len()).collect();
-    order.sort_by_key(|&i| {
-        if jobs[i].shareable {
-            (0u8, jobs[i].group_source)
+impl Dedup {
+    /// Records that `job` — the next new one, or an earlier one `req`
+    /// repeats — answers `slot`.
+    fn push(&mut self, job: u32, slot: u32, req: &QueryRequest) {
+        self.slot_job.push(job);
+        if job as usize == self.jobs.len() {
+            self.last_slot.push(slot);
+            self.jobs.push(*req);
         } else {
-            (1u8, 0)
-        }
-    });
-    let same_group = |a: usize, b: usize| {
-        let (ja, jb) = (&jobs[order[a]], &jobs[order[b]]);
-        ja.shareable && jb.shareable && ja.group_source == jb.group_source
-    };
-    let run_cap = order
-        .len()
-        .div_ceil(engine.threads().max(1) * 4)
-        .max(CLAIM_CHUNK);
-    // Each unit remembers whether it came from a multi-job run: only
-    // those take the resumed-search path. A singleton group gains
-    // nothing from resumable state, so it runs the vanilla per-query
-    // pipeline and skews no uniform-traffic baseline.
-    let mut units: Vec<(std::ops::Range<usize>, bool)> = Vec::new();
-    let mut i = 0;
-    while i < order.len() {
-        let mut j = i + 1;
-        while j < order.len() && same_group(j - 1, j) {
-            j += 1;
-        }
-        if j - i >= 2 {
-            let mut start = i;
-            while start < j {
-                let end = (start + run_cap).min(j);
-                units.push((start..end, true));
-                start = end;
-            }
-            i = j;
-        } else {
-            let mut k = i + 1;
-            while k < order.len() && k - i < CLAIM_CHUNK {
-                if k + 1 < order.len() && same_group(k, k + 1) {
-                    break; // `k` starts the next same-source run
-                }
-                k += 1;
-            }
-            units.push((i..k, false));
-            i = k;
+            self.last_slot[job as usize] = slot;
+            let opts = &mut self.jobs[job as usize].opts;
+            opts.use_cache |= req.opts.use_cache;
+            opts.collect_stats |= req.opts.collect_stats;
         }
     }
 
-    if let (Some(m), Some(t)) = (obs, t_plan) {
-        let d = t.elapsed();
-        m.record_batch_stage(Stage::Planner, d);
-        engine
-            .batch_obs()
-            .add_one(Stage::Planner, crate::obs::saturating_ns(d));
-    }
-
-    // 4. Execute: workers claim whole units off the shared cursor.
-    let counters = engine.planner_counters();
-    counters.add(dedup_hits, 0, 0);
-    let cache = engine.cache_ref();
-    let outcome_slots: Vec<OnceLock<QueryOutcome>> =
-        (0..requests.len()).map(|_| OnceLock::new()).collect();
-    let cursor = AtomicUsize::new(0);
-    let work = |ws: &mut QueryWorkspace| {
-        ws.obs.enabled = obs.is_some();
-        ws.label_memo.begin_batch(n);
-        let mut reused_levels = 0u64;
-        loop {
-            let u = cursor.fetch_add(1, Ordering::Relaxed);
-            if u >= units.len() {
-                break;
-            }
-            let (range, from_run) = &units[u];
-            for &job_idx in &order[range.clone()] {
-                let t = ws.obs.start();
-                run_job(
-                    store,
-                    ws,
-                    &jobs[job_idx],
-                    *from_run,
-                    requests,
-                    cache,
-                    &outcome_slots,
-                    &mut reused_levels,
-                );
-                ws.obs.stop(Stage::Execute, t);
-                if let Some(m) = obs {
-                    // Flushed per job, not per slot: a coalesced job runs
-                    // one computation, so it contributes one sample.
-                    let ns = ws.obs.take();
-                    m.record_request(jobs[job_idx].request.mode, &ns);
-                    engine.batch_obs().add(&ns);
-                }
-            }
-        }
-        ws.obs.enabled = false;
-        counters.add(0, ws.label_memo.take_hits(), reused_levels);
-    };
-
-    let workers = engine.threads().min(units.len()).max(1);
-    if workers == 1 {
-        let mut ws = engine.checkout();
-        work(&mut ws);
-        engine.checkin(ws);
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut ws = engine.checkout();
-                    work(&mut ws);
-                    engine.checkin(ws);
-                });
-            }
-        });
-    }
-
-    outcome_slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("every slot filled by the planner"))
-        .collect()
-}
-
-/// Executes one job and fans the answer out to all of its slots.
-///
-/// Cache discipline (the documented duplicate-request rule): one lookup
-/// per distinct key when any of its slots opted in, at most one admission
-/// on miss — duplicates never multiply the cache counters, while
-/// `EngineStats.requests` still counts every slot.
-#[allow(clippy::too_many_arguments)]
-fn run_job<S: IndexStore>(
-    store: &S,
-    ws: &mut QueryWorkspace,
-    job: &Job,
-    from_run: bool,
-    requests: &[QueryRequest],
-    cache: Option<&AnswerCache>,
-    outcome_slots: &[OnceLock<QueryOutcome>],
-    reused_levels: &mut u64,
-) {
-    if !job.in_range {
-        for &slot in &job.slots {
-            let req = &requests[slot as usize];
-            let outcome = request::execute_cached_on(store, ws, req, cache);
-            fill_slot(outcome_slots, slot, outcome);
-        }
-        return;
-    }
-
-    let canonical = &job.request;
-    let job_cache = cache.filter(|_| job.any_cached);
-    if let Some(c) = job_cache {
-        let t = ws.obs.start();
-        let hit = c.lookup_body(canonical);
-        ws.obs.stop(Stage::CacheLookup, t);
-        if let Some(body) = hit {
-            for &slot in &job.slots {
-                let opts = &requests[slot as usize].opts;
-                fill_slot(outcome_slots, slot, body.shape(opts));
-            }
-            return;
-        }
-    }
-
-    let computed = if job.shareable && from_run {
-        let u = job.group_source;
-        let v = if canonical.source == u {
-            canonical.target
-        } else {
-            canonical.source
+    /// Shapes each job's outcome into every slot the job answers, by that
+    /// slot's own options. A duplicate slot comes out bit-identical to a
+    /// one-at-a-time execution of its request: the job computed the same
+    /// canonical answer.
+    pub(crate) fn shape(
+        &self,
+        requests: &[QueryRequest],
+        outcomes: Vec<QueryOutcome>,
+    ) -> Vec<QueryOutcome> {
+        // `None` once a job's last slot has taken the outcome by move.
+        let mut outcomes: Vec<Option<QueryOutcome>> = outcomes.into_iter().map(Some).collect();
+        let shape_slot = |(slot, req): (usize, &QueryRequest)| {
+            let job = self.slot_job[slot] as usize;
+            let outcome = if self.last_slot[job] as usize == slot {
+                outcomes[job].take()
+            } else {
+                outcomes[job].clone()
+            };
+            without_unasked_stats(outcome.expect("a job's last slot comes last"), &req.opts)
         };
-        let t = ws.obs.start();
-        let src_slot = ws.label_memo.ensure(store, u);
-        let tgt_slot = ws.label_memo.ensure(store, v);
-        let bounds = sketch::compute_bounds(
-            store,
-            ws.label_memo.entry(src_slot),
-            ws.label_memo.entry(tgt_slot),
-        );
-        ws.obs.stop(Stage::SketchBound, t);
-        let t = ws.obs.start();
-        let (distance, _stats) =
-            search::guided_distance_resumed(store, ws, u, v, &bounds, reused_levels);
-        ws.obs.stop(Stage::GuidedSearch, t);
-        Ok((AnswerBody::Distance(distance), bounds.upper_bound))
-    } else {
-        request::compute_on(store, ws, canonical)
-    };
-
-    match computed {
-        Ok((body, hint)) => {
-            if let Some(c) = job_cache {
-                let t = ws.obs.start();
-                c.admit(canonical, &body, hint);
-                ws.obs.stop(Stage::CacheAdmit, t);
-            }
-            let (&last, rest) = job.slots.split_last().expect("job owns at least one slot");
-            for &slot in rest {
-                let opts = &requests[slot as usize].opts;
-                fill_slot(outcome_slots, slot, body.shape(opts));
-            }
-            fill_slot(
-                outcome_slots,
-                last,
-                body.shape_into(&requests[last as usize].opts),
-            );
-        }
-        Err(err) => {
-            for &slot in &job.slots {
-                fill_slot(outcome_slots, slot, QueryOutcome::Error(err.clone()));
-            }
-        }
+        requests.iter().enumerate().map(shape_slot).collect()
     }
 }
 
-fn fill_slot(slots: &[OnceLock<QueryOutcome>], slot: u32, outcome: QueryOutcome) {
-    slots[slot as usize]
-        .set(outcome)
-        .unwrap_or_else(|_| panic!("slot {slot} filled twice"));
+/// A job collects statistics when any of its slots asks for them; a slot
+/// that did not gets the bare path graph, as if executed alone.
+fn without_unasked_stats(outcome: QueryOutcome, opts: &QueryOptions) -> QueryOutcome {
+    match outcome {
+        QueryOutcome::PathGraphWithStats(answer) if !opts.collect_stats => {
+            QueryOutcome::PathGraph(Box::new(answer.path_graph))
+        }
+        asked => asked,
+    }
+}
+
+/// Groups the slots of a frame over `n` vertices by normalised cache key.
+/// `None` when no key repeats — the frame then runs slot by slot.
+pub(crate) fn dedupe(requests: &[QueryRequest], n: usize) -> Option<Dedup> {
+    if requests.len() < 2 {
+        return None;
+    }
+    let mut by_key: HashMap<CacheKey, u32> = HashMap::with_capacity(requests.len());
+    let mut dedup: Option<Dedup> = None;
+    for (slot, req) in requests.iter().enumerate() {
+        // Until the first duplicate every slot is its own job.
+        let next_job = dedup.as_ref().map_or(slot, |d| d.jobs.len()) as u32;
+        // Error payloads are orientation-sensitive and every out-of-range
+        // execution counts its own cache miss — keep those slots solo.
+        let in_range = (req.source as usize) < n && (req.target as usize) < n;
+        let job = if in_range {
+            *by_key.entry(CacheKey::for_request(req)).or_insert(next_job)
+        } else {
+            next_job
+        };
+        if job != next_job && dedup.is_none() {
+            let solo: Vec<u32> = (0..slot as u32).collect();
+            dedup = Some(Dedup {
+                jobs: requests[..slot].to_vec(),
+                slot_job: solo.clone(),
+                last_slot: solo,
+            });
+        }
+        if let Some(d) = &mut dedup {
+            d.push(job, slot as u32, req);
+        }
+    }
+    dedup
 }

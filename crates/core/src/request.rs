@@ -391,7 +391,7 @@ impl AnswerBody {
 /// returning the canonical body plus the sketch upper bound `d⊤` of the
 /// query — the cache-admission cost hint (a query with a larger landmark
 /// upper bound expands a larger search, so it is worth more cache space).
-pub(crate) fn compute_on<S: IndexStore>(
+fn compute_on<S: IndexStore>(
     store: &S,
     ws: &mut QueryWorkspace,
     request: &QueryRequest,

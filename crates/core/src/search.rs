@@ -230,124 +230,6 @@ pub fn guided_distance_with<S: IndexStore>(
     (distance, stats)
 }
 
-/// Distance-only guided search that *resumes* a forward BFS kept alive in
-/// `ws.shared_fwd` across consecutive same-source queries — the batch
-/// planner's shared-forward-BFS path.
-///
-/// The persistent side may hold levels deeper than this query has earned,
-/// so the search tracks a per-query *revealed level* `vf`: the forward
-/// frontier of this query is `levels[vf]`, forward depths `> vf` are
-/// treated as unset by the meeting scan, and a forward step either reveals
-/// an already-computed level (counted into `reused_levels`) or lazily
-/// extends the real BFS by one level. With that cap the schedule — side
-/// preference, budgets, breaks, meeting scans — is step-for-step the one
-/// [`guided_distance_with`] runs (BFS levels from a fixed origin on the
-/// fixed `G⁻` are canonical), so the returned distance is not merely
-/// provably equal (Eq. 5's `min(d_{G⁻}, d⊤)` is schedule-independent) but
-/// computed by an identical alternation.
-///
-/// Callers must guarantee `source != target`, both endpoints in range, and
-/// neither endpoint a landmark — the latter so the sparsified view is the
-/// store's own `G⁻` filter, the same view every retained level was
-/// computed on.
-pub(crate) fn guided_distance_resumed<S: IndexStore>(
-    store: &S,
-    ws: &mut QueryWorkspace,
-    source: VertexId,
-    target: VertexId,
-    bounds: &SketchBounds,
-    reused_levels: &mut u64,
-) -> (Distance, SearchStats) {
-    let n = store.num_vertices();
-    ws.record_query();
-    let mut stats = SearchStats {
-        upper_bound: bounds.upper_bound,
-        sparsified_distance: INFINITE_DISTANCE,
-        distance: INFINITE_DISTANCE,
-        ..SearchStats::default()
-    };
-
-    let QueryWorkspace {
-        shared_fwd: fwd,
-        bwd,
-        ..
-    } = &mut *ws;
-    debug_assert!(
-        !store.landmark_filter().contains(source) && !store.landmark_filter().contains(target),
-        "shared forward BFS is only valid on the plain G⁻ view"
-    );
-    let view = SparsifiedStore::new(store, store.landmark_filter());
-
-    fwd.resume(n, source);
-    bwd.begin(n, target);
-
-    let d_top = bounds.upper_bound;
-    let mut meeting_distance = INFINITE_DISTANCE;
-    let mut vf: Distance = 0;
-    // What `fwd.settled` would read in the vanilla schedule: the vertex
-    // count of the revealed levels only.
-    let mut revealed_settled = fwd.levels[0].len();
-    loop {
-        if vf.saturating_add(bwd.level) >= d_top {
-            break; // bound reached (d_u + d_v = d⊤)
-        }
-        let fwd_alive = !fwd.levels[vf as usize].is_empty();
-        let bwd_alive = !bwd.frontier().is_empty();
-        if !fwd_alive && !bwd_alive {
-            break; // G⁻ exhausted without a meeting
-        }
-
-        let prefer_fwd = bounds.source_budget > vf;
-        let prefer_bwd = bounds.target_budget > bwd.level;
-        let expand_forward = match (prefer_fwd && fwd_alive, prefer_bwd && bwd_alive) {
-            (true, false) => true,
-            (false, true) => false,
-            _ => {
-                if !fwd_alive {
-                    false
-                } else if !bwd_alive {
-                    true
-                } else {
-                    revealed_settled <= bwd.settled
-                }
-            }
-        };
-
-        if expand_forward {
-            stats.forward_levels += 1;
-            vf += 1;
-            if fwd.level < vf {
-                fwd.expand(&view, &mut stats);
-            } else {
-                *reused_levels += 1;
-            }
-            revealed_settled += fwd.levels[vf as usize].len();
-            for &w in &fwd.levels[vf as usize] {
-                let od = bwd.depth.get(w);
-                if od != INFINITE_DISTANCE {
-                    meeting_distance = meeting_distance.min(vf + od);
-                }
-            }
-        } else {
-            stats.backward_levels += 1;
-            bwd.expand(&view, &mut stats);
-            for &w in bwd.frontier() {
-                let fd = fwd.depth.get(w);
-                if fd != INFINITE_DISTANCE && fd <= vf {
-                    meeting_distance = meeting_distance.min(bwd.level + fd);
-                }
-            }
-        }
-        if meeting_distance != INFINITE_DISTANCE {
-            break;
-        }
-    }
-    stats.sparsified_distance = meeting_distance;
-    let distance = meeting_distance.min(bounds.upper_bound);
-    stats.distance = distance;
-    (distance, stats)
-}
-
 /// The sparsified view for one query: all landmarks removed, except a query
 /// endpoint that happens to be a landmark itself. The common
 /// (non-landmark-endpoint) case borrows the store's filter directly; the

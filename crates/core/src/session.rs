@@ -39,7 +39,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use qbs_graph::{Distance, Graph, PathGraph, VertexFilter, VertexId};
+use qbs_graph::{Distance, Graph, PathGraph, VertexId};
 
 use crate::cache::{AnswerCache, CacheConfig, CacheStats};
 use crate::engine::QueryEngine;
@@ -119,11 +119,7 @@ impl fmt::Display for EngineStats {
             "requests:  {} in {} batches ({} errors)",
             self.requests, self.batches, self.errors
         )?;
-        write!(
-            f,
-            "planner:   {} coalesced, {} labels memoized, {} fwd levels reused",
-            self.planner.dedup_hits, self.planner.labels_memoized, self.planner.fwd_levels_reused
-        )?;
+        write!(f, "planner:   {} coalesced", self.planner.dedup_hits)?;
         match &self.cache {
             Some(cache) => write!(f, "\n{cache}"),
             None => write!(f, "\ncache:     none attached"),
@@ -133,9 +129,9 @@ impl fmt::Display for EngineStats {
 
 /// A ready-to-serve QbS session over either storage backend.
 ///
-/// `Qbs` implements [`IndexStore`] itself (by delegation), so it plugs
-/// into every generic API in the crate — including borrowing it as the
-/// store of a [`QueryEngine`].
+/// Queries resolve the backend once per call ([`Qbs::execute`]) or once
+/// per batch ([`Qbs::submit`]), so the search's inner loops always run
+/// over the concrete monomorphised store.
 #[derive(Debug)]
 pub struct Qbs {
     backend: QbsBackend,
@@ -303,6 +299,24 @@ impl Qbs {
         }
     }
 
+    /// Vertices in the served index.
+    pub fn num_vertices(&self) -> usize {
+        match &self.backend {
+            QbsBackend::Owned(s) => s.num_vertices(),
+            QbsBackend::View(s) => s.num_vertices(),
+            QbsBackend::Compact(s) => s.num_vertices(),
+        }
+    }
+
+    /// Landmarks in the served index.
+    pub fn num_landmarks(&self) -> usize {
+        match &self.backend {
+            QbsBackend::Owned(s) => s.num_landmarks(),
+            QbsBackend::View(s) => s.num_landmarks(),
+            QbsBackend::Compact(s) => s.num_landmarks(),
+        }
+    }
+
     /// Size/timing statistics — owned sessions only (a view never
     /// materialises the structures the report measures).
     pub fn stats(&self) -> Option<IndexStats> {
@@ -328,7 +342,7 @@ impl Qbs {
     /// the network `Stats` protocol frame and `qbs client --stats`.
     pub fn engine_stats(&self) -> EngineStats {
         EngineStats {
-            num_vertices: IndexStore::num_vertices(self) as u64,
+            num_vertices: self.num_vertices() as u64,
             num_landmarks: self.num_landmarks() as u64,
             threads: self.threads as u64,
             view_backed: !matches!(self.backend, QbsBackend::Owned(_)),
@@ -397,44 +411,10 @@ impl Qbs {
     /// batch; it is all zeros when metrics are disabled.
     pub fn submit_observed(&self, requests: &[QueryRequest]) -> (Vec<QueryOutcome>, StageNanos) {
         let pool = std::mem::take(&mut *self.pool.lock().expect("workspace pool poisoned"));
-        let metrics = Some(Arc::clone(&self.metrics));
         let (outcomes, stage_ns, recovered) = match &self.backend {
-            QbsBackend::Owned(s) => {
-                let engine = QueryEngine::with_pool(
-                    s.as_ref(),
-                    self.threads,
-                    pool,
-                    self.cache.clone(),
-                    Arc::clone(&self.planner),
-                    metrics,
-                );
-                let outcomes = engine.submit(requests);
-                (outcomes, engine.take_batch_obs(), engine.into_pool())
-            }
-            QbsBackend::View(s) => {
-                let engine = QueryEngine::with_pool(
-                    s,
-                    self.threads,
-                    pool,
-                    self.cache.clone(),
-                    Arc::clone(&self.planner),
-                    metrics,
-                );
-                let outcomes = engine.submit(requests);
-                (outcomes, engine.take_batch_obs(), engine.into_pool())
-            }
-            QbsBackend::Compact(s) => {
-                let engine = QueryEngine::with_pool(
-                    s,
-                    self.threads,
-                    pool,
-                    self.cache.clone(),
-                    Arc::clone(&self.planner),
-                    metrics,
-                );
-                let outcomes = engine.submit(requests);
-                (outcomes, engine.take_batch_obs(), engine.into_pool())
-            }
+            QbsBackend::Owned(s) => self.submit_on(s.as_ref(), pool, requests),
+            QbsBackend::View(s) => self.submit_on(s, pool, requests),
+            QbsBackend::Compact(s) => self.submit_on(s, pool, requests),
         };
         let mut pool = self.pool.lock().expect("workspace pool poisoned");
         pool.extend(recovered);
@@ -443,6 +423,26 @@ impl Qbs {
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.count_outcomes(&outcomes);
         (outcomes, stage_ns)
+    }
+
+    /// One batch on a transient engine over the resolved backend; hands
+    /// the workspace pool back for the session to keep.
+    fn submit_on<S: IndexStore>(
+        &self,
+        store: &S,
+        pool: Vec<QueryWorkspace>,
+        requests: &[QueryRequest],
+    ) -> (Vec<QueryOutcome>, StageNanos, Vec<QueryWorkspace>) {
+        let engine = QueryEngine::with_pool(
+            store,
+            self.threads,
+            pool,
+            self.cache.clone(),
+            Arc::clone(&self.planner),
+            Some(Arc::clone(&self.metrics)),
+        );
+        let outcomes = engine.submit(requests);
+        (outcomes, engine.take_batch_obs(), engine.into_pool())
     }
 
     /// The session's observability registry. Shared with every transient
@@ -499,7 +499,7 @@ impl Qbs {
             .lock()
             .expect("workspace pool poisoned")
             .pop()
-            .unwrap_or_else(|| QueryWorkspace::for_vertices(IndexStore::num_vertices(self)))
+            .unwrap_or_else(|| QueryWorkspace::for_vertices(self.num_vertices()))
     }
 
     fn checkin(&self, ws: QueryWorkspace) {
@@ -517,135 +517,6 @@ fn expect_error(outcome: QueryOutcome) -> QbsError {
     match outcome {
         QueryOutcome::Error(e) => e.into(),
         other => unreachable!("executor returned a mismatched outcome variant: {other:?}"),
-    }
-}
-
-/// The session is itself a storage backend: every accessor delegates to
-/// the wrapped owned index or view store, so `Qbs` slots into any
-/// `S: IndexStore` API (including a borrowed [`QueryEngine`]).
-impl IndexStore for Qbs {
-    #[inline]
-    fn num_vertices(&self) -> usize {
-        match &self.backend {
-            QbsBackend::Owned(s) => s.num_vertices(),
-            QbsBackend::View(s) => s.num_vertices(),
-            QbsBackend::Compact(s) => s.num_vertices(),
-        }
-    }
-
-    #[inline]
-    fn num_landmarks(&self) -> usize {
-        match &self.backend {
-            QbsBackend::Owned(s) => s.num_landmarks(),
-            QbsBackend::View(s) => s.num_landmarks(),
-            QbsBackend::Compact(s) => s.num_landmarks(),
-        }
-    }
-
-    #[inline]
-    fn landmark(&self, idx: usize) -> VertexId {
-        match &self.backend {
-            QbsBackend::Owned(s) => s.landmark(idx),
-            QbsBackend::View(s) => s.landmark(idx),
-            QbsBackend::Compact(s) => s.landmark(idx),
-        }
-    }
-
-    #[inline]
-    fn landmark_filter(&self) -> &VertexFilter {
-        match &self.backend {
-            QbsBackend::Owned(s) => s.landmark_filter(),
-            QbsBackend::View(s) => s.landmark_filter(),
-            QbsBackend::Compact(s) => s.landmark_filter(),
-        }
-    }
-
-    #[inline]
-    fn landmark_column(&self, v: VertexId) -> Option<usize> {
-        match &self.backend {
-            QbsBackend::Owned(s) => s.landmark_column(v),
-            QbsBackend::View(s) => s.landmark_column(v),
-            QbsBackend::Compact(s) => s.landmark_column(v),
-        }
-    }
-
-    #[inline]
-    fn is_landmark(&self, v: VertexId) -> bool {
-        match &self.backend {
-            QbsBackend::Owned(s) => IndexStore::is_landmark(s.as_ref(), v),
-            QbsBackend::View(s) => s.is_landmark(v),
-            QbsBackend::Compact(s) => s.is_landmark(v),
-        }
-    }
-
-    #[inline]
-    fn label_distance(&self, v: VertexId, landmark_idx: usize) -> Option<Distance> {
-        match &self.backend {
-            QbsBackend::Owned(s) => s.label_distance(v, landmark_idx),
-            QbsBackend::View(s) => s.label_distance(v, landmark_idx),
-            QbsBackend::Compact(s) => s.label_distance(v, landmark_idx),
-        }
-    }
-
-    fn fill_label_entries(&self, v: VertexId, out: &mut Vec<(usize, Distance)>) {
-        match &self.backend {
-            QbsBackend::Owned(s) => s.fill_label_entries(v, out),
-            QbsBackend::View(s) => s.fill_label_entries(v, out),
-            QbsBackend::Compact(s) => s.fill_label_entries(v, out),
-        }
-    }
-
-    #[inline]
-    fn for_each_neighbor<F: FnMut(VertexId)>(&self, v: VertexId, visit: F) {
-        match &self.backend {
-            QbsBackend::Owned(s) => s.for_each_neighbor(v, visit),
-            QbsBackend::View(s) => s.for_each_neighbor(v, visit),
-            QbsBackend::Compact(s) => s.for_each_neighbor(v, visit),
-        }
-    }
-
-    #[inline]
-    fn meta_distance(&self, i: usize, j: usize) -> Distance {
-        match &self.backend {
-            QbsBackend::Owned(s) => s.meta_distance(i, j),
-            QbsBackend::View(s) => s.meta_distance(i, j),
-            QbsBackend::Compact(s) => s.meta_distance(i, j),
-        }
-    }
-
-    #[inline]
-    fn num_meta_edges(&self) -> usize {
-        match &self.backend {
-            QbsBackend::Owned(s) => s.num_meta_edges(),
-            QbsBackend::View(s) => s.num_meta_edges(),
-            QbsBackend::Compact(s) => s.num_meta_edges(),
-        }
-    }
-
-    #[inline]
-    fn meta_edge(&self, k: usize) -> (usize, usize, Distance) {
-        match &self.backend {
-            QbsBackend::Owned(s) => s.meta_edge(k),
-            QbsBackend::View(s) => s.meta_edge(k),
-            QbsBackend::Compact(s) => s.meta_edge(k),
-        }
-    }
-
-    #[inline]
-    fn meta_edge_index(&self, i: usize, j: usize) -> Option<usize> {
-        match &self.backend {
-            QbsBackend::Owned(s) => s.meta_edge_index(i, j),
-            QbsBackend::View(s) => s.meta_edge_index(i, j),
-            QbsBackend::Compact(s) => s.meta_edge_index(i, j),
-        }
-    }
-
-    fn for_each_delta_edge<F: FnMut(VertexId, VertexId)>(&self, k: usize, visit: F) {
-        match &self.backend {
-            QbsBackend::Owned(s) => s.for_each_delta_edge(k, visit),
-            QbsBackend::View(s) => s.for_each_delta_edge(k, visit),
-            QbsBackend::Compact(s) => s.for_each_delta_edge(k, visit),
-        }
     }
 }
 
@@ -805,23 +676,5 @@ mod tests {
         assert!(rendered.contains("owned"), "{rendered}");
         let uncached = session().engine_stats().to_string();
         assert!(uncached.contains("none attached"), "{uncached}");
-    }
-
-    #[test]
-    fn session_is_an_index_store() {
-        let qbs = session();
-        let index = qbs.index().unwrap().clone();
-        let engine = QueryEngine::with_threads(&qbs, 2).expect("engine over the façade");
-        let outcomes = engine.submit(&[
-            QueryRequest::path_graph(6, 11),
-            QueryRequest::path_graph(4, 12),
-        ]);
-        let answer = outcomes[0].path_graph().expect("in range");
-        assert_eq!(*answer, index.query(6, 11).unwrap());
-        assert_eq!(IndexStore::num_vertices(&qbs), 15);
-        assert_eq!(qbs.num_landmarks(), 3);
-        assert!(IndexStore::is_landmark(&qbs, 1));
-        assert_eq!(qbs.landmark_column(2), Some(1));
-        assert_eq!(qbs.meta_edge_index(0, 1), index.meta_edge_index(0, 1));
     }
 }

@@ -651,8 +651,8 @@ impl Wire for CacheStats {
 }
 
 impl Wire for EngineStats {
-    // nine u64 counters + backend bool + cache presence byte.
-    const MIN_ENCODED_LEN: usize = 74;
+    // seven u64 counters + backend bool + cache presence byte.
+    const MIN_ENCODED_LEN: usize = 58;
 
     fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.num_vertices.to_le_bytes());
@@ -663,8 +663,6 @@ impl Wire for EngineStats {
         out.extend_from_slice(&self.batches.to_le_bytes());
         out.extend_from_slice(&self.errors.to_le_bytes());
         out.extend_from_slice(&self.planner.dedup_hits.to_le_bytes());
-        out.extend_from_slice(&self.planner.labels_memoized.to_le_bytes());
-        out.extend_from_slice(&self.planner.fwd_levels_reused.to_le_bytes());
         self.cache.encode(out);
     }
 
@@ -679,8 +677,6 @@ impl Wire for EngineStats {
             errors: r.u64("engine errors")?,
             planner: crate::plan::PlannerStats {
                 dedup_hits: r.u64("planner dedup hits")?,
-                labels_memoized: r.u64("planner labels memoized")?,
-                fwd_levels_reused: r.u64("planner fwd levels reused")?,
             },
             cache: Option::<CacheStats>::decode(r)?,
         })
@@ -994,11 +990,7 @@ mod tests {
             requests: 100,
             batches: 7,
             errors: 1,
-            planner: crate::plan::PlannerStats {
-                dedup_hits: 12,
-                labels_memoized: 34,
-                fwd_levels_reused: 56,
-            },
+            planner: crate::plan::PlannerStats { dedup_hits: 12 },
             cache: Some(cache),
         };
         assert_eq!(
@@ -1013,6 +1005,23 @@ mod tests {
             from_bytes::<EngineStats>(&to_bytes(&uncached)).unwrap(),
             uncached
         );
+
+        // The pre-dedupe-only layout carried two more planner counters
+        // after `dedup_hits`. A payload of that length must fail typed,
+        // whatever the dropped counters held (their first byte lands on
+        // the cache presence flag: absent, present, invalid).
+        const PLANNER_END: usize = 3 * 8 + 1 + 4 * 8;
+        for stats in [engine, uncached] {
+            for first_dropped in [0u64, 1, 34] {
+                let mut old = to_bytes(&stats);
+                let dropped = [first_dropped.to_le_bytes(), 56u64.to_le_bytes()].concat();
+                old.splice(PLANNER_END..PLANNER_END, dropped);
+                assert!(
+                    from_bytes::<EngineStats>(&old).is_err(),
+                    "old-length payload ({first_dropped}) mis-parsed"
+                );
+            }
+        }
     }
 
     #[test]

@@ -50,10 +50,6 @@ pub(crate) struct SideState {
     pub(crate) settled: usize,
     /// Current level (`d_u` / `d_v` in Algorithm 4).
     pub(crate) level: Distance,
-    /// Origin of the live state, if any — what [`SideState::resume`]
-    /// compares against to keep a forward BFS alive across consecutive
-    /// same-source queries.
-    origin: Option<VertexId>,
 }
 
 impl SideState {
@@ -72,25 +68,6 @@ impl SideState {
         self.settled = 1;
         self.level = 0;
         self.depth.set(origin, 0);
-        self.origin = Some(origin);
-    }
-
-    /// Keeps the live BFS state when it was already rooted at `origin` on a
-    /// graph of the same size; otherwise falls back to [`SideState::begin`].
-    /// Returns `true` when prior state was kept.
-    ///
-    /// Safe to reuse because BFS levels from a fixed origin on a fixed view
-    /// are canonical: the caller only has to guarantee that the adjacency
-    /// view is the same one the retained state was computed on (the planner
-    /// uses this exclusively for non-landmark endpoints, where the
-    /// sparsified view is always `G⁻` itself).
-    pub(crate) fn resume(&mut self, n: usize, origin: VertexId) -> bool {
-        if self.origin == Some(origin) && self.depth.capacity() >= n {
-            true
-        } else {
-            self.begin(n, origin);
-            false
-        }
     }
 
     /// The vertices settled at the current level.
@@ -129,69 +106,6 @@ impl SideState {
     }
 }
 
-/// Per-batch, epoch-stamped memo of effective labels: the batch execution
-/// planner fetches each endpoint's label once per batch instead of once
-/// per query the endpoint appears in.
-///
-/// Entry storage is an arena of reusable vectors indexed by a per-vertex
-/// slot map, stamped like the other workspace fields so `begin_batch` is
-/// O(1) amortised.
-#[derive(Debug, Default)]
-pub(crate) struct LabelMemo {
-    stamps: Vec<u32>,
-    slots: Vec<u32>,
-    epoch: u32,
-    entries: Vec<Vec<(usize, Distance)>>,
-    used: usize,
-    hits: u64,
-}
-
-impl LabelMemo {
-    /// Starts a new batch: every previously memoized label becomes stale.
-    pub(crate) fn begin_batch(&mut self, n: usize) {
-        if self.stamps.len() < n {
-            self.stamps.resize(n, 0);
-            self.slots.resize(n, 0);
-        }
-        self.epoch = match self.epoch.checked_add(1) {
-            Some(e) => e,
-            None => {
-                self.stamps.iter_mut().for_each(|s| *s = 0);
-                1
-            }
-        };
-        self.used = 0;
-    }
-
-    /// Returns the arena slot holding `v`'s effective label, filling it
-    /// from the store on first sight within the current batch.
-    pub(crate) fn ensure<S: crate::store::IndexStore>(&mut self, store: &S, v: VertexId) -> usize {
-        let idx = v as usize;
-        if self.stamps[idx] == self.epoch {
-            self.hits += 1;
-            return self.slots[idx] as usize;
-        }
-        if self.used == self.entries.len() {
-            self.entries.push(Vec::new());
-        }
-        store.fill_effective_label(v, &mut self.entries[self.used]);
-        self.stamps[idx] = self.epoch;
-        self.slots[idx] = self.used as u32;
-        self.used += 1;
-        self.used - 1
-    }
-
-    /// The label stored at an [`ensure`](LabelMemo::ensure)-returned slot.
-    pub(crate) fn entry(&self, slot: usize) -> &[(usize, Distance)] {
-        &self.entries[slot]
-    }
-
-    /// Label fetches avoided so far (reads destructively).
-    pub(crate) fn take_hits(&mut self) -> u64 {
-        std::mem::take(&mut self.hits)
-    }
-}
-
 /// Reusable scratch state for the online query path. See the module docs
 /// for the epoch-stamping design and usage pattern.
 #[derive(Debug, Default)]
@@ -200,12 +114,6 @@ pub struct QueryWorkspace {
     pub(crate) fwd: SideState,
     /// Backward search side (rooted at the query target).
     pub(crate) bwd: SideState,
-    /// Long-lived forward side for the planner's shared-BFS distance
-    /// groups: kept out of `fwd` so interleaved vanilla queries (other
-    /// modes, landmark endpoints) cannot clobber the resumable state.
-    pub(crate) shared_fwd: SideState,
-    /// Per-batch effective-label memo (planner only).
-    pub(crate) label_memo: LabelMemo,
     /// Visited set for the reverse-search walks.
     pub(crate) visited: VisitedSet,
     /// Vertex stack for the reverse-search and depth walks.

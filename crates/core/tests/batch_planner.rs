@@ -1,10 +1,8 @@
-//! Differential coverage of the batch execution planner: for every
-//! generator family (shuffled-uniform, duplicated, source-clustered),
-//! `submit(batch)` with the planner enabled must be **bit-identical** to
-//! running the same requests one at a time on a fresh workspace, and to
-//! the planner-disabled fan-out — on the owned index, an mmap-backed
-//! `ViewStore`, and the compact `CompactStore`, with the answer cache
-//! cold and warm.
+//! Differential coverage of the batch path: for every generator family
+//! (shuffled-uniform, duplicated, source-clustered), `submit(batch)` must
+//! be **bit-identical** to running the same requests one at a time on a
+//! fresh workspace — on the owned index, an mmap-backed `ViewStore`, and
+//! the compact `CompactStore`, with the answer cache cold and warm.
 
 use proptest::prelude::*;
 
@@ -25,7 +23,7 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The three batch generator families the planner must stay transparent
+/// The three batch generator families `submit` must stay transparent
 /// on. Every family mixes query modes and splices one poisoned pair into
 /// the middle so the per-slot error path is always exercised.
 fn family_batch(family: u64, graph: &Graph, count: usize, seed: u64) -> Vec<QueryRequest> {
@@ -69,8 +67,7 @@ fn family_batch(family: u64, graph: &Graph, count: usize, seed: u64) -> Vec<Quer
                 })
                 .collect()
         }
-        // Source-clustered: a few hot sources fan out to many targets —
-        // the shared-forward-BFS's home turf.
+        // Source-clustered: a few hot sources fan out to many targets.
         _ => {
             let hot: Vec<VertexId> = pairs.iter().take(3).map(|&(u, _)| u).collect();
             (0..count)
@@ -83,8 +80,7 @@ fn family_batch(family: u64, graph: &Graph, count: usize, seed: u64) -> Vec<Quer
                     if t == s {
                         t = if s == 0 { 1 } else { 0 };
                     }
-                    // Half the cluster queries arrive target-first: the
-                    // planner must still root the group at the hot vertex.
+                    // Half the cluster queries arrive target-first.
                     if i % 2 == 0 {
                         QueryRequest::distance(s, t)
                     } else {
@@ -109,30 +105,22 @@ fn one_at_a_time<S: IndexStore>(store: &S, requests: &[QueryRequest]) -> Vec<Que
         .collect()
 }
 
-/// Planner-on and planner-off submits, cold and warm, must all match the
+/// Submits on 1 and 3 threads, cold and warm, must all match the
 /// one-at-a-time reference bit for bit.
-fn assert_planner_transparent<S: IndexStore>(store: &S, requests: &[QueryRequest], label: &str) {
+fn assert_submit_transparent<S: IndexStore>(store: &S, requests: &[QueryRequest], label: &str) {
     let reference = one_at_a_time(store, requests);
 
     for threads in [1usize, 3] {
-        let planned = QueryEngine::with_threads(store, threads).expect("engine");
-        let vanilla = QueryEngine::with_threads(store, threads)
-            .expect("engine")
-            .with_planner(false);
+        let engine = QueryEngine::with_threads(store, threads).expect("engine");
         assert_eq!(
-            planned.submit(requests),
+            engine.submit(requests),
             reference,
-            "{label}: planner-on diverged from one-at-a-time ({threads} threads)"
-        );
-        assert_eq!(
-            vanilla.submit(requests),
-            reference,
-            "{label}: planner-off diverged from one-at-a-time ({threads} threads)"
+            "{label}: submit diverged from one-at-a-time ({threads} threads)"
         );
     }
 
     // Warm-cache pass: the first submit fills the cache, the second must
-    // serve bit-identical answers out of it through the planner.
+    // serve bit-identical answers out of it.
     let cached = QueryEngine::with_threads(store, 2)
         .expect("engine")
         .with_answer_cache(CacheConfig::default().admit_above(0));
@@ -164,7 +152,7 @@ proptest! {
         let requests = family_batch(family, &graph, 48, seed ^ 0xF00D);
 
         // Owned backend.
-        assert_planner_transparent(&owned, &requests, "owned");
+        assert_submit_transparent(&owned, &requests, "owned");
 
         // Mmap view backend.
         let dir = std::env::temp_dir().join(format!(
@@ -176,11 +164,11 @@ proptest! {
         let path = dir.join(format!("case_{family}_{vertices}_{landmarks}_{seed}.qbs2"));
         serialize::save_to_file(&owned, &path).expect("save");
         let view = serialize::open_store_from_file(&path, MapMode::Mmap).expect("map");
-        assert_planner_transparent(&view, &requests, "view");
+        assert_submit_transparent(&view, &requests, "view");
 
         // Compact backend.
         let compact = CompactStore::new(owned.as_compact_view().expect("compact view"));
-        assert_planner_transparent(&compact, &requests, "compact");
+        assert_submit_transparent(&compact, &requests, "compact");
 
         // The three backends agree with each other, too.
         let owned_outcomes = QueryEngine::with_threads(&owned, 2).expect("engine").submit(&requests);
@@ -199,16 +187,14 @@ proptest! {
 }
 
 /// Deterministic counter semantics on the paper's running example:
-/// duplicates are coalesced (and counted once per duplicate slot), labels
-/// of a hot source are memoized, and same-source runs reuse forward-BFS
-/// levels — while the answers stay exactly the vanilla ones.
+/// duplicates are coalesced and counted once per duplicate slot, while the
+/// answers stay exactly the one-at-a-time ones.
 #[test]
-fn planner_counters_report_dedup_memoization_and_level_reuse() {
+fn planner_counter_reports_dedup_hits() {
     let owned = QbsIndex::build(
         qbs_graph::fixtures::figure4_graph(),
         QbsConfig::with_explicit_landmarks(vec![1, 2, 3]),
     );
-    // Source 6 is hot (appears in both orientations); (6, 11) repeats.
     let requests = vec![
         QueryRequest::distance(6, 11),
         QueryRequest::distance(11, 6),
@@ -221,15 +207,53 @@ fn planner_counters_report_dedup_memoization_and_level_reuse() {
     let engine = QueryEngine::with_threads(&owned, 1).expect("engine");
     let outcomes = engine.submit(&requests);
     assert_eq!(outcomes, one_at_a_time(&owned, &requests));
-
-    let stats = engine.planner_stats();
     // (6,11), (11,6), (6,11) fold into one job: two duplicate slots.
-    assert_eq!(stats.dedup_hits, 2, "{stats:?}");
-    // Source 6 anchors a four-job run; its label is fetched once and
-    // memoized three times (the distinct targets never repeat).
-    assert!(stats.labels_memoized >= 3, "{stats:?}");
-    // Queries after the first in the run resume the retained forward BFS.
-    assert!(stats.fwd_levels_reused > 0, "{stats:?}");
+    assert_eq!(engine.planner_stats().dedup_hits, 2);
+
+    // A frame without a repeated key coalesces nothing.
+    engine.submit(&requests[2..]);
+    assert_eq!(engine.planner_stats().dedup_hits, 2);
+}
+
+/// Duplicates of one key that carry *different* options are each shaped by
+/// their own, out-of-range duplicates each keep their own error payload,
+/// and the cache still sees one lookup per distinct key.
+#[test]
+fn duplicate_slots_are_shaped_by_their_own_options() {
+    let owned = QbsIndex::build(
+        qbs_graph::fixtures::figure4_graph(),
+        QbsConfig::with_explicit_landmarks(vec![1, 2, 3]),
+    );
+    let requests = vec![
+        QueryRequest::path_graph(6, 11).uncached(),
+        QueryRequest::path_graph(6, 11).with_stats(),
+        QueryRequest::distance(99, 6),
+        QueryRequest::path_graph(6, 11),
+        QueryRequest::distance(4, 12).uncached(),
+        QueryRequest::distance(12, 4),
+        QueryRequest::distance(99, 6),
+        QueryRequest::distance(6, 99),
+    ];
+    // The reference shapes every slot by its own options and gives every
+    // out-of-range slot its own payload.
+    let reference = one_at_a_time(&owned, &requests);
+    let engine = QueryEngine::with_threads(&owned, 1)
+        .expect("engine")
+        .with_answer_cache(CacheConfig::default().admit_above(0));
+    assert_eq!(engine.submit(&requests), reference);
+    assert!(matches!(reference[0], QueryOutcome::PathGraph(_)));
+    assert!(matches!(reference[1], QueryOutcome::PathGraphWithStats(_)));
+    let dedup_hits = engine.planner_stats().dedup_hits;
+    assert_eq!(dedup_hits, 3, "error slots stay solo");
+
+    // Two distinct in-range keys, each looked up and admitted once even
+    // though its first slot opted out of the cache; every out-of-range
+    // slot counts its own miss, as a one-at-a-time execution would.
+    let cold = engine.cache_stats().expect("cache");
+    assert_eq!((cold.hits, cold.misses, cold.insertions), (0, 5, 2));
+    assert_eq!(engine.submit(&requests), reference, "warm");
+    let warm = engine.cache_stats().expect("cache");
+    assert_eq!((warm.hits, warm.misses, warm.insertions), (2, 8, 2));
 }
 
 /// Duplicate slots keep per-slot request accounting but the cache sees

@@ -516,8 +516,6 @@ fn merge_engine(into: &mut EngineStats, from: &EngineStats) {
     into.batches += from.batches;
     into.errors += from.errors;
     into.planner.dedup_hits += from.planner.dedup_hits;
-    into.planner.labels_memoized += from.planner.labels_memoized;
-    into.planner.fwd_levels_reused += from.planner.fwd_levels_reused;
     if let Some(cache) = &from.cache {
         let merged = into.cache.get_or_insert_with(CacheStats::default);
         merged.hits += cache.hits;

@@ -98,7 +98,7 @@ fn routed_answers_are_bit_identical_and_stats_aggregate() {
             .collect(),
     );
     let local = Qbs::open(&path, MapMode::Mmap).expect("local reference");
-    let num_vertices = qbs_core::IndexStore::num_vertices(&local) as u32;
+    let num_vertices = local.num_vertices() as u32;
 
     let mut client =
         QbsClient::connect_retry(&router.local_addr().to_string(), Duration::from_secs(10))
@@ -167,7 +167,7 @@ fn killing_a_replica_mid_workload_loses_no_accepted_request() {
             .collect(),
     );
     let local = Qbs::open(&path, MapMode::Mmap).expect("local reference");
-    let num_vertices = qbs_core::IndexStore::num_vertices(&local) as u32;
+    let num_vertices = local.num_vertices() as u32;
     let addr = router.local_addr().to_string();
 
     let (tx, rx) = std::sync::mpsc::channel::<()>();
@@ -266,7 +266,7 @@ fn routed_metrics_merge_replica_histograms_and_serve_http() {
     .expect("start router");
     let metrics_addr = router.metrics_addr().expect("metrics listener bound");
     let local = Qbs::open(&path, MapMode::Mmap).expect("local reference");
-    let num_vertices = qbs_core::IndexStore::num_vertices(&local) as u32;
+    let num_vertices = local.num_vertices() as u32;
 
     let mut client =
         QbsClient::connect_retry(&router.local_addr().to_string(), Duration::from_secs(10))

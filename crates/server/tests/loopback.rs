@@ -55,7 +55,7 @@ fn mixed_requests(num_vertices: u32, salt: u32) -> Vec<QueryRequest> {
 #[test]
 fn concurrent_clients_get_bit_identical_answers() {
     let (qbs, path) = mmap_session("differential");
-    let num_vertices = qbs_core::IndexStore::num_vertices(qbs.as_ref()) as u32;
+    let num_vertices = qbs.num_vertices() as u32;
     let mut server = QbsServer::start(Arc::clone(&qbs), ServerConfig::default()).expect("start");
     let addr = server.local_addr().to_string();
 
@@ -113,7 +113,7 @@ fn cache_hits_are_bit_identical_across_the_wire() {
             .expect("threads")
             .with_cache(CacheConfig::default().admit_above(0)),
     );
-    let num_vertices = qbs_core::IndexStore::num_vertices(qbs.as_ref()) as u32;
+    let num_vertices = qbs.num_vertices() as u32;
     let mut server = QbsServer::start(Arc::clone(&qbs), ServerConfig::default()).expect("start");
     let mut client = QbsClient::connect(&server.local_addr().to_string()).expect("connect");
 
@@ -132,7 +132,7 @@ fn cache_hits_are_bit_identical_across_the_wire() {
 #[test]
 fn exceeding_max_inflight_yields_typed_busy_not_a_hang() {
     let (qbs, _path) = mmap_session("busy");
-    let num_vertices = qbs_core::IndexStore::num_vertices(qbs.as_ref()) as u32;
+    let num_vertices = qbs.num_vertices() as u32;
     let config = ServerConfig {
         admission: AdmissionConfig {
             max_inflight: 8,
@@ -229,7 +229,7 @@ fn hundreds_of_idle_connections_park_on_one_reactor_thread() {
 #[test]
 fn shutdown_frame_drains_and_stops_the_server() {
     let (qbs, _path) = mmap_session("shutdown");
-    let num_vertices = qbs_core::IndexStore::num_vertices(qbs.as_ref()) as u32;
+    let num_vertices = qbs.num_vertices() as u32;
     let server = QbsServer::start(Arc::clone(&qbs), ServerConfig::default()).expect("start");
     let addr = server.local_addr().to_string();
     let signal: Arc<ShutdownSignal> = server.signal();
@@ -317,7 +317,7 @@ fn ping_reconnect_and_version_negotiation() {
 #[test]
 fn v1_and_v3_clients_get_bit_identical_answers() {
     let (qbs, path) = mmap_session("versions");
-    let num_vertices = qbs_core::IndexStore::num_vertices(qbs.as_ref()) as u32;
+    let num_vertices = qbs.num_vertices() as u32;
     let mut server = QbsServer::start(Arc::clone(&qbs), ServerConfig::default()).expect("start");
     let addr = server.local_addr().to_string();
     let local = Qbs::open(&path, MapMode::Mmap).expect("local reference");
@@ -367,7 +367,7 @@ fn v1_and_v3_clients_get_bit_identical_answers() {
 #[test]
 fn v1_half_close_with_queued_batches_drains_and_releases_permits() {
     let (qbs, path) = mmap_session("halfclose");
-    let num_vertices = qbs_core::IndexStore::num_vertices(qbs.as_ref()) as u32;
+    let num_vertices = qbs.num_vertices() as u32;
     // One worker serialises execution, so the trailing batches are parked
     // in the v1 in-order queue when the EOF arrives.
     let mut server =
@@ -424,7 +424,7 @@ fn v1_half_close_with_queued_batches_drains_and_releases_permits() {
 #[test]
 fn pipelined_batches_complete_out_of_order_and_match_local() {
     let (qbs, path) = mmap_session("pipeline");
-    let num_vertices = qbs_core::IndexStore::num_vertices(qbs.as_ref()) as u32;
+    let num_vertices = qbs.num_vertices() as u32;
     let mut server =
         QbsServer::start(Arc::clone(&qbs), ServerConfig::default().workers(2)).expect("start");
     let addr = server.local_addr().to_string();
@@ -466,7 +466,7 @@ fn pipelined_batches_complete_out_of_order_and_match_local() {
 #[test]
 fn metrics_frame_http_endpoint_and_slow_queries() {
     let (qbs, _path) = mmap_session("metrics");
-    let num_vertices = qbs_core::IndexStore::num_vertices(qbs.as_ref()) as u32;
+    let num_vertices = qbs.num_vertices() as u32;
     // A zero slow-query threshold makes every admitted batch "slow", so
     // the counter (and the stderr log line) fire deterministically.
     let config = ServerConfig::default()

@@ -270,11 +270,7 @@ fn stats_payload_truncation_sweep() {
             requests: u64::MAX / 2,
             batches: 12_345,
             errors: 17,
-            planner: qbs_core::PlannerStats {
-                dedup_hits: 9,
-                labels_memoized: 8,
-                fwd_levels_reused: 7,
-            },
+            planner: qbs_core::PlannerStats { dedup_hits: 9 },
             cache: Some(qbs_core::CacheStats {
                 hits: 1,
                 misses: 2,
@@ -308,6 +304,15 @@ fn stats_payload_truncation_sweep() {
     assert_eq!(from_bytes::<ServerStats>(&bytes).unwrap(), stats);
     for cut in 0..bytes.len() {
         assert!(from_bytes::<ServerStats>(&bytes[..cut]).is_err());
+    }
+    // A payload of the old length — two more planner counters after
+    // `dedup_hits` — is refused, not mis-parsed into shifted counters.
+    const PLANNER_END: usize = 3 * 8 + 1 + 4 * 8;
+    for first_dropped in [0u64, 1, 8] {
+        let mut old = bytes.clone();
+        let dropped = [first_dropped.to_le_bytes(), 7u64.to_le_bytes()].concat();
+        old.splice(PLANNER_END..PLANNER_END, dropped);
+        assert!(from_bytes::<ServerStats>(&old).is_err(), "{first_dropped}");
     }
 }
 
