@@ -66,7 +66,7 @@ impl SpgEngine for QbsEngine {
         // *single-threaded* per-query latency across methods, so QbS must
         // amortise scratch state the same way Bi-BFS and the oracle do —
         // not fan out over cores (that is `qbs_core::QueryEngine`'s job,
-        // exercised by the CLI and the workspace_reuse bench).
+        // exercised by the CLI and the benchmark's `engine.*` probes).
         let mut ws = self.workspace.lock().expect("workspace poisoned");
         pairs
             .iter()

@@ -126,9 +126,6 @@ pub enum Command {
     Client {
         /// Server address (`host:port`).
         addr: String,
-        /// Pin the connection to protocol v1 (`--protocol v1`) instead of
-        /// negotiating up to the newest version.
-        force_v1: bool,
         /// Pin every frame to one trace ID (`--trace-id HEX`) instead of
         /// generating a fresh one per send — makes a request findable in
         /// the server's slow-query log.
@@ -227,8 +224,8 @@ commands:
   client   --addr H:P --pairs FILE [--mode M] [--stats] [--format F]
   client   --addr H:P --source U --target V [--mode M] [--format F]
   client   --addr H:P (--stats | --metrics | --ping [--count N] | --shutdown)
-  client options also accept [--protocol v1|v2|v3] (default: negotiate v3)
-           and [--trace-id HEX] (pin the trace ID every frame carries)
+  client options also accept [--trace-id HEX] (pin the trace ID every
+           frame carries)
   stats    --index FILE
   inspect  --index FILE
   convert  --from FILE --to FILE
@@ -267,11 +264,9 @@ rendering as a local `query`; `--stats` alone prints the server's
 serving and admission counters, and `--metrics` prints its per-stage
 latency histograms (count and p50/p90/p99/max per query mode and
 pipeline stage). `--ping` measures round-trip latency
-(min/p50/p90/p99/max over `--count N` pings, default 5). `--protocol
-v1` pins the connection to the FIFO v1 framing instead of negotiating
-up to the pipelined, trace-carrying v3. `--trace-id HEX` pins the trace
-ID every frame carries, so a request can be found in the server's
-slow-query log (docs/observability.md).
+(min/p50/p90/p99/max over `--count N` pings, default 5). `--trace-id
+HEX` pins the trace ID every frame carries, so a request can be found
+in the server's slow-query log (docs/observability.md).
 
 `serve --metrics-addr H:P` additionally exposes the same counters and
 histograms as a Prometheus text endpoint (`GET /metrics`), and
@@ -485,15 +480,13 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
         }
         "client" => {
             let addr = require("addr")?;
-            let force_v1 = match get("protocol").as_deref() {
-                None | Some("v2") | Some("v3") => false,
-                Some("v1") => true,
-                Some(other) => {
-                    return Err(ParseError(format!(
-                        "client: unknown protocol '{other}' (expected v1, v2 or v3)"
-                    )))
-                }
-            };
+            // Unknown keys are otherwise ignored, and a silently ignored
+            // pin would read as "the pin took".
+            if get("protocol").is_some() {
+                return Err(ParseError(
+                    "--protocol was removed: this build speaks protocol v3 only".into(),
+                ));
+            }
             let trace_id = get("trace-id").map(|s| parse_trace_id(&s)).transpose()?;
             let source = get("source")
                 .map(|s| parse_number(&s, "source").map(|n| n as u32))
@@ -566,7 +559,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             };
             Ok(Command::Client {
                 addr,
-                force_v1,
                 trace_id,
                 action,
             })
@@ -1053,7 +1045,6 @@ mod tests {
             cmd,
             Command::Client {
                 addr: "h:1".into(),
-                force_v1: false,
                 trace_id: None,
                 action: ClientAction::Query {
                     source: None,
@@ -1065,58 +1056,17 @@ mod tests {
                 },
             }
         );
-        // `--protocol` pins or confirms the wire version; junk is rejected.
-        assert!(matches!(
-            parse(&args(&[
-                "client",
-                "--addr",
-                "h:1",
-                "--ping",
-                "--protocol",
-                "v1"
-            ]))
-            .unwrap(),
-            Command::Client { force_v1: true, .. }
-        ));
-        assert!(matches!(
-            parse(&args(&[
-                "client",
-                "--addr",
-                "h:1",
-                "--ping",
-                "--protocol",
-                "v2"
-            ]))
-            .unwrap(),
-            Command::Client {
-                force_v1: false,
-                ..
-            }
-        ));
-        assert!(matches!(
-            parse(&args(&[
-                "client",
-                "--addr",
-                "h:1",
-                "--ping",
-                "--protocol",
-                "v3"
-            ]))
-            .unwrap(),
-            Command::Client {
-                force_v1: false,
-                ..
-            }
-        ));
-        assert!(parse(&args(&[
+        // The removed `--protocol` pin is an error, not a silent no-op.
+        let err = parse(&args(&[
             "client",
             "--addr",
             "h:1",
             "--ping",
             "--protocol",
-            "v9"
+            "v1",
         ]))
-        .is_err());
+        .unwrap_err();
+        assert!(err.0.contains("--protocol was removed"), "{}", err.0);
         // `--metrics` is a control action; `--trace-id` takes hex (with
         // or without 0x) and rejects zero, which marks untraced frames.
         assert!(matches!(

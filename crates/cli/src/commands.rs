@@ -16,8 +16,8 @@ use qbs_gen::catalog::Catalog;
 use qbs_graph::{io, Graph, VertexId};
 use qbs_router::{QbsRouter, RouterConfig, RouterHandle};
 use qbs_server::{
-    signal, AdmissionConfig, BatchReply, ClientConfig, ProtocolError, QbsClient, QbsServer,
-    ServerConfig, ServerHandle,
+    signal, AdmissionConfig, BatchReply, ProtocolError, QbsClient, QbsServer, ServerConfig,
+    ServerHandle,
 };
 
 use crate::args::{ClientAction, Command, USAGE};
@@ -222,12 +222,10 @@ pub fn run(command: &Command) -> Result<String, CommandError> {
         }
         Command::Client {
             addr,
-            force_v1,
             trace_id,
             action,
         } => {
-            let config = ClientConfig::default().force_v1(*force_v1);
-            let mut client = QbsClient::connect_with(addr, config)?;
+            let mut client = QbsClient::connect(addr)?;
             if let Some(id) = trace_id {
                 client.set_trace(qbs_core::TraceId(*id));
             }
@@ -1310,7 +1308,6 @@ mod tests {
         let client_batch = |mode: QueryMode| {
             run(&Command::Client {
                 addr: addr.clone(),
-                force_v1: false,
                 trace_id: None,
                 action: ClientAction::Query {
                     source: None,
@@ -1354,7 +1351,6 @@ mod tests {
         std::fs::write(dir.join("big.txt"), "1 2\n3 4\n5 6\n7 8\n0 1\n").expect("write");
         let busy = run(&Command::Client {
             addr: addr.clone(),
-            force_v1: false,
             trace_id: None,
             action: ClientAction::Query {
                 source: None,
@@ -1372,7 +1368,6 @@ mod tests {
         // Single remote query, JSON batch, ping, server stats.
         let single = run(&Command::Client {
             addr: addr.clone(),
-            force_v1: false,
             trace_id: None,
             action: ClientAction::Query {
                 source: Some(1),
@@ -1387,7 +1382,6 @@ mod tests {
         assert!(single.starts_with("d(1, 5) = "), "{single}");
         let json = run(&Command::Client {
             addr: addr.clone(),
-            force_v1: false,
             trace_id: None,
             action: ClientAction::Query {
                 source: None,
@@ -1404,7 +1398,6 @@ mod tests {
 
         let pong = run(&Command::Client {
             addr: addr.clone(),
-            force_v1: false,
             trace_id: None,
             action: ClientAction::Ping { count: 3 },
         })
@@ -1417,7 +1410,6 @@ mod tests {
 
         let stats = run(&Command::Client {
             addr: addr.clone(),
-            force_v1: false,
             trace_id: None,
             action: ClientAction::Stats,
         })
@@ -1433,7 +1425,6 @@ mod tests {
         // port refuses connections.
         let ack = run(&Command::Client {
             addr: addr.clone(),
-            force_v1: false,
             trace_id: None,
             action: ClientAction::Shutdown,
         })
@@ -1442,7 +1433,6 @@ mod tests {
         handle.shutdown();
         let refused = run(&Command::Client {
             addr: addr.clone(),
-            force_v1: false,
             trace_id: None,
             action: ClientAction::Ping { count: 1 },
         });
@@ -1510,7 +1500,6 @@ mod tests {
         // through the CLI.
         let routed = run(&Command::Client {
             addr: addr.clone(),
-            force_v1: false,
             trace_id: None,
             action: ClientAction::Query {
                 source: None,
@@ -1550,7 +1539,6 @@ mod tests {
         // section alongside the merged engine counters.
         let stats = run(&Command::Client {
             addr: addr.clone(),
-            force_v1: false,
             trace_id: None,
             action: ClientAction::Stats,
         })
@@ -1561,7 +1549,6 @@ mod tests {
         // Ping travels through the router reactor like any other frame.
         let pong = run(&Command::Client {
             addr,
-            force_v1: false,
             trace_id: None,
             action: ClientAction::Ping { count: 2 },
         })

@@ -17,16 +17,16 @@
 //!   concurrent workers do not contend on the same cache lines.
 //!   [`Metrics::snapshot`] folds the shards back together.
 //! - **Always on.** Instrumentation is enabled by default and cheap
-//!   enough to stay on (the `server_throughput` bench gates the overhead
-//!   at ≤ 2%); [`Metrics::set_enabled`] exists so that bench can measure
-//!   the delta, not so production turns it off.
+//!   enough to stay on; [`Metrics::set_enabled`] exists so the `obs`
+//!   tripwire can show answers do not depend on it, not so production
+//!   turns it off.
 //!
 //! Per-request stage timing ([`Stage`]) is collected into a small
 //! workspace scratch ([`ObsScratch`]) while a request executes, then
 //! flushed into the registry under the request's
 //! [`QueryMode`] — batch-scoped stages (queue wait, planner, wire encode)
 //! land under the synthetic `batch` mode instead. [`TraceId`]s ride the
-//! protocol-v3 frame envelope from client through router to replicas and
+//! protocol frame envelope from client through router to replicas and
 //! key the threshold-triggered slow-query log (see `docs/observability.md`).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -472,7 +472,7 @@ struct MetricsShard {
 
 /// The process-wide observability registry: sharded per-stage latency
 /// histograms keyed by ([`QueryMode`] slot, [`Stage`]), plus the
-/// slow-query counter. One registry lives inside each [`crate::Qbs`]
+/// slow-query and job-panic counters. One registry lives inside each [`crate::Qbs`]
 /// session (shared with every transient engine it spawns) and each
 /// router backend.
 #[derive(Debug)]
@@ -480,6 +480,7 @@ pub struct Metrics {
     enabled: AtomicBool,
     shards: Box<[MetricsShard]>,
     slow_queries: AtomicU64,
+    job_panics: AtomicU64,
 }
 
 impl Default for Metrics {
@@ -495,6 +496,7 @@ impl Metrics {
             enabled: AtomicBool::new(true),
             shards: (0..NUM_SHARDS).map(|_| MetricsShard::default()).collect(),
             slow_queries: AtomicU64::new(0),
+            job_panics: AtomicU64::new(0),
         }
     }
 
@@ -503,8 +505,8 @@ impl Metrics {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Turns recording on or off. Exists for the instrumentation-overhead
-    /// bench and differential tests; production keeps it on.
+    /// Turns recording on or off. Exists for differential tests;
+    /// production keeps it on.
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Relaxed);
     }
@@ -552,6 +554,12 @@ impl Metrics {
         self.slow_queries.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Bumps the panic counter (one per serving job that panicked and was
+    /// answered with a typed internal fault).
+    pub fn inc_job_panics(&self) {
+        self.job_panics.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Takes a mergeable snapshot of every histogram, folding the shards
     /// together.
     pub fn snapshot(&self) -> MetricsSnapshot {
@@ -568,6 +576,7 @@ impl Metrics {
         MetricsSnapshot {
             hists,
             slow_queries: self.slow_queries.load(Ordering::Relaxed),
+            job_panics: self.job_panics.load(Ordering::Relaxed),
         }
     }
 
@@ -585,12 +594,14 @@ impl Metrics {
             other.slow_queries.load(Ordering::Relaxed),
             Ordering::Relaxed,
         );
+        self.job_panics
+            .fetch_add(other.job_panics.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 }
 
 /// A wire-encodable snapshot of a [`Metrics`] registry: the full (mode
 /// slot × stage) histogram matrix in row-major order plus the slow-query
-/// counter. This is the payload of the protocol `Metrics` frame; the
+/// and job-panic counters. This is the payload of the protocol `Metrics` frame; the
 /// router merges replica snapshots into its own bucket-wise, so
 /// aggregated quantiles stay well-defined.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -601,6 +612,9 @@ pub struct MetricsSnapshot {
     pub hists: Vec<HistogramSnapshot>,
     /// Slow queries logged since startup.
     pub slow_queries: u64,
+    /// Serving jobs that panicked since startup (each answered with a
+    /// typed internal fault).
+    pub job_panics: u64,
 }
 
 impl MetricsSnapshot {
@@ -623,6 +637,7 @@ impl MetricsSnapshot {
             mine.merge(theirs);
         }
         self.slow_queries += other.slow_queries;
+        self.job_panics += other.job_panics;
     }
 
     /// Whether no family holds any sample.
@@ -684,6 +699,8 @@ impl MetricsSnapshot {
         }
         let _ = writeln!(out, "# TYPE qbs_slow_queries_total counter");
         let _ = writeln!(out, "qbs_slow_queries_total {}", self.slow_queries);
+        let _ = writeln!(out, "# TYPE qbs_job_panics_total counter");
+        let _ = writeln!(out, "qbs_job_panics_total {}", self.job_panics);
     }
 
     /// Renders the non-empty families as an aligned human-readable table
@@ -717,20 +734,21 @@ impl MetricsSnapshot {
             }
         }
         let _ = writeln!(out, "slow queries logged: {}", self.slow_queries);
+        let _ = writeln!(out, "job panics contained: {}", self.job_panics);
         out
     }
 }
 
 /// A request trace identifier, minted by the client and carried verbatim
-/// in the protocol-v3 frame envelope through the router to every replica
+/// in the protocol frame envelope through the router to every replica
 /// that serves a piece of the batch. Slow-query log lines carry it, so a
 /// client-observed slow request can be joined to the replica and stage
-/// that caused it. Zero means "untraced" (v1/v2 peers).
+/// that caused it. Zero means "untraced" (connection-scoped frames).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct TraceId(pub u64);
 
 impl TraceId {
-    /// The null trace of untraced (pre-v3) requests.
+    /// The null trace of untraced frames.
     pub const NONE: TraceId = TraceId(0);
 
     /// Whether this is the null trace.
@@ -903,6 +921,7 @@ mod tests {
         let mut short = MetricsSnapshot {
             hists: Vec::new(),
             slow_queries: 3,
+            job_panics: 0,
         };
         short.merge(&full);
         assert_eq!(short.slow_queries, 3);
@@ -917,11 +936,13 @@ mod tests {
         let m = Metrics::new();
         m.record_batch_stage(Stage::QueueWait, Duration::from_micros(12));
         m.inc_slow_queries();
+        m.inc_job_panics();
         let mut text = String::new();
         m.snapshot().render_prometheus_into(&mut text);
         assert!(text.contains("qbs_stage_seconds_bucket{mode=\"batch\",stage=\"queue_wait\""));
         assert!(text.contains("qbs_stage_seconds_count{mode=\"batch\",stage=\"queue_wait\"} 1"));
         assert!(text.contains("qbs_slow_queries_total 1"));
+        assert!(text.contains("qbs_job_panics_total 1"));
     }
 
     #[test]

@@ -854,25 +854,27 @@ impl Wire for HistogramSnapshot {
 }
 
 impl Wire for MetricsSnapshot {
-    // slow-query counter + histogram sequence length u32.
-    const MIN_ENCODED_LEN: usize = 8 + 4;
+    // slow-query + job-panic counters + histogram sequence length u32.
+    const MIN_ENCODED_LEN: usize = 8 + 8 + 4;
 
     fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.slow_queries.to_le_bytes());
+        out.extend_from_slice(&self.job_panics.to_le_bytes());
         self.hists.encode(out);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(MetricsSnapshot {
             slow_queries: r.u64("slow query count")?,
+            job_panics: r.u64("job panic count")?,
             hists: Vec::<HistogramSnapshot>::decode(r)?,
         })
     }
 }
 
-/// A per-connection request identifier, carried in the protocol-v2 frame
-/// envelope (`[len][id][tag][payload]`) so responses can complete out of
-/// order. IDs are scoped to one connection and assigned by the client;
+/// A per-connection request identifier, carried in the protocol frame
+/// envelope (`[len][id][trace][tag][payload]`) so responses can complete
+/// out of order. IDs are scoped to one connection and assigned by the client;
 /// the server echoes them verbatim. [`RequestId::CONNECTION`] (zero) is
 /// reserved for connection-scoped frames — faults that poison the whole
 /// stream rather than one request.
@@ -1243,6 +1245,7 @@ mod tests {
         }
         let mut snap = m.snapshot();
         snap.slow_queries = 3;
+        snap.job_panics = 1;
         snap.hists[0] = h.snapshot();
         let bytes = to_bytes(&snap);
         assert_eq!(from_bytes::<MetricsSnapshot>(&bytes).unwrap(), snap);
@@ -1266,6 +1269,7 @@ mod tests {
         // A hostile bucket count is bounded by the remaining bytes before
         // any allocation happens.
         let mut hostile = 3u64.to_le_bytes().to_vec();
+        hostile.extend_from_slice(&0u64.to_le_bytes());
         hostile.extend_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
             from_bytes::<MetricsSnapshot>(&hostile),

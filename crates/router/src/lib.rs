@@ -14,9 +14,6 @@
 //!   least-in-flight balancing, and the health state machine
 //!   (consecutive-failure ejection, exponential-backoff re-admission,
 //!   half-open probing);
-//! * [`shard`] — the [`ShardMap`] routing table: replica groups keyed by
-//!   vertex range, currently one full-replication group (the partitioned
-//!   follow-up is a data change, not a redesign);
 //! * [`router`] — [`RouterConfig`] / [`QbsRouter`] / [`RouterHandle`]
 //!   and the scatter/gather [`RouterBackend`]: contiguous sub-batches to
 //!   the least-loaded healthy replicas, pipelined sends before any
@@ -45,8 +42,6 @@
 
 pub mod pool;
 pub mod router;
-pub mod shard;
 
 pub use pool::{HealthConfig, Replica, ReplicaPool};
 pub use router::{QbsRouter, RouterBackend, RouterConfig, RouterHandle};
-pub use shard::{ShardGroup, ShardMap};

@@ -240,7 +240,7 @@ impl ReplicaPool {
         self.replicas.is_empty()
     }
 
-    /// The replicas, indexed as the shard map references them.
+    /// The replicas, in configuration order.
     pub fn replicas(&self) -> &[Replica] {
         &self.replicas
     }
@@ -260,19 +260,17 @@ impl ReplicaPool {
         self.replicas.iter().filter(|r| r.is_available(now)).count()
     }
 
-    /// Picks the best replica among `candidates` (fewest in-flight
-    /// requests, ties to the lowest index) that is not in `exclude`,
-    /// preferring available replicas. When **every** candidate is
-    /// ejected — the all-replicas-down regime — the least-loaded ejected
-    /// one is returned anyway: a bounded dial attempt with a typed
-    /// failure beats refusing outright, and it doubles as a half-open
-    /// probe. Returns `None` only when `exclude` exhausts `candidates`.
-    pub fn pick(&self, candidates: &[usize], exclude: &[usize]) -> Option<usize> {
+    /// Picks the best replica (fewest in-flight requests, ties to the
+    /// lowest index) that is not in `exclude`, preferring available
+    /// replicas. When **every** replica is ejected — the
+    /// all-replicas-down regime — the least-loaded ejected one is
+    /// returned anyway: a bounded dial attempt with a typed failure beats
+    /// refusing outright, and it doubles as a half-open probe. Returns
+    /// `None` only when `exclude` exhausts the pool.
+    pub fn pick(&self, exclude: &[usize]) -> Option<usize> {
         let now = Instant::now();
         let eligible = |available_only: bool| {
-            candidates
-                .iter()
-                .copied()
+            (0..self.replicas.len())
                 .filter(|i| !exclude.contains(i))
                 .filter(|&i| !available_only || self.replicas[i].is_available(now))
                 .min_by_key(|&i| (self.replicas[i].in_flight(), i))
@@ -296,10 +294,10 @@ mod tests {
         pool.replicas()[0].start_requests(10);
         pool.replicas()[1].start_requests(2);
         pool.replicas()[2].start_requests(5);
-        assert_eq!(pool.pick(&[0, 1, 2], &[]), Some(1));
-        assert_eq!(pool.pick(&[0, 1, 2], &[1]), Some(2));
-        assert_eq!(pool.pick(&[0, 1, 2], &[1, 2]), Some(0));
-        assert_eq!(pool.pick(&[0, 1, 2], &[0, 1, 2]), None);
+        assert_eq!(pool.pick(&[]), Some(1));
+        assert_eq!(pool.pick(&[1]), Some(2));
+        assert_eq!(pool.pick(&[1, 2]), Some(0));
+        assert_eq!(pool.pick(&[0, 1, 2]), None);
     }
 
     #[test]
@@ -342,10 +340,7 @@ mod tests {
         assert!(pool.replicas()[0].record_failure(&health));
         assert!(pool.replicas()[1].record_failure(&health));
         assert_eq!(pool.available(Instant::now()), 0);
-        assert!(
-            pool.pick(&[0, 1], &[]).is_some(),
-            "all-down must not refuse"
-        );
+        assert!(pool.pick(&[]).is_some(), "all-down must not refuse");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The router process: the protocol v2 reactor front-end wired to a
+//! The router process: the `qbs-server` reactor front-end wired to a
 //! scatter/gather [`ServeBackend`] over a [`ReplicaPool`], plus the
 //! health prober.
 
@@ -17,7 +17,6 @@ use qbs_server::{
 };
 
 use crate::pool::{HealthConfig, Replica, ReplicaPool};
-use crate::shard::ShardMap;
 
 /// How often [`RouterHandle::wait`] re-checks the shutdown latch.
 const WAIT_POLL: Duration = Duration::from_millis(100);
@@ -170,7 +169,6 @@ impl RouterConfig {
 #[derive(Debug)]
 pub struct RouterBackend {
     pool: ReplicaPool,
-    shards: ShardMap,
     max_retries: usize,
     min_split: usize,
     batches_routed: AtomicU64,
@@ -197,10 +195,8 @@ struct Shipment {
 
 impl RouterBackend {
     fn new(pool: ReplicaPool, config: &RouterConfig) -> RouterBackend {
-        let shards = ShardMap::full_replication(pool.len());
         RouterBackend {
             pool,
-            shards,
             max_retries: config.max_retries,
             min_split: config.min_split.max(1),
             batches_routed: AtomicU64::new(0),
@@ -214,11 +210,6 @@ impl RouterBackend {
     /// The replica pool (shared with the prober).
     pub fn pool(&self) -> &ReplicaPool {
         &self.pool
-    }
-
-    /// The routing table.
-    pub fn shards(&self) -> &ShardMap {
-        &self.shards
     }
 
     /// Snapshot of the router-level counters plus every replica's.
@@ -239,18 +230,17 @@ impl RouterBackend {
     }
 
     /// Ships one sub-batch to the best untried replica, pipelined.
-    /// Returns `None` when the candidate set (bounded by `max_retries`)
-    /// is exhausted without a successful send.
+    /// Returns `None` when the pool (bounded by `max_retries`) is
+    /// exhausted without a successful send.
     fn ship(
         &self,
-        candidates: &[usize],
         slice: &[QueryRequest],
         start: usize,
         trace: TraceId,
         mut tried: Vec<usize>,
     ) -> Option<Shipment> {
         while tried.len() <= self.max_retries {
-            let idx = self.pool.pick(candidates, &tried)?;
+            let idx = self.pool.pick(&tried)?;
             if !tried.is_empty() {
                 self.retries.fetch_add(1, Ordering::SeqCst);
             }
@@ -290,7 +280,6 @@ impl RouterBackend {
     /// the shipment's `tried` budget).
     fn gather(
         &self,
-        candidates: &[usize],
         requests: &[QueryRequest],
         trace: TraceId,
         mut shipment: Shipment,
@@ -327,7 +316,7 @@ impl RouterBackend {
                     // is never checked back in.
                 }
             }
-            shipment = self.ship(candidates, slice, shipment.start, trace, shipment.tried)?;
+            shipment = self.ship(slice, shipment.start, trace, shipment.tried)?;
         }
     }
 
@@ -362,16 +351,7 @@ impl RouterBackend {
         if requests.is_empty() {
             return Vec::new();
         }
-        // One full-replication group today: every request routes by its
-        // source vertex to the same candidate set. A partitioned map
-        // would partition the batch across groups here first.
-        let candidates = self.shards.group_for(requests[0].source).replicas.clone();
-        let now = Instant::now();
-        let available = candidates
-            .iter()
-            .filter(|&&i| self.pool.replicas()[i].is_available(now))
-            .count()
-            .max(1);
+        let available = self.pool.available(Instant::now()).max(1);
         let k = (requests.len() / self.min_split).clamp(1, available);
 
         let mut out: Vec<Option<QueryOutcome>> = (0..requests.len()).map(|_| None).collect();
@@ -379,14 +359,14 @@ impl RouterBackend {
         let chunk = requests.len().div_ceil(k);
         for start in (0..requests.len()).step_by(chunk.max(1)) {
             let end = (start + chunk).min(requests.len());
-            match self.ship(&candidates, &requests[start..end], start, trace, Vec::new()) {
+            match self.ship(&requests[start..end], start, trace, Vec::new()) {
                 Some(shipment) => shipments.push(shipment),
                 None => self.fill_unavailable(&mut out, start, end - start),
             }
         }
         for shipment in shipments {
             let (start, len) = (shipment.start, shipment.len);
-            match self.gather(&candidates, requests, trace, shipment) {
+            match self.gather(requests, trace, shipment) {
                 Some(outcomes) => {
                     for (slot, outcome) in out[start..start + len].iter_mut().zip(outcomes) {
                         *slot = Some(outcome);

@@ -1,23 +1,23 @@
 //! The blocking client library for the framed TCP protocol, with a
-//! pipelined v2 surface.
+//! pipelined surface.
 //!
 //! A [`QbsClient`] holds one connection: `connect` performs the
-//! magic+version handshake (negotiating the protocol version; see
-//! [`ClientConfig::force_v1`]), after which batches travel two ways:
+//! magic+version handshake (a server older than
+//! [`protocol::PROTOCOL_VERSION`] is a local
+//! [`ProtocolError::VersionMismatch`]), after which batches travel two
+//! ways:
 //!
 //! * **One-shot**: [`QbsClient::submit`] ships a batch and blocks for its
-//!   reply — exactly the old API, now implemented as `send` + `recv`.
+//!   reply (`send` + `recv`).
 //! * **Pipelined**: [`QbsClient::send`] ships a batch and returns a
 //!   [`Ticket`] immediately; any number of batches can be in flight, and
-//!   [`QbsClient::recv`] blocks for one ticket's reply. Under protocol v2
-//!   the server executes them concurrently and answers in *completion*
-//!   order — the client re-pairs replies to tickets by request ID, so
-//!   tickets may be redeemed in any order. Under v1 the wire is strictly
-//!   FIFO and the client pairs replies positionally; pipelining still
-//!   works, it just cannot overtake.
+//!   [`QbsClient::recv`] blocks for one ticket's reply. The server
+//!   executes them concurrently and answers in *completion* order — the
+//!   client re-pairs replies to tickets by request ID, so tickets may be
+//!   redeemed in any order.
 //!
 //! Outcomes are bit-identical to what a local [`qbs_core::Qbs::submit`]
-//! over the same index would produce, whatever the version or ordering.
+//! over the same index would produce, whatever the ordering.
 //! Admission shedding is a first-class reply ([`BatchReply::Busy`]), not
 //! an error: the connection stays healthy and the caller decides whether
 //! to retry.
@@ -81,8 +81,7 @@ impl BatchReply {
 pub struct Ticket(RequestId);
 
 impl Ticket {
-    /// The wire-level request ID this ticket rides on (v2 connections;
-    /// under v1 the ID is client-side bookkeeping only).
+    /// The wire-level request ID this ticket rides on.
     pub fn request_id(&self) -> RequestId {
         self.0
     }
@@ -102,7 +101,7 @@ impl std::fmt::Display for Ticket {
 /// use qbs_server::ClientConfig;
 /// let config = ClientConfig::default()
 ///     .connect_timeout(Duration::from_millis(250))
-///     .force_v1(true);
+///     .io_timeout(Duration::from_secs(5));
 /// ```
 #[derive(Clone, Copy, Debug)]
 pub struct ClientConfig {
@@ -113,11 +112,6 @@ pub struct ClientConfig {
     /// listener) from eating the whole retry budget of
     /// [`QbsClient::connect_retry`].
     pub connect_timeout: Duration,
-    /// Announce protocol v1 in the handshake instead of the newest
-    /// version. The server then serves this connection byte-identically
-    /// to a pre-v2 build — the escape hatch for wire-level debugging and
-    /// differential tests.
-    pub force_v1: bool,
     /// Initial pause between [`QbsClient::connect_retry`] attempts. Each
     /// failed attempt doubles the pause (up to
     /// [`ClientConfig::retry_backoff_max`]), and the actual sleep is
@@ -134,7 +128,6 @@ impl Default for ClientConfig {
         ClientConfig {
             io_timeout: Duration::from_secs(30),
             connect_timeout: Duration::from_secs(5),
-            force_v1: false,
             retry_backoff: Duration::from_millis(10),
             retry_backoff_max: Duration::from_millis(500),
         }
@@ -151,12 +144,6 @@ impl ClientConfig {
     /// Sets the per-attempt dial + handshake bound.
     pub fn connect_timeout(mut self, connect_timeout: Duration) -> ClientConfig {
         self.connect_timeout = connect_timeout;
-        self
-    }
-
-    /// Forces the handshake to announce protocol v1.
-    pub fn force_v1(mut self, force_v1: bool) -> ClientConfig {
-        self.force_v1 = force_v1;
         self
     }
 
@@ -215,18 +202,15 @@ pub struct QbsClient {
     /// Remembered dial target for [`QbsClient::reconnect`].
     addr: String,
     config: ClientConfig,
-    /// Version negotiated in the handshake.
-    version: u16,
     /// Last issued request ID (tickets and control frames share the
     /// counter; 0 is reserved for connection-scoped frames).
     last_id: RequestId,
     /// IDs of requests written and not yet answered, in wire order —
-    /// under v1 this is how replies are paired; under v2 it guards
-    /// against redeeming a ticket that was never issued.
+    /// guards against redeeming a ticket that was never issued.
     outstanding: VecDeque<RequestId>,
     /// Replies that arrived while waiting for a different ID.
     stash: HashMap<RequestId, ResponseFrame>,
-    /// PRNG state for per-send trace IDs (v3 connections).
+    /// PRNG state for per-send trace IDs.
     trace_rng: u64,
     /// Caller-pinned trace ID; when set, every frame carries it verbatim
     /// instead of a generated one.
@@ -267,7 +251,6 @@ impl QbsClient {
             stream,
             addr: addr.to_string(),
             config,
-            version: 0,
             last_id: RequestId::CONNECTION,
             outstanding: VecDeque::new(),
             stash: HashMap::new(),
@@ -275,17 +258,10 @@ impl QbsClient {
             pinned_trace: None,
             last_trace: TraceId::NONE,
         };
-        let announced = if config.force_v1 {
-            protocol::MIN_PROTOCOL_VERSION
-        } else {
-            protocol::PROTOCOL_VERSION
-        };
-        protocol::write_preamble_version(&mut client.stream, announced)?;
-        let theirs = protocol::read_preamble(&mut client.stream)?;
-        // The server replies with the negotiated version (≤ what we
-        // announced); a newer server's announcement still lands on the
-        // version we asked for.
-        client.version = theirs.min(announced);
+        protocol::write_preamble(&mut client.stream)?;
+        // A server announcing anything older than our version is a
+        // `VersionMismatch` here; a newer one speaks ours.
+        protocol::read_preamble(&mut client.stream)?;
         client.stream.set_read_timeout(Some(config.io_timeout))?;
         client.stream.set_write_timeout(Some(config.io_timeout))?;
         Ok(client)
@@ -365,13 +341,8 @@ impl QbsClient {
         &self.addr
     }
 
-    /// The protocol version negotiated with the server (1, 2 or 3).
-    pub fn protocol_version(&self) -> u16 {
-        self.version
-    }
-
-    /// Pins the trace ID stamped on every subsequent frame (v3
-    /// connections), instead of a fresh one per send — how the CLI's
+    /// Pins the trace ID stamped on every subsequent frame, instead of a
+    /// fresh one per send — how the CLI's
     /// `--trace-id` makes a request findable in a replica's slow-query
     /// log. Pass [`TraceId::NONE`] via a fresh client to return to
     /// generated traces.
@@ -380,8 +351,7 @@ impl QbsClient {
     }
 
     /// The trace ID carried by the most recently written frame
-    /// ([`TraceId::NONE`] before any send, and always on pre-v3
-    /// connections, whose envelope has no trace field).
+    /// ([`TraceId::NONE`] before any send).
     pub fn last_trace(&self) -> TraceId {
         self.last_trace
     }
@@ -406,22 +376,16 @@ impl QbsClient {
 
     /// Ships a batch without waiting for its reply and returns the
     /// [`Ticket`] to redeem with [`QbsClient::recv`]. Any number of
-    /// batches can be pipelined; under v2 the server executes them
-    /// concurrently and the replies may complete out of order.
+    /// batches can be pipelined; the server executes them concurrently
+    /// and the replies may complete out of order.
     pub fn send(&mut self, requests: &[QueryRequest]) -> Result<Ticket, ProtocolError> {
-        let trace = if self.version >= 3 {
-            self.next_trace()
-        } else {
-            TraceId::NONE
-        };
+        let trace = self.next_trace();
         self.send_traced(requests, trace)
     }
 
     /// [`QbsClient::send`] under an explicit trace ID — how a router
     /// propagates the client's trace onto every scattered sub-batch, so
     /// one slow request is findable in the replica's slow-query log too.
-    /// On pre-v3 connections the trace has nowhere to ride and is
-    /// silently dropped.
     pub fn send_traced(
         &mut self,
         requests: &[QueryRequest],
@@ -429,17 +393,11 @@ impl QbsClient {
     ) -> Result<Ticket, ProtocolError> {
         let id = self.issue_id();
         let body = protocol::encode_batch_body(requests);
-        if self.version >= 3 {
-            self.last_trace = trace;
-            protocol::write_frame(
-                &mut self.stream,
-                &protocol::encode_envelope_v3(id, trace, &body),
-            )?;
-        } else if self.version >= 2 {
-            protocol::write_frame(&mut self.stream, &protocol::encode_envelope(id, &body))?;
-        } else {
-            protocol::write_frame(&mut self.stream, &body)?;
-        }
+        self.last_trace = trace;
+        protocol::write_frame(
+            &mut self.stream,
+            &protocol::encode_envelope_v3(id, trace, &body),
+        )?;
         self.outstanding.push_back(id);
         Ok(Ticket(id))
     }
@@ -485,7 +443,6 @@ impl QbsClient {
     /// Fetches the server's latency-histogram snapshot — per-stage,
     /// per-mode timing distributions plus the slow-query count. A router
     /// answers with the bucket-wise merge across itself and its replicas.
-    /// Requires a v3 connection; older servers answer with a fault.
     pub fn metrics(&mut self) -> Result<MetricsSnapshot, ProtocolError> {
         match self.control(&RequestFrame::Metrics)? {
             ResponseFrame::Metrics(snapshot) => Ok(snapshot),
@@ -524,14 +481,8 @@ impl QbsClient {
     /// pipelined batch replies that arrive first.
     fn control(&mut self, frame: &RequestFrame) -> Result<ResponseFrame, ProtocolError> {
         let id = self.issue_id();
-        if self.version >= 3 {
-            let trace = self.next_trace();
-            protocol::write_request_v3(&mut self.stream, id, trace, frame)?;
-        } else if self.version >= 2 {
-            protocol::write_request_v2(&mut self.stream, id, frame)?;
-        } else {
-            protocol::write_request(&mut self.stream, frame)?;
-        }
+        let trace = self.next_trace();
+        protocol::write_request_v3(&mut self.stream, id, trace, frame)?;
         self.outstanding.push_back(id);
         self.await_reply(id)
     }
@@ -546,31 +497,12 @@ impl QbsClient {
             if !self.outstanding.contains(&want) {
                 return Err(ProtocolError::UnknownTicket(want));
             }
-            let (id, frame) = if self.version >= 3 {
-                let (id, _trace, frame) = protocol::read_response_v3(&mut self.stream)?;
-                if id.is_connection_scoped() {
-                    return self.resolve(frame);
-                }
-                (id, frame)
-            } else if self.version >= 2 {
-                let (id, frame) = protocol::read_response_v2(&mut self.stream)?;
-                if id.is_connection_scoped() {
-                    // Connection-scoped frames (faults, accept-time Busy)
-                    // concern the socket, not one request: fail now.
-                    return self.resolve(frame);
-                }
-                (id, frame)
-            } else {
-                // v1 wire is strictly FIFO: this frame answers the oldest
-                // outstanding request.
-                let frame = protocol::read_response(&mut self.stream)?;
-                match self.outstanding.front().copied() {
-                    Some(oldest) => (oldest, frame),
-                    // Nothing outstanding: connection-scoped (a farewell
-                    // Busy/fault from the server).
-                    None => return self.resolve(frame),
-                }
-            };
+            let (id, _trace, frame) = protocol::read_response_v3(&mut self.stream)?;
+            if id.is_connection_scoped() {
+                // Connection-scoped frames (faults, accept-time Busy)
+                // concern the socket, not one request: fail now.
+                return self.resolve(frame);
+            }
             self.outstanding.retain(|&o| o != id);
             if id == want {
                 return self.resolve(frame);
@@ -579,7 +511,7 @@ impl QbsClient {
         }
     }
 
-    /// Final per-frame triage shared by all read paths.
+    /// Final per-frame triage: a typed fault becomes an error.
     fn resolve(&mut self, frame: ResponseFrame) -> Result<ResponseFrame, ProtocolError> {
         match frame {
             ResponseFrame::Error(fault) => Err(ProtocolError::Remote(fault)),

@@ -10,11 +10,10 @@
 //! server is a single `poll(2)` reactor thread plus a fixed worker pool,
 //! and admission control is a counting semaphore — see the module docs:
 //!
-//! * [`protocol`] — magic + version handshake with **version
-//!   negotiation** (v1: one frame per round trip; v2: request-ID
-//!   envelopes for pipelining; v3: request-ID + trace-ID envelopes and
-//!   the `Metrics` frame pair), length-prefixed frames, typed
-//!   [`ProtocolError`]s (spec in `docs/protocol.md`);
+//! * [`protocol`] — magic + version handshake (one dialect: older
+//!   hellos get a typed `VERSION_MISMATCH`), length-prefixed frames under
+//!   a request-ID + trace-ID envelope, typed [`ProtocolError`]s (spec in
+//!   `docs/protocol.md`);
 //! * [`admission`] — first-class load shedding: in-flight request
 //!   semaphore, per-batch cap, connection bound, typed `Busy`;
 //! * [`server`] — one reactor thread multiplexing every connection over
@@ -32,8 +31,7 @@
 //!   loop.
 //!
 //! Server answers are **bit-identical** to local [`qbs_core::Qbs::submit`]
-//! outcomes — whether the connection negotiated v1 or v2, and whatever
-//! order pipelined replies complete in. The loopback differential tests
+//! outcomes, whatever order pipelined replies complete in. The loopback differential tests
 //! and the CI `serve-smoke` step enforce it.
 //!
 //! ```
@@ -71,7 +69,5 @@ pub mod signal;
 
 pub use admission::{Admission, AdmissionConfig, AdmissionStats, BusyReason};
 pub use client::{BatchReply, ClientConfig, QbsClient, Ticket};
-pub use protocol::{
-    ProtocolError, ServerStats, MAX_FRAME_LEN, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
-};
+pub use protocol::{ProtocolError, ServerStats, MAX_FRAME_LEN, PROTOCOL_VERSION};
 pub use server::{QbsServer, ServeBackend, ServerConfig, ServerHandle, ShutdownSignal};

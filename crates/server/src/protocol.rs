@@ -3,28 +3,15 @@
 //!
 //! The byte layout is specified normatively in `docs/protocol.md`. In
 //! short: a connection opens with an 8-byte preamble from each side
-//! (`"QBSP"` magic + `u16` protocol version + reserved `u16`). The
-//! versions are **negotiated** (see [`negotiate`]): the server answers a
-//! v1 client with v1 and anything newer with the highest version it
-//! speaks, so old clients keep working bit-identically. After the
-//! handshake both directions carry frames — under v1
-//!
-//! ```text
-//! [len: u32 LE][tag: u8][payload: len-1 bytes]
-//! ```
-//!
-//! and under v2 every frame additionally opens with a request ID
-//! ([`qbs_core::wire::RequestId`]) so responses can be pipelined and
-//! complete out of order:
-//!
-//! ```text
-//! [len: u32 LE][id: u32 LE][tag: u8][payload: len-5 bytes]
-//! ```
-//!
-//! Under v3 the envelope additionally carries a 64-bit trace ID
-//! ([`qbs_core::TraceId`]) between the request ID and the tag, so one
-//! request can be followed through a router into a replica's slow-query
-//! log:
+//! (`"QBSP"` magic + `u16` protocol version + reserved `u16`). This build
+//! speaks exactly one dialect, [`PROTOCOL_VERSION`]: a peer announcing
+//! that version or a newer one is served at it (see [`negotiate`]), an
+//! older hello is refused with a typed `VERSION_MISMATCH` fault. After
+//! the handshake both directions carry frames whose envelope holds a
+//! request ID ([`qbs_core::wire::RequestId`]), so responses can be
+//! pipelined and complete out of order, and a 64-bit trace ID
+//! ([`qbs_core::TraceId`]), so one request can be followed through a
+//! router into a replica's slow-query log:
 //!
 //! ```text
 //! [len: u32 LE][id: u32 LE][trace: u64 LE][tag: u8][payload: len-13 bytes]
@@ -49,28 +36,17 @@ use crate::admission::{AdmissionStats, BusyReason};
 /// Magic bytes opening every connection preamble.
 pub const PROTOCOL_MAGIC: [u8; 4] = *b"QBSP";
 
-/// Highest protocol version spoken by this build. The handshake
-/// negotiates down to the peer's version when it is older (see
-/// [`negotiate`]); additions bump this.
+/// The one protocol version this build speaks; additions bump it.
 pub const PROTOCOL_VERSION: u16 = 3;
-
-/// Oldest protocol version this build still speaks. v1 connections are
-/// served byte-identically to pre-v2 builds.
-pub const MIN_PROTOCOL_VERSION: u16 = 1;
 
 /// Resolves the version to speak with a peer that announced `theirs`.
 ///
-/// The rule is monotone and forward-compatible: a peer announcing a
-/// version this build does not know yet is assumed to also speak
-/// everything older (exactly how this build treats v1), so the connection
-/// proceeds at [`PROTOCOL_VERSION`]. Only versions below
-/// [`MIN_PROTOCOL_VERSION`] are unspeakable.
+/// A peer announcing [`PROTOCOL_VERSION`] or anything newer is assumed to
+/// also speak everything older, so the connection proceeds at
+/// [`PROTOCOL_VERSION`]. Older versions are unspeakable: their framings
+/// are gone.
 pub fn negotiate(theirs: u16) -> Option<u16> {
-    if theirs < MIN_PROTOCOL_VERSION {
-        None
-    } else {
-        Some(theirs.min(PROTOCOL_VERSION))
-    }
+    (theirs >= PROTOCOL_VERSION).then_some(PROTOCOL_VERSION)
 }
 
 /// Hard cap on one frame's length field. Large enough for a 4096-request
@@ -92,7 +68,7 @@ pub enum RequestFrame {
     Ping,
     /// Ask the server to drain in-flight batches and exit.
     Shutdown,
-    /// Snapshot the server's per-stage latency histograms (v3+; a router
+    /// Snapshot the server's per-stage latency histograms (a router
     /// answers with the bucket-wise merge across its replicas).
     Metrics,
 }
@@ -118,8 +94,9 @@ pub enum ResponseFrame {
     /// The batch was shed by admission control; retry later (the
     /// connection stays healthy).
     Busy(BusyReason),
-    /// A typed protocol-level failure; the server closes the connection
-    /// after sending it.
+    /// A typed failure. Under the request's own ID it concerns that
+    /// request only and the connection stays usable; under
+    /// [`RequestId::CONNECTION`] the server closes after sending it.
     Error(WireFault),
 }
 
@@ -188,6 +165,9 @@ pub mod fault_code {
     pub const FRAME_TOO_LARGE: u8 = 4;
     /// The server is shutting down and will not accept more work.
     pub const SHUTTING_DOWN: u8 = 5;
+    /// The job answering this request panicked; the request is lost, the
+    /// connection and the server are not.
+    pub const INTERNAL: u8 = 6;
 }
 
 impl Wire for WireFault {
@@ -228,7 +208,8 @@ pub enum ProtocolError {
     UnknownTag(u8),
     /// A frame payload failed to decode.
     Malformed(WireError),
-    /// The peer reported a typed fault and closed the connection.
+    /// The peer reported a typed fault (for one request, or for the
+    /// connection, which it then closes).
     Remote(WireFault),
     /// The connection itself was shed by admission control (the server
     /// refused it at accept time with a `Busy` frame).
@@ -410,23 +391,16 @@ impl ResponseFrame {
 
 /// Writes the 8-byte connection preamble announcing [`PROTOCOL_VERSION`].
 pub fn write_preamble<W: Write>(w: &mut W) -> Result<(), ProtocolError> {
-    write_preamble_version(w, PROTOCOL_VERSION)
-}
-
-/// Writes the 8-byte connection preamble announcing a specific version —
-/// the server's negotiated reply, or a client forcing v1.
-pub fn write_preamble_version<W: Write>(w: &mut W, version: u16) -> Result<(), ProtocolError> {
     let mut preamble = [0u8; PREAMBLE_LEN];
     preamble[..4].copy_from_slice(&PROTOCOL_MAGIC);
-    preamble[4..6].copy_from_slice(&version.to_le_bytes());
+    preamble[4..6].copy_from_slice(&PROTOCOL_VERSION.to_le_bytes());
     w.write_all(&preamble)?;
     Ok(())
 }
 
 /// Reads the peer's 8-byte preamble, validating the magic, and returns
-/// the version the peer announced. A version below
-/// [`MIN_PROTOCOL_VERSION`] (i.e. 0, which no build has ever spoken) is
-/// rejected here; everything else is the caller's [`negotiate`] decision.
+/// the version the peer announced. A version [`negotiate`] cannot speak
+/// (anything below [`PROTOCOL_VERSION`]) is rejected here.
 pub fn read_preamble<R: Read>(r: &mut R) -> Result<u16, ProtocolError> {
     let mut preamble = [0u8; PREAMBLE_LEN];
     r.read_exact(&mut preamble)?;
@@ -435,7 +409,7 @@ pub fn read_preamble<R: Read>(r: &mut R) -> Result<u16, ProtocolError> {
         return Err(ProtocolError::BadMagic(magic));
     }
     let theirs = u16::from_le_bytes([preamble[4], preamble[5]]);
-    if theirs < MIN_PROTOCOL_VERSION {
+    if negotiate(theirs).is_none() {
         return Err(ProtocolError::VersionMismatch {
             ours: PROTOCOL_VERSION,
             theirs,
@@ -444,35 +418,9 @@ pub fn read_preamble<R: Read>(r: &mut R) -> Result<u16, ProtocolError> {
     Ok(theirs)
 }
 
-/// Prepends the v2 request-ID envelope to a frame body: the result is the
-/// `[id][tag][payload]` byte string a v2 frame's length prefix counts.
-pub fn encode_envelope(id: RequestId, body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + body.len());
-    id.encode(&mut out);
-    out.extend_from_slice(body);
-    out
-}
-
-/// Splits a v2 frame payload into its request ID and the enclosed frame
-/// body. A payload too short to carry the ID is a typed
-/// [`ProtocolError::Malformed`], never a panic.
-pub fn split_envelope(payload: &[u8]) -> Result<(RequestId, &[u8]), ProtocolError> {
-    if payload.len() < 4 {
-        return Err(ProtocolError::Malformed(WireError::Truncated {
-            what: "request id envelope",
-            needed: 4,
-            remaining: payload.len(),
-        }));
-    }
-    let id = RequestId(u32::from_le_bytes(
-        payload[..4].try_into().expect("fixed split"),
-    ));
-    Ok((id, &payload[4..]))
-}
-
-/// Prepends the v3 request-ID + trace envelope to a frame body: the
-/// result is the `[id][trace][tag][payload]` byte string a v3 frame's
-/// length prefix counts.
+/// Prepends the request-ID + trace envelope to a frame body: the result
+/// is the `[id][trace][tag][payload]` byte string a frame's length prefix
+/// counts.
 pub fn encode_envelope_v3(id: RequestId, trace: TraceId, body: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(12 + body.len());
     id.encode(&mut out);
@@ -481,7 +429,7 @@ pub fn encode_envelope_v3(id: RequestId, trace: TraceId, body: &[u8]) -> Vec<u8>
     out
 }
 
-/// Splits a v3 frame payload into its request ID, trace ID, and the
+/// Splits a frame payload into its request ID, trace ID, and the
 /// enclosed frame body. A payload too short to carry the envelope is a
 /// typed [`ProtocolError::Malformed`], never a panic.
 pub fn split_envelope_v3(payload: &[u8]) -> Result<(RequestId, TraceId, &[u8]), ProtocolError> {
@@ -528,59 +476,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, ProtocolError> {
     Ok(body)
 }
 
-/// Convenience: write one v1 request frame.
-pub fn write_request<W: Write>(w: &mut W, frame: &RequestFrame) -> Result<(), ProtocolError> {
-    write_frame(w, &frame.encode_body())
-}
-
-/// Convenience: write one v1 response frame.
-pub fn write_response<W: Write>(w: &mut W, frame: &ResponseFrame) -> Result<(), ProtocolError> {
-    write_frame(w, &frame.encode_body())
-}
-
-/// Convenience: read one v1 request frame.
-pub fn read_request<R: Read>(r: &mut R) -> Result<RequestFrame, ProtocolError> {
-    RequestFrame::decode_body(&read_frame(r)?)
-}
-
-/// Convenience: read one v1 response frame.
-pub fn read_response<R: Read>(r: &mut R) -> Result<ResponseFrame, ProtocolError> {
-    ResponseFrame::decode_body(&read_frame(r)?)
-}
-
-/// Convenience: write one v2 request frame under `id`'s envelope.
-pub fn write_request_v2<W: Write>(
-    w: &mut W,
-    id: RequestId,
-    frame: &RequestFrame,
-) -> Result<(), ProtocolError> {
-    write_frame(w, &encode_envelope(id, &frame.encode_body()))
-}
-
-/// Convenience: write one v2 response frame under `id`'s envelope.
-pub fn write_response_v2<W: Write>(
-    w: &mut W,
-    id: RequestId,
-    frame: &ResponseFrame,
-) -> Result<(), ProtocolError> {
-    write_frame(w, &encode_envelope(id, &frame.encode_body()))
-}
-
-/// Convenience: read one v2 request frame and its envelope ID.
-pub fn read_request_v2<R: Read>(r: &mut R) -> Result<(RequestId, RequestFrame), ProtocolError> {
-    let payload = read_frame(r)?;
-    let (id, body) = split_envelope(&payload)?;
-    Ok((id, RequestFrame::decode_body(body)?))
-}
-
-/// Convenience: read one v2 response frame and its envelope ID.
-pub fn read_response_v2<R: Read>(r: &mut R) -> Result<(RequestId, ResponseFrame), ProtocolError> {
-    let payload = read_frame(r)?;
-    let (id, body) = split_envelope(&payload)?;
-    Ok((id, ResponseFrame::decode_body(body)?))
-}
-
-/// Convenience: write one v3 request frame under `id`'s envelope,
+/// Convenience: write one request frame under `id`'s envelope,
 /// carrying `trace`.
 pub fn write_request_v3<W: Write>(
     w: &mut W,
@@ -591,7 +487,7 @@ pub fn write_request_v3<W: Write>(
     write_frame(w, &encode_envelope_v3(id, trace, &frame.encode_body()))
 }
 
-/// Convenience: write one v3 response frame under `id`'s envelope,
+/// Convenience: write one response frame under `id`'s envelope,
 /// echoing `trace`.
 pub fn write_response_v3<W: Write>(
     w: &mut W,
@@ -602,7 +498,7 @@ pub fn write_response_v3<W: Write>(
     write_frame(w, &encode_envelope_v3(id, trace, &frame.encode_body()))
 }
 
-/// Convenience: read one v3 request frame with its envelope ID and trace.
+/// Convenience: read one request frame with its envelope ID and trace.
 pub fn read_request_v3<R: Read>(
     r: &mut R,
 ) -> Result<(RequestId, TraceId, RequestFrame), ProtocolError> {
@@ -611,7 +507,7 @@ pub fn read_request_v3<R: Read>(
     Ok((id, trace, RequestFrame::decode_body(body)?))
 }
 
-/// Convenience: read one v3 response frame with its envelope ID and trace.
+/// Convenience: read one response frame with its envelope ID and trace.
 pub fn read_response_v3<R: Read>(
     r: &mut R,
 ) -> Result<(RequestId, TraceId, ResponseFrame), ProtocolError> {
@@ -674,6 +570,7 @@ mod tests {
         roundtrip_response(ResponseFrame::Metrics(MetricsSnapshot {
             hists: vec![hist],
             slow_queries: 2,
+            job_panics: 1,
         }));
         roundtrip_response(ResponseFrame::Busy(BusyReason::BatchTooLarge {
             limit: 16,
@@ -692,10 +589,6 @@ mod tests {
         assert_eq!(buf.len(), PREAMBLE_LEN);
         assert_eq!(read_preamble(&mut &buf[..]).unwrap(), PROTOCOL_VERSION);
 
-        let mut v1 = Vec::new();
-        write_preamble_version(&mut v1, 1).unwrap();
-        assert_eq!(read_preamble(&mut &v1[..]).unwrap(), 1);
-
         let mut wrong_magic = buf.clone();
         wrong_magic[0] = b'X';
         assert!(matches!(
@@ -708,13 +601,17 @@ mod tests {
         future[4..6].copy_from_slice(&99u16.to_le_bytes());
         assert_eq!(read_preamble(&mut &future[..]).unwrap(), 99);
 
-        // Version 0 predates every build and is rejected at the read.
-        let mut zero = buf.clone();
-        zero[4..6].copy_from_slice(&0u16.to_le_bytes());
-        assert!(matches!(
-            read_preamble(&mut &zero[..]),
-            Err(ProtocolError::VersionMismatch { theirs: 0, .. })
-        ));
+        // Every version older than ours is rejected at the read.
+        for old in 0..PROTOCOL_VERSION {
+            let mut hello = buf.clone();
+            hello[4..6].copy_from_slice(&old.to_le_bytes());
+            match read_preamble(&mut &hello[..]) {
+                Err(ProtocolError::VersionMismatch { ours, theirs }) => {
+                    assert_eq!((ours, theirs), (PROTOCOL_VERSION, old));
+                }
+                other => panic!("version {old}: expected a mismatch, got {other:?}"),
+            }
+        }
 
         assert!(matches!(
             read_preamble(&mut &buf[..4]),
@@ -724,43 +621,14 @@ mod tests {
 
     #[test]
     fn negotiation_is_monotone_and_forward_compatible() {
-        assert_eq!(negotiate(0), None);
-        assert_eq!(negotiate(1), Some(1));
-        assert_eq!(negotiate(2), Some(2));
-        assert_eq!(negotiate(3), Some(3));
+        for old in 0..PROTOCOL_VERSION {
+            assert_eq!(negotiate(old), None);
+        }
+        assert_eq!(negotiate(PROTOCOL_VERSION), Some(PROTOCOL_VERSION));
         // Unknown future versions speak everything older, so the
-        // connection proceeds at our highest version.
+        // connection proceeds at our version.
         assert_eq!(negotiate(4), Some(PROTOCOL_VERSION));
         assert_eq!(negotiate(u16::MAX), Some(PROTOCOL_VERSION));
-    }
-
-    #[test]
-    fn envelopes_roundtrip_and_reject_truncation() {
-        let frame = RequestFrame::Batch(vec![QueryRequest::distance(1, 2)]);
-        let body = frame.encode_body();
-        let enveloped = encode_envelope(RequestId(7), &body);
-        assert_eq!(enveloped.len(), body.len() + 4);
-        let (id, inner) = split_envelope(&enveloped).unwrap();
-        assert_eq!(id, RequestId(7));
-        assert_eq!(inner, &body[..]);
-
-        for cut in 0..4 {
-            assert!(matches!(
-                split_envelope(&enveloped[..cut]),
-                Err(ProtocolError::Malformed(WireError::Truncated { .. }))
-            ));
-        }
-
-        let mut buf = Vec::new();
-        write_request_v2(&mut buf, RequestId(9), &frame).unwrap();
-        let (id, decoded) = read_request_v2(&mut &buf[..]).unwrap();
-        assert_eq!((id, decoded), (RequestId(9), frame));
-
-        let response = ResponseFrame::Pong;
-        let mut buf = Vec::new();
-        write_response_v2(&mut buf, RequestId(9), &response).unwrap();
-        let (id, decoded) = read_response_v2(&mut &buf[..]).unwrap();
-        assert_eq!((id, decoded), (RequestId(9), response));
     }
 
     #[test]
@@ -800,6 +668,7 @@ mod tests {
         let snapshot = ResponseFrame::Metrics(MetricsSnapshot {
             hists: vec![Default::default(); 3],
             slow_queries: 1,
+            job_panics: 0,
         });
         let enveloped = encode_envelope_v3(RequestId(3), trace, &snapshot.encode_body());
         for byte in 0..enveloped.len() {
@@ -848,14 +717,18 @@ mod tests {
 
     #[test]
     fn frame_io_roundtrips_over_a_stream() {
-        let frame = RequestFrame::Batch(vec![QueryRequest::distance(1, 2)]);
-        let mut buf = Vec::new();
-        write_request(&mut buf, &frame).unwrap();
-        assert_eq!(read_request(&mut &buf[..]).unwrap(), frame);
-
+        // Two frames back to back on one stream: each read consumes
+        // exactly its own length prefix and payload.
+        let request = RequestFrame::Batch(vec![QueryRequest::distance(1, 2)]);
         let response = ResponseFrame::Batch(vec![QueryOutcome::Distance(1)]);
         let mut buf = Vec::new();
-        write_response(&mut buf, &response).unwrap();
-        assert_eq!(read_response(&mut &buf[..]).unwrap(), response);
+        write_frame(&mut buf, &request.encode_body()).unwrap();
+        write_frame(&mut buf, &response.encode_body()).unwrap();
+        let mut stream = &buf[..];
+        let first = read_frame(&mut stream).unwrap();
+        assert_eq!(RequestFrame::decode_body(&first).unwrap(), request);
+        let second = read_frame(&mut stream).unwrap();
+        assert_eq!(ResponseFrame::decode_body(&second).unwrap(), response);
+        assert!(stream.is_empty());
     }
 }

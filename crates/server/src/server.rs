@@ -18,28 +18,30 @@
 //!                 └────────────────────────────────────────────┘
 //! ```
 //!
-//! The reactor owns all connection state: handshake + version negotiation
-//! (v1 peers are served byte-identically to the pre-reactor server, v2
-//! peers get pipelined request-ID frames), per-connection read buffers
-//! and write queues, and the out-of-order completion path — a worker
-//! finishes a batch, pushes the encoded response, and wakes the reactor
-//! through [`crate::poll::WakePipe`]; the reactor writes it whenever that
-//! socket drains. Idle connections cost one pollfd entry, not a thread.
+//! The reactor owns all connection state: the handshake (one dialect —
+//! an older hello is refused with a typed fault), per-connection read
+//! buffers and write queues, and the out-of-order completion path — a
+//! worker finishes a batch, pushes the encoded response, and wakes the
+//! reactor through [`crate::poll::WakePipe`]; the reactor writes it
+//! whenever that socket drains. Idle connections cost one pollfd entry,
+//! not a thread.
 //!
-//! Ordering: v1 connections get strictly in-order replies (one batch
-//! executes at a time per connection, control frames queue behind it —
-//! exactly the old thread-per-connection rhythm). v2 connections pipeline
-//! freely; responses carry the request's ID and may arrive in any order.
+//! Ordering: connections pipeline freely; responses carry the request's
+//! ID and may arrive in any order. A client may half-close after its
+//! last request: replies to in-flight jobs still flush, then the server
+//! closes its side.
 //!
-//! Admission ([`crate::admission`]) still gates everything, but the shape
-//! changed with the reactor: connections are only shed at the configured
-//! connection bound (there is no handler pool to saturate — idle sockets
-//! park), and the in-flight request semaphore bounds work across all
-//! sockets. Shed work is answered with a typed `Busy` frame, never a
-//! hang. Frames parked in a v1 connection's in-order queue are
-//! admission-checked when their turn comes — not at arrival — matching
-//! the pre-reactor server, which only read a pipelined frame when the
-//! previous reply had been written.
+//! Faults: only a broken envelope (or an oversized frame length) breaks
+//! the request/response pairing and closes the connection. Everything
+//! else — an undecodable body, an unknown tag, a reply over the frame
+//! cap, a job that panicked — is answered with a typed `Error` under the
+//! request's own ID, and the connection, the worker and the server
+//! survive.
+//!
+//! Admission ([`crate::admission`]) gates everything: connections are
+//! only shed at the configured connection bound (idle sockets park), and
+//! the in-flight request semaphore bounds work across all sockets. Shed
+//! work is answered with a typed `Busy` frame, never a hang.
 //!
 //! Shutdown is graceful from either direction — a `Shutdown` frame or
 //! [`ServerHandle::shutdown`] (which the CLI wires to SIGINT): the
@@ -51,6 +53,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -95,14 +98,6 @@ const INLINE_BATCH_MAX: usize = 1;
 /// immediately would spin the reactor at 100% CPU; a short pause turns
 /// that into a bounded retry cadence.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(100);
-
-/// v1 read backpressure: once this many frames are parked behind a v1
-/// connection's executing batch, the reactor stops reading that socket
-/// until the queue shrinks. The pre-reactor server got the same bound
-/// for free from the kernel socket buffer (it only read one frame at a
-/// time); without a cap a pipelining v1 client could balloon the
-/// decoded-frame queue without ever tripping admission.
-const V1_PENDING_MAX: usize = 32;
 
 /// How long a faulted connection lingers (draining the peer's bytes so
 /// the queued fault frame survives the close) before being dropped.
@@ -524,9 +519,8 @@ impl Drop for ServerHandle {
 struct Job {
     token: u64,
     id: RequestId,
-    version: u16,
-    /// Trace ID from the v3 envelope ([`TraceId::NONE`] for v1/v2 peers),
-    /// carried into the slow-query log and the router's replica calls.
+    /// Trace ID from the request's envelope, carried into the slow-query
+    /// log and the router's replica calls.
     trace: TraceId,
     /// Peer address, for the slow-query log.
     peer: SocketAddr,
@@ -557,9 +551,6 @@ enum JobKind {
 struct Completion {
     token: u64,
     bytes: Vec<u8>,
-    /// Close the connection after flushing (v1 over-cap downgrade —
-    /// the request/response rhythm is broken even though framing holds).
-    close: bool,
 }
 
 /// Worker thread body: execute jobs, encode, hand back, wake.
@@ -579,53 +570,78 @@ fn worker_loop(
         let Ok(job) = job else {
             break; // reactor gone, queue drained
         };
-        let frame = match job.kind {
-            JobKind::Batch { requests, permit } => {
-                let queue_wait = job.enqueued.elapsed();
-                let outcomes = run_batch(
-                    backend, slow_query, job.peer, job.trace, &requests, queue_wait,
-                );
-                // Release the permits before the response is queued —
-                // execution is what the in-flight bound meters, exactly
-                // as before.
-                drop(permit);
-                ResponseFrame::Batch(outcomes)
-            }
-            JobKind::Stats => ResponseFrame::Stats(backend.server_stats(admission.stats())),
-            JobKind::Metrics { http } => {
-                let snapshot = backend.metrics_snapshot();
+        let (token, id, trace) = (job.token, job.id, job.trace);
+        let http = matches!(job.kind, JobKind::Metrics { http: true });
+        let bytes = contain(backend, || run_job(backend, admission, slow_query, job))
+            .unwrap_or_else(|fault| {
                 if http {
-                    let stats = backend.server_stats(admission.stats());
-                    let body = render_prometheus(&stats, &snapshot);
-                    completions
-                        .lock()
-                        .expect("completion queue poisoned")
-                        .push(Completion {
-                            token: job.token,
-                            bytes: http_ok(&body),
-                            close: true,
-                        });
-                    wake.wake();
-                    continue;
+                    http_error(500, "Internal Server Error")
+                } else {
+                    wire_response(id, trace, &ResponseFrame::Error(fault))
                 }
-                ResponseFrame::Metrics(snapshot)
-            }
-        };
-        let t_encode = Instant::now();
-        let (bytes, close) = wire_response(job.version, job.id, job.trace, &frame);
-        if let (Some(m), ResponseFrame::Batch(_)) = (backend.obs(), &frame) {
-            m.record_batch_stage(Stage::WireEncode, t_encode.elapsed());
-        }
+            });
         completions
             .lock()
             .expect("completion queue poisoned")
-            .push(Completion {
-                token: job.token,
-                bytes,
-                close,
-            });
+            .push(Completion { token, bytes });
         wake.wake();
     }
+}
+
+/// Runs one job body with panics contained: a panic in the backend
+/// becomes a typed code-6 fault for the caller to send under the
+/// request's own ID (and a bump of the registry's panic counter) instead
+/// of a dead thread, a reply that never comes, and an in-flight count
+/// that never returns to zero. Values the body owned — the admission
+/// permit — are dropped by the unwind.
+fn contain<T>(backend: &dyn ServeBackend, body: impl FnOnce() -> T) -> Result<T, WireFault> {
+    catch_unwind(AssertUnwindSafe(body)).map_err(|_| {
+        if let Some(m) = backend.obs() {
+            m.inc_job_panics();
+        }
+        WireFault {
+            code: fault_code::INTERNAL,
+            message: "the job answering this request panicked".to_string(),
+        }
+    })
+}
+
+/// Executes one worker job and encodes its reply: a protocol frame under
+/// the request's envelope, or a complete HTTP response for a `/metrics`
+/// snapshot gathered off-reactor.
+fn run_job(
+    backend: &dyn ServeBackend,
+    admission: &Admission,
+    slow_query: Option<Duration>,
+    job: Job,
+) -> Vec<u8> {
+    let frame = match job.kind {
+        JobKind::Batch { requests, permit } => {
+            let queue_wait = job.enqueued.elapsed();
+            let outcomes = run_batch(
+                backend, slow_query, job.peer, job.trace, &requests, queue_wait,
+            );
+            // Release the permits before the response is queued —
+            // execution is what the in-flight bound meters.
+            drop(permit);
+            ResponseFrame::Batch(outcomes)
+        }
+        JobKind::Stats => ResponseFrame::Stats(backend.server_stats(admission.stats())),
+        JobKind::Metrics { http } => {
+            let snapshot = backend.metrics_snapshot();
+            if http {
+                let stats = backend.server_stats(admission.stats());
+                return http_ok(&render_prometheus(&stats, &snapshot));
+            }
+            ResponseFrame::Metrics(snapshot)
+        }
+    };
+    let t_encode = Instant::now();
+    let bytes = wire_response(job.id, job.trace, &frame);
+    if let (Some(m), ResponseFrame::Batch(_)) = (backend.obs(), &frame) {
+        m.record_batch_stage(Stage::WireEncode, t_encode.elapsed());
+    }
+    bytes
 }
 
 /// Executes one batch through the backend's traced path, recording the
@@ -668,28 +684,12 @@ fn run_batch(
 }
 
 /// Encodes a response frame into on-the-wire bytes (length prefix
-/// included) for a connection speaking `version`. A response that encodes
-/// past the frame cap (a huge admitted batch of path-graph answers) is
-/// downgraded to a typed `Error` — under v2 it carries the request's ID
-/// and the connection survives (the client sees code 4 for that ticket
-/// and can split the batch); under v1 the connection is closed after the
-/// fault, exactly as the pre-reactor server did.
-fn wire_response(
-    version: u16,
-    id: RequestId,
-    trace: TraceId,
-    frame: &ResponseFrame,
-) -> (Vec<u8>, bool) {
-    let envelope = |body: &[u8]| -> Vec<u8> {
-        if version >= 3 {
-            protocol::encode_envelope_v3(id, trace, body)
-        } else if version == 2 {
-            protocol::encode_envelope(id, body)
-        } else {
-            body.to_vec()
-        }
-    };
-    let payload = envelope(&frame.encode_body());
+/// included) under `id`'s envelope. A response that encodes past the
+/// frame cap (a huge admitted batch of path-graph answers) is downgraded
+/// to a typed `Error` carrying the request's ID: the client sees code 4
+/// for that ticket and can split the batch; the connection survives.
+fn wire_response(id: RequestId, trace: TraceId, frame: &ResponseFrame) -> Vec<u8> {
+    let payload = protocol::encode_envelope_v3(id, trace, &frame.encode_body());
     if payload.len() > MAX_FRAME_LEN as usize {
         let fault = ResponseFrame::Error(WireFault {
             code: fault_code::FRAME_TOO_LARGE,
@@ -699,10 +699,13 @@ fn wire_response(
                 payload.len()
             ),
         });
-        let fault_payload = envelope(&fault.encode_body());
-        return (frame_bytes(&fault_payload), version < 2);
+        return frame_bytes(&protocol::encode_envelope_v3(
+            id,
+            trace,
+            &fault.encode_body(),
+        ));
     }
-    (frame_bytes(&payload), false)
+    frame_bytes(&payload)
 }
 
 /// Prepends the length prefix.
@@ -731,9 +734,8 @@ struct Conn {
     /// Peer address, for the slow-query log.
     peer: SocketAddr,
     _guard: crate::admission::OwnedConnectionGuard,
-    /// Negotiated protocol version; `None` until the client's preamble
-    /// arrives.
-    version: Option<u16>,
+    /// Whether the client's preamble has arrived and been answered.
+    greeted: bool,
     /// Unparsed inbound bytes.
     rbuf: Vec<u8>,
     /// Outbound frames; the front may be partially written.
@@ -742,12 +744,6 @@ struct Conn {
     woff: usize,
     /// Jobs dispatched to workers and not yet completed.
     inflight: usize,
-    /// v1 in-order queue (empty for v2 connections): frames parked
-    /// behind an executing batch, admission-checked only when their turn
-    /// comes — the pre-reactor server's exact rhythm, where a pipelined
-    /// frame sat unread in the kernel buffer until the handler's next
-    /// read. No permits are held by queued frames.
-    pending: VecDeque<RequestFrame>,
     mode: ReadMode,
     /// Finish outstanding work, flush, then close.
     closing: bool,
@@ -766,12 +762,11 @@ impl Conn {
             stream,
             peer,
             _guard: guard,
-            version: None,
+            greeted: false,
             rbuf: Vec::new(),
             wbuf: VecDeque::new(),
             woff: 0,
             inflight: 0,
-            pending: VecDeque::new(),
             mode: ReadMode::Frames,
             closing: false,
             deadline: None,
@@ -781,17 +776,16 @@ impl Conn {
 
     /// Whether every queued and in-flight piece of work has been written.
     fn flushed(&self) -> bool {
-        self.wbuf.is_empty() && self.inflight == 0 && self.pending.is_empty()
+        self.wbuf.is_empty() && self.inflight == 0
     }
 
-    /// Queues a fatal fault: the frame goes out, inbound bytes are
-    /// drained (not parsed) for a bounded linger, then the socket closes.
-    /// Queued v1 frames are discarded — the stream's request/response
-    /// rhythm is broken, so their replies could never be paired (and a
-    /// non-empty queue would keep `flushed` false past the linger).
-    fn fault_close(&mut self, bytes: Vec<u8>) {
-        self.wbuf.push_back(bytes);
-        self.pending.clear();
+    /// Queues a fatal, connection-scoped fault: the frame goes out,
+    /// inbound bytes are drained (not parsed) for a bounded linger, then
+    /// the socket closes.
+    fn fault_close(&mut self, code: u8, message: String) {
+        let fault = ResponseFrame::Error(WireFault { code, message });
+        self.wbuf
+            .push_back(wire_response(RequestId::CONNECTION, TraceId::NONE, &fault));
         self.mode = ReadMode::Discard;
         self.closing = true;
         self.deadline = Some(Instant::now() + FAULT_LINGER);
@@ -890,10 +884,7 @@ fn reactor_loop(
         for token in &order {
             let conn = &conns[token];
             let mut events = 0i16;
-            // Backpressure: a v1 connection with a deep pending queue is
-            // not read further until completions drain it (its unread
-            // bytes wait in the kernel buffer, as they did pre-reactor).
-            if conn.mode != ReadMode::Stopped && conn.pending.len() < V1_PENDING_MAX {
+            if conn.mode != ReadMode::Stopped {
                 events |= POLLIN;
             }
             if !conn.wbuf.is_empty() {
@@ -946,15 +937,6 @@ fn reactor_loop(
             };
             conn.inflight -= 1;
             conn.wbuf.push_back(completion.bytes);
-            if completion.close {
-                conn.pending.clear();
-                conn.mode = ReadMode::Discard;
-                conn.closing = true;
-                conn.deadline = Some(Instant::now() + FAULT_LINGER);
-            }
-            // A v1 connection runs one batch at a time: its completion
-            // unblocks the next queued unit(s).
-            advance_pending(&ctx, conn, completion.token, &mut dispatched);
             conn_write(conn);
         }
 
@@ -1169,7 +1151,6 @@ fn http_dispatch(
         let _ = ctx.jobs.send(Job {
             token,
             id: RequestId::CONNECTION,
-            version: protocol::PROTOCOL_VERSION,
             trace: TraceId::NONE,
             peer: SocketAddr::from(([0, 0, 0, 0], 0)),
             enqueued: Instant::now(),
@@ -1383,7 +1364,7 @@ fn conn_read(
 /// Parses everything complete in the read buffer: the handshake first,
 /// then frames.
 fn process_rbuf(ctx: &Ctx<'_>, conn: &mut Conn, token: u64, dispatched: &mut usize) {
-    if conn.version.is_none() {
+    if !conn.greeted {
         if conn.rbuf.len() < PREAMBLE_LEN {
             return;
         }
@@ -1395,34 +1376,23 @@ fn process_rbuf(ctx: &Ctx<'_>, conn: &mut Conn, token: u64, dispatched: &mut usi
         }
         let theirs = u16::from_le_bytes([conn.rbuf[4], conn.rbuf[5]]);
         conn.rbuf.drain(..PREAMBLE_LEN);
-        match protocol::negotiate(theirs) {
-            Some(version) => {
-                let mut preamble = Vec::with_capacity(PREAMBLE_LEN);
-                let _ = protocol::write_preamble_version(&mut preamble, version);
-                conn.wbuf.push_back(preamble);
-                conn.version = Some(version);
-            }
-            None => {
-                // A version-0 peer predates every build; answer with our
-                // preamble and a v1-framed typed fault, then close.
-                let mut reply = Vec::new();
-                let _ = protocol::write_preamble(&mut reply);
-                conn.wbuf.push_back(reply);
-                let fault = ResponseFrame::Error(WireFault {
-                    code: fault_code::VERSION_MISMATCH,
-                    message: format!(
-                        "server speaks versions {}..={}, client sent {theirs}",
-                        protocol::MIN_PROTOCOL_VERSION,
-                        protocol::PROTOCOL_VERSION
-                    ),
-                });
-                let (bytes, _) = wire_response(1, RequestId::CONNECTION, TraceId::NONE, &fault);
-                conn.fault_close(bytes);
-                return;
-            }
+        let mut preamble = Vec::with_capacity(PREAMBLE_LEN);
+        let _ = protocol::write_preamble(&mut preamble);
+        conn.wbuf.push_back(preamble);
+        if protocol::negotiate(theirs).is_none() {
+            // An older dialect: answer with our preamble and a typed
+            // fault, then close.
+            conn.fault_close(
+                fault_code::VERSION_MISMATCH,
+                format!(
+                    "server speaks protocol version {} only, client sent {theirs}",
+                    protocol::PROTOCOL_VERSION
+                ),
+            );
+            return;
         }
+        conn.greeted = true;
     }
-    let version = conn.version.expect("handshake complete");
 
     while conn.mode == ReadMode::Frames {
         if conn.rbuf.len() < 4 {
@@ -1430,12 +1400,10 @@ fn process_rbuf(ctx: &Ctx<'_>, conn: &mut Conn, token: u64, dispatched: &mut usi
         }
         let len = u32::from_le_bytes(conn.rbuf[..4].try_into().expect("fixed split"));
         if len > MAX_FRAME_LEN {
-            let fault = ResponseFrame::Error(WireFault {
-                code: fault_code::FRAME_TOO_LARGE,
-                message: format!("frame length {len} exceeds the cap"),
-            });
-            let (bytes, _) = wire_response(version, RequestId::CONNECTION, TraceId::NONE, &fault);
-            conn.fault_close(bytes);
+            conn.fault_close(
+                fault_code::FRAME_TOO_LARGE,
+                format!("frame length {len} exceeds the cap"),
+            );
             return;
         }
         let total = 4 + len as usize;
@@ -1444,7 +1412,7 @@ fn process_rbuf(ctx: &Ctx<'_>, conn: &mut Conn, token: u64, dispatched: &mut usi
         }
         let payload: Vec<u8> = conn.rbuf[4..total].to_vec();
         conn.rbuf.drain(..total);
-        handle_frame(ctx, conn, token, version, &payload, dispatched);
+        handle_frame(ctx, conn, token, &payload, dispatched);
     }
 }
 
@@ -1453,46 +1421,24 @@ fn handle_frame(
     ctx: &Ctx<'_>,
     conn: &mut Conn,
     token: u64,
-    version: u16,
     payload: &[u8],
     dispatched: &mut usize,
 ) {
-    let (id, trace, body) = if version >= 3 {
-        match protocol::split_envelope_v3(payload) {
-            Ok((id, trace, body)) if !id.is_connection_scoped() => (id, trace, body),
-            // A truncated envelope (or the reserved ID) breaks the
-            // request/response pairing: connection-scoped fault.
-            _ => {
-                let fault = ResponseFrame::Error(WireFault {
-                    code: fault_code::MALFORMED,
-                    message: "v3 frame carried no usable request envelope".to_string(),
-                });
-                let (bytes, _) =
-                    wire_response(version, RequestId::CONNECTION, TraceId::NONE, &fault);
-                conn.fault_close(bytes);
-                return;
-            }
+    let (id, trace, body) = match protocol::split_envelope_v3(payload) {
+        Ok((id, trace, body)) if !id.is_connection_scoped() => (id, trace, body),
+        // A truncated envelope (or the reserved ID) breaks the
+        // request/response pairing: connection-scoped fault.
+        _ => {
+            conn.fault_close(
+                fault_code::MALFORMED,
+                "frame carried no usable request envelope".to_string(),
+            );
+            return;
         }
-    } else if version == 2 {
-        match protocol::split_envelope(payload) {
-            Ok((id, body)) if !id.is_connection_scoped() => (id, TraceId::NONE, body),
-            _ => {
-                let fault = ResponseFrame::Error(WireFault {
-                    code: fault_code::MALFORMED,
-                    message: "v2 frame carried no usable request id".to_string(),
-                });
-                let (bytes, _) =
-                    wire_response(version, RequestId::CONNECTION, TraceId::NONE, &fault);
-                conn.fault_close(bytes);
-                return;
-            }
-        }
-    } else {
-        (RequestId::CONNECTION, TraceId::NONE, payload)
     };
 
-    let frame = match RequestFrame::decode_body(body) {
-        Ok(frame) => frame,
+    match RequestFrame::decode_body(body) {
+        Ok(frame) => execute_frame(ctx, conn, token, id, trace, frame, dispatched),
         Err(err) => {
             let fault = match &err {
                 ProtocolError::UnknownTag(tag) => WireFault {
@@ -1504,45 +1450,37 @@ fn handle_frame(
                     message: other.to_string(),
                 },
             };
-            if version >= 2 {
-                // Framing is intact (the length prefix consumed the whole
-                // frame): fault the request, keep the connection.
-                queue_reply(conn, version, id, trace, &ResponseFrame::Error(fault));
-            } else {
-                let (bytes, _) = wire_response(version, id, trace, &ResponseFrame::Error(fault));
-                conn.fault_close(bytes);
-            }
-            return;
+            // Framing is intact (the length prefix consumed the whole
+            // frame): fault the request, keep the connection.
+            queue_reply(conn, id, trace, &ResponseFrame::Error(fault));
         }
-    };
-
-    // v1 connections are strictly ordered: while a batch is outstanding,
-    // everything (further batches, control frames) queues behind it.
-    // Admission runs when the frame's turn comes (`advance_pending`),
-    // not at arrival — exactly when the pre-reactor blocking server
-    // would have checked it — so a queued batch holds no permits while
-    // it merely waits, and a shed decision reflects the load at
-    // dispatch time rather than a snapshot frozen at arrival.
-    if version < 2 && (conn.inflight > 0 || !conn.pending.is_empty()) {
-        conn.pending.push_back(frame);
-        return;
     }
-
-    execute_frame(ctx, conn, token, version, id, trace, frame, dispatched);
 }
 
 /// Executes a frame now: control frames inline, batches to the workers.
-#[allow(clippy::too_many_arguments)]
 fn execute_frame(
     ctx: &Ctx<'_>,
     conn: &mut Conn,
     token: u64,
-    version: u16,
     id: RequestId,
     trace: TraceId,
     frame: RequestFrame,
     dispatched: &mut usize,
 ) {
+    // Hands a job to the worker pool; its completion decrements both
+    // counts again.
+    let mut dispatch = |conn: &mut Conn, kind: JobKind| {
+        conn.inflight += 1;
+        *dispatched += 1;
+        let _ = ctx.jobs.send(Job {
+            token,
+            id,
+            trace,
+            peer: conn.peer,
+            enqueued: Instant::now(),
+            kind,
+        });
+    };
     match frame {
         RequestFrame::Batch(requests) => match ctx.admission.admit_batch_owned(requests.len()) {
             Ok(permit) => {
@@ -1562,146 +1500,66 @@ fn execute_frame(
                     // The shared helper keeps the slow-query log covering
                     // this path too; inline work never queued, so its
                     // queue wait is zero.
-                    let outcomes = run_batch(
-                        ctx.backend,
-                        ctx.slow_query,
-                        conn.peer,
-                        trace,
-                        &requests,
-                        Duration::ZERO,
-                    );
-                    drop(permit);
-                    let frame = ResponseFrame::Batch(outcomes);
+                    let reply = contain(ctx.backend, || {
+                        let outcomes = run_batch(
+                            ctx.backend,
+                            ctx.slow_query,
+                            conn.peer,
+                            trace,
+                            &requests,
+                            Duration::ZERO,
+                        );
+                        drop(permit);
+                        outcomes
+                    })
+                    .map_or_else(ResponseFrame::Error, ResponseFrame::Batch);
                     let t_encode = Instant::now();
-                    let (bytes, close) = wire_response(version, id, trace, &frame);
+                    let bytes = wire_response(id, trace, &reply);
                     if let Some(m) = ctx.backend.obs() {
                         m.record_batch_stage(Stage::WireEncode, t_encode.elapsed());
                     }
-                    push_reply(conn, bytes, close);
+                    conn.wbuf.push_back(bytes);
                     return;
                 }
-                conn.inflight += 1;
-                *dispatched += 1;
-                let _ = ctx.jobs.send(Job {
-                    token,
-                    id,
-                    version,
-                    trace,
-                    peer: conn.peer,
-                    enqueued: Instant::now(),
-                    kind: JobKind::Batch { requests, permit },
-                });
+                dispatch(conn, JobKind::Batch { requests, permit });
             }
-            Err(reason) => queue_reply(conn, version, id, trace, &ResponseFrame::Busy(reason)),
+            Err(reason) => queue_reply(conn, id, trace, &ResponseFrame::Busy(reason)),
         },
         RequestFrame::Stats => {
             if ctx.backend.stats_inline() {
                 let stats = ctx.backend.server_stats(ctx.admission.stats());
-                queue_reply(conn, version, id, trace, &ResponseFrame::Stats(stats));
+                queue_reply(conn, id, trace, &ResponseFrame::Stats(stats));
             } else {
                 // The backend's snapshot performs I/O (the router rounds
                 // up every replica): answer it on a worker so the reactor
                 // never blocks on the network.
-                conn.inflight += 1;
-                *dispatched += 1;
-                let _ = ctx.jobs.send(Job {
-                    token,
-                    id,
-                    version,
-                    trace,
-                    peer: conn.peer,
-                    enqueued: Instant::now(),
-                    kind: JobKind::Stats,
-                });
+                dispatch(conn, JobKind::Stats);
             }
         }
         RequestFrame::Metrics => {
             if ctx.backend.metrics_inline() {
                 let snapshot = ctx.backend.metrics_snapshot();
-                queue_reply(conn, version, id, trace, &ResponseFrame::Metrics(snapshot));
+                queue_reply(conn, id, trace, &ResponseFrame::Metrics(snapshot));
             } else {
-                conn.inflight += 1;
-                *dispatched += 1;
-                let _ = ctx.jobs.send(Job {
-                    token,
-                    id,
-                    version,
-                    trace,
-                    peer: conn.peer,
-                    enqueued: Instant::now(),
-                    kind: JobKind::Metrics { http: false },
-                });
+                dispatch(conn, JobKind::Metrics { http: false });
             }
         }
-        RequestFrame::Ping => queue_reply(conn, version, id, trace, &ResponseFrame::Pong),
+        RequestFrame::Ping => queue_reply(conn, id, trace, &ResponseFrame::Pong),
         RequestFrame::Shutdown => {
             // Flip the latch before acking, so a client that saw the ack
             // can rely on the drain having begun. Frames the client
-            // pipelined behind the Shutdown are dropped, as the old
-            // server (which closed right after the ack) never read them.
+            // pipelined behind the Shutdown are never read.
             ctx.signal.trigger();
-            queue_reply(conn, version, id, trace, &ResponseFrame::ShutdownAck);
-            conn.pending.clear();
+            queue_reply(conn, id, trace, &ResponseFrame::ShutdownAck);
             conn.mode = ReadMode::Stopped;
             conn.closing = true;
         }
     }
 }
 
-/// After a v1 batch completes, admit and run queued frames in order until
-/// one dispatches to the workers (at most one executes at a time) or the
-/// queue empties.
-///
-/// `ReadMode::Stopped` does NOT stop the drain: it only means no further
-/// bytes are read. Frames already queued were fully received before the
-/// EOF / shutdown and still get their replies — a pipelining client may
-/// half-close after its last request — and draining them is also what
-/// lets `Conn::flushed` become true so the connection is reaped instead
-/// of parked forever. `Discard` mode does stop it (framing broke; the
-/// fault path already cleared the queue), as does a dead socket.
-fn advance_pending(ctx: &Ctx<'_>, conn: &mut Conn, token: u64, dispatched: &mut usize) {
-    let version = conn.version.unwrap_or(1);
-    while conn.inflight == 0 && conn.mode != ReadMode::Discard && !conn.dead {
-        let Some(frame) = conn.pending.pop_front() else {
-            break;
-        };
-        execute_frame(
-            ctx,
-            conn,
-            token,
-            version,
-            RequestId::CONNECTION,
-            TraceId::NONE,
-            frame,
-            dispatched,
-        );
-    }
-}
-
 /// Encodes a reply and queues it (the next write flush sends it).
-fn queue_reply(
-    conn: &mut Conn,
-    version: u16,
-    id: RequestId,
-    trace: TraceId,
-    frame: &ResponseFrame,
-) {
-    let (bytes, close) = wire_response(version, id, trace, frame);
-    push_reply(conn, bytes, close);
-}
-
-/// Queues already-encoded reply bytes, honouring the close-after flag.
-fn push_reply(conn: &mut Conn, bytes: Vec<u8>, close: bool) {
-    conn.wbuf.push_back(bytes);
-    if close {
-        // v1 over-cap downgrade: the request/response rhythm is broken,
-        // so queued frames can never be answered pairably — drop them
-        // and close once the fault frame flushes.
-        conn.pending.clear();
-        conn.mode = ReadMode::Discard;
-        conn.closing = true;
-        conn.deadline = Some(Instant::now() + FAULT_LINGER);
-    }
+fn queue_reply(conn: &mut Conn, id: RequestId, trace: TraceId, frame: &ResponseFrame) {
+    conn.wbuf.push_back(wire_response(id, trace, frame));
 }
 
 /// Nonblocking write pump: flush the queue until it empties or the
@@ -1760,24 +1618,16 @@ fn shed_detached(shed_threads: &Arc<AtomicUsize>, stream: TcpStream, frame: Resp
 
 /// Refuses a connection with one typed response frame, with short timeouts
 /// so a slow client cannot stall the helper. The client's own preamble is
-/// drained first — and its announced version honoured in the reply, so v1
-/// clients decode the refusal too — and the close lingers, so the refusal
-/// is delivered as orderly data + FIN, never lost to a reset.
+/// drained first and the close lingers, so the refusal is delivered as
+/// orderly data + FIN, never lost to a reset.
 fn refuse(mut stream: TcpStream, frame: ResponseFrame) {
     let _ = stream.set_nonblocking(false);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
     let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
     let mut hello = [0u8; PREAMBLE_LEN];
-    let version = match Read::read_exact(&mut stream, &mut hello) {
-        Ok(()) if hello[..4] == PROTOCOL_MAGIC => {
-            protocol::negotiate(u16::from_le_bytes([hello[4], hello[5]]))
-                .unwrap_or(protocol::MIN_PROTOCOL_VERSION)
-        }
-        // Garbage or truncated hello: best-effort v1-style refusal.
-        _ => protocol::MIN_PROTOCOL_VERSION,
-    };
-    let _ = protocol::write_preamble_version(&mut stream, version);
-    let (bytes, _) = wire_response(version, RequestId::CONNECTION, TraceId::NONE, &frame);
+    let _ = Read::read_exact(&mut stream, &mut hello);
+    let _ = protocol::write_preamble(&mut stream);
+    let bytes = wire_response(RequestId::CONNECTION, TraceId::NONE, &frame);
     let _ = stream.write_all(&bytes);
     linger_close(stream);
 }

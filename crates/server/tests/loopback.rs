@@ -1,18 +1,27 @@
 //! Loopback integration tests: the served answers must be bit-identical
-//! to local `Qbs::submit` — under protocol v1 and v2, one-shot and
-//! pipelined, in-order and out-of-order — admission must shed with typed
-//! `Busy` replies (never hangs or dropped connections), idle connections
-//! must park on the reactor without consuming threads, and shutdown must
-//! drain cleanly.
+//! to local `Qbs::submit` — one-shot and pipelined, in-order and
+//! out-of-order — older hellos must be refused with a typed fault,
+//! admission must shed with typed `Busy` replies (never hangs or dropped
+//! connections), a fault or a panicking job must cost only its own
+//! request, idle connections must park on the reactor without consuming
+//! threads, and shutdown must drain cleanly.
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use qbs_core::serialize::{self, IndexFormat, MapMode};
-use qbs_core::{CacheConfig, Qbs, QbsConfig, QbsIndex, QueryRequest, RequestId};
+use qbs_core::{
+    CacheConfig, MetricsSnapshot, Qbs, QbsConfig, QbsIndex, QueryOutcome, QueryRequest, RequestId,
+    TraceId,
+};
 use qbs_gen::catalog::{Catalog, DatasetId, Scale};
+use qbs_server::protocol::{self, fault_code, RequestFrame, ResponseFrame};
 use qbs_server::{
-    AdmissionConfig, BatchReply, BusyReason, ClientConfig, QbsClient, QbsServer, ServerConfig,
-    ShutdownSignal,
+    AdmissionConfig, AdmissionStats, BatchReply, BusyReason, ClientConfig, ProtocolError,
+    QbsClient, QbsServer, ServeBackend, ServerConfig, ServerHandle, ServerStats, ShutdownSignal,
+    PROTOCOL_VERSION,
 };
 
 /// Builds the shared test index (a tiny Douban stand-in), saves it as a v2
@@ -50,6 +59,44 @@ fn mixed_requests(num_vertices: u32, salt: u32) -> Vec<QueryRequest> {
         .collect();
     requests.insert(requests.len() / 2, QueryRequest::distance(num_vertices, 0));
     requests
+}
+
+/// Opens a raw socket and exchanges preambles, announcing `version`.
+/// Returns the stream (reads time out instead of hanging) and the version
+/// the server announced back.
+fn raw_hello(addr: &str, version: u16) -> (TcpStream, u16) {
+    let mut raw = TcpStream::connect(addr).expect("tcp");
+    raw.set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    let mut hello = [0u8; protocol::PREAMBLE_LEN];
+    hello[..4].copy_from_slice(&protocol::PROTOCOL_MAGIC);
+    hello[4..6].copy_from_slice(&version.to_le_bytes());
+    raw.write_all(&hello).expect("client hello");
+    let theirs = protocol::read_preamble(&mut raw).expect("server hello");
+    (raw, theirs)
+}
+
+/// Asserts the server's next act on `raw` is an orderly close.
+fn expect_fin(raw: &mut TcpStream) {
+    let mut sink = [0u8; 1];
+    assert_eq!(raw.read(&mut sink).expect("server FIN"), 0, "orderly close");
+}
+
+/// Waits (bounded) for every connection slot and admission permit to be
+/// returned — the reactor reaps a closed connection on its next tick.
+fn expect_released(server: &ServerHandle) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let admission = server.stats().admission;
+        if admission.connections == 0 && admission.inflight == 0 {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "connections or permits leaked: {admission:?}"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
 }
 
 #[test]
@@ -257,168 +304,273 @@ fn ping_reconnect_and_version_negotiation() {
     let addr = server.local_addr().to_string();
 
     let mut client = QbsClient::connect(&addr).expect("connect");
-    assert_eq!(client.protocol_version(), qbs_server::PROTOCOL_VERSION);
     assert!(client.ping().expect("pong").as_secs() < 5);
     client.reconnect().expect("reconnect to the same server");
     client.ping().expect("pong after reconnect");
     assert_eq!(client.addr(), addr);
 
-    use std::io::{Read, Write};
-
     // A client announcing a future version negotiates down to the
-    // server's newest version and is served normally.
-    let mut raw = std::net::TcpStream::connect(&addr).expect("tcp");
-    let mut preamble = [0u8; 8];
-    preamble[..4].copy_from_slice(b"QBSP");
-    preamble[4..6].copy_from_slice(&999u16.to_le_bytes());
-    raw.write_all(&preamble).expect("send future version");
-    let mut reply = [0u8; 8];
-    raw.read_exact(&mut reply).expect("server preamble");
-    assert_eq!(&reply[..4], b"QBSP");
+    // server's version and is served normally.
+    let (mut raw, theirs) = raw_hello(&addr, 999);
     assert_eq!(
-        u16::from_le_bytes([reply[4], reply[5]]),
-        qbs_server::PROTOCOL_VERSION,
+        theirs, PROTOCOL_VERSION,
         "the server replies with the negotiated version"
     );
-    let trace = qbs_core::TraceId(0xDEAD_BEEF_CAFE);
-    qbs_server::protocol::write_request_v3(
-        &mut raw,
-        RequestId(7),
-        trace,
-        &qbs_server::protocol::RequestFrame::Ping,
-    )
-    .expect("v3 ping");
-    let (id, echoed, frame) = qbs_server::protocol::read_response_v3(&mut raw).expect("v3 pong");
+    let trace = TraceId(0xDEAD_BEEF_CAFE);
+    protocol::write_request_v3(&mut raw, RequestId(7), trace, &RequestFrame::Ping)
+        .expect("v3 ping");
+    let (id, echoed, frame) = protocol::read_response_v3(&mut raw).expect("v3 pong");
     assert_eq!(id, RequestId(7));
     assert_eq!(echoed, trace, "the reply echoes the request's trace ID");
-    assert_eq!(frame, qbs_server::protocol::ResponseFrame::Pong);
-
-    // Version 0 predates every build: typed fault, then close.
-    let mut raw = std::net::TcpStream::connect(&addr).expect("tcp");
-    let mut preamble = [0u8; 8];
-    preamble[..4].copy_from_slice(b"QBSP");
-    raw.write_all(&preamble).expect("send version 0");
-    let mut reply = [0u8; 8];
-    raw.read_exact(&mut reply).expect("server preamble");
-    let frame = qbs_server::protocol::read_response(&mut raw).expect("fault frame");
-    match frame {
-        qbs_server::protocol::ResponseFrame::Error(fault) => {
-            assert_eq!(
-                fault.code,
-                qbs_server::protocol::fault_code::VERSION_MISMATCH
-            );
-            assert!(fault.message.contains("client sent 0"), "{}", fault.message);
-        }
-        other => panic!("expected a version fault, got {other:?}"),
-    }
+    assert_eq!(frame, ResponseFrame::Pong);
     server.shutdown();
 }
 
 #[test]
-fn v1_and_v3_clients_get_bit_identical_answers() {
+fn handshake_matrix_refuses_old_hellos_and_serves_v3() {
     let (qbs, path) = mmap_session("versions");
     let num_vertices = qbs.num_vertices() as u32;
     let mut server = QbsServer::start(Arc::clone(&qbs), ServerConfig::default()).expect("start");
     let addr = server.local_addr().to_string();
     let local = Qbs::open(&path, MapMode::Mmap).expect("local reference");
 
-    let mut v3 = QbsClient::connect(&addr).expect("v3 connect");
-    assert_eq!(v3.protocol_version(), 3);
-    let mut v1 =
-        QbsClient::connect_with(&addr, ClientConfig::default().force_v1(true)).expect("v1 connect");
-    assert_eq!(v1.protocol_version(), 1, "force_v1 pins the handshake");
-
-    for salt in 0..3u32 {
-        let requests = mixed_requests(num_vertices, salt);
-        let expected = local.submit(&requests);
-        for (name, client) in [("v3", &mut v3), ("v1", &mut v1)] {
-            let reply = client.submit(&requests).expect("submit");
-            assert_eq!(
-                reply.outcomes().expect("unloaded server never sheds"),
-                &expected[..],
-                "{name} client diverged from local submit (salt {salt})"
-            );
+    // Every older dialect: our preamble, one decodable connection-scoped
+    // fault, then FIN — never a hang (the reads time out), never service.
+    for old in 0..PROTOCOL_VERSION {
+        let (mut raw, theirs) = raw_hello(&addr, old);
+        assert_eq!(theirs, PROTOCOL_VERSION);
+        let (id, trace, frame) = protocol::read_response_v3(&mut raw).expect("fault frame");
+        assert_eq!((id, trace), (RequestId::CONNECTION, TraceId::NONE));
+        match frame {
+            ResponseFrame::Error(fault) => {
+                assert_eq!(fault.code, fault_code::VERSION_MISMATCH);
+                let sent = format!("client sent {old}");
+                assert!(fault.message.contains(&sent), "{}", fault.message);
+            }
+            other => panic!("hello {old}: expected a version fault, got {other:?}"),
         }
+        expect_fin(&mut raw);
     }
 
-    // A v1 connection pipelines too (the wire is FIFO; the client stash
-    // re-pairs replies): tickets redeemed in reverse order still match.
-    let batch_a = mixed_requests(num_vertices, 11);
-    let batch_b = mixed_requests(num_vertices, 12);
-    let expected_a = local.submit(&batch_a);
-    let expected_b = local.submit(&batch_b);
-    let ticket_a = v1.send(&batch_a).expect("send a");
-    let ticket_b = v1.send(&batch_b).expect("send b");
-    let reply_b = v1.recv(ticket_b).expect("recv b");
-    let reply_a = v1.recv(ticket_a).expect("recv a");
-    assert_eq!(reply_a.outcomes().expect("admitted"), &expected_a[..]);
-    assert_eq!(reply_b.outcomes().expect("admitted"), &expected_b[..]);
-
-    // Control frames interleave with pipelined batches on both versions.
-    let ticket = v3.send(&batch_a).expect("send");
-    v3.ping().expect("ping while a batch is in flight");
-    assert_eq!(
-        v3.recv(ticket).expect("recv").outcomes().expect("admitted"),
-        &expected_a[..]
-    );
+    // Our version and anything newer are served at ours.
+    for new in [PROTOCOL_VERSION, u16::MAX] {
+        let (mut raw, theirs) = raw_hello(&addr, new);
+        assert_eq!(theirs, PROTOCOL_VERSION);
+        let requests = mixed_requests(num_vertices, u32::from(new % 7));
+        protocol::write_request_v3(
+            &mut raw,
+            RequestId(1),
+            TraceId(9),
+            &RequestFrame::Batch(requests.clone()),
+        )
+        .expect("send");
+        match protocol::read_response_v3(&mut raw).expect("reply") {
+            (RequestId(1), TraceId(9), ResponseFrame::Batch(outcomes)) => {
+                assert_eq!(outcomes, local.submit(&requests), "hello {new} diverged")
+            }
+            other => panic!("hello {new}: expected outcomes, got {other:?}"),
+        }
+    }
+    expect_released(&server);
     server.shutdown();
+
+    // The other direction: a server older than the client is a local,
+    // typed refusal.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let stub_addr = listener.local_addr().expect("addr").to_string();
+    let stub = std::thread::spawn(move || {
+        let (mut peer, _) = listener.accept().expect("accept");
+        let mut hello = [0u8; protocol::PREAMBLE_LEN];
+        peer.read_exact(&mut hello).expect("client hello");
+        hello[4..6].copy_from_slice(&2u16.to_le_bytes());
+        peer.write_all(&hello).expect("old preamble");
+    });
+    match QbsClient::connect(&stub_addr) {
+        Err(ProtocolError::VersionMismatch { ours, theirs }) => {
+            assert_eq!((ours, theirs), (PROTOCOL_VERSION, 2));
+        }
+        other => panic!("expected a version mismatch, got {other:?}"),
+    }
+    stub.join().expect("stub server");
 }
 
 #[test]
-fn v1_half_close_with_queued_batches_drains_and_releases_permits() {
+fn half_close_with_pipelined_batches_drains_and_releases_permits() {
     let (qbs, path) = mmap_session("halfclose");
     let num_vertices = qbs.num_vertices() as u32;
-    // One worker serialises execution, so the trailing batches are parked
-    // in the v1 in-order queue when the EOF arrives.
+    // One worker serialises execution, so the trailing batches are still
+    // queued or executing when the EOF arrives.
     let mut server =
         QbsServer::start(Arc::clone(&qbs), ServerConfig::default().workers(1)).expect("start");
     let addr = server.local_addr().to_string();
     let local = Qbs::open(&path, MapMode::Mmap).expect("local reference");
 
-    use qbs_server::protocol::{self, RequestFrame, ResponseFrame};
-    use std::io::Read;
-
-    let mut raw = std::net::TcpStream::connect(&addr).expect("tcp");
-    // A timeout turns the historical failure mode (replies never come,
-    // the connection leaks) into a clean assertion failure.
-    raw.set_read_timeout(Some(std::time::Duration::from_secs(30)))
-        .expect("timeout");
-    protocol::write_preamble_version(&mut raw, 1).expect("client hello");
-    assert_eq!(protocol::read_preamble(&mut raw).expect("server hello"), 1);
-
+    let (mut raw, _) = raw_hello(&addr, PROTOCOL_VERSION);
     let batches: Vec<Vec<QueryRequest>> = (0..4u32)
         .map(|salt| mixed_requests(num_vertices, 40 + salt))
         .collect();
-    for batch in &batches {
-        protocol::write_request(&mut raw, &RequestFrame::Batch(batch.clone())).expect("send");
+    for (i, batch) in batches.iter().enumerate() {
+        let frame = RequestFrame::Batch(batch.clone());
+        protocol::write_request_v3(&mut raw, RequestId(i as u32 + 1), TraceId::NONE, &frame)
+            .expect("send");
     }
     // Half-close after the last request, before any reply is read: the
-    // server must still answer every fully-received frame, in order,
-    // then close its own side — and must not pin the connection (or its
-    // admission permits) forever.
+    // server must still answer every fully-received frame, then close
+    // its own side — and must not pin the connection (or its admission
+    // permits) forever.
     raw.shutdown(std::net::Shutdown::Write).expect("half-close");
 
+    let mut replies = std::collections::HashMap::new();
+    for _ in &batches {
+        let (id, _, frame) = protocol::read_response_v3(&mut raw).expect("reply after half-close");
+        assert!(replies.insert(id, frame).is_none(), "{id} answered twice");
+    }
     for (i, batch) in batches.iter().enumerate() {
-        let expected = local.submit(batch);
-        match protocol::read_response(&mut raw).expect("reply after half-close") {
-            ResponseFrame::Batch(outcomes) => {
-                assert_eq!(outcomes, expected, "batch {i} diverged after half-close")
+        match replies.remove(&RequestId(i as u32 + 1)) {
+            Some(ResponseFrame::Batch(outcomes)) => {
+                assert_eq!(
+                    outcomes,
+                    local.submit(batch),
+                    "batch {i} diverged after half-close"
+                )
             }
             other => panic!("batch {i}: expected outcomes, got {other:?}"),
         }
     }
-    let mut sink = [0u8; 1];
-    assert_eq!(
-        raw.read(&mut sink).expect("server FIN"),
-        0,
-        "orderly close after the last reply"
-    );
+    expect_fin(&mut raw);
 
-    // Every permit the queued batches needed was released on completion.
-    let stats = server.stats();
-    assert_eq!(stats.admission.inflight, 0);
-    assert_eq!(stats.admission.admitted_batches, 4);
+    // Every permit was released on completion, and the slot on close.
+    expect_released(&server);
+    assert_eq!(server.stats().admission.admitted_batches, 4);
     server.shutdown();
+}
+
+#[test]
+fn faults_are_request_scoped_unless_the_envelope_breaks() {
+    let (qbs, _path) = mmap_session("faults");
+    let mut server = QbsServer::start(Arc::clone(&qbs), ServerConfig::default()).expect("start");
+    let addr = server.local_addr().to_string();
+    let (mut raw, _) = raw_hello(&addr, PROTOCOL_VERSION);
+
+    // An intact envelope around an unknown tag, then around a truncated
+    // body: each is answered under its own ID and the connection lives.
+    let bad_bodies: [(&[u8], u8); 2] = [
+        (&[0x7F], fault_code::UNKNOWN_TAG),
+        (&[0x01, 0xFF], fault_code::MALFORMED),
+    ];
+    for (i, (body, code)) in bad_bodies.into_iter().enumerate() {
+        let id = RequestId(i as u32 + 1);
+        let payload = protocol::encode_envelope_v3(id, TraceId(5), body);
+        protocol::write_frame(&mut raw, &payload).expect("send");
+        match protocol::read_response_v3(&mut raw).expect("request-scoped fault") {
+            (got, TraceId(5), ResponseFrame::Error(fault)) => {
+                assert_eq!((got, fault.code), (id, code), "{}", fault.message)
+            }
+            other => panic!("expected a fault under {id}, got {other:?}"),
+        }
+    }
+    protocol::write_request_v3(&mut raw, RequestId(3), TraceId(5), &RequestFrame::Ping)
+        .expect("ping");
+    let (id, _, frame) = protocol::read_response_v3(&mut raw).expect("pong");
+    assert_eq!((id, frame), (RequestId(3), ResponseFrame::Pong));
+
+    // A frame too short to hold the envelope cannot be paired with any
+    // request: connection-scoped fault, then FIN, and the slot returns.
+    protocol::write_frame(&mut raw, &[1, 0, 0, 0, 9]).expect("send");
+    match protocol::read_response_v3(&mut raw).expect("connection-scoped fault") {
+        (RequestId::CONNECTION, TraceId::NONE, ResponseFrame::Error(fault)) => {
+            assert_eq!(fault.code, fault_code::MALFORMED)
+        }
+        other => panic!("expected a connection fault, got {other:?}"),
+    }
+    expect_fin(&mut raw);
+    expect_released(&server);
+    server.shutdown();
+}
+
+/// A backend that serves from a real session but panics on any batch
+/// holding a request whose source is [`PanickingBackend::MARK`].
+#[derive(Debug)]
+struct PanickingBackend(Arc<Qbs>);
+
+impl PanickingBackend {
+    const MARK: u32 = u32::MAX;
+}
+
+impl ServeBackend for PanickingBackend {
+    fn execute(&self, requests: &[QueryRequest]) -> Vec<QueryOutcome> {
+        assert!(
+            requests.iter().all(|r| r.source != Self::MARK),
+            "injected backend panic"
+        );
+        self.0.submit(requests)
+    }
+
+    fn server_stats(&self, admission: AdmissionStats) -> ServerStats {
+        self.0.server_stats(admission)
+    }
+
+    fn metrics_snapshot(&self) -> MetricsSnapshot {
+        self.0.metrics_snapshot()
+    }
+
+    fn obs(&self) -> Option<&qbs_core::Metrics> {
+        Some(self.0.metrics())
+    }
+
+    fn inline_eligible(&self) -> bool {
+        true
+    }
+}
+
+#[test]
+fn panicking_job_faults_its_own_request_and_nothing_else() {
+    let (qbs, path) = mmap_session("panic");
+    let num_vertices = qbs.num_vertices() as u32;
+    // One worker: if the panic killed it, nothing behind it would answer.
+    let mut server = QbsServer::start_with_backend(
+        Arc::new(PanickingBackend(Arc::clone(&qbs))),
+        ServerConfig::default().workers(1),
+    )
+    .expect("start");
+    let mut client = QbsClient::connect(&server.local_addr().to_string()).expect("connect");
+    let local = Qbs::open(&path, MapMode::Mmap).expect("local reference");
+
+    let marked = QueryRequest::distance(PanickingBackend::MARK, 0);
+    let healthy = mixed_requests(num_vertices, 3);
+    // Worker path (two requests), then the reactor's inline path (one
+    // Distance request), each with healthy work pipelined behind it.
+    for poisoned in [vec![marked, marked], vec![marked]] {
+        let bad = client.send(&poisoned).expect("send marked");
+        let good = client.send(&healthy).expect("send unmarked");
+        match client.recv(bad) {
+            Err(ProtocolError::Remote(fault)) => assert_eq!(fault.code, fault_code::INTERNAL),
+            other => panic!("expected an internal fault, got {other:?}"),
+        }
+        assert_eq!(
+            client
+                .recv(good)
+                .expect("recv")
+                .outcomes()
+                .expect("admitted"),
+            &local.submit(&healthy)[..],
+            "the request behind a panicking one diverged"
+        );
+    }
+    assert_eq!(client.metrics().expect("metrics").job_panics, 2);
+    drop(client);
+    expect_released(&server);
+
+    // No count leaked, so the reactor can exit: shutdown returns well
+    // inside its drain deadline instead of never.
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.shutdown();
+        let _ = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("shutdown joined the reactor and the worker");
 }
 
 #[test]
@@ -521,7 +673,6 @@ fn metrics_frame_http_endpoint_and_slow_queries() {
     }
 
     // The HTTP endpoint renders the same registry in Prometheus text.
-    use std::io::{Read, Write};
     let mut http = std::net::TcpStream::connect(metrics_addr).expect("http connect");
     http.set_read_timeout(Some(std::time::Duration::from_secs(10)))
         .expect("timeout");

@@ -8,13 +8,14 @@
 use qbs_core::wire::{from_bytes, to_bytes};
 use qbs_core::{
     CacheConfig, EngineStats, Qbs, QbsConfig, QueryOutcome, QueryRequest, RequestError, RequestId,
+    TraceId,
 };
 use qbs_graph::fixtures::figure4_graph;
 use qbs_server::protocol::{
-    encode_envelope, negotiate, read_frame, read_preamble, split_envelope, RequestFrame,
-    ResponseFrame, ServerStats, WireFault, MAX_FRAME_LEN, MIN_PROTOCOL_VERSION, PREAMBLE_LEN,
+    encode_envelope_v3, negotiate, read_frame, read_preamble, split_envelope_v3, RequestFrame,
+    ResponseFrame, ServerStats, WireFault, MAX_FRAME_LEN, PREAMBLE_LEN,
 };
-use qbs_server::{AdmissionStats, BusyReason};
+use qbs_server::{AdmissionStats, BusyReason, PROTOCOL_VERSION};
 
 /// Representative request frame bodies, covering every tag and a real
 /// mixed batch.
@@ -173,9 +174,9 @@ fn frame_reader_and_preamble_reject_corruption() {
     assert!(read_frame(&mut &short[..]).is_err());
 
     // Preamble: every truncation is rejected; every single-bit flip of
-    // the magic is rejected; a flipped *version* is either rejected (the
-    // unspeakable version 0) or comes back as a well-formed announcement
-    // that `negotiate` resolves to a version this build speaks.
+    // the magic is rejected; a flipped *version* is either rejected (an
+    // older dialect) or comes back as a well-formed announcement that
+    // `negotiate` resolves to the version this build speaks.
     let mut good = Vec::new();
     qbs_server::protocol::write_preamble(&mut good).expect("preamble");
     assert_eq!(good.len(), PREAMBLE_LEN);
@@ -189,17 +190,17 @@ fn frame_reader_and_preamble_reject_corruption() {
             let announced = u16::from_le_bytes([mutated[4], mutated[5]]);
             match read_preamble(&mut &mutated[..]) {
                 Err(_) => assert!(
-                    byte < 4 || announced < MIN_PROTOCOL_VERSION,
-                    "byte {byte} bit {bit}: only magic damage and version 0 are rejected"
+                    byte < 4 || announced < PROTOCOL_VERSION,
+                    "byte {byte} bit {bit}: only magic damage and older versions are rejected"
                 ),
                 Ok(theirs) => {
                     assert!(byte >= 4, "flipped magic byte {byte} bit {bit} must fail");
                     assert_eq!(theirs, announced);
-                    let speak = negotiate(theirs).expect("nonzero versions negotiate");
                     assert!(
-                        (MIN_PROTOCOL_VERSION..=qbs_server::PROTOCOL_VERSION).contains(&speak),
-                        "negotiated {speak} is a version this build speaks"
+                        theirs >= PROTOCOL_VERSION,
+                        "older version {theirs} accepted"
                     );
+                    assert_eq!(negotiate(theirs), Some(PROTOCOL_VERSION));
                 }
             }
             mutated[byte] ^= 1 << bit;
@@ -207,13 +208,15 @@ fn frame_reader_and_preamble_reject_corruption() {
     }
 }
 
-/// The v2 request-ID envelope under the same adversarial treatment:
-/// truncations inside the ID are typed errors; truncations inside the
-/// enclosed body split cleanly but fail the body decode; bit flips in the
-/// ID only change the ID (the body is untouched and still decodes).
+/// The request-ID + trace envelope under the same adversarial treatment:
+/// truncations inside the ID or trace are typed errors; truncations
+/// inside the enclosed body split cleanly but fail the body decode; bit
+/// flips in the envelope only change the ID or the trace (the body is
+/// untouched and still decodes).
 #[test]
-fn v2_envelope_truncation_and_bit_flip_sweep() {
+fn envelope_truncation_and_bit_flip_sweep() {
     let id = RequestId(0x5A5A_A5A5);
+    let trace = TraceId(0x0123_4567_89AB_CDEF);
     let cases: Vec<(Vec<u8>, bool)> = request_bodies()
         .into_iter()
         .map(|b| (b, true))
@@ -227,28 +230,37 @@ fn v2_envelope_truncation_and_bit_flip_sweep() {
                 ResponseFrame::decode_body(inner).is_ok()
             }
         };
-        let enveloped = encode_envelope(id, &body);
-        assert_eq!(enveloped.len(), body.len() + 4);
-        let (split_id, inner) = split_envelope(&enveloped).expect("intact envelope");
-        assert_eq!(split_id, id);
+        let enveloped = encode_envelope_v3(id, trace, &body);
+        assert_eq!(enveloped.len(), body.len() + 12);
+        let (split_id, split_trace, inner) =
+            split_envelope_v3(&enveloped).expect("intact envelope");
+        assert_eq!((split_id, split_trace), (id, trace));
         assert!(decodes(inner), "intact body decodes through the envelope");
 
         for cut in 0..enveloped.len() {
-            match split_envelope(&enveloped[..cut]) {
-                Err(_) => assert!(cut < 4, "cut {cut}: only ID truncation fails the split"),
-                Ok((split_id, inner)) => {
-                    assert_eq!(split_id, id);
+            match split_envelope_v3(&enveloped[..cut]) {
+                Err(_) => assert!(
+                    cut < 12,
+                    "cut {cut}: only envelope truncation fails the split"
+                ),
+                Ok((split_id, split_trace, inner)) => {
+                    assert_eq!((split_id, split_trace), (id, trace));
                     assert!(!decodes(inner), "cut {cut}: truncated body must not decode");
                 }
             }
         }
 
         let mut mutated = enveloped.clone();
-        for byte in 0..4 {
+        for byte in 0..12 {
             for bit in 0..8 {
                 mutated[byte] ^= 1 << bit;
-                let (flipped_id, inner) = split_envelope(&mutated).expect("split still works");
-                assert_ne!(flipped_id, id, "byte {byte} bit {bit} changed the ID");
+                let (flipped_id, flipped_trace, inner) =
+                    split_envelope_v3(&mutated).expect("split still works");
+                assert_eq!(
+                    (flipped_id != id, flipped_trace != trace),
+                    (byte < 4, byte >= 4),
+                    "byte {byte} bit {bit} changed exactly the field it sits in"
+                );
                 assert!(decodes(inner), "the enclosed body is untouched");
                 mutated[byte] ^= 1 << bit;
             }
