@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
 use qbs_baselines::{BiBfs, ParentPpl, Ppl, SpgEngine};
-use qbs_core::{query_on, CompactStore, QbsConfig, QbsIndex, QueryWorkspace};
+use qbs_core::{QbsConfig, QbsIndex};
 use qbs_gen::catalog::{Catalog, DatasetId, Scale};
 use qbs_gen::QueryWorkload;
 
@@ -34,22 +34,6 @@ fn bench_query(c: &mut Criterion) {
                 }
             });
         });
-        // The same queries served from the compact v3 layout: landmark and
-        // adjacency rows are varint-decoded on the fly, so this arm tracks
-        // the online cost of the smaller file.
-        let compact = CompactStore::new(qbs.as_compact_view().expect("compact view"));
-        group.bench_with_input(
-            BenchmarkId::new("QbS-compact", id.abbrev()),
-            &pairs,
-            |b, pairs| {
-                let mut ws = QueryWorkspace::new();
-                b.iter(|| {
-                    for &(u, v) in pairs {
-                        criterion::black_box(query_on(&compact, &mut ws, u, v).expect("in range"));
-                    }
-                });
-            },
-        );
         group.bench_with_input(BenchmarkId::new("PPL", id.abbrev()), &pairs, |b, pairs| {
             b.iter(|| {
                 for &(u, v) in pairs {

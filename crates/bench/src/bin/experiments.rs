@@ -4,8 +4,8 @@
 //! experiments <which> [options]
 //!
 //! which:    table1 | table2 | table3 | fig7 | fig8 | fig9 | fig10 | fig11 |
-//!           traversal | ablation | viewserve | compactserve | mixedbatch |
-//!           batchplan | netserve | routed | obs | all
+//!           traversal | ablation | viewserve | mixedbatch | batchplan |
+//!           netserve | routed | obs | all
 //!
 //! options:
 //!   --scale tiny|small|medium|large   dataset scale          (default: small)
@@ -95,7 +95,7 @@ fn main() -> ExitCode {
         let r = experiments::ablation(&config);
         outputs.insert("ablation", (r.render(), serde_json::to_value(&r).unwrap()));
     }
-    // `viewserve`, `compactserve` and `mixedbatch` are explicit-only
+    // `viewserve` and `mixedbatch` are explicit-only
     // pass/fail differentials, not part of `all`: the smoke run would
     // otherwise build the same indices twice (CI runs each as its own
     // named step).
@@ -110,20 +110,6 @@ fn main() -> ExitCode {
         };
         drift |= !r.all_identical();
         outputs.insert("viewserve", (r.render(), serde_json::to_value(&r).unwrap()));
-    }
-    if which == "compactserve" {
-        let r = match experiments::compact_serving(&config) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: compactserve failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        drift |= !r.all_identical();
-        outputs.insert(
-            "compactserve",
-            (r.render(), serde_json::to_value(&r).unwrap()),
-        );
     }
     if which == "mixedbatch" {
         let r = match experiments::mixed_batch(&config) {
@@ -212,7 +198,7 @@ fn main() -> ExitCode {
 
 fn print_usage() {
     eprintln!(
-        "usage: experiments <table1|table2|table3|fig7|fig8|fig9|fig10|fig11|traversal|ablation|viewserve|compactserve|mixedbatch|batchplan|netserve|routed|obs|all> \
+        "usage: experiments <table1|table2|table3|fig7|fig8|fig9|fig10|fig11|traversal|ablation|viewserve|mixedbatch|batchplan|netserve|routed|obs|all> \
          [--scale tiny|small|medium|large] [--queries N] [--landmarks N] \
          [--sweep a,b,c] [--datasets DO,DB,...] [--out DIR]"
     );

@@ -706,7 +706,7 @@ impl ViewServing {
     }
 }
 
-/// Runs the view-serving differential: build → save v2 → mmap → serve from
+/// Runs the view-serving differential: build → save → mmap → serve from
 /// the file, comparing every batch answer against the owned engine.
 pub fn view_serving(config: &ExperimentConfig) -> Result<ViewServing, QbsError> {
     // Unique per-run directory: concurrent harness runs (or the unit test
@@ -730,7 +730,7 @@ pub fn view_serving(config: &ExperimentConfig) -> Result<ViewServing, QbsError> 
             let pairs = workload.pairs();
             let owned =
                 QbsIndex::try_build(graph, QbsConfig::with_landmark_count(config.landmark_count))?;
-            let path = dir.join(format!("{}.qbs2", spec.id.abbrev()));
+            let path = dir.join(format!("{}.qbs", spec.id.abbrev()));
             qbs_core::serialize::save_to_file(&owned, &path)?;
             let store = qbs_core::serialize::open_store_from_file(&path, qbs_core::MapMode::Mmap)?;
 
@@ -766,196 +766,12 @@ fn path_graph_requests(pairs: &[(u32, u32)]) -> Vec<qbs_core::QueryRequest> {
         .collect()
 }
 
-fn distance_requests(pairs: &[(u32, u32)]) -> Vec<qbs_core::QueryRequest> {
-    pairs
-        .iter()
-        .map(|&(u, v)| qbs_core::QueryRequest::distance(u, v))
-        .collect()
-}
-
 fn per_query_ms(elapsed: std::time::Duration, queries: usize) -> f64 {
     if queries == 0 {
         0.0
     } else {
         elapsed.as_secs_f64() * 1e3 / queries as f64
     }
-}
-
-// ---------------------------------------------------------------------------
-// Compact serving — wide-vs-compact profile differential (CI drift tripwire)
-// ---------------------------------------------------------------------------
-
-/// Compact-serving differential result for one dataset.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct CompactServingRow {
-    /// Dataset name.
-    pub dataset: String,
-    /// Number of workload pairs compared.
-    pub pairs: usize,
-    /// On-disk size of the wide `qbs-index-v2` file (bytes).
-    pub wide_bytes: u64,
-    /// On-disk size of the compact `qbs-index-v3` file (bytes).
-    pub compact_bytes: u64,
-    /// Bytes saved by the compact profile, as a percentage of the wide file.
-    pub percent_saved: f64,
-    /// Average batch query time over the owned index (ms/query).
-    pub owned_ms: f64,
-    /// Average batch query time over the mmap-backed compact store
-    /// (ms/query).
-    pub compact_ms: f64,
-    /// Distance-batch throughput over the mmap-backed wide store
-    /// (queries/s).
-    pub wide_dist_qps: f64,
-    /// Distance-batch throughput over the mmap-backed compact store
-    /// (queries/s).
-    pub compact_dist_qps: f64,
-    /// Whether every answer (path graphs and distances, wide and compact,
-    /// owned and mmap) was bit-identical.
-    pub identical: bool,
-}
-
-/// The compact-serving differential: the same index is written in both
-/// binary profiles, both files are mmapped back, and the batch engine's
-/// answers plus distance batches are compared across owned / wide-view /
-/// compact-view serving. CI runs this at tiny scale so any wide-vs-compact
-/// drift fails the pipeline; the row also records the file-size saving and
-/// the distance throughput of both profiles.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct CompactServing {
-    /// One row per dataset.
-    pub rows: Vec<CompactServingRow>,
-}
-
-impl CompactServing {
-    /// Whether every dataset produced bit-identical answers.
-    pub fn all_identical(&self) -> bool {
-        self.rows.iter().all(|r| r.identical)
-    }
-
-    /// Renders the comparison.
-    pub fn render(&self) -> String {
-        let mut t = TextTable::new(
-            "Compact serving: wide vs compact profile (both mmap-backed)",
-            &[
-                "Dataset",
-                "pairs",
-                "wide B",
-                "compact B",
-                "saved",
-                "wide dist q/s",
-                "compact dist q/s",
-                "identical",
-            ],
-        );
-        for r in &self.rows {
-            t.add_row(vec![
-                r.dataset.clone(),
-                fmt_count(r.pairs),
-                fmt_count(r.wide_bytes as usize),
-                fmt_count(r.compact_bytes as usize),
-                format!("{:.1}%", r.percent_saved),
-                fmt_count(r.wide_dist_qps as usize),
-                fmt_count(r.compact_dist_qps as usize),
-                if r.identical {
-                    "yes".into()
-                } else {
-                    "NO".into()
-                },
-            ]);
-        }
-        t.render()
-    }
-}
-
-/// Runs the compact-serving differential: build → save v2 and v3 → mmap
-/// both → serve from the files, comparing every batch answer and distance
-/// against the owned engine and recording size and throughput.
-pub fn compact_serving(config: &ExperimentConfig) -> Result<CompactServing, QbsError> {
-    let nonce = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_nanos())
-        .unwrap_or(0);
-    let dir = std::env::temp_dir().join(format!(
-        "qbs_bench_compact_serving_{}_{nonce}",
-        std::process::id()
-    ));
-    std::fs::create_dir_all(&dir)?;
-    let rows = config
-        .specs()
-        .iter()
-        .map(|spec| {
-            let graph = config.graph_for(spec);
-            let workload = config.workload_for(&graph);
-            let pairs = workload.pairs();
-            let owned =
-                QbsIndex::try_build(graph, QbsConfig::with_landmark_count(config.landmark_count))?;
-            let wide_path = dir.join(format!("{}.qbs2", spec.id.abbrev()));
-            let compact_path = dir.join(format!("{}.qbs3", spec.id.abbrev()));
-            qbs_core::serialize::save_to_file(&owned, &wide_path)?;
-            qbs_core::serialize::save_to_file_with_profile(
-                &owned,
-                &compact_path,
-                qbs_core::serialize::IndexFormat::Binary,
-                qbs_core::IndexProfile::Compact,
-            )?;
-            let wide_bytes = std::fs::metadata(&wide_path)?.len();
-            let compact_bytes = std::fs::metadata(&compact_path)?.len();
-
-            let wide_store =
-                qbs_core::serialize::open_store_from_file(&wide_path, qbs_core::MapMode::Mmap)?;
-            let compact_store = qbs_core::serialize::open_compact_store_from_file(
-                &compact_path,
-                qbs_core::MapMode::Mmap,
-            )?;
-
-            let owned_engine = qbs_core::QueryEngine::with_threads(&owned, 2)?;
-            let wide_engine = qbs_core::QueryEngine::with_threads(&wide_store, 2)?;
-            let compact_engine = qbs_core::QueryEngine::with_threads(&compact_store, 2)?;
-
-            let requests = path_graph_requests(pairs);
-            let dist_requests = distance_requests(pairs);
-            let t0 = Instant::now();
-            let owned_answers = owned_engine.submit(&requests);
-            let owned_ms = per_query_ms(t0.elapsed(), pairs.len());
-            let t0 = Instant::now();
-            let compact_answers = compact_engine.submit(&requests);
-            let compact_ms = per_query_ms(t0.elapsed(), pairs.len());
-            let wide_answers = wide_engine.submit(&requests);
-
-            let t0 = Instant::now();
-            let wide_dists = wide_engine.submit(&dist_requests);
-            let wide_dist_qps = qps(t0.elapsed(), pairs.len());
-            let t0 = Instant::now();
-            let compact_dists = compact_engine.submit(&dist_requests);
-            let compact_dist_qps = qps(t0.elapsed(), pairs.len());
-            let owned_dists = owned_engine.submit(&dist_requests);
-
-            let identical = owned_answers == compact_answers
-                && owned_answers == wide_answers
-                && owned_dists == compact_dists
-                && owned_dists == wide_dists;
-            std::fs::remove_file(&wide_path).ok();
-            std::fs::remove_file(&compact_path).ok();
-            Ok(CompactServingRow {
-                dataset: spec.id.name().to_string(),
-                pairs: pairs.len(),
-                wide_bytes,
-                compact_bytes,
-                percent_saved: if wide_bytes > 0 {
-                    100.0 * (1.0 - compact_bytes as f64 / wide_bytes as f64)
-                } else {
-                    0.0
-                },
-                owned_ms,
-                compact_ms,
-                wide_dist_qps,
-                compact_dist_qps,
-                identical,
-            })
-        })
-        .collect::<Result<Vec<_>, QbsError>>()?;
-    std::fs::remove_dir_all(&dir).ok();
-    Ok(CompactServing { rows })
 }
 
 fn qps(elapsed: std::time::Duration, queries: usize) -> f64 {
@@ -1107,7 +923,7 @@ fn outcomes_match_legacy(
     })
 }
 
-/// Runs the mixed-batch differential: build → save v2 → mmap → submit the
+/// Runs the mixed-batch differential: build → save → mmap → submit the
 /// heterogeneous batch over both backends → compare against the legacy
 /// entry points → re-run warm through the answer cache.
 pub fn mixed_batch(config: &ExperimentConfig) -> Result<MixedBatch, QbsError> {
@@ -1129,7 +945,7 @@ pub fn mixed_batch(config: &ExperimentConfig) -> Result<MixedBatch, QbsError> {
             let owned =
                 QbsIndex::try_build(graph, QbsConfig::with_landmark_count(config.landmark_count))?;
             let requests = mixed_requests(workload.pairs(), owned.graph().num_vertices());
-            let path = dir.join(format!("{}.qbs2", spec.id.abbrev()));
+            let path = dir.join(format!("{}.qbs", spec.id.abbrev()));
             qbs_core::serialize::save_to_file(&owned, &path)?;
             let store = qbs_core::serialize::open_store_from_file(&path, qbs_core::MapMode::Mmap)?;
 
@@ -1185,8 +1001,8 @@ pub struct BatchPlanRow {
     pub dataset: String,
     /// Requests in the Zipf-skewed batch (incl. duplicates).
     pub requests: usize,
-    /// Whether `submit` matched the one-at-a-time reference on the owned,
-    /// mmap-view and compact backends, slot for slot.
+    /// Whether `submit` matched the one-at-a-time reference on the owned
+    /// and mmap-view backends, slot for slot.
     pub identical: bool,
     /// `submit` batch throughput on the owned backend (req/s).
     pub submit_qps: f64,
@@ -1195,7 +1011,7 @@ pub struct BatchPlanRow {
 }
 
 /// The batch-planner differential: a Zipf-skewed distance batch (so slots
-/// repeat and the dedupe layer has work) is submitted over all three
+/// repeat and the dedupe layer has work) is submitted over both
 /// backends and compared with one-at-a-time execution; any slot-level
 /// disagreement is drift. CI runs this at tiny scale and fails the
 /// pipeline on any drift.
@@ -1214,7 +1030,7 @@ impl BatchPlan {
     /// Renders the comparison.
     pub fn render(&self) -> String {
         let mut t = TextTable::new(
-            "Batch planner: submit vs one-at-a-time over owned + view + compact backends",
+            "Batch planner: submit vs one-at-a-time over owned + view backends",
             &[
                 "Dataset",
                 "requests",
@@ -1241,8 +1057,8 @@ impl BatchPlan {
 }
 
 /// Runs the batch-planner differential: build → Zipf batch → `submit` over
-/// owned, mmap-view and compact backends → slot-by-slot comparison with
-/// the one-at-a-time reference.
+/// owned and mmap-view backends → slot-by-slot comparison with the
+/// one-at-a-time reference.
 pub fn batch_plan(config: &ExperimentConfig) -> Result<BatchPlan, QbsError> {
     let nonce = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
@@ -1268,10 +1084,9 @@ pub fn batch_plan(config: &ExperimentConfig) -> Result<BatchPlan, QbsError> {
                 .map(|&(u, v)| qbs_core::QueryRequest::distance(u, v))
                 .collect();
 
-            let path = dir.join(format!("{}.qbs2", spec.id.abbrev()));
+            let path = dir.join(format!("{}.qbs", spec.id.abbrev()));
             qbs_core::serialize::save_to_file(&owned, &path)?;
             let view = qbs_core::serialize::open_store_from_file(&path, qbs_core::MapMode::Mmap)?;
-            let compact = qbs_core::CompactStore::new(owned.as_compact_view()?);
 
             // One-at-a-time reference off the owned backend.
             let mut ws = qbs_core::QueryWorkspace::new();
@@ -1290,9 +1105,7 @@ pub fn batch_plan(config: &ExperimentConfig) -> Result<BatchPlan, QbsError> {
             let submit_qps = qps(t0.elapsed(), requests.len());
 
             let view_out = qbs_core::QueryEngine::with_threads(&view, 2)?.submit(&requests);
-            let compact_out = qbs_core::QueryEngine::with_threads(&compact, 2)?.submit(&requests);
-            let identical =
-                submitted == reference && view_out == reference && compact_out == reference;
+            let identical = submitted == reference && view_out == reference;
 
             std::fs::remove_file(&path).ok();
             Ok(BatchPlanRow {
@@ -1424,7 +1237,7 @@ impl NetServing {
     }
 }
 
-/// Runs the network-serving differential: build → save v2 → mmap → serve
+/// Runs the network-serving differential: build → save → mmap → serve
 /// over loopback TCP → concurrent mixed-batch clients diffed against local
 /// submit → an over-bound batch that must get a typed `Busy`.
 pub fn net_serving(config: &ExperimentConfig) -> Result<NetServing, QbsError> {
@@ -1450,7 +1263,7 @@ pub fn net_serving(config: &ExperimentConfig) -> Result<NetServing, QbsError> {
                 QbsIndex::try_build(graph, QbsConfig::with_landmark_count(config.landmark_count))?;
             let num_vertices = owned.graph().num_vertices();
             let requests = mixed_requests(workload.pairs(), num_vertices);
-            let path = dir.join(format!("{}.qbs2", spec.id.abbrev()));
+            let path = dir.join(format!("{}.qbs", spec.id.abbrev()));
             qbs_core::serialize::save_to_file(&owned, &path)?;
 
             // The in-flight bound must sit above everything the
@@ -1733,7 +1546,7 @@ impl RoutedServing {
     }
 }
 
-/// Runs the routed-serving differential: build → save v2 → start replica
+/// Runs the routed-serving differential: build → save → start replica
 /// servers (mmap sessions over the shared file) → route mixed batches
 /// through a `qbs-router`, cold and warm, diffed against local submit →
 /// kill one replica and diff again.
@@ -1761,7 +1574,7 @@ pub fn routed_serving(config: &ExperimentConfig) -> Result<RoutedServing, QbsErr
                 QbsIndex::try_build(graph, QbsConfig::with_landmark_count(config.landmark_count))?;
             let num_vertices = owned.graph().num_vertices();
             let requests = mixed_requests(workload.pairs(), num_vertices);
-            let path = dir.join(format!("{}.qbs2", spec.id.abbrev()));
+            let path = dir.join(format!("{}.qbs", spec.id.abbrev()));
             qbs_core::serialize::save_to_file(&owned, &path)?;
             drop(owned);
 
@@ -1940,7 +1753,7 @@ impl ObsServing {
     }
 }
 
-/// Runs the observability differential: build → save v2 → mmap →
+/// Runs the observability differential: build → save → mmap →
 /// instrumented submit vs registry-off submit vs served-with-tracing
 /// submit, then the `Metrics` frame checked for recorded samples.
 pub fn obs_serving(config: &ExperimentConfig) -> Result<ObsServing, QbsError> {
@@ -1966,7 +1779,7 @@ pub fn obs_serving(config: &ExperimentConfig) -> Result<ObsServing, QbsError> {
                 QbsIndex::try_build(graph, QbsConfig::with_landmark_count(config.landmark_count))?;
             let num_vertices = owned.graph().num_vertices();
             let requests = mixed_requests(workload.pairs(), num_vertices);
-            let path = dir.join(format!("{}.qbs2", spec.id.abbrev()));
+            let path = dir.join(format!("{}.qbs", spec.id.abbrev()));
             qbs_core::serialize::save_to_file(&owned, &path)?;
 
             // (a) Instrumented local session — the reference answers.
@@ -2294,22 +2107,6 @@ mod tests {
         }
         let rendered = v.render();
         assert!(rendered.contains("View serving"));
-        assert!(rendered.contains("yes"));
-    }
-
-    #[test]
-    fn compact_serving_is_bit_identical_and_smaller() {
-        let c = compact_serving(&tiny_config()).expect("compact serving runs");
-        assert_eq!(c.rows.len(), 2);
-        assert!(c.all_identical(), "{c:?}");
-        for row in &c.rows {
-            assert!(row.pairs > 0);
-            assert!(row.wide_bytes > row.compact_bytes, "{row:?}");
-            assert!(row.percent_saved > 0.0, "{row:?}");
-            assert!(row.wide_dist_qps > 0.0 && row.compact_dist_qps > 0.0);
-        }
-        let rendered = c.render();
-        assert!(rendered.contains("Compact serving"));
         assert!(rendered.contains("yes"));
     }
 

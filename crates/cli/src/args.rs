@@ -4,20 +4,20 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::path::PathBuf;
 
-use qbs_core::serialize::{IndexFormat, IndexProfile};
 use qbs_core::QueryMode;
 use qbs_gen::catalog::{DatasetId, Scale};
 
 /// A parsed CLI invocation.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Command {
-    /// Generate a dataset stand-in and write it in the binary graph format.
+    /// Generate a dataset stand-in and write it as a graph file.
     Generate {
         /// Which Table 1 dataset to imitate.
         dataset: DatasetId,
         /// Scale of the stand-in.
         scale: Scale,
-        /// Output path (binary `.qbsg`).
+        /// Output path (`.qbsg` binary, anything else a whitespace edge
+        /// list — the same extension rule `build` and `convert` read by).
         out: PathBuf,
     },
     /// Build a QbS index from a graph file.
@@ -30,12 +30,6 @@ pub enum Command {
         sequential: bool,
         /// Output index path.
         out: PathBuf,
-        /// On-disk index format (`binary` = the flat layout, the default;
-        /// `json` = the v1 compatibility format).
-        format: IndexFormat,
-        /// Width profile of the binary layout (`wide` = qbs-index-v2, the
-        /// default; `compact` = qbs-index-v3). Ignored for `json`.
-        profile: IndexProfile,
     },
     /// Answer shortest-path-graph queries against a built index — a single
     /// `--source`/`--target` pair or a whole `--pairs` batch.
@@ -52,7 +46,7 @@ pub enum Command {
         /// Worker threads for batch execution (default: all cores).
         threads: Option<usize>,
         /// Serve straight from the zero-copy index view (no owned-index
-        /// materialisation); requires a v2 binary index file.
+        /// materialisation).
         from_view: bool,
         /// With `--from-view`: memory-map the index file instead of reading
         /// it to the heap — the O(1) cold-start path.
@@ -72,8 +66,8 @@ pub enum Command {
     Serve {
         /// Index path produced by `build`.
         index: PathBuf,
-        /// Memory-map the index file (v2 binary only) instead of reading
-        /// it to the heap — the O(1) cold-start path.
+        /// Memory-map the index file instead of reading it to the heap —
+        /// the O(1) cold-start path.
         mmap: bool,
         /// Bind address (`--port P` is shorthand for `127.0.0.1:P`).
         addr: String,
@@ -138,8 +132,8 @@ pub enum Command {
         /// Index path produced by `build`.
         index: PathBuf,
     },
-    /// Print the on-disk layout of a built index: format version and, for
-    /// v2 binary files, the full section table and checksum.
+    /// Print the on-disk layout of a built index: header fields, checksum
+    /// status and the full section table.
     Inspect {
         /// Index path produced by `build`.
         index: PathBuf,
@@ -210,8 +204,7 @@ qbs-cli — Query-by-Sketch shortest path graph queries
 
 commands:
   generate --dataset <DO|DB|...|CW> [--scale tiny|small|medium|large] --out FILE
-  build    --graph FILE [--landmarks N] [--sequential] [--format binary|json]
-           [--profile wide|compact] --out FILE
+  build    --graph FILE [--landmarks N] [--sequential] --out FILE
   query    --index FILE --source U --target V [query options]
   query    --index FILE --pairs FILE [--threads N] [query options]
   serve    --index FILE [--mmap] [--addr H:P | --port P] [--threads N]
@@ -238,16 +231,13 @@ query options:
   --from-view [--mmap]          serve from the zero-copy view; --mmap maps the file
   --format text|json            output format
 
-`build --format` picks the on-disk index format: `binary` writes the flat
-layout (the default; loads with zero parsing), `json` writes the v1
-compatibility format. `build --profile` picks the binary width profile:
-`wide` is qbs-index-v2 (fixed 32/64-bit fields), `compact` is
-qbs-index-v3 (narrow widths + front-coded varint runs — typically well
-under half the size, same answers). `query`/`stats`/`inspect` read every
-version; `convert` also converts an index file between the two binary
-profiles (direction inferred from the source file's magic).
+Graph files are read and written by extension: `.qbsg` is the binary graph
+format, anything else a whitespace edge list (`generate`, `build --graph`
+and `convert` all follow it). `build` writes the one index file layout
+(docs/index-format.md); an index written by an older build is refused with
+a message to rebuild it.
 
-`query --from-view` serves straight from the flat v2 layout without
+`query --from-view` serves straight from the index file without
 materialising the owned index; adding `--mmap` memory-maps the file so a
 cold process answers its first query in the time it takes to map it. In
 `--pairs` batches each pair is answered independently: an out-of-range
@@ -316,22 +306,21 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             out: PathBuf::from(require("out")?),
         }),
         "build" => {
-            let format = parse_index_format(get("format").as_deref().unwrap_or("binary"))?;
-            let profile = parse_index_profile(get("profile").as_deref().unwrap_or("wide"))?;
-            if format == IndexFormat::Json && profile == IndexProfile::Compact {
-                return Err(ParseError(
-                    "build: --profile compact requires --format binary (the JSON format has \
-                     exactly one layout)"
-                        .into(),
-                ));
+            // Unknown keys are otherwise ignored, and a silently ignored
+            // layout choice would read as "the choice took".
+            for removed in ["format", "profile"] {
+                if get(removed).is_some() {
+                    return Err(ParseError(format!(
+                        "build: --{removed} was removed: there is one index file layout \
+                         now, so drop the flag"
+                    )));
+                }
             }
             Ok(Command::Build {
                 graph: PathBuf::from(require("graph")?),
                 landmarks: parse_number(get("landmarks").as_deref().unwrap_or("20"), "landmarks")?,
                 sequential: options.contains_key("sequential"),
                 out: PathBuf::from(require("out")?),
-                format,
-                profile,
             })
         }
         "query" => {
@@ -667,26 +656,6 @@ fn parse_query_mode(token: &str) -> Result<QueryMode, ParseError> {
     }
 }
 
-fn parse_index_profile(token: &str) -> Result<IndexProfile, ParseError> {
-    match token {
-        "wide" => Ok(IndexProfile::Wide),
-        "compact" => Ok(IndexProfile::Compact),
-        other => Err(ParseError(format!(
-            "unknown index profile '{other}' (expected wide or compact)"
-        ))),
-    }
-}
-
-fn parse_index_format(token: &str) -> Result<IndexFormat, ParseError> {
-    match token {
-        "binary" => Ok(IndexFormat::Binary),
-        "json" => Ok(IndexFormat::Json),
-        other => Err(ParseError(format!(
-            "unknown index format '{other}' (expected binary or json)"
-        ))),
-    }
-}
-
 fn parse_number(token: &str, what: &str) -> Result<usize, ParseError> {
     token
         .parse()
@@ -760,70 +729,23 @@ mod tests {
                 landmarks: 32,
                 sequential: true,
                 out: "i.qbs".into(),
-                format: IndexFormat::Binary,
-                profile: IndexProfile::Wide
             }
         );
 
-        // Explicit index formats on build.
-        let cmd = parse(&args(&[
-            "build", "--graph", "g.qbsg", "--out", "i.qbs", "--format", "json",
-        ]))
-        .unwrap();
-        assert!(matches!(
-            cmd,
-            Command::Build {
-                format: IndexFormat::Json,
-                profile: IndexProfile::Wide,
-                ..
-            }
-        ));
-        assert!(parse(&args(&[
-            "build", "--graph", "g.qbsg", "--out", "i.qbs", "--format", "xml",
-        ]))
-        .is_err());
-
-        // The compact profile parses, defaults to wide, and refuses JSON.
-        let cmd = parse(&args(&[
-            "build",
-            "--graph",
-            "g.qbsg",
-            "--out",
-            "i.qbs3",
-            "--profile",
-            "compact",
-        ]))
-        .unwrap();
-        assert!(matches!(
-            cmd,
-            Command::Build {
-                format: IndexFormat::Binary,
-                profile: IndexProfile::Compact,
-                ..
-            }
-        ));
-        assert!(parse(&args(&[
-            "build",
-            "--graph",
-            "g.qbsg",
-            "--out",
-            "i.qbs",
-            "--profile",
-            "narrow",
-        ]))
-        .is_err());
-        assert!(parse(&args(&[
-            "build",
-            "--graph",
-            "g.qbsg",
-            "--out",
-            "i.qbs",
-            "--format",
-            "json",
-            "--profile",
-            "compact",
-        ]))
-        .is_err());
+        // The removed layout flags fail loudly instead of being ignored.
+        for (flag, value) in [
+            ("--format", "json"),
+            ("--format", "binary"),
+            ("--profile", "compact"),
+            ("--profile", "wide"),
+        ] {
+            let err = parse(&args(&[
+                "build", "--graph", "g.qbsg", "--out", "i.qbs", flag, value,
+            ]))
+            .unwrap_err();
+            assert!(err.0.contains(&format!("{flag} was removed")), "{err}");
+            assert!(err.0.contains("drop the flag"), "{err}");
+        }
 
         let cmd = parse(&args(&[
             "query", "--index", "i.qbs", "--source", "3", "--target", "7", "--format", "json",
@@ -953,7 +875,7 @@ mod tests {
         let cmd = parse(&args(&[
             "serve",
             "--index",
-            "i.qbs2",
+            "i.qbs",
             "--mmap",
             "--port",
             "7411",
@@ -972,7 +894,7 @@ mod tests {
         assert_eq!(
             cmd,
             Command::Serve {
-                index: "i.qbs2".into(),
+                index: "i.qbs".into(),
                 mmap: true,
                 addr: "127.0.0.1:7411".into(),
                 threads: Some(2),
@@ -986,7 +908,7 @@ mod tests {
             }
         );
         // Defaults, explicit --addr, and the addr/port conflict.
-        let cmd = parse(&args(&["serve", "--index", "i.qbs2"])).unwrap();
+        let cmd = parse(&args(&["serve", "--index", "i.qbs"])).unwrap();
         assert!(matches!(
             cmd,
             Command::Serve {

@@ -8,7 +8,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use qbs_core::serialize::{self, IndexFormat, IndexProfile, MapMode};
+use qbs_core::serialize::{self, MapMode};
 use qbs_core::{
     CacheConfig, CacheStats, Qbs, QbsConfig, QbsIndex, QueryMode, QueryOutcome, QueryRequest,
 };
@@ -36,6 +36,9 @@ pub enum CommandError {
     Protocol(ProtocolError),
     /// Generic I/O failure.
     Io(std::io::Error),
+    /// The invocation asks for something this build no longer does; the
+    /// message names what was removed and what to do instead.
+    Removed(String),
 }
 
 impl fmt::Display for CommandError {
@@ -46,6 +49,7 @@ impl fmt::Display for CommandError {
             CommandError::Index(e) => write!(f, "index error: {e}"),
             CommandError::Protocol(e) => write!(f, "protocol error: {e}"),
             CommandError::Io(e) => write!(f, "i/o error: {e}"),
+            CommandError::Removed(msg) => write!(f, "{msg}"),
         }
     }
 }
@@ -90,7 +94,7 @@ pub fn run(command: &Command) -> Result<String, CommandError> {
                 .get(*dataset)
                 .ok_or_else(|| CommandError::UnknownDataset(dataset.name().to_string()))?;
             let graph = spec.generate(*scale);
-            io::write_binary_file(&graph, out)?;
+            store_graph(&graph, out)?;
             Ok(format!(
                 "generated {} stand-in at scale {:?}: {} vertices, {} edges -> {}",
                 dataset.name(),
@@ -105,8 +109,6 @@ pub fn run(command: &Command) -> Result<String, CommandError> {
             landmarks,
             sequential,
             out,
-            format,
-            profile,
         } => {
             let graph = load_graph(graph)?;
             let mut config = QbsConfig::with_landmark_count(*landmarks);
@@ -114,15 +116,11 @@ pub fn run(command: &Command) -> Result<String, CommandError> {
                 config = config.sequential();
             }
             let index = QbsIndex::try_build(graph, config)?;
-            serialize::save_to_file_with_profile(&index, out, *format, *profile)?;
+            serialize::save_to_file(&index, out)?;
             let stats = index.stats();
-            let layout = match format {
-                IndexFormat::Json => format!("{format} format"),
-                IndexFormat::Binary => format!("{format} format, {profile} profile"),
-            };
             Ok(format!(
                 "built index over {} vertices / {} edges with {} landmarks in {:.3}s \
-                 (size(L)={} bytes, size(Δ)={} bytes) -> {} ({layout})",
+                 (size(L)={} bytes, size(Δ)={} bytes) -> {}",
                 stats.num_vertices,
                 stats.num_edges,
                 stats.num_landmarks,
@@ -154,15 +152,11 @@ pub fn run(command: &Command) -> Result<String, CommandError> {
                 json: *json,
             };
             // The Qbs session façade hides the backend choice: --from-view
-            // opens the flat layout zero-copy (--mmap maps it, the O(1)
+            // opens the index file zero-copy (--mmap maps it, the O(1)
             // cold-start path), otherwise the owned index is materialised.
-            // --from-view is an explicit request for the zero-copy path, so
-            // a v1 JSON index is rejected with the migration hint rather
-            // than silently materialised (which is what Qbs::open's
-            // transparent fallback would do).
             let mut qbs = if *from_view {
                 let map_mode = if *mmap { MapMode::Mmap } else { MapMode::Read };
-                Qbs::from_view_store(serialize::open_store_from_file(index, map_mode)?)
+                Qbs::open(index, map_mode)?
             } else {
                 Qbs::load(index)?
             };
@@ -319,11 +313,15 @@ pub fn run(command: &Command) -> Result<String, CommandError> {
         }
         Command::Inspect { index } => inspect_index(index),
         Command::Convert { from, to } => {
-            // An index file (recognised by its magic) converts between the
-            // binary width profiles (v2 ↔ v3; a v1 JSON index migrates to
-            // compact); anything else goes through the graph formats.
-            if serialize::detect_format(from).is_ok() {
-                return convert_index(from, to);
+            // `convert` used to flip an index file between layouts; say so
+            // instead of failing to parse the index as a graph.
+            if serialize::index_version_of_file(from)?.is_some() {
+                return Err(CommandError::Removed(format!(
+                    "convert: {} is an index file, and index conversion was removed: there \
+                     is one index file layout now. `convert` translates graph files only; \
+                     rebuild an index with `qbs build --graph FILE --out FILE`",
+                    from.display()
+                )));
             }
             let graph = load_graph(from)?;
             store_graph(&graph, to)?;
@@ -532,63 +530,12 @@ pub fn start_router(command: &Command) -> Result<RouterHandle, CommandError> {
     QbsRouter::start(config).map_err(CommandError::Io)
 }
 
-/// Implements the index arm of `convert`: materialises the source index
-/// (any version) and re-saves it in the *other* binary width profile, so
-/// `convert` migrates v2 → v3 and v3 → v2 (and a v1 JSON index straight to
-/// compact) without a rebuild.
-fn convert_index(from: &Path, to: &Path) -> Result<String, CommandError> {
-    let source = serialize::detect_profile(from)?;
-    let target = match source {
-        IndexProfile::Wide => IndexProfile::Compact,
-        IndexProfile::Compact => IndexProfile::Wide,
-    };
-    let index = serialize::load_from_file(from)?;
-    serialize::save_to_file_with_profile(&index, to, IndexFormat::Binary, target)?;
-    let from_len = std::fs::metadata(from).map(|m| m.len()).unwrap_or(0);
-    let to_len = std::fs::metadata(to).map(|m| m.len()).unwrap_or(0);
-    Ok(format!(
-        "converted index {} ({source} profile, {from_len} bytes) -> {} \
-         ({target} profile, {to_len} bytes)",
-        from.display(),
-        to.display(),
-    ))
-}
-
-/// The `bytes/vertex` + `bytes/label-entry` summary shared by both binary
-/// inspect arms — the size wins readable without a calculator.
-fn density_lines(file_len: u64, num_vertices: u64, label_bytes: u64, label_entries: u64) -> String {
-    let per_vertex = file_len as f64 / (num_vertices.max(1)) as f64;
-    let per_entry = label_bytes as f64 / (label_entries.max(1)) as f64;
-    format!(
-        "bytes/vertex:    {per_vertex:.2} (whole file)\n\
-         bytes/label-entry: {per_entry:.2} ({label_bytes} label bytes / {label_entries} entries)\n"
-    )
-}
-
-/// Implements `inspect`: reports the on-disk format and, for binary files,
-/// renders checksum verification status and the section table with
-/// per-section shares of the file (the index is never materialised). v3
-/// compact files additionally show each section's wide (v2-equivalent)
-/// size and the percentage saved.
+/// Implements `inspect`: renders the header fields, checksum verification
+/// status and the section table with per-section shares of the file (the
+/// index is never materialised).
 fn inspect_index(path: &Path) -> Result<String, CommandError> {
-    match serialize::detect_format(path)? {
-        IndexFormat::Json => Ok(format!(
-            "{}: qbs-index-v1 (JSON compatibility format)\n\
-             no section table; re-save with `build --format binary` (or load + save) \
-             to migrate to the flat qbs-index-v2 layout\n",
-            path.display()
-        )),
-        IndexFormat::Binary => match serialize::detect_profile(path)? {
-            IndexProfile::Wide => inspect_wide(path),
-            IndexProfile::Compact => inspect_compact(path),
-        },
-    }
-}
-
-/// The v2 (wide) arm of `inspect`.
-fn inspect_wide(path: &Path) -> Result<String, CommandError> {
     let bytes = std::fs::read(path).map_err(CommandError::Io)?;
-    let report = qbs_core::format::inspect_v2(qbs_core::ViewBuf::Heap(bytes))?;
+    let report = qbs_core::format::inspect(qbs_core::ViewBuf::Heap(bytes))?;
     let checksum_line = if report.checksum_ok() {
         format!("{:#018x} (word-wise fnv1a-64) ok", report.stored_checksum)
     } else {
@@ -597,36 +544,29 @@ fn inspect_wide(path: &Path) -> Result<String, CommandError> {
             report.stored_checksum, report.computed_checksum
         )
     };
-    let label_bytes = report
-        .sections
-        .iter()
-        .find(|r| r.kind == qbs_core::format::SectionKind::LabelEntries)
-        .map(|r| r.len)
-        .unwrap_or(0);
     let mut out = format!(
-        "{}: qbs-index-v2 (flat binary, wide profile)\n\
+        "{}: qbs-index v{} (flat binary)\n\
          file size:       {} bytes\n\
          vertices:        {}\n\
          landmarks:       {}\n\
+         dist width:      {} byte(s) per label slot\n\
          graph arcs:      {}\n\
          meta edges:      {}\n\
          delta edges:     {}\n\
-         checksum:        {}\n",
+         checksum:        {}\n\
+         bytes/vertex:    {:.2} (whole file)\n",
         path.display(),
+        qbs_core::format::FORMAT_VERSION,
         report.file_len,
         report.num_vertices,
         report.num_landmarks,
+        report.dist_width,
         report.num_arcs,
         report.num_meta_edges,
         report.num_delta_edges,
         checksum_line,
+        report.file_len as f64 / report.num_vertices.max(1) as f64,
     );
-    out.push_str(&density_lines(
-        report.file_len as u64,
-        report.num_vertices as u64,
-        label_bytes,
-        label_bytes / 4,
-    ));
     out.push_str(&format!(
         "\n{:<16} {:>12} {:>14} {:>10}\n",
         "section", "offset", "bytes", "% of file",
@@ -638,105 +578,6 @@ fn inspect_wide(path: &Path) -> Result<String, CommandError> {
             record.offset,
             record.len,
             report.section_percent(record),
-        ));
-    }
-    Ok(out)
-}
-
-/// The v3 (compact) arm of `inspect`: the v2 report plus the width
-/// profile and a per-section comparison against the wide layout.
-fn inspect_compact(path: &Path) -> Result<String, CommandError> {
-    let bytes = std::fs::read(path).map_err(CommandError::Io)?;
-    let report = qbs_core::format::inspect_v3(qbs_core::ViewBuf::Heap(bytes))?;
-    let checksum_line = if report.checksum_ok() {
-        format!("{:#018x} (word-wise fnv1a-64) ok", report.stored_checksum)
-    } else {
-        format!(
-            "MISMATCH — stored {:#018x}, computed {:#018x} (file is corrupt)",
-            report.stored_checksum, report.computed_checksum
-        )
-    };
-    let counts_line = match &report.counts {
-        Some(c) => format!(
-            "graph arcs:      {}\n\
-             label entries:   {}\n\
-             delta edges:     {}\n",
-            c.num_arcs, c.label_entries, c.num_delta_edges
-        ),
-        None => "counts:          unavailable (varint streams are corrupt)\n".to_string(),
-    };
-    let mut out = format!(
-        "{}: qbs-index-v3 (flat binary, compact profile)\n\
-         file size:       {} bytes\n\
-         vertices:        {}\n\
-         landmarks:       {}\n\
-         meta edges:      {}\n\
-         {counts_line}\
-         id width:        4 bytes\n\
-         dist width:      {} byte(s)\n\
-         offset width:    {} byte(s)\n\
-         max label dist:  {}\n\
-         checksum:        {}\n",
-        path.display(),
-        report.file_len,
-        report.num_vertices,
-        report.num_landmarks,
-        report.num_meta_edges,
-        report.dist_width,
-        report.offset_width,
-        report.max_label_distance,
-        checksum_line,
-    );
-    let label_record = report
-        .sections
-        .iter()
-        .find(|r| r.kind == qbs_core::format::SectionKind::LabelEntries);
-    out.push_str(&density_lines(
-        report.file_len as u64,
-        report.num_vertices as u64,
-        label_record.map(|r| r.len).unwrap_or(0),
-        report
-            .counts
-            .as_ref()
-            .map(|c| c.label_entries as u64)
-            .unwrap_or(0),
-    ));
-    out.push_str(&format!(
-        "\n{:<16} {:>12} {:>14} {:>14} {:>10}\n",
-        "section", "offset", "bytes", "wide bytes", "% saved",
-    ));
-    let mut compact_total = 0u64;
-    let mut wide_total = 0u64;
-    for record in &report.sections {
-        let wide = report.wide_section_len(record.kind);
-        compact_total += record.len;
-        let (wide_cell, saved_cell) = match wide {
-            Some(w) => {
-                wide_total += w;
-                let saved = if w > 0 {
-                    100.0 * (1.0 - record.len as f64 / w as f64)
-                } else {
-                    0.0
-                };
-                (w.to_string(), format!("{saved:.2}%"))
-            }
-            None => ("?".to_string(), "?".to_string()),
-        };
-        out.push_str(&format!(
-            "{:<16} {:>12} {:>14} {:>14} {:>10}\n",
-            record.kind.name(),
-            record.offset,
-            record.len,
-            wide_cell,
-            saved_cell,
-        ));
-    }
-    if wide_total > 0 {
-        out.push_str(&format!(
-            "total sections:  {} bytes vs {} wide-equivalent ({:.2}% saved)\n",
-            compact_total,
-            wide_total,
-            100.0 * (1.0 - compact_total as f64 / wide_total as f64),
         ));
     }
     Ok(out)
@@ -930,8 +771,6 @@ mod tests {
             landmarks: 10,
             sequential: false,
             out: index_path.clone(),
-            format: IndexFormat::Binary,
-            profile: IndexProfile::Wide,
         })
         .expect("build");
         assert!(report.contains("10 landmarks"));
@@ -974,7 +813,7 @@ mod tests {
     }
 
     #[test]
-    fn inspect_and_format_selection() {
+    fn inspect_renders_the_section_table() {
         let dir = temp_dir("inspect");
         let graph_path = dir.join("g.qbsg");
         run(&Command::Generate {
@@ -983,65 +822,34 @@ mod tests {
             out: graph_path.clone(),
         })
         .expect("generate");
-
-        // Binary (default) build: inspect prints the v2 section table.
-        let bin_path = dir.join("g.qbs2");
-        let report = run(&Command::Build {
-            graph: graph_path.clone(),
-            landmarks: 6,
-            sequential: false,
-            out: bin_path.clone(),
-            format: IndexFormat::Binary,
-            profile: IndexProfile::Wide,
-        })
-        .expect("build binary");
-        assert!(report.contains("binary format"));
-        let inspect = run(&Command::Inspect {
-            index: bin_path.clone(),
-        })
-        .expect("inspect v2");
-        assert!(inspect.contains("qbs-index-v2"));
-        assert!(inspect.contains("checksum"));
-        assert!(inspect.contains("label-entries"));
-        assert!(inspect.contains("graph-neighbors"));
-
-        // JSON build: inspect reports v1 plus the migration hint, and the
-        // query path loads it transparently.
-        let json_path = dir.join("g.qbs1");
+        let index_path = dir.join("g.qbs");
         run(&Command::Build {
             graph: graph_path,
             landmarks: 6,
             sequential: false,
-            out: json_path.clone(),
-            format: IndexFormat::Json,
-            profile: IndexProfile::Wide,
+            out: index_path.clone(),
         })
-        .expect("build json");
+        .expect("build");
         let inspect = run(&Command::Inspect {
-            index: json_path.clone(),
+            index: index_path.clone(),
         })
-        .expect("inspect v1");
-        assert!(inspect.contains("qbs-index-v1"));
-        assert!(inspect.contains("migrate"));
+        .expect("inspect");
+        assert!(inspect.contains("qbs-index v4"), "{inspect}");
+        assert!(inspect.contains("dist width:      1 byte(s)"), "{inspect}");
+        assert!(inspect.contains("fnv1a-64) ok"), "{inspect}");
+        assert!(inspect.contains("bytes/vertex"), "{inspect}");
+        for section in ["labels", "graph-neighbors", "delta-edges", "checksum"] {
+            assert!(inspect.contains(section), "{section}: {inspect}");
+        }
 
-        // Both formats answer identically through the query command.
-        let q = |index: std::path::PathBuf| {
-            run(&Command::Query {
-                index,
-                source: Some(1),
-                target: Some(5),
-                pairs: None,
-                threads: None,
-                from_view: false,
-                mmap: false,
-                mode: QueryMode::PathGraph,
-                stats: false,
-                cache: None,
-                json: false,
-            })
-            .expect("query")
-        };
-        assert_eq!(q(bin_path), q(json_path.clone()));
+        // A bit-rotted file is still inspectable and says so.
+        let mut bytes = std::fs::read(&index_path).expect("read");
+        let last_payload = bytes.len() - 16;
+        bytes[last_payload] ^= 0x01;
+        let rotten = dir.join("rotten.qbs");
+        std::fs::write(&rotten, bytes).expect("write");
+        let inspect = run(&Command::Inspect { index: rotten }).expect("inspect rotten");
+        assert!(inspect.contains("MISMATCH"), "{inspect}");
 
         // Inspecting garbage fails cleanly.
         let junk = dir.join("junk.qbs");
@@ -1050,25 +858,53 @@ mod tests {
             run(&Command::Inspect { index: junk }),
             Err(CommandError::Index(_))
         ));
+    }
 
-        // --from-view explicitly asks for the zero-copy path, so a v1 JSON
-        // index is rejected with the migration hint instead of silently
-        // materialised.
-        let err = run(&Command::Query {
-            index: json_path,
-            source: Some(1),
-            target: Some(5),
-            pairs: None,
-            threads: None,
-            from_view: true,
-            mmap: false,
-            mode: QueryMode::PathGraph,
-            stats: false,
-            cache: None,
-            json: false,
-        })
-        .unwrap_err();
-        assert!(err.to_string().contains("re-save"), "{err}");
+    /// The documented `generate → build → query` flow works whichever graph
+    /// format the `--out` extension asks for: `generate` writes by the same
+    /// extension rule `build --graph` reads by.
+    #[test]
+    fn generate_build_query_roundtrips_for_both_graph_formats() {
+        let dir = temp_dir("graph_formats");
+        let mut answers = Vec::new();
+        for name in ["g.qbsg", "g.txt"] {
+            let graph_path = dir.join(name);
+            let index_path = dir.join(format!("{name}.qbs"));
+            run(&Command::Generate {
+                dataset: DatasetId::Douban,
+                scale: Scale::Tiny,
+                out: graph_path.clone(),
+            })
+            .expect("generate");
+            run(&Command::Build {
+                graph: graph_path,
+                landmarks: 6,
+                sequential: false,
+                out: index_path.clone(),
+            })
+            .unwrap_or_else(|e| panic!("build from {name}: {e}"));
+            answers.push(
+                run(&Command::Query {
+                    index: index_path,
+                    source: Some(1),
+                    target: Some(5),
+                    pairs: None,
+                    threads: None,
+                    from_view: false,
+                    mmap: false,
+                    mode: QueryMode::PathGraph,
+                    stats: false,
+                    cache: None,
+                    json: false,
+                })
+                .expect("query"),
+            );
+        }
+        assert!(answers[0].contains("SPG(1, 5)"), "{}", answers[0]);
+        assert_eq!(
+            answers[0], answers[1],
+            "both graph files hold the same graph"
+        );
     }
 
     #[test]
@@ -1087,8 +923,6 @@ mod tests {
             landmarks: 8,
             sequential: false,
             out: index_path.clone(),
-            format: IndexFormat::Binary,
-            profile: IndexProfile::Wide,
         })
         .expect("build");
 
@@ -1169,8 +1003,6 @@ mod tests {
             landmarks: 8,
             sequential: false,
             out: index_path.clone(),
-            format: IndexFormat::Binary,
-            profile: IndexProfile::Wide,
         })
         .expect("build");
 
@@ -1264,7 +1096,7 @@ mod tests {
     fn serve_and_client_roundtrip_over_loopback() {
         let dir = temp_dir("serve");
         let graph_path = dir.join("g.qbsg");
-        let index_path = dir.join("g.qbs2");
+        let index_path = dir.join("g.qbs");
         run(&Command::Generate {
             dataset: DatasetId::Douban,
             scale: Scale::Tiny,
@@ -1276,8 +1108,6 @@ mod tests {
             landmarks: 8,
             sequential: false,
             out: index_path.clone(),
-            format: IndexFormat::Binary,
-            profile: IndexProfile::Wide,
         })
         .expect("build");
         let pairs_path = dir.join("pairs.txt");
@@ -1443,7 +1273,7 @@ mod tests {
     fn route_and_client_roundtrip_over_loopback() {
         let dir = temp_dir("route");
         let graph_path = dir.join("g.qbsg");
-        let index_path = dir.join("g.qbs2");
+        let index_path = dir.join("g.qbs");
         run(&Command::Generate {
             dataset: DatasetId::Douban,
             scale: Scale::Tiny,
@@ -1455,8 +1285,6 @@ mod tests {
             landmarks: 8,
             sequential: false,
             out: index_path.clone(),
-            format: IndexFormat::Binary,
-            profile: IndexProfile::Wide,
         })
         .expect("build");
         let pairs_path = dir.join("pairs.txt");
@@ -1587,115 +1415,40 @@ mod tests {
         assert_eq!(a.edges().collect::<Vec<_>>(), b.edges().collect::<Vec<_>>());
     }
 
+    /// `convert` on an index file (current or retired layout) says what was
+    /// removed instead of failing to parse the index as a graph.
     #[test]
-    fn compact_profile_build_inspect_convert_roundtrip() {
-        let dir = temp_dir("compact");
+    fn convert_refuses_index_files_loudly() {
+        let dir = temp_dir("convert_index");
         let graph_path = dir.join("g.qbsg");
+        let index_path = dir.join("g.qbs");
         run(&Command::Generate {
             dataset: DatasetId::Douban,
             scale: Scale::Tiny,
             out: graph_path.clone(),
         })
         .expect("generate");
-
-        // Build straight into the compact profile.
-        let v3_path = dir.join("g.qbs3");
-        let report = run(&Command::Build {
-            graph: graph_path.clone(),
-            landmarks: 8,
-            sequential: false,
-            out: v3_path.clone(),
-            format: IndexFormat::Binary,
-            profile: IndexProfile::Compact,
-        })
-        .expect("build compact");
-        assert!(report.contains("compact profile"), "{report}");
-
-        // Inspect renders the width profile, the wide comparison and the
-        // satellite density lines.
-        let inspect = run(&Command::Inspect {
-            index: v3_path.clone(),
-        })
-        .expect("inspect v3");
-        assert!(inspect.contains("qbs-index-v3"), "{inspect}");
-        assert!(inspect.contains("dist width"), "{inspect}");
-        assert!(inspect.contains("wide bytes"), "{inspect}");
-        assert!(inspect.contains("% saved"), "{inspect}");
-        assert!(inspect.contains("bytes/vertex"), "{inspect}");
-        assert!(inspect.contains("bytes/label-entry"), "{inspect}");
-
-        // The wide arm prints the density summary too.
-        let v2_path = dir.join("g.qbs2");
         run(&Command::Build {
             graph: graph_path,
-            landmarks: 8,
-            sequential: false,
-            out: v2_path.clone(),
-            format: IndexFormat::Binary,
-            profile: IndexProfile::Wide,
+            landmarks: 4,
+            sequential: true,
+            out: index_path.clone(),
         })
-        .expect("build wide");
-        let inspect_v2 = run(&Command::Inspect {
-            index: v2_path.clone(),
-        })
-        .expect("inspect v2");
-        assert!(inspect_v2.contains("wide profile"), "{inspect_v2}");
-        assert!(inspect_v2.contains("bytes/vertex"), "{inspect_v2}");
-        assert!(inspect_v2.contains("bytes/label-entry"), "{inspect_v2}");
-
-        // The compact file is smaller than the wide one.
-        let wide_len = std::fs::metadata(&v2_path).unwrap().len();
-        let compact_len = std::fs::metadata(&v3_path).unwrap().len();
-        assert!(
-            compact_len < wide_len,
-            "compact {compact_len} vs wide {wide_len}"
-        );
-
-        // convert flips the profile in both directions; answers survive.
-        let back_to_wide = dir.join("g_back.qbs2");
-        let report = run(&Command::Convert {
-            from: v3_path.clone(),
-            to: back_to_wide.clone(),
-        })
-        .expect("convert v3 -> v2");
-        assert!(report.contains("wide profile"), "{report}");
-        assert_eq!(
-            serialize::detect_profile(&back_to_wide).unwrap(),
-            IndexProfile::Wide
-        );
-        let to_compact = dir.join("g_conv.qbs3");
-        let report = run(&Command::Convert {
-            from: v2_path,
-            to: to_compact.clone(),
-        })
-        .expect("convert v2 -> v3");
-        assert!(report.contains("compact profile"), "{report}");
-        assert_eq!(
-            serialize::detect_profile(&to_compact).unwrap(),
-            IndexProfile::Compact
-        );
-
-        // Every file answers the same query identically (v3 ones serve
-        // through the compact store under Qbs::open/load).
-        let q = |index: std::path::PathBuf| {
-            run(&Command::Query {
-                index,
-                source: Some(1),
-                target: Some(5),
-                pairs: None,
-                threads: None,
-                from_view: false,
-                mmap: false,
-                mode: QueryMode::PathGraph,
-                stats: false,
-                cache: None,
-                json: false,
+        .expect("build");
+        let old = dir.join("old.qbs2");
+        std::fs::write(&old, b"QBSIDX2\0 an index an older build wrote").expect("write");
+        for from in [index_path, old] {
+            let err = run(&Command::Convert {
+                from,
+                to: dir.join("out.qbs"),
             })
-            .expect("query")
-        };
-        let wide_answer = q(back_to_wide);
-        assert_eq!(wide_answer, q(v3_path));
-        assert_eq!(wide_answer, q(to_compact));
+            .unwrap_err();
+            assert!(matches!(err, CommandError::Removed(_)), "{err:?}");
+            let msg = err.to_string();
+            assert!(msg.contains("index conversion was removed"), "{msg}");
+            assert!(msg.contains("qbs build"), "{msg}");
+        }
+        assert!(!dir.join("out.qbs").exists(), "nothing is written");
     }
 
     #[test]
@@ -1713,8 +1466,6 @@ mod tests {
                 landmarks: 4,
                 sequential: true,
                 out: dir.join("out.qbs"),
-                format: IndexFormat::Binary,
-                profile: IndexProfile::Wide,
             }),
             Err(CommandError::Graph(_))
         ));
@@ -1733,8 +1484,6 @@ mod tests {
             landmarks: 4,
             sequential: true,
             out: index_path.clone(),
-            format: IndexFormat::Binary,
-            profile: IndexProfile::Wide,
         })
         .expect("build");
         assert!(matches!(

@@ -1,12 +1,13 @@
-//! `qbs-index-v2`: the zero-copy flat binary index format.
+//! `qbs-index`: the flat binary index file, read in place.
 //!
-//! The v1 persistence path ([`crate::serialize`]) round-trips the whole
-//! index through JSON, which costs `O(index)` text parsing plus a full heap
-//! reconstruction on every load. Production deployments build once and
-//! reload on every restart or shard spawn, so load time is a serving-path
-//! cost, not a build-path one. v2 fixes this with a flat little-endian
-//! layout that is read by **one buffer acquisition plus typed views over
-//! byte ranges** — no parsing, no per-vertex allocation.
+//! Production deployments build once and reload on every restart or shard
+//! spawn, so load time is a serving-path cost, not a build-path one. The
+//! index file is a flat little-endian layout read by **one buffer
+//! acquisition plus typed views over byte ranges** — no parsing, no
+//! per-vertex allocation — and the label matrix is stored the way
+//! [`PathLabelling`] holds it in memory: dense row-major `|V| × |R|`, one
+//! fixed-width slot per (vertex, landmark) pair, so a label lookup is one
+//! indexed load.
 //!
 //! # File layout
 //!
@@ -20,23 +21,23 @@
 //!
 //! ```text
 //! header (48 bytes)
-//!   magic            8 bytes  "QBSIDX2\0"
-//!   version          u32      2
-//!   section_count    u32      10
+//!   magic            8 bytes  "QBSIDX4\0"
+//!   version          u32      4
+//!   section_count    u32      9
 //!   num_vertices     u64
 //!   num_landmarks    u64
 //!   file_size        u64      total file length in bytes
-//!   reserved         u64      0
-//! section table (10 × 24 bytes, in SectionKind order)
+//!   dist_width       u8       bytes per label slot: 1 or 2
+//!   reserved         7 bytes  0
+//! section table (9 × 24 bytes, in SectionKind order)
 //!   kind             u32
 //!   reserved         u32      0
 //!   offset           u64      absolute, 8-byte aligned
 //!   len              u64      payload bytes (padding excluded)
 //! sections
 //!   LANDMARKS        |R| × u32 vertex ids, column order
-//!   LABEL_OFFSETS    (|V|+1) × u64 CSR offsets into LABEL_ENTRIES
-//!   LABEL_ENTRIES    Σ|L(v)| × u32, low 16 bits landmark index, high 16
-//!                    bits distance
+//!   LABELS           |V| × |R| × dist_width bytes, row-major label
+//!                    distances; all-ones = no entry
 //!   GRAPH_OFFSETS    (|V|+1) × u64 CSR offsets into GRAPH_NEIGHBORS
 //!   GRAPH_NEIGHBORS  2|E| × u32 neighbour ids
 //!   META_EDGES       |E_R| × (u32 i, u32 j, u32 σ) with i < j
@@ -45,6 +46,10 @@
 //!   DELTA_EDGES      Σ|Δ_k| × (u32, u32) edge endpoints
 //!   CHECKSUM         u64 word-wise FNV-1a 64 over file[0 .. checksum_offset)
 //! ```
+//!
+//! The writer picks `dist_width` from the data: 1 iff the largest label
+//! distance is at most 254 (255 is the one-byte "no entry" sentinel),
+//! otherwise 2 — the in-memory slot width.
 //!
 //! # Loader abstraction
 //!
@@ -66,33 +71,24 @@
 //! scans for the map-speed serving cold start (see
 //! [`crate::serialize::MapMode`]).
 //!
-//! # Compact profile (v3)
-//!
-//! This module also implements `qbs-index-v3`, the **compact profile**:
-//! the same ten-section skeleton, but with a header-declared width profile
-//! (1/2/4-byte distances, 4/8-byte CSR byte-offsets), front-coded LEB128
-//! label and adjacency runs, varint Δ pairs and a narrow APSP matrix. See
-//! [`write_v3`] / [`CompactView`] and the v3 chapter of
-//! `docs/index-format.md`.
+//! Files written by earlier builds (the JSON index and the `QBSIDX2` /
+//! `QBSIDX3` binary layouts) are refused with one `Corrupt` error that
+//! names the old version: an index is derived data, so the migration is
+//! `qbs build`.
 
-use qbs_graph::{Distance, Graph, VertexId, INFINITE_DISTANCE};
+use qbs_graph::{Distance, Graph, VertexId};
 
-use crate::labelling::{PathLabelling, NO_LABEL};
+use crate::labelling::PathLabelling;
 use crate::meta_graph::MetaGraph;
 use crate::query::QbsIndex;
+use crate::serialize::{excerpt, EXCERPT_LEN};
 use crate::{QbsError, Result};
 
-/// Magic bytes opening every v2 index file.
-pub const MAGIC_V2: [u8; 8] = *b"QBSIDX2\0";
+/// Magic bytes opening every index file.
+pub const MAGIC: [u8; 8] = *b"QBSIDX4\0";
 
-/// Magic bytes opening every v3 (compact profile) index file.
-pub const MAGIC_V3: [u8; 8] = *b"QBSIDX3\0";
-
-/// Format version written by [`write_v2`].
-pub const FORMAT_VERSION: u32 = 2;
-
-/// Format version written by [`write_v3`].
-pub const FORMAT_VERSION_V3: u32 = 3;
+/// Format version written by [`write()`].
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Byte length of the fixed header.
 pub const HEADER_LEN: usize = 48;
@@ -103,10 +99,14 @@ pub const SECTION_RECORD_LEN: usize = 24;
 /// Alignment guaranteed for every section start.
 pub const SECTION_ALIGN: usize = 8;
 
-/// Number of sections in a v2 file.
-pub const SECTION_COUNT: usize = 10;
+/// Number of sections in an index file.
+pub const SECTION_COUNT: usize = 9;
 
-/// Identifies one section of a v2 file.
+/// Header position of the `dist_width` byte; the seven bytes after it are
+/// reserved and must be zero.
+const DIST_WIDTH_POS: usize = 40;
+
+/// Identifies one section of an index file.
 ///
 /// Sections appear in the file in ascending discriminant order; the
 /// checksum section is always last.
@@ -115,33 +115,30 @@ pub const SECTION_COUNT: usize = 10;
 pub enum SectionKind {
     /// Landmark vertex ids in column order (`|R| × u32`).
     Landmarks = 1,
-    /// CSR offsets into [`SectionKind::LabelEntries`] (`(|V|+1) × u64`).
-    LabelOffsets = 2,
-    /// Packed label entries (`u32`: low 16 bits landmark index, high 16
-    /// bits distance).
-    LabelEntries = 3,
+    /// Dense row-major label matrix (`|V| × |R|` slots of `dist_width`
+    /// bytes; all-ones = no entry).
+    Labels = 2,
     /// CSR offsets into [`SectionKind::GraphNeighbors`] (`(|V|+1) × u64`).
-    GraphOffsets = 4,
+    GraphOffsets = 3,
     /// Concatenated sorted adjacency lists (`2|E| × u32`).
-    GraphNeighbors = 5,
+    GraphNeighbors = 4,
     /// Meta-graph edges (`|E_R| × (u32 i, u32 j, u32 σ)`, `i < j`).
-    MetaEdges = 6,
+    MetaEdges = 5,
     /// Row-major `|R|²` landmark all-pairs distance matrix (`u32`).
-    MetaApsp = 7,
+    MetaApsp = 6,
     /// CSR offsets into [`SectionKind::DeltaEdges`] (`(|E_R|+1) × u64`).
-    DeltaOffsets = 8,
+    DeltaOffsets = 7,
     /// Concatenated Δ path-graph edges (`(u32, u32)` per edge).
-    DeltaEdges = 9,
+    DeltaEdges = 8,
     /// Word-wise FNV-1a 64 checksum of every byte before this section's offset.
-    Checksum = 10,
+    Checksum = 9,
 }
 
 impl SectionKind {
     /// All kinds in file order.
     pub const ALL: [SectionKind; SECTION_COUNT] = [
         SectionKind::Landmarks,
-        SectionKind::LabelOffsets,
-        SectionKind::LabelEntries,
+        SectionKind::Labels,
         SectionKind::GraphOffsets,
         SectionKind::GraphNeighbors,
         SectionKind::MetaEdges,
@@ -155,8 +152,7 @@ impl SectionKind {
     pub fn name(self) -> &'static str {
         match self {
             SectionKind::Landmarks => "landmarks",
-            SectionKind::LabelOffsets => "label-offsets",
-            SectionKind::LabelEntries => "label-entries",
+            SectionKind::Labels => "labels",
             SectionKind::GraphOffsets => "graph-offsets",
             SectionKind::GraphNeighbors => "graph-neighbors",
             SectionKind::MetaEdges => "meta-edges",
@@ -226,7 +222,7 @@ impl ViewBuf {
     }
 }
 
-/// A validated, zero-copy view over a `qbs-index-v2` buffer.
+/// A validated, zero-copy view over an index buffer.
 ///
 /// Construction ([`IndexView::parse`]) performs *all* validation — magic,
 /// version, section table geometry, checksum, and the structural invariants
@@ -241,6 +237,8 @@ pub struct IndexView {
     sections: Vec<SectionRecord>,
     num_vertices: usize,
     num_landmarks: usize,
+    /// Bytes per label slot (1 or 2), from the header.
+    dist_width: usize,
     /// Whether the `O(file)` integrity validation has passed (atomically
     /// flipped by a successful [`IndexView::verify`], so shared views can
     /// record it through `&self`).
@@ -254,23 +252,25 @@ impl Clone for IndexView {
             sections: self.sections.clone(),
             num_vertices: self.num_vertices,
             num_landmarks: self.num_landmarks,
+            dist_width: self.dist_width,
             verified: std::sync::atomic::AtomicBool::new(self.is_verified()),
         }
     }
 }
 
 impl IndexView {
-    /// Parses and fully validates a v2 buffer.
+    /// Parses and fully validates an index buffer.
     pub fn parse(buf: ViewBuf) -> Result<IndexView> {
         let view = Self::parse_geometry(buf)?;
         view.verify()?;
         Ok(view)
     }
 
-    /// Parses a v2 buffer validating only its **geometry** — magic, version,
-    /// section-table layout, and every section length the header implies —
-    /// while deferring the `O(file)` integrity work (checksum and the
-    /// structural scans) that [`IndexView::parse`] performs eagerly.
+    /// Parses an index buffer validating only its **geometry** — magic,
+    /// version, header widths, section-table layout, and every section
+    /// length the header implies — while deferring the `O(file)` integrity
+    /// work (checksum and the structural scans) that [`IndexView::parse`]
+    /// performs eagerly.
     ///
     /// This is the serving-path constructor: opening an immutable index
     /// file this way costs microseconds regardless of index size, because
@@ -315,7 +315,7 @@ impl IndexView {
         let section_count = le_u32(data, 12) as usize;
         if section_count != SECTION_COUNT {
             return Err(QbsError::Corrupt(format!(
-                "qbs-index-v2 expects {SECTION_COUNT} sections, header declares {section_count}"
+                "a qbs index has {SECTION_COUNT} sections, header declares {section_count}"
             )));
         }
         let num_vertices = le_u64(data, 16) as usize;
@@ -328,6 +328,17 @@ impl IndexView {
                 data.len()
             )));
         }
+        let dist_width = data[DIST_WIDTH_POS] as usize;
+        if !matches!(dist_width, 1 | 2) {
+            return Err(QbsError::Corrupt(format!(
+                "header declares dist_width {dist_width}; label slots are 1 or 2 bytes wide"
+            )));
+        }
+        if data[DIST_WIDTH_POS + 1..HEADER_LEN].iter().any(|&b| b != 0) {
+            return Err(QbsError::Corrupt(
+                "reserved header bytes must be zero".into(),
+            ));
+        }
 
         let sections = parse_section_table(data)?;
         let view = IndexView {
@@ -335,6 +346,7 @@ impl IndexView {
             sections,
             num_vertices,
             num_landmarks,
+            dist_width,
             verified: std::sync::atomic::AtomicBool::new(false),
         };
         view.validate_lengths()?;
@@ -351,6 +363,12 @@ impl IndexView {
     #[inline]
     pub fn num_landmarks(&self) -> usize {
         self.num_landmarks
+    }
+
+    /// Bytes per label slot (1 or 2), as the header declares.
+    #[inline]
+    pub fn dist_width(&self) -> usize {
+        self.dist_width
     }
 
     /// Total buffer length in bytes.
@@ -396,30 +414,35 @@ impl IndexView {
         u32_iter(self.section_bytes(SectionKind::Landmarks))
     }
 
-    /// Number of label entries of vertex `v` (out of the packed CSR).
+    /// The label distance of `v` towards landmark column `landmark_idx`:
+    /// one indexed load from the dense label matrix (`None` when the slot
+    /// holds the all-ones "no entry" value).
     ///
     /// # Panics
     ///
-    /// Panics if `v as usize >= num_vertices()`.
-    pub fn label_len(&self, v: VertexId) -> usize {
-        let offsets = self.section_bytes(SectionKind::LabelOffsets);
-        let lo = le_u64(offsets, v as usize * 8);
-        let hi = le_u64(offsets, (v as usize + 1) * 8);
-        (hi - lo) as usize
+    /// Panics if `v as usize >= num_vertices()`; `landmark_idx` must be
+    /// `< num_landmarks()`.
+    #[inline]
+    pub fn label_distance(&self, v: VertexId, landmark_idx: usize) -> Option<Distance> {
+        debug_assert!(landmark_idx < self.num_landmarks);
+        let w = self.dist_width;
+        let pos = (v as usize * self.num_landmarks + landmark_idx) * w;
+        slot_distance(&self.section_bytes(SectionKind::Labels)[pos..pos + w])
     }
 
-    /// Iterator over the `(landmark_idx, distance)` label entries of `v`,
-    /// decoded straight from the packed section.
+    /// Iterator over the `(landmark_idx, distance)` label entries of `v`
+    /// in ascending column order: one scan of the vertex's label row.
     ///
     /// # Panics
     ///
     /// Panics if `v as usize >= num_vertices()`.
     pub fn label_entries(&self, v: VertexId) -> impl Iterator<Item = (usize, Distance)> + '_ {
-        let offsets = self.section_bytes(SectionKind::LabelOffsets);
-        let lo = le_u64(offsets, v as usize * 8) as usize;
-        let hi = le_u64(offsets, (v as usize + 1) * 8) as usize;
-        let entries = self.section_bytes(SectionKind::LabelEntries);
-        u32_iter(&entries[lo * 4..hi * 4]).map(unpack_label_entry)
+        let row_len = self.num_landmarks * self.dist_width;
+        let base = v as usize * row_len;
+        self.section_bytes(SectionKind::Labels)[base..base + row_len]
+            .chunks_exact(self.dist_width)
+            .enumerate()
+            .filter_map(|(idx, slot)| slot_distance(slot).map(|d| (idx, d)))
     }
 
     /// Iterator over the neighbours of `v`, decoded straight from the
@@ -447,33 +470,12 @@ impl IndexView {
 
     /// Iterator over the meta edges `(i, j, σ)` in stored order.
     pub fn meta_edges(&self) -> impl Iterator<Item = (usize, usize, Distance)> + '_ {
-        let bytes = self.section_bytes(SectionKind::MetaEdges);
-        (0..self.num_meta_edges()).map(move |k| {
-            (
-                le_u32(bytes, k * 12) as usize,
-                le_u32(bytes, k * 12 + 4) as usize,
-                le_u32(bytes, k * 12 + 8),
-            )
-        })
+        (0..self.num_meta_edges()).map(move |k| self.meta_edge(k))
     }
 
     /// Total number of Δ path-graph edges across all meta edges.
     pub fn num_delta_edges(&self) -> usize {
         self.section(SectionKind::DeltaEdges).len as usize / 8
-    }
-
-    /// The label distance of `v` towards landmark column `landmark_idx`,
-    /// decoded straight from the packed label section (`None` when the pair
-    /// has no entry). The per-vertex entry list is short (at most `|R|`),
-    /// so a linear scan beats any index structure here.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v as usize >= num_vertices()`.
-    pub fn label_distance(&self, v: VertexId, landmark_idx: usize) -> Option<Distance> {
-        self.label_entries(v)
-            .find(|&(idx, _)| idx == landmark_idx)
-            .map(|(_, d)| d)
     }
 
     /// `d_M(i, j)` straight from the stored APSP matrix.
@@ -525,12 +527,6 @@ impl IndexView {
 
     fn verify_checksum(&self) -> Result<()> {
         let s = self.section(SectionKind::Checksum);
-        if s.len != 8 {
-            return Err(QbsError::Corrupt(format!(
-                "checksum section must be 8 bytes, found {}",
-                s.len
-            )));
-        }
         let data = self.buf.as_slice();
         let stored = le_u64(data, s.offset as usize);
         let actual = checksum64(&data[..s.offset as usize]);
@@ -550,25 +546,31 @@ impl IndexView {
     /// fail here, not wrap around and slip past the section-length
     /// comparison).
     fn validate_lengths(&self) -> Result<()> {
-        let n = self.num_vertices;
-        let r = self.num_landmarks;
-        if r > u16::MAX as usize {
-            return Err(QbsError::Corrupt(format!(
-                "v2 stores landmark indices in 16 bits; {r} landmarks exceed the limit"
-            )));
-        }
-        let offsets_len = (n as u64)
+        let n = self.num_vertices as u64;
+        let r = self.num_landmarks as u64;
+        let overflow = || {
+            QbsError::Corrupt(format!(
+                "header counts ({n} vertices, {r} landmarks) overflow the format"
+            ))
+        };
+        let offsets_len = n
             .checked_add(1)
             .and_then(|c| c.checked_mul(8))
-            .ok_or_else(|| {
-                QbsError::Corrupt(format!("header vertex count {n} overflows the format"))
-            })?;
-        self.expect_len(SectionKind::Landmarks, r as u64 * 4)?;
-        self.expect_len(SectionKind::LabelOffsets, offsets_len)?;
+            .ok_or_else(overflow)?;
+        let labels_len = n
+            .checked_mul(r)
+            .and_then(|c| c.checked_mul(self.dist_width as u64))
+            .ok_or_else(overflow)?;
+        let apsp_len = r
+            .checked_mul(r)
+            .and_then(|c| c.checked_mul(4))
+            .ok_or_else(overflow)?;
+        // r² · 4 did not overflow, so r · 4 cannot.
+        self.expect_len(SectionKind::Landmarks, r * 4)?;
+        self.expect_len(SectionKind::Labels, labels_len)?;
         self.expect_len(SectionKind::GraphOffsets, offsets_len)?;
-        self.expect_len(SectionKind::MetaApsp, (r as u64 * r as u64) * 4)?;
+        self.expect_len(SectionKind::MetaApsp, apsp_len)?;
         for (kind, elem) in [
-            (SectionKind::LabelEntries, 4),
             (SectionKind::GraphNeighbors, 4),
             (SectionKind::MetaEdges, 12),
             (SectionKind::DeltaEdges, 8),
@@ -585,35 +587,34 @@ impl IndexView {
             SectionKind::DeltaOffsets,
             (self.num_meta_edges() as u64 + 1) * 8,
         )?;
-        if self.section(SectionKind::Checksum).len != 8 {
-            return Err(QbsError::Corrupt(format!(
-                "checksum section must be 8 bytes, found {}",
-                self.section(SectionKind::Checksum).len
-            )));
-        }
-        Ok(())
+        self.expect_len(SectionKind::Checksum, 8)
     }
 
     /// Validates every `O(file)` structural invariant the typed accessors
-    /// and the materialisers rely on, so no later code path can panic on a
+    /// and the materialiser rely on, so no later code path can panic on a
     /// file that passed the checksum (e.g. one crafted rather than
-    /// corrupted). Deferred by [`IndexView::parse_trusted`].
+    /// corrupted). Deferred by [`IndexView::parse_trusted`]. The label
+    /// matrix needs no scan: its length is pinned by the header and every
+    /// slot value is either a distance or the "no entry" sentinel.
     fn validate_structure(&self) -> Result<()> {
         let n = self.num_vertices;
         let r = self.num_landmarks;
 
-        for v in u32_iter(self.section_bytes(SectionKind::Landmarks)) {
+        // Landmarks must be in range and distinct: duplicates would
+        // silently corrupt the vertex → landmark-column map rebuilt on load.
+        let mut landmark_seen = vec![false; n];
+        for v in self.landmarks() {
             if v as usize >= n {
                 return Err(QbsError::Corrupt(format!(
                     "landmark id {v} out of range for {n} vertices"
                 )));
             }
+            if std::mem::replace(&mut landmark_seen[v as usize], true) {
+                return Err(QbsError::Corrupt(format!(
+                    "landmark id {v} appears twice in the landmark list"
+                )));
+            }
         }
-        validate_csr(
-            self.section_bytes(SectionKind::LabelOffsets),
-            self.section(SectionKind::LabelEntries).len / 4,
-            "label",
-        )?;
         validate_csr(
             self.section_bytes(SectionKind::GraphOffsets),
             self.section(SectionKind::GraphNeighbors).len / 4,
@@ -624,51 +625,22 @@ impl IndexView {
             self.section(SectionKind::DeltaEdges).len / 8,
             "delta",
         )?;
-        for raw in u32_iter(self.section_bytes(SectionKind::LabelEntries)) {
-            let (idx, d) = unpack_label_entry(raw);
-            if idx >= r {
-                return Err(QbsError::Corrupt(format!(
-                    "label entry references landmark column {idx}, only {r} exist"
-                )));
-            }
-            if d as u16 == NO_LABEL {
-                return Err(QbsError::Corrupt(
-                    "label entry stores the NO_LABEL sentinel distance".into(),
-                ));
-            }
-        }
-        // Landmarks must be distinct: duplicates would silently corrupt
-        // the vertex → landmark-column map rebuilt on load.
-        let mut landmark_seen = vec![false; n];
-        for v in u32_iter(self.section_bytes(SectionKind::Landmarks)) {
-            if std::mem::replace(&mut landmark_seen[v as usize], true) {
-                return Err(QbsError::Corrupt(format!(
-                    "landmark id {v} appears twice in the landmark list"
-                )));
-            }
-        }
         // Adjacency lists must be strictly increasing per vertex — the
         // `Graph` invariant `has_edge`'s binary search relies on.
-        {
-            let offsets = self.section_bytes(SectionKind::GraphOffsets);
-            let neighbors = self.section_bytes(SectionKind::GraphNeighbors);
-            for v in 0..n {
-                let lo = le_u64(offsets, v * 8) as usize;
-                let hi = le_u64(offsets, (v + 1) * 8) as usize;
-                let mut prev: Option<u32> = None;
-                for w in u32_iter(&neighbors[lo * 4..hi * 4]) {
-                    if w as usize >= n {
-                        return Err(QbsError::Corrupt(format!(
-                            "graph neighbour id {w} out of range for {n} vertices"
-                        )));
-                    }
-                    if prev.is_some_and(|p| p >= w) {
-                        return Err(QbsError::Corrupt(format!(
-                            "adjacency list of vertex {v} is not strictly sorted"
-                        )));
-                    }
-                    prev = Some(w);
+        for v in 0..n {
+            let mut prev: Option<u32> = None;
+            for w in self.graph_neighbors(v as VertexId) {
+                if w as usize >= n {
+                    return Err(QbsError::Corrupt(format!(
+                        "graph neighbour id {w} out of range for {n} vertices"
+                    )));
                 }
+                if prev.is_some_and(|p| p >= w) {
+                    return Err(QbsError::Corrupt(format!(
+                        "adjacency list of vertex {v} is not strictly sorted"
+                    )));
+                }
+                prev = Some(w);
             }
         }
         for (i, j, _) in self.meta_edges() {
@@ -706,39 +678,29 @@ impl IndexView {
     /// parse time, so the CSR constructors cannot panic here.
     pub(crate) fn materialize(&self) -> (Graph, Vec<VertexId>, PathLabelling, MetaGraph) {
         let n = self.num_vertices;
-        let r = self.num_landmarks;
 
-        let landmarks: Vec<VertexId> = u32_vec(self.section_bytes(SectionKind::Landmarks));
+        let landmarks: Vec<VertexId> = self.landmarks().collect();
 
-        let graph_offsets: Vec<u64> = u64_vec(self.section_bytes(SectionKind::GraphOffsets));
+        let graph_offsets: Vec<u64> = self
+            .section_bytes(SectionKind::GraphOffsets)
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
+            .collect();
         let graph_neighbors: Vec<VertexId> =
-            u32_vec(self.section_bytes(SectionKind::GraphNeighbors));
+            u32_iter(self.section_bytes(SectionKind::GraphNeighbors)).collect();
         let graph = Graph::from_csr_parts(graph_offsets, graph_neighbors);
 
-        let mut labelling = PathLabelling::new(n, r);
-        let label_offsets = self.section_bytes(SectionKind::LabelOffsets);
-        let entries = self.section_bytes(SectionKind::LabelEntries);
-        for v in 0..n {
-            let lo = le_u64(label_offsets, v * 8) as usize;
-            let hi = le_u64(label_offsets, (v + 1) * 8) as usize;
-            for raw in u32_iter(&entries[lo * 4..hi * 4]) {
-                let (idx, d) = unpack_label_entry(raw);
-                labelling.set(v as VertexId, idx, d as u16);
+        let mut labelling = PathLabelling::new(n, self.num_landmarks);
+        for v in 0..n as VertexId {
+            for (idx, d) in self.label_entries(v) {
+                labelling.set(v, idx, d as u16);
             }
         }
 
         let edges: Vec<(usize, usize, Distance)> = self.meta_edges().collect();
-        let apsp: Vec<Distance> = u32_vec(self.section_bytes(SectionKind::MetaApsp));
-        let delta_offsets = self.section_bytes(SectionKind::DeltaOffsets);
-        let delta_edges = self.section_bytes(SectionKind::DeltaEdges);
+        let apsp: Vec<Distance> = u32_iter(self.section_bytes(SectionKind::MetaApsp)).collect();
         let delta: Vec<Vec<(VertexId, VertexId)>> = (0..edges.len())
-            .map(|k| {
-                let lo = le_u64(delta_offsets, k * 8) as usize;
-                let hi = le_u64(delta_offsets, (k + 1) * 8) as usize;
-                (lo..hi)
-                    .map(|e| (le_u32(delta_edges, e * 8), le_u32(delta_edges, e * 8 + 4)))
-                    .collect()
-            })
+            .map(|k| self.delta_edges(k).collect())
             .collect();
         let meta = MetaGraph::from_parts(landmarks.clone(), edges, apsp, delta);
 
@@ -746,85 +708,53 @@ impl IndexView {
     }
 }
 
-/// Serialises a built index into a `qbs-index-v2` buffer.
-///
-/// Fails with [`QbsError::InvalidLandmarks`] when the landmark count
-/// exceeds the format's 16-bit landmark-index budget (65535).
-pub fn write_v2(index: &QbsIndex) -> Result<Vec<u8>> {
+/// Serialises a built index into an index-file buffer.
+pub fn write(index: &QbsIndex) -> Vec<u8> {
     let graph = index.graph();
     let landmarks = index.landmarks();
     let labelling = index.labelling();
     let meta = index.meta_graph();
     let n = graph.num_vertices();
     let r = landmarks.len();
-    if r > u16::MAX as usize {
-        return Err(QbsError::InvalidLandmarks(format!(
-            "qbs-index-v2 stores landmark indices in 16 bits; cannot serialise {r} landmarks"
-        )));
+
+    // One byte per label slot whenever every distance leaves 0xFF free for
+    // the "no entry" sentinel; otherwise the in-memory 16-bit slot.
+    let max_label = (0..n as VertexId)
+        .flat_map(|v| labelling.entries(v))
+        .map(|(_, d)| d)
+        .max()
+        .unwrap_or(0);
+    let dist_width: usize = if max_label <= 254 { 1 } else { 2 };
+    let mut labels = Vec::with_capacity(n * r * dist_width);
+    for v in 0..n as VertexId {
+        for idx in 0..r {
+            // All-ones in either width: the low byte of 0xFFFF is 0xFF.
+            let slot = labelling.get(v, idx).map_or(u16::MAX, |d| d as u16);
+            labels.extend_from_slice(&slot.to_le_bytes()[..dist_width]);
+        }
+    }
+
+    let mut delta_offsets = vec![0u64];
+    let mut delta_edges = Vec::new();
+    for k in 0..meta.edges().len() {
+        delta_edges.extend(meta.delta_edges(k).iter().flat_map(|&(a, b)| [a, b]));
+        delta_offsets.push(delta_edges.len() as u64 / 2);
     }
 
     // Payloads, one per section, in file order.
-    let mut landmarks_bytes = Vec::with_capacity(r * 4);
-    for &v in landmarks {
-        landmarks_bytes.extend_from_slice(&v.to_le_bytes());
-    }
-
-    let mut label_offsets = Vec::with_capacity((n + 1) * 8);
-    let mut label_entries = Vec::new();
-    let mut running = 0u64;
-    label_offsets.extend_from_slice(&running.to_le_bytes());
-    for v in 0..n as VertexId {
-        for (idx, d) in labelling.entries(v) {
-            label_entries.extend_from_slice(&pack_label_entry(idx, d).to_le_bytes());
-            running += 1;
-        }
-        label_offsets.extend_from_slice(&running.to_le_bytes());
-    }
-
-    let mut graph_offsets = Vec::with_capacity((n + 1) * 8);
-    for &o in graph.csr_offsets() {
-        graph_offsets.extend_from_slice(&o.to_le_bytes());
-    }
-    let mut graph_neighbors = Vec::with_capacity(graph.num_arcs() * 4);
-    for &v in graph.csr_neighbors() {
-        graph_neighbors.extend_from_slice(&v.to_le_bytes());
-    }
-
-    let mut meta_edges = Vec::with_capacity(meta.edges().len() * 12);
-    for &(i, j, sigma) in meta.edges() {
-        meta_edges.extend_from_slice(&(i as u32).to_le_bytes());
-        meta_edges.extend_from_slice(&(j as u32).to_le_bytes());
-        meta_edges.extend_from_slice(&sigma.to_le_bytes());
-    }
-
-    let mut meta_apsp = Vec::with_capacity(r * r * 4);
-    for &d in meta.apsp() {
-        meta_apsp.extend_from_slice(&d.to_le_bytes());
-    }
-
-    let mut delta_offsets = Vec::with_capacity((meta.edges().len() + 1) * 8);
-    let mut delta_edges = Vec::new();
-    let mut running = 0u64;
-    delta_offsets.extend_from_slice(&running.to_le_bytes());
-    for k in 0..meta.edges().len() {
-        for &(a, b) in meta.delta_edges(k) {
-            delta_edges.extend_from_slice(&a.to_le_bytes());
-            delta_edges.extend_from_slice(&b.to_le_bytes());
-            running += 1;
-        }
-        delta_offsets.extend_from_slice(&running.to_le_bytes());
-    }
-
-    let payloads: [&[u8]; SECTION_COUNT - 1] = [
-        &landmarks_bytes,
-        &label_offsets,
-        &label_entries,
-        &graph_offsets,
-        &graph_neighbors,
-        &meta_edges,
-        &meta_apsp,
-        &delta_offsets,
-        &delta_edges,
+    let payloads: [Vec<u8>; SECTION_COUNT - 1] = [
+        u32_bytes(landmarks.iter().copied()),
+        labels,
+        u64_bytes(graph.csr_offsets().iter().copied()),
+        u32_bytes(graph.csr_neighbors().iter().copied()),
+        u32_bytes(
+            meta.edges()
+                .iter()
+                .flat_map(|&(i, j, sigma)| [i as u32, j as u32, sigma]),
+        ),
+        u32_bytes(meta.apsp().iter().copied()),
+        u64_bytes(delta_offsets),
+        u32_bytes(delta_edges),
     ];
 
     // Lay out the section table.
@@ -842,13 +772,15 @@ pub fn write_v2(index: &QbsIndex) -> Result<Vec<u8>> {
 
     // Emit header + table + payloads.
     let mut out = Vec::with_capacity(file_size as usize);
-    out.extend_from_slice(&MAGIC_V2);
+    out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&(SECTION_COUNT as u32).to_le_bytes());
     out.extend_from_slice(&(n as u64).to_le_bytes());
     out.extend_from_slice(&(r as u64).to_le_bytes());
     out.extend_from_slice(&file_size.to_le_bytes());
-    out.extend_from_slice(&0u64.to_le_bytes());
+    debug_assert_eq!(out.len(), DIST_WIDTH_POS);
+    // The width byte, then the seven reserved zero bytes.
+    out.extend_from_slice(&(dist_width as u64).to_le_bytes());
     debug_assert_eq!(out.len(), HEADER_LEN);
     for &(kind, offset, len) in &records {
         out.extend_from_slice(&(kind as u32).to_le_bytes());
@@ -864,10 +796,10 @@ pub fn write_v2(index: &QbsIndex) -> Result<Vec<u8>> {
     let checksum = checksum64(&out);
     out.extend_from_slice(&checksum.to_le_bytes());
     debug_assert_eq!(out.len() as u64, file_size);
-    Ok(out)
+    out
 }
 
-/// Everything `qbs inspect` reports about a v2 file, computed without
+/// Everything `qbs inspect` reports about an index file, computed without
 /// requiring the checksum to match — a corrupt-but-geometrically-sane file
 /// is *inspectable* (that is the whole point of the tool), it just reports
 /// `checksum_ok() == false`.
@@ -877,6 +809,8 @@ pub struct FileInspection {
     pub num_vertices: usize,
     /// `|R|` from the header.
     pub num_landmarks: usize,
+    /// Bytes per label slot from the header.
+    pub dist_width: usize,
     /// Total file length in bytes.
     pub file_len: usize,
     /// The parsed section table, in file order.
@@ -908,18 +842,19 @@ impl FileInspection {
     }
 }
 
-/// Inspects a v2 buffer: geometry must parse (otherwise the `Corrupt` error
-/// is returned), but checksum and structural validity are *reported*, not
-/// enforced, so `qbs inspect` can diagnose a bit-rotted file. Takes the
+/// Inspects an index buffer: geometry must parse (otherwise the `Corrupt`
+/// error is returned), but checksum and structural validity are *reported*,
+/// not enforced, so `qbs inspect` can diagnose a bit-rotted file. Takes the
 /// buffer by value so inspecting a multi-GB index never holds two copies
 /// of it — pass `ViewBuf::Heap(std::fs::read(path)?)` or a mapped buffer.
-pub fn inspect_v2(buf: ViewBuf) -> Result<FileInspection> {
+pub fn inspect(buf: ViewBuf) -> Result<FileInspection> {
     let view = IndexView::parse_trusted(buf)?;
     let checksum_offset = view.section(SectionKind::Checksum).offset as usize;
     let computed_checksum = checksum64(&view.buf().as_slice()[..checksum_offset]);
     Ok(FileInspection {
         num_vertices: view.num_vertices(),
         num_landmarks: view.num_landmarks(),
+        dist_width: view.dist_width(),
         file_len: view.file_len(),
         sections: view.sections().to_vec(),
         stored_checksum: view.checksum(),
@@ -930,103 +865,134 @@ pub fn inspect_v2(buf: ViewBuf) -> Result<FileInspection> {
     })
 }
 
-/// Validates the magic and version of a candidate v2 buffer, with a clear
-/// migration message when the buffer is actually a v1 JSON index.
-fn check_magic_and_version(data: &[u8]) -> Result<()> {
-    if data.starts_with(crate::serialize::MAGIC_V1.as_bytes()) {
-        return Err(QbsError::Corrupt(
-            "this is a qbs-index-v1 JSON index, not a v2 binary one; load it through \
-             serialize::load_from_file (which reads both) and re-save it with the v2 \
-             writer to migrate"
-                .into(),
-        ));
+/// The `qbs-index` version the leading bytes of a file announce, or `None`
+/// when they carry no qbs index magic at all. Versions 1–3 are the layouts
+/// earlier builds wrote (the JSON index and the two older binary ones);
+/// nothing reads them any more.
+pub fn index_version(head: &[u8]) -> Option<u32> {
+    const RETIRED: [(&[u8], u32); 3] = [(b"qbs-index-v1", 1), (b"QBSIDX2\0", 2), (b"QBSIDX3\0", 3)];
+    if head.starts_with(&MAGIC) {
+        return Some(FORMAT_VERSION);
+    }
+    RETIRED
+        .iter()
+        .find(|(magic, _)| head.starts_with(magic))
+        .map(|&(_, version)| version)
+}
+
+/// Validates the magic and version of a candidate index buffer (its first
+/// [`HEADER_LEN`] bytes suffice). Files of a retired layout get the one
+/// rebuild message.
+pub(crate) fn check_magic_and_version(data: &[u8]) -> Result<()> {
+    match index_version(data) {
+        Some(FORMAT_VERSION) => {}
+        Some(old) => {
+            return Err(QbsError::Corrupt(format!(
+                "this is a qbs-index v{old} file, a layout this build no longer reads; an \
+                 index is derived data — rebuild with `qbs build`"
+            )))
+        }
+        None => {
+            // Callers may pass only the header; trim to the excerpt budget
+            // so the message never reports that length as the file size.
+            return Err(QbsError::Corrupt(format!(
+                "not a qbs index file: missing the qbs-index magic; data starts with {}",
+                excerpt(&data[..data.len().min(EXCERPT_LEN)])
+            )));
+        }
     }
     if data.len() < HEADER_LEN {
         return Err(QbsError::Corrupt(format!(
-            "buffer of {} bytes is shorter than the {HEADER_LEN}-byte v2 header",
+            "buffer of {} bytes is shorter than the {HEADER_LEN}-byte header",
             data.len()
-        )));
-    }
-    if data[..8] == MAGIC_V3 {
-        return Err(QbsError::Corrupt(
-            "this is a qbs-index-v3 compact index, not a v2 wide one; read it with \
-             CompactView / from_bytes_v3, or serialize::load_from_file (which reads \
-             every version)"
-                .into(),
-        ));
-    }
-    if data[..8] != MAGIC_V2 {
-        return Err(QbsError::Corrupt(format!(
-            "missing qbs-index-v2 magic; file starts with {}",
-            crate::serialize::excerpt(data)
         )));
     }
     let version = le_u32(data, 8);
     if version != FORMAT_VERSION {
         return Err(QbsError::Corrupt(format!(
-            "unsupported qbs-index format version {version}; this build reads v1 (JSON) \
-             and v{FORMAT_VERSION} (binary)"
+            "unsupported qbs-index format version {version}; this build reads \
+             v{FORMAT_VERSION} only"
         )));
     }
     Ok(())
 }
 
-/// Validates the magic and version of a candidate v3 buffer, with clear
-/// cross-version hints for v1 and v2 data.
-fn check_magic_and_version_v3(data: &[u8]) -> Result<()> {
-    if data.starts_with(crate::serialize::MAGIC_V1.as_bytes()) {
-        return Err(QbsError::Corrupt(
-            "this is a qbs-index-v1 JSON index, not a v3 compact one; load it through \
-             serialize::load_from_file (which reads every version) and re-save it with \
-             the compact profile to migrate"
-                .into(),
-        ));
-    }
-    if data.len() < HEADER_LEN {
+/// Parses and geometry-checks the section table: record order, alignment,
+/// bounds, no overlap, no trailing bytes.
+fn parse_section_table(data: &[u8]) -> Result<Vec<SectionRecord>> {
+    let table_end = HEADER_LEN + SECTION_COUNT * SECTION_RECORD_LEN;
+    if data.len() < table_end {
         return Err(QbsError::Corrupt(format!(
-            "buffer of {} bytes is shorter than the {HEADER_LEN}-byte v3 header",
+            "truncated section table: need {table_end} bytes, have {}",
             data.len()
         )));
     }
-    if data[..8] == MAGIC_V2 {
-        return Err(QbsError::Corrupt(
-            "this is a qbs-index-v2 wide index, not a v3 compact one; read it with \
-             IndexView / from_bytes_v2, or convert it to the compact profile with \
-             `qbs convert`"
-                .into(),
-        ));
+    let mut sections = Vec::with_capacity(SECTION_COUNT);
+    let mut cursor = table_end as u64;
+    for (slot, expected) in SectionKind::ALL.iter().enumerate() {
+        let base = HEADER_LEN + slot * SECTION_RECORD_LEN;
+        let raw_kind = le_u32(data, base);
+        let kind = SectionKind::from_u32(raw_kind).ok_or_else(|| {
+            QbsError::Corrupt(format!("unknown section kind {raw_kind} in slot {slot}"))
+        })?;
+        if kind != *expected {
+            return Err(QbsError::Corrupt(format!(
+                "section slot {slot} holds '{}', expected '{}'",
+                kind.name(),
+                expected.name()
+            )));
+        }
+        let offset = le_u64(data, base + 8);
+        let len = le_u64(data, base + 16);
+        if !offset.is_multiple_of(SECTION_ALIGN as u64) {
+            return Err(QbsError::Corrupt(format!(
+                "section '{}' offset {offset} is not {SECTION_ALIGN}-byte aligned",
+                kind.name()
+            )));
+        }
+        if offset < cursor {
+            return Err(QbsError::Corrupt(format!(
+                "section '{}' at offset {offset} overlaps the previous section",
+                kind.name()
+            )));
+        }
+        let end = offset.checked_add(len).ok_or_else(|| {
+            QbsError::Corrupt(format!("section '{}' length overflows", kind.name()))
+        })?;
+        if end > data.len() as u64 {
+            return Err(QbsError::Corrupt(format!(
+                "section '{}' [{offset}, {end}) exceeds the {}-byte buffer",
+                kind.name(),
+                data.len()
+            )));
+        }
+        cursor = end;
+        sections.push(SectionRecord { kind, offset, len });
     }
-    if data[..8] != MAGIC_V3 {
+    if cursor != data.len() as u64 {
         return Err(QbsError::Corrupt(format!(
-            "missing qbs-index-v3 magic; file starts with {}",
-            crate::serialize::excerpt(data)
+            "{} trailing bytes after the checksum section",
+            data.len() as u64 - cursor
         )));
     }
-    let version = le_u32(data, 8);
-    if version != FORMAT_VERSION_V3 {
-        return Err(QbsError::Corrupt(format!(
-            "unsupported qbs-index format version {version}; this build reads v1 (JSON), \
-             v{FORMAT_VERSION} (wide binary) and v{FORMAT_VERSION_V3} (compact binary)"
-        )));
+    Ok(sections)
+}
+
+/// Decodes one little-endian label slot of either width: `None` for the
+/// all-ones "no entry" value.
+#[inline]
+fn slot_distance(slot: &[u8]) -> Option<Distance> {
+    if slot.iter().all(|&b| b == 0xFF) {
+        return None;
     }
-    Ok(())
+    Some(
+        slot.iter()
+            .rev()
+            .fold(0, |acc, &b| (acc << 8) | Distance::from(b)),
+    )
 }
 
-/// Packs a label entry: low 16 bits landmark index, high 16 bits distance.
-#[inline]
-fn pack_label_entry(landmark_idx: usize, distance: Distance) -> u32 {
-    debug_assert!(landmark_idx <= u16::MAX as usize);
-    debug_assert!(distance < NO_LABEL as Distance);
-    (landmark_idx as u32) | (distance << 16)
-}
-
-/// Inverse of [`pack_label_entry`].
-#[inline]
-fn unpack_label_entry(raw: u32) -> (usize, Distance) {
-    ((raw & 0xFFFF) as usize, raw >> 16)
-}
-
-/// The v2 checksum: FNV-1a 64 applied to 8-byte little-endian words.
+/// The file checksum: FNV-1a 64 applied to 8-byte little-endian words.
 ///
 /// The classic byte-at-a-time FNV-1a is a serial multiply chain, which
 /// costs ~2 ns/byte and would dominate load time on multi-hundred-MB
@@ -1101,1201 +1067,12 @@ fn u32_iter(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
         .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
 }
 
-fn u32_vec(bytes: &[u8]) -> Vec<u32> {
-    u32_iter(bytes).collect()
+fn u32_bytes(values: impl IntoIterator<Item = u32>) -> Vec<u8> {
+    values.into_iter().flat_map(u32::to_le_bytes).collect()
 }
 
-fn u64_vec(bytes: &[u8]) -> Vec<u64> {
-    bytes
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
-// qbs-index-v3: the compact width-profiled layout
-// ---------------------------------------------------------------------------
-//
-// v3 keeps the v2 skeleton — the same 48-byte header size, the same ten
-// sections in the same order, the same 8-byte alignment, checksum and
-// trailing-byte rules — but narrows every array to what the data actually
-// needs:
-//
-// * the header declares a **width profile**: `id_width` (vertex-id bytes,
-//   always 4 in this build), `dist_width` (1/2/4 bytes per stored distance,
-//   chosen from the real maximum finite distance at encode time) and
-//   `offset_width` (4/8 bytes per CSR byte-offset — 8 is the wide fallback
-//   for variable sections past 4 GiB);
-// * label and adjacency rows are **front-coded LEB128 runs**: both are
-//   strictly ascending, so each element after the first is stored as a
-//   varint delta from its predecessor. LEB128 was chosen over fixed
-//   bit-packing because every hot accessor decodes rows *sequentially*
-//   (never random-access within a row), where a byte-aligned varint is one
-//   load + one branch per element and needs no per-row bit-width side table;
-// * Δ rows store each endpoint as a plain LEB128 varint (their pair order
-//   is answer-relevant and preserved verbatim, so no re-sorting for
-//   front-coding);
-// * the APSP matrix and meta-edge weights shrink to `dist_width` bytes,
-//   with the width's all-ones value reserved as the `INFINITE_DISTANCE`
-//   sentinel (which is why the maximum finite distance must sit strictly
-//   below it);
-// * CSR offsets are **byte** offsets into the (now variable-width) payload
-//   sections, `offset_width` bytes each.
-//
-// The header additionally records the true maximum label distance, giving
-// readers a cheap integrity tripwire the wide format never had: any decoded
-// label distance above it is reported as `QbsError::Corrupt`.
-
-/// A validated, zero-copy view over a compact `qbs-index-v3` buffer.
-///
-/// The v3 sibling of [`IndexView`], with the same [`CompactView::parse`] /
-/// [`CompactView::parse_trusted`] / [`CompactView::verify`] split and the
-/// same accessor contract (out-of-range vertex or landmark indices are
-/// caller bugs and panic). Rows of the variable sections are front-coded
-/// LEB128 runs, so accessors decode on the fly and return iterators.
-#[derive(Debug)]
-pub struct CompactView {
-    buf: ViewBuf,
-    sections: Vec<SectionRecord>,
-    num_vertices: usize,
-    num_landmarks: usize,
-    dist_width: u8,
-    offset_width: u8,
-    max_label_distance: Distance,
-    verified: std::sync::atomic::AtomicBool,
-}
-
-impl Clone for CompactView {
-    fn clone(&self) -> Self {
-        CompactView {
-            buf: self.buf.clone(),
-            sections: self.sections.clone(),
-            num_vertices: self.num_vertices,
-            num_landmarks: self.num_landmarks,
-            dist_width: self.dist_width,
-            offset_width: self.offset_width,
-            max_label_distance: self.max_label_distance,
-            verified: std::sync::atomic::AtomicBool::new(self.is_verified()),
-        }
-    }
-}
-
-impl CompactView {
-    /// Parses and fully validates a v3 buffer.
-    pub fn parse(buf: ViewBuf) -> Result<CompactView> {
-        let view = Self::parse_geometry(buf)?;
-        view.verify()?;
-        Ok(view)
-    }
-
-    /// Parses a v3 buffer validating only its **geometry**, deferring the
-    /// `O(file)` checksum and structural scans exactly like
-    /// [`IndexView::parse_trusted`]. Same trust model: meant for files your
-    /// own pipeline wrote; a file that would have failed full validation
-    /// surfaces as a deferred [`CompactView::verify`] error, a panic
-    /// (bounds-checked slice index), or a wrong answer — never memory
-    /// unsafety.
-    pub fn parse_trusted(buf: ViewBuf) -> Result<CompactView> {
-        Self::parse_geometry(buf)
-    }
-
-    /// Whether full integrity validation has passed on this view.
-    pub fn is_verified(&self) -> bool {
-        self.verified.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Runs the deferred integrity validation (checksum + structural
-    /// scans + the max-label-distance tripwire). Idempotent.
-    pub fn verify(&self) -> Result<()> {
-        self.verify_checksum()?;
-        self.validate_structure()?;
-        self.verified
-            .store(true, std::sync::atomic::Ordering::Relaxed);
-        Ok(())
-    }
-
-    fn parse_geometry(buf: ViewBuf) -> Result<CompactView> {
-        let data = buf.as_slice();
-        check_magic_and_version_v3(data)?;
-
-        let section_count = le_u32(data, 12) as usize;
-        if section_count != SECTION_COUNT {
-            return Err(QbsError::Corrupt(format!(
-                "qbs-index-v3 expects {SECTION_COUNT} sections, header declares {section_count}"
-            )));
-        }
-        let num_vertices = le_u64(data, 16) as usize;
-        let num_landmarks = le_u64(data, 24) as usize;
-        let file_size = le_u64(data, 32);
-        if file_size != data.len() as u64 {
-            return Err(QbsError::Corrupt(format!(
-                "file size mismatch: header declares {file_size} bytes, buffer has {} \
-                 (truncated or padded file)",
-                data.len()
-            )));
-        }
-        let id_width = data[40];
-        let dist_width = data[41];
-        let offset_width = data[42];
-        if id_width != 4 {
-            return Err(QbsError::Corrupt(format!(
-                "qbs-index-v3 id_width {id_width} is unsupported; this build reads \
-                 4-byte vertex ids"
-            )));
-        }
-        if !matches!(dist_width, 1 | 2 | 4) {
-            return Err(QbsError::Corrupt(format!(
-                "qbs-index-v3 dist_width must be 1, 2 or 4 bytes, header declares \
-                 {dist_width}"
-            )));
-        }
-        if !matches!(offset_width, 4 | 8) {
-            return Err(QbsError::Corrupt(format!(
-                "qbs-index-v3 offset_width must be 4 or 8 bytes, header declares \
-                 {offset_width}"
-            )));
-        }
-        let max_label_distance = le_u32(data, 44);
-        if max_label_distance >= width_sentinel(dist_width as usize) {
-            return Err(QbsError::Corrupt(format!(
-                "header max label distance {max_label_distance} does not fit the \
-                 declared {dist_width}-byte distance width"
-            )));
-        }
-
-        let sections = parse_section_table(data)?;
-        let view = CompactView {
-            buf,
-            sections,
-            num_vertices,
-            num_landmarks,
-            dist_width,
-            offset_width,
-            max_label_distance,
-            verified: std::sync::atomic::AtomicBool::new(false),
-        };
-        view.validate_lengths()?;
-        Ok(view)
-    }
-
-    /// Number of vertices of the serialised graph.
-    #[inline]
-    pub fn num_vertices(&self) -> usize {
-        self.num_vertices
-    }
-
-    /// Number of landmarks `|R|`.
-    #[inline]
-    pub fn num_landmarks(&self) -> usize {
-        self.num_landmarks
-    }
-
-    /// Bytes per stored distance (1, 2 or 4).
-    #[inline]
-    pub fn dist_width(&self) -> u8 {
-        self.dist_width
-    }
-
-    /// Bytes per CSR byte-offset (4, or 8 for the wide fallback).
-    #[inline]
-    pub fn offset_width(&self) -> u8 {
-        self.offset_width
-    }
-
-    /// The true maximum label distance recorded at encode time.
-    #[inline]
-    pub fn max_label_distance(&self) -> Distance {
-        self.max_label_distance
-    }
-
-    /// Total buffer length in bytes.
-    #[inline]
-    pub fn file_len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// The parsed section table, in file order.
-    pub fn sections(&self) -> &[SectionRecord] {
-        &self.sections
-    }
-
-    /// The buffer backend behind this view (heap copy or file mapping).
-    pub fn buf(&self) -> &ViewBuf {
-        &self.buf
-    }
-
-    /// The stored checksum ([`checksum64`] of every byte before its section).
-    pub fn checksum(&self) -> u64 {
-        let s = self.section(SectionKind::Checksum);
-        le_u64(self.buf.as_slice(), s.offset as usize)
-    }
-
-    /// Raw payload bytes of one section.
-    pub fn section_bytes(&self, kind: SectionKind) -> &[u8] {
-        let s = self.section(kind);
-        &self.buf.as_slice()[s.offset as usize..(s.offset + s.len) as usize]
-    }
-
-    /// The `i`-th landmark vertex id (column order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= num_landmarks()`.
-    #[inline]
-    pub fn landmark(&self, i: usize) -> VertexId {
-        le_u32(self.section_bytes(SectionKind::Landmarks), i * 4)
-    }
-
-    /// Iterator over the landmark list.
-    pub fn landmarks(&self) -> impl Iterator<Item = VertexId> + '_ {
-        u32_iter(self.section_bytes(SectionKind::Landmarks))
-    }
-
-    /// The byte range of row `i` inside the payload section indexed by
-    /// `offsets_kind`.
-    fn row_range(&self, offsets_kind: SectionKind, i: usize) -> (usize, usize) {
-        let offsets = self.section_bytes(offsets_kind);
-        let ow = self.offset_width as usize;
-        let lo = read_offset(offsets, i * ow, ow) as usize;
-        let hi = read_offset(offsets, (i + 1) * ow, ow) as usize;
-        (lo, hi)
-    }
-
-    /// Number of label entries of vertex `v` (decoded from the row run).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v as usize >= num_vertices()`.
-    pub fn label_len(&self, v: VertexId) -> usize {
-        self.label_entries(v).count()
-    }
-
-    /// Iterator over the `(landmark_idx, distance)` label entries of `v`,
-    /// decoded on the fly from the front-coded run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v as usize >= num_vertices()`.
-    pub fn label_entries(&self, v: VertexId) -> impl Iterator<Item = (usize, Distance)> + '_ {
-        let (lo, hi) = self.row_range(SectionKind::LabelOffsets, v as usize);
-        let row = &self.section_bytes(SectionKind::LabelEntries)[lo..hi];
-        let dw = self.dist_width as usize;
-        let mut pos = 0usize;
-        let mut col = 0usize;
-        let mut first = true;
-        std::iter::from_fn(move || {
-            if pos >= row.len() {
-                return None;
-            }
-            let delta = read_varint(row, &mut pos) as usize;
-            col = if first { delta } else { col + delta };
-            first = false;
-            let d = read_dist(row, &mut pos, dw);
-            Some((col, d))
-        })
-    }
-
-    /// Iterator over the neighbours of `v`, decoded on the fly from the
-    /// front-coded adjacency run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v as usize >= num_vertices()`.
-    pub fn graph_neighbors(&self, v: VertexId) -> impl Iterator<Item = VertexId> + '_ {
-        let (lo, hi) = self.row_range(SectionKind::GraphOffsets, v as usize);
-        let row = &self.section_bytes(SectionKind::GraphNeighbors)[lo..hi];
-        let mut pos = 0usize;
-        let mut prev = 0u32;
-        let mut first = true;
-        std::iter::from_fn(move || {
-            if pos >= row.len() {
-                return None;
-            }
-            let delta = read_varint(row, &mut pos);
-            prev = if first { delta } else { prev + delta };
-            first = false;
-            Some(prev)
-        })
-    }
-
-    /// Number of meta-graph edges.
-    pub fn num_meta_edges(&self) -> usize {
-        self.section(SectionKind::MetaEdges).len as usize / (4 + self.dist_width as usize)
-    }
-
-    /// Iterator over the meta edges `(i, j, σ)` in stored order.
-    pub fn meta_edges(&self) -> impl Iterator<Item = (usize, usize, Distance)> + '_ {
-        (0..self.num_meta_edges()).map(move |k| self.meta_edge(k))
-    }
-
-    /// The `k`-th meta edge `(i, j, σ)` in stored order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k >= num_meta_edges()`.
-    #[inline]
-    pub fn meta_edge(&self, k: usize) -> (usize, usize, Distance) {
-        let bytes = self.section_bytes(SectionKind::MetaEdges);
-        let dw = self.dist_width as usize;
-        let base = k * (4 + dw);
-        let mut pos = base + 4;
-        (
-            le_u16(bytes, base) as usize,
-            le_u16(bytes, base + 2) as usize,
-            read_dist(bytes, &mut pos, dw),
-        )
-    }
-
-    /// The label distance of `v` towards landmark column `landmark_idx`
-    /// (`None` when the pair has no entry).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v as usize >= num_vertices()`.
-    pub fn label_distance(&self, v: VertexId, landmark_idx: usize) -> Option<Distance> {
-        self.label_entries(v)
-            .find(|&(idx, _)| idx == landmark_idx)
-            .map(|(_, d)| d)
-    }
-
-    /// `d_M(i, j)` from the narrow APSP matrix, mapping the width's
-    /// all-ones sentinel back to [`INFINITE_DISTANCE`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` or `j` is `>= num_landmarks()`.
-    #[inline]
-    pub fn meta_distance(&self, i: usize, j: usize) -> Distance {
-        let dw = self.dist_width as usize;
-        let mut pos = (i * self.num_landmarks + j) * dw;
-        let raw = read_dist(self.section_bytes(SectionKind::MetaApsp), &mut pos, dw);
-        if raw == width_sentinel(dw) {
-            INFINITE_DISTANCE
-        } else {
-            raw
-        }
-    }
-
-    /// Iterator over the Δ path-graph edges of meta edge `k`, decoded from
-    /// the varint run in stored order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k >= num_meta_edges()`.
-    pub fn delta_edges(&self, k: usize) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
-        let (lo, hi) = self.row_range(SectionKind::DeltaOffsets, k);
-        let row = &self.section_bytes(SectionKind::DeltaEdges)[lo..hi];
-        let mut pos = 0usize;
-        std::iter::from_fn(move || {
-            if pos >= row.len() {
-                return None;
-            }
-            let a = read_varint(row, &mut pos);
-            let b = read_varint(row, &mut pos);
-            Some((a, b))
-        })
-    }
-
-    fn section(&self, kind: SectionKind) -> SectionRecord {
-        self.sections[kind as usize - 1]
-    }
-
-    fn verify_checksum(&self) -> Result<()> {
-        let s = self.section(SectionKind::Checksum);
-        let data = self.buf.as_slice();
-        let stored = le_u64(data, s.offset as usize);
-        let actual = checksum64(&data[..s.offset as usize]);
-        if stored != actual {
-            return Err(QbsError::Corrupt(format!(
-                "checksum mismatch: stored {stored:#018x}, computed {actual:#018x} \
-                 (file is corrupt)"
-            )));
-        }
-        Ok(())
-    }
-
-    /// The cheap length checks that run in both parse modes: every
-    /// fixed-size section length the header implies, with checked
-    /// arithmetic. The variable sections (label entries, neighbours, Δ
-    /// edges) have no header-implied length — their terminal offsets are
-    /// checked by the deferred structural scan.
-    fn validate_lengths(&self) -> Result<()> {
-        let n = self.num_vertices;
-        let r = self.num_landmarks;
-        if r > u16::MAX as usize {
-            return Err(QbsError::Corrupt(format!(
-                "v3 stores landmark indices in 16 bits; {r} landmarks exceed the limit"
-            )));
-        }
-        let ow = self.offset_width as u64;
-        let dw = self.dist_width as u64;
-        let offsets_len = (n as u64)
-            .checked_add(1)
-            .and_then(|c| c.checked_mul(ow))
-            .ok_or_else(|| {
-                QbsError::Corrupt(format!("header vertex count {n} overflows the format"))
-            })?;
-        self.expect_len(SectionKind::Landmarks, r as u64 * 4)?;
-        self.expect_len(SectionKind::LabelOffsets, offsets_len)?;
-        self.expect_len(SectionKind::GraphOffsets, offsets_len)?;
-        self.expect_len(SectionKind::MetaApsp, (r as u64 * r as u64) * dw)?;
-        let meta_len = self.section(SectionKind::MetaEdges).len;
-        if !meta_len.is_multiple_of(4 + dw) {
-            return Err(QbsError::Corrupt(format!(
-                "section 'meta-edges' length {meta_len} is not a multiple of its {}-byte \
-                 element",
-                4 + dw
-            )));
-        }
-        self.expect_len(
-            SectionKind::DeltaOffsets,
-            (self.num_meta_edges() as u64 + 1) * ow,
-        )?;
-        if self.section(SectionKind::Checksum).len != 8 {
-            return Err(QbsError::Corrupt(format!(
-                "checksum section must be 8 bytes, found {}",
-                self.section(SectionKind::Checksum).len
-            )));
-        }
-        Ok(())
-    }
-
-    /// The deferred `O(file)` structural scan: byte-CSR terminal offsets,
-    /// landmark sanity, strictly-ascending runs, range checks, and the
-    /// max-label-distance tripwire. Every decode here is *checked* — a
-    /// malformed varint run yields `Corrupt`, never a panic.
-    fn validate_structure(&self) -> Result<()> {
-        let n = self.num_vertices;
-        let r = self.num_landmarks;
-        let dw = self.dist_width as usize;
-
-        let mut landmark_seen = vec![false; n];
-        for v in u32_iter(self.section_bytes(SectionKind::Landmarks)) {
-            if v as usize >= n {
-                return Err(QbsError::Corrupt(format!(
-                    "landmark id {v} out of range for {n} vertices"
-                )));
-            }
-            if std::mem::replace(&mut landmark_seen[v as usize], true) {
-                return Err(QbsError::Corrupt(format!(
-                    "landmark id {v} appears twice in the landmark list"
-                )));
-            }
-        }
-
-        self.validate_byte_csr(
-            SectionKind::LabelOffsets,
-            SectionKind::LabelEntries,
-            "label",
-        )?;
-        self.validate_byte_csr(
-            SectionKind::GraphOffsets,
-            SectionKind::GraphNeighbors,
-            "graph",
-        )?;
-        self.validate_byte_csr(SectionKind::DeltaOffsets, SectionKind::DeltaEdges, "delta")?;
-
-        // Label rows: strictly ascending columns < |R|, distances within
-        // the header's recorded maximum (the compact profile's integrity
-        // tripwire), rows consumed exactly.
-        let entries = self.section_bytes(SectionKind::LabelEntries);
-        for v in 0..n {
-            let (lo, hi) = self.row_range(SectionKind::LabelOffsets, v);
-            let row = &entries[lo..hi];
-            let mut pos = 0usize;
-            let mut col = 0usize;
-            let mut first = true;
-            while pos < row.len() {
-                let delta = checked_varint(row, &mut pos)
-                    .ok_or_else(|| malformed_row("label", v))? as usize;
-                if !first && delta == 0 {
-                    return Err(QbsError::Corrupt(format!(
-                        "label columns of vertex {v} are not strictly ascending"
-                    )));
-                }
-                col = if first { delta } else { col + delta };
-                first = false;
-                if col >= r {
-                    return Err(QbsError::Corrupt(format!(
-                        "label entry references landmark column {col}, only {r} exist"
-                    )));
-                }
-                if pos + dw > row.len() {
-                    return Err(malformed_row("label", v));
-                }
-                let d = read_dist(row, &mut pos, dw);
-                if d > self.max_label_distance {
-                    return Err(QbsError::Corrupt(format!(
-                        "label distance {d} of vertex {v} exceeds the header's recorded \
-                         maximum {}",
-                        self.max_label_distance
-                    )));
-                }
-            }
-        }
-
-        // Adjacency rows: strictly ascending ids < |V|.
-        let neighbors = self.section_bytes(SectionKind::GraphNeighbors);
-        for v in 0..n {
-            let (lo, hi) = self.row_range(SectionKind::GraphOffsets, v);
-            let row = &neighbors[lo..hi];
-            let mut pos = 0usize;
-            let mut w = 0u32;
-            let mut first = true;
-            while pos < row.len() {
-                let delta =
-                    checked_varint(row, &mut pos).ok_or_else(|| malformed_row("adjacency", v))?;
-                if !first && delta == 0 {
-                    return Err(QbsError::Corrupt(format!(
-                        "adjacency list of vertex {v} is not strictly sorted"
-                    )));
-                }
-                w = if first {
-                    delta
-                } else {
-                    w.checked_add(delta).ok_or_else(|| {
-                        QbsError::Corrupt(format!(
-                            "adjacency delta of vertex {v} overflows the id space"
-                        ))
-                    })?
-                };
-                first = false;
-                if w as usize >= n {
-                    return Err(QbsError::Corrupt(format!(
-                        "graph neighbour id {w} out of range for {n} vertices"
-                    )));
-                }
-            }
-        }
-
-        // Meta edges: i < j < |R|, weights strictly below the infinite
-        // sentinel (which only the APSP matrix may use).
-        let sentinel = width_sentinel(dw);
-        for (i, j, sigma) in self.meta_edges() {
-            if i >= j || j >= r {
-                return Err(QbsError::Corrupt(format!(
-                    "meta edge ({i}, {j}) violates i < j < |R| = {r}"
-                )));
-            }
-            if sigma >= sentinel {
-                return Err(QbsError::Corrupt(format!(
-                    "meta edge weight {sigma} collides with the {dw}-byte infinite sentinel"
-                )));
-            }
-        }
-
-        // Δ rows: endpoint pairs in range, rows consumed exactly.
-        let delta_bytes = self.section_bytes(SectionKind::DeltaEdges);
-        for k in 0..self.num_meta_edges() {
-            let (lo, hi) = self.row_range(SectionKind::DeltaOffsets, k);
-            let row = &delta_bytes[lo..hi];
-            let mut pos = 0usize;
-            while pos < row.len() {
-                for _ in 0..2 {
-                    let v =
-                        checked_varint(row, &mut pos).ok_or_else(|| malformed_row("delta", k))?;
-                    if v as usize >= n {
-                        return Err(QbsError::Corrupt(format!(
-                            "delta edge endpoint {v} out of range for {n} vertices"
-                        )));
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Checks a byte-offset CSR array: starts at 0, monotone, ends exactly
-    /// at the payload section's byte length. Runs before the row decodes,
-    /// so row slicing in the structural scan cannot go out of bounds.
-    fn validate_byte_csr(
-        &self,
-        offsets_kind: SectionKind,
-        payload_kind: SectionKind,
-        what: &str,
-    ) -> Result<()> {
-        let offsets = self.section_bytes(offsets_kind);
-        let ow = self.offset_width as usize;
-        let total = self.section(payload_kind).len;
-        let mut prev = read_offset(offsets, 0, ow);
-        if prev != 0 {
-            return Err(QbsError::Corrupt(format!(
-                "{what} offsets must start at 0, found {prev}"
-            )));
-        }
-        for i in 1..offsets.len() / ow {
-            let next = read_offset(offsets, i * ow, ow);
-            if next < prev {
-                return Err(QbsError::Corrupt(format!(
-                    "{what} offsets decrease at position {i}"
-                )));
-            }
-            prev = next;
-        }
-        if prev != total {
-            return Err(QbsError::Corrupt(format!(
-                "{what} offsets end at {prev}, but the payload holds {total} bytes"
-            )));
-        }
-        Ok(())
-    }
-
-    fn expect_len(&self, kind: SectionKind, expected: u64) -> Result<()> {
-        let len = self.section(kind).len;
-        if len != expected {
-            return Err(QbsError::Corrupt(format!(
-                "section '{}' must be {expected} bytes for this header, found {len}",
-                kind.name()
-            )));
-        }
-        Ok(())
-    }
-
-    /// Decoded element counts of the three variable sections, or `None`
-    /// when a row is malformed. Used by inspection, which must not panic on
-    /// corrupt-but-geometrically-sane files.
-    pub(crate) fn counts_checked(&self) -> Option<CompactCounts> {
-        let dw = self.dist_width as usize;
-        let mut label_entries = 0usize;
-        for v in 0..self.num_vertices {
-            let row = self.checked_row(SectionKind::LabelOffsets, SectionKind::LabelEntries, v)?;
-            let mut pos = 0usize;
-            while pos < row.len() {
-                checked_varint(row, &mut pos)?;
-                pos = pos.checked_add(dw)?;
-                if pos > row.len() {
-                    return None;
-                }
-                label_entries += 1;
-            }
-        }
-        let mut num_arcs = 0usize;
-        for v in 0..self.num_vertices {
-            let row =
-                self.checked_row(SectionKind::GraphOffsets, SectionKind::GraphNeighbors, v)?;
-            let mut pos = 0usize;
-            while pos < row.len() {
-                checked_varint(row, &mut pos)?;
-                num_arcs += 1;
-            }
-        }
-        let mut num_delta_edges = 0usize;
-        for k in 0..self.num_meta_edges() {
-            let row = self.checked_row(SectionKind::DeltaOffsets, SectionKind::DeltaEdges, k)?;
-            let mut pos = 0usize;
-            while pos < row.len() {
-                checked_varint(row, &mut pos)?;
-                checked_varint(row, &mut pos)?;
-                num_delta_edges += 1;
-            }
-        }
-        Some(CompactCounts {
-            label_entries,
-            num_arcs,
-            num_delta_edges,
-        })
-    }
-
-    /// Like [`CompactView::row_range`] + slicing, but returns `None` on
-    /// out-of-range offsets instead of panicking.
-    fn checked_row(
-        &self,
-        offsets_kind: SectionKind,
-        payload_kind: SectionKind,
-        i: usize,
-    ) -> Option<&[u8]> {
-        let offsets = self.section_bytes(offsets_kind);
-        let ow = self.offset_width as usize;
-        let lo = read_offset(offsets, i * ow, ow) as usize;
-        let hi = read_offset(offsets, (i + 1) * ow, ow) as usize;
-        self.section_bytes(payload_kind).get(lo..hi)
-    }
-
-    /// Materialises the runtime index structures from the view, decoding
-    /// every run once. The view was fully validated at parse time, so the
-    /// CSR constructors cannot panic here.
-    pub(crate) fn materialize(&self) -> (Graph, Vec<VertexId>, PathLabelling, MetaGraph) {
-        let n = self.num_vertices;
-        let r = self.num_landmarks;
-
-        let landmarks: Vec<VertexId> = u32_vec(self.section_bytes(SectionKind::Landmarks));
-
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut neighbors = Vec::new();
-        offsets.push(0u64);
-        for v in 0..n as VertexId {
-            neighbors.extend(self.graph_neighbors(v));
-            offsets.push(neighbors.len() as u64);
-        }
-        let graph = Graph::from_csr_parts(offsets, neighbors);
-
-        let mut labelling = PathLabelling::new(n, r);
-        for v in 0..n as VertexId {
-            for (idx, d) in self.label_entries(v) {
-                labelling.set(v, idx, d as u16);
-            }
-        }
-
-        let edges: Vec<(usize, usize, Distance)> = self.meta_edges().collect();
-        let apsp: Vec<Distance> = (0..r)
-            .flat_map(|i| (0..r).map(move |j| (i, j)))
-            .map(|(i, j)| self.meta_distance(i, j))
-            .collect();
-        let delta: Vec<Vec<(VertexId, VertexId)>> = (0..edges.len())
-            .map(|k| self.delta_edges(k).collect())
-            .collect();
-        let meta = MetaGraph::from_parts(landmarks.clone(), edges, apsp, delta);
-
-        (graph, landmarks, labelling, meta)
-    }
-}
-
-/// Serialises a built index into a compact `qbs-index-v3` buffer.
-///
-/// The width profile is derived from the data: `dist_width` is the
-/// smallest of 1/2/4 bytes holding every finite stored distance (labels,
-/// meta-edge weights, finite APSP entries) strictly below the width's
-/// all-ones sentinel, and `offset_width` is 4 unless a variable section
-/// outgrows `u32` byte offsets (the wide fallback, reachable only past
-/// 4 GiB per section). Fails with [`QbsError::InvalidLandmarks`] when the
-/// landmark count exceeds the 16-bit landmark-index budget.
-pub fn write_v3(index: &QbsIndex) -> Result<Vec<u8>> {
-    let graph = index.graph();
-    let landmarks = index.landmarks();
-    let labelling = index.labelling();
-    let meta = index.meta_graph();
-    let n = graph.num_vertices();
-    let r = landmarks.len();
-    if r > u16::MAX as usize {
-        return Err(QbsError::InvalidLandmarks(format!(
-            "qbs-index-v3 stores landmark indices in 16 bits; cannot serialise {r} landmarks"
-        )));
-    }
-
-    // Width profile: scan every distance the file will store. The maximum
-    // must sit strictly below the width's all-ones value, which the APSP
-    // matrix reserves as its infinite sentinel.
-    let mut max_label_distance: Distance = 0;
-    for v in 0..n as VertexId {
-        for (_, d) in labelling.entries(v) {
-            max_label_distance = max_label_distance.max(d);
-        }
-    }
-    let mut max_distance = max_label_distance;
-    for &(_, _, sigma) in meta.edges() {
-        max_distance = max_distance.max(sigma);
-    }
-    for &d in meta.apsp() {
-        if d != INFINITE_DISTANCE {
-            max_distance = max_distance.max(d);
-        }
-    }
-    let dist_width: u8 = if max_distance < 0xFF {
-        1
-    } else if max_distance < 0xFFFF {
-        2
-    } else {
-        4
-    };
-    let dw = dist_width as usize;
-
-    // Payloads, one per section, in file order. The three variable
-    // sections are encoded first so the byte-offset arrays (and their
-    // width) can be derived from the encoded lengths.
-    let mut landmarks_bytes = Vec::with_capacity(r * 4);
-    for &v in landmarks {
-        landmarks_bytes.extend_from_slice(&v.to_le_bytes());
-    }
-
-    let mut label_entries = Vec::new();
-    let mut label_ends = Vec::with_capacity(n);
-    for v in 0..n as VertexId {
-        let mut prev = 0usize;
-        let mut first = true;
-        for (col, d) in labelling.entries(v) {
-            let delta = if first { col } else { col - prev };
-            first = false;
-            prev = col;
-            write_varint(&mut label_entries, delta as u32);
-            write_dist(&mut label_entries, d, dw);
-        }
-        label_ends.push(label_entries.len() as u64);
-    }
-
-    let mut graph_neighbors = Vec::new();
-    let mut graph_ends = Vec::with_capacity(n);
-    for v in 0..n as VertexId {
-        let mut prev = 0u32;
-        let mut first = true;
-        for &w in graph.neighbors(v) {
-            let delta = if first { w } else { w - prev };
-            first = false;
-            prev = w;
-            write_varint(&mut graph_neighbors, delta);
-        }
-        graph_ends.push(graph_neighbors.len() as u64);
-    }
-
-    let mut meta_edges = Vec::with_capacity(meta.edges().len() * (4 + dw));
-    for &(i, j, sigma) in meta.edges() {
-        meta_edges.extend_from_slice(&(i as u16).to_le_bytes());
-        meta_edges.extend_from_slice(&(j as u16).to_le_bytes());
-        write_dist(&mut meta_edges, sigma, dw);
-    }
-
-    let sentinel = width_sentinel(dw);
-    let mut meta_apsp = Vec::with_capacity(r * r * dw);
-    for &d in meta.apsp() {
-        let stored = if d == INFINITE_DISTANCE { sentinel } else { d };
-        write_dist(&mut meta_apsp, stored, dw);
-    }
-
-    // Δ pair order is answer-relevant (it decides path-graph edge order),
-    // so pairs are stored verbatim as varints, not re-sorted for
-    // front-coding.
-    let mut delta_edges = Vec::new();
-    let mut delta_ends = Vec::with_capacity(meta.edges().len());
-    for k in 0..meta.edges().len() {
-        for &(a, b) in meta.delta_edges(k) {
-            write_varint(&mut delta_edges, a);
-            write_varint(&mut delta_edges, b);
-        }
-        delta_ends.push(delta_edges.len() as u64);
-    }
-
-    // The wide fallback: 8-byte offsets only when a section's byte length
-    // no longer fits u32.
-    let needs_wide = [&label_entries, &graph_neighbors, &delta_edges]
-        .iter()
-        .any(|payload| payload.len() as u64 > u32::MAX as u64);
-    let offset_width: u8 = if needs_wide { 8 } else { 4 };
-    let ow = offset_width as usize;
-
-    let label_offsets = encode_offsets(&label_ends, ow);
-    let graph_offsets = encode_offsets(&graph_ends, ow);
-    let delta_offsets = encode_offsets(&delta_ends, ow);
-
-    let payloads: [&[u8]; SECTION_COUNT - 1] = [
-        &landmarks_bytes,
-        &label_offsets,
-        &label_entries,
-        &graph_offsets,
-        &graph_neighbors,
-        &meta_edges,
-        &meta_apsp,
-        &delta_offsets,
-        &delta_edges,
-    ];
-
-    // Lay out the section table (same mechanics as v2).
-    let mut records: Vec<(SectionKind, u64, u64)> = Vec::with_capacity(SECTION_COUNT);
-    let mut cursor = (HEADER_LEN + SECTION_COUNT * SECTION_RECORD_LEN) as u64;
-    for (kind, payload) in SectionKind::ALL.iter().zip(payloads.iter()) {
-        cursor = align_up(cursor, SECTION_ALIGN as u64);
-        records.push((*kind, cursor, payload.len() as u64));
-        cursor += payload.len() as u64;
-    }
-    cursor = align_up(cursor, SECTION_ALIGN as u64);
-    let checksum_offset = cursor;
-    records.push((SectionKind::Checksum, checksum_offset, 8));
-    let file_size = checksum_offset + 8;
-
-    // Emit header + table + payloads.
-    let mut out = Vec::with_capacity(file_size as usize);
-    out.extend_from_slice(&MAGIC_V3);
-    out.extend_from_slice(&FORMAT_VERSION_V3.to_le_bytes());
-    out.extend_from_slice(&(SECTION_COUNT as u32).to_le_bytes());
-    out.extend_from_slice(&(n as u64).to_le_bytes());
-    out.extend_from_slice(&(r as u64).to_le_bytes());
-    out.extend_from_slice(&file_size.to_le_bytes());
-    out.push(4); // id_width: vertex ids are u32 in this build
-    out.push(dist_width);
-    out.push(offset_width);
-    out.push(0); // reserved
-    out.extend_from_slice(&max_label_distance.to_le_bytes());
-    debug_assert_eq!(out.len(), HEADER_LEN);
-    for &(kind, offset, len) in &records {
-        out.extend_from_slice(&(kind as u32).to_le_bytes());
-        out.extend_from_slice(&0u32.to_le_bytes());
-        out.extend_from_slice(&offset.to_le_bytes());
-        out.extend_from_slice(&len.to_le_bytes());
-    }
-    for (&(_, offset, _), payload) in records.iter().zip(payloads.iter()) {
-        out.resize(offset as usize, 0);
-        out.extend_from_slice(payload);
-    }
-    out.resize(checksum_offset as usize, 0);
-    let checksum = checksum64(&out);
-    out.extend_from_slice(&checksum.to_le_bytes());
-    debug_assert_eq!(out.len() as u64, file_size);
-    Ok(out)
-}
-
-/// Decoded element counts of a v3 file's variable sections.
-#[derive(Clone, Copy, Debug)]
-pub struct CompactCounts {
-    /// Total label entries `Σ_v |L(v)|`.
-    pub label_entries: usize,
-    /// Directed arc count of the adjacency section.
-    pub num_arcs: usize,
-    /// Total Δ path-graph edges across all meta edges.
-    pub num_delta_edges: usize,
-}
-
-/// Everything `qbs inspect` reports about a v3 file — the compact sibling
-/// of [`FileInspection`], computed without requiring the checksum to match.
-#[derive(Clone, Debug)]
-pub struct CompactInspection {
-    /// `|V|` from the header.
-    pub num_vertices: usize,
-    /// `|R|` from the header.
-    pub num_landmarks: usize,
-    /// Total file length in bytes.
-    pub file_len: usize,
-    /// The parsed section table, in file order.
-    pub sections: Vec<SectionRecord>,
-    /// Checksum stored in the file.
-    pub stored_checksum: u64,
-    /// Checksum recomputed over the file contents.
-    pub computed_checksum: u64,
-    /// Bytes per stored distance.
-    pub dist_width: u8,
-    /// Bytes per CSR byte-offset.
-    pub offset_width: u8,
-    /// The true maximum label distance recorded in the header.
-    pub max_label_distance: Distance,
-    /// Meta-edge count implied by the meta-edges section.
-    pub num_meta_edges: usize,
-    /// Decoded variable-section counts, or `None` when a run is malformed.
-    pub counts: Option<CompactCounts>,
-}
-
-impl CompactInspection {
-    /// Whether the stored checksum matches the recomputed one.
-    pub fn checksum_ok(&self) -> bool {
-        self.stored_checksum == self.computed_checksum
-    }
-
-    /// A section's payload share of the whole file, in percent.
-    pub fn section_percent(&self, record: &SectionRecord) -> f64 {
-        if self.file_len == 0 {
-            return 0.0;
-        }
-        record.len as f64 * 100.0 / self.file_len as f64
-    }
-
-    /// The byte length the wide (v2) profile would spend on the same
-    /// section, derived from the decoded counts — `None` for sections
-    /// whose count is unknown (malformed runs) or identical by layout.
-    pub fn wide_section_len(&self, kind: SectionKind) -> Option<u64> {
-        let n = self.num_vertices as u64;
-        let r = self.num_landmarks as u64;
-        let counts = self.counts;
-        Some(match kind {
-            SectionKind::Landmarks => r * 4,
-            SectionKind::LabelOffsets | SectionKind::GraphOffsets => (n + 1) * 8,
-            SectionKind::LabelEntries => counts?.label_entries as u64 * 4,
-            SectionKind::GraphNeighbors => counts?.num_arcs as u64 * 4,
-            SectionKind::MetaEdges => self.num_meta_edges as u64 * 12,
-            SectionKind::MetaApsp => r * r * 4,
-            SectionKind::DeltaOffsets => (self.num_meta_edges as u64 + 1) * 8,
-            SectionKind::DeltaEdges => counts?.num_delta_edges as u64 * 8,
-            SectionKind::Checksum => 8,
-        })
-    }
-}
-
-/// Inspects a v3 buffer: geometry must parse, but checksum and structural
-/// validity are *reported*, not enforced, so `qbs inspect` can diagnose a
-/// bit-rotted compact file. Takes the buffer by value like [`inspect_v2`].
-pub fn inspect_v3(buf: ViewBuf) -> Result<CompactInspection> {
-    let view = CompactView::parse_trusted(buf)?;
-    let checksum_offset = view.section(SectionKind::Checksum).offset as usize;
-    let computed_checksum = checksum64(&view.buf().as_slice()[..checksum_offset]);
-    let counts = view.counts_checked();
-    Ok(CompactInspection {
-        num_vertices: view.num_vertices(),
-        num_landmarks: view.num_landmarks(),
-        file_len: view.file_len(),
-        sections: view.sections().to_vec(),
-        stored_checksum: view.checksum(),
-        computed_checksum,
-        dist_width: view.dist_width(),
-        offset_width: view.offset_width(),
-        max_label_distance: view.max_label_distance(),
-        num_meta_edges: view.num_meta_edges(),
-        counts,
-    })
-}
-
-/// Parses and geometry-checks a section table (shared by the v2 and v3
-/// layouts, which use the same record shape, order, alignment, bounds and
-/// trailing-byte rules).
-fn parse_section_table(data: &[u8]) -> Result<Vec<SectionRecord>> {
-    let table_end = HEADER_LEN + SECTION_COUNT * SECTION_RECORD_LEN;
-    if data.len() < table_end {
-        return Err(QbsError::Corrupt(format!(
-            "truncated section table: need {table_end} bytes, have {}",
-            data.len()
-        )));
-    }
-    let mut sections = Vec::with_capacity(SECTION_COUNT);
-    let mut cursor = table_end as u64;
-    for (slot, expected) in SectionKind::ALL.iter().enumerate() {
-        let base = HEADER_LEN + slot * SECTION_RECORD_LEN;
-        let raw_kind = le_u32(data, base);
-        let kind = SectionKind::from_u32(raw_kind).ok_or_else(|| {
-            QbsError::Corrupt(format!("unknown section kind {raw_kind} in slot {slot}"))
-        })?;
-        if kind != *expected {
-            return Err(QbsError::Corrupt(format!(
-                "section slot {slot} holds '{}', expected '{}'",
-                kind.name(),
-                expected.name()
-            )));
-        }
-        let offset = le_u64(data, base + 8);
-        let len = le_u64(data, base + 16);
-        if !offset.is_multiple_of(SECTION_ALIGN as u64) {
-            return Err(QbsError::Corrupt(format!(
-                "section '{}' offset {offset} is not {SECTION_ALIGN}-byte aligned",
-                kind.name()
-            )));
-        }
-        if offset < cursor {
-            return Err(QbsError::Corrupt(format!(
-                "section '{}' at offset {offset} overlaps the previous section",
-                kind.name()
-            )));
-        }
-        let end = offset.checked_add(len).ok_or_else(|| {
-            QbsError::Corrupt(format!("section '{}' length overflows", kind.name()))
-        })?;
-        if end > data.len() as u64 {
-            return Err(QbsError::Corrupt(format!(
-                "section '{}' [{offset}, {end}) exceeds the {}-byte buffer",
-                kind.name(),
-                data.len()
-            )));
-        }
-        cursor = end;
-        sections.push(SectionRecord { kind, offset, len });
-    }
-    if cursor != data.len() as u64 {
-        return Err(QbsError::Corrupt(format!(
-            "{} trailing bytes after the checksum section",
-            data.len() as u64 - cursor
-        )));
-    }
-    Ok(sections)
-}
-
-/// The all-ones value of a `width`-byte little-endian field — reserved as
-/// the infinite-distance sentinel of the narrow APSP matrix.
-#[inline]
-fn width_sentinel(width: usize) -> Distance {
-    match width {
-        1 => 0xFF,
-        2 => 0xFFFF,
-        _ => u32::MAX,
-    }
-}
-
-/// Appends `v` as an LEB128 varint (7 payload bits per byte, high bit =
-/// continuation; at most 5 bytes for a u32).
-fn write_varint(out: &mut Vec<u8>, mut v: u32) {
-    loop {
-        let byte = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            break;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-/// Decodes one LEB128 varint, panicking (bounds-checked index) on a
-/// truncated run — the trusted-mode accessor contract.
-#[inline]
-fn read_varint(bytes: &[u8], pos: &mut usize) -> u32 {
-    let mut acc = 0u32;
-    let mut shift = 0u32;
-    loop {
-        let byte = bytes[*pos];
-        *pos += 1;
-        acc |= ((byte & 0x7F) as u32) << (shift & 31);
-        if byte & 0x80 == 0 {
-            return acc;
-        }
-        shift += 7;
-    }
-}
-
-/// Fallible LEB128 decode for the validation scans: `None` on truncation
-/// or a run longer than a u32 can hold.
-fn checked_varint(bytes: &[u8], pos: &mut usize) -> Option<u32> {
-    let mut acc = 0u32;
-    let mut shift = 0u32;
-    loop {
-        let &byte = bytes.get(*pos)?;
-        *pos += 1;
-        if shift >= 32 || (shift == 28 && (byte & 0x7F) > 0x0F) {
-            return None;
-        }
-        acc |= ((byte & 0x7F) as u32) << shift;
-        if byte & 0x80 == 0 {
-            return Some(acc);
-        }
-        shift += 7;
-    }
-}
-
-/// Appends the low `width` bytes of a distance, little-endian.
-#[inline]
-fn write_dist(out: &mut Vec<u8>, d: Distance, width: usize) {
-    out.extend_from_slice(&d.to_le_bytes()[..width]);
-}
-
-/// Reads a `width`-byte little-endian distance.
-#[inline]
-fn read_dist(bytes: &[u8], pos: &mut usize, width: usize) -> Distance {
-    let mut raw = [0u8; 4];
-    raw[..width].copy_from_slice(&bytes[*pos..*pos + width]);
-    *pos += width;
-    u32::from_le_bytes(raw)
-}
-
-/// Reads a `width`-byte little-endian CSR byte-offset (width 4 or 8).
-#[inline]
-fn read_offset(bytes: &[u8], pos: usize, width: usize) -> u64 {
-    if width == 4 {
-        le_u32(bytes, pos) as u64
-    } else {
-        le_u64(bytes, pos)
-    }
-}
-
-/// Serialises row-end byte positions as a CSR offset array of `width`-byte
-/// entries, with the leading 0.
-fn encode_offsets(ends: &[u64], width: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity((ends.len() + 1) * width);
-    out.extend_from_slice(&0u64.to_le_bytes()[..width]);
-    for &end in ends {
-        out.extend_from_slice(&end.to_le_bytes()[..width]);
-    }
-    out
-}
-
-fn malformed_row(what: &str, index: usize) -> QbsError {
-    QbsError::Corrupt(format!(
-        "malformed {what} run at row {index}: varint stream truncated or overlong"
-    ))
-}
-
-#[inline]
-fn le_u16(bytes: &[u8], pos: usize) -> u16 {
-    u16::from_le_bytes(bytes[pos..pos + 2].try_into().expect("2 bytes"))
+fn u64_bytes(values: impl IntoIterator<Item = u64>) -> Vec<u8> {
+    values.into_iter().flat_map(u64::to_le_bytes).collect()
 }
 
 #[cfg(test)]
@@ -2309,6 +1086,14 @@ mod tests {
             figure4_graph(),
             QbsConfig::with_explicit_landmarks(vec![1, 2, 3]),
         )
+    }
+
+    /// Recomputes the trailing checksum after a test mutated the payload,
+    /// so only structural validation can reject the crafted buffer.
+    fn reseal(bytes: &mut [u8]) {
+        let cs_offset = bytes.len() - 8;
+        let recomputed = checksum64(&bytes[..cs_offset]);
+        bytes[cs_offset..].copy_from_slice(&recomputed.to_le_bytes());
     }
 
     #[test]
@@ -2325,10 +1110,12 @@ mod tests {
     #[test]
     fn write_parse_roundtrip_preserves_every_component() {
         let original = index();
-        let bytes = write_v2(&original).expect("write");
+        let bytes = write(&original);
         let view = IndexView::parse(ViewBuf::Heap(bytes)).expect("parse");
         assert_eq!(view.num_vertices(), 15);
         assert_eq!(view.num_landmarks(), 3);
+        assert_eq!(view.dist_width(), 1, "figure-4 distances fit one byte");
+        assert_eq!(view.section_bytes(SectionKind::Labels).len(), 15 * 3);
         assert_eq!(view.landmarks().collect::<Vec<_>>(), vec![1, 2, 3]);
         assert_eq!(view.landmark(2), 3);
         assert_eq!(view.num_arcs(), original.graph().num_arcs());
@@ -2348,7 +1135,12 @@ mod tests {
                 view.label_entries(v).collect::<Vec<_>>(),
                 original.labelling().entries(v).collect::<Vec<_>>()
             );
-            assert_eq!(view.label_len(v), original.labelling().label_len(v));
+            for idx in 0..3 {
+                assert_eq!(
+                    view.label_distance(v, idx),
+                    original.labelling().get(v, idx)
+                );
+            }
         }
         assert_eq!(
             view.meta_edges().collect::<Vec<_>>(),
@@ -2365,7 +1157,7 @@ mod tests {
 
     #[test]
     fn sections_are_aligned_and_ordered() {
-        let bytes = write_v2(&index()).expect("write");
+        let bytes = write(&index());
         let total = bytes.len();
         let view = IndexView::parse(ViewBuf::Heap(bytes)).expect("parse");
         assert_eq!(view.file_len(), total);
@@ -2380,7 +1172,7 @@ mod tests {
 
     #[test]
     fn every_bit_flip_is_detected() {
-        let bytes = write_v2(&index()).expect("write");
+        let bytes = write(&index());
         // Flipping any byte must be caught by the checksum (or by header /
         // structural validation for bytes the checksum cannot protect).
         for pos in (0..bytes.len()).step_by(7) {
@@ -2395,7 +1187,7 @@ mod tests {
 
     #[test]
     fn truncation_is_detected_at_every_length() {
-        let bytes = write_v2(&index()).expect("write");
+        let bytes = write(&index());
         for len in [0, 4, HEADER_LEN - 1, HEADER_LEN, 100, bytes.len() - 1] {
             assert!(
                 IndexView::parse(ViewBuf::Heap(bytes[..len].to_vec())).is_err(),
@@ -2404,31 +1196,17 @@ mod tests {
         }
     }
 
-    /// Recomputes the trailing checksum after a test mutated the payload,
-    /// so only structural validation can reject the crafted buffer.
-    fn reseal(bytes: &mut [u8]) {
-        let cs_offset = bytes.len() - 8;
-        let recomputed = checksum64(&bytes[..cs_offset]);
-        bytes[cs_offset..].copy_from_slice(&recomputed.to_le_bytes());
-    }
-
     #[test]
     fn unsorted_adjacency_and_duplicate_landmarks_are_rejected() {
-        let valid = write_v2(&index()).expect("write");
+        let valid = write(&index());
         let view = IndexView::parse(ViewBuf::Heap(valid.clone())).expect("parse");
 
         // Swap two neighbours inside one adjacency list (vertex 1 of the
         // figure-4 graph has degree > 1): ids stay in range, CSR offsets
         // stay monotone, only the sortedness rule can catch it.
-        let s = view.section(SectionKind::GraphNeighbors);
-        let base = s.offset as usize;
+        let base = view.section(SectionKind::GraphNeighbors).offset as usize;
+        let lo = le_u64(view.section_bytes(SectionKind::GraphOffsets), 8) as usize;
         let mut crafted = valid.clone();
-        let lo = view
-            .section_bytes(SectionKind::GraphOffsets)
-            .chunks_exact(8)
-            .nth(1)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()) as usize)
-            .unwrap();
         crafted.copy_within(base + lo * 4..base + lo * 4 + 4, base + lo * 4 + 4);
         crafted[base + lo * 4..base + lo * 4 + 4]
             .copy_from_slice(&valid[base + (lo + 1) * 4..base + (lo + 2) * 4]);
@@ -2437,8 +1215,7 @@ mod tests {
         assert!(err.to_string().contains("not strictly sorted"), "{err}");
 
         // Duplicate a landmark id: the column map rebuild must never see it.
-        let s = view.section(SectionKind::Landmarks);
-        let base = s.offset as usize;
+        let base = view.section(SectionKind::Landmarks).offset as usize;
         let mut crafted = valid.clone();
         crafted.copy_within(base..base + 4, base + 4);
         reseal(&mut crafted);
@@ -2450,7 +1227,7 @@ mod tests {
     fn trailing_bytes_after_the_checksum_are_rejected() {
         // Append junk past the checksum, patch file_size and recompute the
         // checksum so only the trailing-bytes rule can catch it.
-        let mut bytes = write_v2(&index()).expect("write");
+        let mut bytes = write(&index());
         let cs_offset = bytes.len() - 8;
         bytes.extend_from_slice(&[0xAB; 1024]);
         let new_len = bytes.len() as u64;
@@ -2463,40 +1240,50 @@ mod tests {
 
     #[test]
     fn crafted_header_with_absurd_counts_is_corrupt_not_panic() {
-        // A checksum-valid file whose header claims 2^61 vertices: the
-        // expected section length computation must fail with Corrupt
-        // instead of wrapping around (and later aborting in materialise).
-        let mut bytes = write_v2(&index()).expect("write");
-        bytes[16..24].copy_from_slice(&(1u64 << 61).to_le_bytes());
-        let cs_offset = bytes.len() - 8;
-        let recomputed = checksum64(&bytes[..cs_offset]);
-        bytes[cs_offset..].copy_from_slice(&recomputed.to_le_bytes());
-        let err = IndexView::parse(ViewBuf::Heap(bytes)).unwrap_err();
-        assert!(matches!(err, QbsError::Corrupt(_)), "{err:?}");
-
-        // Same with an oversized landmark count.
-        let mut bytes = write_v2(&index()).expect("write");
-        bytes[24..32].copy_from_slice(&(1u64 << 33).to_le_bytes());
-        let cs_offset = bytes.len() - 8;
-        let recomputed = checksum64(&bytes[..cs_offset]);
-        bytes[cs_offset..].copy_from_slice(&recomputed.to_le_bytes());
-        let err = IndexView::parse(ViewBuf::Heap(bytes)).unwrap_err();
-        assert!(matches!(err, QbsError::Corrupt(_)), "{err:?}");
+        // A checksum-valid file whose header claims 2^61 vertices, 2^33 or
+        // 2^62 landmarks: the expected section lengths must fail with
+        // Corrupt instead of wrapping around (and later aborting in
+        // materialise).
+        for (pos, value) in [(16, 1u64 << 61), (24, 1 << 33), (24, 1 << 62)] {
+            let mut bytes = write(&index());
+            bytes[pos..pos + 8].copy_from_slice(&value.to_le_bytes());
+            reseal(&mut bytes);
+            let err = IndexView::parse(ViewBuf::Heap(bytes)).unwrap_err();
+            assert!(matches!(err, QbsError::Corrupt(_)), "{err:?}");
+        }
     }
 
     #[test]
     fn version_and_magic_errors_are_clear() {
-        let bytes = write_v2(&index()).expect("write");
+        let bytes = write(&index());
         let mut wrong_version = bytes.clone();
         wrong_version[8] = 9;
         let err = IndexView::parse(ViewBuf::Heap(wrong_version)).unwrap_err();
         assert!(err.to_string().contains("version 9"), "{err}");
 
-        let err = IndexView::parse(ViewBuf::Heap(b"qbs-index-v1\n{}".to_vec())).unwrap_err();
-        assert!(err.to_string().contains("v1 JSON"), "{err}");
-
         let err = IndexView::parse(ViewBuf::Heap(vec![0xAB; 64])).unwrap_err();
         assert!(err.to_string().contains("magic"), "{err}");
+
+        // Every retired layout gets the one rebuild message, whatever
+        // follows the magic.
+        for (head, version) in [
+            (&b"qbs-index-v1\n{}"[..], 1),
+            (b"QBSIDX2\0", 2),
+            (b"QBSIDX3\0", 3),
+        ] {
+            assert_eq!(index_version(head), Some(version));
+            let mut old = head.to_vec();
+            old.resize(256, 0);
+            for data in [head.to_vec(), old] {
+                let err = IndexView::parse_trusted(ViewBuf::Heap(data)).unwrap_err();
+                let msg = err.to_string();
+                assert!(msg.contains(&format!("v{version}")), "{msg}");
+                assert!(msg.contains("rebuild with `qbs build`"), "{msg}");
+            }
+        }
+        assert_eq!(index_version(&bytes), Some(FORMAT_VERSION));
+        assert_eq!(index_version(b"garbage!"), None);
+        assert_eq!(index_version(b""), None);
     }
 
     #[test]
@@ -2522,7 +1309,7 @@ mod tests {
 
     #[test]
     fn trusted_parse_defers_integrity_but_validates_geometry() {
-        let bytes = write_v2(&index()).expect("write");
+        let bytes = write(&index());
 
         // Valid buffer: geometry passes, integrity is deferred, verify() ok.
         let view = IndexView::parse_trusted(ViewBuf::Heap(bytes.clone())).expect("parse");
@@ -2534,8 +1321,7 @@ mod tests {
 
         // A payload bit flip sails through the trusted parse (that is the
         // documented trade) but is caught by the deferred verify().
-        let view_ok = IndexView::parse_trusted(ViewBuf::Heap(bytes.clone())).expect("parse");
-        let payload_pos = view_ok.section(SectionKind::GraphNeighbors).offset as usize;
+        let payload_pos = view.section(SectionKind::GraphNeighbors).offset as usize;
         let mut corrupt = bytes.clone();
         corrupt[payload_pos] ^= 0x01;
         let trusted = IndexView::parse_trusted(ViewBuf::Heap(corrupt)).expect("geometry ok");
@@ -2550,11 +1336,12 @@ mod tests {
 
     #[test]
     fn inspection_reports_checksum_status_without_refusing_corrupt_files() {
-        let bytes = write_v2(&index()).expect("write");
-        let report = inspect_v2(ViewBuf::Heap(bytes.clone())).expect("inspect");
+        let bytes = write(&index());
+        let report = inspect(ViewBuf::Heap(bytes.clone())).expect("inspect");
         assert!(report.checksum_ok());
         assert_eq!(report.num_vertices, 15);
         assert_eq!(report.num_landmarks, 3);
+        assert_eq!(report.dist_width, 1);
         assert_eq!(report.file_len, bytes.len());
         assert_eq!(report.sections.len(), SECTION_COUNT);
         let total_pct: f64 = report
@@ -2563,21 +1350,21 @@ mod tests {
             .map(|s| report.section_percent(s))
             .sum();
         assert!(
-            total_pct > 50.0 && total_pct <= 100.0,
+            total_pct > 40.0 && total_pct <= 100.0,
             "payload share {total_pct}"
         );
 
         // Corrupt one payload byte: inspection still works and reports the
         // mismatch instead of erroring out.
-        let payload_pos = report.sections[4].offset as usize;
+        let payload_pos = report.sections[3].offset as usize;
         let mut corrupt = bytes.clone();
         corrupt[payload_pos] ^= 0x20;
-        let report = inspect_v2(ViewBuf::Heap(corrupt)).expect("inspect corrupt");
+        let report = inspect(ViewBuf::Heap(corrupt)).expect("inspect corrupt");
         assert!(!report.checksum_ok());
         assert_ne!(report.stored_checksum, report.computed_checksum);
 
         // Geometry-destroying corruption is still an error.
-        assert!(inspect_v2(ViewBuf::Heap(bytes[..10].to_vec())).is_err());
+        assert!(inspect(ViewBuf::Heap(bytes[..10].to_vec())).is_err());
     }
 
     #[test]
@@ -2587,239 +1374,5 @@ mod tests {
         assert_eq!(buf.len(), 3);
         assert!(!buf.is_empty());
         assert!(ViewBuf::Heap(Vec::new()).is_empty());
-    }
-
-    // -------------------------------------------------------------------
-    // qbs-index-v3
-    // -------------------------------------------------------------------
-
-    #[test]
-    fn varint_roundtrips_at_every_boundary() {
-        for v in [
-            0u32,
-            1,
-            127,
-            128,
-            129,
-            16383,
-            16384,
-            1 << 21,
-            u32::MAX - 1,
-            u32::MAX,
-        ] {
-            let mut buf = Vec::new();
-            write_varint(&mut buf, v);
-            assert!(buf.len() <= 5);
-            let mut pos = 0;
-            assert_eq!(read_varint(&buf, &mut pos), v);
-            assert_eq!(pos, buf.len());
-            let mut pos = 0;
-            assert_eq!(checked_varint(&buf, &mut pos), Some(v));
-        }
-        // Truncated and overlong runs are rejected by the checked decoder.
-        assert_eq!(checked_varint(&[0x80], &mut 0), None);
-        assert_eq!(
-            checked_varint(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x01], &mut 0),
-            None
-        );
-        assert_eq!(
-            checked_varint(&[0x80, 0x80, 0x80, 0x80, 0x7F], &mut 0),
-            None
-        );
-    }
-
-    #[test]
-    fn v3_roundtrip_preserves_every_component_and_shrinks_the_file() {
-        let original = index();
-        let wide = write_v2(&original).expect("write v2");
-        let bytes = write_v3(&original).expect("write v3");
-        assert!(
-            bytes.len() < wide.len(),
-            "compact {} >= wide {}",
-            bytes.len(),
-            wide.len()
-        );
-        let view = CompactView::parse(ViewBuf::Heap(bytes)).expect("parse");
-        assert_eq!(view.num_vertices(), 15);
-        assert_eq!(view.num_landmarks(), 3);
-        assert_eq!(view.dist_width(), 1, "figure-4 distances fit u8");
-        assert_eq!(view.offset_width(), 4);
-        assert_eq!(view.landmarks().collect::<Vec<_>>(), vec![1, 2, 3]);
-        assert_eq!(view.landmark(2), 3);
-        assert_eq!(view.num_meta_edges(), 3);
-
-        for v in original.graph().vertices() {
-            assert_eq!(
-                view.graph_neighbors(v).collect::<Vec<_>>(),
-                original.graph().neighbors(v)
-            );
-            assert_eq!(
-                view.label_entries(v).collect::<Vec<_>>(),
-                original.labelling().entries(v).collect::<Vec<_>>()
-            );
-            assert_eq!(view.label_len(v), original.labelling().label_len(v));
-        }
-        assert_eq!(
-            view.meta_edges().collect::<Vec<_>>(),
-            original.meta_graph().edges().to_vec()
-        );
-        for i in 0..3 {
-            for j in 0..3 {
-                assert_eq!(
-                    view.meta_distance(i, j),
-                    original.meta_graph().distance(i, j)
-                );
-            }
-        }
-        for k in 0..3 {
-            assert_eq!(
-                view.delta_edges(k).collect::<Vec<_>>(),
-                original.meta_graph().delta_edges(k)
-            );
-        }
-
-        let (graph, landmarks, labelling, meta) = view.materialize();
-        assert_eq!(&graph, original.graph());
-        assert_eq!(landmarks, original.landmarks());
-        assert_eq!(&labelling, original.labelling());
-        assert_eq!(&meta, original.meta_graph());
-    }
-
-    #[test]
-    fn v3_records_the_true_max_label_distance() {
-        let original = index();
-        let bytes = write_v3(&original).expect("write");
-        let view = CompactView::parse(ViewBuf::Heap(bytes)).expect("parse");
-        let expected = original
-            .graph()
-            .vertices()
-            .flat_map(|v| {
-                original
-                    .labelling()
-                    .entries(v)
-                    .map(|(_, d)| d)
-                    .collect::<Vec<_>>()
-            })
-            .max()
-            .unwrap();
-        assert_eq!(view.max_label_distance(), expected);
-    }
-
-    #[test]
-    fn v3_label_distance_above_recorded_max_is_corrupt() {
-        // Shrink the recorded maximum below a stored distance and reseal:
-        // only the tripwire can reject the file.
-        let bytes = write_v3(&index()).expect("write");
-        let view = CompactView::parse(ViewBuf::Heap(bytes.clone())).expect("parse");
-        assert!(view.max_label_distance() > 0, "fixture has nonzero labels");
-        let mut crafted = bytes.clone();
-        crafted[44..48].copy_from_slice(&0u32.to_le_bytes());
-        reseal(&mut crafted);
-        let err = CompactView::parse(ViewBuf::Heap(crafted)).unwrap_err();
-        assert!(
-            err.to_string()
-                .contains("exceeds the header's recorded maximum"),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn v3_invalid_width_profile_is_corrupt() {
-        let bytes = write_v3(&index()).expect("write");
-        for (pos, bad) in [(40usize, 3u8), (41, 3), (41, 0), (42, 5), (42, 0)] {
-            let mut crafted = bytes.clone();
-            crafted[pos] = bad;
-            reseal(&mut crafted);
-            let err = CompactView::parse(ViewBuf::Heap(crafted)).unwrap_err();
-            assert!(matches!(err, QbsError::Corrupt(_)), "{err:?}");
-        }
-        // A declared max label distance that cannot fit the declared
-        // distance width is rejected at geometry time.
-        let mut crafted = bytes.clone();
-        crafted[44..48].copy_from_slice(&0xFFu32.to_le_bytes());
-        reseal(&mut crafted);
-        let err = CompactView::parse_trusted(ViewBuf::Heap(crafted)).unwrap_err();
-        assert!(err.to_string().contains("does not fit"), "{err}");
-    }
-
-    #[test]
-    fn v3_cross_version_magic_errors_are_clear() {
-        let v2_bytes = write_v2(&index()).expect("write v2");
-        let v3_bytes = write_v3(&index()).expect("write v3");
-
-        let err = CompactView::parse(ViewBuf::Heap(v2_bytes.clone())).unwrap_err();
-        assert!(err.to_string().contains("qbs-index-v2 wide"), "{err}");
-        let err = IndexView::parse(ViewBuf::Heap(v3_bytes.clone())).unwrap_err();
-        assert!(err.to_string().contains("qbs-index-v3 compact"), "{err}");
-        let err = CompactView::parse(ViewBuf::Heap(b"qbs-index-v1\n{}".to_vec())).unwrap_err();
-        assert!(err.to_string().contains("qbs-index-v1 JSON"), "{err}");
-
-        let mut wrong_version = v3_bytes.clone();
-        wrong_version[8] = 9;
-        let err = CompactView::parse(ViewBuf::Heap(wrong_version)).unwrap_err();
-        assert!(err.to_string().contains("version 9"), "{err}");
-
-        let err = CompactView::parse(ViewBuf::Heap(vec![0xAB; 64])).unwrap_err();
-        assert!(err.to_string().contains("magic"), "{err}");
-    }
-
-    #[test]
-    fn v3_trusted_parse_defers_integrity_but_validates_geometry() {
-        let bytes = write_v3(&index()).expect("write");
-        let view = CompactView::parse_trusted(ViewBuf::Heap(bytes.clone())).expect("parse");
-        assert!(!view.is_verified());
-        view.verify().expect("valid file verifies");
-        assert!(CompactView::parse(ViewBuf::Heap(bytes.clone()))
-            .expect("full parse")
-            .is_verified());
-
-        let payload_pos = view.section(SectionKind::GraphNeighbors).offset as usize;
-        let mut corrupt = bytes.clone();
-        corrupt[payload_pos] ^= 0x01;
-        let trusted = CompactView::parse_trusted(ViewBuf::Heap(corrupt)).expect("geometry ok");
-        assert!(trusted.verify().is_err(), "bit flip must fail verify()");
-
-        assert!(CompactView::parse_trusted(ViewBuf::Heap(bytes[..HEADER_LEN].to_vec())).is_err());
-        let mut absurd = bytes.clone();
-        absurd[16..24].copy_from_slice(&(1u64 << 61).to_le_bytes());
-        assert!(CompactView::parse_trusted(ViewBuf::Heap(absurd)).is_err());
-    }
-
-    #[test]
-    fn v3_inspection_reports_widths_counts_and_wide_equivalents() {
-        let original = index();
-        let bytes = write_v3(&original).expect("write");
-        let report = inspect_v3(ViewBuf::Heap(bytes.clone())).expect("inspect");
-        assert!(report.checksum_ok());
-        assert_eq!(report.num_vertices, 15);
-        assert_eq!(report.num_landmarks, 3);
-        assert_eq!(report.dist_width, 1);
-        assert_eq!(report.offset_width, 4);
-        assert_eq!(report.num_meta_edges, 3);
-        let counts = report.counts.expect("valid file decodes");
-        assert_eq!(counts.num_arcs, original.graph().num_arcs());
-        assert_eq!(counts.label_entries, original.labelling().total_entries());
-        assert_eq!(
-            counts.num_delta_edges,
-            original.meta_graph().delta_total_edges()
-        );
-        // Every wide-equivalent length matches what write_v2 produced.
-        let wide = write_v2(&original).expect("write v2");
-        let wide_view = IndexView::parse(ViewBuf::Heap(wide)).expect("parse v2");
-        for record in wide_view.sections() {
-            assert_eq!(
-                report.wide_section_len(record.kind),
-                Some(record.len),
-                "wide equivalent of '{}'",
-                record.kind.name()
-            );
-        }
-
-        // A corrupt payload still inspects, reporting the mismatch.
-        let payload_pos = report.sections[4].offset as usize;
-        let mut corrupt = bytes.clone();
-        corrupt[payload_pos] ^= 0x20;
-        let report = inspect_v3(ViewBuf::Heap(corrupt)).expect("inspect corrupt");
-        assert!(!report.checksum_ok());
     }
 }

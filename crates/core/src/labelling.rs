@@ -21,15 +21,13 @@
 //! using 16-bit slots so that graphs of diameter above 255 remain
 //! representable.
 
-use serde::{Deserialize, Serialize};
-
 use qbs_graph::{Distance, Graph, VertexId};
 
 /// Sentinel meaning "no label entry for this (vertex, landmark) pair".
 pub const NO_LABEL: u16 = u16::MAX;
 
 /// Dense per-vertex path labelling.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PathLabelling {
     num_vertices: usize,
     num_landmarks: usize,
@@ -120,7 +118,7 @@ impl PathLabelling {
 }
 
 /// The product of Algorithm 2: the labelling plus the raw meta-graph edges.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LabellingScheme {
     /// The landmark set `R`, in column order.
     pub landmarks: Vec<VertexId>,

@@ -10,13 +10,12 @@
 
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use qbs_graph::traversal::bfs_distances;
 use qbs_graph::{Graph, VertexId, INFINITE_DISTANCE};
 
 /// How to pick the landmark set.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum LandmarkStrategy {
     /// The `count` vertices of highest degree — the paper's default.
     HighestDegree {

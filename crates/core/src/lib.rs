@@ -71,7 +71,7 @@ pub mod workspace;
 pub use cache::{AnswerCache, CacheConfig, CacheStats};
 pub use engine::QueryEngine;
 pub use error::QbsError;
-pub use format::{CompactView, IndexView, ViewBuf};
+pub use format::{IndexView, ViewBuf};
 pub use labelling::{LabellingScheme, PathLabelling, NO_LABEL};
 pub use landmark::LandmarkStrategy;
 pub use meta_graph::MetaGraph;
@@ -85,11 +85,11 @@ pub use request::{
     RequestError,
 };
 pub use search::SearchStats;
-pub use serialize::{IndexProfile, MapMode};
+pub use serialize::MapMode;
 pub use session::{EngineStats, Qbs, QbsBackend};
 pub use sketch::{Sketch, SketchBounds};
 pub use stats::IndexStats;
-pub use store::{CompactStore, IndexStore, ViewStore};
+pub use store::{IndexStore, ViewStore};
 pub use wire::{ReplicaStats, RequestId, RouterStats, Wire, WireError};
 pub use workspace::QueryWorkspace;
 

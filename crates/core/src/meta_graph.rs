@@ -11,13 +11,11 @@
 //!   whose size the paper reports as `size(Δ)` in Table 3 and which the
 //!   recover search splices into query answers.
 
-use serde::{Deserialize, Serialize};
-
 use qbs_graph::traversal::bfs_distances;
 use qbs_graph::{Distance, FilteredGraph, Graph, VertexFilter, VertexId, INFINITE_DISTANCE};
 
 /// The meta-graph and everything precomputed from it.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MetaGraph {
     /// The landmark set, in column order.
     landmarks: Vec<VertexId>,
@@ -31,8 +29,8 @@ pub struct MetaGraph {
 }
 
 impl MetaGraph {
-    /// Reassembles a meta-graph from its stored parts (the v2 binary
-    /// format persists all four arrays, so nothing is recomputed on load).
+    /// Reassembles a meta-graph from its stored parts (the index file
+    /// persists all four arrays, so nothing is recomputed on load).
     ///
     /// The caller is responsible for consistency between the parts;
     /// [`crate::format::IndexView::parse`] validates them before this runs.

@@ -18,7 +18,7 @@ use crate::workspace::QueryWorkspace;
 use crate::QbsError;
 
 /// Configuration of an index build.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct QbsConfig {
     /// How landmarks are chosen. Default: the 20 highest-degree vertices.
     pub landmarks: LandmarkStrategy,
@@ -66,7 +66,7 @@ impl QbsConfig {
 }
 
 /// Timing breakdown of an index build.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct BuildTimings {
     /// Landmark selection time.
     pub landmark_selection: Duration,
@@ -90,7 +90,7 @@ pub struct QueryAnswer {
 }
 
 /// The Query-by-Sketch index.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct QbsIndex {
     graph: Graph,
     landmarks: Vec<VertexId>,
@@ -187,58 +187,26 @@ impl QbsIndex {
         }
     }
 
-    /// Serialises the index into a `qbs-index-v2` flat binary buffer (see
+    /// Serialises the index into an index-file buffer (see
     /// [`crate::format`]).
-    pub fn to_v2_bytes(&self) -> crate::Result<Vec<u8>> {
-        crate::format::write_v2(self)
+    pub fn to_bytes(&self) -> Vec<u8> {
+        crate::format::write(self)
     }
 
     /// The index as a parsed [`crate::format::IndexView`]: serialises into
     /// a fresh heap buffer and re-opens it as a validated zero-copy view.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the landmark count exceeds the format's 16-bit budget
-    /// (65535); use [`QbsIndex::to_v2_bytes`] plus
-    /// [`crate::format::IndexView::parse`] for a fallible pipeline.
     pub fn as_view(&self) -> crate::format::IndexView {
-        let bytes = self.to_v2_bytes().expect("index fits the v2 format");
-        crate::format::IndexView::parse(crate::format::ViewBuf::Heap(bytes))
-            .expect("freshly written v2 buffer is valid")
+        crate::format::IndexView::parse(crate::format::ViewBuf::Heap(self.to_bytes()))
+            .expect("freshly written index buffer is valid")
     }
 
-    /// Restores an index from a validated v2 view.
+    /// Restores an index from a validated view.
     ///
     /// Queries answered by the result are bit-identical to those of the
     /// index that produced the view. The view was structurally validated at
     /// parse time, so this cannot panic on corrupt input — corruption is
     /// reported by [`crate::format::IndexView::parse`] instead.
     pub fn from_view(view: &crate::format::IndexView) -> Self {
-        let (graph, landmarks, labelling, meta) = view.materialize();
-        QbsIndex::from_parts(graph, landmarks, labelling, meta)
-    }
-
-    /// Serialises the index into a `qbs-index-v3` compact binary buffer
-    /// (see [`crate::format`]): header-declared width profile, front-coded
-    /// varint label/adjacency runs, narrow APSP/Δ tables.
-    pub fn to_v3_bytes(&self) -> crate::Result<Vec<u8>> {
-        crate::format::write_v3(self)
-    }
-
-    /// The index as a parsed [`crate::format::CompactView`]: serialises
-    /// into a fresh heap buffer in the compact v3 profile and re-opens it
-    /// as a validated zero-copy view.
-    pub fn as_compact_view(&self) -> crate::Result<crate::format::CompactView> {
-        let bytes = self.to_v3_bytes()?;
-        crate::format::CompactView::parse(crate::format::ViewBuf::Heap(bytes))
-    }
-
-    /// Restores an index from a validated v3 compact view.
-    ///
-    /// The compact profile is lossless: the materialised index is
-    /// bit-identical (labels, adjacency, meta-graph, Δ edge order) to the
-    /// one that produced the view.
-    pub fn from_compact_view(view: &crate::format::CompactView) -> Self {
         let (graph, landmarks, labelling, meta) = view.materialize();
         QbsIndex::from_parts(graph, landmarks, labelling, meta)
     }
@@ -383,7 +351,7 @@ impl QbsIndex {
 
 /// The owned index *is* a storage backend: every accessor reads the
 /// materialised structures. [`crate::store::ViewStore`] provides the same
-/// interface over a raw `qbs-index-v2` buffer; [`query_on`] and friends
+/// interface over a raw index-file buffer; [`query_on`] and friends
 /// accept either.
 impl IndexStore for QbsIndex {
     #[inline]

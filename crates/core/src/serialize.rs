@@ -2,219 +2,56 @@
 //!
 //! The labelling phase is the expensive part of QbS (minutes to hours on the
 //! paper's largest graphs), so a production deployment builds the index once
-//! and serves queries from it afterwards. Two on-disk formats exist:
+//! and serves queries from it afterwards. There is one on-disk layout, the
+//! flat binary `qbs-index` file of [`crate::format`]: an aligned section
+//! table, a dense fixed-width label matrix and a checksum, loaded by a
+//! single buffer read (or a file mapping) plus typed views.
 //!
-//! * **v1** (`qbs-index-v1`): a JSON body behind a one-line magic header.
-//!   Human-inspectable, but loading costs `O(index)` text parsing plus a
-//!   full heap reconstruction.
-//! * **v2** (`qbs-index-v2`, [`crate::format`]): a flat little-endian
-//!   binary layout with an aligned section table and checksum, loaded by a
-//!   single buffer read plus typed views — the *wide* binary profile.
-//! * **v3** (`qbs-index-v3`, [`crate::format`]): the *compact* binary
-//!   profile — same section table and checksum discipline as v2, but with
-//!   a header-declared width profile, front-coded varint label/adjacency
-//!   runs and narrow APSP/Δ tables. Typically well under half the size of
-//!   v2 and served zero-copy through [`crate::store::CompactStore`].
-//!
-//! [`load_from_file`] dispatches on the magic bytes and reads every
-//! version, so old v1/v2 files keep working; re-save with
-//! [`IndexFormat::Binary`] (and pick an [`IndexProfile`]) to migrate.
-//! Corrupt inputs are always reported as [`QbsError::Corrupt`] — never a
-//! panic — and error messages embed at most an [`EXCERPT_LEN`]-byte
-//! excerpt of the offending data.
+//! This module is the file-level front door: [`save_to_file`] writes it,
+//! [`load_from_file`] materialises an owned [`QbsIndex`] from it, and
+//! [`load_view_from_file`] / [`open_store_from_file`] open it for
+//! zero-copy serving under either [`MapMode`]. Corrupt inputs — including
+//! files written by earlier builds in a retired layout, which get a
+//! "rebuild with `qbs build`" message — are always reported as
+//! [`crate::QbsError::Corrupt`], never a panic, and error messages embed at
+//! most an [`EXCERPT_LEN`]-byte excerpt of the offending data.
 
 use std::io::Read;
 use std::path::Path;
 
-use crate::format::{self, CompactView, IndexView, ViewBuf};
+use crate::format::{self, IndexView, ViewBuf};
 use crate::query::QbsIndex;
-use crate::{QbsError, Result};
-
-/// Magic prefix of the v1 serialised index format.
-pub const MAGIC_V1: &str = "qbs-index-v1";
+use crate::store::ViewStore;
+use crate::Result;
 
 /// Maximum number of payload bytes quoted inside a corruption error.
 pub const EXCERPT_LEN: usize = 32;
 
-/// On-disk index formats understood by this module.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum IndexFormat {
-    /// v1: JSON behind a magic header. Kept for compatibility and
-    /// human inspection.
-    Json,
-    /// v2: the flat binary `qbs-index-v2` layout — the default.
-    #[default]
-    Binary,
+/// Serialises the index to an index-file buffer ([`crate::format`]).
+pub fn to_bytes(index: &QbsIndex) -> Vec<u8> {
+    format::write(index)
 }
 
-impl std::fmt::Display for IndexFormat {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            IndexFormat::Json => write!(f, "json"),
-            IndexFormat::Binary => write!(f, "binary"),
-        }
-    }
-}
-
-/// Width profile of the binary index layout: which of the two binary
-/// versions ([`IndexFormat::Binary`]) a writer emits. Orthogonal to the
-/// JSON/binary split — v1 JSON has no profile.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum IndexProfile {
-    /// v2: fixed 32/64-bit fields throughout — the compatibility default.
-    #[default]
-    Wide,
-    /// v3: header-declared narrow widths, front-coded varint runs.
-    Compact,
-}
-
-impl std::fmt::Display for IndexProfile {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            IndexProfile::Wide => write!(f, "wide"),
-            IndexProfile::Compact => write!(f, "compact"),
-        }
-    }
-}
-
-/// Serialises the index to a self-describing v1 JSON byte buffer.
-pub fn to_bytes(index: &QbsIndex) -> Result<Vec<u8>> {
-    let body = serde_json::to_vec(index)
-        .map_err(|e| QbsError::Corrupt(format!("serialisation failed: {e}")))?;
-    let mut out = Vec::with_capacity(MAGIC_V1.len() + 1 + body.len());
-    out.extend_from_slice(MAGIC_V1.as_bytes());
-    out.push(b'\n');
-    out.extend_from_slice(&body);
-    Ok(out)
-}
-
-/// Restores an index from a v1 buffer produced by [`to_bytes`].
-///
-/// The magic header is validated before the body is touched; a v2 binary
-/// buffer is rejected with a pointer at the v2 loader instead of a JSON
-/// parse error.
+/// Restores an index from a buffer produced by [`to_bytes`], with full
+/// validation.
 pub fn from_bytes(data: &[u8]) -> Result<QbsIndex> {
-    if data.starts_with(&format::MAGIC_V2) {
-        return Err(QbsError::Corrupt(
-            "this is a qbs-index-v2 binary index; decode it with from_bytes_v2 or \
-             load_from_file (which reads both versions)"
-                .into(),
-        ));
-    }
-    if data.starts_with(&format::MAGIC_V3) {
-        return Err(QbsError::Corrupt(
-            "this is a qbs-index-v3 compact binary index; decode it with from_bytes_v3 or \
-             load_from_file (which reads every version)"
-                .into(),
-        ));
-    }
-    let prefix_len = MAGIC_V1.len() + 1;
-    if data.len() < prefix_len
-        || &data[..MAGIC_V1.len()] != MAGIC_V1.as_bytes()
-        || data[MAGIC_V1.len()] != b'\n'
-    {
-        return Err(QbsError::Corrupt(format!(
-            "missing qbs-index-v1 header; data starts with {}",
-            excerpt(data)
-        )));
-    }
-    serde_json::from_slice(&data[prefix_len..])
-        .map_err(|e| QbsError::Corrupt(format!("deserialisation failed: {}", truncate_message(&e))))
-}
-
-/// Serialises the index to a v2 flat binary buffer ([`crate::format`]).
-pub fn to_bytes_v2(index: &QbsIndex) -> Result<Vec<u8>> {
-    format::write_v2(index)
-}
-
-/// Restores an index from a v2 buffer produced by [`to_bytes_v2`].
-pub fn from_bytes_v2(data: &[u8]) -> Result<QbsIndex> {
     let view = IndexView::parse(ViewBuf::Heap(data.to_vec()))?;
     Ok(QbsIndex::from_view(&view))
 }
 
-/// Serialises the index to a v3 compact binary buffer ([`crate::format`]).
-pub fn to_bytes_v3(index: &QbsIndex) -> Result<Vec<u8>> {
-    format::write_v3(index)
-}
-
-/// Restores an index from a v3 buffer produced by [`to_bytes_v3`].
-pub fn from_bytes_v3(data: &[u8]) -> Result<QbsIndex> {
-    let view = CompactView::parse(ViewBuf::Heap(data.to_vec()))?;
-    Ok(QbsIndex::from_compact_view(&view))
-}
-
-/// Serialises the index in the requested format (binary output uses the
-/// wide v2 profile; see [`to_bytes_with_profile`]).
-pub fn to_bytes_with(index: &QbsIndex, format: IndexFormat) -> Result<Vec<u8>> {
-    to_bytes_with_profile(index, format, IndexProfile::Wide)
-}
-
-/// Serialises the index in the requested format and (for binary output)
-/// width profile. The profile is ignored for [`IndexFormat::Json`], which
-/// has exactly one layout.
-pub fn to_bytes_with_profile(
-    index: &QbsIndex,
-    format: IndexFormat,
-    profile: IndexProfile,
-) -> Result<Vec<u8>> {
-    match (format, profile) {
-        (IndexFormat::Json, _) => to_bytes(index),
-        (IndexFormat::Binary, IndexProfile::Wide) => to_bytes_v2(index),
-        (IndexFormat::Binary, IndexProfile::Compact) => to_bytes_v3(index),
-    }
-}
-
-/// Writes the index to a file in the default ([`IndexFormat::Binary`],
-/// wide profile) format.
+/// Writes the index to a file.
 pub fn save_to_file<P: AsRef<Path>>(index: &QbsIndex, path: P) -> Result<()> {
-    save_to_file_with(index, path, IndexFormat::default())
-}
-
-/// Writes the index to a file in the requested format (wide profile for
-/// binary output).
-pub fn save_to_file_with<P: AsRef<Path>>(
-    index: &QbsIndex,
-    path: P,
-    format: IndexFormat,
-) -> Result<()> {
-    save_to_file_with_profile(index, path, format, IndexProfile::Wide)
-}
-
-/// Writes the index to a file in the requested format and width profile.
-pub fn save_to_file_with_profile<P: AsRef<Path>>(
-    index: &QbsIndex,
-    path: P,
-    format: IndexFormat,
-    profile: IndexProfile,
-) -> Result<()> {
-    std::fs::write(path, to_bytes_with_profile(index, format, profile)?)?;
+    std::fs::write(path, to_bytes(index))?;
     Ok(())
 }
 
-/// Reads an index from a file written by [`save_to_file_with`] in either
-/// format.
-///
-/// The magic bytes are sniffed from the first [`format::HEADER_LEN`] bytes
-/// *before* the body is read, so an unrecognised file is rejected without
-/// pulling its full contents into memory, and the error quotes at most an
-/// [`EXCERPT_LEN`]-byte excerpt.
+/// Reads an index file written by [`save_to_file`] and materialises the
+/// owned index from it ([`MapMode::Read`]: heap copy, full validation).
 pub fn load_from_file<P: AsRef<Path>>(path: P) -> Result<QbsIndex> {
-    let (head, file) = read_header(path.as_ref())?;
-    match sniff_format(&head)? {
-        IndexFormat::Json => from_bytes(&read_rest(head, file)?),
-        // Hand the file buffer to the view directly — unlike the
-        // `from_bytes_*` entry points (which serve borrowed slices and
-        // must copy), this path never duplicates the buffer.
-        IndexFormat::Binary if head.starts_with(&format::MAGIC_V3) => {
-            let view = CompactView::parse(ViewBuf::Heap(read_rest(head, file)?))?;
-            Ok(QbsIndex::from_compact_view(&view))
-        }
-        IndexFormat::Binary => {
-            let view = IndexView::parse(ViewBuf::Heap(read_rest(head, file)?))?;
-            Ok(QbsIndex::from_view(&view))
-        }
-    }
+    Ok(QbsIndex::from_view(&load_view_from_file(
+        path,
+        MapMode::Read,
+    )?))
 }
 
 /// How [`load_view_from_file`] acquires (and vets) the index bytes.
@@ -254,161 +91,56 @@ impl std::fmt::Display for MapMode {
     }
 }
 
-/// Opens a v2 index file as a zero-copy [`IndexView`] without materialising
+/// Opens an index file as a zero-copy [`IndexView`] without materialising
 /// the runtime structures — the entry point for callers that only need
 /// section metadata or the raw label / adjacency accessors, and (wrapped in
-/// a [`crate::store::ViewStore`]) for serving queries straight from the
-/// file. See [`MapMode`] for the buffer-acquisition and validation
-/// semantics of the two modes.
+/// a [`ViewStore`]) for serving queries straight from the file. See
+/// [`MapMode`] for the buffer-acquisition and validation semantics of the
+/// two modes.
+///
+/// In [`MapMode::Read`] the magic is checked on the first
+/// [`format::HEADER_LEN`] bytes *before* the body is read, so an
+/// unrecognised file is rejected without pulling its full contents into
+/// memory.
 pub fn load_view_from_file<P: AsRef<Path>>(path: P, mode: MapMode) -> Result<IndexView> {
     let path = path.as_ref();
     match mode {
         MapMode::Read => {
-            let (head, file) = read_header(path)?;
-            reject_non_binary(&head)?;
-            IndexView::parse(ViewBuf::Heap(read_rest(head, file)?))
+            let mut file = std::fs::File::open(path)?;
+            let mut bytes = read_header(&mut file)?;
+            format::check_magic_and_version(&bytes)?;
+            file.read_to_end(&mut bytes)?;
+            IndexView::parse(ViewBuf::Heap(bytes))
         }
         MapMode::Mmap => {
             let region = crate::mmap::MmapRegion::map_file(path)?;
-            reject_non_binary(region.as_slice())?;
             IndexView::parse_trusted(ViewBuf::Mmap(std::sync::Arc::new(region)))
         }
     }
 }
 
-/// Opens a v2 index file as a ready-to-serve [`crate::store::ViewStore`]:
+/// Opens an index file as a ready-to-serve [`ViewStore`]:
 /// [`load_view_from_file`] plus the store wrapper. With [`MapMode::Mmap`]
 /// this is the whole cold-start path of a shard process — map, wrap, serve.
-pub fn open_store_from_file<P: AsRef<Path>>(
-    path: P,
-    mode: MapMode,
-) -> Result<crate::store::ViewStore> {
-    Ok(crate::store::ViewStore::new(load_view_from_file(
-        path, mode,
-    )?))
+pub fn open_store_from_file<P: AsRef<Path>>(path: P, mode: MapMode) -> Result<ViewStore> {
+    Ok(ViewStore::new(load_view_from_file(path, mode)?))
 }
 
-/// Opens a v3 compact index file as a zero-copy
-/// [`CompactView`] — the v3 twin of [`load_view_from_file`], with the same
-/// [`MapMode`] semantics (`Read` = heap copy + full validation, `Mmap` =
-/// map + geometry-only validation with [`CompactView::verify`] deferred).
-pub fn load_compact_view_from_file<P: AsRef<Path>>(path: P, mode: MapMode) -> Result<CompactView> {
-    let path = path.as_ref();
-    match mode {
-        MapMode::Read => {
-            let (head, file) = read_header(path)?;
-            reject_non_compact(&head)?;
-            CompactView::parse(ViewBuf::Heap(read_rest(head, file)?))
-        }
-        MapMode::Mmap => {
-            let region = crate::mmap::MmapRegion::map_file(path)?;
-            reject_non_compact(region.as_slice())?;
-            CompactView::parse_trusted(ViewBuf::Mmap(std::sync::Arc::new(region)))
-        }
-    }
-}
-
-/// Opens a v3 compact index file as a ready-to-serve
-/// [`crate::store::CompactStore`]: [`load_compact_view_from_file`] plus the
-/// store wrapper. The compact twin of [`open_store_from_file`].
-pub fn open_compact_store_from_file<P: AsRef<Path>>(
-    path: P,
-    mode: MapMode,
-) -> Result<crate::store::CompactStore> {
-    Ok(crate::store::CompactStore::new(
-        load_compact_view_from_file(path, mode)?,
-    ))
-}
-
-/// Rejects v1 (and unrecognised) headers on the view path with a
-/// migration hint instead of a parse error.
-fn reject_non_binary(head: &[u8]) -> Result<()> {
-    if sniff_format(head)? != IndexFormat::Binary {
-        return Err(QbsError::Corrupt(
-            "this is a qbs-index-v1 JSON index; only v2 binary files support zero-copy \
-             views — load it with load_from_file and re-save with the binary format to \
-             migrate"
-                .into(),
-        ));
-    }
-    Ok(())
-}
-
-/// Rejects everything but a v3 header on the compact-view path, with a
-/// version-specific migration hint.
-fn reject_non_compact(head: &[u8]) -> Result<()> {
-    if head.starts_with(&format::MAGIC_V3) {
-        Ok(())
-    } else if head.starts_with(&format::MAGIC_V2) {
-        Err(QbsError::Corrupt(
-            "this is a qbs-index-v2 wide index; open it with load_view_from_file, or \
-             convert it to the compact profile with `qbs convert` and re-open"
-                .into(),
-        ))
-    } else if head.starts_with(MAGIC_V1.as_bytes()) {
-        Err(QbsError::Corrupt(
-            "this is a qbs-index-v1 JSON index; only binary files support zero-copy \
-             views — load it with load_from_file and re-save with the compact profile \
-             to migrate"
-                .into(),
-        ))
-    } else {
-        sniff_format(head).map(|_| ())?;
-        unreachable!("sniff_format accepts only magics handled above")
-    }
-}
-
-/// Identifies the on-disk format of `path` from its magic bytes, reading
-/// only the header.
-pub fn detect_format<P: AsRef<Path>>(path: P) -> Result<IndexFormat> {
-    let (head, _) = read_header(path.as_ref())?;
-    sniff_format(&head)
-}
-
-/// Identifies the width profile of `path` from its magic bytes, reading
-/// only the header. v1 JSON and v2 files report [`IndexProfile::Wide`]
-/// (fixed-width layouts); v3 files report [`IndexProfile::Compact`].
-pub fn detect_profile<P: AsRef<Path>>(path: P) -> Result<IndexProfile> {
-    let (head, _) = read_header(path.as_ref())?;
-    sniff_format(&head)?;
-    if head.starts_with(&format::MAGIC_V3) {
-        Ok(IndexProfile::Compact)
-    } else {
-        Ok(IndexProfile::Wide)
-    }
+/// The `qbs-index` version the file at `path` announces in its magic bytes
+/// ([`format::index_version`]: `Some(1..=3)` for the retired layouts),
+/// or `None` when it is not an index file at all. Reads only the header.
+pub fn index_version_of_file<P: AsRef<Path>>(path: P) -> Result<Option<u32>> {
+    let mut file = std::fs::File::open(path)?;
+    Ok(format::index_version(&read_header(&mut file)?))
 }
 
 /// Reads just enough of the file to dispatch on the magic bytes.
-fn read_header(path: &Path) -> Result<(Vec<u8>, std::fs::File)> {
-    let mut file = std::fs::File::open(path)?;
+fn read_header(file: &mut std::fs::File) -> Result<Vec<u8>> {
     let mut head = Vec::with_capacity(format::HEADER_LEN);
     file.by_ref()
         .take(format::HEADER_LEN as u64)
         .read_to_end(&mut head)?;
-    Ok((head, file))
-}
-
-/// Appends the remainder of the file to the already-read header bytes.
-fn read_rest(mut head: Vec<u8>, mut file: std::fs::File) -> Result<Vec<u8>> {
-    file.read_to_end(&mut head)?;
     Ok(head)
-}
-
-/// Dispatches on the magic bytes of a header excerpt.
-fn sniff_format(head: &[u8]) -> Result<IndexFormat> {
-    if head.starts_with(&format::MAGIC_V2) || head.starts_with(&format::MAGIC_V3) {
-        Ok(IndexFormat::Binary)
-    } else if head.starts_with(MAGIC_V1.as_bytes()) {
-        Ok(IndexFormat::Json)
-    } else {
-        // Only the header was read here; trim to the excerpt budget so the
-        // message does not misreport the header length as the file size.
-        Err(QbsError::Corrupt(format!(
-            "not a qbs index file: expected the '{MAGIC_V1}', qbs-index-v2 or \
-             qbs-index-v3 magic, found {}",
-            excerpt(&head[..head.len().min(EXCERPT_LEN)])
-        )))
-    }
 }
 
 /// A bounded, printable excerpt of untrusted bytes for error messages —
@@ -427,22 +159,6 @@ pub(crate) fn excerpt(data: &[u8]) -> String {
     }
 }
 
-/// Caps a decoder error message so corrupt payload fragments embedded in it
-/// cannot blow up logs.
-fn truncate_message(err: &impl std::fmt::Display) -> String {
-    const MAX: usize = 160;
-    let mut msg = err.to_string();
-    if msg.len() > MAX {
-        let mut cut = MAX;
-        while !msg.is_char_boundary(cut) {
-            cut -= 1;
-        }
-        msg.truncate(cut);
-        msg.push_str("... (truncated)");
-    }
-    msg
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -457,27 +173,9 @@ mod tests {
     }
 
     #[test]
-    fn v1_roundtrip_preserves_answers_and_stats() {
+    fn roundtrip_preserves_answers_and_stats() {
         let original = index();
-        let bytes = to_bytes(&original).expect("serialize");
-        let restored = from_bytes(&bytes).expect("deserialize");
-        assert_eq!(original.landmarks(), restored.landmarks());
-        assert_eq!(original.labelling(), restored.labelling());
-        assert_eq!(original.meta_graph(), restored.meta_graph());
-        for (u, v) in [(6u32, 11u32), (4, 12), (7, 9), (13, 8)] {
-            assert_eq!(original.query(u, v).unwrap(), restored.query(u, v).unwrap());
-        }
-        assert_eq!(
-            original.stats().total_index_bytes(),
-            restored.stats().total_index_bytes()
-        );
-    }
-
-    #[test]
-    fn v2_roundtrip_preserves_answers_and_stats() {
-        let original = index();
-        let bytes = to_bytes_v2(&original).expect("serialize");
-        let restored = from_bytes_v2(&bytes).expect("deserialize");
+        let restored = from_bytes(&to_bytes(&original)).expect("deserialize");
         assert_eq!(original.landmarks(), restored.landmarks());
         assert_eq!(original.labelling(), restored.labelling());
         assert_eq!(original.meta_graph(), restored.meta_graph());
@@ -492,26 +190,12 @@ mod tests {
 
     #[test]
     fn rejects_corrupt_data() {
-        let mut bytes = to_bytes(&index()).expect("serialize");
+        let mut bytes = to_bytes(&index());
         assert!(from_bytes(&bytes[..5]).is_err());
         assert!(from_bytes(b"not an index at all").is_err());
+        assert!(from_bytes(&bytes[..format::HEADER_LEN + 10]).is_err());
         bytes[0] = b'X';
         assert!(from_bytes(&bytes).is_err());
-        // Valid header but truncated body.
-        let ok = to_bytes(&index()).expect("serialize");
-        assert!(from_bytes(&ok[..MAGIC_V1.len() + 10]).is_err());
-    }
-
-    #[test]
-    fn cross_version_errors_point_at_the_right_loader() {
-        let idx = index();
-        let v2 = to_bytes_v2(&idx).expect("serialize v2");
-        let err = from_bytes(&v2).unwrap_err();
-        assert!(err.to_string().contains("from_bytes_v2"), "{err}");
-
-        let v1 = to_bytes(&idx).expect("serialize v1");
-        let err = from_bytes_v2(&v1).unwrap_err();
-        assert!(err.to_string().contains("migrate"), "{err}");
     }
 
     #[test]
@@ -520,16 +204,7 @@ mod tests {
         junk[0] = b'{';
         let err = from_bytes(&junk).unwrap_err().to_string();
         assert!(err.len() < 400, "error message is bounded: {err}");
-        assert!(err.contains("4096 bytes total"), "{err}");
-        let err2 = from_bytes_v2(&junk).unwrap_err().to_string();
-        assert!(err2.len() < 400, "error message is bounded: {err2}");
-
-        // A valid v1 header followed by garbage: the decoder error must be
-        // capped too.
-        let mut bytes = format!("{MAGIC_V1}\n").into_bytes();
-        bytes.extend(std::iter::repeat_n(b'x', 10_000));
-        let err3 = from_bytes(&bytes).unwrap_err().to_string();
-        assert!(err3.len() < 400, "decoder error is bounded: {err3}");
+        assert!(err.contains("not a qbs index file"), "{err}");
     }
 
     #[test]
@@ -542,28 +217,27 @@ mod tests {
     }
 
     #[test]
-    fn file_roundtrip_both_formats() {
+    fn file_roundtrip() {
         let dir = std::env::temp_dir().join("qbs_core_serialize_test");
         std::fs::create_dir_all(&dir).expect("mkdir");
         let original = index();
-        for (format, name) in [
-            (IndexFormat::Json, "figure4.v1.qbs"),
-            (IndexFormat::Binary, "figure4.v2.qbs"),
-        ] {
-            let path = dir.join(name);
-            save_to_file_with(&original, &path, format).expect("save");
-            assert_eq!(detect_format(&path).expect("detect"), format);
-            let restored = load_from_file(&path).expect("load");
-            assert_eq!(
-                original.query(6, 11).unwrap(),
-                restored.query(6, 11).unwrap()
-            );
-        }
+        let path = dir.join("figure4.qbs");
+        save_to_file(&original, &path).expect("save");
+        assert_eq!(
+            index_version_of_file(&path).expect("sniff"),
+            Some(format::FORMAT_VERSION)
+        );
+        let restored = load_from_file(&path).expect("load");
+        assert_eq!(
+            original.query(6, 11).unwrap(),
+            restored.query(6, 11).unwrap()
+        );
         assert!(load_from_file(dir.join("missing.qbs")).is_err());
 
         // Unrecognised files are rejected from the header alone.
         let junk = dir.join("junk.qbs");
         std::fs::write(&junk, vec![0x42u8; 1 << 16]).expect("write junk");
+        assert_eq!(index_version_of_file(&junk).expect("sniff"), None);
         let err = load_from_file(&junk).unwrap_err().to_string();
         assert!(err.contains("not a qbs index file"), "{err}");
         assert!(err.len() < 400, "{err}");
@@ -574,9 +248,9 @@ mod tests {
         let dir = std::env::temp_dir().join("qbs_core_serialize_view_test");
         std::fs::create_dir_all(&dir).expect("mkdir");
         let original = index();
-        let v2 = dir.join("fig4.qbs2");
-        save_to_file_with(&original, &v2, IndexFormat::Binary).expect("save v2");
-        let view = load_view_from_file(&v2, MapMode::Read).expect("view");
+        let path = dir.join("fig4.qbs");
+        save_to_file(&original, &path).expect("save");
+        let view = load_view_from_file(&path, MapMode::Read).expect("view");
         assert!(view.is_verified());
         assert_eq!(view.num_landmarks(), 3);
         assert_eq!(
@@ -585,7 +259,7 @@ mod tests {
         );
 
         // The mmap mode serves identical bytes with deferred validation.
-        let mapped = load_view_from_file(&v2, MapMode::Mmap).expect("mmap view");
+        let mapped = load_view_from_file(&path, MapMode::Mmap).expect("mmap view");
         assert!(!mapped.is_verified());
         mapped.verify().expect("deferred verification passes");
         assert!(matches!(mapped.buf(), ViewBuf::Mmap(_)));
@@ -595,120 +269,11 @@ mod tests {
         );
 
         // Serving stores open through the same dispatcher.
-        let store = open_store_from_file(&v2, MapMode::Mmap).expect("store");
+        let store = open_store_from_file(&path, MapMode::Mmap).expect("store");
         assert_eq!(store.view().num_landmarks(), 3);
 
-        let v1 = dir.join("fig4.qbs1");
-        save_to_file_with(&original, &v1, IndexFormat::Json).expect("save v1");
-        for mode in [MapMode::Read, MapMode::Mmap] {
-            let err = load_view_from_file(&v1, mode).unwrap_err();
-            assert!(err.to_string().contains("re-save"), "{mode}: {err}");
-        }
         assert_eq!(MapMode::Read.to_string(), "read");
         assert_eq!(MapMode::Mmap.to_string(), "mmap");
         assert_eq!(MapMode::default(), MapMode::Read);
-    }
-
-    #[test]
-    fn format_display_names() {
-        assert_eq!(IndexFormat::Json.to_string(), "json");
-        assert_eq!(IndexFormat::Binary.to_string(), "binary");
-        assert_eq!(IndexFormat::default(), IndexFormat::Binary);
-        assert_eq!(IndexProfile::Wide.to_string(), "wide");
-        assert_eq!(IndexProfile::Compact.to_string(), "compact");
-        assert_eq!(IndexProfile::default(), IndexProfile::Wide);
-    }
-
-    #[test]
-    fn v3_roundtrip_and_dispatching_loader() {
-        let original = index();
-        let bytes = to_bytes_v3(&original).expect("serialize v3");
-        let restored = from_bytes_v3(&bytes).expect("deserialize v3");
-        assert_eq!(original.landmarks(), restored.landmarks());
-        assert_eq!(original.labelling(), restored.labelling());
-        assert_eq!(original.meta_graph(), restored.meta_graph());
-        for (u, v) in [(6u32, 11u32), (4, 12), (7, 9), (13, 8)] {
-            assert_eq!(original.query(u, v).unwrap(), restored.query(u, v).unwrap());
-        }
-
-        // File round trip through the profile-aware writer and the
-        // magic-sniffing loader.
-        let dir = std::env::temp_dir().join("qbs_core_serialize_v3_test");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("fig4.qbs3");
-        save_to_file_with_profile(&original, &path, IndexFormat::Binary, IndexProfile::Compact)
-            .expect("save v3");
-        assert_eq!(detect_format(&path).expect("detect"), IndexFormat::Binary);
-        assert_eq!(
-            detect_profile(&path).expect("profile"),
-            IndexProfile::Compact
-        );
-        let loaded = load_from_file(&path).expect("load v3");
-        assert_eq!(original.query(6, 11).unwrap(), loaded.query(6, 11).unwrap());
-
-        // A wide file reports the wide profile; v1 too.
-        let wide = dir.join("fig4.qbs2");
-        save_to_file_with(&original, &wide, IndexFormat::Binary).expect("save v2");
-        assert_eq!(detect_profile(&wide).expect("profile"), IndexProfile::Wide);
-        let json = dir.join("fig4.qbs1");
-        save_to_file_with(&original, &json, IndexFormat::Json).expect("save v1");
-        assert_eq!(detect_profile(&json).expect("profile"), IndexProfile::Wide);
-
-        // The profile is ignored for JSON output (one layout only).
-        let j = to_bytes_with_profile(&original, IndexFormat::Json, IndexProfile::Compact)
-            .expect("json bytes");
-        assert!(j.starts_with(MAGIC_V1.as_bytes()));
-    }
-
-    #[test]
-    fn compact_view_loading_from_file() {
-        let dir = std::env::temp_dir().join("qbs_core_serialize_compact_view_test");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let original = index();
-        let v3 = dir.join("fig4.qbs3");
-        save_to_file_with_profile(&original, &v3, IndexFormat::Binary, IndexProfile::Compact)
-            .expect("save v3");
-
-        let view = load_compact_view_from_file(&v3, MapMode::Read).expect("view");
-        assert!(view.is_verified());
-        assert_eq!(view.num_landmarks(), 3);
-        assert_eq!(
-            original.query(6, 11).unwrap(),
-            QbsIndex::from_compact_view(&view).query(6, 11).unwrap()
-        );
-
-        // The mmap mode serves identical bytes with deferred validation.
-        let mapped = load_compact_view_from_file(&v3, MapMode::Mmap).expect("mmap view");
-        assert!(!mapped.is_verified());
-        mapped.verify().expect("deferred verification passes");
-        assert!(matches!(mapped.buf(), ViewBuf::Mmap(_)));
-        assert_eq!(
-            QbsIndex::from_compact_view(&mapped).query(6, 11).unwrap(),
-            original.query(6, 11).unwrap()
-        );
-
-        // Serving stores open through the same dispatcher.
-        let store = open_compact_store_from_file(&v3, MapMode::Mmap).expect("store");
-        assert_eq!(store.view().num_landmarks(), 3);
-
-        // Wrong-version files are rejected with pointed hints, both modes.
-        let v2 = dir.join("fig4.qbs2");
-        save_to_file_with(&original, &v2, IndexFormat::Binary).expect("save v2");
-        let v1 = dir.join("fig4.qbs1");
-        save_to_file_with(&original, &v1, IndexFormat::Json).expect("save v1");
-        for mode in [MapMode::Read, MapMode::Mmap] {
-            let err = load_compact_view_from_file(&v2, mode).unwrap_err();
-            assert!(err.to_string().contains("qbs convert"), "{mode}: {err}");
-            let err = load_compact_view_from_file(&v1, mode).unwrap_err();
-            assert!(err.to_string().contains("re-save"), "{mode}: {err}");
-            // And the v2 view path points v3 files back the other way.
-            let err = load_view_from_file(&v3, mode).unwrap_err();
-            assert!(err.to_string().contains("compact"), "{mode}: {err}");
-        }
-
-        // v1 decoding of a v3 buffer names the right loader.
-        let v3_bytes = to_bytes_v3(&original).expect("serialize v3");
-        let err = from_bytes(&v3_bytes).unwrap_err();
-        assert!(err.to_string().contains("from_bytes_v3"), "{err}");
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! Production serving has two ways to get an index into memory — build it
 //! (or load + materialise it) as an owned [`QbsIndex`], or map an
-//! immutable `qbs-index-v2` file and serve straight from the bytes
-//! through a [`ViewStore`]. Every query API in this crate is generic over
+//! immutable index file and serve straight from the bytes through a
+//! [`ViewStore`]. Every query API in this crate is generic over
 //! that choice, but downstream code should not have to be: a [`Qbs`]
 //! session wraps either backend behind one type, carries the session's
 //! thread budget and optional [`AnswerCache`], and keeps a persistent
@@ -26,13 +26,10 @@
 //! assert!(outcomes.iter().all(|o| o.is_ok()));
 //! ```
 //!
-//! Opening a session from a file picks the backend from the file itself:
-//! a v2 binary index is served zero-copy through a view, a v3 compact
-//! index through a [`CompactStore`] (with [`MapMode::Mmap`], open is
-//! `O(1)` in the index size for both), while a v1 JSON index — which has
-//! no flat layout to point into — is materialised as an owned index. See
-//! `docs/api.md` for the migration table from the pre-façade entry
-//! points.
+//! [`Qbs::open`] serves an index file zero-copy through a view (with
+//! [`MapMode::Mmap`], open is `O(1)` in the index size); [`Qbs::load`]
+//! materialises the owned index from the same file. See `docs/api.md` for
+//! the migration table from the pre-façade entry points.
 
 use std::fmt;
 use std::path::Path;
@@ -47,33 +44,30 @@ use crate::obs::{Metrics, MetricsSnapshot, Stage, StageNanos};
 use crate::plan::{PlannerCounters, PlannerStats};
 use crate::query::{QbsConfig, QbsIndex, QueryAnswer};
 use crate::request::{execute_cached_on, QueryOutcome, QueryRequest};
-use crate::serialize::{self, IndexFormat, IndexProfile, MapMode};
+use crate::serialize::{self, MapMode};
 use crate::sketch::Sketch;
 use crate::stats::IndexStats;
-use crate::store::{CompactStore, IndexStore, ViewStore};
+use crate::store::{IndexStore, ViewStore};
 use crate::workspace::QueryWorkspace;
 use crate::QbsError;
 
 /// The storage backend of a [`Qbs`] session.
 #[derive(Debug)]
 pub enum QbsBackend {
-    /// Heap-materialised index (built in process or loaded from v1/v2).
+    /// Heap-materialised index (built in process or loaded from a file).
     /// Boxed: the owned index is an order of magnitude larger than the
     /// view wrapper, and sessions move through builder methods.
     Owned(Box<QbsIndex>),
-    /// Zero-copy view over a `qbs-index-v2` buffer (heap or mmap).
+    /// Zero-copy view over an index-file buffer (heap or mmap).
     View(ViewStore),
-    /// Zero-copy view over a `qbs-index-v3` compact buffer (heap or mmap).
-    Compact(CompactStore),
 }
 
 impl QbsBackend {
-    /// A short name for reports: `"owned"`, `"view"` or `"compact"`.
+    /// A short name for reports: `"owned"` or `"view"`.
     pub fn name(&self) -> &'static str {
         match self {
             QbsBackend::Owned(_) => "owned",
             QbsBackend::View(_) => "view",
-            QbsBackend::Compact(_) => "compact",
         }
     }
 }
@@ -171,28 +165,7 @@ impl Qbs {
 
     /// Builds an owned index over `graph` and wraps it in a session.
     pub fn build(graph: Graph, config: QbsConfig) -> crate::Result<Self> {
-        Self::build_with_profile(graph, config, IndexProfile::Wide)
-    }
-
-    /// Builds an index over `graph` and wraps it in a session serving the
-    /// requested width profile: [`IndexProfile::Wide`] keeps the owned
-    /// index, while [`IndexProfile::Compact`] re-serialises it into a
-    /// `qbs-index-v3` heap buffer and serves zero-copy from those bytes —
-    /// the in-process way to measure (or bank) the compact profile's
-    /// footprint without touching disk. Answers are bit-identical across
-    /// profiles.
-    pub fn build_with_profile(
-        graph: Graph,
-        config: QbsConfig,
-        profile: IndexProfile,
-    ) -> crate::Result<Self> {
-        let index = QbsIndex::try_build(graph, config)?;
-        Ok(match profile {
-            IndexProfile::Wide => Self::from_backend(QbsBackend::Owned(Box::new(index))),
-            IndexProfile::Compact => Self::from_backend(QbsBackend::Compact(CompactStore::new(
-                index.as_compact_view()?,
-            ))),
-        })
+        Ok(Self::from_index(QbsIndex::try_build(graph, config)?))
     }
 
     /// Wraps an already-built index in a session.
@@ -200,51 +173,27 @@ impl Qbs {
         Self::from_backend(QbsBackend::Owned(Box::new(index)))
     }
 
-    /// Wraps an already-opened view store in a session — for callers that
-    /// require the zero-copy backend and want format mismatches to fail
-    /// loudly (pair with [`crate::serialize::open_store_from_file`], which
-    /// rejects v1 files with a migration hint), rather than [`Qbs::open`]'s
-    /// transparent owned fallback.
+    /// Wraps an already-opened view store in a session (pair with
+    /// [`crate::serialize::open_store_from_file`], or a [`ViewStore`] over
+    /// an in-memory buffer).
     pub fn from_view_store(store: ViewStore) -> Self {
         Self::from_backend(QbsBackend::View(store))
     }
 
-    /// Wraps an already-opened compact store in a session — the v3 twin of
-    /// [`Qbs::from_view_store`] (pair with
-    /// [`crate::serialize::open_compact_store_from_file`]).
-    pub fn from_compact_store(store: CompactStore) -> Self {
-        Self::from_backend(QbsBackend::Compact(store))
-    }
-
-    /// Opens an index file for serving, picking the backend from the file
-    /// format *and profile*: a v2 binary index is served zero-copy through
-    /// a [`ViewStore`], a v3 compact index through a [`CompactStore`]
-    /// (with [`MapMode::Mmap`] either is the `O(1)` cold-start path — map,
-    /// wrap, serve), while a v1 JSON index is materialised as an owned
-    /// index (`mode` is irrelevant then; re-save as binary to migrate).
+    /// Opens an index file for zero-copy serving through a [`ViewStore`].
+    /// With [`MapMode::Mmap`] this is the `O(1)` cold-start path — map,
+    /// wrap, serve.
     pub fn open<P: AsRef<Path>>(path: P, mode: MapMode) -> crate::Result<Self> {
-        let path = path.as_ref();
-        let backend = match serialize::detect_format(path)? {
-            IndexFormat::Binary => match serialize::detect_profile(path)? {
-                IndexProfile::Wide => {
-                    QbsBackend::View(serialize::open_store_from_file(path, mode)?)
-                }
-                IndexProfile::Compact => {
-                    QbsBackend::Compact(serialize::open_compact_store_from_file(path, mode)?)
-                }
-            },
-            IndexFormat::Json => QbsBackend::Owned(Box::new(serialize::load_from_file(path)?)),
-        };
-        Ok(Self::from_backend(backend))
+        Ok(Self::from_view_store(serialize::open_store_from_file(
+            path, mode,
+        )?))
     }
 
-    /// Opens an index file and materialises the owned index regardless of
-    /// format — the choice for long-lived processes that prefer the owned
-    /// arrays' per-query speed over the view's `O(1)` start-up.
+    /// Opens an index file and materialises the owned index — the choice
+    /// for long-lived processes that prefer the owned arrays' per-query
+    /// speed over the view's `O(1)` start-up.
     pub fn load<P: AsRef<Path>>(path: P) -> crate::Result<Self> {
-        Ok(Self::from_backend(QbsBackend::Owned(Box::new(
-            serialize::load_from_file(path)?,
-        ))))
+        Ok(Self::from_index(serialize::load_from_file(path)?))
     }
 
     /// Sets the worker-thread budget of [`Qbs::submit`] batches.
@@ -277,25 +226,16 @@ impl Qbs {
     pub fn index(&self) -> Option<&QbsIndex> {
         match &self.backend {
             QbsBackend::Owned(index) => Some(index),
-            QbsBackend::View(_) | QbsBackend::Compact(_) => None,
+            QbsBackend::View(_) => None,
         }
     }
 
-    /// The view store, when this session serves straight from a v2 index
-    /// buffer (`None` on an owned or compact session).
+    /// The view store, when this session serves straight from an index
+    /// buffer (`None` on an owned session).
     pub fn view_store(&self) -> Option<&ViewStore> {
         match &self.backend {
             QbsBackend::View(store) => Some(store),
-            QbsBackend::Owned(_) | QbsBackend::Compact(_) => None,
-        }
-    }
-
-    /// The compact store, when this session serves straight from a v3
-    /// index buffer (`None` on an owned or wide-view session).
-    pub fn compact_store(&self) -> Option<&CompactStore> {
-        match &self.backend {
-            QbsBackend::Compact(store) => Some(store),
-            QbsBackend::Owned(_) | QbsBackend::View(_) => None,
+            QbsBackend::Owned(_) => None,
         }
     }
 
@@ -304,7 +244,6 @@ impl Qbs {
         match &self.backend {
             QbsBackend::Owned(s) => s.num_vertices(),
             QbsBackend::View(s) => s.num_vertices(),
-            QbsBackend::Compact(s) => s.num_vertices(),
         }
     }
 
@@ -313,7 +252,6 @@ impl Qbs {
         match &self.backend {
             QbsBackend::Owned(s) => s.num_landmarks(),
             QbsBackend::View(s) => s.num_landmarks(),
-            QbsBackend::Compact(s) => s.num_landmarks(),
         }
     }
 
@@ -379,7 +317,6 @@ impl Qbs {
         let outcome = match &self.backend {
             QbsBackend::Owned(s) => execute_cached_on(s.as_ref(), &mut ws, request, cache),
             QbsBackend::View(s) => execute_cached_on(s, &mut ws, request, cache),
-            QbsBackend::Compact(s) => execute_cached_on(s, &mut ws, request, cache),
         };
         ws.obs.stop(Stage::Execute, t);
         if observed {
@@ -414,7 +351,6 @@ impl Qbs {
         let (outcomes, stage_ns, recovered) = match &self.backend {
             QbsBackend::Owned(s) => self.submit_on(s.as_ref(), pool, requests),
             QbsBackend::View(s) => self.submit_on(s, pool, requests),
-            QbsBackend::Compact(s) => self.submit_on(s, pool, requests),
         };
         let mut pool = self.pool.lock().expect("workspace pool poisoned");
         pool.extend(recovered);
@@ -553,77 +489,27 @@ mod tests {
     }
 
     #[test]
-    fn open_picks_the_backend_from_the_file() {
+    fn open_serves_a_view_and_load_materialises() {
         let dir = std::env::temp_dir().join("qbs_session_open_test");
         std::fs::create_dir_all(&dir).expect("mkdir");
         let index = session().index().unwrap().clone();
 
-        let v2 = dir.join("fig4.qbs2");
-        serialize::save_to_file_with(&index, &v2, IndexFormat::Binary).expect("save v2");
+        let path = dir.join("fig4.qbs");
+        serialize::save_to_file(&index, &path).expect("save");
         for mode in [MapMode::Read, MapMode::Mmap] {
-            let qbs = Qbs::open(&v2, mode).expect("open v2");
+            let qbs = Qbs::open(&path, mode).expect("open");
             assert_eq!(qbs.backend().name(), "view");
+            assert!(qbs.index().is_none() && qbs.view_store().is_some());
             assert!(qbs.stats().is_none(), "views have no materialised stats");
-            assert_eq!(qbs.query(6, 11).unwrap(), index.query(6, 11).unwrap());
-        }
-        let owned = Qbs::load(&v2).expect("load materialised");
-        assert_eq!(owned.backend().name(), "owned");
-
-        let v1 = dir.join("fig4.qbs1");
-        serialize::save_to_file_with(&index, &v1, IndexFormat::Json).expect("save v1");
-        let qbs = Qbs::open(&v1, MapMode::Mmap).expect("open v1 falls back to owned");
-        assert_eq!(qbs.backend().name(), "owned");
-        assert_eq!(qbs.distance(6, 11).unwrap(), 5);
-
-        assert!(Qbs::open(dir.join("missing.qbs"), MapMode::Read).is_err());
-    }
-
-    #[test]
-    fn compact_profile_serves_bit_identical_answers() {
-        let dir = std::env::temp_dir().join("qbs_session_compact_test");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let index = session().index().unwrap().clone();
-
-        // A v3 file opens onto the compact backend, both map modes.
-        let v3 = dir.join("fig4.qbs3");
-        serialize::save_to_file_with_profile(
-            &index,
-            &v3,
-            IndexFormat::Binary,
-            serialize::IndexProfile::Compact,
-        )
-        .expect("save v3");
-        for mode in [MapMode::Read, MapMode::Mmap] {
-            let qbs = Qbs::open(&v3, mode).expect("open v3");
-            assert_eq!(qbs.backend().name(), "compact");
-            assert!(qbs.index().is_none() && qbs.view_store().is_none());
-            assert!(qbs.compact_store().is_some());
-            assert!(qbs.stats().is_none());
             assert!(qbs.engine_stats().view_backed);
             assert_eq!(qbs.query(6, 11).unwrap(), index.query(6, 11).unwrap());
-            assert_eq!(qbs.distance(6, 11).unwrap(), 5);
             assert_eq!(qbs.sketch(6, 11).unwrap(), index.sketch(6, 11).unwrap());
-            let outcomes = qbs.submit(&[
-                QueryRequest::distance(6, 11),
-                QueryRequest::path_graph(4, 12),
-            ]);
-            assert!(outcomes.iter().all(|o| o.is_ok()));
         }
+        let owned = Qbs::load(&path).expect("load materialised");
+        assert_eq!(owned.backend().name(), "owned");
+        assert_eq!(owned.distance(6, 11).unwrap(), 5);
 
-        // The in-process profile knob serves from a heap v3 buffer.
-        let qbs = Qbs::build_with_profile(
-            figure4_graph(),
-            QbsConfig::with_explicit_landmarks(vec![1, 2, 3]),
-            serialize::IndexProfile::Compact,
-        )
-        .expect("build compact");
-        assert_eq!(qbs.backend().name(), "compact");
-        assert_eq!(qbs.query(6, 11).unwrap(), index.query(6, 11).unwrap());
-        let direct = Qbs::from_compact_store(
-            serialize::open_compact_store_from_file(&v3, MapMode::Read).expect("store"),
-        );
-        assert_eq!(direct.backend().name(), "compact");
-        assert_eq!(direct.distance(6, 11).unwrap(), 5);
+        assert!(Qbs::open(dir.join("missing.qbs"), MapMode::Read).is_err());
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! * [`crate::QbsIndex`] — the owned, heap-materialised index (built in
 //!   process or loaded via [`crate::QbsIndex::from_view`]);
 //! * [`ViewStore`] — a zero-copy wrapper over a validated
-//!   [`IndexView`], serving every lookup straight out of the flat
-//!   `qbs-index-v2` buffer (heap or mmap, see [`crate::format::ViewBuf`])
-//!   without materialising a single per-vertex `Vec`.
+//!   [`IndexView`], serving every lookup straight out of the flat index
+//!   file buffer (heap or mmap, see [`crate::format::ViewBuf`]) without
+//!   materialising a single per-vertex `Vec`.
 //!
 //! Because [`crate::query::query_on`], [`crate::search`] and
 //! [`crate::engine::QueryEngine`] are generic over `S: IndexStore`, a cold
@@ -34,7 +34,7 @@
 use qbs_graph::view::NeighborAccess;
 use qbs_graph::{Distance, VertexFilter, VertexId, INFINITE_DISTANCE};
 
-use crate::format::{CompactView, IndexView};
+use crate::format::IndexView;
 
 /// Read-only access to every index component the online query path needs.
 ///
@@ -243,107 +243,6 @@ impl IndexStore for ViewStore {
     }
 }
 
-/// A zero-copy [`IndexStore`] over a parsed [`CompactView`] — the
-/// `qbs-index-v3` sibling of [`ViewStore`].
-///
-/// Like `ViewStore`, construction builds exactly one derived structure
-/// (the landmark bitmap); everything else is decoded on demand from the
-/// compact buffer. Rows are front-coded LEB128 runs, so each access
-/// spends a few extra instructions per element in exchange for the
-/// smaller working set the compact profile drags through cache — and
-/// every consumer decodes rows *sequentially*, which is exactly the
-/// access pattern the varint layout is shaped for. Answers are
-/// bit-identical to the owned and wide-view backends (asserted by
-/// `crates/core/tests/format_v3.rs` and CI's `compactserve`
-/// differential).
-#[derive(Debug)]
-pub struct CompactStore {
-    view: CompactView,
-    landmark_filter: VertexFilter,
-}
-
-impl CompactStore {
-    /// Wraps a parsed compact view for serving.
-    pub fn new(view: CompactView) -> Self {
-        let landmark_filter = VertexFilter::from_vertices(view.num_vertices(), view.landmarks());
-        CompactStore {
-            view,
-            landmark_filter,
-        }
-    }
-
-    /// The wrapped compact view.
-    pub fn view(&self) -> &CompactView {
-        &self.view
-    }
-}
-
-impl IndexStore for CompactStore {
-    #[inline]
-    fn num_vertices(&self) -> usize {
-        self.view.num_vertices()
-    }
-
-    #[inline]
-    fn num_landmarks(&self) -> usize {
-        self.view.num_landmarks()
-    }
-
-    #[inline]
-    fn landmark(&self, idx: usize) -> VertexId {
-        self.view.landmark(idx)
-    }
-
-    #[inline]
-    fn landmark_filter(&self) -> &VertexFilter {
-        &self.landmark_filter
-    }
-
-    fn landmark_column(&self, v: VertexId) -> Option<usize> {
-        if !self.landmark_filter.contains(v) {
-            return None;
-        }
-        self.view.landmarks().position(|r| r == v)
-    }
-
-    #[inline]
-    fn label_distance(&self, v: VertexId, landmark_idx: usize) -> Option<Distance> {
-        self.view.label_distance(v, landmark_idx)
-    }
-
-    fn fill_label_entries(&self, v: VertexId, out: &mut Vec<(usize, Distance)>) {
-        out.extend(self.view.label_entries(v));
-    }
-
-    #[inline]
-    fn for_each_neighbor<F: FnMut(VertexId)>(&self, v: VertexId, mut visit: F) {
-        for w in self.view.graph_neighbors(v) {
-            visit(w);
-        }
-    }
-
-    #[inline]
-    fn meta_distance(&self, i: usize, j: usize) -> Distance {
-        self.view.meta_distance(i, j)
-    }
-
-    #[inline]
-    fn num_meta_edges(&self) -> usize {
-        self.view.num_meta_edges()
-    }
-
-    #[inline]
-    fn meta_edge(&self, k: usize) -> (usize, usize, Distance) {
-        self.view.meta_edge(k)
-    }
-
-    fn for_each_delta_edge<F: FnMut(VertexId, VertexId)>(&self, k: usize, mut visit: F) {
-        for (a, b) in self.view.delta_edges(k) {
-            visit(a, b);
-        }
-    }
-}
-
 /// The sparsified graph `G[V \ removed]` of a store — the view the guided
 /// bidirectional search traverses, with the landmark set (minus any
 /// landmark query endpoint) deleted. Mirrors
@@ -412,67 +311,6 @@ mod tests {
         for idx in 0..owned.num_landmarks() {
             assert_eq!(store.landmark(idx), owned.landmark(idx));
         }
-        assert_eq!(store.landmark_filter(), owned.landmark_filter());
-
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        for v in 0..owned.num_vertices() as VertexId {
-            assert_eq!(store.is_landmark(v), owned.is_landmark(v), "vertex {v}");
-            assert_eq!(
-                store.landmark_column(v),
-                IndexStore::landmark_column(&owned, v),
-                "column of {v}"
-            );
-            for idx in 0..owned.num_landmarks() {
-                assert_eq!(
-                    store.label_distance(v, idx),
-                    owned.label_distance(v, idx),
-                    "label ({v}, {idx})"
-                );
-            }
-            a.clear();
-            b.clear();
-            store.fill_effective_label(v, &mut a);
-            owned.fill_effective_label(v, &mut b);
-            assert_eq!(a, b, "effective label of {v}");
-            let mut na = Vec::new();
-            let mut nb = Vec::new();
-            store.for_each_neighbor(v, |w| na.push(w));
-            IndexStore::for_each_neighbor(&owned, v, |w| nb.push(w));
-            assert_eq!(na, nb, "neighbours of {v}");
-        }
-
-        for i in 0..owned.num_landmarks() {
-            for j in 0..owned.num_landmarks() {
-                assert_eq!(store.meta_distance(i, j), owned.meta_distance(i, j));
-                assert_eq!(store.meta_edge_index(i, j), owned.meta_edge_index(i, j));
-                let mut sa = Vec::new();
-                let mut sb = Vec::new();
-                store.for_each_shortest_meta_edge(i, j, |e| sa.push(e));
-                owned.for_each_shortest_meta_edge(i, j, |e| sb.push(e));
-                assert_eq!(sa, sb, "shortest meta edges of ({i},{j})");
-            }
-        }
-        for k in 0..owned.num_meta_edges() {
-            assert_eq!(store.meta_edge(k), owned.meta_edge(k));
-            let mut da = Vec::new();
-            let mut db = Vec::new();
-            store.for_each_delta_edge(k, |x, y| da.push((x, y)));
-            owned.for_each_delta_edge(k, |x, y| db.push((x, y)));
-            assert_eq!(da, db, "delta edges of meta edge {k}");
-        }
-    }
-
-    /// Every trait method agrees between the owned index and the compact
-    /// store wrapping its v3 serialisation.
-    #[test]
-    fn compact_store_agrees_with_owned_store_on_every_accessor() {
-        let owned = index();
-        let store = CompactStore::new(owned.as_compact_view().expect("serialise v3"));
-
-        assert_eq!(store.num_vertices(), owned.num_vertices());
-        assert_eq!(store.num_landmarks(), owned.num_landmarks());
-        assert_eq!(store.num_meta_edges(), owned.num_meta_edges());
         assert_eq!(store.landmark_filter(), owned.landmark_filter());
 
         let mut a = Vec::new();

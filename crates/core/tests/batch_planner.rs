@@ -1,15 +1,15 @@
 //! Differential coverage of the batch path: for every generator family
 //! (shuffled-uniform, duplicated, source-clustered), `submit(batch)` must
 //! be **bit-identical** to running the same requests one at a time on a
-//! fresh workspace — on the owned index, an mmap-backed `ViewStore`, and
-//! the compact `CompactStore`, with the answer cache cold and warm.
+//! fresh workspace — on the owned index and an mmap-backed `ViewStore`,
+//! with the answer cache cold and warm.
 
 use proptest::prelude::*;
 
 use qbs_core::request::{QueryOutcome, QueryRequest};
 use qbs_core::serialize::{self, MapMode};
 use qbs_core::store::IndexStore;
-use qbs_core::{CacheConfig, CompactStore, QbsConfig, QbsIndex, QueryEngine, QueryWorkspace};
+use qbs_core::{CacheConfig, QbsConfig, QbsIndex, QueryEngine, QueryWorkspace};
 use qbs_gen::prelude::*;
 use qbs_graph::{Graph, VertexId};
 
@@ -161,24 +161,16 @@ proptest! {
             seed
         ));
         std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join(format!("case_{family}_{vertices}_{landmarks}_{seed}.qbs2"));
+        let path = dir.join(format!("case_{family}_{vertices}_{landmarks}_{seed}.qbs"));
         serialize::save_to_file(&owned, &path).expect("save");
         let view = serialize::open_store_from_file(&path, MapMode::Mmap).expect("map");
         assert_submit_transparent(&view, &requests, "view");
 
-        // Compact backend.
-        let compact = CompactStore::new(owned.as_compact_view().expect("compact view"));
-        assert_submit_transparent(&compact, &requests, "compact");
-
-        // The three backends agree with each other, too.
+        // The two backends agree with each other, too.
         let owned_outcomes = QueryEngine::with_threads(&owned, 2).expect("engine").submit(&requests);
         prop_assert_eq!(
             &owned_outcomes,
             &QueryEngine::with_threads(&view, 2).expect("engine").submit(&requests)
-        );
-        prop_assert_eq!(
-            &owned_outcomes,
-            &QueryEngine::with_threads(&compact, 2).expect("engine").submit(&requests)
         );
 
         std::fs::remove_file(&path).ok();

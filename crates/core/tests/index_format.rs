@@ -1,0 +1,456 @@
+//! Integration tests of the index file format: the golden fixture, the
+//! `dist_width` boundary, header and geometry guards, corruption sweeps,
+//! the retired-layout refusal through every door, a generator-family
+//! identity property, and the differential guarantee that queries answered
+//! through a loaded view are bit-identical to the freshly built index.
+
+use proptest::prelude::*;
+
+use qbs_core::format::{checksum64, SectionKind, HEADER_LEN};
+use qbs_core::serialize::{self, MapMode, EXCERPT_LEN};
+use qbs_core::{
+    IndexView, Qbs, QbsConfig, QbsError, QbsIndex, QueryEngine, QueryRequest, ViewBuf, ViewStore,
+};
+use qbs_gen::prelude::*;
+use qbs_graph::fixtures::figure4_graph;
+use qbs_graph::{Graph, GraphBuilder};
+
+/// Path of the checked-in golden fixture (relative to the crate root).
+fn fixture_path() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("fixtures")
+        .join("figure4.qbs")
+}
+
+/// The index every golden-fixture test is pinned to: the paper's Figure 4
+/// running example with the explicit landmark set {1, 2, 3}.
+fn figure4_index() -> QbsIndex {
+    QbsIndex::build(
+        figure4_graph(),
+        QbsConfig::with_explicit_landmarks(vec![1, 2, 3]),
+    )
+}
+
+/// A path `0 — 1 — … — (vertices-1)`. With the single landmark pinned to
+/// vertex 0 its largest label distance is exactly `vertices - 1`.
+fn path_graph(vertices: usize) -> Graph {
+    let mut builder = GraphBuilder::new();
+    for v in 1..vertices as u32 {
+        builder.add_edge(v - 1, v);
+    }
+    builder.build()
+}
+
+fn temp_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("qbs_index_format_{tag}"));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    dir
+}
+
+/// Regenerates the golden fixture. Run manually after an intentional format
+/// change (and update `docs/index-format.md` accordingly):
+///
+/// ```text
+/// cargo test -p qbs-core --test index_format -- --ignored regenerate_golden_fixture
+/// ```
+#[test]
+#[ignore = "writes the golden fixture; run explicitly after a format change"]
+fn regenerate_golden_fixture() {
+    std::fs::create_dir_all(fixture_path().parent().unwrap()).expect("mkdir");
+    std::fs::write(fixture_path(), figure4_index().to_bytes()).expect("write fixture");
+}
+
+#[test]
+fn golden_fixture_is_byte_exact() {
+    let expected = std::fs::read(fixture_path())
+        .expect("golden fixture missing; run the ignored regenerate_golden_fixture test");
+    assert_eq!(
+        figure4_index().to_bytes(),
+        expected,
+        "the writer no longer reproduces the checked-in fixture byte-for-byte; if the \
+         format change is intentional, regenerate the fixture and update \
+         docs/index-format.md"
+    );
+}
+
+#[test]
+fn golden_fixture_loads_and_answers_figure4_queries() {
+    let restored = serialize::load_from_file(fixture_path()).expect("load fixture");
+    let fresh = figure4_index();
+    assert_eq!(restored.landmarks(), &[1, 2, 3]);
+    assert_eq!(restored.labelling(), fresh.labelling());
+    assert_eq!(restored.meta_graph(), fresh.meta_graph());
+    // Figure 6(f): SPG(6, 11) has distance 5 and 13 edges.
+    let answer = restored.query(6, 11).unwrap();
+    assert_eq!(answer.distance(), 5);
+    assert_eq!(answer.num_edges(), 13);
+
+    // The tiny graph's distances fit the one-byte slot: 15 × 3 label bytes.
+    let view = serialize::load_view_from_file(fixture_path(), MapMode::Read).expect("view");
+    assert_eq!(view.dist_width(), 1);
+    assert_eq!(view.section_bytes(SectionKind::Labels).len(), 45);
+}
+
+/// The writer picks the slot width from the measured maximum label
+/// distance — 254 is the last value that leaves 0xFF free for "no entry" —
+/// and every width answers bit-identically to the owned index through
+/// `MapMode::Read`, `MapMode::Mmap` and `Qbs::load`.
+#[test]
+fn dist_width_follows_the_largest_label_distance() {
+    let dir = temp_dir("width");
+    for (max_distance, expected_width) in [(254usize, 1usize), (255, 2), (300, 2)] {
+        let n = max_distance + 1;
+        let owned = QbsIndex::build(path_graph(n), QbsConfig::with_explicit_landmarks(vec![0]));
+        assert_eq!(
+            owned.labelling().get(n as u32 - 1, 0),
+            Some(max_distance as u32),
+            "the far end of the path carries the largest label"
+        );
+        let view = owned.as_view();
+        assert_eq!(view.dist_width(), expected_width, "max {max_distance}");
+        assert_eq!(
+            view.section_bytes(SectionKind::Labels).len(),
+            n * expected_width
+        );
+        assert_eq!(QbsIndex::from_view(&view).labelling(), owned.labelling());
+
+        let path = dir.join(format!("path{max_distance}.qbs"));
+        serialize::save_to_file(&owned, &path).expect("save");
+        let read = Qbs::open(&path, MapMode::Read).expect("read");
+        let mapped = Qbs::open(&path, MapMode::Mmap).expect("mmap");
+        let loaded = Qbs::load(&path).expect("load");
+        let last = n as u32 - 1;
+        let requests: Vec<QueryRequest> = [(0, last), (1, last), (last, 0), (last / 2, last)]
+            .into_iter()
+            .flat_map(|(u, v)| {
+                [
+                    QueryRequest::path_graph(u, v).with_stats(),
+                    QueryRequest::distance(u, v),
+                    QueryRequest::sketch(u, v),
+                ]
+            })
+            .collect();
+        let reference = Qbs::from_index(owned).submit(&requests);
+        assert_eq!(reference[1].distance(), Some(max_distance as u32));
+        for qbs in [&read, &mapped, &loaded] {
+            assert_eq!(
+                qbs.submit(&requests),
+                reference,
+                "max {max_distance} via {}",
+                qbs.backend().name()
+            );
+        }
+    }
+}
+
+/// Rewrites the trailing checksum so only header / geometry / structural
+/// validation can object to a crafted buffer.
+fn reseal(bytes: &mut [u8]) {
+    let at = bytes.len() - 8;
+    let fresh = checksum64(&bytes[..at]);
+    bytes[at..].copy_from_slice(&fresh.to_le_bytes());
+}
+
+#[test]
+fn header_rejects_bad_widths_reserved_bytes_and_label_lengths() {
+    let valid = std::fs::read(fixture_path()).expect("fixture");
+    let parse_both = |bytes: &[u8]| {
+        let full = IndexView::parse(ViewBuf::Heap(bytes.to_vec())).unwrap_err();
+        let trusted = IndexView::parse_trusted(ViewBuf::Heap(bytes.to_vec())).unwrap_err();
+        assert!(matches!(full, QbsError::Corrupt(_)), "{full:?}");
+        assert_eq!(
+            full.to_string(),
+            trusted.to_string(),
+            "geometry, both modes"
+        );
+        full.to_string()
+    };
+
+    // dist_width lives in header byte 40; only 1 and 2 exist.
+    for width in [0u8, 3, 4, 0xFF] {
+        let mut crafted = valid.clone();
+        crafted[40] = width;
+        reseal(&mut crafted);
+        assert!(parse_both(&crafted).contains("dist_width"), "width {width}");
+    }
+    // The seven bytes after it stay zero.
+    for pos in 41..HEADER_LEN {
+        let mut crafted = valid.clone();
+        crafted[pos] = 0x80;
+        reseal(&mut crafted);
+        assert!(parse_both(&crafted).contains("reserved"), "byte {pos}");
+    }
+    // A labels section whose length is not n · |R| · dist_width: declare
+    // the other width, and (separately) shrink the section record by one.
+    let mut crafted = valid.clone();
+    crafted[40] = 2;
+    reseal(&mut crafted);
+    assert!(parse_both(&crafted).contains("section 'labels' must be 90 bytes"));
+    let labels_len_pos = HEADER_LEN + 24 + 16;
+    let mut crafted = valid.clone();
+    crafted[labels_len_pos..labels_len_pos + 8].copy_from_slice(&44u64.to_le_bytes());
+    reseal(&mut crafted);
+    assert!(parse_both(&crafted).contains("section 'labels' must be 45 bytes"));
+}
+
+#[test]
+fn truncated_and_bit_flipped_fixtures_are_corrupt_never_panic() {
+    let bytes = std::fs::read(fixture_path()).expect("fixture");
+    let expect_corrupt = |data: &[u8], what: String| {
+        for trusted in [false, true] {
+            let buf = ViewBuf::Heap(data.to_vec());
+            let result = std::panic::catch_unwind(|| {
+                if trusted {
+                    IndexView::parse_trusted(buf).and_then(|view| view.verify())
+                } else {
+                    IndexView::parse(buf).map(|_| ())
+                }
+            });
+            let err = result
+                .unwrap_or_else(|_| panic!("{what} caused a panic (trusted={trusted})"))
+                .expect_err(&what);
+            assert!(matches!(err, QbsError::Corrupt(_)), "{what}: {err:?}");
+            assert!(
+                err.to_string().len() < 200 + 4 * EXCERPT_LEN,
+                "{what}: unbounded message {err}"
+            );
+        }
+    };
+
+    // Every length, which covers every section boundary.
+    for len in 0..bytes.len() {
+        expect_corrupt(&bytes[..len], format!("truncation to {len} bytes"));
+    }
+
+    for pos in 0..bytes.len() {
+        for bit in [0x01u8, 0x80] {
+            let mut corrupt = bytes.clone();
+            corrupt[pos] ^= bit;
+            expect_corrupt(&corrupt, format!("bit flip at byte {pos} (mask {bit:#x})"));
+        }
+    }
+}
+
+/// Files an earlier build wrote (the JSON index, `QBSIDX2`, `QBSIDX3`) get
+/// the one rebuild message through every door; garbage is told it is not
+/// an index at all. Never a panic, never an unbounded excerpt.
+#[test]
+fn retired_layouts_and_garbage_are_refused_through_every_door() {
+    let dir = temp_dir("old_magic");
+    let cases: [(&str, Vec<u8>, Option<u32>); 5] = [
+        ("v1.qbs", b"qbs-index-v1\n{\"graph\":{}}".to_vec(), Some(1)),
+        (
+            "v2.qbs",
+            [b"QBSIDX2\0".as_slice(), &[0u8; 900]].concat(),
+            Some(2),
+        ),
+        (
+            "v3.qbs",
+            [b"QBSIDX3\0".as_slice(), &[7u8; 500]].concat(),
+            Some(3),
+        ),
+        ("junk.qbs", vec![0xEE; 4096], None),
+        ("empty.qbs", Vec::new(), None),
+    ];
+    for (name, bytes, version) in cases {
+        let path = dir.join(name);
+        std::fs::write(&path, &bytes).expect("write");
+        assert_eq!(
+            serialize::index_version_of_file(&path).expect("sniff"),
+            version
+        );
+        let doors: [(&str, Result<(), QbsError>); 5] = [
+            ("from_bytes", serialize::from_bytes(&bytes).map(|_| ())),
+            (
+                "load_from_file",
+                serialize::load_from_file(&path).map(|_| ()),
+            ),
+            (
+                "load_view_from_file(Read)",
+                serialize::load_view_from_file(&path, MapMode::Read).map(|_| ()),
+            ),
+            (
+                "load_view_from_file(Mmap)",
+                serialize::load_view_from_file(&path, MapMode::Mmap).map(|_| ()),
+            ),
+            ("Qbs::open", Qbs::open(&path, MapMode::Mmap).map(|_| ())),
+        ];
+        for (door, result) in doors {
+            let err = result.expect_err(door);
+            assert!(
+                matches!(err, QbsError::Corrupt(_)),
+                "{name} via {door}: {err:?}"
+            );
+            let msg = err.to_string();
+            match version {
+                Some(v) => {
+                    assert!(msg.contains(&format!("qbs-index v{v}")), "{door}: {msg}");
+                    assert!(msg.contains("rebuild with `qbs build`"), "{door}: {msg}");
+                }
+                None => assert!(msg.contains("not a qbs index file"), "{door}: {msg}"),
+            }
+            assert!(msg.len() < 200 + 4 * EXCERPT_LEN, "{door}: {msg}");
+        }
+    }
+}
+
+/// One graph per generator family, sized by the proptest case. Family 4 is
+/// a path long enough to overflow the one-byte slot, so both widths are
+/// exercised.
+fn family_graph(family: u64, vertices: usize, seed: u64) -> Graph {
+    match family % 5 {
+        0 => barabasi_albert::generate(&BarabasiAlbertConfig {
+            vertices,
+            edges_per_vertex: 2,
+            seed,
+        }),
+        1 => erdos_renyi::generate(&ErdosRenyiConfig {
+            vertices,
+            edges: vertices * 2,
+            seed,
+        }),
+        2 => watts_strogatz::generate(&WattsStrogatzConfig {
+            vertices,
+            neighbors: 2,
+            rewire_probability: 0.2,
+            seed,
+        }),
+        3 => power_law::generate(&PowerLawConfig {
+            vertices,
+            edges: vertices * 2,
+            exponent: 2.5,
+            seed,
+        }),
+        _ => path_graph(vertices * 5),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    // The writer/reader pair is an identity on every generator family and
+    // both slot widths: decode(encode(index)) reproduces all components,
+    // and re-encoding the decoded index reproduces the exact bytes.
+    #[test]
+    fn to_bytes_from_bytes_is_identity(
+        family in 0u64..5,
+        vertices in 24usize..120,
+        landmarks in 1usize..8,
+        seed in 0u64..1_000,
+    ) {
+        let graph = family_graph(family, vertices, seed);
+        let index = QbsIndex::build(graph, QbsConfig::with_landmark_count(landmarks));
+        let bytes = index.to_bytes();
+        let restored = serialize::from_bytes(&bytes).expect("deserialize");
+        prop_assert_eq!(index.landmarks(), restored.landmarks());
+        prop_assert_eq!(index.labelling(), restored.labelling());
+        prop_assert_eq!(index.meta_graph(), restored.meta_graph());
+        prop_assert_eq!(index.graph(), restored.graph());
+        prop_assert_eq!(bytes, restored.to_bytes(), "encode ∘ decode ∘ encode is not stable");
+    }
+}
+
+/// The acceptance-criterion differential: every query answered through a
+/// view-loaded index is bit-identical to the freshly built index, across
+/// single queries, distance queries, and the batch engine.
+#[test]
+fn queries_through_from_view_are_bit_identical() {
+    let graph = barabasi_albert::generate(&BarabasiAlbertConfig {
+        vertices: 4_000,
+        edges_per_vertex: 3,
+        seed: 99,
+    });
+    let pairs = QueryWorkload::sample(&graph, 300, 17).pairs().to_vec();
+    let built = QbsIndex::build(graph, QbsConfig::with_landmark_count(12));
+
+    let view = built.as_view();
+    let loaded = QbsIndex::from_view(&view);
+
+    assert_eq!(built.landmarks(), loaded.landmarks());
+    assert_eq!(built.labelling(), loaded.labelling());
+    assert_eq!(built.meta_graph(), loaded.meta_graph());
+    assert_eq!(built.graph(), loaded.graph());
+
+    for &(u, v) in &pairs {
+        let a = built.query_with_stats(u, v).expect("built query");
+        let b = loaded.query_with_stats(u, v).expect("loaded query");
+        assert_eq!(a.path_graph, b.path_graph, "SPG({u}, {v}) diverged");
+        assert_eq!(a.sketch, b.sketch, "sketch({u}, {v}) diverged");
+        assert_eq!(a.stats, b.stats, "search stats({u}, {v}) diverged");
+        assert_eq!(
+            built.distance(u, v).expect("built distance"),
+            loaded.distance(u, v).expect("loaded distance"),
+            "distance({u}, {v}) diverged"
+        );
+    }
+
+    // The batch engine sees the same answers on the built index, the
+    // loaded one, and the view itself served without materialisation.
+    let requests: Vec<QueryRequest> = pairs
+        .iter()
+        .map(|&(u, v)| QueryRequest::path_graph(u, v))
+        .collect();
+    let batch = QueryEngine::with_threads(&built, 2)
+        .expect("engine")
+        .submit(&requests);
+    let store = ViewStore::new(view);
+    assert_eq!(
+        batch,
+        QueryEngine::with_threads(&loaded, 2)
+            .expect("engine")
+            .submit(&requests)
+    );
+    assert_eq!(
+        batch,
+        QueryEngine::with_threads(&store, 2)
+            .expect("engine")
+            .submit(&requests)
+    );
+}
+
+/// Zero-copy view accessors agree with the materialised structures on a
+/// non-trivial generated graph.
+#[test]
+fn view_accessors_match_materialised_index() {
+    let graph = erdos_renyi::generate(&ErdosRenyiConfig {
+        vertices: 500,
+        edges: 1_000,
+        seed: 5,
+    });
+    let index = QbsIndex::build(graph, QbsConfig::with_landmark_count(8));
+    let view = index.as_view();
+    assert_eq!(view.num_vertices(), index.graph().num_vertices());
+    assert_eq!(view.num_landmarks(), index.landmarks().len());
+    assert_eq!(
+        view.landmarks().collect::<Vec<_>>(),
+        index.landmarks().to_vec()
+    );
+    for v in index.graph().vertices() {
+        assert_eq!(
+            view.graph_neighbors(v).collect::<Vec<_>>(),
+            index.graph().neighbors(v),
+            "adjacency of {v}"
+        );
+        assert_eq!(
+            view.label_entries(v).collect::<Vec<_>>(),
+            index.labelling().entries(v).collect::<Vec<_>>(),
+            "labels of {v}"
+        );
+        for idx in 0..index.landmarks().len() {
+            assert_eq!(
+                view.label_distance(v, idx),
+                index.labelling().get(v, idx),
+                "label ({v}, {idx})"
+            );
+        }
+    }
+    assert_eq!(
+        view.meta_edges().collect::<Vec<_>>(),
+        index.meta_graph().edges().to_vec()
+    );
+    assert_eq!(
+        view.num_delta_edges(),
+        index.meta_graph().delta_total_edges()
+    );
+}

@@ -107,7 +107,7 @@ fn mixed_submit_is_bit_identical_between_owned_and_mmap_backends() {
 
     let dir = std::env::temp_dir().join("qbs_request_pipeline_test");
     std::fs::create_dir_all(&dir).expect("mkdir");
-    let path = dir.join("ba3000.qbs2");
+    let path = dir.join("ba3000.qbs");
     serialize::save_to_file(&owned, &path).expect("save");
     let store = serialize::open_store_from_file(&path, MapMode::Mmap).expect("map");
 
@@ -171,7 +171,7 @@ fn facade_sessions_agree_with_raw_engines() {
 
     let dir = std::env::temp_dir().join("qbs_request_pipeline_facade");
     std::fs::create_dir_all(&dir).expect("mkdir");
-    let path = dir.join("ba1500.qbs2");
+    let path = dir.join("ba1500.qbs");
     serialize::save_to_file(built.index().expect("owned"), &path).expect("save");
     let opened = Qbs::open(&path, MapMode::Mmap).expect("open");
     assert_eq!(opened.backend().name(), "view");
@@ -233,7 +233,7 @@ proptest! {
 
         let dir = std::env::temp_dir().join("qbs_request_pipeline_proptest");
         std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join(format!("case_{family}_{vertices}_{landmarks}_{seed}.qbs2"));
+        let path = dir.join(format!("case_{family}_{vertices}_{landmarks}_{seed}.qbs"));
         serialize::save_to_file(&owned, &path).expect("save");
         let store = serialize::open_store_from_file(&path, MapMode::Mmap).expect("open");
 

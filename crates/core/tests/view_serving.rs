@@ -13,12 +13,12 @@ use qbs_core::{QbsConfig, QbsIndex, QueryEngine, QueryRequest, ViewBuf, ViewStor
 use qbs_gen::prelude::*;
 use qbs_graph::{Graph, VertexId};
 
-/// Path of the checked-in golden fixture (shared with `format_v2.rs`).
+/// Path of the checked-in golden fixture (shared with `index_format.rs`).
 fn fixture_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("fixtures")
-        .join("figure4.qbs2")
+        .join("figure4.qbs")
 }
 
 fn all_pairs(n: u32) -> Vec<(VertexId, VertexId)> {
@@ -97,7 +97,7 @@ fn mmap_serving_roundtrip_on_generated_graph() {
 
     let dir = std::env::temp_dir().join("qbs_view_serving_test");
     std::fs::create_dir_all(&dir).expect("mkdir");
-    let path = dir.join("ba3000.qbs2");
+    let path = dir.join("ba3000.qbs");
     serialize::save_to_file(&owned, &path).expect("save");
 
     let store = serialize::open_store_from_file(&path, MapMode::Mmap).expect("open store");
@@ -158,7 +158,7 @@ proptest! {
 
         let dir = std::env::temp_dir().join("qbs_view_serving_proptest");
         std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join(format!("case_{family}_{vertices}_{landmarks}_{seed}.qbs2"));
+        let path = dir.join(format!("case_{family}_{vertices}_{landmarks}_{seed}.qbs"));
         serialize::save_to_file(&owned, &path).expect("save");
         let store = serialize::open_store_from_file(&path, MapMode::Mmap).expect("open");
 

@@ -59,8 +59,8 @@ pub mod prelude {
     pub use crate::power_law::{self, PowerLawConfig};
     pub use crate::structured;
     pub use crate::watts_strogatz::{self, WattsStrogatzConfig};
-    pub use crate::workload::{BatchArrival, BurstyConfig, BurstyWorkload, QueryWorkload};
+    pub use crate::workload::QueryWorkload;
 }
 
 pub use catalog::{Catalog, DatasetSpec, Scale};
-pub use workload::{BatchArrival, BurstyConfig, BurstyWorkload, QueryWorkload};
+pub use workload::QueryWorkload;

@@ -160,165 +160,6 @@ impl QueryWorkload {
     }
 }
 
-/// Configuration for a [`BurstyWorkload`]: an open-loop multi-client
-/// arrival schedule of Zipf-skewed query batches.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct BurstyConfig {
-    /// Number of independent clients submitting batches.
-    pub clients: usize,
-    /// Batches each client submits over the schedule.
-    pub batches_per_client: usize,
-    /// Requests per batch.
-    pub batch_size: usize,
-    /// Zipf exponent for endpoint popularity (see
-    /// [`QueryWorkload::sample_zipf`]).
-    pub zipf_exponent: f64,
-    /// Mean gap between bursts on one client, in microseconds. Intra-burst
-    /// gaps are `mean_gap_micros / 8`, so a burst lands nearly back-to-back.
-    pub mean_gap_micros: u64,
-    /// Mean batches per burst (burst sizes are drawn uniformly from
-    /// `1..=2*burst_len - 1`).
-    pub burst_len: usize,
-    /// Deterministic seed; every draw (pairs, burst sizes, gaps) derives
-    /// from it.
-    pub seed: u64,
-}
-
-impl Default for BurstyConfig {
-    fn default() -> Self {
-        BurstyConfig {
-            clients: 4,
-            batches_per_client: 16,
-            batch_size: 64,
-            zipf_exponent: 1.5,
-            mean_gap_micros: 2_000,
-            burst_len: 4,
-            seed: 2021,
-        }
-    }
-}
-
-/// One scheduled batch in an open-loop workload: which client sends it,
-/// when (offset from schedule start), and the query pairs it carries.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BatchArrival {
-    /// Index of the submitting client, `0..clients`.
-    pub client: usize,
-    /// Arrival offset from the start of the schedule, in microseconds.
-    /// An open-loop replayer sends at this instant regardless of whether
-    /// earlier batches have completed (and immediately once it falls
-    /// behind schedule).
-    pub at_micros: u64,
-    /// The batch's query pairs.
-    pub pairs: Vec<(VertexId, VertexId)>,
-}
-
-impl BatchArrival {
-    /// The arrival offset as a [`std::time::Duration`].
-    pub fn at(&self) -> std::time::Duration {
-        std::time::Duration::from_micros(self.at_micros)
-    }
-}
-
-/// A bursty multi-client arrival schedule: the serving-tier counterpart
-/// of [`QueryWorkload`].
-///
-/// Serving traffic is neither uniform in content nor smooth in time —
-/// clients send Zipf-skewed batches in bursts separated by lulls. Each
-/// client gets its own timeline: batches arrive in bursts of roughly
-/// `burst_len` spaced an eighth of the mean gap apart, with
-/// exponentially distributed lulls between bursts. The schedule is
-/// fully deterministic per seed, so benchmark runs are comparable.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct BurstyWorkload {
-    arrivals: Vec<BatchArrival>,
-    clients: usize,
-    seed: u64,
-}
-
-impl BurstyWorkload {
-    /// Generates the schedule over `graph` per `config`.
-    pub fn generate(graph: &Graph, config: &BurstyConfig) -> Self {
-        let mut rng = seeded_rng(config.seed ^ 0x6275_7273_7479); // "bursty"
-        let mut arrivals = Vec::with_capacity(config.clients * config.batches_per_client);
-        for client in 0..config.clients {
-            // Per-client pair stream: an independently seeded Zipf draw, so
-            // clients overlap on the hot head but differ in the tail.
-            let pairs = QueryWorkload::sample_zipf(
-                graph,
-                config.batches_per_client * config.batch_size,
-                config
-                    .seed
-                    .wrapping_add(client as u64)
-                    .wrapping_mul(0x9E37_79B9),
-                config.zipf_exponent,
-            );
-            let mut batches = pairs.pairs().chunks(config.batch_size.max(1));
-            let mut now = 0u64;
-            let mut emitted = 0usize;
-            while emitted < config.batches_per_client {
-                // A burst of near-back-to-back batches...
-                let burst = rng.gen_range(1..2 * config.burst_len.max(1));
-                for _ in 0..burst.min(config.batches_per_client - emitted) {
-                    if let Some(chunk) = batches.next() {
-                        arrivals.push(BatchArrival {
-                            client,
-                            at_micros: now,
-                            pairs: chunk.to_vec(),
-                        });
-                        emitted += 1;
-                        now += config.mean_gap_micros / 8;
-                    }
-                }
-                // ...then an exponential lull before the next burst.
-                let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-                let lull =
-                    -(u.ln()) * (config.mean_gap_micros * config.burst_len.max(1) as u64) as f64;
-                now += lull as u64;
-            }
-        }
-        arrivals.sort_by_key(|a| (a.at_micros, a.client));
-        BurstyWorkload {
-            arrivals,
-            clients: config.clients,
-            seed: config.seed,
-        }
-    }
-
-    /// All arrivals, sorted by offset (ties broken by client index).
-    pub fn arrivals(&self) -> &[BatchArrival] {
-        &self.arrivals
-    }
-
-    /// The arrivals of one client, in send order.
-    pub fn client_arrivals(&self, client: usize) -> Vec<&BatchArrival> {
-        self.arrivals
-            .iter()
-            .filter(|a| a.client == client)
-            .collect()
-    }
-
-    /// Number of clients in the schedule.
-    pub fn clients(&self) -> usize {
-        self.clients
-    }
-
-    /// Total number of requests across every batch.
-    pub fn total_requests(&self) -> usize {
-        self.arrivals.iter().map(|a| a.pairs.len()).sum()
-    }
-
-    /// The offset of the last arrival (the nominal schedule length).
-    pub fn duration(&self) -> std::time::Duration {
-        std::time::Duration::from_micros(self.arrivals.last().map_or(0, |a| a.at_micros))
-    }
-
-    /// The seed the schedule was generated with.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -406,81 +247,6 @@ mod tests {
         // Figure 4 graph has diameter 5 among its connected part.
         assert!(h.counts.len() <= 7);
         assert!(h.mean().unwrap() > 1.0);
-    }
-
-    #[test]
-    fn bursty_schedule_is_deterministic_sorted_and_complete() {
-        let g = structured::grid(30, 30);
-        let config = BurstyConfig {
-            clients: 3,
-            batches_per_client: 8,
-            batch_size: 16,
-            ..BurstyConfig::default()
-        };
-        let w = BurstyWorkload::generate(&g, &config);
-        assert_eq!(w, BurstyWorkload::generate(&g, &config));
-        assert_ne!(
-            w,
-            BurstyWorkload::generate(
-                &g,
-                &BurstyConfig {
-                    seed: config.seed + 1,
-                    ..config
-                }
-            )
-        );
-        assert_eq!(w.clients(), 3);
-        assert_eq!(w.arrivals().len(), 3 * 8);
-        assert_eq!(w.total_requests(), 3 * 8 * 16);
-        assert!(w
-            .arrivals()
-            .windows(2)
-            .all(|p| p[0].at_micros <= p[1].at_micros));
-        assert!(w.duration() > std::time::Duration::ZERO);
-        for client in 0..3 {
-            let mine = w.client_arrivals(client);
-            assert_eq!(mine.len(), 8, "client {client} emits every batch");
-            assert!(mine.windows(2).all(|p| p[0].at_micros <= p[1].at_micros));
-            assert!(mine
-                .iter()
-                .flat_map(|a| a.pairs.iter())
-                .all(|&(u, v)| u != v
-                    && (u as usize) < g.num_vertices()
-                    && (v as usize) < g.num_vertices()));
-        }
-    }
-
-    #[test]
-    fn bursty_schedule_actually_bursts() {
-        let g = structured::grid(20, 20);
-        let config = BurstyConfig {
-            clients: 1,
-            batches_per_client: 64,
-            batch_size: 4,
-            mean_gap_micros: 8_000,
-            burst_len: 4,
-            ..BurstyConfig::default()
-        };
-        let w = BurstyWorkload::generate(&g, &config);
-        let mine = w.client_arrivals(0);
-        let gaps: Vec<u64> = mine
-            .windows(2)
-            .map(|p| p[1].at_micros - p[0].at_micros)
-            .collect();
-        // Intra-burst gaps are mean/8 = 1ms exactly; lulls are exponential
-        // with mean 32ms. Both regimes must be present.
-        let intra = gaps.iter().filter(|&&g| g <= 1_000).count();
-        let lulls = gaps.iter().filter(|&&g| g > 4_000).count();
-        assert!(
-            intra >= 16,
-            "expected bursty back-to-back sends, got {intra} of {}",
-            gaps.len()
-        );
-        assert!(
-            lulls >= 4,
-            "expected lulls between bursts, got {lulls} of {}",
-            gaps.len()
-        );
     }
 
     #[test]

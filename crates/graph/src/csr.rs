@@ -8,8 +8,6 @@
 //! in the adjacency lists and being represented by 8 bytes" accounting that
 //! the paper uses for the `|G|` column of Table 1.
 
-use serde::{Deserialize, Serialize};
-
 use crate::vertex::{Distance, VertexId};
 
 /// An immutable undirected, unweighted graph in CSR form.
@@ -22,7 +20,7 @@ use crate::vertex::{Distance, VertexId};
 ///
 /// Construct a `Graph` through [`crate::GraphBuilder`]; the raw constructor
 /// [`Graph::from_csr_parts`] is exposed for deserialisation and tests.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Graph {
     /// `offsets[v]..offsets[v+1]` is the slice of `neighbors` for vertex `v`.
     offsets: Vec<u64>,
@@ -277,13 +275,5 @@ mod tests {
         assert_eq!(g.max_degree(), 0);
         assert_eq!(g.avg_degree(), 0.0);
         assert_eq!(g.edges().count(), 0);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let g = triangle_plus_tail();
-        let json = serde_json::to_string(&g).expect("serialize");
-        let back: Graph = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(g, back);
     }
 }

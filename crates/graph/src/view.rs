@@ -9,8 +9,6 @@
 //! percent of all edges but a much larger fraction of the edges traversed by
 //! queries (§6.5) — the view makes that sparsification free.
 
-use serde::{Deserialize, Serialize};
-
 use crate::csr::Graph;
 use crate::vertex::VertexId;
 
@@ -61,7 +59,7 @@ impl NeighborAccess for Graph {
 }
 
 /// A compact bitset marking a set of removed (or selected) vertices.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct VertexFilter {
     bits: Vec<u64>,
     num_vertices: usize,

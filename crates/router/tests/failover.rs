@@ -7,7 +7,7 @@ use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use qbs_core::serialize::{self, IndexFormat, MapMode};
+use qbs_core::serialize::{self, MapMode};
 use qbs_core::{Qbs, QbsConfig, QbsIndex, QueryRequest, RequestError};
 use qbs_gen::catalog::{Catalog, DatasetId, Scale};
 use qbs_router::{HealthConfig, QbsRouter, RouterConfig, RouterHandle};
@@ -24,8 +24,8 @@ fn index_file(tag: &str) -> std::path::PathBuf {
         .expect("catalog")
         .generate(Scale::Tiny);
     let index = QbsIndex::try_build(graph, QbsConfig::with_landmark_count(8)).expect("build");
-    let path = dir.join("index.qbs2");
-    serialize::save_to_file_with(&index, &path, IndexFormat::Binary).expect("save");
+    let path = dir.join("index.qbs");
+    serialize::save_to_file(&index, &path).expect("save");
     path
 }
 

@@ -11,7 +11,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use qbs_core::serialize::{self, IndexFormat, MapMode};
+use qbs_core::serialize::{self, MapMode};
 use qbs_core::{
     CacheConfig, MetricsSnapshot, Qbs, QbsConfig, QbsIndex, QueryOutcome, QueryRequest, RequestId,
     TraceId,
@@ -35,8 +35,8 @@ fn mmap_session(tag: &str) -> (Arc<Qbs>, std::path::PathBuf) {
         .expect("catalog")
         .generate(Scale::Tiny);
     let index = QbsIndex::try_build(graph, QbsConfig::with_landmark_count(8)).expect("build");
-    let path = dir.join("index.qbs2");
-    serialize::save_to_file_with(&index, &path, IndexFormat::Binary).expect("save");
+    let path = dir.join("index.qbs");
+    serialize::save_to_file(&index, &path).expect("save");
     let qbs = Qbs::open(&path, MapMode::Mmap).expect("open mmap");
     assert_eq!(qbs.backend().name(), "view", "test serves the mmap path");
     (Arc::new(qbs.with_threads(2).expect("threads")), path)

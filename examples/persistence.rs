@@ -1,6 +1,6 @@
-//! Build an index, persist it in the flat `qbs-index-v2` binary format,
-//! reload it, and prove the answers are bit-identical — the README's
-//! persistence snippet as a runnable example.
+//! Build an index, persist it as a flat binary index file, reload it, and
+//! prove the answers are bit-identical — the README's persistence snippet
+//! as a runnable example.
 //!
 //! ```text
 //! cargo run --release --example persistence
@@ -18,17 +18,16 @@ fn main() -> Result<(), qbs::core::QbsError> {
     let index = QbsIndex::build(graph, QbsConfig::with_landmark_count(20));
 
     let path = std::env::temp_dir().join("g.qbs");
-    serialize::save_to_file(&index, &path)?; //          v2 binary (the default)
-    let restored = serialize::load_from_file(&path)?; // reads both v1 and v2
+    serialize::save_to_file(&index, &path)?;
+    let restored = serialize::load_from_file(&path)?; // materialises the owned index
     assert_eq!(index.query(17, 1234)?, restored.query(17, 1234)?); // bit-identical
 
     // Zero-copy inspection without materialising the index:
     let view = serialize::load_view_from_file(&path, MapMode::Read)?;
     assert_eq!(view.num_landmarks(), 20);
 
-    // Zero-materialisation serving straight from the mapped file — the
-    // session façade picks the view backend from the file format, so a
-    // cold process maps the immutable index and answers immediately.
+    // Zero-materialisation serving straight from the mapped file: a cold
+    // process maps the immutable index and answers immediately.
     let qbs = Qbs::open(&path, MapMode::Mmap)?;
     assert_eq!(qbs.backend().name(), "view");
     assert_eq!(qbs.query(17, 1234)?, index.query(17, 1234)?);

@@ -76,13 +76,12 @@ pub use qbs_graph::{Graph, GraphBuilder, PathGraph, VertexId};
 /// The most commonly used items, importable with a single `use`.
 pub mod prelude {
     pub use qbs_baselines::{BiBfs, GroundTruth, ParentPpl, Ppl, SpgEngine, SpgQueryError};
-    pub use qbs_core::serialize::IndexFormat;
     pub use qbs_core::verify::{is_exact, validate};
     pub use qbs_core::{
-        AnswerCache, CacheConfig, CacheStats, CompactStore, CompactView, EngineStats, IndexProfile,
-        IndexStore, IndexView, LandmarkStrategy, MapMode, Qbs, QbsBackend, QbsConfig, QbsIndex,
-        QueryAnswer, QueryEngine, QueryMode, QueryOptions, QueryOutcome, QueryRequest,
-        QueryWorkspace, RequestError, SearchStats, ViewBuf, ViewStore,
+        AnswerCache, CacheConfig, CacheStats, EngineStats, IndexStore, IndexView, LandmarkStrategy,
+        MapMode, Qbs, QbsBackend, QbsConfig, QbsIndex, QueryAnswer, QueryEngine, QueryMode,
+        QueryOptions, QueryOutcome, QueryRequest, QueryWorkspace, RequestError, SearchStats,
+        ViewBuf, ViewStore,
     };
     pub use qbs_gen::prelude::*;
     pub use qbs_graph::{Graph, GraphBuilder, PathGraph, VertexFilter, VertexId};

@@ -211,10 +211,8 @@ fn serialized_index_answers_like_the_original() {
     let spec = Catalog::paper_table1().specs()[1];
     let graph = spec.generate(Scale::Tiny);
     let index = QbsIndex::build(graph.clone(), QbsConfig::with_landmark_count(16));
-    let restored = qbs::core::serialize::from_bytes(
-        &qbs::core::serialize::to_bytes(&index).expect("serialize"),
-    )
-    .expect("deserialize");
+    let restored = qbs::core::serialize::from_bytes(&qbs::core::serialize::to_bytes(&index))
+        .expect("deserialize");
     let workload = QueryWorkload::sample_connected(&graph, 40, 9);
     for &(u, v) in workload.pairs() {
         assert_eq!(index.query(u, v).unwrap(), restored.query(u, v).unwrap());
