@@ -108,8 +108,9 @@ pub trait SpgEngine {
     ///
     /// The default implementation loops over [`SpgEngine::query`]; engines
     /// with reusable workspaces (Bi-BFS, the ground-truth oracle, QbS via
-    /// its `QueryEngine`) override it to amortise their per-query scratch
-    /// state — the batch API the experiment harness and the CLI drive.
+    /// one long-lived `QueryWorkspace`) override it to amortise their
+    /// per-query scratch state — the batch API the experiment harness and
+    /// the CLI drive.
     fn query_batch(
         &self,
         pairs: &[(qbs_graph::VertexId, qbs_graph::VertexId)],
@@ -119,7 +120,7 @@ pub trait SpgEngine {
 
     /// Answers a batch with **per-request** results: an out-of-range pair
     /// yields an `Err` slot and every other pair is answered normally —
-    /// the partial-failure semantics of `qbs_core::QueryEngine::submit`,
+    /// the partial-failure semantics of `qbs_core::Qbs::submit`,
     /// available uniformly across baselines for the differential harness.
     fn try_query_batch(
         &self,

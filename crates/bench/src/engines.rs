@@ -65,8 +65,8 @@ impl SpgEngine for QbsEngine {
         // Sequential loop over one long-lived workspace: Table 2 compares
         // *single-threaded* per-query latency across methods, so QbS must
         // amortise scratch state the same way Bi-BFS and the oracle do —
-        // not fan out over cores (that is `qbs_core::QueryEngine`'s job,
-        // exercised by the CLI and the benchmark's `engine.*` probes).
+        // not fan out over cores (that is the `qbs_core::Qbs` session's
+        // job, exercised by the CLI and the benchmark's `engine.*` probes).
         let mut ws = self.workspace.lock().expect("workspace poisoned");
         pairs
             .iter()

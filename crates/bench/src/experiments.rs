@@ -649,7 +649,7 @@ pub fn traversal(config: &ExperimentConfig) -> Traversal {
 }
 
 // ---------------------------------------------------------------------------
-// View serving — owned-vs-view engine differential (CI drift tripwire)
+// View serving — owned-vs-view session differential (CI drift tripwire)
 // ---------------------------------------------------------------------------
 
 /// View-serving differential result for one dataset.
@@ -667,9 +667,9 @@ pub struct ViewServingRow {
     pub identical: bool,
 }
 
-/// The view-serving differential: the batch engine is run once over the
-/// owned index and once over an mmap-backed [`qbs_core::ViewStore`] of the
-/// same index written to disk, and every answer is compared. CI runs this
+/// The view-serving differential: a batch is submitted once to a session
+/// over the owned index and once to a session over an mmap-backed
+/// [`qbs_core::ViewStore`] of the same index written to disk, and every answer is compared. CI runs this
 /// at tiny scale so any owned-vs-view drift fails the pipeline.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ViewServing {
@@ -686,7 +686,7 @@ impl ViewServing {
     /// Renders the comparison.
     pub fn render(&self) -> String {
         let mut t = TextTable::new(
-            "View serving: owned engine vs mmap-backed view engine",
+            "View serving: owned session vs mmap-backed view session",
             &["Dataset", "pairs", "owned ms", "view ms", "identical"],
         );
         for r in &self.rows {
@@ -707,7 +707,7 @@ impl ViewServing {
 }
 
 /// Runs the view-serving differential: build → save → mmap → serve from
-/// the file, comparing every batch answer against the owned engine.
+/// the file, comparing every batch answer against the owned session.
 pub fn view_serving(config: &ExperimentConfig) -> Result<ViewServing, QbsError> {
     // Unique per-run directory: concurrent harness runs (or the unit test
     // alongside a manual invocation) must never save into a file another
@@ -732,16 +732,14 @@ pub fn view_serving(config: &ExperimentConfig) -> Result<ViewServing, QbsError> 
                 QbsIndex::try_build(graph, QbsConfig::with_landmark_count(config.landmark_count))?;
             let path = dir.join(format!("{}.qbs", spec.id.abbrev()));
             qbs_core::serialize::save_to_file(&owned, &path)?;
-            let store = qbs_core::serialize::open_store_from_file(&path, qbs_core::MapMode::Mmap)?;
-
-            let owned_engine = qbs_core::QueryEngine::with_threads(&owned, 2)?;
-            let view_engine = qbs_core::QueryEngine::with_threads(&store, 2)?;
+            let owned = qbs_core::Qbs::from_index(owned).with_threads(2)?;
+            let view = qbs_core::Qbs::open(&path, qbs_core::MapMode::Mmap)?.with_threads(2)?;
             let requests = path_graph_requests(pairs);
             let t0 = Instant::now();
-            let owned_answers = owned_engine.submit(&requests);
+            let owned_answers = owned.submit(&requests);
             let owned_ms = per_query_ms(t0.elapsed(), pairs.len());
             let t0 = Instant::now();
-            let view_answers = view_engine.submit(&requests);
+            let view_answers = view.submit(&requests);
             let view_ms = per_query_ms(t0.elapsed(), pairs.len());
 
             let identical = owned_answers == view_answers;
@@ -811,7 +809,7 @@ pub struct MixedBatchRow {
 /// The mixed-batch differential: a heterogeneous distance/path/sketch
 /// batch (with one poisoned pair mid-batch) is submitted through the
 /// request pipeline over both storage backends and checked slot-by-slot
-/// against the legacy entry points; a cache-enabled engine then re-runs
+/// against the legacy entry points; a cache-enabled session then re-runs
 /// the batch warm and must produce bit-identical outcomes. CI runs this at
 /// tiny scale and fails the pipeline on any drift.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -947,32 +945,32 @@ pub fn mixed_batch(config: &ExperimentConfig) -> Result<MixedBatch, QbsError> {
             let requests = mixed_requests(workload.pairs(), owned.graph().num_vertices());
             let path = dir.join(format!("{}.qbs", spec.id.abbrev()));
             qbs_core::serialize::save_to_file(&owned, &path)?;
-            let store = qbs_core::serialize::open_store_from_file(&path, qbs_core::MapMode::Mmap)?;
-
-            let owned_engine = qbs_core::QueryEngine::with_threads(&owned, 2)?;
-            let view_engine = qbs_core::QueryEngine::with_threads(&store, 2)?;
+            let view = qbs_core::Qbs::open(&path, qbs_core::MapMode::Mmap)?.with_threads(2)?;
+            let cached = qbs_core::Qbs::from_index(owned.clone())
+                .with_threads(2)?
+                .with_cache(qbs_core::CacheConfig::default().admit_above(0));
+            let owned = qbs_core::Qbs::from_index(owned).with_threads(2)?;
             let t0 = Instant::now();
-            let owned_outcomes = owned_engine.submit(&requests);
+            let owned_outcomes = owned.submit(&requests);
             let cold_ms = per_query_ms(t0.elapsed(), requests.len());
-            let view_outcomes = view_engine.submit(&requests);
+            let view_outcomes = view.submit(&requests);
 
             let error_slots = owned_outcomes.iter().filter(|o| o.is_error()).count();
             let mut identical = owned_outcomes == view_outcomes
-                && outcomes_match_legacy(&owned, &requests, &owned_outcomes);
+                && outcomes_match_legacy(
+                    owned.index().expect("owned session"),
+                    &requests,
+                    &owned_outcomes,
+                );
 
             // Cache pass: cold fill, then a warm run that must be
             // bit-identical to the uncached outcomes.
-            let cached_engine = qbs_core::QueryEngine::with_threads(&owned, 2)?
-                .with_answer_cache(qbs_core::CacheConfig::default().admit_above(0));
-            let cold_cached = cached_engine.submit(&requests);
+            let cold_cached = cached.submit(&requests);
             let t0 = Instant::now();
-            let warm = cached_engine.submit(&requests);
+            let warm = cached.submit(&requests);
             let warm_ms = per_query_ms(t0.elapsed(), requests.len());
             identical &= cold_cached == owned_outcomes && warm == owned_outcomes;
-            let cache_hit_rate = cached_engine
-                .cache_stats()
-                .map(|s| s.hit_ratio())
-                .unwrap_or(0.0);
+            let cache_hit_rate = cached.cache_stats().map(|s| s.hit_ratio()).unwrap_or(0.0);
 
             std::fs::remove_file(&path).ok();
             Ok(MixedBatchRow {
@@ -1086,7 +1084,7 @@ pub fn batch_plan(config: &ExperimentConfig) -> Result<BatchPlan, QbsError> {
 
             let path = dir.join(format!("{}.qbs", spec.id.abbrev()));
             qbs_core::serialize::save_to_file(&owned, &path)?;
-            let view = qbs_core::serialize::open_store_from_file(&path, qbs_core::MapMode::Mmap)?;
+            let view = qbs_core::Qbs::open(&path, qbs_core::MapMode::Mmap)?.with_threads(2)?;
 
             // One-at-a-time reference off the owned backend.
             let mut ws = qbs_core::QueryWorkspace::new();
@@ -1096,15 +1094,15 @@ pub fn batch_plan(config: &ExperimentConfig) -> Result<BatchPlan, QbsError> {
                 .collect();
 
             // One warmup submit so the timed pass measures the batch path,
-            // not workspace-pool allocation.
-            let engine = qbs_core::QueryEngine::with_threads(&owned, 2)?;
-            engine.submit(&requests);
-            let dedup_hits = engine.planner_stats().dedup_hits;
+            // not worker start-up and workspace allocation.
+            let session = qbs_core::Qbs::from_index(owned).with_threads(2)?;
+            session.submit(&requests);
+            let dedup_hits = session.engine_stats().planner.dedup_hits;
             let t0 = Instant::now();
-            let submitted = engine.submit(&requests);
+            let submitted = session.submit(&requests);
             let submit_qps = qps(t0.elapsed(), requests.len());
 
-            let view_out = qbs_core::QueryEngine::with_threads(&view, 2)?.submit(&requests);
+            let view_out = view.submit(&requests);
             let identical = submitted == reference && view_out == reference;
 
             std::fs::remove_file(&path).ok();
@@ -1303,26 +1301,24 @@ pub fn net_serving(config: &ExperimentConfig) -> Result<NetServing, QbsError> {
             // excluded — the metric is serving throughput, not dial
             // latency); the concurrent phase lasts as long as the slowest
             // worker.
-            let outcomes_timed: Vec<Option<(bool, f64)>> = std::thread::scope(|scope| {
-                let workers: Vec<_> = (0..CLIENTS)
-                    .map(|_| {
-                        let addr = addr.clone();
-                        let requests = &requests;
-                        let expected = &expected;
-                        scope.spawn(move || {
-                            let mut client = connect_ready(&addr)?;
-                            let t0 = Instant::now();
-                            let reply = client.submit(requests).ok()?;
-                            let secs = t0.elapsed().as_secs_f64();
-                            Some((reply.outcomes()? == &expected[..], secs))
-                        })
+            let shared = std::sync::Arc::new((requests.clone(), expected.clone()));
+            let workers: Vec<_> = (0..CLIENTS)
+                .map(|_| {
+                    let (addr, shared) = (addr.clone(), std::sync::Arc::clone(&shared));
+                    std::thread::spawn(move || {
+                        let (requests, expected) = &*shared;
+                        let mut client = connect_ready(&addr)?;
+                        let t0 = Instant::now();
+                        let reply = client.submit(requests).ok()?;
+                        let secs = t0.elapsed().as_secs_f64();
+                        Some((reply.outcomes()? == &expected[..], secs))
                     })
-                    .collect();
-                workers
-                    .into_iter()
-                    .map(|w| w.join().unwrap_or(None))
-                    .collect()
-            });
+                })
+                .collect();
+            let outcomes_timed: Vec<Option<(bool, f64)>> = workers
+                .into_iter()
+                .map(|w| w.join().unwrap_or(None))
+                .collect();
             let identical = outcomes_timed.iter().all(|r| matches!(r, Some((true, _))));
             let loopback_secs = outcomes_timed
                 .iter()

@@ -1,50 +1,38 @@
-//! Concurrent batch query execution over a pool of reusable workspaces.
+//! The session's query executor: long-lived workers that own their
+//! workspaces and take claims from every frame in flight.
 //!
-//! A [`QueryEngine`] is the serving-side companion of the index: it owns a
-//! pool of [`QueryWorkspace`]s and fans batches of queries out over a
-//! scoped worker pool — the calling thread plus `threads − 1` spawned
-//! ones. Each worker checks one workspace out of the pool for the whole
-//! batch and pulls query indices from a shared atomic cursor in small
-//! chunks — a work-stealing discipline (idle workers keep claiming
-//! whatever work remains) that keeps all cores busy even when per-query
-//! cost is highly skewed, which it is: a query whose endpoints are far
-//! apart expands orders of magnitude more frontier than an adjacent pair.
-//! That fan-out is the only place in this crate that spawns query
-//! threads; [`QueryEngine::submit`] has one path through it, behind the
-//! duplicate-request coalescing of [`crate::plan`].
+//! Each [`crate::Qbs`] session owns one executor, the only place in the
+//! crate that spawns query threads. Its `threads − 1` workers start the
+//! first time a frame needs them and each owns one [`QueryWorkspace`] for
+//! life, reset per query by epoch bumping, so the steady state allocates
+//! no search scratch.
 //!
-//! The engine is generic over its [`IndexStore`] backend:
-//! `QueryEngine<'_, QbsIndex>` (the default) serves the owned index, while
-//! `QueryEngine<'_, ViewStore>` serves **straight from a mapped index
-//! file** — a cold shard process maps one immutable file, wraps it in a
-//! [`crate::store::ViewStore`], and answers its first query without ever
-//! materialising the owned structures. Answers are bit-identical across
-//! backends.
+//! A frame — one [`crate::Qbs::submit`] after duplicate coalescing
+//! ([`crate::plan`]) — holds a copy of its requests, a result slot each, a
+//! claim cursor, a done-latch and its own stage sums, so concurrent frames
+//! never mix their slow-query breakdowns. Frames queue first in, first
+//! out; workers take `CLAIM_CHUNK` requests at a time from the oldest with
+//! work left, which keeps frames of skewed query cost balanced. The
+//! submitter wakes as many workers as there are claims left, claims from
+//! its own frame too, then waits on the latch. With one thread, or a frame
+//! of one claim, everything runs on the caller: no queue, no wake-up.
 //!
-//! Because workspaces are returned to the pool after every batch, the
-//! steady state of a long-running engine performs **zero workspace
-//! allocations**: the per-vertex scratch arrays are allocated once per
-//! worker and reset per query by epoch bumping (see
-//! [`crate::workspace`]). The only remaining heap traffic is the storage
-//! owned by the returned answers.
-//!
-//! The serving entry point is the typed request pipeline
-//! ([`crate::request`]): [`QueryEngine::submit`] executes a heterogeneous
-//! batch of [`QueryRequest`]s — distance, path-graph and sketch modes mix
-//! freely — with **per-request** outcomes, so one out-of-range pair yields
-//! one [`QueryOutcome::Error`] slot instead of poisoning the batch. An
-//! optional sharded LRU [`AnswerCache`] slots in front of the executor
-//! ([`QueryEngine::with_answer_cache`]). This is the only batch surface.
+//! A panic in a claim is a bug (request failures are
+//! [`QueryOutcome::Error`] values): it is caught, the frame's other claims
+//! finish, and it is re-raised on the submitter. The worker carries on
+//! with a fresh workspace.
 //!
 //! ```
 //! use qbs_core::request::QueryRequest;
-//! use qbs_core::{QbsConfig, QbsIndex, QueryEngine};
+//! use qbs_core::{Qbs, QbsConfig};
 //! use qbs_graph::fixtures::figure4_graph;
 //!
-//! let index = QbsIndex::build(figure4_graph(), QbsConfig::with_landmark_count(3));
-//! let engine = QueryEngine::new(&index);
+//! let qbs = Qbs::build(figure4_graph(), QbsConfig::with_landmark_count(3))
+//!     .unwrap()
+//!     .with_threads(2)
+//!     .unwrap();
 //! // Heterogeneous batch: a distance probe, a full answer, a bad request.
-//! let outcomes = engine.submit(&[
+//! let outcomes = qbs.submit(&[
 //!     QueryRequest::distance(6, 11),
 //!     QueryRequest::path_graph(4, 12),
 //!     QueryRequest::distance(6, 999),
@@ -54,326 +42,377 @@
 //! assert!(outcomes[2].is_error()); // that slot only — the batch survived
 //! ```
 
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread::JoinHandle;
+use std::time::Instant;
 
-use qbs_graph::VertexId;
-
-use crate::cache::{AnswerCache, CacheConfig, CacheStats};
-use crate::obs::{AtomicStageNanos, Metrics, Stage, StageNanos};
-use crate::plan::{self, PlannerCounters, PlannerStats};
-use crate::query::{self, QbsIndex, QueryAnswer};
+use crate::cache::AnswerCache;
+use crate::obs::{saturating_ns, AtomicStageNanos, Metrics, Stage, StageNanos};
+use crate::plan::{self, PlannerCounters};
 use crate::request::{execute_cached_on, QueryOutcome, QueryRequest};
+use crate::session::QbsBackend;
 use crate::store::IndexStore;
 use crate::workspace::QueryWorkspace;
-use crate::QbsError;
 
-/// How many query indices a worker claims per cursor fetch. Small enough
-/// that skewed batches still balance, large enough that the atomic is not
-/// contended on microsecond queries.
-const CLAIM_CHUNK: usize = 16;
+/// Requests per claim. One request is microseconds of search, so the
+/// cursor is nowhere near contended, and single-request claims let the
+/// second thread share a skewed frame down to its last request. Measured
+/// on `batch-zipf` against claims of 2: `lat_p50_rel` 57.6 vs 60.5 (median
+/// of five alternating pairs, 1 faster in four).
+const CLAIM_CHUNK: usize = 1;
 
-/// A concurrent batch query engine over a borrowed [`IndexStore`].
-pub struct QueryEngine<'idx, S: IndexStore = QbsIndex> {
-    store: &'idx S,
-    threads: usize,
-    /// Checked-out-and-returned pool of per-worker workspaces. Check-in
-    /// drops workspaces beyond `threads`, so even when multiple callers run
-    /// batches on the same engine concurrently (each batch spawns its own
-    /// scoped workers), the retained memory stays bounded at `threads`
-    /// workspaces; the surplus is freed instead of pooled.
-    workspaces: Mutex<Vec<QueryWorkspace>>,
-    /// Optional answer cache consulted by the request pipeline
-    /// ([`QueryEngine::submit`] / [`QueryEngine::execute`]). `Arc` so a
-    /// session façade (or several engines over the same store) can share
-    /// one cache.
-    cache: Option<Arc<AnswerCache>>,
-    /// Coalesced-duplicate counters. `Arc` for the same reason as the
-    /// cache: the session façade accumulates across transient engines.
-    counters: Arc<PlannerCounters>,
-    /// Observability registry fed with per-stage request timings. `Arc`
-    /// for the same reason as the planner counters; `None` on standalone
-    /// engines, which stay uninstrumented.
-    metrics: Option<Arc<Metrics>>,
-    /// Per-stage sums of the batch(es) executed since the last
-    /// [`QueryEngine::take_batch_obs`] — the slow-query log's breakdown.
-    batch_ns: AtomicStageNanos,
+/// What every query of a session reads. The session and each of its
+/// workers hold one `Arc` of it.
+pub(crate) struct Engine {
+    pub(crate) backend: QbsBackend,
+    pub(crate) cache: Option<AnswerCache>,
+    /// Coalesced-duplicate counter, for the session's lifetime.
+    pub(crate) planner: PlannerCounters,
+    /// Per-stage latency histograms, for the session's lifetime.
+    pub(crate) metrics: Arc<Metrics>,
+    /// Test hook: every request of this mode panics.
+    #[cfg(test)]
+    pub(crate) panic_on: Option<crate::request::QueryMode>,
 }
 
-impl<'idx, S: IndexStore> QueryEngine<'idx, S> {
-    /// Creates an engine using all available parallelism.
-    pub fn new(store: &'idx S) -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Self::build(store, threads)
-    }
-
-    /// Creates an engine with an explicit worker count.
-    ///
-    /// Fails with [`QbsError::ThreadPool`] when `threads` is zero.
-    pub fn with_threads(store: &'idx S, threads: usize) -> crate::Result<Self> {
-        if threads == 0 {
-            return Err(QbsError::ThreadPool(
-                "QueryEngine requires at least one worker thread".into(),
-            ));
-        }
-        Ok(Self::build(store, threads))
-    }
-
-    fn build(store: &'idx S, threads: usize) -> Self {
-        QueryEngine {
-            store,
-            threads,
-            workspaces: Mutex::new(Vec::new()),
+impl Engine {
+    pub(crate) fn new(backend: QbsBackend) -> Self {
+        Engine {
+            backend,
             cache: None,
-            counters: Arc::new(PlannerCounters::default()),
-            metrics: None,
-            batch_ns: AtomicStageNanos::default(),
+            planner: PlannerCounters::default(),
+            metrics: Arc::new(Metrics::new()),
+            #[cfg(test)]
+            panic_on: None,
         }
     }
 
-    /// Builds an engine that already owns a warm workspace pool and
-    /// (optionally) a shared cache plus planner counters — the session
-    /// façade's way of keeping its steady state across transient engines.
-    pub(crate) fn with_pool(
-        store: &'idx S,
-        threads: usize,
-        pool: Vec<QueryWorkspace>,
-        cache: Option<Arc<AnswerCache>>,
-        counters: Arc<PlannerCounters>,
-        metrics: Option<Arc<Metrics>>,
-    ) -> Self {
-        QueryEngine {
-            store,
-            threads,
-            workspaces: Mutex::new(pool),
-            cache,
-            counters,
-            metrics,
-            batch_ns: AtomicStageNanos::default(),
+    pub(crate) fn num_vertices(&self) -> usize {
+        match &self.backend {
+            QbsBackend::Owned(s) => s.num_vertices(),
+            QbsBackend::View(s) => s.num_vertices(),
         }
     }
 
-    /// Takes the workspace pool back out of the engine (façade pool
-    /// handoff; see [`QueryEngine::with_pool`]).
-    pub(crate) fn into_pool(self) -> Vec<QueryWorkspace> {
-        self.workspaces
-            .into_inner()
-            .expect("workspace pool poisoned")
-    }
-
-    /// Attaches a fresh answer cache with the given configuration
-    /// (builder style). See [`crate::cache`] for the admission and
-    /// identity rules.
-    pub fn with_answer_cache(mut self, config: CacheConfig) -> Self {
-        self.cache = Some(Arc::new(AnswerCache::new(config)));
-        self
-    }
-
-    /// Attaches an existing (possibly shared) answer cache.
-    ///
-    /// Cache keys are `(u, v, mode)` with **no store identity**, so every
-    /// engine sharing one cache MUST serve the same logical index
-    /// (identical graph + landmark set — e.g. the owned index and a view
-    /// of its own serialised bytes, or several engines over one store).
-    /// Sharing a cache across *different* indexes silently serves answers
-    /// from the wrong graph.
-    pub fn with_shared_cache(mut self, cache: Arc<AnswerCache>) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
-    /// Snapshot of the planner's counter: duplicate batch slots served
-    /// from another slot's computation.
-    pub fn planner_stats(&self) -> PlannerStats {
-        self.counters.snapshot()
-    }
-
-    /// The metrics registry, when attached *and* recording — the one
-    /// check instrumented paths branch on.
-    fn obs(&self) -> Option<&Metrics> {
-        self.metrics.as_deref().filter(|m| m.is_enabled())
-    }
-
-    /// Takes the per-stage time sums accumulated since the last call —
-    /// the whole-batch breakdown the serving layer attaches to slow-query
-    /// log lines. All zero while uninstrumented.
-    pub fn take_batch_obs(&self) -> StageNanos {
-        self.batch_ns.take()
-    }
-
-    /// Executes one request on `ws` with stage instrumentation, flushing
-    /// the request's stage figures into the metrics registry — one sample
-    /// per computation, so a coalesced job contributes one. The shared
-    /// per-request execution body of [`QueryEngine::execute`] and
-    /// [`QueryEngine::submit`].
-    fn execute_observed(&self, ws: &mut QueryWorkspace, request: &QueryRequest) -> QueryOutcome {
-        let metrics = self.obs();
+    /// Executes one request on `ws` through the cache, flushing its stage
+    /// figures into the registry and into `frame_ns` — one sample per
+    /// computation, so a coalesced job contributes one. The backend is
+    /// resolved once per request, so the search's inner loops run over the
+    /// concrete store.
+    fn run(
+        &self,
+        ws: &mut QueryWorkspace,
+        request: &QueryRequest,
+        frame_ns: Option<&AtomicStageNanos>,
+    ) -> QueryOutcome {
+        #[cfg(test)]
+        assert!(
+            self.panic_on != Some(request.mode),
+            "injected panic on {request:?}"
+        );
+        let metrics = Some(&*self.metrics).filter(|m| m.is_enabled());
         ws.obs.enabled = metrics.is_some();
         let t = ws.obs.start();
-        let outcome = execute_cached_on(self.store, ws, request, self.cache.as_deref());
+        let cache = self.cache.as_ref();
+        let outcome = match &self.backend {
+            QbsBackend::Owned(s) => execute_cached_on(s.as_ref(), ws, request, cache),
+            QbsBackend::View(s) => execute_cached_on(s, ws, request, cache),
+        };
         ws.obs.stop(Stage::Execute, t);
         if let Some(m) = metrics {
             let ns = ws.obs.take();
             m.record_request(request.mode, &ns);
-            self.batch_ns.add(&ns);
+            if let Some(frame_ns) = frame_ns {
+                frame_ns.add(&ns);
+            }
             ws.obs.enabled = false;
         }
         outcome
     }
+}
 
-    /// The attached answer cache, if any.
-    pub fn answer_cache(&self) -> Option<&Arc<AnswerCache>> {
-        self.cache.as_ref()
+/// Locks an executor mutex. Nothing panics while holding one — claims run
+/// outside every lock — so poisoning is a bug.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().expect("executor lock poisoned")
+}
+
+/// One multi-claim frame in flight, shared by its submitter and the
+/// workers.
+struct Frame {
+    requests: Vec<QueryRequest>,
+    slots: Vec<Mutex<Option<QueryOutcome>>>,
+    /// Index of the next unclaimed request.
+    cursor: AtomicUsize,
+    /// Claims not yet finished. Each finishing claim decrements it with
+    /// `AcqRel`, so the claim that reaches zero happens after every slot
+    /// write, and publishes them to the submitter through `done`.
+    pending: AtomicUsize,
+    done: Mutex<bool>,
+    finished: Condvar,
+    /// This frame's stage sums — its slow-query breakdown.
+    ns: AtomicStageNanos,
+    /// The first panic caught in a claim, re-raised on the submitter.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+}
+
+impl Frame {
+    fn new(requests: &[QueryRequest], claims: usize) -> Self {
+        Frame {
+            requests: requests.to_vec(),
+            slots: requests.iter().map(|_| Mutex::new(None)).collect(),
+            cursor: AtomicUsize::new(0),
+            pending: AtomicUsize::new(claims),
+            done: Mutex::new(false),
+            finished: Condvar::new(),
+            ns: AtomicStageNanos::default(),
+            panic: Mutex::new(None),
+        }
     }
 
-    /// Counter snapshot of the attached cache (`None` when the engine runs
-    /// uncached).
-    pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(|c| c.stats())
+    fn has_claims(&self) -> bool {
+        self.cursor.load(Ordering::Relaxed) < self.requests.len()
     }
 
-    /// The wrapped storage backend.
-    pub fn store(&self) -> &'idx S {
-        self.store
+    /// Runs claims until none is left. A panicking claim is kept for the
+    /// submitter and costs `ws`, which it may have left mid-search.
+    fn drain(&self, engine: &Engine, ws: &mut QueryWorkspace) {
+        loop {
+            let start = self.cursor.fetch_add(CLAIM_CHUNK, Ordering::Relaxed);
+            if start >= self.requests.len() {
+                return;
+            }
+            let end = (start + CLAIM_CHUNK).min(self.requests.len());
+            let ran = panic::catch_unwind(AssertUnwindSafe(|| {
+                for idx in start..end {
+                    let outcome = engine.run(ws, &self.requests[idx], Some(&self.ns));
+                    *lock(&self.slots[idx]) = Some(outcome);
+                }
+            }));
+            if let Err(payload) = ran {
+                lock(&self.panic).get_or_insert(payload);
+                *ws = QueryWorkspace::for_vertices(engine.num_vertices());
+            }
+            if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+                *lock(&self.done) = true;
+                self.finished.notify_all();
+            }
+        }
     }
 
-    /// The configured worker count.
-    pub fn threads(&self) -> usize {
+    /// Waits until every claim has finished, then takes the outcomes in
+    /// input order — or re-raises the panic of a claim.
+    fn outcomes(&self) -> Vec<QueryOutcome> {
+        let done = self.finished.wait_while(lock(&self.done), |done| !*done);
+        drop(done.expect("executor lock poisoned"));
+        if let Some(payload) = lock(&self.panic).take() {
+            panic::resume_unwind(payload);
+        }
+        self.slots
+            .iter()
+            .map(|slot| lock(slot).take().expect("every claim fills its slots"))
+            .collect()
+    }
+}
+
+/// The frames in flight, oldest first, and the stop flag.
+#[derive(Default)]
+struct Queue {
+    state: Mutex<QueueState>,
+    wake: Condvar,
+}
+
+#[derive(Default)]
+struct QueueState {
+    frames: Vec<Arc<Frame>>,
+    stop: bool,
+}
+
+impl Queue {
+    /// The oldest frame with claims left, parking until one arrives;
+    /// `None` once the workers are told to stop.
+    fn next(&self) -> Option<Arc<Frame>> {
+        let mut state = lock(&self.state);
+        loop {
+            if state.stop {
+                return None;
+            }
+            if let Some(frame) = state.frames.iter().find(|f| f.has_claims()) {
+                return Some(Arc::clone(frame));
+            }
+            state = self.wake.wait(state).expect("executor lock poisoned");
+        }
+    }
+}
+
+/// The session's worker threads; dropping them stops and joins them.
+struct Workers {
+    queue: Arc<Queue>,
+    handles: Vec<JoinHandle<()>>,
+}
+
+impl Workers {
+    fn start(engine: &Arc<Engine>, count: usize) -> Self {
+        let queue = Arc::new(Queue::default());
+        let handles = (0..count)
+            .map(|_| {
+                let (engine, queue) = (Arc::clone(engine), Arc::clone(&queue));
+                std::thread::Builder::new()
+                    .name("qbs-query".into())
+                    .spawn(move || {
+                        let mut ws = QueryWorkspace::for_vertices(engine.num_vertices());
+                        while let Some(frame) = queue.next() {
+                            frame.drain(&engine, &mut ws);
+                        }
+                    })
+                    .expect("spawn a query worker")
+            })
+            .collect();
+        Workers { queue, handles }
+    }
+}
+
+impl Drop for Workers {
+    fn drop(&mut self) {
+        // The flag is a plain bool, valid whatever a panicking holder did.
+        let queue = &self.queue;
+        queue
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .stop = true;
+        queue.wake.notify_all();
+        for handle in self.handles.drain(..) {
+            // Claims catch their panics, so a worker never ends in one.
+            let _ = handle.join();
+        }
+    }
+}
+
+/// The executor a session owns: the shared [`Engine`], the thread budget,
+/// the calling threads' workspaces and the lazily started workers.
+pub(crate) struct Executor {
+    pub(crate) engine: Arc<Engine>,
+    threads: usize,
+    /// Workspaces of calling threads — `execute`, and a submitter's own
+    /// claims. Check-in keeps at most `threads` of them.
+    spare: Mutex<Vec<QueryWorkspace>>,
+    workers: OnceLock<Workers>,
+}
+
+impl Executor {
+    pub(crate) fn new(engine: Engine, threads: usize) -> Self {
+        Executor {
+            engine: Arc::new(engine),
+            threads,
+            spare: Mutex::new(Vec::new()),
+            workers: OnceLock::new(),
+        }
+    }
+
+    pub(crate) fn threads(&self) -> usize {
         self.threads
     }
 
-    /// Number of pooled workspaces currently available (grows towards the
-    /// worker count as batches run; exposed for tests and monitoring).
-    pub fn pooled_workspaces(&self) -> usize {
-        self.workspaces
-            .lock()
-            .expect("workspace pool poisoned")
-            .len()
+    /// Sets the thread budget. Running workers stop; the next frame that
+    /// needs them starts the new count.
+    pub(crate) fn set_threads(&mut self, threads: usize) {
+        self.workers = OnceLock::new();
+        self.threads = threads;
     }
 
-    /// Answers a single query on a pooled workspace.
-    pub fn query(&self, source: VertexId, target: VertexId) -> crate::Result<QueryAnswer> {
-        let mut ws = self.checkout();
-        let result = query::query_on(self.store, &mut ws, source, target);
-        self.checkin(ws);
-        result
+    /// The engine, for the session's builder methods. Stops the workers
+    /// first, so the executor holds the only reference.
+    pub(crate) fn engine_mut(&mut self) -> &mut Engine {
+        self.workers = OnceLock::new();
+        Arc::get_mut(&mut self.engine).expect("joined workers hold no engine")
     }
 
-    /// Executes a single typed request on a pooled workspace, through the
-    /// cache when one is attached.
-    pub fn execute(&self, request: &QueryRequest) -> QueryOutcome {
+    /// Executes one request on the calling thread.
+    pub(crate) fn execute(&self, request: &QueryRequest) -> QueryOutcome {
         let mut ws = self.checkout();
-        let outcome = self.execute_observed(&mut ws, request);
+        let outcome = self.engine.run(&mut ws, request, None);
         self.checkin(ws);
         outcome
     }
 
-    /// Executes a heterogeneous batch of typed requests, in input order —
-    /// the serving entry point of the request pipeline, and the only
-    /// batch API.
-    ///
-    /// `submit` never fails as a whole: each slot resolves independently,
-    /// so a request with an out-of-range endpoint yields
-    /// [`QueryOutcome::Error`] *for that slot only* while every other
-    /// request is answered normally. Distance, path-graph and sketch
-    /// requests mix freely in one batch, and requests with
-    /// [`crate::request::QueryOptions::use_cache`] go through the attached
-    /// answer cache. Outcomes are bit-identical across storage backends.
-    ///
-    /// Requests repeated inside the batch are coalesced first
-    /// ([`crate::plan`]): each distinct key is executed once — one search,
-    /// one cache lookup, at most one admission — and its answer shaped
-    /// into every duplicate slot by that slot's own options, without
-    /// changing a single answered bit.
-    pub fn submit(&self, requests: &[QueryRequest]) -> Vec<QueryOutcome> {
+    /// Executes a frame, with outcomes in input order and the frame's
+    /// per-stage sums (all zero while metrics are off). Requests repeated
+    /// in the frame are executed once and shaped into every duplicate slot
+    /// ([`crate::plan`]).
+    pub(crate) fn submit(&self, requests: &[QueryRequest]) -> (Vec<QueryOutcome>, StageNanos) {
+        let mut ns = StageNanos::default();
         // A lone request has nothing to coalesce and records no planner sample.
-        let timed = self.obs().filter(|_| requests.len() >= 2);
-        let timed = timed.map(|m| (m, std::time::Instant::now()));
-        let dedup = plan::dedupe(requests, self.store.num_vertices());
+        let timed = Some(&*self.engine.metrics).filter(|m| m.is_enabled() && requests.len() >= 2);
+        let timed = timed.map(|m| (m, Instant::now()));
+        let dedup = plan::dedupe(requests, self.engine.num_vertices());
         if let Some((m, t)) = timed {
             let d = t.elapsed();
             m.record_batch_stage(Stage::Planner, d);
-            self.batch_ns
-                .add_one(Stage::Planner, crate::obs::saturating_ns(d));
+            ns.set(Stage::Planner, saturating_ns(d).max(1));
         }
-        let Some(dedup) = dedup else {
-            return self.fan_out(requests);
+        let outcomes = match dedup {
+            None => self.fan_out(requests, &mut ns),
+            Some(dedup) => {
+                self.engine
+                    .planner
+                    .add_dedup_hits((requests.len() - dedup.jobs.len()) as u64);
+                dedup.shape(requests, self.fan_out(&dedup.jobs, &mut ns))
+            }
         };
-        self.counters
-            .add_dedup_hits((requests.len() - dedup.jobs.len()) as u64);
-        dedup.shape(requests, self.fan_out(&dedup.jobs))
+        (outcomes, ns)
     }
 
-    /// The one batch driver: executes `requests` over the scoped worker
-    /// pool with the chunked work-stealing cursor, one outcome slot per
-    /// request, in input order. The calling thread is one of the workers.
-    /// Execution is infallible — per-request failures are values (see
-    /// [`QueryOutcome`]), not panics.
-    fn fan_out(&self, requests: &[QueryRequest]) -> Vec<QueryOutcome> {
-        let workers = self
-            .threads
-            .min(requests.len().div_ceil(CLAIM_CHUNK))
-            .max(1);
-        if workers == 1 {
+    /// The one batch driver: runs `requests` inline when one thread or one
+    /// claim suffices, and otherwise as a queued frame shared with the
+    /// workers.
+    fn fan_out(&self, requests: &[QueryRequest], ns: &mut StageNanos) -> Vec<QueryOutcome> {
+        let claims = requests.len().div_ceil(CLAIM_CHUNK);
+        if self.threads == 1 || claims <= 1 {
+            let frame_ns = AtomicStageNanos::default();
             let mut ws = self.checkout();
-            let out = requests
+            let outcomes = requests
                 .iter()
-                .map(|req| self.execute_observed(&mut ws, req))
+                .map(|req| self.engine.run(&mut ws, req, Some(&frame_ns)))
                 .collect();
             self.checkin(ws);
-            return out;
+            ns.add(&frame_ns.take());
+            return outcomes;
         }
 
-        let cursor = AtomicUsize::new(0);
-        let slots: Vec<OnceLock<QueryOutcome>> =
-            (0..requests.len()).map(|_| OnceLock::new()).collect();
-        let claim_loop = || {
-            let mut ws = self.checkout();
-            loop {
-                let start = cursor.fetch_add(CLAIM_CHUNK, Ordering::Relaxed);
-                if start >= requests.len() {
-                    break;
-                }
-                let end = (start + CLAIM_CHUNK).min(requests.len());
-                for idx in start..end {
-                    let outcome = self.execute_observed(&mut ws, &requests[idx]);
-                    slots[idx]
-                        .set(outcome)
-                        .unwrap_or_else(|_| panic!("slot {idx} filled twice"));
-                }
-            }
-            self.checkin(ws);
-        };
-        std::thread::scope(|scope| {
-            for _ in 1..workers {
-                scope.spawn(claim_loop);
-            }
-            claim_loop();
-        });
-
-        slots
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("every slot filled by the workers"))
-            .collect()
+        let workers = self
+            .workers
+            .get_or_init(|| Workers::start(&self.engine, self.threads - 1));
+        let frame = Arc::new(Frame::new(requests, claims));
+        lock(&workers.queue.state).frames.push(Arc::clone(&frame));
+        for _ in 0..(claims - 1).min(self.threads - 1) {
+            workers.queue.wake.notify_one();
+        }
+        let mut ws = self.checkout();
+        frame.drain(&self.engine, &mut ws);
+        self.checkin(ws);
+        // Every claim is taken: no worker needs to find the frame again.
+        lock(&workers.queue.state)
+            .frames
+            .retain(|f| !Arc::ptr_eq(f, &frame));
+        let outcomes = frame.outcomes();
+        ns.add(&frame.ns.take());
+        outcomes
     }
 
     fn checkout(&self) -> QueryWorkspace {
-        self.workspaces
-            .lock()
-            .expect("workspace pool poisoned")
+        lock(&self.spare)
             .pop()
-            .unwrap_or_else(|| QueryWorkspace::for_vertices(self.store.num_vertices()))
+            .unwrap_or_else(|| QueryWorkspace::for_vertices(self.engine.num_vertices()))
     }
 
     fn checkin(&self, ws: QueryWorkspace) {
-        let mut pool = self.workspaces.lock().expect("workspace pool poisoned");
-        // Bound retained memory at one workspace per configured worker;
-        // surplus workspaces (possible when several batches run on this
-        // engine concurrently) are dropped rather than pooled.
-        if pool.len() < self.threads {
-            pool.push(ws);
+        let mut spare = lock(&self.spare);
+        if spare.len() < self.threads {
+            spare.push(ws);
         }
     }
 }
@@ -381,18 +420,16 @@ impl<'idx, S: IndexStore> QueryEngine<'idx, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::QbsConfig;
+    use crate::query::{QbsConfig, QbsIndex};
+    use crate::request::QueryMode;
+    use crate::session::Qbs;
     use crate::store::ViewStore;
+    use crate::QbsError;
     use qbs_graph::fixtures::{figure3_graph, figure4_graph};
+    use qbs_graph::VertexId;
 
     fn all_pairs(n: u32) -> Vec<(VertexId, VertexId)> {
-        let mut pairs = Vec::new();
-        for u in 0..n {
-            for v in 0..n {
-                pairs.push((u, v));
-            }
-        }
-        pairs
+        (0..n).flat_map(|u| (0..n).map(move |v| (u, v))).collect()
     }
 
     fn path_graph_requests(pairs: &[(VertexId, VertexId)]) -> Vec<QueryRequest> {
@@ -402,12 +439,33 @@ mod tests {
             .collect()
     }
 
+    fn distance_requests(pairs: &[(VertexId, VertexId)]) -> Vec<QueryRequest> {
+        pairs
+            .iter()
+            .map(|&(u, v)| QueryRequest::distance(u, v))
+            .collect()
+    }
+
+    fn figure4_index() -> QbsIndex {
+        QbsIndex::build(figure4_graph(), QbsConfig::with_landmark_count(3))
+    }
+
+    fn figure3_index() -> QbsIndex {
+        QbsIndex::build(figure3_graph(), QbsConfig::with_landmark_count(2))
+    }
+
+    fn session(index: QbsIndex, threads: usize) -> Qbs {
+        Qbs::from_index(index)
+            .with_threads(threads)
+            .expect("threads")
+    }
+
     #[test]
     fn batch_answers_match_single_queries_in_order() {
-        let index = QbsIndex::build(figure4_graph(), QbsConfig::with_landmark_count(3));
-        let engine = QueryEngine::with_threads(&index, 4).expect("engine");
+        let index = figure4_index();
+        let qbs = session(index.clone(), 4);
         let pairs = all_pairs(15);
-        let outcomes = engine.submit(&path_graph_requests(&pairs));
+        let outcomes = qbs.submit(&path_graph_requests(&pairs));
         assert_eq!(outcomes.len(), pairs.len());
         for (&(u, v), outcome) in pairs.iter().zip(&outcomes) {
             let answer = outcome.answer().expect("in-range pair");
@@ -422,39 +480,23 @@ mod tests {
 
     #[test]
     fn view_backed_engine_matches_owned_engine() {
-        let index = QbsIndex::build(figure4_graph(), QbsConfig::with_landmark_count(3));
-        let store = ViewStore::new(index.as_view());
-        let owned_engine = QueryEngine::with_threads(&index, 2).expect("engine");
-        let view_engine = QueryEngine::with_threads(&store, 2).expect("view engine");
+        let index = figure4_index();
+        let view = Qbs::from_view_store(ViewStore::new(index.as_view()));
+        let view = view.with_threads(2).expect("threads");
+        let owned = session(index, 2);
         let pairs = all_pairs(15);
-        let requests = path_graph_requests(&pairs);
-        let owned = owned_engine.submit(&requests);
-        let viewed = view_engine.submit(&requests);
-        for ((a, b), &(u, v)) in owned.iter().zip(&viewed).zip(&pairs) {
-            assert_eq!(a, b, "batch answer of ({u},{v}) diverged across backends");
+        for requests in [path_graph_requests(&pairs), distance_requests(&pairs)] {
+            assert_eq!(owned.submit(&requests), view.submit(&requests));
         }
-        let distances: Vec<QueryRequest> = pairs
-            .iter()
-            .map(|&(u, v)| QueryRequest::distance(u, v))
-            .collect();
-        assert_eq!(
-            owned_engine.submit(&distances),
-            view_engine.submit(&distances),
-        );
-        assert_eq!(view_engine.store().view().num_landmarks(), 3);
+        assert_eq!(view.num_landmarks(), 3);
     }
 
     #[test]
     fn distance_requests_match_path_graph_answers() {
-        let index = QbsIndex::build(figure3_graph(), QbsConfig::with_landmark_count(2));
-        let engine = QueryEngine::with_threads(&index, 2).expect("engine");
+        let qbs = session(figure3_index(), 2);
         let pairs = all_pairs(8);
-        let answers = engine.submit(&path_graph_requests(&pairs));
-        let distances: Vec<QueryRequest> = pairs
-            .iter()
-            .map(|&(u, v)| QueryRequest::distance(u, v))
-            .collect();
-        let distances = engine.submit(&distances);
+        let answers = qbs.submit(&path_graph_requests(&pairs));
+        let distances = qbs.submit(&distance_requests(&pairs));
         for ((answer, d), &(u, v)) in answers.iter().zip(&distances).zip(&pairs) {
             assert_eq!(
                 answer.answer().expect("in range").path_graph.distance(),
@@ -466,65 +508,66 @@ mod tests {
 
     #[test]
     fn workspace_pool_is_bounded_and_reused() {
-        let index = QbsIndex::build(figure4_graph(), QbsConfig::with_landmark_count(3));
-        let engine = QueryEngine::with_threads(&index, 3).expect("engine");
-        assert_eq!(engine.pooled_workspaces(), 0);
+        let qbs = session(figure4_index(), 3);
+        let requests = path_graph_requests(&all_pairs(15));
         for _ in 0..5 {
-            engine.submit(&path_graph_requests(&all_pairs(15)));
+            qbs.submit(&requests);
         }
-        let pooled = engine.pooled_workspaces();
-        assert!((1..=3).contains(&pooled), "pool holds {pooled} workspaces");
-        let total_served: u64 = {
-            let pool = engine.workspaces.lock().unwrap();
-            pool.iter().map(|ws| ws.queries_served()).sum()
-        };
-        assert_eq!(total_served, 5 * 15 * 15, "workspaces were actually reused");
+        for &(u, v) in &all_pairs(4) {
+            qbs.query(u, v).expect("in range");
+        }
+        let workers = qbs.exec.workers.get().expect("started by a frame");
+        assert_eq!(workers.handles.len(), 2, "threads − 1 workers");
+        let spare = lock(&qbs.exec.spare);
+        assert_eq!(spare.len(), 1, "one calling thread keeps one workspace");
+        assert!(
+            spare[0].queries_served() >= 16,
+            "the caller's workspace was reused"
+        );
     }
 
     #[test]
     fn out_of_range_requests_fail_their_slot_only() {
-        let index = QbsIndex::build(figure3_graph(), QbsConfig::with_landmark_count(2));
-        let engine = QueryEngine::new(&index);
-        let outcomes = engine.submit(&[
+        let qbs = Qbs::from_index(figure3_index());
+        let outcomes = qbs.submit(&[
             QueryRequest::path_graph(0, 1),
             QueryRequest::path_graph(99, 0),
         ]);
         assert!(!outcomes[0].is_error(), "good slot unaffected");
         assert!(outcomes[1].is_error(), "bad slot fails alone");
-        assert!(engine.query(0, 99).is_err());
-        assert_eq!(engine.query(3, 7).unwrap().path_graph.distance(), 4);
+        assert!(qbs.query(0, 99).is_err());
+        assert_eq!(qbs.query(3, 7).unwrap().distance(), 4);
     }
 
     #[test]
     fn zero_threads_is_rejected() {
-        let index = QbsIndex::build(figure3_graph(), QbsConfig::with_landmark_count(2));
         assert!(matches!(
-            QueryEngine::with_threads(&index, 0),
+            Qbs::from_index(figure3_index()).with_threads(0),
             Err(QbsError::ThreadPool(_))
         ));
-        assert!(QueryEngine::new(&index).threads() >= 1);
+        assert!(Qbs::from_index(figure3_index()).threads() >= 1);
     }
 
     #[test]
     fn empty_batch_is_fine() {
-        let index = QbsIndex::build(figure3_graph(), QbsConfig::with_landmark_count(2));
-        let engine = QueryEngine::new(&index);
-        assert!(engine.submit(&[]).is_empty());
-        assert_eq!(engine.store().graph().num_vertices(), 8);
+        let qbs = session(figure3_index(), 2);
+        assert!(qbs.submit(&[]).is_empty());
+        assert_eq!(qbs.num_vertices(), 8);
+        assert!(qbs.exec.workers.get().is_none(), "nothing to fan out");
     }
 
     #[test]
     fn submit_mixes_modes_and_isolates_per_request_errors() {
-        let index = QbsIndex::build(figure4_graph(), QbsConfig::with_landmark_count(3));
-        let engine = QueryEngine::with_threads(&index, 3).expect("engine");
+        let index = figure4_index();
+        let qbs = session(index.clone(), 3);
         let requests = vec![
             QueryRequest::distance(6, 11),
             QueryRequest::path_graph(6, 11).with_stats(),
-            QueryRequest::new(99, 0, crate::request::QueryMode::Sketch),
+            QueryRequest::new(99, 0, QueryMode::Sketch),
             QueryRequest::sketch(6, 11),
             QueryRequest::path_graph(4, 12),
         ];
-        let outcomes = engine.submit(&requests);
+        let outcomes = qbs.submit(&requests);
         assert_eq!(outcomes.len(), 5);
         assert_eq!(outcomes[0].distance(), Some(5));
         assert_eq!(
@@ -541,17 +584,12 @@ mod tests {
 
     #[test]
     fn engine_cache_serves_bit_identical_answers() {
-        let index = QbsIndex::build(figure4_graph(), QbsConfig::with_landmark_count(3));
-        let uncached = QueryEngine::with_threads(&index, 2).expect("engine");
-        let cached = QueryEngine::with_threads(&index, 2)
-            .expect("engine")
-            .with_answer_cache(crate::cache::CacheConfig::default().admit_above(0));
+        let uncached = session(figure4_index(), 2);
+        let cached = session(figure4_index(), 2)
+            .with_cache(crate::cache::CacheConfig::default().admit_above(0));
         assert!(uncached.cache_stats().is_none());
 
-        let requests: Vec<QueryRequest> = all_pairs(15)
-            .into_iter()
-            .map(|(u, v)| QueryRequest::path_graph(u, v).with_stats())
-            .collect();
+        let requests = path_graph_requests(&all_pairs(15));
         let cold = cached.submit(&requests);
         let warm = cached.submit(&requests);
         let fresh = uncached.submit(&requests);
@@ -559,6 +597,39 @@ mod tests {
         assert_eq!(warm, fresh, "warm cache hits are bit-identical");
         let stats = cached.cache_stats().expect("cache attached");
         assert!(stats.hits > 0, "{stats:?}");
-        assert!(cached.answer_cache().is_some());
+    }
+
+    #[test]
+    fn a_panicking_claim_surfaces_on_the_caller_and_the_workers_carry_on() {
+        let mut qbs = session(figure4_index(), 2);
+        let requests = path_graph_requests(&all_pairs(15));
+        let expected = qbs.submit(&requests);
+        qbs.exec.engine_mut().panic_on = Some(QueryMode::Sketch);
+        // Sketches spread over the frame, so both threads are likely to
+        // meet one; the answer must not depend on who does.
+        let mut poisoned = requests.clone();
+        for r in poisoned.iter_mut().step_by(16) {
+            *r = QueryRequest::sketch(r.source, r.target);
+        }
+        let qbs = Arc::new(qbs);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let caller_qbs = Arc::clone(&qbs);
+        let caller = std::thread::spawn(move || {
+            let raised = panic::catch_unwind(AssertUnwindSafe(|| caller_qbs.submit(&poisoned)));
+            let _ = tx.send(raised.err().and_then(|p| p.downcast::<String>().ok()));
+        });
+        let message = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the poisoned frame returned instead of hanging");
+        caller.join().expect("the caller thread caught the panic");
+        assert!(
+            message.is_some_and(|m| m.contains("injected panic")),
+            "the claim's panic is re-raised on the caller"
+        );
+
+        let workers = qbs.exec.workers.get().expect("workers running");
+        assert!(workers.handles.iter().all(|h| !h.is_finished()));
+        assert_eq!(qbs.submit(&requests), expected, "the next frame is intact");
+        assert!(lock(&workers.queue.state).frames.is_empty());
     }
 }

@@ -69,7 +69,6 @@ pub mod wire;
 pub mod workspace;
 
 pub use cache::{AnswerCache, CacheConfig, CacheStats};
-pub use engine::QueryEngine;
 pub use error::QbsError;
 pub use format::{IndexView, ViewBuf};
 pub use labelling::{LabellingScheme, PathLabelling, NO_LABEL};

@@ -380,9 +380,9 @@ impl StageNanos {
     }
 }
 
-/// Relaxed-atomic per-stage accumulator: the engine sums every request's
-/// stage figures of the current batch here, so the serving layer can
-/// attach a whole-batch stage breakdown to a slow-query log line.
+/// Relaxed-atomic per-stage accumulator: the executor sums every request's
+/// stage figures of one frame here, so the serving layer can attach a
+/// whole-batch stage breakdown to a slow-query log line.
 #[derive(Debug)]
 pub(crate) struct AtomicStageNanos([AtomicU64; NUM_STAGES]);
 
@@ -400,11 +400,6 @@ impl AtomicStageNanos {
                 slot.fetch_add(n, Ordering::Relaxed);
             }
         }
-    }
-
-    /// Accumulates one stage figure.
-    pub(crate) fn add_one(&self, stage: Stage, ns: u64) {
-        self.0[stage.index()].fetch_add(ns.max(1), Ordering::Relaxed);
     }
 
     /// Takes the accumulated breakdown, resetting every stage to zero.
@@ -473,8 +468,7 @@ struct MetricsShard {
 /// The process-wide observability registry: sharded per-stage latency
 /// histograms keyed by ([`QueryMode`] slot, [`Stage`]), plus the
 /// slow-query and job-panic counters. One registry lives inside each [`crate::Qbs`]
-/// session (shared with every transient engine it spawns) and each
-/// router backend.
+/// session (shared with its query workers) and each router backend.
 #[derive(Debug)]
 pub struct Metrics {
     enabled: AtomicBool,
@@ -878,18 +872,22 @@ mod tests {
     fn metrics_registry_shards_fold_into_one_snapshot() {
         let m = Metrics::new();
         assert!(m.is_enabled());
-        std::thread::scope(|scope| {
-            for t in 0..8 {
-                let m = &m;
-                scope.spawn(move || {
+        let m = std::sync::Arc::new(m);
+        let threads: Vec<_> = (0..8)
+            .map(|t| {
+                let m = std::sync::Arc::clone(&m);
+                std::thread::spawn(move || {
                     for i in 0..100u64 {
                         let mut ns = [0u64; NUM_STAGES];
                         ns[Stage::Execute as usize] = 1 + t * 100 + i;
                         m.record_request(QueryMode::Distance, &ns);
                     }
-                });
-            }
-        });
+                })
+            })
+            .collect();
+        for thread in threads {
+            thread.join().expect("recording thread");
+        }
         let snap = m.snapshot();
         let exec = snap.family(mode_slot(QueryMode::Distance), Stage::Execute);
         assert_eq!(exec.count, 800);

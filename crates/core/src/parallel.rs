@@ -3,47 +3,77 @@
 //! Lemma 5.2 shows the labelling scheme is *deterministic* with respect to
 //! the landmark set: unlike PLL-style indexes, no landmark ordering is
 //! involved, so the per-landmark BFSs of Algorithm 2 are independent and can
-//! run on separate threads. This module runs them on the rayon thread pool;
-//! the result is bit-identical to [`crate::labelling::build_sequential`]
-//! (which the property tests assert), only faster — the paper reports 6–12×
-//! speed-ups with 12 threads (Table 2, QbS-P vs QbS).
+//! run on separate threads. This module runs them on scoped threads that
+//! claim landmarks from a shared atomic cursor, and assembles the columns
+//! in input order; the result is bit-identical to
+//! [`crate::labelling::build_sequential`] (which the property tests
+//! assert), only faster — the paper reports 6–12× speed-ups with 12
+//! threads (Table 2, QbS-P vs QbS).
 
-use rayon::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use qbs_graph::{Graph, VertexId};
 
 use crate::labelling::{assemble, landmark_bfs, landmark_column_map, LabellingScheme};
 
-/// Builds the labelling scheme with one rayon task per landmark.
+/// Builds the labelling scheme with one thread per available core.
 pub fn build_parallel(graph: &Graph, landmarks: &[VertexId]) -> LabellingScheme {
-    let landmark_column = landmark_column_map(graph, landmarks);
-    let columns = (0..landmarks.len())
-        .into_par_iter()
-        .map(|i| landmark_bfs(graph, landmarks, &landmark_column, i))
-        .collect();
-    assemble(graph, landmarks, columns)
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    build_on(graph, landmarks, threads).expect("spawn a labelling thread")
 }
 
-/// Builds the labelling scheme on a dedicated pool with `threads` workers,
-/// used by the Table 2 construction-time experiment to control parallelism
-/// explicitly (the paper uses up to 12 threads).
+/// Builds the labelling scheme on `threads` threads, used by the Table 2
+/// construction-time experiment to control parallelism explicitly (the
+/// paper uses up to 12 threads). Zero or one thread builds sequentially.
 ///
-/// Pool-creation failures surface as [`crate::QbsError::ThreadPool`]
-/// instead of panicking, so callers (CLI builds, the experiment harness)
-/// can report them like any other build problem.
+/// A thread that cannot be spawned surfaces as [`crate::QbsError::Io`]
+/// instead of a panic, so callers (CLI builds, the experiment harness)
+/// can report it like any other build problem.
 pub fn build_with_threads(
     graph: &Graph,
     landmarks: &[VertexId],
     threads: usize,
 ) -> crate::Result<LabellingScheme> {
-    if threads <= 1 {
+    Ok(build_on(graph, landmarks, threads)?)
+}
+
+/// The per-landmark BFSs on up to `threads` scoped threads, each claiming
+/// the next unbuilt landmark while the calling thread waits.
+fn build_on(
+    graph: &Graph,
+    landmarks: &[VertexId],
+    threads: usize,
+) -> std::io::Result<LabellingScheme> {
+    let workers = threads.min(landmarks.len());
+    if workers <= 1 {
         return Ok(crate::labelling::build_sequential(graph, landmarks));
     }
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .map_err(|e| crate::QbsError::ThreadPool(format!("failed to build rayon pool: {e}")))?;
-    Ok(pool.install(|| build_parallel(graph, landmarks)))
+    let landmark_column = landmark_column_map(graph, landmarks);
+    let cursor = AtomicUsize::new(0);
+    let claim_loop = || {
+        let mut built = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= landmarks.len() {
+                return built;
+            }
+            built.push((i, landmark_bfs(graph, landmarks, &landmark_column, i)));
+        }
+    };
+    let mut built: Vec<_> = std::thread::scope(|scope| {
+        let spawned = (0..workers)
+            .map(|_| std::thread::Builder::new().spawn_scoped(scope, claim_loop))
+            .collect::<std::io::Result<Vec<_>>>()?;
+        let joined = spawned.into_iter().flat_map(|handle| {
+            handle
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        });
+        Ok::<_, std::io::Error>(joined.collect())
+    })?;
+    built.sort_unstable_by_key(|&(i, _)| i);
+    let columns = built.into_iter().map(|(_, column)| column).collect();
+    Ok(assemble(graph, landmarks, columns))
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! Intra-batch request dedupe behind [`QueryEngine::submit`].
+//! Intra-batch request dedupe behind [`crate::Qbs::submit`].
 //!
 //! Skewed serving traffic repeats itself inside one frame, so before a
 //! batch fans out its slots are grouped by their normalised cache key
@@ -12,15 +12,13 @@
 //! cache-counter behaviour.
 //!
 //! Every job runs the same per-query pipeline as a one-at-a-time
-//! [`QueryEngine::execute`], on the engine's one fan-out; a frame without
-//! duplicate keys allocates nothing beyond the key map and takes the
-//! plain fan-out directly. No search state is shared between queries.
+//! [`crate::Qbs::execute`], on the executor's one fan-out
+//! ([`crate::engine`]); a frame without duplicate keys allocates nothing
+//! beyond the key map and takes the plain fan-out directly. No search
+//! state is shared between queries.
 //!
 //! Coalesced duplicate slots are counted in [`PlannerCounters`]; the
 //! snapshot rides in [`crate::EngineStats`], so across the `Stats` frame.
-//!
-//! [`QueryEngine::submit`]: crate::engine::QueryEngine::submit
-//! [`QueryEngine::execute`]: crate::engine::QueryEngine::execute
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -29,9 +27,7 @@ use crate::cache::CacheKey;
 use crate::request::{QueryOptions, QueryOutcome, QueryRequest};
 
 /// Shared atomic counter of planner effectiveness. One instance lives in
-/// each [`crate::QueryEngine`] (the [`crate::Qbs`] façade passes a single
-/// instance through its transient engines so the count accumulates for
-/// the session's lifetime).
+/// each [`crate::Qbs`] session and counts for the session's lifetime.
 #[derive(Debug, Default)]
 pub struct PlannerCounters {
     dedup_hits: AtomicU64,

@@ -284,10 +284,9 @@ impl QbsIndex {
     /// `execute_on(&index, ws, &QueryRequest::path_graph(u, v))` (see
     /// [`crate::request`] and the migration table in `docs/api.md`).
     /// Returns [`QbsError::VertexOutOfRange`] for endpoints outside the
-    /// indexed graph. Hot loops should hold a [`QueryWorkspace`] (or use a
-    /// [`crate::engine::QueryEngine`]) and call [`QbsIndex::query_with`];
-    /// serving deployments should prefer the [`crate::session::Qbs`]
-    /// façade.
+    /// indexed graph. Hot loops should hold a [`QueryWorkspace`] and call
+    /// [`QbsIndex::query_with`]; serving deployments should prefer the
+    /// [`crate::session::Qbs`] façade.
     pub fn query(&self, source: VertexId, target: VertexId) -> crate::Result<PathGraph> {
         Ok(self.query_with_stats(source, target)?.path_graph)
     }
@@ -448,9 +447,10 @@ fn check_vertex<S: IndexStore>(store: &S, v: VertexId) -> crate::Result<()> {
 /// buffers of `ws`.
 ///
 /// This is the backend-generic workhorse: [`QbsIndex::query_with`] is a
-/// thin wrapper over it, and [`crate::engine::QueryEngine`] calls it
-/// directly so a view-backed engine serves queries with **zero** index
-/// materialisation. Answers are bit-identical across backends.
+/// thin wrapper over it, and the request pipeline behind
+/// [`crate::Qbs`] calls it directly so a view-backed session serves
+/// queries with **zero** index materialisation. Answers are bit-identical
+/// across backends.
 pub fn query_on<S: IndexStore>(
     store: &S,
     ws: &mut QueryWorkspace,

@@ -16,9 +16,10 @@
 //!   out-of-range endpoint) are a *value*, not an `Err` of the whole
 //!   batch: one poisoned pair costs one error outcome, never the batch.
 //!
-//! [`crate::engine::QueryEngine::submit`] fans slices of requests out over
-//! the concurrent worker pool, and [`crate::cache::AnswerCache`] slots in
-//! between the request and the executor (see [`execute_cached_on`]). The
+//! [`crate::Qbs::submit`] fans batches of requests out over the session's
+//! long-lived query workers ([`crate::engine`]), and
+//! [`crate::cache::AnswerCache`] slots in between the request and the
+//! executor (see [`execute_cached_on`]). The
 //! single-query entry points (`QbsIndex::query` and friends) are thin
 //! wrappers over the same internals — see `docs/api.md` for the
 //! migration table.

@@ -7,8 +7,9 @@
 //! [`ViewStore`]. Every query API in this crate is generic over
 //! that choice, but downstream code should not have to be: a [`Qbs`]
 //! session wraps either backend behind one type, carries the session's
-//! thread budget and optional [`AnswerCache`], and keeps a persistent
-//! workspace pool so its steady state allocates nothing per query.
+//! thread budget and optional [`AnswerCache`], and owns the long-lived
+//! query executor ([`crate::engine`]) whose workers keep their workspaces
+//! for life, so its steady state allocates nothing per query.
 //!
 //! ```
 //! use qbs_core::request::QueryRequest;
@@ -34,21 +35,20 @@
 use std::fmt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use qbs_graph::{Distance, Graph, PathGraph, VertexId};
 
 use crate::cache::{AnswerCache, CacheConfig, CacheStats};
-use crate::engine::QueryEngine;
-use crate::obs::{Metrics, MetricsSnapshot, Stage, StageNanos};
-use crate::plan::{PlannerCounters, PlannerStats};
+use crate::engine::{Engine, Executor};
+use crate::obs::{Metrics, MetricsSnapshot, StageNanos};
+use crate::plan::PlannerStats;
 use crate::query::{QbsConfig, QbsIndex, QueryAnswer};
-use crate::request::{execute_cached_on, QueryOutcome, QueryRequest};
+use crate::request::{QueryOutcome, QueryRequest};
 use crate::serialize::{self, MapMode};
 use crate::sketch::Sketch;
 use crate::stats::IndexStats;
 use crate::store::{IndexStore, ViewStore};
-use crate::workspace::QueryWorkspace;
 use crate::QbsError;
 
 /// The storage backend of a [`Qbs`] session.
@@ -123,43 +123,35 @@ impl fmt::Display for EngineStats {
 
 /// A ready-to-serve QbS session over either storage backend.
 ///
-/// Queries resolve the backend once per call ([`Qbs::execute`]) or once
-/// per batch ([`Qbs::submit`]), so the search's inner loops always run
-/// over the concrete monomorphised store.
-#[derive(Debug)]
+/// Queries resolve the backend once per request, so the search's inner
+/// loops always run over the concrete monomorphised store. Dropping the
+/// session stops and joins its query workers.
 pub struct Qbs {
-    backend: QbsBackend,
-    threads: usize,
-    cache: Option<Arc<AnswerCache>>,
-    /// Persistent workspace pool handed to the transient engines behind
-    /// [`Qbs::submit`], so repeated batches reuse warm scratch state.
-    pool: Mutex<Vec<QueryWorkspace>>,
+    pub(crate) exec: Executor,
     /// Serving counters behind [`Qbs::engine_stats`].
     requests: AtomicU64,
     batches: AtomicU64,
     errors: AtomicU64,
-    /// Batch-planner counters, shared with every transient engine so they
-    /// accumulate for the session's lifetime.
-    planner: Arc<PlannerCounters>,
-    /// Observability registry (per-stage latency histograms), shared with
-    /// every transient engine for the same reason.
-    metrics: Arc<Metrics>,
+}
+
+impl fmt::Debug for Qbs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Qbs")
+            .field("backend", self.backend())
+            .field("threads", &self.threads())
+            .field("cache", &self.cache())
+            .finish_non_exhaustive()
+    }
 }
 
 impl Qbs {
     fn from_backend(backend: QbsBackend) -> Self {
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
         Qbs {
-            backend,
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            cache: None,
-            pool: Mutex::new(Vec::new()),
+            exec: Executor::new(Engine::new(backend), threads),
             requests: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             errors: AtomicU64::new(0),
-            planner: Arc::new(PlannerCounters::default()),
-            metrics: Arc::new(Metrics::new()),
         }
     }
 
@@ -196,7 +188,8 @@ impl Qbs {
         Ok(Self::from_index(serialize::load_from_file(path)?))
     }
 
-    /// Sets the worker-thread budget of [`Qbs::submit`] batches.
+    /// Sets the session's thread budget: [`Qbs::submit`] frames run on the
+    /// calling thread plus up to `threads − 1` long-lived workers.
     ///
     /// Fails with [`QbsError::ThreadPool`] when `threads` is zero.
     pub fn with_threads(mut self, threads: usize) -> crate::Result<Self> {
@@ -205,26 +198,26 @@ impl Qbs {
                 "a Qbs session requires at least one worker thread".into(),
             ));
         }
-        self.threads = threads;
+        self.exec.set_threads(threads);
         Ok(self)
     }
 
     /// Attaches a sharded LRU answer cache to the session (see
     /// [`crate::cache`]).
     pub fn with_cache(mut self, config: CacheConfig) -> Self {
-        self.cache = Some(Arc::new(AnswerCache::new(config)));
+        self.exec.engine_mut().cache = Some(AnswerCache::new(config));
         self
     }
 
     /// The session's storage backend.
     pub fn backend(&self) -> &QbsBackend {
-        &self.backend
+        &self.exec.engine.backend
     }
 
     /// The owned index, when this session serves one (`None` on a
     /// view-backed session).
     pub fn index(&self) -> Option<&QbsIndex> {
-        match &self.backend {
+        match self.backend() {
             QbsBackend::Owned(index) => Some(index),
             QbsBackend::View(_) => None,
         }
@@ -233,7 +226,7 @@ impl Qbs {
     /// The view store, when this session serves straight from an index
     /// buffer (`None` on an owned session).
     pub fn view_store(&self) -> Option<&ViewStore> {
-        match &self.backend {
+        match self.backend() {
             QbsBackend::View(store) => Some(store),
             QbsBackend::Owned(_) => None,
         }
@@ -241,15 +234,12 @@ impl Qbs {
 
     /// Vertices in the served index.
     pub fn num_vertices(&self) -> usize {
-        match &self.backend {
-            QbsBackend::Owned(s) => s.num_vertices(),
-            QbsBackend::View(s) => s.num_vertices(),
-        }
+        self.exec.engine.num_vertices()
     }
 
     /// Landmarks in the served index.
     pub fn num_landmarks(&self) -> usize {
-        match &self.backend {
+        match self.backend() {
             QbsBackend::Owned(s) => s.num_landmarks(),
             QbsBackend::View(s) => s.num_landmarks(),
         }
@@ -263,17 +253,17 @@ impl Qbs {
 
     /// The configured worker-thread budget.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.exec.threads()
     }
 
     /// The attached answer cache, if any.
     pub fn cache(&self) -> Option<&AnswerCache> {
-        self.cache.as_deref()
+        self.exec.engine.cache.as_ref()
     }
 
     /// Counter snapshot of the attached cache.
     pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(|c| c.stats())
+        self.cache().map(AnswerCache::stats)
     }
 
     /// A consistent snapshot of the session's serving counters — shared by
@@ -282,12 +272,12 @@ impl Qbs {
         EngineStats {
             num_vertices: self.num_vertices() as u64,
             num_landmarks: self.num_landmarks() as u64,
-            threads: self.threads as u64,
-            view_backed: !matches!(self.backend, QbsBackend::Owned(_)),
+            threads: self.threads() as u64,
+            view_backed: self.view_store().is_some(),
             requests: self.requests.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
-            planner: self.planner.snapshot(),
+            planner: self.exec.engine.planner.snapshot(),
             cache: self.cache_stats(),
         }
     }
@@ -302,41 +292,23 @@ impl Qbs {
         }
     }
 
-    /// Executes one typed request on a pooled workspace, through the
+    /// Executes one typed request on the calling thread, through the
     /// session cache when attached.
-    ///
-    /// The backend is resolved **once per call**, so the search's inner
-    /// loops run over the concrete monomorphised store, not through the
-    /// façade's per-accessor delegation.
     pub fn execute(&self, request: &QueryRequest) -> QueryOutcome {
-        let mut ws = self.checkout();
-        let cache = self.cache.as_deref();
-        let observed = self.metrics.is_enabled();
-        ws.obs.enabled = observed;
-        let t = ws.obs.start();
-        let outcome = match &self.backend {
-            QbsBackend::Owned(s) => execute_cached_on(s.as_ref(), &mut ws, request, cache),
-            QbsBackend::View(s) => execute_cached_on(s, &mut ws, request, cache),
-        };
-        ws.obs.stop(Stage::Execute, t);
-        if observed {
-            let ns = ws.obs.take();
-            self.metrics.record_request(request.mode, &ns);
-            ws.obs.enabled = false;
-        }
-        self.checkin(ws);
+        let outcome = self.exec.execute(request);
         self.count_outcomes(std::slice::from_ref(&outcome));
         outcome
     }
 
-    /// Executes a heterogeneous batch of typed requests over the worker
-    /// pool, with per-request outcomes ([`QueryEngine::submit`] semantics:
-    /// one bad request fails alone). The session's workspace pool persists
-    /// across calls, so repeated batches run allocation-free; concurrent
-    /// `submit` calls merge their recovered pools (bounded at the thread
-    /// budget) instead of clobbering each other's warm workspaces. The
-    /// backend is resolved once per batch, so the workers run over the
-    /// concrete monomorphised store.
+    /// Executes a heterogeneous batch of typed requests, in input order —
+    /// the one batch interface.
+    ///
+    /// `submit` never fails as a whole: a request with an out-of-range
+    /// endpoint yields [`QueryOutcome::Error`] *for that slot only*. Modes
+    /// mix freely, requests with [`crate::request::QueryOptions::use_cache`]
+    /// go through the attached cache, repeated requests are executed once
+    /// ([`crate::plan`]), and the session's workers share the batch
+    /// ([`crate::engine`]). Outcomes are bit-identical across backends.
     pub fn submit(&self, requests: &[QueryRequest]) -> Vec<QueryOutcome> {
         self.submit_observed(requests).0
     }
@@ -344,52 +316,25 @@ impl Qbs {
     /// [`Qbs::submit`] plus the batch's aggregate per-stage wall time,
     /// for callers (the serving tier) that feed a slow-query log.
     ///
-    /// The returned [`StageNanos`] sums every stage across the whole
-    /// batch; it is all zeros when metrics are disabled.
+    /// The returned [`StageNanos`] sums every stage across this batch
+    /// only, whatever else runs concurrently; it is all zeros when metrics
+    /// are disabled.
     pub fn submit_observed(&self, requests: &[QueryRequest]) -> (Vec<QueryOutcome>, StageNanos) {
-        let pool = std::mem::take(&mut *self.pool.lock().expect("workspace pool poisoned"));
-        let (outcomes, stage_ns, recovered) = match &self.backend {
-            QbsBackend::Owned(s) => self.submit_on(s.as_ref(), pool, requests),
-            QbsBackend::View(s) => self.submit_on(s, pool, requests),
-        };
-        let mut pool = self.pool.lock().expect("workspace pool poisoned");
-        pool.extend(recovered);
-        pool.truncate(self.threads);
-        drop(pool);
+        let (outcomes, stage_ns) = self.exec.submit(requests);
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.count_outcomes(&outcomes);
         (outcomes, stage_ns)
     }
 
-    /// One batch on a transient engine over the resolved backend; hands
-    /// the workspace pool back for the session to keep.
-    fn submit_on<S: IndexStore>(
-        &self,
-        store: &S,
-        pool: Vec<QueryWorkspace>,
-        requests: &[QueryRequest],
-    ) -> (Vec<QueryOutcome>, StageNanos, Vec<QueryWorkspace>) {
-        let engine = QueryEngine::with_pool(
-            store,
-            self.threads,
-            pool,
-            self.cache.clone(),
-            Arc::clone(&self.planner),
-            Some(Arc::clone(&self.metrics)),
-        );
-        let outcomes = engine.submit(requests);
-        (outcomes, engine.take_batch_obs(), engine.into_pool())
-    }
-
-    /// The session's observability registry. Shared with every transient
-    /// engine, so per-stage histograms accumulate across batches.
+    /// The session's observability registry: per-stage histograms
+    /// accumulated across every request and batch.
     pub fn metrics(&self) -> &Arc<Metrics> {
-        &self.metrics
+        &self.exec.engine.metrics
     }
 
     /// Snapshot of the per-stage latency histograms accumulated so far.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.metrics.snapshot()
+        self.metrics().snapshot()
     }
 
     /// Answers `SPG(source, target)` — the façade sibling of
@@ -427,21 +372,6 @@ impl Qbs {
         match self.execute(&QueryRequest::sketch(source, target)) {
             QueryOutcome::Sketch(s) => Ok(*s),
             outcome => Err(expect_error(outcome)),
-        }
-    }
-
-    fn checkout(&self) -> QueryWorkspace {
-        self.pool
-            .lock()
-            .expect("workspace pool poisoned")
-            .pop()
-            .unwrap_or_else(|| QueryWorkspace::for_vertices(self.num_vertices()))
-    }
-
-    fn checkin(&self, ws: QueryWorkspace) {
-        let mut pool = self.pool.lock().expect("workspace pool poisoned");
-        if pool.len() < self.threads {
-            pool.push(ws);
         }
     }
 }
@@ -514,20 +444,19 @@ mod tests {
 
     #[test]
     fn submit_persists_the_workspace_pool_and_cache() {
-        let qbs = session()
-            .with_threads(2)
-            .expect("threads")
-            .with_cache(CacheConfig::default().admit_above(0));
+        let qbs = session().with_threads(2).expect("threads");
         assert_eq!(qbs.threads(), 2);
         let requests: Vec<QueryRequest> = (0..15u32)
             .flat_map(|u| (0..15u32).map(move |v| QueryRequest::new(u, v, QueryMode::PathGraph)))
             .collect();
-        let first = qbs.submit(&requests);
-        let second = qbs.submit(&requests);
-        assert_eq!(first, second, "cache hits are bit-identical");
-        assert!(
-            !qbs.pool.lock().unwrap().is_empty(),
-            "workspace pool survives across submits"
+        let uncached = qbs.submit(&requests);
+        // Attaching a cache to a session that has served restarts its workers.
+        let qbs = qbs.with_cache(CacheConfig::default().admit_above(0));
+        assert_eq!(qbs.submit(&requests), uncached);
+        assert_eq!(
+            qbs.submit(&requests),
+            uncached,
+            "cache hits are bit-identical"
         );
         let stats = qbs.cache_stats().expect("cache attached");
         assert!(stats.hits > 0 && stats.insertions > 0, "{stats:?}");

@@ -12,9 +12,9 @@
 //!   file buffer (heap or mmap, see [`crate::format::ViewBuf`]) without
 //!   materialising a single per-vertex `Vec`.
 //!
-//! Because [`crate::query::query_on`], [`crate::search`] and
-//! [`crate::engine::QueryEngine`] are generic over `S: IndexStore`, a cold
-//! shard process can map one immutable index file and answer its first
+//! Because [`crate::query::query_on`], [`crate::search`] and the request
+//! pipeline ([`crate::request::execute_on`]) are generic over
+//! `S: IndexStore`, a cold shard process can map one immutable index file and answer its first
 //! query without ever building the owned structures — the serving story of
 //! disk-resident labelling systems (IS-LABEL et al.) applied to QbS.
 //! Answers are **bit-identical** across backends; the differential tests in
@@ -27,9 +27,9 @@
 //! shared and keep all mutable state in a caller-owned
 //! [`crate::QueryWorkspace`]. [`ViewStore`] owns its [`IndexView`] (which
 //! owns the buffer or the mapping), so the store is self-contained — drop
-//! order is store → view → buffer, and an engine borrowing the store
-//! (`QueryEngine<'_, ViewStore>`) cannot outlive the mapping by
-//! construction.
+//! order is store → view → buffer. A [`crate::Qbs`] session owns its
+//! store and shares it with its query workers, which it joins when it is
+//! dropped, so no query can outlive the mapping.
 
 use qbs_graph::view::NeighborAccess;
 use qbs_graph::{Distance, VertexFilter, VertexId, INFINITE_DISTANCE};

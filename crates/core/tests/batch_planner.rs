@@ -2,14 +2,18 @@
 //! (shuffled-uniform, duplicated, source-clustered), `submit(batch)` must
 //! be **bit-identical** to running the same requests one at a time on a
 //! fresh workspace — on the owned index and an mmap-backed `ViewStore`,
-//! with the answer cache cold and warm.
+//! with the answer cache cold and warm, and with many callers sharing one
+//! session's workers.
+
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
 use qbs_core::request::{QueryOutcome, QueryRequest};
 use qbs_core::serialize::{self, MapMode};
 use qbs_core::store::IndexStore;
-use qbs_core::{CacheConfig, QbsConfig, QbsIndex, QueryEngine, QueryWorkspace};
+use qbs_core::{CacheConfig, Qbs, QbsConfig, QbsIndex, QueryWorkspace, Stage};
 use qbs_gen::prelude::*;
 use qbs_graph::{Graph, VertexId};
 
@@ -105,15 +109,20 @@ fn one_at_a_time<S: IndexStore>(store: &S, requests: &[QueryRequest]) -> Vec<Que
         .collect()
 }
 
+/// A fresh session over `session()` with the given thread budget.
+fn on_threads(session: &impl Fn() -> Qbs, threads: usize) -> Qbs {
+    session().with_threads(threads).expect("threads")
+}
+
 /// Submits on 1 and 3 threads, cold and warm, must all match the
 /// one-at-a-time reference bit for bit.
-fn assert_submit_transparent<S: IndexStore>(store: &S, requests: &[QueryRequest], label: &str) {
-    let reference = one_at_a_time(store, requests);
+fn assert_submit_transparent(session: impl Fn() -> Qbs, requests: &[QueryRequest], label: &str) {
+    let single = session();
+    let reference: Vec<QueryOutcome> = requests.iter().map(|r| single.execute(r)).collect();
 
     for threads in [1usize, 3] {
-        let engine = QueryEngine::with_threads(store, threads).expect("engine");
         assert_eq!(
-            engine.submit(requests),
+            on_threads(&session, threads).submit(requests),
             reference,
             "{label}: submit diverged from one-at-a-time ({threads} threads)"
         );
@@ -121,9 +130,7 @@ fn assert_submit_transparent<S: IndexStore>(store: &S, requests: &[QueryRequest]
 
     // Warm-cache pass: the first submit fills the cache, the second must
     // serve bit-identical answers out of it.
-    let cached = QueryEngine::with_threads(store, 2)
-        .expect("engine")
-        .with_answer_cache(CacheConfig::default().admit_above(0));
+    let cached = on_threads(&session, 2).with_cache(CacheConfig::default().admit_above(0));
     assert_eq!(cached.submit(requests), reference, "{label}: cold cached");
     assert_eq!(cached.submit(requests), reference, "{label}: warm cached");
     let stats = cached.cache_stats().expect("cache attached");
@@ -152,7 +159,7 @@ proptest! {
         let requests = family_batch(family, &graph, 48, seed ^ 0xF00D);
 
         // Owned backend.
-        assert_submit_transparent(&owned, &requests, "owned");
+        assert_submit_transparent(|| Qbs::from_index(owned.clone()), &requests, "owned");
 
         // Mmap view backend.
         let dir = std::env::temp_dir().join(format!(
@@ -163,15 +170,12 @@ proptest! {
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join(format!("case_{family}_{vertices}_{landmarks}_{seed}.qbs"));
         serialize::save_to_file(&owned, &path).expect("save");
-        let view = serialize::open_store_from_file(&path, MapMode::Mmap).expect("map");
-        assert_submit_transparent(&view, &requests, "view");
+        let view = || Qbs::open(&path, MapMode::Mmap).expect("map");
+        assert_submit_transparent(view, &requests, "view");
 
         // The two backends agree with each other, too.
-        let owned_outcomes = QueryEngine::with_threads(&owned, 2).expect("engine").submit(&requests);
-        prop_assert_eq!(
-            &owned_outcomes,
-            &QueryEngine::with_threads(&view, 2).expect("engine").submit(&requests)
-        );
+        let owned_outcomes = on_threads(&|| Qbs::from_index(owned.clone()), 2).submit(&requests);
+        prop_assert_eq!(&owned_outcomes, &on_threads(&view, 2).submit(&requests));
 
         std::fs::remove_file(&path).ok();
         std::fs::remove_dir(&dir).ok();
@@ -196,15 +200,17 @@ fn planner_counter_reports_dedup_hits() {
         QueryRequest::distance(4, 6),
         QueryRequest::sketch(7, 9),
     ];
-    let engine = QueryEngine::with_threads(&owned, 1).expect("engine");
-    let outcomes = engine.submit(&requests);
+    let qbs = Qbs::from_index(owned.clone())
+        .with_threads(1)
+        .expect("threads");
+    let outcomes = qbs.submit(&requests);
     assert_eq!(outcomes, one_at_a_time(&owned, &requests));
     // (6,11), (11,6), (6,11) fold into one job: two duplicate slots.
-    assert_eq!(engine.planner_stats().dedup_hits, 2);
+    assert_eq!(qbs.engine_stats().planner.dedup_hits, 2);
 
     // A frame without a repeated key coalesces nothing.
-    engine.submit(&requests[2..]);
-    assert_eq!(engine.planner_stats().dedup_hits, 2);
+    qbs.submit(&requests[2..]);
+    assert_eq!(qbs.engine_stats().planner.dedup_hits, 2);
 }
 
 /// Duplicates of one key that carry *different* options are each shaped by
@@ -229,22 +235,20 @@ fn duplicate_slots_are_shaped_by_their_own_options() {
     // The reference shapes every slot by its own options and gives every
     // out-of-range slot its own payload.
     let reference = one_at_a_time(&owned, &requests);
-    let engine = QueryEngine::with_threads(&owned, 1)
-        .expect("engine")
-        .with_answer_cache(CacheConfig::default().admit_above(0));
-    assert_eq!(engine.submit(&requests), reference);
+    let qbs = cached_single_thread(owned);
+    assert_eq!(qbs.submit(&requests), reference);
     assert!(matches!(reference[0], QueryOutcome::PathGraph(_)));
     assert!(matches!(reference[1], QueryOutcome::PathGraphWithStats(_)));
-    let dedup_hits = engine.planner_stats().dedup_hits;
+    let dedup_hits = qbs.engine_stats().planner.dedup_hits;
     assert_eq!(dedup_hits, 3, "error slots stay solo");
 
     // Two distinct in-range keys, each looked up and admitted once even
     // though its first slot opted out of the cache; every out-of-range
     // slot counts its own miss, as a one-at-a-time execution would.
-    let cold = engine.cache_stats().expect("cache");
+    let cold = qbs.cache_stats().expect("cache");
     assert_eq!((cold.hits, cold.misses, cold.insertions), (0, 5, 2));
-    assert_eq!(engine.submit(&requests), reference, "warm");
-    let warm = engine.cache_stats().expect("cache");
+    assert_eq!(qbs.submit(&requests), reference, "warm");
+    let warm = qbs.cache_stats().expect("cache");
     assert_eq!((warm.hits, warm.misses, warm.insertions), (2, 8, 2));
 }
 
@@ -257,27 +261,139 @@ fn duplicate_slots_count_cache_traffic_once_per_distinct_key() {
         qbs_graph::fixtures::figure4_graph(),
         QbsConfig::with_explicit_landmarks(vec![1, 2, 3]),
     );
-    let engine = QueryEngine::with_threads(&owned, 1)
-        .expect("engine")
-        .with_answer_cache(CacheConfig::default().admit_above(0));
+    let qbs = cached_single_thread(owned);
     let requests = vec![
         QueryRequest::distance(6, 11),
         QueryRequest::distance(11, 6),
         QueryRequest::distance(6, 11),
         QueryRequest::distance(6, 11),
     ];
-    engine.submit(&requests);
-    let cold = engine.cache_stats().expect("cache");
+    qbs.submit(&requests);
+    let cold = qbs.cache_stats().expect("cache");
     assert_eq!(
         (cold.hits, cold.misses, cold.insertions),
         (0, 1, 1),
         "four duplicate slots, one distinct key: {cold:?}"
     );
-    engine.submit(&requests);
-    let warm = engine.cache_stats().expect("cache");
+    qbs.submit(&requests);
+    let warm = qbs.cache_stats().expect("cache");
     assert_eq!(
         (warm.hits, warm.misses, warm.insertions),
         (1, 1, 1),
         "warm pass looks the key up once: {warm:?}"
     );
+}
+
+/// A one-thread session over `owned` with a cache that admits everything.
+fn cached_single_thread(owned: QbsIndex) -> Qbs {
+    Qbs::from_index(owned)
+        .with_threads(1)
+        .expect("threads")
+        .with_cache(CacheConfig::default().admit_above(0))
+}
+
+/// Eight callers share one two-thread session, each submitting 50 mixed
+/// frames (poisoned pairs included) in a different order: every slot
+/// matches a one-at-a-time `execute`, on the owned and the mmap-view
+/// backend, and every caller finishes inside a fixed deadline.
+#[test]
+fn concurrent_submitters_share_the_workers_bit_identically() {
+    const CALLERS: usize = 8;
+    let graph = barabasi_albert::generate(&BarabasiAlbertConfig {
+        vertices: 400,
+        edges_per_vertex: 3,
+        seed: 25,
+    });
+    let owned = QbsIndex::build(graph.clone(), QbsConfig::with_landmark_count(6));
+    let dir =
+        std::env::temp_dir().join(format!("qbs_batch_planner_callers_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let path = dir.join("ba400.qbs");
+    serialize::save_to_file(&owned, &path).expect("save");
+    let frames: Arc<Vec<Vec<QueryRequest>>> =
+        Arc::new((0..50u64).map(|i| family_batch(i, &graph, 24, i)).collect());
+
+    for qbs in [
+        Qbs::from_index(owned),
+        Qbs::open(&path, MapMode::Mmap).expect("map"),
+    ] {
+        let qbs = Arc::new(qbs.with_threads(2).expect("threads"));
+        let expected: Arc<Vec<Vec<QueryOutcome>>> = Arc::new(
+            frames
+                .iter()
+                .map(|frame| frame.iter().map(|r| qbs.execute(r)).collect())
+                .collect(),
+        );
+        let (done, finished) = mpsc::channel();
+        let callers: Vec<_> = (0..CALLERS)
+            .map(|caller| {
+                let (qbs, frames, expected) = (qbs.clone(), frames.clone(), expected.clone());
+                let done = done.clone();
+                std::thread::spawn(move || {
+                    for k in 0..frames.len() {
+                        let i = (k + 7 * caller) % frames.len();
+                        assert_eq!(
+                            qbs.submit(&frames[i]),
+                            expected[i],
+                            "{}: caller {caller}, frame {i}",
+                            qbs.backend().name()
+                        );
+                    }
+                    done.send(caller).expect("test alive");
+                })
+            })
+            .collect();
+        drop(done);
+        let deadline = Instant::now() + Duration::from_secs(120);
+        for _ in 0..CALLERS {
+            finished
+                .recv_timeout(deadline.saturating_duration_since(Instant::now()))
+                .expect("every caller finished, matching, inside the deadline");
+        }
+        for caller in callers {
+            caller.join().expect("caller");
+        }
+    }
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir(&dir).ok();
+}
+
+/// Two callers submit at once on one two-thread session, one frame using
+/// the cache and one not: each `submit_observed` breakdown holds only its
+/// own frame's stages, so only the cached frame ever shows a cache lookup.
+#[test]
+fn concurrent_frames_get_only_their_own_stage_sums() {
+    let qbs = Arc::new(
+        Qbs::from_index(QbsIndex::build(
+            qbs_graph::fixtures::figure4_graph(),
+            QbsConfig::with_landmark_count(3),
+        ))
+        .with_threads(2)
+        .expect("threads")
+        .with_cache(CacheConfig::default()),
+    );
+    let barrier = Arc::new(std::sync::Barrier::new(2));
+    let callers: Vec<_> = [false, true]
+        .into_iter()
+        .map(|cached| {
+            let (qbs, barrier) = (qbs.clone(), barrier.clone());
+            std::thread::spawn(move || {
+                let requests: Vec<QueryRequest> = (0..15u32)
+                    .flat_map(|u| (0..15u32).map(move |v| QueryRequest::distance(u, v)))
+                    .map(|r| if cached { r } else { r.uncached() })
+                    .collect();
+                barrier.wait();
+                for _ in 0..20 {
+                    let (_, ns) = qbs.submit_observed(&requests);
+                    assert!(ns.get(Stage::Execute) > 0, "{ns:?}");
+                    assert_eq!(ns.get(Stage::CacheLookup) > 0, cached, "{ns:?}");
+                }
+            })
+        })
+        .collect();
+    for caller in callers {
+        caller
+            .join()
+            .expect("each caller saw only its own stage sums");
+    }
 }

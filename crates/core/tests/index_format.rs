@@ -8,9 +8,7 @@ use proptest::prelude::*;
 
 use qbs_core::format::{checksum64, SectionKind, HEADER_LEN};
 use qbs_core::serialize::{self, MapMode, EXCERPT_LEN};
-use qbs_core::{
-    IndexView, Qbs, QbsConfig, QbsError, QbsIndex, QueryEngine, QueryRequest, ViewBuf, ViewStore,
-};
+use qbs_core::{IndexView, Qbs, QbsConfig, QbsError, QbsIndex, QueryRequest, ViewBuf, ViewStore};
 use qbs_gen::prelude::*;
 use qbs_graph::fixtures::figure4_graph;
 use qbs_graph::{Graph, GraphBuilder};
@@ -385,28 +383,16 @@ fn queries_through_from_view_are_bit_identical() {
         );
     }
 
-    // The batch engine sees the same answers on the built index, the
-    // loaded one, and the view itself served without materialisation.
+    // Batches see the same answers on the built index, the loaded one,
+    // and the view itself served without materialisation.
     let requests: Vec<QueryRequest> = pairs
         .iter()
         .map(|&(u, v)| QueryRequest::path_graph(u, v))
         .collect();
-    let batch = QueryEngine::with_threads(&built, 2)
-        .expect("engine")
-        .submit(&requests);
-    let store = ViewStore::new(view);
-    assert_eq!(
-        batch,
-        QueryEngine::with_threads(&loaded, 2)
-            .expect("engine")
-            .submit(&requests)
-    );
-    assert_eq!(
-        batch,
-        QueryEngine::with_threads(&store, 2)
-            .expect("engine")
-            .submit(&requests)
-    );
+    let submit = |qbs: Qbs| qbs.with_threads(2).expect("threads").submit(&requests);
+    let batch = submit(Qbs::from_index(built));
+    assert_eq!(batch, submit(Qbs::from_index(loaded)));
+    assert_eq!(batch, submit(Qbs::from_view_store(ViewStore::new(view))));
 }
 
 /// Zero-copy view accessors agree with the materialised structures on a

@@ -9,7 +9,7 @@ use proptest::prelude::*;
 
 use qbs_core::request::{QueryMode, QueryOutcome, QueryRequest};
 use qbs_core::serialize::{self, MapMode};
-use qbs_core::{CacheConfig, Qbs, QbsConfig, QbsIndex, QueryEngine};
+use qbs_core::{CacheConfig, Qbs, QbsConfig, QbsIndex, ViewStore};
 use qbs_gen::prelude::*;
 use qbs_graph::{Graph, VertexId};
 
@@ -32,21 +32,21 @@ fn mixed_requests(pairs: &[(VertexId, VertexId)], num_vertices: usize) -> Vec<Qu
     requests
 }
 
+/// A two-thread session over `owned`.
+fn two_threads(owned: &QbsIndex) -> Qbs {
+    Qbs::from_index(owned.clone())
+        .with_threads(2)
+        .expect("threads")
+}
+
 /// Runs the same mixed batch through both backends and checks per-slot
 /// semantics: the poisoned slot (and only it) errors, every mode-specific
 /// outcome matches the legacy single-query entry point, and the two
 /// backends agree bit-for-bit.
-fn assert_mixed_batch_identical(
-    owned: &QbsIndex,
-    store: &qbs_core::ViewStore,
-    pairs: &[(VertexId, VertexId)],
-) {
+fn assert_mixed_batch_identical(owned: &QbsIndex, view: &Qbs, pairs: &[(VertexId, VertexId)]) {
     let requests = mixed_requests(pairs, owned.graph().num_vertices());
-    let owned_engine = QueryEngine::with_threads(owned, 2).expect("owned engine");
-    let view_engine = QueryEngine::with_threads(store, 2).expect("view engine");
-
-    let owned_outcomes = owned_engine.submit(&requests);
-    let view_outcomes = view_engine.submit(&requests);
+    let owned_outcomes = two_threads(owned).submit(&requests);
+    let view_outcomes = view.submit(&requests);
     assert_eq!(owned_outcomes.len(), requests.len());
 
     for (slot, ((req, a), b)) in requests
@@ -109,9 +109,12 @@ fn mixed_submit_is_bit_identical_between_owned_and_mmap_backends() {
     std::fs::create_dir_all(&dir).expect("mkdir");
     let path = dir.join("ba3000.qbs");
     serialize::save_to_file(&owned, &path).expect("save");
-    let store = serialize::open_store_from_file(&path, MapMode::Mmap).expect("map");
+    let view = Qbs::open(&path, MapMode::Mmap)
+        .expect("map")
+        .with_threads(2)
+        .expect("threads");
 
-    assert_mixed_batch_identical(&owned, &store, &pairs);
+    assert_mixed_batch_identical(&owned, &view, &pairs);
 }
 
 /// Regression: a poisoned pair mid-batch produces an error outcome for
@@ -123,7 +126,6 @@ fn poisoned_pair_fails_its_slot_only_on_both_backends() {
         qbs_graph::fixtures::figure4_graph(),
         QbsConfig::with_explicit_landmarks(vec![1, 2, 3]),
     );
-    let store = qbs_core::ViewStore::new(owned.as_view());
     let requests = vec![
         QueryRequest::path_graph(6, 11),
         QueryRequest::distance(4, 12),
@@ -131,25 +133,23 @@ fn poisoned_pair_fails_its_slot_only_on_both_backends() {
         QueryRequest::sketch(7, 9),
         QueryRequest::distance(13, 8),
     ];
-    for engine in [
-        QueryEngine::with_threads(&owned, 2).expect("owned"),
-        // A second owned engine stands in for per-backend determinism.
-        QueryEngine::with_threads(&owned, 1).expect("owned single"),
-    ] {
-        let outcomes = engine.submit(&requests);
+    for threads in [2, 1] {
+        let outcomes = Qbs::from_index(owned.clone())
+            .with_threads(threads)
+            .expect("threads")
+            .submit(&requests);
         assert!(outcomes[2].is_error());
         assert_eq!(outcomes.iter().filter(|o| o.is_error()).count(), 1);
     }
-    let view_engine = QueryEngine::with_threads(&store, 2).expect("view");
-    let owned_engine = QueryEngine::with_threads(&owned, 2).expect("owned");
-    assert_eq!(
-        owned_engine.submit(&requests),
-        view_engine.submit(&requests)
-    );
+    let view = Qbs::from_view_store(ViewStore::new(owned.as_view()))
+        .with_threads(2)
+        .expect("threads");
+    let owned = two_threads(&owned);
+    assert_eq!(owned.submit(&requests), view.submit(&requests));
 
     // `into_result` restores the legacy fail-fast shape for callers that
     // still want one error to abort their whole batch.
-    let failed = owned_engine
+    let failed = owned
         .submit(&requests)
         .into_iter()
         .map(qbs_core::QueryOutcome::into_result)
@@ -157,8 +157,9 @@ fn poisoned_pair_fails_its_slot_only_on_both_backends() {
     assert!(failed.is_err(), "the poisoned slot surfaces as QbsError");
 }
 
-/// The Qbs façade serves the same answers as the raw engines, from both a
-/// built session and a session opened off an index file.
+/// The Qbs façade serves the same answers as the raw request pipeline
+/// (`execute_on` on one workspace), from both a built session and a
+/// session opened off an index file.
 #[test]
 fn facade_sessions_agree_with_raw_engines() {
     let graph = barabasi_albert::generate(&BarabasiAlbertConfig {
@@ -177,7 +178,13 @@ fn facade_sessions_agree_with_raw_engines() {
     assert_eq!(opened.backend().name(), "view");
 
     let requests = mixed_requests(&pairs, graph.num_vertices());
-    assert_eq!(built.submit(&requests), opened.submit(&requests));
+    let mut ws = qbs_core::QueryWorkspace::new();
+    let raw: Vec<QueryOutcome> = requests
+        .iter()
+        .map(|r| qbs_core::execute_on(built.index().expect("owned"), &mut ws, r))
+        .collect();
+    assert_eq!(built.submit(&requests), raw);
+    assert_eq!(opened.submit(&requests), raw);
     for &(u, v) in pairs.iter().take(8) {
         assert_eq!(built.query(u, v).unwrap(), opened.query(u, v).unwrap());
         assert_eq!(
@@ -235,23 +242,23 @@ proptest! {
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join(format!("case_{family}_{vertices}_{landmarks}_{seed}.qbs"));
         serialize::save_to_file(&owned, &path).expect("save");
-        let store = serialize::open_store_from_file(&path, MapMode::Mmap).expect("open");
+        let cache = || CacheConfig::default().admit_above(0);
+        let owned_session = two_threads(&owned).with_cache(cache());
+        let view_session = Qbs::open(&path, MapMode::Mmap).expect("open")
+            .with_threads(2).expect("threads")
+            .with_cache(cache());
 
         let pairs = QueryWorkload::sample(&graph, 32, seed ^ 0x5EED).pairs().to_vec();
-        let owned_engine = QueryEngine::with_threads(&owned, 2).expect("owned engine")
-            .with_answer_cache(CacheConfig::default().admit_above(0));
-        let view_engine = QueryEngine::with_threads(&store, 2).expect("view engine")
-            .with_answer_cache(CacheConfig::default().admit_above(0));
 
         let distance_reqs: Vec<QueryRequest> =
             pairs.iter().map(|&(u, v)| QueryRequest::distance(u, v)).collect();
         let path_reqs: Vec<QueryRequest> =
             pairs.iter().map(|&(u, v)| QueryRequest::path_graph(u, v)).collect();
 
-        let owned_distances = owned_engine.submit(&distance_reqs);
-        let view_distances = view_engine.submit(&distance_reqs);
-        let owned_paths = owned_engine.submit(&path_reqs);
-        let view_paths = view_engine.submit(&path_reqs);
+        let owned_distances = owned_session.submit(&distance_reqs);
+        let view_distances = view_session.submit(&distance_reqs);
+        let owned_paths = owned_session.submit(&path_reqs);
+        let view_paths = view_session.submit(&path_reqs);
 
         for (i, &(u, v)) in pairs.iter().enumerate() {
             prop_assert_eq!(&owned_distances[i], &view_distances[i], "distance ({}, {})", u, v);
@@ -266,12 +273,12 @@ proptest! {
 
         // Second pass: every answer now comes from the cache (same keys),
         // and must be bit-identical to the first pass on both backends.
-        let owned_hits_before = owned_engine.cache_stats().expect("cache").hits;
-        prop_assert_eq!(owned_engine.submit(&distance_reqs), owned_distances);
-        prop_assert_eq!(owned_engine.submit(&path_reqs), owned_paths);
-        prop_assert_eq!(view_engine.submit(&distance_reqs), view_distances);
-        prop_assert_eq!(view_engine.submit(&path_reqs), view_paths);
-        let stats = owned_engine.cache_stats().expect("cache");
+        let owned_hits_before = owned_session.cache_stats().expect("cache").hits;
+        prop_assert_eq!(owned_session.submit(&distance_reqs), owned_distances);
+        prop_assert_eq!(owned_session.submit(&path_reqs), owned_paths);
+        prop_assert_eq!(view_session.submit(&distance_reqs), view_distances);
+        prop_assert_eq!(view_session.submit(&path_reqs), view_paths);
+        let stats = owned_session.cache_stats().expect("cache");
         prop_assert!(stats.hits > owned_hits_before, "warm pass hit the cache: {:?}", stats);
 
         std::fs::remove_file(&path).ok();
@@ -288,10 +295,8 @@ fn symmetric_distance_cache_hits_match_fresh_reversed_queries() {
         seed: 21,
     });
     let owned = QbsIndex::build(graph.clone(), QbsConfig::with_landmark_count(6));
-    let cached = QueryEngine::with_threads(&owned, 2)
-        .expect("engine")
-        .with_answer_cache(CacheConfig::default().admit_above(0));
-    let fresh = QueryEngine::with_threads(&owned, 2).expect("engine");
+    let cached = two_threads(&owned).with_cache(CacheConfig::default().admit_above(0));
+    let fresh = two_threads(&owned);
 
     let pairs = QueryWorkload::sample(&graph, 64, 5).pairs().to_vec();
     let forward: Vec<QueryRequest> = pairs

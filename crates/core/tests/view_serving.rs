@@ -1,5 +1,5 @@
-//! Differential coverage of the view-serving path: batch-engine answers
-//! computed over a [`ViewStore`] — including one backed by a
+//! Differential coverage of the view-serving path: batch answers of a
+//! session over a [`ViewStore`] — including one backed by a
 //! `ViewBuf::Mmap` mapping of a real file — must be **bit-identical** to
 //! the owned-`QbsIndex` answers, on the checked-in golden fixture and on a
 //! proptest-generated graph family. The serving flow under test never
@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 
 use qbs_core::serialize::{self, MapMode};
-use qbs_core::{QbsConfig, QbsIndex, QueryEngine, QueryRequest, ViewBuf, ViewStore};
+use qbs_core::{Qbs, QbsConfig, QbsIndex, QueryRequest, ViewBuf, ViewStore};
 use qbs_gen::prelude::*;
 use qbs_graph::{Graph, VertexId};
 
@@ -31,18 +31,26 @@ fn all_pairs(n: u32) -> Vec<(VertexId, VertexId)> {
     pairs
 }
 
-/// Runs `pairs` through batch engines over both backends and asserts the
-/// full answers (path graph, sketch, stats) and distances are identical.
-fn assert_bit_identical(owned: &QbsIndex, store: &ViewStore, pairs: &[(VertexId, VertexId)]) {
-    let owned_engine = QueryEngine::with_threads(owned, 2).expect("owned engine");
-    let view_engine = QueryEngine::with_threads(store, 2).expect("view engine");
+/// Two-thread sessions over the owned index and the view store.
+fn sessions(owned: &QbsIndex, store: ViewStore) -> (Qbs, Qbs) {
+    let two = |qbs: Qbs| qbs.with_threads(2).expect("threads");
+    (
+        two(Qbs::from_index(owned.clone())),
+        two(Qbs::from_view_store(store)),
+    )
+}
+
+/// Runs `pairs` through sessions over both backends and asserts the full
+/// answers (path graph, sketch, stats) and distances are identical.
+fn assert_bit_identical(owned: &QbsIndex, store: ViewStore, pairs: &[(VertexId, VertexId)]) {
+    let (owned_session, view_session) = sessions(owned, store);
 
     let requests: Vec<QueryRequest> = pairs
         .iter()
         .map(|&(u, v)| QueryRequest::path_graph(u, v).with_stats())
         .collect();
-    let owned_answers = owned_engine.submit(&requests);
-    let view_answers = view_engine.submit(&requests);
+    let owned_answers = owned_session.submit(&requests);
+    let view_answers = view_session.submit(&requests);
     for ((x, y), &(u, v)) in owned_answers.iter().zip(&view_answers).zip(pairs) {
         let a = x.answer().expect("in range");
         let b = y.answer().expect("in range");
@@ -56,8 +64,8 @@ fn assert_bit_identical(owned: &QbsIndex, store: &ViewStore, pairs: &[(VertexId,
         .map(|&(u, v)| QueryRequest::distance(u, v))
         .collect();
     assert_eq!(
-        owned_engine.submit(&distances),
-        view_engine.submit(&distances),
+        owned_session.submit(&distances),
+        view_session.submit(&distances),
         "distance batch diverged"
     );
 }
@@ -80,10 +88,10 @@ fn mmap_backed_engine_matches_owned_index_on_golden_fixture() {
         qbs_graph::fixtures::figure4_graph(),
         QbsConfig::with_explicit_landmarks(vec![1, 2, 3]),
     );
-    assert_bit_identical(&owned, &store, &all_pairs(15));
+    assert_bit_identical(&owned, store, &all_pairs(15));
 }
 
-/// Engine answers over an mmap-backed store of a generated graph written to
+/// Session answers over an mmap-backed store of a generated graph written to
 /// disk — the full build → save → map → serve pipeline.
 #[test]
 fn mmap_serving_roundtrip_on_generated_graph() {
@@ -103,13 +111,13 @@ fn mmap_serving_roundtrip_on_generated_graph() {
     let store = serialize::open_store_from_file(&path, MapMode::Mmap).expect("open store");
     assert!(matches!(store.view().buf(), ViewBuf::Mmap(_)));
     assert!(!store.view().is_verified(), "mmap mode defers validation");
-    assert_bit_identical(&owned, &store, &pairs);
+    assert_bit_identical(&owned, store, &pairs);
 
     // MapMode::Read over the same file is equally bit-identical (and
     // eagerly verified).
     let read_store = serialize::open_store_from_file(&path, MapMode::Read).expect("read store");
     assert!(read_store.view().is_verified());
-    assert_bit_identical(&owned, &read_store, &pairs);
+    assert_bit_identical(&owned, read_store, &pairs);
 }
 
 /// One graph per generator family, sized by the proptest case.
@@ -145,7 +153,7 @@ proptest! {
 
     // Across generator families: an mmap-backed view store written to disk
     // and an owned index answer a sampled workload identically, through
-    // the batch engine.
+    // a two-thread session.
     #[test]
     fn view_engine_is_bit_identical_across_generator_families(
         family in 0u64..4,
@@ -163,14 +171,13 @@ proptest! {
         let store = serialize::open_store_from_file(&path, MapMode::Mmap).expect("open");
 
         let pairs = QueryWorkload::sample(&graph, 48, seed ^ 0xABCD).pairs().to_vec();
-        let owned_engine = QueryEngine::with_threads(&owned, 2).expect("owned engine");
-        let view_engine = QueryEngine::with_threads(&store, 2).expect("view engine");
+        let (owned_session, view_session) = sessions(&owned, store);
         let requests: Vec<QueryRequest> = pairs
             .iter()
             .map(|&(u, v)| QueryRequest::path_graph(u, v).with_stats())
             .collect();
-        let a = owned_engine.submit(&requests);
-        let b = view_engine.submit(&requests);
+        let a = owned_session.submit(&requests);
+        let b = view_session.submit(&requests);
         for ((x, y), &(u, v)) in a.iter().zip(&b).zip(&pairs) {
             prop_assert_eq!(x, y, "answer of ({}, {}) diverged", u, v);
         }
@@ -185,14 +192,15 @@ fn view_store_rejects_out_of_range_vertices() {
         qbs_graph::fixtures::figure4_graph(),
         QbsConfig::with_explicit_landmarks(vec![1, 2, 3]),
     );
-    let store = ViewStore::new(owned.as_view());
-    let engine = QueryEngine::with_threads(&store, 1).expect("engine");
-    let err = engine.query(0, 99).unwrap_err();
+    let qbs = Qbs::from_view_store(ViewStore::new(owned.as_view()))
+        .with_threads(1)
+        .expect("threads");
+    let err = qbs.query(0, 99).unwrap_err();
     assert!(matches!(
         err,
         qbs_core::QbsError::VertexOutOfRange { vertex: 99, .. }
     ));
-    let outcomes = engine.submit(&[
+    let outcomes = qbs.submit(&[
         QueryRequest::path_graph(0, 1),
         QueryRequest::path_graph(200, 0),
     ]);
@@ -201,7 +209,8 @@ fn view_store_rejects_out_of_range_vertices() {
         outcomes[1].clone().into_result().unwrap_err(),
         qbs_core::QbsError::VertexOutOfRange { vertex: 200, .. }
     ));
+    let store = qbs.view_store().expect("view session");
     let mut ws = qbs_core::QueryWorkspace::new();
-    assert!(qbs_core::query_on(&store, &mut ws, 77, 0).is_err());
-    assert!(qbs_core::sketch_on(&store, 0, 77).is_err());
+    assert!(qbs_core::query_on(store, &mut ws, 77, 0).is_err());
+    assert!(qbs_core::sketch_on(store, 0, 77).is_err());
 }

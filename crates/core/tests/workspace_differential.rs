@@ -1,15 +1,15 @@
 //! Differential tests for the workspace-based query path.
 //!
 //! Asserts that `QbsIndex::query_with` (one epoch-stamped workspace reused
-//! across hundreds of mixed queries) and `QueryEngine::submit` (the
-//! concurrent batch API) return results **bit-identical** to the
+//! across hundreds of mixed queries) and `Qbs::submit` (the concurrent
+//! batch API, whose long-lived workers reuse one workspace each) return results **bit-identical** to the
 //! fresh-allocation `QbsIndex::query` path, across Erdős–Rényi,
 //! Barabási–Albert and Watts–Strogatz graphs and multiple seeds — the
 //! stale-epoch regression surface: any slot that survives a workspace reset
 //! would corrupt a later query's answer.
 
 use qbs_baselines::{GroundTruth, SpgEngine};
-use qbs_core::{QbsConfig, QbsIndex, QueryEngine, QueryRequest, QueryWorkspace};
+use qbs_core::{Qbs, QbsConfig, QbsIndex, QueryRequest, QueryWorkspace};
 use qbs_gen::prelude::*;
 use qbs_gen::QueryWorkload;
 use qbs_graph::Graph;
@@ -102,8 +102,10 @@ fn submitted_batches_are_bit_identical_to_fresh_queries() {
             .map(|&(u, v)| QueryRequest::path_graph(u, v).with_stats())
             .collect();
         for threads in [1usize, 3] {
-            let engine = QueryEngine::with_threads(&index, threads).expect("engine");
-            let outcomes = engine.submit(&requests);
+            let qbs = Qbs::from_index(index.clone())
+                .with_threads(threads)
+                .expect("threads");
+            let outcomes = qbs.submit(&requests);
             assert_eq!(outcomes.len(), pairs.len());
             for (&(u, v), outcome) in pairs.iter().zip(&outcomes) {
                 let answer = outcome.answer().expect("in range");
@@ -122,7 +124,7 @@ fn submitted_batches_are_bit_identical_to_fresh_queries() {
                 .iter()
                 .map(|&(u, v)| QueryRequest::distance(u, v))
                 .collect();
-            let distances = engine.submit(&distance_requests);
+            let distances = qbs.submit(&distance_requests);
             for ((d, outcome), &(u, v)) in distances.iter().zip(&outcomes).zip(&pairs) {
                 assert_eq!(
                     d.distance().expect("in range"),

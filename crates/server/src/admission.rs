@@ -81,15 +81,6 @@ pub enum BusyReason {
         /// The configured bound.
         limit: u64,
     },
-    /// The listener found no idle connection handler to hand this
-    /// connection to. Pre-v2 servers (one thread per connection) shed
-    /// with this reason when their handler pool saturated; the reactor
-    /// parks idle connections instead and never emits it. The variant is
-    /// kept so clients can still decode the frame from old servers.
-    NoIdleHandler {
-        /// The configured handler-pool size (the actionable knob).
-        handlers: u64,
-    },
 }
 
 impl std::fmt::Display for BusyReason {
@@ -111,12 +102,6 @@ impl std::fmt::Display for BusyReason {
                 write!(
                     f,
                     "connection bound reached ({limit} concurrent connections)"
-                )
-            }
-            BusyReason::NoIdleHandler { handlers } => {
-                write!(
-                    f,
-                    "no idle connection handler ({handlers}-handler pool saturated)"
                 )
             }
         }
@@ -145,10 +130,6 @@ impl Wire for BusyReason {
                 out.push(2);
                 out.extend_from_slice(&limit.to_le_bytes());
             }
-            BusyReason::NoIdleHandler { handlers } => {
-                out.push(3);
-                out.extend_from_slice(&handlers.to_le_bytes());
-            }
         }
     }
 
@@ -165,9 +146,6 @@ impl Wire for BusyReason {
             }),
             2 => Ok(BusyReason::TooManyConnections {
                 limit: r.u64("connection limit")?,
-            }),
-            3 => Ok(BusyReason::NoIdleHandler {
-                handlers: r.u64("handler pool size")?,
             }),
             tag => Err(WireError::BadTag {
                 what: "busy reason",
@@ -189,8 +167,7 @@ pub struct AdmissionStats {
     pub shed_overload: u64,
     /// Batches shed by the per-batch cap.
     pub shed_batch_size: u64,
-    /// Connections shed before service — by the connection bound or by
-    /// the saturated accept path ([`BusyReason::NoIdleHandler`]).
+    /// Connections shed before service by the connection bound.
     pub shed_connections: u64,
     /// Requests executing right now.
     pub inflight: u64,
@@ -596,7 +573,6 @@ mod tests {
             },
             BusyReason::BatchTooLarge { limit: 16, got: 40 },
             BusyReason::TooManyConnections { limit: 2 },
-            BusyReason::NoIdleHandler { handlers: 4 },
         ] {
             assert_eq!(
                 from_bytes::<BusyReason>(&to_bytes(&reason)).unwrap(),
@@ -605,6 +581,13 @@ mod tests {
             assert!(!reason.to_string().is_empty());
         }
         assert!(from_bytes::<BusyReason>(&[7]).is_err());
+        // Tag 3 was the pre-reactor `NoIdleHandler`; it is unknown now.
+        let mut retired = vec![3];
+        retired.extend_from_slice(&4u64.to_le_bytes());
+        assert!(matches!(
+            from_bytes::<BusyReason>(&retired),
+            Err(WireError::BadTag { tag: 3, .. })
+        ));
 
         let stats = AdmissionStats {
             admitted_batches: 1,

@@ -415,9 +415,9 @@ impl QbsClient {
     pub fn recv(&mut self, ticket: Ticket) -> Result<BatchReply, ProtocolError> {
         match self.await_reply(ticket.0)? {
             ResponseFrame::Batch(outcomes) => Ok(BatchReply::Outcomes(outcomes)),
-            ResponseFrame::Busy(
-                reason @ (BusyReason::TooManyConnections { .. } | BusyReason::NoIdleHandler { .. }),
-            ) => Err(ProtocolError::Shed(reason)),
+            ResponseFrame::Busy(reason @ BusyReason::TooManyConnections { .. }) => {
+                Err(ProtocolError::Shed(reason))
+            }
             ResponseFrame::Busy(reason) => Ok(BatchReply::Busy(reason)),
             other => Err(unexpected(other)),
         }

@@ -19,7 +19,7 @@
 //! * [`server`] — one reactor thread multiplexing every connection over
 //!   [`poll`], plus a fixed worker pool over an `Arc<Qbs>` (thousands of
 //!   idle connections park on one thread; N connections share one mmap'd
-//!   index, workspace pool and answer cache), graceful `Shutdown`-frame /
+//!   index, query workers and answer cache), graceful `Shutdown`-frame /
 //!   SIGINT teardown, an optional Prometheus-style HTTP `/metrics`
 //!   listener, and a trace-stamped slow-query log (see
 //!   `docs/observability.md`);

@@ -79,9 +79,8 @@ pub mod prelude {
     pub use qbs_core::verify::{is_exact, validate};
     pub use qbs_core::{
         AnswerCache, CacheConfig, CacheStats, EngineStats, IndexStore, IndexView, LandmarkStrategy,
-        MapMode, Qbs, QbsBackend, QbsConfig, QbsIndex, QueryAnswer, QueryEngine, QueryMode,
-        QueryOptions, QueryOutcome, QueryRequest, QueryWorkspace, RequestError, SearchStats,
-        ViewBuf, ViewStore,
+        MapMode, Qbs, QbsBackend, QbsConfig, QbsIndex, QueryAnswer, QueryMode, QueryOptions,
+        QueryOutcome, QueryRequest, QueryWorkspace, RequestError, SearchStats, ViewBuf, ViewStore,
     };
     pub use qbs_gen::prelude::*;
     pub use qbs_graph::{Graph, GraphBuilder, PathGraph, VertexFilter, VertexId};

@@ -68,15 +68,15 @@ fn assert_all_engines_agree(
         assert!(qbs::core::verify::is_exact(graph, &expected));
     }
 
-    // The concurrent batch engine answers the whole workload identically,
+    // A session's concurrent batch answers the whole workload identically,
     // and every engine's batch entry point agrees with its per-query path.
-    let engine = QueryEngine::new(&qbs);
+    let session = Qbs::from_index(qbs);
     let requests: Vec<QueryRequest> = workload
         .pairs()
         .iter()
         .map(|&(u, v)| QueryRequest::path_graph(u, v))
         .collect();
-    let answers = engine.submit(&requests);
+    let answers = session.submit(&requests);
     let bibfs_batch = bibfs.query_batch(workload.pairs());
     let truth_batch = truth.query_batch(workload.pairs());
     for (i, &(u, v)) in workload.pairs().iter().enumerate() {
