@@ -26,7 +26,6 @@ fn bench_ablation(c: &mut Criterion) {
         graph.clone(),
         QbsConfig {
             landmarks: LandmarkStrategy::Random { count: 20, seed: 1 },
-            ..QbsConfig::default()
         },
     );
     let bibfs = BiBfs::new(graph);

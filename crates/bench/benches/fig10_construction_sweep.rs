@@ -1,10 +1,11 @@
-//! Figure 10: labelling construction time versus the number of landmarks,
-//! for both the sequential (QbS) and parallel (QbS-P) builders.
+//! Figure 10: labelling construction time versus the number of landmarks.
+//! The paper's parallel builder (QbS-P) has no counterpart here: on two
+//! cores it measured no faster than the one-thread build.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
-use qbs_core::{labelling, parallel};
+use qbs_core::labelling;
 use qbs_gen::catalog::{Catalog, DatasetId, Scale};
 
 fn bench_construction_sweep(c: &mut Criterion) {
@@ -26,13 +27,6 @@ fn bench_construction_sweep(c: &mut Criterion) {
             &landmarks,
             |b, landmarks| {
                 b.iter(|| criterion::black_box(labelling::build_sequential(&graph, landmarks)));
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("parallel", count),
-            &landmarks,
-            |b, landmarks| {
-                b.iter(|| criterion::black_box(parallel::build_parallel(&graph, landmarks)));
             },
         );
     }

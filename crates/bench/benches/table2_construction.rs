@@ -1,5 +1,5 @@
-//! Table 2 (construction columns): index construction time of QbS-P, QbS and
-//! the labelling baselines on representative stand-ins.
+//! Table 2 (construction columns): index construction time of QbS and the
+//! labelling baselines on representative stand-ins.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
@@ -18,11 +18,8 @@ fn bench_construction(c: &mut Criterion) {
 
     for id in [DatasetId::Douban, DatasetId::Dblp] {
         let graph = catalog.get(id).unwrap().generate(Scale::Tiny);
-        group.bench_with_input(BenchmarkId::new("QbS-P", id.abbrev()), &graph, |b, g| {
-            b.iter(|| QbsIndex::build(g.clone(), QbsConfig::with_landmark_count(20)));
-        });
         group.bench_with_input(BenchmarkId::new("QbS", id.abbrev()), &graph, |b, g| {
-            b.iter(|| QbsIndex::build(g.clone(), QbsConfig::with_landmark_count(20).sequential()));
+            b.iter(|| QbsIndex::build(g.clone(), QbsConfig::with_landmark_count(20)));
         });
         group.bench_with_input(BenchmarkId::new("PPL", id.abbrev()), &graph, |b, g| {
             b.iter(|| Ppl::build(g.clone()));

@@ -8,40 +8,24 @@ use std::time::{Duration, Instant};
 
 use qbs_baselines::ppl::{BuildAborted, BuildLimits};
 use qbs_baselines::{BiBfs, GroundTruth, ParentPpl, Ppl, SpgEngine};
-use qbs_core::{QbsConfig, QbsError, QbsIndex, QueryWorkspace};
+use qbs_core::{QbsConfig, QbsIndex, QueryWorkspace};
 use qbs_graph::{Graph, PathGraph, VertexId};
 
 /// [`QbsIndex`] adapted to the [`SpgEngine`] trait.
 pub struct QbsEngine {
     index: QbsIndex,
-    parallel: bool,
     /// Reused by [`SpgEngine::query_batch`] so repeated batches pay zero
     /// `O(|V|)` setup, matching the other engines' workspace reuse.
     workspace: std::sync::Mutex<QueryWorkspace>,
 }
 
 impl QbsEngine {
-    /// Builds a QbS engine with the given landmark count, surfacing build
-    /// failures (e.g. thread-pool creation) instead of panicking.
-    pub fn try_build(graph: Graph, landmarks: usize, parallel: bool) -> Result<Self, QbsError> {
-        let mut config = QbsConfig::with_landmark_count(landmarks);
-        if !parallel {
-            config = config.sequential();
-        }
-        Ok(QbsEngine {
-            index: QbsIndex::try_build(graph, config)?,
-            parallel,
-            workspace: std::sync::Mutex::new(QueryWorkspace::new()),
-        })
-    }
-
     /// Builds a QbS engine with the given landmark count.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the build fails; see [`QbsEngine::try_build`].
-    pub fn build(graph: Graph, landmarks: usize, parallel: bool) -> Self {
-        Self::try_build(graph, landmarks, parallel).expect("QbS engine build failed")
+    pub fn build(graph: Graph, landmarks: usize) -> Self {
+        QbsEngine {
+            index: QbsIndex::build(graph, QbsConfig::with_landmark_count(landmarks)),
+            workspace: std::sync::Mutex::new(QueryWorkspace::new()),
+        }
     }
 
     /// The wrapped index.
@@ -80,11 +64,7 @@ impl SpgEngine for QbsEngine {
     }
 
     fn name(&self) -> &'static str {
-        if self.parallel {
-            "QbS-P"
-        } else {
-            "QbS"
-        }
+        "QbS"
     }
 
     fn index_size_bytes(&self) -> usize {
@@ -95,10 +75,8 @@ impl SpgEngine for QbsEngine {
 /// Identifier of a method compared in the experiments.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum MethodId {
-    /// QbS with parallel labelling construction.
-    QbsParallel,
-    /// QbS with sequential labelling construction.
-    QbsSequential,
+    /// Query-by-Sketch.
+    Qbs,
     /// Pruned Path Labelling.
     Ppl,
     /// PPL with parent sets.
@@ -113,8 +91,7 @@ impl MethodId {
     /// The display name used in the paper's tables.
     pub fn name(self) -> &'static str {
         match self {
-            MethodId::QbsParallel => "QbS-P",
-            MethodId::QbsSequential => "QbS",
+            MethodId::Qbs => "QbS",
             MethodId::Ppl => "PPL",
             MethodId::ParentPpl => "ParentPPL",
             MethodId::BiBfs => "Bi-BFS",
@@ -122,10 +99,10 @@ impl MethodId {
         }
     }
 
-    /// The methods of Table 2, in column order.
-    pub const TABLE2: [MethodId; 5] = [
-        MethodId::QbsParallel,
-        MethodId::QbsSequential,
+    /// The methods of Table 2, in column order. The paper's QbS-P column
+    /// (parallel labelling) has no counterpart: the build is sequential.
+    pub const TABLE2: [MethodId; 4] = [
+        MethodId::Qbs,
         MethodId::Ppl,
         MethodId::ParentPpl,
         MethodId::BiBfs,
@@ -149,7 +126,7 @@ pub enum BuildOutcome {
 
 /// A heterogeneous engine.
 pub enum AnyEngine {
-    /// QbS (either construction mode).
+    /// Query-by-Sketch.
     Qbs(Box<QbsEngine>),
     /// Pruned Path Labelling.
     Ppl(Box<Ppl>),
@@ -217,43 +194,32 @@ impl SpgEngine for AnyEngine {
 /// budget (so the laptop-scale runs can report DNF/OOE the way Table 2 does
 /// for the labelling baselines on large graphs).
 ///
-/// Build-environment failures (thread pools, not resource budgets) are
-/// propagated as `Err` rather than folded into the DNF/OOE outcomes.
 pub fn build_method(
     method: MethodId,
     graph: &Graph,
     landmarks: usize,
     limits: BuildLimits,
-) -> Result<BuildOutcome, QbsError> {
+) -> BuildOutcome {
     let start = Instant::now();
     let engine = match method {
-        MethodId::QbsParallel => AnyEngine::Qbs(Box::new(QbsEngine::try_build(
-            graph.clone(),
-            landmarks,
-            true,
-        )?)),
-        MethodId::QbsSequential => AnyEngine::Qbs(Box::new(QbsEngine::try_build(
-            graph.clone(),
-            landmarks,
-            false,
-        )?)),
+        MethodId::Qbs => AnyEngine::Qbs(Box::new(QbsEngine::build(graph.clone(), landmarks))),
         MethodId::Ppl => match Ppl::build_with_limits(graph.clone(), limits) {
             Ok(index) => AnyEngine::Ppl(Box::new(index)),
-            Err(BuildAborted::TimedOut) => return Ok(BuildOutcome::DidNotFinish),
-            Err(BuildAborted::TooManyLabels) => return Ok(BuildOutcome::OutOfMemory),
+            Err(BuildAborted::TimedOut) => return BuildOutcome::DidNotFinish,
+            Err(BuildAborted::TooManyLabels) => return BuildOutcome::OutOfMemory,
         },
         MethodId::ParentPpl => match ParentPpl::build_with_limits(graph.clone(), limits) {
             Ok(index) => AnyEngine::ParentPpl(Box::new(index)),
-            Err(BuildAborted::TimedOut) => return Ok(BuildOutcome::DidNotFinish),
-            Err(BuildAborted::TooManyLabels) => return Ok(BuildOutcome::OutOfMemory),
+            Err(BuildAborted::TimedOut) => return BuildOutcome::DidNotFinish,
+            Err(BuildAborted::TooManyLabels) => return BuildOutcome::OutOfMemory,
         },
         MethodId::BiBfs => AnyEngine::BiBfs(Box::new(BiBfs::new(graph.clone()))),
         MethodId::GroundTruth => AnyEngine::GroundTruth(Box::new(GroundTruth::new(graph.clone()))),
     };
-    Ok(BuildOutcome::Built {
+    BuildOutcome::Built {
         engine,
         construction: start.elapsed(),
-    })
+    }
 }
 
 #[cfg(test)]
@@ -266,8 +232,7 @@ mod tests {
         let g = figure4_graph();
         let truth = GroundTruth::new(g.clone());
         for method in [
-            MethodId::QbsParallel,
-            MethodId::QbsSequential,
+            MethodId::Qbs,
             MethodId::Ppl,
             MethodId::ParentPpl,
             MethodId::BiBfs,
@@ -275,7 +240,7 @@ mod tests {
             let BuildOutcome::Built {
                 engine,
                 construction,
-            } = build_method(method, &g, 3, BuildLimits::default()).expect("build ok")
+            } = build_method(method, &g, 3, BuildLimits::default())
             else {
                 panic!("{:?} failed to build", method);
             };
@@ -307,7 +272,7 @@ mod tests {
         };
         assert!(matches!(
             build_method(MethodId::Ppl, &g, 3, tight_time),
-            Ok(BuildOutcome::DidNotFinish)
+            BuildOutcome::DidNotFinish
         ));
         let tight_mem = BuildLimits {
             max_label_entries: 1,
@@ -315,14 +280,14 @@ mod tests {
         };
         assert!(matches!(
             build_method(MethodId::ParentPpl, &g, 3, tight_mem),
-            Ok(BuildOutcome::OutOfMemory)
+            BuildOutcome::OutOfMemory
         ));
     }
 
     #[test]
     fn method_names_match_the_paper() {
-        assert_eq!(MethodId::QbsParallel.name(), "QbS-P");
+        assert_eq!(MethodId::Qbs.name(), "QbS");
         assert_eq!(MethodId::BiBfs.name(), "Bi-BFS");
-        assert_eq!(MethodId::TABLE2.len(), 5);
+        assert_eq!(MethodId::TABLE2.len(), 4);
     }
 }

@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 
 use qbs_baselines::BiBfs;
 use qbs_core::coverage::{classify_workload, CoverageReport};
-use qbs_core::{parallel, LandmarkStrategy, QbsConfig, QbsError, QbsIndex};
+use qbs_core::{LandmarkStrategy, QbsConfig, QbsError, QbsIndex};
 use qbs_gen::catalog::DatasetSpec;
 use qbs_graph::stats::GraphStats;
 
@@ -166,7 +166,7 @@ impl Table2 {
         let methods: Vec<&str> = MethodId::TABLE2.iter().map(|m| m.name()).collect();
         let mut construction = TextTable::new(
             "Table 2a: construction time (seconds)",
-            &[&["Dataset"], &methods[..4]].concat(),
+            &[&["Dataset"], &methods[..3]].concat(),
         );
         let query_methods = ["QbS", "PPL", "ParentPPL", "Bi-BFS"];
         let mut query = TextTable::new(
@@ -177,9 +177,6 @@ impl Table2 {
             let cell = |name: &str| row.methods.get(name);
             construction.add_row(vec![
                 row.dataset.clone(),
-                cell("QbS-P")
-                    .map(|m| m.construction_cell())
-                    .unwrap_or_else(|| "-".into()),
                 cell("QbS")
                     .map(|m| m.construction_cell())
                     .unwrap_or_else(|| "-".into()),
@@ -215,17 +212,17 @@ impl Table2 {
 /// Query times are measured through the engines' batch API
 /// ([`time_query_batch`]): every method amortises its per-query scratch
 /// state across the workload, the regime the paper's serving numbers
-/// assume. Build-environment failures propagate as errors.
-pub fn table2(config: &ExperimentConfig) -> Result<Table2, QbsError> {
+/// assume.
+pub fn table2(config: &ExperimentConfig) -> Table2 {
     let rows = config
         .specs()
         .iter()
         .map(|spec| table2_row(config, spec))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(Table2 { rows })
+        .collect();
+    Table2 { rows }
 }
 
-fn table2_row(config: &ExperimentConfig, spec: &DatasetSpec) -> Result<Table2Row, QbsError> {
+fn table2_row(config: &ExperimentConfig, spec: &DatasetSpec) -> Table2Row {
     let graph = config.graph_for(spec);
     let workload = config.workload_for(&graph);
     let mut methods = BTreeMap::new();
@@ -235,7 +232,7 @@ fn table2_row(config: &ExperimentConfig, spec: &DatasetSpec) -> Result<Table2Row
             &graph,
             config.landmark_count,
             config.limits.to_build_limits(),
-        )?;
+        );
         let result = match outcome {
             BuildOutcome::Built {
                 engine,
@@ -252,10 +249,10 @@ fn table2_row(config: &ExperimentConfig, spec: &DatasetSpec) -> Result<Table2Row
         };
         methods.insert(method.name().to_string(), result);
     }
-    Ok(Table2Row {
+    Table2Row {
         dataset: spec.id.name().to_string(),
         methods,
-    })
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -519,13 +516,11 @@ pub fn landmark_sweep(config: &ExperimentConfig) -> LandmarkSweep {
                 .landmark_sweep
                 .iter()
                 .map(|&count| {
-                    // Sequential construction time isolates the per-landmark
-                    // BFS cost (Figure 10's linear trend).
+                    // The build is one BFS per landmark on one thread, so
+                    // its time shows Figure 10's linear trend.
                     let start = Instant::now();
-                    let index = QbsIndex::build(
-                        graph.clone(),
-                        QbsConfig::with_landmark_count(count).sequential(),
-                    );
+                    let index =
+                        QbsIndex::build(graph.clone(), QbsConfig::with_landmark_count(count));
                     let construction_seconds = start.elapsed().as_secs_f64();
                     let coverage = classify_workload(&index, workload.pairs());
                     let stats = index.stats();
@@ -729,7 +724,7 @@ pub fn view_serving(config: &ExperimentConfig) -> Result<ViewServing, QbsError> 
             let workload = config.workload_for(&graph);
             let pairs = workload.pairs();
             let owned =
-                QbsIndex::try_build(graph, QbsConfig::with_landmark_count(config.landmark_count))?;
+                QbsIndex::build(graph, QbsConfig::with_landmark_count(config.landmark_count));
             let path = dir.join(format!("{}.qbs", spec.id.abbrev()));
             qbs_core::serialize::save_to_file(&owned, &path)?;
             let owned = qbs_core::Qbs::from_index(owned).with_threads(2)?;
@@ -941,7 +936,7 @@ pub fn mixed_batch(config: &ExperimentConfig) -> Result<MixedBatch, QbsError> {
             let graph = config.graph_for(spec);
             let workload = config.workload_for(&graph);
             let owned =
-                QbsIndex::try_build(graph, QbsConfig::with_landmark_count(config.landmark_count))?;
+                QbsIndex::build(graph, QbsConfig::with_landmark_count(config.landmark_count));
             let requests = mixed_requests(workload.pairs(), owned.graph().num_vertices());
             let path = dir.join(format!("{}.qbs", spec.id.abbrev()));
             qbs_core::serialize::save_to_file(&owned, &path)?;
@@ -1075,7 +1070,7 @@ pub fn batch_plan(config: &ExperimentConfig) -> Result<BatchPlan, QbsError> {
             let workload =
                 qbs_gen::QueryWorkload::sample_zipf(&graph, config.query_count, config.seed, 1.5);
             let owned =
-                QbsIndex::try_build(graph, QbsConfig::with_landmark_count(config.landmark_count))?;
+                QbsIndex::build(graph, QbsConfig::with_landmark_count(config.landmark_count));
             let requests: Vec<qbs_core::QueryRequest> = workload
                 .pairs()
                 .iter()
@@ -1258,7 +1253,7 @@ pub fn net_serving(config: &ExperimentConfig) -> Result<NetServing, QbsError> {
             let graph = config.graph_for(spec);
             let workload = config.workload_for(&graph);
             let owned =
-                QbsIndex::try_build(graph, QbsConfig::with_landmark_count(config.landmark_count))?;
+                QbsIndex::build(graph, QbsConfig::with_landmark_count(config.landmark_count));
             let num_vertices = owned.graph().num_vertices();
             let requests = mixed_requests(workload.pairs(), num_vertices);
             let path = dir.join(format!("{}.qbs", spec.id.abbrev()));
@@ -1567,7 +1562,7 @@ pub fn routed_serving(config: &ExperimentConfig) -> Result<RoutedServing, QbsErr
             let graph = config.graph_for(spec);
             let workload = config.workload_for(&graph);
             let owned =
-                QbsIndex::try_build(graph, QbsConfig::with_landmark_count(config.landmark_count))?;
+                QbsIndex::build(graph, QbsConfig::with_landmark_count(config.landmark_count));
             let num_vertices = owned.graph().num_vertices();
             let requests = mixed_requests(workload.pairs(), num_vertices);
             let path = dir.join(format!("{}.qbs", spec.id.abbrev()));
@@ -1772,7 +1767,7 @@ pub fn obs_serving(config: &ExperimentConfig) -> Result<ObsServing, QbsError> {
             let graph = config.graph_for(spec);
             let workload = config.workload_for(&graph);
             let owned =
-                QbsIndex::try_build(graph, QbsConfig::with_landmark_count(config.landmark_count))?;
+                QbsIndex::build(graph, QbsConfig::with_landmark_count(config.landmark_count));
             let num_vertices = owned.graph().num_vertices();
             let requests = mixed_requests(workload.pairs(), num_vertices);
             let path = dir.join(format!("{}.qbs", spec.id.abbrev()));
@@ -1838,7 +1833,7 @@ pub fn obs_serving(config: &ExperimentConfig) -> Result<ObsServing, QbsError> {
 }
 
 // ---------------------------------------------------------------------------
-// Ablations — landmark strategy and parallel speed-up
+// Ablations — landmark strategy
 // ---------------------------------------------------------------------------
 
 /// Ablation results for one dataset.
@@ -1854,13 +1849,11 @@ pub struct AblationRow {
     pub degree_coverage: f64,
     /// Pair coverage with random landmarks.
     pub random_coverage: f64,
-    /// Sequential labelling time (seconds).
-    pub sequential_seconds: f64,
-    /// Parallel labelling time (seconds).
-    pub parallel_seconds: f64,
+    /// Labelling time with degree-selected landmarks (seconds).
+    pub labelling_seconds: f64,
 }
 
-/// Ablation study: landmark selection strategy and labelling parallelism.
+/// Ablation study: landmark selection strategy.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Ablation {
     /// One row per dataset.
@@ -1871,33 +1864,24 @@ impl Ablation {
     /// Renders the ablation table.
     pub fn render(&self) -> String {
         let mut t = TextTable::new(
-            "Ablation: landmark strategy and parallel labelling",
+            "Ablation: landmark strategy",
             &[
                 "Dataset",
                 "deg query(ms)",
                 "rand query(ms)",
                 "deg coverage",
                 "rand coverage",
-                "seq build(s)",
-                "par build(s)",
-                "speed-up",
+                "labelling(s)",
             ],
         );
         for r in &self.rows {
-            let speedup = if r.parallel_seconds > 0.0 {
-                r.sequential_seconds / r.parallel_seconds
-            } else {
-                0.0
-            };
             t.add_row(vec![
                 r.dataset.clone(),
                 fmt_millis(r.degree_query_ms),
                 fmt_millis(r.random_query_ms),
                 format!("{:.2}", r.degree_coverage),
                 format!("{:.2}", r.random_coverage),
-                fmt_seconds(r.sequential_seconds),
-                fmt_seconds(r.parallel_seconds),
-                format!("{speedup:.1}x"),
+                fmt_seconds(r.labelling_seconds),
             ]);
         }
         t.render()
@@ -1923,7 +1907,6 @@ pub fn ablation(config: &ExperimentConfig) -> Ablation {
                         count: config.landmark_count,
                         seed: config.seed,
                     },
-                    ..QbsConfig::default()
                 },
             );
             let time_index = |index: &QbsIndex| -> f64 {
@@ -1947,10 +1930,7 @@ pub fn ablation(config: &ExperimentConfig) -> Ablation {
             let landmarks = degree.landmarks().to_vec();
             let t0 = Instant::now();
             let _ = qbs_core::labelling::build_sequential(&graph, &landmarks);
-            let sequential_seconds = t0.elapsed().as_secs_f64();
-            let t0 = Instant::now();
-            let _ = parallel::build_parallel(&graph, &landmarks);
-            let parallel_seconds = t0.elapsed().as_secs_f64();
+            let labelling_seconds = t0.elapsed().as_secs_f64();
 
             AblationRow {
                 dataset: spec.id.name().to_string(),
@@ -1958,8 +1938,7 @@ pub fn ablation(config: &ExperimentConfig) -> Ablation {
                 random_query_ms,
                 degree_coverage,
                 random_coverage,
-                sequential_seconds,
-                parallel_seconds,
+                labelling_seconds,
             }
         })
         .collect();
@@ -1969,7 +1948,7 @@ pub fn ablation(config: &ExperimentConfig) -> Ablation {
 /// Convenience used by tests and the quickstart: builds a QbS engine with the
 /// configured landmark count over one dataset.
 pub fn build_qbs(config: &ExperimentConfig, spec: &DatasetSpec) -> QbsEngine {
-    QbsEngine::build(config.graph_for(spec), config.landmark_count, true)
+    QbsEngine::build(config.graph_for(spec), config.landmark_count)
 }
 
 #[cfg(test)]
@@ -1999,10 +1978,10 @@ mod tests {
 
     #[test]
     fn table2_builds_and_times_every_method() {
-        let t = table2(&tiny_config()).expect("table2 builds");
+        let t = table2(&tiny_config());
         assert_eq!(t.rows.len(), 2);
         for row in &t.rows {
-            assert_eq!(row.methods.len(), 5);
+            assert_eq!(row.methods.len(), 4);
             // On tiny graphs every method should finish within the budget.
             for (name, result) in &row.methods {
                 match result {
@@ -2147,15 +2126,14 @@ mod tests {
     }
 
     #[test]
-    fn ablation_compares_strategies_and_parallelism() {
+    fn ablation_compares_landmark_strategies() {
         let a = ablation(&tiny_config());
         assert_eq!(a.rows.len(), 2);
         for row in &a.rows {
             assert!(row.degree_coverage >= 0.0 && row.degree_coverage <= 1.0);
             assert!(row.random_coverage >= 0.0 && row.random_coverage <= 1.0);
-            assert!(row.sequential_seconds > 0.0);
-            assert!(row.parallel_seconds > 0.0);
+            assert!(row.labelling_seconds > 0.0);
         }
-        assert!(a.render().contains("speed-up"));
+        assert!(a.render().contains("labelling(s)"));
     }
 }

@@ -14,7 +14,7 @@
 //! | Figure 10 — construction time vs #landmarks | [`experiments::landmark_sweep`] |
 //! | Figure 11 — query time vs #landmarks | [`experiments::landmark_sweep`] |
 //! | §6.5 — edges traversed, QbS vs Bi-BFS | [`experiments::traversal`] |
-//! | Ablations — sketch guidance, landmark strategy, parallel speed-up | [`experiments::ablation`] |
+//! | Ablations — sketch guidance, landmark strategy | [`experiments::ablation`] |
 //!
 //! The `experiments` binary drives these from the command line and prints
 //! paper-style tables plus machine-readable JSON; the Criterion benches under

@@ -26,8 +26,6 @@ pub enum Command {
         graph: PathBuf,
         /// Number of landmarks.
         landmarks: usize,
-        /// Use the sequential labelling builder instead of the parallel one.
-        sequential: bool,
         /// Output index path.
         out: PathBuf,
     },
@@ -204,7 +202,7 @@ qbs-cli — Query-by-Sketch shortest path graph queries
 
 commands:
   generate --dataset <DO|DB|...|CW> [--scale tiny|small|medium|large] --out FILE
-  build    --graph FILE [--landmarks N] [--sequential] --out FILE
+  build    --graph FILE [--landmarks N] --out FILE
   query    --index FILE --source U --target V [query options]
   query    --index FILE --pairs FILE [--threads N] [query options]
   serve    --index FILE [--mmap] [--addr H:P | --port P] [--threads N]
@@ -307,7 +305,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
         }),
         "build" => {
             // Unknown keys are otherwise ignored, and a silently ignored
-            // layout choice would read as "the choice took".
+            // removed choice would read as "the choice took".
             for removed in ["format", "profile"] {
                 if get(removed).is_some() {
                     return Err(ParseError(format!(
@@ -316,10 +314,16 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                     )));
                 }
             }
+            if options.contains_key("sequential") {
+                return Err(ParseError(
+                    "build: --sequential was removed: there is one labelling builder, \
+                     and it is sequential, so drop the flag"
+                        .into(),
+                ));
+            }
             Ok(Command::Build {
                 graph: PathBuf::from(require("graph")?),
                 landmarks: parse_number(get("landmarks").as_deref().unwrap_or("20"), "landmarks")?,
-                sequential: options.contains_key("sequential"),
                 out: PathBuf::from(require("out")?),
             })
         }
@@ -566,7 +570,8 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
     }
 }
 
-/// Collects `--key value` pairs; bare flags (like `--sequential`) map to "".
+/// Collects `--key value` pairs; bare flags (like `--mmap`) map to "".
+/// `--sequential` stays a bare flag so `build` can refuse it by name.
 /// `--replica` is the one repeatable option — each occurrence appends to
 /// the returned list instead of overwriting the previous value.
 fn collect_options(args: &[String]) -> Result<(BTreeMap<String, String>, Vec<String>), ParseError> {
@@ -717,7 +722,6 @@ mod tests {
             "g.qbsg",
             "--landmarks",
             "32",
-            "--sequential",
             "--out",
             "i.qbs",
         ]))
@@ -727,10 +731,32 @@ mod tests {
             Command::Build {
                 graph: "g.qbsg".into(),
                 landmarks: 32,
-                sequential: true,
                 out: "i.qbs".into(),
             }
         );
+        // The removed builder switch fails loudly too, wherever it sits.
+        for argv in [
+            [
+                "build",
+                "--graph",
+                "g.qbsg",
+                "--sequential",
+                "--out",
+                "i.qbs",
+            ],
+            [
+                "build",
+                "--graph",
+                "g.qbsg",
+                "--out",
+                "i.qbs",
+                "--sequential",
+            ],
+        ] {
+            let err = parse(&args(&argv)).unwrap_err();
+            assert!(err.0.contains("--sequential was removed"), "{err}");
+            assert!(err.0.contains("drop the flag"), "{err}");
+        }
 
         // The removed layout flags fail loudly instead of being ignored.
         for (flag, value) in [

@@ -107,15 +107,10 @@ pub fn run(command: &Command) -> Result<String, CommandError> {
         Command::Build {
             graph,
             landmarks,
-            sequential,
             out,
         } => {
             let graph = load_graph(graph)?;
-            let mut config = QbsConfig::with_landmark_count(*landmarks);
-            if *sequential {
-                config = config.sequential();
-            }
-            let index = QbsIndex::try_build(graph, config)?;
+            let index = QbsIndex::build(graph, QbsConfig::with_landmark_count(*landmarks));
             serialize::save_to_file(&index, out)?;
             let stats = index.stats();
             Ok(format!(
@@ -283,6 +278,8 @@ pub fn run(command: &Command) -> Result<String, CommandError> {
             }
         }
         Command::Stats { index } => {
+            // No build-time line: the file does not store timings, so a
+            // loaded index would report zeros.
             let index = serialize::load_from_file(index)?;
             let stats = index.stats();
             Ok(format!(
@@ -294,8 +291,7 @@ pub fn run(command: &Command) -> Result<String, CommandError> {
                  meta-graph:          {} bytes ({} edges)\n\
                  graph adjacency:     {} bytes\n\
                  index/graph ratio:   {:.3}\n\
-                 labelling entries:   {}\n\
-                 build time:          {:.3}s (labelling {:.3}s, meta {:.3}s)",
+                 labelling entries:   {}",
                 stats.num_vertices,
                 stats.num_edges,
                 stats.num_landmarks,
@@ -306,9 +302,6 @@ pub fn run(command: &Command) -> Result<String, CommandError> {
                 stats.graph_bytes,
                 stats.index_to_graph_ratio(),
                 stats.labelling_entries,
-                stats.total_build_time.as_secs_f64(),
-                stats.labelling_time.as_secs_f64(),
-                stats.meta_time.as_secs_f64(),
             ))
         }
         Command::Inspect { index } => inspect_index(index),
@@ -769,7 +762,6 @@ mod tests {
         let report = run(&Command::Build {
             graph: graph_path.clone(),
             landmarks: 10,
-            sequential: false,
             out: index_path.clone(),
         })
         .expect("build");
@@ -810,6 +802,9 @@ mod tests {
 
         let report = run(&Command::Stats { index: index_path }).expect("stats");
         assert!(report.contains("landmarks:           10"));
+        // Build timings are not stored in the file, so a loaded index has
+        // none to print.
+        assert!(!report.contains("build time"), "{report}");
     }
 
     #[test]
@@ -826,7 +821,6 @@ mod tests {
         run(&Command::Build {
             graph: graph_path,
             landmarks: 6,
-            sequential: false,
             out: index_path.clone(),
         })
         .expect("build");
@@ -879,7 +873,6 @@ mod tests {
             run(&Command::Build {
                 graph: graph_path,
                 landmarks: 6,
-                sequential: false,
                 out: index_path.clone(),
             })
             .unwrap_or_else(|e| panic!("build from {name}: {e}"));
@@ -921,7 +914,6 @@ mod tests {
         run(&Command::Build {
             graph: graph_path,
             landmarks: 8,
-            sequential: false,
             out: index_path.clone(),
         })
         .expect("build");
@@ -1001,7 +993,6 @@ mod tests {
         run(&Command::Build {
             graph: graph_path,
             landmarks: 8,
-            sequential: false,
             out: index_path.clone(),
         })
         .expect("build");
@@ -1106,7 +1097,6 @@ mod tests {
         run(&Command::Build {
             graph: graph_path,
             landmarks: 8,
-            sequential: false,
             out: index_path.clone(),
         })
         .expect("build");
@@ -1283,7 +1273,6 @@ mod tests {
         run(&Command::Build {
             graph: graph_path,
             landmarks: 8,
-            sequential: false,
             out: index_path.clone(),
         })
         .expect("build");
@@ -1431,7 +1420,6 @@ mod tests {
         run(&Command::Build {
             graph: graph_path,
             landmarks: 4,
-            sequential: true,
             out: index_path.clone(),
         })
         .expect("build");
@@ -1464,7 +1452,6 @@ mod tests {
             run(&Command::Build {
                 graph: dir.join("missing.qbsg"),
                 landmarks: 4,
-                sequential: true,
                 out: dir.join("out.qbs"),
             }),
             Err(CommandError::Graph(_))
@@ -1482,7 +1469,6 @@ mod tests {
         run(&Command::Build {
             graph: graph_path,
             landmarks: 4,
-            sequential: true,
             out: index_path.clone(),
         })
         .expect("build");

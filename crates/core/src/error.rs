@@ -17,8 +17,8 @@ pub enum QbsError {
     InvalidLandmarks(String),
     /// A serialised index could not be decoded.
     Corrupt(String),
-    /// A dedicated thread pool (parallel labelling, batch query engine)
-    /// could not be created or was misconfigured.
+    /// The batch query engine's thread pool could not be created or was
+    /// misconfigured.
     ThreadPool(String),
     /// Underlying I/O failure while persisting or loading an index.
     Io(std::io::Error),

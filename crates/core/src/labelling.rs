@@ -205,9 +205,10 @@ pub fn landmark_bfs(
     LandmarkBfs { column, meta_edges }
 }
 
-/// Builds the complete labelling scheme sequentially (one landmark at a
-/// time). See [`crate::parallel::build_parallel`] for the multi-threaded
-/// variant enabled by Lemma 5.2.
+/// Builds the complete labelling scheme, one landmark BFS at a time on the
+/// calling thread. Lemma 5.2 would let the BFSs run on separate threads
+/// (the paper's QbS-P), but on two cores that measured no faster, so there
+/// is one builder.
 pub fn build_sequential(graph: &Graph, landmarks: &[VertexId]) -> LabellingScheme {
     let columns: Vec<LandmarkBfs> = {
         let landmark_column = landmark_column_map(graph, landmarks);
@@ -229,11 +230,7 @@ pub(crate) fn landmark_column_map(graph: &Graph, landmarks: &[VertexId]) -> Vec<
 }
 
 /// Combines per-landmark BFS results into the final scheme.
-pub(crate) fn assemble(
-    graph: &Graph,
-    landmarks: &[VertexId],
-    columns: Vec<LandmarkBfs>,
-) -> LabellingScheme {
+fn assemble(graph: &Graph, landmarks: &[VertexId], columns: Vec<LandmarkBfs>) -> LabellingScheme {
     let mut labelling = PathLabelling::new(graph.num_vertices(), landmarks.len());
     let mut meta: std::collections::BTreeMap<(usize, usize), Distance> =
         std::collections::BTreeMap::new();
@@ -411,6 +408,13 @@ mod tests {
         assert_eq!(scheme.labelling.get(2, 0), Some(1));
         assert_eq!(scheme.labelling.get(3, 0), None);
         assert_eq!(scheme.labelling.get(4, 0), None);
+        assert!(scheme.meta_edges.is_empty());
+    }
+
+    #[test]
+    fn empty_landmark_set_produces_empty_scheme() {
+        let scheme = build_sequential(&figure4_graph(), &[]);
+        assert_eq!(scheme.labelling.total_entries(), 0);
         assert!(scheme.meta_edges.is_empty());
     }
 

@@ -8,12 +8,11 @@
 //! *shortest path graph*: the subgraph containing exactly all shortest paths
 //! between `u` and `v`. It does so in three phases:
 //!
-//! 1. **Labelling** (offline, [`labelling`], [`parallel`]) — pick a small
-//!    set of high-degree landmarks `R` and run one pruned BFS per landmark
-//!    (Algorithm 2) to build a *labelling scheme*: a meta-graph over the
-//!    landmarks plus a compact per-vertex path labelling. The scheme is
-//!    deterministic w.r.t. `R` (Lemma 5.2), so the BFSs are embarrassingly
-//!    parallel.
+//! 1. **Labelling** (offline, [`labelling`], [`meta_graph`]) — pick a
+//!    small set of high-degree landmarks `R` and run one pruned BFS per
+//!    landmark (Algorithm 2) to build a *labelling scheme*: a meta-graph
+//!    over the landmarks plus a compact per-vertex path labelling. The
+//!    scheme is deterministic w.r.t. `R` (Lemma 5.2).
 //! 2. **Sketching** (online, [`sketch`]) — combine the two query labels and
 //!    the meta-graph into a *sketch*: an upper bound `d⊤` on the distance
 //!    plus the landmark paths achieving it (Algorithm 3, `O(|R|²)`).
@@ -54,7 +53,6 @@ pub mod landmark;
 pub mod meta_graph;
 pub mod mmap;
 pub mod obs;
-pub mod parallel;
 pub mod plan;
 pub mod query;
 pub mod request;

@@ -10,12 +10,21 @@
 //!   landmark — the "precomputed shortest path graphs between landmarks"
 //!   whose size the paper reports as `size(Δ)` in Table 3 and which the
 //!   recover search splices into query answers.
+//!
+//! Δ is read off the labelling rather than searched for: every interior
+//! vertex `x` of a landmark-free shortest `r`–`r'` path carries the label
+//! `(r, d_G(x, r))`, so walking from `r'` down `r`'s label column — the
+//! recover search's own `label_walk` (`search.rs`) — visits exactly Δ's
+//! vertices and edges and nothing else.
 
-use qbs_graph::traversal::bfs_distances;
-use qbs_graph::{Distance, FilteredGraph, Graph, VertexFilter, VertexId, INFINITE_DISTANCE};
+use qbs_graph::workspace::VisitedSet;
+use qbs_graph::{Distance, VertexId, INFINITE_DISTANCE};
+
+use crate::search::label_walk;
+use crate::store::IndexStore;
 
 /// The meta-graph and everything precomputed from it.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MetaGraph {
     /// The landmark set, in column order.
     landmarks: Vec<VertexId>,
@@ -24,7 +33,8 @@ pub struct MetaGraph {
     /// Row-major `|R| × |R|` all-pairs distance matrix over the meta-graph.
     apsp: Vec<Distance>,
     /// `delta[k]` is the edge set of the shortest path graph (in `G`,
-    /// avoiding other landmarks) between the endpoints of `edges[k]`.
+    /// avoiding other landmarks) between the endpoints of `edges[k]`, as
+    /// sorted `(min, max)` pairs.
     delta: Vec<Vec<(VertexId, VertexId)>>,
 }
 
@@ -58,11 +68,14 @@ impl MetaGraph {
 
     /// Builds the meta-graph from the raw edge list produced by Algorithm 2,
     /// computing `d_M` and the per-edge Δ path graphs.
-    pub fn build(
-        graph: &Graph,
-        landmarks: &[VertexId],
-        meta_edges: &[(usize, usize, Distance)],
-    ) -> Self {
+    ///
+    /// `store` must already hold the graph, the landmarks and the labelling
+    /// of the same build: Δ is one label walk per meta edge over them. Its
+    /// meta-graph accessors are not read.
+    pub(crate) fn build<S: IndexStore>(store: &S, meta_edges: &[(usize, usize, Distance)]) -> Self {
+        let landmarks: Vec<VertexId> = (0..store.num_landmarks())
+            .map(|i| store.landmark(i))
+            .collect();
         let r = landmarks.len();
         let mut apsp = vec![INFINITE_DISTANCE; r * r];
         for i in 0..r {
@@ -94,15 +107,32 @@ impl MetaGraph {
 
         // Δ: shortest path graph between the endpoints of every meta-edge,
         // restricted to paths avoiding all other landmarks.
+        let mut walk_visited = VisitedSet::new();
+        let mut walk_stack = Vec::new();
         let delta = meta_edges
             .iter()
             .map(|&(i, j, sigma)| {
-                landmark_pair_paths(graph, landmarks, landmarks[i], landmarks[j], sigma)
+                let mut edges = Vec::new();
+                label_walk(
+                    store,
+                    landmarks[j],
+                    i,
+                    landmarks[i],
+                    sigma,
+                    &mut walk_visited,
+                    &mut walk_stack,
+                    &mut edges,
+                );
+                for edge in &mut edges {
+                    *edge = (edge.0.min(edge.1), edge.0.max(edge.1));
+                }
+                edges.sort_unstable();
+                edges
             })
             .collect();
 
         MetaGraph {
-            landmarks: landmarks.to_vec(),
+            landmarks,
             edges: meta_edges.to_vec(),
             apsp,
             delta,
@@ -191,57 +221,24 @@ impl MetaGraph {
     }
 }
 
-/// Computes the shortest path graph between two landmarks restricted to
-/// paths that contain no other landmark, via two BFSs on the filtered view.
-fn landmark_pair_paths(
-    graph: &Graph,
-    landmarks: &[VertexId],
-    a: VertexId,
-    b: VertexId,
-    expected_distance: Distance,
-) -> Vec<(VertexId, VertexId)> {
-    let others = VertexFilter::from_vertices(
-        graph.num_vertices(),
-        landmarks.iter().copied().filter(|&x| x != a && x != b),
-    );
-    let view = FilteredGraph::new(graph, &others);
-    let from_a = bfs_distances(&view, a);
-    let from_b = bfs_distances(&view, b);
-    debug_assert_eq!(
-        from_a[b as usize], expected_distance,
-        "meta edge weight must equal the landmark-free distance"
-    );
-    let mut edges = Vec::new();
-    for (x, y) in graph.edges() {
-        if others.contains(x) || others.contains(y) {
-            continue;
-        }
-        let (dax, day) = (from_a[x as usize], from_a[y as usize]);
-        let (dbx, dby) = (from_b[x as usize], from_b[y as usize]);
-        if dax == INFINITE_DISTANCE || day == INFINITE_DISTANCE {
-            continue;
-        }
-        if dax.saturating_add(1).saturating_add(dby) == expected_distance
-            || day.saturating_add(1).saturating_add(dbx) == expected_distance
-        {
-            edges.push((x, y));
-        }
-    }
-    edges
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::labelling::build_sequential;
+    use crate::query::{QbsConfig, QbsIndex};
     use qbs_graph::fixtures::{figure4_graph, figure4_landmarks};
-    use qbs_graph::GraphBuilder;
+    use qbs_graph::traversal::bfs_distances;
+    use qbs_graph::{Graph, GraphBuilder};
+
+    /// The meta-graph of a full index build over `landmarks`.
+    fn build_meta(g: &Graph, landmarks: &[VertexId]) -> MetaGraph {
+        let config = QbsConfig::with_explicit_landmarks(landmarks.to_vec());
+        QbsIndex::build(g.clone(), config).meta_graph().clone()
+    }
 
     fn figure4_meta() -> (Graph, MetaGraph) {
         let g = figure4_graph();
         let landmarks = figure4_landmarks();
-        let scheme = build_sequential(&g, &landmarks);
-        let meta = MetaGraph::build(&g, &landmarks, &scheme.meta_edges);
+        let meta = build_meta(&g, &landmarks);
         (g, meta)
     }
 
@@ -302,8 +299,7 @@ mod tests {
         b.reserve_vertices(4);
         let g = b.build();
         let landmarks = vec![0, 3];
-        let scheme = build_sequential(&g, &landmarks);
-        let meta = MetaGraph::build(&g, &landmarks, &scheme.meta_edges);
+        let meta = build_meta(&g, &landmarks);
         assert_eq!(meta.distance(0, 1), INFINITE_DISTANCE);
         assert_eq!(meta.distance(0, 0), 0);
         assert!(meta.shortest_path_meta_edges(0, 1).is_empty());
@@ -314,8 +310,7 @@ mod tests {
         // Landmarks pairwise adjacent: every Δ is a single direct edge.
         let g = GraphBuilder::from_edges([(0u32, 1), (1, 2), (2, 0)]).build();
         let landmarks = vec![0, 1, 2];
-        let scheme = build_sequential(&g, &landmarks);
-        let meta = MetaGraph::build(&g, &landmarks, &scheme.meta_edges);
+        let meta = build_meta(&g, &landmarks);
         assert_eq!(meta.edges().len(), 3);
         for k in 0..3 {
             assert_eq!(meta.delta_edges(k).len(), 1);

@@ -9,7 +9,6 @@ use qbs_graph::{Distance, Graph, PathGraph, VertexFilter, VertexId};
 use crate::labelling::{self, LabellingScheme, PathLabelling};
 use crate::landmark::LandmarkStrategy;
 use crate::meta_graph::MetaGraph;
-use crate::parallel;
 use crate::search::{self, SearchStats};
 use crate::sketch::{self, Sketch};
 use crate::stats::IndexStats;
@@ -18,25 +17,10 @@ use crate::workspace::QueryWorkspace;
 use crate::QbsError;
 
 /// Configuration of an index build.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct QbsConfig {
     /// How landmarks are chosen. Default: the 20 highest-degree vertices.
     pub landmarks: LandmarkStrategy,
-    /// Build the labelling with the rayon thread pool (§5.3). The resulting
-    /// index is identical either way (Lemma 5.2).
-    pub parallel_labelling: bool,
-    /// Thread count for the parallel build; `None` lets rayon decide.
-    pub threads: Option<usize>,
-}
-
-impl Default for QbsConfig {
-    fn default() -> Self {
-        QbsConfig {
-            landmarks: LandmarkStrategy::default(),
-            parallel_labelling: true,
-            threads: None,
-        }
-    }
 }
 
 impl QbsConfig {
@@ -44,7 +28,6 @@ impl QbsConfig {
     pub fn with_landmark_count(count: usize) -> Self {
         QbsConfig {
             landmarks: LandmarkStrategy::HighestDegree { count },
-            ..Default::default()
         }
     }
 
@@ -53,15 +36,7 @@ impl QbsConfig {
     pub fn with_explicit_landmarks(landmarks: Vec<VertexId>) -> Self {
         QbsConfig {
             landmarks: LandmarkStrategy::Explicit(landmarks),
-            ..Default::default()
         }
-    }
-
-    /// Forces a sequential labelling build (the "QbS" rows of Table 2, as
-    /// opposed to "QbS-P").
-    pub fn sequential(mut self) -> Self {
-        self.parallel_labelling = false;
-        self
     }
 }
 
@@ -102,20 +77,10 @@ pub struct QbsIndex {
 }
 
 impl QbsIndex {
-    /// Builds an index over `graph` with the given configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the build fails (today that only happens when a
-    /// dedicated labelling thread pool cannot be created); use
-    /// [`QbsIndex::try_build`] to handle such failures.
+    /// Builds an index over `graph` with the given configuration, on the
+    /// calling thread: Algorithm 2's one BFS per landmark, then the
+    /// meta-graph, whose Δ is read off the finished labelling.
     pub fn build(graph: Graph, config: QbsConfig) -> Self {
-        Self::try_build(graph, config).expect("index build failed")
-    }
-
-    /// Builds an index over `graph`, surfacing build-environment failures
-    /// (e.g. [`QbsError::ThreadPool`]) instead of panicking.
-    pub fn try_build(graph: Graph, config: QbsConfig) -> crate::Result<Self> {
         let total_start = Instant::now();
 
         let t = Instant::now();
@@ -123,42 +88,27 @@ impl QbsIndex {
         let landmark_selection = t.elapsed();
 
         let t = Instant::now();
-        let scheme: LabellingScheme = if config.parallel_labelling {
-            match config.threads {
-                Some(threads) => parallel::build_with_threads(&graph, &landmarks, threads)?,
-                None => parallel::build_parallel(&graph, &landmarks),
-            }
-        } else {
-            labelling::build_sequential(&graph, &landmarks)
-        };
+        let scheme: LabellingScheme = labelling::build_sequential(&graph, &landmarks);
         let labelling_time = t.elapsed();
 
         let t = Instant::now();
-        let meta = MetaGraph::build(&graph, &landmarks, &scheme.meta_edges);
+        let mut index =
+            QbsIndex::from_parts(graph, landmarks, scheme.labelling, MetaGraph::default());
+        // The walk reads the labels and the graph of the index it completes.
+        index.meta = MetaGraph::build(&index, &scheme.meta_edges);
         let meta_time = t.elapsed();
 
-        let landmark_filter =
-            VertexFilter::from_vertices(graph.num_vertices(), landmarks.iter().copied());
-        let landmark_column = labelling::landmark_column_map(&graph, &landmarks);
-
-        Ok(QbsIndex {
-            graph,
-            landmarks,
-            landmark_filter,
-            landmark_column,
-            labelling: scheme.labelling,
-            meta,
-            timings: BuildTimings {
-                landmark_selection,
-                labelling: labelling_time,
-                meta_graph: meta_time,
-                total: total_start.elapsed(),
-            },
-        })
+        index.timings = BuildTimings {
+            landmark_selection,
+            labelling: labelling_time,
+            meta_graph: meta_time,
+            total: total_start.elapsed(),
+        };
+        index
     }
 
     /// Builds with the paper's default configuration (20 highest-degree
-    /// landmarks, parallel labelling).
+    /// landmarks).
     pub fn build_default(graph: Graph) -> Self {
         Self::build(graph, QbsConfig::default())
     }
@@ -577,18 +527,6 @@ mod tests {
         assert_eq!(lm, vec![1, 2, 3]);
         assert!(index.is_landmark(1));
         assert!(!index.is_landmark(7));
-    }
-
-    #[test]
-    fn sequential_and_parallel_builds_agree() {
-        let g = figure3_graph();
-        let a = QbsIndex::build(g.clone(), QbsConfig::with_landmark_count(2));
-        let b = QbsIndex::build(g, QbsConfig::with_landmark_count(2).sequential());
-        assert_eq!(a.labelling(), b.labelling());
-        assert_eq!(a.meta_graph(), b.meta_graph());
-        for (u, v) in [(3u32, 7u32), (1, 7), (4, 6)] {
-            assert_eq!(a.query(u, v).unwrap(), b.query(u, v).unwrap());
-        }
     }
 
     #[test]

@@ -361,8 +361,13 @@ fn recover_side<S: IndexStore>(
 /// `start_distance`) down to the landmark, following neighbours whose label
 /// decreases by exactly one; every traversed edge lies on a shortest path
 /// between `start` and the landmark that avoids all other landmarks.
+///
+/// Started at another landmark `r'` with `start_distance = σ(r, r')`, the
+/// walk enumerates exactly Δ of the meta edge `(r, r')`, which is how
+/// [`crate::meta_graph::MetaGraph::build`] computes it. Each traversed edge
+/// is pushed once, oriented away from `start`.
 #[allow(clippy::too_many_arguments)]
-fn label_walk<S: IndexStore>(
+pub(crate) fn label_walk<S: IndexStore>(
     store: &S,
     start: VertexId,
     landmark_idx: usize,

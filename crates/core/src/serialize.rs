@@ -39,9 +39,10 @@ pub fn from_bytes(data: &[u8]) -> Result<QbsIndex> {
     Ok(QbsIndex::from_view(&view))
 }
 
-/// Writes the index to a file.
+/// Writes the index to a file, streamed section by section
+/// ([`format::write_to`]) rather than assembled in memory first.
 pub fn save_to_file<P: AsRef<Path>>(index: &QbsIndex, path: P) -> Result<()> {
-    std::fs::write(path, to_bytes(index))?;
+    format::write_to(index, std::fs::File::create(path)?)?;
     Ok(())
 }
 

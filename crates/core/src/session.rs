@@ -155,9 +155,10 @@ impl Qbs {
         }
     }
 
-    /// Builds an owned index over `graph` and wraps it in a session.
+    /// Builds an owned index over `graph` on the calling thread (spawning
+    /// none) and wraps it in a session.
     pub fn build(graph: Graph, config: QbsConfig) -> crate::Result<Self> {
-        Ok(Self::from_index(QbsIndex::try_build(graph, config)?))
+        Ok(Self::from_index(QbsIndex::build(graph, config)))
     }
 
     /// Wraps an already-built index in a session.

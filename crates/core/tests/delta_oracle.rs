@@ -1,0 +1,220 @@
+//! Δ of every built meta-graph against the reference it replaced.
+//!
+//! `MetaGraph::build` reads Δ off the labelling with one label walk per
+//! meta edge. The reference below is the definition computed directly: two
+//! BFSs in the graph minus the other landmarks, keeping every edge on a
+//! shortest path between the two endpoints. The two must agree as `Vec`s,
+//! order included, because the stored order is what the index file holds.
+
+use std::sync::atomic::AtomicUsize;
+use std::sync::atomic::Ordering::Relaxed;
+
+use qbs_core::{MetaGraph, QbsConfig, QbsIndex};
+use qbs_gen::prelude::*;
+use qbs_graph::traversal::bfs_distances;
+use qbs_graph::{
+    Distance, FilteredGraph, Graph, GraphBuilder, VertexFilter, VertexId, INFINITE_DISTANCE,
+};
+
+/// The shortest path graph between landmarks `a` and `b` restricted to
+/// paths that contain no other landmark, via two BFSs on the filtered view.
+fn landmark_pair_paths(
+    graph: &Graph,
+    landmarks: &[VertexId],
+    a: VertexId,
+    b: VertexId,
+    expected_distance: Distance,
+) -> Vec<(VertexId, VertexId)> {
+    let others = VertexFilter::from_vertices(
+        graph.num_vertices(),
+        landmarks.iter().copied().filter(|&x| x != a && x != b),
+    );
+    let view = FilteredGraph::new(graph, &others);
+    let from_a = bfs_distances(&view, a);
+    let from_b = bfs_distances(&view, b);
+    assert_eq!(
+        from_a[b as usize], expected_distance,
+        "meta edge weight must equal the landmark-free distance"
+    );
+    let mut edges = Vec::new();
+    for (x, y) in graph.edges() {
+        if others.contains(x) || others.contains(y) {
+            continue;
+        }
+        let (dax, day) = (from_a[x as usize], from_a[y as usize]);
+        let (dbx, dby) = (from_b[x as usize], from_b[y as usize]);
+        if dax == INFINITE_DISTANCE || day == INFINITE_DISTANCE {
+            continue;
+        }
+        if dax.saturating_add(1).saturating_add(dby) == expected_distance
+            || day.saturating_add(1).saturating_add(dbx) == expected_distance
+        {
+            edges.push((x, y));
+        }
+    }
+    edges
+}
+
+/// Builds an index over `graph` and asserts that every stored Δ equals the
+/// reference exactly. Returns the meta-graph for further checks.
+fn assert_delta_matches_bfs(graph: &Graph, config: QbsConfig, what: &str) -> MetaGraph {
+    let index = QbsIndex::build(graph.clone(), config);
+    let meta = index.meta_graph().clone();
+    let landmarks = index.landmarks();
+    for (k, &(i, j, sigma)) in meta.edges().iter().enumerate() {
+        let expected = landmark_pair_paths(graph, landmarks, landmarks[i], landmarks[j], sigma);
+        assert_eq!(
+            meta.delta_edges(k).to_vec(),
+            expected,
+            "{what}: Δ of meta edge ({i}, {j}), σ = {sigma}"
+        );
+    }
+    meta
+}
+
+/// The generator families of `view_serving.rs`, a few sizes and seeds each.
+#[test]
+fn delta_matches_bfs_on_generator_families() {
+    for seed in [3u64, 77, 901] {
+        for vertices in [60usize, 400] {
+            let graphs = [
+                (
+                    "barabasi-albert",
+                    barabasi_albert::generate(&BarabasiAlbertConfig {
+                        vertices,
+                        edges_per_vertex: 2,
+                        seed,
+                    }),
+                ),
+                (
+                    "erdos-renyi",
+                    erdos_renyi::generate(&ErdosRenyiConfig {
+                        vertices,
+                        edges: vertices * 2,
+                        seed,
+                    }),
+                ),
+                (
+                    "watts-strogatz",
+                    watts_strogatz::generate(&WattsStrogatzConfig {
+                        vertices,
+                        neighbors: 2,
+                        rewire_probability: 0.2,
+                        seed,
+                    }),
+                ),
+                (
+                    "power-law",
+                    power_law::generate(&PowerLawConfig {
+                        vertices,
+                        edges: vertices * 2,
+                        exponent: 2.5,
+                        seed,
+                    }),
+                ),
+            ];
+            for (family, graph) in &graphs {
+                for count in [3usize, 20, 40] {
+                    assert_delta_matches_bfs(
+                        graph,
+                        QbsConfig::with_landmark_count(count),
+                        &format!("{family} n={vertices} seed={seed} |R|={count}"),
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Every Table 1 stand-in of the catalog at the small scale.
+#[test]
+fn delta_matches_bfs_on_small_catalog_graphs() {
+    let graphs: Vec<(&str, Graph)> = Catalog::paper_table1()
+        .specs()
+        .iter()
+        .map(|spec| (spec.id.name(), spec.generate(Scale::Small)))
+        .collect();
+    // The reference runs two BFSs per meta edge, up to 780 per graph, which
+    // takes seconds per case unoptimised; two threads share the cases out,
+    // the largest |R| first.
+    let cases: Vec<(usize, &(&str, Graph))> = [40usize, 20, 3]
+        .into_iter()
+        .flat_map(|count| graphs.iter().map(move |graph| (count, graph)))
+        .collect();
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| {
+                while let Some(&(count, (name, graph))) = cases.get(next.fetch_add(1, Relaxed)) {
+                    assert_delta_matches_bfs(
+                        graph,
+                        QbsConfig::with_landmark_count(count),
+                        &format!("{name} |R|={count}"),
+                    );
+                }
+            });
+        }
+    });
+}
+
+/// A landmark on one of two shortest paths between two others is not part
+/// of their Δ; a landmark on every shortest path between two others leaves
+/// them with no meta edge at all.
+#[test]
+fn delta_excludes_landmarks_on_shortest_paths() {
+    // Two shortest 0–3 paths: 0-1-3 through landmark 1, and 0-2-3.
+    let graph = GraphBuilder::from_edges([(0u32, 1), (1, 3), (0, 2), (2, 3)]).build();
+    let meta = assert_delta_matches_bfs(
+        &graph,
+        QbsConfig::with_explicit_landmarks(vec![0, 3, 1]),
+        "one of two paths",
+    );
+    let k = meta
+        .edge_index(0, 1)
+        .expect("landmarks 0 and 3 share a meta edge");
+    assert_eq!(meta.delta_edges(k), &[(0, 2), (2, 3)]);
+
+    // Every shortest 0–4 path passes landmark 2: Δ lives on (0,2) and (2,4).
+    let graph =
+        GraphBuilder::from_edges([(0u32, 1), (1, 2), (2, 3), (3, 4), (0, 5), (5, 2)]).build();
+    let meta = assert_delta_matches_bfs(
+        &graph,
+        QbsConfig::with_explicit_landmarks(vec![0, 2, 4]),
+        "every path",
+    );
+    assert_eq!(meta.edges(), &[(0, 1, 2), (1, 2, 2)]);
+    assert_eq!(meta.delta_edges(0), &[(0, 1), (0, 5), (1, 2), (2, 5)]);
+    assert_eq!(meta.delta_edges(1), &[(2, 3), (3, 4)]);
+}
+
+/// Adjacent landmarks (σ = 1) have the single connecting edge as Δ, stored
+/// as `(min, max)` whatever the landmarks' column order.
+#[test]
+fn delta_of_adjacent_landmarks_is_their_edge() {
+    let graph = GraphBuilder::from_edges([(0u32, 1), (1, 2), (2, 3), (3, 0), (1, 4)]).build();
+    let meta = assert_delta_matches_bfs(
+        &graph,
+        QbsConfig::with_explicit_landmarks(vec![4, 1, 3]),
+        "adjacent",
+    );
+    let k = meta.edge_index(0, 1).expect("4 and 1 are adjacent");
+    assert_eq!(meta.edges()[k], (0, 1, 1));
+    assert_eq!(meta.delta_edges(k), &[(1, 4)]);
+}
+
+/// Landmarks in different components share no meta edge; those within a
+/// component keep theirs.
+#[test]
+fn delta_of_disconnected_landmarks() {
+    let mut builder = GraphBuilder::from_edges([(0u32, 1), (1, 2), (3, 4), (4, 5), (4, 6)]);
+    builder.reserve_vertices(8);
+    let graph = builder.build();
+    let meta = assert_delta_matches_bfs(
+        &graph,
+        QbsConfig::with_explicit_landmarks(vec![0, 2, 3, 5, 7]),
+        "disconnected",
+    );
+    assert_eq!(meta.edges(), &[(0, 1, 2), (2, 3, 2)]);
+    assert_eq!(meta.delta_edges(0), &[(0, 1), (1, 2)]);
+    assert_eq!(meta.delta_edges(1), &[(3, 4), (4, 5)]);
+}

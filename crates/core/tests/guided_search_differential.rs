@@ -70,7 +70,6 @@ fn qbs_is_exact_with_random_landmarks() {
             &graph,
             QbsConfig {
                 landmarks: LandmarkStrategy::Random { count: 15, seed },
-                ..QbsConfig::default()
             },
             25,
             seed,

@@ -23,7 +23,7 @@ fn index_file(tag: &str) -> std::path::PathBuf {
         .get(DatasetId::Douban)
         .expect("catalog")
         .generate(Scale::Tiny);
-    let index = QbsIndex::try_build(graph, QbsConfig::with_landmark_count(8)).expect("build");
+    let index = QbsIndex::build(graph, QbsConfig::with_landmark_count(8));
     let path = dir.join("index.qbs");
     serialize::save_to_file(&index, &path).expect("save");
     path

@@ -76,7 +76,6 @@ fn main() {
             graph.clone(),
             QbsConfig {
                 landmarks: strategy,
-                ..QbsConfig::default()
             },
         )
         .expect("session build");

@@ -25,10 +25,6 @@ fn assert_all_engines_agree(
     let workload = QueryWorkload::sample(graph, queries, seed);
     let truth = GroundTruth::new(graph.clone());
     let qbs = QbsIndex::build(graph.clone(), QbsConfig::with_landmark_count(landmarks));
-    let qbs_seq = QbsIndex::build(
-        graph.clone(),
-        QbsConfig::with_landmark_count(landmarks).sequential(),
-    );
     let bibfs = BiBfs::new(graph.clone());
     let labelling = if with_labelling_baselines {
         Some((Ppl::build(graph.clone()), ParentPpl::build(graph.clone())))
@@ -43,11 +39,6 @@ fn assert_all_engines_agree(
             qbs.query(u, v).unwrap(),
             expected,
             "QbS mismatch on ({u},{v})"
-        );
-        assert_eq!(
-            qbs_seq.query(u, v).unwrap(),
-            expected,
-            "QbS (sequential) mismatch on ({u},{v})"
         );
         assert_eq!(bibfs.query(u, v), expected, "Bi-BFS mismatch on ({u},{v})");
         // The reused-workspace path must be bit-identical as well.

@@ -100,24 +100,6 @@ fn qbs_beats_bibfs_on_a_hub_dominated_standin() {
     );
 }
 
-/// The parallel builder must produce the identical index on a real dataset
-/// stand-in, and (weakly) should not be slower than sequential by a large
-/// factor on a multi-core machine.
-#[test]
-fn parallel_labelling_is_identical_on_a_dataset_standin() {
-    let spec = *Catalog::paper_table1()
-        .get(DatasetId::Skitter)
-        .expect("dataset");
-    let graph = spec.generate(Scale::Tiny);
-    let landmarks = graph.top_k_by_degree(32);
-    let sequential = qbs::core::labelling::build_sequential(&graph, &landmarks);
-    let parallel = qbs::core::parallel::build_parallel(&graph, &landmarks);
-    assert_eq!(sequential, parallel);
-    let four_threads = qbs::core::parallel::build_with_threads(&graph, &landmarks, 4)
-        .expect("dedicated labelling pool");
-    assert_eq!(sequential, four_threads);
-}
-
 /// Index persistence on a realistic graph: save to a temp file, reload and
 /// verify a workload agrees with the oracle.
 #[test]
