@@ -4,7 +4,7 @@
 //! experiments <which> [options]
 //!
 //! which:    table1 | table2 | table3 | fig7 | fig8 | fig9 | fig10 | fig11 |
-//!           traversal | ablation | viewserve | mixedbatch | batchplan |
+//!           traversal | ablation | mixedbatch | batchplan |
 //!           netserve | routed | obs | all
 //!
 //! options:
@@ -89,22 +89,11 @@ fn main() -> ExitCode {
         let r = experiments::ablation(&config);
         outputs.insert("ablation", (r.render(), serde_json::to_value(&r).unwrap()));
     }
-    // `viewserve` and `mixedbatch` are explicit-only
+    // `mixedbatch` and the other differentials below are explicit-only
     // pass/fail differentials, not part of `all`: the smoke run would
     // otherwise build the same indices twice (CI runs each as its own
     // named step).
     let mut drift = false;
-    if which == "viewserve" {
-        let r = match experiments::view_serving(&config) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: viewserve failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        drift |= !r.all_identical();
-        outputs.insert("viewserve", (r.render(), serde_json::to_value(&r).unwrap()));
-    }
     if which == "mixedbatch" {
         let r = match experiments::mixed_batch(&config) {
             Ok(r) => r,
@@ -192,7 +181,7 @@ fn main() -> ExitCode {
 
 fn print_usage() {
     eprintln!(
-        "usage: experiments <table1|table2|table3|fig7|fig8|fig9|fig10|fig11|traversal|ablation|viewserve|mixedbatch|batchplan|netserve|routed|obs|all> \
+        "usage: experiments <table1|table2|table3|fig7|fig8|fig9|fig10|fig11|traversal|ablation|mixedbatch|batchplan|netserve|routed|obs|all> \
          [--scale tiny|small|medium|large] [--queries N] [--landmarks N] \
          [--sweep a,b,c] [--datasets DO,DB,...] [--out DIR]"
     );

@@ -42,7 +42,7 @@ impl SpgEngine for QbsEngine {
     }
 
     fn num_vertices(&self) -> usize {
-        self.index.graph().num_vertices()
+        self.index.num_vertices()
     }
 
     fn query_batch(&self, pairs: &[(VertexId, VertexId)]) -> Vec<PathGraph> {

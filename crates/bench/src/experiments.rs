@@ -643,122 +643,6 @@ pub fn traversal(config: &ExperimentConfig) -> Traversal {
     Traversal { rows }
 }
 
-// ---------------------------------------------------------------------------
-// View serving — owned-vs-view session differential (CI drift tripwire)
-// ---------------------------------------------------------------------------
-
-/// View-serving differential result for one dataset.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct ViewServingRow {
-    /// Dataset name.
-    pub dataset: String,
-    /// Number of workload pairs compared.
-    pub pairs: usize,
-    /// Average batch query time over the owned index (ms/query).
-    pub owned_ms: f64,
-    /// Average batch query time over the mmap-backed view store (ms/query).
-    pub view_ms: f64,
-    /// Whether every answer (path graph, sketch, stats) was bit-identical.
-    pub identical: bool,
-}
-
-/// The view-serving differential: a batch is submitted once to a session
-/// over the owned index and once to a session over an mmap-backed
-/// [`qbs_core::ViewStore`] of the same index written to disk, and every answer is compared. CI runs this
-/// at tiny scale so any owned-vs-view drift fails the pipeline.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct ViewServing {
-    /// One row per dataset.
-    pub rows: Vec<ViewServingRow>,
-}
-
-impl ViewServing {
-    /// Whether every dataset produced bit-identical answers.
-    pub fn all_identical(&self) -> bool {
-        self.rows.iter().all(|r| r.identical)
-    }
-
-    /// Renders the comparison.
-    pub fn render(&self) -> String {
-        let mut t = TextTable::new(
-            "View serving: owned session vs mmap-backed view session",
-            &["Dataset", "pairs", "owned ms", "view ms", "identical"],
-        );
-        for r in &self.rows {
-            t.add_row(vec![
-                r.dataset.clone(),
-                fmt_count(r.pairs),
-                fmt_millis(r.owned_ms),
-                fmt_millis(r.view_ms),
-                if r.identical {
-                    "yes".into()
-                } else {
-                    "NO".into()
-                },
-            ]);
-        }
-        t.render()
-    }
-}
-
-/// Runs the view-serving differential: build → save → mmap → serve from
-/// the file, comparing every batch answer against the owned session.
-pub fn view_serving(config: &ExperimentConfig) -> Result<ViewServing, QbsError> {
-    // Unique per-run directory: concurrent harness runs (or the unit test
-    // alongside a manual invocation) must never save into a file another
-    // process is about to mmap.
-    let nonce = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_nanos())
-        .unwrap_or(0);
-    let dir = std::env::temp_dir().join(format!(
-        "qbs_bench_view_serving_{}_{nonce}",
-        std::process::id()
-    ));
-    std::fs::create_dir_all(&dir)?;
-    let rows = config
-        .specs()
-        .iter()
-        .map(|spec| {
-            let graph = config.graph_for(spec);
-            let workload = config.workload_for(&graph);
-            let pairs = workload.pairs();
-            let owned =
-                QbsIndex::build(graph, QbsConfig::with_landmark_count(config.landmark_count));
-            let path = dir.join(format!("{}.qbs", spec.id.abbrev()));
-            qbs_core::serialize::save_to_file(&owned, &path)?;
-            let owned = qbs_core::Qbs::from_index(owned).with_threads(2)?;
-            let view = qbs_core::Qbs::open(&path, qbs_core::MapMode::Mmap)?.with_threads(2)?;
-            let requests = path_graph_requests(pairs);
-            let t0 = Instant::now();
-            let owned_answers = owned.submit(&requests);
-            let owned_ms = per_query_ms(t0.elapsed(), pairs.len());
-            let t0 = Instant::now();
-            let view_answers = view.submit(&requests);
-            let view_ms = per_query_ms(t0.elapsed(), pairs.len());
-
-            let identical = owned_answers == view_answers;
-            std::fs::remove_file(&path).ok();
-            Ok(ViewServingRow {
-                dataset: spec.id.name().to_string(),
-                pairs: pairs.len(),
-                owned_ms,
-                view_ms,
-                identical,
-            })
-        })
-        .collect::<Result<Vec<_>, QbsError>>()?;
-    std::fs::remove_dir_all(&dir).ok();
-    Ok(ViewServing { rows })
-}
-
-fn path_graph_requests(pairs: &[(u32, u32)]) -> Vec<qbs_core::QueryRequest> {
-    pairs
-        .iter()
-        .map(|&(u, v)| qbs_core::QueryRequest::path_graph(u, v).with_stats())
-        .collect()
-}
-
 fn per_query_ms(elapsed: std::time::Duration, queries: usize) -> f64 {
     if queries == 0 {
         0.0
@@ -790,7 +674,7 @@ pub struct MixedBatchRow {
     pub requests: usize,
     /// Error outcomes observed (must be exactly 1: the poisoned pair).
     pub error_slots: usize,
-    /// Whether every outcome matched: owned vs mmap-view backends, the
+    /// Whether every outcome matched: heap vs mmap buffers, the
     /// legacy per-query entry points, and warm-cache vs cold answers.
     pub identical: bool,
     /// Cold (uncached) batch time, ms/request.
@@ -803,8 +687,9 @@ pub struct MixedBatchRow {
 
 /// The mixed-batch differential: a heterogeneous distance/path/sketch
 /// batch (with one poisoned pair mid-batch) is submitted through the
-/// request pipeline over both storage backends and checked slot-by-slot
-/// against the legacy entry points; a cache-enabled session then re-runs
+/// request pipeline over the heap buffer and a mapping of one index and
+/// checked slot-by-slot against the legacy entry points; a cache-enabled
+/// session then re-runs
 /// the batch warm and must produce bit-identical outcomes. CI runs this at
 /// tiny scale and fails the pipeline on any drift.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -893,8 +778,8 @@ fn outcomes_match_legacy(
         return false;
     }
     requests.iter().zip(outcomes).all(|(req, outcome)| {
-        let in_range = (req.source as usize) < index.graph().num_vertices()
-            && (req.target as usize) < index.graph().num_vertices();
+        let in_range = (req.source as usize) < index.num_vertices()
+            && (req.target as usize) < index.num_vertices();
         if !in_range {
             return outcome.is_error();
         }
@@ -917,7 +802,7 @@ fn outcomes_match_legacy(
 }
 
 /// Runs the mixed-batch differential: build → save → mmap → submit the
-/// heterogeneous batch over both backends → compare against the legacy
+/// heterogeneous batch over both buffers → compare against the legacy
 /// entry points → re-run warm through the answer cache.
 pub fn mixed_batch(config: &ExperimentConfig) -> Result<MixedBatch, QbsError> {
     let nonce = std::time::SystemTime::now()
@@ -937,7 +822,7 @@ pub fn mixed_batch(config: &ExperimentConfig) -> Result<MixedBatch, QbsError> {
             let workload = config.workload_for(&graph);
             let owned =
                 QbsIndex::build(graph, QbsConfig::with_landmark_count(config.landmark_count));
-            let requests = mixed_requests(workload.pairs(), owned.graph().num_vertices());
+            let requests = mixed_requests(workload.pairs(), owned.num_vertices());
             let path = dir.join(format!("{}.qbs", spec.id.abbrev()));
             qbs_core::serialize::save_to_file(&owned, &path)?;
             let view = qbs_core::Qbs::open(&path, qbs_core::MapMode::Mmap)?.with_threads(2)?;
@@ -984,7 +869,7 @@ pub fn mixed_batch(config: &ExperimentConfig) -> Result<MixedBatch, QbsError> {
 }
 
 // ---------------------------------------------------------------------------
-// Batch planner — submit vs one-at-a-time over all backends (CI tripwire)
+// Batch planner — submit vs one-at-a-time over heap and mmap (CI tripwire)
 // ---------------------------------------------------------------------------
 
 /// Batch-planner differential result for one dataset.
@@ -994,18 +879,18 @@ pub struct BatchPlanRow {
     pub dataset: String,
     /// Requests in the Zipf-skewed batch (incl. duplicates).
     pub requests: usize,
-    /// Whether `submit` matched the one-at-a-time reference on the owned
-    /// and mmap-view backends, slot for slot.
+    /// Whether `submit` matched the one-at-a-time reference on the heap
+    /// and the mmap buffer, slot for slot.
     pub identical: bool,
-    /// `submit` batch throughput on the owned backend (req/s).
+    /// `submit` batch throughput on the heap buffer (req/s).
     pub submit_qps: f64,
     /// Duplicate slots coalesced by the planner.
     pub dedup_hits: u64,
 }
 
 /// The batch-planner differential: a Zipf-skewed distance batch (so slots
-/// repeat and the dedupe layer has work) is submitted over both
-/// backends and compared with one-at-a-time execution; any slot-level
+/// repeat and the dedupe layer has work) is submitted over the heap and
+/// the mmap buffer and compared with one-at-a-time execution; any slot-level
 /// disagreement is drift. CI runs this at tiny scale and fails the
 /// pipeline on any drift.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -1023,7 +908,7 @@ impl BatchPlan {
     /// Renders the comparison.
     pub fn render(&self) -> String {
         let mut t = TextTable::new(
-            "Batch planner: submit vs one-at-a-time over owned + view backends",
+            "Batch planner: submit vs one-at-a-time over heap + mmap buffers",
             &[
                 "Dataset",
                 "requests",
@@ -1050,7 +935,7 @@ impl BatchPlan {
 }
 
 /// Runs the batch-planner differential: build → Zipf batch → `submit` over
-/// owned and mmap-view backends → slot-by-slot comparison with the
+/// heap and mmap buffers → slot-by-slot comparison with the
 /// one-at-a-time reference.
 pub fn batch_plan(config: &ExperimentConfig) -> Result<BatchPlan, QbsError> {
     let nonce = std::time::SystemTime::now()
@@ -1081,7 +966,7 @@ pub fn batch_plan(config: &ExperimentConfig) -> Result<BatchPlan, QbsError> {
             qbs_core::serialize::save_to_file(&owned, &path)?;
             let view = qbs_core::Qbs::open(&path, qbs_core::MapMode::Mmap)?.with_threads(2)?;
 
-            // One-at-a-time reference off the owned backend.
+            // One-at-a-time reference off the heap buffer.
             let mut ws = qbs_core::QueryWorkspace::new();
             let reference: Vec<qbs_core::QueryOutcome> = requests
                 .iter()
@@ -1254,7 +1139,7 @@ pub fn net_serving(config: &ExperimentConfig) -> Result<NetServing, QbsError> {
             let workload = config.workload_for(&graph);
             let owned =
                 QbsIndex::build(graph, QbsConfig::with_landmark_count(config.landmark_count));
-            let num_vertices = owned.graph().num_vertices();
+            let num_vertices = owned.num_vertices();
             let requests = mixed_requests(workload.pairs(), num_vertices);
             let path = dir.join(format!("{}.qbs", spec.id.abbrev()));
             qbs_core::serialize::save_to_file(&owned, &path)?;
@@ -1563,7 +1448,7 @@ pub fn routed_serving(config: &ExperimentConfig) -> Result<RoutedServing, QbsErr
             let workload = config.workload_for(&graph);
             let owned =
                 QbsIndex::build(graph, QbsConfig::with_landmark_count(config.landmark_count));
-            let num_vertices = owned.graph().num_vertices();
+            let num_vertices = owned.num_vertices();
             let requests = mixed_requests(workload.pairs(), num_vertices);
             let path = dir.join(format!("{}.qbs", spec.id.abbrev()));
             qbs_core::serialize::save_to_file(&owned, &path)?;
@@ -1768,7 +1653,7 @@ pub fn obs_serving(config: &ExperimentConfig) -> Result<ObsServing, QbsError> {
             let workload = config.workload_for(&graph);
             let owned =
                 QbsIndex::build(graph, QbsConfig::with_landmark_count(config.landmark_count));
-            let num_vertices = owned.graph().num_vertices();
+            let num_vertices = owned.num_vertices();
             let requests = mixed_requests(workload.pairs(), num_vertices);
             let path = dir.join(format!("{}.qbs", spec.id.abbrev()));
             qbs_core::serialize::save_to_file(&owned, &path)?;
@@ -2069,20 +1954,6 @@ mod tests {
             assert!(row.saving > 0.0);
         }
         assert!(t.render().contains("edges traversed"));
-    }
-
-    #[test]
-    fn view_serving_is_bit_identical_and_timed() {
-        let v = view_serving(&tiny_config()).expect("view serving runs");
-        assert_eq!(v.rows.len(), 2);
-        assert!(v.all_identical(), "{v:?}");
-        for row in &v.rows {
-            assert!(row.pairs > 0);
-            assert!(row.owned_ms >= 0.0 && row.view_ms >= 0.0);
-        }
-        let rendered = v.render();
-        assert!(rendered.contains("View serving"));
-        assert!(rendered.contains("yes"));
     }
 
     #[test]

@@ -43,11 +43,8 @@ pub enum Command {
         pairs: Option<PathBuf>,
         /// Worker threads for batch execution (default: all cores).
         threads: Option<usize>,
-        /// Serve straight from the zero-copy index view (no owned-index
-        /// materialisation).
-        from_view: bool,
-        /// With `--from-view`: memory-map the index file instead of reading
-        /// it to the heap — the O(1) cold-start path.
+        /// Memory-map the index file instead of reading it to the heap —
+        /// the O(1) cold-start path.
         mmap: bool,
         /// Query mode: full path graph (default), distance-only, or
         /// sketch-only.
@@ -226,7 +223,7 @@ query options:
   --mode path|distance|sketch   what to compute per pair (default: path)
   --stats                       include sketch + search statistics (path mode)
   --cache N                     serve through an N-entry LRU answer cache
-  --from-view [--mmap]          serve from the zero-copy view; --mmap maps the file
+  --mmap                        map the index file instead of reading it
   --format text|json            output format
 
 Graph files are read and written by extension: `.qbsg` is the binary graph
@@ -235,11 +232,11 @@ and `convert` all follow it). `build` writes the one index file layout
 (docs/index-format.md); an index written by an older build is refused with
 a message to rebuild it.
 
-`query --from-view` serves straight from the index file without
-materialising the owned index; adding `--mmap` memory-maps the file so a
-cold process answers its first query in the time it takes to map it. In
-`--pairs` batches each pair is answered independently: an out-of-range
-pair reports an error for that line only.
+`query` and `serve` answer straight from the index file's layout, read
+to the heap and fully validated; `--mmap` memory-maps the file instead,
+so a cold process answers its first query in the time it takes to map
+it. In `--pairs` batches each pair is answered independently: an
+out-of-range pair reports an error for that line only.
 
 `serve` runs the framed TCP server (spec: docs/protocol.md): one poll(2)
 reactor thread multiplexes every connection and `--workers W` threads
@@ -348,12 +345,10 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                     ))
                 }
             }
-            let from_view = options.contains_key("from-view");
-            let mmap = options.contains_key("mmap");
-            if mmap && !from_view {
+            if options.contains_key("from-view") {
                 return Err(ParseError(
-                    "query: --mmap requires --from-view (only the zero-copy view path maps \
-                     the index file)"
+                    "query: --from-view was removed: every query is served from the index \
+                     file's layout, so drop the flag (add --mmap to map the file)"
                         .into(),
                 ));
             }
@@ -365,8 +360,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 threads: get("threads")
                     .map(|s| parse_number(&s, "threads"))
                     .transpose()?,
-                from_view,
-                mmap,
+                mmap: options.contains_key("mmap"),
                 mode: parse_query_mode(get("mode").as_deref().unwrap_or("path"))?,
                 stats: options.contains_key("stats"),
                 cache: get("cache")
@@ -571,7 +565,8 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
 }
 
 /// Collects `--key value` pairs; bare flags (like `--mmap`) map to "".
-/// `--sequential` stays a bare flag so `build` can refuse it by name.
+/// `--sequential` and `--from-view` stay bare flags so `build` and `query`
+/// can refuse them by name.
 /// `--replica` is the one repeatable option — each occurrence appends to
 /// the returned list instead of overwriting the previous value.
 fn collect_options(args: &[String]) -> Result<(BTreeMap<String, String>, Vec<String>), ParseError> {
@@ -785,7 +780,6 @@ mod tests {
                 target: Some(7),
                 pairs: None,
                 threads: None,
-                from_view: false,
                 mmap: false,
                 mode: QueryMode::PathGraph,
                 stats: false,
@@ -812,7 +806,6 @@ mod tests {
                 target: None,
                 pairs: Some("p.txt".into()),
                 threads: Some(4),
-                from_view: false,
                 mmap: false,
                 mode: QueryMode::PathGraph,
                 stats: false,
@@ -894,6 +887,23 @@ mod tests {
             "query", "--index", "i", "--source", "1", "--target", "2", "--cache", "lots",
         ]))
         .is_err());
+
+        // `--mmap` alone maps the file; the removed backend switch fails
+        // loudly, with or without it.
+        let cmd = parse(&args(&[
+            "query", "--index", "i.qbs", "--source", "1", "--target", "2", "--mmap",
+        ]))
+        .unwrap();
+        assert!(matches!(cmd, Command::Query { mmap: true, .. }));
+        for extra in [&["--from-view"][..], &["--from-view", "--mmap"]] {
+            let mut argv = vec![
+                "query", "--index", "i.qbs", "--source", "1", "--target", "2",
+            ];
+            argv.extend_from_slice(extra);
+            let err = parse(&args(&argv)).unwrap_err();
+            assert!(err.0.contains("--from-view was removed"), "{err}");
+            assert!(err.0.contains("drop the flag"), "{err}");
+        }
     }
 
     #[test]

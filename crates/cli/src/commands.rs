@@ -11,6 +11,7 @@ use std::time::{Duration, Instant};
 use qbs_core::serialize::{self, MapMode};
 use qbs_core::{
     CacheConfig, CacheStats, Qbs, QbsConfig, QbsIndex, QueryMode, QueryOutcome, QueryRequest,
+    ViewBuf,
 };
 use qbs_gen::catalog::Catalog;
 use qbs_graph::{io, Graph, VertexId};
@@ -131,7 +132,6 @@ pub fn run(command: &Command) -> Result<String, CommandError> {
             target,
             pairs,
             threads,
-            from_view,
             mmap,
             mode,
             stats,
@@ -146,15 +146,10 @@ pub fn run(command: &Command) -> Result<String, CommandError> {
                 stats: *stats,
                 json: *json,
             };
-            // The Qbs session façade hides the backend choice: --from-view
-            // opens the index file zero-copy (--mmap maps it, the O(1)
-            // cold-start path), otherwise the owned index is materialised.
-            let mut qbs = if *from_view {
-                let map_mode = if *mmap { MapMode::Mmap } else { MapMode::Read };
-                Qbs::open(index, map_mode)?
-            } else {
-                Qbs::load(index)?
-            };
+            // --mmap maps the index file (the O(1) cold-start path);
+            // otherwise it is read to the heap and validated in full.
+            let map_mode = if *mmap { MapMode::Mmap } else { MapMode::Read };
+            let mut qbs = Qbs::open(index, map_mode)?;
             if let Some(n) = threads {
                 qbs = qbs.with_threads(*n)?;
             }
@@ -278,9 +273,9 @@ pub fn run(command: &Command) -> Result<String, CommandError> {
             }
         }
         Command::Stats { index } => {
-            // No build-time line: the file does not store timings, so a
-            // loaded index would report zeros.
-            let index = serialize::load_from_file(index)?;
+            // No build-time line: the file does not store timings, so an
+            // opened index would report zeros.
+            let index = serialize::open_from_file(index, MapMode::Read)?;
             let stats = index.stats();
             Ok(format!(
                 "vertices:            {}\n\
@@ -354,7 +349,7 @@ impl ServeSpec<'_> {
     }
 }
 
-/// Runs a query invocation over a session — owned and view-backed sessions
+/// Runs a query invocation over a session — read and mapped index files
 /// produce bit-identical reports.
 fn serve_queries(qbs: &Qbs, spec: &ServeSpec<'_>) -> Result<String, CommandError> {
     match (spec.pairs, spec.source, spec.target) {
@@ -524,11 +519,10 @@ pub fn start_router(command: &Command) -> Result<RouterHandle, CommandError> {
 }
 
 /// Implements `inspect`: renders the header fields, checksum verification
-/// status and the section table with per-section shares of the file (the
-/// index is never materialised).
+/// status and the section table with per-section shares of the file.
 fn inspect_index(path: &Path) -> Result<String, CommandError> {
     let bytes = std::fs::read(path).map_err(CommandError::Io)?;
-    let report = qbs_core::format::inspect(qbs_core::ViewBuf::Heap(bytes))?;
+    let report = qbs_core::format::inspect(ViewBuf::Heap(bytes))?;
     let checksum_line = if report.checksum_ok() {
         format!("{:#018x} (word-wise fnv1a-64) ok", report.stored_checksum)
     } else {
@@ -773,7 +767,6 @@ mod tests {
             target: Some(5),
             pairs: None,
             threads: None,
-            from_view: false,
             mmap: false,
             mode: QueryMode::PathGraph,
             stats: false,
@@ -789,7 +782,6 @@ mod tests {
             target: Some(5),
             pairs: None,
             threads: None,
-            from_view: false,
             mmap: false,
             mode: QueryMode::PathGraph,
             stats: false,
@@ -883,7 +875,6 @@ mod tests {
                     target: Some(5),
                     pairs: None,
                     threads: None,
-                    from_view: false,
                     mmap: false,
                     mode: QueryMode::PathGraph,
                     stats: false,
@@ -927,7 +918,6 @@ mod tests {
             target: None,
             pairs: Some(pairs_path.clone()),
             threads: Some(2),
-            from_view: false,
             mmap: false,
             mode: QueryMode::PathGraph,
             stats: false,
@@ -946,7 +936,6 @@ mod tests {
             target: None,
             pairs: Some(pairs_path),
             threads: None,
-            from_view: false,
             mmap: false,
             mode: QueryMode::PathGraph,
             stats: false,
@@ -964,7 +953,6 @@ mod tests {
             target: Some(5),
             pairs: None,
             threads: Some(0),
-            from_view: false,
             mmap: false,
             mode: QueryMode::PathGraph,
             stats: false,
@@ -1001,15 +989,14 @@ mod tests {
         // other answer and counts the failure.
         let pairs_path = dir.join("pairs.txt");
         std::fs::write(&pairs_path, "1 5\n999999 0\n2 9\n").expect("write pairs");
-        let query = |mode: QueryMode, stats: bool, cache: Option<usize>, from_view: bool| {
+        let query = |mode: QueryMode, stats: bool, cache: Option<usize>, mmap: bool| {
             run(&Command::Query {
                 index: index_path.clone(),
                 source: None,
                 target: None,
                 pairs: Some(pairs_path.clone()),
                 threads: Some(2),
-                from_view,
-                mmap: from_view,
+                mmap,
                 mode,
                 stats,
                 cache,
@@ -1024,15 +1011,15 @@ mod tests {
         assert!(report.contains("answered 3 queries (1 failed)"));
         assert!(report.contains("sketch upper bound"), "--stats prints d⊤");
 
-        // Distance mode renders distances; the view-backed session renders
-        // the identical report (modulo timing lines).
-        let owned = query(QueryMode::Distance, false, None, false);
-        assert!(owned.contains("d(1, 5) = "));
-        let viewed = query(QueryMode::Distance, false, None, true);
+        // Distance mode renders distances; the mapped file renders the
+        // identical report (modulo timing lines).
+        let read = query(QueryMode::Distance, false, None, false);
+        assert!(read.contains("d(1, 5) = "));
+        let mapped = query(QueryMode::Distance, false, None, true);
         assert_eq!(
-            owned.lines().take(3).collect::<Vec<_>>(),
-            viewed.lines().take(3).collect::<Vec<_>>(),
-            "owned and view-backed reports agree per line"
+            read.lines().take(3).collect::<Vec<_>>(),
+            mapped.lines().take(3).collect::<Vec<_>>(),
+            "read and mapped reports agree per line"
         );
 
         // Sketch mode reports the landmark summary.
@@ -1055,7 +1042,6 @@ mod tests {
             target: Some(999_999),
             pairs: None,
             threads: None,
-            from_view: false,
             mmap: false,
             mode: QueryMode::Distance,
             stats: false,
@@ -1071,7 +1057,6 @@ mod tests {
             target: None,
             pairs: Some(pairs_path),
             threads: None,
-            from_view: false,
             mmap: false,
             mode: QueryMode::Distance,
             stats: false,
@@ -1119,7 +1104,10 @@ mod tests {
             slow_query_ms: None,
         };
         let (mut handle, qbs) = start_server(&serve).expect("start server");
-        assert_eq!(qbs.backend().name(), "view", "serve --mmap uses the view");
+        assert!(
+            matches!(qbs.index().unwrap().view().buf(), ViewBuf::Mmap(_)),
+            "serve --mmap maps the file"
+        );
         let addr = handle.local_addr().to_string();
 
         // Remote batch answers line-for-line identical to the local query
@@ -1147,7 +1135,6 @@ mod tests {
             target: None,
             pairs: Some(pairs_path.clone()),
             threads: Some(2),
-            from_view: true,
             mmap: true,
             mode: QueryMode::PathGraph,
             stats: false,
@@ -1235,7 +1222,7 @@ mod tests {
         })
         .expect("stats");
         assert!(stats.contains("admission:"), "{stats}");
-        assert!(stats.contains("view"), "{stats}");
+        assert!(stats.contains("index:     300 vertices"), "{stats}");
         assert!(
             stats.contains("cache:"),
             "--cache attaches a cache: {stats}"
@@ -1334,7 +1321,6 @@ mod tests {
             target: None,
             pairs: Some(pairs_path),
             threads: Some(2),
-            from_view: true,
             mmap: true,
             mode: QueryMode::PathGraph,
             stats: false,
@@ -1479,7 +1465,6 @@ mod tests {
                 target: Some(u32::MAX),
                 pairs: None,
                 threads: None,
-                from_view: false,
                 mmap: false,
                 mode: QueryMode::PathGraph,
                 stats: false,

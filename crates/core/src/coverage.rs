@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 
 use qbs_graph::VertexId;
 
-use crate::query::QbsIndex;
+use crate::QbsIndex;
 
 /// Classification of one query pair.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]

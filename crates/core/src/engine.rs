@@ -53,8 +53,7 @@ use crate::cache::AnswerCache;
 use crate::obs::{saturating_ns, AtomicStageNanos, Metrics, Stage, StageNanos};
 use crate::plan::{self, PlannerCounters};
 use crate::request::{execute_cached_on, QueryOutcome, QueryRequest};
-use crate::session::QbsBackend;
-use crate::store::IndexStore;
+use crate::store::QbsIndex;
 use crate::workspace::QueryWorkspace;
 
 /// Requests per claim. One request is microseconds of search, so the
@@ -67,7 +66,7 @@ const CLAIM_CHUNK: usize = 1;
 /// What every query of a session reads. The session and each of its
 /// workers hold one `Arc` of it.
 pub(crate) struct Engine {
-    pub(crate) backend: QbsBackend,
+    pub(crate) index: QbsIndex,
     pub(crate) cache: Option<AnswerCache>,
     /// Coalesced-duplicate counter, for the session's lifetime.
     pub(crate) planner: PlannerCounters,
@@ -79,9 +78,9 @@ pub(crate) struct Engine {
 }
 
 impl Engine {
-    pub(crate) fn new(backend: QbsBackend) -> Self {
+    pub(crate) fn new(index: QbsIndex) -> Self {
         Engine {
-            backend,
+            index,
             cache: None,
             planner: PlannerCounters::default(),
             metrics: Arc::new(Metrics::new()),
@@ -91,17 +90,12 @@ impl Engine {
     }
 
     pub(crate) fn num_vertices(&self) -> usize {
-        match &self.backend {
-            QbsBackend::Owned(s) => s.num_vertices(),
-            QbsBackend::View(s) => s.num_vertices(),
-        }
+        self.index.num_vertices()
     }
 
     /// Executes one request on `ws` through the cache, flushing its stage
     /// figures into the registry and into `frame_ns` — one sample per
-    /// computation, so a coalesced job contributes one. The backend is
-    /// resolved once per request, so the search's inner loops run over the
-    /// concrete store.
+    /// computation, so a coalesced job contributes one.
     fn run(
         &self,
         ws: &mut QueryWorkspace,
@@ -116,11 +110,7 @@ impl Engine {
         let metrics = Some(&*self.metrics).filter(|m| m.is_enabled());
         ws.obs.enabled = metrics.is_some();
         let t = ws.obs.start();
-        let cache = self.cache.as_ref();
-        let outcome = match &self.backend {
-            QbsBackend::Owned(s) => execute_cached_on(s.as_ref(), ws, request, cache),
-            QbsBackend::View(s) => execute_cached_on(s, ws, request, cache),
-        };
+        let outcome = execute_cached_on(&self.index, ws, request, self.cache.as_ref());
         ws.obs.stop(Stage::Execute, t);
         if let Some(m) = metrics {
             let ns = ws.obs.take();
@@ -420,10 +410,9 @@ impl Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::{QbsConfig, QbsIndex};
     use crate::request::QueryMode;
     use crate::session::Qbs;
-    use crate::store::ViewStore;
+    use crate::QbsConfig;
     use crate::QbsError;
     use qbs_graph::fixtures::{figure3_graph, figure4_graph};
     use qbs_graph::VertexId;
@@ -478,17 +467,32 @@ mod tests {
         }
     }
 
+    /// Two-thread sessions over the heap buffer of a build and over a
+    /// mapping of its saved file submit identical outcomes, and every
+    /// distance matches a plain BFS.
     #[test]
-    fn view_backed_engine_matches_owned_engine() {
+    fn mapped_engine_matches_heap_engine_and_bfs_distances() {
         let index = figure4_index();
-        let view = Qbs::from_view_store(ViewStore::new(index.as_view()));
-        let view = view.with_threads(2).expect("threads");
-        let owned = session(index, 2);
+        let dir = std::env::temp_dir().join("qbs_engine_mapped_test");
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("fig4.qbs");
+        crate::serialize::save_to_file(&index, &path).expect("save");
+        let mapped = Qbs::open(&path, crate::MapMode::Mmap)
+            .expect("map")
+            .with_threads(2)
+            .expect("threads");
+        let heap = session(index, 2);
         let pairs = all_pairs(15);
         for requests in [path_graph_requests(&pairs), distance_requests(&pairs)] {
-            assert_eq!(owned.submit(&requests), view.submit(&requests));
+            assert_eq!(heap.submit(&requests), mapped.submit(&requests));
         }
-        assert_eq!(view.num_landmarks(), 3);
+        let graph = figure4_graph();
+        let distances = mapped.submit(&distance_requests(&pairs));
+        for (&(u, v), outcome) in pairs.iter().zip(&distances) {
+            let bfs = qbs_graph::traversal::bfs_distances(&graph, u)[v as usize];
+            assert_eq!(outcome.distance(), Some(bfs), "distance of ({u},{v})");
+        }
+        assert_eq!(mapped.num_landmarks(), 3);
     }
 
     #[test]

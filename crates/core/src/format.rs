@@ -56,14 +56,11 @@
 //! [`IndexView`] wraps a [`ViewBuf`] — an owned heap buffer or a read-only
 //! file mapping — and exposes typed accessors over the sections; every
 //! accessor goes through [`ViewBuf::as_slice`], so the backends are
-//! interchangeable. Two consumers sit on top:
-//!
-//! * [`crate::QbsIndex::from_view`] materialises the runtime structures
-//!   from a validated view with a handful of bulk array builds (one per
-//!   section), never a per-vertex or per-label allocation;
-//! * [`crate::store::ViewStore`] serves queries **straight from the
-//!   view** with no materialisation at all, via the
-//!   [`crate::store::IndexStore`] abstraction.
+//! interchangeable. [`crate::QbsIndex`], the one in-memory form of an
+//! index, is a view plus two small derived structures: every query reads
+//! labels and adjacency straight from the buffer, whether the index was
+//! built in this process (a heap buffer laid out by the build) or opened
+//! from a file.
 //!
 //! All structural validation happens in [`IndexView::parse`], so a corrupt
 //! or truncated file is reported as [`QbsError::Corrupt`] instead of
@@ -76,20 +73,16 @@
 //! names the old version: an index is derived data, so the migration is
 //! `qbs build`.
 
-use std::io::Write;
-
 use qbs_graph::{Distance, Graph, VertexId};
 
 use crate::labelling::PathLabelling;
-use crate::meta_graph::MetaGraph;
-use crate::query::QbsIndex;
 use crate::serialize::{excerpt, EXCERPT_LEN};
 use crate::{QbsError, Result};
 
 /// Magic bytes opening every index file.
 pub const MAGIC: [u8; 8] = *b"QBSIDX4\0";
 
-/// Format version written by [`write_to`].
+/// Format version of every index file a build writes.
 pub const FORMAT_VERSION: u32 = 4;
 
 /// Byte length of the fixed header.
@@ -228,15 +221,15 @@ impl ViewBuf {
 ///
 /// Construction ([`IndexView::parse`]) performs *all* validation — magic,
 /// version, section table geometry, checksum, and the structural invariants
-/// of every section — so the typed accessors and [`QbsIndex::from_view`]
-/// never panic on untrusted *file contents*. Per-vertex accessors index
+/// of every section — so the typed accessors and [`crate::QbsIndex`] never
+/// panic on untrusted *file contents*. Per-vertex accessors index
 /// like slices: passing a vertex or landmark index outside the ranges the
 /// header declares (`< num_vertices()` / `< num_landmarks()`) is a caller
 /// bug and panics, exactly as `Graph::neighbors` does.
 #[derive(Debug)]
 pub struct IndexView {
     buf: ViewBuf,
-    sections: Vec<SectionRecord>,
+    sections: [SectionRecord; SECTION_COUNT],
     num_vertices: usize,
     num_landmarks: usize,
     /// Bytes per label slot (1 or 2), from the header.
@@ -251,7 +244,7 @@ impl Clone for IndexView {
     fn clone(&self) -> Self {
         IndexView {
             buf: self.buf.clone(),
-            sections: self.sections.clone(),
+            sections: self.sections,
             num_vertices: self.num_vertices,
             num_landmarks: self.num_landmarks,
             dist_width: self.dist_width,
@@ -396,6 +389,7 @@ impl IndexView {
     }
 
     /// Raw payload bytes of one section.
+    #[inline]
     pub fn section_bytes(&self, kind: SectionKind) -> &[u8] {
         let s = self.section(kind);
         &self.buf.as_slice()[s.offset as usize..(s.offset + s.len) as usize]
@@ -427,9 +421,13 @@ impl IndexView {
     #[inline]
     pub fn label_distance(&self, v: VertexId, landmark_idx: usize) -> Option<Distance> {
         debug_assert!(landmark_idx < self.num_landmarks);
-        let w = self.dist_width;
-        let pos = (v as usize * self.num_landmarks + landmark_idx) * w;
-        slot_distance(&self.section_bytes(SectionKind::Labels)[pos..pos + w])
+        let slot = v as usize * self.num_landmarks + landmark_idx;
+        let labels = self.section_bytes(SectionKind::Labels);
+        if self.dist_width == 1 {
+            slot_distance(&labels[slot..slot + 1])
+        } else {
+            slot_distance(&labels[2 * slot..2 * slot + 2])
+        }
     }
 
     /// Iterator over the `(landmark_idx, distance)` label entries of `v`
@@ -438,6 +436,7 @@ impl IndexView {
     /// # Panics
     ///
     /// Panics if `v as usize >= num_vertices()`.
+    #[inline]
     pub fn label_entries(&self, v: VertexId) -> impl Iterator<Item = (usize, Distance)> + '_ {
         let row_len = self.num_landmarks * self.dist_width;
         let base = v as usize * row_len;
@@ -453,6 +452,7 @@ impl IndexView {
     /// # Panics
     ///
     /// Panics if `v as usize >= num_vertices()`.
+    #[inline]
     pub fn graph_neighbors(&self, v: VertexId) -> impl Iterator<Item = VertexId> + '_ {
         let offsets = self.section_bytes(SectionKind::GraphOffsets);
         let lo = le_u64(offsets, v as usize * 8) as usize;
@@ -522,6 +522,7 @@ impl IndexView {
         (lo..hi).map(move |e| (le_u32(edges, e * 8), le_u32(edges, e * 8 + 4)))
     }
 
+    #[inline]
     fn section(&self, kind: SectionKind) -> SectionRecord {
         // The table is stored in `SectionKind::ALL` order by construction.
         self.sections[kind as usize - 1]
@@ -593,7 +594,7 @@ impl IndexView {
     }
 
     /// Validates every `O(file)` structural invariant the typed accessors
-    /// and the materialiser rely on, so no later code path can panic on a
+    /// and [`crate::QbsIndex`] rely on, so no later code path can panic on a
     /// file that passed the checksum (e.g. one crafted rather than
     /// corrupted). Deferred by [`IndexView::parse_trusted`]. The label
     /// matrix needs no scan: its length is pinned by the header and every
@@ -602,8 +603,8 @@ impl IndexView {
         let n = self.num_vertices;
         let r = self.num_landmarks;
 
-        // Landmarks must be in range and distinct: duplicates would
-        // silently corrupt the vertex → landmark-column map rebuilt on load.
+        // Landmarks must be in range and distinct: a duplicate would make
+        // one vertex the landmark of two columns.
         let mut landmark_seen = vec![false; n];
         for v in self.landmarks() {
             if v as usize >= n {
@@ -672,266 +673,216 @@ impl IndexView {
         }
         Ok(())
     }
-
-    /// Materialises the runtime index structures from the view.
-    ///
-    /// Each section becomes at most one bulk array build; nothing is
-    /// allocated per vertex or per label. The view was fully validated at
-    /// parse time, so the CSR constructors cannot panic here.
-    pub(crate) fn materialize(&self) -> (Graph, Vec<VertexId>, PathLabelling, MetaGraph) {
-        let n = self.num_vertices;
-
-        let landmarks: Vec<VertexId> = self.landmarks().collect();
-
-        let graph_offsets: Vec<u64> = self
-            .section_bytes(SectionKind::GraphOffsets)
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-            .collect();
-        let graph_neighbors: Vec<VertexId> =
-            u32_iter(self.section_bytes(SectionKind::GraphNeighbors)).collect();
-        let graph = Graph::from_csr_parts(graph_offsets, graph_neighbors);
-
-        let mut labelling = PathLabelling::new(n, self.num_landmarks);
-        for v in 0..n as VertexId {
-            for (idx, d) in self.label_entries(v) {
-                labelling.set(v, idx, d as u16);
-            }
-        }
-
-        let edges: Vec<(usize, usize, Distance)> = self.meta_edges().collect();
-        let apsp: Vec<Distance> = u32_iter(self.section_bytes(SectionKind::MetaApsp)).collect();
-        let delta: Vec<Vec<(VertexId, VertexId)>> = (0..edges.len())
-            .map(|k| self.delta_edges(k).collect())
-            .collect();
-        let meta = MetaGraph::from_parts(landmarks.clone(), edges, apsp, delta);
-
-        (graph, landmarks, labelling, meta)
-    }
 }
 
-/// Serialises a built index into an index-file buffer ([`write_to`] into a
-/// `Vec`).
-pub fn write(index: &QbsIndex) -> Vec<u8> {
-    let mut out = Vec::new();
-    write_to(index, &mut out).expect("writing to a Vec cannot fail");
+/// Payload lengths of every section, in file order.
+fn section_lens(
+    num_vertices: usize,
+    num_landmarks: usize,
+    dist_width: usize,
+    num_arcs: usize,
+    num_meta_edges: usize,
+    num_delta_edges: usize,
+) -> [usize; SECTION_COUNT] {
+    let (n, r) = (num_vertices, num_landmarks);
+    [
+        r * 4,
+        n * r * dist_width,
+        (n + 1) * 8,
+        num_arcs * 4,
+        num_meta_edges * 12,
+        r * r * 4,
+        (num_meta_edges + 1) * 8,
+        num_delta_edges * 8,
+        8,
+    ]
+}
+
+/// Lays sections of these lengths out back to back at aligned offsets
+/// after the header and the section table; the last record (the checksum)
+/// ends the file.
+fn layout(lens: [usize; SECTION_COUNT]) -> Vec<SectionRecord> {
+    let mut cursor = (HEADER_LEN + SECTION_COUNT * SECTION_RECORD_LEN) as u64;
+    SectionKind::ALL
+        .iter()
+        .zip(lens)
+        .map(|(&kind, len)| {
+            let offset = align_up(cursor, SECTION_ALIGN as u64);
+            cursor = offset + len as u64;
+            SectionRecord {
+                kind,
+                offset,
+                len: len as u64,
+            }
+        })
+        .collect()
+}
+
+/// The header and the section table of a file laid out by `records`.
+fn header(
+    num_vertices: usize,
+    num_landmarks: usize,
+    dist_width: usize,
+    records: &[SectionRecord],
+) -> Vec<u8> {
+    let last = records[SECTION_COUNT - 1];
+    let mut out = Vec::with_capacity(HEADER_LEN + SECTION_COUNT * SECTION_RECORD_LEN);
+    out.extend_from_slice(&MAGIC);
+    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    out.extend_from_slice(&(SECTION_COUNT as u32).to_le_bytes());
+    out.extend_from_slice(&(num_vertices as u64).to_le_bytes());
+    out.extend_from_slice(&(num_landmarks as u64).to_le_bytes());
+    out.extend_from_slice(&(last.offset + last.len).to_le_bytes());
+    debug_assert_eq!(out.len(), DIST_WIDTH_POS);
+    // The width byte, then the seven reserved zero bytes.
+    out.extend_from_slice(&(dist_width as u64).to_le_bytes());
+    for record in records {
+        out.extend_from_slice(&(record.kind as u32).to_le_bytes());
+        out.extend_from_slice(&0u32.to_le_bytes());
+        out.extend_from_slice(&record.offset.to_le_bytes());
+        out.extend_from_slice(&record.len.to_le_bytes());
+    }
     out
 }
 
-/// Streams a built index to `sink` as one index file, section by section in
-/// file order, checksumming as it goes. Nothing file-sized is buffered: the
-/// sink receives whole 2 MiB chunks at 2 MiB-aligned offsets, then the
-/// tail.
-pub fn write_to<W: Write>(index: &QbsIndex, sink: W) -> std::io::Result<()> {
-    let graph = index.graph();
-    let landmarks = index.landmarks();
-    let labelling = index.labelling();
-    let meta = index.meta_graph();
-    let n = graph.num_vertices();
+/// Zero-pads `out` up to the start of `record`'s section.
+fn pad_to(out: &mut Vec<u8>, record: SectionRecord) {
+    debug_assert!(
+        record.offset as usize - out.len() < SECTION_ALIGN,
+        "sections are back to back"
+    );
+    out.resize(record.offset as usize, 0);
+}
+
+/// Starts a build's index buffer: zeroes where the header and the section
+/// table go, the landmark ids, and padding up to the label section, which
+/// the labelling build appends ([`crate::labelling::build_after`]). The
+/// capacity covers every section but Δ's edges at one byte per label slot,
+/// so the sections are written without moving the buffer.
+pub(crate) fn start_buffer(
+    num_vertices: usize,
+    landmarks: &[VertexId],
+    num_arcs: usize,
+) -> Vec<u8> {
     let r = landmarks.len();
-    let num_meta_edges = meta.edges().len();
-
-    // One byte per label slot whenever every distance leaves 0xFF free for
-    // the "no entry" sentinel; otherwise the in-memory 16-bit slot.
-    let max_label = (0..n as VertexId)
-        .flat_map(|v| labelling.entries(v))
-        .map(|(_, d)| d)
-        .max()
-        .unwrap_or(0);
-    let dist_width: usize = if max_label <= 254 { 1 } else { 2 };
-
-    // Payload lengths, one per section, in file order.
-    let lens: [usize; SECTION_COUNT - 1] = [
-        r * 4,
-        n * r * dist_width,
-        graph.csr_offsets().len() * 8,
-        graph.csr_neighbors().len() * 4,
-        num_meta_edges * 12,
-        meta.apsp().len() * 4,
-        (num_meta_edges + 1) * 8,
-        meta.delta_total_edges() * 8,
-    ];
-
-    // Lay out the section table.
-    let mut records: Vec<(SectionKind, u64, u64)> = Vec::with_capacity(SECTION_COUNT);
-    let mut cursor = (HEADER_LEN + SECTION_COUNT * SECTION_RECORD_LEN) as u64;
-    for (&kind, &len) in SectionKind::ALL.iter().zip(lens.iter()) {
-        cursor = align_up(cursor, SECTION_ALIGN as u64);
-        records.push((kind, cursor, len as u64));
-        cursor += len as u64;
-    }
-    cursor = align_up(cursor, SECTION_ALIGN as u64);
-    let checksum_offset = cursor;
-    records.push((SectionKind::Checksum, checksum_offset, 8));
-    let file_size = checksum_offset + 8;
-
-    // Emit header + table + payloads.
-    let mut out = ChunkedWriter::new(sink, file_size as usize);
-    out.put(&MAGIC)?;
-    out.put(&FORMAT_VERSION.to_le_bytes())?;
-    out.put(&(SECTION_COUNT as u32).to_le_bytes())?;
-    out.put(&(n as u64).to_le_bytes())?;
-    out.put(&(r as u64).to_le_bytes())?;
-    out.put(&file_size.to_le_bytes())?;
-    debug_assert_eq!(out.position(), DIST_WIDTH_POS as u64);
-    // The width byte, then the seven reserved zero bytes.
-    out.put(&(dist_width as u64).to_le_bytes())?;
-    debug_assert_eq!(out.position(), HEADER_LEN as u64);
-    for &(kind, offset, len) in &records {
-        out.put(&(kind as u32).to_le_bytes())?;
-        out.put(&0u32.to_le_bytes())?;
-        out.put(&offset.to_le_bytes())?;
-        out.put(&len.to_le_bytes())?;
-    }
-    let mut row = vec![0u8; r * dist_width];
-    for &(kind, offset, len) in &records[..SECTION_COUNT - 1] {
-        out.pad_to(offset)?;
-        match kind {
-            SectionKind::Landmarks => out.put_u32s(landmarks)?,
-            SectionKind::Labels => {
-                for v in 0..n as VertexId {
-                    for (idx, slot) in row.chunks_exact_mut(dist_width).enumerate() {
-                        // All-ones in either width: the low byte of 0xFFFF
-                        // is 0xFF.
-                        let d = labelling.get(v, idx).map_or(u16::MAX, |d| d as u16);
-                        slot.copy_from_slice(&d.to_le_bytes()[..dist_width]);
-                    }
-                    out.put(&row)?;
-                }
-            }
-            SectionKind::GraphOffsets => out.put_words(graph.csr_offsets(), u64::to_le_bytes)?,
-            SectionKind::GraphNeighbors => out.put_u32s(graph.csr_neighbors())?,
-            SectionKind::MetaEdges => {
-                for &(i, j, sigma) in meta.edges() {
-                    out.put_u32s(&[i as u32, j as u32, sigma])?;
-                }
-            }
-            SectionKind::MetaApsp => out.put_u32s(meta.apsp())?,
-            SectionKind::DeltaOffsets => {
-                let mut end = 0u64;
-                out.put(&end.to_le_bytes())?;
-                for k in 0..num_meta_edges {
-                    end += meta.delta_edges(k).len() as u64;
-                    out.put(&end.to_le_bytes())?;
-                }
-            }
-            SectionKind::DeltaEdges => {
-                for k in 0..num_meta_edges {
-                    for &(a, b) in meta.delta_edges(k) {
-                        out.put_u32s(&[a, b])?;
-                    }
-                }
-            }
-            SectionKind::Checksum => unreachable!("the checksum record is last"),
-        }
-        debug_assert_eq!(out.position(), offset + len, "{} length", kind.name());
-    }
-    out.pad_to(checksum_offset)?;
-    out.finish()
+    let max_meta_edges = r * r.saturating_sub(1) / 2;
+    let records = layout(section_lens(
+        num_vertices,
+        r,
+        1,
+        num_arcs,
+        max_meta_edges,
+        0,
+    ));
+    let end = records[SECTION_COUNT - 1];
+    let mut out = Vec::with_capacity((end.offset + end.len) as usize);
+    out.resize(HEADER_LEN + SECTION_COUNT * SECTION_RECORD_LEN, 0);
+    pad_to(&mut out, records[SectionKind::Landmarks as usize - 1]);
+    put_words(&mut out, landmarks, u32::to_le_bytes);
+    pad_to(&mut out, records[SectionKind::Labels as usize - 1]);
+    out
 }
 
-/// The write size [`write_to`] hands its sink. Writing a file in small
-/// pieces leaves it in small page-cache folios, and a mapping of it (the
-/// `MapMode::Mmap` serving path) then faults in piecemeal: on ext4 (Linux
-/// 6.18), 12 random touches of a freshly written 100 MB file mapped 0.77 MB
-/// after 8 KiB writes and 22.5 MB after 2 MiB writes at 2 MiB-aligned
-/// offsets, which is what one whole-file write gives too.
-const WRITE_CHUNK: usize = 2 << 20;
+/// Completes a buffer from [`start_buffer`] whose labels are laid out
+/// (`labelling`) with every section but Δ's edges, then fills in the header
+/// and the section table: the index the build's Δ walk runs over
+/// ([`crate::meta_graph::delta`]) and [`append_delta`] completes. Δ's
+/// offsets are all zero, so the view parses as an index with empty Δ
+/// lists; its checksum is a placeholder.
+///
+/// The graph is dropped as soon as its sections are written.
+pub(crate) fn write_without_delta(
+    labelling: PathLabelling,
+    graph: Graph,
+    meta_edges: &[(usize, usize, Distance)],
+    apsp: &[Distance],
+) -> IndexView {
+    let (n, r) = (labelling.num_vertices(), labelling.num_landmarks());
+    let dist_width = labelling.slot_width();
+    let records = layout(section_lens(
+        n,
+        r,
+        dist_width,
+        graph.num_arcs(),
+        meta_edges.len(),
+        0,
+    ));
+    let section = |kind: SectionKind| records[kind as usize - 1];
 
-/// The sink side of [`write_to`]: buffers one [`WRITE_CHUNK`], folds every
-/// full chunk into the running checksum before writing it, and appends the
-/// checksum after the last byte.
-struct ChunkedWriter<W: Write> {
-    sink: W,
-    buf: Vec<u8>,
-    /// Bytes already handed to the sink.
-    written: u64,
-    hash: u64,
+    let mut out = labelling.into_buffer();
+    let labels = section(SectionKind::Labels);
+    debug_assert_eq!(out.len() as u64, labels.offset + labels.len);
+    pad_to(&mut out, section(SectionKind::GraphOffsets));
+    put_words(&mut out, graph.csr_offsets(), u64::to_le_bytes);
+    pad_to(&mut out, section(SectionKind::GraphNeighbors));
+    put_words(&mut out, graph.csr_neighbors(), u32::to_le_bytes);
+    drop(graph);
+    pad_to(&mut out, section(SectionKind::MetaEdges));
+    for &(i, j, sigma) in meta_edges {
+        put_words(&mut out, &[i as u32, j as u32, sigma], u32::to_le_bytes);
+    }
+    pad_to(&mut out, section(SectionKind::MetaApsp));
+    put_words(&mut out, apsp, u32::to_le_bytes);
+    let delta_offsets = section(SectionKind::DeltaOffsets);
+    pad_to(&mut out, delta_offsets);
+    out.resize((delta_offsets.offset + delta_offsets.len) as usize, 0);
+    pad_to(&mut out, section(SectionKind::Checksum));
+    out.extend_from_slice(&0u64.to_le_bytes());
+    let head = header(n, r, dist_width, &records);
+    out[..head.len()].copy_from_slice(&head);
+    IndexView::parse_trusted(ViewBuf::Heap(out)).expect("a freshly laid-out index parses")
 }
 
-impl<W: Write> ChunkedWriter<W> {
-    fn new(sink: W, file_size: usize) -> Self {
-        ChunkedWriter {
-            sink,
-            buf: Vec::with_capacity(file_size.min(WRITE_CHUNK)),
-            written: 0,
-            hash: FNV_OFFSET,
+/// Completes a view from [`write_without_delta`]: fills in Δ's offsets,
+/// appends Δ's edges (`delta[k]` for the `k`-th meta edge) and the
+/// checksum, and rewrites the header and section table to match. The
+/// result is byte-for-byte the index file, verified by construction.
+pub(crate) fn append_delta(view: IndexView, delta: &[Vec<(VertexId, VertexId)>]) -> IndexView {
+    let num_edges: usize = delta.iter().map(Vec::len).sum();
+    let (n, r, dist_width) = (view.num_vertices, view.num_landmarks, view.dist_width);
+    let lens = section_lens(n, r, dist_width, view.num_arcs(), delta.len(), num_edges);
+    let records = layout(lens);
+    let offsets_at = view.section(SectionKind::DeltaOffsets).offset as usize;
+    let edges_at = view.section(SectionKind::DeltaEdges).offset as usize;
+    let ViewBuf::Heap(mut out) = view.buf else {
+        unreachable!("a build lays its index out on the heap")
+    };
+    out.truncate(edges_at);
+    out.reserve_exact(num_edges * 8 + 8);
+
+    let mut end = 0u64;
+    for (slot, edges) in out[offsets_at + 8..edges_at].chunks_exact_mut(8).zip(delta) {
+        end += edges.len() as u64;
+        slot.copy_from_slice(&end.to_le_bytes());
+    }
+    for edges in delta {
+        for &(a, b) in edges {
+            put_words(&mut out, &[a, b], u32::to_le_bytes);
         }
     }
+    let head = header(n, r, dist_width, &records);
+    out[..head.len()].copy_from_slice(&head);
+    debug_assert_eq!(out.len() as u64, records[SECTION_COUNT - 1].offset);
+    let checksum = checksum64(&out);
+    out.extend_from_slice(&checksum.to_le_bytes());
 
-    /// File offset of the next byte.
-    fn position(&self) -> u64 {
-        self.written + self.buf.len() as u64
-    }
+    let view =
+        IndexView::parse_trusted(ViewBuf::Heap(out)).expect("the build writes a valid index");
+    debug_assert!(view.verify().is_ok(), "the build writes a valid index");
+    view.verified
+        .store(true, std::sync::atomic::Ordering::Relaxed);
+    view
+}
 
-    #[inline]
-    fn put(&mut self, mut bytes: &[u8]) -> std::io::Result<()> {
-        while WRITE_CHUNK - self.buf.len() <= bytes.len() {
-            let (head, rest) = bytes.split_at(WRITE_CHUNK - self.buf.len());
-            self.buf.extend_from_slice(head);
-            self.flush_chunk()?;
-            bytes = rest;
-        }
-        self.buf.extend_from_slice(bytes);
-        Ok(())
-    }
-
-    fn put_u32s(&mut self, values: &[u32]) -> std::io::Result<()> {
-        self.put_words(values, u32::to_le_bytes)
-    }
-
-    /// Appends `values` as `N`-byte little-endian words, encoding straight
-    /// into the chunk buffer a run at a time. Words never straddle a chunk:
-    /// every word section starts 8-aligned and chunks are 8-byte multiples.
-    fn put_words<T: Copy, const N: usize>(
-        &mut self,
-        mut values: &[T],
-        to_le: impl Fn(T) -> [u8; N],
-    ) -> std::io::Result<()> {
-        debug_assert_eq!(self.buf.len() % N, 0, "word runs start aligned");
-        while !values.is_empty() {
-            let run = ((WRITE_CHUNK - self.buf.len()) / N).min(values.len());
-            let start = self.buf.len();
-            self.buf.resize(start + run * N, 0);
-            for (slot, &v) in self.buf[start..].chunks_exact_mut(N).zip(&values[..run]) {
-                slot.copy_from_slice(&to_le(v));
-            }
-            values = &values[run..];
-            if self.buf.len() == WRITE_CHUNK {
-                self.flush_chunk()?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Zero-pads up to `offset`.
-    fn pad_to(&mut self, offset: u64) -> std::io::Result<()> {
-        let gap = offset - self.position();
-        debug_assert!(
-            gap < SECTION_ALIGN as u64,
-            "sections are laid out back to back"
-        );
-        self.put(&[0u8; SECTION_ALIGN][..gap as usize])
-    }
-
-    /// Hashes and writes the buffered bytes — a full chunk, or the tail
-    /// before the checksum. Both are whole words: chunks are a multiple of
-    /// 8 bytes and the checksum offset is 8-aligned.
-    fn flush_chunk(&mut self) -> std::io::Result<()> {
-        self.hash = fold_words(self.hash, &self.buf);
-        self.sink.write_all(&self.buf)?;
-        self.written += self.buf.len() as u64;
-        self.buf.clear();
-        Ok(())
-    }
-
-    /// Writes the tail and the checksum of everything before it.
-    fn finish(mut self) -> std::io::Result<()> {
-        self.hash = fold_words(self.hash, &self.buf);
-        let checksum = self.hash;
-        self.buf.extend_from_slice(&checksum.to_le_bytes());
-        self.sink.write_all(&self.buf)?;
-        self.sink.flush()
+/// Appends `values` as `N`-byte little-endian words.
+fn put_words<T: Copy, const N: usize>(
+    out: &mut Vec<u8>,
+    values: &[T],
+    to_le: impl Fn(T) -> [u8; N],
+) {
+    out.reserve(values.len() * N);
+    for &v in values {
+        out.extend_from_slice(&to_le(v));
     }
 }
 
@@ -1055,7 +1006,7 @@ pub(crate) fn check_magic_and_version(data: &[u8]) -> Result<()> {
 
 /// Parses and geometry-checks the section table: record order, alignment,
 /// bounds, no overlap, no trailing bytes.
-fn parse_section_table(data: &[u8]) -> Result<Vec<SectionRecord>> {
+fn parse_section_table(data: &[u8]) -> Result<[SectionRecord; SECTION_COUNT]> {
     let table_end = HEADER_LEN + SECTION_COUNT * SECTION_RECORD_LEN;
     if data.len() < table_end {
         return Err(QbsError::Corrupt(format!(
@@ -1111,21 +1062,21 @@ fn parse_section_table(data: &[u8]) -> Result<Vec<SectionRecord>> {
             data.len() as u64 - cursor
         )));
     }
-    Ok(sections)
+    Ok(sections.try_into().expect("one record per section kind"))
 }
 
 /// Decodes one little-endian label slot of either width: `None` for the
 /// all-ones "no entry" value.
 #[inline]
-fn slot_distance(slot: &[u8]) -> Option<Distance> {
-    if slot.iter().all(|&b| b == 0xFF) {
-        return None;
+pub(crate) fn slot_distance(slot: &[u8]) -> Option<Distance> {
+    match *slot {
+        [d] => (d != u8::MAX).then_some(Distance::from(d)),
+        [lo, hi] => {
+            let d = u16::from_le_bytes([lo, hi]);
+            (d != u16::MAX).then_some(Distance::from(d))
+        }
+        _ => unreachable!("label slots are 1 or 2 bytes wide"),
     }
-    Some(
-        slot.iter()
-            .rev()
-            .fold(0, |acc, &b| (acc << 8) | Distance::from(b)),
-    )
 }
 
 /// The file checksum: FNV-1a 64 applied to 8-byte little-endian words.
@@ -1204,6 +1155,7 @@ fn le_u64(bytes: &[u8], pos: usize) -> u64 {
     u64::from_le_bytes(bytes[pos..pos + 8].try_into().expect("8 bytes"))
 }
 
+#[inline]
 fn u32_iter(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
     bytes
         .chunks_exact(4)
@@ -1214,6 +1166,7 @@ fn u32_iter(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
 mod tests {
     use super::*;
     use crate::query::QbsConfig;
+    use crate::store::QbsIndex;
     use qbs_graph::fixtures::figure4_graph;
 
     fn index() -> QbsIndex {
@@ -1221,34 +1174,6 @@ mod tests {
             figure4_graph(),
             QbsConfig::with_explicit_landmarks(vec![1, 2, 3]),
         )
-    }
-
-    /// Byte runs and word runs that straddle several chunk boundaries come
-    /// out exactly as one buffer would hold them, checksum included.
-    #[test]
-    fn chunked_writer_matches_one_buffer_across_chunks() {
-        let words: Vec<u32> = (0..WRITE_CHUNK as u32 / 3).collect();
-        let mut expected = Vec::new();
-        let mut sink = Vec::new();
-        let mut out = ChunkedWriter::new(&mut sink, usize::MAX);
-        for round in 0..4u8 {
-            let head = vec![round; 5 + round as usize];
-            out.put(&head).unwrap();
-            expected.extend_from_slice(&head);
-            let aligned = align_up(expected.len() as u64, SECTION_ALIGN as u64);
-            out.pad_to(aligned).unwrap();
-            expected.resize(aligned as usize, 0);
-            out.put_u32s(&words).unwrap();
-            expected.extend(words.iter().flat_map(|w| w.to_le_bytes()));
-        }
-        let aligned = align_up(expected.len() as u64, SECTION_ALIGN as u64);
-        out.pad_to(aligned).unwrap();
-        expected.resize(aligned as usize, 0);
-        assert!(expected.len() > 2 * WRITE_CHUNK);
-        out.finish().unwrap();
-        let checksum = checksum64(&expected);
-        expected.extend_from_slice(&checksum.to_le_bytes());
-        assert!(sink == expected, "streamed bytes differ from one buffer");
     }
 
     /// Recomputes the trailing checksum after a test mutated the payload,
@@ -1270,57 +1195,47 @@ mod tests {
         }
     }
 
+    /// The bytes a build writes parse back into every component it was
+    /// built from: the figure-4 graph and Algorithm 2's labelling.
     #[test]
     fn write_parse_roundtrip_preserves_every_component() {
-        let original = index();
-        let bytes = write(&original);
-        let view = IndexView::parse(ViewBuf::Heap(bytes)).expect("parse");
+        let graph = figure4_graph();
+        let scheme = crate::labelling::build_sequential(&graph, &[1, 2, 3]);
+        let built = index();
+        let view = IndexView::parse(ViewBuf::Heap(built.bytes().to_vec())).expect("parse");
         assert_eq!(view.num_vertices(), 15);
         assert_eq!(view.num_landmarks(), 3);
         assert_eq!(view.dist_width(), 1, "figure-4 distances fit one byte");
         assert_eq!(view.section_bytes(SectionKind::Labels).len(), 15 * 3);
         assert_eq!(view.landmarks().collect::<Vec<_>>(), vec![1, 2, 3]);
         assert_eq!(view.landmark(2), 3);
-        assert_eq!(view.num_arcs(), original.graph().num_arcs());
+        assert_eq!(view.num_arcs(), graph.num_arcs());
         assert_eq!(view.num_meta_edges(), 3);
-        assert_eq!(
-            view.num_delta_edges(),
-            original.meta_graph().delta_total_edges()
-        );
-
-        // Zero-copy accessors agree with the owned structures.
-        for v in original.graph().vertices() {
+        assert_eq!(view.num_delta_edges(), 4);
+        for v in graph.vertices() {
             assert_eq!(
                 view.graph_neighbors(v).collect::<Vec<_>>(),
-                original.graph().neighbors(v)
+                graph.neighbors(v)
             );
             assert_eq!(
                 view.label_entries(v).collect::<Vec<_>>(),
-                original.labelling().entries(v).collect::<Vec<_>>()
+                scheme.labelling.entries(v).collect::<Vec<_>>()
             );
             for idx in 0..3 {
-                assert_eq!(
-                    view.label_distance(v, idx),
-                    original.labelling().get(v, idx)
-                );
+                assert_eq!(view.label_distance(v, idx), scheme.labelling.get(v, idx));
             }
         }
+        assert_eq!(view.meta_edges().collect::<Vec<_>>(), scheme.meta_edges);
+        let delta: Vec<Vec<_>> = (0..3).map(|k| view.delta_edges(k).collect()).collect();
         assert_eq!(
-            view.meta_edges().collect::<Vec<_>>(),
-            original.meta_graph().edges().to_vec()
+            delta,
+            vec![vec![(1, 2)], vec![(1, 4), (3, 4)], vec![(2, 3)]]
         );
-
-        // Materialisation rebuilds identical components.
-        let (graph, landmarks, labelling, meta) = view.materialize();
-        assert_eq!(&graph, original.graph());
-        assert_eq!(landmarks, original.landmarks());
-        assert_eq!(&labelling, original.labelling());
-        assert_eq!(&meta, original.meta_graph());
     }
 
     #[test]
     fn sections_are_aligned_and_ordered() {
-        let bytes = write(&index());
+        let bytes = index().bytes().to_vec();
         let total = bytes.len();
         let view = IndexView::parse(ViewBuf::Heap(bytes)).expect("parse");
         assert_eq!(view.file_len(), total);
@@ -1335,7 +1250,7 @@ mod tests {
 
     #[test]
     fn every_bit_flip_is_detected() {
-        let bytes = write(&index());
+        let bytes = index().bytes().to_vec();
         // Flipping any byte must be caught by the checksum (or by header /
         // structural validation for bytes the checksum cannot protect).
         for pos in (0..bytes.len()).step_by(7) {
@@ -1350,7 +1265,7 @@ mod tests {
 
     #[test]
     fn truncation_is_detected_at_every_length() {
-        let bytes = write(&index());
+        let bytes = index().bytes().to_vec();
         for len in [0, 4, HEADER_LEN - 1, HEADER_LEN, 100, bytes.len() - 1] {
             assert!(
                 IndexView::parse(ViewBuf::Heap(bytes[..len].to_vec())).is_err(),
@@ -1361,7 +1276,7 @@ mod tests {
 
     #[test]
     fn unsorted_adjacency_and_duplicate_landmarks_are_rejected() {
-        let valid = write(&index());
+        let valid = index().bytes().to_vec();
         let view = IndexView::parse(ViewBuf::Heap(valid.clone())).expect("parse");
 
         // Swap two neighbours inside one adjacency list (vertex 1 of the
@@ -1390,7 +1305,7 @@ mod tests {
     fn trailing_bytes_after_the_checksum_are_rejected() {
         // Append junk past the checksum, patch file_size and recompute the
         // checksum so only the trailing-bytes rule can catch it.
-        let mut bytes = write(&index());
+        let mut bytes = index().bytes().to_vec();
         let cs_offset = bytes.len() - 8;
         bytes.extend_from_slice(&[0xAB; 1024]);
         let new_len = bytes.len() as u64;
@@ -1405,10 +1320,10 @@ mod tests {
     fn crafted_header_with_absurd_counts_is_corrupt_not_panic() {
         // A checksum-valid file whose header claims 2^61 vertices, 2^33 or
         // 2^62 landmarks: the expected section lengths must fail with
-        // Corrupt instead of wrapping around (and later aborting in
-        // materialise).
+        // Corrupt instead of wrapping around (and later aborting in an
+        // accessor).
         for (pos, value) in [(16, 1u64 << 61), (24, 1 << 33), (24, 1 << 62)] {
-            let mut bytes = write(&index());
+            let mut bytes = index().bytes().to_vec();
             bytes[pos..pos + 8].copy_from_slice(&value.to_le_bytes());
             reseal(&mut bytes);
             let err = IndexView::parse(ViewBuf::Heap(bytes)).unwrap_err();
@@ -1418,7 +1333,7 @@ mod tests {
 
     #[test]
     fn version_and_magic_errors_are_clear() {
-        let bytes = write(&index());
+        let bytes = index().bytes().to_vec();
         let mut wrong_version = bytes.clone();
         wrong_version[8] = 9;
         let err = IndexView::parse(ViewBuf::Heap(wrong_version)).unwrap_err();
@@ -1472,7 +1387,7 @@ mod tests {
 
     #[test]
     fn trusted_parse_defers_integrity_but_validates_geometry() {
-        let bytes = write(&index());
+        let bytes = index().bytes().to_vec();
 
         // Valid buffer: geometry passes, integrity is deferred, verify() ok.
         let view = IndexView::parse_trusted(ViewBuf::Heap(bytes.clone())).expect("parse");
@@ -1499,7 +1414,7 @@ mod tests {
 
     #[test]
     fn inspection_reports_checksum_status_without_refusing_corrupt_files() {
-        let bytes = write(&index());
+        let bytes = index().bytes().to_vec();
         let report = inspect(ViewBuf::Heap(bytes.clone())).expect("inspect");
         assert!(report.checksum_ok());
         assert_eq!(report.num_vertices, 15);

@@ -16,32 +16,48 @@
 //! `QL` before `QN` at every level guarantees that a vertex reachable both
 //! ways is classified as labelled, which is what Definition 4.2 requires.
 //!
-//! The labelling is stored densely: one distance slot per (vertex, landmark)
-//! pair, mirroring the paper's "`|R| * 8` bits per vertex" accounting while
-//! using 16-bit slots so that graphs of diameter above 255 remain
-//! representable.
+//! The labelling is built in the index file's own layout ([`crate::format`]):
+//! a dense row-major `|V| × |R|` slot matrix, one byte per slot while every
+//! distance fits and two bytes once one does not. The index build lays it
+//! out straight into the file buffer it is assembling, so no second copy
+//! of the labels ever exists.
 
 use qbs_graph::{Distance, Graph, VertexId};
 
-/// Sentinel meaning "no label entry for this (vertex, landmark) pair".
+use crate::format::slot_distance;
+
+/// Sentinel meaning "no label entry for this (vertex, landmark) pair" in a
+/// [`LandmarkBfs`] column.
 pub const NO_LABEL: u16 = u16::MAX;
 
-/// Dense per-vertex path labelling.
+/// Dense per-vertex path labelling: row-major `[vertex][landmark]` slots of
+/// one little-endian byte while every distance is at most 254, widened to
+/// two bytes the first time a longer one is installed; all-ones means "no
+/// entry". The matrix is the tail of its buffer, which may begin with
+/// other bytes (the head of the index file being built).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PathLabelling {
     num_vertices: usize,
     num_landmarks: usize,
-    /// Row-major `[vertex][landmark]` distance matrix with [`NO_LABEL`] holes.
-    dist: Vec<u16>,
+    /// Bytes per slot: 1 or 2.
+    width: usize,
+    /// `buf[start..]` holds the slots.
+    buf: Vec<u8>,
+    start: usize,
 }
 
 impl PathLabelling {
-    /// Creates an empty labelling (all entries absent).
-    pub fn new(num_vertices: usize, num_landmarks: usize) -> Self {
+    /// Creates an empty labelling (all entries absent) whose slots follow
+    /// the bytes of `buf`.
+    pub(crate) fn after(mut buf: Vec<u8>, num_vertices: usize, num_landmarks: usize) -> Self {
+        let start = buf.len();
+        buf.resize(start + num_vertices * num_landmarks, u8::MAX);
         PathLabelling {
             num_vertices,
             num_landmarks,
-            dist: vec![NO_LABEL; num_vertices * num_landmarks],
+            width: 1,
+            buf,
+            start,
         }
     }
 
@@ -55,65 +71,62 @@ impl PathLabelling {
         self.num_landmarks
     }
 
-    /// Sets the label entry of `vertex` for landmark column `landmark_idx`.
-    pub fn set(&mut self, vertex: VertexId, landmark_idx: usize, distance: u16) {
-        debug_assert!(
-            distance != NO_LABEL,
-            "distance saturates below the sentinel"
-        );
-        self.dist[vertex as usize * self.num_landmarks + landmark_idx] = distance;
+    /// Bytes per slot: 1, or 2 once some distance exceeded 254.
+    pub fn slot_width(&self) -> usize {
+        self.width
     }
 
     /// The label entry of `vertex` for landmark column `landmark_idx`.
     #[inline]
     pub fn get(&self, vertex: VertexId, landmark_idx: usize) -> Option<Distance> {
-        let d = self.dist[vertex as usize * self.num_landmarks + landmark_idx];
-        if d == NO_LABEL {
-            None
-        } else {
-            Some(d as Distance)
-        }
+        let pos = self.start + (vertex as usize * self.num_landmarks + landmark_idx) * self.width;
+        slot_distance(&self.buf[pos..pos + self.width])
     }
 
     /// Iterator over the label entries `(landmark_idx, distance)` of a vertex.
     pub fn entries(&self, vertex: VertexId) -> impl Iterator<Item = (usize, Distance)> + '_ {
-        let base = vertex as usize * self.num_landmarks;
-        self.dist[base..base + self.num_landmarks]
-            .iter()
-            .enumerate()
-            .filter(|&(_, &d)| d != NO_LABEL)
-            .map(|(i, &d)| (i, d as Distance))
-    }
-
-    /// Number of label entries of a vertex.
-    pub fn label_len(&self, vertex: VertexId) -> usize {
-        self.entries(vertex).count()
-    }
-
-    /// Total number of label entries, `size(L) = Σ_v |L(v)|`.
-    pub fn total_entries(&self) -> usize {
-        self.dist.iter().filter(|&&d| d != NO_LABEL).count()
-    }
-
-    /// Labelling size in bytes under the paper's accounting (§6.1/§6.4.2):
-    /// `|R|` bytes (8 bits per landmark) for every vertex.
-    pub fn paper_size_bytes(&self) -> usize {
-        self.num_vertices * self.num_landmarks
-    }
-
-    /// Actual in-memory size of the dense distance matrix.
-    pub fn memory_size_bytes(&self) -> usize {
-        self.dist.len() * std::mem::size_of::<u16>()
+        (0..self.num_landmarks).filter_map(move |i| self.get(vertex, i).map(|d| (i, d)))
     }
 
     /// Installs one landmark column produced by [`landmark_bfs`].
     pub(crate) fn install_column(&mut self, landmark_idx: usize, column: &[u16]) {
         debug_assert_eq!(column.len(), self.num_vertices);
         for (v, &d) in column.iter().enumerate() {
-            if d != NO_LABEL {
-                self.dist[v * self.num_landmarks + landmark_idx] = d;
+            if d == NO_LABEL {
+                continue;
+            }
+            if self.width == 1 && d >= u16::from(u8::MAX) {
+                self.widen();
+            }
+            let slot = v * self.num_landmarks + landmark_idx;
+            if self.width == 1 {
+                self.buf[self.start + slot] = d as u8;
+            } else {
+                let pos = self.start + 2 * slot;
+                self.buf[pos..pos + 2].copy_from_slice(&d.to_le_bytes());
             }
         }
+    }
+
+    /// Re-encodes every one-byte slot as two bytes, in place from the back
+    /// (slot `k` moves to byte `2k`, never onto a slot still to be read).
+    fn widen(&mut self) {
+        let slots = self.num_vertices * self.num_landmarks;
+        self.buf.resize(self.start + 2 * slots, 0);
+        let matrix = &mut self.buf[self.start..];
+        for k in (0..slots).rev() {
+            let d = match matrix[k] {
+                u8::MAX => NO_LABEL,
+                d => u16::from(d),
+            };
+            matrix[2 * k..2 * k + 2].copy_from_slice(&d.to_le_bytes());
+        }
+        self.width = 2;
+    }
+
+    /// The whole buffer, the slots last.
+    pub(crate) fn into_buffer(self) -> Vec<u8> {
+        self.buf
     }
 }
 
@@ -206,35 +219,21 @@ pub fn landmark_bfs(
 }
 
 /// Builds the complete labelling scheme, one landmark BFS at a time on the
-/// calling thread. Lemma 5.2 would let the BFSs run on separate threads
-/// (the paper's QbS-P), but on two cores that measured no faster, so there
-/// is one builder.
+/// calling thread, installing each column as its BFS finishes. Lemma 5.2
+/// would let the BFSs run on separate threads (the paper's QbS-P), but on
+/// two cores that measured no faster, so there is one builder.
 pub fn build_sequential(graph: &Graph, landmarks: &[VertexId]) -> LabellingScheme {
-    let columns: Vec<LandmarkBfs> = {
-        let landmark_column = landmark_column_map(graph, landmarks);
-        (0..landmarks.len())
-            .map(|i| landmark_bfs(graph, landmarks, &landmark_column, i))
-            .collect()
-    };
-    assemble(graph, landmarks, columns)
+    build_after(Vec::new(), graph, landmarks)
 }
 
-/// Maps every vertex to its landmark column index (`u32::MAX` for
-/// non-landmarks).
-pub(crate) fn landmark_column_map(graph: &Graph, landmarks: &[VertexId]) -> Vec<u32> {
-    let mut map = vec![u32::MAX; graph.num_vertices()];
-    for (i, &r) in landmarks.iter().enumerate() {
-        map[r as usize] = i as u32;
-    }
-    map
-}
-
-/// Combines per-landmark BFS results into the final scheme.
-fn assemble(graph: &Graph, landmarks: &[VertexId], columns: Vec<LandmarkBfs>) -> LabellingScheme {
-    let mut labelling = PathLabelling::new(graph.num_vertices(), landmarks.len());
+/// [`build_sequential`] with the label slots appended to `buf`.
+pub(crate) fn build_after(buf: Vec<u8>, graph: &Graph, landmarks: &[VertexId]) -> LabellingScheme {
+    let landmark_column = landmark_column_map(graph, landmarks);
+    let mut labelling = PathLabelling::after(buf, graph.num_vertices(), landmarks.len());
     let mut meta: std::collections::BTreeMap<(usize, usize), Distance> =
         std::collections::BTreeMap::new();
-    for (i, bfs) in columns.into_iter().enumerate() {
+    for i in 0..landmarks.len() {
+        let bfs = landmark_bfs(graph, landmarks, &landmark_column, i);
         labelling.install_column(i, &bfs.column);
         for (j, sigma) in bfs.meta_edges {
             let key = (i.min(j), i.max(j));
@@ -248,6 +247,16 @@ fn assemble(graph: &Graph, landmarks: &[VertexId], columns: Vec<LandmarkBfs>) ->
         labelling,
         meta_edges: meta.into_iter().map(|((i, j), s)| (i, j, s)).collect(),
     }
+}
+
+/// Maps every vertex to its landmark column index (`u32::MAX` for
+/// non-landmarks).
+pub(crate) fn landmark_column_map(graph: &Graph, landmarks: &[VertexId]) -> Vec<u32> {
+    let mut map = vec![u32::MAX; graph.num_vertices()];
+    for (i, &r) in landmarks.iter().enumerate() {
+        map[r as usize] = i as u32;
+    }
+    map
 }
 
 fn saturate(d: Distance) -> u16 {
@@ -300,7 +309,8 @@ mod tests {
         }
         // No extra entries beyond the figure: vertex 0 is isolated and the
         // landmarks themselves carry no labels.
-        assert_eq!(l.total_entries(), total);
+        let entries: usize = (0..15u32).map(|v| l.entries(v).count()).sum();
+        assert_eq!(entries, total);
         for (v, r) in [
             (4u32, 1usize),
             (6, 1),
@@ -331,7 +341,7 @@ mod tests {
         let scheme = figure4_scheme();
         for (i, &r) in scheme.landmarks.iter().enumerate() {
             assert_eq!(
-                scheme.labelling.label_len(r),
+                scheme.labelling.entries(r).count(),
                 0,
                 "landmark {r} (column {i})"
             );
@@ -391,10 +401,12 @@ mod tests {
         let l = &scheme.labelling;
         assert_eq!(l.num_vertices(), 15);
         assert_eq!(l.num_landmarks(), 3);
-        assert_eq!(l.paper_size_bytes(), 15 * 3);
-        assert_eq!(l.memory_size_bytes(), 15 * 3 * 2);
-        assert_eq!(l.label_len(4), 2);
-        assert_eq!(l.label_len(0), 0);
+        assert_eq!(l.slot_width(), 1, "figure-4 distances fit one byte");
+        let bytes = l.clone().into_buffer();
+        assert_eq!(bytes.len(), 15 * 3, "one slot per (vertex, landmark)");
+        assert_eq!(bytes[4 * 3..5 * 3], [1, 0xFF, 1]);
+        assert_eq!(l.entries(4).count(), 2);
+        assert_eq!(l.entries(0).count(), 0);
     }
 
     #[test]
@@ -414,7 +426,7 @@ mod tests {
     #[test]
     fn empty_landmark_set_produces_empty_scheme() {
         let scheme = build_sequential(&figure4_graph(), &[]);
-        assert_eq!(scheme.labelling.total_entries(), 0);
+        assert!(scheme.labelling.into_buffer().is_empty());
         assert!(scheme.meta_edges.is_empty());
     }
 
@@ -428,5 +440,22 @@ mod tests {
         assert_eq!(scheme.labelling.get(2, 0), None);
         assert_eq!(scheme.labelling.get(2, 1), Some(1));
         assert_eq!(scheme.labelling.get(2, 2), Some(1));
+    }
+
+    #[test]
+    fn slots_widen_once_a_distance_exceeds_one_byte() {
+        // A path 0 — 1 — … — 299 with the landmark at 0: distances 1..=299.
+        let g = GraphBuilder::from_edges((1..300u32).map(|v| (v - 1, v))).build();
+        let scheme = build_sequential(&g, &[0]);
+        let l = &scheme.labelling;
+        assert_eq!(l.slot_width(), 2);
+        assert_eq!(l.get(0, 0), None);
+        for v in 1..300u32 {
+            assert_eq!(l.get(v, 0), Some(v), "label of {v}");
+        }
+        // Appended to a head, the slots follow it untouched.
+        let mut labelling = PathLabelling::after(vec![7, 7], 3, 1);
+        labelling.install_column(0, &[NO_LABEL, 255, 2]);
+        assert_eq!(labelling.into_buffer(), [7, 7, 0xFF, 0xFF, 255, 0, 2, 0]);
     }
 }

@@ -76,17 +76,17 @@ pub use obs::{
     HistogramSnapshot, LatencyHistogram, Metrics, MetricsSnapshot, Stage, StageNanos, TraceId,
 };
 pub use plan::PlannerStats;
-pub use query::{distance_on, query_on, sketch_on, QbsConfig, QbsIndex, QueryAnswer};
+pub use query::{distance_on, query_on, sketch_on, QbsConfig, QueryAnswer};
 pub use request::{
     execute_cached_on, execute_on, QueryMode, QueryOptions, QueryOutcome, QueryRequest,
     RequestError,
 };
 pub use search::SearchStats;
 pub use serialize::MapMode;
-pub use session::{EngineStats, Qbs, QbsBackend};
+pub use session::{EngineStats, Qbs};
 pub use sketch::{Sketch, SketchBounds};
 pub use stats::IndexStats;
-pub use store::{IndexStore, ViewStore};
+pub use store::QbsIndex;
 pub use wire::{ReplicaStats, RequestId, RouterStats, Wire, WireError};
 pub use workspace::QueryWorkspace;
 

@@ -16,15 +16,21 @@
 //! `(r, d_G(x, r))`, so walking from `r'` down `r`'s label column — the
 //! recover search's own `label_walk` (`search.rs`) — visits exactly Δ's
 //! vertices and edges and nothing else.
+//!
+//! A [`MetaGraph`] is the decoded form of the index file's meta-graph
+//! sections. Sketching reads `d_M` and the meta edges on every query, so
+//! [`crate::QbsIndex`] decodes these `|R|`-sized tables once, when it is
+//! constructed, instead of decoding bytes per call.
 
 use qbs_graph::workspace::VisitedSet;
 use qbs_graph::{Distance, VertexId, INFINITE_DISTANCE};
 
+use crate::format::IndexView;
 use crate::search::label_walk;
-use crate::store::IndexStore;
+use crate::store::QbsIndex;
 
 /// The meta-graph and everything precomputed from it.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MetaGraph {
     /// The landmark set, in column order.
     landmarks: Vec<VertexId>,
@@ -38,104 +44,93 @@ pub struct MetaGraph {
     delta: Vec<Vec<(VertexId, VertexId)>>,
 }
 
-impl MetaGraph {
-    /// Reassembles a meta-graph from its stored parts (the index file
-    /// persists all four arrays, so nothing is recomputed on load).
-    ///
-    /// The caller is responsible for consistency between the parts;
-    /// [`crate::format::IndexView::parse`] validates them before this runs.
-    pub(crate) fn from_parts(
-        landmarks: Vec<VertexId>,
-        edges: Vec<(usize, usize, Distance)>,
-        apsp: Vec<Distance>,
-        delta: Vec<Vec<(VertexId, VertexId)>>,
-    ) -> Self {
-        debug_assert_eq!(apsp.len(), landmarks.len() * landmarks.len());
-        debug_assert_eq!(delta.len(), edges.len());
-        MetaGraph {
-            landmarks,
-            edges,
-            apsp,
-            delta,
-        }
+/// `d_M` for every landmark pair: Floyd–Warshall over the meta edges
+/// Algorithm 2 found. `|R| ≤ 100` in every experiment, so `|R|³` is
+/// trivial.
+pub(crate) fn all_pairs_distances(
+    num_landmarks: usize,
+    meta_edges: &[(usize, usize, Distance)],
+) -> Vec<Distance> {
+    let r = num_landmarks;
+    let mut apsp = vec![INFINITE_DISTANCE; r * r];
+    for i in 0..r {
+        apsp[i * r + i] = 0;
     }
-
-    /// The raw row-major `|R|²` all-pairs distance matrix. Exposed for flat
-    /// binary serialisation.
-    pub(crate) fn apsp(&self) -> &[Distance] {
-        &self.apsp
+    for &(i, j, sigma) in meta_edges {
+        apsp[i * r + j] = apsp[i * r + j].min(sigma);
+        apsp[j * r + i] = apsp[j * r + i].min(sigma);
     }
-
-    /// Builds the meta-graph from the raw edge list produced by Algorithm 2,
-    /// computing `d_M` and the per-edge Δ path graphs.
-    ///
-    /// `store` must already hold the graph, the landmarks and the labelling
-    /// of the same build: Δ is one label walk per meta edge over them. Its
-    /// meta-graph accessors are not read.
-    pub(crate) fn build<S: IndexStore>(store: &S, meta_edges: &[(usize, usize, Distance)]) -> Self {
-        let landmarks: Vec<VertexId> = (0..store.num_landmarks())
-            .map(|i| store.landmark(i))
-            .collect();
-        let r = landmarks.len();
-        let mut apsp = vec![INFINITE_DISTANCE; r * r];
+    for k in 0..r {
         for i in 0..r {
-            apsp[i * r + i] = 0;
-        }
-        for &(i, j, sigma) in meta_edges {
-            apsp[i * r + j] = apsp[i * r + j].min(sigma);
-            apsp[j * r + i] = apsp[j * r + i].min(sigma);
-        }
-        // Floyd–Warshall: |R| ≤ 100 in every experiment, so |R|³ is trivial.
-        for k in 0..r {
-            for i in 0..r {
-                let dik = apsp[i * r + k];
-                if dik == INFINITE_DISTANCE {
+            let dik = apsp[i * r + k];
+            if dik == INFINITE_DISTANCE {
+                continue;
+            }
+            for j in 0..r {
+                let dkj = apsp[k * r + j];
+                if dkj == INFINITE_DISTANCE {
                     continue;
                 }
-                for j in 0..r {
-                    let dkj = apsp[k * r + j];
-                    if dkj == INFINITE_DISTANCE {
-                        continue;
-                    }
-                    let through = dik + dkj;
-                    if through < apsp[i * r + j] {
-                        apsp[i * r + j] = through;
-                    }
+                let through = dik + dkj;
+                if through < apsp[i * r + j] {
+                    apsp[i * r + j] = through;
                 }
             }
         }
+    }
+    apsp
+}
 
-        // Δ: shortest path graph between the endpoints of every meta-edge,
-        // restricted to paths avoiding all other landmarks.
-        let mut walk_visited = VisitedSet::new();
-        let mut walk_stack = Vec::new();
-        let delta = meta_edges
-            .iter()
-            .map(|&(i, j, sigma)| {
-                let mut edges = Vec::new();
-                label_walk(
-                    store,
-                    landmarks[j],
-                    i,
-                    landmarks[i],
-                    sigma,
-                    &mut walk_visited,
-                    &mut walk_stack,
-                    &mut edges,
-                );
-                for edge in &mut edges {
-                    *edge = (edge.0.min(edge.1), edge.0.max(edge.1));
-                }
-                edges.sort_unstable();
-                edges
-            })
-            .collect();
+/// Δ of every meta edge of `index`, in stored order: the shortest path
+/// graph between its endpoints restricted to paths avoiding all other
+/// landmarks, as one label walk from `r_j` down column `i`.
+///
+/// `index` must hold the graph, the landmarks, the labels and the meta
+/// edges of the build; its own Δ is not read (the build runs this on an
+/// index whose Δ section is still empty).
+pub(crate) fn delta(index: &QbsIndex) -> Vec<Vec<(VertexId, VertexId)>> {
+    let landmarks = index.landmarks();
+    let mut walk_visited = VisitedSet::new();
+    let mut walk_stack = Vec::new();
+    index
+        .meta_graph()
+        .edges()
+        .iter()
+        .map(|&(i, j, sigma)| {
+            let mut edges = Vec::new();
+            label_walk(
+                index,
+                landmarks[j],
+                i,
+                landmarks[i],
+                sigma,
+                &mut walk_visited,
+                &mut walk_stack,
+                &mut edges,
+            );
+            for edge in &mut edges {
+                *edge = (edge.0.min(edge.1), edge.0.max(edge.1));
+            }
+            edges.sort_unstable();
+            edges
+        })
+        .collect()
+}
 
+impl MetaGraph {
+    /// Decodes the meta-graph sections of an index file: `O(|R|² + |Δ|)`,
+    /// independent of the graph size.
+    pub(crate) fn from_view(view: &IndexView) -> Self {
+        let r = view.num_landmarks();
         MetaGraph {
-            landmarks,
-            edges: meta_edges.to_vec(),
-            apsp,
-            delta,
+            landmarks: view.landmarks().collect(),
+            edges: view.meta_edges().collect(),
+            apsp: (0..r)
+                .flat_map(|i| (0..r).map(move |j| view.meta_distance(i, j)))
+                .collect(),
+            delta: (0..view.num_meta_edges())
+                .map(|k| view.delta_edges(k).collect())
+                .collect(),
         }
     }
 
@@ -166,28 +161,30 @@ impl MetaGraph {
     /// The meta edges lying on at least one shortest meta-path between
     /// landmark indices `i` and `j` — the landmark part of the sketch for a
     /// query whose minimum is achieved by the pair `(i, j)`.
-    pub fn shortest_path_meta_edges(&self, i: usize, j: usize) -> Vec<(usize, usize, Distance)> {
+    pub fn shortest_path_meta_edges(
+        &self,
+        i: usize,
+        j: usize,
+    ) -> impl Iterator<Item = (usize, usize, Distance)> + '_ {
         let dij = self.distance(i, j);
-        if dij == INFINITE_DISTANCE || i == j {
-            return Vec::new();
-        }
-        self.edges
-            .iter()
-            .copied()
-            .filter(|&(a, b, w)| {
-                let forward = self
-                    .distance(i, a)
-                    .saturating_add(w)
-                    .saturating_add(self.distance(b, j))
-                    == dij;
-                let backward = self
-                    .distance(i, b)
-                    .saturating_add(w)
-                    .saturating_add(self.distance(a, j))
-                    == dij;
-                forward || backward
-            })
-            .collect()
+        let candidates = if dij == INFINITE_DISTANCE || i == j {
+            &[][..]
+        } else {
+            &self.edges[..]
+        };
+        candidates.iter().copied().filter(move |&(a, b, w)| {
+            let forward = self
+                .distance(i, a)
+                .saturating_add(w)
+                .saturating_add(self.distance(b, j))
+                == dij;
+            let backward = self
+                .distance(i, b)
+                .saturating_add(w)
+                .saturating_add(self.distance(a, j))
+                == dij;
+            forward || backward
+        })
     }
 
     /// The precomputed path graph (edge list in `G`) of one meta edge, by
@@ -224,7 +221,7 @@ impl MetaGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::{QbsConfig, QbsIndex};
+    use crate::query::QbsConfig;
     use qbs_graph::fixtures::{figure4_graph, figure4_landmarks};
     use qbs_graph::traversal::bfs_distances;
     use qbs_graph::{Graph, GraphBuilder};
@@ -267,13 +264,12 @@ mod tests {
         // Shortest meta paths between landmarks 1 (idx 0) and 3 (idx 2) have
         // length 2 and use either the direct edge (1,3) or the path 1-2-3 —
         // so all three meta edges belong to the sketch (Figure 6(b)).
-        let edges = meta.shortest_path_meta_edges(0, 2);
-        assert_eq!(edges.len(), 3);
+        assert_eq!(meta.shortest_path_meta_edges(0, 2).count(), 3);
         // Between 1 (idx 0) and 2 (idx 1) only the direct edge qualifies.
-        let edges = meta.shortest_path_meta_edges(0, 1);
+        let edges: Vec<_> = meta.shortest_path_meta_edges(0, 1).collect();
         assert_eq!(edges, vec![(0, 1, 1)]);
         // Degenerate: same landmark twice.
-        assert!(meta.shortest_path_meta_edges(1, 1).is_empty());
+        assert_eq!(meta.shortest_path_meta_edges(1, 1).count(), 0);
     }
 
     #[test]
@@ -302,7 +298,7 @@ mod tests {
         let meta = build_meta(&g, &landmarks);
         assert_eq!(meta.distance(0, 1), INFINITE_DISTANCE);
         assert_eq!(meta.distance(0, 0), 0);
-        assert!(meta.shortest_path_meta_edges(0, 1).is_empty());
+        assert_eq!(meta.shortest_path_meta_edges(0, 1).count(), 0);
     }
 
     #[test]

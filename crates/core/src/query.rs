@@ -1,18 +1,19 @@
-//! The [`QbsIndex`] façade: build once, query many times.
+//! Building a [`QbsIndex`] and the single-query entry points: build once,
+//! query many times.
 
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
-use qbs_graph::{Distance, Graph, PathGraph, VertexFilter, VertexId};
+use qbs_graph::{Distance, Graph, PathGraph, VertexId};
 
-use crate::labelling::{self, LabellingScheme, PathLabelling};
+use crate::format;
+use crate::labelling::{self, LabellingScheme};
 use crate::landmark::LandmarkStrategy;
-use crate::meta_graph::MetaGraph;
+use crate::meta_graph;
 use crate::search::{self, SearchStats};
 use crate::sketch::{self, Sketch};
-use crate::stats::IndexStats;
-use crate::store::IndexStore;
+use crate::store::QbsIndex;
 use crate::workspace::QueryWorkspace;
 use crate::QbsError;
 
@@ -64,22 +65,10 @@ pub struct QueryAnswer {
     pub stats: SearchStats,
 }
 
-/// The Query-by-Sketch index.
-#[derive(Clone, Debug)]
-pub struct QbsIndex {
-    graph: Graph,
-    landmarks: Vec<VertexId>,
-    landmark_filter: VertexFilter,
-    landmark_column: Vec<u32>,
-    labelling: PathLabelling,
-    meta: MetaGraph,
-    timings: BuildTimings,
-}
-
 impl QbsIndex {
     /// Builds an index over `graph` with the given configuration, on the
-    /// calling thread: Algorithm 2's one BFS per landmark, then the
-    /// meta-graph, whose Δ is read off the finished labelling.
+    /// calling thread: Algorithm 2's one BFS per landmark, then the index
+    /// file layout in one heap buffer, whose Δ is read off the labels.
     pub fn build(graph: Graph, config: QbsConfig) -> Self {
         let total_start = Instant::now();
 
@@ -87,16 +76,28 @@ impl QbsIndex {
         let landmarks = config.landmarks.select(&graph);
         let landmark_selection = t.elapsed();
 
+        // The index is its file layout, in one buffer sized up front: the
+        // labels are laid out straight into it, then the graph (dropped once
+        // written) and the meta-graph. Δ is the last payload section, so it
+        // is walked off the labels of that Δ-less index and then appended.
         let t = Instant::now();
-        let scheme: LabellingScheme = labelling::build_sequential(&graph, &landmarks);
+        let buf = format::start_buffer(graph.num_vertices(), &landmarks, graph.num_arcs());
+        let scheme: LabellingScheme = labelling::build_after(buf, &graph, &landmarks);
         let labelling_time = t.elapsed();
 
         let t = Instant::now();
-        let mut index =
-            QbsIndex::from_parts(graph, landmarks, scheme.labelling, MetaGraph::default());
-        // The walk reads the labels and the graph of the index it completes.
-        index.meta = MetaGraph::build(&index, &scheme.meta_edges);
-        let meta_time = t.elapsed();
+        let apsp = meta_graph::all_pairs_distances(landmarks.len(), &scheme.meta_edges);
+        let mut meta_time = t.elapsed();
+        let partial = QbsIndex::from_view(format::write_without_delta(
+            scheme.labelling,
+            graph,
+            &scheme.meta_edges,
+            &apsp,
+        ));
+        let t = Instant::now();
+        let delta = meta_graph::delta(&partial);
+        meta_time += t.elapsed();
+        let mut index = QbsIndex::from_view(format::append_delta(partial.into_view(), &delta));
 
         index.timings = BuildTimings {
             landmark_selection,
@@ -111,110 +112,6 @@ impl QbsIndex {
     /// landmarks).
     pub fn build_default(graph: Graph) -> Self {
         Self::build(graph, QbsConfig::default())
-    }
-
-    /// Reassembles an index from its persisted parts, recomputing only the
-    /// derived lookup structures (landmark filter and column map, both
-    /// `O(|V|)` bitmap fills). Build timings are not persisted, so they
-    /// read as zero on a loaded index.
-    pub(crate) fn from_parts(
-        graph: Graph,
-        landmarks: Vec<VertexId>,
-        labelling: PathLabelling,
-        meta: MetaGraph,
-    ) -> Self {
-        let landmark_filter =
-            VertexFilter::from_vertices(graph.num_vertices(), landmarks.iter().copied());
-        let landmark_column = labelling::landmark_column_map(&graph, &landmarks);
-        QbsIndex {
-            graph,
-            landmarks,
-            landmark_filter,
-            landmark_column,
-            labelling,
-            meta,
-            timings: BuildTimings::default(),
-        }
-    }
-
-    /// Serialises the index into an index-file buffer (see
-    /// [`crate::format`]).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        crate::format::write(self)
-    }
-
-    /// The index as a parsed [`crate::format::IndexView`]: serialises into
-    /// a fresh heap buffer and re-opens it as a validated zero-copy view.
-    pub fn as_view(&self) -> crate::format::IndexView {
-        crate::format::IndexView::parse(crate::format::ViewBuf::Heap(self.to_bytes()))
-            .expect("freshly written index buffer is valid")
-    }
-
-    /// Restores an index from a validated view.
-    ///
-    /// Queries answered by the result are bit-identical to those of the
-    /// index that produced the view. The view was structurally validated at
-    /// parse time, so this cannot panic on corrupt input — corruption is
-    /// reported by [`crate::format::IndexView::parse`] instead.
-    pub fn from_view(view: &crate::format::IndexView) -> Self {
-        let (graph, landmarks, labelling, meta) = view.materialize();
-        QbsIndex::from_parts(graph, landmarks, labelling, meta)
-    }
-
-    /// The indexed graph.
-    pub fn graph(&self) -> &Graph {
-        &self.graph
-    }
-
-    /// The landmark set `R` in column order.
-    pub fn landmarks(&self) -> &[VertexId] {
-        &self.landmarks
-    }
-
-    /// The path labelling `L`.
-    pub fn labelling(&self) -> &PathLabelling {
-        &self.labelling
-    }
-
-    /// The meta-graph (with APSP and Δ).
-    pub fn meta_graph(&self) -> &MetaGraph {
-        &self.meta
-    }
-
-    /// Build-phase timing breakdown.
-    pub fn timings(&self) -> BuildTimings {
-        self.timings
-    }
-
-    /// Size and timing statistics (the per-dataset rows of Tables 2 and 3).
-    pub fn stats(&self) -> IndexStats {
-        IndexStats::from_index(self)
-    }
-
-    /// Whether `v` is a landmark.
-    pub fn is_landmark(&self, v: VertexId) -> bool {
-        (v as usize) < self.landmark_column.len() && self.landmark_column[v as usize] != u32::MAX
-    }
-
-    /// The effective label of a vertex: its path label, or the synthetic
-    /// `{(itself, 0)}` when the vertex is a landmark.
-    pub fn effective_label(&self, v: VertexId) -> Vec<(usize, Distance)> {
-        let mut out = Vec::new();
-        self.fill_effective_label(v, &mut out);
-        out
-    }
-
-    /// Fills `buf` with the effective label of `v`, reusing its capacity
-    /// (the allocation-free sibling of [`QbsIndex::effective_label`] used by
-    /// the workspace query path).
-    pub fn fill_effective_label(&self, v: VertexId, buf: &mut Vec<(usize, Distance)>) {
-        buf.clear();
-        let col = self.landmark_column[v as usize];
-        if col != u32::MAX {
-            buf.push((col as usize, 0));
-        } else {
-            buf.extend(self.labelling.entries(v));
-        }
     }
 
     /// Computes the sketch for a query (Algorithm 3) without running the
@@ -298,117 +195,32 @@ impl QbsIndex {
     }
 }
 
-/// The owned index *is* a storage backend: every accessor reads the
-/// materialised structures. [`crate::store::ViewStore`] provides the same
-/// interface over a raw index-file buffer; [`query_on`] and friends
-/// accept either.
-impl IndexStore for QbsIndex {
-    #[inline]
-    fn num_vertices(&self) -> usize {
-        self.graph.num_vertices()
-    }
-
-    #[inline]
-    fn num_landmarks(&self) -> usize {
-        self.landmarks.len()
-    }
-
-    #[inline]
-    fn landmark(&self, idx: usize) -> VertexId {
-        self.landmarks[idx]
-    }
-
-    #[inline]
-    fn landmark_filter(&self) -> &VertexFilter {
-        &self.landmark_filter
-    }
-
-    #[inline]
-    fn landmark_column(&self, v: VertexId) -> Option<usize> {
-        match self.landmark_column[v as usize] {
-            u32::MAX => None,
-            col => Some(col as usize),
-        }
-    }
-
-    #[inline]
-    fn is_landmark(&self, v: VertexId) -> bool {
-        QbsIndex::is_landmark(self, v)
-    }
-
-    #[inline]
-    fn label_distance(&self, v: VertexId, landmark_idx: usize) -> Option<Distance> {
-        self.labelling.get(v, landmark_idx)
-    }
-
-    fn fill_label_entries(&self, v: VertexId, out: &mut Vec<(usize, Distance)>) {
-        out.extend(self.labelling.entries(v));
-    }
-
-    #[inline]
-    fn for_each_neighbor<F: FnMut(VertexId)>(&self, v: VertexId, mut visit: F) {
-        for &w in self.graph.neighbors(v) {
-            visit(w);
-        }
-    }
-
-    #[inline]
-    fn meta_distance(&self, i: usize, j: usize) -> Distance {
-        self.meta.distance(i, j)
-    }
-
-    #[inline]
-    fn num_meta_edges(&self) -> usize {
-        self.meta.edges().len()
-    }
-
-    #[inline]
-    fn meta_edge(&self, k: usize) -> (usize, usize, Distance) {
-        self.meta.edges()[k]
-    }
-
-    #[inline]
-    fn meta_edge_index(&self, i: usize, j: usize) -> Option<usize> {
-        self.meta.edge_index(i, j)
-    }
-
-    fn for_each_delta_edge<F: FnMut(VertexId, VertexId)>(&self, k: usize, mut visit: F) {
-        for &(a, b) in self.meta.delta_edges(k) {
-            visit(a, b);
-        }
-    }
-}
-
-/// Rejects query endpoints outside the store's vertex range with
+/// Rejects query endpoints outside the index's vertex range with
 /// [`QbsError::VertexOutOfRange`] — the bounds check shared by every public
-/// query entry point, owned and view-backed alike.
-fn check_vertex<S: IndexStore>(store: &S, v: VertexId) -> crate::Result<()> {
-    if (v as usize) < store.num_vertices() {
+/// query entry point.
+fn check_vertex(index: &QbsIndex, v: VertexId) -> crate::Result<()> {
+    if (v as usize) < index.num_vertices() {
         Ok(())
     } else {
         Err(QbsError::VertexOutOfRange {
             vertex: v as u64,
-            num_vertices: store.num_vertices() as u64,
+            num_vertices: index.num_vertices() as u64,
         })
     }
 }
 
-/// Answers `SPG(source, target)` on any [`IndexStore`] backend, reusing the
-/// buffers of `ws`.
+/// Answers `SPG(source, target)`, reusing the buffers of `ws`.
 ///
-/// This is the backend-generic workhorse: [`QbsIndex::query_with`] is a
-/// thin wrapper over it, and the request pipeline behind
-/// [`crate::Qbs`] calls it directly so a view-backed session serves
-/// queries with **zero** index materialisation. Answers are bit-identical
-/// across backends.
-pub fn query_on<S: IndexStore>(
-    store: &S,
+/// This is the workhorse: [`QbsIndex::query_with`] is a thin wrapper over
+/// it, and the request pipeline behind [`crate::Qbs`] calls it directly.
+pub fn query_on(
+    index: &QbsIndex,
     ws: &mut QueryWorkspace,
     source: VertexId,
     target: VertexId,
 ) -> crate::Result<QueryAnswer> {
-    check_vertex(store, source)?;
-    check_vertex(store, target)?;
+    check_vertex(index, source)?;
+    check_vertex(index, target)?;
     if source == target {
         ws.record_query();
         let sketch = Sketch::unreachable(source, target);
@@ -422,13 +234,13 @@ pub fn query_on<S: IndexStore>(
             stats,
         });
     }
-    store.fill_effective_label(source, &mut ws.src_label);
-    store.fill_effective_label(target, &mut ws.tgt_label);
+    index.fill_effective_label(source, &mut ws.src_label);
+    index.fill_effective_label(target, &mut ws.tgt_label);
     let t = ws.obs.start();
-    let sketch = sketch::compute(store, source, target, &ws.src_label, &ws.tgt_label);
+    let sketch = sketch::compute(index, source, target, &ws.src_label, &ws.tgt_label);
     ws.obs.stop(crate::obs::Stage::SketchBound, t);
     let t = ws.obs.start();
-    let (path_graph, stats) = search::guided_search_with(store, ws, source, target, &sketch);
+    let (path_graph, stats) = search::guided_search_with(index, ws, source, target, &sketch);
     ws.obs.stop(crate::obs::Stage::GuidedSearch, t);
     Ok(QueryAnswer {
         path_graph,
@@ -437,28 +249,28 @@ pub fn query_on<S: IndexStore>(
     })
 }
 
-/// Shortest-path distance on any [`IndexStore`] backend, reusing the
-/// buffers of `ws` (the allocation-free sibling of [`query_on`]).
-pub fn distance_on<S: IndexStore>(
-    store: &S,
+/// Shortest-path distance, reusing the buffers of `ws` (the
+/// allocation-free sibling of [`query_on`]).
+pub fn distance_on(
+    index: &QbsIndex,
     ws: &mut QueryWorkspace,
     source: VertexId,
     target: VertexId,
 ) -> crate::Result<Distance> {
-    Ok(distance_with_bounds_on(store, ws, source, target)?.0)
+    Ok(distance_with_bounds_on(index, ws, source, target)?.0)
 }
 
 /// [`distance_on`] that also surfaces the sketch bounds it computed — the
 /// request pipeline uses the upper bound `d⊤` as its cache-admission cost
 /// hint without paying for a second label intersection.
-pub(crate) fn distance_with_bounds_on<S: IndexStore>(
-    store: &S,
+pub(crate) fn distance_with_bounds_on(
+    index: &QbsIndex,
     ws: &mut QueryWorkspace,
     source: VertexId,
     target: VertexId,
 ) -> crate::Result<(Distance, sketch::SketchBounds)> {
-    check_vertex(store, source)?;
-    check_vertex(store, target)?;
+    check_vertex(index, source)?;
+    check_vertex(index, target)?;
     if source == target {
         ws.record_query();
         return Ok((
@@ -470,31 +282,26 @@ pub(crate) fn distance_with_bounds_on<S: IndexStore>(
             },
         ));
     }
-    store.fill_effective_label(source, &mut ws.src_label);
-    store.fill_effective_label(target, &mut ws.tgt_label);
+    index.fill_effective_label(source, &mut ws.src_label);
+    index.fill_effective_label(target, &mut ws.tgt_label);
     let t = ws.obs.start();
-    let bounds = sketch::compute_bounds(store, &ws.src_label, &ws.tgt_label);
+    let bounds = sketch::compute_bounds(index, &ws.src_label, &ws.tgt_label);
     ws.obs.stop(crate::obs::Stage::SketchBound, t);
     let t = ws.obs.start();
-    let (distance, _) = search::guided_distance_with(store, ws, source, target, &bounds);
+    let (distance, _) = search::guided_distance_with(index, ws, source, target, &bounds);
     ws.obs.stop(crate::obs::Stage::GuidedSearch, t);
     Ok((distance, bounds))
 }
 
-/// Computes the sketch of a query on any [`IndexStore`] backend without
-/// running the search.
-pub fn sketch_on<S: IndexStore>(
-    store: &S,
-    source: VertexId,
-    target: VertexId,
-) -> crate::Result<Sketch> {
-    check_vertex(store, source)?;
-    check_vertex(store, target)?;
+/// Computes the sketch of a query without running the search.
+pub fn sketch_on(index: &QbsIndex, source: VertexId, target: VertexId) -> crate::Result<Sketch> {
+    check_vertex(index, source)?;
+    check_vertex(index, target)?;
     let mut src = Vec::new();
     let mut tgt = Vec::new();
-    store.fill_effective_label(source, &mut src);
-    store.fill_effective_label(target, &mut tgt);
-    Ok(sketch::compute(store, source, target, &src, &tgt))
+    index.fill_effective_label(source, &mut src);
+    index.fill_effective_label(target, &mut tgt);
+    Ok(sketch::compute(index, source, target, &src, &tgt))
 }
 
 #[cfg(test)]

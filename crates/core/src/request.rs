@@ -8,10 +8,9 @@
 //!
 //! * [`QueryRequest`] — one query: endpoints, a [`QueryMode`], and
 //!   per-request [`QueryOptions`];
-//! * [`execute_on`] — the single generic executor: dispatches to the
-//!   existing sketch/guided-search internals
-//!   ([`crate::query::distance_on`], [`crate::query::query_on`],
-//!   [`crate::query::sketch_on`]) on any [`IndexStore`] backend;
+//! * [`execute_on`] — the single executor: dispatches to the
+//!   sketch/guided-search internals ([`crate::query::distance_on`],
+//!   [`crate::query::query_on`], [`crate::query::sketch_on`]);
 //! * [`QueryOutcome`] — the per-request response. Failures (an
 //!   out-of-range endpoint) are a *value*, not an `Err` of the whole
 //!   batch: one poisoned pair costs one error outcome, never the batch.
@@ -47,7 +46,7 @@ use qbs_graph::{Distance, PathGraph, VertexId};
 use crate::cache::AnswerCache;
 use crate::query::{self, QueryAnswer};
 use crate::sketch::Sketch;
-use crate::store::IndexStore;
+use crate::store::QbsIndex;
 use crate::workspace::QueryWorkspace;
 use crate::QbsError;
 
@@ -173,8 +172,7 @@ impl QueryRequest {
 /// request cannot poison the batch it travelled in.
 ///
 /// Unlike [`QbsError`] this type is `Clone + PartialEq + Serialize`, which
-/// is what lets outcomes be compared bit-for-bit across storage backends
-/// and stored in reports.
+/// is what lets outcomes be compared bit-for-bit and stored in reports.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RequestError {
     /// An endpoint does not exist in the indexed graph.
@@ -388,24 +386,24 @@ impl AnswerBody {
     }
 }
 
-/// Runs one request against the store's sketch/guided-search internals,
+/// Runs one request against the sketch/guided-search internals,
 /// returning the canonical body plus the sketch upper bound `d⊤` of the
 /// query — the cache-admission cost hint (a query with a larger landmark
 /// upper bound expands a larger search, so it is worth more cache space).
-fn compute_on<S: IndexStore>(
-    store: &S,
+fn compute_on(
+    index: &QbsIndex,
     ws: &mut QueryWorkspace,
     request: &QueryRequest,
 ) -> Result<(AnswerBody, Distance), RequestError> {
     match request.mode {
         QueryMode::Distance => {
             let (distance, bounds) =
-                query::distance_with_bounds_on(store, ws, request.source, request.target)
+                query::distance_with_bounds_on(index, ws, request.source, request.target)
                     .map_err(request_error)?;
             Ok((AnswerBody::Distance(distance), bounds.upper_bound))
         }
         QueryMode::PathGraph => {
-            let answer = query::query_on(store, ws, request.source, request.target)
+            let answer = query::query_on(index, ws, request.source, request.target)
                 .map_err(request_error)?;
             let hint = answer.sketch.upper_bound;
             Ok((AnswerBody::PathGraph(Box::new(answer)), hint))
@@ -413,7 +411,7 @@ fn compute_on<S: IndexStore>(
         QueryMode::Sketch => {
             let t = ws.obs.start();
             let sketch =
-                query::sketch_on(store, request.source, request.target).map_err(request_error)?;
+                query::sketch_on(index, request.source, request.target).map_err(request_error)?;
             ws.obs.stop(crate::obs::Stage::SketchBound, t);
             let hint = sketch.upper_bound;
             Ok((AnswerBody::Sketch(Box::new(sketch)), hint))
@@ -421,21 +419,19 @@ fn compute_on<S: IndexStore>(
     }
 }
 
-/// Executes one [`QueryRequest`] on any [`IndexStore`] backend, reusing
-/// the buffers of `ws`.
+/// Executes one [`QueryRequest`], reusing the buffers of `ws`.
 ///
 /// This is the single dispatcher every public entry point reduces to:
 /// [`QueryMode::Distance`] runs the allocation-free
 /// [`crate::query::distance_on`] path, [`QueryMode::PathGraph`] the full
 /// [`crate::query::query_on`] guided search, [`QueryMode::Sketch`] the
-/// search-free [`crate::query::sketch_on`]. Outcomes are bit-identical
-/// across backends.
-pub fn execute_on<S: IndexStore>(
-    store: &S,
+/// search-free [`crate::query::sketch_on`].
+pub fn execute_on(
+    index: &QbsIndex,
     ws: &mut QueryWorkspace,
     request: &QueryRequest,
 ) -> QueryOutcome {
-    match compute_on(store, ws, request) {
+    match compute_on(index, ws, request) {
         Ok((body, _hint)) => body.shape_into(&request.opts),
         Err(e) => QueryOutcome::Error(e),
     }
@@ -449,14 +445,14 @@ pub fn execute_on<S: IndexStore>(
 /// sketch-upper-bound admission policy). Cached outcomes are bit-identical
 /// to fresh ones: the cache stores the canonical answer body and the
 /// same deterministic shaping runs on both paths.
-pub fn execute_cached_on<S: IndexStore>(
-    store: &S,
+pub fn execute_cached_on(
+    index: &QbsIndex,
     ws: &mut QueryWorkspace,
     request: &QueryRequest,
     cache: Option<&AnswerCache>,
 ) -> QueryOutcome {
     let Some(cache) = cache.filter(|_| request.opts.use_cache) else {
-        return execute_on(store, ws, request);
+        return execute_on(index, ws, request);
     };
     let t = ws.obs.start();
     let hit = cache.lookup(request);
@@ -464,7 +460,7 @@ pub fn execute_cached_on<S: IndexStore>(
     if let Some(outcome) = hit {
         return outcome;
     }
-    match compute_on(store, ws, request) {
+    match compute_on(index, ws, request) {
         Ok((body, hint)) => {
             let t = ws.obs.start();
             cache.admit(request, &body, hint);
@@ -478,8 +474,7 @@ pub fn execute_cached_on<S: IndexStore>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::{QbsConfig, QbsIndex};
-    use crate::store::ViewStore;
+    use crate::QbsConfig;
     use qbs_graph::fixtures::figure4_graph;
 
     fn index() -> QbsIndex {
@@ -520,20 +515,24 @@ mod tests {
 
     #[test]
     fn outcomes_match_legacy_entry_points_on_both_backends() {
-        let owned = index();
-        let store = ViewStore::new(owned.as_view());
+        let heap = index();
+        let dir = std::env::temp_dir().join("qbs_request_backends_test");
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("fig4.qbs");
+        crate::serialize::save_to_file(&heap, &path).expect("save");
+        let mapped = crate::serialize::open_from_file(&path, crate::MapMode::Mmap).expect("map");
         let mut ws = QueryWorkspace::new();
         for u in 0..15u32 {
             for v in 0..15u32 {
                 for mode in QueryMode::ALL {
                     let req = QueryRequest::new(u, v, mode).with_stats();
-                    let a = execute_on(&owned, &mut ws, &req);
-                    let b = execute_on(&store, &mut ws, &req);
-                    assert_eq!(a, b, "({u},{v}) {mode} diverged across backends");
+                    let a = execute_on(&heap, &mut ws, &req);
+                    let b = execute_on(&mapped, &mut ws, &req);
+                    assert_eq!(a, b, "({u},{v}) {mode} diverged between heap and mapping");
                 }
                 assert_eq!(
-                    execute_on(&owned, &mut ws, &QueryRequest::distance(u, v)).distance(),
-                    Some(owned.distance(u, v).unwrap()),
+                    execute_on(&heap, &mut ws, &QueryRequest::distance(u, v)).distance(),
+                    Some(heap.distance(u, v).unwrap()),
                     "distance({u},{v})"
                 );
             }

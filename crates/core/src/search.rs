@@ -23,10 +23,8 @@
 //! formulation (labels are only defined on `V \ R`) without changing any of
 //! its guarantees.
 //!
-//! Every index read goes through the [`IndexStore`] trait, so the same
-//! search serves the owned [`crate::QbsIndex`] and a zero-copy
-//! [`crate::store::ViewStore`] over an index file — answers are
-//! bit-identical across backends. All mutable search state lives in a
+//! Every index read goes straight to the [`QbsIndex`] buffer, heap or
+//! mapped. All mutable search state lives in a
 //! caller-provided [`QueryWorkspace`] ([`guided_search_with`]): the
 //! per-vertex depth fields and visited sets are epoch-stamped, so repeated
 //! queries perform **zero `O(|V|)` allocations or clears**.
@@ -38,7 +36,7 @@ use qbs_graph::workspace::{DistanceField, VisitedSet};
 use qbs_graph::{Distance, PathGraph, VertexFilter, VertexId, INFINITE_DISTANCE};
 
 use crate::sketch::{Sketch, SketchBounds};
-use crate::store::{IndexStore, SparsifiedStore};
+use crate::store::{QbsIndex, SparsifiedStore};
 use crate::workspace::{QueryWorkspace, SideState};
 
 /// Work counters and intermediate quantities of one guided search, used by
@@ -73,27 +71,26 @@ pub struct SearchStats {
 /// The caller guarantees `source != target` and that both vertices exist.
 /// Hot query loops should hold a [`QueryWorkspace`] and call
 /// [`guided_search_with`] instead.
-pub fn guided_search<S: IndexStore>(
-    store: &S,
+pub fn guided_search(
+    index: &QbsIndex,
     source: VertexId,
     target: VertexId,
     sketch: &Sketch,
 ) -> (PathGraph, SearchStats) {
     let mut ws = QueryWorkspace::new();
-    guided_search_with(store, &mut ws, source, target, sketch)
+    guided_search_with(index, &mut ws, source, target, sketch)
 }
 
 /// Answers `SPG(source, target)` guided by `sketch`, reusing every buffer
-/// in `ws`. Results are bit-identical to [`guided_search`], and identical
-/// across [`IndexStore`] backends.
-pub fn guided_search_with<S: IndexStore>(
-    store: &S,
+/// in `ws`. Results are bit-identical to [`guided_search`].
+pub fn guided_search_with(
+    index: &QbsIndex,
     ws: &mut QueryWorkspace,
     source: VertexId,
     target: VertexId,
     sketch: &Sketch,
 ) -> (PathGraph, SearchStats) {
-    let n = store.num_vertices();
+    let n = index.num_vertices();
     ws.record_query();
     let mut stats = SearchStats {
         upper_bound: sketch.upper_bound,
@@ -115,7 +112,7 @@ pub fn guided_search_with<S: IndexStore>(
         ..
     } = &mut *ws;
 
-    let view = sparsified_view(store, scratch_filter, source, target);
+    let view = sparsified_view(index, scratch_filter, source, target);
 
     let d_top = sketch.upper_bound;
 
@@ -147,7 +144,7 @@ pub fn guided_search_with<S: IndexStore>(
         stats.used_recover_search = true;
         reverse_search(&view, distance, fwd, bwd, visited, stack, meeting, edges);
         recover_search(
-            store,
+            index,
             sketch,
             &view,
             fwd,
@@ -162,7 +159,7 @@ pub fn guided_search_with<S: IndexStore>(
         distance = d_top;
         stats.used_recover_search = true;
         recover_search(
-            store,
+            index,
             sketch,
             &view,
             fwd,
@@ -189,14 +186,14 @@ pub fn guided_search_with<S: IndexStore>(
 ///
 /// This is the fully allocation-free hot path: with a warmed-up workspace
 /// it touches no heap at all.
-pub fn guided_distance_with<S: IndexStore>(
-    store: &S,
+pub fn guided_distance_with(
+    index: &QbsIndex,
     ws: &mut QueryWorkspace,
     source: VertexId,
     target: VertexId,
     bounds: &SketchBounds,
 ) -> (Distance, SearchStats) {
-    let n = store.num_vertices();
+    let n = index.num_vertices();
     ws.record_query();
     let mut stats = SearchStats {
         upper_bound: bounds.upper_bound,
@@ -211,7 +208,7 @@ pub fn guided_distance_with<S: IndexStore>(
         scratch_filter,
         ..
     } = &mut *ws;
-    let view = sparsified_view(store, scratch_filter, source, target);
+    let view = sparsified_view(index, scratch_filter, source, target);
 
     fwd.begin(n, source);
     bwd.begin(n, target);
@@ -232,17 +229,17 @@ pub fn guided_distance_with<S: IndexStore>(
 
 /// The sparsified view for one query: all landmarks removed, except a query
 /// endpoint that happens to be a landmark itself. The common
-/// (non-landmark-endpoint) case borrows the store's filter directly; the
+/// (non-landmark-endpoint) case borrows the index's filter directly; the
 /// rare case copies it into the workspace's scratch filter, so neither path
 /// allocates in the steady state. Shared by the full search and the
 /// distance-only path so the endpoint rule lives in exactly one place.
-fn sparsified_view<'v, S: IndexStore>(
-    store: &'v S,
+fn sparsified_view<'v>(
+    index: &'v QbsIndex,
     scratch_filter: &'v mut VertexFilter,
     source: VertexId,
     target: VertexId,
-) -> SparsifiedStore<'v, S> {
-    let landmark_filter = store.landmark_filter();
+) -> SparsifiedStore<'v> {
+    let landmark_filter = index.landmark_filter();
     let endpoint_is_landmark = landmark_filter.contains(source) || landmark_filter.contains(target);
     let query_filter: &VertexFilter = if endpoint_is_landmark {
         scratch_filter.copy_from(landmark_filter);
@@ -252,16 +249,16 @@ fn sparsified_view<'v, S: IndexStore>(
     } else {
         landmark_filter
     };
-    SparsifiedStore::new(store, query_filter)
+    SparsifiedStore::new(index, query_filter)
 }
 
 /// Recover search (Algorithm 4, lines 18-24): materialises the shortest
 /// paths that pass through at least one landmark.
 #[allow(clippy::too_many_arguments)]
-fn recover_search<S: IndexStore>(
-    store: &S,
+fn recover_search(
+    index: &QbsIndex,
     sketch: &Sketch,
-    view: &SparsifiedStore<'_, S>,
+    view: &SparsifiedStore<'_>,
     fwd: &SideState,
     bwd: &SideState,
     walk_visited: &mut VisitedSet,
@@ -271,15 +268,16 @@ fn recover_search<S: IndexStore>(
 ) {
     // Landmark-to-landmark segments: splice in the precomputed Δ path
     // graph of every sketch meta edge.
+    let meta = index.meta_graph();
     for &(i, j, _) in &sketch.meta_edges {
-        if let Some(k) = store.meta_edge_index(i, j) {
-            store.for_each_delta_edge(k, |a, b| edges.push((a, b)));
+        if let Some(k) = meta.edge_index(i, j) {
+            edges.extend_from_slice(meta.delta_edges(k));
         }
     }
     // Endpoint-to-landmark segments on both sides.
     for hop in &sketch.source_hops {
         recover_side(
-            store,
+            index,
             hop.landmark_idx,
             hop.distance,
             fwd,
@@ -292,7 +290,7 @@ fn recover_search<S: IndexStore>(
     }
     for hop in &sketch.target_hops {
         recover_side(
-            store,
+            index,
             hop.landmark_idx,
             hop.distance,
             bwd,
@@ -310,12 +308,12 @@ fn recover_search<S: IndexStore>(
 /// then label-walks from them to the landmark and depth-walks from them
 /// back to the endpoint.
 #[allow(clippy::too_many_arguments)]
-fn recover_side<S: IndexStore>(
-    store: &S,
+fn recover_side(
+    index: &QbsIndex,
     landmark_idx: usize,
     sigma: Distance,
     side: &SideState,
-    view: &SparsifiedStore<'_, S>,
+    view: &SparsifiedStore<'_>,
     walk_visited: &mut VisitedSet,
     walk_stack: &mut Vec<(VertexId, Distance)>,
     stack: &mut Vec<VertexId>,
@@ -324,26 +322,26 @@ fn recover_side<S: IndexStore>(
     if sigma == 0 {
         return; // the endpoint is this landmark; nothing to recover
     }
-    let landmark = store.landmark(landmark_idx);
+    let landmark = index.landmark(landmark_idx);
     let dm = (sigma - 1).min(side.level);
     let needed_label = sigma - dm;
     let Some(level) = side.levels.get(dm as usize) else {
         return;
     };
     for &w in level {
-        let matches = if store.is_landmark(w) {
+        let matches = if index.is_landmark(w) {
             // An endpoint that is itself a landmark only matches its own
             // synthetic zero label.
             w == landmark && needed_label == 0
         } else {
-            store.label_distance(w, landmark_idx) == Some(needed_label)
+            index.label_distance(w, landmark_idx) == Some(needed_label)
         };
         if !matches {
             continue;
         }
         // w → landmark via the labels.
         label_walk(
-            store,
+            index,
             w,
             landmark_idx,
             landmark,
@@ -364,11 +362,11 @@ fn recover_side<S: IndexStore>(
 ///
 /// Started at another landmark `r'` with `start_distance = σ(r, r')`, the
 /// walk enumerates exactly Δ of the meta edge `(r, r')`, which is how
-/// [`crate::meta_graph::MetaGraph::build`] computes it. Each traversed edge
+/// [`crate::meta_graph::delta`] computes it at build time. Each traversed edge
 /// is pushed once, oriented away from `start`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn label_walk<S: IndexStore>(
-    store: &S,
+pub(crate) fn label_walk(
+    index: &QbsIndex,
     start: VertexId,
     landmark_idx: usize,
     landmark: VertexId,
@@ -380,7 +378,7 @@ pub(crate) fn label_walk<S: IndexStore>(
     if start_distance == 0 {
         return;
     }
-    walk_visited.reset(store.num_vertices());
+    walk_visited.reset(index.num_vertices());
     walk_visited.insert(start);
     walk_stack.clear();
     walk_stack.push((start, start_distance));
@@ -389,17 +387,17 @@ pub(crate) fn label_walk<S: IndexStore>(
             edges.push((x, landmark));
             continue;
         }
-        store.for_each_neighbor(x, |y| {
-            if store.is_landmark(y) {
-                return; // other landmarks cannot be interior vertices
+        for y in index.neighbors(x) {
+            if index.is_landmark(y) {
+                continue; // other landmarks cannot be interior vertices
             }
-            if store.label_distance(y, landmark_idx) == Some(dx - 1) {
+            if index.label_distance(y, landmark_idx) == Some(dx - 1) {
                 edges.push((x, y));
                 if walk_visited.insert(y) {
                     walk_stack.push((y, dx - 1));
                 }
             }
-        });
+        }
     }
 }
 
@@ -570,55 +568,64 @@ fn depth_walk<V: NeighborAccess>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::{QbsConfig, QbsIndex};
+    use crate::serialize::{self, MapMode};
     use crate::sketch;
-    use crate::store::ViewStore;
+    use crate::QbsConfig;
     use qbs_graph::fixtures::{figure4_graph, figure4_spg_6_11_edges};
     use qbs_graph::Graph;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// The figure-4 running example indexed with the paper's landmark set,
-    /// queried through the generic search entry points — once over the
-    /// owned store and once over a zero-copy view store, so every unit test
-    /// here exercises both backends.
+    /// queried through the search entry points — once over the heap buffer
+    /// of the build and once over a mapping of its saved file, so every
+    /// unit test here exercises both buffers.
     struct Fixture {
         graph: Graph,
-        owned: QbsIndex,
-        view: ViewStore,
+        heap: QbsIndex,
+        mapped: QbsIndex,
     }
 
     impl Fixture {
         fn figure4() -> Self {
+            // One file per fixture: tests run in parallel, and a file being
+            // rewritten must never be mapped.
+            static NEXT: AtomicUsize = AtomicUsize::new(0);
             let graph = figure4_graph();
-            let owned = QbsIndex::build(
+            let heap = QbsIndex::build(
                 graph.clone(),
                 QbsConfig::with_explicit_landmarks(vec![1, 2, 3]),
             );
-            let view = ViewStore::new(owned.as_view());
-            Fixture { graph, owned, view }
+            let dir = std::env::temp_dir().join("qbs_search_fixture");
+            std::fs::create_dir_all(&dir).expect("mkdir");
+            let path = dir.join(format!(
+                "fig4_{}_{}.qbs",
+                std::process::id(),
+                NEXT.fetch_add(1, Ordering::Relaxed)
+            ));
+            serialize::save_to_file(&heap, &path).expect("save");
+            let mapped = serialize::open_from_file(&path, MapMode::Mmap).expect("map");
+            Fixture {
+                graph,
+                heap,
+                mapped,
+            }
         }
 
-        fn query_store<S: IndexStore>(
-            store: &S,
-            u: VertexId,
-            v: VertexId,
-        ) -> (PathGraph, SearchStats) {
+        fn query_index(index: &QbsIndex, u: VertexId, v: VertexId) -> (PathGraph, SearchStats) {
             let mut src = Vec::new();
             let mut tgt = Vec::new();
-            store.fill_effective_label(u, &mut src);
-            store.fill_effective_label(v, &mut tgt);
-            let sk = sketch::compute(store, u, v, &src, &tgt);
-            guided_search(store, u, v, &sk)
+            index.fill_effective_label(u, &mut src);
+            index.fill_effective_label(v, &mut tgt);
+            let sk = sketch::compute(index, u, v, &src, &tgt);
+            guided_search(index, u, v, &sk)
         }
 
-        /// Queries both backends, asserts they agree, returns the answer.
+        /// Queries both buffers, asserts they agree, returns the answer.
         fn query(&self, u: VertexId, v: VertexId) -> (PathGraph, SearchStats) {
-            let from_owned = Self::query_store(&self.owned, u, v);
-            let from_view = Self::query_store(&self.view, u, v);
-            assert_eq!(
-                from_owned, from_view,
-                "store backends diverged on ({u},{v})"
-            );
-            from_owned
+            let from_heap = Self::query_index(&self.heap, u, v);
+            let from_mapping = Self::query_index(&self.mapped, u, v);
+            assert_eq!(from_heap, from_mapping, "buffers diverged on ({u},{v})");
+            from_heap
         }
 
         fn query_with(
@@ -629,10 +636,10 @@ mod tests {
         ) -> (PathGraph, SearchStats) {
             let mut src = Vec::new();
             let mut tgt = Vec::new();
-            self.owned.fill_effective_label(u, &mut src);
-            self.owned.fill_effective_label(v, &mut tgt);
-            let sk = sketch::compute(&self.owned, u, v, &src, &tgt);
-            guided_search_with(&self.owned, ws, u, v, &sk)
+            self.heap.fill_effective_label(u, &mut src);
+            self.heap.fill_effective_label(v, &mut tgt);
+            let sk = sketch::compute(&self.heap, u, v, &src, &tgt);
+            guided_search_with(&self.heap, ws, u, v, &sk)
         }
     }
 
@@ -698,16 +705,16 @@ mod tests {
                     continue;
                 }
                 let (full, _) = fx.query(u, v);
-                fx.owned.fill_effective_label(u, &mut src);
-                fx.owned.fill_effective_label(v, &mut tgt);
-                let bounds = sketch::compute_bounds(&fx.owned, &src, &tgt);
-                let (d, stats) = guided_distance_with(&fx.owned, &mut ws, u, v, &bounds);
+                fx.heap.fill_effective_label(u, &mut src);
+                fx.heap.fill_effective_label(v, &mut tgt);
+                let bounds = sketch::compute_bounds(&fx.heap, &src, &tgt);
+                let (d, stats) = guided_distance_with(&fx.heap, &mut ws, u, v, &bounds);
                 assert_eq!(d, full.distance(), "distance of ({u},{v})");
                 assert_eq!(stats.distance, d);
-                // The view-backed distance path agrees bit-for-bit.
-                let (dv, stats_v) = guided_distance_with(&fx.view, &mut ws, u, v, &bounds);
-                assert_eq!(dv, d, "view distance of ({u},{v})");
-                assert_eq!(stats_v, stats, "view stats of ({u},{v})");
+                // The mapped distance path agrees bit-for-bit.
+                let (dv, stats_v) = guided_distance_with(&fx.mapped, &mut ws, u, v, &bounds);
+                assert_eq!(dv, d, "mapped distance of ({u},{v})");
+                assert_eq!(stats_v, stats, "mapped stats of ({u},{v})");
             }
         }
     }

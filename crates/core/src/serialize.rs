@@ -7,10 +7,10 @@
 //! table, a dense fixed-width label matrix and a checksum, loaded by a
 //! single buffer read (or a file mapping) plus typed views.
 //!
-//! This module is the file-level front door: [`save_to_file`] writes it,
-//! [`load_from_file`] materialises an owned [`QbsIndex`] from it, and
-//! [`load_view_from_file`] / [`open_store_from_file`] open it for
-//! zero-copy serving under either [`MapMode`]. Corrupt inputs — including
+//! This module is the file-level front door: [`save_to_file`] writes the
+//! bytes a [`QbsIndex`] already holds, [`open_from_file`] opens a file as
+//! a [`QbsIndex`] under either [`MapMode`], and [`load_view_from_file`]
+//! opens it as a bare [`IndexView`]. Corrupt inputs — including
 //! files written by earlier builds in a retired layout, which get a
 //! "rebuild with `qbs build`" message — are always reported as
 //! [`crate::QbsError::Corrupt`], never a panic, and error messages embed at
@@ -20,39 +20,31 @@ use std::io::Read;
 use std::path::Path;
 
 use crate::format::{self, IndexView, ViewBuf};
-use crate::query::QbsIndex;
-use crate::store::ViewStore;
+use crate::store::QbsIndex;
 use crate::Result;
 
 /// Maximum number of payload bytes quoted inside a corruption error.
 pub const EXCERPT_LEN: usize = 32;
 
-/// Serialises the index to an index-file buffer ([`crate::format`]).
+/// The index-file bytes of an index (a copy of [`QbsIndex::bytes`]).
 pub fn to_bytes(index: &QbsIndex) -> Vec<u8> {
-    format::write(index)
+    index.bytes().to_vec()
 }
 
 /// Restores an index from a buffer produced by [`to_bytes`], with full
 /// validation.
 pub fn from_bytes(data: &[u8]) -> Result<QbsIndex> {
-    let view = IndexView::parse(ViewBuf::Heap(data.to_vec()))?;
-    Ok(QbsIndex::from_view(&view))
+    Ok(QbsIndex::from_view(IndexView::parse(ViewBuf::Heap(
+        data.to_vec(),
+    ))?))
 }
 
-/// Writes the index to a file, streamed section by section
-/// ([`format::write_to`]) rather than assembled in memory first.
+/// Writes the index file: the bytes the index already holds, in one write
+/// (whole-file writes leave the page cache in large folios, which a later
+/// mapping of the file faults in quickly).
 pub fn save_to_file<P: AsRef<Path>>(index: &QbsIndex, path: P) -> Result<()> {
-    format::write_to(index, std::fs::File::create(path)?)?;
+    std::fs::write(path, index.bytes())?;
     Ok(())
-}
-
-/// Reads an index file written by [`save_to_file`] and materialises the
-/// owned index from it ([`MapMode::Read`]: heap copy, full validation).
-pub fn load_from_file<P: AsRef<Path>>(path: P) -> Result<QbsIndex> {
-    Ok(QbsIndex::from_view(&load_view_from_file(
-        path,
-        MapMode::Read,
-    )?))
 }
 
 /// How [`load_view_from_file`] acquires (and vets) the index bytes.
@@ -92,12 +84,11 @@ impl std::fmt::Display for MapMode {
     }
 }
 
-/// Opens an index file as a zero-copy [`IndexView`] without materialising
-/// the runtime structures — the entry point for callers that only need
-/// section metadata or the raw label / adjacency accessors, and (wrapped in
-/// a [`ViewStore`]) for serving queries straight from the file. See
-/// [`MapMode`] for the buffer-acquisition and validation semantics of the
-/// two modes.
+/// Opens an index file as a zero-copy [`IndexView`] — the entry point for
+/// callers that only need section metadata or the raw label / adjacency
+/// accessors, and (wrapped in a [`QbsIndex`]) for serving queries straight
+/// from the file. See [`MapMode`] for the buffer-acquisition and validation
+/// semantics of the two modes.
 ///
 /// In [`MapMode::Read`] the magic is checked on the first
 /// [`format::HEADER_LEN`] bytes *before* the body is read, so an
@@ -120,11 +111,12 @@ pub fn load_view_from_file<P: AsRef<Path>>(path: P, mode: MapMode) -> Result<Ind
     }
 }
 
-/// Opens an index file as a ready-to-serve [`ViewStore`]:
-/// [`load_view_from_file`] plus the store wrapper. With [`MapMode::Mmap`]
-/// this is the whole cold-start path of a shard process — map, wrap, serve.
-pub fn open_store_from_file<P: AsRef<Path>>(path: P, mode: MapMode) -> Result<ViewStore> {
-    Ok(ViewStore::new(load_view_from_file(path, mode)?))
+/// Opens an index file as a ready-to-serve [`QbsIndex`]:
+/// [`load_view_from_file`] plus the landmark bitmap and the decoded
+/// meta-graph tables. With [`MapMode::Mmap`] this is the whole cold-start
+/// path of a shard process — map, wrap, serve.
+pub fn open_from_file<P: AsRef<Path>>(path: P, mode: MapMode) -> Result<QbsIndex> {
+    Ok(QbsIndex::from_view(load_view_from_file(path, mode)?))
 }
 
 /// The `qbs-index` version the file at `path` announces in its magic bytes
@@ -177,8 +169,8 @@ mod tests {
     fn roundtrip_preserves_answers_and_stats() {
         let original = index();
         let restored = from_bytes(&to_bytes(&original)).expect("deserialize");
+        assert_eq!(original.bytes(), restored.bytes());
         assert_eq!(original.landmarks(), restored.landmarks());
-        assert_eq!(original.labelling(), restored.labelling());
         assert_eq!(original.meta_graph(), restored.meta_graph());
         for (u, v) in [(6u32, 11u32), (4, 12), (7, 9), (13, 8)] {
             assert_eq!(original.query(u, v).unwrap(), restored.query(u, v).unwrap());
@@ -228,18 +220,21 @@ mod tests {
             index_version_of_file(&path).expect("sniff"),
             Some(format::FORMAT_VERSION)
         );
-        let restored = load_from_file(&path).expect("load");
+        assert_eq!(std::fs::read(&path).expect("read"), original.bytes());
+        let restored = open_from_file(&path, MapMode::Read).expect("open");
         assert_eq!(
             original.query(6, 11).unwrap(),
             restored.query(6, 11).unwrap()
         );
-        assert!(load_from_file(dir.join("missing.qbs")).is_err());
+        assert!(open_from_file(dir.join("missing.qbs"), MapMode::Read).is_err());
 
         // Unrecognised files are rejected from the header alone.
         let junk = dir.join("junk.qbs");
         std::fs::write(&junk, vec![0x42u8; 1 << 16]).expect("write junk");
         assert_eq!(index_version_of_file(&junk).expect("sniff"), None);
-        let err = load_from_file(&junk).unwrap_err().to_string();
+        let err = open_from_file(&junk, MapMode::Read)
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("not a qbs index file"), "{err}");
         assert!(err.len() < 400, "{err}");
     }
@@ -256,7 +251,7 @@ mod tests {
         assert_eq!(view.num_landmarks(), 3);
         assert_eq!(
             original.query(6, 11).unwrap(),
-            QbsIndex::from_view(&view).query(6, 11).unwrap()
+            QbsIndex::from_view(view).query(6, 11).unwrap()
         );
 
         // The mmap mode serves identical bytes with deferred validation.
@@ -265,13 +260,14 @@ mod tests {
         mapped.verify().expect("deferred verification passes");
         assert!(matches!(mapped.buf(), ViewBuf::Mmap(_)));
         assert_eq!(
-            QbsIndex::from_view(&mapped).query(6, 11).unwrap(),
+            QbsIndex::from_view(mapped).query(6, 11).unwrap(),
             original.query(6, 11).unwrap()
         );
 
-        // Serving stores open through the same dispatcher.
-        let store = open_store_from_file(&path, MapMode::Mmap).expect("store");
-        assert_eq!(store.view().num_landmarks(), 3);
+        // Serving indexes open through the same dispatcher.
+        let index = open_from_file(&path, MapMode::Mmap).expect("index");
+        assert!(matches!(index.view().buf(), ViewBuf::Mmap(_)));
+        assert_eq!(index.num_landmarks(), 3);
 
         assert_eq!(MapMode::Read.to_string(), "read");
         assert_eq!(MapMode::Mmap.to_string(), "mmap");

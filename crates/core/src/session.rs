@@ -1,15 +1,12 @@
-//! The [`Qbs`] session façade: one handle that hides the owned-vs-view
-//! backend choice.
+//! The [`Qbs`] session façade: one handle over one [`QbsIndex`].
 //!
-//! Production serving has two ways to get an index into memory — build it
-//! (or load + materialise it) as an owned [`QbsIndex`], or map an
-//! immutable index file and serve straight from the bytes through a
-//! [`ViewStore`]. Every query API in this crate is generic over
-//! that choice, but downstream code should not have to be: a [`Qbs`]
-//! session wraps either backend behind one type, carries the session's
-//! thread budget and optional [`AnswerCache`], and owns the long-lived
-//! query executor ([`crate::engine`]) whose workers keep their workspaces
-//! for life, so its steady state allocates nothing per query.
+//! There is one way an index lives in memory: its file layout
+//! ([`crate::store`]), in a heap buffer — laid out by [`Qbs::build`], or
+//! read by [`Qbs::open`] with [`MapMode::Read`] — or in a mapping of the
+//! file ([`MapMode::Mmap`]). A [`Qbs`] session owns that index, carries
+//! the session's thread budget and optional [`AnswerCache`], and owns the
+//! long-lived query executor ([`crate::engine`]) whose workers keep their
+//! workspaces for life, so its steady state allocates nothing per query.
 //!
 //! ```
 //! use qbs_core::request::QueryRequest;
@@ -27,9 +24,8 @@
 //! assert!(outcomes.iter().all(|o| o.is_ok()));
 //! ```
 //!
-//! [`Qbs::open`] serves an index file zero-copy through a view (with
-//! [`MapMode::Mmap`], open is `O(1)` in the index size); [`Qbs::load`]
-//! materialises the owned index from the same file. See `docs/api.md` for
+//! With [`MapMode::Mmap`], [`Qbs::open`] is `O(1)` in the index size;
+//! [`Qbs::load`] is `open` with [`MapMode::Read`]. See `docs/api.md` for
 //! the migration table from the pre-façade entry points.
 
 use std::fmt;
@@ -43,34 +39,13 @@ use crate::cache::{AnswerCache, CacheConfig, CacheStats};
 use crate::engine::{Engine, Executor};
 use crate::obs::{Metrics, MetricsSnapshot, StageNanos};
 use crate::plan::PlannerStats;
-use crate::query::{QbsConfig, QbsIndex, QueryAnswer};
+use crate::query::{QbsConfig, QueryAnswer};
 use crate::request::{QueryOutcome, QueryRequest};
 use crate::serialize::{self, MapMode};
 use crate::sketch::Sketch;
 use crate::stats::IndexStats;
-use crate::store::{IndexStore, ViewStore};
+use crate::store::QbsIndex;
 use crate::QbsError;
-
-/// The storage backend of a [`Qbs`] session.
-#[derive(Debug)]
-pub enum QbsBackend {
-    /// Heap-materialised index (built in process or loaded from a file).
-    /// Boxed: the owned index is an order of magnitude larger than the
-    /// view wrapper, and sessions move through builder methods.
-    Owned(Box<QbsIndex>),
-    /// Zero-copy view over an index-file buffer (heap or mmap).
-    View(ViewStore),
-}
-
-impl QbsBackend {
-    /// A short name for reports: `"owned"` or `"view"`.
-    pub fn name(&self) -> &'static str {
-        match self {
-            QbsBackend::Owned(_) => "owned",
-            QbsBackend::View(_) => "view",
-        }
-    }
-}
 
 /// A stable snapshot of a session's serving counters — the payload of the
 /// network protocol's `Stats` frame and of `qbs client --stats`, with a
@@ -84,8 +59,6 @@ pub struct EngineStats {
     pub num_landmarks: u64,
     /// Configured worker-thread budget.
     pub threads: u64,
-    /// Whether the session serves from a zero-copy view (vs owned index).
-    pub view_backed: bool,
     /// Typed requests executed (single and batched).
     pub requests: u64,
     /// [`Qbs::submit`] batches executed.
@@ -102,10 +75,8 @@ impl fmt::Display for EngineStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "backend:   {} ({} vertices, {} landmarks)",
-            if self.view_backed { "view" } else { "owned" },
-            self.num_vertices,
-            self.num_landmarks
+            "index:     {} vertices, {} landmarks",
+            self.num_vertices, self.num_landmarks
         )?;
         writeln!(f, "threads:   {}", self.threads)?;
         writeln!(
@@ -121,11 +92,8 @@ impl fmt::Display for EngineStats {
     }
 }
 
-/// A ready-to-serve QbS session over either storage backend.
-///
-/// Queries resolve the backend once per request, so the search's inner
-/// loops always run over the concrete monomorphised store. Dropping the
-/// session stops and joins its query workers.
+/// A ready-to-serve QbS session. Dropping it stops and joins its query
+/// workers.
 pub struct Qbs {
     pub(crate) exec: Executor,
     /// Serving counters behind [`Qbs::engine_stats`].
@@ -137,7 +105,8 @@ pub struct Qbs {
 impl fmt::Debug for Qbs {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Qbs")
-            .field("backend", self.backend())
+            .field("vertices", &self.num_vertices())
+            .field("landmarks", &self.num_landmarks())
             .field("threads", &self.threads())
             .field("cache", &self.cache())
             .finish_non_exhaustive()
@@ -145,48 +114,34 @@ impl fmt::Debug for Qbs {
 }
 
 impl Qbs {
-    fn from_backend(backend: QbsBackend) -> Self {
+    /// Builds an index over `graph` on the calling thread (spawning none)
+    /// and wraps it in a session.
+    pub fn build(graph: Graph, config: QbsConfig) -> crate::Result<Self> {
+        Ok(Self::from_index(QbsIndex::build(graph, config)))
+    }
+
+    /// Wraps an index — built, or opened with
+    /// [`crate::serialize::open_from_file`] — in a session.
+    pub fn from_index(index: QbsIndex) -> Self {
         let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
         Qbs {
-            exec: Executor::new(Engine::new(backend), threads),
+            exec: Executor::new(Engine::new(index), threads),
             requests: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             errors: AtomicU64::new(0),
         }
     }
 
-    /// Builds an owned index over `graph` on the calling thread (spawning
-    /// none) and wraps it in a session.
-    pub fn build(graph: Graph, config: QbsConfig) -> crate::Result<Self> {
-        Ok(Self::from_index(QbsIndex::build(graph, config)))
-    }
-
-    /// Wraps an already-built index in a session.
-    pub fn from_index(index: QbsIndex) -> Self {
-        Self::from_backend(QbsBackend::Owned(Box::new(index)))
-    }
-
-    /// Wraps an already-opened view store in a session (pair with
-    /// [`crate::serialize::open_store_from_file`], or a [`ViewStore`] over
-    /// an in-memory buffer).
-    pub fn from_view_store(store: ViewStore) -> Self {
-        Self::from_backend(QbsBackend::View(store))
-    }
-
-    /// Opens an index file for zero-copy serving through a [`ViewStore`].
-    /// With [`MapMode::Mmap`] this is the `O(1)` cold-start path — map,
-    /// wrap, serve.
+    /// Opens an index file for serving. With [`MapMode::Mmap`] this is the
+    /// `O(1)` cold-start path — map, wrap, serve; [`MapMode::Read`] copies
+    /// the file to the heap and validates it in full.
     pub fn open<P: AsRef<Path>>(path: P, mode: MapMode) -> crate::Result<Self> {
-        Ok(Self::from_view_store(serialize::open_store_from_file(
-            path, mode,
-        )?))
+        Ok(Self::from_index(serialize::open_from_file(path, mode)?))
     }
 
-    /// Opens an index file and materialises the owned index — the choice
-    /// for long-lived processes that prefer the owned arrays' per-query
-    /// speed over the view's `O(1)` start-up.
+    /// [`Qbs::open`] with [`MapMode::Read`].
     pub fn load<P: AsRef<Path>>(path: P) -> crate::Result<Self> {
-        Ok(Self::from_index(serialize::load_from_file(path)?))
+        Self::open(path, MapMode::Read)
     }
 
     /// Sets the session's thread budget: [`Qbs::submit`] frames run on the
@@ -210,44 +165,23 @@ impl Qbs {
         self
     }
 
-    /// The session's storage backend.
-    pub fn backend(&self) -> &QbsBackend {
-        &self.exec.engine.backend
-    }
-
-    /// The owned index, when this session serves one (`None` on a
-    /// view-backed session).
+    /// The served index. `Some` on every session.
     pub fn index(&self) -> Option<&QbsIndex> {
-        match self.backend() {
-            QbsBackend::Owned(index) => Some(index),
-            QbsBackend::View(_) => None,
-        }
-    }
-
-    /// The view store, when this session serves straight from an index
-    /// buffer (`None` on an owned session).
-    pub fn view_store(&self) -> Option<&ViewStore> {
-        match self.backend() {
-            QbsBackend::View(store) => Some(store),
-            QbsBackend::Owned(_) => None,
-        }
+        Some(&self.exec.engine.index)
     }
 
     /// Vertices in the served index.
     pub fn num_vertices(&self) -> usize {
-        self.exec.engine.num_vertices()
+        self.exec.engine.index.num_vertices()
     }
 
     /// Landmarks in the served index.
     pub fn num_landmarks(&self) -> usize {
-        match self.backend() {
-            QbsBackend::Owned(s) => s.num_landmarks(),
-            QbsBackend::View(s) => s.num_landmarks(),
-        }
+        self.exec.engine.index.num_landmarks()
     }
 
-    /// Size/timing statistics — owned sessions only (a view never
-    /// materialises the structures the report measures).
+    /// Size/timing statistics of the served index. `Some` on every
+    /// session; timings are zero on an opened file.
     pub fn stats(&self) -> Option<IndexStats> {
         self.index().map(QbsIndex::stats)
     }
@@ -274,7 +208,6 @@ impl Qbs {
             num_vertices: self.num_vertices() as u64,
             num_landmarks: self.num_landmarks() as u64,
             threads: self.threads() as u64,
-            view_backed: self.view_store().is_some(),
             requests: self.requests.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
@@ -309,7 +242,7 @@ impl Qbs {
     /// mix freely, requests with [`crate::request::QueryOptions::use_cache`]
     /// go through the attached cache, repeated requests are executed once
     /// ([`crate::plan`]), and the session's workers share the batch
-    /// ([`crate::engine`]). Outcomes are bit-identical across backends.
+    /// ([`crate::engine`]).
     pub fn submit(&self, requests: &[QueryRequest]) -> Vec<QueryOutcome> {
         self.submit_observed(requests).0
     }
@@ -339,7 +272,7 @@ impl Qbs {
     }
 
     /// Answers `SPG(source, target)` — the façade sibling of
-    /// [`QbsIndex::query`], served from either backend.
+    /// [`QbsIndex::query`].
     pub fn query(&self, source: VertexId, target: VertexId) -> crate::Result<PathGraph> {
         match self.execute(&QueryRequest::path_graph(source, target)) {
             QueryOutcome::PathGraph(pg) => Ok(*pg),
@@ -404,9 +337,7 @@ mod tests {
     #[test]
     fn facade_answers_match_the_index() {
         let qbs = session();
-        assert_eq!(qbs.backend().name(), "owned");
-        let index = qbs.index().expect("owned backend").clone();
-        assert!(qbs.view_store().is_none());
+        let index = qbs.index().expect("every session has an index").clone();
         assert_eq!(qbs.query(6, 11).unwrap(), index.query(6, 11).unwrap());
         assert_eq!(qbs.distance(6, 11).unwrap(), 5);
         assert_eq!(qbs.sketch(6, 11).unwrap(), index.sketch(6, 11).unwrap());
@@ -419,26 +350,39 @@ mod tests {
         assert!(qbs.distance(99, 0).is_err());
     }
 
+    /// `open` in either mode and `load` serve the bytes `build` laid out,
+    /// with the same answers and the same statistics.
     #[test]
-    fn open_serves_a_view_and_load_materialises() {
+    fn open_and_load_serve_the_file_the_build_wrote() {
         let dir = std::env::temp_dir().join("qbs_session_open_test");
         std::fs::create_dir_all(&dir).expect("mkdir");
-        let index = session().index().unwrap().clone();
+        let built = session();
+        let index = built.index().unwrap();
 
         let path = dir.join("fig4.qbs");
-        serialize::save_to_file(&index, &path).expect("save");
-        for mode in [MapMode::Read, MapMode::Mmap] {
-            let qbs = Qbs::open(&path, mode).expect("open");
-            assert_eq!(qbs.backend().name(), "view");
-            assert!(qbs.index().is_none() && qbs.view_store().is_some());
-            assert!(qbs.stats().is_none(), "views have no materialised stats");
-            assert!(qbs.engine_stats().view_backed);
+        serialize::save_to_file(index, &path).expect("save");
+        let opened = [
+            Qbs::open(&path, MapMode::Read).expect("read"),
+            Qbs::open(&path, MapMode::Mmap).expect("mmap"),
+            Qbs::load(&path).expect("load"),
+        ];
+        for (qbs, mapped) in opened.iter().zip([false, true, false]) {
+            let served = qbs.index().expect("every session has an index");
+            assert_eq!(served.bytes(), index.bytes());
+            assert_eq!(
+                matches!(served.view().buf(), crate::ViewBuf::Mmap(_)),
+                mapped
+            );
+            let stats = qbs.stats().expect("every session has stats");
+            assert_eq!(
+                stats.total_index_bytes(),
+                built.stats().unwrap().total_index_bytes()
+            );
+            assert_eq!(stats.total_build_time, std::time::Duration::ZERO);
             assert_eq!(qbs.query(6, 11).unwrap(), index.query(6, 11).unwrap());
             assert_eq!(qbs.sketch(6, 11).unwrap(), index.sketch(6, 11).unwrap());
+            assert_eq!(qbs.distance(6, 11).unwrap(), 5);
         }
-        let owned = Qbs::load(&path).expect("load materialised");
-        assert_eq!(owned.backend().name(), "owned");
-        assert_eq!(owned.distance(6, 11).unwrap(), 5);
 
         assert!(Qbs::open(dir.join("missing.qbs"), MapMode::Read).is_err());
     }
@@ -472,7 +416,6 @@ mod tests {
         let qbs = session().with_cache(CacheConfig::default().admit_above(0));
         let fresh = qbs.engine_stats();
         assert_eq!((fresh.requests, fresh.batches, fresh.errors), (0, 0, 0));
-        assert!(!fresh.view_backed);
         assert_eq!(fresh.num_vertices, 15);
         assert_eq!(fresh.num_landmarks, 3);
 
@@ -489,7 +432,7 @@ mod tests {
         assert!(stats.cache.is_some());
         let rendered = stats.to_string();
         assert!(rendered.contains("requests:  4"), "{rendered}");
-        assert!(rendered.contains("owned"), "{rendered}");
+        assert!(rendered.contains("15 vertices, 3 landmarks"), "{rendered}");
         let uncached = session().engine_stats().to_string();
         assert!(uncached.contains("none attached"), "{uncached}");
     }

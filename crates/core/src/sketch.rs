@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 
 use qbs_graph::{Distance, VertexId, INFINITE_DISTANCE};
 
-use crate::store::IndexStore;
+use crate::store::QbsIndex;
 
 /// One endpoint-side sketch edge: the query vertex hops to a landmark.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -107,11 +107,9 @@ impl Sketch {
 ///
 /// `source_label` and `target_label` are the effective labels of the two
 /// endpoints as `(landmark_idx, distance)` pairs — for a landmark endpoint
-/// the caller passes the synthetic label `[(its own column, 0)]`. The
-/// meta-graph is read through the [`IndexStore`] abstraction, so the same
-/// sketcher serves the owned index and a zero-copy index-file view.
-pub fn compute<S: IndexStore>(
-    store: &S,
+/// the caller passes the synthetic label `[(its own column, 0)]`.
+pub fn compute(
+    index: &QbsIndex,
     source: VertexId,
     target: VertexId,
     source_label: &[(usize, Distance)],
@@ -119,12 +117,13 @@ pub fn compute<S: IndexStore>(
 ) -> Sketch {
     // Pass 1: find d⊤ = min over label pairs of δ_ur + d_M(r, r') + δ_r'v,
     // memoising each pair's meta distance so pass 2 reads the scratch row
-    // instead of hitting the store a second time.
+    // instead of the APSP table a second time.
+    let meta = index.meta_graph();
     let mut upper_bound = INFINITE_DISTANCE;
     let mut meta_memo: Vec<Distance> = Vec::with_capacity(source_label.len() * target_label.len());
     for &(r, du) in source_label {
         for &(rp, dv) in target_label {
-            let dm = store.meta_distance(r, rp);
+            let dm = meta.distance(r, rp);
             meta_memo.push(dm);
             if dm == INFINITE_DISTANCE {
                 continue;
@@ -168,7 +167,7 @@ pub fn compute<S: IndexStore>(
                     distance: dv,
                 },
             );
-            store.for_each_shortest_meta_edge(r, rp, |edge| meta_edges.push(edge));
+            meta_edges.extend(meta.shortest_path_meta_edges(r, rp));
         }
     }
     meta_edges.sort_unstable();
@@ -224,15 +223,16 @@ impl SketchBounds {
 /// Agrees with [`compute`]: `compute_bounds(...).upper_bound ==
 /// compute(...).upper_bound` and likewise for the budgets (asserted by the
 /// unit tests below).
-pub fn compute_bounds<S: IndexStore>(
-    store: &S,
+pub fn compute_bounds(
+    index: &QbsIndex,
     source_label: &[(usize, Distance)],
     target_label: &[(usize, Distance)],
 ) -> SketchBounds {
+    let meta = index.meta_graph();
     let mut upper_bound = INFINITE_DISTANCE;
     for &(r, du) in source_label {
         for &(rp, dv) in target_label {
-            let dm = store.meta_distance(r, rp);
+            let dm = meta.distance(r, rp);
             if dm == INFINITE_DISTANCE {
                 continue;
             }
@@ -247,7 +247,7 @@ pub fn compute_bounds<S: IndexStore>(
     let mut max_tgt_hop = 0;
     for &(r, du) in source_label {
         for &(rp, dv) in target_label {
-            let dm = store.meta_distance(r, rp);
+            let dm = meta.distance(r, rp);
             if dm != INFINITE_DISTANCE && du + dm + dv == upper_bound {
                 max_src_hop = max_src_hop.max(du);
                 max_tgt_hop = max_tgt_hop.max(dv);
@@ -264,8 +264,8 @@ pub fn compute_bounds<S: IndexStore>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::{QbsConfig, QbsIndex};
-    use crate::store::ViewStore;
+    use crate::serialize::{self, MapMode};
+    use crate::QbsConfig;
     use qbs_graph::fixtures::{figure4_graph, figure4_landmarks};
     use qbs_graph::Graph;
 
@@ -279,7 +279,7 @@ mod tests {
     }
 
     fn label_of(index: &QbsIndex, v: VertexId) -> Vec<(usize, Distance)> {
-        index.labelling().entries(v).collect()
+        index.view().label_entries(v).collect()
     }
 
     #[test]
@@ -393,23 +393,30 @@ mod tests {
         );
     }
 
+    /// The index a build owns on the heap and a mapping of its saved file
+    /// sketch every pair identically.
     #[test]
     fn sketches_agree_between_owned_and_view_stores() {
         let (g, owned) = setup();
-        let view = ViewStore::new(owned.as_view());
+        let dir = std::env::temp_dir().join("qbs_sketch_mapped_test");
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("fig4.qbs");
+        serialize::save_to_file(&owned, &path).expect("save");
+        let mapped = serialize::open_from_file(&path, MapMode::Mmap).expect("map");
         for u in g.vertices() {
             for v in g.vertices() {
                 let lu = label_of(&owned, u);
                 let lv = label_of(&owned, v);
+                assert_eq!(lu, label_of(&mapped, u));
                 assert_eq!(
                     compute(&owned, u, v, &lu, &lv),
-                    compute(&view, u, v, &lu, &lv),
-                    "sketch of ({u},{v}) diverged between store backends"
+                    compute(&mapped, u, v, &lu, &lv),
+                    "sketch of ({u},{v}) diverged between heap and mapping"
                 );
                 assert_eq!(
                     compute_bounds(&owned, &lu, &lv),
-                    compute_bounds(&view, &lu, &lv),
-                    "bounds of ({u},{v}) diverged between store backends"
+                    compute_bounds(&mapped, &lu, &lv),
+                    "bounds of ({u},{v}) diverged between heap and mapping"
                 );
             }
         }

@@ -5,7 +5,10 @@ use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
-use crate::query::QbsIndex;
+use qbs_graph::VertexId;
+
+use crate::format::SectionKind;
+use crate::QbsIndex;
 
 /// Size and timing statistics of one built index.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -19,7 +22,8 @@ pub struct IndexStats {
     /// `size(L)` under the paper's accounting: `|R|` bytes per vertex
     /// (8 bits per landmark slot), §6.1/§6.4.2.
     pub labelling_paper_bytes: usize,
-    /// Actual in-memory bytes of the dense labelling matrix.
+    /// Resident bytes of the label rows: the index file's label section,
+    /// at its declared slot width.
     pub labelling_memory_bytes: usize,
     /// Number of non-empty label entries, `Σ_v |L(v)|`.
     pub labelling_entries: usize,
@@ -42,20 +46,28 @@ pub struct IndexStats {
 }
 
 impl IndexStats {
-    /// Collects the statistics from a built index.
+    /// Collects the statistics from an index's file sections (one scan of
+    /// the label rows counts the entries).
     pub fn from_index(index: &QbsIndex) -> Self {
+        let view = index.view();
         let timings = index.timings();
+        let (n, r) = (view.num_vertices(), view.num_landmarks());
+        let labels = view.section_bytes(SectionKind::Labels);
+        let labelling_entries = (0..n as VertexId)
+            .map(|v| view.label_entries(v).count())
+            .sum();
         IndexStats {
-            num_vertices: index.graph().num_vertices(),
-            num_edges: index.graph().num_edges(),
-            num_landmarks: index.landmarks().len(),
-            labelling_paper_bytes: index.labelling().paper_size_bytes(),
-            labelling_memory_bytes: index.labelling().memory_size_bytes(),
-            labelling_entries: index.labelling().total_entries(),
+            num_vertices: n,
+            num_edges: view.num_arcs() / 2,
+            num_landmarks: r,
+            labelling_paper_bytes: n * r,
+            labelling_memory_bytes: labels.len(),
+            labelling_entries,
             delta_bytes: index.meta_graph().delta_size_bytes(),
             meta_graph_bytes: index.meta_graph().meta_size_bytes(),
             meta_edges: index.meta_graph().edges().len(),
-            graph_bytes: index.graph().size_bytes(),
+            graph_bytes: view.section_bytes(SectionKind::GraphOffsets).len()
+                + view.section_bytes(SectionKind::GraphNeighbors).len(),
             labelling_time: timings.labelling,
             meta_time: timings.meta_graph,
             total_build_time: timings.total,
@@ -96,7 +108,7 @@ mod tests {
         assert_eq!(s.num_edges, 19);
         assert_eq!(s.num_landmarks, 3);
         assert_eq!(s.labelling_paper_bytes, 45);
-        assert_eq!(s.labelling_memory_bytes, 90);
+        assert_eq!(s.labelling_memory_bytes, 45, "one byte per slot");
         assert_eq!(s.labelling_entries, 18);
         assert_eq!(s.meta_edges, 3);
         assert_eq!(s.delta_bytes, 4 * 8);

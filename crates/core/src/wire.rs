@@ -651,14 +651,13 @@ impl Wire for CacheStats {
 }
 
 impl Wire for EngineStats {
-    // seven u64 counters + backend bool + cache presence byte.
-    const MIN_ENCODED_LEN: usize = 58;
+    // seven u64 counters + cache presence byte.
+    const MIN_ENCODED_LEN: usize = 57;
 
     fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.num_vertices.to_le_bytes());
         out.extend_from_slice(&self.num_landmarks.to_le_bytes());
         out.extend_from_slice(&self.threads.to_le_bytes());
-        out.push(self.view_backed as u8);
         out.extend_from_slice(&self.requests.to_le_bytes());
         out.extend_from_slice(&self.batches.to_le_bytes());
         out.extend_from_slice(&self.errors.to_le_bytes());
@@ -671,7 +670,6 @@ impl Wire for EngineStats {
             num_vertices: r.u64("engine vertices")?,
             num_landmarks: r.u64("engine landmarks")?,
             threads: r.u64("engine threads")?,
-            view_backed: r.bool("engine backend")?,
             requests: r.u64("engine requests")?,
             batches: r.u64("engine batches")?,
             errors: r.u64("engine errors")?,
@@ -921,9 +919,9 @@ impl Wire for RequestId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::{QbsConfig, QbsIndex};
     use crate::request::execute_on;
     use crate::workspace::QueryWorkspace;
+    use crate::{QbsConfig, QbsIndex};
     use qbs_graph::fixtures::figure4_graph;
 
     fn index() -> QbsIndex {
@@ -988,7 +986,6 @@ mod tests {
             num_vertices: 15,
             num_landmarks: 3,
             threads: 4,
-            view_backed: true,
             requests: 100,
             batches: 7,
             errors: 1,
@@ -1012,7 +1009,7 @@ mod tests {
         // after `dedup_hits`. A payload of that length must fail typed,
         // whatever the dropped counters held (their first byte lands on
         // the cache presence flag: absent, present, invalid).
-        const PLANNER_END: usize = 3 * 8 + 1 + 4 * 8;
+        const PLANNER_END: usize = 3 * 8 + 4 * 8;
         for stats in [engine, uncached] {
             for first_dropped in [0u64, 1, 34] {
                 let mut old = to_bytes(&stats);
@@ -1022,6 +1019,27 @@ mod tests {
                     from_bytes::<EngineStats>(&old).is_err(),
                     "old-length payload ({first_dropped}) mis-parsed"
                 );
+            }
+        }
+
+        // The layout before every session served its file layout carried a
+        // backend byte after `threads`. A payload of that length fails
+        // typed, whatever the byte and the counters behind it held.
+        const BACKEND_AT: usize = 3 * 8;
+        for stats in [engine, uncached, EngineStats::default()] {
+            for backend in [0u8, 1] {
+                for dedup_hits in [0u64, 1 << 56, 2 << 56] {
+                    let stats = EngineStats {
+                        planner: crate::plan::PlannerStats { dedup_hits },
+                        ..stats
+                    };
+                    let mut old = to_bytes(&stats);
+                    old.insert(BACKEND_AT, backend);
+                    assert!(
+                        from_bytes::<EngineStats>(&old).is_err(),
+                        "old-length payload (backend {backend}, {dedup_hits}) mis-parsed"
+                    );
+                }
             }
         }
     }

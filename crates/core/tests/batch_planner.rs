@@ -1,19 +1,20 @@
 //! Differential coverage of the batch path: for every generator family
 //! (shuffled-uniform, duplicated, source-clustered), `submit(batch)` must
 //! be **bit-identical** to running the same requests one at a time on a
-//! fresh workspace — on the owned index and an mmap-backed `ViewStore`,
-//! with the answer cache cold and warm, and with many callers sharing one
-//! session's workers.
+//! fresh workspace — on the heap buffer of a build and on a mapping of its
+//! saved file, with the answer cache cold and warm, and with many callers
+//! sharing one session's workers — and every answer must match the BFS
+//! ground truth.
 
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
-use qbs_core::request::{QueryOutcome, QueryRequest};
+use qbs_baselines::{GroundTruth, SpgEngine};
+use qbs_core::request::{QueryMode, QueryOutcome, QueryRequest};
 use qbs_core::serialize::{self, MapMode};
-use qbs_core::store::IndexStore;
-use qbs_core::{CacheConfig, Qbs, QbsConfig, QbsIndex, QueryWorkspace, Stage};
+use qbs_core::{CacheConfig, Qbs, QbsConfig, QbsIndex, QueryWorkspace, Stage, ViewBuf};
 use qbs_gen::prelude::*;
 use qbs_graph::{Graph, VertexId};
 
@@ -101,12 +102,50 @@ fn family_batch(family: u64, graph: &Graph, count: usize, seed: u64) -> Vec<Quer
 }
 
 /// One-at-a-time reference: a fresh engine-free execution per request.
-fn one_at_a_time<S: IndexStore>(store: &S, requests: &[QueryRequest]) -> Vec<QueryOutcome> {
+fn one_at_a_time(index: &QbsIndex, requests: &[QueryRequest]) -> Vec<QueryOutcome> {
     let mut ws = QueryWorkspace::new();
     requests
         .iter()
-        .map(|req| qbs_core::execute_on(store, &mut ws, req))
+        .map(|req| qbs_core::execute_on(index, &mut ws, req))
         .collect()
+}
+
+/// Every distance and path-graph outcome equals the BFS ground truth, and
+/// exactly the out-of-range requests fail.
+fn assert_matches_ground_truth(
+    graph: &Graph,
+    requests: &[QueryRequest],
+    outcomes: &[QueryOutcome],
+) {
+    let truth = GroundTruth::new(graph.clone());
+    let n = graph.num_vertices() as VertexId;
+    for (req, outcome) in requests.iter().zip(outcomes) {
+        if req.source >= n || req.target >= n {
+            assert!(outcome.is_error(), "{req:?} is out of range");
+            continue;
+        }
+        let expected = truth.query(req.source, req.target);
+        match req.mode {
+            QueryMode::Distance => {
+                assert_eq!(outcome.distance(), Some(expected.distance()), "{req:?}")
+            }
+            QueryMode::PathGraph => assert_eq!(outcome.path_graph(), Some(&expected), "{req:?}"),
+            QueryMode::Sketch => assert!(outcome.sketch().is_some(), "{req:?}"),
+        }
+    }
+}
+
+/// Where a session's index lives.
+fn buffer_name(qbs: &Qbs) -> &'static str {
+    match qbs
+        .index()
+        .expect("every session has an index")
+        .view()
+        .buf()
+    {
+        ViewBuf::Heap(_) => "heap",
+        ViewBuf::Mmap(_) => "mmap",
+    }
 }
 
 /// A fresh session over `session()` with the given thread budget.
@@ -158,10 +197,10 @@ proptest! {
         let owned = QbsIndex::build(graph.clone(), QbsConfig::with_landmark_count(landmarks));
         let requests = family_batch(family, &graph, 48, seed ^ 0xF00D);
 
-        // Owned backend.
-        assert_submit_transparent(|| Qbs::from_index(owned.clone()), &requests, "owned");
+        // The build's heap buffer.
+        assert_submit_transparent(|| Qbs::from_index(owned.clone()), &requests, "heap");
 
-        // Mmap view backend.
+        // A mapping of the saved file.
         let dir = std::env::temp_dir().join(format!(
             "qbs_batch_planner_{}_{}",
             std::process::id(),
@@ -171,11 +210,13 @@ proptest! {
         let path = dir.join(format!("case_{family}_{vertices}_{landmarks}_{seed}.qbs"));
         serialize::save_to_file(&owned, &path).expect("save");
         let view = || Qbs::open(&path, MapMode::Mmap).expect("map");
-        assert_submit_transparent(view, &requests, "view");
+        assert_submit_transparent(view, &requests, "mmap");
 
-        // The two backends agree with each other, too.
+        // The two buffers agree with each other and with the BFS ground
+        // truth.
         let owned_outcomes = on_threads(&|| Qbs::from_index(owned.clone()), 2).submit(&requests);
         prop_assert_eq!(&owned_outcomes, &on_threads(&view, 2).submit(&requests));
+        assert_matches_ground_truth(&graph, &requests, &owned_outcomes);
 
         std::fs::remove_file(&path).ok();
         std::fs::remove_dir(&dir).ok();
@@ -294,8 +335,8 @@ fn cached_single_thread(owned: QbsIndex) -> Qbs {
 
 /// Eight callers share one two-thread session, each submitting 50 mixed
 /// frames (poisoned pairs included) in a different order: every slot
-/// matches a one-at-a-time `execute`, on the owned and the mmap-view
-/// backend, and every caller finishes inside a fixed deadline.
+/// matches a one-at-a-time `execute`, on the build's heap buffer and on a
+/// mapping of its file, and every caller finishes inside a fixed deadline.
 #[test]
 fn concurrent_submitters_share_the_workers_bit_identically() {
     const CALLERS: usize = 8;
@@ -336,7 +377,7 @@ fn concurrent_submitters_share_the_workers_bit_identically() {
                             qbs.submit(&frames[i]),
                             expected[i],
                             "{}: caller {caller}, frame {i}",
-                            qbs.backend().name()
+                            buffer_name(&qbs)
                         );
                     }
                     done.send(caller).expect("test alive");

@@ -2,13 +2,15 @@
 //! `dist_width` boundary, header and geometry guards, corruption sweeps,
 //! the retired-layout refusal through every door, a generator-family
 //! identity property, and the differential guarantee that queries answered
-//! through a loaded view are bit-identical to the freshly built index.
+//! through a reopened file are bit-identical to the freshly built index and
+//! to the BFS ground truth.
 
 use proptest::prelude::*;
 
+use qbs_baselines::{GroundTruth, SpgEngine};
 use qbs_core::format::{checksum64, SectionKind, HEADER_LEN};
 use qbs_core::serialize::{self, MapMode, EXCERPT_LEN};
-use qbs_core::{IndexView, Qbs, QbsConfig, QbsError, QbsIndex, QueryRequest, ViewBuf, ViewStore};
+use qbs_core::{IndexView, Qbs, QbsConfig, QbsError, QbsIndex, QueryRequest, ViewBuf};
 use qbs_gen::prelude::*;
 use qbs_graph::fixtures::figure4_graph;
 use qbs_graph::{Graph, GraphBuilder};
@@ -56,7 +58,7 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 #[ignore = "writes the golden fixture; run explicitly after a format change"]
 fn regenerate_golden_fixture() {
     std::fs::create_dir_all(fixture_path().parent().unwrap()).expect("mkdir");
-    std::fs::write(fixture_path(), figure4_index().to_bytes()).expect("write fixture");
+    std::fs::write(fixture_path(), figure4_index().bytes()).expect("write fixture");
 }
 
 #[test]
@@ -64,7 +66,7 @@ fn golden_fixture_is_byte_exact() {
     let expected = std::fs::read(fixture_path())
         .expect("golden fixture missing; run the ignored regenerate_golden_fixture test");
     assert_eq!(
-        figure4_index().to_bytes(),
+        figure4_index().bytes(),
         expected,
         "the writer no longer reproduces the checked-in fixture byte-for-byte; if the \
          format change is intentional, regenerate the fixture and update \
@@ -74,10 +76,10 @@ fn golden_fixture_is_byte_exact() {
 
 #[test]
 fn golden_fixture_loads_and_answers_figure4_queries() {
-    let restored = serialize::load_from_file(fixture_path()).expect("load fixture");
+    let restored = serialize::open_from_file(fixture_path(), MapMode::Read).expect("load fixture");
     let fresh = figure4_index();
     assert_eq!(restored.landmarks(), &[1, 2, 3]);
-    assert_eq!(restored.labelling(), fresh.labelling());
+    assert_eq!(restored.bytes(), fresh.bytes());
     assert_eq!(restored.meta_graph(), fresh.meta_graph());
     // Figure 6(f): SPG(6, 11) has distance 5 and 13 edges.
     let answer = restored.query(6, 11).unwrap();
@@ -92,7 +94,7 @@ fn golden_fixture_loads_and_answers_figure4_queries() {
 
 /// The writer picks the slot width from the measured maximum label
 /// distance — 254 is the last value that leaves 0xFF free for "no entry" —
-/// and every width answers bit-identically to the owned index through
+/// and every width answers bit-identically to the built index through
 /// `MapMode::Read`, `MapMode::Mmap` and `Qbs::load`.
 #[test]
 fn dist_width_follows_the_largest_label_distance() {
@@ -101,17 +103,24 @@ fn dist_width_follows_the_largest_label_distance() {
         let n = max_distance + 1;
         let owned = QbsIndex::build(path_graph(n), QbsConfig::with_explicit_landmarks(vec![0]));
         assert_eq!(
-            owned.labelling().get(n as u32 - 1, 0),
+            owned.label_distance(n as u32 - 1, 0),
             Some(max_distance as u32),
             "the far end of the path carries the largest label"
         );
-        let view = owned.as_view();
+        let view = owned.view();
         assert_eq!(view.dist_width(), expected_width, "max {max_distance}");
         assert_eq!(
             view.section_bytes(SectionKind::Labels).len(),
             n * expected_width
         );
-        assert_eq!(QbsIndex::from_view(&view).labelling(), owned.labelling());
+        assert_eq!(
+            owned.label_distance(0, 0),
+            None,
+            "the landmark has no label"
+        );
+        for v in 1..n as u32 {
+            assert_eq!(owned.label_distance(v, 0), Some(v), "label of {v}");
+        }
 
         let path = dir.join(format!("path{max_distance}.qbs"));
         serialize::save_to_file(&owned, &path).expect("save");
@@ -131,12 +140,11 @@ fn dist_width_follows_the_largest_label_distance() {
             .collect();
         let reference = Qbs::from_index(owned).submit(&requests);
         assert_eq!(reference[1].distance(), Some(max_distance as u32));
-        for qbs in [&read, &mapped, &loaded] {
+        for (qbs, how) in [(&read, "read"), (&mapped, "mmap"), (&loaded, "load")] {
             assert_eq!(
                 qbs.submit(&requests),
                 reference,
-                "max {max_distance} via {}",
-                qbs.backend().name()
+                "max {max_distance} via {how}"
             );
         }
     }
@@ -258,12 +266,13 @@ fn retired_layouts_and_garbage_are_refused_through_every_door() {
             serialize::index_version_of_file(&path).expect("sniff"),
             version
         );
-        let doors: [(&str, Result<(), QbsError>); 5] = [
+        let doors: [(&str, Result<(), QbsError>); 6] = [
             ("from_bytes", serialize::from_bytes(&bytes).map(|_| ())),
             (
-                "load_from_file",
-                serialize::load_from_file(&path).map(|_| ()),
+                "open_from_file(Read)",
+                serialize::open_from_file(&path, MapMode::Read).map(|_| ()),
             ),
+            ("Qbs::load", Qbs::load(&path).map(|_| ())),
             (
                 "load_view_from_file(Read)",
                 serialize::load_view_from_file(&path, MapMode::Read).map(|_| ()),
@@ -328,8 +337,8 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
     // The writer/reader pair is an identity on every generator family and
-    // both slot widths: decode(encode(index)) reproduces all components,
-    // and re-encoding the decoded index reproduces the exact bytes.
+    // both slot widths: decoding the bytes reproduces the graph and every
+    // index component, and the decoded index holds the exact bytes.
     #[test]
     fn to_bytes_from_bytes_is_identity(
         family in 0u64..5,
@@ -338,20 +347,22 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let graph = family_graph(family, vertices, seed);
-        let index = QbsIndex::build(graph, QbsConfig::with_landmark_count(landmarks));
-        let bytes = index.to_bytes();
+        let index = QbsIndex::build(graph.clone(), QbsConfig::with_landmark_count(landmarks));
+        let bytes = serialize::to_bytes(&index);
         let restored = serialize::from_bytes(&bytes).expect("deserialize");
         prop_assert_eq!(index.landmarks(), restored.landmarks());
-        prop_assert_eq!(index.labelling(), restored.labelling());
         prop_assert_eq!(index.meta_graph(), restored.meta_graph());
-        prop_assert_eq!(index.graph(), restored.graph());
-        prop_assert_eq!(bytes, restored.to_bytes(), "encode ∘ decode ∘ encode is not stable");
+        for v in graph.vertices() {
+            prop_assert_eq!(restored.neighbors(v).collect::<Vec<_>>(), graph.neighbors(v));
+        }
+        prop_assert_eq!(&bytes[..], restored.bytes(), "decode ∘ encode is not the identity");
     }
 }
 
-/// The acceptance-criterion differential: every query answered through a
-/// view-loaded index is bit-identical to the freshly built index, across
-/// single queries, distance queries, and the batch engine.
+/// The acceptance-criterion differential: every query answered through an
+/// index reopened from its bytes is bit-identical to the freshly built
+/// index, and every path graph is the BFS ground truth, across single
+/// queries, distance queries, and the batch engine.
 #[test]
 fn queries_through_from_view_are_bit_identical() {
     let graph = barabasi_albert::generate(&BarabasiAlbertConfig {
@@ -360,22 +371,21 @@ fn queries_through_from_view_are_bit_identical() {
         seed: 99,
     });
     let pairs = QueryWorkload::sample(&graph, 300, 17).pairs().to_vec();
-    let built = QbsIndex::build(graph, QbsConfig::with_landmark_count(12));
+    let built = QbsIndex::build(graph.clone(), QbsConfig::with_landmark_count(12));
 
-    let view = built.as_view();
-    let loaded = QbsIndex::from_view(&view);
-
+    let view = IndexView::parse(ViewBuf::Heap(built.bytes().to_vec())).expect("parse");
+    let loaded = QbsIndex::from_view(view);
     assert_eq!(built.landmarks(), loaded.landmarks());
-    assert_eq!(built.labelling(), loaded.labelling());
     assert_eq!(built.meta_graph(), loaded.meta_graph());
-    assert_eq!(built.graph(), loaded.graph());
 
+    let truth = GroundTruth::new(graph);
     for &(u, v) in &pairs {
         let a = built.query_with_stats(u, v).expect("built query");
         let b = loaded.query_with_stats(u, v).expect("loaded query");
         assert_eq!(a.path_graph, b.path_graph, "SPG({u}, {v}) diverged");
         assert_eq!(a.sketch, b.sketch, "sketch({u}, {v}) diverged");
         assert_eq!(a.stats, b.stats, "search stats({u}, {v}) diverged");
+        assert_eq!(a.path_graph, truth.query(u, v), "SPG({u}, {v}) is wrong");
         assert_eq!(
             built.distance(u, v).expect("built distance"),
             loaded.distance(u, v).expect("loaded distance"),
@@ -383,58 +393,53 @@ fn queries_through_from_view_are_bit_identical() {
         );
     }
 
-    // Batches see the same answers on the built index, the loaded one,
-    // and the view itself served without materialisation.
+    // Batches see the same answers on the built index and the loaded one.
     let requests: Vec<QueryRequest> = pairs
         .iter()
         .map(|&(u, v)| QueryRequest::path_graph(u, v))
         .collect();
     let submit = |qbs: Qbs| qbs.with_threads(2).expect("threads").submit(&requests);
-    let batch = submit(Qbs::from_index(built));
-    assert_eq!(batch, submit(Qbs::from_index(loaded)));
-    assert_eq!(batch, submit(Qbs::from_view_store(ViewStore::new(view))));
+    assert_eq!(
+        submit(Qbs::from_index(built)),
+        submit(Qbs::from_index(loaded))
+    );
 }
 
-/// Zero-copy view accessors agree with the materialised structures on a
-/// non-trivial generated graph.
+/// Zero-copy view accessors agree with the graph the index was built from
+/// and with Algorithm 2's labelling, on a non-trivial generated graph.
 #[test]
-fn view_accessors_match_materialised_index() {
+fn view_accessors_match_the_graph_and_the_labelling() {
     let graph = erdos_renyi::generate(&ErdosRenyiConfig {
         vertices: 500,
         edges: 1_000,
         seed: 5,
     });
-    let index = QbsIndex::build(graph, QbsConfig::with_landmark_count(8));
-    let view = index.as_view();
-    assert_eq!(view.num_vertices(), index.graph().num_vertices());
-    assert_eq!(view.num_landmarks(), index.landmarks().len());
-    assert_eq!(
-        view.landmarks().collect::<Vec<_>>(),
-        index.landmarks().to_vec()
-    );
-    for v in index.graph().vertices() {
+    let index = QbsIndex::build(graph.clone(), QbsConfig::with_landmark_count(8));
+    let scheme = qbs_core::labelling::build_sequential(&graph, index.landmarks());
+    let view = index.view();
+    assert_eq!(view.num_vertices(), graph.num_vertices());
+    assert_eq!(view.num_landmarks(), 8);
+    assert_eq!(view.landmarks().collect::<Vec<_>>(), scheme.landmarks);
+    for v in graph.vertices() {
         assert_eq!(
             view.graph_neighbors(v).collect::<Vec<_>>(),
-            index.graph().neighbors(v),
+            graph.neighbors(v),
             "adjacency of {v}"
         );
         assert_eq!(
             view.label_entries(v).collect::<Vec<_>>(),
-            index.labelling().entries(v).collect::<Vec<_>>(),
+            scheme.labelling.entries(v).collect::<Vec<_>>(),
             "labels of {v}"
         );
-        for idx in 0..index.landmarks().len() {
+        for idx in 0..8 {
             assert_eq!(
                 view.label_distance(v, idx),
-                index.labelling().get(v, idx),
+                scheme.labelling.get(v, idx),
                 "label ({v}, {idx})"
             );
         }
     }
-    assert_eq!(
-        view.meta_edges().collect::<Vec<_>>(),
-        index.meta_graph().edges().to_vec()
-    );
+    assert_eq!(view.meta_edges().collect::<Vec<_>>(), scheme.meta_edges);
     assert_eq!(
         view.num_delta_edges(),
         index.meta_graph().delta_total_edges()

@@ -1,15 +1,16 @@
 //! Differential coverage of the typed request pipeline: heterogeneous
 //! `submit` batches (distance / path-graph / sketch modes mixed, including
 //! poisoned out-of-range pairs) must return **per-request** outcomes that
-//! are bit-identical between the owned index and an mmap-backed view
-//! store, and cache hits must be bit-identical to fresh answers — the
-//! `viewserve`-style harness applied to the request pipeline.
+//! are bit-identical between the heap buffer of a build and a mapping of
+//! its saved file, must match the BFS ground truth, and cache hits must be
+//! bit-identical to fresh answers.
 
 use proptest::prelude::*;
 
+use qbs_baselines::{GroundTruth, SpgEngine};
 use qbs_core::request::{QueryMode, QueryOutcome, QueryRequest};
 use qbs_core::serialize::{self, MapMode};
-use qbs_core::{CacheConfig, Qbs, QbsConfig, QbsIndex, ViewStore};
+use qbs_core::{CacheConfig, Qbs, QbsConfig, QbsIndex, ViewBuf};
 use qbs_gen::prelude::*;
 use qbs_graph::{Graph, VertexId};
 
@@ -39,15 +40,21 @@ fn two_threads(owned: &QbsIndex) -> Qbs {
         .expect("threads")
 }
 
-/// Runs the same mixed batch through both backends and checks per-slot
-/// semantics: the poisoned slot (and only it) errors, every mode-specific
-/// outcome matches the legacy single-query entry point, and the two
-/// backends agree bit-for-bit.
-fn assert_mixed_batch_identical(owned: &QbsIndex, view: &Qbs, pairs: &[(VertexId, VertexId)]) {
-    let requests = mixed_requests(pairs, owned.graph().num_vertices());
+/// Runs the same mixed batch through both buffers and checks per-slot
+/// semantics: the poisoned slot (and only it) errors, every distance and
+/// path graph matches the BFS ground truth, every sketch matches the
+/// single-query entry point, and the two buffers agree bit-for-bit.
+fn assert_mixed_batch_identical(
+    graph: &Graph,
+    owned: &QbsIndex,
+    view: &Qbs,
+    pairs: &[(VertexId, VertexId)],
+) {
+    let requests = mixed_requests(pairs, owned.num_vertices());
     let owned_outcomes = two_threads(owned).submit(&requests);
     let view_outcomes = view.submit(&requests);
     assert_eq!(owned_outcomes.len(), requests.len());
+    let truth = GroundTruth::new(graph.clone());
 
     for (slot, ((req, a), b)) in requests
         .iter()
@@ -55,26 +62,25 @@ fn assert_mixed_batch_identical(owned: &QbsIndex, view: &Qbs, pairs: &[(VertexId
         .zip(&view_outcomes)
         .enumerate()
     {
-        assert_eq!(a, b, "slot {slot} diverged across backends");
-        let poisoned = (req.source as usize) >= owned.graph().num_vertices()
-            || (req.target as usize) >= owned.graph().num_vertices();
+        assert_eq!(a, b, "slot {slot} diverged between heap and mapping");
+        let poisoned = (req.source as usize) >= owned.num_vertices()
+            || (req.target as usize) >= owned.num_vertices();
         if poisoned {
             assert!(a.is_error(), "slot {slot} should be the error slot");
             continue;
         }
+        let expected = truth.query(req.source, req.target);
         match req.mode {
-            QueryMode::Distance => assert_eq!(
-                a.distance(),
-                Some(owned.distance(req.source, req.target).expect("in range")),
-                "slot {slot}"
-            ),
+            QueryMode::Distance => {
+                assert_eq!(a.distance(), Some(expected.distance()), "slot {slot}")
+            }
             QueryMode::PathGraph => {
-                let expected = owned
-                    .query_with_stats(req.source, req.target)
-                    .expect("in range");
-                assert_eq!(a.path_graph(), Some(&expected.path_graph), "slot {slot}");
+                assert_eq!(a.path_graph(), Some(&expected), "slot {slot}");
                 if req.opts.collect_stats {
-                    assert_eq!(a.answer(), Some(&expected), "slot {slot} stats");
+                    let answer = owned
+                        .query_with_stats(req.source, req.target)
+                        .expect("in range");
+                    assert_eq!(a.answer(), Some(&answer), "slot {slot} stats");
                 } else {
                     assert!(a.answer().is_none(), "slot {slot} has no stats");
                 }
@@ -103,7 +109,7 @@ fn mixed_submit_is_bit_identical_between_owned_and_mmap_backends() {
         seed: 4_2026,
     });
     let pairs = QueryWorkload::sample(&graph, 128, 11).pairs().to_vec();
-    let owned = QbsIndex::build(graph, QbsConfig::with_landmark_count(10));
+    let owned = QbsIndex::build(graph.clone(), QbsConfig::with_landmark_count(10));
 
     let dir = std::env::temp_dir().join("qbs_request_pipeline_test");
     std::fs::create_dir_all(&dir).expect("mkdir");
@@ -114,12 +120,12 @@ fn mixed_submit_is_bit_identical_between_owned_and_mmap_backends() {
         .with_threads(2)
         .expect("threads");
 
-    assert_mixed_batch_identical(&owned, &view, &pairs);
+    assert_mixed_batch_identical(&graph, &owned, &view, &pairs);
 }
 
 /// Regression: a poisoned pair mid-batch produces an error outcome for
-/// that slot only, on both backends — where the legacy wrapper aborts the
-/// whole batch.
+/// that slot only, on the heap buffer and on a mapping — where the legacy
+/// wrapper aborts the whole batch.
 #[test]
 fn poisoned_pair_fails_its_slot_only_on_both_backends() {
     let owned = QbsIndex::build(
@@ -141,7 +147,12 @@ fn poisoned_pair_fails_its_slot_only_on_both_backends() {
         assert!(outcomes[2].is_error());
         assert_eq!(outcomes.iter().filter(|o| o.is_error()).count(), 1);
     }
-    let view = Qbs::from_view_store(ViewStore::new(owned.as_view()))
+    let dir = std::env::temp_dir().join("qbs_request_pipeline_poison");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let path = dir.join("fig4.qbs");
+    serialize::save_to_file(&owned, &path).expect("save");
+    let view = Qbs::open(&path, MapMode::Mmap)
+        .expect("map")
         .with_threads(2)
         .expect("threads");
     let owned = two_threads(&owned);
@@ -173,15 +184,18 @@ fn facade_sessions_agree_with_raw_engines() {
     let dir = std::env::temp_dir().join("qbs_request_pipeline_facade");
     std::fs::create_dir_all(&dir).expect("mkdir");
     let path = dir.join("ba1500.qbs");
-    serialize::save_to_file(built.index().expect("owned"), &path).expect("save");
+    serialize::save_to_file(built.index().expect("index"), &path).expect("save");
     let opened = Qbs::open(&path, MapMode::Mmap).expect("open");
-    assert_eq!(opened.backend().name(), "view");
+    assert!(matches!(
+        opened.index().expect("index").view().buf(),
+        ViewBuf::Mmap(_)
+    ));
 
     let requests = mixed_requests(&pairs, graph.num_vertices());
     let mut ws = qbs_core::QueryWorkspace::new();
     let raw: Vec<QueryOutcome> = requests
         .iter()
-        .map(|r| qbs_core::execute_on(built.index().expect("owned"), &mut ws, r))
+        .map(|r| qbs_core::execute_on(built.index().expect("index"), &mut ws, r))
         .collect();
     assert_eq!(built.submit(&requests), raw);
     assert_eq!(opened.submit(&requests), raw);
@@ -225,7 +239,7 @@ fn family_graph(family: u64, vertices: usize, seed: u64) -> Graph {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    // On both backends, a Distance outcome always equals the eccentric
+    // On the heap and the mapping, a Distance outcome always equals the eccentric
     // distance of the PathGraph outcome for the same pair, and cache hits
     // are bit-identical to fresh answers.
     #[test]
@@ -272,7 +286,7 @@ proptest! {
         }
 
         // Second pass: every answer now comes from the cache (same keys),
-        // and must be bit-identical to the first pass on both backends.
+        // and must be bit-identical to the first pass on both buffers.
         let owned_hits_before = owned_session.cache_stats().expect("cache").hits;
         prop_assert_eq!(owned_session.submit(&distance_reqs), owned_distances);
         prop_assert_eq!(owned_session.submit(&path_reqs), owned_paths);

@@ -1,15 +1,14 @@
-//! Differential coverage of the view-serving path: batch answers of a
-//! session over a [`ViewStore`] — including one backed by a
-//! `ViewBuf::Mmap` mapping of a real file — must be **bit-identical** to
-//! the owned-`QbsIndex` answers, on the checked-in golden fixture and on a
-//! proptest-generated graph family. The serving flow under test never
-//! calls `QbsIndex::from_view`: the whole query stack runs over the raw
-//! index-file bytes.
+//! Differential coverage of serving from a mapped index file: batch
+//! answers of a session over a `ViewBuf::Mmap` mapping of a real file must
+//! be **bit-identical** to a session over the heap buffer the build laid
+//! out, and must match the BFS ground truth, on the checked-in golden
+//! fixture and on a proptest-generated graph family.
 
 use proptest::prelude::*;
 
+use qbs_baselines::{GroundTruth, SpgEngine};
 use qbs_core::serialize::{self, MapMode};
-use qbs_core::{Qbs, QbsConfig, QbsIndex, QueryRequest, ViewBuf, ViewStore};
+use qbs_core::{Qbs, QbsConfig, QbsIndex, QueryRequest, ViewBuf};
 use qbs_gen::prelude::*;
 use qbs_graph::{Graph, VertexId};
 
@@ -31,32 +30,40 @@ fn all_pairs(n: u32) -> Vec<(VertexId, VertexId)> {
     pairs
 }
 
-/// Two-thread sessions over the owned index and the view store.
-fn sessions(owned: &QbsIndex, store: ViewStore) -> (Qbs, Qbs) {
+/// Two-thread sessions over the build's heap buffer and over `mapped`.
+fn sessions(owned: &QbsIndex, mapped: QbsIndex) -> (Qbs, Qbs) {
     let two = |qbs: Qbs| qbs.with_threads(2).expect("threads");
     (
         two(Qbs::from_index(owned.clone())),
-        two(Qbs::from_view_store(store)),
+        two(Qbs::from_index(mapped)),
     )
 }
 
-/// Runs `pairs` through sessions over both backends and asserts the full
-/// answers (path graph, sketch, stats) and distances are identical.
-fn assert_bit_identical(owned: &QbsIndex, store: ViewStore, pairs: &[(VertexId, VertexId)]) {
-    let (owned_session, view_session) = sessions(owned, store);
+/// Runs `pairs` through sessions over both buffers and asserts the full
+/// answers (path graph, sketch, stats) and distances are identical, and
+/// that every path graph is the BFS ground truth.
+fn assert_bit_identical(
+    graph: &Graph,
+    owned: &QbsIndex,
+    mapped: QbsIndex,
+    pairs: &[(VertexId, VertexId)],
+) {
+    let (owned_session, mapped_session) = sessions(owned, mapped);
+    let truth = GroundTruth::new(graph.clone());
 
     let requests: Vec<QueryRequest> = pairs
         .iter()
         .map(|&(u, v)| QueryRequest::path_graph(u, v).with_stats())
         .collect();
     let owned_answers = owned_session.submit(&requests);
-    let view_answers = view_session.submit(&requests);
-    for ((x, y), &(u, v)) in owned_answers.iter().zip(&view_answers).zip(pairs) {
+    let mapped_answers = mapped_session.submit(&requests);
+    for ((x, y), &(u, v)) in owned_answers.iter().zip(&mapped_answers).zip(pairs) {
         let a = x.answer().expect("in range");
         let b = y.answer().expect("in range");
         assert_eq!(a.path_graph, b.path_graph, "SPG({u}, {v}) diverged");
         assert_eq!(a.sketch, b.sketch, "sketch({u}, {v}) diverged");
         assert_eq!(a.stats, b.stats, "stats({u}, {v}) diverged");
+        assert_eq!(a.path_graph, truth.query(u, v), "SPG({u}, {v}) is wrong");
     }
 
     let distances: Vec<QueryRequest> = pairs
@@ -65,34 +72,34 @@ fn assert_bit_identical(owned: &QbsIndex, store: ViewStore, pairs: &[(VertexId, 
         .collect();
     assert_eq!(
         owned_session.submit(&distances),
-        view_session.submit(&distances),
+        mapped_session.submit(&distances),
         "distance batch diverged"
     );
 }
 
-/// The golden fixture, memory-mapped and served without materialisation,
-/// answers every figure-4 pair exactly like the owned index.
+/// The golden fixture, memory-mapped, answers every figure-4 pair exactly
+/// like a fresh build of the same index, and like BFS.
 #[test]
 fn mmap_backed_engine_matches_owned_index_on_golden_fixture() {
-    let store = ViewStore::new(
-        serialize::load_view_from_file(fixture_path(), MapMode::Mmap).expect("map fixture"),
-    );
+    let mapped = serialize::open_from_file(fixture_path(), MapMode::Mmap).expect("map fixture");
     assert!(
-        matches!(store.view().buf(), ViewBuf::Mmap(_)),
+        matches!(mapped.view().buf(), ViewBuf::Mmap(_)),
         "fixture must be served from the mapped buffer"
     );
     // Deferred integrity validation passes on the checked-in fixture.
-    store.view().verify().expect("fixture integrity");
+    mapped.view().verify().expect("fixture integrity");
 
+    let graph = qbs_graph::fixtures::figure4_graph();
     let owned = QbsIndex::build(
-        qbs_graph::fixtures::figure4_graph(),
+        graph.clone(),
         QbsConfig::with_explicit_landmarks(vec![1, 2, 3]),
     );
-    assert_bit_identical(&owned, store, &all_pairs(15));
+    assert_eq!(owned.bytes(), mapped.bytes());
+    assert_bit_identical(&graph, &owned, mapped, &all_pairs(15));
 }
 
-/// Session answers over an mmap-backed store of a generated graph written to
-/// disk — the full build → save → map → serve pipeline.
+/// Session answers over a mapping of a generated graph's saved index — the
+/// full build → save → map → serve pipeline.
 #[test]
 fn mmap_serving_roundtrip_on_generated_graph() {
     let graph = barabasi_albert::generate(&BarabasiAlbertConfig {
@@ -101,23 +108,23 @@ fn mmap_serving_roundtrip_on_generated_graph() {
         seed: 2024,
     });
     let pairs = QueryWorkload::sample(&graph, 256, 7).pairs().to_vec();
-    let owned = QbsIndex::build(graph, QbsConfig::with_landmark_count(10));
+    let owned = QbsIndex::build(graph.clone(), QbsConfig::with_landmark_count(10));
 
     let dir = std::env::temp_dir().join("qbs_view_serving_test");
     std::fs::create_dir_all(&dir).expect("mkdir");
     let path = dir.join("ba3000.qbs");
     serialize::save_to_file(&owned, &path).expect("save");
 
-    let store = serialize::open_store_from_file(&path, MapMode::Mmap).expect("open store");
-    assert!(matches!(store.view().buf(), ViewBuf::Mmap(_)));
-    assert!(!store.view().is_verified(), "mmap mode defers validation");
-    assert_bit_identical(&owned, store, &pairs);
+    let mapped = serialize::open_from_file(&path, MapMode::Mmap).expect("map");
+    assert!(matches!(mapped.view().buf(), ViewBuf::Mmap(_)));
+    assert!(!mapped.view().is_verified(), "mmap mode defers validation");
+    assert_bit_identical(&graph, &owned, mapped, &pairs);
 
     // MapMode::Read over the same file is equally bit-identical (and
     // eagerly verified).
-    let read_store = serialize::open_store_from_file(&path, MapMode::Read).expect("read store");
-    assert!(read_store.view().is_verified());
-    assert_bit_identical(&owned, read_store, &pairs);
+    let read = serialize::open_from_file(&path, MapMode::Read).expect("read");
+    assert!(read.view().is_verified());
+    assert_bit_identical(&graph, &owned, read, &pairs);
 }
 
 /// One graph per generator family, sized by the proptest case.
@@ -151,9 +158,9 @@ fn family_graph(family: u64, vertices: usize, seed: u64) -> Graph {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    // Across generator families: an mmap-backed view store written to disk
-    // and an owned index answer a sampled workload identically, through
-    // a two-thread session.
+    // Across generator families: a mapping of the saved index and the
+    // build's heap buffer answer a sampled workload identically, through
+    // a two-thread session, and every answer is the BFS ground truth.
     #[test]
     fn view_engine_is_bit_identical_across_generator_families(
         family in 0u64..4,
@@ -168,31 +175,38 @@ proptest! {
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join(format!("case_{family}_{vertices}_{landmarks}_{seed}.qbs"));
         serialize::save_to_file(&owned, &path).expect("save");
-        let store = serialize::open_store_from_file(&path, MapMode::Mmap).expect("open");
+        let mapped = serialize::open_from_file(&path, MapMode::Mmap).expect("open");
 
         let pairs = QueryWorkload::sample(&graph, 48, seed ^ 0xABCD).pairs().to_vec();
-        let (owned_session, view_session) = sessions(&owned, store);
+        let truth = GroundTruth::new(graph.clone());
+        let (owned_session, mapped_session) = sessions(&owned, mapped);
         let requests: Vec<QueryRequest> = pairs
             .iter()
             .map(|&(u, v)| QueryRequest::path_graph(u, v).with_stats())
             .collect();
         let a = owned_session.submit(&requests);
-        let b = view_session.submit(&requests);
+        let b = mapped_session.submit(&requests);
         for ((x, y), &(u, v)) in a.iter().zip(&b).zip(&pairs) {
             prop_assert_eq!(x, y, "answer of ({}, {}) diverged", u, v);
+            prop_assert_eq!(x.path_graph(), Some(&truth.query(u, v)), "SPG({}, {})", u, v);
         }
         std::fs::remove_file(&path).ok();
     }
 }
 
-/// The view path enforces the same public bounds checks as the owned one.
+/// A mapped session enforces the public bounds checks.
 #[test]
 fn view_store_rejects_out_of_range_vertices() {
     let owned = QbsIndex::build(
         qbs_graph::fixtures::figure4_graph(),
         QbsConfig::with_explicit_landmarks(vec![1, 2, 3]),
     );
-    let qbs = Qbs::from_view_store(ViewStore::new(owned.as_view()))
+    let dir = std::env::temp_dir().join("qbs_view_serving_bounds");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let path = dir.join("fig4.qbs");
+    serialize::save_to_file(&owned, &path).expect("save");
+    let qbs = Qbs::open(&path, MapMode::Mmap)
+        .expect("map")
         .with_threads(1)
         .expect("threads");
     let err = qbs.query(0, 99).unwrap_err();
@@ -209,8 +223,8 @@ fn view_store_rejects_out_of_range_vertices() {
         outcomes[1].clone().into_result().unwrap_err(),
         qbs_core::QbsError::VertexOutOfRange { vertex: 200, .. }
     ));
-    let store = qbs.view_store().expect("view session");
+    let index = qbs.index().expect("every session has an index");
     let mut ws = qbs_core::QueryWorkspace::new();
-    assert!(qbs_core::query_on(store, &mut ws, 77, 0).is_err());
-    assert!(qbs_core::sketch_on(store, 0, 77).is_err());
+    assert!(qbs_core::query_on(index, &mut ws, 77, 0).is_err());
+    assert!(qbs_core::sketch_on(index, 0, 77).is_err());
 }

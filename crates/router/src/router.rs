@@ -484,14 +484,12 @@ impl ServeBackend for RouterBackend {
 }
 
 /// Merges one replica's engine counters into the routed aggregate:
-/// index facts (vertices, landmarks, view-backedness) describe the same
-/// replicated index, so they take maxima/or; traffic counters and
-/// thread budgets add.
+/// index facts (vertices, landmarks) describe the same replicated index,
+/// so they take maxima; traffic counters and thread budgets add.
 fn merge_engine(into: &mut EngineStats, from: &EngineStats) {
     into.num_vertices = into.num_vertices.max(from.num_vertices);
     into.num_landmarks = into.num_landmarks.max(from.num_landmarks);
     into.threads += from.threads;
-    into.view_backed |= from.view_backed;
     into.requests += from.requests;
     into.batches += from.batches;
     into.errors += from.errors;

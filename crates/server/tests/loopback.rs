@@ -24,8 +24,8 @@ use qbs_server::{
     PROTOCOL_VERSION,
 };
 
-/// Builds the shared test index (a tiny Douban stand-in), saves it as a v2
-/// file, and returns an mmap-backed session over it plus the file path.
+/// Builds the shared test index (a tiny Douban stand-in), saves it, and
+/// returns an mmap-backed session over it plus the file path.
 fn mmap_session(tag: &str) -> (Arc<Qbs>, std::path::PathBuf) {
     let dir =
         std::env::temp_dir().join(format!("qbs_server_loopback_{tag}_{}", std::process::id()));
@@ -38,7 +38,13 @@ fn mmap_session(tag: &str) -> (Arc<Qbs>, std::path::PathBuf) {
     let path = dir.join("index.qbs");
     serialize::save_to_file(&index, &path).expect("save");
     let qbs = Qbs::open(&path, MapMode::Mmap).expect("open mmap");
-    assert_eq!(qbs.backend().name(), "view", "test serves the mmap path");
+    assert!(
+        matches!(
+            qbs.index().expect("index").view().buf(),
+            qbs_core::ViewBuf::Mmap(_)
+        ),
+        "test serves the mmap path"
+    );
     (Arc::new(qbs.with_threads(2).expect("threads")), path)
 }
 

@@ -278,7 +278,6 @@ fn stats_payload_truncation_sweep() {
             num_vertices: 1 << 20,
             num_landmarks: 20,
             threads: 8,
-            view_backed: true,
             requests: u64::MAX / 2,
             batches: 12_345,
             errors: 17,

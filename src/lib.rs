@@ -18,9 +18,9 @@
 //!
 //! # Quickstart
 //!
-//! A [`Qbs`] session is the one-stop entry point: it wraps either an
-//! owned index ([`Qbs::build`]) or a zero-copy view of an index file
-//! ([`Qbs::open`]) behind the same API, executes typed [`QueryRequest`]
+//! A [`Qbs`] session is the one-stop entry point: it serves an index —
+//! freshly built ([`Qbs::build`]) or an index file, read or mapped
+//! ([`Qbs::open`]) — behind the same API, executes typed [`QueryRequest`]
 //! batches with per-request outcomes, and can carry a sharded LRU answer
 //! cache.
 //!
@@ -78,9 +78,9 @@ pub mod prelude {
     pub use qbs_baselines::{BiBfs, GroundTruth, ParentPpl, Ppl, SpgEngine, SpgQueryError};
     pub use qbs_core::verify::{is_exact, validate};
     pub use qbs_core::{
-        AnswerCache, CacheConfig, CacheStats, EngineStats, IndexStore, IndexView, LandmarkStrategy,
-        MapMode, Qbs, QbsBackend, QbsConfig, QbsIndex, QueryAnswer, QueryMode, QueryOptions,
-        QueryOutcome, QueryRequest, QueryWorkspace, RequestError, SearchStats, ViewBuf, ViewStore,
+        AnswerCache, CacheConfig, CacheStats, EngineStats, IndexView, LandmarkStrategy, MapMode,
+        Qbs, QbsConfig, QbsIndex, QueryAnswer, QueryMode, QueryOptions, QueryOutcome, QueryRequest,
+        QueryWorkspace, RequestError, SearchStats, ViewBuf,
     };
     pub use qbs_gen::prelude::*;
     pub use qbs_graph::{Graph, GraphBuilder, PathGraph, VertexFilter, VertexId};

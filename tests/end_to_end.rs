@@ -114,7 +114,8 @@ fn persisted_index_round_trips_through_disk() {
     std::fs::create_dir_all(&dir).expect("mkdir");
     let path = dir.join("douban.qbs");
     qbs::core::serialize::save_to_file(&index, &path).expect("save");
-    let restored = qbs::core::serialize::load_from_file(&path).expect("load");
+    let restored =
+        qbs::core::serialize::open_from_file(&path, qbs::core::MapMode::Read).expect("open");
 
     let oracle = GroundTruth::new(graph.clone());
     let workload = QueryWorkload::sample_connected(&graph, 50, 23);
