@@ -454,10 +454,40 @@ impl IndexView {
     /// Panics if `v as usize >= num_vertices()`.
     #[inline]
     pub fn graph_neighbors(&self, v: VertexId) -> impl Iterator<Item = VertexId> + '_ {
+        u32_iter(self.graph_row(v))
+    }
+
+    /// The degree of `v` in the graph: the length of its adjacency row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v as usize >= num_vertices()`.
+    #[inline]
+    pub fn graph_degree(&self, v: VertexId) -> usize {
+        self.graph_row(v).len() / 4
+    }
+
+    /// Whether `{v, w}` is a graph edge: one binary search of `v`'s
+    /// adjacency row, which validation holds strictly increasing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v as usize >= num_vertices()`.
+    #[inline]
+    pub fn has_graph_edge(&self, v: VertexId, w: VertexId) -> bool {
+        let (row, _) = self.graph_row(v).as_chunks::<4>();
+        row.binary_search_by(|id| u32::from_le_bytes(*id).cmp(&w))
+            .is_ok()
+    }
+
+    /// The raw adjacency row of `v`, shared by the graph accessors so a
+    /// corrupt offset fails all of them alike.
+    #[inline]
+    fn graph_row(&self, v: VertexId) -> &[u8] {
         let offsets = self.section_bytes(SectionKind::GraphOffsets);
         let lo = le_u64(offsets, v as usize * 8) as usize;
         let hi = le_u64(offsets, (v as usize + 1) * 8) as usize;
-        u32_iter(&self.section_bytes(SectionKind::GraphNeighbors)[lo * 4..hi * 4])
+        &self.section_bytes(SectionKind::GraphNeighbors)[lo * 4..hi * 4]
     }
 
     /// Number of directed arcs stored in the graph section.

@@ -20,7 +20,9 @@
 //! A [`MetaGraph`] is the decoded form of the index file's meta-graph
 //! sections. Sketching reads `d_M` and the meta edges on every query, so
 //! [`crate::QbsIndex`] decodes these `|R|`-sized tables once, when it is
-//! constructed, instead of decoding bytes per call.
+//! constructed, instead of decoding bytes per call — plus an in-memory
+//! `|R| × |R|` table of meta-edge positions, through which the recover
+//! search finds each sketch meta edge's Δ in O(1).
 
 use qbs_graph::workspace::VisitedSet;
 use qbs_graph::{Distance, VertexId, INFINITE_DISTANCE};
@@ -38,11 +40,17 @@ pub struct MetaGraph {
     edges: Vec<(usize, usize, Distance)>,
     /// Row-major `|R| × |R|` all-pairs distance matrix over the meta-graph.
     apsp: Vec<Distance>,
+    /// Row-major `|R| × |R|` table of positions in `edges` (symmetric;
+    /// [`NO_META_EDGE`] where two landmarks share no meta edge).
+    edge_slots: Vec<u32>,
     /// `delta[k]` is the edge set of the shortest path graph (in `G`,
     /// avoiding other landmarks) between the endpoints of `edges[k]`, as
     /// sorted `(min, max)` pairs.
     delta: Vec<Vec<(VertexId, VertexId)>>,
 }
+
+/// The `edge_slots` entry of a landmark pair without a meta edge.
+const NO_META_EDGE: u32 = u32::MAX;
 
 /// `d_M` for every landmark pair: Floyd–Warshall over the meta edges
 /// Algorithm 2 found. `|R| ≤ 100` in every experiment, so `|R|³` is
@@ -122,12 +130,19 @@ impl MetaGraph {
     /// independent of the graph size.
     pub(crate) fn from_view(view: &IndexView) -> Self {
         let r = view.num_landmarks();
+        let edges: Vec<_> = view.meta_edges().collect();
+        let mut edge_slots = vec![NO_META_EDGE; r * r];
+        for (k, &(i, j, _)) in edges.iter().enumerate() {
+            edge_slots[i * r + j] = k as u32;
+            edge_slots[j * r + i] = k as u32;
+        }
         MetaGraph {
             landmarks: view.landmarks().collect(),
-            edges: view.meta_edges().collect(),
+            edges,
             apsp: (0..r)
                 .flat_map(|i| (0..r).map(move |j| view.meta_distance(i, j)))
                 .collect(),
+            edge_slots,
             delta: (0..view.num_meta_edges())
                 .map(|k| view.delta_edges(k).collect())
                 .collect(),
@@ -193,10 +208,16 @@ impl MetaGraph {
         &self.delta[edge_index]
     }
 
-    /// Looks up the index of a meta edge given its landmark indices.
+    /// Looks up the index of a meta edge given its landmark indices (`None`
+    /// when either index is not a landmark column).
+    #[inline]
     pub fn edge_index(&self, i: usize, j: usize) -> Option<usize> {
-        let key = (i.min(j), i.max(j));
-        self.edges.iter().position(|&(a, b, _)| (a, b) == key)
+        let r = self.num_landmarks();
+        if i >= r || j >= r {
+            return None;
+        }
+        let k = self.edge_slots[i * r + j];
+        (k != NO_META_EDGE).then_some(k as usize)
     }
 
     /// Total number of edges stored across all Δ path graphs.
@@ -284,7 +305,9 @@ mod tests {
         // Adjacent landmark pairs have a single-edge Δ.
         let k = meta.edge_index(0, 1).expect("edge exists");
         assert_eq!(meta.delta_edges(k), &[(1, 2)]);
+        assert_eq!(meta.edge_index(2, 0), meta.edge_index(0, 2));
         assert!(meta.edge_index(5, 0).is_none());
+        assert!(meta.edge_index(0, 5).is_none());
         assert_eq!(meta.delta_total_edges(), 4);
         assert_eq!(meta.delta_size_bytes(), 32);
     }
@@ -299,6 +322,7 @@ mod tests {
         assert_eq!(meta.distance(0, 1), INFINITE_DISTANCE);
         assert_eq!(meta.distance(0, 0), 0);
         assert_eq!(meta.shortest_path_meta_edges(0, 1).count(), 0);
+        assert!(meta.edge_index(0, 1).is_none());
     }
 
     #[test]

@@ -8,14 +8,21 @@
 //!    endpoints on `G⁻`, steered by the per-side budgets `d*_u`, `d*_v` from
 //!    the sketch and bounded by `d⊤_uv`. It either finds
 //!    `d_{G⁻}(u, v) ≤ d⊤_uv` or proves `d_{G⁻}(u, v) > d⊤_uv`.
-//! 2. **Reverse search** — if the frontiers met, walk back from the meeting
-//!    vertices along strictly decreasing BFS depths to materialise every
-//!    shortest path inside `G⁻` (`G⁻_uv`).
+//! 2. **Reverse search** — if the frontiers met, the meeting vertices seed
+//!    both sides' walk back, which materialises every shortest path inside
+//!    `G⁻` (`G⁻_uv`).
 //! 3. **Recover search** — if some shortest path passes a landmark
-//!    (`d_{G⁻} ≥ d⊤`), use the labels to materialise the landmark-passing
-//!    paths (`G^L_uv`): label-guided walks from the search frontiers to the
-//!    sketch landmarks, plus the precomputed Δ path graphs for the sketch's
-//!    meta edges.
+//!    (`d_{G⁻} ≥ d⊤`), the landmark-passing paths (`G^L_uv`) are the
+//!    precomputed Δ path graphs of the sketch's meta edges, label-guided
+//!    walks from the matching frontier vertices `Z` to the sketch landmarks,
+//!    and the walk back from `Z` to the endpoint.
+//!
+//! Stages 2 and 3 share **one walk back per side**: it is seeded with that
+//! side's meeting vertices and `Z`, and follows strictly decreasing BFS
+//! depths, pushing each edge once. The parents of a vertex `x` at depth `d`
+//! are its neighbours in level `d − 1`, found from the cheaper side: a scan
+//! of `x`'s adjacency row, or a binary search of that sorted row for each
+//! vertex of level `d − 1` when `|level| · (⌊log₂ deg x⌋ + 1) < deg x`.
 //!
 //! Queries whose endpoint happens to be a landmark are handled by giving
 //! that endpoint the synthetic label `{(itself, 0)}` and keeping it inside
@@ -32,7 +39,7 @@
 use serde::{Deserialize, Serialize};
 
 use qbs_graph::view::NeighborAccess;
-use qbs_graph::workspace::{DistanceField, VisitedSet};
+use qbs_graph::workspace::VisitedSet;
 use qbs_graph::{Distance, PathGraph, VertexFilter, VertexId, INFINITE_DISTANCE};
 
 use crate::sketch::{Sketch, SketchBounds};
@@ -131,50 +138,72 @@ pub fn guided_search_with(
     stats.sparsified_distance = meeting_distance;
 
     // ---- Stage 2/3: combine per Eq. 5. ----
-    edges.clear();
-    let distance;
-    if meeting_distance < d_top {
-        // Every shortest path avoids the landmarks.
-        distance = meeting_distance;
-        stats.used_reverse_search = true;
-        reverse_search(&view, distance, fwd, bwd, visited, stack, meeting, edges);
-    } else if meeting_distance == d_top && d_top != INFINITE_DISTANCE {
-        distance = d_top;
-        stats.used_reverse_search = true;
-        stats.used_recover_search = true;
-        reverse_search(&view, distance, fwd, bwd, visited, stack, meeting, edges);
-        recover_search(
-            index,
-            sketch,
-            &view,
-            fwd,
-            bwd,
-            walk_visited,
-            walk_stack,
-            stack,
-            edges,
-        );
-    } else if d_top != INFINITE_DISTANCE {
-        // d_{G⁻} > d⊤: every shortest path passes a landmark.
-        distance = d_top;
-        stats.used_recover_search = true;
-        recover_search(
-            index,
-            sketch,
-            &view,
-            fwd,
-            bwd,
-            walk_visited,
-            walk_stack,
-            stack,
-            edges,
-        );
-    } else {
+    let distance = meeting_distance.min(d_top);
+    if distance == INFINITE_DISTANCE {
         // No landmark route and no G⁻ route: disconnected.
-        stats.distance = INFINITE_DISTANCE;
         return (PathGraph::unreachable(source, target), stats);
     }
     stats.distance = distance;
+    // Some shortest path avoids the landmarks (reverse search), passes one
+    // (recover search), or both.
+    stats.used_reverse_search = meeting_distance == distance;
+    stats.used_recover_search = d_top == distance;
+
+    edges.clear();
+    meeting.clear();
+    if stats.used_reverse_search {
+        // Scan the settled levels of the side with the smaller settled set,
+        // not all |V| slots, so the scan is proportional to the search.
+        let (scan, other) = if fwd.settled <= bwd.settled {
+            (&*fwd, &*bwd)
+        } else {
+            (&*bwd, &*fwd)
+        };
+        let deepest = scan.level.min(distance) as usize;
+        for (d, level) in scan.levels.iter().enumerate().take(deepest + 1) {
+            let d = d as Distance;
+            meeting.extend(level.iter().filter(|&&w| {
+                let od = other.depth.get(w);
+                od != INFINITE_DISTANCE && d + od == distance
+            }));
+        }
+    }
+    if stats.used_recover_search {
+        // Landmark-to-landmark segments: splice in the precomputed Δ path
+        // graph of every sketch meta edge.
+        let meta = index.meta_graph();
+        for &(i, j, _) in &sketch.meta_edges {
+            if let Some(k) = meta.edge_index(i, j) {
+                edges.extend_from_slice(meta.delta_edges(k));
+            }
+        }
+    }
+    // One walk back per side, from the meeting vertices and from the
+    // frontier vertices `Z` the recover search matches on that side.
+    for (side, hops) in [(&*fwd, &sketch.source_hops), (&*bwd, &sketch.target_hops)] {
+        visited.reset(n);
+        stack.clear();
+        for &w in meeting.iter() {
+            visited.insert(w);
+            stack.push(w);
+        }
+        if stats.used_recover_search {
+            for hop in hops {
+                recover_side(
+                    index,
+                    hop.landmark_idx,
+                    hop.distance,
+                    side,
+                    walk_visited,
+                    walk_stack,
+                    visited,
+                    stack,
+                    edges,
+                );
+            }
+        }
+        walk_back(index, side, visited, stack, edges);
+    }
     (
         PathGraph::from_edges(source, target, distance, edges.iter().copied()),
         stats,
@@ -252,70 +281,19 @@ fn sparsified_view<'v>(
     SparsifiedStore::new(index, query_filter)
 }
 
-/// Recover search (Algorithm 4, lines 18-24): materialises the shortest
-/// paths that pass through at least one landmark.
-#[allow(clippy::too_many_arguments)]
-fn recover_search(
-    index: &QbsIndex,
-    sketch: &Sketch,
-    view: &SparsifiedStore<'_>,
-    fwd: &SideState,
-    bwd: &SideState,
-    walk_visited: &mut VisitedSet,
-    walk_stack: &mut Vec<(VertexId, Distance)>,
-    stack: &mut Vec<VertexId>,
-    edges: &mut Vec<(VertexId, VertexId)>,
-) {
-    // Landmark-to-landmark segments: splice in the precomputed Δ path
-    // graph of every sketch meta edge.
-    let meta = index.meta_graph();
-    for &(i, j, _) in &sketch.meta_edges {
-        if let Some(k) = meta.edge_index(i, j) {
-            edges.extend_from_slice(meta.delta_edges(k));
-        }
-    }
-    // Endpoint-to-landmark segments on both sides.
-    for hop in &sketch.source_hops {
-        recover_side(
-            index,
-            hop.landmark_idx,
-            hop.distance,
-            fwd,
-            view,
-            walk_visited,
-            walk_stack,
-            stack,
-            edges,
-        );
-    }
-    for hop in &sketch.target_hops {
-        recover_side(
-            index,
-            hop.landmark_idx,
-            hop.distance,
-            bwd,
-            view,
-            walk_visited,
-            walk_stack,
-            stack,
-            edges,
-        );
-    }
-}
-
-/// Recovers the shortest paths between one query endpoint and one sketch
-/// landmark: finds the frontier vertices `Z` of Algorithm 4 (lines 19-23),
-/// then label-walks from them to the landmark and depth-walks from them
-/// back to the endpoint.
+/// Recover search (Algorithm 4, lines 18-24) between one query endpoint and
+/// one sketch landmark: finds the frontier vertices `Z` (lines 19-23),
+/// label-walks from each to the landmark, and seeds each into the side's
+/// walk back to the endpoint (`visited` + `stack`, see [`walk_back`]).
 #[allow(clippy::too_many_arguments)]
 fn recover_side(
     index: &QbsIndex,
     landmark_idx: usize,
     sigma: Distance,
     side: &SideState,
-    view: &SparsifiedStore<'_>,
     walk_visited: &mut VisitedSet,
     walk_stack: &mut Vec<(VertexId, Distance)>,
+    visited: &mut VisitedSet,
     stack: &mut Vec<VertexId>,
     edges: &mut Vec<(VertexId, VertexId)>,
 ) {
@@ -350,8 +328,10 @@ fn recover_side(
             walk_stack,
             edges,
         );
-        // endpoint → w via the search depths.
-        depth_walk(view, w, &side.depth, walk_visited, stack, edges);
+        // endpoint → w: the side's walk back, seeded once per vertex.
+        if visited.insert(w) {
+            stack.push(w);
+        }
     }
 }
 
@@ -467,101 +447,53 @@ fn bidirectional_stage<V: NeighborAccess>(
     meeting_distance
 }
 
-/// Reverse search (Algorithm 4, lines 16-17): collects every edge on a
-/// shortest `source ⇝ target` path inside the sparsified view, walking back
-/// from the meeting vertices along strictly decreasing depths on both sides.
+/// Walks from the seeds on `stack` (already in `visited`) back to the
+/// side's origin along strictly decreasing BFS depths, pushing every
+/// traversed edge once: the reverse search (Algorithm 4, lines 16-17) from
+/// the meeting vertices and the endpoint-to-`Z` part of the recover search,
+/// in one pass.
 ///
-/// Meeting vertices are found by scanning the settled levels of the side
-/// with the *smaller* settled set (instead of all `|V|` vertex slots, as a
-/// fresh-allocation implementation would), so the whole phase is
-/// proportional to the work of the search, not to the graph size.
-#[allow(clippy::too_many_arguments)]
-fn reverse_search<V: NeighborAccess>(
-    view: &V,
-    distance: Distance,
-    fwd: &SideState,
-    bwd: &SideState,
-    visited: &mut VisitedSet,
-    stack: &mut Vec<VertexId>,
-    meeting: &mut Vec<VertexId>,
-    edges: &mut Vec<(VertexId, VertexId)>,
-) {
-    let n = view.vertex_count();
-    meeting.clear();
-    let (scan, other) = if fwd.settled <= bwd.settled {
-        (fwd, bwd)
-    } else {
-        (bwd, fwd)
-    };
-    for (d, level) in scan.levels.iter().enumerate().take(scan.level as usize + 1) {
-        let d = d as Distance;
-        if d > distance {
-            break;
-        }
-        for &w in level {
-            let od = other.depth.get(w);
-            if od != INFINITE_DISTANCE && d + od == distance {
-                meeting.push(w);
-            }
-        }
-    }
-
-    for forward in [true, false] {
-        let depth = if forward { &fwd.depth } else { &bwd.depth };
-        visited.reset(n);
-        stack.clear();
-        for &w in meeting.iter() {
-            visited.insert(w);
-            stack.push(w);
-        }
-        while let Some(x) = stack.pop() {
-            let dx = depth.get(x);
-            if dx == 0 {
-                continue;
-            }
-            view.for_each_neighbor(x, |p| {
-                if depth.is_set(p) && depth.get(p) + 1 == dx {
-                    edges.push((p, x));
-                    if visited.insert(p) {
-                        stack.push(p);
-                    }
-                }
-            });
-        }
-    }
-}
-
-/// Walks from `start` back to the search origin following strictly
-/// decreasing depths, collecting the traversed edges (the endpoint-to-`Z`
-/// part of the recover search).
-fn depth_walk<V: NeighborAccess>(
-    view: &V,
-    start: VertexId,
-    depth: &DistanceField,
+/// The parents of `x` at depth `d` are its neighbours in `levels[d − 1]`,
+/// read from whichever side is cheaper: a scan of `x`'s adjacency row, or
+/// one binary search of that sorted row (at most `⌊log₂ deg(x)⌋ + 1`
+/// probes) per vertex of `levels[d − 1]`. A non-landmark hub's row can
+/// hold thousands of entries where the level before it holds a handful.
+fn walk_back(
+    index: &QbsIndex,
+    side: &SideState,
     visited: &mut VisitedSet,
     stack: &mut Vec<VertexId>,
     edges: &mut Vec<(VertexId, VertexId)>,
 ) {
-    if !depth.is_set(start) || depth.get(start) == 0 {
-        return;
-    }
-    visited.reset(view.vertex_count());
-    visited.insert(start);
-    stack.clear();
-    stack.push(start);
     while let Some(x) = stack.pop() {
-        let dx = depth.get(x);
+        let dx = side.depth.get(x);
         if dx == 0 {
             continue;
         }
-        view.for_each_neighbor(x, |p| {
-            if depth.is_set(p) && depth.get(p) + 1 == dx {
-                edges.push((p, x));
-                if visited.insert(p) {
-                    stack.push(p);
+        let mut push = |p: VertexId| {
+            edges.push((p, x));
+            if visited.insert(p) {
+                stack.push(p);
+            }
+        };
+        let parents = &side.levels[dx as usize - 1];
+        let degree = index.graph_degree(x);
+        let probes = (usize::BITS - degree.leading_zeros()) as usize;
+        if parents.len() * probes < degree {
+            for &p in parents {
+                if index.has_graph_edge(x, p) {
+                    push(p);
                 }
             }
-        });
+        } else {
+            // Only vertices the search reached inside the sparsified view
+            // carry a depth, so the depth test alone keeps the scan on G⁻.
+            for p in index.neighbors(x) {
+                if side.depth.get(p) == dx - 1 {
+                    push(p);
+                }
+            }
+        }
     }
 }
 

@@ -173,6 +173,19 @@ impl QbsIndex {
         self.view.graph_neighbors(v)
     }
 
+    /// The degree of `v` in the **full** graph.
+    #[inline]
+    pub fn graph_degree(&self, v: VertexId) -> usize {
+        self.view.graph_degree(v)
+    }
+
+    /// Whether `{v, w}` is an edge of the **full** graph (a binary search of
+    /// `v`'s sorted adjacency row).
+    #[inline]
+    pub fn has_graph_edge(&self, v: VertexId, w: VertexId) -> bool {
+        self.view.has_graph_edge(v, w)
+    }
+
     /// The meta-graph (with APSP and Δ).
     pub fn meta_graph(&self) -> &MetaGraph {
         &self.meta
@@ -262,11 +275,23 @@ mod tests {
                 let column = landmarks.iter().position(|&r| r == v);
                 assert_eq!(store.is_landmark(v), column.is_some(), "vertex {v}");
                 assert_eq!(store.landmark_column(v), column, "column of {v}");
+                let row = graph.neighbors(v);
                 assert_eq!(
                     store.neighbors(v).collect::<Vec<_>>(),
-                    graph.neighbors(v),
+                    row,
                     "neighbours of {v}"
                 );
+                assert_eq!(store.graph_degree(v), row.len(), "degree of {v}");
+                // Every vertex id, so the first and last neighbour of each
+                // row and every id between or beyond them are probed.
+                for w in graph.vertices() {
+                    assert_eq!(
+                        store.has_graph_edge(v, w),
+                        row.contains(&w),
+                        "edge ({v}, {w})"
+                    );
+                }
+                assert!(!store.has_graph_edge(v, VertexId::MAX), "absent id");
                 let expected: Vec<(usize, Distance)> = (0..landmarks.len())
                     .filter(|&i| columns[i][v as usize] != NO_LABEL)
                     .map(|i| (i, Distance::from(columns[i][v as usize])))
@@ -281,6 +306,9 @@ mod tests {
                     None => assert_eq!(label, expected, "effective label of {v}"),
                 }
             }
+            // Vertex 0 of figure 4 is isolated.
+            assert_eq!(store.graph_degree(0), 0);
+            assert!(!store.has_graph_edge(0, 1));
             let meta = store.meta_graph();
             assert_eq!(meta.edges(), &[(0, 1, 1), (0, 2, 2), (1, 2, 1)]);
             assert_eq!(meta.distance(0, 2), 2);

@@ -2,7 +2,7 @@
 //!
 //! A [`QueryWorkspace`] owns every piece of mutable state the online query
 //! path needs — the two bidirectional-search sides, the visited sets and
-//! stacks of the reverse/recover walks, the label buffers fed to the
+//! stacks of the walk back and the label walks, the label buffers fed to the
 //! sketcher, and a scratch vertex filter for landmark-endpoint queries.
 //! All per-vertex structures are epoch-stamped
 //! ([`qbs_graph::workspace`]), so preparing the workspace for the next
@@ -114,11 +114,11 @@ pub struct QueryWorkspace {
     pub(crate) fwd: SideState,
     /// Backward search side (rooted at the query target).
     pub(crate) bwd: SideState,
-    /// Visited set for the reverse-search walks.
+    /// Visited set for the walk back of one search side.
     pub(crate) visited: VisitedSet,
-    /// Vertex stack for the reverse-search and depth walks.
+    /// Vertex stack for the walk back of one search side.
     pub(crate) stack: Vec<VertexId>,
-    /// Visited set for the label/depth walks of the recover search.
+    /// Visited set for the label walks of the recover search.
     pub(crate) walk_visited: VisitedSet,
     /// `(vertex, remaining distance)` stack for label walks.
     pub(crate) walk_stack: Vec<(VertexId, Distance)>,

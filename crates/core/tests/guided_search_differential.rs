@@ -3,17 +3,22 @@
 //! landmark strategies and counts.
 
 use qbs_baselines::{GroundTruth, SpgEngine};
+use qbs_core::serialize::{self, MapMode};
 use qbs_core::{LandmarkStrategy, QbsConfig, QbsIndex};
 use qbs_gen::catalog::{Catalog, DatasetId, Scale};
 use qbs_gen::prelude::*;
 use qbs_gen::structured;
-use qbs_graph::{Graph, INFINITE_DISTANCE};
+use qbs_graph::{Graph, GraphBuilder, VertexId, INFINITE_DISTANCE};
 
 fn check(graph: &Graph, config: QbsConfig, queries: usize, seed: u64, tag: &str) {
     let index = QbsIndex::build(graph.clone(), config);
     let truth = GroundTruth::new(graph.clone());
     let workload = QueryWorkload::sample(graph, queries, seed);
-    for &(u, v) in workload.pairs() {
+    check_pairs(&index, &truth, workload.pairs(), tag);
+}
+
+fn check_pairs(index: &QbsIndex, truth: &GroundTruth, pairs: &[(VertexId, VertexId)], tag: &str) {
+    for &(u, v) in pairs {
         let answer = index.query_with_stats(u, v).unwrap();
         let expected = truth.query(u, v);
         assert_eq!(answer.path_graph, expected, "{tag}: query ({u},{v})");
@@ -46,6 +51,69 @@ fn qbs_is_exact_on_hub_dominated_standins() {
         let graph = spec.generate(Scale::Tiny);
         check(&graph, QbsConfig::with_landmark_count(20), 30, 1, id.name());
     }
+}
+
+/// The same hub-dominated stand-ins at `Scale::Small`, where a hub has
+/// hundreds of neighbours and the walk back often finds a vertex's parents
+/// by binary search. Slow in a debug build: CI runs it in release with
+/// `--include-ignored`.
+#[test]
+#[ignore = "Small scale; run in release with --include-ignored"]
+fn qbs_is_exact_on_small_hub_dominated_standins() {
+    for id in [DatasetId::Youtube, DatasetId::Twitter] {
+        let spec = *Catalog::paper_table1().get(id).unwrap();
+        let graph = spec.generate(Scale::Small);
+        check(
+            &graph,
+            QbsConfig::with_landmark_count(20),
+            1_000,
+            3,
+            id.name(),
+        );
+    }
+}
+
+/// A non-landmark hub whose adjacency row dwarfs the level before it, so
+/// the walk back finds the hub's parents by binary search rather than by a
+/// scan: hub 0 with 1 200 leaves, pendants one hop beyond some leaves, a
+/// second non-landmark connector over a few leaves, and three explicit
+/// landmarks beside the hub (one adjacent to it, two over leaf ranges).
+/// Endpoints include the hub, leaves, pendants and every landmark; answers
+/// are checked on the build's heap buffer and on a mapping of its file.
+#[test]
+fn qbs_is_exact_through_a_non_landmark_hub() {
+    const LEAVES: VertexId = 1_200;
+    let (r1, r2, r3, connector) = (LEAVES + 1, LEAVES + 2, LEAVES + 3, LEAVES + 4);
+    let pendants: Vec<VertexId> = (0..40).map(|i| LEAVES + 5 + i).collect();
+    let mut edges: Vec<(VertexId, VertexId)> = (1..=LEAVES).map(|leaf| (0, leaf)).collect();
+    edges.extend((1..=30).map(|leaf| (r1, leaf)));
+    edges.extend((25..=60).map(|leaf| (r2, leaf)));
+    edges.extend([(r1, r2), (r3, 0)]);
+    edges.extend((100..=110).map(|leaf| (connector, leaf)));
+    edges.extend((0..).zip(&pendants).map(|(i, &p)| (p, 1 + 30 * i)));
+    let graph = GraphBuilder::from_edges(edges).build();
+
+    let heap = QbsIndex::build(
+        graph.clone(),
+        QbsConfig::with_explicit_landmarks(vec![r1, r2, r3]),
+    );
+    let dir = std::env::temp_dir().join("qbs_guided_search_hub");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let path = dir.join(format!("hub_{}.qbs", std::process::id()));
+    serialize::save_to_file(&heap, &path).expect("save");
+    let mapped = serialize::open_from_file(&path, MapMode::Mmap).expect("map");
+
+    let mut endpoints = vec![0, 1, 2, 5, 29, 31, 45, 60, 61, 100, 105, 600, LEAVES];
+    endpoints.extend([r1, r2, r3, connector]);
+    endpoints.extend(pendants.iter().step_by(5));
+    let pairs: Vec<(VertexId, VertexId)> = endpoints
+        .iter()
+        .flat_map(|&u| endpoints.iter().map(move |&v| (u, v)))
+        .filter(|&(u, v)| u != v)
+        .collect();
+    let truth = GroundTruth::new(graph);
+    check_pairs(&heap, &truth, &pairs, "hub, heap");
+    check_pairs(&mapped, &truth, &pairs, "hub, mmap");
 }
 
 #[test]

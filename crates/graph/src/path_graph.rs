@@ -6,8 +6,6 @@
 //! shared by QbS and all baselines so that answers can be compared
 //! structurally in tests and experiments.
 
-use std::collections::BTreeSet;
-
 use serde::{Deserialize, Serialize};
 
 use crate::vertex::{Distance, VertexId, INFINITE_DISTANCE};
@@ -56,16 +54,21 @@ impl PathGraph {
     where
         I: IntoIterator<Item = (VertexId, VertexId)>,
     {
-        let set: BTreeSet<(VertexId, VertexId)> = edges
+        let mut edges: Vec<(VertexId, VertexId)> = edges
             .into_iter()
             .filter(|&(a, b)| a != b)
             .map(|(a, b)| if a <= b { (a, b) } else { (b, a) })
             .collect();
+        edges.sort_unstable();
+        edges.dedup();
+        // Answers outlive the query (replies, the answer cache): hold them at
+        // their exact size, not at the growth capacity of the raw list.
+        edges.shrink_to_fit();
         PathGraph {
             source,
             target,
             distance,
-            edges: set.into_iter().collect(),
+            edges,
         }
     }
 
@@ -110,8 +113,10 @@ impl PathGraph {
             v.dedup();
             return v;
         }
-        let set: BTreeSet<VertexId> = self.edges.iter().flat_map(|&(a, b)| [a, b]).collect();
-        set.into_iter().collect()
+        let mut vertices: Vec<VertexId> = self.edges.iter().flat_map(|&(a, b)| [a, b]).collect();
+        vertices.sort_unstable();
+        vertices.dedup();
+        vertices
     }
 
     /// Number of distinct vertices in the answer subgraph.
@@ -140,9 +145,9 @@ impl PathGraph {
         if other.edges.is_empty() {
             return;
         }
-        let mut set: BTreeSet<(VertexId, VertexId)> = self.edges.iter().copied().collect();
-        set.extend(other.edges.iter().copied());
-        self.edges = set.into_iter().collect();
+        self.edges.extend_from_slice(&other.edges);
+        self.edges.sort_unstable();
+        self.edges.dedup();
     }
 
     /// Adds a single edge, keeping the canonical representation.
