@@ -287,7 +287,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
     let Some(command) = args.first() else {
         return Ok(Command::Help);
     };
-    let (options, replicas) = collect_options(&args[1..])?;
+    let (options, replicas) = collect_options(command, &args[1..])?;
     let get = |key: &str| options.get(key).cloned();
     let require = |key: &str| {
         get(key).ok_or_else(|| ParseError(format!("{command}: missing required option --{key}")))
@@ -301,8 +301,8 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             out: PathBuf::from(require("out")?),
         }),
         "build" => {
-            // Unknown keys are otherwise ignored, and a silently ignored
-            // removed choice would read as "the choice took".
+            // Removed options are known keys, so their refusal can say
+            // what to do instead.
             for removed in ["format", "profile"] {
                 if get(removed).is_some() {
                     return Err(ParseError(format!(
@@ -467,8 +467,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
         }
         "client" => {
             let addr = require("addr")?;
-            // Unknown keys are otherwise ignored, and a silently ignored
-            // pin would read as "the pin took".
             if get("protocol").is_some() {
                 return Err(ParseError(
                     "--protocol was removed: this build speaks protocol v3 only".into(),
@@ -564,12 +562,81 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
     }
 }
 
+/// The options `command` reads, removed ones included so that it can
+/// refuse them with a message saying what to do instead; `None` for `help`
+/// and unknown commands.
+fn known_options(command: &str) -> Option<&'static [&'static str]> {
+    Some(match command {
+        "generate" => &["dataset", "scale", "out"],
+        "build" => &[
+            "graph",
+            "landmarks",
+            "out",
+            "format",
+            "profile",
+            "sequential",
+        ],
+        "query" => &[
+            "index",
+            "source",
+            "target",
+            "pairs",
+            "threads",
+            "mmap",
+            "mode",
+            "stats",
+            "cache",
+            "format",
+            "from-view",
+        ],
+        "serve" => &[
+            "index",
+            "mmap",
+            "addr",
+            "port",
+            "threads",
+            "workers",
+            "handlers",
+            "max-inflight",
+            "max-batch",
+            "max-connections",
+            "cache",
+            "metrics-addr",
+            "slow-query-ms",
+        ],
+        "route" => &[
+            "addr",
+            "port",
+            "replica",
+            "workers",
+            "max-inflight",
+            "max-batch",
+            "max-connections",
+            "metrics-addr",
+            "slow-query-ms",
+        ],
+        "client" => &[
+            "addr", "protocol", "trace-id", "source", "target", "pairs", "mode", "stats", "format",
+            "ping", "count", "shutdown", "metrics",
+        ],
+        "stats" | "inspect" => &["index"],
+        "convert" => &["from", "to"],
+        _ => return None,
+    })
+}
+
 /// Collects `--key value` pairs; bare flags (like `--mmap`) map to "".
+/// An option `command` does not read is refused by name, so a misspelt one
+/// never leaves its default in place silently.
 /// `--sequential` and `--from-view` stay bare flags so `build` and `query`
 /// can refuse them by name.
 /// `--replica` is the one repeatable option — each occurrence appends to
 /// the returned list instead of overwriting the previous value.
-fn collect_options(args: &[String]) -> Result<(BTreeMap<String, String>, Vec<String>), ParseError> {
+fn collect_options(
+    command: &str,
+    args: &[String],
+) -> Result<(BTreeMap<String, String>, Vec<String>), ParseError> {
+    let known = known_options(command);
     let mut options = BTreeMap::new();
     let mut replicas = Vec::new();
     let mut i = 0;
@@ -577,6 +644,11 @@ fn collect_options(args: &[String]) -> Result<(BTreeMap<String, String>, Vec<Str
         let key = args[i]
             .strip_prefix("--")
             .ok_or_else(|| ParseError(format!("expected an option, found '{}'", args[i])))?;
+        if known.is_some_and(|known| !known.contains(&key)) {
+            return Err(ParseError(format!(
+                "{command}: unknown option --{key} (see `qbs-cli help`)"
+            )));
+        }
         let is_flag = matches!(
             key,
             "sequential" | "from-view" | "mmap" | "stats" | "ping" | "shutdown" | "metrics"
@@ -1194,6 +1266,39 @@ mod tests {
         assert_eq!(parse(&args(&["help"])).unwrap(), Command::Help);
         assert_eq!(parse(&args(&["--help"])).unwrap(), Command::Help);
         assert!(USAGE.contains("generate"));
+    }
+
+    #[test]
+    fn rejects_options_the_command_does_not_read() {
+        // A misspelling must not leave the default in place silently.
+        let err = parse(&args(&[
+            "build",
+            "--graph",
+            "g.qbsg",
+            "--landmark",
+            "5",
+            "--out",
+            "g.qbs",
+        ]))
+        .unwrap_err();
+        assert_eq!(
+            err.0,
+            "build: unknown option --landmark (see `qbs-cli help`)"
+        );
+        // It is named even where the command would otherwise report a
+        // missing pair first.
+        let err = parse(&args(&["query", "--index", "i.qbs", "--sourc", "1"])).unwrap_err();
+        assert!(err.0.contains("unknown option --sourc"), "{err}");
+        // Options of another command, flags and the repeatable --replica
+        // included, are unknown here too.
+        for argv in [
+            &["build", "--graph", "g", "--out", "i", "--mmap"][..],
+            &["stats", "--index", "i", "--replica", "h:1"],
+            &["client", "--addr", "h:1", "--ping", "--cache", "8"],
+        ] {
+            let err = parse(&args(argv)).unwrap_err();
+            assert!(err.0.contains("unknown option"), "{err}");
+        }
     }
 
     #[test]

@@ -84,7 +84,7 @@ pub use request::{
 pub use search::SearchStats;
 pub use serialize::MapMode;
 pub use session::{EngineStats, Qbs};
-pub use sketch::{Sketch, SketchBounds};
+pub use sketch::Sketch;
 pub use stats::IndexStats;
 pub use store::QbsIndex;
 pub use wire::{ReplicaStats, RequestId, RouterStats, Wire, WireError};

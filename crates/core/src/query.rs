@@ -260,37 +260,30 @@ pub fn distance_on(
     Ok(distance_with_bounds_on(index, ws, source, target)?.0)
 }
 
-/// [`distance_on`] that also surfaces the sketch bounds it computed — the
-/// request pipeline uses the upper bound `d⊤` as its cache-admission cost
+/// [`distance_on`] that also surfaces the sketch upper bound `d⊤` it
+/// computed — the request pipeline uses it as its cache-admission cost
 /// hint without paying for a second label intersection.
 pub(crate) fn distance_with_bounds_on(
     index: &QbsIndex,
     ws: &mut QueryWorkspace,
     source: VertexId,
     target: VertexId,
-) -> crate::Result<(Distance, sketch::SketchBounds)> {
+) -> crate::Result<(Distance, Distance)> {
     check_vertex(index, source)?;
     check_vertex(index, target)?;
     if source == target {
         ws.record_query();
-        return Ok((
-            0,
-            sketch::SketchBounds {
-                upper_bound: 0,
-                source_budget: 0,
-                target_budget: 0,
-            },
-        ));
+        return Ok((0, 0));
     }
     index.fill_effective_label(source, &mut ws.src_label);
     index.fill_effective_label(target, &mut ws.tgt_label);
     let t = ws.obs.start();
-    let bounds = sketch::compute_bounds(index, &ws.src_label, &ws.tgt_label);
+    let upper_bound = sketch::compute_bounds(index, &ws.src_label, &ws.tgt_label);
     ws.obs.stop(crate::obs::Stage::SketchBound, t);
     let t = ws.obs.start();
-    let (distance, _) = search::guided_distance_with(index, ws, source, target, &bounds);
+    let (distance, _) = search::guided_distance_with(index, ws, source, target, upper_bound);
     ws.obs.stop(crate::obs::Stage::GuidedSearch, t);
-    Ok((distance, bounds))
+    Ok((distance, upper_bound))
 }
 
 /// Computes the sketch of a query without running the search.

@@ -397,10 +397,10 @@ fn compute_on(
 ) -> Result<(AnswerBody, Distance), RequestError> {
     match request.mode {
         QueryMode::Distance => {
-            let (distance, bounds) =
+            let (distance, hint) =
                 query::distance_with_bounds_on(index, ws, request.source, request.target)
                     .map_err(request_error)?;
-            Ok((AnswerBody::Distance(distance), bounds.upper_bound))
+            Ok((AnswerBody::Distance(distance), hint))
         }
         QueryMode::PathGraph => {
             let answer = query::query_on(index, ws, request.source, request.target)

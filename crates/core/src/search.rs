@@ -5,8 +5,8 @@
 //! scheme (Eq. 5):
 //!
 //! 1. **Bidirectional search** — an alternating level-by-level BFS from both
-//!    endpoints on `G⁻`, steered by the per-side budgets `d*_u`, `d*_v` from
-//!    the sketch and bounded by `d⊤_uv`. It either finds
+//!    endpoints on `G⁻`, bounded by `d⊤_uv`, that always expands the live
+//!    side with fewer settled vertices. It either finds
 //!    `d_{G⁻}(u, v) ≤ d⊤_uv` or proves `d_{G⁻}(u, v) > d⊤_uv`.
 //! 2. **Reverse search** — if the frontiers met, the meeting vertices seed
 //!    both sides' walk back, which materialises every shortest path inside
@@ -23,6 +23,17 @@
 //! are its neighbours in level `d − 1`, found from the cheaper side: a scan
 //! of `x`'s adjacency row, or a binary search of that sorted row for each
 //! vertex of level `d − 1` when `|level| · (⌊log₂ deg x⌋ + 1) < deg x`.
+//!
+//! **Deviation from Algorithm 4, line 7.** The paper's `pick_search` first
+//! makes each side spend its Eq. 4 budget `d*_u` / `d*_v` (the deepest
+//! sketch hop minus one), so that the recover search finds `Z` at depth
+//! `σ − 1`. Stage 1 here ignores the budgets: the recover search takes `Z`
+//! at depth `min(σ − 1, ℓ)` for a side that stopped at level `ℓ`, with the
+//! label distance raised to match, which reaches the same landmark-passing
+//! paths. On a hub-free graph the budgets forced the larger side: on the
+//! LiveJournal Large stand-in (|R| = 20, uniform pairs) stage 1 relaxed
+//! 5 051 edges and settled 267 vertices per query with them, and 3 737 and
+//! 197 without, with every answer the same.
 //!
 //! Queries whose endpoint happens to be a landmark are handled by giving
 //! that endpoint the synthetic label `{(itself, 0)}` and keeping it inside
@@ -42,7 +53,7 @@ use qbs_graph::view::NeighborAccess;
 use qbs_graph::workspace::VisitedSet;
 use qbs_graph::{Distance, PathGraph, VertexFilter, VertexId, INFINITE_DISTANCE};
 
-use crate::sketch::{Sketch, SketchBounds};
+use crate::sketch::Sketch;
 use crate::store::{QbsIndex, SparsifiedStore};
 use crate::workspace::{QueryWorkspace, SideState};
 
@@ -126,15 +137,7 @@ pub fn guided_search_with(
     // ---- Stage 1: guided bidirectional search on G⁻ (lines 6-15). ----
     fwd.begin(n, source);
     bwd.begin(n, target);
-    let meeting_distance = bidirectional_stage(
-        &view,
-        fwd,
-        bwd,
-        d_top,
-        sketch.source_budget(),
-        sketch.target_budget(),
-        &mut stats,
-    );
+    let meeting_distance = bidirectional_stage(&view, fwd, bwd, d_top, &mut stats);
     stats.sparsified_distance = meeting_distance;
 
     // ---- Stage 2/3: combine per Eq. 5. ----
@@ -210,8 +213,10 @@ pub fn guided_search_with(
     )
 }
 
-/// Computes only the query *distance* (Eq. 5: `min(d_{G⁻}, d⊤)`), skipping
-/// the reverse/recover materialisation entirely.
+/// Computes only the query *distance* (Eq. 5: `min(d_{G⁻}, d⊤)`) from the
+/// sketch's upper bound `d_top`, skipping the reverse/recover
+/// materialisation entirely. Stage 1 is the same as [`guided_search_with`]'s,
+/// level for level.
 ///
 /// This is the fully allocation-free hot path: with a warmed-up workspace
 /// it touches no heap at all.
@@ -220,12 +225,12 @@ pub fn guided_distance_with(
     ws: &mut QueryWorkspace,
     source: VertexId,
     target: VertexId,
-    bounds: &SketchBounds,
+    d_top: Distance,
 ) -> (Distance, SearchStats) {
     let n = index.num_vertices();
     ws.record_query();
     let mut stats = SearchStats {
-        upper_bound: bounds.upper_bound,
+        upper_bound: d_top,
         sparsified_distance: INFINITE_DISTANCE,
         distance: INFINITE_DISTANCE,
         ..SearchStats::default()
@@ -241,17 +246,9 @@ pub fn guided_distance_with(
 
     fwd.begin(n, source);
     bwd.begin(n, target);
-    let meeting_distance = bidirectional_stage(
-        &view,
-        fwd,
-        bwd,
-        bounds.upper_bound,
-        bounds.source_budget,
-        bounds.target_budget,
-        &mut stats,
-    );
+    let meeting_distance = bidirectional_stage(&view, fwd, bwd, d_top, &mut stats);
     stats.sparsified_distance = meeting_distance;
-    let distance = meeting_distance.min(bounds.upper_bound);
+    let distance = meeting_distance.min(d_top);
     stats.distance = distance;
     (distance, stats)
 }
@@ -301,6 +298,8 @@ fn recover_side(
         return; // the endpoint is this landmark; nothing to recover
     }
     let landmark = index.landmark(landmark_idx);
+    // A side that stopped short of depth σ − 1 matches `Z` at its last
+    // complete level, with the rest of the way left to the label walk.
     let dm = (sigma - 1).min(side.level);
     let needed_label = sigma - dm;
     let Some(level) = side.levels.get(dm as usize) else {
@@ -381,16 +380,16 @@ pub(crate) fn label_walk(
     }
 }
 
-/// Stage 1 of Algorithm 4: the alternating, budget-steered bidirectional
-/// level expansion on the sparsified view. Returns the meeting distance
-/// (`d_{G⁻}(u, v)` when it is `≤ d⊤`, [`INFINITE_DISTANCE`] otherwise).
+/// Stage 1 of Algorithm 4: the alternating bidirectional level expansion on
+/// the sparsified view, one whole level of the live side with fewer settled
+/// vertices at a time (see the module docs for why the Eq. 4 budgets play
+/// no part). Returns the meeting distance (`d_{G⁻}(u, v)` when it is
+/// `≤ d⊤`, [`INFINITE_DISTANCE`] otherwise).
 fn bidirectional_stage<V: NeighborAccess>(
     view: &V,
     fwd: &mut SideState,
     bwd: &mut SideState,
     d_top: Distance,
-    d_star_u: Distance,
-    d_star_v: Distance,
     stats: &mut SearchStats,
 ) -> Distance {
     let mut meeting_distance = INFINITE_DISTANCE;
@@ -404,24 +403,8 @@ fn bidirectional_stage<V: NeighborAccess>(
             break; // G⁻ exhausted without a meeting
         }
 
-        // pick_search (line 7): prefer the side whose sketch budget is
-        // not yet exhausted; break ties (or the both/neither case) by
-        // expanding the smaller settled set.
-        let prefer_fwd = d_star_u > fwd.level;
-        let prefer_bwd = d_star_v > bwd.level;
-        let expand_forward = match (prefer_fwd && fwd_alive, prefer_bwd && bwd_alive) {
-            (true, false) => true,
-            (false, true) => false,
-            _ => {
-                if !fwd_alive {
-                    false
-                } else if !bwd_alive {
-                    true
-                } else {
-                    fwd.settled <= bwd.settled
-                }
-            }
-        };
+        // pick_search (line 7): the live side with the smaller settled set.
+        let expand_forward = fwd_alive && (!bwd_alive || fwd.settled <= bwd.settled);
 
         let (just, other): (&SideState, &SideState) = if expand_forward {
             stats.forward_levels += 1;
@@ -625,26 +608,38 @@ mod tests {
         assert_eq!(ws.queries_served(), 14 * 13);
     }
 
+    /// The distance path returns the path graph's distance, and both modes
+    /// run one stage 1: the same levels on the same sides, so the same
+    /// work, on either buffer.
     #[test]
     fn distance_only_path_agrees_with_full_search() {
         let fx = Fixture::figure4();
         let mut ws = QueryWorkspace::new();
         let mut src = Vec::new();
         let mut tgt = Vec::new();
+        let work = |s: &SearchStats| {
+            (
+                s.edges_traversed,
+                s.vertices_settled,
+                s.forward_levels,
+                s.backward_levels,
+            )
+        };
         for u in 1..15u32 {
             for v in 1..15u32 {
                 if u == v {
                     continue;
                 }
-                let (full, _) = fx.query(u, v);
+                let (full, full_stats) = fx.query(u, v);
                 fx.heap.fill_effective_label(u, &mut src);
                 fx.heap.fill_effective_label(v, &mut tgt);
-                let bounds = sketch::compute_bounds(&fx.heap, &src, &tgt);
-                let (d, stats) = guided_distance_with(&fx.heap, &mut ws, u, v, &bounds);
+                let d_top = sketch::compute_bounds(&fx.heap, &src, &tgt);
+                let (d, stats) = guided_distance_with(&fx.heap, &mut ws, u, v, d_top);
                 assert_eq!(d, full.distance(), "distance of ({u},{v})");
                 assert_eq!(stats.distance, d);
+                assert_eq!(work(&stats), work(&full_stats), "stage 1 of ({u},{v})");
                 // The mapped distance path agrees bit-for-bit.
-                let (dv, stats_v) = guided_distance_with(&fx.mapped, &mut ws, u, v, &bounds);
+                let (dv, stats_v) = guided_distance_with(&fx.mapped, &mut ws, u, v, d_top);
                 assert_eq!(dv, d, "mapped distance of ({u},{v})");
                 assert_eq!(stats_v, stats, "mapped stats of ({u},{v})");
             }

@@ -8,9 +8,13 @@
 //!   precomputed meta-graph distances. By Corollary 4.6, `d⊤_uv ≥ d_G(u, v)`.
 //! * the sketch edges achieving that minimum: the `(u, r)` / `(r', v)` label
 //!   hops and every meta edge on a shortest meta-path between the chosen
-//!   landmark pairs;
-//! * the per-side search budgets `d*_u`, `d*_v` (Eq. 4) that steer the
-//!   guided bidirectional search.
+//!   landmark pairs.
+//!
+//! The paper also derives per-side search budgets `d*_u`, `d*_v` (Eq. 4)
+//! from the hops to steer the guided bidirectional search. Nothing here
+//! computes them: the search expands the cheaper side instead, which on the
+//! hub-free LiveJournal stand-in relaxes 26 % fewer edges per query for the
+//! same answers (see [`crate::search`]).
 //!
 //! With the meta-graph APSP precomputed, sketch construction is `O(|R|²)`
 //! (§5.2) — constant per query for the default `|R| = 20`.
@@ -66,25 +70,6 @@ impl Sketch {
     /// Whether some landmark-passing route exists.
     pub fn is_reachable_via_landmarks(&self) -> bool {
         self.upper_bound != INFINITE_DISTANCE
-    }
-
-    /// `d*` for the source side (Eq. 4): the largest source hop minus one —
-    /// the number of levels the forward search needs before the labels take
-    /// over. Zero when the source itself is a landmark.
-    pub fn source_budget(&self) -> Distance {
-        Self::budget(&self.source_hops)
-    }
-
-    /// `d*` for the target side (Eq. 4).
-    pub fn target_budget(&self) -> Distance {
-        Self::budget(&self.target_hops)
-    }
-
-    fn budget(hops: &[SketchHop]) -> Distance {
-        hops.iter()
-            .map(|h| h.distance.saturating_sub(1))
-            .max()
-            .unwrap_or(0)
     }
 
     /// Number of distinct vertices in the sketch (endpoints + landmarks on
@@ -189,45 +174,20 @@ fn push_unique_hop(hops: &mut Vec<SketchHop>, hop: SketchHop) {
     }
 }
 
-/// The scalar core of a sketch: the distance upper bound and the two search
-/// budgets of Eq. 4, without the materialised hop/meta-edge lists.
+/// Computes only `d⊤_uv` (Eq. 3; Algorithm 3 without lines 7-13's edge
+/// assembly) in one allocation-free |L_u|×|L_v| pass: the input of the
+/// distance-only hot path ([`crate::search::guided_distance_with`]), where
+/// the full [`Sketch`] — whose vectors exist to drive the recover search —
+/// would be wasted work. [`INFINITE_DISTANCE`] when no landmark route
+/// exists.
 ///
-/// [`compute_bounds`] derives these with zero heap allocation, which makes
-/// them the input of choice for the distance-only hot path
-/// ([`crate::search::guided_distance_with`]) where the full [`Sketch`] —
-/// whose vectors exist to drive the recover search — would be wasted work.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SketchBounds {
-    /// `d⊤_uv` (Eq. 3); [`INFINITE_DISTANCE`] when no landmark route exists.
-    pub upper_bound: Distance,
-    /// `d*_u` (Eq. 4): forward-side search budget.
-    pub source_budget: Distance,
-    /// `d*_v` (Eq. 4): backward-side search budget.
-    pub target_budget: Distance,
-}
-
-impl SketchBounds {
-    /// Bounds stating that no landmark-passing route exists.
-    pub fn unreachable() -> Self {
-        SketchBounds {
-            upper_bound: INFINITE_DISTANCE,
-            source_budget: 0,
-            target_budget: 0,
-        }
-    }
-}
-
-/// Computes only the sketch *bounds* (Algorithm 3 without line 7-13's edge
-/// assembly): `d⊤` plus the per-side budgets, allocation-free.
-///
-/// Agrees with [`compute`]: `compute_bounds(...).upper_bound ==
-/// compute(...).upper_bound` and likewise for the budgets (asserted by the
-/// unit tests below).
+/// Agrees with [`compute`]: `compute_bounds(...) == compute(...).upper_bound`
+/// (asserted by the unit tests below).
 pub fn compute_bounds(
     index: &QbsIndex,
     source_label: &[(usize, Distance)],
     target_label: &[(usize, Distance)],
-) -> SketchBounds {
+) -> Distance {
     let meta = index.meta_graph();
     let mut upper_bound = INFINITE_DISTANCE;
     for &(r, du) in source_label {
@@ -239,26 +199,7 @@ pub fn compute_bounds(
             upper_bound = upper_bound.min(du + dm + dv);
         }
     }
-    if upper_bound == INFINITE_DISTANCE {
-        return SketchBounds::unreachable();
-    }
-    // Budgets: max σ - 1 over the hops participating in a minimising pair.
-    let mut max_src_hop = 0;
-    let mut max_tgt_hop = 0;
-    for &(r, du) in source_label {
-        for &(rp, dv) in target_label {
-            let dm = meta.distance(r, rp);
-            if dm != INFINITE_DISTANCE && du + dm + dv == upper_bound {
-                max_src_hop = max_src_hop.max(du);
-                max_tgt_hop = max_tgt_hop.max(dv);
-            }
-        }
-    }
-    SketchBounds {
-        upper_bound,
-        source_budget: max_src_hop.saturating_sub(1),
-        target_budget: max_tgt_hop.saturating_sub(1),
-    }
+    upper_bound
 }
 
 #[cfg(test)]
@@ -289,7 +230,7 @@ mod tests {
         // d⊤(6,11) = 5 = d_G(6,11).
         assert_eq!(sketch.upper_bound, 5);
         assert!(sketch.is_reachable_via_landmarks());
-        // Source hop: (6,1) with σ = 1; budgets d*_6 = 0 and d*_11 = 2.
+        // Source hop: (6,1) with σ = 1.
         assert_eq!(
             sketch.source_hops,
             vec![SketchHop {
@@ -297,8 +238,6 @@ mod tests {
                 distance: 1
             }]
         );
-        assert_eq!(sketch.source_budget(), 0);
-        assert_eq!(sketch.target_budget(), 2);
         // Target hops: (3,11) σ=2 and (2,11) σ=3 (landmark columns 2 and 1).
         let mut target: Vec<(usize, Distance)> = sketch
             .target_hops
@@ -352,7 +291,6 @@ mod tests {
         // d(1, 11) = 4 (1-2-9-10-11 or 1-4-3-12-11); through landmarks it is
         // also 4 (e.g. meta path 1→3 of length 2 plus δ(11,3)=2).
         assert_eq!(sketch.upper_bound, 4);
-        assert_eq!(sketch.source_budget(), 0);
     }
 
     #[test]
@@ -361,36 +299,25 @@ mod tests {
         let sketch = compute(&meta, 6, 0, &[(0, 1)], &[]);
         assert!(!sketch.is_reachable_via_landmarks());
         assert_eq!(sketch.upper_bound, INFINITE_DISTANCE);
-        assert_eq!(sketch.source_budget(), 0);
         assert_eq!(Sketch::unreachable(6, 0), sketch);
     }
 
     #[test]
-    fn bounds_agree_with_full_sketch_on_all_pairs() {
+    fn upper_bound_agrees_with_full_sketch_on_all_pairs() {
         let (g, meta) = setup();
         for u in g.vertices() {
             for v in g.vertices() {
                 let lu = label_of(&meta, u);
                 let lv = label_of(&meta, v);
                 let sketch = compute(&meta, u, v, &lu, &lv);
-                let bounds = compute_bounds(&meta, &lu, &lv);
-                assert_eq!(bounds.upper_bound, sketch.upper_bound, "d⊤ of ({u},{v})");
                 assert_eq!(
-                    bounds.source_budget,
-                    sketch.source_budget(),
-                    "d*_u of ({u},{v})"
-                );
-                assert_eq!(
-                    bounds.target_budget,
-                    sketch.target_budget(),
-                    "d*_v of ({u},{v})"
+                    compute_bounds(&meta, &lu, &lv),
+                    sketch.upper_bound,
+                    "d⊤ of ({u},{v})"
                 );
             }
         }
-        assert_eq!(
-            compute_bounds(&meta, &[(0, 1)], &[]),
-            SketchBounds::unreachable()
-        );
+        assert_eq!(compute_bounds(&meta, &[(0, 1)], &[]), INFINITE_DISTANCE);
     }
 
     /// The index a build owns on the heap and a mapping of its saved file

@@ -26,8 +26,8 @@
 //! ```
 //!
 //! Results are bit-identical to the allocation-per-query path (the
-//! differential tests in `tests/workspace_differential.rs` assert this
-//! across generator families and hundreds of mixed queries).
+//! differential tests in `crates/core/tests/workspace_differential.rs`
+//! assert this across generator families and hundreds of mixed queries).
 
 use qbs_graph::view::NeighborAccess;
 use qbs_graph::workspace::{DistanceField, VisitedSet};

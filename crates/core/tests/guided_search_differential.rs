@@ -4,6 +4,7 @@
 
 use qbs_baselines::{GroundTruth, SpgEngine};
 use qbs_core::serialize::{self, MapMode};
+use qbs_core::sketch::SketchHop;
 use qbs_core::{LandmarkStrategy, QbsConfig, QbsIndex};
 use qbs_gen::catalog::{Catalog, DatasetId, Scale};
 use qbs_gen::prelude::*;
@@ -114,6 +115,44 @@ fn qbs_is_exact_through_a_non_landmark_hub() {
     let truth = GroundTruth::new(graph);
     check_pairs(&heap, &truth, &pairs, "hub, heap");
     check_pairs(&mapped, &truth, &pairs, "hub, mmap");
+}
+
+/// Stage 1 expands the cheaper side, so one side may stop short of the
+/// depth `σ − 1` of a sketch hop it recovers; the recover search then
+/// matches `Z` at that side's last level and leaves more of the way to the
+/// label walk. The sweep must hit that case (on either side) and stay exact
+/// on the build's heap buffer and on a mapping of its file.
+#[test]
+fn recover_search_from_a_side_that_stopped_short_is_exact() {
+    let spec = *Catalog::paper_table1().get(DatasetId::Douban).unwrap();
+    let graph = spec.generate(Scale::Tiny);
+    let heap = QbsIndex::build(graph.clone(), QbsConfig::with_landmark_count(20));
+    let dir = std::env::temp_dir().join("qbs_guided_search_short_side");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let path = dir.join(format!("douban_{}.qbs", std::process::id()));
+    serialize::save_to_file(&heap, &path).expect("save");
+    let mapped = serialize::open_from_file(&path, MapMode::Mmap).expect("map");
+
+    let truth = GroundTruth::new(graph.clone());
+    let workload = QueryWorkload::sample(&graph, 400, 30);
+    for (index, tag) in [(&heap, "heap"), (&mapped, "mmap")] {
+        check_pairs(index, &truth, workload.pairs(), tag);
+        let short_side = workload
+            .pairs()
+            .iter()
+            .map(|&(u, v)| index.query_with_stats(u, v).unwrap())
+            .filter(|answer| {
+                let (sketch, stats) = (&answer.sketch, &answer.stats);
+                let short = |hops: &[SketchHop], levels: usize| {
+                    hops.iter().any(|h| h.distance as usize > levels + 1)
+                };
+                stats.used_recover_search
+                    && (short(&sketch.source_hops, stats.forward_levels)
+                        || short(&sketch.target_hops, stats.backward_levels))
+            })
+            .count();
+        assert!(short_side > 0, "{tag}: no recovery from a short side");
+    }
 }
 
 #[test]
