@@ -111,6 +111,7 @@ pub fn run(command: &Command) -> Result<String, CommandError> {
             out,
         } => {
             let graph = load_graph(graph)?;
+            qbs_core::format::check_num_arcs(graph.num_arcs())?;
             let index = QbsIndex::build(graph, QbsConfig::with_landmark_count(*landmarks));
             serialize::save_to_file(&index, out)?;
             let stats = index.stats();
@@ -820,11 +821,17 @@ mod tests {
             index: index_path.clone(),
         })
         .expect("inspect");
-        assert!(inspect.contains("qbs-index v4"), "{inspect}");
+        assert!(inspect.contains("qbs-index v5"), "{inspect}");
         assert!(inspect.contains("dist width:      1 byte(s)"), "{inspect}");
         assert!(inspect.contains("fnv1a-64) ok"), "{inspect}");
         assert!(inspect.contains("bytes/vertex"), "{inspect}");
-        for section in ["labels", "graph-neighbors", "delta-edges", "checksum"] {
+        for section in [
+            "labels",
+            "graph-rows",
+            "graph-neighbors",
+            "delta-edges",
+            "checksum",
+        ] {
             assert!(inspect.contains(section), "{section}: {inspect}");
         }
 

@@ -17,6 +17,12 @@ pub enum QbsError {
     InvalidLandmarks(String),
     /// A serialised index could not be decoded.
     Corrupt(String),
+    /// The graph has more arcs than an index file's `u32` row bounds
+    /// address (2³² − 1).
+    GraphTooLarge {
+        /// Directed arcs of the graph (twice its edges).
+        num_arcs: u64,
+    },
     /// The batch query engine's thread pool could not be created or was
     /// misconfigured.
     ThreadPool(String),
@@ -36,6 +42,10 @@ impl fmt::Display for QbsError {
             ),
             QbsError::InvalidLandmarks(msg) => write!(f, "invalid landmark set: {msg}"),
             QbsError::Corrupt(msg) => write!(f, "corrupt index data: {msg}"),
+            QbsError::GraphTooLarge { num_arcs } => write!(
+                f,
+                "graph has {num_arcs} arcs; an index file addresses fewer than 2^32"
+            ),
             QbsError::ThreadPool(msg) => write!(f, "thread pool error: {msg}"),
             QbsError::Io(err) => write!(f, "i/o error: {err}"),
         }
@@ -72,6 +82,8 @@ mod tests {
         assert!(e.to_string().contains("empty"));
         let e = QbsError::Corrupt("bad magic".into());
         assert!(e.to_string().contains("bad magic"));
+        let e = QbsError::GraphTooLarge { num_arcs: 1 << 32 };
+        assert!(e.to_string().contains("4294967296 arcs"));
         let e = QbsError::ThreadPool("no threads".into());
         assert!(e.to_string().contains("thread pool"));
     }

@@ -21,8 +21,8 @@
 //!
 //! ```text
 //! header (48 bytes)
-//!   magic            8 bytes  "QBSIDX4\0"
-//!   version          u32      4
+//!   magic            8 bytes  "QBSIDX5\0"
+//!   version          u32      5
 //!   section_count    u32      9
 //!   num_vertices     u64
 //!   num_landmarks    u64
@@ -38,8 +38,11 @@
 //!   LANDMARKS        |R| × u32 vertex ids, column order
 //!   LABELS           |V| × |R| × dist_width bytes, row-major label
 //!                    distances; all-ones = no entry
-//!   GRAPH_OFFSETS    (|V|+1) × u64 CSR offsets into GRAPH_NEIGHBORS
-//!   GRAPH_NEIGHBORS  2|E| × u32 neighbour ids
+//!   GRAPH_ROWS       (|V|+1) × (u32 start, u32 landmark_start) into
+//!                    GRAPH_NEIGHBORS; entry |V| is (arcs, arcs)
+//!   GRAPH_NEIGHBORS  2|E| × u32 neighbour ids; each row holds its
+//!                    non-landmark neighbours ascending, then its
+//!                    landmark neighbours ascending
 //!   META_EDGES       |E_R| × (u32 i, u32 j, u32 σ) with i < j
 //!   META_APSP        |R|² × u32 row-major landmark distance matrix
 //!   DELTA_OFFSETS    (|E_R|+1) × u64 CSR offsets into DELTA_EDGES
@@ -50,6 +53,15 @@
 //! The writer picks `dist_width` from the data: 1 iff the largest label
 //! distance is at most 254 (255 is the one-byte "no entry" sentinel),
 //! otherwise 2 — the in-memory slot width.
+//!
+//! # `G⁻` is a row prefix
+//!
+//! Algorithm 4 searches the sparsified graph `G⁻ = G[V \ R]`. Each
+//! adjacency row stores its non-landmark neighbours first, so `v`'s row in
+//! `G⁻` is the prefix `[start, landmark_start)` of its row in `G`: stage 1
+//! and the label walks read it with no landmark test ([`GraphRows`]).
+//! Row bounds are `u32`, so a graph has fewer than 2³² arcs
+//! ([`check_num_arcs`]).
 //!
 //! # Loader abstraction
 //!
@@ -69,21 +81,21 @@
 //! [`crate::serialize::MapMode`]).
 //!
 //! Files written by earlier builds (the JSON index and the `QBSIDX2` /
-//! `QBSIDX3` binary layouts) are refused with one `Corrupt` error that
-//! names the old version: an index is derived data, so the migration is
-//! `qbs build`.
+//! `QBSIDX3` / `QBSIDX4` binary layouts) are refused with one `Corrupt`
+//! error that names the old version: an index is derived data, so the
+//! migration is `qbs build`.
 
-use qbs_graph::{Distance, Graph, VertexId};
+use qbs_graph::{Distance, Graph, VertexFilter, VertexId};
 
 use crate::labelling::PathLabelling;
 use crate::serialize::{excerpt, EXCERPT_LEN};
 use crate::{QbsError, Result};
 
 /// Magic bytes opening every index file.
-pub const MAGIC: [u8; 8] = *b"QBSIDX4\0";
+pub const MAGIC: [u8; 8] = *b"QBSIDX5\0";
 
 /// Format version of every index file a build writes.
-pub const FORMAT_VERSION: u32 = 4;
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Byte length of the fixed header.
 pub const HEADER_LEN: usize = 48;
@@ -113,9 +125,11 @@ pub enum SectionKind {
     /// Dense row-major label matrix (`|V| × |R|` slots of `dist_width`
     /// bytes; all-ones = no entry).
     Labels = 2,
-    /// CSR offsets into [`SectionKind::GraphNeighbors`] (`(|V|+1) × u64`).
-    GraphOffsets = 3,
-    /// Concatenated sorted adjacency lists (`2|E| × u32`).
+    /// Row bounds into [`SectionKind::GraphNeighbors`]: `(|V|+1) × (u32
+    /// start, u32 landmark_start)`, entry `|V|` being `(arcs, arcs)`.
+    GraphRows = 3,
+    /// Concatenated adjacency rows (`2|E| × u32`), each its non-landmark
+    /// neighbours ascending, then its landmark neighbours ascending.
     GraphNeighbors = 4,
     /// Meta-graph edges (`|E_R| × (u32 i, u32 j, u32 σ)`, `i < j`).
     MetaEdges = 5,
@@ -134,7 +148,7 @@ impl SectionKind {
     pub const ALL: [SectionKind; SECTION_COUNT] = [
         SectionKind::Landmarks,
         SectionKind::Labels,
-        SectionKind::GraphOffsets,
+        SectionKind::GraphRows,
         SectionKind::GraphNeighbors,
         SectionKind::MetaEdges,
         SectionKind::MetaApsp,
@@ -148,7 +162,7 @@ impl SectionKind {
         match self {
             SectionKind::Landmarks => "landmarks",
             SectionKind::Labels => "labels",
-            SectionKind::GraphOffsets => "graph-offsets",
+            SectionKind::GraphRows => "graph-rows",
             SectionKind::GraphNeighbors => "graph-neighbors",
             SectionKind::MetaEdges => "meta-edges",
             SectionKind::MetaApsp => "meta-apsp",
@@ -446,48 +460,28 @@ impl IndexView {
             .filter_map(|(idx, slot)| slot_distance(slot).map(|d| (idx, d)))
     }
 
-    /// Iterator over the neighbours of `v`, decoded straight from the
-    /// graph CSR sections.
+    /// The graph's adjacency rows, with both graph sections sliced once:
+    /// take it once per query, not once per row.
+    #[inline]
+    pub fn graph_rows(&self) -> GraphRows<'_> {
+        GraphRows {
+            bounds: self.section_bytes(SectionKind::GraphRows).as_chunks().0,
+            ids: self
+                .section_bytes(SectionKind::GraphNeighbors)
+                .as_chunks()
+                .0,
+        }
+    }
+
+    /// Iterator over the neighbours of `v`: its non-landmark neighbours
+    /// ascending, then its landmark neighbours ascending.
     ///
     /// # Panics
     ///
     /// Panics if `v as usize >= num_vertices()`.
     #[inline]
     pub fn graph_neighbors(&self, v: VertexId) -> impl Iterator<Item = VertexId> + '_ {
-        u32_iter(self.graph_row(v))
-    }
-
-    /// The degree of `v` in the graph: the length of its adjacency row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v as usize >= num_vertices()`.
-    #[inline]
-    pub fn graph_degree(&self, v: VertexId) -> usize {
-        self.graph_row(v).len() / 4
-    }
-
-    /// Whether `{v, w}` is a graph edge: one binary search of `v`'s
-    /// adjacency row, which validation holds strictly increasing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v as usize >= num_vertices()`.
-    #[inline]
-    pub fn has_graph_edge(&self, v: VertexId, w: VertexId) -> bool {
-        let (row, _) = self.graph_row(v).as_chunks::<4>();
-        row.binary_search_by(|id| u32::from_le_bytes(*id).cmp(&w))
-            .is_ok()
-    }
-
-    /// The raw adjacency row of `v`, shared by the graph accessors so a
-    /// corrupt offset fails all of them alike.
-    #[inline]
-    fn graph_row(&self, v: VertexId) -> &[u8] {
-        let offsets = self.section_bytes(SectionKind::GraphOffsets);
-        let lo = le_u64(offsets, v as usize * 8) as usize;
-        let hi = le_u64(offsets, (v as usize + 1) * 8) as usize;
-        &self.section_bytes(SectionKind::GraphNeighbors)[lo * 4..hi * 4]
+        self.graph_rows().neighbors(v)
     }
 
     /// Number of directed arcs stored in the graph section.
@@ -586,7 +580,7 @@ impl IndexView {
                 "header counts ({n} vertices, {r} landmarks) overflow the format"
             ))
         };
-        let offsets_len = n
+        let rows_len = n
             .checked_add(1)
             .and_then(|c| c.checked_mul(8))
             .ok_or_else(overflow)?;
@@ -601,7 +595,7 @@ impl IndexView {
         // r² · 4 did not overflow, so r · 4 cannot.
         self.expect_len(SectionKind::Landmarks, r * 4)?;
         self.expect_len(SectionKind::Labels, labels_len)?;
-        self.expect_len(SectionKind::GraphOffsets, offsets_len)?;
+        self.expect_len(SectionKind::GraphRows, rows_len)?;
         self.expect_len(SectionKind::MetaApsp, apsp_len)?;
         for (kind, elem) in [
             (SectionKind::GraphNeighbors, 4),
@@ -648,34 +642,12 @@ impl IndexView {
                 )));
             }
         }
-        validate_csr(
-            self.section_bytes(SectionKind::GraphOffsets),
-            self.section(SectionKind::GraphNeighbors).len / 4,
-            "graph",
-        )?;
+        self.validate_graph_rows(&landmark_seen)?;
         validate_csr(
             self.section_bytes(SectionKind::DeltaOffsets),
             self.section(SectionKind::DeltaEdges).len / 8,
             "delta",
         )?;
-        // Adjacency lists must be strictly increasing per vertex — the
-        // `Graph` invariant `has_edge`'s binary search relies on.
-        for v in 0..n {
-            let mut prev: Option<u32> = None;
-            for w in self.graph_neighbors(v as VertexId) {
-                if w as usize >= n {
-                    return Err(QbsError::Corrupt(format!(
-                        "graph neighbour id {w} out of range for {n} vertices"
-                    )));
-                }
-                if prev.is_some_and(|p| p >= w) {
-                    return Err(QbsError::Corrupt(format!(
-                        "adjacency list of vertex {v} is not strictly sorted"
-                    )));
-                }
-                prev = Some(w);
-            }
-        }
         for (i, j, _) in self.meta_edges() {
             if i >= j || j >= r {
                 return Err(QbsError::Corrupt(format!(
@@ -693,6 +665,64 @@ impl IndexView {
         Ok(())
     }
 
+    /// The graph rows tile the neighbour section in vertex order, and each
+    /// row is its non-landmark neighbours, then its landmark neighbours,
+    /// each half strictly increasing: what stage 1's unfiltered prefix read
+    /// and [`GraphRows::has_edge`]'s binary searches rely on.
+    fn validate_graph_rows(&self, is_landmark: &[bool]) -> Result<()> {
+        let n = self.num_vertices;
+        let arcs = self.num_arcs();
+        let bounds = self.section_bytes(SectionKind::GraphRows);
+        let entry = |v: usize| {
+            (
+                le_u32(bounds, v * 8) as usize,
+                le_u32(bounds, v * 8 + 4) as usize,
+            )
+        };
+        if entry(0).0 != 0 || entry(n) != (arcs, arcs) {
+            return Err(QbsError::Corrupt(format!(
+                "graph rows must start at 0 and end at ({arcs}, {arcs})"
+            )));
+        }
+        let ids = self.section_bytes(SectionKind::GraphNeighbors);
+        for v in 0..n {
+            let ((start, split), (end, _)) = (entry(v), entry(v + 1));
+            if !(start <= split && split <= end && end <= arcs) {
+                return Err(QbsError::Corrupt(format!(
+                    "graph row of vertex {v} has bounds start {start}, landmark start \
+                     {split}, end {end}: out of order"
+                )));
+            }
+            for (half, landmarks) in [(start..split, false), (split..end, true)] {
+                let what = if landmarks {
+                    "landmark"
+                } else {
+                    "non-landmark"
+                };
+                let mut prev: Option<u32> = None;
+                for w in half.map(|i| le_u32(ids, i * 4)) {
+                    if w as usize >= n {
+                        return Err(QbsError::Corrupt(format!(
+                            "graph neighbour id {w} out of range for {n} vertices"
+                        )));
+                    }
+                    if is_landmark[w as usize] != landmarks {
+                        return Err(QbsError::Corrupt(format!(
+                            "the {what} half of vertex {v}'s graph row holds vertex {w}"
+                        )));
+                    }
+                    if prev.is_some_and(|p| p >= w) {
+                        return Err(QbsError::Corrupt(format!(
+                            "the {what} half of vertex {v}'s graph row is not strictly sorted"
+                        )));
+                    }
+                    prev = Some(w);
+                }
+            }
+        }
+        Ok(())
+    }
+
     fn expect_len(&self, kind: SectionKind, expected: u64) -> Result<()> {
         let len = self.section(kind).len;
         if len != expected {
@@ -703,6 +733,107 @@ impl IndexView {
         }
         Ok(())
     }
+}
+
+/// The adjacency rows of an index's graph ([`IndexView::graph_rows`]).
+///
+/// Row `v` is `v`'s non-landmark neighbours ascending — its row in the
+/// sparsified graph `G⁻ = G[V \ R]` — then its landmark neighbours
+/// ascending. Per-vertex methods panic on `v >= num_vertices()`, like
+/// slice indexing.
+#[derive(Clone, Copy, Debug)]
+pub struct GraphRows<'a> {
+    /// `(start, landmark_start)` per vertex, then `(arcs, arcs)`.
+    bounds: &'a [[u8; 8]],
+    /// Every row's neighbour ids, back to back.
+    ids: &'a [[u8; 4]],
+}
+
+impl<'a> GraphRows<'a> {
+    /// `(start, landmark_start)` of `v`'s row.
+    #[inline]
+    fn bounds(&self, v: VertexId) -> (usize, usize) {
+        let [s0, s1, s2, s3, l0, l1, l2, l3] = self.bounds[v as usize];
+        (
+            u32::from_le_bytes([s0, s1, s2, s3]) as usize,
+            u32::from_le_bytes([l0, l1, l2, l3]) as usize,
+        )
+    }
+
+    /// `v`'s non-landmark half: one bounds entry read.
+    #[inline]
+    fn sparsified_half(&self, v: VertexId) -> &'a [[u8; 4]] {
+        let (start, split) = self.bounds(v);
+        &self.ids[start..split]
+    }
+
+    /// `v`'s landmark half.
+    #[inline]
+    fn landmark_half(&self, v: VertexId) -> &'a [[u8; 4]] {
+        let (_, split) = self.bounds(v);
+        let (end, _) = self.bounds(v + 1);
+        &self.ids[split..end]
+    }
+
+    /// Every neighbour of `v`: the non-landmarks, then the landmarks.
+    #[inline]
+    pub fn neighbors(&self, v: VertexId) -> impl Iterator<Item = VertexId> + 'a {
+        let (start, _) = self.bounds(v);
+        let (end, _) = self.bounds(v + 1);
+        ids(&self.ids[start..end])
+    }
+
+    /// `v`'s non-landmark neighbours, ascending: its row in `G⁻`.
+    #[inline]
+    pub fn sparsified_neighbors(
+        &self,
+        v: VertexId,
+    ) -> impl ExactSizeIterator<Item = VertexId> + 'a {
+        ids(self.sparsified_half(v))
+    }
+
+    /// `v`'s landmark neighbours, ascending.
+    #[inline]
+    pub fn landmark_neighbors(&self, v: VertexId) -> impl Iterator<Item = VertexId> + 'a {
+        ids(self.landmark_half(v))
+    }
+
+    /// The degree of `v` in `G`.
+    #[inline]
+    pub fn degree(&self, v: VertexId) -> usize {
+        let (start, _) = self.bounds(v);
+        let (end, _) = self.bounds(v + 1);
+        end - start
+    }
+
+    /// Whether `{v, w}` is a graph edge: one binary search of the half of
+    /// `v`'s row that can hold `w`, the landmark half iff `w_is_landmark`.
+    #[inline]
+    pub fn has_edge(&self, v: VertexId, w: VertexId, w_is_landmark: bool) -> bool {
+        let half = if w_is_landmark {
+            self.landmark_half(v)
+        } else {
+            self.sparsified_half(v)
+        };
+        half.binary_search_by(|id| u32::from_le_bytes(*id).cmp(&w))
+            .is_ok()
+    }
+}
+
+/// Decodes a run of neighbour ids.
+#[inline]
+fn ids(run: &[[u8; 4]]) -> impl ExactSizeIterator<Item = VertexId> + '_ {
+    run.iter().map(|id| u32::from_le_bytes(*id))
+}
+
+/// Refuses a graph whose arc count the `u32` row bounds cannot address.
+pub fn check_num_arcs(num_arcs: usize) -> Result<()> {
+    if u32::try_from(num_arcs).is_err() {
+        return Err(QbsError::GraphTooLarge {
+            num_arcs: num_arcs as u64,
+        });
+    }
+    Ok(())
 }
 
 /// Payload lengths of every section, in file order.
@@ -820,10 +951,14 @@ pub(crate) fn start_buffer(
 /// offsets are all zero, so the view parses as an index with empty Δ
 /// lists; its checksum is a placeholder.
 ///
-/// The graph is dropped as soon as its sections are written.
+/// The graph's rows are written partitioned by the landmark set, each
+/// row's non-landmark neighbours first; the graph is dropped as soon as
+/// its sections are written. It must have fewer than 2³² arcs
+/// ([`check_num_arcs`]).
 pub(crate) fn write_without_delta(
     labelling: PathLabelling,
     graph: Graph,
+    landmarks: &[VertexId],
     meta_edges: &[(usize, usize, Distance)],
     apsp: &[Distance],
 ) -> IndexView {
@@ -842,10 +977,38 @@ pub(crate) fn write_without_delta(
     let mut out = labelling.into_buffer();
     let labels = section(SectionKind::Labels);
     debug_assert_eq!(out.len() as u64, labels.offset + labels.len);
-    pad_to(&mut out, section(SectionKind::GraphOffsets));
-    put_words(&mut out, graph.csr_offsets(), u64::to_le_bytes);
+    // One pass over the graph: each row's non-landmark neighbours go
+    // straight to the buffer, its few landmark neighbours after them, and
+    // its bounds into the rows section laid out ahead of the neighbours.
+    let is_landmark = VertexFilter::from_vertices(n, landmarks.iter().copied());
+    let rows = section(SectionKind::GraphRows);
+    pad_to(&mut out, rows);
+    out.resize((rows.offset + rows.len) as usize, 0);
+    let ids_at = section(SectionKind::GraphNeighbors).offset as usize;
     pad_to(&mut out, section(SectionKind::GraphNeighbors));
-    put_words(&mut out, graph.csr_neighbors(), u32::to_le_bytes);
+    let arcs_written = |out: &Vec<u8>| ((out.len() - ids_at) / 4) as u32;
+    let put_entry = |out: &mut Vec<u8>, v: usize, start: u32, split: u32| {
+        let at = rows.offset as usize + 8 * v;
+        out[at..at + 4].copy_from_slice(&start.to_le_bytes());
+        out[at + 4..at + 8].copy_from_slice(&split.to_le_bytes());
+    };
+    let mut landmark_half = Vec::new();
+    for v in graph.vertices() {
+        let start = arcs_written(&out);
+        for &w in graph.neighbors(v) {
+            if is_landmark.contains(w) {
+                landmark_half.push(w);
+            } else {
+                out.extend_from_slice(&w.to_le_bytes());
+            }
+        }
+        let split = arcs_written(&out);
+        put_words(&mut out, &landmark_half, u32::to_le_bytes);
+        landmark_half.clear();
+        put_entry(&mut out, v as usize, start, split);
+    }
+    let end = arcs_written(&out);
+    put_entry(&mut out, n, end, end);
     drop(graph);
     pad_to(&mut out, section(SectionKind::MetaEdges));
     for &(i, j, sigma) in meta_edges {
@@ -983,11 +1146,16 @@ pub fn inspect(buf: ViewBuf) -> Result<FileInspection> {
 }
 
 /// The `qbs-index` version the leading bytes of a file announce, or `None`
-/// when they carry no qbs index magic at all. Versions 1–3 are the layouts
-/// earlier builds wrote (the JSON index and the two older binary ones);
+/// when they carry no qbs index magic at all. Versions 1–4 are the layouts
+/// earlier builds wrote (the JSON index and the three older binary ones);
 /// nothing reads them any more.
 pub fn index_version(head: &[u8]) -> Option<u32> {
-    const RETIRED: [(&[u8], u32); 3] = [(b"qbs-index-v1", 1), (b"QBSIDX2\0", 2), (b"QBSIDX3\0", 3)];
+    const RETIRED: [(&[u8], u32); 4] = [
+        (b"qbs-index-v1", 1),
+        (b"QBSIDX2\0", 2),
+        (b"QBSIDX3\0", 3),
+        (b"QBSIDX4\0", 4),
+    ];
     if head.starts_with(&MAGIC) {
         return Some(FORMAT_VERSION);
     }
@@ -1242,11 +1410,21 @@ mod tests {
         assert_eq!(view.num_arcs(), graph.num_arcs());
         assert_eq!(view.num_meta_edges(), 3);
         assert_eq!(view.num_delta_edges(), 4);
+        let rows = view.graph_rows();
         for v in graph.vertices() {
+            // The non-landmark neighbours, then the landmark ones, each
+            // ascending.
+            let (sparsified, landmarks): (Vec<VertexId>, Vec<VertexId>) = graph
+                .neighbors(v)
+                .iter()
+                .partition(|w| ![1, 2, 3].contains(*w));
+            assert_eq!(rows.sparsified_neighbors(v).collect::<Vec<_>>(), sparsified);
+            assert_eq!(rows.landmark_neighbors(v).collect::<Vec<_>>(), landmarks);
             assert_eq!(
                 view.graph_neighbors(v).collect::<Vec<_>>(),
-                graph.neighbors(v)
+                [sparsified, landmarks].concat()
             );
+            assert_eq!(rows.degree(v), graph.neighbors(v).len());
             assert_eq!(
                 view.label_entries(v).collect::<Vec<_>>(),
                 scheme.labelling.entries(v).collect::<Vec<_>>()
@@ -1309,11 +1487,12 @@ mod tests {
         let valid = index().bytes().to_vec();
         let view = IndexView::parse(ViewBuf::Heap(valid.clone())).expect("parse");
 
-        // Swap two neighbours inside one adjacency list (vertex 1 of the
-        // figure-4 graph has degree > 1): ids stay in range, CSR offsets
-        // stay monotone, only the sortedness rule can catch it.
+        // Swap the first two neighbours of vertex 1 of the figure-4 graph,
+        // both non-landmarks (4 and 5): ids stay in range and in their
+        // half, the row bounds stay ordered, only the sortedness rule can
+        // catch it.
         let base = view.section(SectionKind::GraphNeighbors).offset as usize;
-        let lo = le_u64(view.section_bytes(SectionKind::GraphOffsets), 8) as usize;
+        let lo = le_u32(view.section_bytes(SectionKind::GraphRows), 8) as usize;
         let mut crafted = valid.clone();
         crafted.copy_within(base + lo * 4..base + lo * 4 + 4, base + lo * 4 + 4);
         crafted[base + lo * 4..base + lo * 4 + 4]
@@ -1378,6 +1557,7 @@ mod tests {
             (&b"qbs-index-v1\n{}"[..], 1),
             (b"QBSIDX2\0", 2),
             (b"QBSIDX3\0", 3),
+            (b"QBSIDX4\0", 4),
         ] {
             assert_eq!(index_version(head), Some(version));
             let mut old = head.to_vec();
@@ -1413,6 +1593,17 @@ mod tests {
             flipped[pos] ^= 1;
             assert_ne!(checksum64(&flipped), base, "flip at byte {pos}");
         }
+    }
+
+    #[test]
+    fn row_bounds_address_fewer_than_2_pow_32_arcs() {
+        assert!(check_num_arcs(0).is_ok());
+        assert!(check_num_arcs(u32::MAX as usize).is_ok());
+        let err = check_num_arcs(1 << 32).unwrap_err();
+        assert!(
+            matches!(err, QbsError::GraphTooLarge { num_arcs } if num_arcs == 1 << 32),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -69,7 +69,16 @@ impl QbsIndex {
     /// Builds an index over `graph` with the given configuration, on the
     /// calling thread: Algorithm 2's one BFS per landmark, then the index
     /// file layout in one heap buffer, whose Δ is read off the labels.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph has 2³² arcs or more, which the index file's
+    /// row bounds cannot address; [`crate::Qbs::build`] returns
+    /// [`QbsError::GraphTooLarge`] instead.
     pub fn build(graph: Graph, config: QbsConfig) -> Self {
+        if let Err(err) = format::check_num_arcs(graph.num_arcs()) {
+            panic!("{err}");
+        }
         let total_start = Instant::now();
 
         let t = Instant::now();
@@ -91,6 +100,7 @@ impl QbsIndex {
         let partial = QbsIndex::from_view(format::write_without_delta(
             scheme.labelling,
             graph,
+            &landmarks,
             &scheme.meta_edges,
             &apsp,
         ));

@@ -35,11 +35,16 @@
 //! 5 051 edges and settled 267 vertices per query with them, and 3 737 and
 //! 197 without, with every answer the same.
 //!
-//! Queries whose endpoint happens to be a landmark are handled by giving
-//! that endpoint the synthetic label `{(itself, 0)}` and keeping it inside
-//! the sparsified view for this query only, which generalises the paper's
-//! formulation (labels are only defined on `V \ R`) without changing any of
-//! its guarantees.
+//! **`G⁻` is a row prefix.** The index file stores each adjacency row as
+//! its non-landmark neighbours, then its landmark neighbours
+//! ([`crate::format::GraphRows`]), so stage 1 and the label walks read `G⁻`
+//! as each row's prefix, with no landmark test per arc; the walk back reads
+//! whole rows. Queries whose endpoint happens to be a landmark are handled
+//! by giving that endpoint the synthetic label `{(itself, 0)}` and keeping
+//! it inside `G⁻` for this query only: stage 1 then also scans each row's
+//! short landmark suffix for the kept endpoints. This generalises the
+//! paper's formulation (labels are only defined on `V \ R`) without
+//! changing any of its guarantees.
 //!
 //! Every index read goes straight to the [`QbsIndex`] buffer, heap or
 //! mapped. All mutable search state lives in a
@@ -49,12 +54,12 @@
 
 use serde::{Deserialize, Serialize};
 
-use qbs_graph::view::NeighborAccess;
 use qbs_graph::workspace::VisitedSet;
-use qbs_graph::{Distance, PathGraph, VertexFilter, VertexId, INFINITE_DISTANCE};
+use qbs_graph::{Distance, PathGraph, VertexId, INFINITE_DISTANCE};
 
+use crate::format::GraphRows;
 use crate::sketch::Sketch;
-use crate::store::{QbsIndex, SparsifiedStore};
+use crate::store::QbsIndex;
 use crate::workspace::{QueryWorkspace, SideState};
 
 /// Work counters and intermediate quantities of one guided search, used by
@@ -126,18 +131,17 @@ pub fn guided_search_with(
         walk_stack,
         meeting,
         edges,
-        scratch_filter,
         ..
     } = &mut *ws;
 
-    let view = sparsified_view(index, scratch_filter, source, target);
-
+    let rows = index.graph_rows();
     let d_top = sketch.upper_bound;
 
     // ---- Stage 1: guided bidirectional search on G⁻ (lines 6-15). ----
     fwd.begin(n, source);
     bwd.begin(n, target);
-    let meeting_distance = bidirectional_stage(&view, fwd, bwd, d_top, &mut stats);
+    let kept = kept_endpoints(index, source, target);
+    let meeting_distance = bidirectional_stage(rows, kept, fwd, bwd, d_top, &mut stats);
     stats.sparsified_distance = meeting_distance;
 
     // ---- Stage 2/3: combine per Eq. 5. ----
@@ -205,7 +209,7 @@ pub fn guided_search_with(
                 );
             }
         }
-        walk_back(index, side, visited, stack, edges);
+        walk_back(index, rows, side, visited, stack, edges);
     }
     (
         PathGraph::from_edges(source, target, distance, edges.iter().copied()),
@@ -236,46 +240,24 @@ pub fn guided_distance_with(
         ..SearchStats::default()
     };
 
-    let QueryWorkspace {
-        fwd,
-        bwd,
-        scratch_filter,
-        ..
-    } = &mut *ws;
-    let view = sparsified_view(index, scratch_filter, source, target);
-
+    let QueryWorkspace { fwd, bwd, .. } = &mut *ws;
     fwd.begin(n, source);
     bwd.begin(n, target);
-    let meeting_distance = bidirectional_stage(&view, fwd, bwd, d_top, &mut stats);
+    let kept = kept_endpoints(index, source, target);
+    let meeting_distance =
+        bidirectional_stage(index.graph_rows(), kept, fwd, bwd, d_top, &mut stats);
     stats.sparsified_distance = meeting_distance;
     let distance = meeting_distance.min(d_top);
     stats.distance = distance;
     (distance, stats)
 }
 
-/// The sparsified view for one query: all landmarks removed, except a query
-/// endpoint that happens to be a landmark itself. The common
-/// (non-landmark-endpoint) case borrows the index's filter directly; the
-/// rare case copies it into the workspace's scratch filter, so neither path
-/// allocates in the steady state. Shared by the full search and the
+/// The query endpoints stage 1 looks for in row suffixes: both when either
+/// is a landmark (a non-landmark endpoint is never in a suffix, so naming
+/// it is harmless), none otherwise. Shared by the full search and the
 /// distance-only path so the endpoint rule lives in exactly one place.
-fn sparsified_view<'v>(
-    index: &'v QbsIndex,
-    scratch_filter: &'v mut VertexFilter,
-    source: VertexId,
-    target: VertexId,
-) -> SparsifiedStore<'v> {
-    let landmark_filter = index.landmark_filter();
-    let endpoint_is_landmark = landmark_filter.contains(source) || landmark_filter.contains(target);
-    let query_filter: &VertexFilter = if endpoint_is_landmark {
-        scratch_filter.copy_from(landmark_filter);
-        scratch_filter.remove(source);
-        scratch_filter.remove(target);
-        scratch_filter
-    } else {
-        landmark_filter
-    };
-    SparsifiedStore::new(index, query_filter)
+fn kept_endpoints(index: &QbsIndex, source: VertexId, target: VertexId) -> Option<[VertexId; 2]> {
+    (index.is_landmark(source) || index.is_landmark(target)).then_some([source, target])
 }
 
 /// Recover search (Algorithm 4, lines 18-24) between one query endpoint and
@@ -357,6 +339,7 @@ pub(crate) fn label_walk(
     if start_distance == 0 {
         return;
     }
+    let rows = index.graph_rows();
     walk_visited.reset(index.num_vertices());
     walk_visited.insert(start);
     walk_stack.clear();
@@ -366,10 +349,9 @@ pub(crate) fn label_walk(
             edges.push((x, landmark));
             continue;
         }
-        for y in index.neighbors(x) {
-            if index.is_landmark(y) {
-                continue; // other landmarks cannot be interior vertices
-            }
+        // Other landmarks cannot be interior vertices: the walk reads `x`'s
+        // row in `G⁻`.
+        for y in rows.sparsified_neighbors(x) {
             if index.label_distance(y, landmark_idx) == Some(dx - 1) {
                 edges.push((x, y));
                 if walk_visited.insert(y) {
@@ -381,12 +363,14 @@ pub(crate) fn label_walk(
 }
 
 /// Stage 1 of Algorithm 4: the alternating bidirectional level expansion on
-/// the sparsified view, one whole level of the live side with fewer settled
-/// vertices at a time (see the module docs for why the Eq. 4 budgets play
-/// no part). Returns the meeting distance (`d_{G⁻}(u, v)` when it is
-/// `≤ d⊤`, [`INFINITE_DISTANCE`] otherwise).
-fn bidirectional_stage<V: NeighborAccess>(
-    view: &V,
+/// `G⁻` (row prefixes, plus the `kept` endpoints, see
+/// [`SideState::expand`]), one whole level of the live side with fewer
+/// settled vertices at a time (see the module docs for why the Eq. 4
+/// budgets play no part). Returns the meeting distance (`d_{G⁻}(u, v)`
+/// when it is `≤ d⊤`, [`INFINITE_DISTANCE`] otherwise).
+fn bidirectional_stage(
+    rows: GraphRows<'_>,
+    kept: Option<[VertexId; 2]>,
     fwd: &mut SideState,
     bwd: &mut SideState,
     d_top: Distance,
@@ -408,11 +392,11 @@ fn bidirectional_stage<V: NeighborAccess>(
 
         let (just, other): (&SideState, &SideState) = if expand_forward {
             stats.forward_levels += 1;
-            fwd.expand(view, stats);
+            fwd.expand(rows, kept, stats);
             (fwd, bwd)
         } else {
             stats.backward_levels += 1;
-            bwd.expand(view, stats);
+            bwd.expand(rows, kept, stats);
             (bwd, fwd)
         };
 
@@ -437,12 +421,14 @@ fn bidirectional_stage<V: NeighborAccess>(
 /// in one pass.
 ///
 /// The parents of `x` at depth `d` are its neighbours in `levels[d − 1]`,
-/// read from whichever side is cheaper: a scan of `x`'s adjacency row, or
-/// one binary search of that sorted row (at most `⌊log₂ deg(x)⌋ + 1`
-/// probes) per vertex of `levels[d − 1]`. A non-landmark hub's row can
-/// hold thousands of entries where the level before it holds a handful.
+/// read from whichever side is cheaper: a scan of `x`'s whole adjacency
+/// row, or one binary search of the sorted half of that row that can hold
+/// it (at most `⌊log₂ deg(x)⌋ + 1` probes) per vertex of `levels[d − 1]`.
+/// A non-landmark hub's row can hold thousands of entries where the level
+/// before it holds a handful.
 fn walk_back(
     index: &QbsIndex,
+    rows: GraphRows<'_>,
     side: &SideState,
     visited: &mut VisitedSet,
     stack: &mut Vec<VertexId>,
@@ -460,18 +446,18 @@ fn walk_back(
             }
         };
         let parents = &side.levels[dx as usize - 1];
-        let degree = index.graph_degree(x);
+        let degree = rows.degree(x);
         let probes = (usize::BITS - degree.leading_zeros()) as usize;
         if parents.len() * probes < degree {
             for &p in parents {
-                if index.has_graph_edge(x, p) {
+                if rows.has_edge(x, p, index.is_landmark(p)) {
                     push(p);
                 }
             }
         } else {
-            // Only vertices the search reached inside the sparsified view
-            // carry a depth, so the depth test alone keeps the scan on G⁻.
-            for p in index.neighbors(x) {
+            // Only vertices the search reached inside G⁻ carry a depth, so
+            // the depth test alone keeps the scan on G⁻.
+            for p in rows.neighbors(x) {
                 if side.depth.get(p) == dx - 1 {
                     push(p);
                 }
@@ -684,7 +670,7 @@ mod tests {
                 let expected = exact_spg(&fx.graph, u, v);
                 let (got, _) = fx.query(u, v);
                 assert_eq!(got, expected, "query ({u},{v})");
-                // The scratch-filter path must agree as well.
+                // A reused workspace must agree as well.
                 let (got, _) = fx.query_with(&mut ws, u, v);
                 assert_eq!(got, expected, "workspace query ({u},{v})");
             }

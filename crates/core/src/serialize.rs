@@ -18,6 +18,7 @@
 
 use std::io::Read;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::format::{self, IndexView, ViewBuf};
 use crate::store::QbsIndex;
@@ -42,9 +43,26 @@ pub fn from_bytes(data: &[u8]) -> Result<QbsIndex> {
 /// Writes the index file: the bytes the index already holds, in one write
 /// (whole-file writes leave the page cache in large folios, which a later
 /// mapping of the file faults in quickly).
+///
+/// An existing file at `path` is replaced, never rewritten: the bytes go to
+/// a new file in the same directory, which is then renamed over `path`. A
+/// session that maps the old file keeps its inode, so it goes on answering
+/// from the old index instead of faulting on a truncated one.
 pub fn save_to_file<P: AsRef<Path>>(index: &QbsIndex, path: P) -> Result<()> {
-    std::fs::write(path, index.bytes())?;
-    Ok(())
+    static SAVES: AtomicU64 = AtomicU64::new(0);
+    let path = path.as_ref();
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(format!(
+        ".{}.{}.tmp",
+        std::process::id(),
+        SAVES.fetch_add(1, Ordering::Relaxed)
+    ));
+    let temp = path.with_file_name(name);
+    let written = std::fs::write(&temp, index.bytes()).and_then(|()| std::fs::rename(&temp, path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&temp);
+    }
+    Ok(written?)
 }
 
 /// How [`load_view_from_file`] acquires (and vets) the index bytes.
@@ -120,7 +138,7 @@ pub fn open_from_file<P: AsRef<Path>>(path: P, mode: MapMode) -> Result<QbsIndex
 }
 
 /// The `qbs-index` version the file at `path` announces in its magic bytes
-/// ([`format::index_version`]: `Some(1..=3)` for the retired layouts),
+/// ([`format::index_version`]: `Some(1..=4)` for the retired layouts),
 /// or `None` when it is not an index file at all. Reads only the header.
 pub fn index_version_of_file<P: AsRef<Path>>(path: P) -> Result<Option<u32>> {
     let mut file = std::fs::File::open(path)?;

@@ -115,8 +115,10 @@ impl fmt::Debug for Qbs {
 
 impl Qbs {
     /// Builds an index over `graph` on the calling thread (spawning none)
-    /// and wraps it in a session.
+    /// and wraps it in a session. Fails with [`QbsError::GraphTooLarge`]
+    /// when the graph has 2³² arcs or more.
     pub fn build(graph: Graph, config: QbsConfig) -> crate::Result<Self> {
+        crate::format::check_num_arcs(graph.num_arcs())?;
         Ok(Self::from_index(QbsIndex::build(graph, config)))
     }
 

@@ -35,7 +35,8 @@ pub struct IndexStats {
     pub meta_graph_bytes: usize,
     /// Number of meta edges.
     pub meta_edges: usize,
-    /// Adjacency size of the indexed graph (the `|G|` column of Table 1).
+    /// Adjacency size of the indexed graph (the `|G|` column of Table 1):
+    /// the index file's graph-rows and graph-neighbors sections.
     pub graph_bytes: usize,
     /// Labelling construction time.
     pub labelling_time: Duration,
@@ -66,7 +67,7 @@ impl IndexStats {
             delta_bytes: index.meta_graph().delta_size_bytes(),
             meta_graph_bytes: index.meta_graph().meta_size_bytes(),
             meta_edges: index.meta_graph().edges().len(),
-            graph_bytes: view.section_bytes(SectionKind::GraphOffsets).len()
+            graph_bytes: view.section_bytes(SectionKind::GraphRows).len()
                 + view.section_bytes(SectionKind::GraphNeighbors).len(),
             labelling_time: timings.labelling,
             meta_time: timings.meta_graph,

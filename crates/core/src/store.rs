@@ -5,12 +5,15 @@
 //! build laid out, a heap copy of a file, or a read-only mapping of one.
 //! Every read the sketching ([`crate::sketch`]) and guided searching
 //! ([`crate::search`]) phases perform goes through the accessors below,
-//! straight from that buffer: landmark set and filter, label lookups, graph
-//! adjacency, and the meta-graph APSP/Δ tables. Construction derives two
-//! small structures:
+//! straight from that buffer: landmark set and bitmap, label lookups, graph
+//! adjacency, and the meta-graph APSP/Δ tables.
 //!
-//! * the landmark bitmap (`|V|` *bits*), which the sparsified search needs
-//!   as a [`VertexFilter`];
+//! The sparsified graph `G⁻ = G[V \ R]` the guided search runs on needs no
+//! structure of its own: every adjacency row stores its non-landmark
+//! neighbours first, so `v`'s row in `G⁻` is a prefix of its row in `G`
+//! ([`QbsIndex::graph_rows`]). Construction derives two small structures:
+//!
+//! * the landmark bitmap (`|V|` *bits*), for [`QbsIndex::is_landmark`];
 //! * the meta-graph tables ([`MetaGraph`]: meta edges, APSP and Δ), decoded
 //!   once because sketching reads them on every query. They are
 //!   `O(|R|² + |Δ|)` — kilobytes, independent of the graph size.
@@ -29,10 +32,9 @@
 //! shares it with its query workers, which it joins when it is dropped, so
 //! no query can outlive the mapping.
 
-use qbs_graph::view::NeighborAccess;
 use qbs_graph::{Distance, VertexFilter, VertexId};
 
-use crate::format::IndexView;
+use crate::format::{GraphRows, IndexView};
 use crate::meta_graph::MetaGraph;
 use crate::query::BuildTimings;
 use crate::stats::IndexStats;
@@ -117,13 +119,6 @@ impl QbsIndex {
         self.meta.landmarks()[idx]
     }
 
-    /// Bitmap of the landmark vertices — the removal set of the sparsified
-    /// graph `G⁻ = G[V \ R]` the guided search runs on.
-    #[inline]
-    pub fn landmark_filter(&self) -> &VertexFilter {
-        &self.landmark_filter
-    }
-
     /// Whether `v` is a landmark.
     #[inline]
     pub fn is_landmark(&self, v: VertexId) -> bool {
@@ -167,68 +162,23 @@ impl QbsIndex {
         }
     }
 
-    /// The neighbours of `v` in the **full** graph.
+    /// The graph's adjacency rows, each its non-landmark neighbours (its
+    /// row in `G⁻`), then its landmark neighbours. Take it once per query.
+    #[inline]
+    pub fn graph_rows(&self) -> GraphRows<'_> {
+        self.view.graph_rows()
+    }
+
+    /// The neighbours of `v` in the **full** graph: its non-landmark
+    /// neighbours ascending, then its landmark neighbours ascending.
     #[inline]
     pub fn neighbors(&self, v: VertexId) -> impl Iterator<Item = VertexId> + '_ {
         self.view.graph_neighbors(v)
     }
 
-    /// The degree of `v` in the **full** graph.
-    #[inline]
-    pub fn graph_degree(&self, v: VertexId) -> usize {
-        self.view.graph_degree(v)
-    }
-
-    /// Whether `{v, w}` is an edge of the **full** graph (a binary search of
-    /// `v`'s sorted adjacency row).
-    #[inline]
-    pub fn has_graph_edge(&self, v: VertexId, w: VertexId) -> bool {
-        self.view.has_graph_edge(v, w)
-    }
-
     /// The meta-graph (with APSP and Δ).
     pub fn meta_graph(&self) -> &MetaGraph {
         &self.meta
-    }
-}
-
-/// The sparsified graph `G[V \ removed]` of an index — the view the guided
-/// bidirectional search traverses, with the landmark set (minus any
-/// landmark query endpoint) deleted. Mirrors [`qbs_graph::FilteredGraph`],
-/// but sources adjacency from the index buffer.
-pub(crate) struct SparsifiedStore<'a> {
-    index: &'a QbsIndex,
-    removed: &'a VertexFilter,
-}
-
-impl<'a> SparsifiedStore<'a> {
-    pub(crate) fn new(index: &'a QbsIndex, removed: &'a VertexFilter) -> Self {
-        debug_assert_eq!(index.num_vertices(), removed.capacity());
-        SparsifiedStore { index, removed }
-    }
-}
-
-impl NeighborAccess for SparsifiedStore<'_> {
-    #[inline]
-    fn vertex_count(&self) -> usize {
-        self.index.num_vertices()
-    }
-
-    #[inline]
-    fn contains_vertex(&self, v: VertexId) -> bool {
-        (v as usize) < self.index.num_vertices() && !self.removed.contains(v)
-    }
-
-    #[inline]
-    fn for_each_neighbor<F: FnMut(VertexId)>(&self, v: VertexId, mut visit: F) {
-        if self.removed.contains(v) {
-            return;
-        }
-        for w in self.index.neighbors(v) {
-            if !self.removed.contains(w) {
-                visit(w);
-            }
-        }
     }
 }
 
@@ -276,22 +226,37 @@ mod tests {
                 assert_eq!(store.is_landmark(v), column.is_some(), "vertex {v}");
                 assert_eq!(store.landmark_column(v), column, "column of {v}");
                 let row = graph.neighbors(v);
+                // The non-landmark neighbours (the row in G⁻), then the
+                // landmark ones, each ascending.
+                let (sparsified, landmark_half): (Vec<VertexId>, Vec<VertexId>) =
+                    row.iter().partition(|w| !landmarks.contains(*w));
+                let rows = store.graph_rows();
+                assert_eq!(
+                    rows.sparsified_neighbors(v).collect::<Vec<_>>(),
+                    sparsified,
+                    "G⁻ row of {v}"
+                );
+                assert_eq!(
+                    rows.landmark_neighbors(v).collect::<Vec<_>>(),
+                    landmark_half,
+                    "landmark neighbours of {v}"
+                );
                 assert_eq!(
                     store.neighbors(v).collect::<Vec<_>>(),
-                    row,
+                    [sparsified, landmark_half].concat(),
                     "neighbours of {v}"
                 );
-                assert_eq!(store.graph_degree(v), row.len(), "degree of {v}");
+                assert_eq!(rows.degree(v), row.len(), "degree of {v}");
                 // Every vertex id, so the first and last neighbour of each
-                // row and every id between or beyond them are probed.
+                // half and every id between or beyond them are probed.
                 for w in graph.vertices() {
                     assert_eq!(
-                        store.has_graph_edge(v, w),
+                        rows.has_edge(v, w, store.is_landmark(w)),
                         row.contains(&w),
                         "edge ({v}, {w})"
                     );
                 }
-                assert!(!store.has_graph_edge(v, VertexId::MAX), "absent id");
+                assert!(!rows.has_edge(v, VertexId::MAX, false), "absent id");
                 let expected: Vec<(usize, Distance)> = (0..landmarks.len())
                     .filter(|&i| columns[i][v as usize] != NO_LABEL)
                     .map(|i| (i, Distance::from(columns[i][v as usize])))
@@ -307,39 +272,13 @@ mod tests {
                 }
             }
             // Vertex 0 of figure 4 is isolated.
-            assert_eq!(store.graph_degree(0), 0);
-            assert!(!store.has_graph_edge(0, 1));
+            assert_eq!(store.graph_rows().degree(0), 0);
+            assert!(!store.graph_rows().has_edge(0, 1, true));
             let meta = store.meta_graph();
             assert_eq!(meta.edges(), &[(0, 1, 1), (0, 2, 2), (1, 2, 1)]);
             assert_eq!(meta.distance(0, 2), 2);
             assert_eq!(meta.delta_edges(1), &[(1, 4), (3, 4)]);
         }
         assert_eq!(built.bytes(), mapped.bytes());
-    }
-
-    #[test]
-    fn sparsified_store_hides_removed_vertices() {
-        let index = index();
-        let sparse = SparsifiedStore::new(&index, index.landmark_filter());
-        assert_eq!(sparse.vertex_count(), 15);
-        assert!(!sparse.contains_vertex(1), "landmark 1 is removed");
-        assert!(sparse.contains_vertex(6));
-        assert!(!sparse.contains_vertex(99));
-        // A removed (landmark) vertex contributes no adjacency at all.
-        let mut seen = Vec::new();
-        sparse.for_each_neighbor(1, |w| seen.push(w));
-        assert!(seen.is_empty(), "{seen:?}");
-        // A surviving vertex keeps exactly its non-landmark neighbours.
-        for v in [6u32, 7, 11] {
-            let mut got = Vec::new();
-            sparse.for_each_neighbor(v, |w| got.push(w));
-            let expected: Vec<VertexId> = figure4_graph()
-                .neighbors(v)
-                .iter()
-                .copied()
-                .filter(|w| ![1, 2, 3].contains(w))
-                .collect();
-            assert_eq!(got, expected, "sparsified neighbours of {v}");
-        }
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! A [`QueryWorkspace`] owns every piece of mutable state the online query
 //! path needs — the two bidirectional-search sides, the visited sets and
-//! stacks of the walk back and the label walks, the label buffers fed to the
-//! sketcher, and a scratch vertex filter for landmark-endpoint queries.
+//! stacks of the walk back and the label walks, and the label buffers fed to
+//! the sketcher.
 //! All per-vertex structures are epoch-stamped
 //! ([`qbs_graph::workspace`]), so preparing the workspace for the next
 //! query is O(1): a handful of `clear()`s on small vectors plus one epoch
@@ -29,10 +29,10 @@
 //! differential tests in `crates/core/tests/workspace_differential.rs`
 //! assert this across generator families and hundreds of mixed queries).
 
-use qbs_graph::view::NeighborAccess;
 use qbs_graph::workspace::{DistanceField, VisitedSet};
-use qbs_graph::{Distance, VertexFilter, VertexId};
+use qbs_graph::{Distance, VertexId};
 
+use crate::format::GraphRows;
 use crate::search::SearchStats;
 
 /// One side (forward or backward) of the guided bidirectional search, with
@@ -75,11 +75,18 @@ impl SideState {
         &self.levels[self.level as usize]
     }
 
-    /// Expands the current frontier one level on the view; returns the
-    /// number of newly settled vertices. Generic over the adjacency source
-    /// so the same search runs on an owned CSR ([`FilteredGraph`]) and on a
-    /// sparsified zero-copy store view alike.
-    pub(crate) fn expand<V: NeighborAccess>(&mut self, view: &V, stats: &mut SearchStats) -> usize {
+    /// Expands the current frontier one level on `G⁻`; returns the number
+    /// of newly settled vertices. A vertex's row in `G⁻` is the
+    /// non-landmark prefix of its row in `G`, read with no filter. When a
+    /// query endpoint is a landmark, `G⁻` keeps it for this query only:
+    /// `kept` then holds both endpoints, and each row's landmark suffix is
+    /// scanned for them as well.
+    pub(crate) fn expand(
+        &mut self,
+        rows: GraphRows<'_>,
+        kept: Option<[VertexId; 2]>,
+        stats: &mut SearchStats,
+    ) -> usize {
         let next_depth = self.level + 1;
         if self.levels.len() <= next_depth as usize {
             self.levels.push(Vec::new());
@@ -88,15 +95,23 @@ impl SideState {
         let (settled_levels, next_levels) = self.levels.split_at_mut(next_depth as usize);
         let current = &settled_levels[self.level as usize];
         let next = &mut next_levels[0];
+        let mut settle = |w: VertexId| {
+            if !depth.is_set(w) {
+                depth.set(w, next_depth);
+                next.push(w);
+            }
+        };
+        stats.vertices_settled += current.len();
         for &u in current {
-            stats.vertices_settled += 1;
-            view.for_each_neighbor(u, |w| {
-                stats.edges_traversed += 1;
-                if !depth.is_set(w) {
-                    depth.set(w, next_depth);
-                    next.push(w);
+            let sparsified = rows.sparsified_neighbors(u);
+            stats.edges_traversed += sparsified.len();
+            sparsified.for_each(&mut settle);
+            if let Some(ends) = kept {
+                for w in rows.landmark_neighbors(u).filter(|w| ends.contains(w)) {
+                    stats.edges_traversed += 1;
+                    settle(w);
                 }
-            });
+            }
         }
         let added = next.len();
         self.settled += added;
@@ -126,8 +141,6 @@ pub struct QueryWorkspace {
     pub(crate) meeting: Vec<VertexId>,
     /// Edge accumulator for the answer under construction.
     pub(crate) edges: Vec<(VertexId, VertexId)>,
-    /// Scratch filter for the rare landmark-endpoint queries.
-    pub(crate) scratch_filter: VertexFilter,
     /// Effective-label buffer for the query source.
     pub(crate) src_label: Vec<(usize, Distance)>,
     /// Effective-label buffer for the query target.
@@ -170,25 +183,35 @@ impl QueryWorkspace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{QbsConfig, QbsIndex};
     use qbs_graph::fixtures::figure4_graph;
-    use qbs_graph::{FilteredGraph, INFINITE_DISTANCE};
+    use qbs_graph::INFINITE_DISTANCE;
 
     #[test]
     fn side_state_reuses_level_buffers() {
-        let graph = figure4_graph();
-        let filter = VertexFilter::new(graph.num_vertices());
-        let view = FilteredGraph::new(&graph, &filter);
+        let index = QbsIndex::build(
+            figure4_graph(),
+            QbsConfig::with_explicit_landmarks(vec![1, 2, 3]),
+        );
+        let n = index.num_vertices();
         let mut side = SideState::default();
         let mut stats = SearchStats::default();
 
-        side.begin(graph.num_vertices(), 6);
+        side.begin(n, 6);
         assert_eq!(side.frontier(), &[6]);
-        side.expand(&view, &mut stats);
-        assert!(side.settled > 1);
+        side.expand(index.graph_rows(), None, &mut stats);
+        // Vertex 6's row in G⁻: 5 and 7, but not landmark 1.
+        assert_eq!(side.frontier(), &[5, 7]);
+        assert_eq!(stats.edges_traversed, 2);
         let deep_levels = side.active_levels;
 
+        // Kept as a query endpoint, landmark 1 is reached from 6 too.
+        side.begin(n, 6);
+        side.expand(index.graph_rows(), Some([6, 1]), &mut stats);
+        assert_eq!(side.frontier(), &[5, 7, 1]);
+
         // A second search must not see any first-search state.
-        side.begin(graph.num_vertices(), 11);
+        side.begin(n, 11);
         assert_eq!(side.frontier(), &[11]);
         assert_eq!(side.settled, 1);
         assert_eq!(side.level, 0);

@@ -9,7 +9,9 @@ use qbs_core::{LandmarkStrategy, QbsConfig, QbsIndex};
 use qbs_gen::catalog::{Catalog, DatasetId, Scale};
 use qbs_gen::prelude::*;
 use qbs_gen::structured;
-use qbs_graph::{Graph, GraphBuilder, VertexId, INFINITE_DISTANCE};
+use qbs_graph::{
+    bibfs, FilteredGraph, Graph, GraphBuilder, VertexFilter, VertexId, INFINITE_DISTANCE,
+};
 
 fn check(graph: &Graph, config: QbsConfig, queries: usize, seed: u64, tag: &str) {
     let index = QbsIndex::build(graph.clone(), config);
@@ -153,6 +155,83 @@ fn recover_search_from_a_side_that_stopped_short_is_exact() {
             .count();
         assert!(short_side > 0, "{tag}: no recovery from a short side");
     }
+}
+
+/// Queries with a landmark endpoint keep that endpoint inside `G⁻`, so
+/// stage 1 also scans row suffixes for it. Every one of 20 landmarks of a
+/// hub-dominated stand-in against 50 non-landmark partners, both ways,
+/// plus every landmark–landmark pair, as path graphs and as distances, on
+/// the build's heap buffer and on a mapping of its file. Stage 1 must find
+/// exactly the distance in `G⁻` plus the two endpoints whenever it is
+/// within `d⊤`.
+#[test]
+fn landmark_endpoints_are_exact_at_twenty_landmarks() {
+    let spec = *Catalog::paper_table1().get(DatasetId::Youtube).unwrap();
+    let graph = spec.generate(Scale::Tiny);
+    let heap = QbsIndex::build(graph.clone(), QbsConfig::with_landmark_count(20));
+    let dir = std::env::temp_dir().join("qbs_guided_search_landmark_endpoints");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let path = dir.join(format!("youtube_{}.qbs", std::process::id()));
+    serialize::save_to_file(&heap, &path).expect("save");
+    let mapped = serialize::open_from_file(&path, MapMode::Mmap).expect("map");
+
+    let landmarks = heap.landmarks().to_vec();
+    assert_eq!(landmarks.len(), 20);
+    let others: Vec<VertexId> = graph.vertices().filter(|&v| !heap.is_landmark(v)).collect();
+    let partners: Vec<VertexId> = others
+        .iter()
+        .copied()
+        .step_by(others.len() / 50)
+        .take(50)
+        .collect();
+    assert_eq!(partners.len(), 50);
+    let mut pairs = Vec::new();
+    for &r in &landmarks {
+        pairs.extend(partners.iter().flat_map(|&p| [(r, p), (p, r)]));
+        pairs.extend(landmarks.iter().filter(|&&s| s != r).map(|&s| (r, s)));
+    }
+
+    let truth = GroundTruth::new(graph.clone());
+    let expected: Vec<_> = pairs
+        .iter()
+        .map(|&(u, v)| {
+            // The sparsified graph of this query: every landmark but u, v.
+            let removed = VertexFilter::from_vertices(
+                graph.num_vertices(),
+                landmarks.iter().copied().filter(|&r| r != u && r != v),
+            );
+            let view = FilteredGraph::new(&graph, &removed);
+            let sparsified = bibfs::bidirectional_distance(&view, u, v).distance;
+            (truth.query(u, v), sparsified)
+        })
+        .collect();
+    let mut adjacent_landmarks = 0;
+    for (index, tag) in [(&heap, "heap"), (&mapped, "mmap")] {
+        for (&(u, v), (spg, sparsified)) in pairs.iter().zip(&expected) {
+            let answer = index.query_with_stats(u, v).unwrap();
+            assert_eq!(answer.path_graph, *spg, "{tag}: SPG({u}, {v})");
+            assert_eq!(
+                index.distance(u, v).unwrap(),
+                spg.distance(),
+                "{tag}: distance({u}, {v})"
+            );
+            let stats = answer.stats;
+            let within_bound = *sparsified <= stats.upper_bound;
+            assert_eq!(
+                stats.sparsified_distance,
+                if within_bound {
+                    *sparsified
+                } else {
+                    INFINITE_DISTANCE
+                },
+                "{tag}: stage 1 of ({u}, {v})"
+            );
+            adjacent_landmarks +=
+                usize::from(index.is_landmark(u) && index.is_landmark(v) && *sparsified == 1);
+        }
+    }
+    // Adjacent landmarks meet in G⁻ only through a row's landmark suffix.
+    assert!(adjacent_landmarks > 0);
 }
 
 #[test]

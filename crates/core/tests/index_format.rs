@@ -1,7 +1,8 @@
 //! Integration tests of the index file format: the golden fixture, the
-//! `dist_width` boundary, header and geometry guards, corruption sweeps,
-//! the retired-layout refusal through every door, a generator-family
-//! identity property, and the differential guarantee that queries answered
+//! `dist_width` boundary, header and geometry guards, the graph-row
+//! invariants, corruption sweeps, the retired-layout refusal through every
+//! door, a generator-family identity property, rebuilding a file that a
+//! live session maps, and the differential guarantee that queries answered
 //! through a reopened file are bit-identical to the freshly built index and
 //! to the BFS ground truth.
 
@@ -11,9 +12,10 @@ use qbs_baselines::{GroundTruth, SpgEngine};
 use qbs_core::format::{checksum64, SectionKind, HEADER_LEN};
 use qbs_core::serialize::{self, MapMode, EXCERPT_LEN};
 use qbs_core::{IndexView, Qbs, QbsConfig, QbsError, QbsIndex, QueryRequest, ViewBuf};
+use qbs_gen::catalog::{Catalog, DatasetId, Scale};
 use qbs_gen::prelude::*;
 use qbs_graph::fixtures::figure4_graph;
-use qbs_graph::{Graph, GraphBuilder};
+use qbs_graph::{Graph, GraphBuilder, VertexId};
 
 /// Path of the checked-in golden fixture (relative to the crate root).
 fn fixture_path() -> std::path::PathBuf {
@@ -40,6 +42,17 @@ fn path_graph(vertices: usize) -> Graph {
         builder.add_edge(v - 1, v);
     }
     builder.build()
+}
+
+/// `v`'s row as an index file stores it: the non-landmark neighbours
+/// ascending, then the landmark neighbours ascending.
+fn landmark_last_row(graph: &Graph, landmarks: &[VertexId], v: VertexId) -> Vec<VertexId> {
+    let (mut row, landmark_half): (Vec<VertexId>, Vec<VertexId>) = graph
+        .neighbors(v)
+        .iter()
+        .partition(|w| !landmarks.contains(*w));
+    row.extend(landmark_half);
+    row
 }
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -200,6 +213,88 @@ fn header_rejects_bad_widths_reserved_bytes_and_label_lengths() {
     assert!(parse_both(&crafted).contains("section 'labels' must be 45 bytes"));
 }
 
+/// Crafted files that each break one graph-row rule, resealed so only the
+/// structural scan can object: the parse and `Qbs::open(.., Read)` both
+/// answer with a typed `Corrupt` naming that rule.
+#[test]
+fn crafted_graph_rows_are_corrupt() {
+    let valid = std::fs::read(fixture_path()).expect("fixture");
+    let view = IndexView::parse(ViewBuf::Heap(valid.clone())).expect("parse");
+    let offset = |kind: SectionKind| view.sections()[kind as usize - 1].offset as usize;
+    let (rows_at, ids_at) = (
+        offset(SectionKind::GraphRows),
+        offset(SectionKind::GraphNeighbors),
+    );
+    // With landmarks {1, 2, 3}, vertex 1's row [4, 5, 6 | 2] is arcs 0..4
+    // and vertex 2's row [8, 9 | 1, 3] is arcs 4..8.
+    assert_eq!(view.graph_neighbors(1).collect::<Vec<_>>(), [4, 5, 6, 2]);
+    assert_eq!(view.graph_neighbors(2).collect::<Vec<_>>(), [8, 9, 1, 3]);
+    let arcs = view.num_arcs() as u32;
+    // Entry `v` of the rows section is `(start, landmark_start)`.
+    let start = |v: usize| rows_at + 8 * v;
+    let landmark_start = |v: usize| rows_at + 8 * v + 4;
+    let arc = |k: usize| ids_at + 4 * k;
+    let cases: [(Vec<(usize, u32)>, &str); 10] = [
+        (vec![(start(0), 1)], "graph rows must start at 0"),
+        (
+            vec![(landmark_start(15), arcs - 1)],
+            "graph rows must start at 0 and end at",
+        ),
+        (
+            vec![(landmark_start(1), 5)],
+            "graph row of vertex 1 has bounds start 0, landmark start 5, end 4: out of order",
+        ),
+        (
+            vec![(landmark_start(2), 3)],
+            "graph row of vertex 2 has bounds start 4, landmark start 3, end 8: out of order",
+        ),
+        (
+            vec![(landmark_start(1), 4)],
+            "the non-landmark half of vertex 1's graph row holds vertex 2",
+        ),
+        (
+            vec![(landmark_start(1), 2)],
+            "the landmark half of vertex 1's graph row holds vertex 6",
+        ),
+        (
+            vec![(arc(0), 5), (arc(1), 4)],
+            "the non-landmark half of vertex 1's graph row is not strictly sorted",
+        ),
+        (
+            vec![(arc(6), 3), (arc(7), 1)],
+            "the landmark half of vertex 2's graph row is not strictly sorted",
+        ),
+        (vec![(arc(0), 15)], "graph neighbour id 15 out of range"),
+        (
+            vec![(arc(7), u32::MAX)],
+            "graph neighbour id 4294967295 out of range",
+        ),
+    ];
+    let dir = temp_dir("crafted_rows");
+    for (i, (writes, rule)) in cases.into_iter().enumerate() {
+        let mut crafted = valid.clone();
+        for (at, value) in writes {
+            crafted[at..at + 4].copy_from_slice(&value.to_le_bytes());
+        }
+        reseal(&mut crafted);
+        let path = dir.join(format!("case{i}_{}.qbs", std::process::id()));
+        std::fs::write(&path, &crafted).expect("write");
+        for (door, err) in [
+            (
+                "parse",
+                IndexView::parse(ViewBuf::Heap(crafted)).unwrap_err(),
+            ),
+            ("Qbs::open", Qbs::open(&path, MapMode::Read).unwrap_err()),
+        ] {
+            assert!(matches!(err, QbsError::Corrupt(_)), "{door}: {err:?}");
+            assert!(
+                err.to_string().contains(rule),
+                "{door}: {err} lacks {rule:?}"
+            );
+        }
+    }
+}
+
 #[test]
 fn truncated_and_bit_flipped_fixtures_are_corrupt_never_panic() {
     let bytes = std::fs::read(fixture_path()).expect("fixture");
@@ -238,13 +333,19 @@ fn truncated_and_bit_flipped_fixtures_are_corrupt_never_panic() {
     }
 }
 
-/// Files an earlier build wrote (the JSON index, `QBSIDX2`, `QBSIDX3`) get
-/// the one rebuild message through every door; garbage is told it is not
-/// an index at all. Never a panic, never an unbounded excerpt.
+/// Files an earlier build wrote (the JSON index, `QBSIDX2`, `QBSIDX3`,
+/// `QBSIDX4`) get the one rebuild message through every door; garbage is
+/// told it is not an index at all. Never a panic, never an unbounded
+/// excerpt.
 #[test]
 fn retired_layouts_and_garbage_are_refused_through_every_door() {
     let dir = temp_dir("old_magic");
-    let cases: [(&str, Vec<u8>, Option<u32>); 5] = [
+    // A v4 file is this build's figure-4 file under the old magic: the same
+    // length, with the v5 graph rows where v4 kept its u64 offsets.
+    let mut v4 = std::fs::read(fixture_path()).expect("fixture");
+    v4[..12].copy_from_slice(b"QBSIDX4\0\x04\0\0\0");
+    reseal(&mut v4);
+    let cases: [(&str, Vec<u8>, Option<u32>); 6] = [
         ("v1.qbs", b"qbs-index-v1\n{\"graph\":{}}".to_vec(), Some(1)),
         (
             "v2.qbs",
@@ -256,6 +357,7 @@ fn retired_layouts_and_garbage_are_refused_through_every_door() {
             [b"QBSIDX3\0".as_slice(), &[7u8; 500]].concat(),
             Some(3),
         ),
+        ("v4.qbs", v4, Some(4)),
         ("junk.qbs", vec![0xEE; 4096], None),
         ("empty.qbs", Vec::new(), None),
     ];
@@ -353,7 +455,10 @@ proptest! {
         prop_assert_eq!(index.landmarks(), restored.landmarks());
         prop_assert_eq!(index.meta_graph(), restored.meta_graph());
         for v in graph.vertices() {
-            prop_assert_eq!(restored.neighbors(v).collect::<Vec<_>>(), graph.neighbors(v));
+            prop_assert_eq!(
+                restored.neighbors(v).collect::<Vec<_>>(),
+                landmark_last_row(&graph, index.landmarks(), v)
+            );
         }
         prop_assert_eq!(&bytes[..], restored.bytes(), "decode ∘ encode is not the identity");
     }
@@ -423,7 +528,7 @@ fn view_accessors_match_the_graph_and_the_labelling() {
     for v in graph.vertices() {
         assert_eq!(
             view.graph_neighbors(v).collect::<Vec<_>>(),
-            graph.neighbors(v),
+            landmark_last_row(&graph, index.landmarks(), v),
             "adjacency of {v}"
         );
         assert_eq!(
@@ -443,5 +548,59 @@ fn view_accessors_match_the_graph_and_the_labelling() {
     assert_eq!(
         view.num_delta_edges(),
         index.meta_graph().delta_total_edges()
+    );
+}
+
+/// Saving an index over a file a live session maps replaces the file
+/// instead of rewriting it: the old session keeps answering from the old
+/// bytes, and a fresh open serves the new file.
+#[test]
+fn saving_over_a_mapped_index_file_keeps_the_live_session_answering() {
+    let spec = *Catalog::paper_table1().get(DatasetId::Youtube).unwrap();
+    let graph = spec.generate(Scale::Small);
+    let dir = temp_dir("save_over_mapped");
+    let path = dir.join(format!("youtube_{}.qbs", std::process::id()));
+    let first = QbsIndex::build(graph.clone(), QbsConfig::with_landmark_count(20));
+    serialize::save_to_file(&first, &path).expect("save");
+    let live = Qbs::open(&path, MapMode::Mmap).expect("map");
+    let requests: Vec<QueryRequest> = QueryWorkload::sample(&graph, 200, 31)
+        .pairs()
+        .iter()
+        .flat_map(|&(u, v)| {
+            [
+                QueryRequest::path_graph(u, v).with_stats(),
+                QueryRequest::distance(u, v),
+            ]
+        })
+        .collect();
+    let before = live.submit(&requests);
+
+    let second = QbsIndex::build(graph, QbsConfig::with_landmark_count(5));
+    serialize::save_to_file(&second, &path).expect("save over the mapped file");
+    assert_eq!(
+        live.submit(&requests),
+        before,
+        "the live session's answers changed"
+    );
+
+    assert_eq!(std::fs::read(&path).expect("read"), second.bytes());
+    let fresh = Qbs::open(&path, MapMode::Mmap).expect("reopen");
+    assert_eq!(fresh.num_landmarks(), 5);
+    assert_eq!(
+        fresh.submit(&requests),
+        Qbs::from_index(second).submit(&requests)
+    );
+    let names: Vec<_> = std::fs::read_dir(&dir)
+        .expect("list")
+        .map(|entry| entry.expect("entry").file_name())
+        .filter(|name| {
+            name.to_string_lossy()
+                .contains(&std::process::id().to_string())
+        })
+        .collect();
+    assert_eq!(
+        names,
+        [path.file_name().unwrap()],
+        "a temporary file was left"
     );
 }
