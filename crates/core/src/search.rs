@@ -6,8 +6,11 @@
 //!
 //! 1. **Bidirectional search** — an alternating level-by-level BFS from both
 //!    endpoints on `G⁻`, bounded by `d⊤_uv`, that always expands the live
-//!    side with fewer settled vertices. It either finds
-//!    `d_{G⁻}(u, v) ≤ d⊤_uv` or proves `d_{G⁻}(u, v) > d⊤_uv`.
+//!    side with fewer settled vertices and checks each vertex it settles
+//!    against the other side. It either finds `d_{G⁻}(u, v) ≤ d⊤_uv` or
+//!    proves `d_{G⁻}(u, v) > d⊤_uv`. A distance query stops at the first
+//!    meeting vertex; a path-graph query finishes that level, which holds
+//!    every meeting vertex.
 //! 2. **Reverse search** — if the frontiers met, the meeting vertices seed
 //!    both sides' walk back, which materialises every shortest path inside
 //!    `G⁻` (`G⁻_uv`).
@@ -16,6 +19,19 @@
 //!    precomputed Δ path graphs of the sketch's meta edges, label-guided
 //!    walks from the matching frontier vertices `Z` to the sketch landmarks,
 //!    and the walk back from `Z` to the endpoint.
+//!
+//! **The first meeting is exact.** Before a level is expanded, no vertex
+//! has been settled by both sides: the expansion that settled it second
+//! would have seen the meeting and stopped. Say the side at depth `d`
+//! expands while the other side stands at depth `d'`. If a vertex `w` it
+//! settles at `d + 1` sat on the other side below `d'`, that side would
+//! already have read `w`'s row and settled `w`'s parent, a vertex of this
+//! side's level `d`, which was then on both sides before this expansion.
+//! So every vertex the new level shares with the other
+//! side sits at depth `d'` there, all meetings found in one level have the
+//! same length `d + 1 + d'`, and the first one proves `d_{G⁻}(u, v)`: a
+//! shorter path would have a vertex within `d` of one endpoint and within
+//! `d'` of the other, a meeting seen earlier.
 //!
 //! Stages 2 and 3 share **one walk back per side**: it is seeded with that
 //! side's meeting vertices and `Z`, and follows strictly decreasing BFS
@@ -74,9 +90,12 @@ pub struct SearchStats {
     pub sparsified_distance: Distance,
     /// The final query distance.
     pub distance: Distance,
-    /// Directed edges relaxed by the bidirectional search.
+    /// Directed edges relaxed by the bidirectional search. In distance mode
+    /// ([`guided_distance_with`]) it counts the rows read up to the stop at
+    /// the first meeting vertex.
     pub edges_traversed: usize,
-    /// Vertices settled by the bidirectional search.
+    /// Settled vertices whose rows the bidirectional search read. In
+    /// distance mode it counts the rows read up to the stop.
     pub vertices_settled: usize,
     /// Levels expanded from the source side.
     pub forward_levels: usize,
@@ -113,15 +132,23 @@ pub fn guided_search_with(
     target: VertexId,
     sketch: &Sketch,
 ) -> (PathGraph, SearchStats) {
-    let n = index.num_vertices();
-    ws.record_query();
-    let mut stats = SearchStats {
-        upper_bound: sketch.upper_bound,
-        sparsified_distance: INFINITE_DISTANCE,
-        distance: INFINITE_DISTANCE,
-        ..SearchStats::default()
-    };
+    // ---- Stage 1: guided bidirectional search on G⁻ (lines 6-15). ----
+    let d_top = sketch.upper_bound;
+    let mut stats = bidirectional_stage(index, ws, source, target, d_top, false);
 
+    // ---- Stage 2/3: combine per Eq. 5. ----
+    let distance = stats.distance;
+    if distance == INFINITE_DISTANCE {
+        // No landmark route and no G⁻ route: disconnected.
+        return (PathGraph::unreachable(source, target), stats);
+    }
+    // Some shortest path avoids the landmarks (reverse search), passes one
+    // (recover search), or both.
+    stats.used_reverse_search = stats.sparsified_distance == distance;
+    stats.used_recover_search = d_top == distance;
+
+    let n = index.num_vertices();
+    let rows = index.graph_rows();
     let QueryWorkspace {
         fwd,
         bwd,
@@ -133,48 +160,7 @@ pub fn guided_search_with(
         edges,
         ..
     } = &mut *ws;
-
-    let rows = index.graph_rows();
-    let d_top = sketch.upper_bound;
-
-    // ---- Stage 1: guided bidirectional search on G⁻ (lines 6-15). ----
-    fwd.begin(n, source);
-    bwd.begin(n, target);
-    let kept = kept_endpoints(index, source, target);
-    let meeting_distance = bidirectional_stage(rows, kept, fwd, bwd, d_top, &mut stats);
-    stats.sparsified_distance = meeting_distance;
-
-    // ---- Stage 2/3: combine per Eq. 5. ----
-    let distance = meeting_distance.min(d_top);
-    if distance == INFINITE_DISTANCE {
-        // No landmark route and no G⁻ route: disconnected.
-        return (PathGraph::unreachable(source, target), stats);
-    }
-    stats.distance = distance;
-    // Some shortest path avoids the landmarks (reverse search), passes one
-    // (recover search), or both.
-    stats.used_reverse_search = meeting_distance == distance;
-    stats.used_recover_search = d_top == distance;
-
     edges.clear();
-    meeting.clear();
-    if stats.used_reverse_search {
-        // Scan the settled levels of the side with the smaller settled set,
-        // not all |V| slots, so the scan is proportional to the search.
-        let (scan, other) = if fwd.settled <= bwd.settled {
-            (&*fwd, &*bwd)
-        } else {
-            (&*bwd, &*fwd)
-        };
-        let deepest = scan.level.min(distance) as usize;
-        for (d, level) in scan.levels.iter().enumerate().take(deepest + 1) {
-            let d = d as Distance;
-            meeting.extend(level.iter().filter(|&&w| {
-                let od = other.depth.get(w);
-                od != INFINITE_DISTANCE && d + od == distance
-            }));
-        }
-    }
     if stats.used_recover_search {
         // Landmark-to-landmark segments: splice in the precomputed Δ path
         // graph of every sketch meta edge.
@@ -185,8 +171,9 @@ pub fn guided_search_with(
             }
         }
     }
-    // One walk back per side, from the meeting vertices and from the
-    // frontier vertices `Z` the recover search matches on that side.
+    // One walk back per side, from the meeting vertices stage 1 left (none
+    // unless the reverse search runs) and from the frontier vertices `Z`
+    // the recover search matches on that side.
     for (side, hops) in [(&*fwd, &sketch.source_hops), (&*bwd, &sketch.target_hops)] {
         visited.reset(n);
         stack.clear();
@@ -219,8 +206,9 @@ pub fn guided_search_with(
 
 /// Computes only the query *distance* (Eq. 5: `min(d_{G⁻}, d⊤)`) from the
 /// sketch's upper bound `d_top`, skipping the reverse/recover
-/// materialisation entirely. Stage 1 is the same as [`guided_search_with`]'s,
-/// level for level.
+/// materialisation entirely. Stage 1 expands the same levels as
+/// [`guided_search_with`]'s; it stops within the last one, at the first
+/// meeting vertex.
 ///
 /// This is the fully allocation-free hot path: with a warmed-up workspace
 /// it touches no heap at all.
@@ -231,33 +219,8 @@ pub fn guided_distance_with(
     target: VertexId,
     d_top: Distance,
 ) -> (Distance, SearchStats) {
-    let n = index.num_vertices();
-    ws.record_query();
-    let mut stats = SearchStats {
-        upper_bound: d_top,
-        sparsified_distance: INFINITE_DISTANCE,
-        distance: INFINITE_DISTANCE,
-        ..SearchStats::default()
-    };
-
-    let QueryWorkspace { fwd, bwd, .. } = &mut *ws;
-    fwd.begin(n, source);
-    bwd.begin(n, target);
-    let kept = kept_endpoints(index, source, target);
-    let meeting_distance =
-        bidirectional_stage(index.graph_rows(), kept, fwd, bwd, d_top, &mut stats);
-    stats.sparsified_distance = meeting_distance;
-    let distance = meeting_distance.min(d_top);
-    stats.distance = distance;
-    (distance, stats)
-}
-
-/// The query endpoints stage 1 looks for in row suffixes: both when either
-/// is a landmark (a non-landmark endpoint is never in a suffix, so naming
-/// it is harmless), none otherwise. Shared by the full search and the
-/// distance-only path so the endpoint rule lives in exactly one place.
-fn kept_endpoints(index: &QbsIndex, source: VertexId, target: VertexId) -> Option<[VertexId; 2]> {
-    (index.is_landmark(source) || index.is_landmark(target)).then_some([source, target])
+    let stats = bidirectional_stage(index, ws, source, target, d_top, true);
+    (stats.distance, stats)
 }
 
 /// Recover search (Algorithm 4, lines 18-24) between one query endpoint and
@@ -363,55 +326,57 @@ pub(crate) fn label_walk(
 }
 
 /// Stage 1 of Algorithm 4: the alternating bidirectional level expansion on
-/// `G⁻` (row prefixes, plus the `kept` endpoints, see
-/// [`SideState::expand`]), one whole level of the live side with fewer
-/// settled vertices at a time (see the module docs for why the Eq. 4
-/// budgets play no part). Returns the meeting distance (`d_{G⁻}(u, v)`
-/// when it is `≤ d⊤`, [`INFINITE_DISTANCE`] otherwise).
+/// `G⁻` (row prefixes, plus both endpoints when either is a landmark, see
+/// [`SideState::expand`]), one level of the live side with fewer settled
+/// vertices at a time (see the module docs for why the Eq. 4 budgets play
+/// no part), with the meeting check (lines 14-15) made as each vertex is
+/// settled. The meeting vertices are left in `ws.meeting`; `distance_only`
+/// stops at the first one, which is exact (module docs). Returns the
+/// stats with `sparsified_distance` (`d_{G⁻}(u, v)` when it is `≤ d⊤`,
+/// [`INFINITE_DISTANCE`] otherwise) and `distance` (Eq. 5) set.
 fn bidirectional_stage(
-    rows: GraphRows<'_>,
-    kept: Option<[VertexId; 2]>,
-    fwd: &mut SideState,
-    bwd: &mut SideState,
+    index: &QbsIndex,
+    ws: &mut QueryWorkspace,
+    source: VertexId,
+    target: VertexId,
     d_top: Distance,
-    stats: &mut SearchStats,
-) -> Distance {
+    distance_only: bool,
+) -> SearchStats {
+    ws.record_query();
+    let QueryWorkspace {
+        fwd, bwd, meeting, ..
+    } = &mut *ws;
+    let n = index.num_vertices();
+    fwd.begin(n, source);
+    bwd.begin(n, target);
+    meeting.clear();
+    let rows = index.graph_rows();
+    // A landmark endpoint stays in G⁻ for this query, so both endpoints are
+    // looked for in row suffixes (a non-landmark one is never in a suffix).
+    let kept = (index.is_landmark(source) || index.is_landmark(target)).then_some([source, target]);
+    let mut stats = SearchStats {
+        upper_bound: d_top,
+        ..SearchStats::default()
+    };
     let mut meeting_distance = INFINITE_DISTANCE;
-    loop {
-        if fwd.level.saturating_add(bwd.level) >= d_top {
-            break; // bound reached (d_u + d_v = d⊤)
-        }
+    // Until the sides meet or the bound is reached (d_u + d_v = d⊤).
+    while meeting_distance == INFINITE_DISTANCE && fwd.level.saturating_add(bwd.level) < d_top {
         let fwd_alive = !fwd.frontier().is_empty();
         let bwd_alive = !bwd.frontier().is_empty();
-        if !fwd_alive && !bwd_alive {
-            break; // G⁻ exhausted without a meeting
-        }
-
         // pick_search (line 7): the live side with the smaller settled set.
-        let expand_forward = fwd_alive && (!bwd_alive || fwd.settled <= bwd.settled);
-
-        let (just, other): (&SideState, &SideState) = if expand_forward {
+        meeting_distance = if fwd_alive && (!bwd_alive || fwd.settled <= bwd.settled) {
             stats.forward_levels += 1;
-            fwd.expand(rows, kept, stats);
-            (fwd, bwd)
-        } else {
+            fwd.expand(rows, kept, &bwd.depth, distance_only, meeting, &mut stats)
+        } else if bwd_alive {
             stats.backward_levels += 1;
-            bwd.expand(rows, kept, stats);
-            (bwd, fwd)
+            bwd.expand(rows, kept, &fwd.depth, distance_only, meeting, &mut stats)
+        } else {
+            break; // G⁻ exhausted without a meeting
         };
-
-        // Meeting check (lines 14-15).
-        for &w in just.frontier() {
-            let od = other.depth.get(w);
-            if od != INFINITE_DISTANCE {
-                meeting_distance = meeting_distance.min(just.level + od);
-            }
-        }
-        if meeting_distance != INFINITE_DISTANCE {
-            break;
-        }
     }
-    meeting_distance
+    stats.sparsified_distance = meeting_distance;
+    stats.distance = meeting_distance.min(d_top);
+    stats
 }
 
 /// Walks from the seeds on `stack` (already in `visited`) back to the
@@ -594,23 +559,18 @@ mod tests {
         assert_eq!(ws.queries_served(), 14 * 13);
     }
 
-    /// The distance path returns the path graph's distance, and both modes
-    /// run one stage 1: the same levels on the same sides, so the same
-    /// work, on either buffer.
+    /// The distance path returns the path graph's distance over the same
+    /// levels on the same sides. It may stop within the last level, so it
+    /// reads no more rows and relaxes no more edges, and exactly as many
+    /// when stage 1 ends without a meeting. The same holds on either buffer.
     #[test]
     fn distance_only_path_agrees_with_full_search() {
         let fx = Fixture::figure4();
         let mut ws = QueryWorkspace::new();
         let mut src = Vec::new();
         let mut tgt = Vec::new();
-        let work = |s: &SearchStats| {
-            (
-                s.edges_traversed,
-                s.vertices_settled,
-                s.forward_levels,
-                s.backward_levels,
-            )
-        };
+        let levels = |s: &SearchStats| (s.forward_levels, s.backward_levels);
+        let work = |s: &SearchStats| (s.edges_traversed, s.vertices_settled);
         for u in 1..15u32 {
             for v in 1..15u32 {
                 if u == v {
@@ -623,13 +583,47 @@ mod tests {
                 let (d, stats) = guided_distance_with(&fx.heap, &mut ws, u, v, d_top);
                 assert_eq!(d, full.distance(), "distance of ({u},{v})");
                 assert_eq!(stats.distance, d);
-                assert_eq!(work(&stats), work(&full_stats), "stage 1 of ({u},{v})");
+                assert_eq!(stats.sparsified_distance, full_stats.sparsified_distance);
+                assert_eq!(levels(&stats), levels(&full_stats), "levels of ({u},{v})");
+                assert!(stats.edges_traversed <= full_stats.edges_traversed);
+                assert!(stats.vertices_settled <= full_stats.vertices_settled);
+                if stats.sparsified_distance == INFINITE_DISTANCE {
+                    assert_eq!(work(&stats), work(&full_stats), "stage 1 of ({u},{v})");
+                }
                 // The mapped distance path agrees bit-for-bit.
                 let (dv, stats_v) = guided_distance_with(&fx.mapped, &mut ws, u, v, d_top);
                 assert_eq!(dv, d, "mapped distance of ({u},{v})");
                 assert_eq!(stats_v, stats, "mapped stats of ({u},{v})");
             }
         }
+    }
+
+    /// On a community stand-in the sides meet in wide levels, where the
+    /// distance path stops at the first meeting vertex instead of finishing
+    /// the level: over 200 uniform pairs it relaxes strictly fewer edges
+    /// than the path-graph search, with every distance the same.
+    #[test]
+    fn distance_path_stops_at_the_first_meeting() {
+        use qbs_gen::catalog::{Catalog, DatasetId, Scale};
+        use qbs_gen::prelude::QueryWorkload;
+
+        let spec = *Catalog::paper_table1().get(DatasetId::LiveJournal).unwrap();
+        let graph = spec.generate(Scale::Tiny);
+        let index = QbsIndex::build(graph.clone(), QbsConfig::with_landmark_count(20));
+        let mut ws = QueryWorkspace::new();
+        let (mut path_edges, mut distance_edges) = (0, 0);
+        for &(u, v) in QueryWorkload::sample(&graph, 200, 32).pairs() {
+            let full = index.query_with(&mut ws, u, v).unwrap();
+            let d_top = full.sketch.upper_bound;
+            let (d, stats) = guided_distance_with(&index, &mut ws, u, v, d_top);
+            assert_eq!(d, full.path_graph.distance(), "distance of ({u},{v})");
+            path_edges += full.stats.edges_traversed;
+            distance_edges += stats.edges_traversed;
+        }
+        assert!(
+            distance_edges < path_edges,
+            "distance mode relaxed {distance_edges} edges, path-graph mode {path_edges}"
+        );
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //! assert this across generator families and hundreds of mixed queries).
 
 use qbs_graph::workspace::{DistanceField, VisitedSet};
-use qbs_graph::{Distance, VertexId};
+use qbs_graph::{Distance, VertexId, INFINITE_DISTANCE};
 
 use crate::format::GraphRows;
 use crate::search::SearchStats;
@@ -75,18 +75,27 @@ impl SideState {
         &self.levels[self.level as usize]
     }
 
-    /// Expands the current frontier one level on `G⁻`; returns the number
-    /// of newly settled vertices. A vertex's row in `G⁻` is the
-    /// non-landmark prefix of its row in `G`, read with no filter. When a
-    /// query endpoint is a landmark, `G⁻` keeps it for this query only:
-    /// `kept` then holds both endpoints, and each row's landmark suffix is
-    /// scanned for them as well.
+    /// Expands the current frontier one level on `G⁻`, reading `other`, the
+    /// opposite side's depths, for each vertex it settles. Every vertex
+    /// both sides have settled is pushed onto `meeting`, and the meeting
+    /// distance is returned ([`INFINITE_DISTANCE`] when the sides did not
+    /// meet). With `stop_at_first` the expansion returns after the row in
+    /// which the first meeting appeared, leaving the level unfinished; a
+    /// distance needs no more (see the module docs of [`crate::search`]).
+    ///
+    /// A vertex's row in `G⁻` is the non-landmark prefix of its row in `G`,
+    /// read with no filter. When a query endpoint is a landmark, `G⁻` keeps
+    /// it for this query only: `kept` then holds both endpoints, and each
+    /// row's landmark suffix is scanned for them as well.
     pub(crate) fn expand(
         &mut self,
         rows: GraphRows<'_>,
         kept: Option<[VertexId; 2]>,
+        other: &DistanceField,
+        stop_at_first: bool,
+        meeting: &mut Vec<VertexId>,
         stats: &mut SearchStats,
-    ) -> usize {
+    ) -> Distance {
         let next_depth = self.level + 1;
         if self.levels.len() <= next_depth as usize {
             self.levels.push(Vec::new());
@@ -95,14 +104,17 @@ impl SideState {
         let (settled_levels, next_levels) = self.levels.split_at_mut(next_depth as usize);
         let current = &settled_levels[self.level as usize];
         let next = &mut next_levels[0];
-        let mut settle = |w: VertexId| {
-            if !depth.is_set(w) {
-                depth.set(w, next_depth);
-                next.push(w);
-            }
-        };
-        stats.vertices_settled += current.len();
         for &u in current {
+            let mut settle = |w: VertexId| {
+                if !depth.is_set(w) {
+                    depth.set(w, next_depth);
+                    next.push(w);
+                    if other.is_set(w) {
+                        meeting.push(w);
+                    }
+                }
+            };
+            stats.vertices_settled += 1;
             let sparsified = rows.sparsified_neighbors(u);
             stats.edges_traversed += sparsified.len();
             sparsified.for_each(&mut settle);
@@ -112,12 +124,16 @@ impl SideState {
                     settle(w);
                 }
             }
+            if stop_at_first && !meeting.is_empty() {
+                break;
+            }
         }
-        let added = next.len();
-        self.settled += added;
+        self.settled += next.len();
         self.level = next_depth;
         self.active_levels = self.active_levels.max(next_depth as usize + 1);
-        added
+        meeting
+            .first()
+            .map_or(INFINITE_DISTANCE, |&w| next_depth + other.get(w))
     }
 }
 
@@ -185,7 +201,6 @@ mod tests {
     use super::*;
     use crate::{QbsConfig, QbsIndex};
     use qbs_graph::fixtures::figure4_graph;
-    use qbs_graph::INFINITE_DISTANCE;
 
     #[test]
     fn side_state_reuses_level_buffers() {
@@ -194,21 +209,49 @@ mod tests {
             QbsConfig::with_explicit_landmarks(vec![1, 2, 3]),
         );
         let n = index.num_vertices();
+        let rows = index.graph_rows();
         let mut side = SideState::default();
+        // The other side's depths, sized as a search sizes them; empty
+        // until the meeting case below.
+        let mut other = DistanceField::new();
+        other.reset(n);
+        let mut meeting = Vec::new();
         let mut stats = SearchStats::default();
 
         side.begin(n, 6);
         assert_eq!(side.frontier(), &[6]);
-        side.expand(index.graph_rows(), None, &mut stats);
+        let met = side.expand(rows, None, &other, false, &mut meeting, &mut stats);
         // Vertex 6's row in G⁻: 5 and 7, but not landmark 1.
         assert_eq!(side.frontier(), &[5, 7]);
         assert_eq!(stats.edges_traversed, 2);
+        assert_eq!((met, meeting.len()), (INFINITE_DISTANCE, 0));
         let deep_levels = side.active_levels;
 
         // Kept as a query endpoint, landmark 1 is reached from 6 too.
         side.begin(n, 6);
-        side.expand(index.graph_rows(), Some([6, 1]), &mut stats);
+        side.expand(rows, Some([6, 1]), &other, false, &mut meeting, &mut stats);
         assert_eq!(side.frontier(), &[5, 7, 1]);
+
+        // The other side already holds 14, a G⁻ neighbour of 5, at depth 2.
+        // Expanding level 1 ([5, 7]) meets it at 2 + 2; with `stop_at_first`
+        // the expansion stops after 5's row (6 and 14) and never reads 7's.
+        other.set(14, 2);
+        for (stop_at_first, frontier, rows_read, edges) in
+            [(true, &[14][..], 1, 2), (false, &[14, 8][..], 2, 4)]
+        {
+            side.begin(n, 6);
+            side.expand(rows, None, &other, stop_at_first, &mut meeting, &mut stats);
+            let mut level = SearchStats::default();
+            let met = side.expand(rows, None, &other, stop_at_first, &mut meeting, &mut level);
+            assert_eq!(met, 4, "stop_at_first = {stop_at_first}");
+            assert_eq!(meeting, [14]);
+            assert_eq!(side.frontier(), frontier);
+            assert_eq!(
+                (level.vertices_settled, level.edges_traversed),
+                (rows_read, edges)
+            );
+            meeting.clear();
+        }
 
         // A second search must not see any first-search state.
         side.begin(n, 11);

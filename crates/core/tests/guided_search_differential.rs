@@ -5,7 +5,7 @@
 use qbs_baselines::{GroundTruth, SpgEngine};
 use qbs_core::serialize::{self, MapMode};
 use qbs_core::sketch::SketchHop;
-use qbs_core::{LandmarkStrategy, QbsConfig, QbsIndex};
+use qbs_core::{LandmarkStrategy, QbsConfig, QbsIndex, QueryWorkspace};
 use qbs_gen::catalog::{Catalog, DatasetId, Scale};
 use qbs_gen::prelude::*;
 use qbs_gen::structured;
@@ -21,10 +21,23 @@ fn check(graph: &Graph, config: QbsConfig, queries: usize, seed: u64, tag: &str)
 }
 
 fn check_pairs(index: &QbsIndex, truth: &GroundTruth, pairs: &[(VertexId, VertexId)], tag: &str) {
+    let mut ws = QueryWorkspace::new();
     for &(u, v) in pairs {
         let answer = index.query_with_stats(u, v).unwrap();
         let expected = truth.query(u, v);
         assert_eq!(answer.path_graph, expected, "{tag}: query ({u},{v})");
+        // The distance path stops stage 1 at its first meeting vertex;
+        // fresh and on one reused workspace it must give the same distance.
+        assert_eq!(
+            index.distance(u, v).unwrap(),
+            expected.distance(),
+            "{tag}: distance path ({u},{v})"
+        );
+        assert_eq!(
+            index.distance_with(&mut ws, u, v).unwrap(),
+            expected.distance(),
+            "{tag}: reused distance path ({u},{v})"
+        );
         // The per-query statistics must be internally consistent.
         let stats = answer.stats;
         assert_eq!(

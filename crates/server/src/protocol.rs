@@ -163,8 +163,7 @@ pub mod fault_code {
     pub const UNKNOWN_TAG: u8 = 3;
     /// A frame length exceeded [`super::MAX_FRAME_LEN`].
     pub const FRAME_TOO_LARGE: u8 = 4;
-    /// The server is shutting down and will not accept more work.
-    pub const SHUTTING_DOWN: u8 = 5;
+    // Code 5 is retired and never sent (a draining server stops accepting).
     /// The job answering this request panicked; the request is lost, the
     /// connection and the server are not.
     pub const INTERNAL: u8 = 6;

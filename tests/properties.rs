@@ -43,7 +43,11 @@ proptest! {
     ) {
         let index = QbsIndex::build(graph.clone(), QbsConfig::with_landmark_count(landmarks));
         let answer = index.query(u, v).unwrap();
-        prop_assert_eq!(&answer, &oracle(&graph, u, v));
+        let expected = oracle(&graph, u, v);
+        prop_assert_eq!(&answer, &expected);
+        // The distance path, which stops stage 1 at its first meeting
+        // vertex, gives the same distance.
+        prop_assert_eq!(index.distance(u, v).unwrap(), expected.distance());
         // Definition 2.2 holds structurally as well.
         prop_assert!(qbs::core::verify::is_exact(&graph, &answer));
     }
