@@ -8,17 +8,16 @@
 //!   straightforward solution ... performing a breadth-first search", §1).
 //!   Every other algorithm in the workspace is differential-tested against
 //!   it.
-//! * [`bibfs_spg`] — the search-based baseline **Bi-BFS** of §6.1, a
-//!   bidirectional BFS followed by a reverse reconstruction of all shortest
-//!   paths.
 //! * [`ppl`] — **Pruned Path Labelling** (PPL, §3.2): PLL-style pruned BFSs
 //!   that retain labels on distance ties so the labelling is a 2-hop *path*
 //!   cover, answered by the recursive common-landmark decomposition.
 //! * [`parent_ppl`] — **ParentPPL** (§3.2): PPL plus per-label parent sets,
 //!   trading memory for faster path reconstruction.
-//! * [`dijkstra`] — a weighted single-source reference used to sanity-check
-//!   the unweighted algorithms on unit weights (and as a starting point for
-//!   the paper's "extend to road networks" future work).
+//!
+//! The search-based baseline **Bi-BFS** of §6.1 (a bidirectional BFS, then
+//! a reverse reconstruction of all shortest paths) is not a separate kernel:
+//! it is `qbs_core::QbsIndex` built with no landmarks, where d⊤ = ∞, G⁻ = G
+//! and the guided search is exactly that bidirectional BFS.
 //!
 //! All query answers are returned as [`qbs_graph::PathGraph`] values so they
 //! can be compared structurally.
@@ -27,13 +26,10 @@
 #![warn(missing_docs)]
 
 pub mod bfs_spg;
-pub mod bibfs_spg;
-pub mod dijkstra;
 pub mod parent_ppl;
 pub mod ppl;
 
 pub use bfs_spg::GroundTruth;
-pub use bibfs_spg::BiBfs;
 pub use parent_ppl::ParentPpl;
 pub use ppl::Ppl;
 
@@ -107,8 +103,8 @@ pub trait SpgEngine {
     /// Answers a batch of queries, in input order.
     ///
     /// The default implementation loops over [`SpgEngine::query`]; engines
-    /// with reusable workspaces (Bi-BFS, the ground-truth oracle, QbS via
-    /// one long-lived `QueryWorkspace`) override it to amortise their
+    /// with reusable workspaces (the ground-truth oracle, QbS via one
+    /// long-lived `QueryWorkspace`) override it to amortise their
     /// per-query scratch state — the batch API the experiment harness and
     /// the CLI drive.
     fn query_batch(

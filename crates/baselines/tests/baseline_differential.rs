@@ -2,7 +2,7 @@
 //! generated graphs, plus the 2-hop path-cover property of PPL labels
 //! (Definition 3.2) checked directly.
 
-use qbs_baselines::{BiBfs, GroundTruth, ParentPpl, Ppl, SpgEngine};
+use qbs_baselines::{GroundTruth, ParentPpl, Ppl, SpgEngine};
 use qbs_gen::prelude::*;
 use qbs_gen::structured;
 use qbs_graph::traversal::bfs_distances;
@@ -10,13 +10,11 @@ use qbs_graph::Graph;
 
 fn check_engines(graph: &Graph, queries: usize, seed: u64, tag: &str) {
     let truth = GroundTruth::new(graph.clone());
-    let bibfs = BiBfs::new(graph.clone());
     let ppl = Ppl::build(graph.clone());
     let parent = ParentPpl::build(graph.clone());
     let workload = QueryWorkload::sample(graph, queries, seed);
     for &(u, v) in workload.pairs() {
         let expected = truth.query(u, v);
-        assert_eq!(bibfs.query(u, v), expected, "{tag}: Bi-BFS ({u},{v})");
         assert_eq!(ppl.query(u, v), expected, "{tag}: PPL ({u},{v})");
         assert_eq!(parent.query(u, v), expected, "{tag}: ParentPPL ({u},{v})");
     }
@@ -154,7 +152,6 @@ fn try_query_batch_isolates_poisoned_pairs() {
     let truth = GroundTruth::new(graph.clone());
     let engines: Vec<Box<dyn SpgEngine>> = vec![
         Box::new(GroundTruth::new(graph.clone())),
-        Box::new(BiBfs::new(graph.clone())),
         Box::new(Ppl::build(graph.clone())),
         Box::new(ParentPpl::build(graph.clone())),
     ];

@@ -13,7 +13,7 @@
 //! | Figure 9 — labelling size vs #landmarks | [`experiments::landmark_sweep`] |
 //! | Figure 10 — construction time vs #landmarks | [`experiments::landmark_sweep`] |
 //! | Figure 11 — query time vs #landmarks | [`experiments::landmark_sweep`] |
-//! | §6.5 — edges traversed, QbS vs Bi-BFS | [`experiments::traversal`] |
+//! | §6.5 — edges traversed, QbS vs Bi-BFS (QbS at \|R\| = 0) | [`experiments::traversal`] |
 //! | Ablations — sketch guidance, landmark strategy | [`experiments::ablation`] |
 //!
 //! The `experiments` binary drives these from the command line and prints

@@ -453,14 +453,16 @@ mod tests {
 
     impl Fixture {
         fn figure4() -> Self {
+            Self::figure4_with(vec![1, 2, 3])
+        }
+
+        fn figure4_with(landmarks: Vec<VertexId>) -> Self {
             // One file per fixture: tests run in parallel, and a file being
             // rewritten must never be mapped.
             static NEXT: AtomicUsize = AtomicUsize::new(0);
             let graph = figure4_graph();
-            let heap = QbsIndex::build(
-                graph.clone(),
-                QbsConfig::with_explicit_landmarks(vec![1, 2, 3]),
-            );
+            let heap =
+                QbsIndex::build(graph.clone(), QbsConfig::with_explicit_landmarks(landmarks));
             let dir = std::env::temp_dir().join("qbs_search_fixture");
             std::fs::create_dir_all(&dir).expect("mkdir");
             let path = dir.join(format!(
@@ -537,6 +539,27 @@ mod tests {
                 assert!(
                     stats.upper_bound >= stats.distance || stats.upper_bound == INFINITE_DISTANCE
                 );
+            }
+        }
+    }
+
+    /// With no landmarks, d⊤ = ∞ and G⁻ = G: stage 1 is a plain
+    /// bidirectional BFS and the walk back alone reconstructs the answer,
+    /// which is the Bi-BFS baseline of §6.1.
+    #[test]
+    fn no_landmarks_is_bidirectional_bfs_on_figure4() {
+        let fx = Fixture::figure4_with(vec![]);
+        assert_eq!(fx.heap.num_landmarks(), 0);
+        for u in 1..15u32 {
+            for v in 1..15u32 {
+                if u == v {
+                    continue;
+                }
+                let (got, stats) = fx.query(u, v);
+                assert_eq!(got, exact_spg(&fx.graph, u, v), "query ({u},{v})");
+                assert_eq!(stats.upper_bound, INFINITE_DISTANCE);
+                assert_eq!(stats.sparsified_distance, stats.distance);
+                assert!(!stats.used_recover_search, "recover on ({u},{v})");
             }
         }
     }

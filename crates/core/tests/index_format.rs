@@ -295,9 +295,22 @@ fn crafted_graph_rows_are_corrupt() {
     }
 }
 
+/// Sweeps the golden fixture and a figure-4 file with no landmarks, whose
+/// landmark, label, meta-edge and meta-APSP sections are all empty at one
+/// offset: a section boundary the golden fixture never has.
 #[test]
 fn truncated_and_bit_flipped_fixtures_are_corrupt_never_panic() {
-    let bytes = std::fs::read(fixture_path()).expect("fixture");
+    let landmark_free = serialize::to_bytes(&QbsIndex::build(
+        figure4_graph(),
+        QbsConfig::with_explicit_landmarks(vec![]),
+    ));
+    let golden = std::fs::read(fixture_path()).expect("fixture");
+    for (name, bytes) in [("golden", golden), ("no landmarks", landmark_free)] {
+        sweep_truncations_and_bit_flips(name, &bytes);
+    }
+}
+
+fn sweep_truncations_and_bit_flips(name: &str, bytes: &[u8]) {
     let expect_corrupt = |data: &[u8], what: String| {
         for trusted in [false, true] {
             let buf = ViewBuf::Heap(data.to_vec());
@@ -321,14 +334,17 @@ fn truncated_and_bit_flipped_fixtures_are_corrupt_never_panic() {
 
     // Every length, which covers every section boundary.
     for len in 0..bytes.len() {
-        expect_corrupt(&bytes[..len], format!("truncation to {len} bytes"));
+        expect_corrupt(&bytes[..len], format!("{name}: truncation to {len} bytes"));
     }
 
     for pos in 0..bytes.len() {
         for bit in [0x01u8, 0x80] {
-            let mut corrupt = bytes.clone();
+            let mut corrupt = bytes.to_vec();
             corrupt[pos] ^= bit;
-            expect_corrupt(&corrupt, format!("bit flip at byte {pos} (mask {bit:#x})"));
+            expect_corrupt(
+                &corrupt,
+                format!("{name}: bit flip at byte {pos} (mask {bit:#x})"),
+            );
         }
     }
 }

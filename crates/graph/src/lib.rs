@@ -15,8 +15,9 @@
 //! * [`VertexFilter`] / [`FilteredGraph`] — a zero-copy "sparsified" view
 //!   `G[V \ R]` obtained by removing a vertex set (the landmarks) without
 //!   rebuilding the CSR; this is the search substrate of QbS §4.3.
-//! * Traversal primitives: single-source BFS ([`traversal`]), bounded and
-//!   bidirectional BFS ([`bibfs`]), connected components ([`components`]).
+//! * Traversal primitives: single-source, bounded and early-terminating BFS
+//!   ([`traversal`]), connected components ([`components`]). The one
+//!   bidirectional BFS is the QbS guided search in `qbs-core`.
 //! * [`PathGraph`] — the answer type of a shortest-path-graph query
 //!   (Definition 2.2 of the paper), shared by QbS and every baseline.
 //! * Statistics ([`stats`]) and I/O ([`io`]) used by the experiment harness
@@ -38,7 +39,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bibfs;
 pub mod builder;
 pub mod components;
 pub mod csr;

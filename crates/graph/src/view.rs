@@ -2,12 +2,10 @@
 //!
 //! QbS performs its online guided search on the sparsified graph
 //! `G⁻ = G[V \ R]` obtained by deleting the landmark vertices and every edge
-//! incident to them (§4.3). Rebuilding a CSR per landmark set would be
-//! wasteful, so [`FilteredGraph`] exposes a zero-copy view over the original
-//! [`Graph`] that simply skips removed vertices during traversal. The paper
-//! notes that removing the 20 highest-degree landmarks removes only a few
-//! percent of all edges but a much larger fraction of the edges traversed by
-//! queries (§6.5) — the view makes that sparsification free.
+//! incident to them (§4.3). The index stores `G⁻` as the non-landmark prefix
+//! of each adjacency row; [`FilteredGraph`] is the same graph as a zero-copy
+//! view over a [`Graph`] that skips removed vertices during traversal, the
+//! independent `G⁻` the tests check the index against.
 
 use crate::csr::Graph;
 use crate::vertex::VertexId;
@@ -25,13 +23,6 @@ pub trait NeighborAccess {
 
     /// Calls `visit` for every neighbour of `v` present in this view.
     fn for_each_neighbor<F: FnMut(VertexId)>(&self, v: VertexId, visit: F);
-
-    /// Degree of `v` within this view.
-    fn view_degree(&self, v: VertexId) -> usize {
-        let mut d = 0;
-        self.for_each_neighbor(v, |_| d += 1);
-        d
-    }
 }
 
 impl NeighborAccess for Graph {
@@ -50,11 +41,6 @@ impl NeighborAccess for Graph {
         for &w in self.neighbors(v) {
             visit(w);
         }
-    }
-
-    #[inline]
-    fn view_degree(&self, v: VertexId) -> usize {
-        self.degree(v)
     }
 }
 
@@ -183,28 +169,9 @@ impl<'a> FilteredGraph<'a> {
         FilteredGraph { graph, removed }
     }
 
-    /// The underlying full graph.
-    pub fn full_graph(&self) -> &'a Graph {
-        self.graph
-    }
-
-    /// The removed-vertex filter.
-    pub fn removed(&self) -> &'a VertexFilter {
-        self.removed
-    }
-
     /// Number of remaining (non-removed) vertices.
     pub fn remaining_vertices(&self) -> usize {
         self.graph.num_vertices() - self.removed.len()
-    }
-
-    /// Counts the undirected edges that survive the sparsification
-    /// (both endpoints present). Linear in the number of arcs.
-    pub fn remaining_edges(&self) -> usize {
-        self.graph
-            .edges()
-            .filter(|&(u, v)| !self.removed.contains(u) && !self.removed.contains(v))
-            .count()
     }
 }
 
@@ -275,7 +242,6 @@ mod tests {
         let view = FilteredGraph::new(&g, &removed);
 
         assert_eq!(view.remaining_vertices(), 4);
-        assert_eq!(view.remaining_edges(), 3);
         assert!(!view.contains_vertex(0));
         assert!(view.contains_vertex(1));
 
@@ -293,19 +259,9 @@ mod tests {
     fn graph_implements_neighbor_access() {
         let g = star_with_path();
         assert_eq!(NeighborAccess::vertex_count(&g), 5);
-        assert_eq!(g.view_degree(0), 4);
         let mut seen = Vec::new();
         g.for_each_neighbor(0, |v| seen.push(v));
         assert_eq!(seen, vec![1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn view_degree_counts_only_surviving_neighbors() {
-        let g = star_with_path();
-        let removed = VertexFilter::from_vertices(g.num_vertices(), [0u32, 3]);
-        let view = FilteredGraph::new(&g, &removed);
-        assert_eq!(view.view_degree(2), 1); // only vertex 1 remains adjacent
-        assert_eq!(view.view_degree(4), 0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Epoch-stamped scratch structures for zero-allocation query loops.
 //!
-//! Every online query in this workspace (the QbS guided search, the Bi-BFS
-//! baseline, the ground-truth double BFS) needs per-vertex scratch state:
+//! Every online query in this workspace (the QbS guided search, with or
+//! without landmarks, and the ground-truth double BFS) needs per-vertex scratch state:
 //! distance fields and visited sets sized to the graph. Allocating and
 //! zeroing `O(|V|)` memory per query dominates latency on large graphs —
 //! the exact tax the paper's microsecond-level query times cannot afford.

@@ -4,7 +4,6 @@
 
 use proptest::prelude::*;
 
-use qbs_graph::bibfs::bidirectional_distance;
 use qbs_graph::components::{connected_components, is_connected, largest_component};
 use qbs_graph::traversal::{bfs_distances, shortest_path_dag};
 use qbs_graph::{io, Graph, GraphBuilder, VertexFilter, INFINITE_DISTANCE};
@@ -46,17 +45,6 @@ proptest! {
             graph.edges().collect::<Vec<_>>(),
             parsed.edges().collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn bidirectional_distance_matches_bfs(
-        graph in arbitrary_graph(48, 180),
-        u in 0u32..48,
-        v in 0u32..48,
-    ) {
-        let bfs = bfs_distances(&graph, u);
-        let bi = bidirectional_distance(&graph, u, v);
-        prop_assert_eq!(bi.distance, bfs[v as usize]);
     }
 
     #[test]

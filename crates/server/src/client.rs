@@ -396,7 +396,7 @@ impl QbsClient {
         self.last_trace = trace;
         protocol::write_frame(
             &mut self.stream,
-            &protocol::encode_envelope_v3(id, trace, &body),
+            &protocol::encode_envelope(id, trace, &body),
         )?;
         self.outstanding.push_back(id);
         Ok(Ticket(id))
@@ -482,7 +482,7 @@ impl QbsClient {
     fn control(&mut self, frame: &RequestFrame) -> Result<ResponseFrame, ProtocolError> {
         let id = self.issue_id();
         let trace = self.next_trace();
-        protocol::write_request_v3(&mut self.stream, id, trace, frame)?;
+        protocol::write_request(&mut self.stream, id, trace, frame)?;
         self.outstanding.push_back(id);
         self.await_reply(id)
     }
@@ -497,7 +497,7 @@ impl QbsClient {
             if !self.outstanding.contains(&want) {
                 return Err(ProtocolError::UnknownTicket(want));
             }
-            let (id, _trace, frame) = protocol::read_response_v3(&mut self.stream)?;
+            let (id, _trace, frame) = protocol::read_response(&mut self.stream)?;
             if id.is_connection_scoped() {
                 // Connection-scoped frames (faults, accept-time Busy)
                 // concern the socket, not one request: fail now.

@@ -420,7 +420,7 @@ pub fn read_preamble<R: Read>(r: &mut R) -> Result<u16, ProtocolError> {
 /// Prepends the request-ID + trace envelope to a frame body: the result
 /// is the `[id][trace][tag][payload]` byte string a frame's length prefix
 /// counts.
-pub fn encode_envelope_v3(id: RequestId, trace: TraceId, body: &[u8]) -> Vec<u8> {
+pub fn encode_envelope(id: RequestId, trace: TraceId, body: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(12 + body.len());
     id.encode(&mut out);
     out.extend_from_slice(&trace.0.to_le_bytes());
@@ -431,7 +431,7 @@ pub fn encode_envelope_v3(id: RequestId, trace: TraceId, body: &[u8]) -> Vec<u8>
 /// Splits a frame payload into its request ID, trace ID, and the
 /// enclosed frame body. A payload too short to carry the envelope is a
 /// typed [`ProtocolError::Malformed`], never a panic.
-pub fn split_envelope_v3(payload: &[u8]) -> Result<(RequestId, TraceId, &[u8]), ProtocolError> {
+pub fn split_envelope(payload: &[u8]) -> Result<(RequestId, TraceId, &[u8]), ProtocolError> {
     if payload.len() < 12 {
         return Err(ProtocolError::Malformed(WireError::Truncated {
             what: "request id + trace envelope",
@@ -477,41 +477,41 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, ProtocolError> {
 
 /// Convenience: write one request frame under `id`'s envelope,
 /// carrying `trace`.
-pub fn write_request_v3<W: Write>(
+pub fn write_request<W: Write>(
     w: &mut W,
     id: RequestId,
     trace: TraceId,
     frame: &RequestFrame,
 ) -> Result<(), ProtocolError> {
-    write_frame(w, &encode_envelope_v3(id, trace, &frame.encode_body()))
+    write_frame(w, &encode_envelope(id, trace, &frame.encode_body()))
 }
 
 /// Convenience: write one response frame under `id`'s envelope,
 /// echoing `trace`.
-pub fn write_response_v3<W: Write>(
+pub fn write_response<W: Write>(
     w: &mut W,
     id: RequestId,
     trace: TraceId,
     frame: &ResponseFrame,
 ) -> Result<(), ProtocolError> {
-    write_frame(w, &encode_envelope_v3(id, trace, &frame.encode_body()))
+    write_frame(w, &encode_envelope(id, trace, &frame.encode_body()))
 }
 
 /// Convenience: read one request frame with its envelope ID and trace.
-pub fn read_request_v3<R: Read>(
+pub fn read_request<R: Read>(
     r: &mut R,
 ) -> Result<(RequestId, TraceId, RequestFrame), ProtocolError> {
     let payload = read_frame(r)?;
-    let (id, trace, body) = split_envelope_v3(&payload)?;
+    let (id, trace, body) = split_envelope(&payload)?;
     Ok((id, trace, RequestFrame::decode_body(body)?))
 }
 
 /// Convenience: read one response frame with its envelope ID and trace.
-pub fn read_response_v3<R: Read>(
+pub fn read_response<R: Read>(
     r: &mut R,
 ) -> Result<(RequestId, TraceId, ResponseFrame), ProtocolError> {
     let payload = read_frame(r)?;
-    let (id, trace, body) = split_envelope_v3(&payload)?;
+    let (id, trace, body) = split_envelope(&payload)?;
     Ok((id, trace, ResponseFrame::decode_body(body)?))
 }
 
@@ -635,28 +635,28 @@ mod tests {
         let frame = RequestFrame::Batch(vec![QueryRequest::distance(1, 2)]);
         let body = frame.encode_body();
         let trace = TraceId(0xDEAD_BEEF_CAFE_F00D);
-        let enveloped = encode_envelope_v3(RequestId(7), trace, &body);
+        let enveloped = encode_envelope(RequestId(7), trace, &body);
         assert_eq!(enveloped.len(), body.len() + 12);
-        let (id, got_trace, inner) = split_envelope_v3(&enveloped).unwrap();
+        let (id, got_trace, inner) = split_envelope(&enveloped).unwrap();
         assert_eq!((id, got_trace), (RequestId(7), trace));
         assert_eq!(inner, &body[..]);
 
         for cut in 0..12 {
             assert!(matches!(
-                split_envelope_v3(&enveloped[..cut]),
+                split_envelope(&enveloped[..cut]),
                 Err(ProtocolError::Malformed(WireError::Truncated { .. }))
             ));
         }
 
         let mut buf = Vec::new();
-        write_request_v3(&mut buf, RequestId(9), trace, &frame).unwrap();
-        let (id, got_trace, decoded) = read_request_v3(&mut &buf[..]).unwrap();
+        write_request(&mut buf, RequestId(9), trace, &frame).unwrap();
+        let (id, got_trace, decoded) = read_request(&mut &buf[..]).unwrap();
         assert_eq!((id, got_trace, decoded), (RequestId(9), trace, frame));
 
         let response = ResponseFrame::Metrics(MetricsSnapshot::default());
         let mut buf = Vec::new();
-        write_response_v3(&mut buf, RequestId(9), TraceId::NONE, &response).unwrap();
-        let (id, got_trace, decoded) = read_response_v3(&mut &buf[..]).unwrap();
+        write_response(&mut buf, RequestId(9), TraceId::NONE, &response).unwrap();
+        let (id, got_trace, decoded) = read_response(&mut &buf[..]).unwrap();
         assert_eq!(
             (id, got_trace, decoded),
             (RequestId(9), TraceId::NONE, response)
@@ -669,12 +669,12 @@ mod tests {
             slow_queries: 1,
             job_panics: 0,
         });
-        let enveloped = encode_envelope_v3(RequestId(3), trace, &snapshot.encode_body());
+        let enveloped = encode_envelope(RequestId(3), trace, &snapshot.encode_body());
         for byte in 0..enveloped.len() {
             for bit in 0..8 {
                 let mut flipped = enveloped.clone();
                 flipped[byte] ^= 1 << bit;
-                if let Ok((_, _, inner)) = split_envelope_v3(&flipped) {
+                if let Ok((_, _, inner)) = split_envelope(&flipped) {
                     let _ = ResponseFrame::decode_body(inner);
                 }
             }

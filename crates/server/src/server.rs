@@ -689,7 +689,7 @@ fn run_batch(
 /// to a typed `Error` carrying the request's ID: the client sees code 4
 /// for that ticket and can split the batch; the connection survives.
 fn wire_response(id: RequestId, trace: TraceId, frame: &ResponseFrame) -> Vec<u8> {
-    let payload = protocol::encode_envelope_v3(id, trace, &frame.encode_body());
+    let payload = protocol::encode_envelope(id, trace, &frame.encode_body());
     if payload.len() > MAX_FRAME_LEN as usize {
         let fault = ResponseFrame::Error(WireFault {
             code: fault_code::FRAME_TOO_LARGE,
@@ -699,11 +699,7 @@ fn wire_response(id: RequestId, trace: TraceId, frame: &ResponseFrame) -> Vec<u8
                 payload.len()
             ),
         });
-        return frame_bytes(&protocol::encode_envelope_v3(
-            id,
-            trace,
-            &fault.encode_body(),
-        ));
+        return frame_bytes(&protocol::encode_envelope(id, trace, &fault.encode_body()));
     }
     frame_bytes(&payload)
 }
@@ -1424,7 +1420,7 @@ fn handle_frame(
     payload: &[u8],
     dispatched: &mut usize,
 ) {
-    let (id, trace, body) = match protocol::split_envelope_v3(payload) {
+    let (id, trace, body) = match protocol::split_envelope(payload) {
         Ok((id, trace, body)) if !id.is_connection_scoped() => (id, trace, body),
         // A truncated envelope (or the reserved ID) breaks the
         // request/response pairing: connection-scoped fault.

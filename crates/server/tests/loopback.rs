@@ -323,9 +323,8 @@ fn ping_reconnect_and_version_negotiation() {
         "the server replies with the negotiated version"
     );
     let trace = TraceId(0xDEAD_BEEF_CAFE);
-    protocol::write_request_v3(&mut raw, RequestId(7), trace, &RequestFrame::Ping)
-        .expect("v3 ping");
-    let (id, echoed, frame) = protocol::read_response_v3(&mut raw).expect("v3 pong");
+    protocol::write_request(&mut raw, RequestId(7), trace, &RequestFrame::Ping).expect("v3 ping");
+    let (id, echoed, frame) = protocol::read_response(&mut raw).expect("v3 pong");
     assert_eq!(id, RequestId(7));
     assert_eq!(echoed, trace, "the reply echoes the request's trace ID");
     assert_eq!(frame, ResponseFrame::Pong);
@@ -345,7 +344,7 @@ fn handshake_matrix_refuses_old_hellos_and_serves_v3() {
     for old in 0..PROTOCOL_VERSION {
         let (mut raw, theirs) = raw_hello(&addr, old);
         assert_eq!(theirs, PROTOCOL_VERSION);
-        let (id, trace, frame) = protocol::read_response_v3(&mut raw).expect("fault frame");
+        let (id, trace, frame) = protocol::read_response(&mut raw).expect("fault frame");
         assert_eq!((id, trace), (RequestId::CONNECTION, TraceId::NONE));
         match frame {
             ResponseFrame::Error(fault) => {
@@ -363,14 +362,14 @@ fn handshake_matrix_refuses_old_hellos_and_serves_v3() {
         let (mut raw, theirs) = raw_hello(&addr, new);
         assert_eq!(theirs, PROTOCOL_VERSION);
         let requests = mixed_requests(num_vertices, u32::from(new % 7));
-        protocol::write_request_v3(
+        protocol::write_request(
             &mut raw,
             RequestId(1),
             TraceId(9),
             &RequestFrame::Batch(requests.clone()),
         )
         .expect("send");
-        match protocol::read_response_v3(&mut raw).expect("reply") {
+        match protocol::read_response(&mut raw).expect("reply") {
             (RequestId(1), TraceId(9), ResponseFrame::Batch(outcomes)) => {
                 assert_eq!(outcomes, local.submit(&requests), "hello {new} diverged")
             }
@@ -417,7 +416,7 @@ fn half_close_with_pipelined_batches_drains_and_releases_permits() {
         .collect();
     for (i, batch) in batches.iter().enumerate() {
         let frame = RequestFrame::Batch(batch.clone());
-        protocol::write_request_v3(&mut raw, RequestId(i as u32 + 1), TraceId::NONE, &frame)
+        protocol::write_request(&mut raw, RequestId(i as u32 + 1), TraceId::NONE, &frame)
             .expect("send");
     }
     // Half-close after the last request, before any reply is read: the
@@ -428,7 +427,7 @@ fn half_close_with_pipelined_batches_drains_and_releases_permits() {
 
     let mut replies = std::collections::HashMap::new();
     for _ in &batches {
-        let (id, _, frame) = protocol::read_response_v3(&mut raw).expect("reply after half-close");
+        let (id, _, frame) = protocol::read_response(&mut raw).expect("reply after half-close");
         assert!(replies.insert(id, frame).is_none(), "{id} answered twice");
     }
     for (i, batch) in batches.iter().enumerate() {
@@ -466,24 +465,23 @@ fn faults_are_request_scoped_unless_the_envelope_breaks() {
     ];
     for (i, (body, code)) in bad_bodies.into_iter().enumerate() {
         let id = RequestId(i as u32 + 1);
-        let payload = protocol::encode_envelope_v3(id, TraceId(5), body);
+        let payload = protocol::encode_envelope(id, TraceId(5), body);
         protocol::write_frame(&mut raw, &payload).expect("send");
-        match protocol::read_response_v3(&mut raw).expect("request-scoped fault") {
+        match protocol::read_response(&mut raw).expect("request-scoped fault") {
             (got, TraceId(5), ResponseFrame::Error(fault)) => {
                 assert_eq!((got, fault.code), (id, code), "{}", fault.message)
             }
             other => panic!("expected a fault under {id}, got {other:?}"),
         }
     }
-    protocol::write_request_v3(&mut raw, RequestId(3), TraceId(5), &RequestFrame::Ping)
-        .expect("ping");
-    let (id, _, frame) = protocol::read_response_v3(&mut raw).expect("pong");
+    protocol::write_request(&mut raw, RequestId(3), TraceId(5), &RequestFrame::Ping).expect("ping");
+    let (id, _, frame) = protocol::read_response(&mut raw).expect("pong");
     assert_eq!((id, frame), (RequestId(3), ResponseFrame::Pong));
 
     // A frame too short to hold the envelope cannot be paired with any
     // request: connection-scoped fault, then FIN, and the slot returns.
     protocol::write_frame(&mut raw, &[1, 0, 0, 0, 9]).expect("send");
-    match protocol::read_response_v3(&mut raw).expect("connection-scoped fault") {
+    match protocol::read_response(&mut raw).expect("connection-scoped fault") {
         (RequestId::CONNECTION, TraceId::NONE, ResponseFrame::Error(fault)) => {
             assert_eq!(fault.code, fault_code::MALFORMED)
         }

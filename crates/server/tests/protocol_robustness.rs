@@ -12,7 +12,7 @@ use qbs_core::{
 };
 use qbs_graph::fixtures::figure4_graph;
 use qbs_server::protocol::{
-    encode_envelope_v3, negotiate, read_frame, read_preamble, split_envelope_v3, RequestFrame,
+    encode_envelope, negotiate, read_frame, read_preamble, split_envelope, RequestFrame,
     ResponseFrame, ServerStats, WireFault, MAX_FRAME_LEN, PREAMBLE_LEN,
 };
 use qbs_server::{AdmissionStats, BusyReason, PROTOCOL_VERSION};
@@ -230,15 +230,14 @@ fn envelope_truncation_and_bit_flip_sweep() {
                 ResponseFrame::decode_body(inner).is_ok()
             }
         };
-        let enveloped = encode_envelope_v3(id, trace, &body);
+        let enveloped = encode_envelope(id, trace, &body);
         assert_eq!(enveloped.len(), body.len() + 12);
-        let (split_id, split_trace, inner) =
-            split_envelope_v3(&enveloped).expect("intact envelope");
+        let (split_id, split_trace, inner) = split_envelope(&enveloped).expect("intact envelope");
         assert_eq!((split_id, split_trace), (id, trace));
         assert!(decodes(inner), "intact body decodes through the envelope");
 
         for cut in 0..enveloped.len() {
-            match split_envelope_v3(&enveloped[..cut]) {
+            match split_envelope(&enveloped[..cut]) {
                 Err(_) => assert!(
                     cut < 12,
                     "cut {cut}: only envelope truncation fails the split"
@@ -255,7 +254,7 @@ fn envelope_truncation_and_bit_flip_sweep() {
             for bit in 0..8 {
                 mutated[byte] ^= 1 << bit;
                 let (flipped_id, flipped_trace, inner) =
-                    split_envelope_v3(&mutated).expect("split still works");
+                    split_envelope(&mutated).expect("split still works");
                 assert_eq!(
                     (flipped_id != id, flipped_trace != trace),
                     (byte < 4, byte >= 4),

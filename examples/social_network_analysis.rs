@@ -122,7 +122,7 @@ fn critical_vertices(graph: &Graph, answer: &PathGraph) -> Vec<VertexId> {
         .filter(|&x| {
             let filter = VertexFilter::from_vertices(graph.num_vertices(), [x]);
             let view = qbs::graph::FilteredGraph::new(graph, &filter);
-            qbs::graph::bibfs::bidirectional_distance(&view, u, v).distance > answer.distance()
+            qbs::graph::traversal::bfs_distance_to(&view, u, v) > answer.distance()
         })
         .collect()
 }

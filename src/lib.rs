@@ -10,8 +10,9 @@
 //! * [`gen`] — deterministic synthetic graph generators, the Table 1 dataset
 //!   catalog and query workloads;
 //! * [`core`] — the QbS index: labelling, sketching and guided searching;
-//! * [`baselines`] — the exact baselines (ground-truth BFS, Bi-BFS, PPL and
-//!   ParentPPL) used by the paper's evaluation;
+//! * [`baselines`] — the exact baselines (ground-truth BFS, PPL and
+//!   ParentPPL) used by the paper's evaluation; Bi-BFS is a [`QbsIndex`]
+//!   built with no landmarks;
 //! * [`server`] — the framed TCP serving subsystem: protocol, admission
 //!   control, the long-running server and the blocking client (spec in
 //!   `docs/protocol.md`).
@@ -75,7 +76,7 @@ pub use qbs_graph::{Graph, GraphBuilder, PathGraph, VertexId};
 
 /// The most commonly used items, importable with a single `use`.
 pub mod prelude {
-    pub use qbs_baselines::{BiBfs, GroundTruth, ParentPpl, Ppl, SpgEngine, SpgQueryError};
+    pub use qbs_baselines::{GroundTruth, ParentPpl, Ppl, SpgEngine, SpgQueryError};
     pub use qbs_core::verify::{is_exact, validate};
     pub use qbs_core::{
         AnswerCache, CacheConfig, CacheStats, EngineStats, IndexView, LandmarkStrategy, MapMode,

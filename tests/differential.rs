@@ -14,7 +14,7 @@ use qbs_gen::structured;
 /// `O(|V||E|)` parent storage, so in debug-mode CI they are exercised on the
 /// smaller stand-ins (and on every graph family in
 /// `crates/baselines/tests/baseline_differential.rs`), while QbS and Bi-BFS
-/// run on all twelve.
+/// (QbS with no landmarks) run on all twelve.
 fn assert_all_engines_agree(
     graph: &Graph,
     queries: usize,
@@ -25,7 +25,7 @@ fn assert_all_engines_agree(
     let workload = QueryWorkload::sample(graph, queries, seed);
     let truth = GroundTruth::new(graph.clone());
     let qbs = QbsIndex::build(graph.clone(), QbsConfig::with_landmark_count(landmarks));
-    let bibfs = BiBfs::new(graph.clone());
+    let landmark_free = QbsIndex::build(graph.clone(), QbsConfig::with_landmark_count(0));
     let labelling = if with_labelling_baselines {
         Some((Ppl::build(graph.clone()), ParentPpl::build(graph.clone())))
     } else {
@@ -40,7 +40,11 @@ fn assert_all_engines_agree(
             expected,
             "QbS mismatch on ({u},{v})"
         );
-        assert_eq!(bibfs.query(u, v), expected, "Bi-BFS mismatch on ({u},{v})");
+        assert_eq!(
+            landmark_free.query(u, v).unwrap(),
+            expected,
+            "Bi-BFS mismatch on ({u},{v})"
+        );
         // The reused-workspace path must be bit-identical as well.
         let reused = qbs.query_with(&mut ws, u, v).expect("workspace query");
         assert_eq!(
@@ -68,7 +72,7 @@ fn assert_all_engines_agree(
         .map(|&(u, v)| QueryRequest::path_graph(u, v))
         .collect();
     let answers = session.submit(&requests);
-    let bibfs_batch = bibfs.query_batch(workload.pairs());
+    let landmark_free_answers = Qbs::from_index(landmark_free).submit(&requests);
     let truth_batch = truth.query_batch(workload.pairs());
     for (i, &(u, v)) in workload.pairs().iter().enumerate() {
         let expected = truth.query(u, v);
@@ -78,7 +82,8 @@ fn assert_all_engines_agree(
             "engine batch mismatch on ({u},{v})"
         );
         assert_eq!(
-            bibfs_batch[i], expected,
+            *landmark_free_answers[i].path_graph().expect("in range"),
+            expected,
             "Bi-BFS batch mismatch on ({u},{v})"
         );
         assert_eq!(

@@ -153,11 +153,13 @@ proptest! {
         u in 0u32..48,
         v in 0u32..48,
     ) {
-        let engine = BiBfs::new(graph.clone());
-        let answer = engine.query_with_effort(u, v);
-        prop_assert_eq!(&answer.spg, &oracle(&graph, u, v));
+        // Bi-BFS is QbS with no landmarks: stage 1 is a plain bidirectional
+        // BFS over the whole graph.
+        let index = QbsIndex::build(graph.clone(), QbsConfig::with_landmark_count(0));
+        let answer = index.query_with_stats(u, v).unwrap();
+        prop_assert_eq!(&answer.path_graph, &oracle(&graph, u, v));
         // Each side traverses every directed arc at most once.
-        prop_assert!(answer.effort.edges_traversed <= 2 * graph.num_arcs() + 2);
+        prop_assert!(answer.stats.edges_traversed <= 2 * graph.num_arcs() + 2);
     }
 
     #[test]
