@@ -508,6 +508,31 @@ mod tests {
         assert_eq!(cache.stats().insertions, 1);
     }
 
+    /// A trivial pair needs no search: it hints 0 in every mode, so the
+    /// default threshold keeps it out, and its sketch is the one its path
+    /// graph carries.
+    #[test]
+    fn default_config_rejects_trivial_pairs() {
+        let index = index();
+        let cache = AnswerCache::new(CacheConfig::default());
+        let mut ws = QueryWorkspace::new();
+        for v in [1, 6] {
+            let path = execute_cached_on(
+                &index,
+                &mut ws,
+                &QueryRequest::path_graph(v, v).with_stats(),
+                Some(&cache),
+            );
+            assert_eq!(cache.len(), 0, "path graph of ({v}, {v}) admitted");
+            let sketch =
+                execute_cached_on(&index, &mut ws, &QueryRequest::sketch(v, v), Some(&cache));
+            assert_eq!(sketch.sketch(), path.sketch(), "sketch of ({v}, {v})");
+            execute_cached_on(&index, &mut ws, &QueryRequest::distance(v, v), Some(&cache));
+        }
+        assert_eq!(cache.len(), 0);
+        assert_eq!(cache.stats().rejected, 6);
+    }
+
     #[test]
     fn uncached_requests_bypass_the_cache() {
         let index = index();

@@ -3,8 +3,8 @@
 //!
 //! * all-pairs shortest-path distances `d_M` between landmarks (used by
 //!   Algorithm 3 to evaluate Eq. 3 in `O(|R|²)` instead of `O(|R|⁴)`, §5.2);
-//! * for every landmark pair, the set of meta-edges lying on its shortest
-//!   meta-paths (the landmark part of a sketch);
+//! * but not the meta-edges on each landmark pair's shortest meta-paths
+//!   (the landmark part of a sketch): every sketch derives them from `d_M`;
 //! * `Δ`: for every meta-edge `(r, r')`, the shortest path graph between `r`
 //!   and `r'` in the original graph restricted to paths with no other
 //!   landmark — the "precomputed shortest path graphs between landmarks"
@@ -21,8 +21,8 @@
 //! sections. Sketching reads `d_M` and the meta edges on every query, so
 //! [`crate::QbsIndex`] decodes these `|R|`-sized tables once, when it is
 //! constructed, instead of decoding bytes per call — plus an in-memory
-//! `|R| × |R|` table of meta-edge positions, through which the recover
-//! search finds each sketch meta edge's Δ in O(1).
+//! `|R| × |R|` table of meta-edge positions, through which sketching and the
+//! recover search find the meta edge of two landmarks (and its Δ) in O(1).
 
 use qbs_graph::workspace::VisitedSet;
 use qbs_graph::{Distance, VertexId, INFINITE_DISTANCE};
@@ -173,33 +173,42 @@ impl MetaGraph {
         self.apsp[i * self.num_landmarks() + j]
     }
 
-    /// The meta edges lying on at least one shortest meta-path between
-    /// landmark indices `i` and `j` — the landmark part of the sketch for a
-    /// query whose minimum is achieved by the pair `(i, j)`.
+    /// Appends to `out`, in no particular order, the meta edges lying on at
+    /// least one shortest meta-path between landmark indices `i` and `j` —
+    /// the landmark part of the sketch for a query whose minimum is
+    /// achieved by the pair `(i, j)`.
+    ///
+    /// Both ends of such an edge lie in `D = {x : d_M(i, x) + d_M(x, j) =
+    /// d_M(i, j)}`, and an edge `(a, b, σ)` inside `D` is on one iff
+    /// `|d_M(i, a) − d_M(i, b)| = σ`, so only pairs inside `D` are looked up
+    /// in the edge table: `O(|R| + |D|²)`. `D` waits at the end of `out` as
+    /// `(x, x, d_M(i, x))` until then.
     pub fn shortest_path_meta_edges(
         &self,
         i: usize,
         j: usize,
-    ) -> impl Iterator<Item = (usize, usize, Distance)> + '_ {
+        out: &mut Vec<(usize, usize, Distance)>,
+    ) {
         let dij = self.distance(i, j);
-        let candidates = if dij == INFINITE_DISTANCE || i == j {
-            &[][..]
-        } else {
-            &self.edges[..]
-        };
-        candidates.iter().copied().filter(move |&(a, b, w)| {
-            let forward = self
-                .distance(i, a)
-                .saturating_add(w)
-                .saturating_add(self.distance(b, j))
-                == dij;
-            let backward = self
-                .distance(i, b)
-                .saturating_add(w)
-                .saturating_add(self.distance(a, j))
-                == dij;
-            forward || backward
-        })
+        if dij == INFINITE_DISTANCE {
+            return;
+        }
+        let (r, start) = (self.num_landmarks(), out.len());
+        out.extend((0..r).filter_map(|x| {
+            let dix = self.distance(i, x);
+            (dix.saturating_add(self.distance(x, j)) == dij).then_some((x, x, dix))
+        }));
+        let end = out.len();
+        for p in start..end {
+            for q in p + 1..end {
+                let ((a, _, d_ia), (b, _, d_ib)) = (out[p], out[q]);
+                let k = self.edge_slots[a * r + b];
+                if k != NO_META_EDGE && self.edges[k as usize].2 == d_ia.abs_diff(d_ib) {
+                    out.push(self.edges[k as usize]);
+                }
+            }
+        }
+        out.drain(start..end);
     }
 
     /// The precomputed path graph (edge list in `G`) of one meta edge, by
@@ -253,6 +262,14 @@ mod tests {
         QbsIndex::build(g.clone(), config).meta_graph().clone()
     }
 
+    /// The meta edges on the shortest meta-paths between `i` and `j`, sorted.
+    fn path_edges(meta: &MetaGraph, i: usize, j: usize) -> Vec<(usize, usize, Distance)> {
+        let mut out = Vec::new();
+        meta.shortest_path_meta_edges(i, j, &mut out);
+        out.sort_unstable();
+        out
+    }
+
     fn figure4_meta() -> (Graph, MetaGraph) {
         let g = figure4_graph();
         let landmarks = figure4_landmarks();
@@ -285,12 +302,19 @@ mod tests {
         // Shortest meta paths between landmarks 1 (idx 0) and 3 (idx 2) have
         // length 2 and use either the direct edge (1,3) or the path 1-2-3 —
         // so all three meta edges belong to the sketch (Figure 6(b)).
-        assert_eq!(meta.shortest_path_meta_edges(0, 2).count(), 3);
+        assert_eq!(
+            path_edges(&meta, 0, 2),
+            vec![(0, 1, 1), (0, 2, 2), (1, 2, 1)]
+        );
+        assert_eq!(path_edges(&meta, 2, 0), path_edges(&meta, 0, 2));
         // Between 1 (idx 0) and 2 (idx 1) only the direct edge qualifies.
-        let edges: Vec<_> = meta.shortest_path_meta_edges(0, 1).collect();
-        assert_eq!(edges, vec![(0, 1, 1)]);
+        assert_eq!(path_edges(&meta, 0, 1), vec![(0, 1, 1)]);
         // Degenerate: same landmark twice.
-        assert_eq!(meta.shortest_path_meta_edges(1, 1).count(), 0);
+        assert!(path_edges(&meta, 1, 1).is_empty());
+        // Appends behind what `out` already holds and leaves it in place.
+        let mut out = vec![(7, 7, 7)];
+        meta.shortest_path_meta_edges(0, 1, &mut out);
+        assert_eq!(out, vec![(7, 7, 7), (0, 1, 1)]);
     }
 
     #[test]
@@ -321,7 +345,7 @@ mod tests {
         let meta = build_meta(&g, &landmarks);
         assert_eq!(meta.distance(0, 1), INFINITE_DISTANCE);
         assert_eq!(meta.distance(0, 0), 0);
-        assert_eq!(meta.shortest_path_meta_edges(0, 1).count(), 0);
+        assert!(path_edges(&meta, 0, 1).is_empty());
         assert!(meta.edge_index(0, 1).is_none());
     }
 

@@ -131,7 +131,7 @@ impl QbsIndex {
     /// Returns [`QbsError::VertexOutOfRange`] for endpoints outside the
     /// indexed graph.
     pub fn sketch(&self, source: VertexId, target: VertexId) -> crate::Result<Sketch> {
-        sketch_on(self, source, target)
+        sketch_on(self, &mut QueryWorkspace::new(), source, target)
     }
 
     /// Answers `SPG(source, target)` on a throwaway workspace.
@@ -229,11 +229,10 @@ pub fn query_on(
     source: VertexId,
     target: VertexId,
 ) -> crate::Result<QueryAnswer> {
-    check_vertex(index, source)?;
-    check_vertex(index, target)?;
+    let t = ws.obs.start();
+    let sketch = sketch_on(index, ws, source, target)?;
     if source == target {
         ws.record_query();
-        let sketch = Sketch::unreachable(source, target);
         let stats = SearchStats {
             distance: 0,
             ..SearchStats::default()
@@ -244,10 +243,6 @@ pub fn query_on(
             stats,
         });
     }
-    index.fill_effective_label(source, &mut ws.src_label);
-    index.fill_effective_label(target, &mut ws.tgt_label);
-    let t = ws.obs.start();
-    let sketch = sketch::compute(index, source, target, &ws.src_label, &ws.tgt_label);
     ws.obs.stop(crate::obs::Stage::SketchBound, t);
     let t = ws.obs.start();
     let (path_graph, stats) = search::guided_search_with(index, ws, source, target, &sketch);
@@ -296,15 +291,40 @@ pub(crate) fn distance_with_bounds_on(
     Ok((distance, upper_bound))
 }
 
-/// Computes the sketch of a query without running the search.
-pub fn sketch_on(index: &QbsIndex, source: VertexId, target: VertexId) -> crate::Result<Sketch> {
+/// Computes the sketch of a query without running the search, reusing the
+/// label buffers of `ws`: the sketch [`query_on`]'s answer carries, which
+/// for a trivial pair (`u == v`) is [`Sketch::unreachable`].
+pub fn sketch_on(
+    index: &QbsIndex,
+    ws: &mut QueryWorkspace,
+    source: VertexId,
+    target: VertexId,
+) -> crate::Result<Sketch> {
     check_vertex(index, source)?;
     check_vertex(index, target)?;
-    let mut src = Vec::new();
-    let mut tgt = Vec::new();
-    index.fill_effective_label(source, &mut src);
-    index.fill_effective_label(target, &mut tgt);
-    Ok(sketch::compute(index, source, target, &src, &tgt))
+    if source == target {
+        return Ok(Sketch::unreachable(source, target));
+    }
+    index.fill_effective_label(source, &mut ws.src_label);
+    index.fill_effective_label(target, &mut ws.tgt_label);
+    Ok(sketch::compute(
+        index,
+        source,
+        target,
+        &ws.src_label,
+        &ws.tgt_label,
+    ))
+}
+
+/// The cache-admission cost hint of a query whose sketch is `sketch`: its
+/// `d⊤`, except 0 for a trivial pair (`u == v`), which needs no search —
+/// the hint [`distance_with_bounds_on`] gives the same pair.
+pub(crate) fn cost_hint(sketch: &Sketch) -> Distance {
+    if sketch.source == sketch.target {
+        0
+    } else {
+        sketch.upper_bound
+    }
 }
 
 #[cfg(test)]

@@ -405,15 +405,15 @@ fn compute_on(
         QueryMode::PathGraph => {
             let answer = query::query_on(index, ws, request.source, request.target)
                 .map_err(request_error)?;
-            let hint = answer.sketch.upper_bound;
+            let hint = query::cost_hint(&answer.sketch);
             Ok((AnswerBody::PathGraph(Box::new(answer)), hint))
         }
         QueryMode::Sketch => {
             let t = ws.obs.start();
-            let sketch =
-                query::sketch_on(index, request.source, request.target).map_err(request_error)?;
+            let sketch = query::sketch_on(index, ws, request.source, request.target)
+                .map_err(request_error)?;
             ws.obs.stop(crate::obs::Stage::SketchBound, t);
-            let hint = sketch.upper_bound;
+            let hint = query::cost_hint(&sketch);
             Ok((AnswerBody::Sketch(Box::new(sketch)), hint))
         }
     }

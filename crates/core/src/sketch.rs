@@ -16,8 +16,11 @@
 //! hub-free LiveJournal stand-in relaxes 26 % fewer edges per query for the
 //! same answers (see [`crate::search`]).
 //!
-//! With the meta-graph APSP precomputed, sketch construction is `O(|R|²)`
-//! (§5.2) — constant per query for the default `|R| = 20`.
+//! With the meta-graph APSP precomputed (§5.2), [`compute`] is one
+//! `O(|L_u|·|L_v|)` pass over the label pairs, plus `O(|R| + |D|²)` for
+//! each label pair `(r, r')`, `r ≠ r'`, that attains `d⊤`, where `D` is the
+//! set of landmarks on a shortest `r ⇝ r'` meta-path
+//! ([`crate::MetaGraph::shortest_path_meta_edges`]).
 
 use serde::{Deserialize, Serialize};
 
@@ -100,22 +103,31 @@ pub fn compute(
     source_label: &[(usize, Distance)],
     target_label: &[(usize, Distance)],
 ) -> Sketch {
-    // Pass 1: find d⊤ = min over label pairs of δ_ur + d_M(r, r') + δ_r'v,
-    // memoising each pair's meta distance so pass 2 reads the scratch row
-    // instead of the APSP table a second time.
+    // One pass: d⊤ = min over label pairs of δ_ur + d_M(r, r') + δ_r'v
+    // (Eq. 3). The hops and the landmark pairs of every label pair at the
+    // running minimum are kept, and dropped when it falls; the pairs with
+    // r ≠ r' wait at the front of `meta_edges` as `(r, r', d_M)`.
     let meta = index.meta_graph();
     let mut upper_bound = INFINITE_DISTANCE;
-    let mut meta_memo: Vec<Distance> = Vec::with_capacity(source_label.len() * target_label.len());
+    let mut source_hops: Vec<SketchHop> = Vec::new();
+    let mut target_hops: Vec<SketchHop> = Vec::new();
+    let mut meta_edges: Vec<(usize, usize, Distance)> = Vec::new();
     for &(r, du) in source_label {
         for &(rp, dv) in target_label {
             let dm = meta.distance(r, rp);
-            meta_memo.push(dm);
-            if dm == INFINITE_DISTANCE {
+            if dm == INFINITE_DISTANCE || du + dm + dv > upper_bound {
                 continue;
             }
-            let total = du + dm + dv;
-            if total < upper_bound {
-                upper_bound = total;
+            if du + dm + dv < upper_bound {
+                upper_bound = du + dm + dv;
+                source_hops.clear();
+                target_hops.clear();
+                meta_edges.clear();
+            }
+            push_unique_hop(&mut source_hops, r, du);
+            push_unique_hop(&mut target_hops, rp, dv);
+            if r != rp {
+                meta_edges.push((r, rp, dm));
             }
         }
     }
@@ -123,38 +135,14 @@ pub fn compute(
         return Sketch::unreachable(source, target);
     }
 
-    // Pass 2: collect every pair achieving the minimum and assemble the
-    // sketch edges (Algorithm 3, lines 7-13). Meta edges are collected
-    // unconditionally and deduplicated once at the end — the final sorted
-    // unique list is the same as the old linear-scan dedupe produced,
-    // without its O(edges²) worst case.
-    let mut source_hops: Vec<SketchHop> = Vec::new();
-    let mut target_hops: Vec<SketchHop> = Vec::new();
-    let mut meta_edges: Vec<(usize, usize, Distance)> = Vec::new();
-    let mut memo = meta_memo.iter();
-    for &(r, du) in source_label {
-        for &(rp, dv) in target_label {
-            let dm = *memo.next().expect("memo covers every label pair");
-            if dm == INFINITE_DISTANCE || du + dm + dv != upper_bound {
-                continue;
-            }
-            push_unique_hop(
-                &mut source_hops,
-                SketchHop {
-                    landmark_idx: r,
-                    distance: du,
-                },
-            );
-            push_unique_hop(
-                &mut target_hops,
-                SketchHop {
-                    landmark_idx: rp,
-                    distance: dv,
-                },
-            );
-            meta_edges.extend(meta.shortest_path_meta_edges(r, rp));
-        }
+    // Every meta edge on a shortest meta-path of a kept pair (Algorithm 3,
+    // lines 7-13), appended behind the pairs, which then make way.
+    let kept = meta_edges.len();
+    for p in 0..kept {
+        let (r, rp, _) = meta_edges[p];
+        meta.shortest_path_meta_edges(r, rp, &mut meta_edges);
     }
+    meta_edges.drain(..kept);
     meta_edges.sort_unstable();
     meta_edges.dedup();
 
@@ -168,9 +156,12 @@ pub fn compute(
     }
 }
 
-fn push_unique_hop(hops: &mut Vec<SketchHop>, hop: SketchHop) {
-    if !hops.iter().any(|h| h.landmark_idx == hop.landmark_idx) {
-        hops.push(hop);
+fn push_unique_hop(hops: &mut Vec<SketchHop>, landmark_idx: usize, distance: Distance) {
+    if !hops.iter().any(|h| h.landmark_idx == landmark_idx) {
+        hops.push(SketchHop {
+            landmark_idx,
+            distance,
+        });
     }
 }
 
@@ -205,10 +196,221 @@ pub fn compute_bounds(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::landmark::LandmarkStrategy;
     use crate::serialize::{self, MapMode};
     use crate::QbsConfig;
+    use proptest::prelude::*;
+    use qbs_gen::{Catalog, QueryWorkload, Scale};
     use qbs_graph::fixtures::{figure4_graph, figure4_landmarks};
-    use qbs_graph::Graph;
+    use qbs_graph::{Graph, GraphBuilder};
+
+    /// The sketch assembly [`compute`] replaced, kept as its oracle: one
+    /// pass for d⊤, a second over the label pairs attaining it, and for
+    /// each such pair a scan of every meta edge.
+    fn reference(
+        index: &QbsIndex,
+        source: VertexId,
+        target: VertexId,
+        source_label: &[(usize, Distance)],
+        target_label: &[(usize, Distance)],
+    ) -> Sketch {
+        let meta = index.meta_graph();
+        let mut upper_bound = INFINITE_DISTANCE;
+        for &(r, du) in source_label {
+            for &(rp, dv) in target_label {
+                let dm = meta.distance(r, rp);
+                if dm != INFINITE_DISTANCE {
+                    upper_bound = upper_bound.min(du + dm + dv);
+                }
+            }
+        }
+        if upper_bound == INFINITE_DISTANCE {
+            return Sketch::unreachable(source, target);
+        }
+        let mut sketch = Sketch {
+            upper_bound,
+            ..Sketch::unreachable(source, target)
+        };
+        for &(r, du) in source_label {
+            for &(rp, dv) in target_label {
+                let dm = meta.distance(r, rp);
+                if dm == INFINITE_DISTANCE || du + dm + dv != upper_bound {
+                    continue;
+                }
+                push_unique_hop(&mut sketch.source_hops, r, du);
+                push_unique_hop(&mut sketch.target_hops, rp, dv);
+                if r == rp {
+                    continue;
+                }
+                sketch
+                    .meta_edges
+                    .extend(meta.edges().iter().copied().filter(|&(a, b, w)| {
+                        let via = |x: usize, y: usize| {
+                            meta.distance(r, x)
+                                .saturating_add(w)
+                                .saturating_add(meta.distance(y, rp))
+                        };
+                        via(a, b) == dm || via(b, a) == dm
+                    }));
+            }
+        }
+        sketch.meta_edges.sort_unstable();
+        sketch.meta_edges.dedup();
+        sketch
+    }
+
+    /// What the reference sketches of `pairs` exercised.
+    #[derive(Default)]
+    struct Reached {
+        /// Some label pair had landmarks in different components.
+        disconnected_pair: bool,
+        /// Some sketch's meta edges close a cycle: tied meta-paths, one of
+        /// them of several edges.
+        tied_meta_paths: bool,
+        /// Some endpoint was a landmark.
+        landmark_endpoint: bool,
+    }
+
+    /// Asserts `compute` equals [`reference`] on every field for each pair,
+    /// with effective labels (a landmark endpoint is its own column at 0).
+    fn assert_matches_reference(index: &QbsIndex, pairs: &[(VertexId, VertexId)]) -> Reached {
+        let meta = index.meta_graph();
+        let mut reached = Reached::default();
+        let (mut lu, mut lv) = (Vec::new(), Vec::new());
+        for &(u, v) in pairs {
+            index.fill_effective_label(u, &mut lu);
+            index.fill_effective_label(v, &mut lv);
+            let expected = reference(index, u, v, &lu, &lv);
+            assert_eq!(
+                compute(index, u, v, &lu, &lv),
+                expected,
+                "sketch of ({u}, {v})"
+            );
+            reached.disconnected_pair |= lu.iter().any(|&(r, _)| {
+                lv.iter()
+                    .any(|&(rp, _)| meta.distance(r, rp) == INFINITE_DISTANCE)
+            });
+            let mut ends: Vec<usize> = expected
+                .meta_edges
+                .iter()
+                .flat_map(|&(a, b, _)| [a, b])
+                .collect();
+            ends.sort_unstable();
+            ends.dedup();
+            reached.tied_meta_paths |= !ends.is_empty() && expected.meta_edges.len() >= ends.len();
+            reached.landmark_endpoint |= index.is_landmark(u) || index.is_landmark(v);
+        }
+        reached
+    }
+
+    /// A 40-vertex graph of `components` parts (vertex `x` lies in part
+    /// `x mod components`): the `edges` moved into their first endpoint's
+    /// part, plus, with `grid`, a width-4 grid over each part, whose
+    /// equal-length routes tie meta-paths.
+    fn random_graph(components: u32, grid: bool, edges: &[(u32, u32)]) -> Graph {
+        const N: u32 = 40;
+        let c = components;
+        let mut list: Vec<(u32, u32)> = edges
+            .iter()
+            .map(|&(a, b)| (a, b - b % c + a % c))
+            .filter(|&(a, b)| b < N && a != b)
+            .collect();
+        if grid {
+            for x in 0..N {
+                list.extend(
+                    [x + c, x + 4 * c]
+                        .map(|y| (x, y))
+                        .into_iter()
+                        .filter(|e| e.1 < N),
+                );
+            }
+        }
+        let mut builder = GraphBuilder::from_edges(list);
+        builder.reserve_vertices(N as usize);
+        builder.build()
+    }
+
+    fn random_index(
+        components: u32,
+        grid: bool,
+        edges: &[(u32, u32)],
+        landmarks: usize,
+        seed: u64,
+    ) -> QbsIndex {
+        let config = QbsConfig {
+            landmarks: LandmarkStrategy::Random {
+                count: landmarks,
+                seed,
+            },
+        };
+        QbsIndex::build(random_graph(components, grid, edges), config)
+    }
+
+    fn all_pairs(index: &QbsIndex) -> Vec<(VertexId, VertexId)> {
+        let n = index.num_vertices() as VertexId;
+        (0..n).flat_map(|u| (0..n).map(move |v| (u, v))).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// The one-pass assembly equals the reference on every vertex pair
+        /// of random graphs with |R| ∈ 0..=12.
+        #[test]
+        fn one_pass_sketch_equals_the_reference_on_random_graphs(
+            components in 1u32..4,
+            grid in 0u32..2,
+            edges in prop::collection::vec((0u32..40, 0u32..40), 0..80),
+            landmarks in 0usize..13,
+            seed in 0u64..1_000,
+        ) {
+            let index = random_index(components, grid == 1, &edges, landmarks, seed);
+            prop_assert!(index.landmarks().len() == landmarks);
+            assert_matches_reference(&index, &all_pairs(&index));
+        }
+    }
+
+    /// The random graphs above reach disconnected landmark pairs, tied
+    /// multi-edge meta-paths and landmark endpoints.
+    #[test]
+    fn random_graphs_reach_the_cases_the_property_is_for() {
+        let mut reached = Reached::default();
+        for seed in 0..8u64 {
+            let edges: Vec<(u32, u32)> = (0..40u64)
+                .map(|k| {
+                    let x = qbs_gen::rng::splitmix64(seed * 64 + k);
+                    ((x % 40) as u32, ((x >> 32) % 40) as u32)
+                })
+                .collect();
+            let index = random_index(2, seed % 2 == 0, &edges, 12, seed);
+            let case = assert_matches_reference(&index, &all_pairs(&index));
+            reached.disconnected_pair |= case.disconnected_pair;
+            reached.tied_meta_paths |= case.tied_meta_paths;
+            reached.landmark_endpoint |= case.landmark_endpoint;
+        }
+        assert!(reached.disconnected_pair, "no disconnected landmark pair");
+        assert!(reached.tied_meta_paths, "no tied multi-edge meta-paths");
+        assert!(reached.landmark_endpoint, "no landmark endpoint");
+    }
+
+    /// |R| = 100 on the Youtube stand-in at Small scale: 2 000 uniform
+    /// pairs and every landmark against a uniform partner.
+    #[test]
+    fn one_pass_sketch_equals_the_reference_at_a_hundred_landmarks() {
+        let spec = *Catalog::paper_table1()
+            .get(qbs_gen::catalog::DatasetId::Youtube)
+            .expect("Youtube stand-in");
+        let graph = spec.generate(Scale::Small);
+        let mut pairs = QueryWorkload::sample(&graph, 2_000, 34).pairs().to_vec();
+        let index = QbsIndex::build(graph, QbsConfig::with_landmark_count(100));
+        assert_eq!(index.landmarks().len(), 100);
+        let partners: Vec<VertexId> = pairs[..100].iter().map(|&(u, _)| u).collect();
+        for (&r, &u) in index.landmarks().iter().zip(&partners) {
+            pairs.extend([(r, u), (u, r)]);
+        }
+        let reached = assert_matches_reference(&index, &pairs);
+        assert!(reached.tied_meta_paths && reached.landmark_endpoint);
+    }
 
     fn setup() -> (Graph, QbsIndex) {
         let g = figure4_graph();

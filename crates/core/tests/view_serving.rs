@@ -226,5 +226,5 @@ fn view_store_rejects_out_of_range_vertices() {
     let index = qbs.index().expect("every session has an index");
     let mut ws = qbs_core::QueryWorkspace::new();
     assert!(qbs_core::query_on(index, &mut ws, 77, 0).is_err());
-    assert!(qbs_core::sketch_on(index, 0, 77).is_err());
+    assert!(qbs_core::sketch_on(index, &mut ws, 0, 77).is_err());
 }
