@@ -43,8 +43,8 @@ pub enum Command {
         pairs: Option<PathBuf>,
         /// Worker threads for batch execution (default: all cores).
         threads: Option<usize>,
-        /// Memory-map the index file instead of reading it to the heap —
-        /// the O(1) cold-start path.
+        /// Memory-map the index file instead of reading it to the heap
+        /// (either way it is validated in full).
         mmap: bool,
         /// Query mode: full path graph (default), distance-only, or
         /// sketch-only.
@@ -61,8 +61,8 @@ pub enum Command {
     Serve {
         /// Index path produced by `build`.
         index: PathBuf,
-        /// Memory-map the index file instead of reading it to the heap —
-        /// the O(1) cold-start path.
+        /// Memory-map the index file instead of reading it to the heap
+        /// (either way it is validated in full).
         mmap: bool,
         /// Bind address (`--port P` is shorthand for `127.0.0.1:P`).
         addr: String,
@@ -233,10 +233,11 @@ and `convert` all follow it). `build` writes the one index file layout
 a message to rebuild it.
 
 `query` and `serve` answer straight from the index file's layout, read
-to the heap and fully validated; `--mmap` memory-maps the file instead,
-so a cold process answers its first query in the time it takes to map
-it. In `--pairs` batches each pair is answered independently: an
-out-of-range pair reports an error for that line only.
+to the heap; `--mmap` memory-maps the file instead, so processes serving
+one file share one copy through the page cache. Either way the file is
+checksummed and validated in full before the first query. In `--pairs`
+batches each pair is answered independently: an out-of-range pair
+reports an error for that line only.
 
 `serve` runs the framed TCP server (spec: docs/protocol.md): one poll(2)
 reactor thread multiplexes every connection and `--workers W` threads

@@ -147,8 +147,8 @@ pub fn run(command: &Command) -> Result<String, CommandError> {
                 stats: *stats,
                 json: *json,
             };
-            // --mmap maps the index file (the O(1) cold-start path);
-            // otherwise it is read to the heap and validated in full.
+            // --mmap maps the index file, otherwise it is read to the
+            // heap; either way it is validated in full.
             let map_mode = if *mmap { MapMode::Mmap } else { MapMode::Read };
             let mut qbs = Qbs::open(index, map_mode)?;
             if let Some(n) = threads {
@@ -519,8 +519,9 @@ pub fn start_router(command: &Command) -> Result<RouterHandle, CommandError> {
     QbsRouter::start(config).map_err(CommandError::Io)
 }
 
-/// Implements `inspect`: renders the header fields, checksum verification
-/// status and the section table with per-section shares of the file.
+/// Implements `inspect`: renders the header fields, checksum status, the
+/// verdict of the validation every open runs, and the section table with
+/// per-section shares of the file.
 fn inspect_index(path: &Path) -> Result<String, CommandError> {
     let bytes = std::fs::read(path).map_err(CommandError::Io)?;
     let report = qbs_core::format::inspect(ViewBuf::Heap(bytes))?;
@@ -542,6 +543,7 @@ fn inspect_index(path: &Path) -> Result<String, CommandError> {
          meta edges:      {}\n\
          delta edges:     {}\n\
          checksum:        {}\n\
+         verdict:         {}\n\
          bytes/vertex:    {:.2} (whole file)\n",
         path.display(),
         qbs_core::format::FORMAT_VERSION,
@@ -553,6 +555,7 @@ fn inspect_index(path: &Path) -> Result<String, CommandError> {
         report.num_meta_edges,
         report.num_delta_edges,
         checksum_line,
+        report.fault.as_deref().unwrap_or("ok"),
         report.file_len as f64 / report.num_vertices.max(1) as f64,
     );
     out.push_str(&format!(
@@ -824,6 +827,7 @@ mod tests {
         assert!(inspect.contains("qbs-index v5"), "{inspect}");
         assert!(inspect.contains("dist width:      1 byte(s)"), "{inspect}");
         assert!(inspect.contains("fnv1a-64) ok"), "{inspect}");
+        assert!(inspect.contains("verdict:         ok"), "{inspect}");
         assert!(inspect.contains("bytes/vertex"), "{inspect}");
         for section in [
             "labels",
@@ -843,6 +847,39 @@ mod tests {
         std::fs::write(&rotten, bytes).expect("write");
         let inspect = run(&Command::Inspect { index: rotten }).expect("inspect rotten");
         assert!(inspect.contains("MISMATCH"), "{inspect}");
+        assert!(
+            inspect.contains("verdict:         corrupt index data: checksum mismatch"),
+            "{inspect}"
+        );
+
+        // A file resealed after its first landmark id was set to |V|: the
+        // checksum matches, and the verdict is the open's refusal.
+        let mut bytes = std::fs::read(&index_path).expect("read");
+        let report = qbs_core::format::inspect(ViewBuf::Heap(bytes.clone())).expect("inspect");
+        let landmarks = report.sections[0].offset as usize;
+        let n = report.num_vertices as u32;
+        bytes[landmarks..landmarks + 4].copy_from_slice(&n.to_le_bytes());
+        let sealed_at = bytes.len() - 8;
+        let checksum = qbs_core::format::checksum64(&bytes[..sealed_at]);
+        bytes[sealed_at..].copy_from_slice(&checksum.to_le_bytes());
+        let resealed = dir.join("resealed.qbs");
+        std::fs::write(&resealed, bytes).expect("write");
+        let inspect = run(&Command::Inspect {
+            index: resealed.clone(),
+        })
+        .expect("inspect resealed");
+        let refusal = Qbs::open(&resealed, MapMode::Read)
+            .expect_err("open refuses the file")
+            .to_string();
+        assert!(inspect.contains("fnv1a-64) ok"), "{inspect}");
+        assert!(
+            inspect.contains(&format!("verdict:         {refusal}\n")),
+            "{inspect}"
+        );
+        assert!(
+            refusal.contains(&format!("landmark id {n} out of range")),
+            "{refusal}"
+        );
 
         // Inspecting garbage fails cleanly.
         let junk = dir.join("junk.qbs");

@@ -74,11 +74,11 @@
 //! built in this process (a heap buffer laid out by the build) or opened
 //! from a file.
 //!
-//! All structural validation happens in [`IndexView::parse`], so a corrupt
-//! or truncated file is reported as [`QbsError::Corrupt`] instead of
-//! panicking; [`IndexView::parse_trusted`] defers the `O(file)` integrity
-//! scans for the map-speed serving cold start (see
-//! [`crate::serialize::MapMode`]).
+//! All validation happens in [`IndexView::parse`] — geometry, checksum and
+//! the structural scans, whichever [`crate::serialize::MapMode`] fetched
+//! the bytes — so a corrupt or truncated file is reported as
+//! [`QbsError::Corrupt`] before any query can read it, instead of
+//! panicking or answering from bad bytes.
 //!
 //! Files written by earlier builds (the JSON index and the `QBSIDX2` /
 //! `QBSIDX3` / `QBSIDX4` binary layouts) are refused with one `Corrupt`
@@ -240,7 +240,7 @@ impl ViewBuf {
 /// like slices: passing a vertex or landmark index outside the ranges the
 /// header declares (`< num_vertices()` / `< num_landmarks()`) is a caller
 /// bug and panics, exactly as `Graph::neighbors` does.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct IndexView {
     buf: ViewBuf,
     sections: [SectionRecord; SECTION_COUNT],
@@ -248,75 +248,24 @@ pub struct IndexView {
     num_landmarks: usize,
     /// Bytes per label slot (1 or 2), from the header.
     dist_width: usize,
-    /// Whether the `O(file)` integrity validation has passed (atomically
-    /// flipped by a successful [`IndexView::verify`], so shared views can
-    /// record it through `&self`).
-    verified: std::sync::atomic::AtomicBool,
-}
-
-impl Clone for IndexView {
-    fn clone(&self) -> Self {
-        IndexView {
-            buf: self.buf.clone(),
-            sections: self.sections,
-            num_vertices: self.num_vertices,
-            num_landmarks: self.num_landmarks,
-            dist_width: self.dist_width,
-            verified: std::sync::atomic::AtomicBool::new(self.is_verified()),
-        }
-    }
 }
 
 impl IndexView {
-    /// Parses and fully validates an index buffer.
+    /// Parses and fully validates an index buffer: its geometry, then the
+    /// checksum and the structural scans. Every buffer from outside the
+    /// process — [`crate::serialize::from_bytes`] and both
+    /// [`crate::serialize::MapMode`]s — comes in through here.
     pub fn parse(buf: ViewBuf) -> Result<IndexView> {
         let view = Self::parse_geometry(buf)?;
-        view.verify()?;
+        view.check_integrity()?;
         Ok(view)
     }
 
     /// Parses an index buffer validating only its **geometry** — magic,
     /// version, header widths, section-table layout, and every section
-    /// length the header implies — while deferring the `O(file)` integrity
-    /// work (checksum and the structural scans) that [`IndexView::parse`]
-    /// performs eagerly.
-    ///
-    /// This is the serving-path constructor: opening an immutable index
-    /// file this way costs microseconds regardless of index size, because
-    /// nothing beyond the header and section table is read until a query
-    /// touches it. It is meant for files of **trusted provenance** — ones
-    /// your own build pipeline wrote and verified (the writer checksums
-    /// every file, and `qbs inspect` / [`IndexView::verify`] re-verify on
-    /// demand). Feeding it a file that *would have failed* full validation
-    /// trades the up-front `Corrupt` error for a deferred panic (an
-    /// out-of-bounds slice index) or a wrong answer — never memory
-    /// unsafety, since every accessor performs bounds-checked reads.
-    pub fn parse_trusted(buf: ViewBuf) -> Result<IndexView> {
-        Self::parse_geometry(buf)
-    }
-
-    /// Whether full integrity validation (checksum + structural scans) has
-    /// passed on this view — `true` for [`IndexView::parse`], `false` for
-    /// [`IndexView::parse_trusted`] until a successful
-    /// [`IndexView::verify`] flips it.
-    pub fn is_verified(&self) -> bool {
-        self.verified.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Runs the deferred integrity validation of a
-    /// [`IndexView::parse_trusted`] view: the checksum plus every
-    /// structural invariant. On success the view is marked verified
-    /// ([`IndexView::is_verified`]). Idempotent; views opened with
-    /// [`IndexView::parse`] have already passed it.
-    pub fn verify(&self) -> Result<()> {
-        self.verify_checksum()?;
-        self.validate_structure()?;
-        self.verified
-            .store(true, std::sync::atomic::Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Geometry-only parse shared by both constructors.
+    /// length the header implies — so the accessors stay in bounds. For
+    /// bytes the build has just laid out, and for [`inspect`], which must
+    /// read a corrupt file to report on it.
     fn parse_geometry(buf: ViewBuf) -> Result<IndexView> {
         let data = buf.as_slice();
         check_magic_and_version(data)?;
@@ -356,7 +305,6 @@ impl IndexView {
             num_vertices,
             num_landmarks,
             dist_width,
-            verified: std::sync::atomic::AtomicBool::new(false),
         };
         view.validate_lengths()?;
         Ok(view)
@@ -552,6 +500,13 @@ impl IndexView {
         self.sections[kind as usize - 1]
     }
 
+    /// The `O(file)` half of [`IndexView::parse`]: the checksum, then the
+    /// structural scans. [`inspect`] reports its verdict.
+    fn check_integrity(&self) -> Result<()> {
+        self.verify_checksum()?;
+        self.validate_structure()
+    }
+
     fn verify_checksum(&self) -> Result<()> {
         let s = self.section(SectionKind::Checksum);
         let data = self.buf.as_slice();
@@ -567,11 +522,10 @@ impl IndexView {
     }
 
     /// The cheap `O(section-count)` length checks: every section length the
-    /// header implies, with checked arithmetic. These run in **both** parse
-    /// modes, so even a [`IndexView::parse_trusted`] view has structurally
-    /// sane array bounds (a crafted header with an absurd vertex count must
-    /// fail here, not wrap around and slip past the section-length
-    /// comparison).
+    /// header implies, with checked arithmetic, so even a geometry-only
+    /// view has sane array bounds (a crafted header with an absurd vertex
+    /// count must fail here, not wrap around and slip past the
+    /// section-length comparison).
     fn validate_lengths(&self) -> Result<()> {
         let n = self.num_vertices as u64;
         let r = self.num_landmarks as u64;
@@ -620,9 +574,9 @@ impl IndexView {
     /// Validates every `O(file)` structural invariant the typed accessors
     /// and [`crate::QbsIndex`] rely on, so no later code path can panic on a
     /// file that passed the checksum (e.g. one crafted rather than
-    /// corrupted). Deferred by [`IndexView::parse_trusted`]. The label
-    /// matrix needs no scan: its length is pinned by the header and every
-    /// slot value is either a distance or the "no entry" sentinel.
+    /// corrupted). The label matrix needs no scan: its length is pinned by
+    /// the header and every slot value is either a distance or the "no
+    /// entry" sentinel.
     fn validate_structure(&self) -> Result<()> {
         let n = self.num_vertices;
         let r = self.num_landmarks;
@@ -1023,7 +977,7 @@ pub(crate) fn write_without_delta(
     out.extend_from_slice(&0u64.to_le_bytes());
     let head = header(n, r, dist_width, &records);
     out[..head.len()].copy_from_slice(&head);
-    IndexView::parse_trusted(ViewBuf::Heap(out)).expect("a freshly laid-out index parses")
+    IndexView::parse_geometry(ViewBuf::Heap(out)).expect("a freshly laid-out index parses")
 }
 
 /// Completes a view from [`write_without_delta`]: fills in Δ's offsets,
@@ -1060,10 +1014,11 @@ pub(crate) fn append_delta(view: IndexView, delta: &[Vec<(VertexId, VertexId)>])
     out.extend_from_slice(&checksum.to_le_bytes());
 
     let view =
-        IndexView::parse_trusted(ViewBuf::Heap(out)).expect("the build writes a valid index");
-    debug_assert!(view.verify().is_ok(), "the build writes a valid index");
-    view.verified
-        .store(true, std::sync::atomic::Ordering::Relaxed);
+        IndexView::parse_geometry(ViewBuf::Heap(out)).expect("the build writes a valid index");
+    debug_assert!(
+        view.check_integrity().is_ok(),
+        "the build writes a valid index"
+    );
     view
 }
 
@@ -1080,9 +1035,9 @@ fn put_words<T: Copy, const N: usize>(
 }
 
 /// Everything `qbs inspect` reports about an index file, computed without
-/// requiring the checksum to match — a corrupt-but-geometrically-sane file
+/// requiring the file to be valid — a corrupt-but-geometrically-sane file
 /// is *inspectable* (that is the whole point of the tool), it just reports
-/// `checksum_ok() == false`.
+/// `checksum_ok() == false` or a [`FileInspection::fault`].
 #[derive(Clone, Debug)]
 pub struct FileInspection {
     /// `|V|` from the header.
@@ -1105,6 +1060,10 @@ pub struct FileInspection {
     pub num_meta_edges: usize,
     /// Δ edge count implied by the delta-edges section.
     pub num_delta_edges: usize,
+    /// Why [`IndexView::parse`] refuses the file (the checksum or the
+    /// structural scans, the same checks every open runs), or `None` when
+    /// it opens.
+    pub fault: Option<String>,
 }
 
 impl FileInspection {
@@ -1128,7 +1087,7 @@ impl FileInspection {
 /// buffer by value so inspecting a multi-GB index never holds two copies
 /// of it — pass `ViewBuf::Heap(std::fs::read(path)?)` or a mapped buffer.
 pub fn inspect(buf: ViewBuf) -> Result<FileInspection> {
-    let view = IndexView::parse_trusted(buf)?;
+    let view = IndexView::parse_geometry(buf)?;
     let checksum_offset = view.section(SectionKind::Checksum).offset as usize;
     let computed_checksum = checksum64(&view.buf().as_slice()[..checksum_offset]);
     Ok(FileInspection {
@@ -1142,6 +1101,7 @@ pub fn inspect(buf: ViewBuf) -> Result<FileInspection> {
         num_arcs: view.num_arcs(),
         num_meta_edges: view.num_meta_edges(),
         num_delta_edges: view.num_delta_edges(),
+        fault: view.check_integrity().err().map(|err| err.to_string()),
     })
 }
 
@@ -1563,7 +1523,7 @@ mod tests {
             let mut old = head.to_vec();
             old.resize(256, 0);
             for data in [head.to_vec(), old] {
-                let err = IndexView::parse_trusted(ViewBuf::Heap(data)).unwrap_err();
+                let err = IndexView::parse(ViewBuf::Heap(data)).unwrap_err();
                 let msg = err.to_string();
                 assert!(msg.contains(&format!("v{version}")), "{msg}");
                 assert!(msg.contains("rebuild with `qbs build`"), "{msg}");
@@ -1607,37 +1567,11 @@ mod tests {
     }
 
     #[test]
-    fn trusted_parse_defers_integrity_but_validates_geometry() {
-        let bytes = index().bytes().to_vec();
-
-        // Valid buffer: geometry passes, integrity is deferred, verify() ok.
-        let view = IndexView::parse_trusted(ViewBuf::Heap(bytes.clone())).expect("parse");
-        assert!(!view.is_verified());
-        view.verify().expect("valid file verifies");
-        assert!(IndexView::parse(ViewBuf::Heap(bytes.clone()))
-            .expect("full parse")
-            .is_verified());
-
-        // A payload bit flip sails through the trusted parse (that is the
-        // documented trade) but is caught by the deferred verify().
-        let payload_pos = view.section(SectionKind::GraphNeighbors).offset as usize;
-        let mut corrupt = bytes.clone();
-        corrupt[payload_pos] ^= 0x01;
-        let trusted = IndexView::parse_trusted(ViewBuf::Heap(corrupt)).expect("geometry ok");
-        assert!(trusted.verify().is_err(), "bit flip must fail verify()");
-
-        // Geometry damage is still rejected eagerly, even in trusted mode.
-        assert!(IndexView::parse_trusted(ViewBuf::Heap(bytes[..HEADER_LEN].to_vec())).is_err());
-        let mut absurd = bytes.clone();
-        absurd[16..24].copy_from_slice(&(1u64 << 61).to_le_bytes());
-        assert!(IndexView::parse_trusted(ViewBuf::Heap(absurd)).is_err());
-    }
-
-    #[test]
     fn inspection_reports_checksum_status_without_refusing_corrupt_files() {
         let bytes = index().bytes().to_vec();
         let report = inspect(ViewBuf::Heap(bytes.clone())).expect("inspect");
         assert!(report.checksum_ok());
+        assert_eq!(report.fault, None);
         assert_eq!(report.num_vertices, 15);
         assert_eq!(report.num_landmarks, 3);
         assert_eq!(report.dist_width, 1);
@@ -1661,6 +1595,19 @@ mod tests {
         let report = inspect(ViewBuf::Heap(corrupt)).expect("inspect corrupt");
         assert!(!report.checksum_ok());
         assert_ne!(report.stored_checksum, report.computed_checksum);
+        let fault = report.fault.expect("a checksum mismatch is a fault");
+        assert!(fault.contains("checksum mismatch"), "{fault}");
+
+        // A resealed file with a landmark id ≥ |V| has a matching checksum,
+        // and the structural scan every open runs still reports it.
+        let landmarks = report.sections[0].offset as usize;
+        let mut crafted = bytes.clone();
+        crafted[landmarks..landmarks + 4].copy_from_slice(&15u32.to_le_bytes());
+        reseal(&mut crafted);
+        let report = inspect(ViewBuf::Heap(crafted)).expect("inspect crafted");
+        assert!(report.checksum_ok());
+        let fault = report.fault.expect("an out-of-range landmark is a fault");
+        assert!(fault.contains("landmark id 15 out of range"), "{fault}");
 
         // Geometry-destroying corruption is still an error.
         assert!(inspect(ViewBuf::Heap(bytes[..10].to_vec())).is_err());

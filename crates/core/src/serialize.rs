@@ -65,31 +65,22 @@ pub fn save_to_file<P: AsRef<Path>>(index: &QbsIndex, path: P) -> Result<()> {
     Ok(written?)
 }
 
-/// How [`load_view_from_file`] acquires (and vets) the index bytes.
+/// How [`load_view_from_file`] acquires the index bytes. Both modes run
+/// the same full validation ([`IndexView::parse`]: geometry, checksum and
+/// structural scans) before an index exists; they differ only in where the
+/// bytes live.
 ///
-/// The two modes are the two halves of the serving story:
-///
-/// * [`MapMode::Read`] — copy the file into a heap buffer and run **full**
-///   integrity validation (checksum + structural scans). The ingest /
-///   inspection path: use it for files of unknown provenance.
+/// * [`MapMode::Read`] — copy the file into a heap buffer.
 /// * [`MapMode::Mmap`] — memory-map the immutable index file
-///   ([`crate::mmap`]) and validate only the **geometry** (header, section
-///   table, every array length the header implies), deferring the
-///   `O(file)` checksum and structural scans. Opening is `O(1)` in the
-///   index size — pages stream in on demand as queries touch them — which
-///   is what lets a cold shard process answer its first query in the time
-///   it takes to map one file. Intended for immutable files your own build
-///   pipeline wrote (the writer checksums every file); run
-///   [`IndexView::verify`] — or `qbs inspect` — when provenance is in
-///   doubt. On targets without the mmap shim the bytes are transparently
-///   read to the heap instead, with the same deferred-validation
-///   semantics.
+///   ([`crate::mmap`]), so N processes serving one file share one physical
+///   copy through the page cache. On targets without the mmap shim the
+///   bytes are read to the heap instead.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum MapMode {
-    /// Heap copy + full validation (the safe default).
+    /// A heap copy of the file (the default).
     #[default]
     Read,
-    /// Memory-map + geometry-only validation (the serving fast path).
+    /// A shared read-only mapping of the file.
     Mmap,
 }
 
@@ -102,11 +93,11 @@ impl std::fmt::Display for MapMode {
     }
 }
 
-/// Opens an index file as a zero-copy [`IndexView`] — the entry point for
-/// callers that only need section metadata or the raw label / adjacency
-/// accessors, and (wrapped in a [`QbsIndex`]) for serving queries straight
-/// from the file. See [`MapMode`] for the buffer-acquisition and validation
-/// semantics of the two modes.
+/// Opens and fully validates an index file as a zero-copy [`IndexView`] —
+/// the entry point for callers that only need section metadata or the raw
+/// label / adjacency accessors, and (wrapped in a [`QbsIndex`]) for serving
+/// queries straight from the file. See [`MapMode`] for where the bytes
+/// live.
 ///
 /// In [`MapMode::Read`] the magic is checked on the first
 /// [`format::HEADER_LEN`] bytes *before* the body is read, so an
@@ -124,7 +115,7 @@ pub fn load_view_from_file<P: AsRef<Path>>(path: P, mode: MapMode) -> Result<Ind
         }
         MapMode::Mmap => {
             let region = crate::mmap::MmapRegion::map_file(path)?;
-            IndexView::parse_trusted(ViewBuf::Mmap(std::sync::Arc::new(region)))
+            IndexView::parse(ViewBuf::Mmap(std::sync::Arc::new(region)))
         }
     }
 }
@@ -132,7 +123,7 @@ pub fn load_view_from_file<P: AsRef<Path>>(path: P, mode: MapMode) -> Result<Ind
 /// Opens an index file as a ready-to-serve [`QbsIndex`]:
 /// [`load_view_from_file`] plus the landmark bitmap and the decoded
 /// meta-graph tables. With [`MapMode::Mmap`] this is the whole cold-start
-/// path of a shard process — map, wrap, serve.
+/// path of a shard process — map, verify, wrap, serve.
 pub fn open_from_file<P: AsRef<Path>>(path: P, mode: MapMode) -> Result<QbsIndex> {
     Ok(QbsIndex::from_view(load_view_from_file(path, mode)?))
 }
@@ -265,17 +256,15 @@ mod tests {
         let path = dir.join("fig4.qbs");
         save_to_file(&original, &path).expect("save");
         let view = load_view_from_file(&path, MapMode::Read).expect("view");
-        assert!(view.is_verified());
+        assert!(matches!(view.buf(), ViewBuf::Heap(_)));
         assert_eq!(view.num_landmarks(), 3);
         assert_eq!(
             original.query(6, 11).unwrap(),
             QbsIndex::from_view(view).query(6, 11).unwrap()
         );
 
-        // The mmap mode serves identical bytes with deferred validation.
+        // The mmap mode serves identical bytes from a mapping.
         let mapped = load_view_from_file(&path, MapMode::Mmap).expect("mmap view");
-        assert!(!mapped.is_verified());
-        mapped.verify().expect("deferred verification passes");
         assert!(matches!(mapped.buf(), ViewBuf::Mmap(_)));
         assert_eq!(
             QbsIndex::from_view(mapped).query(6, 11).unwrap(),

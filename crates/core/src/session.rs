@@ -24,7 +24,7 @@
 //! assert!(outcomes.iter().all(|o| o.is_ok()));
 //! ```
 //!
-//! With [`MapMode::Mmap`], [`Qbs::open`] is `O(1)` in the index size;
+//! [`Qbs::open`] verifies the whole file under either [`MapMode`];
 //! [`Qbs::load`] is `open` with [`MapMode::Read`]. See `docs/api.md` for
 //! the migration table from the pre-façade entry points.
 
@@ -134,9 +134,9 @@ impl Qbs {
         }
     }
 
-    /// Opens an index file for serving. With [`MapMode::Mmap`] this is the
-    /// `O(1)` cold-start path — map, wrap, serve; [`MapMode::Read`] copies
-    /// the file to the heap and validates it in full.
+    /// Opens an index file for serving: [`MapMode::Mmap`] maps it,
+    /// [`MapMode::Read`] copies it to the heap, and either validates it in
+    /// full before the session exists.
     pub fn open<P: AsRef<Path>>(path: P, mode: MapMode) -> crate::Result<Self> {
         Ok(Self::from_index(serialize::open_from_file(path, mode)?))
     }

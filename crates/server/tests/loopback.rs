@@ -4,7 +4,8 @@
 //! admission must shed with typed `Busy` replies (never hangs or dropped
 //! connections), a fault or a panicking job must cost only its own
 //! request, idle connections must park on the reactor without consuming
-//! threads, and shutdown must drain cleanly.
+//! threads, rebuilding the mapped file must not disturb the server, and
+//! shutdown must drain cleanly.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -276,6 +277,51 @@ fn hundreds_of_idle_connections_park_on_one_reactor_thread() {
     assert_eq!(stats.admission.connections, 512);
     assert_eq!(stats.admission.shed_connections, 0);
     drop(clients);
+    server.shutdown();
+}
+
+/// Saving a different index over the file a server maps replaces the
+/// file instead of rewriting it: the server goes on answering from its
+/// mapping of the old index, and a fresh open serves the new one.
+#[test]
+fn rebuilding_the_mapped_file_keeps_the_server_on_the_old_index() {
+    let (qbs, path) = mmap_session("rebuild");
+    let num_vertices = qbs.num_vertices() as u32;
+    let mut server = QbsServer::start(Arc::clone(&qbs), ServerConfig::default()).expect("start");
+    let mut client =
+        QbsClient::connect_retry(&server.local_addr().to_string(), Duration::from_secs(10))
+            .expect("connect");
+    // The old index's answers, from a heap copy of the file.
+    let old = Qbs::open(&path, MapMode::Read).expect("old reference");
+    let batches: Vec<Vec<QueryRequest>> = (0..4u32)
+        .map(|salt| mixed_requests(num_vertices, 40 + salt))
+        .collect();
+
+    let graph = Catalog::paper_table1()
+        .get(DatasetId::Douban)
+        .expect("catalog")
+        .generate(Scale::Tiny);
+    let new = QbsIndex::build(graph, QbsConfig::with_landmark_count(3));
+    serialize::save_to_file(&new, &path).expect("save over the mapped file");
+    let new = Qbs::from_index(new);
+
+    // The server answers every batch from the old index, although the new
+    // one answers each differently.
+    for (i, batch) in batches.iter().enumerate() {
+        let reply = client.submit(batch).expect("submit");
+        let expected = old.submit(batch);
+        assert_eq!(
+            reply.outcomes().expect("admitted"),
+            expected,
+            "batch {i} after the rebuild"
+        );
+        assert_ne!(new.submit(batch), expected, "batch {i}: the indexes differ");
+    }
+    let fresh = Qbs::open(&path, MapMode::Mmap).expect("reopen");
+    assert_eq!(fresh.num_landmarks(), 3);
+    for batch in &batches {
+        assert_eq!(fresh.submit(batch), new.submit(batch));
+    }
     server.shutdown();
 }
 
