@@ -267,7 +267,9 @@ replicas, and ejects unhealthy replicas with backoff. Answers are
 bit-identical to a single replica; `client --stats` against a router
 additionally prints per-replica routing counters, `client --metrics`
 returns the bucket-wise merge of every replica's histograms, and trace
-IDs propagate onto every scattered sub-batch. `route` accepts the same
+IDs propagate onto every scattered sub-batch. The router forwards batches
+on its reactor thread; its `--workers W` threads only answer the `Stats`
+and `Metrics` frames, which poll every replica. `route` accepts the same
 `--metrics-addr`/`--slow-query-ms` options as `serve`.
 ";
 

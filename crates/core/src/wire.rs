@@ -558,6 +558,76 @@ impl Wire for QueryOutcome {
     }
 }
 
+/// Walks one encoded [`QueryRequest`] without building it: the endpoint
+/// bytes are skipped, the mode and option bytes checked exactly as the
+/// decoder checks them.
+pub fn skip_request(r: &mut WireReader<'_>) -> Result<(), WireError> {
+    r.take(8, "request endpoints")?;
+    QueryMode::decode(r)?;
+    QueryOptions::decode(r).map(drop)
+}
+
+/// Walks one encoded [`QueryOutcome`] without building it: every tag,
+/// flag byte, sequence count and UTF-8 string the decoder checks, and no
+/// allocation. It succeeds exactly when [`QueryOutcome::decode`] would and
+/// leaves the reader where the decoder would, which is what lets a router
+/// splice a replica's outcome bytes into its own reply unread.
+pub fn skip_outcome(r: &mut WireReader<'_>) -> Result<(), WireError> {
+    match r.u8("query outcome")? {
+        0 => r.take(4, "outcome distance").map(drop),
+        1 => skip_path_graph(r),
+        2 => {
+            skip_path_graph(r)?;
+            skip_sketch(r)?;
+            r.take(SearchStats::MIN_ENCODED_LEN - 1, "search stats")?;
+            let flags = r.u8("search flags")?;
+            if flags & !(STATS_USED_REVERSE | STATS_USED_RECOVER) != 0 {
+                return Err(WireError::BadTag {
+                    what: "search flags",
+                    tag: flags as u64,
+                });
+            }
+            Ok(())
+        }
+        3 => skip_sketch(r),
+        4 => match r.u8("request error")? {
+            0 => r.take(16, "out-of-range vertex").map(drop),
+            1 => {
+                let n = r.seq_len("string", 1)?;
+                std::str::from_utf8(r.take(n, "string bytes")?)
+                    .map(drop)
+                    .map_err(|_| WireError::Invalid("utf-8 string"))
+            }
+            tag => Err(WireError::BadTag {
+                what: "request error",
+                tag: tag as u64,
+            }),
+        },
+        tag => Err(WireError::BadTag {
+            what: "query outcome",
+            tag: tag as u64,
+        }),
+    }
+}
+
+/// Skips a `u32`-counted sequence of fixed-size elements.
+fn skip_seq(r: &mut WireReader<'_>, what: &'static str, elem: usize) -> Result<(), WireError> {
+    let n = r.seq_len(what, elem)?;
+    r.take(n * elem, what).map(drop)
+}
+
+fn skip_path_graph(r: &mut WireReader<'_>) -> Result<(), WireError> {
+    r.take(12, "path-graph header")?;
+    skip_seq(r, "path-graph edge list", 8)
+}
+
+fn skip_sketch(r: &mut WireReader<'_>) -> Result<(), WireError> {
+    r.take(12, "sketch header")?;
+    skip_seq(r, "sequence", SketchHop::MIN_ENCODED_LEN)?;
+    skip_seq(r, "sequence", SketchHop::MIN_ENCODED_LEN)?;
+    skip_seq(r, "sketch meta edges", 12)
+}
+
 impl Wire for u64 {
     const MIN_ENCODED_LEN: usize = 8;
 
@@ -951,6 +1021,59 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The splice walks accept exactly what the decoders accept, and stop
+    /// where they stop, under every truncation and single-bit flip.
+    #[test]
+    fn skips_agree_with_decode_under_corruption() {
+        let index = index();
+        let mut ws = QueryWorkspace::new();
+        let mut outcomes: Vec<QueryOutcome> = [(6, 11), (4, 12), (0, 0), (0, 14)]
+            .iter()
+            .flat_map(|&(u, v)| {
+                QueryMode::ALL.map(|mode| QueryRequest::new(u, v, mode).with_stats())
+            })
+            .chain([
+                QueryRequest::path_graph(7, 9),
+                QueryRequest::distance(0, 99),
+            ])
+            .map(|req| execute_on(&index, &mut ws, &req))
+            .collect();
+        outcomes.push(QueryOutcome::Error(RequestError::Unavailable {
+            reason: "down ⊤".to_string(),
+        }));
+        let agree = |bytes: &[u8], what: &str| {
+            let mut walk = WireReader::new(bytes);
+            let walked = skip_outcome(&mut walk).map(|()| walk.remaining());
+            let mut dec = WireReader::new(bytes);
+            let decoded = QueryOutcome::decode(&mut dec).map(|_| dec.remaining());
+            assert_eq!(walked.is_ok(), decoded.is_ok(), "{what}");
+            if let (Ok(a), Ok(b)) = (walked, decoded) {
+                assert_eq!(a, b, "{what}: the walk stopped elsewhere");
+            }
+        };
+        for outcome in &outcomes {
+            let bytes = to_bytes(outcome);
+            for cut in 0..=bytes.len() {
+                agree(&bytes[..cut], &format!("{outcome:?} cut at {cut}"));
+            }
+            for bit in 0..bytes.len() * 8 {
+                let mut flipped = bytes.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                agree(&flipped, &format!("{outcome:?} bit {bit}"));
+            }
+        }
+        let request = to_bytes(&QueryRequest::sketch(3, 4).with_stats().uncached());
+        for bit in 0..request.len() * 8 {
+            let mut flipped = request.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert_eq!(
+                skip_request(&mut WireReader::new(&flipped)).is_ok(),
+                from_bytes::<QueryRequest>(&flipped).is_ok(),
+                "request bit {bit}"
+            );
         }
     }
 

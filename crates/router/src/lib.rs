@@ -4,23 +4,27 @@
 //! accepts client connections on the exact same framed TCP protocol as
 //! `qbs serve` (reusing the `qbs-server` reactor via
 //! [`qbs_server::ServeBackend`]) and scatters each incoming batch across
-//! a pool of backend replicas, gathering the outcomes back into slot
-//! order so routed answers are **bit-identical** to a single-process
+//! a pool of backend replicas, splicing the replies back into slot order
+//! so routed answers are **bit-identical** to a single-process
 //! [`qbs_core::Qbs::submit`] over the same index.
 //!
 //! The crate is **std-only**, like the rest of the workspace. Pieces:
 //!
-//! * [`pool`] — the [`ReplicaPool`]: per-replica idle-connection reuse,
-//!   least-in-flight balancing, and the health state machine
+//! * [`pool`] — the [`ReplicaPool`]: least-in-flight balancing, the
+//!   in-flight gauges, idle blocking connections for the control plane
+//!   (prober, `Stats`, `Metrics`), and the health state machine
 //!   (consecutive-failure ejection, exponential-backoff re-admission,
 //!   half-open probing);
 //! * [`router`] — [`RouterConfig`] / [`QbsRouter`] / [`RouterHandle`]
-//!   and the scatter/gather [`RouterBackend`]: contiguous sub-batches to
-//!   the least-loaded healthy replicas, pipelined sends before any
-//!   gather, bounded retry onto different replicas on `Busy` sheds and
-//!   connection failures, and typed
-//!   `RequestError::Unavailable` per-slot fills when every replica is
-//!   down — never a hang. A background prober pings replicas each
+//!   and the [`RouterBackend`], whose forward hook keeps every batch on
+//!   the reactor thread: a forwarder owning one nonblocking, pipelined
+//!   connection per replica cuts each admitted batch into byte ranges,
+//!   sends them all before reading any reply, validates each reply
+//!   without decoding it, retries a failed, shed, mismatched or late
+//!   range on a replica it has not tried (bounded by `max_retries`), and
+//!   splices the outcome bytes behind one count — typed
+//!   `RequestError::Unavailable` per-slot fills when every candidate is
+//!   down, never a hang. A background prober pings replicas each
 //!   interval so a replica that dies while idle is ejected before
 //!   traffic hits it.
 //!
@@ -42,6 +46,7 @@
 
 pub mod pool;
 pub mod router;
+mod scatter;
 
 pub use pool::{HealthConfig, Replica, ReplicaPool};
 pub use router::{QbsRouter, RouterBackend, RouterConfig, RouterHandle};

@@ -1,11 +1,13 @@
 //! The replica pool: per-replica connection reuse, least-in-flight
 //! balancing, and the health/ejection state machine.
 //!
-//! A [`Replica`] is one backend `qbs serve` process. The pool keeps a
-//! stack of idle pipelined [`QbsClient`] connections per replica (a
-//! checkout pops one or dials a fresh one; a checkin after a clean
-//! exchange pushes it back), an in-flight request gauge the balancer
-//! sorts on, and a tiny health state machine:
+//! A [`Replica`] is one backend `qbs serve` process. The pool keeps an
+//! in-flight request gauge the balancer sorts on, a stack of idle
+//! blocking [`QbsClient`] connections per replica for the control plane
+//! (the prober and the routed `Stats`/`Metrics` polls: a checkout pops
+//! one or dials a fresh one, a checkin after a clean exchange pushes it
+//! back; batches travel on the reactor's own connections instead), and
+//! a tiny health state machine:
 //!
 //! * every failed exchange (dial, I/O, protocol fault) bumps a
 //!   consecutive-failure counter; reaching

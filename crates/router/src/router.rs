@@ -1,22 +1,28 @@
 //! The router process: the `qbs-server` reactor front-end wired to a
-//! scatter/gather [`ServeBackend`] over a [`ReplicaPool`], plus the
-//! health prober.
+//! [`RouterBackend`] over a [`ReplicaPool`], plus the health prober.
+//!
+//! Batches never leave the reactor thread: the backend's forward hook
+//! hands the reactor a forwarder (`scatter.rs`), which cuts each
+//! admitted batch into byte ranges, pipelines them to the replicas over
+//! connections it owns, and splices the replies back into one frame. The
+//! server's worker pool ([`RouterConfig::workers`]) only answers the
+//! `Stats` and `Metrics` frames, which poll every replica over blocking
+//! pooled connections, as the prober does.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use qbs_core::{
-    CacheStats, EngineStats, Metrics, MetricsSnapshot, QueryOutcome, QueryRequest, RequestError,
-    RouterStats, Stage, StageNanos, TraceId,
-};
+use qbs_core::{CacheStats, EngineStats, Metrics, MetricsSnapshot, RouterStats};
+use qbs_server::poll::WakePipe;
 use qbs_server::{
-    AdmissionConfig, AdmissionStats, BatchReply, ClientConfig, QbsClient, QbsServer, ServeBackend,
-    ServerConfig, ServerHandle, ServerStats, ShutdownSignal, Ticket,
+    AdmissionConfig, AdmissionStats, ClientConfig, Forward, QbsServer, ServeBackend, ServerConfig,
+    ServerHandle, ServerStats, ShutdownSignal,
 };
 
 use crate::pool::{HealthConfig, Replica, ReplicaPool};
+use crate::scatter::Scatter;
 
 /// How often [`RouterHandle::wait`] re-checks the shutdown latch.
 const WAIT_POLL: Duration = Duration::from_millis(100);
@@ -36,9 +42,9 @@ pub struct RouterConfig {
     /// Bind address of the router's own listener; port 0 picks an
     /// ephemeral port.
     pub addr: String,
-    /// Worker threads gathering scattered batches. Each routed batch
-    /// occupies one worker for its slowest replica round-trip, so this
-    /// bounds concurrent *batches*, not connections.
+    /// Worker threads answering the routed `Stats` and `Metrics` frames,
+    /// which poll every replica over blocking connections. Batches never
+    /// reach them: the reactor forwards those itself.
     pub workers: usize,
     /// Admission bounds on the router's own listener.
     pub admission: AdmissionConfig,
@@ -46,7 +52,8 @@ pub struct RouterConfig {
     pub replicas: Vec<String>,
     /// Client configuration for every replica connection. The default
     /// shortens `connect_timeout` to 1s: a dead replica should cost the
-    /// serve path one bounded dial, not the stock 5s.
+    /// serve path one bounded dial, not the stock 5s. `io_timeout` is
+    /// each forwarded sub-batch's deadline.
     pub client: ClientConfig,
     /// Ejection/backoff knobs.
     pub health: HealthConfig,
@@ -108,7 +115,7 @@ impl RouterConfig {
         self
     }
 
-    /// Sets the gather worker-pool size.
+    /// Sets the size of the worker pool answering `Stats` and `Metrics`.
     pub fn workers(mut self, workers: usize) -> RouterConfig {
         self.workers = workers;
         self
@@ -164,33 +171,22 @@ impl RouterConfig {
     }
 }
 
-/// The scatter/gather [`ServeBackend`]: what the reactor's workers call
-/// into for every routed batch.
+/// The router's [`ServeBackend`]: batches go through its forward hook
+/// (a forwarder on the reactor thread); `Stats` and `Metrics` are
+/// answered on workers by polling every replica.
 #[derive(Debug)]
 pub struct RouterBackend {
     pool: ReplicaPool,
-    max_retries: usize,
-    min_split: usize,
-    batches_routed: AtomicU64,
-    subbatches: AtomicU64,
-    retries: AtomicU64,
-    unavailable_slots: AtomicU64,
-    /// Routing-tier latency registry (queue wait, scatter/gather
-    /// execute, wire encode) — merged with replica snapshots on a
-    /// `Metrics` frame.
+    pub(crate) max_retries: usize,
+    pub(crate) min_split: usize,
+    pub(crate) batches_routed: AtomicU64,
+    pub(crate) subbatches: AtomicU64,
+    pub(crate) retries: AtomicU64,
+    pub(crate) unavailable_slots: AtomicU64,
+    /// Routing-tier latency registry (the batch-slot execute and wire
+    /// encode stages) — merged with replica snapshots on a `Metrics`
+    /// frame.
     metrics: Metrics,
-}
-
-/// One scattered sub-batch awaiting its gather: the pipelined connection
-/// it went out on, which slots of the original batch it answers, and
-/// which replicas it has already tried.
-struct Shipment {
-    replica: usize,
-    client: QbsClient,
-    ticket: Ticket,
-    start: usize,
-    len: usize,
-    tried: Vec<usize>,
 }
 
 impl RouterBackend {
@@ -228,186 +224,18 @@ impl RouterBackend {
             replicas: self.pool.replicas().iter().map(Replica::stats).collect(),
         }
     }
-
-    /// Ships one sub-batch to the best untried replica, pipelined.
-    /// Returns `None` when the pool (bounded by `max_retries`) is
-    /// exhausted without a successful send.
-    fn ship(
-        &self,
-        slice: &[QueryRequest],
-        start: usize,
-        trace: TraceId,
-        mut tried: Vec<usize>,
-    ) -> Option<Shipment> {
-        while tried.len() <= self.max_retries {
-            let idx = self.pool.pick(&tried)?;
-            if !tried.is_empty() {
-                self.retries.fetch_add(1, Ordering::SeqCst);
-            }
-            tried.push(idx);
-            let replica = &self.pool.replicas()[idx];
-            let mut client = match replica.checkout(self.pool.client_config()) {
-                Ok(client) => client,
-                Err(_) => {
-                    replica.record_failure(self.pool.health_config());
-                    continue;
-                }
-            };
-            match client.send_traced(slice, trace) {
-                Ok(ticket) => {
-                    replica.start_requests(slice.len() as u64);
-                    self.subbatches.fetch_add(1, Ordering::SeqCst);
-                    return Some(Shipment {
-                        replica: idx,
-                        client,
-                        ticket,
-                        start,
-                        len: slice.len(),
-                        tried,
-                    });
-                }
-                Err(_) => {
-                    replica.record_failure(self.pool.health_config());
-                    continue;
-                }
-            }
-        }
-        None
-    }
-
-    /// Gathers one shipment's reply; on failure or a `Busy` shed,
-    /// re-ships the sub-batch to a different replica (still bounded by
-    /// the shipment's `tried` budget).
-    fn gather(
-        &self,
-        requests: &[QueryRequest],
-        trace: TraceId,
-        mut shipment: Shipment,
-    ) -> Option<Vec<QueryOutcome>> {
-        loop {
-            let replica = &self.pool.replicas()[shipment.replica];
-            let slice = &requests[shipment.start..shipment.start + shipment.len];
-            match shipment.client.recv(shipment.ticket) {
-                Ok(BatchReply::Outcomes(outcomes)) if outcomes.len() == slice.len() => {
-                    replica.finish_requests(shipment.len as u64);
-                    replica.record_success(self.pool.health_config());
-                    replica.checkin(shipment.client);
-                    return Some(outcomes);
-                }
-                Ok(BatchReply::Outcomes(_)) => {
-                    // Slot-count mismatch: the reply cannot be merged
-                    // bit-identically. Treat as a protocol failure.
-                    replica.finish_requests(shipment.len as u64);
-                    replica.record_failure(self.pool.health_config());
-                    replica.count_retries(shipment.len as u64);
-                }
-                Ok(BatchReply::Busy(_)) => {
-                    // The replica shed the sub-batch: it is healthy, just
-                    // loaded — retry elsewhere without a health demerit.
-                    replica.finish_requests(shipment.len as u64);
-                    replica.checkin(shipment.client);
-                    replica.count_retries(shipment.len as u64);
-                }
-                Err(_) => {
-                    replica.finish_requests(shipment.len as u64);
-                    replica.record_failure(self.pool.health_config());
-                    replica.count_retries(shipment.len as u64);
-                    // The connection faulted mid-exchange — drop it, it
-                    // is never checked back in.
-                }
-            }
-            shipment = self.ship(slice, shipment.start, trace, shipment.tried)?;
-        }
-    }
-
-    /// Fills a sub-batch whose retry budget is exhausted with typed
-    /// per-slot errors — the all-replicas-down answer, never a hang.
-    fn fill_unavailable(&self, out: &mut [Option<QueryOutcome>], start: usize, len: usize) {
-        self.unavailable_slots
-            .fetch_add(len as u64, Ordering::SeqCst);
-        let reason = format!(
-            "{} replica(s) unreachable or shedding after {} attempt(s)",
-            self.pool.len(),
-            self.max_retries + 1
-        );
-        for slot in out.iter_mut().skip(start).take(len) {
-            *slot = Some(QueryOutcome::Error(RequestError::Unavailable {
-                reason: reason.clone(),
-            }));
-        }
-    }
-
-    /// Scatter/gather. The batch is split into contiguous sub-batches —
-    /// one per healthy replica the batch is large enough to occupy (see
-    /// [`RouterConfig::min_split`]) — shipped pipelined (all sends
-    /// before any gather, so replicas execute concurrently), and merged
-    /// back in slot order. The trace ID rides on every sub-batch, so a
-    /// slow routed request is findable in the replica slow-query logs.
-    /// Outcomes are bit-identical to a single `Qbs::submit` over the
-    /// same index: every replica serves the same index, sub-batches
-    /// preserve request order, and per-slot errors ride along untouched.
-    fn route(&self, requests: &[QueryRequest], trace: TraceId) -> Vec<QueryOutcome> {
-        self.batches_routed.fetch_add(1, Ordering::SeqCst);
-        if requests.is_empty() {
-            return Vec::new();
-        }
-        let available = self.pool.available(Instant::now()).max(1);
-        let k = (requests.len() / self.min_split).clamp(1, available);
-
-        let mut out: Vec<Option<QueryOutcome>> = (0..requests.len()).map(|_| None).collect();
-        let mut shipments: Vec<Shipment> = Vec::with_capacity(k);
-        let chunk = requests.len().div_ceil(k);
-        for start in (0..requests.len()).step_by(chunk.max(1)) {
-            let end = (start + chunk).min(requests.len());
-            match self.ship(&requests[start..end], start, trace, Vec::new()) {
-                Some(shipment) => shipments.push(shipment),
-                None => self.fill_unavailable(&mut out, start, end - start),
-            }
-        }
-        for shipment in shipments {
-            let (start, len) = (shipment.start, shipment.len);
-            match self.gather(requests, trace, shipment) {
-                Some(outcomes) => {
-                    for (slot, outcome) in out[start..start + len].iter_mut().zip(outcomes) {
-                        *slot = Some(outcome);
-                    }
-                }
-                None => self.fill_unavailable(&mut out, start, len),
-            }
-        }
-        out.into_iter()
-            .map(|slot| {
-                slot.unwrap_or_else(|| {
-                    QueryOutcome::Error(RequestError::Unavailable {
-                        reason: "sub-batch lost in routing".to_string(),
-                    })
-                })
-            })
-            .collect()
-    }
 }
 
 impl ServeBackend for RouterBackend {
-    /// Untraced entry point — scatter/gather with [`TraceId::NONE`].
-    fn execute(&self, requests: &[QueryRequest]) -> Vec<QueryOutcome> {
-        self.route(requests, TraceId::NONE)
-    }
-
-    /// The traced serve path: routes the batch, records the routing-tier
-    /// execute stage (the full scatter/gather round trip) into the
-    /// router's own registry, and reports it for the slow-query log.
-    fn execute_traced(
-        &self,
-        requests: &[QueryRequest],
-        trace: TraceId,
-    ) -> (Vec<QueryOutcome>, StageNanos) {
-        let start = Instant::now();
-        let outcomes = self.route(requests, trace);
-        let exec = start.elapsed();
-        self.metrics.record_batch_stage(Stage::Execute, exec);
-        let mut stages = StageNanos::default();
-        stages.0[Stage::Execute as usize] = exec.as_nanos().min(u128::from(u64::MAX)) as u64;
-        (outcomes, stages)
+    /// Scatter/gather, on the reactor thread. Each batch is split into
+    /// contiguous sub-batches — one per healthy replica the batch is
+    /// large enough to occupy (see [`RouterConfig::min_split`]) — sent
+    /// before any reply is read, and spliced back in slot order. Outcomes
+    /// are bit-identical to a single `Qbs::submit` over the same index:
+    /// every replica serves the same index, sub-batches preserve request
+    /// order, and per-slot errors ride along untouched.
+    fn forwarder(self: Arc<Self>, wake: Arc<WakePipe>) -> Option<Box<dyn Forward>> {
+        Some(Box::new(Scatter::new(self, wake)))
     }
 
     /// The routed `Metrics` frame: every available replica's snapshot is
@@ -579,7 +407,7 @@ pub struct QbsRouter;
 
 impl QbsRouter {
     /// Binds `config.addr` and starts routing — returns immediately with
-    /// a handle owning the reactor, the gather workers, and the prober.
+    /// a handle owning the reactor, the control-plane workers, and the prober.
     pub fn start(config: RouterConfig) -> std::io::Result<RouterHandle> {
         if config.replicas.is_empty() {
             return Err(std::io::Error::new(

@@ -331,3 +331,260 @@ fn routed_metrics_merge_replica_histograms_and_serve_http() {
     drop(router);
     drop(replicas);
 }
+
+/// How a [`FakeReplica`] answers every `Batch` frame.
+#[derive(Clone, Debug)]
+enum FakeAnswer {
+    /// A `Batch` reply with the right count whose outcome bytes do not
+    /// decode.
+    Undecodable,
+    /// A well-formed `Batch` reply holding one outcome too few.
+    OneSlotShort,
+    /// A batch-level `Busy` shed.
+    Busy,
+    /// The right answers, from a local session, each after a pause.
+    Slow(Local),
+}
+
+/// A local session for [`FakeAnswer::Slow`].
+#[derive(Clone)]
+struct Local(Arc<Qbs>);
+
+impl std::fmt::Debug for Local {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Local")
+    }
+}
+
+/// A raw listener that speaks the preamble, answers pings, and answers
+/// every batch the way its [`FakeAnswer`] says.
+struct FakeReplica {
+    addr: String,
+    stop: Arc<std::sync::atomic::AtomicBool>,
+    accept: Option<std::thread::JoinHandle<()>>,
+}
+
+impl FakeReplica {
+    fn start(answer: FakeAnswer) -> FakeReplica {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let accept = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                // Blocking accepts; drop wakes the loop with one last dial.
+                for stream in listener.incoming() {
+                    if stop.load(std::sync::atomic::Ordering::SeqCst) {
+                        break;
+                    }
+                    if let Ok(stream) = stream {
+                        let answer = answer.clone();
+                        std::thread::spawn(move || fake_serve(stream, answer));
+                    }
+                }
+            })
+        };
+        FakeReplica {
+            addr,
+            stop,
+            accept: Some(accept),
+        }
+    }
+}
+
+impl Drop for FakeReplica {
+    fn drop(&mut self) {
+        self.stop.store(true, std::sync::atomic::Ordering::SeqCst);
+        let _ = std::net::TcpStream::connect(&self.addr);
+        if let Some(accept) = self.accept.take() {
+            let _ = accept.join();
+        }
+    }
+}
+
+fn fake_serve(mut stream: std::net::TcpStream, answer: FakeAnswer) {
+    use qbs_server::protocol::{self, RequestFrame, ResponseFrame};
+    use qbs_server::BusyReason;
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("timeout");
+    if protocol::write_preamble(&mut stream).is_err()
+        || protocol::read_preamble(&mut stream).is_err()
+    {
+        return;
+    }
+    while let Ok((id, trace, frame)) = protocol::read_request(&mut stream) {
+        let sent = match frame {
+            RequestFrame::Batch(requests) => match answer {
+                FakeAnswer::Undecodable => {
+                    // The count is right; the first outcome's tag is not.
+                    let mut body = vec![0x81];
+                    body.extend_from_slice(&(requests.len() as u32).to_le_bytes());
+                    body.extend(std::iter::repeat_n(0xEE, 5 * requests.len()));
+                    protocol::write_frame(&mut stream, &protocol::encode_envelope(id, trace, &body))
+                }
+                FakeAnswer::OneSlotShort => {
+                    let outcomes = vec![qbs_core::QueryOutcome::Distance(1); requests.len() - 1];
+                    protocol::write_response(
+                        &mut stream,
+                        id,
+                        trace,
+                        &ResponseFrame::Batch(outcomes),
+                    )
+                }
+                FakeAnswer::Busy => protocol::write_response(
+                    &mut stream,
+                    id,
+                    trace,
+                    &ResponseFrame::Busy(BusyReason::Overloaded {
+                        limit: 1,
+                        inflight: 1,
+                        got: requests.len() as u64,
+                    }),
+                ),
+                FakeAnswer::Slow(Local(ref local)) => {
+                    std::thread::sleep(Duration::from_millis(200));
+                    let outcomes = local.submit(&requests);
+                    protocol::write_response(
+                        &mut stream,
+                        id,
+                        trace,
+                        &ResponseFrame::Batch(outcomes),
+                    )
+                }
+            },
+            RequestFrame::Ping => {
+                protocol::write_response(&mut stream, id, trace, &ResponseFrame::Pong)
+            }
+            _ => return,
+        };
+        if sent.is_err() {
+            return;
+        }
+    }
+}
+
+/// A router with the fake first (ties go to the lowest index, so the
+/// fake gets the first pick) and one sub-batch per batch.
+fn start_router_over(replicas: Vec<String>) -> RouterHandle {
+    QbsRouter::start(
+        RouterConfig::bind("127.0.0.1:0")
+            .replicas(replicas)
+            .workers(2)
+            .min_split(64)
+            .probe_interval(Duration::from_secs(60))
+            .client(
+                ClientConfig::default()
+                    .connect_timeout(Duration::from_millis(250))
+                    .io_timeout(Duration::from_secs(10)),
+            ),
+    )
+    .expect("start router")
+}
+
+#[test]
+fn bad_sub_replies_are_retried_and_charged_like_gather_did() {
+    let path = index_file("fake");
+    let healthy = start_replica(&path);
+    let local = Qbs::open(&path, MapMode::Mmap).expect("local reference");
+    let num_vertices = local.num_vertices() as u32;
+    for answer in [
+        FakeAnswer::Undecodable,
+        FakeAnswer::OneSlotShort,
+        FakeAnswer::Busy,
+    ] {
+        let fake = FakeReplica::start(answer.clone());
+        let requests = mixed_requests(num_vertices, 5);
+
+        // With a healthy second replica: retried there, bit-identical.
+        let router = start_router_over(vec![fake.addr.clone(), healthy.local_addr().to_string()]);
+        let mut client =
+            QbsClient::connect_retry(&router.local_addr().to_string(), Duration::from_secs(10))
+                .expect("connect");
+        let reply = client.submit(&requests).expect("submit");
+        assert_eq!(
+            reply.outcomes().expect("no shed"),
+            &local.submit(&requests)[..],
+            "{answer:?}: the retried answers diverged from local submit"
+        );
+        let stats = router.router_stats();
+        let fake_stats = &stats.replicas[0];
+        let charged = u64::from(!matches!(answer, FakeAnswer::Busy));
+        assert_eq!(
+            fake_stats.failures, charged,
+            "{answer:?}: health demerits on the fake"
+        );
+        assert_eq!(stats.retries, 1, "{answer:?}: one retry");
+        assert_eq!(
+            fake_stats.retries,
+            requests.len() as u64,
+            "{answer:?}: every request retried away from the fake"
+        );
+        assert_eq!(stats.unavailable_slots, 0, "{answer:?}");
+        assert_eq!(stats.replicas[1].failures, 0, "{answer:?}: the healthy one");
+        drop(client);
+        drop(router);
+
+        // The fake alone: nowhere to retry, every slot Unavailable.
+        let router = start_router_over(vec![fake.addr.clone()]);
+        let mut client =
+            QbsClient::connect_retry(&router.local_addr().to_string(), Duration::from_secs(10))
+                .expect("connect");
+        let reply = client.submit(&requests).expect("submit");
+        let outcomes = reply.outcomes().expect("typed per-slot errors, not Busy");
+        assert_eq!(outcomes.len(), requests.len());
+        assert!(
+            outcomes
+                .iter()
+                .all(|o| matches!(o.error(), Some(RequestError::Unavailable { .. }))),
+            "{answer:?}: expected Unavailable in every slot, got {outcomes:?}"
+        );
+        assert_eq!(
+            router.router_stats().unavailable_slots,
+            requests.len() as u64
+        );
+        drop(client);
+        drop(router);
+    }
+    drop(healthy);
+}
+
+#[test]
+fn shutdown_drains_forwarded_batches() {
+    let path = index_file("drain");
+    let local = Arc::new(Qbs::open(&path, MapMode::Mmap).expect("local reference"));
+    let slow = FakeReplica::start(FakeAnswer::Slow(Local(Arc::clone(&local))));
+    let mut router = start_router_over(vec![slow.addr.clone()]);
+    let mut client =
+        QbsClient::connect_retry(&router.local_addr().to_string(), Duration::from_secs(10))
+            .expect("connect");
+    let num_vertices = local.num_vertices() as u32;
+    let batches: Vec<Vec<QueryRequest>> = (0..3u32)
+        .map(|salt| mixed_requests(num_vertices, salt))
+        .collect();
+    let tickets: Vec<_> = batches
+        .iter()
+        .map(|batch| client.send(batch).expect("send"))
+        .collect();
+
+    // Shut down once the router has taken all three in; the replica
+    // answers each 200 ms later, so they are still on their way.
+    let taken = Instant::now() + Duration::from_secs(10);
+    while router.router_stats().batches_routed < 3 {
+        assert!(Instant::now() < taken, "the router never took the batches");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    router.signal().trigger();
+    for (ticket, batch) in tickets.into_iter().zip(&batches) {
+        let reply = client
+            .recv(ticket)
+            .expect("a drained reply, not a dropped one");
+        assert_eq!(
+            reply.outcomes().expect("no shed"),
+            &local.submit(batch)[..],
+            "a drained batch diverged from local submit"
+        );
+    }
+    router.shutdown();
+    drop(slow);
+}

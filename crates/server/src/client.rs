@@ -392,12 +392,11 @@ impl QbsClient {
         trace: TraceId,
     ) -> Result<Ticket, ProtocolError> {
         let id = self.issue_id();
-        let body = protocol::encode_batch_body(requests);
         self.last_trace = trace;
-        protocol::write_frame(
-            &mut self.stream,
-            &protocol::encode_envelope(id, trace, &body),
-        )?;
+        let frame = protocol::encode_frame(id, trace, |out| {
+            protocol::encode_batch_body_into(requests, out)
+        });
+        protocol::write_encoded(&mut self.stream, &frame)?;
         self.outstanding.push_back(id);
         Ok(Ticket(id))
     }

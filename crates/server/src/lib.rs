@@ -70,4 +70,7 @@ pub mod signal;
 pub use admission::{Admission, AdmissionConfig, AdmissionStats, BusyReason};
 pub use client::{BatchReply, ClientConfig, QbsClient, Ticket};
 pub use protocol::{ProtocolError, ServerStats, MAX_FRAME_LEN, PROTOCOL_VERSION};
-pub use server::{QbsServer, ServeBackend, ServerConfig, ServerHandle, ShutdownSignal};
+pub use server::{
+    Forward, ForwardJob, Forwarded, QbsServer, ServeBackend, ServerConfig, ServerHandle,
+    ShutdownSignal,
+};

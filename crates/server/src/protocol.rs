@@ -28,7 +28,7 @@
 use std::fmt;
 use std::io::{Read, Write};
 
-use qbs_core::wire::{RequestId, Wire, WireError, WireReader};
+use qbs_core::wire::{self, RequestId, Wire, WireError, WireReader};
 use qbs_core::{EngineStats, MetricsSnapshot, QueryOutcome, QueryRequest, RouterStats, TraceId};
 
 use crate::admission::{AdmissionStats, BusyReason};
@@ -291,33 +291,135 @@ const TAG_RESP_METRICS: u8 = 0x85;
 const TAG_RESP_BUSY: u8 = 0x90;
 const TAG_RESP_ERROR: u8 = 0x91;
 
-/// Encodes a `Batch` frame body straight from a request slice — byte-equal
-/// to `RequestFrame::Batch(requests.to_vec()).encode_body()` without the
-/// intermediate clone (the client's hot path).
-pub fn encode_batch_body(requests: &[QueryRequest]) -> Vec<u8> {
-    let mut out = vec![TAG_BATCH];
+/// Bytes of one encoded request: requests are fixed-size on the wire.
+pub const REQUEST_LEN: usize = QueryRequest::MIN_ENCODED_LEN;
+
+/// Appends a `Batch` frame body straight from a request slice, without
+/// cloning it into a [`RequestFrame`] (the client's hot path).
+pub fn encode_batch_body_into(requests: &[QueryRequest], out: &mut Vec<u8>) {
+    out.reserve(5 + requests.len() * REQUEST_LEN);
+    out.push(TAG_BATCH);
     out.extend_from_slice(&(requests.len() as u32).to_le_bytes());
     for request in requests {
-        request.encode(&mut out);
+        request.encode(out);
     }
-    out
+}
+
+/// Walks a request body that may be a `Batch` without decoding it: `None`
+/// for any other tag (decode those with [`RequestFrame::decode_body`]),
+/// otherwise the encoded requests, [`REQUEST_LEN`] bytes each, after
+/// every mode and option byte has been checked as the decoder checks it.
+/// A malformed batch fails exactly when [`RequestFrame::decode_body`]
+/// would.
+pub fn batch_requests(body: &[u8]) -> Option<Result<&[u8], ProtocolError>> {
+    if body.first() != Some(&TAG_BATCH) {
+        return None;
+    }
+    let mut r = WireReader::new(&body[1..]);
+    let walked = (|| {
+        let n = r.seq_len("sequence", REQUEST_LEN)?;
+        for _ in 0..n {
+            wire::skip_request(&mut r)?;
+        }
+        r.finish()
+    })();
+    Some(
+        walked
+            .map(|()| &body[5..])
+            .map_err(ProtocolError::Malformed),
+    )
+}
+
+/// Appends one `Batch` request frame, length prefix included, carrying
+/// already-encoded requests (a contiguous range of a walked batch).
+pub fn push_batch_request(out: &mut Vec<u8>, id: RequestId, trace: TraceId, requests: &[u8]) {
+    push_frame(out, id, trace, |body| {
+        body.push(TAG_BATCH);
+        body.extend_from_slice(&((requests.len() / REQUEST_LEN) as u32).to_le_bytes());
+        body.extend_from_slice(requests);
+    });
+}
+
+/// What a forwarder may do with one reply to a batch it sent (see
+/// [`sort_batch_reply`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SubReply<'a> {
+    /// A `Batch` reply holding exactly the expected number of outcomes,
+    /// each one walked: their encodings, ready to splice.
+    Outcomes(&'a [u8]),
+    /// A batch-level `Busy` shed: the peer is healthy, just loaded.
+    Busy,
+    /// Anything else: a fault, a slot-count mismatch, an undecodable
+    /// body, or a frame kind no batch produces.
+    Failed,
+}
+
+/// Sorts one reply body to a forwarded batch of `count` requests without
+/// decoding any outcome. [`SubReply::Outcomes`] is returned exactly when
+/// [`ResponseFrame::decode_body`] yields a `Batch` of `count` outcomes, so
+/// spliced bytes are bytes a client decodes.
+pub fn sort_batch_reply(body: &[u8], count: usize) -> SubReply<'_> {
+    let mut r = WireReader::new(body);
+    match r.u8("frame tag") {
+        Ok(TAG_RESP_BATCH) => {
+            let walked = (|| {
+                if r.u32("sequence")? as usize != count {
+                    return Err(WireError::Invalid("slot count"));
+                }
+                for _ in 0..count {
+                    wire::skip_outcome(&mut r)?;
+                }
+                r.finish()
+            })();
+            match walked {
+                Ok(()) => SubReply::Outcomes(&body[5..]),
+                Err(_) => SubReply::Failed,
+            }
+        }
+        // A connection-level reason is the peer refusing the socket, not
+        // this batch: a failure, as the blocking client reports it.
+        Ok(TAG_RESP_BUSY) => {
+            match BusyReason::decode(&mut r).and_then(|b| r.finish().map(|()| b)) {
+                Ok(BusyReason::TooManyConnections { .. }) | Err(_) => SubReply::Failed,
+                Ok(_) => SubReply::Busy,
+            }
+        }
+        _ => SubReply::Failed,
+    }
+}
+
+/// Builds a complete `Batch` reply frame under `id`'s envelope: `count`
+/// outcomes, whose encodings `outcomes` appends.
+pub fn batch_reply_frame(
+    id: RequestId,
+    trace: TraceId,
+    count: usize,
+    outcomes: impl FnOnce(&mut Vec<u8>),
+) -> Vec<u8> {
+    encode_frame(id, trace, |body| {
+        body.push(TAG_RESP_BATCH);
+        body.extend_from_slice(&(count as u32).to_le_bytes());
+        outcomes(body);
+    })
 }
 
 impl RequestFrame {
     /// Encodes the frame body (tag + payload, without the length prefix).
     pub fn encode_body(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_body_into(&mut out);
+        out
+    }
+
+    /// Appends the frame body to `out`.
+    pub fn encode_body_into(&self, out: &mut Vec<u8>) {
         match self {
-            RequestFrame::Batch(requests) => {
-                out.push(TAG_BATCH);
-                requests.encode(&mut out);
-            }
+            RequestFrame::Batch(requests) => encode_batch_body_into(requests, out),
             RequestFrame::Stats => out.push(TAG_STATS),
             RequestFrame::Ping => out.push(TAG_PING),
             RequestFrame::Shutdown => out.push(TAG_SHUTDOWN),
             RequestFrame::Metrics => out.push(TAG_METRICS),
         }
-        out
     }
 
     /// Decodes a frame body (tag + payload). Malformed bodies yield typed
@@ -342,31 +444,36 @@ impl ResponseFrame {
     /// Encodes the frame body (tag + payload, without the length prefix).
     pub fn encode_body(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_body_into(&mut out);
+        out
+    }
+
+    /// Appends the frame body to `out`.
+    pub fn encode_body_into(&self, out: &mut Vec<u8>) {
         match self {
             ResponseFrame::Batch(outcomes) => {
                 out.push(TAG_RESP_BATCH);
-                outcomes.encode(&mut out);
+                outcomes.encode(out);
             }
             ResponseFrame::Stats(stats) => {
                 out.push(TAG_RESP_STATS);
-                stats.encode(&mut out);
+                stats.encode(out);
             }
             ResponseFrame::Pong => out.push(TAG_RESP_PONG),
             ResponseFrame::ShutdownAck => out.push(TAG_RESP_SHUTDOWN_ACK),
             ResponseFrame::Metrics(snapshot) => {
                 out.push(TAG_RESP_METRICS);
-                snapshot.encode(&mut out);
+                snapshot.encode(out);
             }
             ResponseFrame::Busy(reason) => {
                 out.push(TAG_RESP_BUSY);
-                reason.encode(&mut out);
+                reason.encode(out);
             }
             ResponseFrame::Error(fault) => {
                 out.push(TAG_RESP_ERROR);
-                fault.encode(&mut out);
+                fault.encode(out);
             }
         }
-        out
     }
 
     /// Decodes a frame body (tag + payload).
@@ -448,17 +555,55 @@ pub fn split_envelope(payload: &[u8]) -> Result<(RequestId, TraceId, &[u8]), Pro
     Ok((id, trace, &payload[12..]))
 }
 
-/// Writes one length-prefixed frame body.
+/// Appends one complete frame to `out`: a length slot, the `id` + `trace`
+/// envelope, the body `fill` appends, then the length patched in. Built
+/// once, a frame goes out in one write: a peer on a `TCP_NODELAY` socket
+/// is never woken by a length prefix it cannot parse yet.
+pub fn push_frame(
+    out: &mut Vec<u8>,
+    id: RequestId,
+    trace: TraceId,
+    fill: impl FnOnce(&mut Vec<u8>),
+) {
+    let at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    id.encode(out);
+    out.extend_from_slice(&trace.0.to_le_bytes());
+    fill(out);
+    let len = (out.len() - at - 4).min(u32::MAX as usize) as u32;
+    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
+}
+
+/// [`push_frame`] into a fresh buffer.
+pub fn encode_frame(id: RequestId, trace: TraceId, fill: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = Vec::with_capacity(64);
+    push_frame(&mut out, id, trace, fill);
+    out
+}
+
+/// Writes one complete frame (as [`encode_frame`] builds it) in a single
+/// write, refusing one whose length exceeds [`MAX_FRAME_LEN`].
+pub fn write_encoded<W: Write>(w: &mut W, frame: &[u8]) -> Result<(), ProtocolError> {
+    let len = u32::try_from(frame.len().saturating_sub(4)).unwrap_or(u32::MAX);
+    if len > MAX_FRAME_LEN {
+        return Err(ProtocolError::FrameTooLarge { len });
+    }
+    w.write_all(frame)?;
+    w.flush()?;
+    Ok(())
+}
+
+/// Writes one length-prefixed frame body, prefix and body in one write.
 pub fn write_frame<W: Write>(w: &mut W, body: &[u8]) -> Result<(), ProtocolError> {
     let len =
         u32::try_from(body.len()).map_err(|_| ProtocolError::FrameTooLarge { len: u32::MAX })?;
     if len > MAX_FRAME_LEN {
         return Err(ProtocolError::FrameTooLarge { len });
     }
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(body)?;
-    w.flush()?;
-    Ok(())
+    let mut frame = Vec::with_capacity(4 + body.len());
+    frame.extend_from_slice(&len.to_le_bytes());
+    frame.extend_from_slice(body);
+    write_encoded(w, &frame)
 }
 
 /// Reads one length-prefixed frame body. The length is validated against
@@ -483,7 +628,10 @@ pub fn write_request<W: Write>(
     trace: TraceId,
     frame: &RequestFrame,
 ) -> Result<(), ProtocolError> {
-    write_frame(w, &encode_envelope(id, trace, &frame.encode_body()))
+    write_encoded(
+        w,
+        &encode_frame(id, trace, |out| frame.encode_body_into(out)),
+    )
 }
 
 /// Convenience: write one response frame under `id`'s envelope,
@@ -494,7 +642,10 @@ pub fn write_response<W: Write>(
     trace: TraceId,
     frame: &ResponseFrame,
 ) -> Result<(), ProtocolError> {
-    write_frame(w, &encode_envelope(id, trace, &frame.encode_body()))
+    write_encoded(
+        w,
+        &encode_frame(id, trace, |out| frame.encode_body_into(out)),
+    )
 }
 
 /// Convenience: read one request frame with its envelope ID and trace.
@@ -537,10 +688,12 @@ mod tests {
             QueryRequest::path_graph(3, 4).with_stats(),
             QueryRequest::sketch(5, 6).uncached(),
         ];
+        let mut canonical = vec![TAG_BATCH];
+        batch.encode(&mut canonical);
         assert_eq!(
-            encode_batch_body(&batch),
             RequestFrame::Batch(batch.clone()).encode_body(),
-            "the slice fast path is byte-equal to the enum encoder"
+            canonical,
+            "the slice fast path is byte-equal to the sequence encoder"
         );
         roundtrip_request(RequestFrame::Batch(batch));
         roundtrip_request(RequestFrame::Batch(Vec::new()));
@@ -712,6 +865,137 @@ mod tests {
         ));
         let display = ProtocolError::UnknownTag(0x7F).to_string();
         assert!(display.contains("0x7f"), "{display}");
+    }
+
+    /// A `Write` that counts its `write` calls.
+    struct CountingWrite {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWrite {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_frame_goes_out_in_one_write() {
+        let mut w = CountingWrite {
+            bytes: Vec::new(),
+            writes: 0,
+        };
+        let batch = RequestFrame::Batch(vec![QueryRequest::distance(1, 2); 16]);
+        write_request(&mut w, RequestId(1), TraceId(7), &batch).unwrap();
+        assert_eq!(w.writes, 1, "write_request");
+        write_request(&mut w, RequestId(2), TraceId(7), &RequestFrame::Ping).unwrap();
+        assert_eq!(w.writes, 2, "write_request (control)");
+        let reply = ResponseFrame::Batch(vec![QueryOutcome::Distance(3); 16]);
+        write_response(&mut w, RequestId(1), TraceId(7), &reply).unwrap();
+        assert_eq!(w.writes, 3, "write_response");
+        write_frame(&mut w, &reply.encode_body()).unwrap();
+        assert_eq!(w.writes, 4, "write_frame");
+        let mut stream = &w.bytes[..];
+        assert_eq!(
+            read_request(&mut stream).unwrap(),
+            (RequestId(1), TraceId(7), batch)
+        );
+        assert_eq!(
+            read_request(&mut stream).unwrap(),
+            (RequestId(2), TraceId(7), RequestFrame::Ping)
+        );
+        assert_eq!(
+            read_response(&mut stream).unwrap(),
+            (RequestId(1), TraceId(7), reply.clone())
+        );
+        let body = read_frame(&mut stream).unwrap();
+        assert_eq!(ResponseFrame::decode_body(&body).unwrap(), reply);
+        assert!(stream.is_empty());
+    }
+
+    #[test]
+    fn forwarded_ranges_and_spliced_replies_match_the_codec() {
+        let batch = vec![
+            QueryRequest::distance(1, 2),
+            QueryRequest::path_graph(3, 4).with_stats(),
+            QueryRequest::sketch(5, 6).uncached(),
+        ];
+        let body = RequestFrame::Batch(batch.clone()).encode_body();
+        let requests = batch_requests(&body).unwrap().unwrap();
+        assert_eq!(requests.len(), 3 * REQUEST_LEN);
+        assert!(batch_requests(&RequestFrame::Ping.encode_body()).is_none());
+        // A walked batch fails exactly where the decoder fails.
+        for cut in 1..body.len() {
+            assert_eq!(
+                batch_requests(&body[..cut]).unwrap().is_ok(),
+                RequestFrame::decode_body(&body[..cut]).is_ok(),
+                "cut at {cut}"
+            );
+        }
+        let mut bad_mode = body.clone();
+        bad_mode[5 + 8] = 9;
+        assert!(batch_requests(&bad_mode).unwrap().is_err());
+
+        // A range forwarded under a fresh ID decodes to the sub-slice.
+        let mut out = Vec::new();
+        push_batch_request(&mut out, RequestId(4), TraceId(9), &requests[REQUEST_LEN..]);
+        assert_eq!(
+            read_request(&mut &out[..]).unwrap(),
+            (
+                RequestId(4),
+                TraceId(9),
+                RequestFrame::Batch(batch[1..].to_vec())
+            )
+        );
+
+        // Replies sort as the blocking client reads them.
+        let outcomes = vec![
+            QueryOutcome::Distance(5),
+            QueryOutcome::Error(qbs_core::RequestError::Unavailable {
+                reason: "down".into(),
+            }),
+        ];
+        let reply = ResponseFrame::Batch(outcomes.clone()).encode_body();
+        let SubReply::Outcomes(spliced) = sort_batch_reply(&reply, 2) else {
+            panic!("a well-formed reply must splice");
+        };
+        assert_eq!(
+            sort_batch_reply(&reply, 3),
+            SubReply::Failed,
+            "count mismatch"
+        );
+        let mut undecodable = reply.clone();
+        undecodable[5] = 0xEE;
+        assert_eq!(sort_batch_reply(&undecodable, 2), SubReply::Failed);
+        let busy = ResponseFrame::Busy(BusyReason::BatchTooLarge { limit: 1, got: 2 });
+        assert_eq!(sort_batch_reply(&busy.encode_body(), 2), SubReply::Busy);
+        let refused = ResponseFrame::Busy(BusyReason::TooManyConnections { limit: 1 });
+        assert_eq!(
+            sort_batch_reply(&refused.encode_body(), 2),
+            SubReply::Failed
+        );
+        assert_eq!(
+            sort_batch_reply(&ResponseFrame::Pong.encode_body(), 2),
+            SubReply::Failed
+        );
+
+        // Two spliced halves decode to the whole.
+        let frame = batch_reply_frame(RequestId(8), TraceId(1), 4, |out| {
+            out.extend_from_slice(spliced);
+            out.extend_from_slice(spliced);
+        });
+        let (id, trace, decoded) = read_response(&mut &frame[..]).unwrap();
+        assert_eq!((id, trace), (RequestId(8), TraceId(1)));
+        assert_eq!(
+            decoded,
+            ResponseFrame::Batch([outcomes.clone(), outcomes].concat())
+        );
     }
 
     #[test]

@@ -7,14 +7,16 @@
 //! ```text
 //!                 ┌────────────────────────────────────────────┐
 //!                 │ reactor thread: poll(2) over listener +    │
-//!  accept ──────▶ │ every connection; nonblocking reads decode │
-//!                 │ frames, control frames answered inline     │
+//!  accept ──────▶ │ every connection; nonblocking reads decode │ ◀──▶ replicas
+//!                 │ frames, control frames answered inline;    │ (router only:
+//!                 │ a forwarding backend's batches stay here   │  Forward hook)
 //!                 └───────┬───────────────────────▲────────────┘
 //!                         │ Batch jobs            │ completions (wake pipe)
 //!                         ▼                       │
 //!                 ┌────────────────────────────────────────────┐
 //!                 │ worker pool (W threads): Qbs::submit,      │
-//!                 │ encode response, hand bytes back           │
+//!                 │ encode response, hand bytes back; routed   │
+//!                 │ Stats/Metrics polls                        │
 //!                 └────────────────────────────────────────────┘
 //! ```
 //!
@@ -23,8 +25,16 @@
 //! buffers and write queues, and the out-of-order completion path — a
 //! worker finishes a batch, pushes the encoded response, and wakes the
 //! reactor through [`crate::poll::WakePipe`]; the reactor writes it
-//! whenever that socket drains. Idle connections cost one pollfd entry,
-//! not a thread.
+//! whenever that socket drains. A reply the reactor makes itself (the
+//! handshake, control frames, sheds, faults, inline answers) is written
+//! in the turn that made it. Idle connections cost one pollfd entry, not
+//! a thread.
+//!
+//! A backend that forwards instead of executing (the router) returns a
+//! [`Forward`] from [`ServeBackend::forwarder`]: admitted batches are
+//! then handed to it as bytes ([`ForwardJob`]), never decoded, and its
+//! upstream sockets join the reactor's poll set, so a routed batch costs
+//! no thread hop at all.
 //!
 //! Ordering: connections pipeline freely; responses carry the request's
 //! ID and may arrive in any order. A client may half-close after its
@@ -70,7 +80,7 @@ use crate::admission::{Admission, AdmissionConfig, AdmissionStats, OwnedInflight
 use crate::poll::{self, PollFd, WakePipe, POLLIN, POLLOUT};
 use crate::protocol::{
     self, fault_code, ProtocolError, RequestFrame, ResponseFrame, ServerStats, WireFault,
-    MAX_FRAME_LEN, PREAMBLE_LEN, PROTOCOL_MAGIC,
+    MAX_FRAME_LEN, PREAMBLE_LEN, PROTOCOL_MAGIC, REQUEST_LEN,
 };
 
 /// Reactor poll timeout — the backstop cadence for shutdown-flag checks
@@ -225,17 +235,30 @@ impl ShutdownSignal {
 
 /// What the reactor serves: the thing that turns an admitted batch into
 /// outcomes. [`Qbs`] is the canonical backend (a replica serving one
-/// mmap'd index); the routing tier implements this over a replica pool,
-/// reusing the whole reactor — handshake, admission, pipelining,
-/// drain — unchanged.
+/// mmap'd index), executing batches on the worker pool. The routing tier
+/// instead returns a [`Forward`] from [`ServeBackend::forwarder`]: the
+/// reactor then hands it every admitted batch as bytes and drives its
+/// replica connections in its own poll loop, reusing the handshake,
+/// admission, pipelining and drain unchanged.
 pub trait ServeBackend: Send + Sync + std::fmt::Debug + 'static {
-    /// Executes a batch, one outcome per request slot.
-    fn execute(&self, requests: &[QueryRequest]) -> Vec<QueryOutcome>;
+    /// Executes a batch, one outcome per request slot. A backend with a
+    /// [`ServeBackend::forwarder`] never receives a batch here; the
+    /// default answers every slot `Unavailable`.
+    fn execute(&self, requests: &[QueryRequest]) -> Vec<QueryOutcome> {
+        let reason = "this backend forwards batches and executes none".to_string();
+        requests
+            .iter()
+            .map(|_| {
+                QueryOutcome::Error(qbs_core::RequestError::Unavailable {
+                    reason: reason.clone(),
+                })
+            })
+            .collect()
+    }
 
     /// Executes a batch under a trace ID, returning the outcomes plus the
     /// batch's aggregate per-stage wall time (all zeros when the backend
-    /// does not instrument). The router overrides this to propagate the
-    /// trace into its replica sub-batches.
+    /// does not instrument).
     fn execute_traced(
         &self,
         requests: &[QueryRequest],
@@ -243,6 +266,15 @@ pub trait ServeBackend: Send + Sync + std::fmt::Debug + 'static {
     ) -> (Vec<QueryOutcome>, StageNanos) {
         let _ = trace;
         (self.execute(requests), StageNanos::default())
+    }
+
+    /// The forward hook. A backend that answers batches by forwarding
+    /// their bytes elsewhere (the router) returns the [`Forward`] the
+    /// reactor drives; `wake` interrupts the reactor's poll when something
+    /// off-thread (a finished dial) needs a turn. Called once, at start.
+    fn forwarder(self: Arc<Self>, wake: Arc<WakePipe>) -> Option<Box<dyn Forward>> {
+        let _ = wake;
+        None
     }
 
     /// Builds the `Stats` response around the server's own admission
@@ -271,20 +303,96 @@ pub trait ServeBackend: Send + Sync + std::fmt::Debug + 'static {
 
     /// Whether single-request `Distance` frames may execute inline on the
     /// reactor thread. Only a backend whose fast path is genuinely
-    /// microsecond-scale (a local index) should say yes; a backend that
-    /// performs I/O (the router's replica round-trip) must say no, or one
-    /// slow call would add head-of-line latency to every connection.
+    /// microsecond-scale (a local index) should say yes.
     fn inline_eligible(&self) -> bool {
         false
     }
 
     /// Whether `Stats` frames may be answered inline on the reactor
-    /// thread. Same I/O caveat as [`ServeBackend::inline_eligible`]: the
-    /// router gathers stats from every replica over the network, so it
-    /// answers on a worker instead.
+    /// thread. The router gathers stats from every replica over blocking
+    /// connections, so it answers on a worker instead.
     fn stats_inline(&self) -> bool {
         false
     }
+}
+
+/// An admitted `Batch` frame the reactor hands, undecoded, to a
+/// [`Forward`]. Holding it holds the batch's admission permit: the
+/// reactor drops it only once the reply is queued.
+#[derive(Debug)]
+pub struct ForwardJob {
+    token: u64,
+    id: RequestId,
+    trace: TraceId,
+    peer: SocketAddr,
+    /// The frame payload: envelope, tag, count, then the requests.
+    payload: Vec<u8>,
+    _permit: OwnedInflightGuard,
+}
+
+/// Where a forwarded frame's requests start in its payload: the
+/// envelope, the tag, the `u32` count.
+const REQUESTS_AT: usize = 12 + 1 + 4;
+
+impl ForwardJob {
+    /// The client's trace ID, to stamp on every forwarded piece.
+    pub fn trace(&self) -> TraceId {
+        self.trace
+    }
+
+    /// The batch's requests, encoded, [`REQUEST_LEN`] bytes each; a
+    /// contiguous range of them is a sub-batch.
+    pub fn requests(&self) -> &[u8] {
+        &self.payload[REQUESTS_AT..]
+    }
+
+    /// Number of requests (slots) in the batch.
+    pub fn len(&self) -> usize {
+        self.requests().len() / REQUEST_LEN
+    }
+
+    /// Whether the batch holds no request.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Builds the client's reply frame under the batch's own envelope:
+    /// [`ForwardJob::len`] outcomes, whose encodings `outcomes` appends in
+    /// slot order.
+    pub fn reply(&self, outcomes: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        protocol::batch_reply_frame(self.id, self.trace, self.len(), outcomes)
+    }
+}
+
+/// A forwarded batch's reply, ready for the reactor to queue.
+#[derive(Debug)]
+pub struct Forwarded {
+    /// The batch it answers (its permit is released once queued).
+    pub job: ForwardJob,
+    /// The complete reply frame, from [`ForwardJob::reply`].
+    pub frame: Vec<u8>,
+    /// From the first forwarded byte to the last reply spliced: the
+    /// routing tier's `execute` stage.
+    pub exec: Duration,
+    /// Time spent building `frame`: the `wire_encode` stage.
+    pub encode: Duration,
+}
+
+/// A batch path the reactor drives on its own thread: a backend that
+/// forwards admitted batches over nonblocking connections it owns (the
+/// router) instead of executing them on the worker pool. Every call is
+/// made from the reactor thread and must not block.
+pub trait Forward: Send {
+    /// Takes one admitted batch and starts forwarding it.
+    fn submit(&mut self, job: ForwardJob);
+
+    /// Appends the descriptors to wait on this turn.
+    fn register(&mut self, fds: &mut Vec<PollFd>);
+
+    /// One reactor turn: `fds` are the entries [`Forward::register`]
+    /// appended, with poll's results. Pushes every batch answered since
+    /// the last turn onto `done`.
+    fn turn(&mut self, fds: &[PollFd], done: &mut Vec<Forwarded>);
 }
 
 impl ServeBackend for Qbs {
@@ -386,6 +494,7 @@ impl QbsServer {
             })
             .collect();
 
+        let forward = Arc::clone(&backend).forwarder(Arc::clone(&wake));
         let reactor = {
             let backend = Arc::clone(&backend);
             let admission = Arc::clone(&admission);
@@ -403,7 +512,11 @@ impl QbsServer {
                         &signal,
                         &wake,
                         &completions,
-                        jobs_tx,
+                        Offload {
+                            jobs: jobs_tx,
+                            dispatched: 0,
+                            forward,
+                        },
                         slow_query,
                     )
                 })
@@ -664,52 +777,82 @@ fn run_batch(
     let t_exec = Instant::now();
     let (outcomes, stages) = backend.execute_traced(requests, trace);
     let exec = t_exec.elapsed();
-    if let Some(threshold) = slow_query {
-        if exec >= threshold {
-            if let Some(m) = backend.obs() {
-                m.inc_slow_queries();
-            }
-            // One parseable line per offender: constant prefix, then
-            // `key=value` fields only (greppable by trace ID in CI).
-            eprintln!(
-                "qbs-slow-query peer={peer} trace={trace} batch={} queue_us={} exec_us={} {}",
-                requests.len(),
-                queue_wait.as_micros(),
-                exec.as_micros(),
-                stages.render_us(),
-            );
-        }
-    }
+    let batch = SlowBatch {
+        peer,
+        trace,
+        len: requests.len(),
+        queue_wait,
+        exec,
+    };
+    batch.log_if_slow(backend, slow_query, &stages);
     outcomes
 }
 
-/// Encodes a response frame into on-the-wire bytes (length prefix
-/// included) under `id`'s envelope. A response that encodes past the
-/// frame cap (a huge admitted batch of path-graph answers) is downgraded
-/// to a typed `Error` carrying the request's ID: the client sees code 4
-/// for that ticket and can split the batch; the connection survives.
-fn wire_response(id: RequestId, trace: TraceId, frame: &ResponseFrame) -> Vec<u8> {
-    let payload = protocol::encode_envelope(id, trace, &frame.encode_body());
-    if payload.len() > MAX_FRAME_LEN as usize {
-        let fault = ResponseFrame::Error(WireFault {
-            code: fault_code::FRAME_TOO_LARGE,
-            message: format!(
-                "encoded response ({} bytes) exceeds the {MAX_FRAME_LEN}-byte frame cap; \
-                 split the batch",
-                payload.len()
-            ),
-        });
-        return frame_bytes(&protocol::encode_envelope(id, trace, &fault.encode_body()));
-    }
-    frame_bytes(&payload)
+/// What the slow-query log says about one batch.
+struct SlowBatch {
+    peer: SocketAddr,
+    trace: TraceId,
+    len: usize,
+    queue_wait: Duration,
+    exec: Duration,
 }
 
-/// Prepends the length prefix.
-fn frame_bytes(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+impl SlowBatch {
+    /// Writes the batch's slow-query line when its execute span meets the
+    /// threshold: one parseable line per offender, a constant prefix,
+    /// then `key=value` fields only (greppable by trace ID in CI).
+    fn log_if_slow(
+        &self,
+        backend: &dyn ServeBackend,
+        slow_query: Option<Duration>,
+        stages: &StageNanos,
+    ) {
+        if slow_query.is_none_or(|threshold| self.exec < threshold) {
+            return;
+        }
+        if let Some(m) = backend.obs() {
+            m.inc_slow_queries();
+        }
+        eprintln!(
+            "qbs-slow-query peer={} trace={} batch={} queue_us={} exec_us={} {}",
+            self.peer,
+            self.trace,
+            self.len,
+            self.queue_wait.as_micros(),
+            self.exec.as_micros(),
+            stages.render_us(),
+        );
+    }
+}
+
+/// Encodes a response frame into on-the-wire bytes (length prefix
+/// included) under `id`'s envelope.
+fn wire_response(id: RequestId, trace: TraceId, frame: &ResponseFrame) -> Vec<u8> {
+    capped(
+        id,
+        trace,
+        protocol::encode_frame(id, trace, |out| frame.encode_body_into(out)),
+    )
+}
+
+/// Passes a complete response frame through, unless it encodes past the
+/// frame cap (a huge admitted batch of path-graph answers): that one is
+/// downgraded to a typed `Error` carrying the request's ID. The client
+/// sees code 4 for that ticket and can split the batch; the connection
+/// survives.
+fn capped(id: RequestId, trace: TraceId, frame: Vec<u8>) -> Vec<u8> {
+    let len = frame.len() - 4;
+    if len <= MAX_FRAME_LEN as usize {
+        return frame;
+    }
+    let fault = ResponseFrame::Error(WireFault {
+        code: fault_code::FRAME_TOO_LARGE,
+        message: format!(
+            "encoded response ({len} bytes) exceeds the {MAX_FRAME_LEN}-byte frame cap; \
+             split the batch"
+        ),
+    });
+    protocol::encode_frame(id, trace, |out| fault.encode_body_into(out))
 }
 
 /// What the reactor still does with a connection's inbound bytes.
@@ -793,8 +936,25 @@ struct Ctx<'a> {
     backend: &'a dyn ServeBackend,
     admission: &'a Arc<Admission>,
     signal: &'a ShutdownSignal,
-    jobs: &'a Sender<Job>,
     slow_query: Option<Duration>,
+}
+
+/// Where the reactor sends work it does not finish in the turn that
+/// started it: worker jobs, and the forwarder's batches.
+struct Offload {
+    jobs: Sender<Job>,
+    /// Worker jobs and forwarded batches not yet answered.
+    dispatched: usize,
+    forward: Option<Box<dyn Forward>>,
+}
+
+impl Offload {
+    /// Hands a job to the worker pool; its completion decrements the
+    /// count again.
+    fn dispatch(&mut self, job: Job) {
+        self.dispatched += 1;
+        let _ = self.jobs.send(job);
+    }
 }
 
 /// The reactor thread body.
@@ -807,14 +967,13 @@ fn reactor_loop(
     signal: &ShutdownSignal,
     wake: &WakePipe,
     completions: &Mutex<Vec<Completion>>,
-    jobs: Sender<Job>,
+    mut offload: Offload,
     slow_query: Option<Duration>,
 ) {
     let ctx = Ctx {
         backend,
         admission,
         signal,
-        jobs: &jobs,
         slow_query,
     };
     let shed_threads = Arc::new(AtomicUsize::new(0));
@@ -823,7 +982,7 @@ fn reactor_loop(
     // so worker completions route by whichever map owns the token.
     let mut https: HashMap<u64, HttpConn> = HashMap::new();
     let mut next_token: u64 = 0;
-    let mut dispatched: usize = 0;
+    let mut forwarded: Vec<Forwarded> = Vec::new();
     let mut scratch = vec![0u8; READ_CHUNK];
     let mut shutdown_seen = false;
     let mut accept_pause: Option<Instant> = None;
@@ -848,7 +1007,7 @@ fn reactor_loop(
                 http.deadline.get_or_insert(deadline);
             }
         }
-        if shutdown_seen && conns.is_empty() && https.is_empty() && dispatched == 0 {
+        if shutdown_seen && conns.is_empty() && https.is_empty() && offload.dispatched == 0 {
             break;
         }
 
@@ -901,6 +1060,10 @@ fn reactor_loop(
             }
             fds.push(PollFd::new(poll::stream_fd(&http.stream), events));
         }
+        let fbase = fds.len();
+        if let Some(forward) = offload.forward.as_mut() {
+            forward.register(&mut fds);
+        }
 
         if poll::poll(&mut fds, POLL_TIMEOUT_MS).is_err() {
             // EBADF and friends are reactor bugs; back off rather than
@@ -919,7 +1082,7 @@ fn reactor_loop(
             std::mem::take(&mut *queue)
         };
         for completion in done {
-            dispatched -= 1;
+            offload.dispatched -= 1;
             if let Some(http) = https.get_mut(&completion.token) {
                 // A `/metrics` snapshot gathered off-reactor (the router):
                 // the bytes are a complete HTTP response.
@@ -954,7 +1117,7 @@ fn reactor_loop(
             };
             let fd = fds[base + i];
             if fd.readable() && conn.mode != ReadMode::Stopped {
-                conn_read(&ctx, conn, *token, &mut scratch, &mut dispatched);
+                conn_read(&ctx, conn, *token, &mut scratch, &mut offload);
             }
             if fd.writable() && !conn.wbuf.is_empty() {
                 conn_write(conn);
@@ -966,11 +1129,21 @@ fn reactor_loop(
             };
             let fd = fds[hbase + i];
             if fd.readable() && !http.responded {
-                http_read(&ctx, http, *token, &mut scratch, &mut dispatched);
+                http_read(&ctx, http, *token, &mut scratch, &mut offload);
             }
             if fd.writable() && !http.wbuf.is_empty() {
                 http_write(http);
             }
+        }
+
+        // The forwarder's turn comes after the reads, so batches submitted
+        // this turn that finish at once are answered this turn too.
+        if let Some(forward) = offload.forward.as_mut() {
+            forward.turn(&fds[fbase..], &mut forwarded);
+        }
+        for reply in forwarded.drain(..) {
+            offload.dispatched -= 1;
+            deliver_forwarded(&ctx, &mut conns, reply);
         }
 
         // Reap finished and expired connections.
@@ -1015,6 +1188,39 @@ fn reactor_loop(
             true
         });
     }
+}
+
+/// Records a forwarded batch's routing-tier stages (and its slow-query
+/// line), then queues and writes its reply. The job, with its admission
+/// permit, goes only once the reply is queued.
+fn deliver_forwarded(ctx: &Ctx<'_>, conns: &mut HashMap<u64, Conn>, reply: Forwarded) {
+    let Forwarded {
+        job,
+        frame,
+        exec,
+        encode,
+    } = reply;
+    if let Some(m) = ctx.backend.obs() {
+        m.record_batch_stage(Stage::Execute, exec);
+        m.record_batch_stage(Stage::WireEncode, encode);
+    }
+    let mut stages = StageNanos::default();
+    stages.0[Stage::Execute as usize] = exec.as_nanos().min(u128::from(u64::MAX)) as u64;
+    let batch = SlowBatch {
+        peer: job.peer,
+        trace: job.trace,
+        len: job.len(),
+        queue_wait: Duration::ZERO,
+        exec,
+    };
+    batch.log_if_slow(ctx.backend, ctx.slow_query, &stages);
+    let Some(conn) = conns.get_mut(&job.token) else {
+        return; // connection died while the batch was forwarded
+    };
+    conn.inflight -= 1;
+    conn.wbuf.push_back(capped(job.id, job.trace, frame));
+    conn_write(conn);
+    drop(job);
 }
 
 /// Cap on parked `/metrics` connections — the ops port serves one probe
@@ -1078,7 +1284,7 @@ fn http_read(
     http: &mut HttpConn,
     token: u64,
     scratch: &mut [u8],
-    dispatched: &mut usize,
+    offload: &mut Offload,
 ) {
     loop {
         match http.stream.read(scratch) {
@@ -1095,7 +1301,7 @@ fn http_read(
                     return;
                 }
                 if let Some(head_end) = find_head_end(&http.rbuf) {
-                    http_dispatch(ctx, http, token, head_end, dispatched);
+                    http_dispatch(ctx, http, token, head_end, offload);
                     return;
                 }
             }
@@ -1115,7 +1321,7 @@ fn http_dispatch(
     http: &mut HttpConn,
     token: u64,
     head_end: usize,
-    dispatched: &mut usize,
+    offload: &mut Offload,
 ) {
     let head = String::from_utf8_lossy(&http.rbuf[..head_end]);
     let request_line = head.lines().next().unwrap_or("");
@@ -1143,8 +1349,7 @@ fn http_dispatch(
         // The router gathers the snapshot from every replica over the
         // network: answer on a worker, never on the reactor.
         http.responded = true;
-        *dispatched += 1;
-        let _ = ctx.jobs.send(Job {
+        offload.dispatch(Job {
             token,
             id: RequestId::CONNECTION,
             trace: TraceId::NONE,
@@ -1317,7 +1522,7 @@ fn conn_read(
     conn: &mut Conn,
     token: u64,
     scratch: &mut [u8],
-    dispatched: &mut usize,
+    offload: &mut Offload,
 ) {
     loop {
         match conn.stream.read(scratch) {
@@ -1339,10 +1544,22 @@ fn conn_read(
             Ok(n) => {
                 if conn.mode == ReadMode::Frames {
                     conn.rbuf.extend_from_slice(&scratch[..n]);
-                    process_rbuf(ctx, conn, token, dispatched);
+                    process_rbuf(ctx, conn, token, offload);
+                    // Replies this turn made (handshake, control frames,
+                    // sheds, faults, inline answers) go out now, not
+                    // after one more poll-set rebuild.
+                    if !conn.wbuf.is_empty() {
+                        conn_write(conn);
+                    }
                 }
                 // Discard mode: bytes vanish; the linger deadline bounds
                 // how long a firehosing peer keeps the socket alive.
+                if n < scratch.len() {
+                    // Drained, short of proof: poll is level-triggered, so
+                    // anything newer is the next turn's, and the read that
+                    // would only say `WouldBlock` is saved.
+                    break;
+                }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -1359,7 +1576,7 @@ fn conn_read(
 
 /// Parses everything complete in the read buffer: the handshake first,
 /// then frames.
-fn process_rbuf(ctx: &Ctx<'_>, conn: &mut Conn, token: u64, dispatched: &mut usize) {
+fn process_rbuf(ctx: &Ctx<'_>, conn: &mut Conn, token: u64, offload: &mut Offload) {
     if !conn.greeted {
         if conn.rbuf.len() < PREAMBLE_LEN {
             return;
@@ -1408,7 +1625,7 @@ fn process_rbuf(ctx: &Ctx<'_>, conn: &mut Conn, token: u64, dispatched: &mut usi
         }
         let payload: Vec<u8> = conn.rbuf[4..total].to_vec();
         conn.rbuf.drain(..total);
-        handle_frame(ctx, conn, token, &payload, dispatched);
+        handle_frame(ctx, conn, token, payload, offload);
     }
 }
 
@@ -1417,10 +1634,10 @@ fn handle_frame(
     ctx: &Ctx<'_>,
     conn: &mut Conn,
     token: u64,
-    payload: &[u8],
-    dispatched: &mut usize,
+    payload: Vec<u8>,
+    offload: &mut Offload,
 ) {
-    let (id, trace, body) = match protocol::split_envelope(payload) {
+    let (id, trace, body) = match protocol::split_envelope(&payload) {
         Ok((id, trace, body)) if !id.is_connection_scoped() => (id, trace, body),
         // A truncated envelope (or the reserved ID) breaks the
         // request/response pairing: connection-scoped fault.
@@ -1433,8 +1650,38 @@ fn handle_frame(
         }
     };
 
-    match RequestFrame::decode_body(body) {
-        Ok(frame) => execute_frame(ctx, conn, token, id, trace, frame, dispatched),
+    // A forwarding backend takes batches as bytes: walked, never decoded.
+    let walked = match &mut offload.forward {
+        Some(forward) => protocol::batch_requests(body).map(|walk| (forward, walk)),
+        None => None,
+    };
+    let decoded = match walked {
+        Some((forward, Ok(requests))) => {
+            match ctx
+                .admission
+                .admit_batch_owned(requests.len() / REQUEST_LEN)
+            {
+                Ok(permit) => {
+                    conn.inflight += 1;
+                    offload.dispatched += 1;
+                    forward.submit(ForwardJob {
+                        token,
+                        id,
+                        trace,
+                        peer: conn.peer,
+                        payload,
+                        _permit: permit,
+                    });
+                }
+                Err(reason) => queue_reply(conn, id, trace, &ResponseFrame::Busy(reason)),
+            }
+            return;
+        }
+        Some((_, Err(err))) => Err(err),
+        None => RequestFrame::decode_body(body),
+    };
+    match decoded {
+        Ok(frame) => execute_frame(ctx, conn, token, id, trace, frame, offload),
         Err(err) => {
             let fault = match &err {
                 ProtocolError::UnknownTag(tag) => WireFault {
@@ -1461,14 +1708,13 @@ fn execute_frame(
     id: RequestId,
     trace: TraceId,
     frame: RequestFrame,
-    dispatched: &mut usize,
+    offload: &mut Offload,
 ) {
     // Hands a job to the worker pool; its completion decrements both
     // counts again.
     let mut dispatch = |conn: &mut Conn, kind: JobKind| {
         conn.inflight += 1;
-        *dispatched += 1;
-        let _ = ctx.jobs.send(Job {
+        offload.dispatch(Job {
             token,
             id,
             trace,
@@ -1553,7 +1799,7 @@ fn execute_frame(
     }
 }
 
-/// Encodes a reply and queues it (the next write flush sends it).
+/// Encodes a reply and queues it; the read that made it flushes it.
 fn queue_reply(conn: &mut Conn, id: RequestId, trace: TraceId, frame: &ResponseFrame) {
     conn.wbuf.push_back(wire_response(id, trace, frame));
 }
