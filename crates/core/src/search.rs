@@ -9,8 +9,10 @@
 //!    side with fewer settled vertices and checks each vertex it settles
 //!    against the other side. It either finds `d_{G⁻}(u, v) ≤ d⊤_uv` or
 //!    proves `d_{G⁻}(u, v) > d⊤_uv`. A distance query stops at the first
-//!    meeting vertex; a path-graph query finishes that level, which holds
-//!    every meeting vertex.
+//!    meeting vertex. A path-graph query settles nothing after the row that
+//!    found it: it reads the rest of that level's rows only to stamp the
+//!    other meeting vertices, so the new level stays partial and the one
+//!    below it is the side's last complete level.
 //! 2. **Reverse search** — if the frontiers met, the meeting vertices seed
 //!    both sides' walk back, which materialises every shortest path inside
 //!    `G⁻` (`G⁻_uv`).
@@ -39,17 +41,21 @@
 //! are its neighbours in level `d − 1`, found from the cheaper side: a scan
 //! of `x`'s adjacency row, or a binary search of that sorted row for each
 //! vertex of level `d − 1` when `|level| · (⌊log₂ deg x⌋ + 1) < deg x`.
+//! It reads only complete levels: a meeting vertex sits one level above
+//! its side's last complete level, and `Z` at or below it.
 //!
 //! **Deviation from Algorithm 4, line 7.** The paper's `pick_search` first
 //! makes each side spend its Eq. 4 budget `d*_u` / `d*_v` (the deepest
 //! sketch hop minus one), so that the recover search finds `Z` at depth
 //! `σ − 1`. Stage 1 here ignores the budgets: the recover search takes `Z`
-//! at depth `min(σ − 1, ℓ)` for a side that stopped at level `ℓ`, with the
-//! label distance raised to match, which reaches the same landmark-passing
-//! paths. On a hub-free graph the budgets forced the larger side: on the
-//! LiveJournal Large stand-in (|R| = 20, uniform pairs) stage 1 relaxed
-//! 5 051 edges and settled 267 vertices per query with them, and 3 737 and
-//! 197 without, with every answer the same.
+//! at depth `min(σ − 1, ℓ)`, where `ℓ` is the side's last complete level,
+//! with the label distance raised to match. Any complete level serves:
+//! every shortest endpoint–landmark path that avoids the other landmarks
+//! has its vertex at depth `min(σ − 1, ℓ)` in that level, so the same
+//! landmark-passing paths are reached. On a hub-free graph the budgets
+//! forced the larger side: on the LiveJournal Large stand-in (|R| = 20,
+//! uniform pairs) stage 1 relaxed 5 051 edges and settled 267 vertices per
+//! query with them, and 3 737 and 197 without, with every answer the same.
 //!
 //! **`G⁻` is a row prefix.** The index file stores each adjacency row as
 //! its non-landmark neighbours, then its landmark neighbours
@@ -245,7 +251,7 @@ fn recover_side(
     let landmark = index.landmark(landmark_idx);
     // A side that stopped short of depth σ − 1 matches `Z` at its last
     // complete level, with the rest of the way left to the label walk.
-    let dm = (sigma - 1).min(side.level);
+    let dm = (sigma - 1).min(side.complete);
     let needed_label = sigma - dm;
     let Some(level) = side.levels.get(dm as usize) else {
         return;
@@ -441,6 +447,21 @@ mod tests {
     use qbs_graph::Graph;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// Saves `index` and maps the file back. One file per call: tests run
+    /// in parallel, and a file being rewritten must never be mapped.
+    fn mapped_copy(index: &QbsIndex) -> QbsIndex {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join("qbs_search_fixture");
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join(format!(
+            "index_{}_{}.qbs",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        serialize::save_to_file(index, &path).expect("save");
+        serialize::open_from_file(&path, MapMode::Mmap).expect("map")
+    }
+
     /// The figure-4 running example indexed with the paper's landmark set,
     /// queried through the search entry points — once over the heap buffer
     /// of the build and once over a mapping of its saved file, so every
@@ -457,21 +478,10 @@ mod tests {
         }
 
         fn figure4_with(landmarks: Vec<VertexId>) -> Self {
-            // One file per fixture: tests run in parallel, and a file being
-            // rewritten must never be mapped.
-            static NEXT: AtomicUsize = AtomicUsize::new(0);
             let graph = figure4_graph();
             let heap =
                 QbsIndex::build(graph.clone(), QbsConfig::with_explicit_landmarks(landmarks));
-            let dir = std::env::temp_dir().join("qbs_search_fixture");
-            std::fs::create_dir_all(&dir).expect("mkdir");
-            let path = dir.join(format!(
-                "fig4_{}_{}.qbs",
-                std::process::id(),
-                NEXT.fetch_add(1, Ordering::Relaxed)
-            ));
-            serialize::save_to_file(&heap, &path).expect("save");
-            let mapped = serialize::open_from_file(&path, MapMode::Mmap).expect("map");
+            let mapped = mapped_copy(&heap);
             Fixture {
                 graph,
                 heap,
@@ -646,6 +656,74 @@ mod tests {
         assert!(
             distance_edges < path_edges,
             "distance mode relaxed {distance_edges} edges, path-graph mode {path_edges}"
+        );
+    }
+
+    /// A side whose expansion met the other side leaves that level partial,
+    /// so the recover search matches `Z` one level lower whenever a hop's
+    /// σ − 1 exceeds the side's last complete level. Over generator
+    /// families, every landmark a source, each answer must equal
+    /// `GroundTruth` on the heap buffer and on a mapping, and that case
+    /// must occur often enough to be pinned.
+    #[test]
+    fn recover_matches_z_below_a_partial_meeting_level() {
+        use qbs_baselines::GroundTruth;
+        use qbs_gen::prelude::*;
+
+        let families = [
+            barabasi_albert::generate(&BarabasiAlbertConfig {
+                vertices: 300,
+                edges_per_vertex: 2,
+                seed: 5,
+            }),
+            erdos_renyi::generate(&ErdosRenyiConfig {
+                vertices: 300,
+                edges: 600,
+                seed: 5,
+            }),
+            watts_strogatz::generate(&WattsStrogatzConfig {
+                vertices: 300,
+                neighbors: 2,
+                rewire_probability: 0.2,
+                seed: 5,
+            }),
+        ];
+        let mut ws = QueryWorkspace::new();
+        let mut lowered = 0;
+        for graph in families {
+            let heap = QbsIndex::build(graph.clone(), QbsConfig::with_landmark_count(10));
+            let mapped = mapped_copy(&heap);
+            let truth = GroundTruth::new(graph.clone());
+            let n = graph.num_vertices() as VertexId;
+            let landmark_sources = heap.landmarks().iter().map(|&r| (r, (r * 37 + 11) % n));
+            let sampled = QueryWorkload::sample(&graph, 300, 9).pairs().to_vec();
+            for (u, v) in landmark_sources.chain(sampled) {
+                if u == v {
+                    continue;
+                }
+                let expected = truth.shortest_path_graph(u, v);
+                let from_heap = heap.query_with(&mut ws, u, v).unwrap();
+                let answer = mapped.query_with(&mut ws, u, v).unwrap();
+                assert_eq!(from_heap, answer, "buffers diverged on ({u},{v})");
+                assert_eq!(answer.path_graph, expected, "query ({u},{v})");
+                if !answer.stats.used_recover_search {
+                    continue;
+                }
+                let sides = [
+                    (&ws.fwd, &answer.sketch.source_hops),
+                    (&ws.bwd, &answer.sketch.target_hops),
+                ];
+                for (side, hops) in sides {
+                    let partial = side.complete < side.level;
+                    if partial && hops.iter().any(|hop| hop.distance > side.complete + 1) {
+                        lowered += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            lowered >= 20,
+            "Z moved below a partial level {lowered} times"
         );
     }
 

@@ -50,6 +50,10 @@ pub(crate) struct SideState {
     pub(crate) settled: usize,
     /// Current level (`d_u` / `d_v` in Algorithm 4).
     pub(crate) level: Distance,
+    /// Deepest level settled in full: `level`, or `level − 1` once an
+    /// expansion of this side has met the other side (see [`Self::expand`]).
+    /// The recover search matches `Z` no deeper than this.
+    pub(crate) complete: Distance,
 }
 
 impl SideState {
@@ -67,6 +71,7 @@ impl SideState {
         self.active_levels = 1;
         self.settled = 1;
         self.level = 0;
+        self.complete = 0;
         self.depth.set(origin, 0);
     }
 
@@ -79,9 +84,17 @@ impl SideState {
     /// opposite side's depths, for each vertex it settles. Every vertex
     /// both sides have settled is pushed onto `meeting`, and the meeting
     /// distance is returned ([`INFINITE_DISTANCE`] when the sides did not
-    /// meet). With `stop_at_first` the expansion returns after the row in
-    /// which the first meeting appeared, leaving the level unfinished; a
-    /// distance needs no more (see the module docs of [`crate::search`]).
+    /// meet).
+    ///
+    /// Once the row holding the first meeting is read, the new level is
+    /// left partial: nothing later reads more of it than its meeting
+    /// vertices (see the module docs of [`crate::search`]), and
+    /// [`Self::complete`] stays one level short. With `stop_at_first` (a
+    /// distance) the expansion returns there. Otherwise it reads the rest
+    /// of the level's rows only to find the remaining meeting vertices:
+    /// each neighbour the other side holds and this side does not is
+    /// stamped at the new depth and pushed onto `meeting`, and no other
+    /// vertex is stamped or added to the level.
     ///
     /// A vertex's row in `G⁻` is the non-landmark prefix of its row in `G`,
     /// read with no filter. When a query endpoint is a landmark, `G⁻` keeps
@@ -96,16 +109,17 @@ impl SideState {
         meeting: &mut Vec<VertexId>,
         stats: &mut SearchStats,
     ) -> Distance {
+        debug_assert!(meeting.is_empty(), "the sides met before this level");
         let next_depth = self.level + 1;
         if self.levels.len() <= next_depth as usize {
             self.levels.push(Vec::new());
         }
         let depth = &mut self.depth;
         let (settled_levels, next_levels) = self.levels.split_at_mut(next_depth as usize);
-        let current = &settled_levels[self.level as usize];
+        let mut current = settled_levels[self.level as usize].iter();
         let next = &mut next_levels[0];
-        for &u in current {
-            let mut settle = |w: VertexId| {
+        for &u in current.by_ref() {
+            read_sparsified_row(rows, kept, u, stats, |w| {
                 if !depth.is_set(w) {
                     depth.set(w, next_depth);
                     next.push(w);
@@ -113,19 +127,24 @@ impl SideState {
                         meeting.push(w);
                     }
                 }
-            };
-            stats.vertices_settled += 1;
-            let sparsified = rows.sparsified_neighbors(u);
-            stats.edges_traversed += sparsified.len();
-            sparsified.for_each(&mut settle);
-            if let Some(ends) = kept {
-                for w in rows.landmark_neighbors(u).filter(|w| ends.contains(w)) {
-                    stats.edges_traversed += 1;
-                    settle(w);
-                }
-            }
-            if stop_at_first && !meeting.is_empty() {
+            });
+            if !meeting.is_empty() {
                 break;
+            }
+        }
+        self.complete = if meeting.is_empty() {
+            next_depth
+        } else {
+            self.level
+        };
+        if !stop_at_first {
+            for &u in current {
+                read_sparsified_row(rows, kept, u, stats, |w| {
+                    if other.is_set(w) && !depth.is_set(w) {
+                        depth.set(w, next_depth);
+                        meeting.push(w);
+                    }
+                });
             }
         }
         self.settled += next.len();
@@ -134,6 +153,28 @@ impl SideState {
         meeting
             .first()
             .map_or(INFINITE_DISTANCE, |&w| next_depth + other.get(w))
+    }
+}
+
+/// Calls `visit` on each neighbour of `u` in `G⁻` (the row's non-landmark
+/// prefix, plus the `kept` endpoints found in its landmark suffix), counting
+/// the row and its arcs in `stats`.
+fn read_sparsified_row(
+    rows: GraphRows<'_>,
+    kept: Option<[VertexId; 2]>,
+    u: VertexId,
+    stats: &mut SearchStats,
+    mut visit: impl FnMut(VertexId),
+) {
+    stats.vertices_settled += 1;
+    let sparsified = rows.sparsified_neighbors(u);
+    stats.edges_traversed += sparsified.len();
+    sparsified.for_each(&mut visit);
+    if let Some(ends) = kept {
+        for w in rows.landmark_neighbors(u).filter(|w| ends.contains(w)) {
+            stats.edges_traversed += 1;
+            visit(w);
+        }
     }
 }
 
@@ -233,19 +274,23 @@ mod tests {
         assert_eq!(side.frontier(), &[5, 7, 1]);
 
         // The other side already holds 14, a G⁻ neighbour of 5, at depth 2.
-        // Expanding level 1 ([5, 7]) meets it at 2 + 2; with `stop_at_first`
-        // the expansion stops after 5's row (6 and 14) and never reads 7's.
+        // Expanding level 1 ([5, 7]) meets it at 2 + 2 in 5's row (6 and
+        // 14). With `stop_at_first` the expansion stops there and never
+        // reads 7's row; without, it reads 7's row (6 and 8) but settles
+        // nothing more, so 8 is neither stamped nor in the level. Either
+        // way level 2 is partial and level 1 the last complete one.
         other.set(14, 2);
-        for (stop_at_first, frontier, rows_read, edges) in
-            [(true, &[14][..], 1, 2), (false, &[14, 8][..], 2, 4)]
-        {
+        for (stop_at_first, rows_read, edges) in [(true, 1, 2), (false, 2, 4)] {
             side.begin(n, 6);
             side.expand(rows, None, &other, stop_at_first, &mut meeting, &mut stats);
+            assert_eq!(side.complete, 1);
             let mut level = SearchStats::default();
             let met = side.expand(rows, None, &other, stop_at_first, &mut meeting, &mut level);
             assert_eq!(met, 4, "stop_at_first = {stop_at_first}");
             assert_eq!(meeting, [14]);
-            assert_eq!(side.frontier(), frontier);
+            assert_eq!(side.frontier(), &[14]);
+            assert_eq!(side.depth.get(8), INFINITE_DISTANCE);
+            assert_eq!((side.level, side.complete), (2, 1));
             assert_eq!(
                 (level.vertices_settled, level.edges_traversed),
                 (rows_read, edges)

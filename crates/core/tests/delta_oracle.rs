@@ -1,10 +1,14 @@
 //! Δ of every built meta-graph against the reference it replaced.
 //!
 //! `MetaGraph::build` reads Δ off the labelling with one label walk per
-//! meta edge. The reference below is the definition computed directly: two
-//! BFSs in the graph minus the other landmarks, keeping every edge on a
-//! shortest path between the two endpoints. The two must agree as `Vec`s,
-//! order included, because the stored order is what the index file holds.
+//! meta edge. The reference below is the definition computed directly: one
+//! BFS per landmark `r` in `G[(V \ R) ∪ {r}]`, the graph minus every other
+//! landmark. A shortest path between landmarks `a` and `b` with no other
+//! landmark on it leaves `a` through that graph and enters `b` through one
+//! of `b`'s neighbours, so the two BFSs give its length (through `b`'s row)
+//! and every edge on it. The stored Δ and the reference must agree as
+//! `Vec`s, order included, because the stored order is what the index
+//! file holds.
 
 use std::sync::atomic::AtomicUsize;
 use std::sync::atomic::Ordering::Relaxed;
@@ -16,42 +20,66 @@ use qbs_graph::{
     Distance, FilteredGraph, Graph, GraphBuilder, VertexFilter, VertexId, INFINITE_DISTANCE,
 };
 
+/// One BFS from a landmark in the graph minus every other landmark.
+struct LandmarkFreeBfs {
+    /// Distance of each vertex; every other landmark is unreached.
+    dist: Vec<Distance>,
+    /// The reached vertices by nondecreasing distance.
+    order: Vec<VertexId>,
+}
+
+impl LandmarkFreeBfs {
+    fn new(graph: &Graph, landmarks: &[VertexId], r: VertexId) -> Self {
+        let others = VertexFilter::from_vertices(
+            graph.num_vertices(),
+            landmarks.iter().copied().filter(|&x| x != r),
+        );
+        let dist = bfs_distances(&FilteredGraph::new(graph, &others), r);
+        let mut order: Vec<VertexId> = graph
+            .vertices()
+            .filter(|&x| dist[x as usize] != INFINITE_DISTANCE)
+            .collect();
+        order.sort_by_key(|&x| dist[x as usize]);
+        LandmarkFreeBfs { dist, order }
+    }
+}
+
 /// The shortest path graph between landmarks `a` and `b` restricted to
-/// paths that contain no other landmark, via two BFSs on the filtered view.
+/// paths that contain no other landmark, from `a`'s and `b`'s BFSs. An
+/// edge `(x, y)` lies on such a path exactly when `d_a(x) + 1 + d_b(y)`
+/// is `σ`; then `d_a(x) < σ`, so only the rows of `a`'s first BFS levels
+/// are read. Sorted, which is the order `Graph::edges` lists them in.
 fn landmark_pair_paths(
     graph: &Graph,
-    landmarks: &[VertexId],
-    a: VertexId,
     b: VertexId,
+    from_a: &LandmarkFreeBfs,
+    from_b: &LandmarkFreeBfs,
     expected_distance: Distance,
 ) -> Vec<(VertexId, VertexId)> {
-    let others = VertexFilter::from_vertices(
-        graph.num_vertices(),
-        landmarks.iter().copied().filter(|&x| x != a && x != b),
-    );
-    let view = FilteredGraph::new(graph, &others);
-    let from_a = bfs_distances(&view, a);
-    let from_b = bfs_distances(&view, b);
+    let (da, db) = (&from_a.dist, &from_b.dist);
+    let through_row = graph
+        .neighbors(b)
+        .iter()
+        .map(|&x| da[x as usize].saturating_add(1))
+        .min()
+        .unwrap_or(INFINITE_DISTANCE);
     assert_eq!(
-        from_a[b as usize], expected_distance,
+        through_row, expected_distance,
         "meta edge weight must equal the landmark-free distance"
     );
     let mut edges = Vec::new();
-    for (x, y) in graph.edges() {
-        if others.contains(x) || others.contains(y) {
-            continue;
+    for &x in &from_a.order {
+        let dx = da[x as usize];
+        if dx >= expected_distance {
+            break;
         }
-        let (dax, day) = (from_a[x as usize], from_a[y as usize]);
-        let (dbx, dby) = (from_b[x as usize], from_b[y as usize]);
-        if dax == INFINITE_DISTANCE || day == INFINITE_DISTANCE {
-            continue;
-        }
-        if dax.saturating_add(1).saturating_add(dby) == expected_distance
-            || day.saturating_add(1).saturating_add(dbx) == expected_distance
-        {
-            edges.push((x, y));
+        for &y in graph.neighbors(x) {
+            if db[y as usize] == expected_distance - 1 - dx {
+                edges.push((x.min(y), x.max(y)));
+            }
         }
     }
+    edges.sort_unstable();
     edges
 }
 
@@ -61,8 +89,12 @@ fn assert_delta_matches_bfs(graph: &Graph, config: QbsConfig, what: &str) -> Met
     let index = QbsIndex::build(graph.clone(), config);
     let meta = index.meta_graph().clone();
     let landmarks = index.landmarks();
+    let bfs: Vec<LandmarkFreeBfs> = landmarks
+        .iter()
+        .map(|&r| LandmarkFreeBfs::new(graph, landmarks, r))
+        .collect();
     for (k, &(i, j, sigma)) in meta.edges().iter().enumerate() {
-        let expected = landmark_pair_paths(graph, landmarks, landmarks[i], landmarks[j], sigma);
+        let expected = landmark_pair_paths(graph, landmarks[j], &bfs[i], &bfs[j], sigma);
         assert_eq!(
             meta.delta_edges(k).to_vec(),
             expected,
@@ -134,9 +166,7 @@ fn delta_matches_bfs_on_small_catalog_graphs() {
         .iter()
         .map(|spec| (spec.id.name(), spec.generate(Scale::Small)))
         .collect();
-    // The reference runs two BFSs per meta edge, up to 780 per graph, which
-    // takes seconds per case unoptimised; two threads share the cases out,
-    // the largest |R| first.
+    // Two threads share the cases out, the largest |R| first.
     let cases: Vec<(usize, &(&str, Graph))> = [40usize, 20, 3]
         .into_iter()
         .flat_map(|count| graphs.iter().map(move |graph| (count, graph)))
