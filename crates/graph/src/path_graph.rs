@@ -49,16 +49,20 @@ impl PathGraph {
     /// Creates a path graph from a raw edge list.
     ///
     /// Edges are canonicalised (unordered endpoints, deduplicated);
-    /// self-loops are dropped.
+    /// self-loops are dropped. The raw list is collected through `map`
+    /// alone, which keeps the source's size hint, so an exact-size source
+    /// (a slice, a `Vec`) lands in one allocation of the raw list's length.
+    /// Self-loops are then removed in place, and `shrink_to_fit` trims the
+    /// canonical list to its size.
     pub fn from_edges<I>(source: VertexId, target: VertexId, distance: Distance, edges: I) -> Self
     where
         I: IntoIterator<Item = (VertexId, VertexId)>,
     {
         let mut edges: Vec<(VertexId, VertexId)> = edges
             .into_iter()
-            .filter(|&(a, b)| a != b)
             .map(|(a, b)| if a <= b { (a, b) } else { (b, a) })
             .collect();
+        edges.retain(|&(a, b)| a != b);
         edges.sort_unstable();
         edges.dedup();
         // Answers outlive the query (replies, the answer cache): hold them at

@@ -7,20 +7,24 @@
 //! the exact tax the paper's microsecond-level query times cannot afford.
 //!
 //! The structures here amortise that cost with the classic *epoch stamping*
-//! (generation counter) trick: alongside each value slot lives a `u32`
-//! stamp, and a slot is considered initialised only when its stamp equals
-//! the structure's current epoch. "Clearing" the whole structure is then a
-//! single `epoch += 1` — O(1) instead of O(|V|) — and the backing arrays
-//! are allocated once and reused for the lifetime of the workspace. When
-//! the epoch counter would wrap around `u32::MAX`, the stamps are lazily
+//! (generation counter) trick: each slot carries a `u32` stamp, and a slot
+//! is considered initialised only when its stamp equals the structure's
+//! current epoch. "Clearing" the whole structure is then a single
+//! `epoch += 1` — O(1) instead of O(|V|) — and the backing array is
+//! allocated once and reused for the lifetime of the workspace. When the
+//! epoch counter would wrap around `u32::MAX`, the slots are lazily
 //! bulk-reset once every ~4 billion queries, preserving correctness.
+//!
+//! A [`DistanceField`] slot packs its stamp and its value into one `u64`,
+//! so reading or writing a vertex's depth touches one cache line, not two.
 
 use crate::vertex::{Distance, VertexId, INFINITE_DISTANCE};
 
-/// Bumps `epoch`, bulk-resetting `stamps` on the (rare) wrap-around.
-fn advance_epoch(epoch: &mut u32, stamps: &mut [u32]) {
+/// Bumps `epoch`, bulk-resetting `slots` to epoch 0 on the (rare)
+/// wrap-around. Epoch 0 is never active, so a zeroed slot is unset.
+fn advance_epoch<T: Copy + Default>(epoch: &mut u32, slots: &mut [T]) {
     if *epoch == u32::MAX {
-        stamps.fill(0);
+        slots.fill(T::default());
         *epoch = 1;
     } else {
         *epoch += 1;
@@ -32,10 +36,13 @@ fn advance_epoch(epoch: &mut u32, stamps: &mut [u32]) {
 /// Semantically equivalent to `vec![INFINITE_DISTANCE; n]` re-created per
 /// query, but [`DistanceField::reset`] costs O(1) after the first use at a
 /// given size (growth re-allocates, steady state does not).
+///
+/// Each slot is one `u64`, `epoch << 32 | distance`: 8 bytes per vertex,
+/// one cache line per access. A slot of 0 carries epoch 0, which is never
+/// active, so fresh and bulk-reset slots read as unset.
 #[derive(Clone, Debug, Default)]
 pub struct DistanceField {
-    stamps: Vec<u32>,
-    values: Vec<Distance>,
+    slots: Vec<u64>,
     epoch: u32,
 }
 
@@ -47,24 +54,23 @@ impl DistanceField {
 
     /// Clears the field for a graph with `n` vertex slots.
     pub fn reset(&mut self, n: usize) {
-        if self.stamps.len() < n {
-            self.stamps.resize(n, 0);
-            self.values.resize(n, INFINITE_DISTANCE);
-            // Fresh slots carry stamp 0; make sure the active epoch differs.
+        if self.slots.len() < n {
+            self.slots.resize(n, 0);
+            // Fresh slots carry epoch 0; make sure the active epoch differs.
             if self.epoch == 0 {
                 self.epoch = 1;
                 return;
             }
         }
-        advance_epoch(&mut self.epoch, &mut self.stamps);
+        advance_epoch(&mut self.epoch, &mut self.slots);
     }
 
     /// The distance of `v`, or [`INFINITE_DISTANCE`] when unset.
     #[inline]
     pub fn get(&self, v: VertexId) -> Distance {
-        let idx = v as usize;
-        if self.stamps[idx] == self.epoch {
-            self.values[idx]
+        let slot = self.slots[v as usize];
+        if (slot >> 32) as u32 == self.epoch {
+            slot as Distance
         } else {
             INFINITE_DISTANCE
         }
@@ -73,20 +79,18 @@ impl DistanceField {
     /// Whether `v` has been assigned a distance since the last reset.
     #[inline]
     pub fn is_set(&self, v: VertexId) -> bool {
-        self.stamps[v as usize] == self.epoch
+        (self.slots[v as usize] >> 32) as u32 == self.epoch
     }
 
     /// Assigns the distance of `v`.
     #[inline]
     pub fn set(&mut self, v: VertexId, distance: Distance) {
-        let idx = v as usize;
-        self.stamps[idx] = self.epoch;
-        self.values[idx] = distance;
+        self.slots[v as usize] = (u64::from(self.epoch) << 32) | u64::from(distance);
     }
 
     /// Number of vertex slots currently backed.
     pub fn capacity(&self) -> usize {
-        self.stamps.len()
+        self.slots.len()
     }
 }
 
@@ -207,12 +211,108 @@ mod tests {
         let mut field = DistanceField::new();
         field.reset(2);
         field.epoch = u32::MAX;
-        field.stamps[1] = u32::MAX;
-        field.values[1] = 9;
+        field.set(1, 9);
         assert_eq!(field.get(1), 9);
         field.reset(2);
         assert_eq!(field.epoch, 1);
         assert_eq!(field.get(1), INFINITE_DISTANCE);
+    }
+
+    /// One step of splitmix64: a seeded, dependency-free operation stream.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Operations per model sequence: enough for two wrap crossings.
+    const MODEL_OPS: usize = 400;
+
+    /// Runs [`MODEL_OPS`] seeded set / get / is_set / reset /
+    /// reset-with-growth operations on a fresh [`DistanceField`] and on the
+    /// obvious model, a `Vec<Option<Distance>>` cleared on every reset,
+    /// asserting that they agree after every step. Returns how many resets
+    /// wrapped the epoch.
+    ///
+    /// The field's first epochs stamp some slots. Then, every 200
+    /// operations, the epoch jumps to three below `u32::MAX` (a reset, as
+    /// far as the model knows), so the next resets cross the wrap. Each
+    /// wrap lands on those low epochs again, which is where a wrap that
+    /// skipped the bulk reset would resurrect stale slots.
+    fn run_against_model(seed: u64) -> u32 {
+        const VALUES: [Distance; 4] = [0, 1, u32::MAX - 1, INFINITE_DISTANCE];
+        let mut rng = seed;
+        let mut field = DistanceField::new();
+        let mut model: Vec<Option<Distance>> = vec![None; 1 + (next(&mut rng) % 8) as usize];
+        field.reset(model.len());
+        let mut wraps = 0;
+        for op in 1..=MODEL_OPS {
+            if op % 200 == 100 {
+                field.epoch = u32::MAX - 3;
+                model.fill(None);
+            }
+            let v = (next(&mut rng) % model.len() as u64) as VertexId;
+            let epoch = field.epoch;
+            let ctx = move || format!("seed {seed}, op {op}, vertex {v}, epoch {epoch}");
+            match next(&mut rng) % 16 {
+                0..=5 => {
+                    let d = VALUES[(next(&mut rng) % VALUES.len() as u64) as usize];
+                    field.set(v, d);
+                    model[v as usize] = Some(d);
+                }
+                6..=9 => {
+                    let want = model[v as usize].unwrap_or(INFINITE_DISTANCE);
+                    assert_eq!(field.get(v), want, "get: {}", ctx());
+                }
+                10..=12 => {
+                    let want = model[v as usize].is_some();
+                    assert_eq!(field.is_set(v), want, "is_set: {}", ctx());
+                }
+                13 | 14 => {
+                    field.reset(1 + (next(&mut rng) % model.len() as u64) as usize);
+                    model.fill(None);
+                }
+                _ => {
+                    let grown = model.len() + 1 + (next(&mut rng) % 4) as usize;
+                    field.reset(grown);
+                    model = vec![None; grown];
+                    assert_eq!(field.capacity(), grown, "growth: {}", ctx());
+                }
+            }
+            if field.epoch != epoch {
+                wraps += u32::from(field.epoch < epoch);
+                let live = (0..model.len() as VertexId).find(|&w| field.is_set(w));
+                assert_eq!(live, None, "set after a reset: {}", ctx());
+            }
+        }
+        for (v, want) in model.iter().enumerate() {
+            let v = v as VertexId;
+            assert_eq!(field.is_set(v), want.is_some(), "final sweep: seed {seed}");
+            assert_eq!(
+                field.get(v),
+                want.unwrap_or(INFINITE_DISTANCE),
+                "final sweep: seed {seed}"
+            );
+        }
+        wraps
+    }
+
+    #[test]
+    fn distance_field_matches_a_vec_of_options_across_the_wrap() {
+        for seed in 0..64 {
+            assert!(run_against_model(seed) >= 1, "seed {seed} never wrapped");
+        }
+    }
+
+    /// The long variant: 2 500 sequences, a million operations and
+    /// thousands of wraps. CI runs it in release with `--include-ignored`.
+    #[test]
+    #[ignore = "long; CI runs it in release"]
+    fn distance_field_matches_a_vec_of_options_over_many_wraps() {
+        let wraps: u32 = (1_000..3_500).map(run_against_model).sum();
+        assert!(wraps >= 2_500, "only {wraps} wraps");
     }
 
     #[test]
