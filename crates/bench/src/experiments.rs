@@ -979,7 +979,10 @@ pub fn batch_plan(config: &ExperimentConfig) -> Result<BatchPlan, QbsError> {
             // not worker start-up and workspace allocation.
             let session = qbs_core::Qbs::from_index(owned).with_threads(2)?;
             session.submit(&requests);
-            let dedup_hits = session.engine_stats().planner.dedup_hits;
+            let dedup_hits = session
+                .metrics_snapshot()
+                .get(qbs_core::counter::COALESCED)
+                .unwrap_or(0);
             let t0 = Instant::now();
             let submitted = session.submit(&requests);
             let submit_qps = qps(t0.elapsed(), requests.len());
@@ -1527,7 +1530,8 @@ pub fn routed_serving(config: &ExperimentConfig) -> Result<RoutedServing, QbsErr
             drop(victim);
             let failover_identical = diff_pass(&mut client)?;
 
-            let router_stats = router.router_stats();
+            let routed = router.local_snapshot();
+            let count = |def| routed.get(def).unwrap_or(0);
             drop(client);
             drop(router);
             for mut replica in replicas {
@@ -1541,9 +1545,9 @@ pub fn routed_serving(config: &ExperimentConfig) -> Result<RoutedServing, QbsErr
                 identical_cold,
                 identical_warm,
                 failover_identical,
-                unavailable_slots: router_stats.unavailable_slots,
-                subbatches: router_stats.subbatches,
-                batches_routed: router_stats.batches_routed,
+                unavailable_slots: count(qbs_core::counter::UNAVAILABLE_SLOTS),
+                subbatches: count(qbs_core::counter::SUBBATCHES),
+                batches_routed: count(qbs_core::counter::ROUTED_BATCHES),
                 routed_rps,
                 inprocess_rps,
             })
@@ -1698,7 +1702,7 @@ pub fn obs_serving(config: &ExperimentConfig) -> Result<ObsServing, QbsError> {
                 .filter(|(i, _)| i % stages == Stage::Execute as usize)
                 .map(|(_, h)| h.count)
                 .sum();
-            let slow_queries = snapshot.slow_queries;
+            let slow_queries = snapshot.get(qbs_core::counter::SLOW_QUERIES).unwrap_or(0);
             let metrics_frame_ok = execute_samples > 0 && slow_queries > 0;
 
             drop(client);

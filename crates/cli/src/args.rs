@@ -164,9 +164,6 @@ pub enum ClientAction {
         /// Output format.
         json: bool,
     },
-    /// Fetch and print the server's serving + admission counters
-    /// (`--stats` with no query arguments).
-    Stats,
     /// Measure protocol round-trip latency (`--ping [--count N]`):
     /// min/p50/p90/p99/max over `count` pings.
     Ping {
@@ -211,7 +208,7 @@ commands:
            [--max-connections C] [--metrics-addr H:P] [--slow-query-ms N]
   client   --addr H:P --pairs FILE [--mode M] [--stats] [--format F]
   client   --addr H:P --source U --target V [--mode M] [--format F]
-  client   --addr H:P (--stats | --metrics | --ping [--count N] | --shutdown)
+  client   --addr H:P (--metrics | --ping [--count N] | --shutdown)
   client options also accept [--trace-id HEX] (pin the trace ID every
            frame carries)
   stats    --index FILE
@@ -246,8 +243,8 @@ decoded batches over one shared session. Ctrl-C or `client --shutdown`
 drains in-flight batches and tears down cleanly. Work beyond
 `--max-inflight`/`--max-batch` gets a typed busy reply, never a hang.
 `client` submits batches against a running server with the same
-rendering as a local `query`; `--stats` alone prints the server's
-serving and admission counters, and `--metrics` prints its per-stage
+rendering as a local `query`; `--metrics` prints the server's
+telemetry: its engine, cache and admission counters and its per-stage
 latency histograms (count and p50/p90/p99/max per query mode and
 pipeline stage). `--ping` measures round-trip latency
 (min/p50/p90/p99/max over `--count N` pings, default 5). `--trace-id
@@ -264,12 +261,13 @@ client's trace ID.
 speaks the same protocol as `serve`, splits each batch across the
 least-loaded healthy replicas, retries sheds and failures onto other
 replicas, and ejects unhealthy replicas with backoff. Answers are
-bit-identical to a single replica; `client --stats` against a router
-additionally prints per-replica routing counters, `client --metrics`
-returns the bucket-wise merge of every replica's histograms, and trace
-IDs propagate onto every scattered sub-batch. The router forwards batches
-on its reactor thread; its `--workers W` threads only answer the `Stats`
-and `Metrics` frames, which poll every replica. `route` accepts the same
+bit-identical to a single replica; `client --metrics` against a router
+prints its routing and per-replica counters and every available
+replica's counters and histograms folded in (traffic summed, histograms
+merged bucket-wise), and trace IDs propagate onto every scattered
+sub-batch. The router forwards batches on its reactor thread; its
+`--workers W` threads only answer `Metrics` frames and `GET /metrics`,
+each of which polls every available replica once. `route` accepts the same
 `--metrics-addr`/`--slow-query-ms` options as `serve`.
 ";
 
@@ -471,9 +469,10 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
         "client" => {
             let addr = require("addr")?;
             if get("protocol").is_some() {
-                return Err(ParseError(
-                    "--protocol was removed: this build speaks protocol v3 only".into(),
-                ));
+                return Err(ParseError(format!(
+                    "--protocol was removed: this build speaks protocol v{} only",
+                    qbs_server::PROTOCOL_VERSION
+                )));
             }
             let trace_id = get("trace-id").map(|s| parse_trace_id(&s)).transpose()?;
             let source = get("source")
@@ -485,17 +484,17 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             let pairs = get("pairs").map(PathBuf::from);
             let stats = options.contains_key("stats");
             let has_query = pairs.is_some() || source.is_some() || target.is_some();
-            let control_flags = [
-                options.contains_key("ping"),
-                options.contains_key("shutdown"),
-                options.contains_key("metrics"),
-                stats && !has_query,
-            ];
+            if stats && !has_query {
+                return Err(ParseError(
+                    "client: bare --stats was removed: the server's counters are printed by \
+                     `client --metrics`"
+                        .into(),
+                ));
+            }
+            let control_flags = ["ping", "shutdown", "metrics"].map(|f| options.contains_key(f));
             if control_flags.iter().filter(|&&f| f).count() > 1 {
                 return Err(ParseError(
-                    "client: --ping, --shutdown, --metrics and bare --stats are mutually \
-                     exclusive"
-                        .into(),
+                    "client: --ping, --shutdown and --metrics are mutually exclusive".into(),
                 ));
             }
             let action = if options.contains_key("ping") {
@@ -514,15 +513,13 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             } else if options.contains_key("metrics") {
                 ensure_no_query(has_query, "--metrics")?;
                 ClientAction::Metrics
-            } else if stats && !has_query {
-                ClientAction::Stats
             } else {
                 match (&pairs, source, target) {
                     (None, Some(_), Some(_)) | (Some(_), None, None) => {}
                     (None, _, _) => {
                         return Err(ParseError(
                             "client: pass --source and --target, or --pairs FILE, or one of \
-                             --stats/--ping/--shutdown"
+                             --metrics/--ping/--shutdown"
                                 .into(),
                         ))
                     }
@@ -1150,15 +1147,10 @@ mod tests {
                 ..
             }
         ));
-        // Bare --stats is the server-stats action; control flags exclude
-        // query arguments and each other.
-        assert!(matches!(
-            parse(&args(&["client", "--addr", "h:1", "--stats"])).unwrap(),
-            Command::Client {
-                action: ClientAction::Stats,
-                ..
-            }
-        ));
+        // Bare --stats is gone (its counters moved into --metrics); control
+        // flags exclude query arguments and each other.
+        let err = parse(&args(&["client", "--addr", "h:1", "--stats"])).unwrap_err();
+        assert!(err.0.contains("client --metrics"), "{}", err.0);
         assert!(matches!(
             parse(&args(&["client", "--addr", "h:1", "--ping"])).unwrap(),
             Command::Client {

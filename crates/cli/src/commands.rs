@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 
 use qbs_core::serialize::{self, MapMode};
 use qbs_core::{
-    CacheConfig, CacheStats, Qbs, QbsConfig, QbsIndex, QueryMode, QueryOutcome, QueryRequest,
+    CacheConfig, MetricsSnapshot, Qbs, QbsConfig, QbsIndex, QueryMode, QueryOutcome, QueryRequest,
     ViewBuf,
 };
 use qbs_gen::catalog::Catalog;
@@ -180,8 +180,8 @@ pub fn run(command: &Command) -> Result<String, CommandError> {
                 std::thread::sleep(Duration::from_millis(100));
             }
             handle.shutdown();
-            let stats = handle.stats();
-            Ok(format!("server drained and stopped\n{stats}"))
+            let report = handle.snapshot().render_text();
+            Ok(format!("server drained and stopped\n{report}"))
         }
         Command::Route { replicas, .. } => {
             let mut handle = start_router(command)?;
@@ -202,8 +202,8 @@ pub fn run(command: &Command) -> Result<String, CommandError> {
             handle.shutdown();
             // The router's own counters need no replica round-trips, so
             // the drain report stays cheap even when replicas are gone.
-            let stats = handle.router_stats();
-            Ok(format!("router drained and stopped\n{stats}"))
+            let report = handle.local_snapshot().render_text();
+            Ok(format!("router drained and stopped\n{report}"))
         }
         Command::Client {
             addr,
@@ -236,22 +236,12 @@ pub fn run(command: &Command) -> Result<String, CommandError> {
                         ms(snap.max),
                     ))
                 }
-                ClientAction::Metrics => {
-                    let snapshot = client.metrics()?;
-                    Ok(format!(
-                        "server metrics for {addr}:\n{}",
-                        snapshot.render_table()
-                    ))
-                }
+                ClientAction::Metrics => Ok(render_metrics(addr, &client.metrics()?)),
                 ClientAction::Shutdown => {
                     client.shutdown_server()?;
                     Ok(format!(
                         "{addr} acknowledged shutdown; in-flight batches are draining"
                     ))
-                }
-                ClientAction::Stats => {
-                    let stats = client.stats()?;
-                    Ok(format!("server stats for {addr}:\n{stats}"))
                 }
                 ClientAction::Query {
                     source,
@@ -367,7 +357,7 @@ fn serve_queries(qbs: &Qbs, spec: &ServeSpec<'_>) -> Result<String, CommandError
                 elapsed,
                 spec,
                 Some(qbs.threads()),
-                qbs.cache_stats(),
+                qbs.cache().map(|_| qbs.metrics_snapshot()),
             )
         }
         (None, Some(source), Some(target)) => {
@@ -647,7 +637,7 @@ fn render_batch(
     elapsed: std::time::Duration,
     spec: &ServeSpec<'_>,
     threads: Option<usize>,
-    cache: Option<CacheStats>,
+    cache: Option<MetricsSnapshot>,
 ) -> Result<String, CommandError> {
     if spec.json {
         let items: Vec<String> = outcomes.iter().map(render_outcome_json).collect();
@@ -680,10 +670,16 @@ fn render_batch(
         elapsed.as_secs_f64() * 1e3,
         qps
     ));
-    if let Some(stats) = cache {
-        out.push_str(&format!("{stats}\n"));
+    if let Some(line) = cache.as_ref().and_then(MetricsSnapshot::cache_line) {
+        out.push_str(&format!("{line}\n"));
     }
     Ok(out)
+}
+
+/// The `client --metrics` report: every counter section the snapshot
+/// carries, then the per-stage latency table.
+fn render_metrics(addr: &str, snapshot: &MetricsSnapshot) -> String {
+    format!("server metrics for {addr}:\n{}", snapshot.render_text())
 }
 
 /// Parses a `--pairs` file: one `u v` pair per non-empty, non-comment line.
@@ -1262,9 +1258,9 @@ mod tests {
         let stats = run(&Command::Client {
             addr: addr.clone(),
             trace_id: None,
-            action: ClientAction::Stats,
+            action: ClientAction::Metrics,
         })
-        .expect("stats");
+        .expect("metrics");
         assert!(stats.contains("admission:"), "{stats}");
         assert!(stats.contains("index:     300 vertices"), "{stats}");
         assert!(
@@ -1387,9 +1383,9 @@ mod tests {
         let stats = run(&Command::Client {
             addr: addr.clone(),
             trace_id: None,
-            action: ClientAction::Stats,
+            action: ClientAction::Metrics,
         })
-        .expect("stats");
+        .expect("metrics");
         assert!(stats.contains("router:"), "{stats}");
         assert!(stats.contains("replica 127.0.0.1:"), "{stats}");
 
@@ -1524,5 +1520,76 @@ mod tests {
     #[test]
     fn help_prints_usage() {
         assert!(run(&Command::Help).unwrap().contains("qbs-cli"));
+    }
+
+    /// A fixed snapshot: one execute sample and a slow query, engine
+    /// counters with a cache, admission, and (router-shaped) the routing
+    /// section with one healthy and one ejected replica.
+    fn fixed_snapshot(router: bool) -> MetricsSnapshot {
+        use qbs_core::counter::*;
+        let metrics = qbs_core::Metrics::new();
+        metrics.record_batch_stage(qbs_core::Stage::Execute, Duration::from_micros(40));
+        metrics.inc_slow_queries();
+        let mut snap = metrics.snapshot();
+        let engine = [
+            (VERTICES, 300),
+            (LANDMARKS, 8),
+            (THREADS, 4),
+            (REQUESTS, 82),
+        ];
+        let traffic = [(BATCHES, 2), (ERRORS, 1), (COALESCED, 5), (CACHE_HITS, 30)];
+        let cache = [(CACHE_MISSES, 10), (CACHE_ENTRIES, 9), (CACHE_EVICTIONS, 1)];
+        let admission = [
+            (ADMITTED_BATCHES, 2),
+            (ADMITTED_REQUESTS, 82),
+            (SHED_OVERLOAD, 1),
+        ];
+        for (def, value) in [&engine[..], &traffic, &cache, &admission].concat() {
+            snap.push(def, value);
+        }
+        if router {
+            for (def, value) in [(ROUTED_BATCHES, 2), (SUBBATCHES, 6), (ROUTER_RETRIES, 1)] {
+                snap.push(def, value);
+            }
+            for (addr, healthy, failures) in [("127.0.0.1:7421", 1, 0), ("127.0.0.1:7422", 0, 3)] {
+                snap.push_replica(REPLICA_HEALTHY, addr, healthy);
+                snap.push_replica(REPLICA_BATCHES, addr, 3);
+                snap.push_replica(REPLICA_FAILURES, addr, failures);
+            }
+        }
+        snap
+    }
+
+    #[test]
+    fn metrics_report_prints_every_line_kind() {
+        let server = render_metrics("127.0.0.1:7411", &fixed_snapshot(false));
+        for line in [
+            "server metrics for 127.0.0.1:7411:",
+            "index:     300 vertices, 8 landmarks",
+            "threads:   4",
+            "requests:  82 in 2 batches (1 errors)",
+            "planner:   5 coalesced",
+            "cache: 30 hits / 10 misses (75% hit rate), 9 entries, 1 evictions",
+            "admission: 2 batches / 82 requests admitted, shed 1 overload + 0 oversized",
+            "p50 ms",
+            "batch       execute",
+            "slow queries logged: 1",
+        ] {
+            assert!(server.contains(line), "{line:?} missing from:\n{server}");
+        }
+        assert!(!server.contains("router:"), "{server}");
+
+        // Whole line starts: CI parses `router: B batches scattered into S
+        // sub-batches` and greps `replica H:P` at the start of a line.
+        let routed = render_metrics("127.0.0.1:7410", &fixed_snapshot(true));
+        for line in [
+            "router: 2 batches scattered into 6 sub-batches, 1 retries, 0 ejections",
+            "  replica 127.0.0.1:7421: healthy — 0 requests in 3 batches",
+            "  replica 127.0.0.1:7422: ejected — 0 requests in 3 batches",
+        ] {
+            let found = routed.lines().any(|l| l.starts_with(line));
+            assert!(found, "{line:?} missing from:\n{routed}");
+        }
+        assert!(routed.contains("in flight, 50.0% errors"), "{routed}");
     }
 }

@@ -112,23 +112,6 @@ impl CacheStats {
     }
 }
 
-/// The one-line report shared by the CLI (`query --cache`, `client
-/// --stats`) and the server logs — the single place the counters are
-/// formatted.
-impl std::fmt::Display for CacheStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "cache: {} hits / {} misses ({:.0}% hit rate), {} entries, {} evictions",
-            self.hits,
-            self.misses,
-            self.hit_ratio() * 100.0,
-            self.len,
-            self.evictions
-        )
-    }
-}
-
 /// Cache key: normalised endpoints plus the query mode. Also the key the
 /// batch dedupe ([`crate::plan`]) groups the slots of a frame by.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]

@@ -73,9 +73,9 @@ pub use labelling::{LabellingScheme, PathLabelling, NO_LABEL};
 pub use landmark::LandmarkStrategy;
 pub use meta_graph::MetaGraph;
 pub use obs::{
-    HistogramSnapshot, LatencyHistogram, Metrics, MetricsSnapshot, Stage, StageNanos, TraceId,
+    counter, Counter, CounterDef, Fold, HistogramSnapshot, LatencyHistogram, Metrics,
+    MetricsSnapshot, Stage, StageNanos, TraceId,
 };
-pub use plan::PlannerStats;
 pub use query::{distance_on, query_on, sketch_on, QbsConfig, QueryAnswer};
 pub use request::{
     execute_cached_on, execute_on, QueryMode, QueryOptions, QueryOutcome, QueryRequest,
@@ -83,11 +83,11 @@ pub use request::{
 };
 pub use search::SearchStats;
 pub use serialize::MapMode;
-pub use session::{EngineStats, Qbs};
+pub use session::Qbs;
 pub use sketch::Sketch;
 pub use stats::IndexStats;
 pub use store::QbsIndex;
-pub use wire::{ReplicaStats, RequestId, RouterStats, Wire, WireError};
+pub use wire::{RequestId, Wire, WireError};
 pub use workspace::QueryWorkspace;
 
 /// Result alias for fallible QbS operations.

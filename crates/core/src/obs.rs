@@ -1,10 +1,14 @@
 //! Low-overhead observability: latency histograms, per-stage request
-//! timing, and trace IDs.
+//! timing, named counters, and trace IDs.
 //!
 //! The serving tier (engine → batch planner → cache → server → router)
-//! exposes lifetime *counters* through [`crate::session::EngineStats`] and
-//! friends; this module adds *distributions*. The design constraints are
-//! the ones of a hot query path answering in microseconds:
+//! keeps its lifetime counters in atomics where they are incremented;
+//! a [`MetricsSnapshot`] copies them out as named [`Counter`]s (every
+//! name is declared once, in [`counter`]) next to the per-stage latency
+//! histograms, and is the one telemetry value: one codec (the protocol's
+//! `Metrics` frame), one merge, one Prometheus and one text rendering.
+//! The histogram design constraints are the ones of a hot query path
+//! answering in microseconds:
 //!
 //! - **Log2 buckets.** A [`LatencyHistogram`] has one bucket per power of
 //!   two of nanoseconds ([`NUM_BUCKETS`] of them), so recording is a
@@ -134,26 +138,6 @@ impl LatencyHistogram {
             sum: self.sum.load(Ordering::Relaxed),
             min: if count == 0 { 0 } else { min },
             max: self.max.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Folds another histogram's live counters into this one (bucket-wise).
-    fn absorb(&self, other: &LatencyHistogram) {
-        for (mine, theirs) in self.counts.iter().zip(other.counts.iter()) {
-            let n = theirs.load(Ordering::Relaxed);
-            if n != 0 {
-                mine.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        let n = other.count.load(Ordering::Relaxed);
-        if n != 0 {
-            self.count.fetch_add(n, Ordering::Relaxed);
-            self.sum
-                .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-            self.min
-                .fetch_min(other.min.load(Ordering::Relaxed), Ordering::Relaxed);
-            self.max
-                .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
         }
     }
 }
@@ -567,48 +551,121 @@ impl Metrics {
                 hists.push(snap);
             }
         }
-        MetricsSnapshot {
+        let mut snapshot = MetricsSnapshot {
             hists,
-            slow_queries: self.slow_queries.load(Ordering::Relaxed),
-            job_panics: self.job_panics.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Folds another registry's live counters into this one (used by
-    /// tests; cross-process aggregation merges snapshots instead).
-    pub fn absorb(&self, other: &Metrics) {
-        for (mine, theirs) in self.shards.iter().zip(other.shards.iter()) {
-            for slot in 0..NUM_MODE_SLOTS {
-                for stage in 0..NUM_STAGES {
-                    mine.hists[slot][stage].absorb(&theirs.hists[slot][stage]);
-                }
-            }
-        }
-        self.slow_queries.fetch_add(
-            other.slow_queries.load(Ordering::Relaxed),
-            Ordering::Relaxed,
+            counters: Vec::new(),
+        };
+        snapshot.push(
+            counter::SLOW_QUERIES,
+            self.slow_queries.load(Ordering::Relaxed),
         );
-        self.job_panics
-            .fetch_add(other.job_panics.load(Ordering::Relaxed), Ordering::Relaxed);
+        snapshot.push(counter::JOB_PANICS, self.job_panics.load(Ordering::Relaxed));
+        snapshot
     }
 }
 
-/// A wire-encodable snapshot of a [`Metrics`] registry: the full (mode
-/// slot × stage) histogram matrix in row-major order plus the slow-query
-/// and job-panic counters. This is the payload of the protocol `Metrics` frame; the
-/// router merges replica snapshots into its own bucket-wise, so
+/// How a router folds a replica's value of a counter into its own
+/// snapshot ([`MetricsSnapshot::merge`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Fold {
+    /// Traffic: summed over replicas.
+    Sum,
+    /// Index facts: every replica serves the same index, so the maximum.
+    Max,
+    /// The answering process's own (admission, routing, per-replica):
+    /// peers' values are dropped.
+    Local,
+}
+
+/// A declared counter: its Prometheus name and its [`Fold`]. Names ending
+/// in `_total` render as Prometheus counters, the rest as gauges.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CounterDef {
+    /// The Prometheus metric name.
+    pub name: &'static str,
+    /// How a router folds replicas' values in.
+    pub fold: Fold,
+}
+
+macro_rules! counters {
+    ($($id:ident = $name:literal, $fold:ident, $doc:literal;)*) => {
+        $(#[doc = $doc] pub const $id: CounterDef = CounterDef { name: $name, fold: Fold::$fold };)*
+    };
+}
+
+/// Every counter a [`MetricsSnapshot`] carries, declared once.
+pub mod counter {
+    use super::{CounterDef, Fold};
+
+    counters! {
+        VERTICES = "qbs_index_vertices", Max, "Vertices in the served index.";
+        LANDMARKS = "qbs_index_landmarks", Max, "Landmarks in the served index.";
+        THREADS = "qbs_threads", Sum, "Query-thread budget.";
+        REQUESTS = "qbs_requests_total", Sum, "Typed requests executed.";
+        BATCHES = "qbs_batches_total", Sum, "Batches executed.";
+        ERRORS = "qbs_request_errors_total", Sum, "Requests answered with a typed error.";
+        COALESCED = "qbs_planner_coalesced_total", Sum, "Duplicate batch slots served by another slot's job.";
+        CACHE_HITS = "qbs_cache_hits_total", Sum, "Answer-cache hits (present only with a cache).";
+        CACHE_MISSES = "qbs_cache_misses_total", Sum, "Answer-cache misses.";
+        CACHE_INSERTIONS = "qbs_cache_insertions_total", Sum, "Answers admitted into the cache.";
+        CACHE_REJECTED = "qbs_cache_rejected_total", Sum, "Answers the cache admission policy refused.";
+        CACHE_EVICTIONS = "qbs_cache_evictions_total", Sum, "Cache entries evicted.";
+        CACHE_ENTRIES = "qbs_cache_entries", Sum, "Entries cached now.";
+        SLOW_QUERIES = "qbs_slow_queries_total", Sum, "Batches written to the slow-query log.";
+        JOB_PANICS = "qbs_job_panics_total", Sum, "Serving jobs that panicked, each answered with a typed fault.";
+        ADMITTED_BATCHES = "qbs_admitted_batches_total", Local, "Batches admitted past all bounds.";
+        ADMITTED_REQUESTS = "qbs_admitted_requests_total", Local, "Requests inside admitted batches.";
+        SHED_OVERLOAD = "qbs_shed_overload_total", Local, "Batches shed by the in-flight bound.";
+        SHED_BATCH_SIZE = "qbs_shed_batch_size_total", Local, "Batches shed by the per-batch cap.";
+        SHED_CONNECTIONS = "qbs_shed_connections_total", Local, "Connections shed before service.";
+        INFLIGHT = "qbs_inflight_requests", Local, "Requests executing now.";
+        CONNECTIONS = "qbs_connections", Local, "Connections served now.";
+        ROUTED_BATCHES = "qbs_router_batches_routed_total", Local, "Client batches the router scattered.";
+        SUBBATCHES = "qbs_router_subbatches_total", Local, "Sub-batches the router's batches were cut into.";
+        ROUTER_RETRIES = "qbs_router_retries_total", Local, "Sub-batches retried on another replica.";
+        UNAVAILABLE_SLOTS = "qbs_router_unavailable_slots_total", Local, "Request slots answered `Unavailable`.";
+        REPLICA_HEALTHY = "qbs_replica_healthy", Local, "1 while the replica is not ejected (per replica).";
+        REPLICA_REQUESTS = "qbs_replica_requests_total", Local, "Requests routed to the replica.";
+        REPLICA_BATCHES = "qbs_replica_batches_total", Local, "Sub-batches routed to the replica.";
+        REPLICA_RETRIES = "qbs_replica_retries_total", Local, "Requests retried away from the replica.";
+        REPLICA_EJECTIONS = "qbs_replica_ejections_total", Local, "Times the replica was ejected.";
+        REPLICA_IN_FLIGHT = "qbs_replica_in_flight", Local, "Requests in flight on the replica now.";
+        REPLICA_CONSECUTIVE_FAILURES = "qbs_replica_consecutive_failures", Local, "Failures since the replica's last success.";
+        REPLICA_FAILURES = "qbs_replica_failures_total", Local, "Failed exchanges with the replica.";
+    }
+}
+
+/// One named counter value of a [`MetricsSnapshot`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Counter {
+    /// A [`CounterDef::name`]; per-replica counters carry a
+    /// `{replica="H:P"}` label.
+    pub name: String,
+    /// How a router folds this counter in.
+    pub fold: Fold,
+    /// The value.
+    pub value: u64,
+}
+
+impl Counter {
+    /// The name without its label: the Prometheus family.
+    pub fn family(&self) -> &str {
+        self.name.split('{').next().unwrap_or_default()
+    }
+}
+
+/// The one telemetry value: the full (mode slot × stage) histogram matrix
+/// in row-major order plus every named counter of the answering process.
+/// This is the payload of the protocol `Metrics` frame; a router merges
+/// replica snapshots into its own ([`MetricsSnapshot::merge`]), so
 /// aggregated quantiles stay well-defined.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Histograms in `slot * NUM_STAGES + stage` order. May be shorter
-    /// than the full matrix (older peers); missing families read as
-    /// empty.
+    /// than the full matrix; missing families read as empty.
     pub hists: Vec<HistogramSnapshot>,
-    /// Slow queries logged since startup.
-    pub slow_queries: u64,
-    /// Serving jobs that panicked since startup (each answered with a
-    /// typed internal fault).
-    pub job_panics: u64,
+    /// Named counters, in the order they were taken.
+    pub counters: Vec<Counter>,
 }
 
 impl MetricsSnapshot {
@@ -620,8 +677,53 @@ impl MetricsSnapshot {
             .unwrap_or_default()
     }
 
-    /// Merges another snapshot into this one family-by-family,
-    /// bucket-wise.
+    /// Appends a counter.
+    pub fn push(&mut self, def: CounterDef, value: u64) {
+        self.counters.push(Counter {
+            name: def.name.to_string(),
+            fold: def.fold,
+            value,
+        });
+    }
+
+    /// Appends a counter labelled with a replica's address.
+    pub fn push_replica(&mut self, def: CounterDef, replica: &str, value: u64) {
+        self.counters.push(Counter {
+            name: replica_series(def, replica),
+            fold: def.fold,
+            value,
+        });
+    }
+
+    /// A counter's value, `None` when the snapshot does not carry it.
+    pub fn get(&self, def: CounterDef) -> Option<u64> {
+        self.series(def.name)
+    }
+
+    /// A per-replica counter's value.
+    pub fn replica(&self, def: CounterDef, replica: &str) -> Option<u64> {
+        self.series(&replica_series(def, replica))
+    }
+
+    fn series(&self, name: &str) -> Option<u64> {
+        self.counters
+            .iter()
+            .find(|c| c.name == name)
+            .map(|c| c.value)
+    }
+
+    /// Addresses of the replicas the snapshot describes, in order.
+    pub fn replicas(&self) -> Vec<&str> {
+        let prefix = format!("{}{{replica=\"", counter::REPLICA_HEALTHY.name);
+        self.counters
+            .iter()
+            .filter_map(|c| c.name.strip_prefix(&prefix)?.strip_suffix("\"}"))
+            .collect()
+    }
+
+    /// Merges a peer's snapshot into this one: histograms bucket-wise,
+    /// counters by their [`Fold`] (a counter this snapshot lacks is
+    /// taken as it is, unless it is [`Fold::Local`]).
     pub fn merge(&mut self, other: &MetricsSnapshot) {
         if self.hists.len() < other.hists.len() {
             self.hists
@@ -630,79 +732,176 @@ impl MetricsSnapshot {
         for (mine, theirs) in self.hists.iter_mut().zip(other.hists.iter()) {
             mine.merge(theirs);
         }
-        self.slow_queries += other.slow_queries;
-        self.job_panics += other.job_panics;
+        for theirs in other.counters.iter().filter(|c| c.fold != Fold::Local) {
+            match self.counters.iter_mut().find(|c| c.name == theirs.name) {
+                Some(mine) if theirs.fold == Fold::Max => mine.value = mine.value.max(theirs.value),
+                Some(mine) => mine.value = mine.value.saturating_add(theirs.value),
+                None => self.counters.push(theirs.clone()),
+            }
+        }
     }
 
-    /// Whether no family holds any sample.
-    pub fn is_empty(&self) -> bool {
-        self.hists.iter().all(HistogramSnapshot::is_empty)
-    }
-
-    /// Appends the Prometheus text exposition of the stage histograms:
-    /// one `qbs_stage_seconds` histogram family labelled by `mode` and
-    /// `stage` (cumulative `_bucket{le=…}` lines, `_sum`, `_count`), plus
-    /// quantile gauges `qbs_stage_seconds_quantile`. Empty families are
-    /// skipped. Counter families are appended by the serving layer, which
-    /// owns them.
-    pub fn render_prometheus_into(&self, out: &mut String) {
+    /// The Prometheus text exposition: every counter (a `# TYPE` line per
+    /// family), then the `qbs_stage_seconds` histogram family labelled by
+    /// `mode` and `stage` (cumulative `_bucket{le=…}` lines, `_sum`,
+    /// `_count`) and its quantile gauges `qbs_stage_seconds_quantile`.
+    /// Empty histogram families are skipped.
+    pub fn render_prometheus(&self) -> String {
         use std::fmt::Write as _;
-        out.push_str("# TYPE qbs_stage_seconds histogram\n");
-        for slot in 0..NUM_MODE_SLOTS {
-            for stage in Stage::ALL {
-                let h = self.family(slot, stage);
-                if h.is_empty() {
-                    continue;
-                }
+        let mut out = String::with_capacity(4096);
+        let mut counters: Vec<&Counter> = self.counters.iter().collect();
+        counters.sort_by(|a, b| a.family().cmp(b.family()));
+        let mut family = "";
+        for c in counters {
+            if c.family() != family {
+                family = c.family();
+                let kind = if family.ends_with("_total") {
+                    "counter"
+                } else {
+                    "gauge"
+                };
+                let _ = writeln!(out, "# TYPE {family} {kind}");
+            }
+            let _ = writeln!(out, "{} {}", c.name, c.value);
+        }
+        let families: Vec<(String, HistogramSnapshot)> = (0..NUM_MODE_SLOTS)
+            .flat_map(|slot| Stage::ALL.map(|stage| (slot, stage)))
+            .map(|(slot, stage)| {
                 let labels = format!(
                     "mode=\"{}\",stage=\"{}\"",
                     mode_slot_name(slot),
                     stage.name()
                 );
-                let mut cum = 0u64;
-                for (i, &n) in h.buckets.iter().enumerate() {
-                    if n == 0 {
-                        continue;
-                    }
-                    cum += n;
-                    let _ = writeln!(
-                        out,
-                        "qbs_stage_seconds_bucket{{{labels},le=\"{:e}\"}} {cum}",
-                        (bucket_upper(i).saturating_add(1)) as f64 / 1e9
-                    );
+                (labels, self.family(slot, stage))
+            })
+            .filter(|(_, h)| !h.is_empty())
+            .collect();
+        out.push_str("# TYPE qbs_stage_seconds histogram\n");
+        for (labels, h) in &families {
+            let mut cum = 0u64;
+            for (i, &n) in h.buckets.iter().enumerate() {
+                if n == 0 {
+                    continue;
                 }
+                cum += n;
+                let le = bucket_upper(i).saturating_add(1) as f64 / 1e9;
                 let _ = writeln!(
                     out,
-                    "qbs_stage_seconds_bucket{{{labels},le=\"+Inf\"}} {}",
-                    h.count
+                    "qbs_stage_seconds_bucket{{{labels},le=\"{le:e}\"}} {cum}"
                 );
+            }
+            let _ = writeln!(
+                out,
+                "qbs_stage_seconds_bucket{{{labels},le=\"+Inf\"}} {}",
+                h.count
+            );
+            let _ = writeln!(
+                out,
+                "qbs_stage_seconds_sum{{{labels}}} {:e}",
+                h.sum as f64 / 1e9
+            );
+            let _ = writeln!(out, "qbs_stage_seconds_count{{{labels}}} {}", h.count);
+        }
+        out.push_str("# TYPE qbs_stage_seconds_quantile gauge\n");
+        for (labels, h) in &families {
+            for (q, v) in [(0.5, h.p50()), (0.9, h.p90()), (0.99, h.p99())] {
+                let v = v as f64 / 1e9;
                 let _ = writeln!(
                     out,
-                    "qbs_stage_seconds_sum{{{labels}}} {:e}",
-                    h.sum as f64 / 1e9
+                    "qbs_stage_seconds_quantile{{{labels},quantile=\"{q}\"}} {v:e}"
                 );
-                let _ = writeln!(out, "qbs_stage_seconds_count{{{labels}}} {}", h.count);
-                for (q, v) in [(0.5, h.p50()), (0.9, h.p90()), (0.99, h.p99())] {
-                    let _ = writeln!(
-                        out,
-                        "qbs_stage_seconds_quantile{{{labels},quantile=\"{q}\"}} {:e}",
-                        v as f64 / 1e9
-                    );
-                }
             }
         }
-        let _ = writeln!(out, "# TYPE qbs_slow_queries_total counter");
-        let _ = writeln!(out, "qbs_slow_queries_total {}", self.slow_queries);
-        let _ = writeln!(out, "# TYPE qbs_job_panics_total counter");
-        let _ = writeln!(out, "qbs_job_panics_total {}", self.job_panics);
+        out
     }
 
-    /// Renders the non-empty families as an aligned human-readable table
-    /// (the `qbs client --metrics` output): one line per (mode, stage)
-    /// with count and p50/p90/p99/max in ms.
-    pub fn render_table(&self) -> String {
+    /// The answer-cache report line, when the snapshot carries a cache.
+    pub fn cache_line(&self) -> Option<String> {
+        let (hits, misses) = (
+            self.get(counter::CACHE_HITS)?,
+            self.get(counter::CACHE_MISSES)?,
+        );
+        Some(format!(
+            "cache: {hits} hits / {misses} misses ({:.0}% hit rate), {} entries, {} evictions",
+            percent(hits, misses),
+            self.get(counter::CACHE_ENTRIES).unwrap_or(0),
+            self.get(counter::CACHE_EVICTIONS).unwrap_or(0),
+        ))
+    }
+
+    /// The human-readable report (`qbs client --metrics`, the drain
+    /// reports): the engine, admission and routing sections the snapshot
+    /// carries, then one line per non-empty (mode, stage) histogram with
+    /// count and p50/p90/p99/max in ms.
+    pub fn render_text(&self) -> String {
+        use counter::*;
         use std::fmt::Write as _;
+        let v = |def| self.get(def).unwrap_or(0);
         let mut out = String::new();
+        if self.get(REQUESTS).is_some() {
+            let _ = writeln!(
+                out,
+                "index:     {} vertices, {} landmarks",
+                v(VERTICES),
+                v(LANDMARKS)
+            );
+            let _ = writeln!(out, "threads:   {}", v(THREADS));
+            let _ = writeln!(
+                out,
+                "requests:  {} in {} batches ({} errors)",
+                v(REQUESTS),
+                v(BATCHES),
+                v(ERRORS)
+            );
+            let _ = writeln!(out, "planner:   {} coalesced", v(COALESCED));
+            let cache = self.cache_line();
+            let _ = writeln!(
+                out,
+                "{}",
+                cache.as_deref().unwrap_or("cache:     none attached")
+            );
+        }
+        if self.get(ADMITTED_BATCHES).is_some() {
+            let shed = v(SHED_OVERLOAD).saturating_add(v(SHED_BATCH_SIZE));
+            let rate = percent(shed, v(ADMITTED_BATCHES));
+            let _ =
+                writeln!(
+                out,
+                "admission: {} batches / {} requests admitted, shed {} overload + {} oversized + \
+                 {} connections ({rate:.1}% shed, {} in flight, {} connected)",
+                v(ADMITTED_BATCHES), v(ADMITTED_REQUESTS), v(SHED_OVERLOAD), v(SHED_BATCH_SIZE),
+                v(SHED_CONNECTIONS), v(INFLIGHT), v(CONNECTIONS)
+            );
+        }
+        if self.get(ROUTED_BATCHES).is_some() {
+            let replicas = self.replicas();
+            let r = |def, addr| self.replica(def, addr).unwrap_or(0);
+            let ejections = replicas
+                .iter()
+                .fold(0u64, |n, &a| n.saturating_add(r(REPLICA_EJECTIONS, a)));
+            let _ = writeln!(
+                out,
+                "router: {} batches scattered into {} sub-batches, {} retries, {ejections} \
+                 ejections, {} unavailable slots",
+                v(ROUTED_BATCHES),
+                v(SUBBATCHES),
+                v(ROUTER_RETRIES),
+                v(UNAVAILABLE_SLOTS)
+            );
+            for addr in replicas {
+                let (batches, failures) = (r(REPLICA_BATCHES, addr), r(REPLICA_FAILURES, addr));
+                let errors = percent(failures, batches);
+                let _ =
+                    writeln!(
+                    out,
+                    "  replica {addr}: {} — {} requests in {batches} batches, {} retried away, \
+                     {} ejections, {} in flight, {errors:.1}% errors",
+                    if r(REPLICA_HEALTHY, addr) == 1 { "healthy" } else { "ejected" },
+                    r(REPLICA_REQUESTS, addr), r(REPLICA_RETRIES, addr),
+                    r(REPLICA_EJECTIONS, addr), r(REPLICA_IN_FLIGHT, addr)
+                );
+            }
+        }
         let _ = writeln!(
             out,
             "{:<11} {:<13} {:>10} {:>10} {:>10} {:>10} {:>10}",
@@ -727,9 +926,25 @@ impl MetricsSnapshot {
                 );
             }
         }
-        let _ = writeln!(out, "slow queries logged: {}", self.slow_queries);
-        let _ = writeln!(out, "job panics contained: {}", self.job_panics);
+        let _ = writeln!(out, "slow queries logged: {}", v(SLOW_QUERIES));
+        let _ = writeln!(out, "job panics contained: {}", v(JOB_PANICS));
         out
+    }
+}
+
+/// The series name of a per-replica counter.
+fn replica_series(def: CounterDef, replica: &str) -> String {
+    format!("{}{{replica=\"{replica}\"}}", def.name)
+}
+
+/// `part` as a percentage of `part + rest` (0 when both are). Counters
+/// may arrive from a peer, so the sum is taken in floating point.
+fn percent(part: u64, rest: u64) -> f64 {
+    let whole = part as f64 + rest as f64;
+    if whole == 0.0 {
+        0.0
+    } else {
+        part as f64 * 100.0 / whole
     }
 }
 
@@ -903,7 +1118,7 @@ mod tests {
         let m = Metrics::new();
         m.set_enabled(false);
         m.record_batch_stage(Stage::QueueWait, Duration::from_micros(5));
-        assert!(m.snapshot().is_empty());
+        assert!(m.snapshot().hists.iter().all(HistogramSnapshot::is_empty));
         m.set_enabled(true);
         m.record_batch_stage(Stage::QueueWait, Duration::from_micros(5));
         assert_eq!(m.snapshot().family(MODE_BATCH, Stage::QueueWait).count, 1);
@@ -915,32 +1130,117 @@ mod tests {
         let mut ns = [0u64; NUM_STAGES];
         ns[Stage::GuidedSearch as usize] = 42;
         m.record_request(QueryMode::PathGraph, &ns);
+        m.inc_slow_queries();
         let full = m.snapshot();
-        let mut short = MetricsSnapshot {
-            hists: Vec::new(),
-            slow_queries: 3,
-            job_panics: 0,
-        };
+        let mut short = MetricsSnapshot::default();
+        short.push(counter::SLOW_QUERIES, 3);
         short.merge(&full);
-        assert_eq!(short.slow_queries, 3);
+        assert_eq!(short.get(counter::SLOW_QUERIES), Some(4));
         assert_eq!(
             short.family(mode_slot(QueryMode::PathGraph), Stage::GuidedSearch),
             full.family(mode_slot(QueryMode::PathGraph), Stage::GuidedSearch)
         );
     }
 
-    #[test]
-    fn prometheus_rendering_names_families() {
+    /// A router-shaped snapshot: one histogram sample, engine counters
+    /// with a cache, admission, routing and two labelled replicas.
+    fn router_shaped() -> MetricsSnapshot {
         let m = Metrics::new();
         m.record_batch_stage(Stage::QueueWait, Duration::from_micros(12));
         m.inc_slow_queries();
         m.inc_job_panics();
-        let mut text = String::new();
-        m.snapshot().render_prometheus_into(&mut text);
-        assert!(text.contains("qbs_stage_seconds_bucket{mode=\"batch\",stage=\"queue_wait\""));
-        assert!(text.contains("qbs_stage_seconds_count{mode=\"batch\",stage=\"queue_wait\"} 1"));
-        assert!(text.contains("qbs_slow_queries_total 1"));
-        assert!(text.contains("qbs_job_panics_total 1"));
+        let mut snap = m.snapshot();
+        for def in [
+            counter::REQUESTS,
+            counter::CACHE_HITS,
+            counter::ADMITTED_BATCHES,
+        ] {
+            snap.push(def, 7);
+        }
+        snap.push(counter::ROUTED_BATCHES, 2);
+        for addr in ["127.0.0.1:7421", "127.0.0.1:7422"] {
+            snap.push_replica(counter::REPLICA_FAILURES, addr, 1);
+            snap.push_replica(counter::REPLICA_HEALTHY, addr, 1);
+        }
+        snap
+    }
+
+    #[test]
+    fn prometheus_rendering_names_families() {
+        let text = router_shaped().render_prometheus();
+        for name in [
+            "qbs_stage_seconds_bucket{mode=\"batch\",stage=\"queue_wait\"",
+            "qbs_stage_seconds_count{mode=\"batch\",stage=\"queue_wait\"} 1",
+            "qbs_stage_seconds_quantile{mode=\"batch\",stage=\"queue_wait\",quantile=\"0.5\"}",
+            "qbs_slow_queries_total 1",
+            "qbs_job_panics_total 1",
+            "qbs_requests_total 7",
+            "qbs_router_batches_routed_total 2",
+            "qbs_replica_failures_total{replica=\"127.0.0.1:7422\"} 1",
+        ] {
+            assert!(text.contains(name), "{name} missing from:\n{text}");
+        }
+        // Every sample sits under the `# TYPE` line of its own family
+        // (histogram samples under their `_bucket`/`_sum`/`_count` stem),
+        // and each family is typed exactly once.
+        let mut typed: Vec<(&str, &str)> = Vec::new();
+        for line in text.lines() {
+            if let Some(decl) = line.strip_prefix("# TYPE ") {
+                let (family, kind) = decl.split_once(' ').expect("TYPE name kind");
+                assert!(
+                    typed.iter().all(|(f, _)| *f != family),
+                    "{family} typed twice"
+                );
+                typed.push((family, kind));
+                continue;
+            }
+            let name = line.split(['{', ' ']).next().unwrap_or_default();
+            let &(family, kind) = typed
+                .last()
+                .unwrap_or_else(|| panic!("untyped sample {line}"));
+            let stem = ["_bucket", "_sum", "_count"]
+                .iter()
+                .find_map(|suffix| name.strip_suffix(suffix))
+                .filter(|_| kind == "histogram");
+            assert_eq!(
+                stem.unwrap_or(name),
+                family,
+                "sample {line} outside its family"
+            );
+            assert_eq!(kind == "counter", name.ends_with("_total"), "{line}");
+        }
+    }
+
+    #[test]
+    fn merge_folds_counters_by_kind() {
+        let mut router = MetricsSnapshot::default();
+        router.push(counter::ADMITTED_BATCHES, 5);
+        router.push_replica(counter::REPLICA_HEALTHY, "r:1", 1);
+        for (requests, vertices) in [(10, 100), (32, 100)] {
+            let mut replica = MetricsSnapshot::default();
+            replica.push(counter::REQUESTS, requests);
+            replica.push(counter::VERTICES, vertices);
+            replica.push(counter::ADMITTED_BATCHES, 99);
+            router.merge(&replica);
+        }
+        assert_eq!(router.get(counter::REQUESTS), Some(42), "traffic sums");
+        assert_eq!(
+            router.get(counter::VERTICES),
+            Some(100),
+            "index facts take the maximum"
+        );
+        assert_eq!(
+            router.get(counter::ADMITTED_BATCHES),
+            Some(5),
+            "admission stays local"
+        );
+        assert_eq!(
+            router.get(counter::CACHE_HITS),
+            None,
+            "no replica has a cache"
+        );
+        assert_eq!(router.replicas(), ["r:1"]);
+        assert_eq!(router.replica(counter::REPLICA_HEALTHY, "r:1"), Some(1));
     }
 
     #[test]

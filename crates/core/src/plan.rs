@@ -18,7 +18,8 @@
 //! state is shared between queries.
 //!
 //! Coalesced duplicate slots are counted in [`PlannerCounters`]; the
-//! snapshot rides in [`crate::EngineStats`], so across the `Stats` frame.
+//! session's metrics snapshot carries the count across the `Metrics`
+//! frame.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -34,24 +35,14 @@ pub struct PlannerCounters {
 }
 
 impl PlannerCounters {
-    /// A point-in-time copy of the counters.
-    pub fn snapshot(&self) -> PlannerStats {
-        PlannerStats {
-            dedup_hits: self.dedup_hits.load(Ordering::Relaxed),
-        }
+    /// Duplicate batch slots served from another slot's computation.
+    pub fn dedup_hits(&self) -> u64 {
+        self.dedup_hits.load(Ordering::Relaxed)
     }
 
     pub(crate) fn add_dedup_hits(&self, hits: u64) {
         self.dedup_hits.fetch_add(hits, Ordering::Relaxed);
     }
-}
-
-/// Snapshot of the [`PlannerCounters`] — the planner's section of
-/// [`crate::EngineStats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PlannerStats {
-    /// Duplicate batch slots served from another slot's computation.
-    pub dedup_hits: u64,
 }
 
 /// A frame with at least one duplicate key, grouped into distinct jobs.

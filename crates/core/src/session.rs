@@ -37,8 +37,7 @@ use qbs_graph::{Distance, Graph, PathGraph, VertexId};
 
 use crate::cache::{AnswerCache, CacheConfig, CacheStats};
 use crate::engine::{Engine, Executor};
-use crate::obs::{Metrics, MetricsSnapshot, StageNanos};
-use crate::plan::PlannerStats;
+use crate::obs::{counter, Metrics, MetricsSnapshot, StageNanos};
 use crate::query::{QbsConfig, QueryAnswer};
 use crate::request::{QueryOutcome, QueryRequest};
 use crate::serialize::{self, MapMode};
@@ -47,56 +46,11 @@ use crate::stats::IndexStats;
 use crate::store::QbsIndex;
 use crate::QbsError;
 
-/// A stable snapshot of a session's serving counters — the payload of the
-/// network protocol's `Stats` frame and of `qbs client --stats`, with a
-/// canonical byte encoding in [`crate::wire`] (so the CLI and the server
-/// share one struct instead of ad-hoc printing).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EngineStats {
-    /// Vertices in the served index.
-    pub num_vertices: u64,
-    /// Landmarks in the served index.
-    pub num_landmarks: u64,
-    /// Configured worker-thread budget.
-    pub threads: u64,
-    /// Typed requests executed (single and batched).
-    pub requests: u64,
-    /// [`Qbs::submit`] batches executed.
-    pub batches: u64,
-    /// Requests that resolved to a per-request error outcome.
-    pub errors: u64,
-    /// Batch execution planner counters (see [`crate::plan`]).
-    pub planner: PlannerStats,
-    /// Counter snapshot of the attached answer cache, if any.
-    pub cache: Option<CacheStats>,
-}
-
-impl fmt::Display for EngineStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "index:     {} vertices, {} landmarks",
-            self.num_vertices, self.num_landmarks
-        )?;
-        writeln!(f, "threads:   {}", self.threads)?;
-        writeln!(
-            f,
-            "requests:  {} in {} batches ({} errors)",
-            self.requests, self.batches, self.errors
-        )?;
-        write!(f, "planner:   {} coalesced", self.planner.dedup_hits)?;
-        match &self.cache {
-            Some(cache) => write!(f, "\n{cache}"),
-            None => write!(f, "\ncache:     none attached"),
-        }
-    }
-}
-
 /// A ready-to-serve QbS session. Dropping it stops and joins its query
 /// workers.
 pub struct Qbs {
     pub(crate) exec: Executor,
-    /// Serving counters behind [`Qbs::engine_stats`].
+    /// Serving counters behind [`Qbs::metrics_snapshot`].
     requests: AtomicU64,
     batches: AtomicU64,
     errors: AtomicU64,
@@ -203,21 +157,6 @@ impl Qbs {
         self.cache().map(AnswerCache::stats)
     }
 
-    /// A consistent snapshot of the session's serving counters — shared by
-    /// the network `Stats` protocol frame and `qbs client --stats`.
-    pub fn engine_stats(&self) -> EngineStats {
-        EngineStats {
-            num_vertices: self.num_vertices() as u64,
-            num_landmarks: self.num_landmarks() as u64,
-            threads: self.threads() as u64,
-            requests: self.requests.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            planner: self.exec.engine.planner.snapshot(),
-            cache: self.cache_stats(),
-        }
-    }
-
     /// Folds one executed batch into the serving counters.
     fn count_outcomes(&self, outcomes: &[QueryOutcome]) {
         self.requests
@@ -268,9 +207,35 @@ impl Qbs {
         &self.exec.engine.metrics
     }
 
-    /// Snapshot of the per-stage latency histograms accumulated so far.
+    /// The session's telemetry: the per-stage latency histograms plus the
+    /// engine, planner and (when attached) cache counters — what a
+    /// `qbs serve` answers the `Metrics` frame with, admission aside.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.metrics().snapshot()
+        let mut snap = self.metrics().snapshot();
+        for (def, value) in [
+            (counter::VERTICES, self.num_vertices() as u64),
+            (counter::LANDMARKS, self.num_landmarks() as u64),
+            (counter::THREADS, self.threads() as u64),
+            (counter::REQUESTS, self.requests.load(Ordering::Relaxed)),
+            (counter::BATCHES, self.batches.load(Ordering::Relaxed)),
+            (counter::ERRORS, self.errors.load(Ordering::Relaxed)),
+            (counter::COALESCED, self.exec.engine.planner.dedup_hits()),
+        ] {
+            snap.push(def, value);
+        }
+        if let Some(cache) = self.cache_stats() {
+            for (def, value) in [
+                (counter::CACHE_HITS, cache.hits),
+                (counter::CACHE_MISSES, cache.misses),
+                (counter::CACHE_INSERTIONS, cache.insertions),
+                (counter::CACHE_REJECTED, cache.rejected),
+                (counter::CACHE_EVICTIONS, cache.evictions),
+                (counter::CACHE_ENTRIES, cache.len as u64),
+            ] {
+                snap.push(def, value);
+            }
+        }
+        snap
     }
 
     /// Answers `SPG(source, target)` — the façade sibling of
@@ -415,11 +380,13 @@ mod tests {
 
     #[test]
     fn engine_stats_count_requests_batches_and_errors() {
+        use crate::obs::counter::*;
         let qbs = session().with_cache(CacheConfig::default().admit_above(0));
-        let fresh = qbs.engine_stats();
-        assert_eq!((fresh.requests, fresh.batches, fresh.errors), (0, 0, 0));
-        assert_eq!(fresh.num_vertices, 15);
-        assert_eq!(fresh.num_landmarks, 3);
+        let count = |qbs: &Qbs| {
+            let snap = qbs.metrics_snapshot();
+            [REQUESTS, BATCHES, ERRORS, VERTICES, LANDMARKS].map(|def| snap.get(def))
+        };
+        assert_eq!(count(&qbs), [0, 0, 0, 15, 3].map(Some));
 
         qbs.submit(&[
             QueryRequest::distance(6, 11),
@@ -427,15 +394,14 @@ mod tests {
             QueryRequest::distance(99, 0),
         ]);
         let _ = qbs.execute(&QueryRequest::sketch(6, 11));
-        let stats = qbs.engine_stats();
-        assert_eq!(stats.requests, 4);
-        assert_eq!(stats.batches, 1, "execute is not a batch");
-        assert_eq!(stats.errors, 1, "the poisoned pair counts once");
-        assert!(stats.cache.is_some());
-        let rendered = stats.to_string();
+        // Four requests, one batch (execute is not a batch), and the
+        // poisoned pair counted once.
+        assert_eq!(count(&qbs), [4, 1, 1, 15, 3].map(Some));
+        let rendered = qbs.metrics_snapshot().render_text();
         assert!(rendered.contains("requests:  4"), "{rendered}");
         assert!(rendered.contains("15 vertices, 3 landmarks"), "{rendered}");
-        let uncached = session().engine_stats().to_string();
+        assert!(rendered.contains("cache: "), "{rendered}");
+        let uncached = session().metrics_snapshot().render_text();
         assert!(uncached.contains("none attached"), "{uncached}");
     }
 }

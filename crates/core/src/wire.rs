@@ -3,8 +3,8 @@
 //!
 //! The network serving subsystem (`qbs-server`) ships [`QueryRequest`]
 //! batches and per-request [`QueryOutcome`]s across TCP. This module gives
-//! those types (plus the stats snapshots carried by the `Stats` protocol
-//! frame) a stable, compact binary encoding that follows the same
+//! those types (plus the telemetry snapshot carried by the `Metrics`
+//! protocol frame) a stable, compact binary encoding that follows the same
 //! conventions as the `qbs-index-v2` on-disk format
 //! ([`crate::format`]):
 //!
@@ -37,12 +37,10 @@ use std::fmt;
 
 use qbs_graph::{Distance, PathGraph, VertexId};
 
-use crate::cache::CacheStats;
-use crate::obs::{HistogramSnapshot, MetricsSnapshot};
+use crate::obs::{Counter, Fold, HistogramSnapshot, MetricsSnapshot};
 use crate::query::QueryAnswer;
 use crate::request::{QueryMode, QueryOptions, QueryOutcome, QueryRequest, RequestError};
 use crate::search::SearchStats;
-use crate::session::EngineStats;
 use crate::sketch::{Sketch, SketchHop};
 
 /// A typed decode failure. Carries enough structure for protocol layers to
@@ -696,208 +694,6 @@ impl Wire for String {
     }
 }
 
-impl Wire for CacheStats {
-    const MIN_ENCODED_LEN: usize = 48;
-
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.hits.to_le_bytes());
-        out.extend_from_slice(&self.misses.to_le_bytes());
-        out.extend_from_slice(&self.insertions.to_le_bytes());
-        out.extend_from_slice(&self.rejected.to_le_bytes());
-        out.extend_from_slice(&self.evictions.to_le_bytes());
-        out.extend_from_slice(&(self.len as u64).to_le_bytes());
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(CacheStats {
-            hits: r.u64("cache hits")?,
-            misses: r.u64("cache misses")?,
-            insertions: r.u64("cache insertions")?,
-            rejected: r.u64("cache rejections")?,
-            evictions: r.u64("cache evictions")?,
-            len: r.u64("cache length")? as usize,
-        })
-    }
-}
-
-impl Wire for EngineStats {
-    // seven u64 counters + cache presence byte.
-    const MIN_ENCODED_LEN: usize = 57;
-
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.num_vertices.to_le_bytes());
-        out.extend_from_slice(&self.num_landmarks.to_le_bytes());
-        out.extend_from_slice(&self.threads.to_le_bytes());
-        out.extend_from_slice(&self.requests.to_le_bytes());
-        out.extend_from_slice(&self.batches.to_le_bytes());
-        out.extend_from_slice(&self.errors.to_le_bytes());
-        out.extend_from_slice(&self.planner.dedup_hits.to_le_bytes());
-        self.cache.encode(out);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(EngineStats {
-            num_vertices: r.u64("engine vertices")?,
-            num_landmarks: r.u64("engine landmarks")?,
-            threads: r.u64("engine threads")?,
-            requests: r.u64("engine requests")?,
-            batches: r.u64("engine batches")?,
-            errors: r.u64("engine errors")?,
-            planner: crate::plan::PlannerStats {
-                dedup_hits: r.u64("planner dedup hits")?,
-            },
-            cache: Option::<CacheStats>::decode(r)?,
-        })
-    }
-}
-
-/// Per-replica counters of the scatter/gather routing tier, one entry per
-/// configured backend replica. Rides inside [`RouterStats`] on the wire.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ReplicaStats {
-    /// The replica's dial address (`host:port`).
-    pub addr: String,
-    /// Whether the health subsystem currently considers the replica
-    /// servable (not ejected).
-    pub healthy: bool,
-    /// Requests routed to this replica (admitted sub-batches only).
-    pub requests: u64,
-    /// Sub-batches routed to this replica.
-    pub batches: u64,
-    /// Sub-batches re-routed *away* after this replica failed or shed.
-    pub retries: u64,
-    /// Times the health subsystem ejected this replica.
-    pub ejections: u64,
-    /// Requests currently in flight on this replica (gauge).
-    pub in_flight: u64,
-    /// Consecutive probe/serve failures since the last success.
-    pub consecutive_failures: u64,
-    /// Cumulative failed serve/probe attempts over the replica's lifetime
-    /// (unlike `consecutive_failures`, never reset by a success).
-    pub failures: u64,
-}
-
-impl ReplicaStats {
-    /// Failed attempts as a percentage of all serve attempts (successful
-    /// sub-batches plus failures). `0.0` when the replica is untried.
-    pub fn error_rate(&self) -> f64 {
-        let attempts = self.batches + self.failures;
-        if attempts == 0 {
-            0.0
-        } else {
-            self.failures as f64 * 100.0 / attempts as f64
-        }
-    }
-}
-
-impl Wire for ReplicaStats {
-    // addr length u32 + healthy bool + seven u64 counters.
-    const MIN_ENCODED_LEN: usize = 4 + 1 + 7 * 8;
-
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.addr.encode(out);
-        out.push(self.healthy as u8);
-        out.extend_from_slice(&self.requests.to_le_bytes());
-        out.extend_from_slice(&self.batches.to_le_bytes());
-        out.extend_from_slice(&self.retries.to_le_bytes());
-        out.extend_from_slice(&self.ejections.to_le_bytes());
-        out.extend_from_slice(&self.in_flight.to_le_bytes());
-        out.extend_from_slice(&self.consecutive_failures.to_le_bytes());
-        out.extend_from_slice(&self.failures.to_le_bytes());
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(ReplicaStats {
-            addr: String::decode(r)?,
-            healthy: r.bool("replica health")?,
-            requests: r.u64("replica requests")?,
-            batches: r.u64("replica batches")?,
-            retries: r.u64("replica retries")?,
-            ejections: r.u64("replica ejections")?,
-            in_flight: r.u64("replica in-flight")?,
-            consecutive_failures: r.u64("replica failures")?,
-            failures: r.u64("replica lifetime failures")?,
-        })
-    }
-}
-
-/// Counters of the scatter/gather routing tier (`qbs route`), carried in
-/// the `Stats` response alongside the merged per-replica engine counters
-/// so `qbs client --stats` shows the whole serving tier at once.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct RouterStats {
-    /// Client batches the router accepted and scattered.
-    pub batches_routed: u64,
-    /// Sub-batches produced by splitting (≥ `batches_routed`).
-    pub subbatches: u64,
-    /// Sub-batches retried on a different replica after a failure or a
-    /// typed `Busy`.
-    pub retries: u64,
-    /// Health ejections across all replicas.
-    pub ejections: u64,
-    /// Request slots answered `RequestError::Unavailable` because every
-    /// offered replica failed.
-    pub unavailable_slots: u64,
-    /// Per-replica breakdown, in configuration order.
-    pub replicas: Vec<ReplicaStats>,
-}
-
-impl Wire for RouterStats {
-    // five u64 counters + replica sequence length u32.
-    const MIN_ENCODED_LEN: usize = 5 * 8 + 4;
-
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.batches_routed.to_le_bytes());
-        out.extend_from_slice(&self.subbatches.to_le_bytes());
-        out.extend_from_slice(&self.retries.to_le_bytes());
-        out.extend_from_slice(&self.ejections.to_le_bytes());
-        out.extend_from_slice(&self.unavailable_slots.to_le_bytes());
-        self.replicas.encode(out);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(RouterStats {
-            batches_routed: r.u64("routed batches")?,
-            subbatches: r.u64("routed sub-batches")?,
-            retries: r.u64("router retries")?,
-            ejections: r.u64("router ejections")?,
-            unavailable_slots: r.u64("unavailable slots")?,
-            replicas: Vec::<ReplicaStats>::decode(r)?,
-        })
-    }
-}
-
-impl std::fmt::Display for RouterStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "router: {} batches scattered into {} sub-batches, {} retries, {} ejections, \
-             {} unavailable slots",
-            self.batches_routed,
-            self.subbatches,
-            self.retries,
-            self.ejections,
-            self.unavailable_slots
-        )?;
-        for r in &self.replicas {
-            writeln!(
-                f,
-                "  replica {}: {} — {} requests in {} batches, {} retried away, \
-                 {} ejections, {} in flight, {:.1}% errors",
-                r.addr,
-                if r.healthy { "healthy" } else { "ejected" },
-                r.requests,
-                r.batches,
-                r.retries,
-                r.ejections,
-                r.in_flight,
-                r.error_rate()
-            )?;
-        }
-        Ok(())
-    }
-}
-
 impl Wire for HistogramSnapshot {
     // four u64 scalars + bucket sequence length u32.
     const MIN_ENCODED_LEN: usize = 4 * 8 + 4;
@@ -921,21 +717,61 @@ impl Wire for HistogramSnapshot {
     }
 }
 
-impl Wire for MetricsSnapshot {
-    // slow-query + job-panic counters + histogram sequence length u32.
-    const MIN_ENCODED_LEN: usize = 8 + 8 + 4;
+impl Wire for Fold {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(*self as u8);
+    }
+
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        match r.u8("counter fold")? {
+            0 => Ok(Fold::Sum),
+            1 => Ok(Fold::Max),
+            2 => Ok(Fold::Local),
+            tag => Err(WireError::BadTag {
+                what: "counter fold",
+                tag: tag as u64,
+            }),
+        }
+    }
+}
+
+impl Wire for Counter {
+    // name length u32 + fold u8 + value u64.
+    const MIN_ENCODED_LEN: usize = 4 + 1 + 8;
 
     fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.slow_queries.to_le_bytes());
-        out.extend_from_slice(&self.job_panics.to_le_bytes());
+        self.name.encode(out);
+        self.fold.encode(out);
+        out.extend_from_slice(&self.value.to_le_bytes());
+    }
+
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let name = String::decode(r)?;
+        // Names go verbatim into the text expositions: printable ASCII only.
+        if !name.bytes().all(|b| (0x20..0x7F).contains(&b)) {
+            return Err(WireError::Invalid("counter name"));
+        }
+        Ok(Counter {
+            name,
+            fold: Fold::decode(r)?,
+            value: r.u64("counter value")?,
+        })
+    }
+}
+
+impl Wire for MetricsSnapshot {
+    // histogram and counter sequence lengths, u32 each.
+    const MIN_ENCODED_LEN: usize = 4 + 4;
+
+    fn encode(&self, out: &mut Vec<u8>) {
         self.hists.encode(out);
+        self.counters.encode(out);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(MetricsSnapshot {
-            slow_queries: r.u64("slow query count")?,
-            job_panics: r.u64("job panic count")?,
             hists: Vec::<HistogramSnapshot>::decode(r)?,
+            counters: Vec::<Counter>::decode(r)?,
         })
     }
 }
@@ -1078,7 +914,7 @@ mod tests {
     }
 
     #[test]
-    fn error_outcomes_and_stats_roundtrip() {
+    fn error_outcomes_roundtrip() {
         let outcome = QueryOutcome::Error(RequestError::VertexOutOfRange {
             vertex: 99,
             num_vertices: 15,
@@ -1094,77 +930,6 @@ mod tests {
             from_bytes::<QueryOutcome>(&to_bytes(&unavailable)).unwrap(),
             unavailable
         );
-
-        let cache = CacheStats {
-            hits: 10,
-            misses: 3,
-            insertions: 5,
-            rejected: 2,
-            evictions: 1,
-            len: 4,
-        };
-        assert_eq!(from_bytes::<CacheStats>(&to_bytes(&cache)).unwrap(), cache);
-
-        let engine = EngineStats {
-            num_vertices: 15,
-            num_landmarks: 3,
-            threads: 4,
-            requests: 100,
-            batches: 7,
-            errors: 1,
-            planner: crate::plan::PlannerStats { dedup_hits: 12 },
-            cache: Some(cache),
-        };
-        assert_eq!(
-            from_bytes::<EngineStats>(&to_bytes(&engine)).unwrap(),
-            engine
-        );
-        let uncached = EngineStats {
-            cache: None,
-            ..engine
-        };
-        assert_eq!(
-            from_bytes::<EngineStats>(&to_bytes(&uncached)).unwrap(),
-            uncached
-        );
-
-        // The pre-dedupe-only layout carried two more planner counters
-        // after `dedup_hits`. A payload of that length must fail typed,
-        // whatever the dropped counters held (their first byte lands on
-        // the cache presence flag: absent, present, invalid).
-        const PLANNER_END: usize = 3 * 8 + 4 * 8;
-        for stats in [engine, uncached] {
-            for first_dropped in [0u64, 1, 34] {
-                let mut old = to_bytes(&stats);
-                let dropped = [first_dropped.to_le_bytes(), 56u64.to_le_bytes()].concat();
-                old.splice(PLANNER_END..PLANNER_END, dropped);
-                assert!(
-                    from_bytes::<EngineStats>(&old).is_err(),
-                    "old-length payload ({first_dropped}) mis-parsed"
-                );
-            }
-        }
-
-        // The layout before every session served its file layout carried a
-        // backend byte after `threads`. A payload of that length fails
-        // typed, whatever the byte and the counters behind it held.
-        const BACKEND_AT: usize = 3 * 8;
-        for stats in [engine, uncached, EngineStats::default()] {
-            for backend in [0u8, 1] {
-                for dedup_hits in [0u64, 1 << 56, 2 << 56] {
-                    let stats = EngineStats {
-                        planner: crate::plan::PlannerStats { dedup_hits },
-                        ..stats
-                    };
-                    let mut old = to_bytes(&stats);
-                    old.insert(BACKEND_AT, backend);
-                    assert!(
-                        from_bytes::<EngineStats>(&old).is_err(),
-                        "old-length payload (backend {backend}, {dedup_hits}) mis-parsed"
-                    );
-                }
-            }
-        }
     }
 
     #[test]
@@ -1236,27 +1001,11 @@ mod tests {
             QueryOutcome::MIN_ENCODED_LEN
         );
         assert_eq!(
-            to_bytes(&CacheStats::default()).len(),
-            CacheStats::MIN_ENCODED_LEN
-        );
-        assert_eq!(
-            to_bytes(&EngineStats::default()).len(),
-            EngineStats::MIN_ENCODED_LEN
-        );
-        assert_eq!(
             to_bytes(&RequestError::Unavailable {
                 reason: String::new()
             })
             .len(),
             RequestError::MIN_ENCODED_LEN
-        );
-        assert_eq!(
-            to_bytes(&ReplicaStats::default()).len(),
-            ReplicaStats::MIN_ENCODED_LEN
-        );
-        assert_eq!(
-            to_bytes(&RouterStats::default()).len(),
-            RouterStats::MIN_ENCODED_LEN
         );
         assert_eq!(
             to_bytes(&HistogramSnapshot::default()).len(),
@@ -1265,6 +1014,15 @@ mod tests {
         assert_eq!(
             to_bytes(&MetricsSnapshot::default()).len(),
             MetricsSnapshot::MIN_ENCODED_LEN
+        );
+        assert_eq!(
+            to_bytes(&Counter {
+                name: String::new(),
+                fold: Fold::Sum,
+                value: 0
+            })
+            .len(),
+            Counter::MIN_ENCODED_LEN
         );
         assert_eq!(
             to_bytes(&SketchHop {
@@ -1326,51 +1084,58 @@ mod tests {
             .contains("utf-8"));
     }
 
+    /// A router's counters — routing totals plus replica-labelled series —
+    /// survive the wire, every truncation fails, and the decoded value
+    /// renders the same per-replica lines.
     #[test]
     fn router_stats_roundtrip_and_reject_truncation() {
-        let stats = RouterStats {
-            batches_routed: 100,
-            subbatches: 260,
-            retries: 3,
-            ejections: 1,
-            unavailable_slots: 2,
-            replicas: vec![
-                ReplicaStats {
-                    addr: "127.0.0.1:7411".to_string(),
-                    healthy: true,
-                    requests: 4000,
-                    batches: 130,
-                    retries: 0,
-                    ejections: 0,
-                    in_flight: 64,
-                    consecutive_failures: 0,
-                    failures: 0,
-                },
-                ReplicaStats {
-                    addr: "127.0.0.1:7412".to_string(),
-                    healthy: false,
-                    requests: 3800,
-                    batches: 127,
-                    retries: 3,
-                    ejections: 1,
-                    in_flight: 0,
-                    consecutive_failures: 5,
-                    failures: 5,
-                },
-            ],
-        };
+        use crate::counter::*;
+        let mut stats = MetricsSnapshot::default();
+        for (def, value) in [
+            (ROUTED_BATCHES, 100),
+            (SUBBATCHES, 260),
+            (ROUTER_RETRIES, 3),
+            (UNAVAILABLE_SLOTS, 2),
+        ] {
+            stats.push(def, value);
+        }
+        for (addr, replica) in [
+            ("127.0.0.1:7411", [1, 4000, 130, 0, 0, 64, 0, 0]),
+            ("127.0.0.1:7412", [0, 3800, 127, 3, 1, 0, 5, 5]),
+        ] {
+            let defs = [
+                REPLICA_HEALTHY,
+                REPLICA_REQUESTS,
+                REPLICA_BATCHES,
+                REPLICA_RETRIES,
+                REPLICA_EJECTIONS,
+                REPLICA_IN_FLIGHT,
+                REPLICA_CONSECUTIVE_FAILURES,
+                REPLICA_FAILURES,
+            ];
+            for (def, value) in defs.into_iter().zip(replica) {
+                stats.push_replica(def, addr, value);
+            }
+        }
         let bytes = to_bytes(&stats);
-        assert_eq!(from_bytes::<RouterStats>(&bytes).unwrap(), stats);
+        let decoded = from_bytes::<MetricsSnapshot>(&bytes).unwrap();
+        assert_eq!(decoded, stats);
+        assert_eq!(decoded.replicas(), ["127.0.0.1:7411", "127.0.0.1:7412"]);
+        assert_eq!(decoded.replica(REPLICA_FAILURES, "127.0.0.1:7412"), Some(5));
         for cut in 0..bytes.len() {
             assert!(
-                from_bytes::<RouterStats>(&bytes[..cut]).is_err(),
+                from_bytes::<MetricsSnapshot>(&bytes[..cut]).is_err(),
                 "truncation at {cut} must fail"
             );
         }
-        let rendered = stats.to_string();
+        let rendered = decoded.render_text();
         assert!(rendered.contains("127.0.0.1:7412"));
         assert!(rendered.contains("ejected"));
         assert!(rendered.contains("healthy"));
+        assert!(
+            rendered.contains("1 ejections, 2 unavailable slots"),
+            "{rendered}"
+        );
         // Derived per-replica error rate: 5 failures over 127 + 5 attempts.
         assert!(rendered.contains("3.8% errors"), "{rendered}");
         assert!(rendered.contains("0.0% errors"), "{rendered}");
@@ -1385,9 +1150,9 @@ mod tests {
             h.record_ns(ns);
         }
         let mut snap = m.snapshot();
-        snap.slow_queries = 3;
-        snap.job_panics = 1;
         snap.hists[0] = h.snapshot();
+        snap.push(crate::counter::VERTICES, 1 << 20);
+        snap.push_replica(crate::counter::REPLICA_FAILURES, "127.0.0.1:7411", 5);
         let bytes = to_bytes(&snap);
         assert_eq!(from_bytes::<MetricsSnapshot>(&bytes).unwrap(), snap);
 
@@ -1407,15 +1172,17 @@ mod tests {
                 let _ = from_bytes::<MetricsSnapshot>(&flipped);
             }
         }
-        // A hostile bucket count is bounded by the remaining bytes before
-        // any allocation happens.
-        let mut hostile = 3u64.to_le_bytes().to_vec();
-        hostile.extend_from_slice(&0u64.to_le_bytes());
-        hostile.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(
-            from_bytes::<MetricsSnapshot>(&hostile),
-            Err(WireError::Truncated { .. })
-        ));
+        // Hostile histogram and counter counts are bounded by the
+        // remaining bytes before any allocation happens.
+        for hostile in [
+            u32::MAX.to_le_bytes().to_vec(),
+            [0u32.to_le_bytes(), u32::MAX.to_le_bytes()].concat(),
+        ] {
+            assert!(matches!(
+                from_bytes::<MetricsSnapshot>(&hostile),
+                Err(WireError::Truncated { .. })
+            ));
+        }
     }
 
     #[test]

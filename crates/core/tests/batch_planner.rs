@@ -101,6 +101,14 @@ fn family_batch(family: u64, graph: &Graph, count: usize, seed: u64) -> Vec<Quer
     requests
 }
 
+/// Duplicate slots the session's planner has coalesced so far.
+fn coalesced(qbs: &Qbs) -> u64 {
+    let snapshot = qbs.metrics_snapshot();
+    snapshot
+        .get(qbs_core::counter::COALESCED)
+        .expect("always exported")
+}
+
 /// One-at-a-time reference: a fresh engine-free execution per request.
 fn one_at_a_time(index: &QbsIndex, requests: &[QueryRequest]) -> Vec<QueryOutcome> {
     let mut ws = QueryWorkspace::new();
@@ -247,11 +255,11 @@ fn planner_counter_reports_dedup_hits() {
     let outcomes = qbs.submit(&requests);
     assert_eq!(outcomes, one_at_a_time(&owned, &requests));
     // (6,11), (11,6), (6,11) fold into one job: two duplicate slots.
-    assert_eq!(qbs.engine_stats().planner.dedup_hits, 2);
+    assert_eq!(coalesced(&qbs), 2);
 
     // A frame without a repeated key coalesces nothing.
     qbs.submit(&requests[2..]);
-    assert_eq!(qbs.engine_stats().planner.dedup_hits, 2);
+    assert_eq!(coalesced(&qbs), 2);
 }
 
 /// Duplicates of one key that carry *different* options are each shaped by
@@ -280,7 +288,7 @@ fn duplicate_slots_are_shaped_by_their_own_options() {
     assert_eq!(qbs.submit(&requests), reference);
     assert!(matches!(reference[0], QueryOutcome::PathGraph(_)));
     assert!(matches!(reference[1], QueryOutcome::PathGraphWithStats(_)));
-    let dedup_hits = qbs.engine_stats().planner.dedup_hits;
+    let dedup_hits = coalesced(&qbs);
     assert_eq!(dedup_hits, 3, "error slots stay solo");
 
     // Two distinct in-range keys, each looked up and admitted once even

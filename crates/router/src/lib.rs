@@ -12,7 +12,7 @@
 //!
 //! * [`pool`] — the [`ReplicaPool`]: least-in-flight balancing, the
 //!   in-flight gauges, idle blocking connections for the control plane
-//!   (prober, `Stats`, `Metrics`), and the health state machine
+//!   (prober, `Metrics`), and the health state machine
 //!   (consecutive-failure ejection, exponential-backoff re-admission,
 //!   half-open probing);
 //! * [`router`] — [`RouterConfig`] / [`QbsRouter`] / [`RouterHandle`]
@@ -28,17 +28,16 @@
 //!   interval so a replica that dies while idle is ejected before
 //!   traffic hits it.
 //!
-//! Observability rides the normal `Stats` frame: the router answers it
-//! with per-replica engine counters merged into one
-//! [`qbs_core::EngineStats`] plus a [`qbs_core::RouterStats`] section
-//! (per-replica request counts, retries, ejections, failure totals,
-//! in-flight gauges) that `qbs client --stats` renders. The `Metrics`
-//! frame answers with every replica's latency histograms merged
-//! bucket-wise into the router's own routing-tier stages, client trace
-//! IDs are propagated onto every scattered sub-batch (so one slow
-//! request is findable in replica slow-query logs), and
-//! [`RouterConfig::metrics_addr`] exposes the merged registry over HTTP
-//! `GET /metrics`. See `docs/router.md` for topology and
+//! Observability rides the normal `Metrics` frame: the router answers it
+//! with its own snapshot — routing counters, per-replica counters
+//! labelled `replica="H:P"` (request counts, retries, ejections, failure
+//! totals, in-flight gauges), admission, routing-tier histograms — with
+//! one snapshot from every available replica folded in (traffic summed,
+//! index facts maximised, histograms merged bucket-wise), which `qbs
+//! client --metrics` renders. Client trace IDs are propagated onto every
+//! scattered sub-batch (so one slow request is findable in replica
+//! slow-query logs), and [`RouterConfig::metrics_addr`] exposes the same
+//! snapshot over HTTP `GET /metrics`. See `docs/router.md` for topology and
 //! `docs/observability.md` for the metric families.
 
 #![deny(unsafe_code)]

@@ -4,7 +4,7 @@
 //! A [`Replica`] is one backend `qbs serve` process. The pool keeps an
 //! in-flight request gauge the balancer sorts on, a stack of idle
 //! blocking [`QbsClient`] connections per replica for the control plane
-//! (the prober and the routed `Stats`/`Metrics` polls: a checkout pops
+//! (the prober and the routed `Metrics` polls: a checkout pops
 //! one or dials a fresh one, a checkin after a clean exchange pushes it
 //! back; batches travel on the reactor's own connections instead), and
 //! a tiny health state machine:
@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use qbs_core::ReplicaStats;
+use qbs_core::MetricsSnapshot;
 use qbs_server::{ClientConfig, ProtocolError, QbsClient};
 
 /// Cap on idle connections retained per replica; extras are dropped at
@@ -186,27 +186,30 @@ impl Replica {
         true
     }
 
-    /// Counter snapshot for the routed `Stats` frame.
-    pub fn stats(&self) -> ReplicaStats {
+    /// Appends this replica's counters, labelled with its address.
+    pub fn snapshot_into(&self, out: &mut MetricsSnapshot) {
+        use qbs_core::counter::*;
         let (healthy, consecutive_failures) = {
             let health = self.health.lock().expect("health poisoned");
-            let healthy = match health.ejected_until {
-                Some(until) => Instant::now() >= until,
-                None => true,
-            };
-            (healthy, u64::from(health.consecutive_failures))
+            let ejected = health.ejected_until.is_some_and(|t| Instant::now() < t);
+            (u64::from(!ejected), u64::from(health.consecutive_failures))
         };
-        ReplicaStats {
-            addr: self.addr.clone(),
-            healthy,
-            requests: self.requests.load(Ordering::SeqCst),
-            batches: self.batches.load(Ordering::SeqCst),
-            retries: self.retries.load(Ordering::SeqCst),
-            ejections: self.ejections.load(Ordering::SeqCst),
-            in_flight: self.in_flight.load(Ordering::SeqCst),
-            consecutive_failures,
-            failures: self.failures.load(Ordering::SeqCst),
+        out.push_replica(REPLICA_HEALTHY, &self.addr, healthy);
+        for (def, counter) in [
+            (REPLICA_REQUESTS, &self.requests),
+            (REPLICA_BATCHES, &self.batches),
+            (REPLICA_RETRIES, &self.retries),
+            (REPLICA_EJECTIONS, &self.ejections),
+            (REPLICA_IN_FLIGHT, &self.in_flight),
+            (REPLICA_FAILURES, &self.failures),
+        ] {
+            out.push_replica(def, &self.addr, counter.load(Ordering::SeqCst));
         }
+        out.push_replica(
+            REPLICA_CONSECUTIVE_FAILURES,
+            &self.addr,
+            consecutive_failures,
+        );
     }
 }
 
@@ -322,9 +325,16 @@ mod tests {
         assert!(replica.record_failure(&health), "third consecutive ejects");
         assert!(!replica.is_available(Instant::now()));
         assert!(replica.is_available(Instant::now() + Duration::from_millis(60)));
-        let stats = replica.stats();
-        assert_eq!(stats.ejections, 1);
-        assert!(!stats.healthy);
+        let mut snap = MetricsSnapshot::default();
+        replica.snapshot_into(&mut snap);
+        assert_eq!(
+            snap.replica(qbs_core::counter::REPLICA_EJECTIONS, "127.0.0.1:7599"),
+            Some(1)
+        );
+        assert_eq!(
+            snap.replica(qbs_core::counter::REPLICA_HEALTHY, "127.0.0.1:7599"),
+            Some(0)
+        );
     }
 
     #[test]

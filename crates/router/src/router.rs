@@ -6,22 +6,22 @@
 //! admitted batch into byte ranges, pipelines them to the replicas over
 //! connections it owns, and splices the replies back into one frame. The
 //! server's worker pool ([`RouterConfig::workers`]) only answers the
-//! `Stats` and `Metrics` frames, which poll every replica over blocking
-//! pooled connections, as the prober does.
+//! `Metrics` frame (and `GET /metrics`), which polls every replica over
+//! blocking pooled connections, as the prober does.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use qbs_core::{CacheStats, EngineStats, Metrics, MetricsSnapshot, RouterStats};
+use qbs_core::{counter, Metrics, MetricsSnapshot};
 use qbs_server::poll::WakePipe;
 use qbs_server::{
-    AdmissionConfig, AdmissionStats, ClientConfig, Forward, QbsServer, ServeBackend, ServerConfig,
-    ServerHandle, ServerStats, ShutdownSignal,
+    AdmissionConfig, ClientConfig, Forward, QbsServer, ServeBackend, ServerConfig, ServerHandle,
+    ShutdownSignal,
 };
 
-use crate::pool::{HealthConfig, Replica, ReplicaPool};
+use crate::pool::{HealthConfig, ReplicaPool};
 use crate::scatter::Scatter;
 
 /// How often [`RouterHandle::wait`] re-checks the shutdown latch.
@@ -42,9 +42,9 @@ pub struct RouterConfig {
     /// Bind address of the router's own listener; port 0 picks an
     /// ephemeral port.
     pub addr: String,
-    /// Worker threads answering the routed `Stats` and `Metrics` frames,
-    /// which poll every replica over blocking connections. Batches never
-    /// reach them: the reactor forwards those itself.
+    /// Worker threads answering the routed `Metrics` frame and HTTP
+    /// scrapes, which poll every replica over blocking connections.
+    /// Batches never reach them: the reactor forwards those itself.
     pub workers: usize,
     /// Admission bounds on the router's own listener.
     pub admission: AdmissionConfig,
@@ -115,7 +115,7 @@ impl RouterConfig {
         self
     }
 
-    /// Sets the size of the worker pool answering `Stats` and `Metrics`.
+    /// Sets the size of the worker pool answering `Metrics`.
     pub fn workers(mut self, workers: usize) -> RouterConfig {
         self.workers = workers;
         self
@@ -172,8 +172,8 @@ impl RouterConfig {
 }
 
 /// The router's [`ServeBackend`]: batches go through its forward hook
-/// (a forwarder on the reactor thread); `Stats` and `Metrics` are
-/// answered on workers by polling every replica.
+/// (a forwarder on the reactor thread); `Metrics` is answered on workers
+/// by polling every replica.
 #[derive(Debug)]
 pub struct RouterBackend {
     pool: ReplicaPool,
@@ -208,21 +208,22 @@ impl RouterBackend {
         &self.pool
     }
 
-    /// Snapshot of the router-level counters plus every replica's.
-    pub fn router_stats(&self) -> RouterStats {
-        RouterStats {
-            batches_routed: self.batches_routed.load(Ordering::SeqCst),
-            subbatches: self.subbatches.load(Ordering::SeqCst),
-            retries: self.retries.load(Ordering::SeqCst),
-            ejections: self
-                .pool
-                .replicas()
-                .iter()
-                .map(|r| r.stats().ejections)
-                .sum(),
-            unavailable_slots: self.unavailable_slots.load(Ordering::SeqCst),
-            replicas: self.pool.replicas().iter().map(Replica::stats).collect(),
+    /// The router's own telemetry, polling no replica: its routing-tier
+    /// histograms, the routing counters and every replica's counters.
+    pub fn local_snapshot(&self) -> MetricsSnapshot {
+        let mut snap = self.metrics.snapshot();
+        for (def, counter) in [
+            (counter::ROUTED_BATCHES, &self.batches_routed),
+            (counter::SUBBATCHES, &self.subbatches),
+            (counter::ROUTER_RETRIES, &self.retries),
+            (counter::UNAVAILABLE_SLOTS, &self.unavailable_slots),
+        ] {
+            snap.push(def, counter.load(Ordering::SeqCst));
         }
+        for replica in self.pool.replicas() {
+            replica.snapshot_into(&mut snap);
+        }
+        snap
     }
 }
 
@@ -238,13 +239,13 @@ impl ServeBackend for RouterBackend {
         Some(Box::new(Scatter::new(self, wake)))
     }
 
-    /// The routed `Metrics` frame: every available replica's snapshot is
-    /// fetched over a pooled connection and merged bucket-wise into the
-    /// router's own routing-tier histograms, so aggregated quantiles
-    /// stay well-defined. Like [`ServeBackend::server_stats`], ejected
-    /// replicas are skipped and a failed poll takes a health demerit.
-    fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let mut merged = self.metrics.snapshot();
+    /// The routed `Metrics` frame: [`RouterBackend::local_snapshot`] with
+    /// one snapshot from every available replica folded in (traffic
+    /// summed, index facts maximised, replicas' own admission dropped).
+    /// Ejected replicas are skipped, and a failed poll takes a health
+    /// demerit exactly like a failed batch.
+    fn snapshot(&self) -> MetricsSnapshot {
+        let mut merged = self.local_snapshot();
         let now = Instant::now();
         for replica in self.pool.replicas() {
             if !replica.is_available(now) {
@@ -267,69 +268,13 @@ impl ServeBackend for RouterBackend {
         merged
     }
 
-    /// Replica metrics polls are network I/O: never on the reactor.
-    fn metrics_inline(&self) -> bool {
+    /// Replica polls are network I/O: never on the reactor.
+    fn snapshot_inline(&self) -> bool {
         false
     }
 
     fn obs(&self) -> Option<&Metrics> {
         Some(&self.metrics)
-    }
-
-    /// The routed `Stats` frame: per-replica engine counters merged into
-    /// one [`EngineStats`] (sums for traffic counters, maxima for index
-    /// facts, thread budgets added), the router's own admission snapshot,
-    /// and the [`RouterStats`] section. Ejected replicas are skipped —
-    /// stats must not stall on dead sockets — and a replica that fails
-    /// the poll takes a health demerit exactly like a failed batch.
-    fn server_stats(&self, admission: AdmissionStats) -> ServerStats {
-        let mut engine = EngineStats::default();
-        let now = Instant::now();
-        for replica in self.pool.replicas() {
-            if !replica.is_available(now) {
-                continue;
-            }
-            let polled = replica
-                .checkout(self.pool.client_config())
-                .and_then(|mut client| client.stats().map(|stats| (client, stats)));
-            match polled {
-                Ok((client, stats)) => {
-                    merge_engine(&mut engine, &stats.engine);
-                    replica.record_success(self.pool.health_config());
-                    replica.checkin(client);
-                }
-                Err(_) => {
-                    replica.record_failure(self.pool.health_config());
-                }
-            }
-        }
-        ServerStats {
-            engine,
-            admission,
-            router: Some(self.router_stats()),
-        }
-    }
-}
-
-/// Merges one replica's engine counters into the routed aggregate:
-/// index facts (vertices, landmarks) describe the same replicated index,
-/// so they take maxima; traffic counters and thread budgets add.
-fn merge_engine(into: &mut EngineStats, from: &EngineStats) {
-    into.num_vertices = into.num_vertices.max(from.num_vertices);
-    into.num_landmarks = into.num_landmarks.max(from.num_landmarks);
-    into.threads += from.threads;
-    into.requests += from.requests;
-    into.batches += from.batches;
-    into.errors += from.errors;
-    into.planner.dedup_hits += from.planner.dedup_hits;
-    if let Some(cache) = &from.cache {
-        let merged = into.cache.get_or_insert_with(CacheStats::default);
-        merged.hits += cache.hits;
-        merged.misses += cache.misses;
-        merged.insertions += cache.insertions;
-        merged.rejected += cache.rejected;
-        merged.evictions += cache.evictions;
-        merged.len += cache.len;
     }
 }
 
@@ -482,15 +427,17 @@ impl RouterHandle {
         &self.backend
     }
 
-    /// The routed stats snapshot — the same value a `Stats` frame
-    /// returns, including the per-replica poll.
-    pub fn stats(&self) -> ServerStats {
-        self.server.stats()
+    /// The routed telemetry — the value a `Metrics` frame returns,
+    /// polling every available replica once.
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        self.server.snapshot()
     }
 
-    /// The router-level counters without polling any replica.
-    pub fn router_stats(&self) -> RouterStats {
-        self.backend.router_stats()
+    /// The router's own counters and admission, polling no replica.
+    pub fn local_snapshot(&self) -> MetricsSnapshot {
+        let mut snap = self.backend.local_snapshot();
+        self.server.admission().snapshot_into(&mut snap);
+        snap
     }
 
     /// Stops the prober, drains in-flight routed batches, joins every

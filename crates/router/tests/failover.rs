@@ -4,11 +4,12 @@
 //! regime must return typed per-slot errors — never a hang.
 
 use std::net::TcpListener;
+use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use qbs_core::serialize::{self, MapMode};
-use qbs_core::{Qbs, QbsConfig, QbsIndex, QueryRequest, RequestError};
+use qbs_core::{counter, MetricsSnapshot, Qbs, QbsConfig, QbsIndex, QueryRequest, RequestError};
 use qbs_gen::catalog::{Catalog, DatasetId, Scale};
 use qbs_router::{HealthConfig, QbsRouter, RouterConfig, RouterHandle};
 use qbs_server::{ClientConfig, QbsClient, QbsServer, ServerConfig, ServerHandle};
@@ -124,32 +125,37 @@ fn routed_answers_are_bit_identical_and_stats_aggregate() {
         }
     }
 
-    // The routed Stats frame aggregates: a router section with every
+    // The routed Metrics frame aggregates: routing counters with every
     // replica, and merged engine counters covering all routed requests.
-    let stats = client.stats().expect("stats");
-    let router_stats = stats.router.as_ref().expect("router section present");
-    assert_eq!(router_stats.replicas.len(), 3);
-    assert_eq!(router_stats.batches_routed, 8);
+    let snap = client.metrics().expect("metrics");
+    let replicas_seen = snap.replicas();
+    assert_eq!(replicas_seen.len(), 3);
+    assert_eq!(snap.get(counter::ROUTED_BATCHES), Some(8));
     assert!(
-        router_stats.subbatches > router_stats.batches_routed,
+        snap.get(counter::SUBBATCHES) > Some(8),
         "41-request batches with min_split=4 must scatter across replicas"
     );
-    assert_eq!(router_stats.unavailable_slots, 0);
-    assert!(router_stats.replicas.iter().all(|r| r.healthy));
+    assert_eq!(snap.get(counter::UNAVAILABLE_SLOTS), Some(0));
+    let per_replica =
+        |def| -> Vec<Option<u64>> { replicas_seen.iter().map(|a| snap.replica(def, a)).collect() };
+    assert_eq!(per_replica(counter::REPLICA_HEALTHY), [Some(1); 3]);
     assert!(
-        router_stats.replicas.iter().all(|r| r.requests > 0),
-        "least-in-flight balancing must spread sub-batches over every replica: {:?}",
-        router_stats
-            .replicas
+        per_replica(counter::REPLICA_REQUESTS)
             .iter()
-            .map(|r| r.requests)
-            .collect::<Vec<_>>()
+            .all(|&n| n > Some(0)),
+        "least-in-flight balancing must spread sub-batches over every replica: {:?}",
+        per_replica(counter::REPLICA_REQUESTS)
     );
     assert_eq!(
-        stats.engine.requests,
-        8 * 41,
+        snap.get(counter::REQUESTS),
+        Some(8 * 41),
         "merged engine counters cover every routed request"
     );
+    // Index facts take the maximum (every replica serves one index), and
+    // admission is the router's own: one admitted frame per batch, not
+    // the replicas' sub-batches.
+    assert_eq!(snap.get(counter::VERTICES), Some(num_vertices as u64));
+    assert_eq!(snap.get(counter::ADMITTED_BATCHES), Some(8));
 
     drop(client);
     drop(router);
@@ -205,8 +211,8 @@ fn killing_a_replica_mid_workload_loses_no_accepted_request() {
 
     // The router noticed: the dead replica took failures (and is ejected
     // or at least demerited) while the survivors answered the re-routes.
-    let router_stats = router.router_stats();
-    assert_eq!(router_stats.unavailable_slots, 0, "no slot went unanswered");
+    let unavailable = router.local_snapshot().get(counter::UNAVAILABLE_SLOTS);
+    assert_eq!(unavailable, Some(0), "no slot went unanswered");
     drop(router);
     drop(replicas);
 }
@@ -241,8 +247,8 @@ fn all_replicas_down_returns_typed_errors_not_a_hang() {
             other => panic!("expected Unavailable for every slot, got {other:?}"),
         }
     }
-    let router_stats = router.router_stats();
-    assert_eq!(router_stats.unavailable_slots, 12);
+    let unavailable = router.local_snapshot().get(counter::UNAVAILABLE_SLOTS);
+    assert_eq!(unavailable, Some(12));
     drop(router);
 }
 
@@ -301,23 +307,15 @@ fn routed_metrics_merge_replica_histograms_and_serve_http() {
          (hists: {}, stages: {stages})",
         snapshot.hists.len()
     );
+    let slow = snapshot.get(counter::SLOW_QUERIES).unwrap_or(0);
     assert!(
-        snapshot.slow_queries >= 2,
-        "zero threshold marks every routed batch slow, got {}",
-        snapshot.slow_queries
+        slow >= 2,
+        "zero threshold marks every routed batch slow, got {slow}"
     );
 
     // The router's HTTP endpoint renders both the routing counters and
     // the merged per-stage histograms.
-    use std::io::{Read, Write};
-    let mut http = std::net::TcpStream::connect(metrics_addr).expect("http connect");
-    http.set_read_timeout(Some(Duration::from_secs(10)))
-        .expect("timeout");
-    http.write_all(b"GET /metrics HTTP/1.1\r\nHost: qbs\r\nConnection: close\r\n\r\n")
-        .expect("request");
-    let mut body = String::new();
-    http.read_to_string(&mut body).expect("response");
-    assert!(body.starts_with("HTTP/1.1 200 OK"), "bad status: {body}");
+    let body = scrape(metrics_addr);
     for family in [
         "qbs_router_batches_routed_total",
         "qbs_replica_failures_total",
@@ -330,6 +328,20 @@ fn routed_metrics_merge_replica_histograms_and_serve_http() {
     drop(client);
     drop(router);
     drop(replicas);
+}
+
+/// One `GET /metrics` against `addr`; the body, after a `200 OK`.
+fn scrape(addr: std::net::SocketAddr) -> String {
+    use std::io::{Read, Write};
+    let mut http = std::net::TcpStream::connect(addr).expect("http connect");
+    http.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    http.write_all(b"GET /metrics HTTP/1.1\r\nHost: qbs\r\nConnection: close\r\n\r\n")
+        .expect("request");
+    let mut body = String::new();
+    http.read_to_string(&mut body).expect("response");
+    assert!(body.starts_with("HTTP/1.1 200 OK"), "bad status: {body}");
+    body
 }
 
 /// How a [`FakeReplica`] answers every `Batch` frame.
@@ -356,10 +368,12 @@ impl std::fmt::Debug for Local {
     }
 }
 
-/// A raw listener that speaks the preamble, answers pings, and answers
-/// every batch the way its [`FakeAnswer`] says.
+/// A raw listener that speaks the preamble, answers pings, answers every
+/// batch the way its [`FakeAnswer`] says, and answers every other
+/// (control) frame with [`FakeReplica::snapshot`], counting them.
 struct FakeReplica {
     addr: String,
+    control_frames: Arc<AtomicUsize>,
     stop: Arc<std::sync::atomic::AtomicBool>,
     accept: Option<std::thread::JoinHandle<()>>,
 }
@@ -369,8 +383,10 @@ impl FakeReplica {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake");
         let addr = listener.local_addr().expect("addr").to_string();
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let control_frames = Arc::new(AtomicUsize::new(0));
         let accept = {
             let stop = Arc::clone(&stop);
+            let control_frames = Arc::clone(&control_frames);
             std::thread::spawn(move || {
                 // Blocking accepts; drop wakes the loop with one last dial.
                 for stream in listener.incoming() {
@@ -379,16 +395,32 @@ impl FakeReplica {
                     }
                     if let Ok(stream) = stream {
                         let answer = answer.clone();
-                        std::thread::spawn(move || fake_serve(stream, answer));
+                        let control_frames = Arc::clone(&control_frames);
+                        std::thread::spawn(move || fake_serve(stream, answer, &control_frames));
                     }
                 }
             })
         };
         FakeReplica {
             addr,
+            control_frames,
             stop,
             accept: Some(accept),
         }
+    }
+
+    /// The telemetry every fake answers a control frame with: traffic a
+    /// router sums, and admission it must drop.
+    fn snapshot() -> MetricsSnapshot {
+        let mut snapshot = MetricsSnapshot::default();
+        snapshot.push(counter::REQUESTS, 7);
+        snapshot.push(counter::ADMITTED_BATCHES, 99);
+        snapshot
+    }
+
+    fn control_frames(&self) -> usize {
+        self.control_frames
+            .load(std::sync::atomic::Ordering::SeqCst)
     }
 }
 
@@ -402,7 +434,7 @@ impl Drop for FakeReplica {
     }
 }
 
-fn fake_serve(mut stream: std::net::TcpStream, answer: FakeAnswer) {
+fn fake_serve(mut stream: std::net::TcpStream, answer: FakeAnswer, control_frames: &AtomicUsize) {
     use qbs_server::protocol::{self, RequestFrame, ResponseFrame};
     use qbs_server::BusyReason;
     stream
@@ -456,7 +488,11 @@ fn fake_serve(mut stream: std::net::TcpStream, answer: FakeAnswer) {
             RequestFrame::Ping => {
                 protocol::write_response(&mut stream, id, trace, &ResponseFrame::Pong)
             }
-            _ => return,
+            _ => {
+                control_frames.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                let snapshot = ResponseFrame::Metrics(FakeReplica::snapshot());
+                protocol::write_response(&mut stream, id, trace, &snapshot)
+            }
         };
         if sent.is_err() {
             return;
@@ -507,21 +543,30 @@ fn bad_sub_replies_are_retried_and_charged_like_gather_did() {
             &local.submit(&requests)[..],
             "{answer:?}: the retried answers diverged from local submit"
         );
-        let stats = router.router_stats();
-        let fake_stats = &stats.replicas[0];
+        let stats = router.local_snapshot();
+        let on_fake = |def| stats.replica(def, &fake.addr);
         let charged = u64::from(!matches!(answer, FakeAnswer::Busy));
         assert_eq!(
-            fake_stats.failures, charged,
+            on_fake(counter::REPLICA_FAILURES),
+            Some(charged),
             "{answer:?}: health demerits on the fake"
         );
-        assert_eq!(stats.retries, 1, "{answer:?}: one retry");
         assert_eq!(
-            fake_stats.retries,
-            requests.len() as u64,
+            stats.get(counter::ROUTER_RETRIES),
+            Some(1),
+            "{answer:?}: one retry"
+        );
+        assert_eq!(
+            on_fake(counter::REPLICA_RETRIES),
+            Some(requests.len() as u64),
             "{answer:?}: every request retried away from the fake"
         );
-        assert_eq!(stats.unavailable_slots, 0, "{answer:?}");
-        assert_eq!(stats.replicas[1].failures, 0, "{answer:?}: the healthy one");
+        assert_eq!(stats.get(counter::UNAVAILABLE_SLOTS), Some(0), "{answer:?}");
+        assert_eq!(
+            stats.replica(counter::REPLICA_FAILURES, &healthy.local_addr().to_string()),
+            Some(0),
+            "{answer:?}: the healthy one"
+        );
         drop(client);
         drop(router);
 
@@ -540,13 +585,54 @@ fn bad_sub_replies_are_retried_and_charged_like_gather_did() {
             "{answer:?}: expected Unavailable in every slot, got {outcomes:?}"
         );
         assert_eq!(
-            router.router_stats().unavailable_slots,
-            requests.len() as u64
+            router.local_snapshot().get(counter::UNAVAILABLE_SLOTS),
+            Some(requests.len() as u64)
         );
         drop(client);
         drop(router);
     }
     drop(healthy);
+}
+
+#[test]
+fn one_replica_round_trip_per_metrics_frame_and_scrape() {
+    let local = Arc::new(Qbs::open(index_file("rounds"), MapMode::Mmap).expect("local"));
+    let fake = FakeReplica::start(FakeAnswer::Slow(Local(local)));
+    let router = QbsRouter::start(
+        RouterConfig::bind("127.0.0.1:0")
+            .replica(fake.addr.clone())
+            .workers(2)
+            .probe_interval(Duration::from_secs(60))
+            .metrics_addr("127.0.0.1:0"),
+    )
+    .expect("start router");
+    let mut client =
+        QbsClient::connect_retry(&router.local_addr().to_string(), Duration::from_secs(10))
+            .expect("connect");
+
+    let snapshot = client.metrics().expect("metrics");
+    assert_eq!(fake.control_frames(), 1, "one poll per Metrics frame");
+    assert_eq!(
+        snapshot.get(counter::REQUESTS),
+        Some(7),
+        "traffic folded in"
+    );
+    assert_eq!(
+        snapshot.get(counter::ADMITTED_BATCHES),
+        Some(0),
+        "admission is the router's own"
+    );
+
+    let body = scrape(router.metrics_addr().expect("metrics listener bound"));
+    assert_eq!(fake.control_frames(), 2, "one poll per scrape");
+    assert!(body.contains("qbs_requests_total 7"), "{body}");
+
+    // The drain report's snapshot polls no replica.
+    let report = router.local_snapshot().render_text();
+    assert!(report.contains("replica "), "{report}");
+    assert_eq!(fake.control_frames(), 2);
+    drop(client);
+    drop(router);
 }
 
 #[test]
@@ -570,7 +656,7 @@ fn shutdown_drains_forwarded_batches() {
     // Shut down once the router has taken all three in; the replica
     // answers each 200 ms later, so they are still on their way.
     let taken = Instant::now() + Duration::from_secs(10);
-    while router.router_stats().batches_routed < 3 {
+    while router.local_snapshot().get(counter::ROUTED_BATCHES) < Some(3) {
         assert!(Instant::now() < taken, "the router never took the batches");
         std::thread::sleep(Duration::from_millis(5));
     }

@@ -22,7 +22,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use qbs_core::serialize::{self, MapMode};
-use qbs_core::{Qbs, QbsConfig, QbsIndex, QueryOutcome, QueryRequest, RequestError};
+use qbs_core::{counter, Qbs, QbsConfig, QbsIndex, QueryOutcome, QueryRequest, RequestError};
 use qbs_gen::catalog::{Catalog, DatasetId, Scale};
 use qbs_router::{HealthConfig, QbsRouter, RouterConfig};
 use qbs_server::{ClientConfig, QbsClient, QbsServer, ServerConfig, ServerHandle};
@@ -395,29 +395,31 @@ fn run_seed(seed: u64, local: &Qbs, replicas: &[ServerHandle]) {
         .zip(&drawn_before)
         .map(|(d, before)| d.load(Ordering::SeqCst) - before)
         .collect();
-    let stats = router.router_stats();
+    let stats = router.local_snapshot();
     eprintln!(
         "seed {seed}: pass/delay/dribble/truncate/reset/black-hole {drawn:?}; \
-         retries {}, unavailable slots {}",
-        stats.retries, stats.unavailable_slots
+         retries {:?}, unavailable slots {:?}",
+        stats.get(counter::ROUTER_RETRIES),
+        stats.get(counter::UNAVAILABLE_SLOTS)
     );
 
     // Every gauge returns to zero once the last reply is out.
     let settle = Instant::now() + SLACK;
     loop {
-        let in_flight: Vec<u64> = router
-            .router_stats()
-            .replicas
-            .iter()
-            .map(|r| r.in_flight)
+        let snap = router.local_snapshot();
+        let in_flight: Vec<Option<u64>> = snap
+            .replicas()
+            .into_iter()
+            .map(|addr| snap.replica(counter::REPLICA_IN_FLIGHT, addr))
             .collect();
-        let admitted = router.stats().admission.inflight;
-        if in_flight.iter().all(|&n| n == 0) && admitted == 0 {
+        assert_eq!(in_flight.len(), shims.len(), "one gauge per replica");
+        let admitted = snap.get(counter::INFLIGHT);
+        if in_flight.iter().all(|&n| n == Some(0)) && admitted == Some(0) {
             break;
         }
         assert!(
             Instant::now() < settle,
-            "seed {seed}: replica in-flight {in_flight:?}, admission in-flight {admitted}"
+            "seed {seed}: replica in-flight {in_flight:?}, admission in-flight {admitted:?}"
         );
         std::thread::sleep(Duration::from_millis(20));
     }

@@ -23,13 +23,15 @@
 //!   handshake, sends the `Busy` frame and closes, so a shed client sees
 //!   a typed refusal instead of an accept queue that never drains.
 //!
-//! All counters are exported as [`AdmissionStats`] through the `Stats`
-//! protocol frame.
+//! All counters are exported ([`Admission::snapshot_into`]) into the
+//! `Metrics` snapshot the protocol frame and `GET /metrics` serve.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
+use qbs_core::counter;
 use qbs_core::wire::{Wire, WireError, WireReader};
+use qbs_core::MetricsSnapshot;
 
 /// Bounds enforced by [`Admission`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -152,86 +154,6 @@ impl Wire for BusyReason {
                 tag: tag as u64,
             }),
         }
-    }
-}
-
-/// Counter snapshot of an [`Admission`] instance (part of the `Stats`
-/// protocol frame).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct AdmissionStats {
-    /// Batches admitted past all bounds.
-    pub admitted_batches: u64,
-    /// Requests inside admitted batches.
-    pub admitted_requests: u64,
-    /// Batches shed by the in-flight bound.
-    pub shed_overload: u64,
-    /// Batches shed by the per-batch cap.
-    pub shed_batch_size: u64,
-    /// Connections shed before service by the connection bound.
-    pub shed_connections: u64,
-    /// Requests executing right now.
-    pub inflight: u64,
-    /// Connections served right now.
-    pub connections: u64,
-}
-
-impl AdmissionStats {
-    /// Percentage of offered batches that were shed (overload + size
-    /// cap), 0.0 when nothing has been offered yet.
-    pub fn shed_rate(&self) -> f64 {
-        let shed = self.shed_overload + self.shed_batch_size;
-        let offered = self.admitted_batches + shed;
-        if offered == 0 {
-            0.0
-        } else {
-            shed as f64 * 100.0 / offered as f64
-        }
-    }
-}
-
-impl std::fmt::Display for AdmissionStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "admission: {} batches / {} requests admitted, shed {} overload + {} oversized + \
-             {} connections ({:.1}% shed, {} in flight, {} connected)",
-            self.admitted_batches,
-            self.admitted_requests,
-            self.shed_overload,
-            self.shed_batch_size,
-            self.shed_connections,
-            self.shed_rate(),
-            self.inflight,
-            self.connections
-        )
-    }
-}
-
-impl Wire for AdmissionStats {
-    fn encode(&self, out: &mut Vec<u8>) {
-        for v in [
-            self.admitted_batches,
-            self.admitted_requests,
-            self.shed_overload,
-            self.shed_batch_size,
-            self.shed_connections,
-            self.inflight,
-            self.connections,
-        ] {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(AdmissionStats {
-            admitted_batches: r.u64("admitted batches")?,
-            admitted_requests: r.u64("admitted requests")?,
-            shed_overload: r.u64("shed overload")?,
-            shed_batch_size: r.u64("shed batch size")?,
-            shed_connections: r.u64("shed connections")?,
-            inflight: r.u64("inflight")?,
-            connections: r.u64("connections")?,
-        })
     }
 }
 
@@ -392,21 +314,24 @@ impl Admission {
             .expect("admission counts poisoned");
     }
 
-    /// A consistent snapshot of the admission counters.
-    pub fn stats(&self) -> AdmissionStats {
+    /// Appends the admission counters (the answering process's own) to a
+    /// telemetry snapshot.
+    pub fn snapshot_into(&self, out: &mut MetricsSnapshot) {
         let (inflight, connections) = {
             let counts = self.counts.lock().expect("admission counts poisoned");
             (counts.inflight as u64, counts.connections as u64)
         };
-        AdmissionStats {
-            admitted_batches: self.admitted_batches.load(Ordering::Relaxed),
-            admitted_requests: self.admitted_requests.load(Ordering::Relaxed),
-            shed_overload: self.shed_overload.load(Ordering::Relaxed),
-            shed_batch_size: self.shed_batch_size.load(Ordering::Relaxed),
-            shed_connections: self.shed_connections.load(Ordering::Relaxed),
-            inflight,
-            connections,
+        for (def, counter) in [
+            (counter::ADMITTED_BATCHES, &self.admitted_batches),
+            (counter::ADMITTED_REQUESTS, &self.admitted_requests),
+            (counter::SHED_OVERLOAD, &self.shed_overload),
+            (counter::SHED_BATCH_SIZE, &self.shed_batch_size),
+            (counter::SHED_CONNECTIONS, &self.shed_connections),
+        ] {
+            out.push(def, counter.load(Ordering::Relaxed));
         }
+        out.push(counter::INFLIGHT, inflight);
+        out.push(counter::CONNECTIONS, connections);
     }
 }
 
@@ -475,11 +400,17 @@ mod tests {
         }
     }
 
+    fn count(admission: &Admission, def: qbs_core::CounterDef) -> u64 {
+        let mut snap = MetricsSnapshot::default();
+        admission.snapshot_into(&mut snap);
+        snap.get(def).expect("admission exports every counter")
+    }
+
     #[test]
     fn batches_acquire_one_permit_per_request() {
         let admission = Admission::new(config(10, 8, 4));
         let a = admission.admit_batch(6).expect("fits");
-        assert_eq!(admission.stats().inflight, 6);
+        assert_eq!(count(&admission, counter::INFLIGHT), 6);
         let err = admission.admit_batch(5).expect_err("would exceed 10");
         assert_eq!(
             err,
@@ -490,15 +421,14 @@ mod tests {
             }
         );
         let b = admission.admit_batch(4).expect("exactly fills the bound");
-        assert_eq!(admission.stats().inflight, 10);
+        assert_eq!(count(&admission, counter::INFLIGHT), 10);
         drop(a);
-        assert_eq!(admission.stats().inflight, 4);
+        assert_eq!(count(&admission, counter::INFLIGHT), 4);
         drop(b);
-        let stats = admission.stats();
-        assert_eq!(stats.inflight, 0);
-        assert_eq!(stats.admitted_batches, 2);
-        assert_eq!(stats.admitted_requests, 10);
-        assert_eq!(stats.shed_overload, 1);
+        assert_eq!(count(&admission, counter::INFLIGHT), 0);
+        assert_eq!(count(&admission, counter::ADMITTED_BATCHES), 2);
+        assert_eq!(count(&admission, counter::ADMITTED_REQUESTS), 10);
+        assert_eq!(count(&admission, counter::SHED_OVERLOAD), 1);
     }
 
     #[test]
@@ -506,9 +436,12 @@ mod tests {
         let admission = Admission::new(config(100, 8, 4));
         let err = admission.admit_batch(9).expect_err("over the cap");
         assert_eq!(err, BusyReason::BatchTooLarge { limit: 8, got: 9 });
-        let stats = admission.stats();
-        assert_eq!(stats.shed_batch_size, 1);
-        assert_eq!(stats.inflight, 0, "no permits were consumed");
+        assert_eq!(count(&admission, counter::SHED_BATCH_SIZE), 1);
+        assert_eq!(
+            count(&admission, counter::INFLIGHT),
+            0,
+            "no permits were consumed"
+        );
         // Empty batches are always admissible.
         let _g = admission.admit_batch(0).expect("empty batch");
     }
@@ -522,8 +455,8 @@ mod tests {
         assert_eq!(err, BusyReason::TooManyConnections { limit: 2 });
         drop(a);
         let _c = admission.admit_connection().expect("slot freed");
-        assert_eq!(admission.stats().shed_connections, 1);
-        assert_eq!(admission.stats().connections, 2);
+        assert_eq!(count(&admission, counter::SHED_CONNECTIONS), 1);
+        assert_eq!(count(&admission, counter::CONNECTIONS), 2);
     }
 
     #[test]
@@ -531,15 +464,15 @@ mod tests {
         let admission = Arc::new(Admission::new(config(10, 8, 2)));
         let batch = admission.admit_batch_owned(4).expect("admit");
         let conn = admission.admit_connection_owned().expect("slot");
-        assert_eq!(admission.stats().inflight, 4);
-        assert_eq!(admission.stats().connections, 1);
+        assert_eq!(count(&admission, counter::INFLIGHT), 4);
+        assert_eq!(count(&admission, counter::CONNECTIONS), 1);
         let handle = std::thread::spawn(move || {
             drop(batch);
             drop(conn);
         });
         handle.join().unwrap();
-        assert_eq!(admission.stats().inflight, 0);
-        assert_eq!(admission.stats().connections, 0);
+        assert_eq!(count(&admission, counter::INFLIGHT), 0);
+        assert_eq!(count(&admission, counter::CONNECTIONS), 0);
         // Owned admission hits the same bounds as the borrowed form.
         let _a = admission.admit_connection_owned().expect("slot 1");
         let _b = admission.admit_connection_owned().expect("slot 2");
@@ -557,7 +490,7 @@ mod tests {
                 drop(guard);
             });
             admission.drain();
-            assert_eq!(admission.stats().inflight, 0);
+            assert_eq!(count(&admission, counter::INFLIGHT), 0);
         });
         // Draining an idle controller returns immediately.
         admission.drain();
@@ -589,19 +522,18 @@ mod tests {
             Err(WireError::BadTag { tag: 3, .. })
         ));
 
-        let stats = AdmissionStats {
-            admitted_batches: 1,
-            admitted_requests: 2,
-            shed_overload: 3,
-            shed_batch_size: 4,
-            shed_connections: 5,
-            inflight: 6,
-            connections: 7,
-        };
+        // The admission counters ride the wire inside a snapshot.
+        let admission = Admission::new(config(10, 8, 2));
+        let _batch = admission.admit_batch(3).expect("admit");
+        let _ = admission.admit_batch(9).expect_err("oversized");
+        let mut snap = MetricsSnapshot::default();
+        admission.snapshot_into(&mut snap);
         assert_eq!(
-            from_bytes::<AdmissionStats>(&to_bytes(&stats)).unwrap(),
-            stats
+            from_bytes::<MetricsSnapshot>(&to_bytes(&snap)).unwrap(),
+            snap
         );
-        assert!(stats.to_string().contains("shed 3 overload"));
+        let text = snap.render_text();
+        assert!(text.contains("shed 0 overload + 1 oversized"), "{text}");
+        assert!(text.contains("3 in flight"), "{text}");
     }
 }

@@ -45,7 +45,7 @@ use qbs_core::wire::RequestId;
 use qbs_core::{MetricsSnapshot, QueryOutcome, QueryRequest, TraceId};
 
 use crate::admission::BusyReason;
-use crate::protocol::{self, ProtocolError, RequestFrame, ResponseFrame, ServerStats};
+use crate::protocol::{self, ProtocolError, RequestFrame, ResponseFrame};
 
 /// Reply to one submitted batch.
 #[derive(Clone, Debug, PartialEq)]
@@ -430,18 +430,10 @@ impl QbsClient {
         self.recv(ticket)
     }
 
-    /// Fetches the server's serving + admission counter snapshot.
-    pub fn stats(&mut self) -> Result<ServerStats, ProtocolError> {
-        match self.control(&RequestFrame::Stats)? {
-            ResponseFrame::Stats(stats) => Ok(stats),
-            ResponseFrame::Busy(reason) => Err(busy_error(reason)),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// Fetches the server's latency-histogram snapshot — per-stage,
-    /// per-mode timing distributions plus the slow-query count. A router
-    /// answers with the bucket-wise merge across itself and its replicas.
+    /// Fetches the server's telemetry snapshot: the engine, cache,
+    /// admission (and, from a router, routing and per-replica) counters
+    /// plus the per-stage, per-mode latency histograms. A router folds in
+    /// every available replica's snapshot.
     pub fn metrics(&mut self) -> Result<MetricsSnapshot, ProtocolError> {
         match self.control(&RequestFrame::Metrics)? {
             ResponseFrame::Metrics(snapshot) => Ok(snapshot),
@@ -522,7 +514,6 @@ impl QbsClient {
 fn unexpected(frame: ResponseFrame) -> ProtocolError {
     ProtocolError::UnexpectedFrame(match frame {
         ResponseFrame::Batch(_) => "batch",
-        ResponseFrame::Stats(_) => "stats",
         ResponseFrame::Metrics(_) => "metrics",
         ResponseFrame::Pong => "pong",
         ResponseFrame::ShutdownAck => "shutdown-ack",
@@ -531,7 +522,7 @@ fn unexpected(frame: ResponseFrame) -> ProtocolError {
     })
 }
 
-/// A `Busy` reply to a control frame (stats/ping/shutdown). The protocol
+/// A `Busy` reply to a control frame (metrics/ping/shutdown). The protocol
 /// never sheds control frames, so this only occurs when the *connection*
 /// was refused at accept time and the queued `Busy` is the first frame
 /// read back.

@@ -24,7 +24,7 @@
 //!   listener, and a trace-stamped slow-query log (see
 //!   `docs/observability.md`);
 //! * [`client`] — blocking [`QbsClient`]: connect/reconnect, one-shot
-//!   `submit` plus the pipelined `send`/`recv` [`Ticket`] surface, stats,
+//!   `submit` plus the pipelined `send`/`recv` [`Ticket`] surface, metrics,
 //!   ping, shutdown;
 //! * [`poll`] — the `poll(2)` + wake-pipe shim the reactor stands on;
 //! * [`signal`] — the SIGINT/SIGTERM latch the CLI wires into the serve
@@ -67,9 +67,9 @@ pub mod protocol;
 pub mod server;
 pub mod signal;
 
-pub use admission::{Admission, AdmissionConfig, AdmissionStats, BusyReason};
+pub use admission::{Admission, AdmissionConfig, BusyReason};
 pub use client::{BatchReply, ClientConfig, QbsClient, Ticket};
-pub use protocol::{ProtocolError, ServerStats, MAX_FRAME_LEN, PROTOCOL_VERSION};
+pub use protocol::{ProtocolError, MAX_FRAME_LEN, PROTOCOL_VERSION};
 pub use server::{
     Forward, ForwardJob, Forwarded, QbsServer, ServeBackend, ServerConfig, ServerHandle,
     ShutdownSignal,

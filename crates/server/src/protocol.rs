@@ -29,15 +29,15 @@ use std::fmt;
 use std::io::{Read, Write};
 
 use qbs_core::wire::{self, RequestId, Wire, WireError, WireReader};
-use qbs_core::{EngineStats, MetricsSnapshot, QueryOutcome, QueryRequest, RouterStats, TraceId};
+use qbs_core::{MetricsSnapshot, QueryOutcome, QueryRequest, TraceId};
 
-use crate::admission::{AdmissionStats, BusyReason};
+use crate::admission::BusyReason;
 
 /// Magic bytes opening every connection preamble.
 pub const PROTOCOL_MAGIC: [u8; 4] = *b"QBSP";
 
 /// The one protocol version this build speaks; additions bump it.
-pub const PROTOCOL_VERSION: u16 = 3;
+pub const PROTOCOL_VERSION: u16 = 4;
 
 /// Resolves the version to speak with a peer that announced `theirs`.
 ///
@@ -62,29 +62,20 @@ pub const PREAMBLE_LEN: usize = 8;
 pub enum RequestFrame {
     /// Execute a heterogeneous batch of typed requests.
     Batch(Vec<QueryRequest>),
-    /// Snapshot the server's serving/admission counters.
-    Stats,
     /// Liveness probe.
     Ping,
     /// Ask the server to drain in-flight batches and exit.
     Shutdown,
-    /// Snapshot the server's per-stage latency histograms (a router
-    /// answers with the bucket-wise merge across its replicas).
+    /// Snapshot the server's telemetry: counters and per-stage latency
+    /// histograms (a router folds in every available replica's).
     Metrics,
 }
 
 /// A server-to-client frame.
-// `Stats` dwarfs the other variants since it grew the optional router
-// section, but it is a rare control frame — boxing it would complicate
-// every construction site to shrink a frame that is built a handful of
-// times per connection lifetime.
-#[allow(clippy::large_enum_variant)]
 #[derive(Clone, Debug, PartialEq)]
 pub enum ResponseFrame {
     /// Per-request outcomes of a [`RequestFrame::Batch`], in input order.
     Batch(Vec<QueryOutcome>),
-    /// Reply to [`RequestFrame::Stats`].
-    Stats(ServerStats),
     /// Reply to [`RequestFrame::Ping`].
     Pong,
     /// Reply to [`RequestFrame::Shutdown`]: the drain has begun.
@@ -98,49 +89,6 @@ pub enum ResponseFrame {
     /// request only and the connection stays usable; under
     /// [`RequestId::CONNECTION`] the server closes after sending it.
     Error(WireFault),
-}
-
-/// Counter snapshot returned by the `Stats` frame: the session's serving
-/// counters plus the admission-control counters. A scatter/gather router
-/// (`qbs route`) answers the same frame with its *merged* per-replica
-/// engine counters and the routing-tier breakdown in
-/// [`ServerStats::router`]; a plain `qbs serve` leaves it `None`.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct ServerStats {
-    /// Engine/session counters (requests, batches, errors, cache). On a
-    /// router these are the sums across every reachable replica.
-    pub engine: EngineStats,
-    /// Admission counters of the answering process (admitted, shed,
-    /// in-flight).
-    pub admission: AdmissionStats,
-    /// Routing-tier counters; present only when a router answered.
-    pub router: Option<RouterStats>,
-}
-
-impl fmt::Display for ServerStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}\n{}", self.engine, self.admission)?;
-        if let Some(router) = &self.router {
-            write!(f, "\n{router}")?;
-        }
-        Ok(())
-    }
-}
-
-impl Wire for ServerStats {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.engine.encode(out);
-        self.admission.encode(out);
-        self.router.encode(out);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(ServerStats {
-            engine: EngineStats::decode(r)?,
-            admission: AdmissionStats::decode(r)?,
-            router: Option::<RouterStats>::decode(r)?,
-        })
-    }
 }
 
 /// Stable error codes carried by [`ResponseFrame::Error`] — the remote
@@ -278,13 +226,12 @@ impl From<WireError> for ProtocolError {
 
 // Frame tags. Requests use the low range, responses the high range, so a
 // desynchronised endpoint fails with `UnknownTag` instead of misparsing.
+// Tags 0x02 and 0x82 (the retired `Stats` pair) are unknown since v4.
 const TAG_BATCH: u8 = 0x01;
-const TAG_STATS: u8 = 0x02;
 const TAG_PING: u8 = 0x03;
 const TAG_SHUTDOWN: u8 = 0x04;
 const TAG_METRICS: u8 = 0x05;
 const TAG_RESP_BATCH: u8 = 0x81;
-const TAG_RESP_STATS: u8 = 0x82;
 const TAG_RESP_PONG: u8 = 0x83;
 const TAG_RESP_SHUTDOWN_ACK: u8 = 0x84;
 const TAG_RESP_METRICS: u8 = 0x85;
@@ -415,7 +362,6 @@ impl RequestFrame {
     pub fn encode_body_into(&self, out: &mut Vec<u8>) {
         match self {
             RequestFrame::Batch(requests) => encode_batch_body_into(requests, out),
-            RequestFrame::Stats => out.push(TAG_STATS),
             RequestFrame::Ping => out.push(TAG_PING),
             RequestFrame::Shutdown => out.push(TAG_SHUTDOWN),
             RequestFrame::Metrics => out.push(TAG_METRICS),
@@ -429,7 +375,6 @@ impl RequestFrame {
         let tag = r.u8("frame tag").map_err(ProtocolError::Malformed)?;
         let frame = match tag {
             TAG_BATCH => RequestFrame::Batch(Vec::<QueryRequest>::decode(&mut r)?),
-            TAG_STATS => RequestFrame::Stats,
             TAG_PING => RequestFrame::Ping,
             TAG_SHUTDOWN => RequestFrame::Shutdown,
             TAG_METRICS => RequestFrame::Metrics,
@@ -455,10 +400,6 @@ impl ResponseFrame {
                 out.push(TAG_RESP_BATCH);
                 outcomes.encode(out);
             }
-            ResponseFrame::Stats(stats) => {
-                out.push(TAG_RESP_STATS);
-                stats.encode(out);
-            }
             ResponseFrame::Pong => out.push(TAG_RESP_PONG),
             ResponseFrame::ShutdownAck => out.push(TAG_RESP_SHUTDOWN_ACK),
             ResponseFrame::Metrics(snapshot) => {
@@ -482,7 +423,6 @@ impl ResponseFrame {
         let tag = r.u8("frame tag").map_err(ProtocolError::Malformed)?;
         let frame = match tag {
             TAG_RESP_BATCH => ResponseFrame::Batch(Vec::<QueryOutcome>::decode(&mut r)?),
-            TAG_RESP_STATS => ResponseFrame::Stats(ServerStats::decode(&mut r)?),
             TAG_RESP_PONG => ResponseFrame::Pong,
             TAG_RESP_SHUTDOWN_ACK => ResponseFrame::ShutdownAck,
             TAG_RESP_METRICS => ResponseFrame::Metrics(MetricsSnapshot::decode(&mut r)?),
@@ -697,7 +637,6 @@ mod tests {
         );
         roundtrip_request(RequestFrame::Batch(batch));
         roundtrip_request(RequestFrame::Batch(Vec::new()));
-        roundtrip_request(RequestFrame::Stats);
         roundtrip_request(RequestFrame::Ping);
         roundtrip_request(RequestFrame::Shutdown);
         roundtrip_request(RequestFrame::Metrics);
@@ -709,7 +648,6 @@ mod tests {
                 num_vertices: 4,
             }),
         ]));
-        roundtrip_response(ResponseFrame::Stats(ServerStats::default()));
         roundtrip_response(ResponseFrame::Pong);
         roundtrip_response(ResponseFrame::ShutdownAck);
         roundtrip_response(ResponseFrame::Metrics(MetricsSnapshot::default()));
@@ -719,11 +657,12 @@ mod tests {
             h.record_ns(2_000_000);
             h.snapshot()
         };
-        roundtrip_response(ResponseFrame::Metrics(MetricsSnapshot {
+        let mut snapshot = MetricsSnapshot {
             hists: vec![hist],
-            slow_queries: 2,
-            job_panics: 1,
-        }));
+            counters: Vec::new(),
+        };
+        snapshot.push(qbs_core::counter::SLOW_QUERIES, 2);
+        roundtrip_response(ResponseFrame::Metrics(snapshot));
         roundtrip_response(ResponseFrame::Busy(BusyReason::BatchTooLarge {
             limit: 16,
             got: 40,
@@ -779,7 +718,7 @@ mod tests {
         assert_eq!(negotiate(PROTOCOL_VERSION), Some(PROTOCOL_VERSION));
         // Unknown future versions speak everything older, so the
         // connection proceeds at our version.
-        assert_eq!(negotiate(4), Some(PROTOCOL_VERSION));
+        assert_eq!(negotiate(5), Some(PROTOCOL_VERSION));
         assert_eq!(negotiate(u16::MAX), Some(PROTOCOL_VERSION));
     }
 
@@ -819,8 +758,7 @@ mod tests {
         // typed result, never a panic.
         let snapshot = ResponseFrame::Metrics(MetricsSnapshot {
             hists: vec![Default::default(); 3],
-            slow_queries: 1,
-            job_panics: 0,
+            counters: Vec::new(),
         });
         let enveloped = encode_envelope(RequestId(3), trace, &snapshot.encode_body());
         for byte in 0..enveloped.len() {

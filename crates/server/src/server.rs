@@ -16,7 +16,7 @@
 //!                 ┌────────────────────────────────────────────┐
 //!                 │ worker pool (W threads): Qbs::submit,      │
 //!                 │ encode response, hand bytes back; routed   │
-//!                 │ Stats/Metrics polls                        │
+//!                 │ Metrics polls                              │
 //!                 └────────────────────────────────────────────┘
 //! ```
 //!
@@ -76,11 +76,11 @@ use qbs_core::{
     TraceId,
 };
 
-use crate::admission::{Admission, AdmissionConfig, AdmissionStats, OwnedInflightGuard};
+use crate::admission::{Admission, AdmissionConfig, OwnedInflightGuard};
 use crate::poll::{self, PollFd, WakePipe, POLLIN, POLLOUT};
 use crate::protocol::{
-    self, fault_code, ProtocolError, RequestFrame, ResponseFrame, ServerStats, WireFault,
-    MAX_FRAME_LEN, PREAMBLE_LEN, PROTOCOL_MAGIC, REQUEST_LEN,
+    self, fault_code, ProtocolError, RequestFrame, ResponseFrame, WireFault, MAX_FRAME_LEN,
+    PREAMBLE_LEN, PROTOCOL_MAGIC, REQUEST_LEN,
 };
 
 /// Reactor poll timeout — the backstop cadence for shutdown-flag checks
@@ -277,20 +277,17 @@ pub trait ServeBackend: Send + Sync + std::fmt::Debug + 'static {
         None
     }
 
-    /// Builds the `Stats` response around the server's own admission
-    /// snapshot.
-    fn server_stats(&self, admission: AdmissionStats) -> ServerStats;
-
-    /// Snapshot of the backend's per-stage latency histograms (the
-    /// `Metrics` frame's payload). A router answers with the bucket-wise
-    /// merge across its replicas plus its own routing-tier stages.
-    fn metrics_snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot::default()
+    /// The backend's telemetry (the `Metrics` frame's payload, to which
+    /// the server appends its admission counters): by default its
+    /// registry's. A router folds in every available replica's.
+    fn snapshot(&self) -> MetricsSnapshot {
+        self.obs().map(Metrics::snapshot).unwrap_or_default()
     }
 
-    /// Whether `Metrics` frames may be answered inline on the reactor
-    /// thread. Same I/O caveat as [`ServeBackend::stats_inline`].
-    fn metrics_inline(&self) -> bool {
+    /// Whether [`ServeBackend::snapshot`] may run on the reactor thread.
+    /// A router's snapshot polls the replicas over blocking connections,
+    /// so it answers on a worker instead.
+    fn snapshot_inline(&self) -> bool {
         true
     }
 
@@ -305,13 +302,6 @@ pub trait ServeBackend: Send + Sync + std::fmt::Debug + 'static {
     /// reactor thread. Only a backend whose fast path is genuinely
     /// microsecond-scale (a local index) should say yes.
     fn inline_eligible(&self) -> bool {
-        false
-    }
-
-    /// Whether `Stats` frames may be answered inline on the reactor
-    /// thread. The router gathers stats from every replica over blocking
-    /// connections, so it answers on a worker instead.
-    fn stats_inline(&self) -> bool {
         false
     }
 }
@@ -408,16 +398,8 @@ impl ServeBackend for Qbs {
         self.submit_observed(requests)
     }
 
-    fn server_stats(&self, admission: AdmissionStats) -> ServerStats {
-        ServerStats {
-            engine: self.engine_stats(),
-            admission,
-            router: None,
-        }
-    }
-
-    fn metrics_snapshot(&self) -> MetricsSnapshot {
-        Qbs::metrics_snapshot(self)
+    fn snapshot(&self) -> MetricsSnapshot {
+        self.metrics_snapshot()
     }
 
     fn obs(&self) -> Option<&Metrics> {
@@ -425,10 +407,6 @@ impl ServeBackend for Qbs {
     }
 
     fn inline_eligible(&self) -> bool {
-        true
-    }
-
-    fn stats_inline(&self) -> bool {
         true
     }
 }
@@ -585,10 +563,14 @@ impl ServerHandle {
         self.workers.len()
     }
 
-    /// A snapshot of the server's serving + admission counters — the same
-    /// value a `Stats` protocol frame returns.
-    pub fn stats(&self) -> ServerStats {
-        self.backend.server_stats(self.admission.stats())
+    /// The server's telemetry — the value a `Metrics` frame returns.
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        snapshot(&*self.backend, &self.admission)
+    }
+
+    /// The admission controller (its counters, without the backend's).
+    pub fn admission(&self) -> &Admission {
+        &self.admission
     }
 
     /// Triggers shutdown (idempotent), drains in-flight batches, joins the
@@ -642,22 +624,19 @@ struct Job {
     kind: JobKind,
 }
 
-/// What a worker does with a [`Job`]. Batches always run here; `Stats`
-/// and `Metrics` run here only for backends whose snapshot performs I/O
-/// (the router polls every replica) — see [`ServeBackend::stats_inline`]
-/// and [`ServeBackend::metrics_inline`].
+/// What a worker does with a [`Job`]. Batches always run here; snapshots
+/// run here only for backends whose snapshot performs I/O (the router
+/// polls every replica) — see [`ServeBackend::snapshot_inline`].
 enum JobKind {
     /// An admitted batch, carrying its admission permit.
     Batch {
         requests: Vec<QueryRequest>,
         permit: OwnedInflightGuard,
     },
-    /// A `Stats` request the backend answers off-reactor.
-    Stats,
     /// A `Metrics` snapshot the backend gathers off-reactor. With
     /// `http` set the completion carries a raw HTTP response for the
     /// `/metrics` listener instead of a protocol frame.
-    Metrics { http: bool },
+    Snapshot { http: bool },
 }
 
 /// An encoded response travelling back from a worker to the reactor.
@@ -684,7 +663,7 @@ fn worker_loop(
             break; // reactor gone, queue drained
         };
         let (token, id, trace) = (job.token, job.id, job.trace);
-        let http = matches!(job.kind, JobKind::Metrics { http: true });
+        let http = matches!(job.kind, JobKind::Snapshot { http: true });
         let bytes = contain(backend, || run_job(backend, admission, slow_query, job))
             .unwrap_or_else(|fault| {
                 if http {
@@ -739,12 +718,10 @@ fn run_job(
             drop(permit);
             ResponseFrame::Batch(outcomes)
         }
-        JobKind::Stats => ResponseFrame::Stats(backend.server_stats(admission.stats())),
-        JobKind::Metrics { http } => {
-            let snapshot = backend.metrics_snapshot();
+        JobKind::Snapshot { http } => {
+            let snapshot = snapshot(backend, admission);
             if http {
-                let stats = backend.server_stats(admission.stats());
-                return http_ok(&render_prometheus(&stats, &snapshot));
+                return http_ok(&snapshot.render_prometheus());
             }
             ResponseFrame::Metrics(snapshot)
         }
@@ -1339,10 +1316,8 @@ fn http_dispatch(
         http_write(http);
         return;
     }
-    if ctx.backend.metrics_inline() {
-        let stats = ctx.backend.server_stats(ctx.admission.stats());
-        let snapshot = ctx.backend.metrics_snapshot();
-        http.wbuf = http_ok(&render_prometheus(&stats, &snapshot));
+    if ctx.backend.snapshot_inline() {
+        http.wbuf = http_ok(&snapshot(ctx.backend, ctx.admission).render_prometheus());
         http.responded = true;
         http_write(http);
     } else {
@@ -1355,7 +1330,7 @@ fn http_dispatch(
             trace: TraceId::NONE,
             peer: SocketAddr::from(([0, 0, 0, 0], 0)),
             enqueued: Instant::now(),
-            kind: JobKind::Metrics { http: true },
+            kind: JobKind::Snapshot { http: true },
         });
     }
 }
@@ -1403,83 +1378,12 @@ fn http_error(code: u16, reason: &str) -> Vec<u8> {
         .into_bytes()
 }
 
-/// Renders the Prometheus exposition: serving-tier counters from the
-/// `Stats` snapshot, then the per-stage histogram families.
-fn render_prometheus(stats: &ServerStats, snapshot: &MetricsSnapshot) -> String {
-    let mut out = String::with_capacity(4096);
-    let mut counter = |name: &str, help: &str, value: u64| {
-        out.push_str(&format!(
-            "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"
-        ));
-    };
-    counter(
-        "qbs_requests_total",
-        "Requests executed by the engine.",
-        stats.engine.requests,
-    );
-    counter(
-        "qbs_batches_total",
-        "Batches executed by the engine.",
-        stats.engine.batches,
-    );
-    counter(
-        "qbs_request_errors_total",
-        "Requests that returned a typed error.",
-        stats.engine.errors,
-    );
-    counter(
-        "qbs_admitted_batches_total",
-        "Batches admitted past all bounds.",
-        stats.admission.admitted_batches,
-    );
-    counter(
-        "qbs_shed_overload_total",
-        "Batches shed by the in-flight bound.",
-        stats.admission.shed_overload,
-    );
-    counter(
-        "qbs_shed_batch_size_total",
-        "Batches shed by the per-batch cap.",
-        stats.admission.shed_batch_size,
-    );
-    counter(
-        "qbs_shed_connections_total",
-        "Connections shed before service.",
-        stats.admission.shed_connections,
-    );
-    if let Some(cache) = &stats.engine.cache {
-        counter("qbs_cache_hits_total", "Answer-cache hits.", cache.hits);
-        counter(
-            "qbs_cache_misses_total",
-            "Answer-cache misses.",
-            cache.misses,
-        );
-    }
-    if let Some(router) = &stats.router {
-        counter(
-            "qbs_router_batches_routed_total",
-            "Client batches scattered by the router.",
-            router.batches_routed,
-        );
-        counter(
-            "qbs_router_retries_total",
-            "Sub-batches retried on another replica.",
-            router.retries,
-        );
-        counter(
-            "qbs_router_unavailable_slots_total",
-            "Request slots answered Unavailable.",
-            router.unavailable_slots,
-        );
-        for replica in &router.replicas {
-            out.push_str(&format!(
-                "qbs_replica_failures_total{{replica=\"{}\"}} {}\n",
-                replica.addr, replica.failures
-            ));
-        }
-    }
-    snapshot.render_prometheus_into(&mut out);
-    out
+/// The `Metrics` frame's payload: the backend's snapshot plus this
+/// server's admission counters.
+fn snapshot(backend: &dyn ServeBackend, admission: &Admission) -> MetricsSnapshot {
+    let mut snapshot = backend.snapshot();
+    admission.snapshot_into(&mut snapshot);
+    snapshot
 }
 
 /// Accepts every connection the backlog holds; admits or sheds each.
@@ -1767,23 +1671,15 @@ fn execute_frame(
             }
             Err(reason) => queue_reply(conn, id, trace, &ResponseFrame::Busy(reason)),
         },
-        RequestFrame::Stats => {
-            if ctx.backend.stats_inline() {
-                let stats = ctx.backend.server_stats(ctx.admission.stats());
-                queue_reply(conn, id, trace, &ResponseFrame::Stats(stats));
+        RequestFrame::Metrics => {
+            if ctx.backend.snapshot_inline() {
+                let snapshot = snapshot(ctx.backend, ctx.admission);
+                queue_reply(conn, id, trace, &ResponseFrame::Metrics(snapshot));
             } else {
                 // The backend's snapshot performs I/O (the router rounds
                 // up every replica): answer it on a worker so the reactor
                 // never blocks on the network.
-                dispatch(conn, JobKind::Stats);
-            }
-        }
-        RequestFrame::Metrics => {
-            if ctx.backend.metrics_inline() {
-                let snapshot = ctx.backend.metrics_snapshot();
-                queue_reply(conn, id, trace, &ResponseFrame::Metrics(snapshot));
-            } else {
-                dispatch(conn, JobKind::Metrics { http: false });
+                dispatch(conn, JobKind::Snapshot { http: false });
             }
         }
         RequestFrame::Ping => queue_reply(conn, id, trace, &ResponseFrame::Pong),

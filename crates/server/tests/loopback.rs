@@ -14,15 +14,13 @@ use std::time::{Duration, Instant};
 
 use qbs_core::serialize::{self, MapMode};
 use qbs_core::{
-    CacheConfig, MetricsSnapshot, Qbs, QbsConfig, QbsIndex, QueryOutcome, QueryRequest, RequestId,
-    TraceId,
+    counter, CacheConfig, Qbs, QbsConfig, QbsIndex, QueryOutcome, QueryRequest, RequestId, TraceId,
 };
 use qbs_gen::catalog::{Catalog, DatasetId, Scale};
 use qbs_server::protocol::{self, fault_code, RequestFrame, ResponseFrame};
 use qbs_server::{
-    AdmissionConfig, AdmissionStats, BatchReply, BusyReason, ClientConfig, ProtocolError,
-    QbsClient, QbsServer, ServeBackend, ServerConfig, ServerHandle, ServerStats, ShutdownSignal,
-    PROTOCOL_VERSION,
+    AdmissionConfig, BatchReply, BusyReason, ClientConfig, ProtocolError, QbsClient, QbsServer,
+    ServeBackend, ServerConfig, ServerHandle, ShutdownSignal, PROTOCOL_VERSION,
 };
 
 /// Builds the shared test index (a tiny Douban stand-in), saves it, and
@@ -94,13 +92,14 @@ fn expect_fin(raw: &mut TcpStream) {
 fn expect_released(server: &ServerHandle) {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let admission = server.stats().admission;
-        if admission.connections == 0 && admission.inflight == 0 {
+        let snap = server.snapshot();
+        let held = [counter::CONNECTIONS, counter::INFLIGHT].map(|def| snap.get(def));
+        if held == [Some(0); 2] {
             return;
         }
         assert!(
             Instant::now() < deadline,
-            "connections or permits leaked: {admission:?}"
+            "connections or permits leaked: {held:?}"
         );
         std::thread::sleep(Duration::from_millis(10));
     }
@@ -149,10 +148,14 @@ fn concurrent_clients_get_bit_identical_answers() {
         }
     });
 
-    let stats = server.stats();
-    assert_eq!(stats.admission.admitted_batches, 12);
-    assert_eq!(stats.engine.batches, 12);
-    assert_eq!(stats.engine.errors, 12, "one poisoned pair per batch");
+    let snap = server.snapshot();
+    assert_eq!(snap.get(counter::ADMITTED_BATCHES), Some(12));
+    assert_eq!(snap.get(counter::BATCHES), Some(12));
+    assert_eq!(
+        snap.get(counter::ERRORS),
+        Some(12),
+        "one poisoned pair per batch"
+    );
     server.shutdown();
 }
 
@@ -176,10 +179,10 @@ fn cache_hits_are_bit_identical_across_the_wire() {
     let warm = client.submit(&requests).expect("warm");
     assert_eq!(cold, warm, "warm-cache replies are bit-identical");
 
-    let stats = client.stats().expect("stats");
-    let cache = stats.engine.cache.expect("cache attached");
-    assert!(cache.hits > 0, "second round hit the cache: {cache:?}");
-    assert_eq!(stats.engine.requests, 2 * requests.len() as u64);
+    let snap = client.metrics().expect("metrics");
+    let hits = snap.get(counter::CACHE_HITS).expect("cache attached");
+    assert!(hits > 0, "second round hit the cache: {hits}");
+    assert_eq!(snap.get(counter::REQUESTS), Some(2 * requests.len() as u64));
     server.shutdown();
 }
 
@@ -225,10 +228,10 @@ fn exceeding_max_inflight_yields_typed_busy_not_a_hang() {
     let reply = client.submit(&ok).expect("admissible batch");
     assert_eq!(reply.outcomes().expect("admitted").len(), 8);
 
-    let stats = client.stats().expect("stats");
-    assert_eq!(stats.admission.shed_batch_size, 1);
-    assert_eq!(stats.admission.shed_overload, 1);
-    assert_eq!(stats.admission.admitted_requests, 8);
+    let snap = client.metrics().expect("metrics");
+    assert_eq!(snap.get(counter::SHED_BATCH_SIZE), Some(1));
+    assert_eq!(snap.get(counter::SHED_OVERLOAD), Some(1));
+    assert_eq!(snap.get(counter::ADMITTED_REQUESTS), Some(8));
     server.shutdown();
 }
 
@@ -273,9 +276,9 @@ fn hundreds_of_idle_connections_park_on_one_reactor_thread() {
             .ping()
             .unwrap_or_else(|e| panic!("parked connection {i} not served: {e}"));
     }
-    let stats = server.stats();
-    assert_eq!(stats.admission.connections, 512);
-    assert_eq!(stats.admission.shed_connections, 0);
+    let snap = server.snapshot();
+    assert_eq!(snap.get(counter::CONNECTIONS), Some(512));
+    assert_eq!(snap.get(counter::SHED_CONNECTIONS), Some(0));
     drop(clients);
     server.shutdown();
 }
@@ -369,8 +372,8 @@ fn ping_reconnect_and_version_negotiation() {
         "the server replies with the negotiated version"
     );
     let trace = TraceId(0xDEAD_BEEF_CAFE);
-    protocol::write_request(&mut raw, RequestId(7), trace, &RequestFrame::Ping).expect("v3 ping");
-    let (id, echoed, frame) = protocol::read_response(&mut raw).expect("v3 pong");
+    protocol::write_request(&mut raw, RequestId(7), trace, &RequestFrame::Ping).expect("ping");
+    let (id, echoed, frame) = protocol::read_response(&mut raw).expect("pong");
     assert_eq!(id, RequestId(7));
     assert_eq!(echoed, trace, "the reply echoes the request's trace ID");
     assert_eq!(frame, ResponseFrame::Pong);
@@ -492,7 +495,7 @@ fn half_close_with_pipelined_batches_drains_and_releases_permits() {
 
     // Every permit was released on completion, and the slot on close.
     expect_released(&server);
-    assert_eq!(server.stats().admission.admitted_batches, 4);
+    assert_eq!(server.snapshot().get(counter::ADMITTED_BATCHES), Some(4));
     server.shutdown();
 }
 
@@ -556,11 +559,7 @@ impl ServeBackend for PanickingBackend {
         self.0.submit(requests)
     }
 
-    fn server_stats(&self, admission: AdmissionStats) -> ServerStats {
-        self.0.server_stats(admission)
-    }
-
-    fn metrics_snapshot(&self) -> MetricsSnapshot {
+    fn snapshot(&self) -> qbs_core::MetricsSnapshot {
         self.0.metrics_snapshot()
     }
 
@@ -607,7 +606,8 @@ fn panicking_job_faults_its_own_request_and_nothing_else() {
             "the request behind a panicking one diverged"
         );
     }
-    assert_eq!(client.metrics().expect("metrics").job_panics, 2);
+    let panics = client.metrics().expect("metrics").get(counter::JOB_PANICS);
+    assert_eq!(panics, Some(2));
     drop(client);
     expect_released(&server);
 
@@ -707,10 +707,10 @@ fn metrics_frame_http_endpoint_and_slow_queries() {
         executed > 0,
         "execute stage recorded no samples: {snapshot:?}"
     );
+    let slow = snapshot.get(counter::SLOW_QUERIES).unwrap_or(0);
     assert!(
-        snapshot.slow_queries >= 3,
-        "zero threshold marks every batch slow, got {}",
-        snapshot.slow_queries
+        slow >= 3,
+        "zero threshold marks every batch slow, got {slow}"
     );
     for h in &snapshot.hists {
         if h.count > 0 {

@@ -5,17 +5,17 @@
 //! a panic, never an allocation bomb — and the full frame reader enforces
 //! its length cap before trusting anything.
 
-use qbs_core::wire::{from_bytes, to_bytes};
+use qbs_core::wire::{from_bytes, to_bytes, WireError};
 use qbs_core::{
-    CacheConfig, EngineStats, Qbs, QbsConfig, QueryOutcome, QueryRequest, RequestError, RequestId,
-    TraceId,
+    counter, CacheConfig, MetricsSnapshot, Qbs, QbsConfig, QueryOutcome, QueryRequest,
+    RequestError, RequestId, TraceId,
 };
 use qbs_graph::fixtures::figure4_graph;
 use qbs_server::protocol::{
-    encode_envelope, negotiate, read_frame, read_preamble, split_envelope, RequestFrame,
-    ResponseFrame, ServerStats, WireFault, MAX_FRAME_LEN, PREAMBLE_LEN,
+    encode_envelope, negotiate, read_frame, read_preamble, split_envelope, ProtocolError,
+    RequestFrame, ResponseFrame, WireFault, MAX_FRAME_LEN, PREAMBLE_LEN,
 };
-use qbs_server::{AdmissionStats, BusyReason, PROTOCOL_VERSION};
+use qbs_server::{Admission, AdmissionConfig, BusyReason, PROTOCOL_VERSION};
 
 /// Representative request frame bodies, covering every tag and a real
 /// mixed batch.
@@ -29,18 +29,45 @@ fn request_bodies() -> Vec<Vec<u8>> {
     vec![
         batch.encode_body(),
         RequestFrame::Batch(Vec::new()).encode_body(),
-        RequestFrame::Stats.encode_body(),
+        RequestFrame::Metrics.encode_body(),
         RequestFrame::Ping.encode_body(),
         RequestFrame::Shutdown.encode_body(),
     ]
 }
 
-/// Representative response frame bodies, built from *real* outcomes of the
-/// figure-4 index so the path-graph/sketch/stats payloads are non-trivial.
-fn response_bodies() -> Vec<Vec<u8>> {
-    let qbs = Qbs::build(figure4_graph(), QbsConfig::with_landmark_count(3))
+/// The two telemetry payloads a `Metrics` frame carries: a server's (a
+/// real cached session's snapshot plus admission counters) and a
+/// router's (routing and replica-labelled counters with that server's
+/// snapshot folded in, cache attached).
+fn snapshots(qbs: &Qbs) -> [MetricsSnapshot; 2] {
+    let mut server = qbs.metrics_snapshot();
+    let admission = Admission::new(AdmissionConfig::default());
+    let _permit = admission.admit_batch(17).expect("admit");
+    admission.snapshot_into(&mut server);
+    assert!(server.get(counter::CACHE_HITS).is_some(), "cache attached");
+    let mut router = MetricsSnapshot::default();
+    router.push(counter::ROUTED_BATCHES, 100);
+    router.push(counter::SUBBATCHES, 210);
+    for (addr, failures) in [("127.0.0.1:7411", 7), ("[::1]:7412", 0)] {
+        router.push_replica(counter::REPLICA_HEALTHY, addr, 1);
+        router.push_replica(counter::REPLICA_FAILURES, addr, failures);
+    }
+    router.merge(&server);
+    [server, router]
+}
+
+/// A session over the figure-4 index with an answer cache attached.
+fn session() -> Qbs {
+    Qbs::build(figure4_graph(), QbsConfig::with_landmark_count(3))
         .expect("build")
-        .with_cache(CacheConfig::default().admit_above(0));
+        .with_cache(CacheConfig::default().admit_above(0))
+}
+
+/// Representative response frame bodies, built from *real* outcomes of the
+/// figure-4 index so the path-graph/sketch/metrics payloads are
+/// non-trivial.
+fn response_bodies() -> Vec<Vec<u8>> {
+    let qbs = session();
     let outcomes = qbs.submit(&[
         QueryRequest::distance(6, 11),
         QueryRequest::path_graph(6, 11).with_stats(),
@@ -49,22 +76,9 @@ fn response_bodies() -> Vec<Vec<u8>> {
         QueryRequest::distance(0, 99),
     ]);
     assert_eq!(outcomes.iter().filter(|o| o.is_error()).count(), 1);
-    vec![
-        ResponseFrame::Batch(outcomes).encode_body(),
-        ResponseFrame::Stats(ServerStats {
-            engine: qbs.engine_stats(),
-            admission: AdmissionStats {
-                admitted_batches: 3,
-                admitted_requests: 17,
-                shed_overload: 1,
-                shed_batch_size: 2,
-                shed_connections: 0,
-                inflight: 4,
-                connections: 2,
-            },
-            router: None,
-        })
-        .encode_body(),
+    let mut bodies = vec![ResponseFrame::Batch(outcomes).encode_body()];
+    bodies.extend(snapshots(&qbs).map(|s| ResponseFrame::Metrics(s).encode_body()));
+    bodies.extend([
         ResponseFrame::Pong.encode_body(),
         ResponseFrame::ShutdownAck.encode_body(),
         ResponseFrame::Busy(BusyReason::Overloaded {
@@ -78,7 +92,8 @@ fn response_bodies() -> Vec<Vec<u8>> {
             message: "malformed frame payload".into(),
         })
         .encode_body(),
-    ]
+    ]);
+    bodies
 }
 
 /// Every truncation of every request body is a typed error (the empty
@@ -267,63 +282,64 @@ fn envelope_truncation_and_bit_flip_sweep() {
     }
 }
 
-/// The core wire codecs behind the frames are themselves total under
-/// truncation — swept here over the stats payloads the `Stats` frame
-/// carries (outcome payloads are swept via the response bodies above).
+/// The telemetry payload under truncation and 0x01/0x80 bit flips, and
+/// its counts checked against the bytes left before anything is
+/// allocated.
 #[test]
 fn stats_payload_truncation_sweep() {
-    let stats = ServerStats {
-        engine: EngineStats {
-            num_vertices: 1 << 20,
-            num_landmarks: 20,
-            threads: 8,
-            requests: u64::MAX / 2,
-            batches: 12_345,
-            errors: 17,
-            planner: qbs_core::PlannerStats { dedup_hits: 9 },
-            cache: Some(qbs_core::CacheStats {
-                hits: 1,
-                misses: 2,
-                insertions: 3,
-                rejected: 4,
-                evictions: 5,
-                len: 6,
-            }),
-        },
-        admission: AdmissionStats::default(),
-        router: Some(qbs_core::RouterStats {
-            batches_routed: 100,
-            subbatches: 210,
-            retries: 3,
-            ejections: 1,
-            unavailable_slots: 0,
-            replicas: vec![qbs_core::ReplicaStats {
-                addr: "127.0.0.1:7411".to_string(),
-                healthy: true,
-                requests: 4_000,
-                batches: 120,
-                retries: 3,
-                ejections: 1,
-                in_flight: 2,
-                consecutive_failures: 0,
-                failures: 7,
-            }],
-        }),
-    };
-    let bytes = to_bytes(&stats);
-    assert_eq!(from_bytes::<ServerStats>(&bytes).unwrap(), stats);
-    for cut in 0..bytes.len() {
-        assert!(from_bytes::<ServerStats>(&bytes[..cut]).is_err());
+    for snapshot in snapshots(&session()) {
+        let bytes = to_bytes(&snapshot);
+        assert_eq!(from_bytes::<MetricsSnapshot>(&bytes).unwrap(), snapshot);
+        for cut in 0..bytes.len() {
+            assert!(
+                from_bytes::<MetricsSnapshot>(&bytes[..cut]).is_err(),
+                "cut {cut}"
+            );
+        }
+        let mut mutated = bytes.clone();
+        for byte in 0..bytes.len() {
+            for bit in [0x01, 0x80] {
+                mutated[byte] ^= bit;
+                if let Ok(decoded) = from_bytes::<MetricsSnapshot>(&mutated) {
+                    assert_eq!(to_bytes(&decoded), mutated, "byte {byte} bit {bit:#04x}");
+                }
+                mutated[byte] ^= bit;
+            }
+        }
     }
-    // A payload of the old length — two more planner counters after
-    // `dedup_hits` — is refused, not mis-parsed into shifted counters.
-    const PLANNER_END: usize = 3 * 8 + 1 + 4 * 8;
-    for first_dropped in [0u64, 1, 8] {
-        let mut old = bytes.clone();
-        let dropped = [first_dropped.to_le_bytes(), 7u64.to_le_bytes()].concat();
-        old.splice(PLANNER_END..PLANNER_END, dropped);
-        assert!(from_bytes::<ServerStats>(&old).is_err(), "{first_dropped}");
+    // A hostile counter count, then a hostile name length: each fails on
+    // the remaining-bytes bound, whatever the buffer holds behind it.
+    let no_hists = 0u32.to_le_bytes();
+    let hostile_count = [&no_hists[..], &u32::MAX.to_le_bytes(), &[0; 64]].concat();
+    let hostile_name = [
+        &no_hists[..],
+        &1u32.to_le_bytes(),
+        &u32::MAX.to_le_bytes(),
+        &[0; 64],
+    ]
+    .concat();
+    for hostile in [hostile_count, hostile_name] {
+        assert!(matches!(
+            from_bytes::<MetricsSnapshot>(&hostile),
+            Err(WireError::Truncated { .. })
+        ));
     }
+    // The retired `Stats` tags are unknown, and a v3 hello is refused.
+    assert!(matches!(
+        RequestFrame::decode_body(&[0x02]),
+        Err(ProtocolError::UnknownTag(0x02))
+    ));
+    assert!(matches!(
+        ResponseFrame::decode_body(&[0x82]),
+        Err(ProtocolError::UnknownTag(0x82))
+    ));
+    let mut v3 = Vec::new();
+    qbs_server::protocol::write_preamble(&mut v3).expect("preamble");
+    v3[4..6].copy_from_slice(&3u16.to_le_bytes());
+    assert!(matches!(
+        read_preamble(&mut &v3[..]),
+        Err(ProtocolError::VersionMismatch { ours: 4, theirs: 3 })
+    ));
 }
 
 /// Error outcomes survive the wire exactly (the loopback differential

@@ -79,13 +79,13 @@ pub mod prelude {
     pub use qbs_baselines::{GroundTruth, ParentPpl, Ppl, SpgEngine, SpgQueryError};
     pub use qbs_core::verify::{is_exact, validate};
     pub use qbs_core::{
-        AnswerCache, CacheConfig, CacheStats, EngineStats, IndexView, LandmarkStrategy, MapMode,
-        Qbs, QbsConfig, QbsIndex, QueryAnswer, QueryMode, QueryOptions, QueryOutcome, QueryRequest,
-        QueryWorkspace, RequestError, SearchStats, ViewBuf,
+        AnswerCache, CacheConfig, CacheStats, IndexView, LandmarkStrategy, MapMode,
+        MetricsSnapshot, Qbs, QbsConfig, QbsIndex, QueryAnswer, QueryMode, QueryOptions,
+        QueryOutcome, QueryRequest, QueryWorkspace, RequestError, SearchStats, ViewBuf,
     };
     pub use qbs_gen::prelude::*;
     pub use qbs_graph::{Graph, GraphBuilder, PathGraph, VertexFilter, VertexId};
     pub use qbs_server::{
-        AdmissionConfig, BatchReply, BusyReason, QbsClient, QbsServer, ServerConfig, ServerStats,
+        AdmissionConfig, BatchReply, BusyReason, QbsClient, QbsServer, ServerConfig,
     };
 }
