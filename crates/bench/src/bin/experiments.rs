@@ -19,11 +19,13 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::rc::Rc;
 
 use qbs_bench::experiments;
 use qbs_bench::reporting::write_json;
 use qbs_bench::ExperimentConfig;
 use qbs_gen::catalog::{DatasetId, Scale};
+use qbs_graph::json::ToJson;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -41,7 +43,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut outputs: BTreeMap<&'static str, (String, serde_json::Value)> = BTreeMap::new();
+    let mut outputs: BTreeMap<&'static str, (String, Rc<dyn ToJson>)> = BTreeMap::new();
     let run = |name: &str| which == name || which == "all";
 
     eprintln!(
@@ -51,43 +53,42 @@ fn main() -> ExitCode {
 
     if run("table1") {
         let r = experiments::table1(&config);
-        outputs.insert("table1", (r.render(), serde_json::to_value(&r).unwrap()));
+        outputs.insert("table1", (r.render(), Rc::new(r)));
     }
     if run("table2") {
         let r = experiments::table2(&config);
-        outputs.insert("table2", (r.render(), serde_json::to_value(&r).unwrap()));
+        outputs.insert("table2", (r.render(), Rc::new(r)));
     }
     if run("table3") {
         let r = experiments::table3(&config);
-        outputs.insert("table3", (r.render(), serde_json::to_value(&r).unwrap()));
+        outputs.insert("table3", (r.render(), Rc::new(r)));
     }
     if run("fig7") {
         let r = experiments::fig7(&config);
-        outputs.insert("fig7", (r.render(), serde_json::to_value(&r).unwrap()));
+        outputs.insert("fig7", (r.render(), Rc::new(r)));
     }
     if run("fig8") || run("fig9") || run("fig10") || run("fig11") {
-        let sweep = experiments::landmark_sweep(&config);
-        let json = serde_json::to_value(&sweep).unwrap();
+        let sweep = Rc::new(experiments::landmark_sweep(&config));
         if run("fig8") {
-            outputs.insert("fig8", (sweep.render_fig8(), json.clone()));
+            outputs.insert("fig8", (sweep.render_fig8(), sweep.clone()));
         }
         if run("fig9") {
-            outputs.insert("fig9", (sweep.render_fig9(), json.clone()));
+            outputs.insert("fig9", (sweep.render_fig9(), sweep.clone()));
         }
         if run("fig10") {
-            outputs.insert("fig10", (sweep.render_fig10(), json.clone()));
+            outputs.insert("fig10", (sweep.render_fig10(), sweep.clone()));
         }
         if run("fig11") {
-            outputs.insert("fig11", (sweep.render_fig11(), json));
+            outputs.insert("fig11", (sweep.render_fig11(), sweep.clone()));
         }
     }
     if run("traversal") {
         let r = experiments::traversal(&config);
-        outputs.insert("traversal", (r.render(), serde_json::to_value(&r).unwrap()));
+        outputs.insert("traversal", (r.render(), Rc::new(r)));
     }
     if run("ablation") {
         let r = experiments::ablation(&config);
-        outputs.insert("ablation", (r.render(), serde_json::to_value(&r).unwrap()));
+        outputs.insert("ablation", (r.render(), Rc::new(r)));
     }
     // `mixedbatch` and the other differentials below are explicit-only
     // pass/fail differentials, not part of `all`: the smoke run would
@@ -103,10 +104,7 @@ fn main() -> ExitCode {
             }
         };
         drift |= !r.all_identical();
-        outputs.insert(
-            "mixedbatch",
-            (r.render(), serde_json::to_value(&r).unwrap()),
-        );
+        outputs.insert("mixedbatch", (r.render(), Rc::new(r)));
     }
     if which == "batchplan" {
         let r = match experiments::batch_plan(&config) {
@@ -117,7 +115,7 @@ fn main() -> ExitCode {
             }
         };
         drift |= !r.all_identical();
-        outputs.insert("batchplan", (r.render(), serde_json::to_value(&r).unwrap()));
+        outputs.insert("batchplan", (r.render(), Rc::new(r)));
     }
     if which == "netserve" {
         let r = match experiments::net_serving(&config) {
@@ -128,7 +126,7 @@ fn main() -> ExitCode {
             }
         };
         drift |= !r.all_ok();
-        outputs.insert("netserve", (r.render(), serde_json::to_value(&r).unwrap()));
+        outputs.insert("netserve", (r.render(), Rc::new(r)));
     }
     if which == "routed" {
         let r = match experiments::routed_serving(&config) {
@@ -139,7 +137,7 @@ fn main() -> ExitCode {
             }
         };
         drift |= !r.all_ok();
-        outputs.insert("routed", (r.render(), serde_json::to_value(&r).unwrap()));
+        outputs.insert("routed", (r.render(), Rc::new(r)));
     }
     if which == "obs" {
         let r = match experiments::obs_serving(&config) {
@@ -150,7 +148,7 @@ fn main() -> ExitCode {
             }
         };
         drift |= !r.all_ok();
-        outputs.insert("obs", (r.render(), serde_json::to_value(&r).unwrap()));
+        outputs.insert("obs", (r.render(), Rc::new(r)));
     }
 
     if outputs.is_empty() {
@@ -164,7 +162,7 @@ fn main() -> ExitCode {
         if let Some(dir) = &out_dir {
             if let Err(e) = std::fs::create_dir_all(dir) {
                 eprintln!("warning: cannot create {}: {e}", dir.display());
-            } else if let Err(e) = write_json(json, dir.join(format!("{name}.json"))) {
+            } else if let Err(e) = write_json(&**json, dir.join(format!("{name}.json"))) {
                 eprintln!("warning: cannot write {name}.json: {e}");
             }
         }

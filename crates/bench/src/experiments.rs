@@ -9,11 +9,11 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use serde::{Deserialize, Serialize};
-
 use qbs_core::coverage::{classify_workload, CoverageReport};
 use qbs_core::{LandmarkStrategy, QbsConfig, QbsError, QbsIndex};
 use qbs_gen::catalog::DatasetSpec;
+use qbs_graph::impl_to_json;
+use qbs_graph::json::{Object, ToJson};
 use qbs_graph::stats::GraphStats;
 
 use crate::engines::{build_method, BuildOutcome, MethodId, QbsEngine};
@@ -25,7 +25,7 @@ use crate::runner::{time_query_batch, ExperimentConfig, QueryTiming};
 // ---------------------------------------------------------------------------
 
 /// One row of Table 1.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Table1Row {
     /// Dataset name.
     pub dataset: String,
@@ -47,12 +47,17 @@ pub struct Table1Row {
     pub graph_bytes: usize,
 }
 
+impl_to_json!(Table1Row: dataset, abbrev, network_type, vertices, edges, max_degree, avg_degree,
+    avg_distance, graph_bytes);
+
 /// Table 1: statistics of the dataset stand-ins.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Table1 {
     /// One row per dataset.
     pub rows: Vec<Table1Row>,
 }
+
+impl_to_json!(Table1: rows);
 
 impl Table1 {
     /// Renders the table.
@@ -108,7 +113,7 @@ pub fn table1(config: &ExperimentConfig) -> Table1 {
 // ---------------------------------------------------------------------------
 
 /// The build/query outcome of one method on one dataset.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub enum MethodResult {
     /// Built and queried successfully.
     Ok {
@@ -121,6 +126,27 @@ pub enum MethodResult {
     DidNotFinish,
     /// Construction exceeded the memory budget.
     OutOfMemory,
+}
+
+/// Tagged the way the reports always were: `{"Ok": {...}}` for a measured
+/// method, the bare variant name for a budget failure.
+impl ToJson for MethodResult {
+    fn write_json(&self, out: &mut String, depth: usize) {
+        match self {
+            MethodResult::Ok {
+                construction_seconds,
+                avg_query_ms,
+            } => {
+                let fields = Object(&[
+                    ("construction_seconds", construction_seconds),
+                    ("avg_query_ms", avg_query_ms),
+                ]);
+                Object(&[("Ok", &fields)]).write_json(out, depth);
+            }
+            MethodResult::DidNotFinish => "DidNotFinish".write_json(out, depth),
+            MethodResult::OutOfMemory => "OutOfMemory".write_json(out, depth),
+        }
+    }
 }
 
 impl MethodResult {
@@ -144,7 +170,7 @@ impl MethodResult {
 }
 
 /// One row of Table 2.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Table2Row {
     /// Dataset name.
     pub dataset: String,
@@ -152,12 +178,16 @@ pub struct Table2Row {
     pub methods: BTreeMap<String, MethodResult>,
 }
 
+impl_to_json!(Table2Row: dataset, methods);
+
 /// Table 2: construction time and average query time per method.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Table2 {
     /// One row per dataset.
     pub rows: Vec<Table2Row>,
 }
+
+impl_to_json!(Table2: rows);
 
 impl Table2 {
     /// Renders construction and query sub-tables.
@@ -259,7 +289,7 @@ fn table2_row(config: &ExperimentConfig, spec: &DatasetSpec) -> Table2Row {
 // ---------------------------------------------------------------------------
 
 /// One row of Table 3.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Table3Row {
     /// Dataset name.
     pub dataset: String,
@@ -275,12 +305,17 @@ pub struct Table3Row {
     pub parent_ppl_bytes: Option<usize>,
 }
 
+impl_to_json!(Table3Row: dataset, qbs_labelling_bytes, qbs_delta_bytes, graph_bytes, ppl_bytes,
+    parent_ppl_bytes);
+
 /// Table 3: labelling sizes of QbS, PPL and ParentPPL.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Table3 {
     /// One row per dataset.
     pub rows: Vec<Table3Row>,
 }
+
+impl_to_json!(Table3: rows);
 
 impl Table3 {
     /// Renders the table.
@@ -350,7 +385,7 @@ pub fn table3(config: &ExperimentConfig) -> Table3 {
 // ---------------------------------------------------------------------------
 
 /// The distance distribution of one dataset's workload.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Fig7Series {
     /// Dataset abbreviation.
     pub dataset: String,
@@ -360,12 +395,16 @@ pub struct Fig7Series {
     pub mean_distance: f64,
 }
 
+impl_to_json!(Fig7Series: dataset, fractions, mean_distance);
+
 /// Figure 7: distance distribution of the sampled query pairs.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Fig7 {
     /// One series per dataset.
     pub series: Vec<Fig7Series>,
 }
+
+impl_to_json!(Fig7: series);
 
 impl Fig7 {
     /// Renders one row per dataset with the per-distance fractions.
@@ -418,7 +457,7 @@ pub fn fig7(config: &ExperimentConfig) -> Fig7 {
 // ---------------------------------------------------------------------------
 
 /// One measurement of a landmark sweep for one dataset.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SweepPoint {
     /// Number of landmarks `|R|`.
     pub landmarks: usize,
@@ -432,8 +471,10 @@ pub struct SweepPoint {
     pub avg_query_ms: f64,
 }
 
+impl_to_json!(SweepPoint: landmarks, coverage, labelling_bytes, construction_seconds, avg_query_ms);
+
 /// A full landmark sweep for one dataset (shared by Figures 8–11).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SweepSeries {
     /// Dataset abbreviation.
     pub dataset: String,
@@ -441,12 +482,16 @@ pub struct SweepSeries {
     pub points: Vec<SweepPoint>,
 }
 
+impl_to_json!(SweepSeries: dataset, points);
+
 /// The landmark sweep behind Figures 8, 9, 10 and 11.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LandmarkSweep {
     /// One series per dataset.
     pub series: Vec<SweepSeries>,
 }
+
+impl_to_json!(LandmarkSweep: series);
 
 impl LandmarkSweep {
     fn render_metric(&self, title: &str, metric: impl Fn(&SweepPoint) -> String) -> String {
@@ -564,7 +609,7 @@ pub fn fig8(config: &ExperimentConfig) -> LandmarkSweep {
 // ---------------------------------------------------------------------------
 
 /// Traversal comparison for one dataset.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TraversalRow {
     /// Dataset name.
     pub dataset: String,
@@ -577,12 +622,16 @@ pub struct TraversalRow {
     pub saving: f64,
 }
 
+impl_to_json!(TraversalRow: dataset, qbs_edges, landmark_free_edges, saving);
+
 /// The §6.5 "edges traversed" comparison.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Traversal {
     /// One row per dataset.
     pub rows: Vec<TraversalRow>,
 }
+
+impl_to_json!(Traversal: rows);
 
 impl Traversal {
     /// Renders the comparison.
@@ -667,7 +716,7 @@ fn qps(elapsed: std::time::Duration, queries: usize) -> f64 {
 // ---------------------------------------------------------------------------
 
 /// Mixed-batch differential result for one dataset.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct MixedBatchRow {
     /// Dataset name.
     pub dataset: String,
@@ -687,6 +736,9 @@ pub struct MixedBatchRow {
     pub cache_hit_rate: f64,
 }
 
+impl_to_json!(MixedBatchRow: dataset, requests, error_slots, identical, cold_ms, warm_ms,
+    cache_hit_rate);
+
 /// The mixed-batch differential: a heterogeneous distance/path/sketch
 /// batch (with one poisoned pair mid-batch) is submitted through the
 /// request pipeline over the heap buffer and a mapping of one index and
@@ -694,11 +746,13 @@ pub struct MixedBatchRow {
 /// session then re-runs
 /// the batch warm and must produce bit-identical outcomes. CI runs this at
 /// tiny scale and fails the pipeline on any drift.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct MixedBatch {
     /// One row per dataset.
     pub rows: Vec<MixedBatchRow>,
 }
+
+impl_to_json!(MixedBatch: rows);
 
 impl MixedBatch {
     /// Whether every dataset's batch was fully consistent.
@@ -875,7 +929,7 @@ pub fn mixed_batch(config: &ExperimentConfig) -> Result<MixedBatch, QbsError> {
 // ---------------------------------------------------------------------------
 
 /// Batch-planner differential result for one dataset.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct BatchPlanRow {
     /// Dataset name.
     pub dataset: String,
@@ -890,16 +944,20 @@ pub struct BatchPlanRow {
     pub dedup_hits: u64,
 }
 
+impl_to_json!(BatchPlanRow: dataset, requests, identical, submit_qps, dedup_hits);
+
 /// The batch-planner differential: a Zipf-skewed distance batch (so slots
 /// repeat and the dedupe layer has work) is submitted over the heap and
 /// the mmap buffer and compared with one-at-a-time execution; any slot-level
 /// disagreement is drift. CI runs this at tiny scale and fails the
 /// pipeline on any drift.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct BatchPlan {
     /// One row per dataset.
     pub rows: Vec<BatchPlanRow>,
 }
+
+impl_to_json!(BatchPlan: rows);
 
 impl BatchPlan {
     /// Whether every dataset's submitted batch was bit-identical.
@@ -1009,7 +1067,7 @@ pub fn batch_plan(config: &ExperimentConfig) -> Result<BatchPlan, QbsError> {
 // ---------------------------------------------------------------------------
 
 /// Network-serving result for one dataset.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct NetServingRow {
     /// Dataset name.
     pub dataset: String,
@@ -1045,6 +1103,10 @@ pub struct NetServingRow {
     pub depth16_rps: f64,
 }
 
+impl_to_json!(NetServingRow: dataset, clients, requests_per_client, identical, busy_typed,
+    pipelined_identical, idle_connections, reactor_threads, loopback_rps, inprocess_rps, depth1_rps,
+    depth4_rps, depth16_rps);
+
 /// The network-serving differential + throughput record: a real
 /// `qbs-server` on an ephemeral loopback port, mmap-backed, hit by
 /// concurrent clients with mixed batches (one poisoned pair each), checked
@@ -1053,11 +1115,13 @@ pub struct NetServingRow {
 /// the pipeline on any drift; the JSON lands in the bench-smoke artifact
 /// so serving-layer numbers are tracked alongside index-load, view-query
 /// and request-pipeline.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct NetServing {
     /// One row per dataset.
     pub rows: Vec<NetServingRow>,
 }
+
+impl_to_json!(NetServing: rows);
 
 impl NetServing {
     /// Whether every dataset served identically (sequential and
@@ -1341,7 +1405,7 @@ fn connect_ready(addr: &str) -> Option<qbs_server::QbsClient> {
 // ---------------------------------------------------------------------------
 
 /// Routed-serving result for one dataset.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RoutedServingRow {
     /// Dataset name.
     pub dataset: String,
@@ -1371,16 +1435,22 @@ pub struct RoutedServingRow {
     pub inprocess_rps: f64,
 }
 
+impl_to_json!(RoutedServingRow: dataset, replicas, requests_per_batch, identical_cold,
+    identical_warm, failover_identical, unavailable_slots, subbatches, batches_routed, routed_rps,
+    inprocess_rps);
+
 /// The routed-serving differential: a real `qbs-router` over replica
 /// `qbs-server`s on ephemeral loopback ports, hit with mixed batches
 /// (one poisoned pair each) cold and warm, diffed bit-for-bit against
 /// local `Qbs::submit`, then re-diffed after a replica kill. CI runs
 /// this at tiny scale in bench-smoke and fails the pipeline on drift.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RoutedServing {
     /// One row per dataset.
     pub rows: Vec<RoutedServingRow>,
 }
+
+impl_to_json!(RoutedServing: rows);
 
 impl RoutedServing {
     /// Whether every dataset routed identically in all three regimes and
@@ -1562,7 +1632,7 @@ pub fn routed_serving(config: &ExperimentConfig) -> Result<RoutedServing, QbsErr
 // ---------------------------------------------------------------------------
 
 /// Observability-differential result for one dataset.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ObsServingRow {
     /// Dataset name.
     pub dataset: String,
@@ -1584,17 +1654,22 @@ pub struct ObsServingRow {
     pub metrics_frame_ok: bool,
 }
 
+impl_to_json!(ObsServingRow: dataset, requests, identical_disabled, identical_served,
+    execute_samples, slow_queries, metrics_frame_ok);
+
 /// The observability differential: the same mixed batch through (a) an
 /// instrumented local session, (b) the same session with the registry
 /// disabled, and (c) a real server with a zero slow-query threshold and
 /// a pinned trace ID — all three answer sets must be bit-identical, and
 /// the served `Metrics` frame must carry the recorded stage samples.
 /// CI runs this at tiny scale and fails the pipeline on any drift.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ObsServing {
     /// One row per dataset.
     pub rows: Vec<ObsServingRow>,
 }
+
+impl_to_json!(ObsServing: rows);
 
 impl ObsServing {
     /// Whether every dataset answered identically in all three regimes
@@ -1728,7 +1803,7 @@ pub fn obs_serving(config: &ExperimentConfig) -> Result<ObsServing, QbsError> {
 // ---------------------------------------------------------------------------
 
 /// Ablation results for one dataset.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct AblationRow {
     /// Dataset name.
     pub dataset: String,
@@ -1744,12 +1819,17 @@ pub struct AblationRow {
     pub labelling_seconds: f64,
 }
 
+impl_to_json!(AblationRow: dataset, degree_query_ms, random_query_ms, degree_coverage,
+    random_coverage, labelling_seconds);
+
 /// Ablation study: landmark selection strategy.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Ablation {
     /// One row per dataset.
     pub rows: Vec<AblationRow>,
 }
+
+impl_to_json!(Ablation: rows);
 
 impl Ablation {
     /// Renders the ablation table.

@@ -17,9 +17,9 @@
 //! | Ablations — sketch guidance, landmark strategy | [`experiments::ablation`] |
 //!
 //! The `experiments` binary drives these from the command line and prints
-//! paper-style tables plus machine-readable JSON; the Criterion benches under
-//! `benches/` provide statistically rigorous micro-measurements of the same
-//! code paths.
+//! paper-style tables, plus JSON files under `--out` (written with
+//! [`qbs_graph::json`]). Performance claims go through the repository's
+//! benchmark package, not these wall-clock tables.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -3,7 +3,7 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
-use serde::Serialize;
+use qbs_graph::json::ToJson;
 
 /// A simple fixed-width text table, rendered in the style of the paper's
 /// tables so measured results can be eyeballed against the published ones.
@@ -115,11 +115,9 @@ pub fn fmt_count(count: usize) -> String {
     out
 }
 
-/// Writes any serialisable result as pretty JSON next to the text report.
-pub fn write_json<T: Serialize, P: AsRef<Path>>(value: &T, path: P) -> std::io::Result<()> {
-    let json = serde_json::to_string_pretty(value)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-    std::fs::write(path, json)
+/// Writes a report as JSON next to the text report.
+pub fn write_json<T: ToJson + ?Sized, P: AsRef<Path>>(value: &T, path: P) -> std::io::Result<()> {
+    std::fs::write(path, value.to_json())
 }
 
 #[cfg(test)]
@@ -165,14 +163,99 @@ mod tests {
         assert_eq!(fmt_count(42), "42");
     }
 
+    // What the earlier serde-based exporter wrote, byte for byte: unit
+    // variants as their names, `Ok` tagged, `BTreeMap` keys sorted, a
+    // non-finite float as `null`.
+    const TABLE2_GOLDEN: &str = r#"{
+  "rows": [
+    {
+      "dataset": "Douban",
+      "methods": {
+        "PPL": "DidNotFinish",
+        "ParentPPL": "OutOfMemory",
+        "QbS": {
+          "Ok": {
+            "construction_seconds": 0.25,
+            "avg_query_ms": 1e-7
+          }
+        }
+      }
+    }
+  ]
+}"#;
+    const SWEEP_GOLDEN: &str = r#"{
+  "series": [
+    {
+      "dataset": "DO",
+      "points": [
+        {
+          "landmarks": 4,
+          "coverage": {
+            "all_through": 1,
+            "some_through": 2,
+            "none_through": 3,
+            "not_applicable": 4
+          },
+          "labelling_bytes": 5,
+          "construction_seconds": null,
+          "avg_query_ms": 2.5
+        }
+      ]
+    }
+  ]
+}"#;
+
     #[test]
     fn json_writer_produces_valid_json() {
+        use crate::experiments::{
+            LandmarkSweep, MethodResult, SweepPoint, SweepSeries, Table2, Table2Row,
+        };
+        use qbs_core::coverage::CoverageReport;
+
+        let methods = [
+            (
+                "QbS",
+                MethodResult::Ok {
+                    construction_seconds: 0.25,
+                    avg_query_ms: 1e-7,
+                },
+            ),
+            ("PPL", MethodResult::DidNotFinish),
+            ("ParentPPL", MethodResult::OutOfMemory),
+        ];
+        let table2 = Table2 {
+            rows: vec![Table2Row {
+                dataset: "Douban".into(),
+                methods: methods.map(|(k, v)| (k.to_string(), v)).into(),
+            }],
+        };
+        let sweep = LandmarkSweep {
+            series: vec![SweepSeries {
+                dataset: "DO".into(),
+                points: vec![SweepPoint {
+                    landmarks: 4,
+                    coverage: CoverageReport {
+                        all_through: 1,
+                        some_through: 2,
+                        none_through: 3,
+                        not_applicable: 4,
+                    },
+                    labelling_bytes: 5,
+                    construction_seconds: f64::NAN,
+                    avg_query_ms: 2.5,
+                }],
+            }],
+        };
         let dir = std::env::temp_dir().join("qbs_bench_reporting_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("out.json");
-        write_json(&vec![1, 2, 3], &path).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let parsed: Vec<u32> = serde_json::from_str(&text).unwrap();
-        assert_eq!(parsed, vec![1, 2, 3]);
+        for (value, golden) in [
+            (&table2 as &dyn ToJson, TABLE2_GOLDEN),
+            (&sweep, SWEEP_GOLDEN),
+            (&vec![1u32, 2, 3], "[\n  1,\n  2,\n  3\n]"),
+        ] {
+            write_json(value, &path).unwrap();
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), golden);
+        }
     }
 }

@@ -2,8 +2,6 @@
 
 use std::time::{Duration, Instant};
 
-use serde::{Deserialize, Serialize};
-
 use qbs_baselines::ppl::BuildLimits;
 use qbs_baselines::SpgEngine;
 use qbs_gen::catalog::{Catalog, DatasetId, DatasetSpec, Scale};
@@ -13,7 +11,7 @@ use qbs_graph::{Graph, VertexId};
 /// Per-method resource budgets, emulating the 24-hour / memory limits of the
 /// paper's Table 2 at laptop scale. Methods that exceed them are reported as
 /// DNF (did not finish) or OOE (out of memory) exactly like the paper.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct MethodLimits {
     /// Wall-clock budget for labelling-based baselines (PPL, ParentPPL).
     pub baseline_time_budget: Duration,
@@ -41,7 +39,7 @@ impl MethodLimits {
 }
 
 /// Configuration shared by all experiments.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ExperimentConfig {
     /// Dataset scale (vertex counts of the synthetic stand-ins).
     pub scale: Scale,
@@ -117,7 +115,7 @@ impl ExperimentConfig {
 }
 
 /// Aggregated timing of a batch of queries.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct QueryTiming {
     /// Number of queries executed.
     pub queries: usize,

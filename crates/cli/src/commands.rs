@@ -14,6 +14,7 @@ use qbs_core::{
     ViewBuf,
 };
 use qbs_gen::catalog::Catalog;
+use qbs_graph::json::ToJson;
 use qbs_graph::{io, Graph, VertexId};
 use qbs_router::{QbsRouter, RouterConfig, RouterHandle};
 use qbs_server::{
@@ -423,9 +424,7 @@ fn serve_queries_remote(
 /// distinguish a retryable shed from corrupt output.
 fn render_busy(reason: &qbs_server::BusyReason, json: bool) -> String {
     if json {
-        let quoted =
-            serde_json::to_string(&reason.to_string()).unwrap_or_else(|_| "\"busy\"".to_string());
-        format!("{{\"busy\": {quoted}}}")
+        format!("{{\"busy\": {}}}", reason.to_string().to_json())
     } else {
         format!("server busy: {reason}\n")
     }
@@ -566,19 +565,16 @@ fn inspect_index(path: &Path) -> Result<String, CommandError> {
 
 /// Renders one outcome as JSON. Path-graph answers serialise the path
 /// graph itself (the shape the pre-pipeline CLI emitted), distances a bare
-/// number, sketches the sketch object, and per-request failures an
-/// `{"error": ...}` object.
+/// number, sketches the sketch object, and per-request failures a one-line
+/// `{"error": ...}` object with the message escaped.
 fn render_outcome_json(outcome: &QueryOutcome) -> String {
-    let value = match outcome {
-        QueryOutcome::Distance(d) => serde_json::to_string_pretty(d),
-        QueryOutcome::PathGraph(pg) => serde_json::to_string_pretty(pg),
-        QueryOutcome::PathGraphWithStats(ans) => serde_json::to_string_pretty(&ans.path_graph),
-        QueryOutcome::Sketch(s) => serde_json::to_string_pretty(s),
-        QueryOutcome::Error(e) => {
-            return format!("{{\"error\": \"{e}\"}}");
-        }
-    };
-    value.unwrap_or_else(|e| format!("{{\"error\": \"{e}\"}}"))
+    match outcome {
+        QueryOutcome::Distance(d) => d.to_json(),
+        QueryOutcome::PathGraph(pg) => pg.to_json(),
+        QueryOutcome::PathGraphWithStats(ans) => ans.path_graph.to_json(),
+        QueryOutcome::Sketch(s) => s.to_json(),
+        QueryOutcome::Error(e) => format!("{{\"error\": {}}}", e.to_string().to_json()),
+    }
 }
 
 /// Renders one outcome as text. `verbose` additionally prints the answer
@@ -730,7 +726,176 @@ fn store_graph(graph: &Graph, path: &Path) -> Result<(), CommandError> {
 mod tests {
     use super::*;
     use crate::args::Command;
+    use qbs_core::sketch::{Sketch, SketchHop};
+    use qbs_core::{QueryAnswer, RequestError, SearchStats};
     use qbs_gen::catalog::{DatasetId, Scale};
+    use qbs_graph::PathGraph;
+
+    // `--format json` output as the serde-based renderer printed it, byte
+    // for byte. `SPG_*` are the Douban tiny stand-in's path graphs.
+    const SPG_1_5: &str = r#"{
+  "source": 1,
+  "target": 5,
+  "distance": 2,
+  "edges": [
+    [
+      0,
+      1
+    ],
+    [
+      0,
+      5
+    ],
+    [
+      1,
+      4
+    ],
+    [
+      1,
+      6
+    ],
+    [
+      1,
+      10
+    ],
+    [
+      1,
+      53
+    ],
+    [
+      1,
+      87
+    ],
+    [
+      1,
+      111
+    ],
+    [
+      4,
+      5
+    ],
+    [
+      5,
+      6
+    ],
+    [
+      5,
+      10
+    ],
+    [
+      5,
+      53
+    ],
+    [
+      5,
+      87
+    ],
+    [
+      5,
+      111
+    ]
+  ]
+}"#;
+    const SPG_2_9: &str = r#"{
+  "source": 2,
+  "target": 9,
+  "distance": 3,
+  "edges": [
+    [
+      0,
+      2
+    ],
+    [
+      0,
+      3
+    ],
+    [
+      0,
+      39
+    ],
+    [
+      1,
+      2
+    ],
+    [
+      1,
+      3
+    ],
+    [
+      1,
+      7
+    ],
+    [
+      2,
+      4
+    ],
+    [
+      3,
+      9
+    ],
+    [
+      4,
+      7
+    ],
+    [
+      7,
+      9
+    ],
+    [
+      9,
+      39
+    ]
+  ]
+}"#;
+    const SPG_0_3: &str = r#"{
+  "source": 0,
+  "target": 3,
+  "distance": 1,
+  "edges": [
+    [
+      0,
+      3
+    ]
+  ]
+}"#;
+    const SKETCH: &str = r#"{
+  "source": 0,
+  "target": 3,
+  "upper_bound": 2,
+  "source_hops": [
+    {
+      "landmark_idx": 0,
+      "distance": 1
+    }
+  ],
+  "target_hops": [
+    {
+      "landmark_idx": 1,
+      "distance": 1
+    },
+    {
+      "landmark_idx": 2,
+      "distance": 0
+    }
+  ],
+  "meta_edges": [
+    [
+      0,
+      1,
+      0
+    ]
+  ]
+}"#;
+    const UNREACHABLE_SKETCH: &str = r#"{
+  "source": 4,
+  "target": 7,
+  "upper_bound": 4294967295,
+  "source_hops": [],
+  "target_hops": [],
+  "meta_edges": []
+}"#;
+    const OUT_OF_RANGE_300: &str =
+        r#"{"error": "vertex 999999 out of range for indexed graph with 300 vertices"}"#;
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("qbs_cli_test_{tag}"));
@@ -789,8 +954,7 @@ mod tests {
             json: true,
         })
         .expect("json query");
-        let parsed: serde_json::Value = serde_json::from_str(&json).expect("valid json");
-        assert!(parsed.get("distance").is_some());
+        assert_eq!(json, SPG_1_5);
 
         let report = run(&Command::Stats { index: index_path }).expect("stats");
         assert!(report.contains("landmarks:           10"));
@@ -983,8 +1147,7 @@ mod tests {
             json: true,
         })
         .expect("batch json");
-        let parsed: serde_json::Value = serde_json::from_str(&json).expect("valid json");
-        assert!(parsed.get_index(2).is_some(), "three answers serialised");
+        assert_eq!(json, format!("[\n{SPG_1_5},\n{SPG_2_9},\n{SPG_0_3}\n]"));
 
         // Zero threads is rejected through the engine's validation.
         let bad = run(&Command::Query {
@@ -1104,8 +1267,7 @@ mod tests {
             json: true,
         })
         .expect("json batch");
-        let parsed: serde_json::Value = serde_json::from_str(&json).expect("valid json");
-        assert!(parsed.get_index(1).is_some(), "error slot serialised");
+        assert_eq!(json, format!("[\n2,\n{OUT_OF_RANGE_300},\n3\n]"));
     }
 
     #[test]
@@ -1240,8 +1402,7 @@ mod tests {
             },
         })
         .expect("json batch");
-        let parsed: serde_json::Value = serde_json::from_str(&json).expect("valid json");
-        assert!(parsed.get_index(3).is_some(), "four slots serialised");
+        assert_eq!(json, format!("[\n2,\n{OUT_OF_RANGE_300},\n3,\n1\n]"));
 
         let pong = run(&Command::Client {
             addr: addr.clone(),
@@ -1591,5 +1752,71 @@ mod tests {
             assert!(found, "{line:?} missing from:\n{routed}");
         }
         assert!(routed.contains("in flight, 50.0% errors"), "{routed}");
+    }
+
+    fn sample_sketch() -> Sketch {
+        let hop = |landmark_idx, distance| SketchHop {
+            landmark_idx,
+            distance,
+        };
+        Sketch {
+            source: 0,
+            target: 3,
+            upper_bound: 2,
+            source_hops: vec![hop(0, 1)],
+            target_hops: vec![hop(1, 1), hop(2, 0)],
+            meta_edges: vec![(0, 1, 0)],
+        }
+    }
+
+    #[test]
+    fn json_outcomes_match_the_goldens() {
+        let pg = PathGraph::from_edges(0, 3, 1, [(0u32, 3)]);
+        let with_stats = QueryAnswer {
+            path_graph: pg.clone(),
+            sketch: sample_sketch(),
+            stats: SearchStats::default(),
+        };
+        let out_of_range = RequestError::VertexOutOfRange {
+            vertex: 999_999,
+            num_vertices: 100,
+        };
+        for (outcome, golden) in [
+            (QueryOutcome::Distance(3), "3"),
+            (QueryOutcome::PathGraph(Box::new(pg)), SPG_0_3),
+            (
+                QueryOutcome::PathGraphWithStats(Box::new(with_stats)),
+                SPG_0_3,
+            ),
+            (QueryOutcome::Sketch(Box::new(sample_sketch())), SKETCH),
+            (
+                QueryOutcome::Sketch(Box::new(Sketch::unreachable(4, 7))),
+                UNREACHABLE_SKETCH,
+            ),
+            (
+                QueryOutcome::Error(out_of_range),
+                r#"{"error": "vertex 999999 out of range for indexed graph with 100 vertices"}"#,
+            ),
+        ] {
+            assert_eq!(render_outcome_json(&outcome), golden);
+        }
+        let busy = qbs_server::BusyReason::BatchTooLarge { limit: 4, got: 5 };
+        assert_eq!(
+            render_busy(&busy, true),
+            r#"{"busy": "batch of 5 requests exceeds the 4-request cap"}"#
+        );
+    }
+
+    #[test]
+    fn json_error_objects_escape_the_message() {
+        // A router's reason travels over the wire verbatim, so it may hold
+        // anything; the error object must stay one valid JSON line.
+        let outcome = QueryOutcome::Error(RequestError::Unavailable {
+            reason: "peer said \"no\" at C:\\q\nthen hung up\u{1}".into(),
+        });
+        assert_eq!(
+            render_outcome_json(&outcome),
+            r#"{"error": "no replica available: peer said \"no\" at C:\\q\nthen hung up\u0001"}"#
+        );
     }
 }

@@ -12,14 +12,12 @@
 //! The sum of the two covered ratios is the *pair coverage ratio*, which
 //! §6.3 uses to explain when sketching can guide queries effectively.
 
-use serde::{Deserialize, Serialize};
-
 use qbs_graph::VertexId;
 
 use crate::QbsIndex;
 
 /// Classification of one query pair.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PairCoverage {
     /// All shortest paths pass through at least one landmark (case i).
     AllThroughLandmarks,
@@ -32,7 +30,7 @@ pub enum PairCoverage {
 }
 
 /// Aggregated coverage counts over a workload — one bar of Figure 8.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CoverageReport {
     /// Pairs where all shortest paths pass a landmark.
     pub all_through: usize,
@@ -43,6 +41,8 @@ pub struct CoverageReport {
     /// Disconnected or trivial pairs.
     pub not_applicable: usize,
 }
+
+qbs_graph::impl_to_json!(CoverageReport: all_through, some_through, none_through, not_applicable);
 
 impl CoverageReport {
     /// Total number of classified pairs.

@@ -3,8 +3,6 @@
 
 use std::time::{Duration, Instant};
 
-use serde::{Deserialize, Serialize};
-
 use qbs_graph::{Distance, Graph, PathGraph, VertexId};
 
 use crate::format;
@@ -55,7 +53,7 @@ pub struct BuildTimings {
 }
 
 /// A query answer together with the search statistics behind it.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct QueryAnswer {
     /// The shortest path graph.
     pub path_graph: PathGraph,

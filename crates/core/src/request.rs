@@ -39,8 +39,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use qbs_graph::{Distance, PathGraph, VertexId};
 
 use crate::cache::AnswerCache;
@@ -57,7 +55,7 @@ use crate::QbsError;
 /// the bounded search without materialising the answer, and
 /// [`QueryMode::PathGraph`] pays the full guided search plus the
 /// reverse/recover reconstruction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum QueryMode {
     /// Only the shortest-path distance `d_G(u, v)`: the cheapest *search*
     /// mode — no sketch edge lists, no reverse/recover materialisation,
@@ -93,7 +91,7 @@ impl fmt::Display for QueryMode {
 }
 
 /// Per-request execution options.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct QueryOptions {
     /// For [`QueryMode::PathGraph`]: return the sketch and search
     /// statistics alongside the path graph
@@ -115,7 +113,7 @@ impl Default for QueryOptions {
 }
 
 /// One typed query: endpoints, mode, and options.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct QueryRequest {
     /// Query source vertex.
     pub source: VertexId,
@@ -171,9 +169,9 @@ impl QueryRequest {
 /// A per-request failure, carried *inside* a [`QueryOutcome`] so one bad
 /// request cannot poison the batch it travelled in.
 ///
-/// Unlike [`QbsError`] this type is `Clone + PartialEq + Serialize`, which
-/// is what lets outcomes be compared bit-for-bit and stored in reports.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+/// Unlike [`QbsError`] this type is `Clone + PartialEq`, which is what
+/// lets outcomes be compared bit-for-bit.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RequestError {
     /// An endpoint does not exist in the indexed graph.
     VertexOutOfRange {
@@ -248,7 +246,7 @@ fn request_error(err: QbsError) -> RequestError {
 
 /// The response to one [`QueryRequest`]: the mode-shaped answer, or a
 /// per-request error.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum QueryOutcome {
     /// Answer of a [`QueryMode::Distance`] request.
     Distance(Distance),

@@ -74,8 +74,6 @@
 //! per-vertex depth fields and visited sets are epoch-stamped, so repeated
 //! queries perform **zero `O(|V|)` allocations or clears**.
 
-use serde::{Deserialize, Serialize};
-
 use qbs_graph::workspace::VisitedSet;
 use qbs_graph::{Distance, PathGraph, VertexId, INFINITE_DISTANCE};
 
@@ -86,7 +84,7 @@ use crate::workspace::{QueryWorkspace, SideState};
 
 /// Work counters and intermediate quantities of one guided search, used by
 /// the §6.5 traversal comparison and the Figure 8 coverage analysis.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// `d⊤_uv` from the sketch.
     pub upper_bound: Distance,

@@ -22,14 +22,12 @@
 //! set of landmarks on a shortest `r ⇝ r'` meta-path
 //! ([`crate::MetaGraph::shortest_path_meta_edges`]).
 
-use serde::{Deserialize, Serialize};
-
 use qbs_graph::{Distance, VertexId, INFINITE_DISTANCE};
 
 use crate::store::QbsIndex;
 
 /// One endpoint-side sketch edge: the query vertex hops to a landmark.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SketchHop {
     /// Landmark column index.
     pub landmark_idx: usize,
@@ -37,8 +35,10 @@ pub struct SketchHop {
     pub distance: Distance,
 }
 
+qbs_graph::impl_to_json!(SketchHop: landmark_idx, distance);
+
 /// The sketch `S_uv` for one query (Definition 4.5).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Sketch {
     /// The query endpoints.
     pub source: VertexId,
@@ -56,6 +56,8 @@ pub struct Sketch {
     /// landmark pairs — the interior of the sketch.
     pub meta_edges: Vec<(usize, usize, Distance)>,
 }
+
+qbs_graph::impl_to_json!(Sketch: source, target, upper_bound, source_hops, target_hops, meta_edges);
 
 impl Sketch {
     /// A sketch stating that no landmark-passing route exists.

@@ -3,15 +3,13 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 use qbs_graph::VertexId;
 
 use crate::format::SectionKind;
 use crate::QbsIndex;
 
 /// Size and timing statistics of one built index.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct IndexStats {
     /// Number of vertices of the indexed graph.
     pub num_vertices: usize,

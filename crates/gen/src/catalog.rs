@@ -27,8 +27,6 @@
 //! restricted to its largest connected component, matching the paper's
 //! assumption of a connected graph (§2).
 
-use serde::{Deserialize, Serialize};
-
 use qbs_graph::components::largest_component;
 use qbs_graph::Graph;
 
@@ -40,7 +38,7 @@ use crate::rng::derive_seed;
 use crate::watts_strogatz::{self, WattsStrogatzConfig};
 
 /// Identifier of one of the 12 paper datasets.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(missing_docs)]
 pub enum DatasetId {
     Douban,
@@ -132,7 +130,7 @@ impl DatasetId {
 /// The relative vertex-count multipliers of the 12 datasets are preserved
 /// within a scale, so "ClueWeb09 is the largest, Douban the smallest" holds
 /// at every scale exactly as in Table 1.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Scale {
     /// ~0.3–3 k vertices per dataset; fast enough for unit tests.
     Tiny,
@@ -157,7 +155,7 @@ impl Scale {
 }
 
 /// The generative model backing a dataset stand-in.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum GeneratorKind {
     /// Barabási–Albert preferential attachment with `m` edges per vertex.
     BarabasiAlbert {
@@ -195,7 +193,7 @@ pub enum GeneratorKind {
 }
 
 /// Full description of one dataset stand-in.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DatasetSpec {
     /// Which Table 1 dataset this stands in for.
     pub id: DatasetId,

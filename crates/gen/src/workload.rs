@@ -6,17 +6,15 @@
 //! that sampling deterministically, and can additionally compute the
 //! distance histogram needed for Figure 7.
 
-use rand::Rng;
-use serde::{Deserialize, Serialize};
-
 use qbs_graph::stats::DistanceHistogram;
 use qbs_graph::traversal::bfs_distances;
 use qbs_graph::{Graph, VertexId, INFINITE_DISTANCE};
+use rand::Rng;
 
 use crate::rng::seeded_rng;
 
 /// A deterministic set of query vertex pairs.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct QueryWorkload {
     pairs: Vec<(VertexId, VertexId)>,
     seed: u64,

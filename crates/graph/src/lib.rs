@@ -21,7 +21,8 @@
 //! * [`PathGraph`] — the answer type of a shortest-path-graph query
 //!   (Definition 2.2 of the paper), shared by QbS and every baseline.
 //! * Statistics ([`stats`]) and I/O ([`io`]) used by the experiment harness
-//!   to regenerate Table 1.
+//!   to regenerate Table 1, and the JSON writer ([`json`]) behind the CLI's
+//!   `--format json` and the harness's `--out` files.
 //!
 //! # Example
 //!
@@ -45,6 +46,7 @@ pub mod csr;
 pub mod error;
 pub mod fixtures;
 pub mod io;
+pub mod json;
 pub mod path_graph;
 pub mod stats;
 pub mod traversal;

@@ -6,8 +6,6 @@
 //! shared by QbS and all baselines so that answers can be compared
 //! structurally in tests and experiments.
 
-use serde::{Deserialize, Serialize};
-
 use crate::vertex::{Distance, VertexId, INFINITE_DISTANCE};
 
 /// A shortest path graph `G_uv`: the exact union of all shortest paths
@@ -16,13 +14,15 @@ use crate::vertex::{Distance, VertexId, INFINITE_DISTANCE};
 /// Edges are stored in a canonical form — `(min, max)` endpoint order, sorted
 /// and deduplicated — so two `PathGraph` values compare equal iff they
 /// describe the same subgraph.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PathGraph {
     source: VertexId,
     target: VertexId,
     distance: Distance,
     edges: Vec<(VertexId, VertexId)>,
 }
+
+crate::impl_to_json!(PathGraph: source, target, distance, edges);
 
 impl PathGraph {
     /// Creates the answer for an unreachable pair (empty edge set, infinite
@@ -248,13 +248,5 @@ mod tests {
         assert_eq!(r.source(), 2);
         assert_eq!(r.target(), 0);
         assert_eq!(r.edges(), a.edges());
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let a = PathGraph::from_edges(0, 3, 2, [(0u32, 1), (1, 3)]);
-        let json = serde_json::to_string(&a).expect("serialize");
-        let b: PathGraph = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(a, b);
     }
 }

@@ -1,13 +1,11 @@
 //! Graph statistics used to regenerate Table 1 and Figure 7 of the paper.
 
-use serde::{Deserialize, Serialize};
-
 use crate::csr::Graph;
 use crate::traversal::bfs_distances;
 use crate::vertex::{Distance, VertexId, INFINITE_DISTANCE};
 
 /// Summary statistics of one graph — the columns of Table 1.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GraphStats {
     /// Number of vertices `|V|`.
     pub num_vertices: usize,
@@ -73,7 +71,7 @@ fn average_distance_sampled(graph: &Graph, pairs: usize) -> Option<f64> {
 }
 
 /// Histogram of pairwise distances — the data behind Figure 7.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DistanceHistogram {
     /// `counts[d]` is the number of sampled pairs at distance `d`.
     pub counts: Vec<u64>,
