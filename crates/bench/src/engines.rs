@@ -106,7 +106,8 @@ impl MethodId {
     }
 
     /// The methods of Table 2, in column order. The paper's QbS-P column
-    /// (parallel labelling) has no counterpart: the build is sequential.
+    /// (parallel labelling) has no counterpart: the build runs every
+    /// landmark's BFS at once as bit masks, on one thread.
     pub const TABLE2: [MethodId; 4] = [
         MethodId::Qbs,
         MethodId::Ppl,

@@ -560,8 +560,9 @@ pub fn landmark_sweep(config: &ExperimentConfig) -> LandmarkSweep {
                 .landmark_sweep
                 .iter()
                 .map(|&count| {
-                    // The build is one BFS per landmark on one thread, so
-                    // its time shows Figure 10's linear trend.
+                    // The landmarks' BFSs run together, 32 per pass, so
+                    // the build grows with |R| more slowly than Figure
+                    // 10's one-BFS-per-landmark line.
                     let start = Instant::now();
                     let index =
                         QbsIndex::build(graph.clone(), QbsConfig::with_landmark_count(count));

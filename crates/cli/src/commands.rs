@@ -10,8 +10,7 @@ use std::time::{Duration, Instant};
 
 use qbs_core::serialize::{self, MapMode};
 use qbs_core::{
-    CacheConfig, MetricsSnapshot, Qbs, QbsConfig, QbsIndex, QueryMode, QueryOutcome, QueryRequest,
-    ViewBuf,
+    CacheConfig, MetricsSnapshot, Qbs, QbsConfig, QueryMode, QueryOutcome, QueryRequest, ViewBuf,
 };
 use qbs_gen::catalog::Catalog;
 use qbs_graph::json::ToJson;
@@ -112,9 +111,9 @@ pub fn run(command: &Command) -> Result<String, CommandError> {
             out,
         } => {
             let graph = load_graph(graph)?;
-            qbs_core::format::check_num_arcs(graph.num_arcs())?;
-            let index = QbsIndex::build(graph, QbsConfig::with_landmark_count(*landmarks));
-            serialize::save_to_file(&index, out)?;
+            let session = Qbs::build(graph, QbsConfig::with_landmark_count(*landmarks))?;
+            let index = session.index().expect("a built session holds its index");
+            serialize::save_to_file(index, out)?;
             let stats = index.stats();
             Ok(format!(
                 "built index over {} vertices / {} edges with {} landmarks in {:.3}s \
@@ -1676,6 +1675,33 @@ mod tests {
         ));
         let rendered = format!("{}", CommandError::UnknownDataset("X".into()));
         assert!(rendered.contains("unknown dataset"));
+    }
+
+    /// A graph whose labels would not fit two-byte slots is refused with
+    /// the typed error, and no index file is written.
+    #[test]
+    fn build_refuses_labels_past_two_bytes() {
+        let dir = temp_dir("long_labels");
+        let graph_path = dir.join("path.qbsg");
+        let index_path = dir.join("path.qbs");
+        let path = qbs_graph::GraphBuilder::from_edges((1..=70_000u32).map(|v| (v - 1, v)));
+        store_graph(&path.build(), &graph_path).expect("store");
+        let _ = std::fs::remove_file(&index_path);
+        let err = run(&Command::Build {
+            graph: graph_path,
+            landmarks: 1,
+            out: index_path.clone(),
+        })
+        .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CommandError::Index(qbs_core::QbsError::LabelDistanceTooLarge { .. })
+            ),
+            "{err}"
+        );
+        assert!(err.to_string().contains("label distance of"), "{err}");
+        assert!(!index_path.exists());
     }
 
     #[test]

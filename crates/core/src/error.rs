@@ -23,6 +23,12 @@ pub enum QbsError {
         /// Directed arcs of the graph (twice its edges).
         num_arcs: u64,
     },
+    /// A label distance exceeds 65 534, the longest an index file's
+    /// two-byte label slot holds.
+    LabelDistanceTooLarge {
+        /// The first distance that does not fit.
+        distance: u32,
+    },
     /// The batch query engine's thread pool could not be created or was
     /// misconfigured.
     ThreadPool(String),
@@ -45,6 +51,11 @@ impl fmt::Display for QbsError {
             QbsError::GraphTooLarge { num_arcs } => write!(
                 f,
                 "graph has {num_arcs} arcs; an index file addresses fewer than 2^32"
+            ),
+            QbsError::LabelDistanceTooLarge { distance } => write!(
+                f,
+                "a label distance of {distance} does not fit an index file's label slots \
+                 (at most 65534)"
             ),
             QbsError::ThreadPool(msg) => write!(f, "thread pool error: {msg}"),
             QbsError::Io(err) => write!(f, "i/o error: {err}"),
@@ -84,6 +95,8 @@ mod tests {
         assert!(e.to_string().contains("bad magic"));
         let e = QbsError::GraphTooLarge { num_arcs: 1 << 32 };
         assert!(e.to_string().contains("4294967296 arcs"));
+        let e = QbsError::LabelDistanceTooLarge { distance: 65_535 };
+        assert!(e.to_string().contains("label distance of 65535"));
         let e = QbsError::ThreadPool("no threads".into());
         assert!(e.to_string().contains("thread pool"));
     }

@@ -9,12 +9,18 @@
 //! * the **meta-graph** edge set: `(r, r')` with weight `d_G(r, r')` iff at
 //!   least one shortest path between them contains no other landmark.
 //!
-//! The BFS follows Algorithm 2 exactly: two per-level queues are kept — `QL`
-//! for vertices whose discovery path avoids other landmarks (these receive
-//! labels and keep expanding) and `QN` for vertices first reached through
-//! another landmark (these are only traversed, never labelled). Processing
-//! `QL` before `QN` at every level guarantees that a vertex reachable both
-//! ways is classified as labelled, which is what Definition 4.2 requires.
+//! Each BFS follows Algorithm 2's two queues: `QL` for vertices whose
+//! discovery path avoids other landmarks (these receive labels and keep
+//! expanding) and `QN` for vertices first reached through another landmark
+//! (these are only traversed, never labelled). A vertex reachable both ways
+//! at the same level is labelled, which is what Definition 4.2 requires.
+//!
+//! The BFSs are independent (Lemma 5.2), so they advance together, level
+//! by level, as the bits of one mask per vertex: a pass runs up to 32
+//! landmarks' BFSs and reads a vertex's row once per distinct distance at
+//! which they reach it, not once per landmark. A landmark's bit stops
+//! moving as soon as none of its frontier is labelled, since from then on
+//! its BFS labels nothing.
 //!
 //! The labelling is built in the index file's own layout ([`crate::format`]):
 //! a dense row-major `|V| × |R|` slot matrix, one byte per slot while every
@@ -25,9 +31,10 @@
 use qbs_graph::{Distance, Graph, VertexId};
 
 use crate::format::slot_distance;
+use crate::{QbsError, Result};
 
-/// Sentinel meaning "no label entry for this (vertex, landmark) pair" in a
-/// [`LandmarkBfs`] column.
+/// Slot value meaning "no label entry for this (vertex, landmark) pair" in
+/// a two-byte label slot, so the longest distance a label holds is one less.
 pub const NO_LABEL: u16 = u16::MAX;
 
 /// Dense per-vertex path labelling: row-major `[vertex][landmark]` slots of
@@ -88,24 +95,22 @@ impl PathLabelling {
         (0..self.num_landmarks).filter_map(move |i| self.get(vertex, i).map(|d| (i, d)))
     }
 
-    /// Installs one landmark column produced by [`landmark_bfs`].
-    pub(crate) fn install_column(&mut self, landmark_idx: usize, column: &[u16]) {
-        debug_assert_eq!(column.len(), self.num_vertices);
-        for (v, &d) in column.iter().enumerate() {
-            if d == NO_LABEL {
-                continue;
-            }
-            if self.width == 1 && d >= u16::from(u8::MAX) {
-                self.widen();
-            }
-            let slot = v * self.num_landmarks + landmark_idx;
-            if self.width == 1 {
-                self.buf[self.start + slot] = d as u8;
-            } else {
-                let pos = self.start + 2 * slot;
-                self.buf[pos..pos + 2].copy_from_slice(&d.to_le_bytes());
-            }
+    /// Stores `d` in the slot of `vertex` for landmark column
+    /// `landmark_idx`, widening every slot to two bytes first if `d` does
+    /// not fit one. A distance two bytes cannot hold is refused.
+    fn set(&mut self, vertex: VertexId, landmark_idx: usize, d: Distance) -> Result<()> {
+        if d >= Distance::from(NO_LABEL) {
+            return Err(QbsError::LabelDistanceTooLarge { distance: d });
         }
+        if self.width == 1 && d >= Distance::from(u8::MAX) {
+            self.widen();
+        }
+        let pos = self.start + (vertex as usize * self.num_landmarks + landmark_idx) * self.width;
+        match self.width {
+            1 => self.buf[pos] = d as u8,
+            _ => self.buf[pos..pos + 2].copy_from_slice(&(d as u16).to_le_bytes()),
+        }
+        Ok(())
     }
 
     /// Re-encodes every one-byte slot as two bytes, in place from the back
@@ -124,8 +129,9 @@ impl PathLabelling {
         self.width = 2;
     }
 
-    /// The whole buffer, the slots last.
-    pub(crate) fn into_buffer(self) -> Vec<u8> {
+    /// The whole buffer, the slots last: only the slots for a scheme from
+    /// [`build_sequential`].
+    pub fn into_buffer(self) -> Vec<u8> {
         self.buf
     }
 }
@@ -142,129 +148,115 @@ pub struct LabellingScheme {
     pub meta_edges: Vec<(usize, usize, Distance)>,
 }
 
-/// The outcome of the BFS rooted at one landmark.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LandmarkBfs {
-    /// Column of labelled distances (index = vertex id, [`NO_LABEL`] holes).
-    pub column: Vec<u16>,
-    /// Meta edges `(other_landmark_idx, σ)` discovered from this root.
-    pub meta_edges: Vec<(usize, Distance)>,
+/// Landmarks whose BFSs one pass runs together, one bit each.
+type Mask = u32;
+
+/// Builds the complete labelling scheme on the calling thread, the
+/// landmarks' BFSs advancing together as bit masks, up to 32 per pass.
+///
+/// # Panics
+///
+/// Panics if a label distance exceeds 65 534, the longest a two-byte slot
+/// holds; [`crate::Qbs::build`] returns
+/// [`QbsError::LabelDistanceTooLarge`] instead.
+pub fn build_sequential(graph: &Graph, landmarks: &[VertexId]) -> LabellingScheme {
+    build_after(Vec::new(), graph, landmarks).unwrap_or_else(|err| panic!("{err}"))
 }
 
-/// Runs the two-queue BFS of Algorithm 2 from the landmark with column index
-/// `root_idx`.
-///
-/// `landmark_column[v]` must map every vertex to its landmark column index,
-/// or `u32::MAX` for non-landmarks.
-pub fn landmark_bfs(
+/// [`build_sequential`] with the label slots appended to `buf`, returning
+/// its refusal as an error.
+pub(crate) fn build_after(
+    buf: Vec<u8>,
     graph: &Graph,
     landmarks: &[VertexId],
-    landmark_column: &[u32],
-    root_idx: usize,
-) -> LandmarkBfs {
+) -> Result<LabellingScheme> {
     let n = graph.num_vertices();
-    let root = landmarks[root_idx];
-    let mut column = vec![NO_LABEL; n];
+    let mut labelling = PathLabelling::after(buf, n, landmarks.len());
     let mut meta_edges = Vec::new();
-    let mut visited = vec![false; n];
-
-    // Current-level queues: labelled (QL) and non-labelled (QN).
-    let mut ql: Vec<VertexId> = vec![root];
-    let mut qn: Vec<VertexId> = Vec::new();
-    visited[root as usize] = true;
-
-    let mut level: Distance = 0;
-    while !ql.is_empty() || !qn.is_empty() {
-        let mut next_ql: Vec<VertexId> = Vec::new();
-        let mut next_qn: Vec<VertexId> = Vec::new();
-        let next_depth = level + 1;
-
-        // Labelled queue first (Algorithm 2, lines 8-17): its discoveries
-        // reach the new vertex along a path with no other landmark.
-        for &u in &ql {
-            for &v in graph.neighbors(u) {
-                if visited[v as usize] {
+    // Per vertex, and none when there is no BFS to run: its landmark
+    // column (`u32::MAX` if none), the landmarks whose BFS has reached it,
+    // what the level being expanded brings it through any path and through
+    // a labelled one, and whether that level reaches it (one bit each).
+    let len = if landmarks.is_empty() { 0 } else { n };
+    let mut column = vec![u32::MAX; len];
+    for (i, &r) in landmarks.iter().enumerate() {
+        column[r as usize] = i as u32;
+    }
+    let (mut seen, mut next) = (vec![0 as Mask; len], vec![(0 as Mask, 0 as Mask); len]);
+    let mut touched = vec![0u64; len.div_ceil(64)];
+    let mut frontier: Vec<(VertexId, Mask, Mask)> = Vec::new();
+    for (pass, roots) in landmarks.chunks(Mask::BITS as usize).enumerate() {
+        let first = pass * Mask::BITS as usize;
+        if pass > 0 {
+            seen.fill(0);
+        }
+        for (b, &r) in roots.iter().enumerate() {
+            seen[r as usize] = 1 << b;
+            frontier.push((r, 1 << b, 1 << b));
+        }
+        let mut d: Distance = 0;
+        while !frontier.is_empty() {
+            d += 1;
+            // A landmark with no labelled vertex on the frontier labels
+            // nothing more, so its bit stops here.
+            let live = frontier.iter().fold(0, |m, &(_, labelled, _)| m | labelled);
+            let (mut lo, mut hi) = (usize::MAX, 0);
+            for &(u, labelled, any) in &frontier {
+                let any = any & live;
+                if any == 0 {
                     continue;
                 }
-                visited[v as usize] = true;
-                let v_col = landmark_column[v as usize];
-                if v_col != u32::MAX {
-                    // A landmark: record a meta edge, do not label.
-                    meta_edges.push((v_col as usize, next_depth));
-                    next_qn.push(v);
-                } else {
-                    column[v as usize] = saturate(next_depth);
-                    next_ql.push(v);
+                for &w in graph.neighbors(u) {
+                    let new = any & !seen[w as usize];
+                    if new == 0 {
+                        continue;
+                    }
+                    let (next_any, next_labelled) = &mut next[w as usize];
+                    if *next_any == 0 {
+                        let k = w as usize / 64;
+                        touched[k] |= 1 << (w % 64);
+                        (lo, hi) = (lo.min(k), hi.max(k));
+                    }
+                    *next_any |= new;
+                    *next_labelled |= labelled & new;
+                }
+            }
+            // Read back in vertex order, the next level reads rows and
+            // label slots front to back.
+            frontier.clear();
+            for (k, word) in touched.iter_mut().enumerate().take(hi + 1).skip(lo) {
+                let mut word = std::mem::take(word);
+                while word != 0 {
+                    let w = (64 * k) as VertexId + word.trailing_zeros();
+                    word &= word - 1;
+                    let (any, labelled) = std::mem::take(&mut next[w as usize]);
+                    seen[w as usize] |= any;
+                    // A landmark gets no label: each labelled arrival is a
+                    // meta edge (kept from its lower end), and it expands
+                    // as `QN`.
+                    let j = column[w as usize];
+                    let mut bits = labelled;
+                    while bits != 0 {
+                        let i = first + bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        if j == u32::MAX {
+                            labelling.set(w, i, d)?;
+                        } else if i < j as usize {
+                            meta_edges.push((i, j as usize, d));
+                        }
+                    }
+                    let labelled = if j == u32::MAX { labelled } else { 0 };
+                    frontier.push((w, labelled, any));
                 }
             }
         }
-        // Non-labelled queue second (lines 18-21): discoveries only extend
-        // the traversal, they are never labelled.
-        for &u in &qn {
-            for &v in graph.neighbors(u) {
-                if visited[v as usize] {
-                    continue;
-                }
-                visited[v as usize] = true;
-                next_qn.push(v);
-            }
-        }
-
-        ql = next_ql;
-        qn = next_qn;
-        level = next_depth;
     }
-
-    LandmarkBfs { column, meta_edges }
-}
-
-/// Builds the complete labelling scheme, one landmark BFS at a time on the
-/// calling thread, installing each column as its BFS finishes. Lemma 5.2
-/// would let the BFSs run on separate threads (the paper's QbS-P), but on
-/// two cores that measured no faster, so there is one builder.
-pub fn build_sequential(graph: &Graph, landmarks: &[VertexId]) -> LabellingScheme {
-    build_after(Vec::new(), graph, landmarks)
-}
-
-/// [`build_sequential`] with the label slots appended to `buf`.
-pub(crate) fn build_after(buf: Vec<u8>, graph: &Graph, landmarks: &[VertexId]) -> LabellingScheme {
-    let landmark_column = landmark_column_map(graph, landmarks);
-    let mut labelling = PathLabelling::after(buf, graph.num_vertices(), landmarks.len());
-    let mut meta: std::collections::BTreeMap<(usize, usize), Distance> =
-        std::collections::BTreeMap::new();
-    for i in 0..landmarks.len() {
-        let bfs = landmark_bfs(graph, landmarks, &landmark_column, i);
-        labelling.install_column(i, &bfs.column);
-        for (j, sigma) in bfs.meta_edges {
-            let key = (i.min(j), i.max(j));
-            let entry = meta.entry(key).or_insert(sigma);
-            debug_assert_eq!(*entry, sigma, "meta edge weight must agree from both roots");
-            *entry = (*entry).min(sigma);
-        }
-    }
-    LabellingScheme {
+    meta_edges.sort_unstable();
+    Ok(LabellingScheme {
         landmarks: landmarks.to_vec(),
         labelling,
-        meta_edges: meta.into_iter().map(|((i, j), s)| (i, j, s)).collect(),
-    }
-}
-
-/// Maps every vertex to its landmark column index (`u32::MAX` for
-/// non-landmarks).
-pub(crate) fn landmark_column_map(graph: &Graph, landmarks: &[VertexId]) -> Vec<u32> {
-    let mut map = vec![u32::MAX; graph.num_vertices()];
-    for (i, &r) in landmarks.iter().enumerate() {
-        map[r as usize] = i as u32;
-    }
-    map
-}
-
-fn saturate(d: Distance) -> u16 {
-    if d >= NO_LABEL as Distance {
-        NO_LABEL - 1
-    } else {
-        d as u16
-    }
+        meta_edges,
+    })
 }
 
 #[cfg(test)]
@@ -453,9 +445,33 @@ mod tests {
         for v in 1..300u32 {
             assert_eq!(l.get(v, 0), Some(v), "label of {v}");
         }
-        // Appended to a head, the slots follow it untouched.
+    }
+
+    #[test]
+    fn widening_moves_every_one_byte_slot_after_the_head() {
+        // Appended to a head, the slots follow it untouched: a one-byte
+        // entry written before the widening keeps its value.
         let mut labelling = PathLabelling::after(vec![7, 7], 3, 1);
-        labelling.install_column(0, &[NO_LABEL, 255, 2]);
+        labelling.set(2, 0, 2).expect("fits");
+        assert_eq!(labelling.slot_width(), 1);
+        labelling.set(1, 0, 255).expect("fits two bytes");
+        assert_eq!(labelling.slot_width(), 2);
+        assert_eq!(labelling.get(0, 0), None);
         assert_eq!(labelling.into_buffer(), [7, 7, 0xFF, 0xFF, 255, 0, 2, 0]);
+    }
+
+    #[test]
+    fn distances_past_two_bytes_are_refused() {
+        let mut labelling = PathLabelling::after(Vec::new(), 2, 1);
+        labelling
+            .set(0, 0, 65_534)
+            .expect("the longest storable label");
+        assert_eq!(labelling.get(0, 0), Some(65_534));
+        let err = labelling.set(1, 0, 65_535).unwrap_err();
+        assert!(matches!(
+            err,
+            QbsError::LabelDistanceTooLarge { distance: 65_535 }
+        ));
+        assert_eq!(labelling.get(1, 0), None);
     }
 }

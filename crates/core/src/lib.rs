@@ -10,9 +10,10 @@
 //!
 //! 1. **Labelling** (offline, [`labelling`], [`meta_graph`]) — pick a
 //!    small set of high-degree landmarks `R` and run one pruned BFS per
-//!    landmark (Algorithm 2) to build a *labelling scheme*: a meta-graph
-//!    over the landmarks plus a compact per-vertex path labelling. The
-//!    scheme is deterministic w.r.t. `R` (Lemma 5.2).
+//!    landmark (Algorithm 2), all of them together as the bits of one mask
+//!    per vertex, to build a *labelling scheme*: a meta-graph over the
+//!    landmarks plus a compact per-vertex path labelling. The scheme is
+//!    deterministic w.r.t. `R` (Lemma 5.2).
 //! 2. **Sketching** (online, [`sketch`]) — combine the two query labels and
 //!    the meta-graph into a *sketch*: an upper bound `d⊤` on the distance
 //!    plus the landmark paths achieving it (Algorithm 3, `O(|R|²)`).

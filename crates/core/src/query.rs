@@ -65,18 +65,24 @@ pub struct QueryAnswer {
 
 impl QbsIndex {
     /// Builds an index over `graph` with the given configuration, on the
-    /// calling thread: Algorithm 2's one BFS per landmark, then the index
-    /// file layout in one heap buffer, whose Δ is read off the labels.
+    /// calling thread: Algorithm 2's landmark BFSs, advancing together as
+    /// bit masks, then the index file layout in one heap buffer, whose Δ
+    /// is read off the labels.
     ///
     /// # Panics
     ///
     /// Panics if the graph has 2³² arcs or more, which the index file's
-    /// row bounds cannot address; [`crate::Qbs::build`] returns
-    /// [`QbsError::GraphTooLarge`] instead.
+    /// row bounds cannot address, or if a label distance exceeds 65 534,
+    /// which its two-byte label slots cannot hold; [`crate::Qbs::build`]
+    /// returns [`QbsError::GraphTooLarge`] or
+    /// [`QbsError::LabelDistanceTooLarge`] instead.
     pub fn build(graph: Graph, config: QbsConfig) -> Self {
-        if let Err(err) = format::check_num_arcs(graph.num_arcs()) {
-            panic!("{err}");
-        }
+        Self::try_build(graph, config).unwrap_or_else(|err| panic!("{err}"))
+    }
+
+    /// [`QbsIndex::build`], returning its refusals as errors.
+    pub(crate) fn try_build(graph: Graph, config: QbsConfig) -> crate::Result<Self> {
+        format::check_num_arcs(graph.num_arcs())?;
         let total_start = Instant::now();
 
         let t = Instant::now();
@@ -89,7 +95,7 @@ impl QbsIndex {
         // is walked off the labels of that Δ-less index and then appended.
         let t = Instant::now();
         let buf = format::start_buffer(graph.num_vertices(), &landmarks, graph.num_arcs());
-        let scheme: LabellingScheme = labelling::build_after(buf, &graph, &landmarks);
+        let scheme: LabellingScheme = labelling::build_after(buf, &graph, &landmarks)?;
         let labelling_time = t.elapsed();
 
         let t = Instant::now();
@@ -113,7 +119,7 @@ impl QbsIndex {
             meta_graph: meta_time,
             total: total_start.elapsed(),
         };
-        index
+        Ok(index)
     }
 
     /// Builds with the paper's default configuration (20 highest-degree
@@ -329,6 +335,41 @@ pub(crate) fn cost_hint(sketch: &Sketch) -> Distance {
 mod tests {
     use super::*;
     use qbs_graph::fixtures::{figure3_graph, figure4_graph, figure4_spg_6_11_edges};
+    use qbs_graph::GraphBuilder;
+
+    /// The path 0 — 1 — … — 70 000 with the landmark at 0: vertex 70 000's
+    /// label would be 70 000, past the 65 534 a two-byte slot holds.
+    fn long_path() -> (Graph, QbsConfig) {
+        let graph = GraphBuilder::from_edges((1..=70_000u32).map(|v| (v - 1, v))).build();
+        (graph, QbsConfig::with_explicit_landmarks(vec![0]))
+    }
+
+    /// A label past two bytes used to be stored as 65 534, so `d⊤` stopped
+    /// bounding the distance and queries answered wrong. The build refuses
+    /// it now; an index that does get built answers exactly.
+    #[test]
+    fn labels_past_two_bytes_refuse_the_build() {
+        let (graph, config) = long_path();
+        match crate::Qbs::build(graph, config) {
+            Ok(qbs) => {
+                assert_eq!(qbs.distance(1, 70_000).unwrap(), 69_999);
+                assert_eq!(qbs.query(1, 70_000).unwrap().distance(), 69_999);
+                let index = qbs.index().unwrap();
+                assert_eq!(index.label_distance(70_000, 0), Some(70_000));
+            }
+            Err(err) => assert!(
+                matches!(err, QbsError::LabelDistanceTooLarge { distance: 65_535 }),
+                "{err}"
+            ),
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a label distance of 65535 does not fit")]
+    fn index_build_panics_on_labels_past_two_bytes() {
+        let (graph, config) = long_path();
+        QbsIndex::build(graph, config);
+    }
 
     #[test]
     fn figure4_default_example_end_to_end() {

@@ -70,10 +70,11 @@ impl fmt::Debug for Qbs {
 impl Qbs {
     /// Builds an index over `graph` on the calling thread (spawning none)
     /// and wraps it in a session. Fails with [`QbsError::GraphTooLarge`]
-    /// when the graph has 2³² arcs or more.
+    /// when the graph has 2³² arcs or more, and with
+    /// [`QbsError::LabelDistanceTooLarge`] when a label distance exceeds
+    /// 65 534.
     pub fn build(graph: Graph, config: QbsConfig) -> crate::Result<Self> {
-        crate::format::check_num_arcs(graph.num_arcs())?;
-        Ok(Self::from_index(QbsIndex::build(graph, config)))
+        Ok(Self::from_index(QbsIndex::try_build(graph, config)?))
     }
 
     /// Wraps an index — built, or opened with

@@ -185,10 +185,11 @@ impl QbsIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::labelling::{landmark_bfs, landmark_column_map, NO_LABEL};
     use crate::query::QbsConfig;
     use crate::serialize::{self, MapMode};
     use qbs_graph::fixtures::figure4_graph;
+    use qbs_graph::traversal::bfs_distances;
+    use qbs_graph::{FilteredGraph, INFINITE_DISTANCE};
 
     fn index() -> QbsIndex {
         QbsIndex::build(
@@ -197,16 +198,25 @@ mod tests {
         )
     }
 
-    /// Every accessor agrees with the graph it was built from and with
-    /// Algorithm 2's per-landmark BFS columns, on the heap buffer of the
-    /// build and on a mapping of the saved file.
+    /// Every accessor agrees with the graph it was built from, and every
+    /// label with a plain BFS (Definition 4.2: the distance to a landmark
+    /// when one shortest path avoids the other landmarks), on the heap
+    /// buffer of the build and on a mapping of the saved file.
     #[test]
-    fn store_accessors_agree_with_the_graph_and_the_landmark_bfs_columns() {
+    fn store_accessors_agree_with_the_graph_and_a_plain_bfs() {
         let graph = figure4_graph();
-        let landmarks = vec![1, 2, 3];
-        let column_map = landmark_column_map(&graph, &landmarks);
-        let columns: Vec<Vec<u16>> = (0..landmarks.len())
-            .map(|i| landmark_bfs(&graph, &landmarks, &column_map, i).column)
+        let landmarks = [1, 2, 3];
+        // Per landmark: its distances in G, and in G without the others.
+        let bfs: Vec<(Vec<Distance>, Vec<Distance>)> = landmarks
+            .iter()
+            .map(|&r| {
+                let others = VertexFilter::from_vertices(
+                    graph.num_vertices(),
+                    landmarks.iter().copied().filter(|&x| x != r),
+                );
+                let avoiding = bfs_distances(&FilteredGraph::new(&graph, &others), r);
+                (bfs_distances(&graph, r), avoiding)
+            })
             .collect();
 
         let built = index();
@@ -258,8 +268,9 @@ mod tests {
                 }
                 assert!(!rows.has_edge(v, VertexId::MAX, false), "absent id");
                 let expected: Vec<(usize, Distance)> = (0..landmarks.len())
-                    .filter(|&i| columns[i][v as usize] != NO_LABEL)
-                    .map(|i| (i, Distance::from(columns[i][v as usize])))
+                    .filter(|_| column.is_none())
+                    .map(|i| (i, bfs[i].0[v as usize]))
+                    .filter(|&(i, d)| d != INFINITE_DISTANCE && bfs[i].1[v as usize] == d)
                     .collect();
                 for i in 0..landmarks.len() {
                     let slot = expected.iter().find(|&&(c, _)| c == i).map(|&(_, d)| d);
