@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 
 use qbs_baselines::ppl::{BuildAborted, BuildLimits};
 use qbs_baselines::{GroundTruth, ParentPpl, Ppl, SpgEngine};
-use qbs_core::{QbsConfig, QbsIndex, QueryWorkspace};
+use qbs_core::{QbsConfig, QbsIndex, QueryOutcome, QueryRequest, QueryWorkspace};
 use qbs_graph::{Graph, PathGraph, VertexId};
 
 /// [`QbsIndex`] adapted to the [`SpgEngine`] trait.
@@ -57,10 +57,11 @@ impl SpgEngine for QbsEngine {
         pairs
             .iter()
             .map(|&(u, v)| {
-                self.index
-                    .query_with(&mut ws, u, v)
-                    .expect("batch vertices validated by the caller")
-                    .path_graph
+                let request = QueryRequest::path_graph(u, v);
+                match self.index.execute_with(&mut ws, &request, None) {
+                    QueryOutcome::PathGraph(pg) => *pg,
+                    outcome => panic!("batch vertices are validated by the caller: {outcome:?}"),
+                }
             })
             .collect()
     }

@@ -575,7 +575,8 @@ pub fn landmark_sweep(config: &ExperimentConfig) -> LandmarkSweep {
                     let mut ws = qbs_core::QueryWorkspace::new();
                     let t0 = Instant::now();
                     for &(u, v) in engine_pairs {
-                        let _ = index.query_with(&mut ws, u, v);
+                        let request = qbs_core::QueryRequest::path_graph(u, v).with_stats();
+                        let _ = index.execute_with(&mut ws, &request, None);
                     }
                     let avg_query_ms = if engine_pairs.is_empty() {
                         0.0
@@ -665,15 +666,15 @@ pub fn traversal(config: &ExperimentConfig) -> Traversal {
             let mean_edges = |landmarks: usize| {
                 let index =
                     QbsIndex::build(graph.clone(), QbsConfig::with_landmark_count(landmarks));
+                let mut ws = qbs_core::QueryWorkspace::new();
                 let edges: usize = workload
                     .pairs()
                     .iter()
                     .map(|&(u, v)| {
-                        index
-                            .query_with_stats(u, v)
-                            .expect("workload pairs are in range")
-                            .stats
-                            .edges_traversed
+                        let request = qbs_core::QueryRequest::path_graph(u, v).with_stats();
+                        let outcome = index.execute_with(&mut ws, &request, None);
+                        let answer = outcome.answer().expect("workload pairs are in range");
+                        answer.stats.edges_traversed
                     })
                     .sum();
                 edges as f64 / workload.len().max(1) as f64
@@ -727,7 +728,7 @@ pub struct MixedBatchRow {
     /// Error outcomes observed (must be exactly 1: the poisoned pair).
     pub error_slots: usize,
     /// Whether every outcome matched: heap vs mmap buffers, the
-    /// legacy per-query entry points, and warm-cache vs cold answers.
+    /// one-at-a-time reference, and warm-cache vs cold answers.
     pub identical: bool,
     /// Cold (uncached) batch time, ms/request.
     pub cold_ms: f64,
@@ -743,7 +744,7 @@ impl_to_json!(MixedBatchRow: dataset, requests, error_slots, identical, cold_ms,
 /// The mixed-batch differential: a heterogeneous distance/path/sketch
 /// batch (with one poisoned pair mid-batch) is submitted through the
 /// request pipeline over the heap buffer and a mapping of one index and
-/// checked slot-by-slot against the legacy entry points; a cache-enabled
+/// checked slot-by-slot against one-at-a-time execution; a cache-enabled
 /// session then re-runs
 /// the batch warm and must produce bit-identical outcomes. CI runs this at
 /// tiny scale and fails the pipeline on any drift.
@@ -764,7 +765,7 @@ impl MixedBatch {
     /// Renders the comparison.
     pub fn render(&self) -> String {
         let mut t = TextTable::new(
-            "Mixed batch: request pipeline vs legacy paths (+ cache warm/cold)",
+            "Mixed batch: request pipeline vs one at a time (+ cache warm/cold)",
             &[
                 "Dataset",
                 "requests",
@@ -823,44 +824,24 @@ fn mixed_requests(
     requests
 }
 
-/// Checks one submit run slot-by-slot against the legacy single-query
-/// entry points; returns `false` on any mismatch.
-fn outcomes_match_legacy(
+/// Checks one submit run slot-by-slot against the one-at-a-time
+/// reference: each request through the query door on one workspace.
+fn outcomes_match_one_at_a_time(
     index: &QbsIndex,
     requests: &[qbs_core::QueryRequest],
     outcomes: &[qbs_core::QueryOutcome],
 ) -> bool {
-    use qbs_core::QueryMode;
-    if requests.len() != outcomes.len() {
-        return false;
-    }
-    requests.iter().zip(outcomes).all(|(req, outcome)| {
-        let in_range = (req.source as usize) < index.num_vertices()
-            && (req.target as usize) < index.num_vertices();
-        if !in_range {
-            return outcome.is_error();
-        }
-        match req.mode {
-            QueryMode::Distance => {
-                outcome.distance() == Some(index.distance(req.source, req.target).expect("range"))
-            }
-            QueryMode::PathGraph => {
-                let expected = index
-                    .query_with_stats(req.source, req.target)
-                    .expect("range");
-                outcome.path_graph() == Some(&expected.path_graph)
-                    && (!req.opts.collect_stats || outcome.answer() == Some(&expected))
-            }
-            QueryMode::Sketch => {
-                outcome.sketch() == Some(&index.sketch(req.source, req.target).expect("range"))
-            }
-        }
-    })
+    let mut ws = qbs_core::QueryWorkspace::new();
+    requests.len() == outcomes.len()
+        && requests
+            .iter()
+            .zip(outcomes)
+            .all(|(req, outcome)| *outcome == index.execute_with(&mut ws, req, None))
 }
 
 /// Runs the mixed-batch differential: build → save → mmap → submit the
-/// heterogeneous batch over both buffers → compare against the legacy
-/// entry points → re-run warm through the answer cache.
+/// heterogeneous batch over both buffers → compare against one-at-a-time
+/// execution → re-run warm through the answer cache.
 pub fn mixed_batch(config: &ExperimentConfig) -> Result<MixedBatch, QbsError> {
     let nonce = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
@@ -894,7 +875,7 @@ pub fn mixed_batch(config: &ExperimentConfig) -> Result<MixedBatch, QbsError> {
 
             let error_slots = owned_outcomes.iter().filter(|o| o.is_error()).count();
             let mut identical = owned_outcomes == view_outcomes
-                && outcomes_match_legacy(
+                && outcomes_match_one_at_a_time(
                     owned.index().expect("owned session"),
                     &requests,
                     &owned_outcomes,
@@ -1031,7 +1012,7 @@ pub fn batch_plan(config: &ExperimentConfig) -> Result<BatchPlan, QbsError> {
             let mut ws = qbs_core::QueryWorkspace::new();
             let reference: Vec<qbs_core::QueryOutcome> = requests
                 .iter()
-                .map(|req| qbs_core::execute_on(&owned, &mut ws, req))
+                .map(|req| owned.execute_with(&mut ws, req, None))
                 .collect();
 
             // One warmup submit so the timed pass measures the batch path,

@@ -393,7 +393,6 @@ impl AnswerCache {
 mod tests {
     use super::*;
     use crate::query::QueryAnswer;
-    use crate::request::execute_cached_on;
     use crate::search::SearchStats;
     use crate::sketch::Sketch;
     use crate::workspace::QueryWorkspace;
@@ -422,9 +421,9 @@ mod tests {
                 QueryRequest::new(6, 11, mode),
                 QueryRequest::new(6, 11, mode).with_stats(),
             ] {
-                let fresh = crate::request::execute_on(&index, &mut ws, &opts);
-                let miss_then_fill = execute_cached_on(&index, &mut ws, &opts, Some(&cache));
-                let hit = execute_cached_on(&index, &mut ws, &opts, Some(&cache));
+                let fresh = index.execute_with(&mut ws, &opts, None);
+                let miss_then_fill = index.execute_with(&mut ws, &opts, Some(&cache));
+                let hit = index.execute_with(&mut ws, &opts, Some(&cache));
                 assert_eq!(fresh, miss_then_fill, "{mode} fill");
                 assert_eq!(fresh, hit, "{mode} hit");
             }
@@ -437,35 +436,15 @@ mod tests {
         let index = index();
         let cache = AnswerCache::new(CacheConfig::default().admit_above(0));
         let mut ws = QueryWorkspace::new();
-        execute_cached_on(
-            &index,
-            &mut ws,
-            &QueryRequest::distance(6, 11),
-            Some(&cache),
-        );
+        index.execute_with(&mut ws, &QueryRequest::distance(6, 11), Some(&cache));
         let before = cache.stats();
-        let reversed = execute_cached_on(
-            &index,
-            &mut ws,
-            &QueryRequest::distance(11, 6),
-            Some(&cache),
-        );
+        let reversed = index.execute_with(&mut ws, &QueryRequest::distance(11, 6), Some(&cache));
         assert_eq!(reversed.distance(), Some(5));
         assert_eq!(cache.stats().hits, before.hits + 1, "distance is symmetric");
 
-        execute_cached_on(
-            &index,
-            &mut ws,
-            &QueryRequest::path_graph(6, 11),
-            Some(&cache),
-        );
+        index.execute_with(&mut ws, &QueryRequest::path_graph(6, 11), Some(&cache));
         let before = cache.stats();
-        let rev = execute_cached_on(
-            &index,
-            &mut ws,
-            &QueryRequest::path_graph(11, 6),
-            Some(&cache),
-        );
+        let rev = index.execute_with(&mut ws, &QueryRequest::path_graph(11, 6), Some(&cache));
         assert_eq!(
             cache.stats().misses,
             before.misses + 1,
@@ -481,12 +460,12 @@ mod tests {
         let cache = AnswerCache::new(CacheConfig::default().admit_above(3));
         let mut ws = QueryWorkspace::new();
         let cheap = QueryRequest::distance(4, 2);
-        execute_cached_on(&index, &mut ws, &cheap, Some(&cache));
+        index.execute_with(&mut ws, &cheap, Some(&cache));
         assert_eq!(cache.len(), 0, "cheap answer not admitted");
         assert_eq!(cache.stats().rejected, 1);
 
         let costly = QueryRequest::distance(6, 11); // d⊤ = 5
-        execute_cached_on(&index, &mut ws, &costly, Some(&cache));
+        index.execute_with(&mut ws, &costly, Some(&cache));
         assert_eq!(cache.len(), 1, "costly answer admitted");
         assert_eq!(cache.stats().insertions, 1);
     }
@@ -500,17 +479,15 @@ mod tests {
         let cache = AnswerCache::new(CacheConfig::default());
         let mut ws = QueryWorkspace::new();
         for v in [1, 6] {
-            let path = execute_cached_on(
-                &index,
+            let path = index.execute_with(
                 &mut ws,
                 &QueryRequest::path_graph(v, v).with_stats(),
                 Some(&cache),
             );
             assert_eq!(cache.len(), 0, "path graph of ({v}, {v}) admitted");
-            let sketch =
-                execute_cached_on(&index, &mut ws, &QueryRequest::sketch(v, v), Some(&cache));
+            let sketch = index.execute_with(&mut ws, &QueryRequest::sketch(v, v), Some(&cache));
             assert_eq!(sketch.sketch(), path.sketch(), "sketch of ({v}, {v})");
-            execute_cached_on(&index, &mut ws, &QueryRequest::distance(v, v), Some(&cache));
+            index.execute_with(&mut ws, &QueryRequest::distance(v, v), Some(&cache));
         }
         assert_eq!(cache.len(), 0);
         assert_eq!(cache.stats().rejected, 6);
@@ -522,8 +499,8 @@ mod tests {
         let cache = AnswerCache::new(CacheConfig::default().admit_above(0));
         let mut ws = QueryWorkspace::new();
         let req = QueryRequest::distance(6, 11).uncached();
-        execute_cached_on(&index, &mut ws, &req, Some(&cache));
-        execute_cached_on(&index, &mut ws, &req, Some(&cache));
+        index.execute_with(&mut ws, &req, Some(&cache));
+        index.execute_with(&mut ws, &req, Some(&cache));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.len), (0, 0, 0));
     }

@@ -14,7 +14,7 @@
 
 use qbs_graph::VertexId;
 
-use crate::QbsIndex;
+use crate::{QbsIndex, QueryRequest, QueryWorkspace};
 
 /// Classification of one query pair.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -75,12 +75,18 @@ impl CoverageReport {
     }
 }
 
-/// Classifies a single pair using one guided search.
-pub fn classify_pair(index: &QbsIndex, u: VertexId, v: VertexId) -> PairCoverage {
+/// Classifies a single pair using one guided search on the buffers of `ws`.
+pub fn classify_pair(
+    index: &QbsIndex,
+    ws: &mut QueryWorkspace,
+    u: VertexId,
+    v: VertexId,
+) -> PairCoverage {
     if u == v {
         return PairCoverage::NotApplicable;
     }
-    let Ok(answer) = index.query_with_stats(u, v) else {
+    let outcome = index.execute_with(ws, &QueryRequest::path_graph(u, v).with_stats(), None);
+    let Some(answer) = outcome.answer() else {
         return PairCoverage::NotApplicable;
     };
     if !answer.path_graph.is_reachable() {
@@ -101,8 +107,9 @@ pub fn classify_pair(index: &QbsIndex, u: VertexId, v: VertexId) -> PairCoverage
 /// Classifies a whole workload.
 pub fn classify_workload(index: &QbsIndex, pairs: &[(VertexId, VertexId)]) -> CoverageReport {
     let mut report = CoverageReport::default();
+    let mut ws = QueryWorkspace::new();
     for &(u, v) in pairs {
-        match classify_pair(index, u, v) {
+        match classify_pair(index, &mut ws, u, v) {
             PairCoverage::AllThroughLandmarks => report.all_through += 1,
             PairCoverage::SomeThroughLandmarks => report.some_through += 1,
             PairCoverage::NoneThroughLandmarks => report.none_through += 1,
@@ -128,24 +135,25 @@ mod tests {
     #[test]
     fn classifies_the_three_cases_on_figure4() {
         let index = figure4_index();
+        let ws = &mut QueryWorkspace::new();
         // (4, 12): only path is 4-3-12 through landmark 3 → case (i).
         assert_eq!(
-            classify_pair(&index, 4, 12),
+            classify_pair(&index, ws, 4, 12),
             PairCoverage::AllThroughLandmarks
         );
         // (6, 11): some shortest paths use landmarks, one avoids them → (ii).
         assert_eq!(
-            classify_pair(&index, 6, 11),
+            classify_pair(&index, ws, 6, 11),
             PairCoverage::SomeThroughLandmarks
         );
         // (7, 9): the unique shortest path 7-8-9 avoids all landmarks.
         assert_eq!(
-            classify_pair(&index, 7, 9),
+            classify_pair(&index, ws, 7, 9),
             PairCoverage::NoneThroughLandmarks
         );
         // Trivial and disconnected pairs are excluded.
-        assert_eq!(classify_pair(&index, 5, 5), PairCoverage::NotApplicable);
-        assert_eq!(classify_pair(&index, 0, 5), PairCoverage::NotApplicable);
+        assert_eq!(classify_pair(&index, ws, 5, 5), PairCoverage::NotApplicable);
+        assert_eq!(classify_pair(&index, ws, 0, 5), PairCoverage::NotApplicable);
     }
 
     #[test]

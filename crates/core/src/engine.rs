@@ -52,7 +52,7 @@ use std::time::Instant;
 use crate::cache::AnswerCache;
 use crate::obs::{saturating_ns, AtomicStageNanos, Metrics, Stage, StageNanos};
 use crate::plan::{self, PlannerCounters};
-use crate::request::{execute_cached_on, QueryOutcome, QueryRequest};
+use crate::request::{QueryOutcome, QueryRequest};
 use crate::store::QbsIndex;
 use crate::workspace::QueryWorkspace;
 
@@ -109,9 +109,7 @@ impl Engine {
         );
         let metrics = Some(&*self.metrics).filter(|m| m.is_enabled());
         ws.obs.enabled = metrics.is_some();
-        let t = ws.obs.start();
-        let outcome = execute_cached_on(&self.index, ws, request, self.cache.as_ref());
-        ws.obs.stop(Stage::Execute, t);
+        let outcome = self.index.execute_with(ws, request, self.cache.as_ref());
         if let Some(m) = metrics {
             let ns = ws.obs.take();
             m.record_request(request.mode, &ns);
@@ -449,24 +447,6 @@ mod tests {
             .expect("threads")
     }
 
-    #[test]
-    fn batch_answers_match_single_queries_in_order() {
-        let index = figure4_index();
-        let qbs = session(index.clone(), 4);
-        let pairs = all_pairs(15);
-        let outcomes = qbs.submit(&path_graph_requests(&pairs));
-        assert_eq!(outcomes.len(), pairs.len());
-        for (&(u, v), outcome) in pairs.iter().zip(&outcomes) {
-            let answer = outcome.answer().expect("in-range pair");
-            let expected = index.query_with_stats(u, v).expect("single query");
-            assert_eq!(
-                answer.path_graph, expected.path_graph,
-                "answer of ({u},{v})"
-            );
-            assert_eq!(answer.stats, expected.stats, "stats of ({u},{v})");
-        }
-    }
-
     /// Two-thread sessions over the heap buffer of a build and over a
     /// mapping of its saved file submit identical outcomes, and every
     /// distance matches a plain BFS.
@@ -518,7 +498,7 @@ mod tests {
             qbs.submit(&requests);
         }
         for &(u, v) in &all_pairs(4) {
-            qbs.query(u, v).expect("in range");
+            assert!(qbs.execute(&QueryRequest::path_graph(u, v)).is_ok());
         }
         let workers = qbs.exec.workers.get().expect("started by a frame");
         assert_eq!(workers.handles.len(), 2, "threads − 1 workers");
@@ -539,8 +519,9 @@ mod tests {
         ]);
         assert!(!outcomes[0].is_error(), "good slot unaffected");
         assert!(outcomes[1].is_error(), "bad slot fails alone");
-        assert!(qbs.query(0, 99).is_err());
-        assert_eq!(qbs.query(3, 7).unwrap().distance(), 4);
+        assert!(qbs.execute(&QueryRequest::path_graph(0, 99)).is_error());
+        let good = qbs.execute(&QueryRequest::path_graph(3, 7));
+        assert_eq!(good.distance(), Some(4));
     }
 
     #[test]

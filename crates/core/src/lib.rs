@@ -77,11 +77,8 @@ pub use obs::{
     counter, Counter, CounterDef, Fold, HistogramSnapshot, LatencyHistogram, Metrics,
     MetricsSnapshot, Stage, StageNanos, TraceId,
 };
-pub use query::{distance_on, query_on, sketch_on, QbsConfig, QueryAnswer};
-pub use request::{
-    execute_cached_on, execute_on, QueryMode, QueryOptions, QueryOutcome, QueryRequest,
-    RequestError,
-};
+pub use query::{QbsConfig, QueryAnswer};
+pub use request::{QueryMode, QueryOptions, QueryOutcome, QueryRequest, RequestError};
 pub use search::SearchStats;
 pub use serialize::MapMode;
 pub use session::Qbs;

@@ -250,7 +250,8 @@ pub enum Stage {
     QueueWait,
     /// Batch-planner analysis: the duplicate-request pass of a batch.
     Planner,
-    /// Landmark-label intersection: sketch / `d⊤` bound computation.
+    /// Endpoint label fill plus the sketch, or the `d⊤` bound alone in
+    /// distance mode.
     SketchBound,
     /// Guided bidirectional search (full or distance-only).
     GuidedSearch,
@@ -258,7 +259,8 @@ pub enum Stage {
     CacheLookup,
     /// Answer-cache admission.
     CacheAdmit,
-    /// Whole per-request execution (lookup + compute + admit + shaping).
+    /// Whole per-request execution in the query door, from its first
+    /// clock read to its last (cache lookup through cache admission).
     Execute,
     /// Encoding the response frame onto the wire.
     WireEncode,
@@ -396,38 +398,46 @@ impl AtomicStageNanos {
 
 /// Per-workspace scratch where a request's stage timings accumulate while
 /// it executes; the engine flushes it into the shared [`Metrics`]
-/// registry after each request. Timing calls are no-ops while `enabled`
-/// is false, so the uninstrumented path costs one branch.
+/// registry after each request. Clock reads are no-ops while `enabled`
+/// is false, so the uninstrumented path costs one branch per stage.
 #[derive(Debug, Default)]
 pub struct ObsScratch {
     /// Whether the executing engine wants stage timings collected.
     pub(crate) enabled: bool,
     ns: [u64; NUM_STAGES],
+    /// Clock reads taken, so tests can pin the reads per request.
+    #[cfg(test)]
+    pub(crate) reads: u64,
 }
 
 impl ObsScratch {
-    /// Starts a stage clock, or `None` when timing is off.
-    pub(crate) fn start(&self) -> Option<Instant> {
-        if self.enabled {
-            Some(Instant::now())
-        } else {
-            None
+    /// Reads the clock, or `None` when timing is off.
+    pub(crate) fn now(&mut self) -> Option<Instant> {
+        if !self.enabled {
+            return None;
         }
+        #[cfg(test)]
+        {
+            self.reads += 1;
+        }
+        Some(Instant::now())
     }
 
-    /// Stops a stage clock started by [`ObsScratch::start`], accumulating
-    /// the elapsed time under `stage`. Sub-nanosecond readings round up
-    /// to 1 ns so "ran in under a tick" stays distinguishable from
-    /// "never ran".
-    pub(crate) fn stop(&mut self, stage: Stage, t: Option<Instant>) {
-        if let Some(t) = t {
-            self.add_ns(stage, saturating_ns(t.elapsed()).max(1));
-        }
+    /// Ends `stage`, which began at `since`, with one clock read, and
+    /// returns that read: the start of the next stage.
+    pub(crate) fn lap(&mut self, stage: Stage, since: Option<Instant>) -> Option<Instant> {
+        let now = self.now();
+        self.span(stage, since, now);
+        now
     }
 
-    /// Accumulates `ns` under `stage`.
-    pub(crate) fn add_ns(&mut self, stage: Stage, ns: u64) {
-        self.ns[stage.index()] += ns;
+    /// Accumulates the time from `from` to `to` under `stage`, reading no
+    /// clock. Sub-nanosecond spans round up to 1 ns so "ran in under a
+    /// tick" stays distinguishable from "never ran".
+    pub(crate) fn span(&mut self, stage: Stage, from: Option<Instant>, to: Option<Instant>) {
+        if let (Some(from), Some(to)) = (from, to) {
+            self.ns[stage.index()] += saturating_ns(to - from).max(1);
+        }
     }
 
     /// Takes the per-request figures, resetting them to zero.

@@ -1,19 +1,17 @@
-//! Building a [`QbsIndex`] and the single-query entry points: build once,
-//! query many times.
+//! Building a [`QbsIndex`]: build once, query many times through
+//! [`QbsIndex::execute_with`] ([`crate::request`]).
 
 use std::time::{Duration, Instant};
 
-use qbs_graph::{Distance, Graph, PathGraph, VertexId};
+use qbs_graph::{Graph, PathGraph, VertexId};
 
 use crate::format;
 use crate::labelling::{self, LabellingScheme};
 use crate::landmark::LandmarkStrategy;
 use crate::meta_graph;
-use crate::search::{self, SearchStats};
-use crate::sketch::{self, Sketch};
+use crate::search::SearchStats;
+use crate::sketch::Sketch;
 use crate::store::QbsIndex;
-use crate::workspace::QueryWorkspace;
-use crate::QbsError;
 
 /// Configuration of an index build.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -74,8 +72,8 @@ impl QbsIndex {
     /// Panics if the graph has 2³² arcs or more, which the index file's
     /// row bounds cannot address, or if a label distance exceeds 65 534,
     /// which its two-byte label slots cannot hold; [`crate::Qbs::build`]
-    /// returns [`QbsError::GraphTooLarge`] or
-    /// [`QbsError::LabelDistanceTooLarge`] instead.
+    /// returns [`crate::QbsError::GraphTooLarge`] or
+    /// [`crate::QbsError::LabelDistanceTooLarge`] instead.
     pub fn build(graph: Graph, config: QbsConfig) -> Self {
         Self::try_build(graph, config).unwrap_or_else(|err| panic!("{err}"))
     }
@@ -127,213 +125,12 @@ impl QbsIndex {
     pub fn build_default(graph: Graph) -> Self {
         Self::build(graph, QbsConfig::default())
     }
-
-    /// Computes the sketch for a query (Algorithm 3) without running the
-    /// search — used by the Figure 8 coverage analysis and by callers that
-    /// only need the distance upper bound.
-    ///
-    /// Returns [`QbsError::VertexOutOfRange`] for endpoints outside the
-    /// indexed graph.
-    pub fn sketch(&self, source: VertexId, target: VertexId) -> crate::Result<Sketch> {
-        sketch_on(self, &mut QueryWorkspace::new(), source, target)
-    }
-
-    /// Answers `SPG(source, target)` on a throwaway workspace.
-    ///
-    /// Thin wrapper over the request pipeline's [`query_on`] executor —
-    /// the typed equivalent is
-    /// `execute_on(&index, ws, &QueryRequest::path_graph(u, v))` (see
-    /// [`crate::request`] and the migration table in `docs/api.md`).
-    /// Returns [`QbsError::VertexOutOfRange`] for endpoints outside the
-    /// indexed graph. Hot loops should hold a [`QueryWorkspace`] and call
-    /// [`QbsIndex::query_with`]; serving deployments should prefer the
-    /// [`crate::session::Qbs`] façade.
-    pub fn query(&self, source: VertexId, target: VertexId) -> crate::Result<PathGraph> {
-        Ok(self.query_with_stats(source, target)?.path_graph)
-    }
-
-    /// Answers `SPG(source, target)`, returning the sketch and search
-    /// statistics alongside the path graph.
-    ///
-    /// Returns [`QbsError::VertexOutOfRange`] for endpoints outside the
-    /// indexed graph.
-    pub fn query_with_stats(
-        &self,
-        source: VertexId,
-        target: VertexId,
-    ) -> crate::Result<QueryAnswer> {
-        let mut ws = QueryWorkspace::new();
-        self.query_with(&mut ws, source, target)
-    }
-
-    /// Answers `SPG(source, target)` reusing the buffers of `ws`.
-    ///
-    /// This is the workhorse behind every other query entry point. In the
-    /// steady state (workspace warmed up to the graph size) the search
-    /// itself performs no `O(|V|)` allocations or clears — the only heap
-    /// activity is the storage owned by the returned [`QueryAnswer`]
-    /// (answer edges and sketch hops). Results are bit-identical to
-    /// [`QbsIndex::query`].
-    pub fn query_with(
-        &self,
-        ws: &mut QueryWorkspace,
-        source: VertexId,
-        target: VertexId,
-    ) -> crate::Result<QueryAnswer> {
-        query_on(self, ws, source, target)
-    }
-
-    /// Shortest-path distance between two vertices (a by-product of the
-    /// guided search; exposed because distance queries are the classic use
-    /// of 2-hop labellings). Thin wrapper over the pipeline's
-    /// [`distance_on`] executor — the typed equivalent is
-    /// [`crate::request::QueryRequest::distance`].
-    pub fn distance(&self, source: VertexId, target: VertexId) -> crate::Result<Distance> {
-        let mut ws = QueryWorkspace::new();
-        self.distance_with(&mut ws, source, target)
-    }
-
-    /// Shortest-path distance reusing the buffers of `ws`.
-    ///
-    /// Unlike [`QbsIndex::query_with`] this skips the sketch's edge lists
-    /// and the reverse/recover materialisation (Eq. 5 needs only
-    /// `min(d_{G⁻}, d⊤)`), so with a warmed-up workspace the entire call is
-    /// allocation-free.
-    pub fn distance_with(
-        &self,
-        ws: &mut QueryWorkspace,
-        source: VertexId,
-        target: VertexId,
-    ) -> crate::Result<Distance> {
-        distance_on(self, ws, source, target)
-    }
-}
-
-/// Rejects query endpoints outside the index's vertex range with
-/// [`QbsError::VertexOutOfRange`] — the bounds check shared by every public
-/// query entry point.
-fn check_vertex(index: &QbsIndex, v: VertexId) -> crate::Result<()> {
-    if (v as usize) < index.num_vertices() {
-        Ok(())
-    } else {
-        Err(QbsError::VertexOutOfRange {
-            vertex: v as u64,
-            num_vertices: index.num_vertices() as u64,
-        })
-    }
-}
-
-/// Answers `SPG(source, target)`, reusing the buffers of `ws`.
-///
-/// This is the workhorse: [`QbsIndex::query_with`] is a thin wrapper over
-/// it, and the request pipeline behind [`crate::Qbs`] calls it directly.
-pub fn query_on(
-    index: &QbsIndex,
-    ws: &mut QueryWorkspace,
-    source: VertexId,
-    target: VertexId,
-) -> crate::Result<QueryAnswer> {
-    let t = ws.obs.start();
-    let sketch = sketch_on(index, ws, source, target)?;
-    if source == target {
-        ws.record_query();
-        let stats = SearchStats {
-            distance: 0,
-            ..SearchStats::default()
-        };
-        return Ok(QueryAnswer {
-            path_graph: PathGraph::trivial(source),
-            sketch,
-            stats,
-        });
-    }
-    ws.obs.stop(crate::obs::Stage::SketchBound, t);
-    let t = ws.obs.start();
-    let (path_graph, stats) = search::guided_search_with(index, ws, source, target, &sketch);
-    ws.obs.stop(crate::obs::Stage::GuidedSearch, t);
-    Ok(QueryAnswer {
-        path_graph,
-        sketch,
-        stats,
-    })
-}
-
-/// Shortest-path distance, reusing the buffers of `ws` (the
-/// allocation-free sibling of [`query_on`]).
-pub fn distance_on(
-    index: &QbsIndex,
-    ws: &mut QueryWorkspace,
-    source: VertexId,
-    target: VertexId,
-) -> crate::Result<Distance> {
-    Ok(distance_with_bounds_on(index, ws, source, target)?.0)
-}
-
-/// [`distance_on`] that also surfaces the sketch upper bound `d⊤` it
-/// computed — the request pipeline uses it as its cache-admission cost
-/// hint without paying for a second label intersection.
-pub(crate) fn distance_with_bounds_on(
-    index: &QbsIndex,
-    ws: &mut QueryWorkspace,
-    source: VertexId,
-    target: VertexId,
-) -> crate::Result<(Distance, Distance)> {
-    check_vertex(index, source)?;
-    check_vertex(index, target)?;
-    if source == target {
-        ws.record_query();
-        return Ok((0, 0));
-    }
-    index.fill_effective_label(source, &mut ws.src_label);
-    index.fill_effective_label(target, &mut ws.tgt_label);
-    let t = ws.obs.start();
-    let upper_bound = sketch::compute_bounds(index, &ws.src_label, &ws.tgt_label);
-    ws.obs.stop(crate::obs::Stage::SketchBound, t);
-    let t = ws.obs.start();
-    let (distance, _) = search::guided_distance_with(index, ws, source, target, upper_bound);
-    ws.obs.stop(crate::obs::Stage::GuidedSearch, t);
-    Ok((distance, upper_bound))
-}
-
-/// Computes the sketch of a query without running the search, reusing the
-/// label buffers of `ws`: the sketch [`query_on`]'s answer carries, which
-/// for a trivial pair (`u == v`) is [`Sketch::unreachable`].
-pub fn sketch_on(
-    index: &QbsIndex,
-    ws: &mut QueryWorkspace,
-    source: VertexId,
-    target: VertexId,
-) -> crate::Result<Sketch> {
-    check_vertex(index, source)?;
-    check_vertex(index, target)?;
-    if source == target {
-        return Ok(Sketch::unreachable(source, target));
-    }
-    index.fill_effective_label(source, &mut ws.src_label);
-    index.fill_effective_label(target, &mut ws.tgt_label);
-    Ok(sketch::compute(
-        index,
-        source,
-        target,
-        &ws.src_label,
-        &ws.tgt_label,
-    ))
-}
-
-/// The cache-admission cost hint of a query whose sketch is `sketch`: its
-/// `d⊤`, except 0 for a trivial pair (`u == v`), which needs no search —
-/// the hint [`distance_with_bounds_on`] gives the same pair.
-pub(crate) fn cost_hint(sketch: &Sketch) -> Distance {
-    if sketch.source == sketch.target {
-        0
-    } else {
-        sketch.upper_bound
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::QbsError;
     use qbs_graph::fixtures::{figure3_graph, figure4_graph, figure4_spg_6_11_edges};
     use qbs_graph::GraphBuilder;
 
@@ -352,9 +149,9 @@ mod tests {
         let (graph, config) = long_path();
         match crate::Qbs::build(graph, config) {
             Ok(qbs) => {
-                assert_eq!(qbs.distance(1, 70_000).unwrap(), 69_999);
-                assert_eq!(qbs.query(1, 70_000).unwrap().distance(), 69_999);
                 let index = qbs.index().unwrap();
+                assert_eq!(index.distance(1, 70_000).unwrap(), 69_999);
+                assert_eq!(index.query(1, 70_000).unwrap().distance(), 69_999);
                 assert_eq!(index.label_distance(70_000, 0), Some(70_000));
             }
             Err(err) => assert!(
@@ -378,13 +175,11 @@ mod tests {
             QbsConfig::with_explicit_landmarks(vec![1, 2, 3]),
         );
         assert_eq!(index.landmarks(), &[1, 2, 3]);
-        let answer = index.query_with_stats(6, 11).expect("in range");
-        assert_eq!(answer.path_graph.distance(), 5);
         assert_eq!(
-            answer.path_graph,
+            index.query(6, 11).expect("in range"),
             PathGraph::from_edges(6, 11, 5, figure4_spg_6_11_edges())
         );
-        assert_eq!(answer.sketch.upper_bound, 5);
+        assert_eq!(index.sketch(6, 11).unwrap().upper_bound, 5);
         assert_eq!(index.distance(6, 11).unwrap(), 5);
     }
 
@@ -402,11 +197,10 @@ mod tests {
     fn trivial_and_error_cases() {
         let index = QbsIndex::build(figure3_graph(), QbsConfig::with_landmark_count(2));
         assert_eq!(index.query(5, 5).unwrap().distance(), 0);
-        assert!(index.query(0, 99).is_err());
         assert!(index.sketch(99, 0).is_err());
         assert!(index.distance(0, 99).is_err());
         assert!(matches!(
-            index.query_with_stats(99, 0).unwrap_err(),
+            index.query(0, 99).unwrap_err(),
             QbsError::VertexOutOfRange { .. }
         ));
     }

@@ -1,4 +1,4 @@
-//! The typed request/response pipeline behind every online entry point.
+//! The typed request/response pipeline behind every online query.
 //!
 //! Serving-oriented path systems treat *distance-only* and *full-answer*
 //! queries as distinct modes with distinct cost profiles (Agarwal et al.,
@@ -8,42 +8,43 @@
 //!
 //! * [`QueryRequest`] — one query: endpoints, a [`QueryMode`], and
 //!   per-request [`QueryOptions`];
-//! * [`execute_on`] — the single executor: dispatches to the
-//!   sketch/guided-search internals ([`crate::query::distance_on`],
-//!   [`crate::query::query_on`], [`crate::query::sketch_on`]);
+//! * [`QbsIndex::execute_with`] — the one door: endpoint validation, the
+//!   trivial pair, the answer cache, the stage clocks, and the dispatch to
+//!   the sketch ([`crate::sketch`]) and guided search ([`crate::search`]);
 //! * [`QueryOutcome`] — the per-request response. Failures (an
 //!   out-of-range endpoint) are a *value*, not an `Err` of the whole
 //!   batch: one poisoned pair costs one error outcome, never the batch.
 //!
-//! [`crate::Qbs::submit`] fans batches of requests out over the session's
-//! long-lived query workers ([`crate::engine`]), and
-//! [`crate::cache::AnswerCache`] slots in between the request and the
-//! executor (see [`execute_cached_on`]). The
-//! single-query entry points (`QbsIndex::query` and friends) are thin
-//! wrappers over the same internals — see `docs/api.md` for the
-//! migration table.
+//! [`crate::Qbs::execute`] and [`crate::Qbs::submit`] run the door on the
+//! session's workspaces and cache, and fan batches out over its query
+//! workers ([`crate::engine`]). `QbsIndex::{query, distance, sketch}` are
+//! conveniences over the door on a fresh workspace — see `docs/api.md`
+//! for the migration table.
 //!
 //! ```
-//! use qbs_core::request::{execute_on, QueryMode, QueryRequest};
+//! use qbs_core::request::QueryRequest;
 //! use qbs_core::{QbsConfig, QbsIndex, QueryWorkspace};
 //! use qbs_graph::fixtures::figure4_graph;
 //!
 //! let index = QbsIndex::build(figure4_graph(), QbsConfig::with_landmark_count(3));
 //! let mut ws = QueryWorkspace::new();
-//! let outcome = execute_on(&index, &mut ws, &QueryRequest::distance(6, 11));
+//! let outcome = index.execute_with(&mut ws, &QueryRequest::distance(6, 11), None);
 //! assert_eq!(outcome.distance(), Some(5));
 //! // A bad endpoint is an error *outcome*, not a panic or a poisoned batch.
-//! let bad = execute_on(&index, &mut ws, &QueryRequest::path_graph(6, 99));
+//! let bad = index.execute_with(&mut ws, &QueryRequest::path_graph(6, 99), None);
 //! assert!(bad.is_error());
 //! ```
 
 use std::fmt;
+use std::time::Instant;
 
 use qbs_graph::{Distance, PathGraph, VertexId};
 
 use crate::cache::AnswerCache;
-use crate::query::{self, QueryAnswer};
-use crate::sketch::Sketch;
+use crate::obs::Stage;
+use crate::query::QueryAnswer;
+use crate::search::{self, SearchStats};
+use crate::sketch::{self, Sketch};
 use crate::store::QbsIndex;
 use crate::workspace::QueryWorkspace;
 use crate::QbsError;
@@ -228,22 +229,6 @@ impl From<RequestError> for QbsError {
     }
 }
 
-/// Converts the executor-internal [`QbsError`] into the per-request form.
-/// The online query path can only fail on endpoint validation; anything
-/// else would be a bug in the dispatcher.
-fn request_error(err: QbsError) -> RequestError {
-    match err {
-        QbsError::VertexOutOfRange {
-            vertex,
-            num_vertices,
-        } => RequestError::VertexOutOfRange {
-            vertex,
-            num_vertices,
-        },
-        other => unreachable!("online query path returned a non-request error: {other}"),
-    }
-}
-
 /// The response to one [`QueryRequest`]: the mode-shaped answer, or a
 /// per-request error.
 #[derive(Clone, Debug, PartialEq)]
@@ -382,97 +367,179 @@ impl AnswerBody {
             AnswerBody::Sketch(s) => QueryOutcome::Sketch(s),
         }
     }
-}
 
-/// Runs one request against the sketch/guided-search internals,
-/// returning the canonical body plus the sketch upper bound `d⊤` of the
-/// query — the cache-admission cost hint (a query with a larger landmark
-/// upper bound expands a larger search, so it is worth more cache space).
-fn compute_on(
-    index: &QbsIndex,
-    ws: &mut QueryWorkspace,
-    request: &QueryRequest,
-) -> Result<(AnswerBody, Distance), RequestError> {
-    match request.mode {
-        QueryMode::Distance => {
-            let (distance, hint) =
-                query::distance_with_bounds_on(index, ws, request.source, request.target)
-                    .map_err(request_error)?;
-            Ok((AnswerBody::Distance(distance), hint))
-        }
-        QueryMode::PathGraph => {
-            let answer = query::query_on(index, ws, request.source, request.target)
-                .map_err(request_error)?;
-            let hint = query::cost_hint(&answer.sketch);
-            Ok((AnswerBody::PathGraph(Box::new(answer)), hint))
-        }
-        QueryMode::Sketch => {
-            let t = ws.obs.start();
-            let sketch = query::sketch_on(index, ws, request.source, request.target)
-                .map_err(request_error)?;
-            ws.obs.stop(crate::obs::Stage::SketchBound, t);
-            let hint = query::cost_hint(&sketch);
-            Ok((AnswerBody::Sketch(Box::new(sketch)), hint))
+    /// The answer to a trivial pair (`u == v`), which needs no search:
+    /// distance 0, the one-vertex path graph, and the sketch with no hops.
+    fn trivial(request: &QueryRequest) -> Self {
+        let v = request.source;
+        match request.mode {
+            QueryMode::Distance => AnswerBody::Distance(0),
+            QueryMode::PathGraph => AnswerBody::PathGraph(Box::new(QueryAnswer {
+                path_graph: PathGraph::trivial(v),
+                sketch: Sketch::unreachable(v, v),
+                stats: SearchStats {
+                    distance: 0,
+                    ..SearchStats::default()
+                },
+            })),
+            QueryMode::Sketch => AnswerBody::Sketch(Box::new(Sketch::unreachable(v, v))),
         }
     }
 }
 
-/// Executes one [`QueryRequest`], reusing the buffers of `ws`.
-///
-/// This is the single dispatcher every public entry point reduces to:
-/// [`QueryMode::Distance`] runs the allocation-free
-/// [`crate::query::distance_on`] path, [`QueryMode::PathGraph`] the full
-/// [`crate::query::query_on`] guided search, [`QueryMode::Sketch`] the
-/// search-free [`crate::query::sketch_on`].
-pub fn execute_on(
-    index: &QbsIndex,
-    ws: &mut QueryWorkspace,
-    request: &QueryRequest,
-) -> QueryOutcome {
-    match compute_on(index, ws, request) {
-        Ok((body, _hint)) => body.shape_into(&request.opts),
-        Err(e) => QueryOutcome::Error(e),
+impl QbsIndex {
+    /// Executes one [`QueryRequest`] on the buffers of `ws`, through
+    /// `cache` when one is given and the request allows it
+    /// ([`QueryOptions::use_cache`]): the one door every online query
+    /// passes, whatever its mode.
+    ///
+    /// In order, the door looks the request up in the cache, checks the
+    /// endpoints (an out-of-range one is a [`QueryOutcome::Error`], the
+    /// source reported first), answers a trivial pair (`u == v`) with no
+    /// search, or else fills the endpoint labels, sketches (Algorithm 3;
+    /// the `d⊤` bound alone in distance mode) and runs the guided search
+    /// (Algorithm 4), and offers the fresh answer to the cache. Cached and
+    /// fresh outcomes are bit-identical: the cache stores the canonical
+    /// answer body, and one deterministic shaping serves both.
+    ///
+    /// The stage clocks are chained: while `ws` collects stage timings the
+    /// clock is read once per stage boundary, so adjacent stages share
+    /// endpoints and [`crate::Stage::Execute`] runs from the first read to
+    /// the last (see `docs/observability.md`).
+    pub fn execute_with(
+        &self,
+        ws: &mut QueryWorkspace,
+        request: &QueryRequest,
+        cache: Option<&AnswerCache>,
+    ) -> QueryOutcome {
+        let cache = cache.filter(|_| request.opts.use_cache);
+        let start = ws.obs.now();
+        let mut clock = start;
+        if let Some(cache) = cache {
+            let hit = cache.lookup(request);
+            clock = ws.obs.lap(Stage::CacheLookup, clock);
+            if let Some(outcome) = hit {
+                ws.obs.span(Stage::Execute, start, clock);
+                return outcome;
+            }
+        }
+        let trivial = request.source == request.target;
+        let computed = self.check_endpoints(request).map(|()| {
+            ws.record_query();
+            if trivial {
+                (AnswerBody::trivial(request), 0)
+            } else {
+                self.compute(ws, request, &mut clock)
+            }
+        });
+        if cache.is_none() && (trivial || computed.is_err()) {
+            // No stage ran: the request's span needs a closing read.
+            clock = ws.obs.now();
+        }
+        let outcome = match computed {
+            Ok((body, hint)) => {
+                if let Some(cache) = cache {
+                    cache.admit(request, &body, hint);
+                    clock = ws.obs.lap(Stage::CacheAdmit, clock);
+                }
+                body.shape_into(&request.opts)
+            }
+            Err(e) => QueryOutcome::Error(e),
+        };
+        ws.obs.span(Stage::Execute, start, clock);
+        outcome
+    }
+
+    /// Answers `SPG(source, target)` on a fresh workspace: a convenience
+    /// over [`QbsIndex::execute_with`], which hot loops call instead with
+    /// one long-lived [`QueryWorkspace`].
+    pub fn query(&self, source: VertexId, target: VertexId) -> crate::Result<PathGraph> {
+        let outcome = self.execute_alone(QueryRequest::path_graph(source, target))?;
+        Ok(outcome.path_graph().expect(ANSWERS_IN_MODE).clone())
+    }
+
+    /// The shortest-path distance `d_G(source, target)` on a fresh
+    /// workspace: a convenience over [`QbsIndex::execute_with`].
+    pub fn distance(&self, source: VertexId, target: VertexId) -> crate::Result<Distance> {
+        let outcome = self.execute_alone(QueryRequest::distance(source, target))?;
+        Ok(outcome.distance().expect(ANSWERS_IN_MODE))
+    }
+
+    /// The sketch of a query (Algorithm 3, no search) on a fresh
+    /// workspace: a convenience over [`QbsIndex::execute_with`]. A trivial
+    /// pair's sketch is [`Sketch::unreachable`].
+    pub fn sketch(&self, source: VertexId, target: VertexId) -> crate::Result<Sketch> {
+        let outcome = self.execute_alone(QueryRequest::sketch(source, target))?;
+        Ok(outcome.sketch().expect(ANSWERS_IN_MODE).clone())
+    }
+
+    /// Runs `request` through the door on a fresh workspace with no cache.
+    fn execute_alone(&self, request: QueryRequest) -> crate::Result<QueryOutcome> {
+        self.execute_with(&mut QueryWorkspace::new(), &request, None)
+            .into_result()
+    }
+
+    /// Rejects an endpoint outside the indexed graph, the source first.
+    fn check_endpoints(&self, request: &QueryRequest) -> Result<(), RequestError> {
+        let num_vertices = self.num_vertices();
+        match [request.source, request.target]
+            .into_iter()
+            .find(|&v| v as usize >= num_vertices)
+        {
+            Some(v) => Err(RequestError::VertexOutOfRange {
+                vertex: v as u64,
+                num_vertices: num_vertices as u64,
+            }),
+            None => Ok(()),
+        }
+    }
+
+    /// Answers an in-range pair with `source != target`, returning the
+    /// canonical body plus its cache-admission cost hint: the sketch
+    /// upper bound `d⊤` (a larger bound expands a larger search, so the
+    /// answer is worth more cache space). Ends the `SketchBound` stage
+    /// after the label fill and the sketch, and the `GuidedSearch` stage
+    /// after the search, each with one read of `clock`.
+    fn compute(
+        &self,
+        ws: &mut QueryWorkspace,
+        request: &QueryRequest,
+        clock: &mut Option<Instant>,
+    ) -> (AnswerBody, Distance) {
+        let (source, target) = (request.source, request.target);
+        self.fill_effective_label(source, &mut ws.src_label);
+        self.fill_effective_label(target, &mut ws.tgt_label);
+        if request.mode == QueryMode::Distance {
+            let bound = sketch::compute_bounds(self, &ws.src_label, &ws.tgt_label);
+            *clock = ws.obs.lap(Stage::SketchBound, *clock);
+            let (distance, _) = search::guided_distance_with(self, ws, source, target, bound);
+            *clock = ws.obs.lap(Stage::GuidedSearch, *clock);
+            return (AnswerBody::Distance(distance), bound);
+        }
+        let sketch = sketch::compute(self, source, target, &ws.src_label, &ws.tgt_label);
+        *clock = ws.obs.lap(Stage::SketchBound, *clock);
+        let hint = sketch.upper_bound;
+        if request.mode == QueryMode::Sketch {
+            return (AnswerBody::Sketch(Box::new(sketch)), hint);
+        }
+        let (path_graph, stats) = search::guided_search_with(self, ws, source, target, &sketch);
+        *clock = ws.obs.lap(Stage::GuidedSearch, *clock);
+        let answer = QueryAnswer {
+            path_graph,
+            sketch,
+            stats,
+        };
+        (AnswerBody::PathGraph(Box::new(answer)), hint)
     }
 }
 
-/// [`execute_on`] with an optional answer cache in front of the executor.
-///
-/// When `cache` is `Some` and the request allows it
-/// ([`QueryOptions::use_cache`]), the cache is consulted first; on a miss
-/// the fresh body is offered back for admission (subject to the cache's
-/// sketch-upper-bound admission policy). Cached outcomes are bit-identical
-/// to fresh ones: the cache stores the canonical answer body and the
-/// same deterministic shaping runs on both paths.
-pub fn execute_cached_on(
-    index: &QbsIndex,
-    ws: &mut QueryWorkspace,
-    request: &QueryRequest,
-    cache: Option<&AnswerCache>,
-) -> QueryOutcome {
-    let Some(cache) = cache.filter(|_| request.opts.use_cache) else {
-        return execute_on(index, ws, request);
-    };
-    let t = ws.obs.start();
-    let hit = cache.lookup(request);
-    ws.obs.stop(crate::obs::Stage::CacheLookup, t);
-    if let Some(outcome) = hit {
-        return outcome;
-    }
-    match compute_on(index, ws, request) {
-        Ok((body, hint)) => {
-            let t = ws.obs.start();
-            cache.admit(request, &body, hint);
-            ws.obs.stop(crate::obs::Stage::CacheAdmit, t);
-            body.shape_into(&request.opts)
-        }
-        Err(e) => QueryOutcome::Error(e),
-    }
-}
+/// Why the conveniences' answer accessors cannot miss.
+const ANSWERS_IN_MODE: &str = "the door answers in the request's mode";
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::QbsConfig;
+    use crate::{CacheConfig, QbsConfig, QbsError};
     use qbs_graph::fixtures::figure4_graph;
 
     fn index() -> QbsIndex {
@@ -486,55 +553,25 @@ mod tests {
     fn modes_dispatch_to_matching_outcomes() {
         let index = index();
         let mut ws = QueryWorkspace::new();
-        let d = execute_on(&index, &mut ws, &QueryRequest::distance(6, 11));
+        let d = index.execute_with(&mut ws, &QueryRequest::distance(6, 11), None);
         assert_eq!(d, QueryOutcome::Distance(5));
         assert_eq!(d.distance(), Some(5));
         assert!(d.path_graph().is_none() && d.sketch().is_none() && d.error().is_none());
 
-        let pg = execute_on(&index, &mut ws, &QueryRequest::path_graph(6, 11));
+        let pg = index.execute_with(&mut ws, &QueryRequest::path_graph(6, 11), None);
         assert!(matches!(pg, QueryOutcome::PathGraph(_)));
         assert_eq!(pg.path_graph().unwrap().distance(), 5);
         assert_eq!(pg.distance(), Some(5));
         assert!(pg.answer().is_none(), "stats were not requested");
 
-        let full = execute_on(
-            &index,
-            &mut ws,
-            &QueryRequest::path_graph(6, 11).with_stats(),
-        );
+        let full = index.execute_with(&mut ws, &QueryRequest::path_graph(6, 11).with_stats(), None);
         let answer = full.answer().expect("stats requested");
         assert_eq!(answer.path_graph, index.query(6, 11).unwrap());
         assert_eq!(full.sketch().unwrap().upper_bound, 5);
 
-        let sk = execute_on(&index, &mut ws, &QueryRequest::sketch(6, 11));
+        let sk = index.execute_with(&mut ws, &QueryRequest::sketch(6, 11), None);
         assert_eq!(sk.sketch().unwrap(), &index.sketch(6, 11).unwrap());
         assert_eq!(sk.distance(), None, "a sketch only bounds the distance");
-    }
-
-    #[test]
-    fn outcomes_match_legacy_entry_points_on_both_backends() {
-        let heap = index();
-        let dir = std::env::temp_dir().join("qbs_request_backends_test");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("fig4.qbs");
-        crate::serialize::save_to_file(&heap, &path).expect("save");
-        let mapped = crate::serialize::open_from_file(&path, crate::MapMode::Mmap).expect("map");
-        let mut ws = QueryWorkspace::new();
-        for u in 0..15u32 {
-            for v in 0..15u32 {
-                for mode in QueryMode::ALL {
-                    let req = QueryRequest::new(u, v, mode).with_stats();
-                    let a = execute_on(&heap, &mut ws, &req);
-                    let b = execute_on(&mapped, &mut ws, &req);
-                    assert_eq!(a, b, "({u},{v}) {mode} diverged between heap and mapping");
-                }
-                assert_eq!(
-                    execute_on(&heap, &mut ws, &QueryRequest::distance(u, v)).distance(),
-                    Some(heap.distance(u, v).unwrap()),
-                    "distance({u},{v})"
-                );
-            }
-        }
     }
 
     #[test]
@@ -542,7 +579,7 @@ mod tests {
         let index = index();
         let mut ws = QueryWorkspace::new();
         for mode in QueryMode::ALL {
-            let outcome = execute_on(&index, &mut ws, &QueryRequest::new(0, 99, mode));
+            let outcome = index.execute_with(&mut ws, &QueryRequest::new(0, 99, mode), None);
             assert!(outcome.is_error(), "{mode}");
             assert_eq!(
                 outcome.error(),
@@ -556,7 +593,7 @@ mod tests {
                 Err(QbsError::VertexOutOfRange { vertex: 99, .. })
             ));
         }
-        let ok = execute_on(&index, &mut ws, &QueryRequest::distance(0, 1));
+        let ok = index.execute_with(&mut ws, &QueryRequest::distance(0, 1), None);
         assert!(ok.is_ok());
         assert!(ok.clone().into_result().is_ok());
     }
@@ -574,5 +611,92 @@ mod tests {
             num_vertices: 3,
         };
         assert!(err.to_string().contains("vertex 7"));
+    }
+
+    /// Runs `request` on a fresh timed workspace; returns the workspace.
+    fn timed(
+        index: &QbsIndex,
+        request: QueryRequest,
+        cache: Option<&AnswerCache>,
+    ) -> QueryWorkspace {
+        let mut ws = QueryWorkspace::new();
+        ws.obs.enabled = true;
+        index.execute_with(&mut ws, &request, cache);
+        ws
+    }
+
+    /// `SketchBound` covers the label fill and the sketch or bound, and
+    /// `GuidedSearch` the search: a trivial or out-of-range request records
+    /// neither, in every mode. Every request records `Execute`.
+    #[test]
+    fn stages_record_the_work_each_request_does() {
+        let index = index();
+        for mode in QueryMode::ALL {
+            for (source, target) in [(6, 11), (5, 5), (0, 99)] {
+                for cached in [false, true] {
+                    let cache = AnswerCache::new(CacheConfig::default());
+                    let request = QueryRequest::new(source, target, mode);
+                    let ns = timed(&index, request, cached.then_some(&cache)).obs.take();
+                    let recorded: Vec<Stage> = Stage::ALL
+                        .into_iter()
+                        .filter(|&s| ns[s as usize] > 0)
+                        .collect();
+                    let sketched = source != target && target < 15;
+                    let expected: Vec<Stage> = [
+                        (Stage::SketchBound, sketched),
+                        (Stage::GuidedSearch, sketched && mode != QueryMode::Sketch),
+                        (Stage::CacheLookup, cached),
+                        (Stage::CacheAdmit, cached && target < 15),
+                        (Stage::Execute, true),
+                    ]
+                    .into_iter()
+                    .filter_map(|(stage, ran)| ran.then_some(stage))
+                    .collect();
+                    assert_eq!(
+                        recorded, expected,
+                        "{mode} ({source}, {target}) cached {cached}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The clock is read once per stage boundary. Adding a read to the
+    /// request path fails here; removing one updates these constants.
+    #[test]
+    fn clock_reads_per_request_are_pinned() {
+        let index = index();
+        let reads = |request, cache| timed(&index, request, cache).obs.reads;
+        assert_eq!(reads(QueryRequest::path_graph(6, 11), None), 3);
+        assert_eq!(reads(QueryRequest::distance(6, 11), None), 3);
+        assert_eq!(reads(QueryRequest::sketch(6, 11), None), 2);
+        let cache = AnswerCache::new(CacheConfig::default());
+        assert_eq!(
+            reads(QueryRequest::path_graph(6, 11), Some(&cache)),
+            5,
+            "miss"
+        );
+        assert_eq!(
+            reads(QueryRequest::path_graph(6, 11), Some(&cache)),
+            2,
+            "hit"
+        );
+    }
+
+    /// Every computed in-range request counts once, trivial pairs and
+    /// sketches included; errors and cache hits do not.
+    #[test]
+    fn queries_served_counts_computed_requests_in_every_mode() {
+        let index = index();
+        let cache = AnswerCache::new(CacheConfig::default().admit_above(0));
+        let mut ws = QueryWorkspace::new();
+        for (source, target) in [(6, 11), (5, 5), (0, 99), (6, 11)] {
+            for mode in QueryMode::ALL {
+                let request = QueryRequest::new(source, target, mode);
+                index.execute_with(&mut ws, &request, Some(&cache));
+            }
+        }
+        assert_eq!(ws.queries_served(), 6);
+        assert_eq!(cache.stats().hits, 3);
     }
 }

@@ -70,7 +70,7 @@
 //!
 //! Every index read goes straight to the [`QbsIndex`] buffer, heap or
 //! mapped. All mutable search state lives in a
-//! caller-provided [`QueryWorkspace`] ([`guided_search_with`]): the
+//! caller-provided [`QueryWorkspace`]: the
 //! per-vertex depth fields and visited sets are epoch-stamped, so repeated
 //! queries perform **zero `O(|V|)` allocations or clears**.
 
@@ -95,8 +95,7 @@ pub struct SearchStats {
     /// The final query distance.
     pub distance: Distance,
     /// Directed edges relaxed by the bidirectional search. In distance mode
-    /// ([`guided_distance_with`]) it counts the rows read up to the stop at
-    /// the first meeting vertex.
+    /// it counts the rows read up to the stop at the first meeting vertex.
     pub edges_traversed: usize,
     /// Settled vertices whose rows the bidirectional search read. In
     /// distance mode it counts the rows read up to the stop.
@@ -111,25 +110,10 @@ pub struct SearchStats {
     pub used_recover_search: bool,
 }
 
-/// Answers `SPG(source, target)` guided by `sketch` (Algorithm 4) on a
-/// throwaway workspace.
-///
-/// The caller guarantees `source != target` and that both vertices exist.
-/// Hot query loops should hold a [`QueryWorkspace`] and call
-/// [`guided_search_with`] instead.
-pub fn guided_search(
-    index: &QbsIndex,
-    source: VertexId,
-    target: VertexId,
-    sketch: &Sketch,
-) -> (PathGraph, SearchStats) {
-    let mut ws = QueryWorkspace::new();
-    guided_search_with(index, &mut ws, source, target, sketch)
-}
-
-/// Answers `SPG(source, target)` guided by `sketch`, reusing every buffer
-/// in `ws`. Results are bit-identical to [`guided_search`].
-pub fn guided_search_with(
+/// Answers `SPG(source, target)` guided by `sketch` (Algorithm 4),
+/// reusing every buffer in `ws`. The caller guarantees `source != target`
+/// and that both vertices exist.
+pub(crate) fn guided_search_with(
     index: &QbsIndex,
     ws: &mut QueryWorkspace,
     source: VertexId,
@@ -216,7 +200,7 @@ pub fn guided_search_with(
 ///
 /// This is the fully allocation-free hot path: with a warmed-up workspace
 /// it touches no heap at all.
-pub fn guided_distance_with(
+pub(crate) fn guided_distance_with(
     index: &QbsIndex,
     ws: &mut QueryWorkspace,
     source: VertexId,
@@ -346,7 +330,6 @@ fn bidirectional_stage(
     d_top: Distance,
     distance_only: bool,
 ) -> SearchStats {
-    ws.record_query();
     let QueryWorkspace {
         fwd, bwd, meeting, ..
     } = &mut *ws;
@@ -440,7 +423,7 @@ mod tests {
     use super::*;
     use crate::serialize::{self, MapMode};
     use crate::sketch;
-    use crate::QbsConfig;
+    use crate::{QbsConfig, QueryRequest};
     use qbs_graph::fixtures::{figure4_graph, figure4_spg_6_11_edges};
     use qbs_graph::Graph;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -487,35 +470,27 @@ mod tests {
             }
         }
 
-        fn query_index(index: &QbsIndex, u: VertexId, v: VertexId) -> (PathGraph, SearchStats) {
-            let mut src = Vec::new();
-            let mut tgt = Vec::new();
-            index.fill_effective_label(u, &mut src);
-            index.fill_effective_label(v, &mut tgt);
-            let sk = sketch::compute(index, u, v, &src, &tgt);
-            guided_search(index, u, v, &sk)
-        }
-
-        /// Queries both buffers, asserts they agree, returns the answer.
-        fn query(&self, u: VertexId, v: VertexId) -> (PathGraph, SearchStats) {
-            let from_heap = Self::query_index(&self.heap, u, v);
-            let from_mapping = Self::query_index(&self.mapped, u, v);
-            assert_eq!(from_heap, from_mapping, "buffers diverged on ({u},{v})");
-            from_heap
-        }
-
-        fn query_with(
-            &self,
+        fn query_index(
+            index: &QbsIndex,
             ws: &mut QueryWorkspace,
             u: VertexId,
             v: VertexId,
         ) -> (PathGraph, SearchStats) {
             let mut src = Vec::new();
             let mut tgt = Vec::new();
-            self.heap.fill_effective_label(u, &mut src);
-            self.heap.fill_effective_label(v, &mut tgt);
-            let sk = sketch::compute(&self.heap, u, v, &src, &tgt);
-            guided_search_with(&self.heap, ws, u, v, &sk)
+            index.fill_effective_label(u, &mut src);
+            index.fill_effective_label(v, &mut tgt);
+            let sk = sketch::compute(index, u, v, &src, &tgt);
+            guided_search_with(index, ws, u, v, &sk)
+        }
+
+        /// Queries both buffers on fresh workspaces, asserts they agree,
+        /// returns the answer.
+        fn query(&self, u: VertexId, v: VertexId) -> (PathGraph, SearchStats) {
+            let from_heap = Self::query_index(&self.heap, &mut QueryWorkspace::new(), u, v);
+            let from_mapping = Self::query_index(&self.mapped, &mut QueryWorkspace::new(), u, v);
+            assert_eq!(from_heap, from_mapping, "buffers diverged on ({u},{v})");
+            from_heap
         }
     }
 
@@ -572,24 +547,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn one_workspace_reused_across_all_pairs_matches_fresh_runs() {
-        let fx = Fixture::figure4();
-        let mut ws = QueryWorkspace::new();
-        for u in 1..15u32 {
-            for v in 1..15u32 {
-                if u == v {
-                    continue;
-                }
-                let (fresh, fresh_stats) = fx.query(u, v);
-                let (reused, reused_stats) = fx.query_with(&mut ws, u, v);
-                assert_eq!(reused, fresh, "query ({u},{v})");
-                assert_eq!(reused_stats, fresh_stats, "stats of ({u},{v})");
-            }
-        }
-        assert_eq!(ws.queries_served(), 14 * 13);
-    }
-
     /// The distance path returns the path graph's distance over the same
     /// levels on the same sides. It may stop within the last level, so it
     /// reads no more rows and relaxes no more edges, and exactly as many
@@ -644,7 +601,9 @@ mod tests {
         let mut ws = QueryWorkspace::new();
         let (mut path_edges, mut distance_edges) = (0, 0);
         for &(u, v) in QueryWorkload::sample(&graph, 200, 32).pairs() {
-            let full = index.query_with(&mut ws, u, v).unwrap();
+            let request = QueryRequest::path_graph(u, v).with_stats();
+            let outcome = index.execute_with(&mut ws, &request, None);
+            let full = outcome.answer().expect("in range");
             let d_top = full.sketch.upper_bound;
             let (d, stats) = guided_distance_with(&index, &mut ws, u, v, d_top);
             assert_eq!(d, full.path_graph.distance(), "distance of ({u},{v})");
@@ -700,9 +659,11 @@ mod tests {
                     continue;
                 }
                 let expected = truth.shortest_path_graph(u, v);
-                let from_heap = heap.query_with(&mut ws, u, v).unwrap();
-                let answer = mapped.query_with(&mut ws, u, v).unwrap();
-                assert_eq!(from_heap, answer, "buffers diverged on ({u},{v})");
+                let request = QueryRequest::path_graph(u, v).with_stats();
+                let from_heap = heap.execute_with(&mut ws, &request, None);
+                let outcome = mapped.execute_with(&mut ws, &request, None);
+                assert_eq!(from_heap, outcome, "buffers diverged on ({u},{v})");
+                let answer = outcome.answer().expect("in range");
                 assert_eq!(answer.path_graph, expected, "query ({u},{v})");
                 if !answer.stats.used_recover_search {
                     continue;
@@ -764,7 +725,7 @@ mod tests {
                 let (got, _) = fx.query(u, v);
                 assert_eq!(got, expected, "query ({u},{v})");
                 // A reused workspace must agree as well.
-                let (got, _) = fx.query_with(&mut ws, u, v);
+                let (got, _) = Fixture::query_index(&fx.heap, &mut ws, u, v);
                 assert_eq!(got, expected, "workspace query ({u},{v})");
             }
         }

@@ -16,7 +16,7 @@
 //! let qbs = Qbs::build(figure4_graph(), QbsConfig::with_landmark_count(3))
 //!     .unwrap()
 //!     .with_cache(CacheConfig::default());
-//! assert_eq!(qbs.distance(6, 11).unwrap(), 5);
+//! assert_eq!(qbs.execute(&QueryRequest::distance(6, 11)).distance(), Some(5));
 //! let outcomes = qbs.submit(&[
 //!     QueryRequest::distance(6, 11),
 //!     QueryRequest::path_graph(4, 12),
@@ -33,15 +33,14 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use qbs_graph::{Distance, Graph, PathGraph, VertexId};
+use qbs_graph::Graph;
 
 use crate::cache::{AnswerCache, CacheConfig, CacheStats};
 use crate::engine::{Engine, Executor};
 use crate::obs::{counter, Metrics, MetricsSnapshot, StageNanos};
-use crate::query::{QbsConfig, QueryAnswer};
+use crate::query::QbsConfig;
 use crate::request::{QueryOutcome, QueryRequest};
 use crate::serialize::{self, MapMode};
-use crate::sketch::Sketch;
 use crate::stats::IndexStats;
 use crate::store::QbsIndex;
 use crate::QbsError;
@@ -238,54 +237,6 @@ impl Qbs {
         }
         snap
     }
-
-    /// Answers `SPG(source, target)` — the façade sibling of
-    /// [`QbsIndex::query`].
-    pub fn query(&self, source: VertexId, target: VertexId) -> crate::Result<PathGraph> {
-        match self.execute(&QueryRequest::path_graph(source, target)) {
-            QueryOutcome::PathGraph(pg) => Ok(*pg),
-            outcome => Err(expect_error(outcome)),
-        }
-    }
-
-    /// Answers `SPG(source, target)` with the sketch and search
-    /// statistics behind it.
-    pub fn query_with_stats(
-        &self,
-        source: VertexId,
-        target: VertexId,
-    ) -> crate::Result<QueryAnswer> {
-        match self.execute(&QueryRequest::path_graph(source, target).with_stats()) {
-            QueryOutcome::PathGraphWithStats(answer) => Ok(*answer),
-            outcome => Err(expect_error(outcome)),
-        }
-    }
-
-    /// Shortest-path distance between two vertices.
-    pub fn distance(&self, source: VertexId, target: VertexId) -> crate::Result<Distance> {
-        match self.execute(&QueryRequest::distance(source, target)) {
-            QueryOutcome::Distance(d) => Ok(d),
-            outcome => Err(expect_error(outcome)),
-        }
-    }
-
-    /// The sketch of a query (no search).
-    pub fn sketch(&self, source: VertexId, target: VertexId) -> crate::Result<Sketch> {
-        match self.execute(&QueryRequest::sketch(source, target)) {
-            QueryOutcome::Sketch(s) => Ok(*s),
-            outcome => Err(expect_error(outcome)),
-        }
-    }
-}
-
-/// Converts a non-matching outcome of a mode-specific façade method into
-/// its error. The executor returns exactly the outcome variant the
-/// request's mode asked for, so anything else must be the error variant.
-fn expect_error(outcome: QueryOutcome) -> QbsError {
-    match outcome {
-        QueryOutcome::Error(e) => e.into(),
-        other => unreachable!("executor returned a mismatched outcome variant: {other:?}"),
-    }
 }
 
 #[cfg(test)]
@@ -300,22 +251,6 @@ mod tests {
             QbsConfig::with_explicit_landmarks(vec![1, 2, 3]),
         )
         .expect("build")
-    }
-
-    #[test]
-    fn facade_answers_match_the_index() {
-        let qbs = session();
-        let index = qbs.index().expect("every session has an index").clone();
-        assert_eq!(qbs.query(6, 11).unwrap(), index.query(6, 11).unwrap());
-        assert_eq!(qbs.distance(6, 11).unwrap(), 5);
-        assert_eq!(qbs.sketch(6, 11).unwrap(), index.sketch(6, 11).unwrap());
-        assert_eq!(
-            qbs.query_with_stats(6, 11).unwrap(),
-            index.query_with_stats(6, 11).unwrap()
-        );
-        assert!(qbs.stats().is_some());
-        assert!(qbs.query(0, 99).is_err());
-        assert!(qbs.distance(99, 0).is_err());
     }
 
     /// `open` in either mode and `load` serve the bytes `build` laid out,
@@ -347,9 +282,10 @@ mod tests {
                 built.stats().unwrap().total_index_bytes()
             );
             assert_eq!(stats.total_build_time, std::time::Duration::ZERO);
-            assert_eq!(qbs.query(6, 11).unwrap(), index.query(6, 11).unwrap());
-            assert_eq!(qbs.sketch(6, 11).unwrap(), index.sketch(6, 11).unwrap());
-            assert_eq!(qbs.distance(6, 11).unwrap(), 5);
+            for mode in QueryMode::ALL {
+                let req = QueryRequest::new(6, 11, mode).with_stats();
+                assert_eq!(qbs.execute(&req), built.execute(&req));
+            }
         }
 
         assert!(Qbs::open(dir.join("missing.qbs"), MapMode::Read).is_err());

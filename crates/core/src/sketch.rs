@@ -169,7 +169,7 @@ fn push_unique_hop(hops: &mut Vec<SketchHop>, landmark_idx: usize, distance: Dis
 
 /// Computes only `d⊤_uv` (Eq. 3; Algorithm 3 without lines 7-13's edge
 /// assembly) in one allocation-free |L_u|×|L_v| pass: the input of the
-/// distance-only hot path ([`crate::search::guided_distance_with`]), where
+/// distance-only hot path (a [`crate::QueryMode::Distance`] request), where
 /// the full [`Sketch`] — whose vectors exist to drive the recover search —
 /// would be wasted work. [`INFINITE_DISTANCE`] when no landmark route
 /// exists.

@@ -42,9 +42,9 @@ use crate::stats::IndexStats;
 /// The Query-by-Sketch index, served from its file layout.
 ///
 /// Vertex arguments of the accessors must be `< num_vertices()`, landmark
-/// columns `< num_landmarks()`: the public query entry points
-/// ([`crate::query::query_on`] and friends) bounds-check the user-supplied
-/// endpoints once and everything derived stays in range. The accessors
+/// columns `< num_landmarks()`: the query door
+/// ([`QbsIndex::execute_with`]) bounds-checks the user-supplied endpoints
+/// once and everything derived stays in range. The accessors
 /// panic on out-of-range arguments, exactly like slice indexing.
 #[derive(Clone, Debug)]
 pub struct QbsIndex {

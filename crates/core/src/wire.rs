@@ -825,7 +825,6 @@ impl Wire for RequestId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::execute_on;
     use crate::workspace::QueryWorkspace;
     use crate::{QbsConfig, QbsIndex};
     use qbs_graph::fixtures::figure4_graph;
@@ -851,7 +850,7 @@ mod tests {
                         QueryRequest::new(u, v, mode).with_stats().uncached(),
                     ] {
                         assert_eq!(from_bytes::<QueryRequest>(&to_bytes(&req)).unwrap(), req);
-                        let outcome = execute_on(&index, &mut ws, &req);
+                        let outcome = index.execute_with(&mut ws, &req, None);
                         let decoded = from_bytes::<QueryOutcome>(&to_bytes(&outcome)).unwrap();
                         assert_eq!(decoded, outcome, "({u},{v}) {mode}");
                     }
@@ -875,7 +874,7 @@ mod tests {
                 QueryRequest::path_graph(7, 9),
                 QueryRequest::distance(0, 99),
             ])
-            .map(|req| execute_on(&index, &mut ws, &req))
+            .map(|req| index.execute_with(&mut ws, &req, None))
             .collect();
         outcomes.push(QueryOutcome::Error(RequestError::Unavailable {
             reason: "down ⊤".to_string(),
@@ -956,11 +955,8 @@ mod tests {
     fn truncations_yield_typed_errors() {
         let index = index();
         let mut ws = QueryWorkspace::new();
-        let outcome = execute_on(
-            &index,
-            &mut ws,
-            &QueryRequest::path_graph(6, 11).with_stats(),
-        );
+        let request = QueryRequest::path_graph(6, 11).with_stats();
+        let outcome = index.execute_with(&mut ws, &request, None);
         let bytes = to_bytes(&outcome);
         for cut in 0..bytes.len() {
             assert!(

@@ -2,25 +2,25 @@
 //!
 //! A [`QueryWorkspace`] owns every piece of mutable state the online query
 //! path needs — the two bidirectional-search sides, the visited sets and
-//! stacks of the walk back and the label walks, and the label buffers fed to
-//! the sketcher.
+//! stacks of the walk back and the label walks, the label buffers fed to
+//! the sketcher, and the request's stage timings.
 //! All per-vertex structures are epoch-stamped
 //! ([`qbs_graph::workspace`]), so preparing the workspace for the next
 //! query is O(1): a handful of `clear()`s on small vectors plus one epoch
 //! bump per field, never an `O(|V|)` allocation or memset.
 //!
 //! The intended usage pattern is one long-lived workspace per worker
-//! thread:
+//! thread, passed to the one query door, [`crate::QbsIndex::execute_with`]:
 //!
 //! ```
-//! use qbs_core::{QbsConfig, QbsIndex, QueryWorkspace};
+//! use qbs_core::{QbsConfig, QbsIndex, QueryRequest, QueryWorkspace};
 //! use qbs_graph::fixtures::figure4_graph;
 //!
 //! let index = QbsIndex::build(figure4_graph(), QbsConfig::with_landmark_count(3));
 //! let mut ws = QueryWorkspace::new();
 //! for (u, v) in [(6, 11), (4, 12), (7, 9)] {
-//!     let answer = index.query_with(&mut ws, u, v).unwrap();
-//!     assert_eq!(answer.path_graph, index.query(u, v).unwrap());
+//!     let outcome = index.execute_with(&mut ws, &QueryRequest::path_graph(u, v), None);
+//!     assert_eq!(outcome.path_graph(), Some(&index.query(u, v).unwrap()));
 //! }
 //! assert_eq!(ws.queries_served(), 3);
 //! ```
@@ -205,7 +205,8 @@ pub struct QueryWorkspace {
     /// Per-request stage-timing scratch (see [`crate::obs`]); flushed
     /// into the engine's metrics registry after each request.
     pub(crate) obs: crate::obs::ObsScratch,
-    /// Number of queries answered through this workspace.
+    /// Number of requests computed through this workspace: in range and
+    /// not answered from a cache.
     queries_served: u64,
 }
 
@@ -226,12 +227,13 @@ impl QueryWorkspace {
         ws
     }
 
-    /// Number of queries answered through this workspace since creation.
+    /// Number of requests computed through this workspace since creation,
+    /// in every mode: cache hits and out-of-range requests do not count.
     pub fn queries_served(&self) -> u64 {
         self.queries_served
     }
 
-    /// Records one served query (called by the search entry points).
+    /// Records one computed request (called by the query door).
     pub(crate) fn record_query(&mut self) {
         self.queries_served += 1;
     }

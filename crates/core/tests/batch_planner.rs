@@ -114,7 +114,7 @@ fn one_at_a_time(index: &QbsIndex, requests: &[QueryRequest]) -> Vec<QueryOutcom
     let mut ws = QueryWorkspace::new();
     requests
         .iter()
-        .map(|req| qbs_core::execute_on(index, &mut ws, req))
+        .map(|req| index.execute_with(&mut ws, req, None))
         .collect()
 }
 

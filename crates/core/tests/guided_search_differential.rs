@@ -5,7 +5,9 @@
 use qbs_baselines::{GroundTruth, SpgEngine};
 use qbs_core::serialize::{self, MapMode};
 use qbs_core::sketch::SketchHop;
-use qbs_core::{LandmarkStrategy, QbsConfig, QbsIndex, QueryWorkspace};
+use qbs_core::{
+    LandmarkStrategy, QbsConfig, QbsIndex, QueryAnswer, QueryOutcome, QueryRequest, QueryWorkspace,
+};
 use qbs_gen::catalog::{Catalog, DatasetId, Scale};
 use qbs_gen::prelude::*;
 use qbs_gen::structured;
@@ -19,10 +21,20 @@ fn check(graph: &Graph, config: QbsConfig, queries: usize, seed: u64, tag: &str)
     check_pairs(&index, &truth, workload.pairs(), tag);
 }
 
+/// The path-graph answer of `(u, v)`, with its sketch and search stats, on
+/// a fresh workspace.
+fn answer(index: &QbsIndex, u: VertexId, v: VertexId) -> QueryAnswer {
+    let request = QueryRequest::path_graph(u, v).with_stats();
+    match index.execute_with(&mut QueryWorkspace::new(), &request, None) {
+        QueryOutcome::PathGraphWithStats(answer) => *answer,
+        other => panic!("({u},{v}): {other:?}"),
+    }
+}
+
 fn check_pairs(index: &QbsIndex, truth: &GroundTruth, pairs: &[(VertexId, VertexId)], tag: &str) {
     let mut ws = QueryWorkspace::new();
     for &(u, v) in pairs {
-        let answer = index.query_with_stats(u, v).unwrap();
+        let answer = answer(index, u, v);
         let expected = truth.query(u, v);
         assert_eq!(answer.path_graph, expected, "{tag}: query ({u},{v})");
         // The distance path stops stage 1 at its first meeting vertex;
@@ -33,8 +45,10 @@ fn check_pairs(index: &QbsIndex, truth: &GroundTruth, pairs: &[(VertexId, Vertex
             "{tag}: distance path ({u},{v})"
         );
         assert_eq!(
-            index.distance_with(&mut ws, u, v).unwrap(),
-            expected.distance(),
+            index
+                .execute_with(&mut ws, &QueryRequest::distance(u, v), None)
+                .distance(),
+            Some(expected.distance()),
             "{tag}: reused distance path ({u},{v})"
         );
         // The per-query statistics must be internally consistent.
@@ -154,7 +168,7 @@ fn recover_search_from_a_side_that_stopped_short_is_exact() {
         let short_side = workload
             .pairs()
             .iter()
-            .map(|&(u, v)| index.query_with_stats(u, v).unwrap())
+            .map(|&(u, v)| answer(index, u, v))
             .filter(|answer| {
                 let (sketch, stats) = (&answer.sketch, &answer.stats);
                 let short = |hops: &[SketchHop], levels: usize| {
@@ -220,7 +234,7 @@ fn landmark_endpoints_are_exact_at_twenty_landmarks() {
     let mut adjacent_landmarks = 0;
     for (index, tag) in [(&heap, "heap"), (&mapped, "mmap")] {
         for (&(u, v), (spg, sparsified)) in pairs.iter().zip(&expected) {
-            let answer = index.query_with_stats(u, v).unwrap();
+            let answer = answer(index, u, v);
             assert_eq!(answer.path_graph, *spg, "{tag}: SPG({u}, {v})");
             assert_eq!(
                 index.distance(u, v).unwrap(),
@@ -350,11 +364,12 @@ fn coverage_and_sketch_are_consistent_with_answers() {
         index.landmarks().iter().copied(),
     );
     let workload = QueryWorkload::sample_connected(&graph, 120, 9);
+    let mut ws = QueryWorkspace::new();
     for &(u, v) in workload.pairs() {
         if index.is_landmark(u) || index.is_landmark(v) {
             continue;
         }
-        let class = qbs_core::coverage::classify_pair(&index, u, v);
+        let class = qbs_core::coverage::classify_pair(&index, &mut ws, u, v);
         let d = index.query(u, v).unwrap().distance();
         let view = qbs_graph::FilteredGraph::new(&graph, &filter);
         let sparsified = bfs_distance_to(&view, u, v);

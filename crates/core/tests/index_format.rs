@@ -11,7 +11,9 @@ use proptest::prelude::*;
 use qbs_baselines::{GroundTruth, SpgEngine};
 use qbs_core::format::{checksum64, SectionKind, HEADER_LEN};
 use qbs_core::serialize::{self, MapMode, EXCERPT_LEN};
-use qbs_core::{IndexView, Qbs, QbsConfig, QbsError, QbsIndex, QueryRequest, ViewBuf};
+use qbs_core::{
+    IndexView, Qbs, QbsConfig, QbsError, QbsIndex, QueryRequest, QueryWorkspace, ViewBuf,
+};
 use qbs_gen::catalog::{Catalog, DatasetId, Scale};
 use qbs_gen::prelude::*;
 use qbs_graph::fixtures::figure4_graph;
@@ -516,9 +518,15 @@ fn queries_through_from_view_are_bit_identical() {
     assert_eq!(built.meta_graph(), loaded.meta_graph());
 
     let truth = GroundTruth::new(graph);
+    let mut ws = QueryWorkspace::new();
     for &(u, v) in &pairs {
-        let a = built.query_with_stats(u, v).expect("built query");
-        let b = loaded.query_with_stats(u, v).expect("loaded query");
+        let request = QueryRequest::path_graph(u, v).with_stats();
+        let a = built.execute_with(&mut ws, &request, None);
+        let b = loaded.execute_with(&mut ws, &request, None);
+        let (a, b) = (
+            a.answer().expect("built query"),
+            b.answer().expect("loaded query"),
+        );
         assert_eq!(a.path_graph, b.path_graph, "SPG({u}, {v}) diverged");
         assert_eq!(a.sketch, b.sketch, "sketch({u}, {v}) diverged");
         assert_eq!(a.stats, b.stats, "search stats({u}, {v}) diverged");

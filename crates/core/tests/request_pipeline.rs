@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use qbs_baselines::{GroundTruth, SpgEngine};
 use qbs_core::request::{QueryMode, QueryOutcome, QueryRequest};
 use qbs_core::serialize::{self, MapMode};
-use qbs_core::{CacheConfig, Qbs, QbsConfig, QbsIndex, ViewBuf};
+use qbs_core::{CacheConfig, Qbs, QbsConfig, QbsIndex, QueryWorkspace, ViewBuf};
 use qbs_gen::prelude::*;
 use qbs_graph::{Graph, VertexId};
 
@@ -43,7 +43,7 @@ fn two_threads(owned: &QbsIndex) -> Qbs {
 /// Runs the same mixed batch through both buffers and checks per-slot
 /// semantics: the poisoned slot (and only it) errors, every distance and
 /// path graph matches the BFS ground truth, every sketch matches the
-/// single-query entry point, and the two buffers agree bit-for-bit.
+/// sketch convenience, and the two buffers agree bit-for-bit.
 fn assert_mixed_batch_identical(
     graph: &Graph,
     owned: &QbsIndex,
@@ -77,10 +77,8 @@ fn assert_mixed_batch_identical(
             QueryMode::PathGraph => {
                 assert_eq!(a.path_graph(), Some(&expected), "slot {slot}");
                 if req.opts.collect_stats {
-                    let answer = owned
-                        .query_with_stats(req.source, req.target)
-                        .expect("in range");
-                    assert_eq!(a.answer(), Some(&answer), "slot {slot} stats");
+                    let fresh = owned.execute_with(&mut QueryWorkspace::new(), req, None);
+                    assert_eq!(a.answer(), fresh.answer(), "slot {slot} stats");
                 } else {
                     assert!(a.answer().is_none(), "slot {slot} has no stats");
                 }
@@ -168,9 +166,9 @@ fn poisoned_pair_fails_its_slot_only_on_both_backends() {
     assert!(failed.is_err(), "the poisoned slot surfaces as QbsError");
 }
 
-/// The Qbs façade serves the same answers as the raw request pipeline
-/// (`execute_on` on one workspace), from both a built session and a
-/// session opened off an index file.
+/// The Qbs façade serves the same answers as the raw query door
+/// (`QbsIndex::execute_with` on one workspace), from both a built session
+/// and a session opened off an index file.
 #[test]
 fn facade_sessions_agree_with_raw_engines() {
     let graph = barabasi_albert::generate(&BarabasiAlbertConfig {
@@ -192,20 +190,14 @@ fn facade_sessions_agree_with_raw_engines() {
     ));
 
     let requests = mixed_requests(&pairs, graph.num_vertices());
-    let mut ws = qbs_core::QueryWorkspace::new();
+    let index = built.index().expect("index");
+    let mut ws = QueryWorkspace::new();
     let raw: Vec<QueryOutcome> = requests
         .iter()
-        .map(|r| qbs_core::execute_on(built.index().expect("index"), &mut ws, r))
+        .map(|r| index.execute_with(&mut ws, r, None))
         .collect();
     assert_eq!(built.submit(&requests), raw);
     assert_eq!(opened.submit(&requests), raw);
-    for &(u, v) in pairs.iter().take(8) {
-        assert_eq!(built.query(u, v).unwrap(), opened.query(u, v).unwrap());
-        assert_eq!(
-            built.distance(u, v).unwrap(),
-            opened.distance(u, v).unwrap()
-        );
-    }
 }
 
 /// One graph per generator family, sized by the proptest case.

@@ -204,10 +204,10 @@ fn view_store_rejects_out_of_range_vertices() {
         .expect("map")
         .with_threads(1)
         .expect("threads");
-    let err = qbs.query(0, 99).unwrap_err();
+    let err = qbs.execute(&QueryRequest::path_graph(0, 99)).into_result();
     assert!(matches!(
         err,
-        qbs_core::QbsError::VertexOutOfRange { vertex: 99, .. }
+        Err(qbs_core::QbsError::VertexOutOfRange { vertex: 99, .. })
     ));
     let outcomes = qbs.submit(&[
         QueryRequest::path_graph(0, 1),
@@ -220,6 +220,7 @@ fn view_store_rejects_out_of_range_vertices() {
     ));
     let index = qbs.index().expect("every session has an index");
     let mut ws = qbs_core::QueryWorkspace::new();
-    assert!(qbs_core::query_on(index, &mut ws, 77, 0).is_err());
-    assert!(qbs_core::sketch_on(index, &mut ws, 0, 77).is_err());
+    for request in [QueryRequest::path_graph(77, 0), QueryRequest::sketch(0, 77)] {
+        assert!(index.execute_with(&mut ws, &request, None).is_error());
+    }
 }

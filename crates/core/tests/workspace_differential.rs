@@ -1,9 +1,10 @@
 //! Differential tests for the workspace-based query path.
 //!
-//! Asserts that `QbsIndex::query_with` (one epoch-stamped workspace reused
-//! across hundreds of mixed queries) and `Qbs::submit` (the concurrent
-//! batch API, whose long-lived workers reuse one workspace each) return results **bit-identical** to the
-//! fresh-allocation `QbsIndex::query` path, across Erdős–Rényi,
+//! Asserts that `QbsIndex::execute_with` on one epoch-stamped workspace
+//! reused across hundreds of mixed queries, and `Qbs::submit` (the
+//! concurrent batch API, whose long-lived workers reuse one workspace each),
+//! return results **bit-identical** to the same door on a fresh workspace
+//! per query, across Erdős–Rényi,
 //! Barabási–Albert and Watts–Strogatz graphs and multiple seeds — the
 //! stale-epoch regression surface: any slot that survives a workspace reset
 //! would corrupt a later query's answer.
@@ -79,14 +80,11 @@ fn workspace_reuse_is_bit_identical_to_fresh_queries() {
 
         let mut ws = QueryWorkspace::new();
         for &(u, v) in &pairs {
-            let fresh = index.query_with_stats(u, v).expect("fresh query");
-            let reused = index.query_with(&mut ws, u, v).expect("workspace query");
-            assert_eq!(
-                reused.path_graph, fresh.path_graph,
-                "{name}: answer of ({u},{v})"
-            );
-            assert_eq!(reused.sketch, fresh.sketch, "{name}: sketch of ({u},{v})");
-            assert_eq!(reused.stats, fresh.stats, "{name}: stats of ({u},{v})");
+            let request = QueryRequest::path_graph(u, v).with_stats();
+            let fresh = index.execute_with(&mut QueryWorkspace::new(), &request, None);
+            let reused = index.execute_with(&mut ws, &request, None);
+            assert!(reused.answer().is_some(), "{name}: ({u},{v}) in range");
+            assert_eq!(reused, fresh, "{name}: answer of ({u},{v})");
         }
         assert_eq!(ws.queries_served(), pairs.len() as u64);
     }
@@ -107,17 +105,10 @@ fn submitted_batches_are_bit_identical_to_fresh_queries() {
                 .expect("threads");
             let outcomes = qbs.submit(&requests);
             assert_eq!(outcomes.len(), pairs.len());
-            for (&(u, v), outcome) in pairs.iter().zip(&outcomes) {
-                let answer = outcome.answer().expect("in range");
-                let fresh = index.query_with_stats(u, v).expect("fresh query");
-                assert_eq!(
-                    answer.path_graph, fresh.path_graph,
-                    "{name}/threads={threads}: answer of ({u},{v})"
-                );
-                assert_eq!(
-                    answer.stats, fresh.stats,
-                    "{name}/threads={threads}: stats of ({u},{v})"
-                );
+            for (request, outcome) in requests.iter().zip(&outcomes) {
+                assert!(outcome.answer().is_some(), "{name}: {request:?} in range");
+                let fresh = index.execute_with(&mut QueryWorkspace::new(), request, None);
+                assert_eq!(outcome, &fresh, "{name}/threads={threads}: {request:?}");
             }
             // Distance-only batches agree with the materialised answers.
             let distance_requests: Vec<QueryRequest> = pairs
@@ -150,7 +141,11 @@ fn workspace_answers_stay_exact_against_the_oracle() {
     let pairs = QueryWorkload::sample(&graph, 150, 13);
     let mut ws = QueryWorkspace::new();
     for &(u, v) in pairs.pairs() {
-        let got = index.query_with(&mut ws, u, v).expect("query").path_graph;
-        assert_eq!(got, oracle.query(u, v), "pair ({u},{v})");
+        let got = index.execute_with(&mut ws, &QueryRequest::path_graph(u, v), None);
+        assert_eq!(
+            got.path_graph(),
+            Some(&oracle.query(u, v)),
+            "pair ({u},{v})"
+        );
     }
 }

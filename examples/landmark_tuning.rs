@@ -38,7 +38,7 @@ fn main() {
         Qbs::build(graph.clone(), QbsConfig::with_landmark_count(0)).expect("session build");
     let t0 = Instant::now();
     for &(u, v) in workload.pairs() {
-        std::hint::black_box(landmark_free.query(u, v).unwrap());
+        std::hint::black_box(landmark_free.execute(&QueryRequest::path_graph(u, v)));
     }
     let baseline_ms = t0.elapsed().as_secs_f64() * 1e3 / workload.len() as f64;
 
@@ -53,7 +53,7 @@ fn main() {
 
         let t0 = Instant::now();
         for &(u, v) in workload.pairs() {
-            std::hint::black_box(qbs.query(u, v).unwrap());
+            std::hint::black_box(qbs.execute(&QueryRequest::path_graph(u, v)));
         }
         let query_ms = t0.elapsed().as_secs_f64() * 1e3 / workload.len() as f64;
 
@@ -84,7 +84,7 @@ fn main() {
             classify_workload(qbs.index().expect("owned"), workload.pairs()).pair_coverage_ratio();
         let t0 = Instant::now();
         for &(u, v) in workload.pairs() {
-            std::hint::black_box(qbs.query(u, v).unwrap());
+            std::hint::black_box(qbs.execute(&QueryRequest::path_graph(u, v)));
         }
         let query_ms = t0.elapsed().as_secs_f64() * 1e3 / workload.len() as f64;
         println!("  {label:<24} coverage {coverage:.2}, avg query {query_ms:.3} ms");

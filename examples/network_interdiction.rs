@@ -41,8 +41,9 @@ fn main() {
     //    disrupt every shortest route between two monitored hosts?
     let monitored = QueryWorkload::sample_connected(&graph, 6, 5);
     for &(u, v) in monitored.pairs() {
-        let answer = qbs.query(u, v).unwrap();
-        let cut = minimal_interdiction_size(&graph, &answer);
+        let outcome = qbs.execute(&QueryRequest::path_graph(u, v));
+        let answer = outcome.path_graph().expect("in range");
+        let cut = minimal_interdiction_size(&graph, answer);
         println!(
             "pair ({u:>5}, {v:>5}): distance {}, {} shortest-path edges, minimal interdiction set = {} edge(s)",
             answer.distance(),

@@ -32,7 +32,8 @@ fn main() -> Result<(), qbs::core::QbsError> {
     // Serving straight from the mapped file: a cold process maps the
     // immutable index and answers immediately.
     let qbs = Qbs::open(&path, MapMode::Mmap)?;
-    assert_eq!(qbs.query(17, 1234)?, index.query(17, 1234)?);
+    let outcome = qbs.execute(&QueryRequest::path_graph(17, 1234));
+    assert_eq!(outcome.path_graph(), Some(&index.query(17, 1234)?));
 
     // The typed request pipeline serves the same mapped bytes.
     let outcomes = qbs.submit(&[

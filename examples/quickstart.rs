@@ -44,7 +44,8 @@ fn main() {
     let oracle = GroundTruth::new(graph.clone());
     let workload = QueryWorkload::sample_connected(&graph, 5, 7);
     for &(u, v) in workload.pairs() {
-        let answer = qbs.query_with_stats(u, v).unwrap();
+        let outcome = qbs.execute(&QueryRequest::path_graph(u, v).with_stats());
+        let answer = outcome.answer().expect("in range");
         let spg = &answer.path_graph;
         println!(
             "SPG({u}, {v}): distance {}, {} vertices, {} edges, d⊤ = {}, reverse = {}, recover = {}",
@@ -69,7 +70,7 @@ fn main() {
         QueryRequest::sketch(u, v),
         QueryRequest::distance(u, 999_999_999), // out of range
     ]);
-    assert_eq!(outcomes[0].distance(), Some(qbs.distance(u, v).unwrap()));
+    assert_eq!(outcomes[0].distance(), outcomes[1].distance());
     assert!(outcomes[1].answer().is_some());
     assert!(outcomes[2].sketch().is_some());
     assert!(outcomes[3].is_error(), "one bad slot, batch survived");

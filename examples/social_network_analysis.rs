@@ -96,10 +96,11 @@ fn main() {
         .iter()
         .find(|&&(u, v)| community::community_of(&config, u) != community::community_of(&config, v))
     {
-        let answer = qbs.query(u, v).unwrap();
+        let outcome = qbs.execute(&QueryRequest::path_graph(u, v));
+        let answer = outcome.path_graph().expect("in range");
         let truth = GroundTruth::new(graph.clone());
-        assert_eq!(answer, truth.query(u, v));
-        let bridges = critical_vertices(&graph, &answer);
+        assert_eq!(answer, &truth.query(u, v));
+        let bridges = critical_vertices(&graph, answer);
         println!(
             "\ncross-community pair ({u}, {v}): distance {}, {} shortest-path vertices, {} of them critical: {:?}",
             answer.distance(),

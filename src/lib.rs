@@ -41,9 +41,10 @@
 //!
 //! // Ask for the shortest path graph between two vertices and validate it
 //! // against the definition (it contains exactly all shortest paths).
-//! let answer = qbs.query(17, 1234).unwrap();
-//! assert!(is_exact(&graph, &answer));
-//! assert_eq!(answer, GroundTruth::new(graph.clone()).query(17, 1234));
+//! let outcome = qbs.execute(&QueryRequest::path_graph(17, 1234));
+//! let answer = outcome.path_graph().unwrap();
+//! assert!(is_exact(&graph, answer));
+//! assert_eq!(answer, &GroundTruth::new(graph.clone()).query(17, 1234));
 //!
 //! // Serving batches mix modes freely; a bad request fails alone.
 //! let outcomes = qbs.submit(&[
@@ -53,7 +54,7 @@
 //!     QueryRequest::distance(17, 999_999),
 //! ]);
 //! assert_eq!(outcomes[0].distance(), Some(answer.distance()));
-//! assert_eq!(outcomes[1].path_graph(), Some(&answer));
+//! assert_eq!(outcomes[1].path_graph(), Some(answer));
 //! assert!(outcomes[2].sketch().is_some());
 //! assert!(outcomes[3].is_error()); // that slot only — the batch survived
 //! ```

@@ -46,9 +46,10 @@ fn assert_all_engines_agree(
             "Bi-BFS mismatch on ({u},{v})"
         );
         // The reused-workspace path must be bit-identical as well.
-        let reused = qbs.query_with(&mut ws, u, v).expect("workspace query");
+        let reused = qbs.execute_with(&mut ws, &QueryRequest::path_graph(u, v), None);
         assert_eq!(
-            reused.path_graph, expected,
+            reused.path_graph(),
+            Some(&expected),
             "QbS workspace mismatch on ({u},{v})"
         );
         if let Some((ppl, parent_ppl)) = &labelling {

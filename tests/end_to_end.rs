@@ -82,11 +82,9 @@ fn qbs_beats_bibfs_on_a_hub_dominated_standin() {
         let t = std::time::Instant::now();
         let mut edges = 0usize;
         for &(u, v) in workload.pairs() {
-            edges += index
-                .query_with(&mut ws, u, v)
-                .unwrap()
-                .stats
-                .edges_traversed;
+            let request = QueryRequest::path_graph(u, v).with_stats();
+            let outcome = index.execute_with(&mut ws, &request, None);
+            edges += outcome.answer().unwrap().stats.edges_traversed;
         }
         (edges, t.elapsed())
     };

@@ -2,10 +2,11 @@
 //! vertices, under every landmark subset, queried on every ordered pair
 //! (`(u, u)` included).
 //!
-//! Each query goes through three doors: the index as built on the heap, the
-//! same index after a `serialize::to_bytes` / `from_bytes` round trip, and
-//! one `Qbs::submit` batch per index on a 2-thread session with the planner
-//! and an answer cache on. Each door must give
+//! Each query goes through three doors, each ending in the index's one query
+//! door `QbsIndex::execute_with`: the index as built on the heap, the same
+//! index after a `serialize::to_bytes` / `from_bytes` round trip, and one
+//! `Qbs::submit` batch per index on a 2-thread session with the planner and
+//! an answer cache on. Each door must give
 //!
 //! - the path graph `GroundTruth` computes,
 //! - the true distance from the distance mode,
@@ -20,7 +21,7 @@
 use std::sync::atomic::AtomicUsize;
 use std::sync::atomic::Ordering::Relaxed;
 
-use qbs::core::{serialize, sketch_on, Sketch};
+use qbs::core::{serialize, Sketch};
 use qbs::graph::Distance;
 use qbs::prelude::*;
 
@@ -72,7 +73,8 @@ fn check_answer(
     assert_eq!(sketch, &answer.sketch, "{}: sketch mode", what());
 }
 
-/// The heap and round-trip doors: the query entry points of one index.
+/// The heap and round-trip doors: one index's query door, in all three
+/// modes on one workspace.
 fn check_index(
     index: &QbsIndex,
     ws: &mut QueryWorkspace,
@@ -81,10 +83,15 @@ fn check_index(
     what: &dyn Fn() -> String,
 ) {
     for ((u, v), truth) in ordered_pairs(n).zip(truths) {
-        let answer = index.query_with(ws, u, v).unwrap();
-        let distance = index.distance_with(ws, u, v).unwrap();
-        let sketch = sketch_on(index, ws, u, v).unwrap();
-        check_answer(truth, &answer, distance, &sketch, &|| {
+        let path = index.execute_with(ws, &QueryRequest::path_graph(u, v).with_stats(), None);
+        let distance = index.execute_with(ws, &QueryRequest::distance(u, v), None);
+        let sketch = index.execute_with(ws, &QueryRequest::sketch(u, v), None);
+        let (Some(answer), QueryOutcome::Distance(distance), Some(sketch)) =
+            (path.answer(), distance, sketch.sketch())
+        else {
+            panic!("{} ({u},{v}): an answer in the wrong mode", what());
+        };
+        check_answer(truth, answer, distance, sketch, &|| {
             format!("{} ({u},{v})", what())
         });
     }

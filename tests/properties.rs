@@ -80,7 +80,9 @@ proptest! {
         }
         // And the guided search always reports the exact distance.
         if u != v {
-            let stats = index.query_with_stats(u, v).unwrap().stats;
+            let request = QueryRequest::path_graph(u, v).with_stats();
+            let outcome = index.execute_with(&mut QueryWorkspace::new(), &request, None);
+            let stats = outcome.answer().unwrap().stats;
             prop_assert_eq!(stats.distance, d);
             prop_assert!(stats.upper_bound >= stats.distance || stats.distance == INFINITE_DISTANCE);
         }
@@ -156,7 +158,9 @@ proptest! {
         // Bi-BFS is QbS with no landmarks: stage 1 is a plain bidirectional
         // BFS over the whole graph.
         let index = QbsIndex::build(graph.clone(), QbsConfig::with_landmark_count(0));
-        let answer = index.query_with_stats(u, v).unwrap();
+        let request = QueryRequest::path_graph(u, v).with_stats();
+        let outcome = index.execute_with(&mut QueryWorkspace::new(), &request, None);
+        let answer = outcome.answer().unwrap();
         prop_assert_eq!(&answer.path_graph, &oracle(&graph, u, v));
         // Each side traverses every directed arc at most once.
         prop_assert!(answer.stats.edges_traversed <= 2 * graph.num_arcs() + 2);
