@@ -4,8 +4,8 @@
 //! experiments <which> [options]
 //!
 //! which:    table1 | table2 | table3 | fig7 | fig8 | fig9 | fig10 | fig11 |
-//!           traversal | ablation | mixedbatch | batchplan |
-//!           netserve | routed | obs | all
+//!           traversal | ablation | mixedbatch | netserve | routed |
+//!           obs | all
 //!
 //! options:
 //!   --scale tiny|small|medium|large   dataset scale          (default: small)
@@ -106,17 +106,6 @@ fn main() -> ExitCode {
         drift |= !r.all_identical();
         outputs.insert("mixedbatch", (r.render(), Rc::new(r)));
     }
-    if which == "batchplan" {
-        let r = match experiments::batch_plan(&config) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: batchplan failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        drift |= !r.all_identical();
-        outputs.insert("batchplan", (r.render(), Rc::new(r)));
-    }
     if which == "netserve" {
         let r = match experiments::net_serving(&config) {
             Ok(r) => r,
@@ -179,7 +168,7 @@ fn main() -> ExitCode {
 
 fn print_usage() {
     eprintln!(
-        "usage: experiments <table1|table2|table3|fig7|fig8|fig9|fig10|fig11|traversal|ablation|mixedbatch|batchplan|netserve|routed|obs|all> \
+        "usage: experiments <table1|table2|table3|fig7|fig8|fig9|fig10|fig11|traversal|ablation|mixedbatch|netserve|routed|obs|all> \
          [--scale tiny|small|medium|large] [--queries N] [--landmarks N] \
          [--sweep a,b,c] [--datasets DO,DB,...] [--out DIR]"
     );

@@ -15,8 +15,8 @@ use qbs_graph::{Graph, PathGraph, VertexId};
 /// [`QbsIndex`] adapted to the [`SpgEngine`] trait.
 pub struct QbsEngine {
     index: QbsIndex,
-    /// Reused by [`SpgEngine::query_batch`] so repeated batches pay zero
-    /// `O(|V|)` setup, matching the other engines' workspace reuse.
+    /// Reused by every query, so a timed query pays no `O(|V|)` setup,
+    /// matching the other engines' workspace reuse.
     workspace: std::sync::Mutex<QueryWorkspace>,
 }
 
@@ -24,9 +24,11 @@ impl QbsEngine {
     /// Builds a QbS engine with the given landmark count; with none it is
     /// the Bi-BFS baseline.
     pub fn build(graph: Graph, landmarks: usize) -> Self {
+        let index = QbsIndex::build(graph, QbsConfig::with_landmark_count(landmarks));
+        let workspace = QueryWorkspace::for_vertices(index.num_vertices());
         QbsEngine {
-            index: QbsIndex::build(graph, QbsConfig::with_landmark_count(landmarks)),
-            workspace: std::sync::Mutex::new(QueryWorkspace::new()),
+            index,
+            workspace: std::sync::Mutex::new(workspace),
         }
     }
 
@@ -34,13 +36,21 @@ impl QbsEngine {
     pub fn index(&self) -> &QbsIndex {
         &self.index
     }
+
+    /// Answers `SPG(source, target)` through the query door on `ws`.
+    fn answer(&self, ws: &mut QueryWorkspace, source: VertexId, target: VertexId) -> PathGraph {
+        let request = QueryRequest::path_graph(source, target);
+        match self.index.execute_with(ws, &request, None) {
+            QueryOutcome::PathGraph(pg) => *pg,
+            outcome => panic!("engine callers validate vertices: {outcome:?}"),
+        }
+    }
 }
 
 impl SpgEngine for QbsEngine {
     fn query(&self, source: VertexId, target: VertexId) -> PathGraph {
-        self.index
-            .query(source, target)
-            .expect("engine callers validate vertices")
+        let mut ws = self.workspace.lock().expect("workspace poisoned");
+        self.answer(&mut ws, source, target)
     }
 
     fn num_vertices(&self) -> usize {
@@ -56,13 +66,7 @@ impl SpgEngine for QbsEngine {
         let mut ws = self.workspace.lock().expect("workspace poisoned");
         pairs
             .iter()
-            .map(|&(u, v)| {
-                let request = QueryRequest::path_graph(u, v);
-                match self.index.execute_with(&mut ws, &request, None) {
-                    QueryOutcome::PathGraph(pg) => *pg,
-                    outcome => panic!("batch vertices are validated by the caller: {outcome:?}"),
-                }
-            })
+            .map(|&(u, v)| self.answer(&mut ws, u, v))
             .collect()
     }
 

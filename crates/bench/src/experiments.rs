@@ -704,15 +704,6 @@ fn per_query_ms(elapsed: std::time::Duration, queries: usize) -> f64 {
     }
 }
 
-fn qps(elapsed: std::time::Duration, queries: usize) -> f64 {
-    let secs = elapsed.as_secs_f64();
-    if secs > 0.0 {
-        queries as f64 / secs
-    } else {
-        0.0
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Mixed-batch — request-pipeline differential (CI drift tripwire)
 // ---------------------------------------------------------------------------
@@ -727,8 +718,14 @@ pub struct MixedBatchRow {
     pub requests: usize,
     /// Error outcomes observed (must be exactly 1: the poisoned pair).
     pub error_slots: usize,
-    /// Whether every outcome matched: heap vs mmap buffers, the
-    /// one-at-a-time reference, and warm-cache vs cold answers.
+    /// Requests in the Zipf(1.5)-skewed distance batch.
+    pub zipf_requests: usize,
+    /// Slots of the Zipf batch that repeat a key of that batch (must be
+    /// non-zero: the batch exists to carry repeated keys).
+    pub zipf_repeats: usize,
+    /// Whether every outcome of both batches matched: heap vs mmap
+    /// buffers, the one-at-a-time reference, and warm-cache vs cold
+    /// answers.
     pub identical: bool,
     /// Cold (uncached) batch time, ms/request.
     pub cold_ms: f64,
@@ -738,16 +735,17 @@ pub struct MixedBatchRow {
     pub cache_hit_rate: f64,
 }
 
-impl_to_json!(MixedBatchRow: dataset, requests, error_slots, identical, cold_ms, warm_ms,
-    cache_hit_rate);
+impl_to_json!(MixedBatchRow: dataset, requests, error_slots, zipf_requests, zipf_repeats,
+    identical, cold_ms, warm_ms, cache_hit_rate);
 
 /// The mixed-batch differential: a heterogeneous distance/path/sketch
-/// batch (with one poisoned pair mid-batch) is submitted through the
-/// request pipeline over the heap buffer and a mapping of one index and
-/// checked slot-by-slot against one-at-a-time execution; a cache-enabled
-/// session then re-runs
-/// the batch warm and must produce bit-identical outcomes. CI runs this at
-/// tiny scale and fails the pipeline on any drift.
+/// batch (with one poisoned pair mid-batch) and a Zipf(1.5)-skewed
+/// distance batch (whose slots repeat keys) are submitted through the
+/// request pipeline over the heap buffer and a mapping of one index, on
+/// two threads, and checked slot-by-slot against one-at-a-time execution;
+/// a cache-enabled session then runs each batch cold and warm and must
+/// produce bit-identical outcomes. CI runs this at tiny scale and fails
+/// the pipeline on any drift.
 #[derive(Clone, Debug)]
 pub struct MixedBatch {
     /// One row per dataset.
@@ -757,9 +755,11 @@ pub struct MixedBatch {
 impl_to_json!(MixedBatch: rows);
 
 impl MixedBatch {
-    /// Whether every dataset's batch was fully consistent.
+    /// Whether every dataset's batches were fully consistent.
     pub fn all_identical(&self) -> bool {
-        self.rows.iter().all(|r| r.identical && r.error_slots == 1)
+        self.rows
+            .iter()
+            .all(|r| r.identical && r.error_slots == 1 && r.zipf_repeats > 0)
     }
 
     /// Renders the comparison.
@@ -770,6 +770,8 @@ impl MixedBatch {
                 "Dataset",
                 "requests",
                 "errors",
+                "zipf reqs",
+                "repeats",
                 "cold ms",
                 "warm ms",
                 "speedup",
@@ -787,6 +789,8 @@ impl MixedBatch {
                 r.dataset.clone(),
                 fmt_count(r.requests),
                 fmt_count(r.error_slots),
+                fmt_count(r.zipf_requests),
+                fmt_count(r.zipf_repeats),
                 fmt_millis(r.cold_ms),
                 fmt_millis(r.warm_ms),
                 format!("{speedup:.1}x"),
@@ -824,6 +828,15 @@ fn mixed_requests(
     requests
 }
 
+/// Slots of a distance batch whose unordered pair an earlier slot asked.
+fn repeated_distance_keys(requests: &[qbs_core::QueryRequest]) -> usize {
+    let mut seen = std::collections::HashSet::new();
+    requests
+        .iter()
+        .filter(|r| !seen.insert((r.source.min(r.target), r.source.max(r.target))))
+        .count()
+}
+
 /// Checks one submit run slot-by-slot against the one-at-a-time
 /// reference: each request through the query door on one workspace.
 fn outcomes_match_one_at_a_time(
@@ -839,9 +852,9 @@ fn outcomes_match_one_at_a_time(
             .all(|(req, outcome)| *outcome == index.execute_with(&mut ws, req, None))
 }
 
-/// Runs the mixed-batch differential: build → save → mmap → submit the
-/// heterogeneous batch over both buffers → compare against one-at-a-time
-/// execution → re-run warm through the answer cache.
+/// Runs the mixed-batch differential: build → save → mmap → submit both
+/// batches over both buffers → compare against one-at-a-time execution →
+/// re-run each warm through the answer cache.
 pub fn mixed_batch(config: &ExperimentConfig) -> Result<MixedBatch, QbsError> {
     let nonce = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
@@ -858,16 +871,27 @@ pub fn mixed_batch(config: &ExperimentConfig) -> Result<MixedBatch, QbsError> {
         .map(|spec| {
             let graph = config.graph_for(spec);
             let workload = config.workload_for(&graph);
+            let zipf: Vec<qbs_core::QueryRequest> =
+                qbs_gen::QueryWorkload::sample_zipf(&graph, config.query_count, config.seed, 1.5)
+                    .pairs()
+                    .iter()
+                    .map(|&(u, v)| qbs_core::QueryRequest::distance(u, v))
+                    .collect();
             let owned =
                 QbsIndex::build(graph, QbsConfig::with_landmark_count(config.landmark_count));
             let requests = mixed_requests(workload.pairs(), owned.num_vertices());
             let path = dir.join(format!("{}.qbs", spec.id.abbrev()));
             qbs_core::serialize::save_to_file(&owned, &path)?;
             let view = qbs_core::Qbs::open(&path, qbs_core::MapMode::Mmap)?.with_threads(2)?;
-            let cached = qbs_core::Qbs::from_index(owned.clone())
-                .with_threads(2)?
-                .with_cache(qbs_core::CacheConfig::default().admit_above(0));
+            let cached_session = || -> Result<qbs_core::Qbs, QbsError> {
+                Ok(qbs_core::Qbs::from_index(owned.clone())
+                    .with_threads(2)?
+                    .with_cache(qbs_core::CacheConfig::default().admit_above(0)))
+            };
+            let cached = cached_session()?;
+            let zipf_cached = cached_session()?;
             let owned = qbs_core::Qbs::from_index(owned).with_threads(2)?;
+            let index = owned.index().expect("owned session");
             let t0 = Instant::now();
             let owned_outcomes = owned.submit(&requests);
             let cold_ms = per_query_ms(t0.elapsed(), requests.len());
@@ -875,11 +899,7 @@ pub fn mixed_batch(config: &ExperimentConfig) -> Result<MixedBatch, QbsError> {
 
             let error_slots = owned_outcomes.iter().filter(|o| o.is_error()).count();
             let mut identical = owned_outcomes == view_outcomes
-                && outcomes_match_one_at_a_time(
-                    owned.index().expect("owned session"),
-                    &requests,
-                    &owned_outcomes,
-                );
+                && outcomes_match_one_at_a_time(index, &requests, &owned_outcomes);
 
             // Cache pass: cold fill, then a warm run that must be
             // bit-identical to the uncached outcomes.
@@ -890,11 +910,21 @@ pub fn mixed_batch(config: &ExperimentConfig) -> Result<MixedBatch, QbsError> {
             identical &= cold_cached == owned_outcomes && warm == owned_outcomes;
             let cache_hit_rate = cached.cache_stats().map(|s| s.hit_ratio()).unwrap_or(0.0);
 
+            // Repeated keys: duplicate slots of the Zipf batch meet each
+            // other across the two threads and in the cache.
+            let zipf_outcomes = owned.submit(&zipf);
+            identical &= outcomes_match_one_at_a_time(index, &zipf, &zipf_outcomes)
+                && view.submit(&zipf) == zipf_outcomes
+                && zipf_cached.submit(&zipf) == zipf_outcomes
+                && zipf_cached.submit(&zipf) == zipf_outcomes;
+
             std::fs::remove_file(&path).ok();
             Ok(MixedBatchRow {
                 dataset: spec.id.name().to_string(),
                 requests: requests.len(),
                 error_slots,
+                zipf_requests: zipf.len(),
+                zipf_repeats: repeated_distance_keys(&zipf),
                 identical,
                 cold_ms,
                 warm_ms,
@@ -904,144 +934,6 @@ pub fn mixed_batch(config: &ExperimentConfig) -> Result<MixedBatch, QbsError> {
         .collect::<Result<Vec<_>, QbsError>>()?;
     std::fs::remove_dir_all(&dir).ok();
     Ok(MixedBatch { rows })
-}
-
-// ---------------------------------------------------------------------------
-// Batch planner — submit vs one-at-a-time over heap and mmap (CI tripwire)
-// ---------------------------------------------------------------------------
-
-/// Batch-planner differential result for one dataset.
-#[derive(Clone, Debug)]
-pub struct BatchPlanRow {
-    /// Dataset name.
-    pub dataset: String,
-    /// Requests in the Zipf-skewed batch (incl. duplicates).
-    pub requests: usize,
-    /// Whether `submit` matched the one-at-a-time reference on the heap
-    /// and the mmap buffer, slot for slot.
-    pub identical: bool,
-    /// `submit` batch throughput on the heap buffer (req/s).
-    pub submit_qps: f64,
-    /// Duplicate slots coalesced by the planner.
-    pub dedup_hits: u64,
-}
-
-impl_to_json!(BatchPlanRow: dataset, requests, identical, submit_qps, dedup_hits);
-
-/// The batch-planner differential: a Zipf-skewed distance batch (so slots
-/// repeat and the dedupe layer has work) is submitted over the heap and
-/// the mmap buffer and compared with one-at-a-time execution; any slot-level
-/// disagreement is drift. CI runs this at tiny scale and fails the
-/// pipeline on any drift.
-#[derive(Clone, Debug)]
-pub struct BatchPlan {
-    /// One row per dataset.
-    pub rows: Vec<BatchPlanRow>,
-}
-
-impl_to_json!(BatchPlan: rows);
-
-impl BatchPlan {
-    /// Whether every dataset's submitted batch was bit-identical.
-    pub fn all_identical(&self) -> bool {
-        self.rows.iter().all(|r| r.identical)
-    }
-
-    /// Renders the comparison.
-    pub fn render(&self) -> String {
-        let mut t = TextTable::new(
-            "Batch planner: submit vs one-at-a-time over heap + mmap buffers",
-            &[
-                "Dataset",
-                "requests",
-                "submit q/s",
-                "coalesced",
-                "identical",
-            ],
-        );
-        for r in &self.rows {
-            t.add_row(vec![
-                r.dataset.clone(),
-                fmt_count(r.requests),
-                format!("{:.0}", r.submit_qps),
-                fmt_count(r.dedup_hits as usize),
-                if r.identical {
-                    "yes".into()
-                } else {
-                    "NO".into()
-                },
-            ]);
-        }
-        t.render()
-    }
-}
-
-/// Runs the batch-planner differential: build → Zipf batch → `submit` over
-/// heap and mmap buffers → slot-by-slot comparison with the
-/// one-at-a-time reference.
-pub fn batch_plan(config: &ExperimentConfig) -> Result<BatchPlan, QbsError> {
-    let nonce = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_nanos())
-        .unwrap_or(0);
-    let dir = std::env::temp_dir().join(format!(
-        "qbs_bench_batch_plan_{}_{nonce}",
-        std::process::id()
-    ));
-    std::fs::create_dir_all(&dir)?;
-    let rows = config
-        .specs()
-        .iter()
-        .map(|spec| {
-            let graph = config.graph_for(spec);
-            let workload =
-                qbs_gen::QueryWorkload::sample_zipf(&graph, config.query_count, config.seed, 1.5);
-            let owned =
-                QbsIndex::build(graph, QbsConfig::with_landmark_count(config.landmark_count));
-            let requests: Vec<qbs_core::QueryRequest> = workload
-                .pairs()
-                .iter()
-                .map(|&(u, v)| qbs_core::QueryRequest::distance(u, v))
-                .collect();
-
-            let path = dir.join(format!("{}.qbs", spec.id.abbrev()));
-            qbs_core::serialize::save_to_file(&owned, &path)?;
-            let view = qbs_core::Qbs::open(&path, qbs_core::MapMode::Mmap)?.with_threads(2)?;
-
-            // One-at-a-time reference off the heap buffer.
-            let mut ws = qbs_core::QueryWorkspace::new();
-            let reference: Vec<qbs_core::QueryOutcome> = requests
-                .iter()
-                .map(|req| owned.execute_with(&mut ws, req, None))
-                .collect();
-
-            // One warmup submit so the timed pass measures the batch path,
-            // not worker start-up and workspace allocation.
-            let session = qbs_core::Qbs::from_index(owned).with_threads(2)?;
-            session.submit(&requests);
-            let dedup_hits = session
-                .metrics_snapshot()
-                .get(qbs_core::counter::COALESCED)
-                .unwrap_or(0);
-            let t0 = Instant::now();
-            let submitted = session.submit(&requests);
-            let submit_qps = qps(t0.elapsed(), requests.len());
-
-            let view_out = view.submit(&requests);
-            let identical = submitted == reference && view_out == reference;
-
-            std::fs::remove_file(&path).ok();
-            Ok(BatchPlanRow {
-                dataset: spec.id.name().to_string(),
-                requests: requests.len(),
-                identical,
-                submit_qps,
-                dedup_hits,
-            })
-        })
-        .collect::<Result<Vec<_>, QbsError>>()?;
-    std::fs::remove_dir_all(&dir).ok();
-    Ok(BatchPlan { rows })
 }
 
 // ---------------------------------------------------------------------------
@@ -1862,16 +1754,15 @@ pub fn ablation(config: &ExperimentConfig) -> Ablation {
                     },
                 },
             );
+            // One workspace per index, allocated before the clock starts.
             let time_index = |index: &QbsIndex| -> f64 {
+                let mut ws = qbs_core::QueryWorkspace::for_vertices(index.num_vertices());
                 let t0 = Instant::now();
                 for &(u, v) in workload.pairs() {
-                    let _ = index.query(u, v);
+                    let request = qbs_core::QueryRequest::path_graph(u, v);
+                    let _ = index.execute_with(&mut ws, &request, None);
                 }
-                if workload.is_empty() {
-                    0.0
-                } else {
-                    t0.elapsed().as_secs_f64() * 1e3 / workload.len() as f64
-                }
+                per_query_ms(t0.elapsed(), workload.len())
             };
             let degree_query_ms = time_index(&degree);
             let random_query_ms = time_index(&random);

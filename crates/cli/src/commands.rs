@@ -1724,7 +1724,7 @@ mod tests {
             (THREADS, 4),
             (REQUESTS, 82),
         ];
-        let traffic = [(BATCHES, 2), (ERRORS, 1), (COALESCED, 5), (CACHE_HITS, 30)];
+        let traffic = [(BATCHES, 2), (ERRORS, 1), (CACHE_HITS, 30)];
         let cache = [(CACHE_MISSES, 10), (CACHE_ENTRIES, 9), (CACHE_EVICTIONS, 1)];
         let admission = [
             (ADMITTED_BATCHES, 2),
@@ -1755,7 +1755,6 @@ mod tests {
             "index:     300 vertices, 8 landmarks",
             "threads:   4",
             "requests:  82 in 2 batches (1 errors)",
-            "planner:   5 coalesced",
             "cache: 30 hits / 10 misses (75% hit rate), 9 entries, 1 evictions",
             "admission: 2 batches / 82 requests admitted, shed 1 overload + 0 oversized",
             "p50 ms",

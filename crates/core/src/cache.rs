@@ -112,10 +112,9 @@ impl CacheStats {
     }
 }
 
-/// Cache key: normalised endpoints plus the query mode. Also the key the
-/// batch dedupe ([`crate::plan`]) groups the slots of a frame by.
+/// Cache key: normalised endpoints plus the query mode.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub(crate) struct CacheKey {
+struct CacheKey {
     u: VertexId,
     v: VertexId,
     mode: QueryMode,
@@ -126,7 +125,7 @@ impl CacheKey {
     /// pair; path-graph and sketch answers keep their orientation (their
     /// payloads record source/target, so serving a reversed hit would not
     /// be bit-identical).
-    pub(crate) fn for_request(req: &QueryRequest) -> CacheKey {
+    fn for_request(req: &QueryRequest) -> CacheKey {
         let (u, v) = match req.mode {
             QueryMode::Distance => (req.source.min(req.target), req.source.max(req.target)),
             QueryMode::PathGraph | QueryMode::Sketch => (req.source, req.target),
@@ -323,7 +322,7 @@ impl AnswerCache {
     /// asked for. Counts a hit or a miss. The critical section is `O(1)`:
     /// only the `Arc` handle is cloned under the shard lock; the answer
     /// itself is shaped (cloned) after the lock is released.
-    pub fn lookup(&self, req: &QueryRequest) -> Option<QueryOutcome> {
+    pub(crate) fn lookup(&self, req: &QueryRequest) -> Option<QueryOutcome> {
         let key = CacheKey::for_request(req);
         let body = {
             let mut shard = self.shard(&key).lock().expect("cache shard poisoned");

@@ -7,10 +7,11 @@
 //! life, reset per query by epoch bumping, so the steady state allocates
 //! no search scratch.
 //!
-//! A frame — one [`crate::Qbs::submit`] after duplicate coalescing
-//! ([`crate::plan`]) — holds a copy of its requests, a result slot each, a
-//! claim cursor, a done-latch and its own stage sums, so concurrent frames
-//! never mix their slow-query breakdowns. Frames queue first in, first
+//! A frame — one [`crate::Qbs::submit`] — holds a copy of its requests, a
+//! result slot each, a claim cursor, a done-latch and its own stage sums,
+//! so concurrent frames never mix their slow-query breakdowns. Requests
+//! repeated in a frame run like any other; the answer cache, when
+//! attached, is what shares their work. Frames queue first in, first
 //! out; workers take `CLAIM_CHUNK` requests at a time from the oldest with
 //! work left, which keeps frames of skewed query cost balanced. The
 //! submitter wakes as many workers as there are claims left, claims from
@@ -47,11 +48,9 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 use crate::cache::AnswerCache;
-use crate::obs::{saturating_ns, AtomicStageNanos, Metrics, Stage, StageNanos};
-use crate::plan::{self, PlannerCounters};
+use crate::obs::{AtomicStageNanos, Metrics, StageNanos};
 use crate::request::{QueryOutcome, QueryRequest};
 use crate::store::QbsIndex;
 use crate::workspace::QueryWorkspace;
@@ -68,8 +67,6 @@ const CLAIM_CHUNK: usize = 1;
 pub(crate) struct Engine {
     pub(crate) index: QbsIndex,
     pub(crate) cache: Option<AnswerCache>,
-    /// Coalesced-duplicate counter, for the session's lifetime.
-    pub(crate) planner: PlannerCounters,
     /// Per-stage latency histograms, for the session's lifetime.
     pub(crate) metrics: Arc<Metrics>,
     /// Test hook: every request of this mode panics.
@@ -82,7 +79,6 @@ impl Engine {
         Engine {
             index,
             cache: None,
-            planner: PlannerCounters::default(),
             metrics: Arc::new(Metrics::new()),
             #[cfg(test)]
             panic_on: None,
@@ -95,7 +91,7 @@ impl Engine {
 
     /// Executes one request on `ws` through the cache, flushing its stage
     /// figures into the registry and into `frame_ns` — one sample per
-    /// computation, so a coalesced job contributes one.
+    /// request.
     fn run(
         &self,
         ws: &mut QueryWorkspace,
@@ -328,36 +324,10 @@ impl Executor {
     }
 
     /// Executes a frame, with outcomes in input order and the frame's
-    /// per-stage sums (all zero while metrics are off). Requests repeated
-    /// in the frame are executed once and shaped into every duplicate slot
-    /// ([`crate::plan`]).
-    pub(crate) fn submit(&self, requests: &[QueryRequest]) -> (Vec<QueryOutcome>, StageNanos) {
-        let mut ns = StageNanos::default();
-        // A lone request has nothing to coalesce and records no planner sample.
-        let timed = Some(&*self.engine.metrics).filter(|m| m.is_enabled() && requests.len() >= 2);
-        let timed = timed.map(|m| (m, Instant::now()));
-        let dedup = plan::dedupe(requests, self.engine.num_vertices());
-        if let Some((m, t)) = timed {
-            let d = t.elapsed();
-            m.record_batch_stage(Stage::Planner, d);
-            ns.set(Stage::Planner, saturating_ns(d).max(1));
-        }
-        let outcomes = match dedup {
-            None => self.fan_out(requests, &mut ns),
-            Some(dedup) => {
-                self.engine
-                    .planner
-                    .add_dedup_hits((requests.len() - dedup.jobs.len()) as u64);
-                dedup.shape(requests, self.fan_out(&dedup.jobs, &mut ns))
-            }
-        };
-        (outcomes, ns)
-    }
-
-    /// The one batch driver: runs `requests` inline when one thread or one
-    /// claim suffices, and otherwise as a queued frame shared with the
-    /// workers.
-    fn fan_out(&self, requests: &[QueryRequest], ns: &mut StageNanos) -> Vec<QueryOutcome> {
+    /// per-stage sums (all zero while metrics are off): inline when one
+    /// thread or one claim suffices, and otherwise as a queued frame shared
+    /// with the workers.
+    pub(crate) fn fan_out(&self, requests: &[QueryRequest]) -> (Vec<QueryOutcome>, StageNanos) {
         let claims = requests.len().div_ceil(CLAIM_CHUNK);
         if self.threads == 1 || claims <= 1 {
             let frame_ns = AtomicStageNanos::default();
@@ -367,8 +337,7 @@ impl Executor {
                 .map(|req| self.engine.run(&mut ws, req, Some(&frame_ns)))
                 .collect();
             self.checkin(ws);
-            ns.add(&frame_ns.take());
-            return outcomes;
+            return (outcomes, frame_ns.take());
         }
 
         let workers = self
@@ -386,9 +355,7 @@ impl Executor {
         lock(&workers.queue.state)
             .frames
             .retain(|f| !Arc::ptr_eq(f, &frame));
-        let outcomes = frame.outcomes();
-        ns.add(&frame.ns.take());
-        outcomes
+        (frame.outcomes(), frame.ns.take())
     }
 
     fn checkout(&self) -> QueryWorkspace {

@@ -54,7 +54,6 @@ pub mod landmark;
 pub mod meta_graph;
 pub mod mmap;
 pub mod obs;
-pub mod plan;
 pub mod query;
 pub mod request;
 pub mod search;
@@ -63,7 +62,6 @@ pub mod session;
 pub mod sketch;
 pub mod stats;
 pub mod store;
-pub mod verify;
 pub mod wire;
 pub mod workspace;
 

@@ -1,7 +1,7 @@
 //! Low-overhead observability: latency histograms, per-stage request
 //! timing, named counters, and trace IDs.
 //!
-//! The serving tier (engine → batch planner → cache → server → router)
+//! The serving tier (engine → cache → server → router)
 //! keeps its lifetime counters in atomics where they are incremented;
 //! a [`MetricsSnapshot`] copies them out as named [`Counter`]s (every
 //! name is declared once, in [`counter`]) next to the per-stage latency
@@ -28,7 +28,7 @@
 //! Per-request stage timing ([`Stage`]) is collected into a small
 //! workspace scratch ([`ObsScratch`]) while a request executes, then
 //! flushed into the registry under the request's
-//! [`QueryMode`] — batch-scoped stages (queue wait, planner, wire encode)
+//! [`QueryMode`] — batch-scoped stages (queue wait, wire encode)
 //! land under the synthetic `batch` mode instead. [`TraceId`]s ride the
 //! protocol frame envelope from client through router to replicas and
 //! key the threshold-triggered slow-query log (see `docs/observability.md`).
@@ -242,14 +242,12 @@ pub fn ns_to_ms(ns: u64) -> f64 {
 /// A stage of the request path, the label axis of the per-stage latency
 /// histograms. Request-scoped stages (sketch bound through execute) are
 /// recorded under the request's [`QueryMode`]; batch-scoped stages (queue
-/// wait, planner, wire encode) are recorded once per batch under the
-/// synthetic `batch` mode.
+/// wait, wire encode) are recorded once per batch under the synthetic
+/// `batch` mode.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Stage {
     /// Time a batch spent queued between the reactor and a worker.
     QueueWait,
-    /// Batch-planner analysis: the duplicate-request pass of a batch.
-    Planner,
     /// Endpoint label fill plus the sketch, or the `d⊤` bound alone in
     /// distance mode.
     SketchBound,
@@ -270,7 +268,6 @@ impl Stage {
     /// Every stage, in recording order.
     pub const ALL: [Stage; NUM_STAGES] = [
         Stage::QueueWait,
-        Stage::Planner,
         Stage::SketchBound,
         Stage::GuidedSearch,
         Stage::CacheLookup,
@@ -283,7 +280,6 @@ impl Stage {
     pub fn name(self) -> &'static str {
         match self {
             Stage::QueueWait => "queue_wait",
-            Stage::Planner => "planner",
             Stage::SketchBound => "sketch_bound",
             Stage::GuidedSearch => "guided_search",
             Stage::CacheLookup => "cache_lookup",
@@ -299,7 +295,7 @@ impl Stage {
 }
 
 /// Number of [`Stage`] variants.
-pub const NUM_STAGES: usize = 8;
+pub const NUM_STAGES: usize = 7;
 
 /// Number of mode slots on the histogram matrix: the three
 /// [`QueryMode`]s plus the synthetic `batch` slot for batch-scoped stages.
@@ -517,8 +513,7 @@ impl Metrics {
         &self.shards[(tag % NUM_SHARDS as u64) as usize]
     }
 
-    /// Records one batch-scoped stage sample (queue wait, planner, wire
-    /// encode).
+    /// Records one batch-scoped stage sample (queue wait, wire encode).
     pub fn record_batch_stage(&self, stage: Stage, d: Duration) {
         if self.is_enabled() {
             self.shard().hists[MODE_BATCH][stage.index()].record(d);
@@ -614,7 +609,6 @@ pub mod counter {
         REQUESTS = "qbs_requests_total", Sum, "Typed requests executed.";
         BATCHES = "qbs_batches_total", Sum, "Batches executed.";
         ERRORS = "qbs_request_errors_total", Sum, "Requests answered with a typed error.";
-        COALESCED = "qbs_planner_coalesced_total", Sum, "Duplicate batch slots served by another slot's job.";
         CACHE_HITS = "qbs_cache_hits_total", Sum, "Answer-cache hits (present only with a cache).";
         CACHE_MISSES = "qbs_cache_misses_total", Sum, "Answer-cache misses.";
         CACHE_INSERTIONS = "qbs_cache_insertions_total", Sum, "Answers admitted into the cache.";
@@ -863,7 +857,6 @@ impl MetricsSnapshot {
                 v(BATCHES),
                 v(ERRORS)
             );
-            let _ = writeln!(out, "planner:   {} coalesced", v(COALESCED));
             let cache = self.cache_line();
             let _ = writeln!(
                 out,
@@ -1261,7 +1254,6 @@ mod tests {
         let line = s.render_us();
         assert!(line.contains("guided_search_us=2"));
         assert!(line.contains("queue_wait_us=1000"));
-        assert!(line.contains("planner_us=0"));
     }
 
     #[test]

@@ -181,9 +181,9 @@ impl Qbs {
     /// `submit` never fails as a whole: a request with an out-of-range
     /// endpoint yields [`QueryOutcome::Error`] *for that slot only*. Modes
     /// mix freely, requests with [`crate::request::QueryOptions::use_cache`]
-    /// go through the attached cache, repeated requests are executed once
-    /// ([`crate::plan`]), and the session's workers share the batch
-    /// ([`crate::engine`]).
+    /// go through the attached cache, and the session's workers share the
+    /// batch ([`crate::engine`]). A request repeated in the batch runs as
+    /// if submitted alone: the cache, when attached, shares the work.
     pub fn submit(&self, requests: &[QueryRequest]) -> Vec<QueryOutcome> {
         self.submit_observed(requests).0
     }
@@ -195,7 +195,7 @@ impl Qbs {
     /// only, whatever else runs concurrently; it is all zeros when metrics
     /// are disabled.
     pub fn submit_observed(&self, requests: &[QueryRequest]) -> (Vec<QueryOutcome>, StageNanos) {
-        let (outcomes, stage_ns) = self.exec.submit(requests);
+        let (outcomes, stage_ns) = self.exec.fan_out(requests);
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.count_outcomes(&outcomes);
         (outcomes, stage_ns)
@@ -208,7 +208,7 @@ impl Qbs {
     }
 
     /// The session's telemetry: the per-stage latency histograms plus the
-    /// engine, planner and (when attached) cache counters — what a
+    /// engine and (when attached) cache counters — what a
     /// `qbs serve` answers the `Metrics` frame with, admission aside.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = self.metrics().snapshot();
@@ -219,7 +219,6 @@ impl Qbs {
             (counter::REQUESTS, self.requests.load(Ordering::Relaxed)),
             (counter::BATCHES, self.batches.load(Ordering::Relaxed)),
             (counter::ERRORS, self.errors.load(Ordering::Relaxed)),
-            (counter::COALESCED, self.exec.engine.planner.dedup_hits()),
         ] {
             snap.push(def, value);
         }

@@ -4,7 +4,8 @@
 //! fresh workspace — on the heap buffer of a build and on a mapping of its
 //! saved file, with the answer cache cold and warm, and with many callers
 //! sharing one session's workers — and every answer must match the BFS
-//! ground truth.
+//! ground truth. A request repeated in a frame is executed like any other
+//! slot, so its cache traffic is what it would be if submitted alone.
 
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -57,7 +58,7 @@ fn family_batch(family: u64, graph: &Graph, count: usize, seed: u64) -> Vec<Quer
             reqs
         }
         // Duplicated: a handful of distinct pairs repeated many times,
-        // alternating orientation — the coalescer's home turf.
+        // alternating orientation, so slots repeat a key of their frame.
         1 => {
             let distinct: Vec<_> = pairs.iter().take((count / 4).max(1)).copied().collect();
             (0..count)
@@ -99,14 +100,6 @@ fn family_batch(family: u64, graph: &Graph, count: usize, seed: u64) -> Vec<Quer
     requests.insert(requests.len() / 2, QueryRequest::distance(poison, 0));
     requests.insert(requests.len() / 4, QueryRequest::path_graph(0, poison));
     requests
-}
-
-/// Duplicate slots the session's planner has coalesced so far.
-fn coalesced(qbs: &Qbs) -> u64 {
-    let snapshot = qbs.metrics_snapshot();
-    snapshot
-        .get(qbs_core::counter::COALESCED)
-        .expect("always exported")
 }
 
 /// One-at-a-time reference: a fresh engine-free execution per request.
@@ -231,40 +224,10 @@ proptest! {
     }
 }
 
-/// Deterministic counter semantics on the paper's running example:
-/// duplicates are coalesced and counted once per duplicate slot, while the
-/// answers stay exactly the one-at-a-time ones.
-#[test]
-fn planner_counter_reports_dedup_hits() {
-    let owned = QbsIndex::build(
-        qbs_graph::fixtures::figure4_graph(),
-        QbsConfig::with_explicit_landmarks(vec![1, 2, 3]),
-    );
-    let requests = vec![
-        QueryRequest::distance(6, 11),
-        QueryRequest::distance(11, 6),
-        QueryRequest::distance(6, 11),
-        QueryRequest::distance(6, 12),
-        QueryRequest::distance(6, 13),
-        QueryRequest::distance(4, 6),
-        QueryRequest::sketch(7, 9),
-    ];
-    let qbs = Qbs::from_index(owned.clone())
-        .with_threads(1)
-        .expect("threads");
-    let outcomes = qbs.submit(&requests);
-    assert_eq!(outcomes, one_at_a_time(&owned, &requests));
-    // (6,11), (11,6), (6,11) fold into one job: two duplicate slots.
-    assert_eq!(coalesced(&qbs), 2);
-
-    // A frame without a repeated key coalesces nothing.
-    qbs.submit(&requests[2..]);
-    assert_eq!(coalesced(&qbs), 2);
-}
-
 /// Duplicates of one key that carry *different* options are each shaped by
-/// their own, out-of-range duplicates each keep their own error payload,
-/// and the cache still sees one lookup per distinct key.
+/// their own, and out-of-range duplicates each keep their own error
+/// payload. Each slot does its own cache traffic, in slot order: an
+/// `uncached` slot skips the cache, an out-of-range one counts a miss.
 #[test]
 fn duplicate_slots_are_shaped_by_their_own_options() {
     let owned = QbsIndex::build(
@@ -288,24 +251,21 @@ fn duplicate_slots_are_shaped_by_their_own_options() {
     assert_eq!(qbs.submit(&requests), reference);
     assert!(matches!(reference[0], QueryOutcome::PathGraph(_)));
     assert!(matches!(reference[1], QueryOutcome::PathGraphWithStats(_)));
-    let dedup_hits = coalesced(&qbs);
-    assert_eq!(dedup_hits, 3, "error slots stay solo");
 
-    // Two distinct in-range keys, each looked up and admitted once even
-    // though its first slot opted out of the cache; every out-of-range
-    // slot counts its own miss, as a one-at-a-time execution would.
+    // Cold: slots 1 and 5 miss and are admitted, slot 3 hits slot 1's
+    // entry, and the three out-of-range slots miss.
     let cold = qbs.cache_stats().expect("cache");
-    assert_eq!((cold.hits, cold.misses, cold.insertions), (0, 5, 2));
+    assert_eq!((cold.hits, cold.misses, cold.insertions), (1, 5, 2));
     assert_eq!(qbs.submit(&requests), reference, "warm");
     let warm = qbs.cache_stats().expect("cache");
-    assert_eq!((warm.hits, warm.misses, warm.insertions), (2, 8, 2));
+    assert_eq!((warm.hits, warm.misses, warm.insertions), (4, 8, 2));
 }
 
-/// Duplicate slots keep per-slot request accounting but the cache sees
-/// each distinct key once: one miss + one insertion cold, one hit warm —
-/// the documented duplicate-request stats rule.
+/// Duplicate slots each look the cache up, as if submitted alone: on one
+/// thread the first slot of a key misses and is admitted, and every later
+/// slot of it — either orientation of a distance pair — hits.
 #[test]
-fn duplicate_slots_count_cache_traffic_once_per_distinct_key() {
+fn duplicate_slots_count_their_own_cache_traffic() {
     let owned = QbsIndex::build(
         qbs_graph::fixtures::figure4_graph(),
         QbsConfig::with_explicit_landmarks(vec![1, 2, 3]),
@@ -321,16 +281,18 @@ fn duplicate_slots_count_cache_traffic_once_per_distinct_key() {
     let cold = qbs.cache_stats().expect("cache");
     assert_eq!(
         (cold.hits, cold.misses, cold.insertions),
-        (0, 1, 1),
-        "four duplicate slots, one distinct key: {cold:?}"
+        (3, 1, 1),
+        "four slots of one key, cold: {cold:?}"
     );
     qbs.submit(&requests);
     let warm = qbs.cache_stats().expect("cache");
     assert_eq!(
         (warm.hits, warm.misses, warm.insertions),
-        (1, 1, 1),
-        "warm pass looks the key up once: {warm:?}"
+        (7, 1, 1),
+        "warm: every slot hits: {warm:?}"
     );
+    let snapshot = qbs.metrics_snapshot();
+    assert_eq!(snapshot.get(qbs_core::counter::REQUESTS), Some(8));
 }
 
 /// A one-thread session over `owned` with a cache that admits everything.

@@ -44,7 +44,7 @@ impl QueryWorkload {
     }
 
     /// Samples `count` pairs with Zipf-distributed endpoint popularity —
-    /// the skewed serving traffic the batch execution planner targets.
+    /// the skewed serving traffic the answer cache targets.
     ///
     /// Both endpoints are drawn independently from a Zipf distribution with
     /// the given `exponent` over all vertices (endpoints forced to differ,

@@ -37,7 +37,7 @@ use crate::admission::BusyReason;
 pub const PROTOCOL_MAGIC: [u8; 4] = *b"QBSP";
 
 /// The one protocol version this build speaks; additions bump it.
-pub const PROTOCOL_VERSION: u16 = 4;
+pub const PROTOCOL_VERSION: u16 = 5;
 
 /// Resolves the version to speak with a peer that announced `theirs`.
 ///
@@ -718,7 +718,7 @@ mod tests {
         assert_eq!(negotiate(PROTOCOL_VERSION), Some(PROTOCOL_VERSION));
         // Unknown future versions speak everything older, so the
         // connection proceeds at our version.
-        assert_eq!(negotiate(5), Some(PROTOCOL_VERSION));
+        assert_eq!(negotiate(6), Some(PROTOCOL_VERSION));
         assert_eq!(negotiate(u16::MAX), Some(PROTOCOL_VERSION));
     }
 

@@ -324,7 +324,8 @@ fn stats_payload_truncation_sweep() {
             Err(WireError::Truncated { .. })
         ));
     }
-    // The retired `Stats` tags are unknown, and a v3 hello is refused.
+    // The retired `Stats` tags are unknown, and a v3 or v4 hello (whose
+    // `Metrics` matrix had eight stages) is refused.
     assert!(matches!(
         RequestFrame::decode_body(&[0x02]),
         Err(ProtocolError::UnknownTag(0x02))
@@ -333,13 +334,15 @@ fn stats_payload_truncation_sweep() {
         ResponseFrame::decode_body(&[0x82]),
         Err(ProtocolError::UnknownTag(0x82))
     ));
-    let mut v3 = Vec::new();
-    qbs_server::protocol::write_preamble(&mut v3).expect("preamble");
-    v3[4..6].copy_from_slice(&3u16.to_le_bytes());
-    assert!(matches!(
-        read_preamble(&mut &v3[..]),
-        Err(ProtocolError::VersionMismatch { ours: 4, theirs: 3 })
-    ));
+    for old in [3u16, 4] {
+        let mut hello = Vec::new();
+        qbs_server::protocol::write_preamble(&mut hello).expect("preamble");
+        hello[4..6].copy_from_slice(&old.to_le_bytes());
+        assert!(matches!(
+            read_preamble(&mut &hello[..]),
+            Err(ProtocolError::VersionMismatch { ours: 5, theirs }) if theirs == old
+        ));
+    }
 }
 
 /// Error outcomes survive the wire exactly (the loopback differential

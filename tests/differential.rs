@@ -3,9 +3,42 @@
 //! BFS, on every dataset stand-in of the catalog and on adversarial
 //! structured graphs.
 
+use qbs::graph::fixtures::{figure4_graph, figure4_spg_6_11_edges};
+use qbs::graph::traversal::bfs_distances;
+use qbs::graph::INFINITE_DISTANCE;
 use qbs::prelude::*;
 use qbs_gen::catalog::{Catalog, Scale};
 use qbs_gen::structured;
+
+/// Definition 2.2 from two BFSs, independent of `GroundTruth`: `answer` is
+/// exact iff its distance is the true one and its edges are exactly the
+/// graph edges on some shortest path between its endpoints.
+fn is_exact(graph: &Graph, answer: &PathGraph) -> bool {
+    let (u, v) = (answer.source(), answer.target());
+    if u == v {
+        return answer.distance() == 0 && answer.num_edges() == 0;
+    }
+    let du = bfs_distances(graph, u);
+    let dv = bfs_distances(graph, v);
+    let actual = du[v as usize];
+    if answer.distance() != actual || actual == INFINITE_DISTANCE {
+        return answer.distance() == actual && answer.num_edges() == 0;
+    }
+    // Both endpoints share a component, so every finite `du` has a finite
+    // `dv` and the sums cannot overflow.
+    let on_shortest = |a: u32, b: u32| {
+        let (da, db) = (du[a as usize], du[b as usize]);
+        da != INFINITE_DISTANCE
+            && db != INFINITE_DISTANCE
+            && (da + 1 + dv[b as usize] == actual || db + 1 + dv[a as usize] == actual)
+    };
+    let shortest_edges = graph.edges().filter(|&(a, b)| on_shortest(a, b)).count();
+    answer.num_edges() == shortest_edges
+        && answer
+            .edges()
+            .iter()
+            .all(|&(a, b)| graph.has_edge(a, b) && on_shortest(a, b))
+}
 
 /// Runs every engine on the same workload and compares against the oracle.
 ///
@@ -61,7 +94,7 @@ fn assert_all_engines_agree(
             );
         }
         // And the answer satisfies Definition 2.2 independently of the oracle.
-        assert!(qbs::core::verify::is_exact(graph, &expected));
+        assert!(is_exact(graph, &expected));
     }
 
     // A session's concurrent batch answers the whole workload identically,
@@ -214,4 +247,62 @@ fn serialized_index_answers_like_the_original() {
     for &(u, v) in workload.pairs() {
         assert_eq!(index.query(u, v).unwrap(), restored.query(u, v).unwrap());
     }
+}
+
+// The Definition 2.2 check above must itself reject every kind of wrong
+// answer, or the differential would pass on anything.
+
+#[test]
+fn accepts_the_correct_answer() {
+    let g = figure4_graph();
+    let answer = PathGraph::from_edges(6, 11, 5, figure4_spg_6_11_edges());
+    assert!(is_exact(&g, &answer));
+}
+
+#[test]
+fn detects_wrong_distance() {
+    let g = figure4_graph();
+    let answer = PathGraph::from_edges(6, 11, 4, figure4_spg_6_11_edges());
+    assert!(!is_exact(&g, &answer));
+}
+
+#[test]
+fn detects_missing_and_extra_edges() {
+    let g = figure4_graph();
+    let mut missing = figure4_spg_6_11_edges();
+    let dropped = missing.pop().expect("SPG(6, 11) has edges");
+    assert!(!is_exact(
+        &g,
+        &PathGraph::from_edges(6, 11, 5, missing.clone())
+    ));
+    // Swapping the dropped edge for an off-path one keeps the edge count.
+    missing.push((13, 14));
+    assert!(g.has_edge(13, 14) && dropped != (13, 14));
+    assert!(!is_exact(&g, &PathGraph::from_edges(6, 11, 5, missing)));
+}
+
+#[test]
+fn detects_fabricated_edges() {
+    let g = figure4_graph();
+    let mut edges = figure4_spg_6_11_edges();
+    edges.pop();
+    edges.push((6, 11));
+    assert!(!g.has_edge(6, 11));
+    assert!(!is_exact(&g, &PathGraph::from_edges(6, 11, 5, edges)));
+}
+
+#[test]
+fn unreachable_answers_must_be_empty() {
+    let g = figure4_graph();
+    assert!(is_exact(&g, &PathGraph::unreachable(0, 5)));
+    let bad = PathGraph::from_edges(0, 5, INFINITE_DISTANCE, vec![(1u32, 2u32)]);
+    assert!(!is_exact(&g, &bad));
+}
+
+#[test]
+fn trivial_answers() {
+    let g = figure4_graph();
+    assert!(is_exact(&g, &PathGraph::trivial(5)));
+    let bad = PathGraph::from_edges(5, 5, 1, vec![(5u32, 1u32)]);
+    assert!(!is_exact(&g, &bad));
 }

@@ -5,8 +5,8 @@
 //! Each query goes through three doors, each ending in the index's one query
 //! door `QbsIndex::execute_with`: the index as built on the heap, the same
 //! index after a `serialize::to_bytes` / `from_bytes` round trip, and one
-//! `Qbs::submit` batch per index on a 2-thread session with the planner and
-//! an answer cache on. Each door must give
+//! `Qbs::submit` batch per index on a 2-thread session with an answer cache
+//! on. Each door must give
 //!
 //! - the path graph `GroundTruth` computes,
 //! - the true distance from the distance mode,
@@ -98,7 +98,8 @@ fn check_index(
 }
 
 /// The session door: every pair in all three modes, each request twice so
-/// the planner has duplicates to coalesce, in one batch.
+/// the batch repeats every key and the second copy can hit the cache, in
+/// one batch.
 fn check_session(qbs: &Qbs, truths: &[PathGraph], n: usize, what: &dyn Fn() -> String) {
     let requests: Vec<QueryRequest> = ordered_pairs(n)
         .flat_map(|(u, v)| {
