@@ -443,7 +443,7 @@ impl ObsScratch {
 }
 
 /// Duration → ns without the 584-year overflow panic.
-pub(crate) fn saturating_ns(d: Duration) -> u64 {
+pub fn saturating_ns(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 

@@ -70,6 +70,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use qbs_core::obs::saturating_ns;
 use qbs_core::wire::RequestId;
 use qbs_core::{
     Metrics, MetricsSnapshot, Qbs, QueryMode, QueryOutcome, QueryRequest, Stage, StageNanos,
@@ -1182,7 +1183,7 @@ fn deliver_forwarded(ctx: &Ctx<'_>, conns: &mut HashMap<u64, Conn>, reply: Forwa
         m.record_batch_stage(Stage::WireEncode, encode);
     }
     let mut stages = StageNanos::default();
-    stages.0[Stage::Execute as usize] = exec.as_nanos().min(u128::from(u64::MAX)) as u64;
+    stages.set(Stage::Execute, saturating_ns(exec));
     let batch = SlowBatch {
         peer: job.peer,
         trace: job.trace,

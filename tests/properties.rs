@@ -46,7 +46,8 @@ proptest! {
         let expected = oracle(&graph, u, v);
         prop_assert_eq!(&answer, &expected);
         // The distance path, which stops stage 1 at its first meeting
-        // vertex, gives the same distance.
+        // vertex and never expands at d_u + d_v = d⊤ − 1, gives the same
+        // distance.
         prop_assert_eq!(index.distance(u, v).unwrap(), expected.distance());
     }
 
