@@ -774,17 +774,14 @@ impl MixedBatch {
                 "repeats",
                 "cold ms",
                 "warm ms",
-                "speedup",
                 "hit rate",
                 "identical",
             ],
         );
+        // No cold/warm ratio: each time is one pass over the batch, and at
+        // tiny scale the ratio of two such passes varied several-fold
+        // between runs of one binary.
         for r in &self.rows {
-            let speedup = if r.warm_ms > 0.0 {
-                r.cold_ms / r.warm_ms
-            } else {
-                0.0
-            };
             t.add_row(vec![
                 r.dataset.clone(),
                 fmt_count(r.requests),
@@ -793,7 +790,6 @@ impl MixedBatch {
                 fmt_count(r.zipf_repeats),
                 fmt_millis(r.cold_ms),
                 fmt_millis(r.warm_ms),
-                format!("{speedup:.1}x"),
                 format!("{:.0}%", r.cache_hit_rate * 100.0),
                 if r.identical {
                     "yes".into()
@@ -1932,6 +1928,7 @@ mod tests {
         let rendered = m.render();
         assert!(rendered.contains("Mixed batch"));
         assert!(rendered.contains("yes"));
+        assert!(!rendered.contains("speedup"));
     }
 
     #[test]

@@ -29,6 +29,13 @@ pub enum QbsError {
         /// The first distance that does not fit.
         distance: u32,
     },
+    /// A landmark-to-landmark distance is so long that a sketch's sums of
+    /// two label distances and it reach the 32-bit lanes' "no entry"
+    /// value (`crate::sketch`).
+    MetaDistanceTooLarge {
+        /// The longest finite landmark-to-landmark distance.
+        distance: u32,
+    },
     /// The batch query engine's thread pool could not be created or was
     /// misconfigured.
     ThreadPool(String),
@@ -56,6 +63,11 @@ impl fmt::Display for QbsError {
                 f,
                 "a label distance of {distance} does not fit an index file's label slots \
                  (at most 65534)"
+            ),
+            QbsError::MetaDistanceTooLarge { distance } => write!(
+                f,
+                "a landmark-to-landmark distance of {distance} is too long for the sketch's \
+                 32-bit label lanes"
             ),
             QbsError::ThreadPool(msg) => write!(f, "thread pool error: {msg}"),
             QbsError::Io(err) => write!(f, "i/o error: {err}"),
@@ -97,6 +109,8 @@ mod tests {
         assert!(e.to_string().contains("4294967296 arcs"));
         let e = QbsError::LabelDistanceTooLarge { distance: 65_535 };
         assert!(e.to_string().contains("label distance of 65535"));
+        let e = QbsError::MetaDistanceTooLarge { distance: 1 << 30 };
+        assert!(e.to_string().contains("distance of 1073741824"));
         let e = QbsError::ThreadPool("no threads".into());
         assert!(e.to_string().contains("thread pool"));
     }

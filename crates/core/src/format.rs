@@ -392,6 +392,20 @@ impl IndexView {
         }
     }
 
+    /// The bytes of `v`'s label row: `num_landmarks()` slots of
+    /// `dist_width()` bytes, all-ones where the row has no entry. The query
+    /// path unpacks it whole into a sketch lane.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v as usize >= num_vertices()`.
+    #[inline]
+    pub fn label_row(&self, v: VertexId) -> &[u8] {
+        let row_len = self.num_landmarks * self.dist_width;
+        let base = v as usize * row_len;
+        &self.section_bytes(SectionKind::Labels)[base..base + row_len]
+    }
+
     /// Iterator over the `(landmark_idx, distance)` label entries of `v`
     /// in ascending column order: one scan of the vertex's label row.
     ///
@@ -400,9 +414,7 @@ impl IndexView {
     /// Panics if `v as usize >= num_vertices()`.
     #[inline]
     pub fn label_entries(&self, v: VertexId) -> impl Iterator<Item = (usize, Distance)> + '_ {
-        let row_len = self.num_landmarks * self.dist_width;
-        let base = v as usize * row_len;
-        self.section_bytes(SectionKind::Labels)[base..base + row_len]
+        self.label_row(v)
             .chunks_exact(self.dist_width)
             .enumerate()
             .filter_map(|(idx, slot)| slot_distance(slot).map(|d| (idx, d)))
@@ -1483,6 +1495,28 @@ mod tests {
         bytes[cs_offset..cs_offset + 8].copy_from_slice(&recomputed.to_le_bytes());
         let err = IndexView::parse(ViewBuf::Heap(bytes)).unwrap_err();
         assert!(err.to_string().contains("trailing bytes"), "{err}");
+    }
+
+    /// A landmark distance too long for the sketch's `i32` lanes passes
+    /// the file checks, and the open refuses it with a typed error instead
+    /// of saturating the sketch's sums.
+    #[test]
+    fn a_landmark_distance_past_the_i32_lanes_is_refused_at_open() {
+        let built = index();
+        let mut bytes = built.bytes().to_vec();
+        let apsp = built.view().section(SectionKind::MetaApsp).offset as usize;
+        bytes[apsp + 4..apsp + 8].copy_from_slice(&0x4000_0000u32.to_le_bytes());
+        reseal(&mut bytes);
+        let err = crate::serialize::from_bytes(&bytes).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                QbsError::MetaDistanceTooLarge {
+                    distance: 0x4000_0000
+                }
+            ),
+            "{err}"
+        );
     }
 
     #[test]

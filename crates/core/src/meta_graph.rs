@@ -23,13 +23,18 @@
 //! constructed, instead of decoding bytes per call — plus an in-memory
 //! `|R| × |R|` table of meta-edge positions, through which sketching and the
 //! recover search find the meta edge of two landmarks (and its Δ) in O(1).
+//! `d_M` is kept once, in the sketch's lane type ([`crate::sketch`]): `i16`
+//! when no finite sum of two label distances and a landmark distance can
+//! reach the `i16` lanes' "no entry" value, `i32` otherwise.
 
 use qbs_graph::workspace::VisitedSet;
 use qbs_graph::{Distance, VertexId, INFINITE_DISTANCE};
 
 use crate::format::IndexView;
 use crate::search::label_walk;
+use crate::sketch::{lane_width, Lane};
 use crate::store::QbsIndex;
+use crate::{QbsError, Result};
 
 /// The meta-graph and everything precomputed from it.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -38,8 +43,11 @@ pub struct MetaGraph {
     landmarks: Vec<VertexId>,
     /// Deduplicated meta edges `(i, j, σ)` with `i < j` over landmark indices.
     edges: Vec<(usize, usize, Distance)>,
-    /// Row-major `|R| × |R|` all-pairs distance matrix over the meta-graph.
-    apsp: Vec<Distance>,
+    /// Row-major all-pairs distance matrix over the meta-graph, `|R|` rows
+    /// of [`lane_width`]`(|R|)` lanes; the padding columns hold "no entry".
+    apsp: LaneApsp,
+    /// Lanes per `apsp` row.
+    width: usize,
     /// Row-major `|R| × |R|` table of positions in `edges` (symmetric;
     /// [`NO_META_EDGE`] where two landmarks share no meta edge).
     edge_slots: Vec<u32>,
@@ -51,6 +59,51 @@ pub struct MetaGraph {
 
 /// The `edge_slots` entry of a landmark pair without a meta edge.
 const NO_META_EDGE: u32 = u32::MAX;
+
+/// `d_M` in the lane type of the index's sketches.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) enum LaneApsp {
+    /// Every finite sketch sum stays below `i16`'s "no entry" value.
+    Narrow(Vec<i16>),
+    /// The `i16` lanes could not hold some sum; `i32` ones can.
+    Wide(Vec<i32>),
+}
+
+impl LaneApsp {
+    /// Picks the lane type for labels of `label_width`-byte slots and the
+    /// row-major `|R| × |R|` matrix `apsp`, and lays the matrix out in it.
+    /// Refuses a landmark distance that even `i32` sums cannot carry.
+    fn new(num_landmarks: usize, apsp: &[Distance], label_width: usize) -> Result<Self> {
+        let longest = apsp
+            .iter()
+            .copied()
+            .filter(|&d| d != INFINITE_DISTANCE)
+            .max()
+            .unwrap_or(0);
+        // The longest label a slot holds: all-ones is "no entry".
+        let longest_label = (1u64 << (8 * label_width)) - 2;
+        let reach = 2 * longest_label + u64::from(longest);
+        if reach < i16::GUARD {
+            Ok(LaneApsp::Narrow(lay_out(num_landmarks, apsp)))
+        } else if reach < i32::GUARD {
+            Ok(LaneApsp::Wide(lay_out(num_landmarks, apsp)))
+        } else {
+            Err(QbsError::MetaDistanceTooLarge { distance: longest })
+        }
+    }
+}
+
+/// `apsp` (`|R| × |R|`) as `|R|` rows of [`lane_width`]`(|R|)` lanes.
+fn lay_out<T: Lane>(r: usize, apsp: &[Distance]) -> Vec<T> {
+    let width = lane_width(r);
+    let mut lanes = vec![T::NONE; r * width];
+    for i in 0..r {
+        for j in 0..r {
+            lanes[i * width + j] = T::from_distance(apsp[i * r + j]);
+        }
+    }
+    lanes
+}
 
 /// `d_M` for every landmark pair: Floyd–Warshall over the meta edges
 /// Algorithm 2 found. `|R| ≤ 100` in every experiment, so `|R|³` is
@@ -127,26 +180,54 @@ pub(crate) fn delta(index: &QbsIndex) -> Vec<Vec<(VertexId, VertexId)>> {
 
 impl MetaGraph {
     /// Decodes the meta-graph sections of an index file: `O(|R|² + |Δ|)`,
-    /// independent of the graph size.
-    pub(crate) fn from_view(view: &IndexView) -> Self {
+    /// independent of the graph size. Fails with
+    /// [`QbsError::MetaDistanceTooLarge`] when the sketch's lanes cannot
+    /// hold the file's distances.
+    pub(crate) fn from_view(view: &IndexView) -> Result<Self> {
         let r = view.num_landmarks();
-        let edges: Vec<_> = view.meta_edges().collect();
+        let apsp: Vec<Distance> = (0..r)
+            .flat_map(|i| (0..r).map(move |j| view.meta_distance(i, j)))
+            .collect();
+        Self::from_parts(
+            view.landmarks().collect(),
+            view.meta_edges().collect(),
+            &apsp,
+            (0..view.num_meta_edges())
+                .map(|k| view.delta_edges(k).collect())
+                .collect(),
+            view.dist_width(),
+        )
+    }
+
+    /// The meta-graph of `landmarks`, its `edges`, their `|R| × |R|`
+    /// distance matrix `apsp` and Δ, serving labels of `label_width`-byte
+    /// slots.
+    pub(crate) fn from_parts(
+        landmarks: Vec<VertexId>,
+        edges: Vec<(usize, usize, Distance)>,
+        apsp: &[Distance],
+        delta: Vec<Vec<(VertexId, VertexId)>>,
+        label_width: usize,
+    ) -> Result<Self> {
+        let r = landmarks.len();
         let mut edge_slots = vec![NO_META_EDGE; r * r];
         for (k, &(i, j, _)) in edges.iter().enumerate() {
             edge_slots[i * r + j] = k as u32;
             edge_slots[j * r + i] = k as u32;
         }
-        MetaGraph {
-            landmarks: view.landmarks().collect(),
+        Ok(MetaGraph {
+            apsp: LaneApsp::new(r, apsp, label_width)?,
+            width: lane_width(r),
+            landmarks,
             edges,
-            apsp: (0..r)
-                .flat_map(|i| (0..r).map(move |j| view.meta_distance(i, j)))
-                .collect(),
             edge_slots,
-            delta: (0..view.num_meta_edges())
-                .map(|k| view.delta_edges(k).collect())
-                .collect(),
-        }
+            delta,
+        })
+    }
+
+    /// `d_M` as the sketch's lanes: `|R|` rows of [`lane_width`]`(|R|)`.
+    pub(crate) fn lane_apsp(&self) -> &LaneApsp {
+        &self.apsp
     }
 
     /// The landmark set in column order.
@@ -170,7 +251,12 @@ impl MetaGraph {
     /// landmarks).
     #[inline]
     pub fn distance(&self, i: usize, j: usize) -> Distance {
-        self.apsp[i * self.num_landmarks() + j]
+        debug_assert!(j < self.num_landmarks());
+        let at = i * self.width + j;
+        match &self.apsp {
+            LaneApsp::Narrow(lanes) => lanes[at].to_distance(),
+            LaneApsp::Wide(lanes) => lanes[at].to_distance(),
+        }
     }
 
     /// Appends to `out`, in no particular order, the meta edges lying on at
@@ -182,23 +268,20 @@ impl MetaGraph {
     /// d_M(i, j)}`, and an edge `(a, b, σ)` inside `D` is on one iff
     /// `|d_M(i, a) − d_M(i, b)| = σ`, so only pairs inside `D` are looked up
     /// in the edge table: `O(|R| + |D|²)`. `D` waits at the end of `out` as
-    /// `(x, x, d_M(i, x))` until then.
+    /// `(x, x, d_M(i, x))` until then; it is read off rows `i` and `j` of
+    /// the lane APSP (`d_M` is symmetric).
     pub fn shortest_path_meta_edges(
         &self,
         i: usize,
         j: usize,
         out: &mut Vec<(usize, usize, Distance)>,
     ) {
-        let dij = self.distance(i, j);
-        if dij == INFINITE_DISTANCE {
-            return;
+        let start = out.len();
+        match &self.apsp {
+            LaneApsp::Narrow(lanes) => self.push_between(lanes, i, j, out),
+            LaneApsp::Wide(lanes) => self.push_between(lanes, i, j, out),
         }
-        let (r, start) = (self.num_landmarks(), out.len());
-        out.extend((0..r).filter_map(|x| {
-            let dix = self.distance(i, x);
-            (dix.saturating_add(self.distance(x, j)) == dij).then_some((x, x, dix))
-        }));
-        let end = out.len();
+        let (r, end) = (self.num_landmarks(), out.len());
         for p in start..end {
             for q in p + 1..end {
                 let ((a, _, d_ia), (b, _, d_ib)) = (out[p], out[q]);
@@ -209,6 +292,27 @@ impl MetaGraph {
             }
         }
         out.drain(start..end);
+    }
+
+    /// Appends `(x, x, d_M(i, x))` for every `x` on a shortest `i ⇝ j`
+    /// meta-path, ascending; nothing when `i` and `j` are disconnected.
+    fn push_between<T: Lane>(
+        &self,
+        lanes: &[T],
+        i: usize,
+        j: usize,
+        out: &mut Vec<(usize, usize, Distance)>,
+    ) {
+        let row = |x: usize| &lanes[x * self.width..(x + 1) * self.width];
+        let (from_i, from_j) = (row(i), row(j));
+        let dij = from_i[j];
+        if dij >= T::NONE {
+            return;
+        }
+        let on_path = from_i.iter().zip(from_j).take(self.num_landmarks());
+        out.extend(on_path.enumerate().filter_map(|(x, (&dix, &djx))| {
+            (dix + djx == dij).then_some((x, x, dix.to_distance()))
+        }));
     }
 
     /// The precomputed path graph (edge list in `G`) of one meta edge, by

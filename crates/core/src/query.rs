@@ -73,7 +73,9 @@ impl QbsIndex {
     /// row bounds cannot address, or if a label distance exceeds 65 534,
     /// which its two-byte label slots cannot hold; [`crate::Qbs::build`]
     /// returns [`crate::QbsError::GraphTooLarge`] or
-    /// [`crate::QbsError::LabelDistanceTooLarge`] instead.
+    /// [`crate::QbsError::LabelDistanceTooLarge`] instead (and
+    /// [`crate::QbsError::MetaDistanceTooLarge`] for a landmark distance
+    /// near 2³⁰, past what the sketch's 32-bit lanes carry).
     pub fn build(graph: Graph, config: QbsConfig) -> Self {
         Self::try_build(graph, config).unwrap_or_else(|err| panic!("{err}"))
     }
@@ -105,11 +107,11 @@ impl QbsIndex {
             &landmarks,
             &scheme.meta_edges,
             &apsp,
-        ));
+        ))?;
         let t = Instant::now();
         let delta = meta_graph::delta(&partial);
         meta_time += t.elapsed();
-        let mut index = QbsIndex::from_view(format::append_delta(partial.into_view(), &delta));
+        let mut index = QbsIndex::from_view(format::append_delta(partial.into_view(), &delta))?;
 
         index.timings = BuildTimings {
             landmark_selection,
@@ -221,8 +223,15 @@ mod tests {
             figure4_graph(),
             QbsConfig::with_explicit_landmarks(vec![1, 2, 3]),
         );
-        assert_eq!(index.effective_label(2), vec![(1, 0)]);
-        assert_eq!(index.effective_label(4), vec![(0, 1), (2, 1)]);
+        // A landmark endpoint's lane is 0 in its own column and "no entry"
+        // elsewhere, padding included; a vertex's lane is its label row.
+        let none = <i16 as crate::sketch::Lane>::NONE;
+        let mut lane: Vec<i16> = Vec::new();
+        crate::sketch::label_lane(&index, 2, &mut lane);
+        assert_eq!(lane[..3], [none, 0, none]);
+        assert!(lane[3..].iter().all(|&d| d == none));
+        crate::sketch::label_lane(&index, 4, &mut lane);
+        assert_eq!(lane[..3], [1, none, 1]);
     }
 
     #[test]

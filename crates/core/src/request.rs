@@ -498,8 +498,9 @@ impl QbsIndex {
     /// canonical body plus its cache-admission cost hint: the sketch
     /// upper bound `d⊤` (a larger bound expands a larger search, so the
     /// answer is worth more cache space). Ends the `SketchBound` stage
-    /// after the label fill and the sketch, and the `GuidedSearch` stage
-    /// after the search, each with one read of `clock`.
+    /// after the label lanes' unpack and the sketch, and the
+    /// `GuidedSearch` stage after the search, each with one read of
+    /// `clock`.
     fn compute(
         &self,
         ws: &mut QueryWorkspace,
@@ -507,16 +508,14 @@ impl QbsIndex {
         clock: &mut Option<Instant>,
     ) -> (AnswerBody, Distance) {
         let (source, target) = (request.source, request.target);
-        self.fill_effective_label(source, &mut ws.src_label);
-        self.fill_effective_label(target, &mut ws.tgt_label);
         if request.mode == QueryMode::Distance {
-            let bound = sketch::compute_bounds(self, &ws.src_label, &ws.tgt_label);
+            let bound = sketch::compute_bounds(self, ws, source, target);
             *clock = ws.obs.lap(Stage::SketchBound, *clock);
             let (distance, _) = search::guided_distance_with(self, ws, source, target, bound);
             *clock = ws.obs.lap(Stage::GuidedSearch, *clock);
             return (AnswerBody::Distance(distance), bound);
         }
-        let sketch = sketch::compute(self, source, target, &ws.src_label, &ws.tgt_label);
+        let sketch = sketch::compute(self, ws, source, target);
         *clock = ws.obs.lap(Stage::SketchBound, *clock);
         let hint = sketch.upper_bound;
         if request.mode == QueryMode::Sketch {

@@ -249,9 +249,7 @@ pub fn distance_stats(
             ..SearchStats::default()
         });
     }
-    index.fill_effective_label(source, &mut ws.src_label);
-    index.fill_effective_label(target, &mut ws.tgt_label);
-    let d_top = crate::sketch::compute_bounds(index, &ws.src_label, &ws.tgt_label);
+    let d_top = crate::sketch::compute_bounds(index, ws, source, target);
     Some(guided_distance_with(index, ws, source, target, d_top).1)
 }
 
@@ -530,11 +528,7 @@ mod tests {
             u: VertexId,
             v: VertexId,
         ) -> (PathGraph, SearchStats) {
-            let mut src = Vec::new();
-            let mut tgt = Vec::new();
-            index.fill_effective_label(u, &mut src);
-            index.fill_effective_label(v, &mut tgt);
-            let sk = sketch::compute(index, u, v, &src, &tgt);
+            let sk = sketch::compute(index, ws, u, v);
             guided_search_with(index, ws, u, v, &sk)
         }
 

@@ -35,9 +35,7 @@ pub fn to_bytes(index: &QbsIndex) -> Vec<u8> {
 /// Restores an index from a buffer produced by [`to_bytes`], with full
 /// validation.
 pub fn from_bytes(data: &[u8]) -> Result<QbsIndex> {
-    Ok(QbsIndex::from_view(IndexView::parse(ViewBuf::Heap(
-        data.to_vec(),
-    ))?))
+    QbsIndex::from_view(IndexView::parse(ViewBuf::Heap(data.to_vec()))?)
 }
 
 /// Writes the index file: the bytes the index already holds, in one write
@@ -125,7 +123,7 @@ pub fn load_view_from_file<P: AsRef<Path>>(path: P, mode: MapMode) -> Result<Ind
 /// meta-graph tables. With [`MapMode::Mmap`] this is the whole cold-start
 /// path of a shard process — map, verify, wrap, serve.
 pub fn open_from_file<P: AsRef<Path>>(path: P, mode: MapMode) -> Result<QbsIndex> {
-    Ok(QbsIndex::from_view(load_view_from_file(path, mode)?))
+    QbsIndex::from_view(load_view_from_file(path, mode)?)
 }
 
 /// The `qbs-index` version the file at `path` announces in its magic bytes
@@ -260,14 +258,14 @@ mod tests {
         assert_eq!(view.num_landmarks(), 3);
         assert_eq!(
             original.query(6, 11).unwrap(),
-            QbsIndex::from_view(view).query(6, 11).unwrap()
+            QbsIndex::from_view(view).unwrap().query(6, 11).unwrap()
         );
 
         // The mmap mode serves identical bytes from a mapping.
         let mapped = load_view_from_file(&path, MapMode::Mmap).expect("mmap view");
         assert!(matches!(mapped.buf(), ViewBuf::Mmap(_)));
         assert_eq!(
-            QbsIndex::from_view(mapped).query(6, 11).unwrap(),
+            QbsIndex::from_view(mapped).unwrap().query(6, 11).unwrap(),
             original.query(6, 11).unwrap()
         );
 

@@ -16,15 +16,43 @@
 //! hub-free LiveJournal stand-in relaxes 26 % fewer edges per query for the
 //! same answers (see [`crate::search`]).
 //!
-//! With the meta-graph APSP precomputed (§5.2), [`compute`] is one
-//! `O(|L_u|·|L_v|)` pass over the label pairs, plus `O(|R| + |D|²)` for
-//! each label pair `(r, r')`, `r ≠ r'`, that attains `d⊤`, where `D` is the
-//! set of landmarks on a shortest `r ⇝ r'` meta-path
-//! ([`crate::MetaGraph::shortest_path_meta_edges`]).
+//! # The min-plus kernel
+//!
+//! With the meta-graph APSP `M` precomputed (§5.2), Eq. 3 is a min-plus
+//! product over two dense label rows, as the paper stores them (§6.1):
+//!
+//! ```text
+//! d⊤ = min over finite lu[r] of (lu[r] + t[r]),   t[r] = min_r' (M[r][r'] + lv[r'])
+//! ```
+//!
+//! Each endpoint's label row is unpacked from the index file's `LABELS`
+//! bytes into a *lane*: one integer per landmark column, padded to whole
+//! blocks of eight columns with a "no entry" value, `NONE`. A
+//! landmark endpoint's lane is 0 in its own column and "no entry"
+//! elsewhere. `M` is kept in the same lane type, so `t[r]` is one
+//! element-wise add-and-min pass over a row of `M` and `lv` that the
+//! compiler vectorises for the baseline target (SSE2 `paddw`/`pminsw` on
+//! `i16` lanes). The lanes are `i16` when the index's label slot width and
+//! its longest landmark distance keep every finite sum below `i16`'s
+//! `NONE`, and `i32` otherwise ([`crate::MetaGraph`] picks at build and at
+//! open); an index whose distances even `i32` sums cannot carry is refused
+//! with [`crate::QbsError::MetaDistanceTooLarge`], never saturated.
+//!
+//! [`compute_bounds`] (distance mode) is that one `O(|R|²)` vector pass,
+//! skipping the rows whose own label already exceeds the running minimum.
+//! [`compute`] (path and sketch mode) keeps each row's `t[r]`, then rescans
+//! only the rows with `lu[r] + t[r] = d⊤` for the `r'` attaining `t[r]`,
+//! in ascending `(r, r')` order, plus `O(|R| + |D|²)` for each such pair
+//! with `r ≠ r'`, where `D` is the set of landmarks on a shortest
+//! `r ⇝ r'` meta-path ([`crate::MetaGraph::shortest_path_meta_edges`]).
+
+use std::ops::Add;
 
 use qbs_graph::{Distance, VertexId, INFINITE_DISTANCE};
 
+use crate::meta_graph::{LaneApsp, MetaGraph};
 use crate::store::QbsIndex;
+use crate::QueryWorkspace;
 
 /// One endpoint-side sketch edge: the query vertex hops to a landmark.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -93,68 +121,276 @@ impl Sketch {
     }
 }
 
-/// Computes the sketch for a query (Algorithm 3).
-///
-/// `source_label` and `target_label` are the effective labels of the two
-/// endpoints as `(landmark_idx, distance)` pairs — for a landmark endpoint
-/// the caller passes the synthetic label `[(its own column, 0)]`.
+/// Computes the sketch of `(source, target)` (Algorithm 3) on the label
+/// lanes of `ws`: the min-plus kernel's `d⊤`, then the hops and meta edges
+/// of the rows that attain it.
 pub fn compute(
     index: &QbsIndex,
+    ws: &mut QueryWorkspace,
     source: VertexId,
     target: VertexId,
-    source_label: &[(usize, Distance)],
-    target_label: &[(usize, Distance)],
 ) -> Sketch {
-    // One pass: d⊤ = min over label pairs of δ_ur + d_M(r, r') + δ_r'v
-    // (Eq. 3). The hops and the landmark pairs of every label pair at the
-    // running minimum are kept, and dropped when it falls; the pairs with
-    // r ≠ r' wait at the front of `meta_edges` as `(r, r', d_M)`.
     let meta = index.meta_graph();
-    let mut upper_bound = INFINITE_DISTANCE;
-    let mut source_hops: Vec<SketchHop> = Vec::new();
-    let mut target_hops: Vec<SketchHop> = Vec::new();
-    let mut meta_edges: Vec<(usize, usize, Distance)> = Vec::new();
-    for &(r, du) in source_label {
-        for &(rp, dv) in target_label {
-            let dm = meta.distance(r, rp);
-            if dm == INFINITE_DISTANCE || du + dm + dv > upper_bound {
-                continue;
-            }
-            if du + dm + dv < upper_bound {
-                upper_bound = du + dm + dv;
-                source_hops.clear();
-                target_hops.clear();
-                meta_edges.clear();
-            }
-            push_unique_hop(&mut source_hops, r, du);
-            push_unique_hop(&mut target_hops, rp, dv);
-            if r != rp {
-                meta_edges.push((r, rp, dm));
-            }
+    match meta.lane_apsp() {
+        LaneApsp::Narrow(apsp) => {
+            let lanes = &mut ws.lanes.narrow;
+            lanes.fill(index, source, target);
+            lanes.sketch(meta, apsp, source, target)
+        }
+        LaneApsp::Wide(apsp) => {
+            let lanes = &mut ws.lanes.wide;
+            lanes.fill(index, source, target);
+            lanes.sketch(meta, apsp, source, target)
         }
     }
-    if upper_bound == INFINITE_DISTANCE {
-        return Sketch::unreachable(source, target);
+}
+
+/// Computes only `d⊤_uv` (Eq. 3; Algorithm 3 without lines 7-13's edge
+/// assembly) on the label lanes of `ws`, allocation-free once the lanes
+/// have grown: the input of the distance-only hot path (a
+/// [`crate::QueryMode::Distance`] request), where the full [`Sketch`] —
+/// whose vectors exist to drive the recover search — would be wasted work.
+/// [`INFINITE_DISTANCE`] when no landmark route exists.
+///
+/// Agrees with [`compute`]: `compute_bounds(...) == compute(...).upper_bound`
+/// (asserted by the unit tests below).
+pub fn compute_bounds(
+    index: &QbsIndex,
+    ws: &mut QueryWorkspace,
+    source: VertexId,
+    target: VertexId,
+) -> Distance {
+    match index.meta_graph().lane_apsp() {
+        LaneApsp::Narrow(apsp) => {
+            let lanes = &mut ws.lanes.narrow;
+            lanes.fill(index, source, target);
+            lanes.bound(apsp).to_distance()
+        }
+        LaneApsp::Wide(apsp) => {
+            let lanes = &mut ws.lanes.wide;
+            lanes.fill(index, source, target);
+            lanes.bound(apsp).to_distance()
+        }
+    }
+}
+
+/// Columns per block of a lane: one SSE2 register of `i16`s. Lanes and the
+/// rows of the lane APSP are padded to whole blocks with [`Lane::NONE`], so
+/// the kernel's inner loop has no remainder.
+pub(crate) const LANE_BLOCK: usize = 8;
+
+/// Lanes per label lane and per lane-APSP row for `num_landmarks` columns.
+pub(crate) fn lane_width(num_landmarks: usize) -> usize {
+    num_landmarks.next_multiple_of(LANE_BLOCK)
+}
+
+/// The integer type of a label lane and of the lane APSP: `i16` or `i32`.
+///
+/// [`Lane::NONE`] is "no entry", a quarter of the type's range: the sum of
+/// two lane values never overflows, and a sum with a "no entry" operand is
+/// at least `NONE`. Finite values are below it; the lane type is chosen so
+/// that every finite sum the kernel forms stays below it too.
+pub(crate) trait Lane: Copy + Ord + Add<Output = Self> {
+    /// "No entry" (and no route).
+    const NONE: Self;
+    /// `NONE` as a `u64`: every finite sum must stay below it.
+    const GUARD: u64;
+    /// The lane value of `d` ([`Lane::NONE`] for [`INFINITE_DISTANCE`]);
+    /// a finite `d` must be below [`Lane::GUARD`].
+    fn from_distance(d: Distance) -> Self;
+    /// The distance of a lane value: [`INFINITE_DISTANCE`] from `NONE` up.
+    fn to_distance(self) -> Distance;
+}
+
+macro_rules! impl_lane {
+    ($t:ty, $none:expr) => {
+        impl Lane for $t {
+            const NONE: $t = $none;
+            const GUARD: u64 = $none as u64;
+            #[inline]
+            fn from_distance(d: Distance) -> $t {
+                if d == INFINITE_DISTANCE {
+                    $none
+                } else {
+                    d as $t
+                }
+            }
+            #[inline]
+            fn to_distance(self) -> Distance {
+                if self >= $none {
+                    INFINITE_DISTANCE
+                } else {
+                    self as Distance
+                }
+            }
+        }
+    };
+}
+
+impl_lane!(i16, 0x3FFF);
+impl_lane!(i32, 0x3FFF_FFFF);
+
+/// A query's label lanes in one lane type, plus the kernel's per-row
+/// minima `t[r]`.
+#[derive(Debug, Default)]
+pub(crate) struct LaneBuffers<T> {
+    /// The source's lane.
+    source: Vec<T>,
+    /// The target's lane.
+    target: Vec<T>,
+    /// `t[r]` of the last kernel pass ([`Lane::NONE`] for skipped rows).
+    row_min: Vec<T>,
+}
+
+/// The sketch's scratch in a [`QueryWorkspace`]: lane buffers of both lane
+/// types, of which an index uses the one its [`crate::MetaGraph`] chose.
+#[derive(Debug, Default)]
+pub(crate) struct SketchLanes {
+    narrow: LaneBuffers<i16>,
+    wide: LaneBuffers<i32>,
+}
+
+/// Unpacks `v`'s label row from the index file's `LABELS` bytes into
+/// `lane`, at either slot width: [`lane_width`]`(|R|)` values, "no entry"
+/// where the row has none and in the padding. A landmark's lane is 0 in its
+/// own column and "no entry" elsewhere (the paper's labels are defined on
+/// `V \ R` only).
+pub(crate) fn label_lane<T: Lane>(index: &QbsIndex, v: VertexId, lane: &mut Vec<T>) {
+    let width = lane_width(index.num_landmarks());
+    lane.clear();
+    if let Some(column) = index.landmark_column(v) {
+        lane.resize(width, T::NONE);
+        lane[column] = T::from_distance(0);
+        return;
+    }
+    let row = index.view().label_row(v);
+    if index.view().dist_width() == 1 {
+        lane.extend(row.iter().map(|&d| {
+            if d == u8::MAX {
+                T::NONE
+            } else {
+                T::from_distance(d.into())
+            }
+        }));
+    } else {
+        lane.extend(row.as_chunks::<2>().0.iter().map(|&slot| {
+            let d = u16::from_le_bytes(slot);
+            if d == u16::MAX {
+                T::NONE
+            } else {
+                T::from_distance(d.into())
+            }
+        }));
+    }
+    lane.resize(width, T::NONE);
+}
+
+/// `min_j (row[j] + lane[j])` over whole blocks: the kernel's inner loop.
+#[inline]
+fn row_min<T: Lane>(row: &[T], lane: &[T]) -> T {
+    let (row, _) = row.as_chunks::<LANE_BLOCK>();
+    let (lane, _) = lane.as_chunks::<LANE_BLOCK>();
+    row.iter()
+        .zip(lane)
+        .fold([T::NONE; LANE_BLOCK], |mut acc, (m, l)| {
+            for ((a, &x), &y) in acc.iter_mut().zip(m).zip(l) {
+                *a = (*a).min(x + y);
+            }
+            acc
+        })
+        .into_iter()
+        .fold(T::NONE, T::min)
+}
+
+/// The min-plus kernel: `d⊤` of lanes `lu` and `lv` over the lane APSP
+/// `apsp` (`|R|` rows of `lv.len()` lanes), as a lane value — at least
+/// [`Lane::NONE`] when no landmark route exists. Leaves each row's `t[r]`
+/// in `row_min`; a row whose label exceeds the minimum so far cannot
+/// attain `d⊤`, and is skipped with `t[r] = NONE`.
+fn min_plus<T: Lane>(apsp: &[T], lu: &[T], lv: &[T], row_min_out: &mut Vec<T>) -> T {
+    row_min_out.clear();
+    let mut bound = T::NONE;
+    if lv.is_empty() {
+        return bound;
+    }
+    for (&du, row) in lu.iter().zip(apsp.chunks_exact(lv.len())) {
+        let t = if du < T::NONE && du <= bound {
+            row_min(row, lv)
+        } else {
+            T::NONE
+        };
+        row_min_out.push(t);
+        bound = bound.min(du + t);
+    }
+    bound
+}
+
+impl<T: Lane> LaneBuffers<T> {
+    /// Unpacks both endpoints' label rows.
+    fn fill(&mut self, index: &QbsIndex, source: VertexId, target: VertexId) {
+        label_lane(index, source, &mut self.source);
+        label_lane(index, target, &mut self.target);
     }
 
-    // Every meta edge on a shortest meta-path of a kept pair (Algorithm 3,
-    // lines 7-13), appended behind the pairs, which then make way.
-    let kept = meta_edges.len();
-    for p in 0..kept {
-        let (r, rp, _) = meta_edges[p];
-        meta.shortest_path_meta_edges(r, rp, &mut meta_edges);
+    /// `d⊤` of the filled lanes.
+    fn bound(&mut self, apsp: &[T]) -> T {
+        min_plus(apsp, &self.source, &self.target, &mut self.row_min)
     }
-    meta_edges.drain(..kept);
-    meta_edges.sort_unstable();
-    meta_edges.dedup();
 
-    Sketch {
-        source,
-        target,
-        upper_bound,
-        source_hops,
-        target_hops,
-        meta_edges,
+    /// The sketch of the filled lanes: `d⊤`, then a rescan of the rows `r`
+    /// with `lu[r] + t[r] = d⊤` for the `r'` with `M[r][r'] + lv[r'] =
+    /// t[r]`, in ascending `(r, r')` order — the label pairs attaining
+    /// `d⊤`, in the order a double loop over the label entries meets them.
+    fn sketch(
+        &mut self,
+        meta: &MetaGraph,
+        apsp: &[T],
+        source: VertexId,
+        target: VertexId,
+    ) -> Sketch {
+        let bound = self.bound(apsp);
+        if bound >= T::NONE {
+            return Sketch::unreachable(source, target);
+        }
+        let mut sketch = Sketch {
+            upper_bound: bound.to_distance(),
+            ..Sketch::unreachable(source, target)
+        };
+        // The landmark pairs with r ≠ r' wait at the front of `meta_edges`
+        // as `(r, r', d_M)`.
+        let meta_edges = &mut sketch.meta_edges;
+        let width = self.target.len();
+        for (r, (&du, &t)) in self.source.iter().zip(&self.row_min).enumerate() {
+            if du + t != bound {
+                continue;
+            }
+            sketch.source_hops.push(SketchHop {
+                landmark_idx: r,
+                distance: du.to_distance(),
+            });
+            let row = &apsp[r * width..(r + 1) * width];
+            for (rp, (&dm, &dv)) in row.iter().zip(&self.target).enumerate() {
+                if dm + dv != t {
+                    continue;
+                }
+                push_unique_hop(&mut sketch.target_hops, rp, dv.to_distance());
+                if r != rp {
+                    meta_edges.push((r, rp, dm.to_distance()));
+                }
+            }
+        }
+
+        // Every meta edge on a shortest meta-path of a kept pair (Algorithm
+        // 3, lines 7-13), appended behind the pairs, which then make way.
+        let kept = meta_edges.len();
+        for p in 0..kept {
+            let (r, rp, _) = meta_edges[p];
+            meta.shortest_path_meta_edges(r, rp, meta_edges);
+        }
+        meta_edges.drain(..kept);
+        meta_edges.sort_unstable();
+        meta_edges.dedup();
+        sketch
     }
 }
 
@@ -167,56 +403,29 @@ fn push_unique_hop(hops: &mut Vec<SketchHop>, landmark_idx: usize, distance: Dis
     }
 }
 
-/// Computes only `d⊤_uv` (Eq. 3; Algorithm 3 without lines 7-13's edge
-/// assembly) in one allocation-free |L_u|×|L_v| pass: the input of the
-/// distance-only hot path (a [`crate::QueryMode::Distance`] request), where
-/// the full [`Sketch`] — whose vectors exist to drive the recover search —
-/// would be wasted work. [`INFINITE_DISTANCE`] when no landmark route
-/// exists.
-///
-/// Agrees with [`compute`]: `compute_bounds(...) == compute(...).upper_bound`
-/// (asserted by the unit tests below).
-pub fn compute_bounds(
-    index: &QbsIndex,
-    source_label: &[(usize, Distance)],
-    target_label: &[(usize, Distance)],
-) -> Distance {
-    let meta = index.meta_graph();
-    let mut upper_bound = INFINITE_DISTANCE;
-    for &(r, du) in source_label {
-        for &(rp, dv) in target_label {
-            let dm = meta.distance(r, rp);
-            if dm == INFINITE_DISTANCE {
-                continue;
-            }
-            upper_bound = upper_bound.min(du + dm + dv);
-        }
-    }
-    upper_bound
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::landmark::LandmarkStrategy;
+    use crate::meta_graph::all_pairs_distances;
     use crate::serialize::{self, MapMode};
-    use crate::QbsConfig;
+    use crate::{QbsConfig, QbsError, QueryRequest};
     use proptest::prelude::*;
+    use qbs_baselines::GroundTruth;
     use qbs_gen::{Catalog, QueryWorkload, Scale};
     use qbs_graph::fixtures::{figure4_graph, figure4_landmarks};
     use qbs_graph::{Graph, GraphBuilder};
 
-    /// The sketch assembly [`compute`] replaced, kept as its oracle: one
-    /// pass for d⊤, a second over the label pairs attaining it, and for
-    /// each such pair a scan of every meta edge.
-    fn reference(
-        index: &QbsIndex,
-        source: VertexId,
-        target: VertexId,
-        source_label: &[(usize, Distance)],
-        target_label: &[(usize, Distance)],
-    ) -> Sketch {
-        let meta = index.meta_graph();
+    /// A label as its `(landmark column, distance)` entries, ascending.
+    type Entries = [(usize, Distance)];
+
+    /// The d⊤ pair loop the kernel replaced, kept as its oracle: Eq. 3 over
+    /// every pair of label entries, one APSP load per pair.
+    fn pair_loop_bound(
+        meta: &MetaGraph,
+        source_label: &Entries,
+        target_label: &Entries,
+    ) -> Distance {
         let mut upper_bound = INFINITE_DISTANCE;
         for &(r, du) in source_label {
             for &(rp, dv) in target_label {
@@ -226,6 +435,20 @@ mod tests {
                 }
             }
         }
+        upper_bound
+    }
+
+    /// The sketch assembly the kernel replaced, kept as its oracle: the
+    /// pair loop for d⊤, a second pass over the label pairs attaining it,
+    /// and for each such pair a scan of every meta edge.
+    fn reference(
+        meta: &MetaGraph,
+        source: VertexId,
+        target: VertexId,
+        source_label: &Entries,
+        target_label: &Entries,
+    ) -> Sketch {
+        let upper_bound = pair_loop_bound(meta, source_label, target_label);
         if upper_bound == INFINITE_DISTANCE {
             return Sketch::unreachable(source, target);
         }
@@ -273,20 +496,73 @@ mod tests {
         landmark_endpoint: bool,
     }
 
+    /// The label entries of `v` as the oracles read them: its label row,
+    /// or `[(its own column, 0)]` for a landmark.
+    fn effective_label(index: &QbsIndex, v: VertexId) -> Vec<(usize, Distance)> {
+        match index.landmark_column(v) {
+            Some(column) => vec![(column, 0)],
+            None => index.view().label_entries(v).collect(),
+        }
+    }
+
+    /// `label` as a lane of `width` values.
+    fn lane_of<T: Lane>(width: usize, label: &Entries) -> Vec<T> {
+        let mut lane = vec![T::NONE; width];
+        for &(r, d) in label {
+            lane[r] = T::from_distance(d);
+        }
+        lane
+    }
+
+    /// The kernel's `d⊤` and sketch of two labels given as entries, in the
+    /// lane type `meta` chose.
+    fn kernel(
+        meta: &MetaGraph,
+        source: VertexId,
+        target: VertexId,
+        source_label: &Entries,
+        target_label: &Entries,
+    ) -> (Distance, Sketch) {
+        fn run<T: Lane>(
+            meta: &MetaGraph,
+            apsp: &[T],
+            (source, target): (VertexId, VertexId),
+            (source_label, target_label): (&Entries, &Entries),
+        ) -> (Distance, Sketch) {
+            let width = lane_width(meta.num_landmarks());
+            let mut lanes = LaneBuffers {
+                source: lane_of(width, source_label),
+                target: lane_of(width, target_label),
+                row_min: Vec::new(),
+            };
+            let bound = lanes.bound(apsp).to_distance();
+            (bound, lanes.sketch(meta, apsp, source, target))
+        }
+        let (ends, labels) = ((source, target), (source_label, target_label));
+        match meta.lane_apsp() {
+            LaneApsp::Narrow(apsp) => run(meta, apsp, ends, labels),
+            LaneApsp::Wide(apsp) => run(meta, apsp, ends, labels),
+        }
+    }
+
     /// Asserts `compute` equals [`reference`] on every field for each pair,
-    /// with effective labels (a landmark endpoint is its own column at 0).
+    /// and `compute_bounds` the pair loop, through one workspace.
     fn assert_matches_reference(index: &QbsIndex, pairs: &[(VertexId, VertexId)]) -> Reached {
         let meta = index.meta_graph();
         let mut reached = Reached::default();
-        let (mut lu, mut lv) = (Vec::new(), Vec::new());
+        let mut ws = QueryWorkspace::new();
         for &(u, v) in pairs {
-            index.fill_effective_label(u, &mut lu);
-            index.fill_effective_label(v, &mut lv);
-            let expected = reference(index, u, v, &lu, &lv);
+            let (lu, lv) = (effective_label(index, u), effective_label(index, v));
+            let expected = reference(meta, u, v, &lu, &lv);
             assert_eq!(
-                compute(index, u, v, &lu, &lv),
+                compute(index, &mut ws, u, v),
                 expected,
                 "sketch of ({u}, {v})"
+            );
+            assert_eq!(
+                compute_bounds(index, &mut ws, u, v),
+                pair_loop_bound(meta, &lu, &lv),
+                "d⊤ of ({u}, {v})"
             );
             reached.disconnected_pair |= lu.iter().any(|&(r, _)| {
                 lv.iter()
@@ -423,14 +699,15 @@ mod tests {
         (g, index)
     }
 
-    fn label_of(index: &QbsIndex, v: VertexId) -> Vec<(usize, Distance)> {
-        index.view().label_entries(v).collect()
+    /// The sketch of `(u, v)` through the public entry point.
+    fn sketch_of(index: &QbsIndex, u: VertexId, v: VertexId) -> Sketch {
+        compute(index, &mut QueryWorkspace::new(), u, v)
     }
 
     #[test]
     fn example_4_7_sketch_for_query_6_11() {
         let (_, meta) = setup();
-        let sketch = compute(&meta, 6, 11, &label_of(&meta, 6), &label_of(&meta, 11));
+        let sketch = sketch_of(&meta, 6, 11);
         // d⊤(6,11) = 5 = d_G(6,11).
         assert_eq!(sketch.upper_bound, 5);
         assert!(sketch.is_reachable_via_landmarks());
@@ -462,12 +739,10 @@ mod tests {
         let (g, meta) = setup();
         for u in g.vertices() {
             for v in g.vertices() {
-                let lu = label_of(&meta, u);
-                let lv = label_of(&meta, v);
-                if lu.is_empty() || lv.is_empty() || u == v {
+                if u == v {
                     continue;
                 }
-                let sketch = compute(&meta, u, v, &lu, &lv);
+                let sketch = sketch_of(&meta, u, v);
                 let d = qbs_graph::traversal::bfs_distances(&g, u)[v as usize];
                 assert!(
                     sketch.upper_bound >= d,
@@ -483,45 +758,57 @@ mod tests {
         let (_, meta) = setup();
         // d(4, 9) = 3 via 4-3-2-9 (through landmarks 3 and 2) — the sketch
         // must find exactly 3.
-        let sketch = compute(&meta, 4, 9, &label_of(&meta, 4), &label_of(&meta, 9));
-        assert_eq!(sketch.upper_bound, 3);
+        assert_eq!(sketch_of(&meta, 4, 9).upper_bound, 3);
     }
 
     #[test]
     fn landmark_endpoint_uses_synthetic_zero_label() {
         let (_, meta) = setup();
-        // Query from landmark 1 (column 0) to vertex 11.
-        let sketch = compute(&meta, 1, 11, &[(0, 0)], &label_of(&meta, 11));
+        // Query from landmark 1 (column 0) to vertex 11: its lane is 0 in
+        // column 0 and "no entry" elsewhere.
+        let sketch = sketch_of(&meta, 1, 11);
         // d(1, 11) = 4 (1-2-9-10-11 or 1-4-3-12-11); through landmarks it is
         // also 4 (e.g. meta path 1→3 of length 2 plus δ(11,3)=2).
         assert_eq!(sketch.upper_bound, 4);
+        assert_eq!(
+            kernel(
+                meta.meta_graph(),
+                1,
+                11,
+                &[(0, 0)],
+                &effective_label(&meta, 11)
+            )
+            .1,
+            sketch
+        );
     }
 
     #[test]
     fn unreachable_sketch_when_labels_do_not_connect() {
         let (_, meta) = setup();
-        let sketch = compute(&meta, 6, 0, &[(0, 1)], &[]);
+        let (bound, sketch) = kernel(meta.meta_graph(), 6, 0, &[(0, 1)], &[]);
         assert!(!sketch.is_reachable_via_landmarks());
         assert_eq!(sketch.upper_bound, INFINITE_DISTANCE);
+        assert_eq!(bound, INFINITE_DISTANCE);
         assert_eq!(Sketch::unreachable(6, 0), sketch);
+        // Vertex 0 is isolated: its lane is all "no entry".
+        assert_eq!(sketch_of(&meta, 6, 0), Sketch::unreachable(6, 0));
     }
 
     #[test]
     fn upper_bound_agrees_with_full_sketch_on_all_pairs() {
         let (g, meta) = setup();
+        let mut ws = QueryWorkspace::new();
         for u in g.vertices() {
             for v in g.vertices() {
-                let lu = label_of(&meta, u);
-                let lv = label_of(&meta, v);
-                let sketch = compute(&meta, u, v, &lu, &lv);
+                let sketch = compute(&meta, &mut ws, u, v);
                 assert_eq!(
-                    compute_bounds(&meta, &lu, &lv),
+                    compute_bounds(&meta, &mut ws, u, v),
                     sketch.upper_bound,
                     "d⊤ of ({u},{v})"
                 );
             }
         }
-        assert_eq!(compute_bounds(&meta, &[(0, 1)], &[]), INFINITE_DISTANCE);
     }
 
     /// The index a build owns on the heap and a mapping of its saved file
@@ -534,19 +821,17 @@ mod tests {
         let path = dir.join("fig4.qbs");
         serialize::save_to_file(&owned, &path).expect("save");
         let mapped = serialize::open_from_file(&path, MapMode::Mmap).expect("map");
+        let (mut heap_ws, mut mapped_ws) = (QueryWorkspace::new(), QueryWorkspace::new());
         for u in g.vertices() {
             for v in g.vertices() {
-                let lu = label_of(&owned, u);
-                let lv = label_of(&owned, v);
-                assert_eq!(lu, label_of(&mapped, u));
                 assert_eq!(
-                    compute(&owned, u, v, &lu, &lv),
-                    compute(&mapped, u, v, &lu, &lv),
+                    compute(&owned, &mut heap_ws, u, v),
+                    compute(&mapped, &mut mapped_ws, u, v),
                     "sketch of ({u},{v}) diverged between heap and mapping"
                 );
                 assert_eq!(
-                    compute_bounds(&owned, &lu, &lv),
-                    compute_bounds(&mapped, &lu, &lv),
+                    compute_bounds(&owned, &mut heap_ws, u, v),
+                    compute_bounds(&mapped, &mut mapped_ws, u, v),
                     "bounds of ({u},{v}) diverged between heap and mapping"
                 );
             }
@@ -558,7 +843,7 @@ mod tests {
         let (g, meta) = setup();
         for u in g.vertices() {
             for v in g.vertices() {
-                let sketch = compute(&meta, u, v, &label_of(&meta, u), &label_of(&meta, v));
+                let sketch = sketch_of(&meta, u, v);
                 let mut hops: Vec<usize> =
                     sketch.source_hops.iter().map(|h| h.landmark_idx).collect();
                 hops.sort_unstable();
@@ -569,6 +854,176 @@ mod tests {
                 let before = edges.len();
                 edges.dedup();
                 assert_eq!(before, edges.len());
+            }
+        }
+    }
+
+    /// A meta-graph over `r` landmarks from arbitrary `(i, j, σ)` edges
+    /// (folded into `i < j < r`, the first of each pair kept), serving
+    /// labels of `label_width`-byte slots.
+    fn meta_graph_of(
+        r: usize,
+        edges: &[(usize, usize, Distance)],
+        label_width: usize,
+    ) -> crate::Result<MetaGraph> {
+        let mut kept: Vec<(usize, usize, Distance)> = Vec::new();
+        for &(a, b, sigma) in edges {
+            let (i, j) = (a % r.max(1), b % r.max(1));
+            let (i, j) = (i.min(j), i.max(j));
+            if i != j && !kept.iter().any(|&(x, y, _)| (x, y) == (i, j)) {
+                kept.push((i, j, sigma));
+            }
+        }
+        let apsp = all_pairs_distances(r, &kept);
+        let delta = vec![Vec::new(); kept.len()];
+        MetaGraph::from_parts(
+            (0..r as VertexId).collect(),
+            kept,
+            &apsp,
+            delta,
+            label_width,
+        )
+    }
+
+    /// One random kernel case: |R|, the label slot width, meta edges and
+    /// the two labels.
+    struct LanesCase {
+        r: usize,
+        label_width: usize,
+        edges: Vec<(usize, usize, Distance)>,
+        source_label: Vec<(usize, Distance)>,
+        target_label: Vec<(usize, Distance)>,
+    }
+
+    /// The case `seed` draws: |R| from the block boundaries (`r_pick`),
+    /// the label slot width and the weight class (`kind`), meta edges whose
+    /// weights are small or near the `i16` guard, and two labels whose
+    /// distances fit the slot width, each all sentinel one time in eight.
+    fn lanes_case(seed: u64, r_pick: usize, kind: usize) -> LanesCase {
+        let mut k = 0u64;
+        let mut next = |span: u64| {
+            k += 1;
+            qbs_gen::rng::splitmix64(seed.wrapping_add(k.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+                % span
+        };
+        let r = [0usize, 1, 63, 64, 65, 80][r_pick];
+        let label_width = 1 + kind % 2;
+        let (low, span) = [(1, 3), (1, 300), (3_000, 5_500)][kind / 2];
+        let edges = (0..next(2 * r as u64 + 1))
+            .map(|_| {
+                (
+                    next(80) as usize,
+                    next(80) as usize,
+                    low + next(span) as Distance,
+                )
+            })
+            .collect();
+        let cap = (1u64 << (8 * label_width)) - 1;
+        let mut label = || -> Vec<(usize, Distance)> {
+            if next(8) == 0 {
+                return Vec::new();
+            }
+            (0..r)
+                .filter_map(|column| {
+                    let d = next(cap) as Distance;
+                    (next(10) < 7).then_some((column, d))
+                })
+                .collect()
+        };
+        let (source_label, target_label) = (label(), label());
+        LanesCase {
+            r,
+            label_width,
+            edges,
+            source_label,
+            target_label,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+        /// The kernel equals the pair loops on random label lanes and meta
+        /// matrices: all-sentinel rows, disconnected landmark pairs,
+        /// |R| ∈ {0, 1, 63, 64, 65, 80}, and landmark distances on both
+        /// sides of the `i16` guard.
+        #[test]
+        fn kernel_equals_the_pair_loops_on_random_lanes(
+            seed in 0u64..u64::MAX,
+            r_pick in 0usize..6,
+            kind in 0usize..6,
+        ) {
+            let case = lanes_case(seed, r_pick, kind);
+            let (lu, lv) = (&case.source_label, &case.target_label);
+            let meta = meta_graph_of(case.r, &case.edges, case.label_width).expect("within i32 lanes");
+            let (bound, sketch) = kernel(&meta, 1, 2, lu, lv);
+            prop_assert_eq!(bound, pair_loop_bound(&meta, lu, lv));
+            prop_assert_eq!(sketch, reference(&meta, 1, 2, lu, lv));
+        }
+    }
+
+    /// One-byte labels (at most 254) keep `i16` lanes while the longest
+    /// landmark distance leaves every finite sum below `i16`'s "no entry"
+    /// (16 383): up to 15 874. One more, or two-byte labels, take `i32`
+    /// lanes; a distance that even `i32` sums cannot carry is refused.
+    #[test]
+    fn the_lane_type_switches_at_the_i16_guard() {
+        let longest = |sigma: Distance, width: usize| meta_graph_of(2, &[(0, 1, sigma)], width);
+        let far = [(0, 254)];
+        let near_other = [(1, 254)];
+        for (sigma, width, narrow) in [(15_874, 1, true), (15_875, 1, false), (1, 2, false)] {
+            let meta = longest(sigma, width).expect("fits");
+            assert_eq!(
+                matches!(meta.lane_apsp(), LaneApsp::Narrow(_)),
+                narrow,
+                "σ = {sigma}"
+            );
+            let (bound, sketch) = kernel(&meta, 1, 2, &far, &near_other);
+            assert_eq!(bound, 508 + sigma, "σ = {sigma}");
+            assert_eq!(sketch, reference(&meta, 1, 2, &far, &near_other));
+            assert_eq!(meta.distance(0, 1), sigma);
+        }
+        let i32_limit = 0x3FFF_FFFF - 2 * 65_534 - 1;
+        let meta = longest(i32_limit, 2).expect("the longest i32 lanes carry");
+        let (bound, _) = kernel(&meta, 1, 2, &[(0, 65_534)], &[(1, 65_534)]);
+        assert_eq!(bound, i32_limit + 2 * 65_534);
+        assert!(matches!(
+            longest(i32_limit + 1, 2),
+            Err(QbsError::MetaDistanceTooLarge { distance }) if distance == i32_limit + 1
+        ));
+    }
+
+    /// A 600-vertex path with one landmark in its middle: labels reach
+    /// 299, so label slots are two bytes wide and the lanes `i32`. Every
+    /// answer of every mode equals the BFS ground truth.
+    #[test]
+    fn two_byte_labels_take_i32_lanes_and_answer_exactly() {
+        let graph = GraphBuilder::from_edges((1..600u32).map(|v| (v - 1, v))).build();
+        let truth = GroundTruth::new(graph.clone());
+        let index = QbsIndex::build(graph, QbsConfig::with_explicit_landmarks(vec![300]));
+        assert_eq!(index.view().dist_width(), 2);
+        assert!(matches!(index.meta_graph().lane_apsp(), LaneApsp::Wide(_)));
+        let mut ws = QueryWorkspace::new();
+        let pairs = (0..600u32)
+            .step_by(7)
+            .flat_map(|u| (0..600u32).step_by(13).map(move |v| (u, v)));
+        for (u, v) in pairs {
+            let expected = truth.shortest_path_graph(u, v);
+            let mut outcome = |req: QueryRequest| index.execute_with(&mut ws, &req, None);
+            let distance = outcome(QueryRequest::distance(u, v));
+            assert_eq!(distance.distance(), Some(expected.distance()), "({u},{v})");
+            let path_graph = outcome(QueryRequest::path_graph(u, v));
+            assert_eq!(path_graph.path_graph(), Some(&expected), "({u},{v})");
+            let sketch = outcome(QueryRequest::sketch(u, v));
+            let sketch = sketch.sketch().expect("sketch mode");
+            if u != v {
+                let (lu, lv) = (effective_label(&index, u), effective_label(&index, v));
+                assert_eq!(
+                    *sketch,
+                    reference(index.meta_graph(), u, v, &lu, &lv),
+                    "({u},{v})"
+                );
+                assert!(sketch.upper_bound >= expected.distance());
             }
         }
     }

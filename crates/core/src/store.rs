@@ -57,17 +57,19 @@ pub struct QbsIndex {
 impl QbsIndex {
     /// Serves an index from a parsed view: builds the landmark bitmap and
     /// decodes the meta-graph tables, nothing per vertex. Build timings are
-    /// not persisted, so they read as zero on an opened file.
-    pub fn from_view(view: IndexView) -> Self {
-        let meta = MetaGraph::from_view(&view);
+    /// not persisted, so they read as zero on an opened file. Fails with
+    /// [`crate::QbsError::MetaDistanceTooLarge`] when a landmark distance
+    /// is too long for the sketch's lanes.
+    pub fn from_view(view: IndexView) -> crate::Result<Self> {
+        let meta = MetaGraph::from_view(&view)?;
         let landmark_filter =
             VertexFilter::from_vertices(view.num_vertices(), meta.landmarks().iter().copied());
-        QbsIndex {
+        Ok(QbsIndex {
             view,
             landmark_filter,
             meta,
             timings: BuildTimings::default(),
-        }
+        })
     }
 
     /// The index-file view the index serves from.
@@ -142,26 +144,6 @@ impl QbsIndex {
         self.view.label_distance(v, landmark_idx)
     }
 
-    /// The effective label of a vertex: its path label, or the synthetic
-    /// `{(itself, 0)}` when the vertex is a landmark (the paper's labels
-    /// are only defined on `V \ R`).
-    pub fn effective_label(&self, v: VertexId) -> Vec<(usize, Distance)> {
-        let mut out = Vec::new();
-        self.fill_effective_label(v, &mut out);
-        out
-    }
-
-    /// Fills `buf` with the effective label of `v`, reusing its capacity
-    /// (the allocation-free sibling of [`QbsIndex::effective_label`] used by
-    /// the workspace query path).
-    pub fn fill_effective_label(&self, v: VertexId, buf: &mut Vec<(usize, Distance)>) {
-        buf.clear();
-        match self.landmark_column(v) {
-            Some(col) => buf.push((col, 0)),
-            None => buf.extend(self.view.label_entries(v)),
-        }
-    }
-
     /// The graph's adjacency rows, each its non-landmark neighbours (its
     /// row in `G⁻`), then its landmark neighbours. Take it once per query.
     #[inline]
@@ -187,6 +169,7 @@ mod tests {
     use super::*;
     use crate::query::QbsConfig;
     use crate::serialize::{self, MapMode};
+    use crate::sketch::Lane;
     use qbs_graph::fixtures::figure4_graph;
     use qbs_graph::traversal::bfs_distances;
     use qbs_graph::{FilteredGraph, INFINITE_DISTANCE};
@@ -230,7 +213,7 @@ mod tests {
             assert_eq!(store.num_vertices(), graph.num_vertices());
             assert_eq!(store.landmarks(), &landmarks[..]);
             assert_eq!(store.landmark(2), 3);
-            let mut label = Vec::new();
+            let mut lane: Vec<i16> = Vec::new();
             for v in graph.vertices() {
                 let column = landmarks.iter().position(|&r| r == v);
                 assert_eq!(store.is_landmark(v), column.is_some(), "vertex {v}");
@@ -276,11 +259,18 @@ mod tests {
                     let slot = expected.iter().find(|&&(c, _)| c == i).map(|&(_, d)| d);
                     assert_eq!(store.label_distance(v, i), slot, "label ({v}, {i})");
                 }
-                store.fill_effective_label(v, &mut label);
+                crate::sketch::label_lane(store, v, &mut lane);
+                let lane_entries: Vec<(usize, Distance)> = lane
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &d)| d != i16::NONE)
+                    .map(|(i, &d)| (i, d as Distance))
+                    .collect();
                 match column {
-                    Some(col) => assert_eq!(label, vec![(col, 0)], "landmark {v}"),
-                    None => assert_eq!(label, expected, "effective label of {v}"),
+                    Some(col) => assert_eq!(lane_entries, vec![(col, 0)], "landmark {v}"),
+                    None => assert_eq!(lane_entries, expected, "label lane of {v}"),
                 }
+                assert_eq!(lane.len(), crate::sketch::lane_width(landmarks.len()));
             }
             // Vertex 0 of figure 4 is isolated.
             assert_eq!(store.graph_rows().degree(0), 0);

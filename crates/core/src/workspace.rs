@@ -198,10 +198,8 @@ pub struct QueryWorkspace {
     pub(crate) meeting: Vec<VertexId>,
     /// Edge accumulator for the answer under construction.
     pub(crate) edges: Vec<(VertexId, VertexId)>,
-    /// Effective-label buffer for the query source.
-    pub(crate) src_label: Vec<(usize, Distance)>,
-    /// Effective-label buffer for the query target.
-    pub(crate) tgt_label: Vec<(usize, Distance)>,
+    /// The endpoints' label lanes for the sketch's min-plus kernel.
+    pub(crate) lanes: crate::sketch::SketchLanes,
     /// Per-request stage-timing scratch (see [`crate::obs`]); flushed
     /// into the engine's metrics registry after each request.
     pub(crate) obs: crate::obs::ObsScratch,

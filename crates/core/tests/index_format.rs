@@ -513,7 +513,7 @@ fn queries_through_from_view_are_bit_identical() {
     let built = QbsIndex::build(graph.clone(), QbsConfig::with_landmark_count(12));
 
     let view = IndexView::parse(ViewBuf::Heap(built.bytes().to_vec())).expect("parse");
-    let loaded = QbsIndex::from_view(view);
+    let loaded = QbsIndex::from_view(view).expect("serve the view");
     assert_eq!(built.landmarks(), loaded.landmarks());
     assert_eq!(built.meta_graph(), loaded.meta_graph());
 
