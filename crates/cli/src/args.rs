@@ -1,11 +1,16 @@
 //! Command-line argument parsing (dependency-free).
+//!
+//! Each subcommand declares its options once, in a table of `Opt`s
+//! (`COMMANDS`). One generic pass over `argv` reads an invocation against
+//! its table, and [`usage`] renders the same tables as the `help` synopsis.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::path::PathBuf;
+use std::str::FromStr;
 
 use qbs_core::QueryMode;
 use qbs_gen::catalog::{DatasetId, Scale};
+use qbs_server::AdmissionConfig;
 
 /// A parsed CLI invocation.
 #[derive(Clone, Debug, PartialEq)]
@@ -29,32 +34,19 @@ pub enum Command {
         /// Output index path.
         out: PathBuf,
     },
-    /// Answer shortest-path-graph queries against a built index — a single
-    /// `--source`/`--target` pair or a whole `--pairs` batch.
+    /// Answer shortest-path-graph queries against a built index.
     Query {
         /// Index path produced by `build`.
         index: PathBuf,
-        /// Query source vertex (absent when `--pairs` drives a batch).
-        source: Option<u32>,
-        /// Query target vertex (absent when `--pairs` drives a batch).
-        target: Option<u32>,
-        /// File of whitespace-separated `u v` lines, answered as one batch
-        /// through the concurrent query engine.
-        pairs: Option<PathBuf>,
         /// Worker threads for batch execution (default: all cores).
         threads: Option<usize>,
         /// Memory-map the index file instead of reading it to the heap
         /// (either way it is validated in full).
         mmap: bool,
-        /// Query mode: full path graph (default), distance-only, or
-        /// sketch-only.
-        mode: QueryMode,
-        /// Include the sketch and search statistics in path-graph reports.
-        stats: bool,
         /// Answer-cache capacity; `None` serves uncached.
         cache: Option<usize>,
-        /// Output format.
-        json: bool,
+        /// The pairs to answer, how, and how to print them.
+        query: QuerySpec,
     },
     /// Serve an index over the framed TCP protocol (`qbs-server`) until a
     /// SIGINT/SIGTERM or a client `Shutdown` frame drains it.
@@ -64,52 +56,27 @@ pub enum Command {
         /// Memory-map the index file instead of reading it to the heap
         /// (either way it is validated in full).
         mmap: bool,
-        /// Bind address (`--port P` is shorthand for `127.0.0.1:P`).
-        addr: String,
         /// Worker threads per batch (default: all cores).
         threads: Option<usize>,
         /// Reactor worker threads executing decoded batches (default 4).
         workers: Option<usize>,
-        /// Admission bound on concurrently executing requests.
-        max_inflight: usize,
-        /// Admission cap on requests per batch frame.
-        max_batch: usize,
-        /// Admission bound on concurrently served connections.
-        max_connections: usize,
         /// Answer-cache capacity; `None` serves uncached.
         cache: Option<usize>,
-        /// Bind address for the HTTP `GET /metrics` listener
-        /// (`--metrics-addr H:P`); `None` disables it.
-        metrics_addr: Option<String>,
-        /// Slow-query log threshold in milliseconds
-        /// (`--slow-query-ms N`); `None` disables the log.
-        slow_query_ms: Option<u64>,
+        /// Where to listen and what to admit.
+        listen: ListenSpec,
     },
     /// Route client batches across a pool of running `qbs serve`
     /// replicas (`qbs-router`): scatter/gather with health-checked
     /// failover, until a SIGINT/SIGTERM or a client `Shutdown` frame
     /// drains it.
     Route {
-        /// Bind address of the router's own listener (`--port P` is
-        /// shorthand for `127.0.0.1:P`).
-        addr: String,
         /// Backend replica addresses (one `--replica H:P` each).
         replicas: Vec<String>,
         /// Gather worker threads (default 4); bounds concurrently routed
         /// batches.
         workers: Option<usize>,
-        /// Admission bound on concurrently executing requests.
-        max_inflight: usize,
-        /// Admission cap on requests per batch frame.
-        max_batch: usize,
-        /// Admission bound on concurrently served connections.
-        max_connections: usize,
-        /// Bind address for the router's HTTP `GET /metrics` listener
-        /// (`--metrics-addr H:P`); `None` disables it.
-        metrics_addr: Option<String>,
-        /// Slow-query log threshold in milliseconds
-        /// (`--slow-query-ms N`); `None` disables the log.
-        slow_query_ms: Option<u64>,
+        /// Where to listen and what to admit.
+        listen: ListenSpec,
     },
     /// Talk to a running `qbs serve` (or `qbs route`) instance.
     Client {
@@ -148,22 +115,8 @@ pub enum Command {
 /// What a `qbs client` invocation does with its connection.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ClientAction {
-    /// Submit queries (a `--pairs` batch or one `--source`/`--target`
-    /// pair) and render the outcomes exactly like a local `query`.
-    Query {
-        /// Query source vertex (absent when `--pairs` drives a batch).
-        source: Option<u32>,
-        /// Query target vertex (absent when `--pairs` drives a batch).
-        target: Option<u32>,
-        /// File of whitespace-separated `u v` lines.
-        pairs: Option<PathBuf>,
-        /// Query mode per pair.
-        mode: QueryMode,
-        /// Include sketch + search statistics in path-graph reports.
-        stats: bool,
-        /// Output format.
-        json: bool,
-    },
+    /// Submit queries and render the outcomes exactly like a local `query`.
+    Query(QuerySpec),
     /// Measure protocol round-trip latency (`--ping [--count N]`):
     /// min/p50/p90/p99/max over `count` pings.
     Ping {
@@ -178,6 +131,41 @@ pub enum ClientAction {
     Shutdown,
 }
 
+/// The query options `query` and `client` share: one `--source`/`--target`
+/// pair or a whole `--pairs` batch (exactly one of the two), the mode and
+/// the output format.
+#[derive(Clone, Debug, PartialEq)]
+pub struct QuerySpec {
+    /// Query source vertex (absent when `--pairs` drives a batch).
+    pub source: Option<u32>,
+    /// Query target vertex (absent when `--pairs` drives a batch).
+    pub target: Option<u32>,
+    /// File of whitespace-separated `u v` lines, answered as one batch.
+    pub pairs: Option<PathBuf>,
+    /// Query mode: full path graph (default), distance-only, or
+    /// sketch-only.
+    pub mode: QueryMode,
+    /// Include the sketch and search statistics in path-graph reports.
+    pub stats: bool,
+    /// `--format json` instead of text.
+    pub json: bool,
+}
+
+/// The listener options `serve` and `route` share.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ListenSpec {
+    /// Bind address (`--port P` is shorthand for `127.0.0.1:P`).
+    pub addr: String,
+    /// The in-flight, per-batch and connection bounds.
+    pub admission: AdmissionConfig,
+    /// Bind address for the HTTP `GET /metrics` listener
+    /// (`--metrics-addr H:P`); `None` disables it.
+    pub metrics_addr: Option<String>,
+    /// Slow-query log threshold in milliseconds (`--slow-query-ms N`);
+    /// `None` disables the log.
+    pub slow_query_ms: Option<u64>,
+}
+
 /// Errors produced while parsing the command line.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ParseError(pub String);
@@ -190,39 +178,144 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// The usage text printed by `qbs-cli help`.
-pub const USAGE: &str = "\
-qbs-cli — Query-by-Sketch shortest path graph queries
+/// How the generic pass reads one `--NAME`; the `&str` is the value's
+/// placeholder in `help`.
+#[derive(Clone, Copy)]
+enum Kind {
+    /// `--NAME VALUE`, at most once.
+    Value(&'static str),
+    /// A [`Kind::Value`] the command cannot run without.
+    Required(&'static str),
+    /// A bare `--NAME`, at most once.
+    Flag,
+    /// `--NAME VALUE`, any number of times.
+    Repeated(&'static str),
+    /// Refused with the message the function builds, which says what to
+    /// do instead; `help` leaves it out.
+    Removed(fn() -> String),
+}
 
-commands:
-  generate --dataset <DO|DB|...|CW> [--scale tiny|small|medium|large] --out FILE
-  build    --graph FILE [--landmarks N] --out FILE
-  query    --index FILE --source U --target V [query options]
-  query    --index FILE --pairs FILE [--threads N] [query options]
-  serve    --index FILE [--mmap] [--addr H:P | --port P] [--threads N]
-           [--workers W] [--max-inflight M] [--max-batch B]
-           [--max-connections C] [--cache N] [--metrics-addr H:P]
-           [--slow-query-ms N]
-  route    --replica H:P [--replica H:P ...] [--addr H:P | --port P]
-           [--workers W] [--max-inflight M] [--max-batch B]
-           [--max-connections C] [--metrics-addr H:P] [--slow-query-ms N]
-  client   --addr H:P --pairs FILE [--mode M] [--stats] [--format F]
-  client   --addr H:P --source U --target V [--mode M] [--format F]
-  client   --addr H:P (--metrics | --ping [--count N] | --shutdown)
-  client options also accept [--trace-id HEX] (pin the trace ID every
-           frame carries)
-  stats    --index FILE
-  inspect  --index FILE
-  convert  --from FILE --to FILE
-  help
+use Kind::{Flag, Removed, Repeated, Required, Value};
 
-query options:
-  --mode path|distance|sketch   what to compute per pair (default: path)
-  --stats                       include sketch + search statistics (path mode)
-  --cache N                     serve through an N-entry LRU answer cache
-  --mmap                        map the index file instead of reading it
-  --format text|json            output format
+/// One option of a subcommand: its name (without `--`), its kind and its
+/// line in `help`.
+struct Opt(&'static str, Kind, &'static str);
 
+/// A subcommand's table: its name, its own options, and the options it
+/// shares with another subcommand.
+struct Spec(&'static str, &'static [Opt], &'static [Opt]);
+
+impl Spec {
+    fn options(&self) -> impl Iterator<Item = &'static Opt> {
+        self.1.iter().chain(self.2)
+    }
+}
+
+const INDEX: Opt = Opt("index", Required("FILE"), "index file written by `build`");
+const MMAP: Opt = Opt("mmap", Flag, "map the index file instead of reading it");
+const THREADS: Opt = Opt("threads", Value("N"), "batch threads (default: all cores)");
+const CACHE: Opt = Opt("cache", Value("N"), "serve through an N-entry answer cache");
+
+/// The query options `query` and `client` share ([`QuerySpec`]).
+#[rustfmt::skip]
+const QUERY: &[Opt] = &[
+    Opt("source", Value("U"), "source vertex of one pair (with --target)"),
+    Opt("target", Value("V"), "target vertex of one pair (with --source)"),
+    Opt("pairs", Value("FILE"), "file of `u v` lines, answered as one batch"),
+    Opt("mode", Value("MODE"), "path|distance|sketch (default: path)"),
+    Opt("stats", Flag, "include sketch + search statistics (path mode)"),
+    Opt("format", Value("FORMAT"), "text|json (default: text)"),
+];
+
+/// The listener options `serve` and `route` share ([`ListenSpec`]).
+#[rustfmt::skip]
+const LISTEN: &[Opt] = &[
+    Opt("addr", Value("H:P"), "bind address (serve: 127.0.0.1:7411, route: :7410)"),
+    Opt("port", Value("P"), "shorthand for --addr 127.0.0.1:P"),
+    Opt("max-inflight", Value("N"), "bound on executing requests (default 4096)"),
+    Opt("max-batch", Value("N"), "cap on requests per batch frame (default 4096)"),
+    Opt("max-connections", Value("N"), "bound on served connections (default 128)"),
+    Opt("metrics-addr", Value("H:P"), "serve Prometheus text at GET /metrics on H:P"),
+    Opt("slow-query-ms", Value("N"), "log batches taking N ms or more to stderr"),
+];
+
+/// Every subcommand's table (`rustfmt::skip` keeps one option per line).
+#[rustfmt::skip]
+const COMMANDS: &[Spec] = &[
+    Spec("generate", &[
+        Opt("dataset", Required("NAME"), "Table 1 dataset: DO|DB|...|CW or its name"),
+        Opt("scale", Value("SCALE"), "tiny|small|medium|large (default: small)"),
+        Opt("out", Required("FILE"), "graph file to write"),
+    ], &[]),
+    Spec("build", &[
+        Opt("graph", Required("FILE"), "graph file to index"),
+        Opt("landmarks", Value("N"), "number of landmarks (default 20)"),
+        Opt("out", Required("FILE"), "index file to write"),
+        Opt("format", Removed(|| layout_removed("format")), ""),
+        Opt("profile", Removed(|| layout_removed("profile")), ""),
+        Opt("sequential", Removed(sequential_removed), ""),
+    ], &[]),
+    Spec("query", &[
+        INDEX,
+        THREADS,
+        MMAP,
+        CACHE,
+        Opt("from-view", Removed(view_removed), ""),
+    ], QUERY),
+    Spec("serve", &[
+        INDEX,
+        MMAP,
+        THREADS,
+        Opt("workers", Value("N"), "reactor worker threads (default 4)"),
+        Opt("handlers", Value("N"), "the old spelling of --workers"),
+        CACHE,
+    ], LISTEN),
+    Spec("route", &[
+        Opt("replica", Repeated("H:P"), "a running `qbs serve` (repeat per replica)"),
+        Opt("workers", Value("N"), "metrics worker threads (default 4)"),
+    ], LISTEN),
+    Spec("client", &[
+        Opt("addr", Required("H:P"), "address of a `serve` or `route` process"),
+        Opt("protocol", Removed(protocol_removed), ""),
+        Opt("trace-id", Value("HEX"), "pin the trace ID every frame carries"),
+        Opt("metrics", Flag, "print the server's counters and stage histograms"),
+        Opt("ping", Flag, "measure round-trip latency"),
+        Opt("count", Value("N"), "round trips --ping measures (default 5)"),
+        Opt("shutdown", Flag, "ask the server to drain and exit"),
+    ], QUERY),
+    Spec("stats", &[INDEX], &[]),
+    Spec("inspect", &[INDEX], &[]),
+    Spec("convert", &[
+        Opt("from", Required("FILE"), "graph file to read"),
+        Opt("to", Required("FILE"), "graph file to write"),
+    ], &[]),
+];
+
+// The refusals of removed options: each says what to do instead.
+
+fn layout_removed(option: &str) -> String {
+    format!("build: --{option} was removed: there is one index file layout now, so drop the flag")
+}
+
+fn sequential_removed() -> String {
+    "build: --sequential was removed: there is one labelling builder, and it is sequential, so \
+     drop the flag"
+        .into()
+}
+
+fn view_removed() -> String {
+    "query: --from-view was removed: every query is served from the index file's layout, so \
+     drop the flag (add --mmap to map the file)"
+        .into()
+}
+
+fn protocol_removed() -> String {
+    let version = qbs_server::PROTOCOL_VERSION;
+    format!("--protocol was removed: this build speaks protocol v{version} only")
+}
+
+/// The hand-written notes `help` prints after the generated synopsis.
+const NOTES: &str = "\
 Graph files are read and written by extension: `.qbsg` is the binary graph
 format, anything else a whitespace edge list (`generate`, `build --graph`
 and `convert` all follow it). `build` writes the one index file layout
@@ -237,25 +330,21 @@ batches each pair is answered independently: an out-of-range pair
 reports an error for that line only.
 
 `serve` runs the framed TCP server (spec: docs/protocol.md): one poll(2)
-reactor thread multiplexes every connection and `--workers W` threads
-(default 4; `--handlers` is accepted as the old spelling) execute the
+reactor thread multiplexes every connection and the workers execute the
 decoded batches over one shared session. Ctrl-C or `client --shutdown`
 drains in-flight batches and tears down cleanly. Work beyond
 `--max-inflight`/`--max-batch` gets a typed busy reply, never a hang.
-`client` submits batches against a running server with the same
-rendering as a local `query`; `--metrics` prints the server's
-telemetry: its engine, cache and admission counters and its per-stage
-latency histograms (count and p50/p90/p99/max per query mode and
-pipeline stage). `--ping` measures round-trip latency
-(min/p50/p90/p99/max over `--count N` pings, default 5). `--trace-id
-HEX` pins the trace ID every frame carries, so a request can be found
-in the server's slow-query log (docs/observability.md).
+`--metrics-addr` serves the same counters and histograms `client
+--metrics` prints as Prometheus text, and `--slow-query-ms N` logs each
+batch whose execution takes at least N ms to stderr as one
+`qbs-slow-query ...` line carrying the client's trace ID
+(docs/observability.md).
 
-`serve --metrics-addr H:P` additionally exposes the same counters and
-histograms as a Prometheus text endpoint (`GET /metrics`), and
-`--slow-query-ms N` logs every batch whose execution takes at least N
-milliseconds to stderr as one `qbs-slow-query ...` line carrying the
-client's trace ID.
+`client` submits batches against a running server with the same
+rendering as a local `query`; `--metrics` prints the server's engine,
+cache and admission counters and its per-stage latency histograms (count
+and p50/p90/p99/max per query mode and pipeline stage), and `--ping`
+min/p50/p90/p99/max round-trip latency.
 
 `route` runs the replicated scatter/gather tier (docs/router.md): it
 speaks the same protocol as `serve`, splits each batch across the
@@ -266,10 +355,35 @@ prints its routing and per-replica counters and every available
 replica's counters and histograms folded in (traffic summed, histograms
 merged bucket-wise), and trace IDs propagate onto every scattered
 sub-batch. The router forwards batches on its reactor thread; its
-`--workers W` threads only answer `Metrics` frames and `GET /metrics`,
-each of which polls every available replica once. `route` accepts the same
-`--metrics-addr`/`--slow-query-ms` options as `serve`.
+workers only answer `Metrics` frames and `GET /metrics`, each of which
+polls every available replica once.
 ";
+
+/// The text printed by `qbs-cli help`: each subcommand's synopsis (its
+/// required options) and one line per option it accepts, rendered from
+/// its table, then the notes.
+pub fn usage() -> String {
+    let mut out = String::from("qbs-cli — Query-by-Sketch shortest path graph queries\n\n");
+    for spec in COMMANDS {
+        let (mut lines, mut optional) = (String::new(), "");
+        out.push_str(&format!("  {}", spec.0));
+        for Opt(name, kind, help) in spec.options() {
+            let option = match kind {
+                Value(v) | Required(v) | Repeated(v) => format!("--{name} {v}"),
+                Flag => format!("--{name}"),
+                Removed(_) => continue,
+            };
+            match kind {
+                Required(_) => out.push_str(&format!(" {option}")),
+                Repeated(_) => out.push_str(&format!(" {option} [{option} ...]")),
+                _ => optional = " [options]",
+            }
+            lines.push_str(&format!("      {option:<22}{help}\n"));
+        }
+        out.push_str(&format!("{optional}\n{lines}"));
+    }
+    out + "  help\n\n" + NOTES
+}
 
 /// Default bind host for `serve --port`.
 const DEFAULT_HOST: &str = "127.0.0.1";
@@ -283,392 +397,263 @@ const DEFAULT_SERVE_ADDR: &str = "127.0.0.1:7411";
 /// on one host with the defaults.
 const DEFAULT_ROUTE_ADDR: &str = "127.0.0.1:7410";
 
+/// The options one invocation gave, each checked against its command's
+/// table.
+struct Args<'a> {
+    command: &'static str,
+    given: Vec<(&'static str, &'a str)>,
+}
+
+impl<'a> Args<'a> {
+    /// The one pass over `argv`. An option the table does not list is
+    /// refused by name, so a misspelt one never leaves its default in
+    /// place silently; a removed one is refused with its message; a
+    /// second occurrence of anything but a [`Kind::Repeated`] option is
+    /// refused instead of overwriting the first.
+    fn scan(spec: &Spec, argv: &'a [String]) -> Result<Self, ParseError> {
+        let command = spec.0;
+        let mut given: Vec<(&'static str, &'a str)> = Vec::new();
+        let mut tokens = argv.iter();
+        while let Some(token) = tokens.next() {
+            let Some(key) = token.strip_prefix("--") else {
+                return refuse(format!("expected an option, found '{token}'"));
+            };
+            let Some(Opt(name, kind, _)) = spec.options().find(|o| o.0 == key) else {
+                return refuse(format!(
+                    "{command}: unknown option --{key} (see `qbs-cli help`)"
+                ));
+            };
+            if !matches!(kind, Repeated(_)) && given.iter().any(|(n, _)| n == name) {
+                return refuse(format!("{command}: --{key} given twice"));
+            }
+            let value = match kind {
+                Removed(refusal) => return refuse(refusal()),
+                Flag => "",
+                Value(_) | Required(_) | Repeated(_) => match tokens.next() {
+                    Some(value) => value,
+                    None => return refuse(format!("missing value for --{key}")),
+                },
+            };
+            given.push((name, value));
+        }
+        let missing = spec
+            .options()
+            .find(|o| matches!(o.1, Required(_)) && !given.iter().any(|(n, _)| *n == o.0));
+        if let Some(Opt(name, ..)) = missing {
+            return refuse(format!("{command}: missing required option --{name}"));
+        }
+        Ok(Args { command, given })
+    }
+
+    fn get(&self, name: &str) -> Option<&'a str> {
+        self.given.iter().find(|(n, _)| *n == name).map(|(_, v)| *v)
+    }
+
+    fn has(&self, name: &str) -> bool {
+        self.get(name).is_some()
+    }
+
+    /// A [`Kind::Required`] option's value.
+    fn required(&self, name: &str) -> &'a str {
+        self.get(name)
+            .expect("Args::scan refuses an invocation missing a required option")
+    }
+
+    /// An optional value, parsed as `T`; an unparsable one is refused as
+    /// `invalid {what} '…'`.
+    fn read_as<T: FromStr>(&self, name: &str, what: &str) -> Result<Option<T>, ParseError> {
+        self.get(name).map(|v| parse_value(v, what)).transpose()
+    }
+
+    /// [`Args::read_as`] naming the option itself in the refusal.
+    fn read<T: FromStr>(&self, name: &str) -> Result<Option<T>, ParseError> {
+        self.read_as(name, name)
+    }
+}
+
+/// Refuses the invocation with `message`.
+fn refuse<T>(message: impl Into<String>) -> Result<T, ParseError> {
+    Err(ParseError(message.into()))
+}
+
 /// Parses an argument vector (excluding the program name).
 pub fn parse(args: &[String]) -> Result<Command, ParseError> {
     let Some(command) = args.first() else {
         return Ok(Command::Help);
     };
-    let (options, replicas) = collect_options(command, &args[1..])?;
-    let get = |key: &str| options.get(key).cloned();
-    let require = |key: &str| {
-        get(key).ok_or_else(|| ParseError(format!("{command}: missing required option --{key}")))
+    if matches!(command.as_str(), "help" | "--help" | "-h") {
+        return Ok(Command::Help);
+    }
+    let Some(spec) = COMMANDS.iter().find(|spec| spec.0 == command) else {
+        return refuse(format!("unknown command '{command}'"));
     };
-
-    match command.as_str() {
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        "generate" => Ok(Command::Generate {
-            dataset: parse_dataset(&require("dataset")?)?,
-            scale: parse_scale(get("scale").as_deref().unwrap_or("small"))?,
-            out: PathBuf::from(require("out")?),
-        }),
-        "build" => {
-            // Removed options are known keys, so their refusal can say
-            // what to do instead.
-            for removed in ["format", "profile"] {
-                if get(removed).is_some() {
-                    return Err(ParseError(format!(
-                        "build: --{removed} was removed: there is one index file layout \
-                         now, so drop the flag"
-                    )));
-                }
-            }
-            if options.contains_key("sequential") {
-                return Err(ParseError(
-                    "build: --sequential was removed: there is one labelling builder, \
-                     and it is sequential, so drop the flag"
-                        .into(),
-                ));
-            }
-            Ok(Command::Build {
-                graph: PathBuf::from(require("graph")?),
-                landmarks: parse_number(get("landmarks").as_deref().unwrap_or("20"), "landmarks")?,
-                out: PathBuf::from(require("out")?),
-            })
-        }
-        "query" => {
-            let source = get("source")
-                .map(|s| parse_number(&s, "source").map(|n| n as u32))
-                .transpose()?;
-            let target = get("target")
-                .map(|s| parse_number(&s, "target").map(|n| n as u32))
-                .transpose()?;
-            let pairs = get("pairs").map(PathBuf::from);
-            match (&pairs, source, target) {
-                (None, Some(_), Some(_)) | (Some(_), None, None) => {}
-                (None, _, _) => {
-                    return Err(ParseError(
-                        "query: pass --source and --target, or --pairs FILE".into(),
-                    ))
-                }
-                (Some(_), _, _) => {
-                    return Err(ParseError(
-                        "query: --pairs cannot be combined with --source/--target".into(),
-                    ))
-                }
-            }
-            if options.contains_key("from-view") {
-                return Err(ParseError(
-                    "query: --from-view was removed: every query is served from the index \
-                     file's layout, so drop the flag (add --mmap to map the file)"
-                        .into(),
-                ));
-            }
-            Ok(Command::Query {
-                index: PathBuf::from(require("index")?),
-                source,
-                target,
-                pairs,
-                threads: get("threads")
-                    .map(|s| parse_number(&s, "threads"))
-                    .transpose()?,
-                mmap: options.contains_key("mmap"),
-                mode: parse_query_mode(get("mode").as_deref().unwrap_or("path"))?,
-                stats: options.contains_key("stats"),
-                cache: get("cache")
-                    .map(|s| parse_number(&s, "cache capacity"))
-                    .transpose()?,
-                json: match get("format").as_deref() {
-                    None | Some("text") => false,
-                    Some("json") => true,
-                    Some(other) => return Err(ParseError(format!("unknown format '{other}'"))),
-                },
-            })
-        }
+    let a = Args::scan(spec, &args[1..])?;
+    let path = |name| PathBuf::from(a.required(name));
+    Ok(match spec.0 {
+        "generate" => Command::Generate {
+            dataset: parse_dataset(a.required("dataset"))?,
+            scale: parse_scale(a.get("scale").unwrap_or("small"))?,
+            out: path("out"),
+        },
+        "build" => Command::Build {
+            graph: path("graph"),
+            landmarks: a.read("landmarks")?.unwrap_or(20),
+            out: path("out"),
+        },
+        "query" => Command::Query {
+            query: QuerySpec::read(&a, "")?,
+            index: path("index"),
+            threads: a.read("threads")?,
+            mmap: a.has("mmap"),
+            cache: a.read_as("cache", "cache capacity")?,
+        },
         "serve" => {
-            let addr = match (get("addr"), get("port")) {
-                (Some(_), Some(_)) => {
-                    return Err(ParseError("serve: pass --addr or --port, not both".into()))
-                }
-                (Some(addr), None) => addr,
-                (None, Some(port)) => {
-                    format!("{DEFAULT_HOST}:{}", parse_number(&port, "port")?)
-                }
-                (None, None) => DEFAULT_SERVE_ADDR.to_string(),
-            };
-            Ok(Command::Serve {
-                index: PathBuf::from(require("index")?),
-                mmap: options.contains_key("mmap"),
-                addr,
-                threads: get("threads")
-                    .map(|s| parse_number(&s, "threads"))
-                    .transpose()?,
-                workers: match (get("workers"), get("handlers")) {
-                    (Some(_), Some(_)) => {
-                        return Err(ParseError(
-                            "serve: pass --workers or --handlers (its old name), not both".into(),
-                        ))
-                    }
-                    // `--handlers` is the pre-reactor spelling, kept as an
-                    // alias so existing service files keep starting.
-                    (workers, handlers) => workers
-                        .or(handlers)
-                        .map(|s| parse_number(&s, "workers"))
-                        .transpose()?,
-                },
-                max_inflight: get("max-inflight")
-                    .map(|s| parse_number(&s, "max-inflight"))
-                    .transpose()?
-                    .unwrap_or(4_096),
-                max_batch: get("max-batch")
-                    .map(|s| parse_number(&s, "max-batch"))
-                    .transpose()?
-                    .unwrap_or(4_096),
-                max_connections: get("max-connections")
-                    .map(|s| parse_number(&s, "max-connections"))
-                    .transpose()?
-                    .unwrap_or(128),
-                cache: get("cache")
-                    .map(|s| parse_number(&s, "cache capacity"))
-                    .transpose()?,
-                metrics_addr: get("metrics-addr"),
-                slow_query_ms: get("slow-query-ms")
-                    .map(|s| parse_number(&s, "slow-query-ms").map(|n| n as u64))
-                    .transpose()?,
-            })
+            if a.has("workers") && a.has("handlers") {
+                return refuse("serve: pass --workers or --handlers (its old name), not both");
+            }
+            Command::Serve {
+                listen: ListenSpec::read(&a, DEFAULT_SERVE_ADDR)?,
+                index: path("index"),
+                mmap: a.has("mmap"),
+                threads: a.read("threads")?,
+                // `--handlers` is the pre-reactor spelling, kept as an
+                // alias so existing service files keep starting.
+                workers: a.read("workers")?.or(a.read_as("handlers", "workers")?),
+                cache: a.read_as("cache", "cache capacity")?,
+            }
         }
         "route" => {
-            let addr = match (get("addr"), get("port")) {
-                (Some(_), Some(_)) => {
-                    return Err(ParseError("route: pass --addr or --port, not both".into()))
-                }
-                (Some(addr), None) => addr,
-                (None, Some(port)) => {
-                    format!("{DEFAULT_HOST}:{}", parse_number(&port, "port")?)
-                }
-                (None, None) => DEFAULT_ROUTE_ADDR.to_string(),
-            };
+            let listen = ListenSpec::read(&a, DEFAULT_ROUTE_ADDR)?;
+            let replicas: Vec<String> = a
+                .given
+                .iter()
+                .filter(|(n, _)| *n == "replica")
+                .map(|(_, v)| v.to_string())
+                .collect();
             if replicas.is_empty() {
-                return Err(ParseError(
-                    "route: pass at least one --replica H:P (a running `qbs serve`)".into(),
-                ));
+                return refuse("route: pass at least one --replica H:P (a running `qbs serve`)");
             }
-            Ok(Command::Route {
-                addr,
+            Command::Route {
                 replicas,
-                workers: get("workers")
-                    .map(|s| parse_number(&s, "workers"))
-                    .transpose()?,
-                max_inflight: get("max-inflight")
-                    .map(|s| parse_number(&s, "max-inflight"))
-                    .transpose()?
-                    .unwrap_or(4_096),
-                max_batch: get("max-batch")
-                    .map(|s| parse_number(&s, "max-batch"))
-                    .transpose()?
-                    .unwrap_or(4_096),
-                max_connections: get("max-connections")
-                    .map(|s| parse_number(&s, "max-connections"))
-                    .transpose()?
-                    .unwrap_or(128),
-                metrics_addr: get("metrics-addr"),
-                slow_query_ms: get("slow-query-ms")
-                    .map(|s| parse_number(&s, "slow-query-ms").map(|n| n as u64))
-                    .transpose()?,
-            })
+                workers: a.read("workers")?,
+                listen,
+            }
         }
-        "client" => {
-            let addr = require("addr")?;
-            if get("protocol").is_some() {
-                return Err(ParseError(format!(
-                    "--protocol was removed: this build speaks protocol v{} only",
-                    qbs_server::PROTOCOL_VERSION
-                )));
-            }
-            let trace_id = get("trace-id").map(|s| parse_trace_id(&s)).transpose()?;
-            let source = get("source")
-                .map(|s| parse_number(&s, "source").map(|n| n as u32))
-                .transpose()?;
-            let target = get("target")
-                .map(|s| parse_number(&s, "target").map(|n| n as u32))
-                .transpose()?;
-            let pairs = get("pairs").map(PathBuf::from);
-            let stats = options.contains_key("stats");
-            let has_query = pairs.is_some() || source.is_some() || target.is_some();
-            if stats && !has_query {
-                return Err(ParseError(
-                    "client: bare --stats was removed: the server's counters are printed by \
-                     `client --metrics`"
-                        .into(),
-                ));
-            }
-            let control_flags = ["ping", "shutdown", "metrics"].map(|f| options.contains_key(f));
-            if control_flags.iter().filter(|&&f| f).count() > 1 {
-                return Err(ParseError(
-                    "client: --ping, --shutdown and --metrics are mutually exclusive".into(),
-                ));
-            }
-            let action = if options.contains_key("ping") {
-                ensure_no_query(has_query, "--ping")?;
-                let count = get("count")
-                    .map(|s| parse_number(&s, "count"))
-                    .transpose()?
-                    .unwrap_or(5);
-                if count == 0 {
-                    return Err(ParseError("client: --count must be at least 1".into()));
-                }
-                ClientAction::Ping { count }
-            } else if options.contains_key("shutdown") {
-                ensure_no_query(has_query, "--shutdown")?;
-                ClientAction::Shutdown
-            } else if options.contains_key("metrics") {
-                ensure_no_query(has_query, "--metrics")?;
-                ClientAction::Metrics
-            } else {
-                match (&pairs, source, target) {
-                    (None, Some(_), Some(_)) | (Some(_), None, None) => {}
-                    (None, _, _) => {
-                        return Err(ParseError(
-                            "client: pass --source and --target, or --pairs FILE, or one of \
-                             --metrics/--ping/--shutdown"
-                                .into(),
-                        ))
-                    }
-                    (Some(_), _, _) => {
-                        return Err(ParseError(
-                            "client: --pairs cannot be combined with --source/--target".into(),
-                        ))
-                    }
-                }
-                ClientAction::Query {
-                    source,
-                    target,
-                    pairs,
-                    mode: parse_query_mode(get("mode").as_deref().unwrap_or("path"))?,
-                    stats,
-                    json: match get("format").as_deref() {
-                        None | Some("text") => false,
-                        Some("json") => true,
-                        Some(other) => return Err(ParseError(format!("unknown format '{other}'"))),
-                    },
-                }
-            };
-            Ok(Command::Client {
-                addr,
-                trace_id,
-                action,
-            })
-        }
-        "stats" => Ok(Command::Stats {
-            index: PathBuf::from(require("index")?),
-        }),
-        "inspect" => Ok(Command::Inspect {
-            index: PathBuf::from(require("index")?),
-        }),
-        "convert" => Ok(Command::Convert {
-            from: PathBuf::from(require("from")?),
-            to: PathBuf::from(require("to")?),
-        }),
-        other => Err(ParseError(format!("unknown command '{other}'"))),
-    }
-}
-
-/// The options `command` reads, removed ones included so that it can
-/// refuse them with a message saying what to do instead; `None` for `help`
-/// and unknown commands.
-fn known_options(command: &str) -> Option<&'static [&'static str]> {
-    Some(match command {
-        "generate" => &["dataset", "scale", "out"],
-        "build" => &[
-            "graph",
-            "landmarks",
-            "out",
-            "format",
-            "profile",
-            "sequential",
-        ],
-        "query" => &[
-            "index",
-            "source",
-            "target",
-            "pairs",
-            "threads",
-            "mmap",
-            "mode",
-            "stats",
-            "cache",
-            "format",
-            "from-view",
-        ],
-        "serve" => &[
-            "index",
-            "mmap",
-            "addr",
-            "port",
-            "threads",
-            "workers",
-            "handlers",
-            "max-inflight",
-            "max-batch",
-            "max-connections",
-            "cache",
-            "metrics-addr",
-            "slow-query-ms",
-        ],
-        "route" => &[
-            "addr",
-            "port",
-            "replica",
-            "workers",
-            "max-inflight",
-            "max-batch",
-            "max-connections",
-            "metrics-addr",
-            "slow-query-ms",
-        ],
-        "client" => &[
-            "addr", "protocol", "trace-id", "source", "target", "pairs", "mode", "stats", "format",
-            "ping", "count", "shutdown", "metrics",
-        ],
-        "stats" | "inspect" => &["index"],
-        "convert" => &["from", "to"],
-        _ => return None,
+        "client" => parse_client(&a)?,
+        "stats" => Command::Stats {
+            index: path("index"),
+        },
+        "inspect" => Command::Inspect {
+            index: path("index"),
+        },
+        "convert" => Command::Convert {
+            from: path("from"),
+            to: path("to"),
+        },
+        other => unreachable!("COMMANDS lists '{other}', which parse does not build"),
     })
 }
 
-/// Collects `--key value` pairs; bare flags (like `--mmap`) map to "".
-/// An option `command` does not read is refused by name, so a misspelt one
-/// never leaves its default in place silently.
-/// `--sequential` and `--from-view` stay bare flags so `build` and `query`
-/// can refuse them by name.
-/// `--replica` is the one repeatable option — each occurrence appends to
-/// the returned list instead of overwriting the previous value.
-fn collect_options(
-    command: &str,
-    args: &[String],
-) -> Result<(BTreeMap<String, String>, Vec<String>), ParseError> {
-    let known = known_options(command);
-    let mut options = BTreeMap::new();
-    let mut replicas = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let key = args[i]
-            .strip_prefix("--")
-            .ok_or_else(|| ParseError(format!("expected an option, found '{}'", args[i])))?;
-        if known.is_some_and(|known| !known.contains(&key)) {
-            return Err(ParseError(format!(
-                "{command}: unknown option --{key} (see `qbs-cli help`)"
-            )));
-        }
-        let is_flag = matches!(
-            key,
-            "sequential" | "from-view" | "mmap" | "stats" | "ping" | "shutdown" | "metrics"
+/// The `client` action: at most one control flag, or queries.
+fn parse_client(a: &Args<'_>) -> Result<Command, ParseError> {
+    let trace_id = a.get("trace-id").map(parse_trace_id).transpose()?;
+    let has_query = ["source", "target", "pairs"].iter().any(|k| a.has(k));
+    if a.has("stats") && !has_query {
+        return refuse(
+            "client: bare --stats was removed: the server's counters are printed by \
+             `client --metrics`",
         );
-        if is_flag {
-            options.insert(key.to_string(), String::new());
-            i += 1;
-        } else {
-            let value = args
-                .get(i + 1)
-                .ok_or_else(|| ParseError(format!("missing value for --{key}")))?;
-            if key == "replica" {
-                replicas.push(value.clone());
-            } else {
-                options.insert(key.to_string(), value.clone());
-            }
-            i += 2;
-        }
     }
-    Ok((options, replicas))
+    let controls: Vec<&str> = ["ping", "shutdown", "metrics"]
+        .into_iter()
+        .filter(|f| a.has(f))
+        .collect();
+    let action = match controls[..] {
+        [] => ClientAction::Query(QuerySpec::read(
+            a,
+            ", or one of --metrics/--ping/--shutdown",
+        )?),
+        [_, _, ..] => {
+            return refuse("client: --ping, --shutdown and --metrics are mutually exclusive")
+        }
+        [control] if has_query => {
+            return refuse(format!(
+                "client: --{control} cannot be combined with query arguments"
+            ))
+        }
+        ["ping"] => match a.read("count")?.unwrap_or(5) {
+            0 => return refuse("client: --count must be at least 1"),
+            count => ClientAction::Ping { count },
+        },
+        ["shutdown"] => ClientAction::Shutdown,
+        _ => ClientAction::Metrics,
+    };
+    Ok(Command::Client {
+        addr: a.required("addr").to_string(),
+        trace_id,
+        action,
+    })
+}
+
+impl QuerySpec {
+    /// Reads the query options; `alternatives` ends the refusal of an
+    /// invocation that names neither a pair nor a pairs file.
+    fn read(a: &Args<'_>, alternatives: &str) -> Result<Self, ParseError> {
+        let command = a.command;
+        let source = a.read("source")?;
+        let target = a.read("target")?;
+        let pairs = a.get("pairs").map(PathBuf::from);
+        match (&pairs, source, target) {
+            (None, Some(_), Some(_)) | (Some(_), None, None) => {}
+            (None, _, _) => {
+                return refuse(format!(
+                    "{command}: pass --source and --target, or --pairs FILE{alternatives}"
+                ))
+            }
+            (Some(_), _, _) => {
+                return refuse(format!(
+                    "{command}: --pairs cannot be combined with --source/--target"
+                ))
+            }
+        }
+        Ok(QuerySpec {
+            source,
+            target,
+            pairs,
+            mode: parse_query_mode(a.get("mode").unwrap_or("path"))?,
+            stats: a.has("stats"),
+            json: match a.get("format") {
+                None | Some("text") => false,
+                Some("json") => true,
+                Some(other) => return refuse(format!("unknown format '{other}'")),
+            },
+        })
+    }
+}
+
+impl ListenSpec {
+    /// Reads the listener options; `default_addr` binds when neither
+    /// `--addr` nor `--port` is given.
+    fn read(a: &Args<'_>, default_addr: &str) -> Result<Self, ParseError> {
+        let addr = match (a.get("addr"), a.get("port")) {
+            (Some(_), Some(_)) => {
+                return refuse(format!("{}: pass --addr or --port, not both", a.command))
+            }
+            (Some(addr), None) => addr.to_string(),
+            (None, Some(port)) => format!("{DEFAULT_HOST}:{}", parse_value::<u16>(port, "port")?),
+            (None, None) => default_addr.to_string(),
+        };
+        Ok(ListenSpec {
+            addr,
+            admission: AdmissionConfig {
+                max_inflight: a.read("max-inflight")?.unwrap_or(4_096),
+                max_batch: a.read("max-batch")?.unwrap_or(4_096),
+                max_connections: a.read("max-connections")?.unwrap_or(128),
+            },
+            metrics_addr: a.get("metrics-addr").map(String::from),
+            slow_query_ms: a.read("slow-query-ms")?,
+        })
+    }
 }
 
 /// Parses a `--trace-id` value: hexadecimal, `0x` prefix optional,
@@ -679,32 +664,22 @@ fn parse_trace_id(token: &str) -> Result<u64, ParseError> {
         .or_else(|| token.strip_prefix("0X"))
         .unwrap_or(token);
     match u64::from_str_radix(digits, 16) {
-        Ok(0) => Err(ParseError(
-            "client: --trace-id must be nonzero (zero marks untraced frames)".into(),
-        )),
+        Ok(0) => refuse("client: --trace-id must be nonzero (zero marks untraced frames)"),
         Ok(id) => Ok(id),
-        Err(_) => Err(ParseError(format!(
+        Err(_) => refuse(format!(
             "client: invalid --trace-id '{token}' (expected up to 16 hex digits)"
-        ))),
+        )),
     }
-}
-
-/// Rejects query arguments combined with a control flag.
-fn ensure_no_query(has_query: bool, flag: &str) -> Result<(), ParseError> {
-    if has_query {
-        return Err(ParseError(format!(
-            "client: {flag} cannot be combined with query arguments"
-        )));
-    }
-    Ok(())
 }
 
 fn parse_dataset(token: &str) -> Result<DatasetId, ParseError> {
-    DatasetId::ALL
+    match DatasetId::ALL
         .iter()
-        .copied()
         .find(|id| id.abbrev().eq_ignore_ascii_case(token) || id.name().eq_ignore_ascii_case(token))
-        .ok_or_else(|| ParseError(format!("unknown dataset '{token}'")))
+    {
+        Some(id) => Ok(*id),
+        None => refuse(format!("unknown dataset '{token}'")),
+    }
 }
 
 fn parse_scale(token: &str) -> Result<Scale, ParseError> {
@@ -713,7 +688,7 @@ fn parse_scale(token: &str) -> Result<Scale, ParseError> {
         "small" => Ok(Scale::Small),
         "medium" => Ok(Scale::Medium),
         "large" => Ok(Scale::Large),
-        other => Err(ParseError(format!("unknown scale '{other}'"))),
+        other => refuse(format!("unknown scale '{other}'")),
     }
 }
 
@@ -722,16 +697,18 @@ fn parse_query_mode(token: &str) -> Result<QueryMode, ParseError> {
         "path" | "path-graph" | "spg" => Ok(QueryMode::PathGraph),
         "distance" | "dist" => Ok(QueryMode::Distance),
         "sketch" => Ok(QueryMode::Sketch),
-        other => Err(ParseError(format!(
+        other => refuse(format!(
             "unknown query mode '{other}' (expected path, distance or sketch)"
-        ))),
+        )),
     }
 }
 
-fn parse_number(token: &str, what: &str) -> Result<usize, ParseError> {
+/// Parses a value as `T`, so a number outside `T`'s range (a vertex id
+/// past `u32::MAX`, a port past `u16::MAX`) is refused, never truncated.
+fn parse_value<T: FromStr>(token: &str, what: &str) -> Result<T, ParseError> {
     token
         .parse()
-        .map_err(|_| ParseError(format!("invalid {what} '{token}'")))
+        .or_else(|_| refuse(format!("invalid {what} '{token}'")))
 }
 
 #[cfg(test)]
@@ -848,15 +825,17 @@ mod tests {
             cmd,
             Command::Query {
                 index: "i.qbs".into(),
-                source: Some(3),
-                target: Some(7),
-                pairs: None,
                 threads: None,
                 mmap: false,
-                mode: QueryMode::PathGraph,
-                stats: false,
                 cache: None,
-                json: true
+                query: QuerySpec {
+                    source: Some(3),
+                    target: Some(7),
+                    pairs: None,
+                    mode: QueryMode::PathGraph,
+                    stats: false,
+                    json: true
+                }
             }
         );
 
@@ -874,15 +853,17 @@ mod tests {
             cmd,
             Command::Query {
                 index: "i.qbs".into(),
-                source: None,
-                target: None,
-                pairs: Some("p.txt".into()),
                 threads: Some(4),
                 mmap: false,
-                mode: QueryMode::PathGraph,
-                stats: false,
                 cache: None,
-                json: false
+                query: QuerySpec {
+                    source: None,
+                    target: None,
+                    pairs: Some("p.txt".into()),
+                    mode: QueryMode::PathGraph,
+                    stats: false,
+                    json: false
+                }
             }
         );
 
@@ -918,9 +899,12 @@ mod tests {
         assert!(matches!(
             cmd,
             Command::Query {
-                mode: QueryMode::Distance,
                 cache: Some(4096),
-                stats: false,
+                query: QuerySpec {
+                    mode: QueryMode::Distance,
+                    stats: false,
+                    ..
+                },
                 ..
             }
         ));
@@ -932,7 +916,10 @@ mod tests {
         assert!(matches!(
             cmd,
             Command::Query {
-                mode: QueryMode::Sketch,
+                query: QuerySpec {
+                    mode: QueryMode::Sketch,
+                    ..
+                },
                 ..
             }
         ));
@@ -946,8 +933,11 @@ mod tests {
         assert!(matches!(
             cmd,
             Command::Query {
-                mode: QueryMode::PathGraph,
-                stats: true,
+                query: QuerySpec {
+                    mode: QueryMode::PathGraph,
+                    stats: true,
+                    ..
+                },
                 ..
             }
         ));
@@ -1004,15 +994,19 @@ mod tests {
             Command::Serve {
                 index: "i.qbs".into(),
                 mmap: true,
-                addr: "127.0.0.1:7411".into(),
                 threads: Some(2),
                 workers: None,
-                max_inflight: 64,
-                max_batch: 16,
-                max_connections: 8,
                 cache: Some(1024),
-                metrics_addr: None,
-                slow_query_ms: None,
+                listen: ListenSpec {
+                    addr: "127.0.0.1:7411".into(),
+                    admission: AdmissionConfig {
+                        max_inflight: 64,
+                        max_batch: 16,
+                        max_connections: 8,
+                    },
+                    metrics_addr: None,
+                    slow_query_ms: None,
+                },
             }
         );
         // Defaults, explicit --addr, and the addr/port conflict.
@@ -1022,9 +1016,14 @@ mod tests {
             Command::Serve {
                 mmap: false,
                 workers: None,
-                max_inflight: 4096,
-                max_batch: 4096,
-                max_connections: 128,
+                listen: ListenSpec {
+                    admission: AdmissionConfig {
+                        max_inflight: 4096,
+                        max_batch: 4096,
+                        max_connections: 128,
+                    },
+                    ..
+                },
                 ..
             }
         ));
@@ -1056,7 +1055,7 @@ mod tests {
         .is_err());
         assert!(matches!(
             parse(&args(&["serve", "--index", "i", "--addr", "0.0.0.0:9"])).unwrap(),
-            Command::Serve { addr, .. } if addr == "0.0.0.0:9"
+            Command::Serve { listen, .. } if listen.addr == "0.0.0.0:9"
         ));
         assert!(parse(&args(&[
             "serve", "--index", "i", "--addr", "h:1", "--port", "2"
@@ -1076,14 +1075,14 @@ mod tests {
             Command::Client {
                 addr: "h:1".into(),
                 trace_id: None,
-                action: ClientAction::Query {
+                action: ClientAction::Query(QuerySpec {
                     source: None,
                     target: None,
                     pairs: Some("p.txt".into()),
                     mode: QueryMode::Distance,
                     stats: true,
                     json: false,
-                },
+                }),
             }
         );
         // The removed `--protocol` pin is an error, not a silent no-op.
@@ -1138,12 +1137,12 @@ mod tests {
         assert!(matches!(
             single,
             Command::Client {
-                action: ClientAction::Query {
+                action: ClientAction::Query(QuerySpec {
                     source: Some(1),
                     target: Some(2),
                     json: true,
                     ..
-                },
+                }),
                 ..
             }
         ));
@@ -1213,33 +1212,33 @@ mod tests {
         .unwrap();
         match parsed {
             Command::Route {
-                addr,
                 replicas,
                 workers,
-                max_inflight,
-                max_batch,
-                max_connections,
-                metrics_addr,
-                slow_query_ms,
+                listen,
             } => {
-                assert_eq!(addr, "127.0.0.1:7410");
+                assert_eq!(listen.addr, "127.0.0.1:7410");
                 assert_eq!(
                     replicas,
                     vec!["10.0.0.1:7411", "10.0.0.2:7411", "10.0.0.3:7411"]
                 );
                 assert_eq!(workers, Some(8));
+                let AdmissionConfig {
+                    max_inflight,
+                    max_batch,
+                    max_connections,
+                } = listen.admission;
                 assert_eq!(
                     (max_inflight, max_batch, max_connections),
                     (4096, 4096, 128)
                 );
-                assert_eq!((metrics_addr, slow_query_ms), (None, None));
+                assert_eq!((listen.metrics_addr, listen.slow_query_ms), (None, None));
             }
             other => panic!("expected Route, got {other:?}"),
         }
         // Defaults: the route port, one replica.
         assert!(matches!(
             parse(&args(&["route", "--replica", "h:1"])).unwrap(),
-            Command::Route { addr, .. } if addr == "127.0.0.1:7410"
+            Command::Route { listen, .. } if listen.addr == "127.0.0.1:7410"
         ));
         // No replicas, or both --addr and --port: rejected.
         assert!(parse(&args(&["route"])).is_err());
@@ -1260,7 +1259,7 @@ mod tests {
         assert_eq!(parse(&[]).unwrap(), Command::Help);
         assert_eq!(parse(&args(&["help"])).unwrap(), Command::Help);
         assert_eq!(parse(&args(&["--help"])).unwrap(), Command::Help);
-        assert!(USAGE.contains("generate"));
+        assert!(usage().contains("generate"));
     }
 
     #[test]
@@ -1316,5 +1315,207 @@ mod tests {
             "query", "--index", "i", "--source", "1", "--target", "2", "--format", "xml"
         ]))
         .is_err());
+    }
+
+    #[test]
+    fn out_of_range_vertex_ids_and_ports_are_refused() {
+        // A vertex id past `u32::MAX` is refused, not truncated to another
+        // vertex (4294967297 would otherwise answer the pair (1, 5)).
+        for argv in [
+            &[
+                "query",
+                "--index",
+                "i",
+                "--source",
+                "4294967297",
+                "--target",
+                "5",
+            ][..],
+            &[
+                "client",
+                "--addr",
+                "h:1",
+                "--source",
+                "4294967297",
+                "--target",
+                "5",
+            ],
+        ] {
+            assert_eq!(
+                parse(&args(argv)).unwrap_err().0,
+                "invalid source '4294967297'"
+            );
+        }
+        let err = parse(&args(&[
+            "client",
+            "--addr",
+            "h:1",
+            "--source",
+            "1",
+            "--target",
+            "4294967296",
+        ]))
+        .unwrap_err();
+        assert_eq!(err.0, "invalid target '4294967296'");
+        assert!(matches!(
+            parse(&args(&[
+                "query",
+                "--index",
+                "i",
+                "--source",
+                "4294967295",
+                "--target",
+                "0",
+            ]))
+            .unwrap(),
+            Command::Query {
+                query: QuerySpec {
+                    source: Some(u32::MAX),
+                    ..
+                },
+                ..
+            }
+        ));
+        for argv in [
+            &["serve", "--index", "i", "--port", "65536"][..],
+            &["route", "--replica", "h:1", "--port", "65536"],
+        ] {
+            assert_eq!(parse(&args(argv)).unwrap_err().0, "invalid port '65536'");
+        }
+    }
+
+    #[test]
+    fn a_repeated_option_is_refused() {
+        let err = parse(&args(&[
+            "build",
+            "--graph",
+            "g",
+            "--landmarks",
+            "5",
+            "--landmarks",
+            "80",
+            "--out",
+            "i",
+        ]))
+        .unwrap_err();
+        assert_eq!(err.0, "build: --landmarks given twice");
+        let err = parse(&args(&[
+            "query", "--index", "i", "--pairs", "p", "--mmap", "--mmap",
+        ]))
+        .unwrap_err();
+        assert_eq!(err.0, "query: --mmap given twice");
+    }
+
+    /// A sample value for an option's help placeholder.
+    fn sample(placeholder: &str) -> &'static str {
+        match placeholder {
+            "NAME" => "YT",
+            "SCALE" => "tiny",
+            "MODE" => "distance",
+            "FORMAT" => "json",
+            "H:P" => "h:1",
+            "HEX" => "0xAB",
+            _ => "7",
+        }
+    }
+
+    /// Every option a table lists parses with a sample value, and `help`
+    /// names every subcommand and, under it, exactly the options `parse`
+    /// accepts.
+    #[test]
+    fn tables_parse_and_help_cannot_drift() {
+        let help = usage();
+        assert!(help.contains("\n  help\n"), "{help}");
+        for spec in COMMANDS {
+            let command = spec.0;
+            let listed: Vec<&str> = help
+                .lines()
+                .skip_while(|line| !line.starts_with(&format!("  {command} ")))
+                .skip(1)
+                .take_while(|line| line.starts_with("      --"))
+                .filter_map(|line| line.split_whitespace().next())
+                .collect();
+            let accepted: Vec<String> = spec
+                .options()
+                .filter(|o| !matches!(o.1, Removed(_)))
+                .map(|o| format!("--{}", o.0))
+                .collect();
+            assert_eq!(listed, accepted, "help for {command}");
+
+            let mut required = vec![command.to_string()];
+            for Opt(name, kind, _) in spec.options() {
+                if let Required(v) | Repeated(v) = kind {
+                    required.extend([format!("--{name}"), sample(v).to_string()]);
+                }
+            }
+            let reads_query = spec.2.iter().any(|o| o.0 == "pairs");
+            for Opt(name, kind, _) in spec.options() {
+                // The pair itself is the sample for --source and --target.
+                let mut argv = required.clone();
+                match kind {
+                    Removed(_) => continue,
+                    Value(_) if ["source", "target"].contains(name) => {}
+                    Value(v) => argv.extend([format!("--{name}"), sample(v).to_string()]),
+                    Flag => argv.push(format!("--{name}")),
+                    Required(_) | Repeated(_) => {}
+                }
+                // A query names one pair unless the option stands in for it.
+                if reads_query && !["pairs", "ping", "metrics", "shutdown"].contains(name) {
+                    argv.extend(args(&["--source", "1", "--target", "2"]));
+                }
+                let parsed = parse(&argv);
+                assert!(parsed.is_ok(), "{argv:?}: {parsed:?}");
+            }
+        }
+    }
+
+    /// Every removed option is refused with its exact message, wherever it
+    /// sits and whether or not a value follows it.
+    #[test]
+    fn removed_options_are_refused_with_their_messages() {
+        let layout = "was removed: there is one index file layout now, so drop the flag";
+        let expected = [
+            ("build", "format", format!("build: --format {layout}")),
+            ("build", "profile", format!("build: --profile {layout}")),
+            (
+                "build",
+                "sequential",
+                "build: --sequential was removed: there is one labelling builder, and it is \
+                 sequential, so drop the flag"
+                    .to_string(),
+            ),
+            (
+                "query",
+                "from-view",
+                "query: --from-view was removed: every query is served from the index file's \
+                 layout, so drop the flag (add --mmap to map the file)"
+                    .to_string(),
+            ),
+            (
+                "client",
+                "protocol",
+                format!(
+                    "--protocol was removed: this build speaks protocol v{} only",
+                    qbs_server::PROTOCOL_VERSION
+                ),
+            ),
+        ];
+        let removed: Vec<(&str, &str)> = COMMANDS
+            .iter()
+            .flat_map(|spec| spec.options().map(move |o| (spec.0, o)))
+            .filter(|(_, o)| matches!(o.1, Removed(_)))
+            .map(|(command, o)| (command, o.0))
+            .collect();
+        let listed: Vec<(&str, &str)> = expected.iter().map(|(c, o, _)| (*c, *o)).collect();
+        assert_eq!(removed, listed);
+        for (command, option, message) in &expected {
+            let option = format!("--{option}");
+            for argv in [
+                vec![*command, &option],
+                vec![*command, &option, "x", "--bogus"],
+            ] {
+                assert_eq!(&parse(&args(&argv)).unwrap_err().0, message);
+            }
+        }
     }
 }

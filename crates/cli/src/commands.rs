@@ -17,18 +17,15 @@ use qbs_graph::json::ToJson;
 use qbs_graph::{io, Graph, VertexId};
 use qbs_router::{QbsRouter, RouterConfig, RouterHandle};
 use qbs_server::{
-    signal, AdmissionConfig, BatchReply, ProtocolError, QbsClient, QbsServer, ServerConfig,
-    ServerHandle,
+    signal, BatchReply, ProtocolError, QbsClient, QbsServer, ServerConfig, ServerHandle,
+    ShutdownSignal,
 };
 
-use crate::args::{ClientAction, Command, USAGE};
+use crate::args::{usage, ClientAction, Command, QuerySpec};
 
 /// Errors produced while executing a command.
 #[derive(Debug)]
 pub enum CommandError {
-    /// The referenced dataset is missing from the catalog (should not happen
-    /// for the built-in catalog; kept for forward compatibility).
-    UnknownDataset(String),
     /// A graph file could not be read or written.
     Graph(qbs_graph::GraphError),
     /// An index could not be built, loaded or queried.
@@ -45,7 +42,6 @@ pub enum CommandError {
 impl fmt::Display for CommandError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CommandError::UnknownDataset(name) => write!(f, "unknown dataset '{name}'"),
             CommandError::Graph(e) => write!(f, "graph error: {e}"),
             CommandError::Index(e) => write!(f, "index error: {e}"),
             CommandError::Protocol(e) => write!(f, "protocol error: {e}"),
@@ -84,17 +80,16 @@ impl From<ProtocolError> for CommandError {
 /// Executes a parsed command and returns the text to print.
 pub fn run(command: &Command) -> Result<String, CommandError> {
     match command {
-        Command::Help => Ok(USAGE.to_string()),
+        Command::Help => Ok(usage()),
         Command::Generate {
             dataset,
             scale,
             out,
         } => {
-            let catalog = Catalog::paper_table1();
-            let spec = catalog
+            let graph = Catalog::paper_table1()
                 .get(*dataset)
-                .ok_or_else(|| CommandError::UnknownDataset(dataset.name().to_string()))?;
-            let graph = spec.generate(*scale);
+                .expect("the Table 1 catalog holds every DatasetId")
+                .generate(*scale);
             store_graph(&graph, out)?;
             Ok(format!(
                 "generated {} stand-in at scale {:?}: {} vertices, {} edges -> {}",
@@ -129,76 +124,31 @@ pub fn run(command: &Command) -> Result<String, CommandError> {
         }
         Command::Query {
             index,
-            source,
-            target,
-            pairs,
             threads,
             mmap,
-            mode,
-            stats,
             cache,
-            json,
+            query,
         } => {
-            let spec = ServeSpec {
-                source: *source,
-                target: *target,
-                pairs: pairs.as_deref(),
-                mode: *mode,
-                stats: *stats,
-                json: *json,
-            };
-            // --mmap maps the index file, otherwise it is read to the
-            // heap; either way it is validated in full.
-            let map_mode = if *mmap { MapMode::Mmap } else { MapMode::Read };
-            let mut qbs = Qbs::open(index, map_mode)?;
-            if let Some(n) = threads {
-                qbs = qbs.with_threads(*n)?;
-            }
-            if let Some(capacity) = cache {
-                qbs = qbs.with_cache(CacheConfig::with_capacity(*capacity));
-            }
-            serve_queries(&qbs, &spec)
+            let qbs = open_session(index, *mmap, *threads, *cache)?;
+            let submit = |requests: &[QueryRequest]| Ok(BatchReply::Outcomes(qbs.submit(requests)));
+            serve_queries(query, submit, Some(&qbs))
         }
         Command::Serve { .. } => {
             let (mut handle, _qbs) = start_server(command)?;
-            // The banner must reach scripts (and humans) *before* the
-            // blocking wait, so it is printed here rather than returned.
-            // `writeln!` (not `println!`): a closed stdout pipe must not
-            // panic a running server (Rust ignores SIGPIPE).
-            let _ = writeln!(
-                std::io::stdout(),
-                "qbs-server listening on {}",
-                handle.local_addr()
-            );
-            std::io::stdout().flush().ok();
-            // Block until Ctrl-C/SIGTERM or a client Shutdown frame; both
-            // run the same graceful drain, so the mmap'd index is always
-            // unmapped cleanly instead of the old hard process exit.
-            let termination = signal::termination_flag();
-            let latch = handle.signal();
-            while !latch.is_shutdown() && !termination.load(Ordering::SeqCst) {
-                std::thread::sleep(Duration::from_millis(100));
-            }
+            let banner = format!("qbs-server listening on {}", handle.local_addr());
+            wait_for_shutdown(&banner, &handle.signal());
             handle.shutdown();
             let report = handle.snapshot().render_text();
             Ok(format!("server drained and stopped\n{report}"))
         }
         Command::Route { replicas, .. } => {
             let mut handle = start_router(command)?;
-            // Same banner discipline as `serve`: reach scripts before the
-            // blocking wait, and never panic on a closed stdout pipe.
-            let _ = writeln!(
-                std::io::stdout(),
+            let banner = format!(
                 "qbs-router listening on {} over {} replica(s)",
                 handle.local_addr(),
                 replicas.len()
             );
-            std::io::stdout().flush().ok();
-            let termination = signal::termination_flag();
-            let latch = handle.signal();
-            while !latch.is_shutdown() && !termination.load(Ordering::SeqCst) {
-                std::thread::sleep(Duration::from_millis(100));
-            }
+            wait_for_shutdown(&banner, &handle.signal());
             handle.shutdown();
             // The router's own counters need no replica round-trips, so
             // the drain report stays cheap even when replicas are gone.
@@ -243,23 +193,8 @@ pub fn run(command: &Command) -> Result<String, CommandError> {
                         "{addr} acknowledged shutdown; in-flight batches are draining"
                     ))
                 }
-                ClientAction::Query {
-                    source,
-                    target,
-                    pairs,
-                    mode,
-                    stats,
-                    json,
-                } => {
-                    let spec = ServeSpec {
-                        source: *source,
-                        target: *target,
-                        pairs: pairs.as_deref(),
-                        mode: *mode,
-                        stats: *stats,
-                        json: *json,
-                    };
-                    serve_queries_remote(&mut client, &spec)
+                ClientAction::Query(query) => {
+                    serve_queries(query, |requests| Ok(client.submit(requests)?), None)
                 }
             }
         }
@@ -315,107 +250,59 @@ pub fn run(command: &Command) -> Result<String, CommandError> {
     }
 }
 
-/// One parsed `query` invocation (mode, stats, output shape), shared by
-/// the single and batch serving paths.
-struct ServeSpec<'a> {
-    source: Option<u32>,
-    target: Option<u32>,
-    pairs: Option<&'a Path>,
-    mode: QueryMode,
-    stats: bool,
-    json: bool,
-}
-
-impl ServeSpec<'_> {
-    /// The typed request for one pair. Path-graph requests always collect
-    /// stats internally (they are free); `--stats` only controls whether
-    /// the report prints them.
-    fn request(&self, u: VertexId, v: VertexId) -> QueryRequest {
-        let req = QueryRequest::new(u, v, self.mode);
-        if self.mode == QueryMode::PathGraph {
-            req.with_stats()
-        } else {
-            req
-        }
+/// The typed request for one pair. Path-graph requests always collect
+/// stats internally (they are free); `--stats` only controls whether the
+/// report prints them.
+fn request(spec: &QuerySpec, u: VertexId, v: VertexId) -> QueryRequest {
+    let req = QueryRequest::new(u, v, spec.mode);
+    if spec.mode == QueryMode::PathGraph {
+        req.with_stats()
+    } else {
+        req
     }
 }
 
-/// Runs a query invocation over a session — read and mapped index files
-/// produce bit-identical reports.
-fn serve_queries(qbs: &Qbs, spec: &ServeSpec<'_>) -> Result<String, CommandError> {
-    match (spec.pairs, spec.source, spec.target) {
-        (Some(pairs_path), _, _) => {
-            let pairs = load_pairs(pairs_path)?;
-            let requests: Vec<QueryRequest> =
-                pairs.iter().map(|&(u, v)| spec.request(u, v)).collect();
-            let start = Instant::now();
-            let outcomes = qbs.submit(&requests);
-            let elapsed = start.elapsed();
-            render_batch(
-                &pairs,
-                &outcomes,
-                elapsed,
-                spec,
-                Some(qbs.threads()),
-                qbs.cache().map(|_| qbs.metrics_snapshot()),
-            )
-        }
-        (None, Some(source), Some(target)) => {
-            // A single bad query is a command error, exactly as before the
-            // request pipeline.
-            let outcome = qbs.execute(&spec.request(source, target)).into_result()?;
-            if spec.json {
-                return Ok(render_outcome_json(&outcome));
-            }
-            Ok(render_outcome_text(source, target, &outcome, true))
-        }
-        _ => unreachable!("argument parsing enforces single-or-batch"),
-    }
-}
-
-/// The network sibling of [`serve_queries`]: the same request shaping and
-/// rendering, but executed through a [`QbsClient`] connection. Admission
-/// shedding renders as a `server busy:` report (an actionable outcome, not
-/// a command failure), so scripts can observe and retry.
-fn serve_queries_remote(
-    client: &mut QbsClient,
-    spec: &ServeSpec<'_>,
+/// Runs a `query` or `client` invocation: shapes its requests, hands them
+/// to `submit` (a local session or a server connection) as one batch, and
+/// renders the outcomes the same way for both, so their reports diff
+/// cleanly. Admission shedding renders as a `server busy:` report (an
+/// actionable outcome, not a command failure), so scripts can observe and
+/// retry. `local` adds the session's threads and cache counters to a batch
+/// report.
+fn serve_queries(
+    spec: &QuerySpec,
+    submit: impl FnOnce(&[QueryRequest]) -> Result<BatchReply, CommandError>,
+    local: Option<&Qbs>,
 ) -> Result<String, CommandError> {
-    match (spec.pairs, spec.source, spec.target) {
-        (Some(pairs_path), _, _) => {
-            let pairs = load_pairs(pairs_path)?;
-            let requests: Vec<QueryRequest> =
-                pairs.iter().map(|&(u, v)| spec.request(u, v)).collect();
-            let start = Instant::now();
-            let reply = client.submit(&requests)?;
-            let elapsed = start.elapsed();
-            match reply {
-                BatchReply::Busy(reason) => Ok(render_busy(&reason, spec.json)),
-                BatchReply::Outcomes(outcomes) => {
-                    render_batch(&pairs, &outcomes, elapsed, spec, None, None)
-                }
-            }
-        }
-        (None, Some(source), Some(target)) => {
-            match client.submit(&[spec.request(source, target)])? {
-                BatchReply::Busy(reason) => Ok(render_busy(&reason, spec.json)),
-                BatchReply::Outcomes(outcomes) => {
-                    let outcome = outcomes
-                        .into_iter()
-                        .next()
-                        .ok_or(CommandError::Protocol(ProtocolError::UnexpectedFrame(
-                            "empty batch",
-                        )))?
-                        .into_result()?;
-                    if spec.json {
-                        return Ok(render_outcome_json(&outcome));
-                    }
-                    Ok(render_outcome_text(source, target, &outcome, true))
-                }
-            }
-        }
+    let pairs = match (&spec.pairs, spec.source, spec.target) {
+        (Some(path), _, _) => load_pairs(path)?,
+        (None, Some(source), Some(target)) => vec![(source, target)],
         _ => unreachable!("argument parsing enforces single-or-batch"),
+    };
+    let requests: Vec<QueryRequest> = pairs.iter().map(|&(u, v)| request(spec, u, v)).collect();
+    let start = Instant::now();
+    let reply = submit(&requests)?;
+    let elapsed = start.elapsed();
+    let outcomes = match reply {
+        BatchReply::Busy(reason) => return Ok(render_busy(&reason, spec.json)),
+        BatchReply::Outcomes(outcomes) => outcomes,
+    };
+    if spec.pairs.is_some() {
+        return Ok(render_batch(&pairs, &outcomes, elapsed, spec, local));
     }
+    // A single bad query is a command error, not a report line.
+    let outcome = outcomes
+        .into_iter()
+        .next()
+        .ok_or(CommandError::Protocol(ProtocolError::UnexpectedFrame(
+            "empty batch",
+        )))?
+        .into_result()?;
+    if spec.json {
+        return Ok(render_outcome_json(&outcome));
+    }
+    let (source, target) = pairs[0];
+    Ok(render_outcome_text(source, target, &outcome, true))
 }
 
 /// Renders an admission shed: a `server busy:` line, or (under
@@ -429,6 +316,41 @@ fn render_busy(reason: &qbs_server::BusyReason, json: bool) -> String {
     }
 }
 
+/// Opens an index file as a session: `mmap` maps the file, otherwise it
+/// is read to the heap; either way it is validated in full.
+fn open_session(
+    index: &Path,
+    mmap: bool,
+    threads: Option<usize>,
+    cache: Option<usize>,
+) -> Result<Qbs, CommandError> {
+    let map_mode = if mmap { MapMode::Mmap } else { MapMode::Read };
+    let mut qbs = Qbs::open(index, map_mode)?;
+    if let Some(n) = threads {
+        qbs = qbs.with_threads(n)?;
+    }
+    if let Some(capacity) = cache {
+        qbs = qbs.with_cache(CacheConfig::with_capacity(capacity));
+    }
+    Ok(qbs)
+}
+
+/// Prints the listening banner, then blocks until Ctrl-C/SIGTERM or a
+/// client `Shutdown` frame. Both end in the same graceful drain, so a
+/// mapped index is always unmapped cleanly.
+fn wait_for_shutdown(banner: &str, latch: &ShutdownSignal) {
+    // The banner must reach scripts (and humans) before the blocking
+    // wait, so it is printed here rather than returned. `writeln!` (not
+    // `println!`): a closed stdout pipe must not panic a running server
+    // (Rust ignores SIGPIPE).
+    let _ = writeln!(std::io::stdout(), "{banner}");
+    std::io::stdout().flush().ok();
+    let termination = signal::termination_flag();
+    while !latch.is_shutdown() && !termination.load(Ordering::SeqCst) {
+        std::thread::sleep(Duration::from_millis(100));
+    }
+}
+
 /// Opens the session and starts the TCP server for a [`Command::Serve`]
 /// invocation. Split from `run` so tests can drive a real server on an
 /// ephemeral port without going through the blocking wait loop.
@@ -436,38 +358,21 @@ pub fn start_server(command: &Command) -> Result<(ServerHandle, Arc<Qbs>), Comma
     let Command::Serve {
         index,
         mmap,
-        addr,
         threads,
         workers,
-        max_inflight,
-        max_batch,
-        max_connections,
         cache,
-        metrics_addr,
-        slow_query_ms,
+        listen,
     } = command
     else {
         unreachable!("start_server is only called with Command::Serve");
     };
-    let map_mode = if *mmap { MapMode::Mmap } else { MapMode::Read };
-    let mut qbs = Qbs::open(index, map_mode)?;
-    if let Some(n) = threads {
-        qbs = qbs.with_threads(*n)?;
-    }
-    if let Some(capacity) = cache {
-        qbs = qbs.with_cache(CacheConfig::with_capacity(*capacity));
-    }
-    let qbs = Arc::new(qbs);
+    let qbs = Arc::new(open_session(index, *mmap, *threads, *cache)?);
     let config = ServerConfig {
-        addr: addr.clone(),
+        addr: listen.addr.clone(),
         workers: workers.unwrap_or(4),
-        admission: AdmissionConfig {
-            max_inflight: *max_inflight,
-            max_batch: *max_batch,
-            max_connections: *max_connections,
-        },
-        metrics_addr: metrics_addr.clone(),
-        slow_query: slow_query_ms.map(Duration::from_millis),
+        admission: listen.admission,
+        metrics_addr: listen.metrics_addr.clone(),
+        slow_query: listen.slow_query_ms.map(Duration::from_millis),
     };
     let handle = QbsServer::start(Arc::clone(&qbs), config).map_err(CommandError::Io)?;
     Ok((handle, qbs))
@@ -478,31 +383,22 @@ pub fn start_server(command: &Command) -> Result<(ServerHandle, Arc<Qbs>), Comma
 /// real router on an ephemeral port without the blocking wait loop.
 pub fn start_router(command: &Command) -> Result<RouterHandle, CommandError> {
     let Command::Route {
-        addr,
         replicas,
         workers,
-        max_inflight,
-        max_batch,
-        max_connections,
-        metrics_addr,
-        slow_query_ms,
+        listen,
     } = command
     else {
         unreachable!("start_router is only called with Command::Route");
     };
-    let mut config = RouterConfig::bind(addr.clone())
+    let mut config = RouterConfig::bind(listen.addr.clone())
         .replicas(replicas.clone())
         .workers(workers.unwrap_or(4))
-        .admission(AdmissionConfig {
-            max_inflight: *max_inflight,
-            max_batch: *max_batch,
-            max_connections: *max_connections,
-        });
-    if let Some(metrics_addr) = metrics_addr {
+        .admission(listen.admission);
+    if let Some(metrics_addr) = &listen.metrics_addr {
         config = config.metrics_addr(metrics_addr.clone());
     }
-    if let Some(ms) = slow_query_ms {
-        config = config.slow_query(Duration::from_millis(*ms));
+    if let Some(ms) = listen.slow_query_ms {
+        config = config.slow_query(Duration::from_millis(ms));
     }
     QbsRouter::start(config).map_err(CommandError::Io)
 }
@@ -621,22 +517,22 @@ fn render_outcome_text(
     }
 }
 
-/// Renders a batch result: one line per request plus throughput, the
-/// thread count when known (local sessions; a remote server's threads are
-/// its own) and cache counters when attached. Error outcomes render as
-/// error lines — they never abort the report. Shared verbatim by the local
-/// `query` and network `client` paths so their reports stay diffable.
+/// Renders a batch result: one line per request plus throughput, and for
+/// a `local` session (a remote server's threads and cache are its own) the
+/// thread count and, when attached, the cache counters. Error outcomes
+/// render as error lines — they never abort the report. Shared verbatim by
+/// the local `query` and network `client` paths so their reports stay
+/// diffable.
 fn render_batch(
     pairs: &[(VertexId, VertexId)],
     outcomes: &[QueryOutcome],
     elapsed: std::time::Duration,
-    spec: &ServeSpec<'_>,
-    threads: Option<usize>,
-    cache: Option<MetricsSnapshot>,
-) -> Result<String, CommandError> {
+    spec: &QuerySpec,
+    local: Option<&Qbs>,
+) -> String {
     if spec.json {
         let items: Vec<String> = outcomes.iter().map(render_outcome_json).collect();
-        return Ok(format!("[\n{}\n]", items.join(",\n")));
+        return format!("[\n{}\n]", items.join(",\n"));
     }
     let mut out = String::new();
     let mut failed = 0usize;
@@ -656,8 +552,8 @@ fn render_batch(
     } else {
         String::new()
     };
-    let on_threads = threads
-        .map(|n| format!(" on {n} threads"))
+    let on_threads = local
+        .map(|qbs| format!(" on {} threads", qbs.threads()))
         .unwrap_or_default();
     out.push_str(&format!(
         "answered {} queries{failures} in {:.3}ms{on_threads} ({:.0} queries/s)\n",
@@ -665,10 +561,11 @@ fn render_batch(
         elapsed.as_secs_f64() * 1e3,
         qps
     ));
-    if let Some(line) = cache.as_ref().and_then(MetricsSnapshot::cache_line) {
+    let cache = local.filter(|qbs| qbs.cache().is_some());
+    if let Some(line) = cache.and_then(|qbs| qbs.metrics_snapshot().cache_line()) {
         out.push_str(&format!("{line}\n"));
     }
-    Ok(out)
+    out
 }
 
 /// The `client --metrics` report: every counter section the snapshot
@@ -724,11 +621,12 @@ fn store_graph(graph: &Graph, path: &Path) -> Result<(), CommandError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::args::Command;
+    use crate::args::{Command, ListenSpec};
     use qbs_core::sketch::{Sketch, SketchHop};
     use qbs_core::{QueryAnswer, RequestError, SearchStats};
     use qbs_gen::catalog::{DatasetId, Scale};
     use qbs_graph::PathGraph;
+    use qbs_server::AdmissionConfig;
 
     // `--format json` output as the serde-based renderer printed it, byte
     // for byte. `SPG_*` are the Douban tiny stand-in's path graphs.
@@ -927,30 +825,34 @@ mod tests {
 
         let report = run(&Command::Query {
             index: index_path.clone(),
-            source: Some(1),
-            target: Some(5),
-            pairs: None,
             threads: None,
             mmap: false,
-            mode: QueryMode::PathGraph,
-            stats: false,
             cache: None,
-            json: false,
+            query: QuerySpec {
+                source: Some(1),
+                target: Some(5),
+                pairs: None,
+                mode: QueryMode::PathGraph,
+                stats: false,
+                json: false,
+            },
         })
         .expect("query");
         assert!(report.contains("SPG(1, 5)"));
 
         let json = run(&Command::Query {
             index: index_path.clone(),
-            source: Some(1),
-            target: Some(5),
-            pairs: None,
             threads: None,
             mmap: false,
-            mode: QueryMode::PathGraph,
-            stats: false,
             cache: None,
-            json: true,
+            query: QuerySpec {
+                source: Some(1),
+                target: Some(5),
+                pairs: None,
+                mode: QueryMode::PathGraph,
+                stats: false,
+                json: true,
+            },
         })
         .expect("json query");
         assert_eq!(json, SPG_1_5);
@@ -1074,15 +976,17 @@ mod tests {
             answers.push(
                 run(&Command::Query {
                     index: index_path,
-                    source: Some(1),
-                    target: Some(5),
-                    pairs: None,
                     threads: None,
                     mmap: false,
-                    mode: QueryMode::PathGraph,
-                    stats: false,
                     cache: None,
-                    json: false,
+                    query: QuerySpec {
+                        source: Some(1),
+                        target: Some(5),
+                        pairs: None,
+                        mode: QueryMode::PathGraph,
+                        stats: false,
+                        json: false,
+                    },
                 })
                 .expect("query"),
             );
@@ -1117,15 +1021,17 @@ mod tests {
 
         let report = run(&Command::Query {
             index: index_path.clone(),
-            source: None,
-            target: None,
-            pairs: Some(pairs_path.clone()),
             threads: Some(2),
             mmap: false,
-            mode: QueryMode::PathGraph,
-            stats: false,
             cache: None,
-            json: false,
+            query: QuerySpec {
+                source: None,
+                target: None,
+                pairs: Some(pairs_path.clone()),
+                mode: QueryMode::PathGraph,
+                stats: false,
+                json: false,
+            },
         })
         .expect("batch query");
         assert!(report.contains("SPG(1, 5)"));
@@ -1135,15 +1041,17 @@ mod tests {
 
         let json = run(&Command::Query {
             index: index_path.clone(),
-            source: None,
-            target: None,
-            pairs: Some(pairs_path),
             threads: None,
             mmap: false,
-            mode: QueryMode::PathGraph,
-            stats: false,
             cache: None,
-            json: true,
+            query: QuerySpec {
+                source: None,
+                target: None,
+                pairs: Some(pairs_path),
+                mode: QueryMode::PathGraph,
+                stats: false,
+                json: true,
+            },
         })
         .expect("batch json");
         assert_eq!(json, format!("[\n{SPG_1_5},\n{SPG_2_9},\n{SPG_0_3}\n]"));
@@ -1151,15 +1059,17 @@ mod tests {
         // Zero threads is rejected through the engine's validation.
         let bad = run(&Command::Query {
             index: index_path,
-            source: Some(1),
-            target: Some(5),
-            pairs: None,
             threads: Some(0),
             mmap: false,
-            mode: QueryMode::PathGraph,
-            stats: false,
             cache: None,
-            json: false,
+            query: QuerySpec {
+                source: Some(1),
+                target: Some(5),
+                pairs: None,
+                mode: QueryMode::PathGraph,
+                stats: false,
+                json: false,
+            },
         });
         assert!(matches!(bad, Err(CommandError::Index(_))));
 
@@ -1194,15 +1104,17 @@ mod tests {
         let query = |mode: QueryMode, stats: bool, cache: Option<usize>, mmap: bool| {
             run(&Command::Query {
                 index: index_path.clone(),
-                source: None,
-                target: None,
-                pairs: Some(pairs_path.clone()),
                 threads: Some(2),
                 mmap,
-                mode,
-                stats,
                 cache,
-                json: false,
+                query: QuerySpec {
+                    source: None,
+                    target: None,
+                    pairs: Some(pairs_path.clone()),
+                    mode,
+                    stats,
+                    json: false,
+                },
             })
             .expect("batch")
         };
@@ -1240,30 +1152,34 @@ mod tests {
         // A single out-of-range query is still a hard command error.
         let single = run(&Command::Query {
             index: index_path.clone(),
-            source: Some(1),
-            target: Some(999_999),
-            pairs: None,
             threads: None,
             mmap: false,
-            mode: QueryMode::Distance,
-            stats: false,
             cache: None,
-            json: false,
+            query: QuerySpec {
+                source: Some(1),
+                target: Some(999_999),
+                pairs: None,
+                mode: QueryMode::Distance,
+                stats: false,
+                json: false,
+            },
         });
         assert!(matches!(single, Err(CommandError::Index(_))));
 
         // JSON batch with an error slot stays valid JSON.
         let json = run(&Command::Query {
             index: index_path,
-            source: None,
-            target: None,
-            pairs: Some(pairs_path),
             threads: None,
             mmap: false,
-            mode: QueryMode::Distance,
-            stats: false,
             cache: None,
-            json: true,
+            query: QuerySpec {
+                source: None,
+                target: None,
+                pairs: Some(pairs_path),
+                mode: QueryMode::Distance,
+                stats: false,
+                json: true,
+            },
         })
         .expect("json batch");
         assert_eq!(json, format!("[\n2,\n{OUT_OF_RANGE_300},\n3\n]"));
@@ -1294,15 +1210,19 @@ mod tests {
         let serve = Command::Serve {
             index: index_path.clone(),
             mmap: true,
-            addr: "127.0.0.1:0".into(),
             threads: Some(2),
             workers: Some(2),
-            max_inflight: 64,
-            max_batch: 4,
-            max_connections: 8,
             cache: Some(1024),
-            metrics_addr: None,
-            slow_query_ms: None,
+            listen: ListenSpec {
+                addr: "127.0.0.1:0".into(),
+                admission: AdmissionConfig {
+                    max_inflight: 64,
+                    max_batch: 4,
+                    max_connections: 8,
+                },
+                metrics_addr: None,
+                slow_query_ms: None,
+            },
         };
         let (mut handle, qbs) = start_server(&serve).expect("start server");
         assert!(
@@ -1318,29 +1238,31 @@ mod tests {
             run(&Command::Client {
                 addr: addr.clone(),
                 trace_id: None,
-                action: ClientAction::Query {
+                action: ClientAction::Query(QuerySpec {
                     source: None,
                     target: None,
                     pairs: Some(pairs_path.clone()),
                     mode,
                     stats: false,
                     json: false,
-                },
+                }),
             })
             .expect("client batch")
         };
         let remote = client_batch(QueryMode::PathGraph);
         let local = run(&Command::Query {
             index: index_path.clone(),
-            source: None,
-            target: None,
-            pairs: Some(pairs_path.clone()),
             threads: Some(2),
             mmap: true,
-            mode: QueryMode::PathGraph,
-            stats: false,
             cache: None,
-            json: false,
+            query: QuerySpec {
+                source: None,
+                target: None,
+                pairs: Some(pairs_path.clone()),
+                mode: QueryMode::PathGraph,
+                stats: false,
+                json: false,
+            },
         })
         .expect("local batch");
         let answers = |report: &str| -> Vec<String> {
@@ -1360,14 +1282,14 @@ mod tests {
         let busy = run(&Command::Client {
             addr: addr.clone(),
             trace_id: None,
-            action: ClientAction::Query {
+            action: ClientAction::Query(QuerySpec {
                 source: None,
                 target: None,
                 pairs: Some(dir.join("big.txt")),
                 mode: QueryMode::Distance,
                 stats: false,
                 json: false,
-            },
+            }),
         })
         .expect("busy report");
         assert!(busy.contains("server busy:"), "{busy}");
@@ -1377,28 +1299,28 @@ mod tests {
         let single = run(&Command::Client {
             addr: addr.clone(),
             trace_id: None,
-            action: ClientAction::Query {
+            action: ClientAction::Query(QuerySpec {
                 source: Some(1),
                 target: Some(5),
                 pairs: None,
                 mode: QueryMode::Distance,
                 stats: false,
                 json: false,
-            },
+            }),
         })
         .expect("single");
         assert!(single.starts_with("d(1, 5) = "), "{single}");
         let json = run(&Command::Client {
             addr: addr.clone(),
             trace_id: None,
-            action: ClientAction::Query {
+            action: ClientAction::Query(QuerySpec {
                 source: None,
                 target: None,
                 pairs: Some(pairs_path.clone()),
                 mode: QueryMode::Distance,
                 stats: false,
                 json: true,
-            },
+            }),
         })
         .expect("json batch");
         assert_eq!(json, format!("[\n2,\n{OUT_OF_RANGE_300},\n3,\n1\n]"));
@@ -1467,34 +1389,34 @@ mod tests {
         std::fs::write(&pairs_path, "1 5\n999999 0\n2 9\n0 3\n").expect("write pairs");
 
         // Two replicas on ephemeral ports, then a router spanning them.
+        let listen = ListenSpec {
+            addr: "127.0.0.1:0".into(),
+            admission: AdmissionConfig {
+                max_inflight: 256,
+                max_batch: 256,
+                max_connections: 32,
+            },
+            metrics_addr: None,
+            slow_query_ms: None,
+        };
         let serve = |_| Command::Serve {
             index: index_path.clone(),
             mmap: true,
-            addr: "127.0.0.1:0".into(),
             threads: Some(2),
             workers: Some(2),
-            max_inflight: 256,
-            max_batch: 256,
-            max_connections: 32,
             cache: None,
-            metrics_addr: None,
-            slow_query_ms: None,
+            listen: listen.clone(),
         };
         let replicas: Vec<(ServerHandle, Arc<Qbs>)> = (0..2)
             .map(|i| start_server(&serve(i)).expect("start replica"))
             .collect();
         let route = Command::Route {
-            addr: "127.0.0.1:0".into(),
             replicas: replicas
                 .iter()
                 .map(|(h, _)| h.local_addr().to_string())
                 .collect(),
             workers: Some(2),
-            max_inflight: 256,
-            max_batch: 256,
-            max_connections: 32,
-            metrics_addr: None,
-            slow_query_ms: None,
+            listen,
         };
         let mut router = start_router(&route).expect("start router");
         let addr = router.local_addr().to_string();
@@ -1505,27 +1427,29 @@ mod tests {
         let routed = run(&Command::Client {
             addr: addr.clone(),
             trace_id: None,
-            action: ClientAction::Query {
+            action: ClientAction::Query(QuerySpec {
                 source: None,
                 target: None,
                 pairs: Some(pairs_path.clone()),
                 mode: QueryMode::PathGraph,
                 stats: false,
                 json: false,
-            },
+            }),
         })
         .expect("routed batch");
         let local = run(&Command::Query {
             index: index_path.clone(),
-            source: None,
-            target: None,
-            pairs: Some(pairs_path),
             threads: Some(2),
             mmap: true,
-            mode: QueryMode::PathGraph,
-            stats: false,
             cache: None,
-            json: false,
+            query: QuerySpec {
+                source: None,
+                target: None,
+                pairs: Some(pairs_path),
+                mode: QueryMode::PathGraph,
+                stats: false,
+                json: false,
+            },
         })
         .expect("local batch");
         let answers = |report: &str| -> Vec<String> {
@@ -1661,20 +1585,20 @@ mod tests {
         assert!(matches!(
             run(&Command::Query {
                 index: index_path,
-                source: Some(0),
-                target: Some(u32::MAX),
-                pairs: None,
                 threads: None,
                 mmap: false,
-                mode: QueryMode::PathGraph,
-                stats: false,
                 cache: None,
-                json: false
+                query: QuerySpec {
+                    source: Some(0),
+                    target: Some(u32::MAX),
+                    pairs: None,
+                    mode: QueryMode::PathGraph,
+                    stats: false,
+                    json: false,
+                },
             }),
             Err(CommandError::Index(_))
         ));
-        let rendered = format!("{}", CommandError::UnknownDataset("X".into()));
-        assert!(rendered.contains("unknown dataset"));
     }
 
     /// A graph whose labels would not fit two-byte slots is refused with

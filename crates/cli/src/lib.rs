@@ -7,6 +7,7 @@
 //! qbs-cli generate --dataset YT --scale small --out youtube.qbsg
 //! qbs-cli build    --graph youtube.qbsg --landmarks 20 --out youtube.qbs
 //! qbs-cli query    --index youtube.qbs --source 17 --target 1234 --format json
+//! qbs-cli route    --replica 127.0.0.1:7411 --replica 127.0.0.1:7412
 //! qbs-cli stats    --index youtube.qbs
 //! qbs-cli convert  --from edges.txt --to graph.qbsg
 //! ```

@@ -8,7 +8,7 @@ fn main() -> ExitCode {
     let command = match qbs_cli::parse(&args) {
         Ok(command) => command,
         Err(err) => {
-            eprintln!("error: {err}\n\n{}", qbs_cli::args::USAGE);
+            eprintln!("error: {err}\n\n{}", qbs_cli::args::usage());
             return ExitCode::FAILURE;
         }
     };

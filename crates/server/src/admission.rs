@@ -200,9 +200,13 @@ impl Admission {
         &self.config
     }
 
-    /// The bound-checking core of batch admission; acquires the permits
-    /// without constructing a guard.
-    fn try_admit_batch(&self, requests: usize) -> Result<(), BusyReason> {
+    /// Tries to admit a batch of `requests` requests: the per-batch cap is
+    /// checked first, then one in-flight permit per request is acquired
+    /// atomically. Sheds (with the precise [`BusyReason`]) instead of
+    /// blocking. The returned guard holds the controller by `Arc`, so the
+    /// permit can travel with the decoded batch from the reactor thread to
+    /// whichever worker executes it; it releases the permits on drop.
+    pub fn admit_batch(self: &Arc<Self>, requests: usize) -> Result<InflightGuard, BusyReason> {
         if requests > self.config.max_batch {
             self.shed_batch_size.fetch_add(1, Ordering::Relaxed);
             return Err(BusyReason::BatchTooLarge {
@@ -226,11 +230,16 @@ impl Admission {
         self.admitted_batches.fetch_add(1, Ordering::Relaxed);
         self.admitted_requests
             .fetch_add(requests as u64, Ordering::Relaxed);
-        Ok(())
+        Ok(InflightGuard {
+            admission: Arc::clone(self),
+            requests,
+        })
     }
 
-    /// The bound-checking core of connection admission.
-    fn try_admit_connection(&self) -> Result<(), BusyReason> {
+    /// Tries to claim a connection slot; sheds at the bound. The guard is
+    /// stored in the reactor's per-connection state and releases the slot
+    /// on drop.
+    pub fn admit_connection(self: &Arc<Self>) -> Result<ConnectionGuard, BusyReason> {
         let mut counts = self.counts.lock().expect("admission counts poisoned");
         if counts.connections >= self.config.max_connections {
             drop(counts);
@@ -240,46 +249,8 @@ impl Admission {
             });
         }
         counts.connections += 1;
-        Ok(())
-    }
-
-    /// Tries to admit a batch of `requests` requests: the per-batch cap is
-    /// checked first, then one in-flight permit per request is acquired
-    /// atomically. Sheds (with the precise [`BusyReason`]) instead of
-    /// blocking. The returned guard releases the permits on drop.
-    pub fn admit_batch(&self, requests: usize) -> Result<InflightGuard<'_>, BusyReason> {
-        self.try_admit_batch(requests)?;
-        Ok(InflightGuard {
-            admission: self,
-            requests,
-        })
-    }
-
-    /// [`Admission::admit_batch`] with an owning guard: the permit can
-    /// travel with the decoded batch from the reactor thread to whichever
-    /// worker executes it, releasing when the response is handed back.
-    pub fn admit_batch_owned(
-        self: &Arc<Self>,
-        requests: usize,
-    ) -> Result<OwnedInflightGuard, BusyReason> {
-        self.try_admit_batch(requests)?;
-        Ok(OwnedInflightGuard {
-            admission: Arc::clone(self),
-            requests,
-        })
-    }
-
-    /// Tries to claim a connection slot; sheds at the bound.
-    pub fn admit_connection(&self) -> Result<ConnectionGuard<'_>, BusyReason> {
-        self.try_admit_connection()?;
-        Ok(ConnectionGuard { admission: self })
-    }
-
-    /// [`Admission::admit_connection`] with an owning guard, stored
-    /// inside the reactor's per-connection state.
-    pub fn admit_connection_owned(self: &Arc<Self>) -> Result<OwnedConnectionGuard, BusyReason> {
-        self.try_admit_connection()?;
-        Ok(OwnedConnectionGuard {
+        drop(counts);
+        Ok(ConnectionGuard {
             admission: Arc::clone(self),
         })
     }
@@ -297,12 +268,6 @@ impl Admission {
     fn release_connection(&self) {
         let mut counts = self.counts.lock().expect("admission counts poisoned");
         counts.connections -= 1;
-    }
-
-    /// Counts a connection shed *before* slot accounting — the listener's
-    /// bounded accept backlog refusing an arrival outright.
-    pub fn record_backlog_shed(&self) {
-        self.shed_connections.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Blocks until no requests are in flight — the shutdown drain.
@@ -335,53 +300,28 @@ impl Admission {
     }
 }
 
-/// RAII permit over a batch's in-flight requests.
+/// RAII permit over a batch's in-flight requests. It holds the controller
+/// by `Arc`, so the permit can cross threads with the work it covers.
 #[derive(Debug)]
-pub struct InflightGuard<'a> {
-    admission: &'a Admission,
-    requests: usize,
-}
-
-impl Drop for InflightGuard<'_> {
-    fn drop(&mut self) {
-        self.admission.release_batch(self.requests);
-    }
-}
-
-/// Owning variant of [`InflightGuard`]: holds the controller by `Arc` so
-/// the permit can cross threads with the work it covers.
-#[derive(Debug)]
-pub struct OwnedInflightGuard {
+pub struct InflightGuard {
     admission: Arc<Admission>,
     requests: usize,
 }
 
-impl Drop for OwnedInflightGuard {
+impl Drop for InflightGuard {
     fn drop(&mut self) {
         self.admission.release_batch(self.requests);
     }
 }
 
-/// RAII permit over one served connection.
-#[derive(Debug)]
-pub struct ConnectionGuard<'a> {
-    admission: &'a Admission,
-}
-
-impl Drop for ConnectionGuard<'_> {
-    fn drop(&mut self) {
-        self.admission.release_connection();
-    }
-}
-
-/// Owning variant of [`ConnectionGuard`], stored in per-connection state
+/// RAII permit over one served connection, stored in per-connection state
 /// that outlives any one stack frame.
 #[derive(Debug)]
-pub struct OwnedConnectionGuard {
+pub struct ConnectionGuard {
     admission: Arc<Admission>,
 }
 
-impl Drop for OwnedConnectionGuard {
+impl Drop for ConnectionGuard {
     fn drop(&mut self) {
         self.admission.release_connection();
     }
@@ -408,7 +348,7 @@ mod tests {
 
     #[test]
     fn batches_acquire_one_permit_per_request() {
-        let admission = Admission::new(config(10, 8, 4));
+        let admission = Arc::new(Admission::new(config(10, 8, 4)));
         let a = admission.admit_batch(6).expect("fits");
         assert_eq!(count(&admission, counter::INFLIGHT), 6);
         let err = admission.admit_batch(5).expect_err("would exceed 10");
@@ -433,7 +373,7 @@ mod tests {
 
     #[test]
     fn oversized_batches_are_refused_before_the_semaphore() {
-        let admission = Admission::new(config(100, 8, 4));
+        let admission = Arc::new(Admission::new(config(100, 8, 4)));
         let err = admission.admit_batch(9).expect_err("over the cap");
         assert_eq!(err, BusyReason::BatchTooLarge { limit: 8, got: 9 });
         assert_eq!(count(&admission, counter::SHED_BATCH_SIZE), 1);
@@ -448,7 +388,7 @@ mod tests {
 
     #[test]
     fn connection_slots_are_bounded() {
-        let admission = Admission::new(config(10, 8, 2));
+        let admission = Arc::new(Admission::new(config(10, 8, 2)));
         let a = admission.admit_connection().expect("slot 1");
         let _b = admission.admit_connection().expect("slot 2");
         let err = admission.admit_connection().expect_err("bound reached");
@@ -462,8 +402,8 @@ mod tests {
     #[test]
     fn owned_guards_release_across_threads() {
         let admission = Arc::new(Admission::new(config(10, 8, 2)));
-        let batch = admission.admit_batch_owned(4).expect("admit");
-        let conn = admission.admit_connection_owned().expect("slot");
+        let batch = admission.admit_batch(4).expect("admit");
+        let conn = admission.admit_connection().expect("slot");
         assert_eq!(count(&admission, counter::INFLIGHT), 4);
         assert_eq!(count(&admission, counter::CONNECTIONS), 1);
         let handle = std::thread::spawn(move || {
@@ -473,16 +413,16 @@ mod tests {
         handle.join().unwrap();
         assert_eq!(count(&admission, counter::INFLIGHT), 0);
         assert_eq!(count(&admission, counter::CONNECTIONS), 0);
-        // Owned admission hits the same bounds as the borrowed form.
-        let _a = admission.admit_connection_owned().expect("slot 1");
-        let _b = admission.admit_connection_owned().expect("slot 2");
-        assert!(admission.admit_connection_owned().is_err());
-        assert!(admission.admit_batch_owned(9).is_err());
+        // The bounds hold as before once the guards have crossed threads.
+        let _a = admission.admit_connection().expect("slot 1");
+        let _b = admission.admit_connection().expect("slot 2");
+        assert!(admission.admit_connection().is_err());
+        assert!(admission.admit_batch(9).is_err());
     }
 
     #[test]
     fn drain_waits_for_inflight_to_empty() {
-        let admission = Admission::new(config(10, 8, 4));
+        let admission = Arc::new(Admission::new(config(10, 8, 4)));
         let guard = admission.admit_batch(3).expect("admit");
         std::thread::scope(|scope| {
             scope.spawn(|| {
@@ -523,7 +463,7 @@ mod tests {
         ));
 
         // The admission counters ride the wire inside a snapshot.
-        let admission = Admission::new(config(10, 8, 2));
+        let admission = Arc::new(Admission::new(config(10, 8, 2)));
         let _batch = admission.admit_batch(3).expect("admit");
         let _ = admission.admit_batch(9).expect_err("oversized");
         let mut snap = MetricsSnapshot::default();

@@ -77,7 +77,7 @@ use qbs_core::{
     TraceId,
 };
 
-use crate::admission::{Admission, AdmissionConfig, OwnedInflightGuard};
+use crate::admission::{Admission, AdmissionConfig, InflightGuard};
 use crate::poll::{self, PollFd, WakePipe, POLLIN, POLLOUT};
 use crate::protocol::{
     self, fault_code, ProtocolError, RequestFrame, ResponseFrame, WireFault, MAX_FRAME_LEN,
@@ -318,7 +318,7 @@ pub struct ForwardJob {
     peer: SocketAddr,
     /// The frame payload: envelope, tag, count, then the requests.
     payload: Vec<u8>,
-    _permit: OwnedInflightGuard,
+    _permit: InflightGuard,
 }
 
 /// Where a forwarded frame's requests start in its payload: the
@@ -632,7 +632,7 @@ enum JobKind {
     /// An admitted batch, carrying its admission permit.
     Batch {
         requests: Vec<QueryRequest>,
-        permit: OwnedInflightGuard,
+        permit: InflightGuard,
     },
     /// A `Metrics` snapshot the backend gathers off-reactor. With
     /// `http` set the completion carries a raw HTTP response for the
@@ -850,7 +850,7 @@ struct Conn {
     stream: TcpStream,
     /// Peer address, for the slow-query log.
     peer: SocketAddr,
-    _guard: crate::admission::OwnedConnectionGuard,
+    _guard: crate::admission::ConnectionGuard,
     /// Whether the client's preamble has arrived and been answered.
     greeted: bool,
     /// Unparsed inbound bytes.
@@ -871,7 +871,7 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: TcpStream, guard: crate::admission::OwnedConnectionGuard) -> Conn {
+    fn new(stream: TcpStream, guard: crate::admission::ConnectionGuard) -> Conn {
         let peer = stream
             .peer_addr()
             .unwrap_or_else(|_| SocketAddr::from(([0, 0, 0, 0], 0)));
@@ -1410,7 +1410,7 @@ fn accept_new(
             continue;
         }
         stream.set_nodelay(true).ok();
-        match ctx.admission.admit_connection_owned() {
+        match ctx.admission.admit_connection() {
             Ok(guard) => {
                 *next_token += 1;
                 conns.insert(*next_token, Conn::new(stream, guard));
@@ -1562,10 +1562,7 @@ fn handle_frame(
     };
     let decoded = match walked {
         Some((forward, Ok(requests))) => {
-            match ctx
-                .admission
-                .admit_batch_owned(requests.len() / REQUEST_LEN)
-            {
+            match ctx.admission.admit_batch(requests.len() / REQUEST_LEN) {
                 Ok(permit) => {
                     conn.inflight += 1;
                     offload.dispatched += 1;
@@ -1629,7 +1626,7 @@ fn execute_frame(
         });
     };
     match frame {
-        RequestFrame::Batch(requests) => match ctx.admission.admit_batch_owned(requests.len()) {
+        RequestFrame::Batch(requests) => match ctx.admission.admit_batch(requests.len()) {
             Ok(permit) => {
                 // Single-request Distance frames execute inline on the
                 // reactor: a pipelined stream of tiny frames arrives one

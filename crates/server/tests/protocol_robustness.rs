@@ -41,7 +41,7 @@ fn request_bodies() -> Vec<Vec<u8>> {
 /// snapshot folded in, cache attached).
 fn snapshots(qbs: &Qbs) -> [MetricsSnapshot; 2] {
     let mut server = qbs.metrics_snapshot();
-    let admission = Admission::new(AdmissionConfig::default());
+    let admission = std::sync::Arc::new(Admission::new(AdmissionConfig::default()));
     let _permit = admission.admit_batch(17).expect("admit");
     admission.snapshot_into(&mut server);
     assert!(server.get(counter::CACHE_HITS).is_some(), "cache attached");
