@@ -266,8 +266,8 @@ const COMMANDS: &[Spec] = &[
         INDEX,
         MMAP,
         THREADS,
-        Opt("workers", Value("N"), "reactor worker threads (default 4)"),
-        Opt("handlers", Value("N"), "the old spelling of --workers"),
+        Opt("workers", Value("N"), "worker threads executing batches (default 4)"),
+        Opt("handlers", Removed(handlers_removed), ""),
         CACHE,
     ], LISTEN),
     Spec("route", &[
@@ -309,6 +309,10 @@ fn view_removed() -> String {
         .into()
 }
 
+fn handlers_removed() -> String {
+    "serve: --handlers was removed: pass --workers N, its one spelling".into()
+}
+
 fn protocol_removed() -> String {
     let version = qbs_server::PROTOCOL_VERSION;
     format!("--protocol was removed: this build speaks protocol v{version} only")
@@ -330,8 +334,8 @@ batches each pair is answered independently: an out-of-range pair
 reports an error for that line only.
 
 `serve` runs the framed TCP server (spec: docs/protocol.md): one poll(2)
-reactor thread multiplexes every connection and the workers execute the
-decoded batches over one shared session. Ctrl-C or `client --shutdown`
+reactor thread multiplexes every connection and the `--workers` pool
+executes every decoded batch, whatever its size, over one shared session. Ctrl-C or `client --shutdown`
 drains in-flight batches and tears down cleanly. Work beyond
 `--max-inflight`/`--max-batch` gets a typed busy reply, never a hang.
 `--metrics-addr` serves the same counters and histograms `client
@@ -507,21 +511,14 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             mmap: a.has("mmap"),
             cache: a.read_as("cache", "cache capacity")?,
         },
-        "serve" => {
-            if a.has("workers") && a.has("handlers") {
-                return refuse("serve: pass --workers or --handlers (its old name), not both");
-            }
-            Command::Serve {
-                listen: ListenSpec::read(&a, DEFAULT_SERVE_ADDR)?,
-                index: path("index"),
-                mmap: a.has("mmap"),
-                threads: a.read("threads")?,
-                // `--handlers` is the pre-reactor spelling, kept as an
-                // alias so existing service files keep starting.
-                workers: a.read("workers")?.or(a.read_as("handlers", "workers")?),
-                cache: a.read_as("cache", "cache capacity")?,
-            }
-        }
+        "serve" => Command::Serve {
+            listen: ListenSpec::read(&a, DEFAULT_SERVE_ADDR)?,
+            index: path("index"),
+            mmap: a.has("mmap"),
+            threads: a.read("threads")?,
+            workers: a.read("workers")?,
+            cache: a.read_as("cache", "cache capacity")?,
+        },
         "route" => {
             let listen = ListenSpec::read(&a, DEFAULT_ROUTE_ADDR)?;
             let replicas: Vec<String> = a
@@ -554,20 +551,31 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
     })
 }
 
-/// The `client` action: at most one control flag, or queries.
+/// The `client` action: at most one control flag, or queries. An option
+/// the chosen action never reads is refused, naming the action that does.
 fn parse_client(a: &Args<'_>) -> Result<Command, ParseError> {
     let trace_id = a.get("trace-id").map(parse_trace_id).transpose()?;
     let has_query = ["source", "target", "pairs"].iter().any(|k| a.has(k));
+    let controls: Vec<&str> = ["ping", "shutdown", "metrics"]
+        .into_iter()
+        .filter(|f| a.has(f))
+        .collect();
+    if a.has("count") && !a.has("ping") {
+        return refuse("client: --count is read by --ping only");
+    }
+    let query_option = ["mode", "format", "stats"].into_iter().find(|o| a.has(o));
+    if let (Some(option), [control, ..]) = (query_option, &controls[..]) {
+        return refuse(format!(
+            "client: --{option} is read by queries (--source/--target or --pairs), not by \
+             --{control}"
+        ));
+    }
     if a.has("stats") && !has_query {
         return refuse(
             "client: bare --stats was removed: the server's counters are printed by \
              `client --metrics`",
         );
     }
-    let controls: Vec<&str> = ["ping", "shutdown", "metrics"]
-        .into_iter()
-        .filter(|f| a.has(f))
-        .collect();
     let action = match controls[..] {
         [] => ClientAction::Query(QuerySpec::read(
             a,
@@ -1027,8 +1035,8 @@ mod tests {
                 ..
             }
         ));
-        // Reactor workers: the new spelling, the pre-reactor alias, and
-        // the conflict between the two.
+        // Workers have one spelling; the pre-reactor `--handlers` is
+        // refused (its message is pinned with the other removed options).
         assert!(matches!(
             parse(&args(&["serve", "--index", "i", "--workers", "6"])).unwrap(),
             Command::Serve {
@@ -1036,23 +1044,7 @@ mod tests {
                 ..
             }
         ));
-        assert!(matches!(
-            parse(&args(&["serve", "--index", "i", "--handlers", "3"])).unwrap(),
-            Command::Serve {
-                workers: Some(3),
-                ..
-            }
-        ));
-        assert!(parse(&args(&[
-            "serve",
-            "--index",
-            "i",
-            "--workers",
-            "2",
-            "--handlers",
-            "3"
-        ]))
-        .is_err());
+        assert!(parse(&args(&["serve", "--index", "i", "--handlers", "3"])).is_err());
         assert!(matches!(
             parse(&args(&["serve", "--index", "i", "--addr", "0.0.0.0:9"])).unwrap(),
             Command::Serve { listen, .. } if listen.addr == "0.0.0.0:9"
@@ -1192,6 +1184,49 @@ mod tests {
             "client", "--addr", "h:1", "--pairs", "p", "--source", "1", "--target", "2"
         ]))
         .is_err());
+        // An option the action never reads is refused, naming the action
+        // that reads it: --count is --ping's, and --mode, --format and
+        // --stats are a query's.
+        let count = "client: --count is read by --ping only";
+        for argv in [
+            &[
+                "client",
+                "--addr",
+                "127.0.0.1:1",
+                "--shutdown",
+                "--count",
+                "3",
+                "--mode",
+                "sketch",
+                "--format",
+                "json",
+            ][..],
+            &["client", "--addr", "h:1", "--count", "3", "--pairs", "p"],
+            &["client", "--addr", "h:1", "--metrics", "--count", "3"],
+        ] {
+            assert_eq!(parse(&args(argv)).unwrap_err().0, count, "{argv:?}");
+        }
+        for (control, option, value) in [
+            ("ping", "mode", "distance"),
+            ("shutdown", "format", "json"),
+            ("metrics", "stats", ""),
+            ("ping", "stats", ""),
+            ("metrics", "mode", "path"),
+        ] {
+            let (control, flag) = (format!("--{control}"), format!("--{option}"));
+            let mut argv = vec!["client", "--addr", "h:1", &control, &flag];
+            if !value.is_empty() {
+                argv.push(value);
+            }
+            assert_eq!(
+                parse(&args(&argv)).unwrap_err().0,
+                format!(
+                    "client: --{option} is read by queries (--source/--target or --pairs), not \
+                     by {control}"
+                ),
+                "{argv:?}"
+            );
+        }
     }
 
     #[test]
@@ -1459,8 +1494,11 @@ mod tests {
                     Flag => argv.push(format!("--{name}")),
                     Required(_) | Repeated(_) => {}
                 }
-                // A query names one pair unless the option stands in for it.
-                if reads_query && !["pairs", "ping", "metrics", "shutdown"].contains(name) {
+                // A query names one pair unless the option stands in for
+                // it; --count is read by --ping alone.
+                if *name == "count" {
+                    argv.push("--ping".to_string());
+                } else if reads_query && !["pairs", "ping", "metrics", "shutdown"].contains(name) {
                     argv.extend(args(&["--source", "1", "--target", "2"]));
                 }
                 let parsed = parse(&argv);
@@ -1490,6 +1528,11 @@ mod tests {
                 "query: --from-view was removed: every query is served from the index file's \
                  layout, so drop the flag (add --mmap to map the file)"
                     .to_string(),
+            ),
+            (
+                "serve",
+                "handlers",
+                "serve: --handlers was removed: pass --workers N, its one spelling".to_string(),
             ),
             (
                 "client",

@@ -8,7 +8,7 @@ fn main() -> ExitCode {
     let command = match qbs_cli::parse(&args) {
         Ok(command) => command,
         Err(err) => {
-            eprintln!("error: {err}\n\n{}", qbs_cli::args::usage());
+            eprintln!("error: {err}\nrun `qbs-cli help` for every command and its options");
             return ExitCode::FAILURE;
         }
     };

@@ -27,7 +27,6 @@
 //! wake pipe.
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{self, Receiver, Sender};
@@ -37,8 +36,8 @@ use std::time::Instant;
 
 use qbs_core::wire::{self, RequestId};
 use qbs_core::{QueryOutcome, RequestError};
-use qbs_server::poll::{self, PollFd, WakePipe, POLLIN, POLLOUT};
-use qbs_server::protocol::{self, SubReply, MAX_FRAME_LEN, REQUEST_LEN};
+use qbs_server::poll::{self, Fill, Pipe, PollFd, WakePipe};
+use qbs_server::protocol::{self, SubReply, REQUEST_LEN};
 use qbs_server::{ClientConfig, Forward, ForwardJob, Forwarded, ProtocolError};
 
 use crate::router::RouterBackend;
@@ -122,14 +121,7 @@ enum LinkState {
     Down,
     /// A dial thread is out; joined once its result is in.
     Dialing(JoinHandle<()>),
-    Up(Conn),
-}
-
-struct Conn {
-    stream: TcpStream,
-    rbuf: Vec<u8>,
-    wbuf: Vec<u8>,
-    woff: usize,
+    Up(Pipe),
 }
 
 struct Pending {
@@ -261,12 +253,7 @@ impl Scatter {
     fn dialed(&mut self, idx: usize, result: Result<TcpStream, ProtocolError>) {
         match result {
             Ok(stream) => {
-                self.links[idx].state = LinkState::Up(Conn {
-                    stream,
-                    rbuf: Vec::new(),
-                    wbuf: Vec::new(),
-                    woff: 0,
-                });
+                self.links[idx].state = LinkState::Up(Pipe::new(stream));
                 self.send_queued(idx);
             }
             Err(_) => {
@@ -292,13 +279,15 @@ impl Scatter {
             };
             let range = &batch.ranges[r];
             link.next_id = link.next_id.next();
+            let mut frame = Vec::new();
             protocol::push_batch_request(
-                &mut conn.wbuf,
+                &mut frame,
                 link.next_id,
                 batch.job.trace(),
                 &batch.job.requests()
                     [range.start * REQUEST_LEN..(range.start + range.len) * REQUEST_LEN],
             );
+            conn.queue(frame);
             link.pending.push(Pending {
                 id: link.next_id,
                 slot: (key, r),
@@ -307,61 +296,33 @@ impl Scatter {
         }
     }
 
-    /// Reads what replica `idx` sent and settles every complete reply.
+    /// Reads what replica `idx` sent, settling each chunk's complete
+    /// replies before the next read.
     fn read(&mut self, idx: usize) {
-        let LinkState::Up(conn) = &mut self.links[idx].state else {
-            return;
-        };
-        let mut broken = false;
         loop {
-            match conn.stream.read(&mut self.scratch) {
-                Ok(0) => {
-                    broken = true;
-                    break;
-                }
-                Ok(n) => {
-                    conn.rbuf.extend_from_slice(&self.scratch[..n]);
-                    if n < self.scratch.len() {
-                        break; // drained for now; poll is level-triggered
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    broken = true;
-                    break;
-                }
-            }
-        }
-        let rbuf = std::mem::take(&mut conn.rbuf);
-        let mut at = 0;
-        while rbuf.len() - at >= 4 {
-            let len = u32::from_le_bytes(rbuf[at..at + 4].try_into().expect("fixed split"));
-            if len > MAX_FRAME_LEN {
-                broken = true;
-                break;
-            }
-            let end = at + 4 + len as usize;
-            if rbuf.len() < end {
-                break;
-            }
-            let payload = &rbuf[at + 4..end];
-            at = end;
-            match protocol::split_envelope(payload) {
-                Ok((id, _, body)) if !id.is_connection_scoped() => self.settle(idx, id, body),
-                // A broken envelope or a connection-scoped fault: nothing
-                // more on this connection can be paired.
-                _ => {
-                    broken = true;
-                    break;
+            let LinkState::Up(conn) = &mut self.links[idx].state else {
+                return;
+            };
+            let fill = conn.fill(&mut self.scratch);
+            while let LinkState::Up(conn) = &mut self.links[idx].state {
+                let payload = match conn.next_frame() {
+                    Ok(Some(payload)) => payload,
+                    Ok(None) => break,
+                    // An over-cap length frames nothing after it.
+                    Err(_) => return self.close(idx),
+                };
+                match protocol::split_envelope(&payload) {
+                    Ok((id, _, body)) if !id.is_connection_scoped() => self.settle(idx, id, body),
+                    // A broken envelope or a connection-scoped fault: nothing
+                    // more on this connection can be paired.
+                    _ => return self.close(idx),
                 }
             }
-        }
-        if broken {
-            self.close(idx);
-        } else if let LinkState::Up(conn) = &mut self.links[idx].state {
-            conn.rbuf = rbuf;
-            conn.rbuf.drain(..at);
+            match fill {
+                Fill::Data => {}
+                Fill::Drained => return,
+                Fill::Eof | Fill::Broken => return self.close(idx),
+            }
         }
     }
 
@@ -396,31 +357,10 @@ impl Scatter {
     /// errors is closed.
     fn flush(&mut self) {
         for idx in 0..self.links.len() {
-            let LinkState::Up(conn) = &mut self.links[idx].state else {
-                continue;
-            };
-            let mut broken = false;
-            while conn.woff < conn.wbuf.len() {
-                match conn.stream.write(&conn.wbuf[conn.woff..]) {
-                    Ok(0) => {
-                        broken = true;
-                        break;
-                    }
-                    Ok(n) => conn.woff += n,
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        broken = true;
-                        break;
-                    }
+            if let LinkState::Up(conn) = &mut self.links[idx].state {
+                if !conn.flush() {
+                    self.close(idx);
                 }
-            }
-            if conn.woff == conn.wbuf.len() {
-                conn.wbuf.clear();
-                conn.woff = 0;
-            }
-            if broken {
-                self.close(idx);
             }
         }
     }
@@ -524,11 +464,7 @@ impl Forward for Scatter {
         self.registered.clear();
         for (idx, link) in self.links.iter().enumerate() {
             if let LinkState::Up(conn) = &link.state {
-                let mut events = POLLIN;
-                if conn.woff < conn.wbuf.len() {
-                    events |= POLLOUT;
-                }
-                fds.push(PollFd::new(poll::stream_fd(&conn.stream), events));
+                fds.push(conn.poll_fd(true));
                 self.registered.push(idx);
             }
         }
@@ -547,7 +483,7 @@ impl Forward for Scatter {
         for (i, fd) in fds.iter().enumerate() {
             let idx = self.registered[i];
             let current = match &self.links[idx].state {
-                LinkState::Up(conn) => poll::stream_fd(&conn.stream) == fd.fd(),
+                LinkState::Up(conn) => poll::stream_fd(conn.stream()) == fd.fd(),
                 _ => false,
             };
             if current && fd.readable() {

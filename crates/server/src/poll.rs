@@ -4,8 +4,9 @@
 //! module binds `poll(2)`, `pipe(2)` and the raw fd `read`/`write`/`close`
 //! directly via `extern "C"` on Unix targets — the same pattern as
 //! `qbs_core::mmap` and [`crate::signal`]. The surface is deliberately
-//! tiny: build a pollfd set, block until something is ready, and a
-//! [`WakePipe`] that lets worker threads interrupt the blocked reactor.
+//! tiny: build a pollfd set, block until something is ready, a
+//! [`WakePipe`] that lets worker threads interrupt the blocked reactor,
+//! and the [`Pipe`] every reactor-driven socket reads and writes through.
 //!
 //! On non-Unix targets the shim degrades to a short-sleep emulation that
 //! reports every descriptor ready: the reactor's reads and writes are all
@@ -13,9 +14,11 @@
 //! re-park — correctness is preserved, efficiency is Unix-only.
 #![allow(unsafe_code)]
 
-use std::io;
+use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+
+use crate::protocol::MAX_FRAME_LEN;
 
 /// Readable-data event bit (also set on EOF by the kernel).
 pub const POLLIN: i16 = 0x1;
@@ -133,6 +136,149 @@ impl WakePipe {
     pub fn drain(&self) {
         self.pending.store(false, Ordering::SeqCst);
         self.ends.read_byte();
+    }
+}
+
+/// What one [`Pipe::fill`] brought in.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Fill {
+    /// A whole chunk arrived: handle it, then read again.
+    Data,
+    /// Whatever was waiting arrived, possibly nothing. Poll is
+    /// level-triggered, so anything newer is the next turn's, and the read
+    /// that would only say `WouldBlock` is saved.
+    Drained,
+    /// The peer finished sending.
+    Eof,
+    /// The connection failed.
+    Broken,
+}
+
+/// A nonblocking connection with its unparsed inbound bytes and its
+/// unsent outbound bytes: the one place a reactor reads, splits frames
+/// and writes.
+#[derive(Debug)]
+pub struct Pipe {
+    stream: TcpStream,
+    rbuf: Vec<u8>,
+    /// How much of `rbuf` [`Pipe::next_frame`] has already handed out.
+    roff: usize,
+    wbuf: Vec<u8>,
+    /// How much of `wbuf` is already written.
+    woff: usize,
+}
+
+impl Pipe {
+    /// Wraps a stream already set nonblocking.
+    pub fn new(stream: TcpStream) -> Pipe {
+        Pipe {
+            stream,
+            rbuf: Vec::new(),
+            roff: 0,
+            wbuf: Vec::new(),
+            woff: 0,
+        }
+    }
+
+    /// The underlying stream.
+    pub fn stream(&self) -> &TcpStream {
+        &self.stream
+    }
+
+    /// The poll entry: readable when `read`, writable while bytes wait.
+    pub fn poll_fd(&self, read: bool) -> PollFd {
+        let mut events = if read { POLLIN } else { 0 };
+        if self.pending() {
+            events |= POLLOUT;
+        }
+        PollFd::new(stream_fd(&self.stream), events)
+    }
+
+    /// Reads one chunk, through `scratch`, onto the inbound bytes.
+    pub fn fill(&mut self, scratch: &mut [u8]) -> Fill {
+        loop {
+            return match (&self.stream).read(scratch) {
+                Ok(0) => Fill::Eof,
+                Ok(n) => {
+                    self.rbuf.extend_from_slice(&scratch[..n]);
+                    if n < scratch.len() {
+                        Fill::Drained
+                    } else {
+                        Fill::Data
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => Fill::Drained,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => Fill::Broken,
+            };
+        }
+    }
+
+    /// The inbound bytes not handed out yet.
+    pub fn input(&self) -> &[u8] {
+        &self.rbuf[self.roff..]
+    }
+
+    /// Drops the first `n` bytes of [`Pipe::input`].
+    pub fn consume(&mut self, n: usize) {
+        self.rbuf.drain(..self.roff + n);
+        self.roff = 0;
+    }
+
+    /// Pops the next complete length-prefixed payload; `Err` carries a
+    /// length over [`MAX_FRAME_LEN`], after which nothing can be framed.
+    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, u32> {
+        let input = self.input();
+        if let Some(prefix) = input.first_chunk::<4>() {
+            let len = u32::from_le_bytes(*prefix);
+            if len > MAX_FRAME_LEN {
+                return Err(len);
+            }
+            if let Some(payload) = input.get(4..4 + len as usize) {
+                let payload = payload.to_vec();
+                self.roff += 4 + payload.len();
+                return Ok(Some(payload));
+            }
+        }
+        self.consume(0);
+        Ok(None)
+    }
+
+    /// Queues bytes behind whatever is still unsent.
+    pub fn queue(&mut self, bytes: Vec<u8>) {
+        if self.wbuf.is_empty() {
+            self.wbuf = bytes;
+        } else {
+            self.wbuf.extend_from_slice(&bytes);
+        }
+    }
+
+    /// Whether queued bytes are still unsent.
+    pub fn pending(&self) -> bool {
+        self.woff < self.wbuf.len()
+    }
+
+    /// Writes until the queue empties or the socket would block; `false`
+    /// when the connection failed. The written prefix is released once it
+    /// is half the buffer, so no byte moves more than once on average.
+    pub fn flush(&mut self) -> bool {
+        let healthy = loop {
+            if !self.pending() {
+                break true;
+            }
+            match (&self.stream).write(&self.wbuf[self.woff..]) {
+                Ok(0) => break false,
+                Ok(n) => self.woff += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break true,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => break false,
+            }
+        };
+        if self.woff * 2 >= self.wbuf.len() {
+            self.wbuf.drain(..self.woff);
+            self.woff = 0;
+        }
+        healthy
     }
 }
 
@@ -294,6 +440,131 @@ mod tests {
     use super::*;
     use std::io::{Read, Write};
     use std::net::{TcpListener, TcpStream};
+
+    /// A connected pair: a blocking client and a nonblocking [`Pipe`]
+    /// over the server side.
+    fn pipe_pair() -> (TcpStream, Pipe) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server_side, _) = listener.accept().unwrap();
+        server_side.set_nonblocking(true).unwrap();
+        (client, Pipe::new(server_side))
+    }
+
+    /// Waits until the pipe is readable, then reads one chunk.
+    fn fill_ready(pipe: &mut Pipe, scratch: &mut [u8]) -> Fill {
+        let mut fds = [pipe.poll_fd(true)];
+        poll(&mut fds, 2_000).unwrap();
+        pipe.fill(scratch)
+    }
+
+    /// Reads until at least `len` inbound bytes wait.
+    fn fill_to(pipe: &mut Pipe, scratch: &mut [u8], len: usize) {
+        while pipe.input().len() < len {
+            assert!(!matches!(
+                fill_ready(pipe, scratch),
+                Fill::Eof | Fill::Broken
+            ));
+        }
+    }
+
+    fn frame(payload: &[u8]) -> Vec<u8> {
+        let mut out = (payload.len() as u32).to_le_bytes().to_vec();
+        out.extend_from_slice(payload);
+        out
+    }
+
+    #[test]
+    fn pipe_joins_a_frame_split_across_chunks() {
+        let (mut client, mut pipe) = pipe_pair();
+        let mut scratch = [0u8; 4];
+        let bytes = frame(b"split payload");
+        client.write_all(&bytes[..6]).unwrap();
+        fill_to(&mut pipe, &mut scratch, 6);
+        assert_eq!(pipe.next_frame(), Ok(None), "half a frame is not a frame");
+        client.write_all(&bytes[6..]).unwrap();
+        // A 4-byte scratch takes several chunks; each is a full `Data`.
+        fill_to(&mut pipe, &mut scratch, bytes.len());
+        assert_eq!(pipe.next_frame(), Ok(Some(b"split payload".to_vec())));
+        assert_eq!(pipe.next_frame(), Ok(None));
+        assert!(pipe.input().is_empty());
+    }
+
+    #[test]
+    fn pipe_pops_several_frames_from_one_chunk() {
+        let (mut client, mut pipe) = pipe_pair();
+        let mut scratch = [0u8; 1024];
+        let payloads: [&[u8]; 3] = [b"one", b"", b"three"];
+        let mut bytes: Vec<u8> = payloads.iter().flat_map(|p| frame(p)).collect();
+        bytes.extend_from_slice(&[9, 0]); // the start of a fourth prefix
+        client.write_all(&bytes).unwrap();
+        fill_to(&mut pipe, &mut scratch, bytes.len());
+        for payload in payloads {
+            assert_eq!(pipe.next_frame(), Ok(Some(payload.to_vec())));
+        }
+        assert_eq!(pipe.next_frame(), Ok(None));
+        assert_eq!(pipe.input(), &[9, 0], "the partial prefix waits");
+    }
+
+    #[test]
+    fn pipe_reports_an_over_cap_length() {
+        let (mut client, mut pipe) = pipe_pair();
+        let mut scratch = [0u8; 64];
+        let mut bytes = frame(b"fine");
+        bytes.extend_from_slice(&(MAX_FRAME_LEN + 1).to_le_bytes());
+        client.write_all(&bytes).unwrap();
+        fill_to(&mut pipe, &mut scratch, bytes.len());
+        assert_eq!(pipe.next_frame(), Ok(Some(b"fine".to_vec())));
+        assert_eq!(pipe.next_frame(), Err(MAX_FRAME_LEN + 1));
+        // The cap itself is a legal length, waiting for its payload.
+        let (mut client, mut pipe) = pipe_pair();
+        client.write_all(&MAX_FRAME_LEN.to_le_bytes()).unwrap();
+        fill_to(&mut pipe, &mut scratch, 4);
+        assert_eq!(pipe.next_frame(), Ok(None));
+    }
+
+    #[test]
+    fn pipe_sees_eof_in_the_middle_of_a_frame() {
+        let (mut client, mut pipe) = pipe_pair();
+        let mut scratch = [0u8; 64];
+        client.write_all(&frame(b"truncated")[..7]).unwrap();
+        drop(client);
+        let mut fills = Vec::new();
+        while fills.last() != Some(&Fill::Eof) {
+            fills.push(fill_ready(&mut pipe, &mut scratch));
+            assert!(fills.len() < 100, "EOF never surfaced: {fills:?}");
+        }
+        assert_eq!(pipe.input().len(), 7);
+        assert_eq!(pipe.next_frame(), Ok(None), "a cut frame is never popped");
+    }
+
+    #[test]
+    fn pipe_flush_stops_at_would_block_and_resumes() {
+        let (mut client, mut pipe) = pipe_pair();
+        // Far more than the loopback send and receive buffers hold.
+        let sent: Vec<u8> = (0..32u32 << 20).map(|i| (i % 251) as u8).collect();
+        pipe.queue(sent.clone());
+        assert!(pipe.flush(), "a full socket is not a broken one");
+        assert!(pipe.pending(), "the first flush stops at WouldBlock");
+        let reader = std::thread::spawn(move || {
+            let mut got = Vec::new();
+            client.read_to_end(&mut got).unwrap();
+            got
+        });
+        pipe.queue(b"tail".to_vec());
+        let mut flushes = 1;
+        while pipe.pending() {
+            let mut fds = [pipe.poll_fd(false)];
+            poll(&mut fds, 2_000).unwrap();
+            assert!(pipe.flush());
+            flushes += 1;
+        }
+        assert!(flushes > 1);
+        pipe.stream().shutdown(std::net::Shutdown::Write).unwrap();
+        let got = reader.join().unwrap();
+        assert_eq!(got.len(), sent.len() + 4);
+        assert!(got[..sent.len()] == sent[..] && got.ends_with(b"tail"));
+    }
 
     #[test]
     fn poll_times_out_on_an_idle_socket() {

@@ -11,7 +11,7 @@
 //!                 │ frames, control frames answered inline;    │ (router only:
 //!                 │ a forwarding backend's batches stay here   │  Forward hook)
 //!                 └───────┬───────────────────────▲────────────┘
-//!                         │ Batch jobs            │ completions (wake pipe)
+//!                         │ every admitted batch  │ completions (wake pipe)
 //!                         ▼                       │
 //!                 ┌────────────────────────────────────────────┐
 //!                 │ worker pool (W threads): Qbs::submit,      │
@@ -21,14 +21,17 @@
 //! ```
 //!
 //! The reactor owns all connection state: the handshake (one dialect —
-//! an older hello is refused with a typed fault), per-connection read
-//! buffers and write queues, and the out-of-order completion path — a
+//! an older hello is refused with a typed fault), each connection's
+//! [`crate::poll::Pipe`] (its unparsed and unsent bytes; every read and
+//! write goes through it), and the out-of-order completion path — a
 //! worker finishes a batch, pushes the encoded response, and wakes the
 //! reactor through [`crate::poll::WakePipe`]; the reactor writes it
-//! whenever that socket drains. A reply the reactor makes itself (the
-//! handshake, control frames, sheds, faults, inline answers) is written
-//! in the turn that made it. Idle connections cost one pollfd entry, not
-//! a thread.
+//! whenever that socket drains. There is one batch path: every admitted
+//! batch of an executing backend runs on the worker pool, whatever its
+//! size or mode, so one slow query never stalls the reactor's I/O. A
+//! reply the reactor makes itself (the handshake, control frames, sheds,
+//! faults) is written in the turn that made it. Idle connections cost one
+//! pollfd entry, not a thread.
 //!
 //! A backend that forwards instead of executing (the router) returns a
 //! [`Forward`] from [`ServeBackend::forwarder`]: admitted batches are
@@ -60,7 +63,7 @@
 //! `shutdown` joins the reactor and every worker before returning, so
 //! the process can unmap the index file cleanly.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -73,12 +76,11 @@ use std::time::{Duration, Instant};
 use qbs_core::obs::saturating_ns;
 use qbs_core::wire::RequestId;
 use qbs_core::{
-    Metrics, MetricsSnapshot, Qbs, QueryMode, QueryOutcome, QueryRequest, Stage, StageNanos,
-    TraceId,
+    Metrics, MetricsSnapshot, Qbs, QueryOutcome, QueryRequest, Stage, StageNanos, TraceId,
 };
 
 use crate::admission::{Admission, AdmissionConfig, InflightGuard};
-use crate::poll::{self, PollFd, WakePipe, POLLIN, POLLOUT};
+use crate::poll::{self, Fill, Pipe, PollFd, WakePipe, POLLIN};
 use crate::protocol::{
     self, fault_code, ProtocolError, RequestFrame, ResponseFrame, WireFault, MAX_FRAME_LEN,
     PREAMBLE_LEN, PROTOCOL_MAGIC, REQUEST_LEN,
@@ -93,15 +95,6 @@ const WAIT_POLL: Duration = Duration::from_millis(100);
 
 /// Size of the reactor's shared read scratch buffer.
 const READ_CHUNK: usize = 64 * 1024;
-
-/// Largest batch the reactor executes inline instead of dispatching to
-/// the worker pool. Pipelined single-request frames arrive one per reply
-/// in steady state; routing each through a worker costs two context
-/// switches per request — more than the query itself on small graphs.
-/// Only `Distance`-mode requests qualify: they are the microsecond fast
-/// path, while a path-graph or sketch query on a large graph could add
-/// head-of-line latency to every connection the reactor serves.
-const INLINE_BATCH_MAX: usize = 1;
 
 /// How long the listener sits out of the poll set after a transient
 /// accept failure (EMFILE under a connection flood, ...). The listener
@@ -242,31 +235,20 @@ impl ShutdownSignal {
 /// replica connections in its own poll loop, reusing the handshake,
 /// admission, pipelining and drain unchanged.
 pub trait ServeBackend: Send + Sync + std::fmt::Debug + 'static {
-    /// Executes a batch, one outcome per request slot. A backend with a
+    /// Executes a batch under a trace ID: one outcome per request slot,
+    /// plus the batch's aggregate per-stage wall time (all zeros when the
+    /// backend does not instrument). A backend with a
     /// [`ServeBackend::forwarder`] never receives a batch here; the
     /// default answers every slot `Unavailable`.
-    fn execute(&self, requests: &[QueryRequest]) -> Vec<QueryOutcome> {
-        let reason = "this backend forwards batches and executes none".to_string();
-        requests
-            .iter()
-            .map(|_| {
-                QueryOutcome::Error(qbs_core::RequestError::Unavailable {
-                    reason: reason.clone(),
-                })
-            })
-            .collect()
-    }
-
-    /// Executes a batch under a trace ID, returning the outcomes plus the
-    /// batch's aggregate per-stage wall time (all zeros when the backend
-    /// does not instrument).
-    fn execute_traced(
+    fn execute(
         &self,
         requests: &[QueryRequest],
         trace: TraceId,
     ) -> (Vec<QueryOutcome>, StageNanos) {
         let _ = trace;
-        (self.execute(requests), StageNanos::default())
+        let reason = "this backend forwards batches and executes none".to_string();
+        let unavailable = QueryOutcome::Error(qbs_core::RequestError::Unavailable { reason });
+        (vec![unavailable; requests.len()], StageNanos::default())
     }
 
     /// The forward hook. A backend that answers batches by forwarding
@@ -297,13 +279,6 @@ pub trait ServeBackend: Send + Sync + std::fmt::Debug + 'static {
     /// encode) into the same histograms the execution stages land in.
     fn obs(&self) -> Option<&Metrics> {
         None
-    }
-
-    /// Whether single-request `Distance` frames may execute inline on the
-    /// reactor thread. Only a backend whose fast path is genuinely
-    /// microsecond-scale (a local index) should say yes.
-    fn inline_eligible(&self) -> bool {
-        false
     }
 }
 
@@ -387,11 +362,7 @@ pub trait Forward: Send {
 }
 
 impl ServeBackend for Qbs {
-    fn execute(&self, requests: &[QueryRequest]) -> Vec<QueryOutcome> {
-        self.submit(requests)
-    }
-
-    fn execute_traced(
+    fn execute(
         &self,
         requests: &[QueryRequest],
         _trace: TraceId,
@@ -405,10 +376,6 @@ impl ServeBackend for Qbs {
 
     fn obs(&self) -> Option<&Metrics> {
         Some(self.metrics())
-    }
-
-    fn inline_eligible(&self) -> bool {
-        true
     }
 }
 
@@ -701,7 +668,9 @@ fn contain<T>(backend: &dyn ServeBackend, body: impl FnOnce() -> T) -> Result<T,
 
 /// Executes one worker job and encodes its reply: a protocol frame under
 /// the request's envelope, or a complete HTTP response for a `/metrics`
-/// snapshot gathered off-reactor.
+/// snapshot gathered off-reactor. Every admitted batch of a backend that
+/// executes runs here: it records its queue wait, and its slow-query line
+/// when execution crosses the configured threshold.
 fn run_job(
     backend: &dyn ServeBackend,
     admission: &Admission,
@@ -711,9 +680,19 @@ fn run_job(
     let frame = match job.kind {
         JobKind::Batch { requests, permit } => {
             let queue_wait = job.enqueued.elapsed();
-            let outcomes = run_batch(
-                backend, slow_query, job.peer, job.trace, &requests, queue_wait,
-            );
+            if let Some(m) = backend.obs() {
+                m.record_batch_stage(Stage::QueueWait, queue_wait);
+            }
+            let t_exec = Instant::now();
+            let (outcomes, stages) = backend.execute(&requests, job.trace);
+            let batch = SlowBatch {
+                peer: job.peer,
+                trace: job.trace,
+                len: requests.len(),
+                queue_wait,
+                exec: t_exec.elapsed(),
+            };
+            batch.log_if_slow(backend, slow_query, &stages);
             // Release the permits before the response is queued —
             // execution is what the in-flight bound meters.
             drop(permit);
@@ -733,37 +712,6 @@ fn run_job(
         m.record_batch_stage(Stage::WireEncode, t_encode.elapsed());
     }
     bytes
-}
-
-/// Executes one batch through the backend's traced path, recording the
-/// queue-wait stage and emitting a slow-query log line when execution
-/// crosses the configured threshold. Shared by the worker path and the
-/// reactor's inline fast path, so the slow-query log covers both.
-fn run_batch(
-    backend: &dyn ServeBackend,
-    slow_query: Option<Duration>,
-    peer: SocketAddr,
-    trace: TraceId,
-    requests: &[QueryRequest],
-    queue_wait: Duration,
-) -> Vec<QueryOutcome> {
-    if let Some(m) = backend.obs() {
-        if queue_wait > Duration::ZERO {
-            m.record_batch_stage(Stage::QueueWait, queue_wait);
-        }
-    }
-    let t_exec = Instant::now();
-    let (outcomes, stages) = backend.execute_traced(requests, trace);
-    let exec = t_exec.elapsed();
-    let batch = SlowBatch {
-        peer,
-        trace,
-        len: requests.len(),
-        queue_wait,
-        exec,
-    };
-    batch.log_if_slow(backend, slow_query, &stages);
-    outcomes
 }
 
 /// What the slow-query log says about one batch.
@@ -847,18 +795,12 @@ enum ReadMode {
 
 /// Per-connection reactor state.
 struct Conn {
-    stream: TcpStream,
+    pipe: Pipe,
     /// Peer address, for the slow-query log.
     peer: SocketAddr,
     _guard: crate::admission::ConnectionGuard,
     /// Whether the client's preamble has arrived and been answered.
     greeted: bool,
-    /// Unparsed inbound bytes.
-    rbuf: Vec<u8>,
-    /// Outbound frames; the front may be partially written.
-    wbuf: VecDeque<Vec<u8>>,
-    /// Write offset into the front of `wbuf`.
-    woff: usize,
     /// Jobs dispatched to workers and not yet completed.
     inflight: usize,
     mode: ReadMode,
@@ -876,13 +818,10 @@ impl Conn {
             .peer_addr()
             .unwrap_or_else(|_| SocketAddr::from(([0, 0, 0, 0], 0)));
         Conn {
-            stream,
+            pipe: Pipe::new(stream),
             peer,
             _guard: guard,
             greeted: false,
-            rbuf: Vec::new(),
-            wbuf: VecDeque::new(),
-            woff: 0,
             inflight: 0,
             mode: ReadMode::Frames,
             closing: false,
@@ -893,7 +832,13 @@ impl Conn {
 
     /// Whether every queued and in-flight piece of work has been written.
     fn flushed(&self) -> bool {
-        self.wbuf.is_empty() && self.inflight == 0
+        !self.pipe.pending() && self.inflight == 0
+    }
+
+    /// Queues a reply and writes what the socket takes.
+    fn send(&mut self, bytes: Vec<u8>) {
+        self.pipe.queue(bytes);
+        self.dead |= !self.pipe.flush();
     }
 
     /// Queues a fatal, connection-scoped fault: the frame goes out,
@@ -901,8 +846,8 @@ impl Conn {
     /// the socket closes.
     fn fault_close(&mut self, code: u8, message: String) {
         let fault = ResponseFrame::Error(WireFault { code, message });
-        self.wbuf
-            .push_back(wire_response(RequestId::CONNECTION, TraceId::NONE, &fault));
+        self.pipe
+            .queue(wire_response(RequestId::CONNECTION, TraceId::NONE, &fault));
         self.mode = ReadMode::Discard;
         self.closing = true;
         self.deadline = Some(Instant::now() + FAULT_LINGER);
@@ -1014,29 +959,13 @@ fn reactor_loop(
         };
         let base = fds.len();
         let order: Vec<u64> = conns.keys().copied().collect();
-        for token in &order {
-            let conn = &conns[token];
-            let mut events = 0i16;
-            if conn.mode != ReadMode::Stopped {
-                events |= POLLIN;
-            }
-            if !conn.wbuf.is_empty() {
-                events |= POLLOUT;
-            }
-            fds.push(PollFd::new(poll::stream_fd(&conn.stream), events));
+        for conn in order.iter().map(|token| &conns[token]) {
+            fds.push(conn.pipe.poll_fd(conn.mode != ReadMode::Stopped));
         }
         let hbase = fds.len();
         let horder: Vec<u64> = https.keys().copied().collect();
-        for token in &horder {
-            let http = &https[token];
-            let mut events = 0i16;
-            if !http.responded {
-                events |= POLLIN;
-            }
-            if !http.wbuf.is_empty() {
-                events |= POLLOUT;
-            }
-            fds.push(PollFd::new(poll::stream_fd(&http.stream), events));
+        for http in horder.iter().map(|token| &https[token]) {
+            fds.push(http.pipe.poll_fd(!http.responded));
         }
         let fbase = fds.len();
         if let Some(forward) = offload.forward.as_mut() {
@@ -1064,17 +993,14 @@ fn reactor_loop(
             if let Some(http) = https.get_mut(&completion.token) {
                 // A `/metrics` snapshot gathered off-reactor (the router):
                 // the bytes are a complete HTTP response.
-                http.wbuf = completion.bytes;
-                http.responded = true;
-                http_write(http);
+                http.respond(completion.bytes);
                 continue;
             }
             let Some(conn) = conns.get_mut(&completion.token) else {
                 continue; // connection died while the batch executed
             };
             conn.inflight -= 1;
-            conn.wbuf.push_back(completion.bytes);
-            conn_write(conn);
+            conn.send(completion.bytes);
         }
 
         if let Some(slot) = listener_slot {
@@ -1097,8 +1023,8 @@ fn reactor_loop(
             if fd.readable() && conn.mode != ReadMode::Stopped {
                 conn_read(&ctx, conn, *token, &mut scratch, &mut offload);
             }
-            if fd.writable() && !conn.wbuf.is_empty() {
-                conn_write(conn);
+            if fd.writable() && conn.pipe.pending() {
+                conn.dead |= !conn.pipe.flush();
             }
         }
         for (i, token) in horder.iter().enumerate() {
@@ -1109,8 +1035,8 @@ fn reactor_loop(
             if fd.readable() && !http.responded {
                 http_read(&ctx, http, *token, &mut scratch, &mut offload);
             }
-            if fd.writable() && !http.wbuf.is_empty() {
-                http_write(http);
+            if fd.writable() && http.pipe.pending() {
+                http.dead |= !http.pipe.flush();
             }
         }
 
@@ -1135,7 +1061,7 @@ fn reactor_loop(
                 // connections the periodic read path has been draining
                 // the peer; with the write queue empty the close is now
                 // an orderly FIN.
-                let _ = conn.stream.shutdown(std::net::Shutdown::Write);
+                let _ = conn.pipe.stream().shutdown(std::net::Shutdown::Write);
                 return false;
             }
             if let Some(deadline) = conn.deadline {
@@ -1150,12 +1076,11 @@ fn reactor_loop(
                 return false;
             }
             // `responded` alone is not enough: a worker-dispatched
-            // `/metrics` request sets it with `wbuf` still empty until
-            // the completion lands — reap only once bytes exist and are
-            // fully written.
-            if http.responded && !http.wbuf.is_empty() && http.wbuf.len() == http.woff {
+            // `/metrics` request sets it before the completion lands —
+            // reap only once the response is queued and fully written.
+            if http.queued && !http.pipe.pending() {
                 // Response delivered in full; `Connection: close`.
-                let _ = http.stream.shutdown(std::net::Shutdown::Write);
+                let _ = http.pipe.stream().shutdown(std::net::Shutdown::Write);
                 return false;
             }
             if let Some(deadline) = http.deadline {
@@ -1196,8 +1121,7 @@ fn deliver_forwarded(ctx: &Ctx<'_>, conns: &mut HashMap<u64, Conn>, reply: Forwa
         return; // connection died while the batch was forwarded
     };
     conn.inflight -= 1;
-    conn.wbuf.push_back(capped(job.id, job.trace, frame));
-    conn_write(conn);
+    conn.send(capped(job.id, job.trace, frame));
     drop(job);
 }
 
@@ -1214,17 +1138,23 @@ const HTTP_DEADLINE: Duration = Duration::from_secs(10);
 
 /// Per-connection state of the `/metrics` HTTP listener.
 struct HttpConn {
-    stream: TcpStream,
-    /// Inbound bytes, up to the end of the request head.
-    rbuf: Vec<u8>,
-    /// The full response; written from `woff`.
-    wbuf: Vec<u8>,
-    woff: usize,
+    pipe: Pipe,
     /// The response is queued (or dispatched); stop reading.
     responded: bool,
+    /// The response is queued: close once it is written.
+    queued: bool,
     /// Force-drop time.
     deadline: Option<Instant>,
     dead: bool,
+}
+
+impl HttpConn {
+    /// Queues the complete response and writes what the socket takes.
+    fn respond(&mut self, response: Vec<u8>) {
+        (self.responded, self.queued) = (true, true);
+        self.pipe.queue(response);
+        self.dead |= !self.pipe.flush();
+    }
 }
 
 /// Accepts pending `/metrics` connections (outside admission — it is an
@@ -1242,11 +1172,9 @@ fn accept_http(listener: &TcpListener, https: &mut HashMap<u64, HttpConn>, next_
         https.insert(
             *next_token,
             HttpConn {
-                stream,
-                rbuf: Vec::new(),
-                wbuf: Vec::new(),
-                woff: 0,
+                pipe: Pipe::new(stream),
                 responded: false,
+                queued: false,
                 deadline: Some(Instant::now() + HTTP_DEADLINE),
                 dead: false,
             },
@@ -1264,63 +1192,38 @@ fn http_read(
     scratch: &mut [u8],
     offload: &mut Offload,
 ) {
-    loop {
-        match http.stream.read(scratch) {
-            Ok(0) => {
-                http.dead = true;
-                return;
-            }
-            Ok(n) => {
-                http.rbuf.extend_from_slice(&scratch[..n]);
-                if http.rbuf.len() > MAX_HTTP_HEAD {
-                    http.wbuf = http_error(431, "Request Header Fields Too Large");
-                    http.responded = true;
-                    http_write(http);
-                    return;
-                }
-                if let Some(head_end) = find_head_end(&http.rbuf) {
-                    http_dispatch(ctx, http, token, head_end, offload);
-                    return;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                http.dead = true;
-                return;
-            }
+    let head_end = loop {
+        let fill = http.pipe.fill(scratch);
+        if matches!(fill, Fill::Eof | Fill::Broken) {
+            http.dead = true;
+            return;
         }
-    }
-}
-
-/// Routes a complete HTTP request head.
-fn http_dispatch(
-    ctx: &Ctx<'_>,
-    http: &mut HttpConn,
-    token: u64,
-    head_end: usize,
-    offload: &mut Offload,
-) {
-    let head = String::from_utf8_lossy(&http.rbuf[..head_end]);
-    let request_line = head.lines().next().unwrap_or("");
-    let mut parts = request_line.split_whitespace();
-    let (method, path) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
-    if method != "GET" {
-        http.wbuf = http_error(405, "Method Not Allowed");
-        http.responded = true;
-        http_write(http);
-        return;
-    }
-    if path != "/metrics" {
-        http.wbuf = http_error(404, "Not Found");
-        http.responded = true;
-        http_write(http);
-        return;
-    }
-    if ctx.backend.snapshot_inline() {
-        http.wbuf = http_ok(&snapshot(ctx.backend, ctx.admission).render_prometheus());
-        http.responded = true;
-        http_write(http);
+        if http.pipe.input().len() > MAX_HTTP_HEAD {
+            return http.respond(http_error(431, "Request Header Fields Too Large"));
+        }
+        if let Some(head_end) = find_head_end(http.pipe.input()) {
+            break head_end;
+        }
+        if fill == Fill::Drained {
+            return;
+        }
+    };
+    let (get, metrics) = {
+        let head = String::from_utf8_lossy(&http.pipe.input()[..head_end]);
+        let mut parts = head.lines().next().unwrap_or("").split_whitespace();
+        (
+            parts.next() == Some("GET"),
+            parts.next() == Some("/metrics"),
+        )
+    };
+    if !get {
+        http.respond(http_error(405, "Method Not Allowed"));
+    } else if !metrics {
+        http.respond(http_error(404, "Not Found"));
+    } else if ctx.backend.snapshot_inline() {
+        http.respond(http_ok(
+            &snapshot(ctx.backend, ctx.admission).render_prometheus(),
+        ));
     } else {
         // The router gathers the snapshot from every replica over the
         // network: answer on a worker, never on the reactor.
@@ -1339,26 +1242,6 @@ fn http_dispatch(
 /// Finds the end of the request head (the byte after `\r\n\r\n`).
 fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n").map(|i| i + 4)
-}
-
-/// Nonblocking write pump for an HTTP connection.
-fn http_write(http: &mut HttpConn) {
-    while http.woff < http.wbuf.len() {
-        match http.stream.write(&http.wbuf[http.woff..]) {
-            Ok(0) => {
-                http.dead = true;
-                return;
-            }
-            Ok(n) => http.woff += n,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                http.dead = true;
-                return;
-            }
-        }
-    }
-    let _ = http.stream.flush();
 }
 
 /// Builds a `200 OK` HTTP response around a Prometheus text body.
@@ -1421,7 +1304,8 @@ fn accept_new(
     None
 }
 
-/// Nonblocking read pump: pull bytes, then parse what accumulated.
+/// Reads chunk by chunk, handling each chunk's frames before the next
+/// read, so a pipelining client's bytes never pile up unparsed.
 fn conn_read(
     ctx: &Ctx<'_>,
     conn: &mut Conn,
@@ -1429,9 +1313,22 @@ fn conn_read(
     scratch: &mut [u8],
     offload: &mut Offload,
 ) {
-    loop {
-        match conn.stream.read(scratch) {
-            Ok(0) => {
+    while conn.mode != ReadMode::Stopped {
+        let fill = conn.pipe.fill(scratch);
+        if conn.mode == ReadMode::Frames {
+            process_rbuf(ctx, conn, token, offload);
+            // Replies this turn made (handshake, control frames, sheds,
+            // faults) go out now, not after one more poll-set rebuild.
+            conn.dead |= !conn.pipe.flush();
+        } else {
+            // Discard mode: bytes vanish; the linger deadline bounds how
+            // long a firehosing peer keeps the socket alive.
+            conn.pipe.consume(conn.pipe.input().len());
+        }
+        match fill {
+            Fill::Data => {}
+            Fill::Drained => break,
+            Fill::Eof => {
                 // Peer finished sending. Keep the connection until its
                 // outstanding responses flush (a pipelining client may
                 // half-close after its last request), then close. The
@@ -1444,37 +1341,11 @@ fn conn_read(
                 conn.closing = true;
                 conn.deadline
                     .get_or_insert(Instant::now() + SHUTDOWN_LINGER);
-                break;
             }
-            Ok(n) => {
-                if conn.mode == ReadMode::Frames {
-                    conn.rbuf.extend_from_slice(&scratch[..n]);
-                    process_rbuf(ctx, conn, token, offload);
-                    // Replies this turn made (handshake, control frames,
-                    // sheds, faults, inline answers) go out now, not
-                    // after one more poll-set rebuild.
-                    if !conn.wbuf.is_empty() {
-                        conn_write(conn);
-                    }
-                }
-                // Discard mode: bytes vanish; the linger deadline bounds
-                // how long a firehosing peer keeps the socket alive.
-                if n < scratch.len() {
-                    // Drained, short of proof: poll is level-triggered, so
-                    // anything newer is the next turn's, and the read that
-                    // would only say `WouldBlock` is saved.
-                    break;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => {
+            Fill::Broken => {
                 conn.dead = true;
                 break;
             }
-        }
-        if conn.mode == ReadMode::Stopped {
-            break;
         }
     }
 }
@@ -1483,20 +1354,19 @@ fn conn_read(
 /// then frames.
 fn process_rbuf(ctx: &Ctx<'_>, conn: &mut Conn, token: u64, offload: &mut Offload) {
     if !conn.greeted {
-        if conn.rbuf.len() < PREAMBLE_LEN {
+        let Some(hello) = conn.pipe.input().first_chunk::<PREAMBLE_LEN>() else {
             return;
-        }
-        let magic: [u8; 4] = conn.rbuf[..4].try_into().expect("fixed split");
-        if magic != PROTOCOL_MAGIC {
+        };
+        if hello[..4] != PROTOCOL_MAGIC {
             // The byte stream cannot be trusted for framing; close.
             conn.dead = true;
             return;
         }
-        let theirs = u16::from_le_bytes([conn.rbuf[4], conn.rbuf[5]]);
-        conn.rbuf.drain(..PREAMBLE_LEN);
+        let theirs = u16::from_le_bytes([hello[4], hello[5]]);
+        conn.pipe.consume(PREAMBLE_LEN);
         let mut preamble = Vec::with_capacity(PREAMBLE_LEN);
         let _ = protocol::write_preamble(&mut preamble);
-        conn.wbuf.push_back(preamble);
+        conn.pipe.queue(preamble);
         if protocol::negotiate(theirs).is_none() {
             // An older dialect: answer with our preamble and a typed
             // fault, then close.
@@ -1513,24 +1383,14 @@ fn process_rbuf(ctx: &Ctx<'_>, conn: &mut Conn, token: u64, offload: &mut Offloa
     }
 
     while conn.mode == ReadMode::Frames {
-        if conn.rbuf.len() < 4 {
-            return;
-        }
-        let len = u32::from_le_bytes(conn.rbuf[..4].try_into().expect("fixed split"));
-        if len > MAX_FRAME_LEN {
-            conn.fault_close(
+        match conn.pipe.next_frame() {
+            Ok(Some(payload)) => handle_frame(ctx, conn, token, payload, offload),
+            Ok(None) => return,
+            Err(len) => conn.fault_close(
                 fault_code::FRAME_TOO_LARGE,
                 format!("frame length {len} exceeds the cap"),
-            );
-            return;
+            ),
         }
-        let total = 4 + len as usize;
-        if conn.rbuf.len() < total {
-            return;
-        }
-        let payload: Vec<u8> = conn.rbuf[4..total].to_vec();
-        conn.rbuf.drain(..total);
-        handle_frame(ctx, conn, token, payload, offload);
     }
 }
 
@@ -1602,7 +1462,8 @@ fn handle_frame(
     }
 }
 
-/// Executes a frame now: control frames inline, batches to the workers.
+/// Executes a frame: control frames on the reactor, batches on the
+/// workers.
 fn execute_frame(
     ctx: &Ctx<'_>,
     conn: &mut Conn,
@@ -1627,46 +1488,7 @@ fn execute_frame(
     };
     match frame {
         RequestFrame::Batch(requests) => match ctx.admission.admit_batch(requests.len()) {
-            Ok(permit) => {
-                // Single-request Distance frames execute inline on the
-                // reactor: a pipelined stream of tiny frames arrives one
-                // per reply in steady state, and bouncing each one through
-                // the worker pool costs two context switches per request —
-                // more than the query itself. Anything larger, and any
-                // non-Distance mode (path-graph/sketch materialisation can
-                // be arbitrarily heavy on a large graph), still goes to
-                // the workers so one slow query can't add head-of-line
-                // latency to every other connection's I/O.
-                if ctx.backend.inline_eligible()
-                    && requests.len() <= INLINE_BATCH_MAX
-                    && requests.iter().all(|r| r.mode == QueryMode::Distance)
-                {
-                    // The shared helper keeps the slow-query log covering
-                    // this path too; inline work never queued, so its
-                    // queue wait is zero.
-                    let reply = contain(ctx.backend, || {
-                        let outcomes = run_batch(
-                            ctx.backend,
-                            ctx.slow_query,
-                            conn.peer,
-                            trace,
-                            &requests,
-                            Duration::ZERO,
-                        );
-                        drop(permit);
-                        outcomes
-                    })
-                    .map_or_else(ResponseFrame::Error, ResponseFrame::Batch);
-                    let t_encode = Instant::now();
-                    let bytes = wire_response(id, trace, &reply);
-                    if let Some(m) = ctx.backend.obs() {
-                        m.record_batch_stage(Stage::WireEncode, t_encode.elapsed());
-                    }
-                    conn.wbuf.push_back(bytes);
-                    return;
-                }
-                dispatch(conn, JobKind::Batch { requests, permit });
-            }
+            Ok(permit) => dispatch(conn, JobKind::Batch { requests, permit }),
             Err(reason) => queue_reply(conn, id, trace, &ResponseFrame::Busy(reason)),
         },
         RequestFrame::Metrics => {
@@ -1695,34 +1517,7 @@ fn execute_frame(
 
 /// Encodes a reply and queues it; the read that made it flushes it.
 fn queue_reply(conn: &mut Conn, id: RequestId, trace: TraceId, frame: &ResponseFrame) {
-    conn.wbuf.push_back(wire_response(id, trace, frame));
-}
-
-/// Nonblocking write pump: flush the queue until it empties or the
-/// socket's send buffer fills.
-fn conn_write(conn: &mut Conn) {
-    while let Some(front) = conn.wbuf.front() {
-        match conn.stream.write(&front[conn.woff..]) {
-            Ok(0) => {
-                conn.dead = true;
-                return;
-            }
-            Ok(n) => {
-                conn.woff += n;
-                if conn.woff >= front.len() {
-                    conn.wbuf.pop_front();
-                    conn.woff = 0;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                conn.dead = true;
-                return;
-            }
-        }
-    }
-    let _ = conn.stream.flush();
+    conn.pipe.queue(wire_response(id, trace, frame));
 }
 
 /// Cap on concurrent shed-refusal threads; refusals beyond it are dropped

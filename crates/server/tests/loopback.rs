@@ -14,7 +14,8 @@ use std::time::{Duration, Instant};
 
 use qbs_core::serialize::{self, MapMode};
 use qbs_core::{
-    counter, CacheConfig, Qbs, QbsConfig, QbsIndex, QueryOutcome, QueryRequest, RequestId, TraceId,
+    counter, CacheConfig, Qbs, QbsConfig, QbsIndex, QueryOutcome, QueryRequest, RequestId, Stage,
+    StageNanos, TraceId,
 };
 use qbs_gen::catalog::{Catalog, DatasetId, Scale};
 use qbs_server::protocol::{self, fault_code, RequestFrame, ResponseFrame};
@@ -551,12 +552,16 @@ impl PanickingBackend {
 }
 
 impl ServeBackend for PanickingBackend {
-    fn execute(&self, requests: &[QueryRequest]) -> Vec<QueryOutcome> {
+    fn execute(
+        &self,
+        requests: &[QueryRequest],
+        _trace: TraceId,
+    ) -> (Vec<QueryOutcome>, StageNanos) {
         assert!(
             requests.iter().all(|r| r.source != Self::MARK),
             "injected backend panic"
         );
-        self.0.submit(requests)
+        (self.0.submit(requests), StageNanos::default())
     }
 
     fn snapshot(&self) -> qbs_core::MetricsSnapshot {
@@ -565,10 +570,6 @@ impl ServeBackend for PanickingBackend {
 
     fn obs(&self) -> Option<&qbs_core::Metrics> {
         Some(self.0.metrics())
-    }
-
-    fn inline_eligible(&self) -> bool {
-        true
     }
 }
 
@@ -587,8 +588,9 @@ fn panicking_job_faults_its_own_request_and_nothing_else() {
 
     let marked = QueryRequest::distance(PanickingBackend::MARK, 0);
     let healthy = mixed_requests(num_vertices, 3);
-    // Worker path (two requests), then the reactor's inline path (one
-    // Distance request), each with healthy work pipelined behind it.
+    // A two-request frame, then a one-request Distance frame (which runs
+    // on the worker like every batch), each with healthy work pipelined
+    // behind it.
     for poisoned in [vec![marked, marked], vec![marked]] {
         let bad = client.send(&poisoned).expect("send marked");
         let good = client.send(&healthy).expect("send unmarked");
@@ -662,6 +664,49 @@ fn pipelined_batches_complete_out_of_order_and_match_local() {
         Err(qbs_server::ProtocolError::UnknownTicket(_)) => {}
         other => panic!("expected UnknownTicket, got {other:?}"),
     }
+    server.shutdown();
+}
+
+#[test]
+fn pipelined_single_request_distance_frames_run_on_the_workers() {
+    let (qbs, path) = mmap_session("single");
+    let num_vertices = qbs.num_vertices() as u32;
+    let mut server =
+        QbsServer::start(Arc::clone(&qbs), ServerConfig::default().workers(2)).expect("start");
+    let local = Qbs::open(&path, MapMode::Mmap).expect("local reference");
+    let mut client = QbsClient::connect(&server.local_addr().to_string()).expect("connect");
+    let batch_slot = qbs_core::obs::NUM_MODE_SLOTS - 1;
+    let queue_waits = |client: &mut QbsClient| {
+        let snapshot = client.metrics().expect("metrics");
+        snapshot.family(batch_slot, Stage::QueueWait).count
+    };
+    let before = queue_waits(&mut client);
+
+    // Depth-8 pipeline of one-request Distance frames (an out-of-range
+    // pair among them), redeemed in a scrambled order.
+    let mut frames: Vec<Vec<QueryRequest>> = (0..8u32)
+        .map(|i| {
+            let (u, v) = ((37 * i + 11) % num_vertices, (53 * i + 5) % num_vertices);
+            vec![QueryRequest::distance(u, v)]
+        })
+        .collect();
+    frames[3] = vec![QueryRequest::distance(num_vertices, 0)];
+    let expected: Vec<_> = frames.iter().map(|f| local.submit(f)).collect();
+    let tickets: Vec<_> = frames
+        .iter()
+        .map(|f| client.send(f).expect("send"))
+        .collect();
+    assert_eq!(client.in_flight(), 8);
+    for &i in &[5usize, 2, 7, 0, 6, 1, 4, 3] {
+        let reply = client.recv(tickets[i]).expect("recv");
+        assert_eq!(
+            reply.outcomes().expect("admitted"),
+            &expected[i][..],
+            "single-request frame {i} diverged from local submit"
+        );
+    }
+    // Each frame waited in the worker queue: none ran on the reactor.
+    assert_eq!(queue_waits(&mut client) - before, 8);
     server.shutdown();
 }
 
