@@ -72,9 +72,6 @@ pub enum Command {
     Route {
         /// Backend replica addresses (one `--replica H:P` each).
         replicas: Vec<String>,
-        /// Gather worker threads (default 4); bounds concurrently routed
-        /// batches.
-        workers: Option<usize>,
         /// Where to listen and what to admit.
         listen: ListenSpec,
     },
@@ -272,7 +269,7 @@ const COMMANDS: &[Spec] = &[
     ], LISTEN),
     Spec("route", &[
         Opt("replica", Repeated("H:P"), "a running `qbs serve` (repeat per replica)"),
-        Opt("workers", Value("N"), "metrics worker threads (default 4)"),
+        Opt("workers", Removed(router_workers_removed), ""),
     ], LISTEN),
     Spec("client", &[
         Opt("addr", Required("H:P"), "address of a `serve` or `route` process"),
@@ -311,6 +308,11 @@ fn view_removed() -> String {
 
 fn handlers_removed() -> String {
     "serve: --handlers was removed: pass --workers N, its one spelling".into()
+}
+
+fn router_workers_removed() -> String {
+    "route: --workers was removed: a router runs on its reactor thread alone, so drop the flag"
+        .into()
 }
 
 fn protocol_removed() -> String {
@@ -358,9 +360,10 @@ bit-identical to a single replica; `client --metrics` against a router
 prints its routing and per-replica counters and every available
 replica's counters and histograms folded in (traffic summed, histograms
 merged bucket-wise), and trace IDs propagate onto every scattered
-sub-batch. The router forwards batches on its reactor thread; its
-workers only answer `Metrics` frames and `GET /metrics`, each of which
-polls every available replica once.
+sub-batch. A router is one thread, its reactor, with one connection per
+replica: that connection carries the batches, a health-probe ping every
+500 ms, and the poll each `Metrics` frame or `GET /metrics` makes of
+every available replica.
 ";
 
 /// The text printed by `qbs-cli help`: each subcommand's synopsis (its
@@ -530,11 +533,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             if replicas.is_empty() {
                 return refuse("route: pass at least one --replica H:P (a running `qbs serve`)");
             }
-            Command::Route {
-                replicas,
-                workers: a.read("workers")?,
-                listen,
-            }
+            Command::Route { replicas, listen }
         }
         "client" => parse_client(&a)?,
         "stats" => Command::Stats {
@@ -1241,22 +1240,15 @@ mod tests {
             "10.0.0.3:7411",
             "--port",
             "7410",
-            "--workers",
-            "8",
         ]))
         .unwrap();
         match parsed {
-            Command::Route {
-                replicas,
-                workers,
-                listen,
-            } => {
+            Command::Route { replicas, listen } => {
                 assert_eq!(listen.addr, "127.0.0.1:7410");
                 assert_eq!(
                     replicas,
                     vec!["10.0.0.1:7411", "10.0.0.2:7411", "10.0.0.3:7411"]
                 );
-                assert_eq!(workers, Some(8));
                 let AdmissionConfig {
                     max_inflight,
                     max_batch,
@@ -1533,6 +1525,13 @@ mod tests {
                 "serve",
                 "handlers",
                 "serve: --handlers was removed: pass --workers N, its one spelling".to_string(),
+            ),
+            (
+                "route",
+                "workers",
+                "route: --workers was removed: a router runs on its reactor thread alone, so drop \
+                 the flag"
+                    .to_string(),
             ),
             (
                 "client",

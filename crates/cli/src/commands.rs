@@ -382,17 +382,11 @@ pub fn start_server(command: &Command) -> Result<(ServerHandle, Arc<Qbs>), Comma
 /// Split from `run` for the same reason as [`start_server`]: tests drive a
 /// real router on an ephemeral port without the blocking wait loop.
 pub fn start_router(command: &Command) -> Result<RouterHandle, CommandError> {
-    let Command::Route {
-        replicas,
-        workers,
-        listen,
-    } = command
-    else {
+    let Command::Route { replicas, listen } = command else {
         unreachable!("start_router is only called with Command::Route");
     };
     let mut config = RouterConfig::bind(listen.addr.clone())
         .replicas(replicas.clone())
-        .workers(workers.unwrap_or(4))
         .admission(listen.admission);
     if let Some(metrics_addr) = &listen.metrics_addr {
         config = config.metrics_addr(metrics_addr.clone());
@@ -1415,7 +1409,6 @@ mod tests {
                 .iter()
                 .map(|(h, _)| h.local_addr().to_string())
                 .collect(),
-            workers: Some(2),
             listen,
         };
         let mut router = start_router(&route).expect("start router");

@@ -11,8 +11,7 @@
 //! The crate is **std-only**, like the rest of the workspace. Pieces:
 //!
 //! * [`pool`] — the [`ReplicaPool`]: least-in-flight balancing, the
-//!   in-flight gauges, idle blocking connections for the control plane
-//!   (prober, `Metrics`), and the health state machine
+//!   in-flight gauges, and the health state machine
 //!   (consecutive-failure ejection, exponential-backoff re-admission,
 //!   half-open probing);
 //! * [`router`] — [`RouterConfig`] / [`QbsRouter`] / [`RouterHandle`]
@@ -24,9 +23,11 @@
 //!   range on a replica it has not tried (bounded by `max_retries`), and
 //!   splices the outcome bytes behind one count — typed
 //!   `RequestError::Unavailable` per-slot fills when every candidate is
-//!   down, never a hang. A background prober pings replicas each
-//!   interval so a replica that dies while idle is ejected before
-//!   traffic hits it.
+//!   down, never a hang. The same connections carry a health-probe
+//!   `Ping` to every available replica each interval, so a replica that
+//!   dies while idle is ejected before traffic hits it, and the routed
+//!   `Metrics` polls: a router is one thread with one connection per
+//!   replica.
 //!
 //! Observability rides the normal `Metrics` frame: the router answers it
 //! with its own snapshot — routing counters, per-replica counters

@@ -1,15 +1,12 @@
-//! The replica pool: per-replica connection reuse, least-in-flight
-//! balancing, and the health/ejection state machine.
+//! The replica pool: least-in-flight balancing and the health/ejection
+//! state machine.
 //!
-//! A [`Replica`] is one backend `qbs serve` process. The pool keeps an
-//! in-flight request gauge the balancer sorts on, a stack of idle
-//! blocking [`QbsClient`] connections per replica for the control plane
-//! (the prober and the routed `Metrics` polls: a checkout pops
-//! one or dials a fresh one, a checkin after a clean exchange pushes it
-//! back; batches travel on the reactor's own connections instead), and
-//! a tiny health state machine:
+//! A [`Replica`] is one backend `qbs serve` process. The pool holds no
+//! connection (the forwarder owns the one link per replica that carries
+//! batches, probes and polls); it keeps an in-flight request gauge the
+//! balancer sorts on, and a tiny health state machine:
 //!
-//! * every failed exchange (dial, I/O, protocol fault) bumps a
+//! * every failed exchange (dial, I/O, protocol fault, deadline) bumps a
 //!   consecutive-failure counter; reaching
 //!   [`HealthConfig::eject_after`] **ejects** the replica for the
 //!   current backoff window;
@@ -30,14 +27,9 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use qbs_core::MetricsSnapshot;
-use qbs_server::{ClientConfig, ProtocolError, QbsClient};
+use qbs_server::ClientConfig;
 
-/// Cap on idle connections retained per replica; extras are dropped at
-/// checkin. Bounds the router's fd footprint to
-/// `replicas × IDLE_PER_REPLICA` plus whatever is in flight.
-const IDLE_PER_REPLICA: usize = 8;
-
-/// Health/ejection knobs shared by the serve path and the prober.
+/// Health/ejection knobs shared by batches, probes and polls.
 #[derive(Clone, Copy, Debug)]
 pub struct HealthConfig {
     /// Consecutive failures that eject a replica.
@@ -70,11 +62,10 @@ struct Health {
     backoff: Duration,
 }
 
-/// One backend replica: address, idle connections, gauges, health.
+/// One backend replica: address, gauges, health.
 #[derive(Debug)]
 pub struct Replica {
     addr: String,
-    idle: Mutex<Vec<QbsClient>>,
     in_flight: AtomicU64,
     requests: AtomicU64,
     batches: AtomicU64,
@@ -88,7 +79,6 @@ impl Replica {
     fn new(addr: String, health: &HealthConfig) -> Replica {
         Replica {
             addr,
-            idle: Mutex::new(Vec::new()),
             in_flight: AtomicU64::new(0),
             requests: AtomicU64::new(0),
             batches: AtomicU64::new(0),
@@ -121,23 +111,6 @@ impl Replica {
     /// Requests currently outstanding against this replica.
     pub fn in_flight(&self) -> u64 {
         self.in_flight.load(Ordering::SeqCst)
-    }
-
-    /// Pops an idle connection or dials a fresh one.
-    pub fn checkout(&self, config: ClientConfig) -> Result<QbsClient, ProtocolError> {
-        if let Some(client) = self.idle.lock().expect("idle pool poisoned").pop() {
-            return Ok(client);
-        }
-        QbsClient::connect_with(&self.addr, config)
-    }
-
-    /// Returns a connection after a clean exchange. Connections that
-    /// faulted are simply dropped instead — never checked back in.
-    pub fn checkin(&self, client: QbsClient) {
-        let mut idle = self.idle.lock().expect("idle pool poisoned");
-        if idle.len() < IDLE_PER_REPLICA {
-            idle.push(client);
-        }
     }
 
     /// Marks `n` requests as shipped to this replica.
@@ -180,9 +153,6 @@ impl Replica {
         health.ejected_until = Some(Instant::now() + health.backoff);
         health.backoff = health.backoff.saturating_mul(2).min(config.backoff_max);
         self.ejections.fetch_add(1, Ordering::SeqCst);
-        // Connections to an ejected replica are stale by definition;
-        // drop them so re-admission starts from fresh dials.
-        self.idle.lock().expect("idle pool poisoned").clear();
         true
     }
 
@@ -222,8 +192,8 @@ pub struct ReplicaPool {
 }
 
 impl ReplicaPool {
-    /// Builds the pool. No connections are dialled here — the first
-    /// checkout (or the prober's first pass) does that.
+    /// Builds the pool. No connections are dialled here — the
+    /// forwarder's first probe does that.
     pub fn new(addrs: Vec<String>, client: ClientConfig, health: HealthConfig) -> ReplicaPool {
         ReplicaPool {
             replicas: addrs
@@ -250,12 +220,12 @@ impl ReplicaPool {
         &self.replicas
     }
 
-    /// The client configuration every checkout dials with.
+    /// The client configuration every replica link dials with.
     pub fn client_config(&self) -> ClientConfig {
         self.client
     }
 
-    /// The health knobs shared with the prober.
+    /// The health knobs.
     pub fn health_config(&self) -> &HealthConfig {
         &self.health
     }

@@ -1,18 +1,19 @@
 //! The router process: the `qbs-server` reactor front-end wired to a
-//! [`RouterBackend`] over a [`ReplicaPool`], plus the health prober.
+//! [`RouterBackend`] over a [`ReplicaPool`].
 //!
-//! Batches never leave the reactor thread: the backend's forward hook
-//! hands the reactor a forwarder (`scatter.rs`), which cuts each
-//! admitted batch into byte ranges, pipelines them to the replicas over
-//! connections it owns, and splices the replies back into one frame. The
-//! server's worker pool ([`RouterConfig::workers`]) only answers the
-//! `Metrics` frame (and `GET /metrics`), which polls every replica over
-//! blocking pooled connections, as the prober does.
+//! A router is one thread, its reactor, with one connection per replica.
+//! The backend's forward hook hands the reactor a forwarder
+//! (`scatter.rs`), which cuts each admitted batch into byte ranges,
+//! pipelines them to the replicas over the connections it owns, and
+//! splices the replies back into one frame. The same connections carry
+//! the health probes (a `Ping` to every available replica each
+//! [`RouterConfig::probe_interval`]) and the routed `Metrics` polls (a
+//! `Metrics` frame or `GET /metrics` asks every available replica once).
+//! The server starts no worker thread for it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
 use qbs_core::{counter, Metrics, MetricsSnapshot};
 use qbs_server::poll::WakePipe;
@@ -35,17 +36,13 @@ const WAIT_POLL: Duration = Duration::from_millis(100);
 /// let config = RouterConfig::bind("127.0.0.1:0")
 ///     .replica("127.0.0.1:7411")
 ///     .replica("127.0.0.1:7412")
-///     .workers(8);
+///     .max_retries(1);
 /// ```
 #[derive(Clone, Debug)]
 pub struct RouterConfig {
     /// Bind address of the router's own listener; port 0 picks an
     /// ephemeral port.
     pub addr: String,
-    /// Worker threads answering the routed `Metrics` frame and HTTP
-    /// scrapes, which poll every replica over blocking connections.
-    /// Batches never reach them: the reactor forwards those itself.
-    pub workers: usize,
     /// Admission bounds on the router's own listener.
     pub admission: AdmissionConfig,
     /// Backend replica addresses (`host:port` of `qbs serve` processes).
@@ -53,11 +50,13 @@ pub struct RouterConfig {
     /// Client configuration for every replica connection. The default
     /// shortens `connect_timeout` to 1s: a dead replica should cost the
     /// serve path one bounded dial, not the stock 5s. `io_timeout` is
-    /// each forwarded sub-batch's deadline.
+    /// the deadline of each frame sent to a replica: a sub-batch, a
+    /// probe or a poll.
     pub client: ClientConfig,
     /// Ejection/backoff knobs.
     pub health: HealthConfig,
-    /// Cadence of the background `Ping` prober.
+    /// Cadence of the health probes: a `Ping` to every available replica
+    /// on its batch connection, the first as the router starts.
     pub probe_interval: Duration,
     /// How many *additional* replicas a sub-batch may be retried onto
     /// after its first pick fails or sheds. Bounds the ping-pong of a
@@ -80,7 +79,6 @@ impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
             addr: "127.0.0.1:0".to_string(),
-            workers: 4,
             admission: AdmissionConfig::default(),
             replicas: Vec::new(),
             client: ClientConfig::default().connect_timeout(Duration::from_secs(1)),
@@ -115,9 +113,10 @@ impl RouterConfig {
         self
     }
 
-    /// Sets the size of the worker pool answering `Metrics`.
-    pub fn workers(mut self, workers: usize) -> RouterConfig {
-        self.workers = workers;
+    /// Does nothing: a router runs on its reactor thread alone, so there
+    /// is no pool to size. Kept only for callers that still set it; it
+    /// will be removed.
+    pub fn workers(self, _workers: usize) -> RouterConfig {
         self
     }
 
@@ -139,7 +138,7 @@ impl RouterConfig {
         self
     }
 
-    /// Sets the prober cadence.
+    /// Sets the health-probe cadence.
     pub fn probe_interval(mut self, probe_interval: Duration) -> RouterConfig {
         self.probe_interval = probe_interval;
         self
@@ -171,14 +170,14 @@ impl RouterConfig {
     }
 }
 
-/// The router's [`ServeBackend`]: batches go through its forward hook
-/// (a forwarder on the reactor thread); `Metrics` is answered on workers
-/// by polling every replica.
+/// The router's [`ServeBackend`]: batches, probes and `Metrics` polls
+/// all go through its forward hook (a forwarder on the reactor thread).
 #[derive(Debug)]
 pub struct RouterBackend {
     pool: ReplicaPool,
     pub(crate) max_retries: usize,
     pub(crate) min_split: usize,
+    pub(crate) probe_interval: Duration,
     pub(crate) batches_routed: AtomicU64,
     pub(crate) subbatches: AtomicU64,
     pub(crate) retries: AtomicU64,
@@ -195,6 +194,7 @@ impl RouterBackend {
             pool,
             max_retries: config.max_retries,
             min_split: config.min_split.max(1),
+            probe_interval: config.probe_interval,
             batches_routed: AtomicU64::new(0),
             subbatches: AtomicU64::new(0),
             retries: AtomicU64::new(0),
@@ -203,7 +203,7 @@ impl RouterBackend {
         }
     }
 
-    /// The replica pool (shared with the prober).
+    /// The replica pool.
     pub fn pool(&self) -> &ReplicaPool {
         &self.pool
     }
@@ -239,111 +239,14 @@ impl ServeBackend for RouterBackend {
         Some(Box::new(Scatter::new(self, wake)))
     }
 
-    /// The routed `Metrics` frame: [`RouterBackend::local_snapshot`] with
-    /// one snapshot from every available replica folded in (traffic
-    /// summed, index facts maximised, replicas' own admission dropped).
-    /// Ejected replicas are skipped, and a failed poll takes a health
-    /// demerit exactly like a failed batch.
+    /// The router's own part of a `Metrics` answer: the forwarder folds
+    /// one snapshot from every available replica into it.
     fn snapshot(&self) -> MetricsSnapshot {
-        let mut merged = self.local_snapshot();
-        let now = Instant::now();
-        for replica in self.pool.replicas() {
-            if !replica.is_available(now) {
-                continue;
-            }
-            let polled = replica
-                .checkout(self.pool.client_config())
-                .and_then(|mut client| client.metrics().map(|snapshot| (client, snapshot)));
-            match polled {
-                Ok((client, snapshot)) => {
-                    merged.merge(&snapshot);
-                    replica.record_success(self.pool.health_config());
-                    replica.checkin(client);
-                }
-                Err(_) => {
-                    replica.record_failure(self.pool.health_config());
-                }
-            }
-        }
-        merged
-    }
-
-    /// Replica polls are network I/O: never on the reactor.
-    fn snapshot_inline(&self) -> bool {
-        false
+        self.local_snapshot()
     }
 
     fn obs(&self) -> Option<&Metrics> {
         Some(&self.metrics)
-    }
-}
-
-/// The prober's stop latch: flag + condvar so shutdown interrupts the
-/// inter-probe sleep immediately.
-#[derive(Debug)]
-struct Stop {
-    stopped: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl Stop {
-    fn new() -> Stop {
-        Stop {
-            stopped: Mutex::new(false),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn trigger(&self) {
-        *self.stopped.lock().expect("stop latch poisoned") = true;
-        self.cv.notify_all();
-    }
-
-    fn is_stopped(&self) -> bool {
-        *self.stopped.lock().expect("stop latch poisoned")
-    }
-
-    /// Sleeps up to `timeout`; returns `true` when stopped.
-    fn wait(&self, timeout: Duration) -> bool {
-        let guard = self.stopped.lock().expect("stop latch poisoned");
-        let (guard, _) = self
-            .cv
-            .wait_timeout_while(guard, timeout, |stopped| !*stopped)
-            .expect("stop latch poisoned");
-        *guard
-    }
-}
-
-/// Background health prober: pings every non-ejected replica each
-/// interval. Probe successes re-admit half-open replicas; probe failures
-/// feed the same ejection counter as serve-path failures, so a replica
-/// that dies while idle is ejected before traffic ever hits it.
-fn prober_loop(backend: &RouterBackend, stop: &Stop, interval: Duration) {
-    loop {
-        let now = Instant::now();
-        for replica in backend.pool().replicas() {
-            if stop.is_stopped() {
-                return;
-            }
-            if !replica.is_available(now) {
-                continue; // still inside its ejection window
-            }
-            let pinged = replica
-                .checkout(backend.pool().client_config())
-                .and_then(|mut client| client.ping().map(|_| client));
-            match pinged {
-                Ok(client) => {
-                    replica.record_success(backend.pool().health_config());
-                    replica.checkin(client);
-                }
-                Err(_) => {
-                    replica.record_failure(backend.pool().health_config());
-                }
-            }
-        }
-        if stop.wait(interval) {
-            return;
-        }
     }
 }
 
@@ -352,7 +255,7 @@ pub struct QbsRouter;
 
 impl QbsRouter {
     /// Binds `config.addr` and starts routing — returns immediately with
-    /// a handle owning the reactor, the control-plane workers, and the prober.
+    /// a handle owning the reactor thread.
     pub fn start(config: RouterConfig) -> std::io::Result<RouterHandle> {
         if config.replicas.is_empty() {
             return Err(std::io::Error::new(
@@ -362,9 +265,7 @@ impl QbsRouter {
         }
         let pool = ReplicaPool::new(config.replicas.clone(), config.client, config.health);
         let backend = Arc::new(RouterBackend::new(pool, &config));
-        let mut server_config = ServerConfig::bind(config.addr.clone())
-            .workers(config.workers)
-            .admission(config.admission);
+        let mut server_config = ServerConfig::bind(config.addr.clone()).admission(config.admission);
         if let Some(addr) = &config.metrics_addr {
             server_config = server_config.metrics_addr(addr.clone());
         }
@@ -375,34 +276,16 @@ impl QbsRouter {
             Arc::clone(&backend) as Arc<dyn ServeBackend>,
             server_config,
         )?;
-        let stop = Arc::new(Stop::new());
-        let prober = {
-            let backend = Arc::clone(&backend);
-            let stop = Arc::clone(&stop);
-            let interval = config.probe_interval;
-            std::thread::Builder::new()
-                .name("qbs-prober".to_string())
-                .spawn(move || prober_loop(&backend, &stop, interval))
-                .expect("spawn prober thread")
-        };
-        Ok(RouterHandle {
-            server,
-            backend,
-            stop,
-            prober: Some(prober),
-        })
+        Ok(RouterHandle { server, backend })
     }
 }
 
-/// A running router: owns the reactor/worker threads (via the inner
-/// [`ServerHandle`]) and the prober; joins them all on
-/// [`RouterHandle::shutdown`] or drop.
+/// A running router: owns the reactor thread (via the inner
+/// [`ServerHandle`]) and joins it on [`RouterHandle::shutdown`] or drop.
 #[derive(Debug)]
 pub struct RouterHandle {
     server: ServerHandle,
     backend: Arc<RouterBackend>,
-    stop: Arc<Stop>,
-    prober: Option<JoinHandle<()>>,
 }
 
 impl RouterHandle {
@@ -427,26 +310,14 @@ impl RouterHandle {
         &self.backend
     }
 
-    /// The routed telemetry — the value a `Metrics` frame returns,
-    /// polling every available replica once.
-    pub fn snapshot(&self) -> MetricsSnapshot {
+    /// The router's own counters and admission, polling no replica.
+    pub fn local_snapshot(&self) -> MetricsSnapshot {
         self.server.snapshot()
     }
 
-    /// The router's own counters and admission, polling no replica.
-    pub fn local_snapshot(&self) -> MetricsSnapshot {
-        let mut snap = self.backend.local_snapshot();
-        self.server.admission().snapshot_into(&mut snap);
-        snap
-    }
-
-    /// Stops the prober, drains in-flight routed batches, joins every
-    /// thread, and returns once the router is fully torn down.
+    /// Drains in-flight routed batches, joins the reactor, and returns
+    /// once the router is fully torn down.
     pub fn shutdown(&mut self) {
-        self.stop.trigger();
-        if let Some(prober) = self.prober.take() {
-            let _ = prober.join();
-        }
         self.server.shutdown();
     }
 
@@ -457,12 +328,6 @@ impl RouterHandle {
         while !signal.is_shutdown() {
             std::thread::sleep(WAIT_POLL);
         }
-        self.shutdown();
-    }
-}
-
-impl Drop for RouterHandle {
-    fn drop(&mut self) {
         self.shutdown();
     }
 }

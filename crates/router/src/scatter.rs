@@ -1,8 +1,9 @@
 //! Scatter/gather on the router's reactor thread.
 //!
 //! [`Scatter`] is the [`Forward`] the `qbs-server` reactor drives for a
-//! router. It owns one nonblocking, pipelined connection per replica and
-//! never decodes a request or an outcome on the normal path:
+//! router. It owns one nonblocking, pipelined connection per replica, the
+//! router's only one, and never decodes a request or an outcome on the
+//! normal path:
 //!
 //! 1. an admitted batch arrives as bytes ([`ForwardJob::requests`], a
 //!    fixed [`REQUEST_LEN`] bytes per request) and is cut into contiguous
@@ -22,6 +23,16 @@
 //! `max_retries` more; a range out of candidates is answered with typed
 //! `Unavailable` outcomes. Health demerits fall as they always have:
 //! every failed exchange charges its replica, a `Busy` shed does not.
+//!
+//! The same connections carry the control traffic, each frame pending
+//! under its own upstream ID and deadline exactly like a range, and none
+//! of it touching the in-flight gauges. Every `probe_interval` (the first
+//! on the first turn) each available replica not still owing a `Pong`
+//! is sent a `Ping`; a routed `Metrics` request sends a `Metrics` frame to
+//! every available replica and folds each snapshot that comes back into
+//! the router's own. A `Pong` or snapshot is a success for its replica; a
+//! failed dial, a closed link or a passed deadline is a failure.
+//!
 //! Dials are the one blocking step, so each runs on a short-lived thread
 //! that hands the connected socket back and wakes the reactor through its
 //! wake pipe.
@@ -35,10 +46,10 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use qbs_core::wire::{self, RequestId};
-use qbs_core::{QueryOutcome, RequestError};
+use qbs_core::{MetricsSnapshot, QueryOutcome, RequestError, TraceId};
 use qbs_server::poll::{self, Fill, Pipe, PollFd, WakePipe};
-use qbs_server::protocol::{self, SubReply, REQUEST_LEN};
-use qbs_server::{ClientConfig, Forward, ForwardJob, Forwarded, ProtocolError};
+use qbs_server::protocol::{self, RequestFrame, ResponseFrame, SubReply, REQUEST_LEN};
+use qbs_server::{ClientConfig, Forward, ForwardJob, Forwarded, MetricsJob, ProtocolError};
 
 use crate::router::RouterBackend;
 
@@ -55,10 +66,15 @@ pub(crate) struct Scatter {
     dialed_tx: Sender<(usize, Result<TcpStream, ProtocolError>)>,
     dialed_rx: Receiver<(usize, Result<TcpStream, ProtocolError>)>,
     batches: HashMap<u64, Batch>,
-    next_batch: u64,
+    polls: HashMap<u64, Poll>,
+    /// The next key of a batch or poll.
+    next_key: u64,
+    /// When the next round of probes is due.
+    next_probe: Instant,
     /// Ranges whose exchange ended without an answer, to place again.
     retry: Vec<Slot>,
-    /// Batches with every range answered, to splice.
+    /// Batches with every range answered and polls with every replica
+    /// heard from, to hand back.
     ready: Vec<u64>,
     /// Which link each descriptor [`Forward::register`] appended is.
     registered: Vec<usize>,
@@ -95,6 +111,26 @@ enum Answer {
     Unavailable,
 }
 
+/// A routed `Metrics` request gathering replica snapshots.
+struct Poll {
+    job: MetricsJob,
+    /// The router's own snapshot, with each replica's folded in.
+    snapshot: MetricsSnapshot,
+    /// Replicas not heard from yet.
+    open: usize,
+}
+
+/// What one frame on a replica link asks for.
+#[derive(Clone, Copy)]
+enum Ask {
+    /// One range of a client batch.
+    Range(Slot),
+    /// A health probe.
+    Ping,
+    /// The replica's snapshot, for the poll under this key.
+    Metrics(u64),
+}
+
 /// How an exchange ended without an answer: which demerits it earns.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Failure {
@@ -110,11 +146,11 @@ enum Failure {
 struct Link {
     state: LinkState,
     next_id: RequestId,
-    /// Ranges written and unanswered, in issue order (so the first holds
+    /// Frames written and unanswered, in the order sent (so the first holds
     /// the earliest deadline).
     pending: Vec<Pending>,
-    /// Ranges waiting for the dial to finish.
-    queued: Vec<Slot>,
+    /// Frames waiting for the dial to finish.
+    queued: Vec<Ask>,
 }
 
 enum LinkState {
@@ -126,7 +162,7 @@ enum LinkState {
 
 struct Pending {
     id: RequestId,
-    slot: Slot,
+    ask: Ask,
     deadline: Instant,
 }
 
@@ -155,7 +191,9 @@ impl Scatter {
             dialed_tx,
             dialed_rx,
             batches: HashMap::new(),
-            next_batch: 0,
+            polls: HashMap::new(),
+            next_key: 0,
+            next_probe: Instant::now(),
             retry: Vec::new(),
             ready: Vec::new(),
             registered: Vec::new(),
@@ -180,14 +218,7 @@ impl Scatter {
                 range.tried.push(idx);
                 pool.replicas()[idx].start_requests(range.len as u64);
                 self.backend.subbatches.fetch_add(1, Ordering::SeqCst);
-                let link = &mut self.links[idx];
-                link.queued.push((key, r));
-                match link.state {
-                    LinkState::Up(_) => self.send_queued(idx),
-                    LinkState::Dialing(_) => {}
-                    LinkState::Down => self.dial(idx),
-                }
-                return;
+                return self.ask(idx, Ask::Range((key, r)));
             }
         }
         self.backend
@@ -196,6 +227,49 @@ impl Scatter {
         range.answer = Some(Answer::Unavailable);
         batch.open -= 1;
         if batch.open == 0 {
+            self.ready.push(key);
+        }
+    }
+
+    /// Sends one frame to replica `idx`, or queues it behind the dial.
+    fn ask(&mut self, idx: usize, ask: Ask) {
+        let link = &mut self.links[idx];
+        link.queued.push(ask);
+        match link.state {
+            LinkState::Up(_) => self.send_queued(idx),
+            LinkState::Dialing(_) => {}
+            LinkState::Down => self.dial(idx),
+        }
+    }
+
+    /// Sends a `Ping` to every available replica not still owing one a
+    /// `Pong`, once the probe interval has passed.
+    fn probe(&mut self, now: Instant) {
+        if now < self.next_probe {
+            return;
+        }
+        self.next_probe = now + self.backend.probe_interval;
+        for idx in 0..self.links.len() {
+            let link = &self.links[idx];
+            let owing = link.queued.iter().any(|a| matches!(a, Ask::Ping))
+                || link.pending.iter().any(|p| matches!(p.ask, Ask::Ping));
+            if !owing && self.backend.pool().replicas()[idx].is_available(now) {
+                self.ask(idx, Ask::Ping);
+            }
+        }
+    }
+
+    /// Counts one replica's answer to poll `key` (`None`: it failed),
+    /// readying the poll once every replica it asked is heard from.
+    fn polled(&mut self, key: u64, snapshot: Option<&MetricsSnapshot>) {
+        let Some(poll) = self.polls.get_mut(&key) else {
+            return;
+        };
+        if let Some(snapshot) = snapshot {
+            poll.snapshot.merge(snapshot);
+        }
+        poll.open -= 1;
+        if poll.open == 0 {
             self.ready.push(key);
         }
     }
@@ -219,36 +293,42 @@ impl Scatter {
         }
     }
 
-    /// Ends one range's exchange on replica `idx` without an answer:
-    /// settles the gauges and demerits, and queues the range to be
-    /// placed again.
-    fn fail(&mut self, idx: usize, slot: Slot, failure: Failure) {
-        let Some(batch) = self.batches.get(&slot.0) else {
-            return;
-        };
-        let len = batch.ranges[slot.1].len as u64;
+    /// Ends one exchange on replica `idx` without an answer: settles the
+    /// demerits and a range's gauges, and queues a range to be placed
+    /// again.
+    fn fail(&mut self, idx: usize, ask: Ask, failure: Failure) {
         let replica = &self.backend.pool().replicas()[idx];
-        replica.finish_requests(len);
         if failure != Failure::Busy {
             replica.record_failure(self.backend.pool().health_config());
         }
-        if failure != Failure::Dial {
-            replica.count_retries(len);
+        match ask {
+            Ask::Range(slot) => {
+                let Some(batch) = self.batches.get(&slot.0) else {
+                    return;
+                };
+                let len = batch.ranges[slot.1].len as u64;
+                replica.finish_requests(len);
+                if failure != Failure::Dial {
+                    replica.count_retries(len);
+                }
+                self.retry.push(slot);
+            }
+            Ask::Ping => {}
+            Ask::Metrics(key) => self.polled(key, None),
         }
-        self.retry.push(slot);
     }
 
-    /// Drops replica `idx`'s connection: every range on it failed.
+    /// Drops replica `idx`'s connection: every frame on it failed.
     fn close(&mut self, idx: usize) {
         let link = &mut self.links[idx];
         link.state = LinkState::Down;
         let pending = std::mem::take(&mut link.pending);
         for p in pending {
-            self.fail(idx, p.slot, Failure::Exchange);
+            self.fail(idx, p.ask, Failure::Exchange);
         }
     }
 
-    /// A dial finished: write every range that waited for it, or fail
+    /// A dial finished: write every frame that waited for it, or fail
     /// them all.
     fn dialed(&mut self, idx: usize, result: Result<TcpStream, ProtocolError>) {
         match result {
@@ -258,41 +338,51 @@ impl Scatter {
             }
             Err(_) => {
                 self.links[idx].state = LinkState::Down;
-                for slot in std::mem::take(&mut self.links[idx].queued) {
-                    self.fail(idx, slot, Failure::Dial);
+                for ask in std::mem::take(&mut self.links[idx].queued) {
+                    self.fail(idx, ask, Failure::Dial);
                 }
             }
         }
     }
 
-    /// Frames every range queued for replica `idx` onto its connection,
-    /// each under a fresh upstream ID that carries the client's trace.
+    /// Frames everything queued for replica `idx` onto its connection,
+    /// each under a fresh upstream ID; a range's carries the client's
+    /// trace.
     fn send_queued(&mut self, idx: usize) {
         let link = &mut self.links[idx];
         let LinkState::Up(conn) = &mut link.state else {
             return;
         };
         let deadline = Instant::now() + self.backend.pool().client_config().io_timeout;
-        for (key, r) in link.queued.drain(..) {
-            let Some(batch) = self.batches.get(&key) else {
-                continue;
-            };
-            let range = &batch.ranges[r];
-            link.next_id = link.next_id.next();
+        for ask in link.queued.drain(..) {
+            let id = link.next_id.next();
             let mut frame = Vec::new();
-            protocol::push_batch_request(
-                &mut frame,
-                link.next_id,
-                batch.job.trace(),
-                &batch.job.requests()
-                    [range.start * REQUEST_LEN..(range.start + range.len) * REQUEST_LEN],
-            );
+            let control = match ask {
+                Ask::Range((key, r)) => {
+                    let Some(batch) = self.batches.get(&key) else {
+                        continue;
+                    };
+                    let range = &batch.ranges[r];
+                    protocol::push_batch_request(
+                        &mut frame,
+                        id,
+                        batch.job.trace(),
+                        &batch.job.requests()
+                            [range.start * REQUEST_LEN..(range.start + range.len) * REQUEST_LEN],
+                    );
+                    None
+                }
+                Ask::Ping => Some(RequestFrame::Ping),
+                Ask::Metrics(_) => Some(RequestFrame::Metrics),
+            };
+            if let Some(request) = control {
+                protocol::push_frame(&mut frame, id, TraceId::NONE, |out| {
+                    request.encode_body_into(out)
+                });
+            }
             conn.queue(frame);
-            link.pending.push(Pending {
-                id: link.next_id,
-                slot: (key, r),
-                deadline,
-            });
+            link.next_id = id;
+            link.pending.push(Pending { id, ask, deadline });
         }
     }
 
@@ -326,30 +416,41 @@ impl Scatter {
         }
     }
 
-    /// Settles the range replica `idx` answered under upstream `id`.
+    /// Settles the frame replica `idx` answered under upstream `id`.
     fn settle(&mut self, idx: usize, id: RequestId, body: &[u8]) {
         let link = &mut self.links[idx];
         let Some(at) = link.pending.iter().position(|p| p.id == id) else {
             return; // not ours (any more)
         };
-        let (key, r) = link.pending.remove(at).slot;
+        let ask = link.pending.remove(at).ask;
+        let replica = &self.backend.pool().replicas()[idx];
+        let health = self.backend.pool().health_config();
+        let Ask::Range((key, r)) = ask else {
+            return match (ask, ResponseFrame::decode_body(body)) {
+                (Ask::Ping, Ok(ResponseFrame::Pong)) => replica.record_success(health),
+                (Ask::Metrics(key), Ok(ResponseFrame::Metrics(snapshot))) => {
+                    replica.record_success(health);
+                    self.polled(key, Some(&snapshot));
+                }
+                _ => self.fail(idx, ask, Failure::Exchange),
+            };
+        };
         let Some(batch) = self.batches.get_mut(&key) else {
             return;
         };
         let len = batch.ranges[r].len;
         match protocol::sort_batch_reply(body, len) {
             SubReply::Outcomes(outcomes) => {
-                let replica = &self.backend.pool().replicas()[idx];
                 replica.finish_requests(len as u64);
-                replica.record_success(self.backend.pool().health_config());
+                replica.record_success(health);
                 batch.ranges[r].answer = Some(Answer::Outcomes(outcomes.to_vec()));
                 batch.open -= 1;
                 if batch.open == 0 {
                     self.ready.push(key);
                 }
             }
-            SubReply::Busy => self.fail(idx, (key, r), Failure::Busy),
-            SubReply::Failed => self.fail(idx, (key, r), Failure::Exchange),
+            SubReply::Busy => self.fail(idx, ask, Failure::Busy),
+            SubReply::Failed => self.fail(idx, ask, Failure::Exchange),
         }
     }
 
@@ -366,7 +467,8 @@ impl Scatter {
     }
 
     /// Runs writes and re-ships to a fixed point, then splices every
-    /// batch whose ranges are all answered.
+    /// batch whose ranges are all answered and hands back every finished
+    /// poll.
     fn drive(&mut self, done: &mut Vec<Forwarded>) {
         loop {
             self.flush();
@@ -380,6 +482,8 @@ impl Scatter {
         for key in std::mem::take(&mut self.ready) {
             if let Some(batch) = self.batches.remove(&key) {
                 done.push(self.splice(batch));
+            } else if let Some(Poll { job, snapshot, .. }) = self.polls.remove(&key) {
+                done.push(Forwarded::Metrics { job, snapshot });
             }
         }
     }
@@ -401,7 +505,7 @@ impl Scatter {
                 }
             }
         });
-        Forwarded {
+        Forwarded::Batch {
             job: batch.job,
             frame,
             exec,
@@ -438,8 +542,8 @@ impl Forward for Scatter {
                 answer: None,
             })
             .collect();
-        let key = self.next_batch;
-        self.next_batch += 1;
+        let key = self.next_key;
+        self.next_key += 1;
         let count = ranges.len();
         self.batches.insert(
             key,
@@ -457,6 +561,34 @@ impl Forward for Scatter {
             self.place((key, r));
         }
         // Write now: the replicas start while the reactor reads on.
+        self.flush();
+    }
+
+    /// Asks every available replica for its snapshot, to fold into the
+    /// router's own.
+    fn metrics(&mut self, job: MetricsJob) {
+        let key = self.next_key;
+        self.next_key += 1;
+        let now = Instant::now();
+        let asked: Vec<usize> = (0..self.links.len())
+            .filter(|&idx| self.backend.pool().replicas()[idx].is_available(now))
+            .collect();
+        let snapshot = self.backend.local_snapshot();
+        let open = asked.len();
+        self.polls.insert(
+            key,
+            Poll {
+                job,
+                snapshot,
+                open,
+            },
+        );
+        if open == 0 {
+            self.ready.push(key);
+        }
+        for idx in asked {
+            self.ask(idx, Ask::Metrics(key));
+        }
         self.flush();
     }
 
@@ -490,7 +622,7 @@ impl Forward for Scatter {
                 self.read(idx);
             }
         }
-        // Deadlines: the oldest pending range of each link expires first;
+        // Deadlines: the oldest pending frame of each link expires first;
         // a connection that sat on one that long is given up on whole.
         let now = Instant::now();
         for idx in 0..self.links.len() {
@@ -502,6 +634,7 @@ impl Forward for Scatter {
                 self.close(idx);
             }
         }
+        self.probe(now);
         self.drive(done);
     }
 }

@@ -44,7 +44,6 @@ fn start_router(replicas: Vec<String>) -> RouterHandle {
     QbsRouter::start(
         RouterConfig::bind("127.0.0.1:0")
             .replicas(replicas)
-            .workers(4)
             .min_split(4)
             .probe_interval(Duration::from_millis(100))
             .client(
@@ -264,7 +263,6 @@ fn routed_metrics_merge_replica_histograms_and_serve_http() {
                     .map(|r| r.local_addr().to_string())
                     .collect(),
             )
-            .workers(4)
             .min_split(4)
             .metrics_addr("127.0.0.1:0")
             .slow_query(Duration::ZERO),
@@ -370,12 +368,21 @@ impl std::fmt::Debug for Local {
 
 /// A raw listener that speaks the preamble, answers pings, answers every
 /// batch the way its [`FakeAnswer`] says, and answers every other
-/// (control) frame with [`FakeReplica::snapshot`], counting them.
+/// (control) frame with [`FakeReplica::snapshot`], counting connections,
+/// pings and control frames.
 struct FakeReplica {
     addr: String,
-    control_frames: Arc<AtomicUsize>,
+    counts: Arc<FakeCounts>,
     stop: Arc<std::sync::atomic::AtomicBool>,
     accept: Option<std::thread::JoinHandle<()>>,
+}
+
+/// What a [`FakeReplica`] has seen.
+#[derive(Default)]
+struct FakeCounts {
+    connections: AtomicUsize,
+    pings: AtomicUsize,
+    control_frames: AtomicUsize,
 }
 
 impl FakeReplica {
@@ -383,10 +390,10 @@ impl FakeReplica {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake");
         let addr = listener.local_addr().expect("addr").to_string();
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let control_frames = Arc::new(AtomicUsize::new(0));
+        let counts = Arc::new(FakeCounts::default());
         let accept = {
             let stop = Arc::clone(&stop);
-            let control_frames = Arc::clone(&control_frames);
+            let counts = Arc::clone(&counts);
             std::thread::spawn(move || {
                 // Blocking accepts; drop wakes the loop with one last dial.
                 for stream in listener.incoming() {
@@ -394,16 +401,19 @@ impl FakeReplica {
                         break;
                     }
                     if let Ok(stream) = stream {
+                        counts
+                            .connections
+                            .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
                         let answer = answer.clone();
-                        let control_frames = Arc::clone(&control_frames);
-                        std::thread::spawn(move || fake_serve(stream, answer, &control_frames));
+                        let counts = Arc::clone(&counts);
+                        std::thread::spawn(move || fake_serve(stream, answer, &counts));
                     }
                 }
             })
         };
         FakeReplica {
             addr,
-            control_frames,
+            counts,
             stop,
             accept: Some(accept),
         }
@@ -419,8 +429,19 @@ impl FakeReplica {
     }
 
     fn control_frames(&self) -> usize {
-        self.control_frames
+        self.counts
+            .control_frames
             .load(std::sync::atomic::Ordering::SeqCst)
+    }
+
+    fn connections(&self) -> usize {
+        self.counts
+            .connections
+            .load(std::sync::atomic::Ordering::SeqCst)
+    }
+
+    fn pings(&self) -> usize {
+        self.counts.pings.load(std::sync::atomic::Ordering::SeqCst)
     }
 }
 
@@ -434,7 +455,7 @@ impl Drop for FakeReplica {
     }
 }
 
-fn fake_serve(mut stream: std::net::TcpStream, answer: FakeAnswer, control_frames: &AtomicUsize) {
+fn fake_serve(mut stream: std::net::TcpStream, answer: FakeAnswer, counts: &FakeCounts) {
     use qbs_server::protocol::{self, RequestFrame, ResponseFrame};
     use qbs_server::BusyReason;
     stream
@@ -486,10 +507,15 @@ fn fake_serve(mut stream: std::net::TcpStream, answer: FakeAnswer, control_frame
                 }
             },
             RequestFrame::Ping => {
+                counts
+                    .pings
+                    .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
                 protocol::write_response(&mut stream, id, trace, &ResponseFrame::Pong)
             }
             _ => {
-                control_frames.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                counts
+                    .control_frames
+                    .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
                 let snapshot = ResponseFrame::Metrics(FakeReplica::snapshot());
                 protocol::write_response(&mut stream, id, trace, &snapshot)
             }
@@ -506,7 +532,6 @@ fn start_router_over(replicas: Vec<String>) -> RouterHandle {
     QbsRouter::start(
         RouterConfig::bind("127.0.0.1:0")
             .replicas(replicas)
-            .workers(2)
             .min_split(64)
             .probe_interval(Duration::from_secs(60))
             .client(
@@ -601,7 +626,6 @@ fn one_replica_round_trip_per_metrics_frame_and_scrape() {
     let router = QbsRouter::start(
         RouterConfig::bind("127.0.0.1:0")
             .replica(fake.addr.clone())
-            .workers(2)
             .probe_interval(Duration::from_secs(60))
             .metrics_addr("127.0.0.1:0"),
     )
@@ -673,4 +697,225 @@ fn shutdown_drains_forwarded_batches() {
     }
     router.shutdown();
     drop(slow);
+}
+
+#[test]
+fn batches_probes_and_polls_share_one_connection_per_replica() {
+    let local = Arc::new(Qbs::open(index_file("one_link"), MapMode::Mmap).expect("local"));
+    let fakes: Vec<FakeReplica> = (0..2)
+        .map(|_| FakeReplica::start(FakeAnswer::Slow(Local(Arc::clone(&local)))))
+        .collect();
+    let started = Instant::now();
+    let router = QbsRouter::start(
+        RouterConfig::bind("127.0.0.1:0")
+            .replicas(fakes.iter().map(|f| f.addr.clone()).collect())
+            .min_split(4)
+            .probe_interval(Duration::from_millis(100))
+            .metrics_addr("127.0.0.1:0"),
+    )
+    .expect("start router");
+    let mut client =
+        QbsClient::connect_retry(&router.local_addr().to_string(), Duration::from_secs(10))
+            .expect("connect");
+    let num_vertices = local.num_vertices() as u32;
+    for salt in 0..2u32 {
+        let requests = mixed_requests(num_vertices, salt);
+        let reply = client.submit(&requests).expect("submit");
+        assert_eq!(
+            reply.outcomes().expect("no shed"),
+            &local.submit(&requests)[..]
+        );
+    }
+    for _ in 0..2 {
+        assert_eq!(
+            client.metrics().expect("metrics").get(counter::REQUESTS),
+            Some(14)
+        );
+    }
+    assert!(
+        scrape(router.metrics_addr().expect("metrics listener bound"))
+            .contains("qbs_requests_total 14")
+    );
+    // Probes go on for at least a second in all.
+    std::thread::sleep(Duration::from_secs(1).saturating_sub(started.elapsed()));
+
+    let snap = router.local_snapshot();
+    for fake in &fakes {
+        assert_eq!(
+            fake.connections(),
+            1,
+            "batches, probes and polls must share the one link"
+        );
+        assert_eq!(fake.control_frames(), 3, "one poll per frame and scrape");
+        assert!(
+            fake.pings() >= 3,
+            "probed {} times in a second",
+            fake.pings()
+        );
+        assert_eq!(snap.replica(counter::REPLICA_HEALTHY, &fake.addr), Some(1));
+        assert_eq!(snap.replica(counter::REPLICA_FAILURES, &fake.addr), Some(0));
+        assert_eq!(snap.replica(counter::REPLICA_BATCHES, &fake.addr), Some(2));
+    }
+    drop(client);
+    drop(router);
+}
+
+#[test]
+fn probes_alone_eject_a_dead_replica_and_readmit_it() {
+    let path = index_file("probe_eject");
+    let mut replica = start_replica(&path);
+    let addr = replica.local_addr().to_string();
+    let probe_interval = Duration::from_millis(100);
+    let health = HealthConfig {
+        eject_after: 2,
+        backoff_initial: Duration::from_millis(300),
+        backoff_max: Duration::from_secs(2),
+    };
+    let router = QbsRouter::start(
+        RouterConfig::bind("127.0.0.1:0")
+            .replica(addr.clone())
+            .probe_interval(probe_interval)
+            .client(ClientConfig::default().connect_timeout(Duration::from_millis(250)))
+            .health(health),
+    )
+    .expect("start router");
+    let replica_stat = |def| router.local_snapshot().replica(def, &addr);
+    let wait_for = |what: &str, within: Duration, done: &dyn Fn() -> bool| {
+        let deadline = Instant::now() + within;
+        while !done() {
+            assert!(Instant::now() < deadline, "{what} took over {within:?}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    };
+    // No client traffic at all: only the first probe dials the replica.
+    wait_for("the first probe", Duration::from_secs(5), &|| {
+        replica.snapshot().get(counter::CONNECTIONS) == Some(1)
+    });
+
+    let stopped = Instant::now();
+    replica.shutdown();
+    drop(replica);
+    let within = probe_interval * health.eject_after + Duration::from_secs(1);
+    wait_for(
+        "ejection by probes",
+        within.saturating_sub(stopped.elapsed()),
+        &|| replica_stat(counter::REPLICA_HEALTHY) == Some(0),
+    );
+
+    // Listening again on the same address: once the backoff window has
+    // passed, a probe dials it and its `Pong` re-admits it.
+    let qbs = Arc::new(Qbs::open(&path, MapMode::Mmap).expect("open mmap"));
+    let revived =
+        QbsServer::start(qbs, ServerConfig::bind(addr.clone()).workers(1)).expect("rebind");
+    wait_for(
+        "re-admission",
+        health.backoff_max + Duration::from_secs(2),
+        &|| {
+            revived.snapshot().get(counter::CONNECTIONS) == Some(1)
+                && replica_stat(counter::REPLICA_HEALTHY) == Some(1)
+        },
+    );
+    let failures = replica_stat(counter::REPLICA_FAILURES);
+    std::thread::sleep(probe_interval * 5);
+    assert_eq!(replica_stat(counter::REPLICA_HEALTHY), Some(1));
+    assert_eq!(
+        replica_stat(counter::REPLICA_FAILURES),
+        failures,
+        "every probe since re-admission answered"
+    );
+    assert_eq!(
+        replica_stat(counter::REPLICA_BATCHES),
+        Some(0),
+        "no traffic"
+    );
+    drop(router);
+    drop(revived);
+}
+
+/// The threads of this process, counted by name, once every thread this
+/// one started has named itself (until then it carries this one's name).
+#[cfg(target_os = "linux")]
+fn thread_census() -> std::collections::BTreeMap<String, i64> {
+    let comm = |path: std::path::PathBuf| {
+        let name = std::fs::read_to_string(path.join("comm")).unwrap_or_default();
+        name.trim().to_string()
+    };
+    let own = comm("/proc/thread-self".into());
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let mut census = std::collections::BTreeMap::new();
+        for task in std::fs::read_dir("/proc/self/task")
+            .into_iter()
+            .flatten()
+            .flatten()
+        {
+            *census.entry(comm(task.path())).or_insert(0) += 1;
+        }
+        if census.get(&own) == Some(&1) {
+            return census;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "threads left unnamed: {census:?}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+#[test]
+#[cfg(target_os = "linux")]
+fn a_router_adds_one_long_lived_thread() {
+    // The other tests of this binary start servers and routers alongside,
+    // so the census runs in a process of its own: this binary again,
+    // running this test alone.
+    const CHILD: &str = "QBS_ROUTER_THREAD_CENSUS";
+    let name = "a_router_adds_one_long_lived_thread";
+    if std::env::var_os(CHILD).is_none() {
+        let out = std::process::Command::new(std::env::current_exe().expect("test binary"))
+            .args([name, "--exact", "--test-threads=1"])
+            .env(CHILD, "1")
+            .output()
+            .expect("run the census");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("1 passed"),
+            "census:\n{stdout}\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        return;
+    }
+    let path = index_file("census");
+    let replicas: Vec<ServerHandle> = (0..2).map(|_| start_replica(&path)).collect();
+    let before = thread_census();
+    let router = start_router(
+        replicas
+            .iter()
+            .map(|r| r.local_addr().to_string())
+            .collect(),
+    );
+    // The first probes dial both replicas; wait for those dials to end,
+    // then let a few more probe rounds go by.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while replicas
+        .iter()
+        .any(|r| r.snapshot().get(counter::CONNECTIONS) != Some(1))
+        || thread_census().contains_key("qbs-dial")
+    {
+        assert!(Instant::now() < deadline, "the dials never finished");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    std::thread::sleep(Duration::from_millis(300));
+    let after = thread_census();
+    let added: Vec<(&String, i64)> = after
+        .iter()
+        .map(|(name, n)| (name, n - before.get(name).copied().unwrap_or(0)))
+        .filter(|&(_, n)| n != 0)
+        .collect();
+    assert_eq!(
+        added,
+        [(&"qbs-reactor".to_string(), 1)],
+        "{before:?} -> {after:?}"
+    );
+    drop(router);
+    drop(replicas);
 }

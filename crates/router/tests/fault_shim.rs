@@ -348,7 +348,6 @@ fn run_seed(seed: u64, local: &Qbs, replicas: &[ServerHandle]) {
     let router = QbsRouter::start(
         RouterConfig::bind("127.0.0.1:0")
             .replicas(shims.iter().map(|s| s.addr.to_string()).collect())
-            .workers(2)
             .min_split(4)
             .probe_interval(Duration::from_millis(100))
             .client(

@@ -71,6 +71,6 @@ pub use admission::{Admission, AdmissionConfig, BusyReason};
 pub use client::{BatchReply, ClientConfig, QbsClient, Ticket};
 pub use protocol::{ProtocolError, MAX_FRAME_LEN, PROTOCOL_VERSION};
 pub use server::{
-    Forward, ForwardJob, Forwarded, QbsServer, ServeBackend, ServerConfig, ServerHandle,
-    ShutdownSignal,
+    Forward, ForwardJob, Forwarded, MetricsJob, QbsServer, ServeBackend, ServerConfig,
+    ServerHandle, ShutdownSignal,
 };

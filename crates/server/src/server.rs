@@ -9,14 +9,15 @@
 //!                 │ reactor thread: poll(2) over listener +    │
 //!  accept ──────▶ │ every connection; nonblocking reads decode │ ◀──▶ replicas
 //!                 │ frames, control frames answered inline;    │ (router only:
-//!                 │ a forwarding backend's batches stay here   │  Forward hook)
+//!                 │ a forwarding backend's batches, probes and │  Forward hook)
+//!                 │ Metrics polls stay here                    │
 //!                 └───────┬───────────────────────▲────────────┘
 //!                         │ every admitted batch  │ completions (wake pipe)
 //!                         ▼                       │
 //!                 ┌────────────────────────────────────────────┐
-//!                 │ worker pool (W threads): Qbs::submit,      │
-//!                 │ encode response, hand bytes back; routed   │
-//!                 │ Metrics polls                              │
+//!                 │ worker pool (W threads, none for a         │
+//!                 │ forwarding backend): Qbs::submit, encode   │
+//!                 │ response, hand bytes back                  │
 //!                 └────────────────────────────────────────────┘
 //! ```
 //!
@@ -35,9 +36,10 @@
 //!
 //! A backend that forwards instead of executing (the router) returns a
 //! [`Forward`] from [`ServeBackend::forwarder`]: admitted batches are
-//! then handed to it as bytes ([`ForwardJob`]), never decoded, and its
-//! upstream sockets join the reactor's poll set, so a routed batch costs
-//! no thread hop at all.
+//! then handed to it as bytes ([`ForwardJob`]), never decoded, `Metrics`
+//! frames and scrapes as [`MetricsJob`]s, and its upstream sockets join
+//! the reactor's poll set, so a routed batch costs no thread hop at all
+//! and the server starts no worker for it.
 //!
 //! Ordering: connections pipeline freely; responses carry the request's
 //! ID and may arrive in any order. A client may half-close after its
@@ -54,7 +56,9 @@
 //! Admission ([`crate::admission`]) gates everything: connections are
 //! only shed at the configured connection bound (idle sockets park), and
 //! the in-flight request semaphore bounds work across all sockets. Shed
-//! work is answered with a typed `Busy` frame, never a hang.
+//! work is answered with a typed `Busy` frame, never a hang; a shed
+//! connection gets its `Busy` on the reactor once the peer's preamble
+//! arrives, then closes as a faulted connection does.
 //!
 //! Shutdown is graceful from either direction — a `Shutdown` frame or
 //! [`ServerHandle::shutdown`] (which the CLI wires to SIGINT): the
@@ -64,10 +68,9 @@
 //! the process can unmap the index file cleanly.
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -79,7 +82,7 @@ use qbs_core::{
     Metrics, MetricsSnapshot, Qbs, QueryOutcome, QueryRequest, Stage, StageNanos, TraceId,
 };
 
-use crate::admission::{Admission, AdmissionConfig, InflightGuard};
+use crate::admission::{Admission, AdmissionConfig, BusyReason, ConnectionGuard, InflightGuard};
 use crate::poll::{self, Fill, Pipe, PollFd, WakePipe, POLLIN};
 use crate::protocol::{
     self, fault_code, ProtocolError, RequestFrame, ResponseFrame, WireFault, MAX_FRAME_LEN,
@@ -231,9 +234,9 @@ impl ShutdownSignal {
 /// outcomes. [`Qbs`] is the canonical backend (a replica serving one
 /// mmap'd index), executing batches on the worker pool. The routing tier
 /// instead returns a [`Forward`] from [`ServeBackend::forwarder`]: the
-/// reactor then hands it every admitted batch as bytes and drives its
-/// replica connections in its own poll loop, reusing the handshake,
-/// admission, pipelining and drain unchanged.
+/// reactor then hands it every admitted batch as bytes and every
+/// `Metrics` request, and drives its replica connections in its own poll
+/// loop, reusing the handshake, admission, pipelining and drain unchanged.
 pub trait ServeBackend: Send + Sync + std::fmt::Debug + 'static {
     /// Executes a batch under a trace ID: one outcome per request slot,
     /// plus the batch's aggregate per-stage wall time (all zeros when the
@@ -262,16 +265,10 @@ pub trait ServeBackend: Send + Sync + std::fmt::Debug + 'static {
 
     /// The backend's telemetry (the `Metrics` frame's payload, to which
     /// the server appends its admission counters): by default its
-    /// registry's. A router folds in every available replica's.
+    /// registry's. A backend with a forwarder answers the frame through
+    /// [`Forward::metrics`] instead; this is then its own part alone.
     fn snapshot(&self) -> MetricsSnapshot {
         self.obs().map(Metrics::snapshot).unwrap_or_default()
-    }
-
-    /// Whether [`ServeBackend::snapshot`] may run on the reactor thread.
-    /// A router's snapshot polls the replicas over blocking connections,
-    /// so it answers on a worker instead.
-    fn snapshot_inline(&self) -> bool {
-        true
     }
 
     /// The live metrics registry, when the backend has one — lets the
@@ -330,18 +327,38 @@ impl ForwardJob {
     }
 }
 
-/// A forwarded batch's reply, ready for the reactor to queue.
+/// A `Metrics` frame or `GET /metrics` scrape the reactor hands to a
+/// [`Forward`], which hands it back with the telemetry that answers it.
 #[derive(Debug)]
-pub struct Forwarded {
-    /// The batch it answers (its permit is released once queued).
-    pub job: ForwardJob,
-    /// The complete reply frame, from [`ForwardJob::reply`].
-    pub frame: Vec<u8>,
-    /// From the first forwarded byte to the last reply spliced: the
-    /// routing tier's `execute` stage.
-    pub exec: Duration,
-    /// Time spent building `frame`: the `wire_encode` stage.
-    pub encode: Duration,
+pub struct MetricsJob {
+    token: u64,
+    id: RequestId,
+    trace: TraceId,
+}
+
+/// What a [`Forward`] hands back to the reactor.
+#[derive(Debug)]
+pub enum Forwarded {
+    /// A forwarded batch's reply, ready to queue.
+    Batch {
+        /// The batch it answers (its permit is released once queued).
+        job: ForwardJob,
+        /// The complete reply frame, from [`ForwardJob::reply`].
+        frame: Vec<u8>,
+        /// From the first forwarded byte to the last reply spliced: the
+        /// routing tier's `execute` stage.
+        exec: Duration,
+        /// Time spent building `frame`: the `wire_encode` stage.
+        encode: Duration,
+    },
+    /// The telemetry answering a [`MetricsJob`]; the reactor appends its
+    /// admission counters.
+    Metrics {
+        /// The request it answers.
+        job: MetricsJob,
+        /// The forwarder's gathered telemetry.
+        snapshot: MetricsSnapshot,
+    },
 }
 
 /// A batch path the reactor drives on its own thread: a backend that
@@ -352,12 +369,16 @@ pub trait Forward: Send {
     /// Takes one admitted batch and starts forwarding it.
     fn submit(&mut self, job: ForwardJob);
 
+    /// Takes one `Metrics` frame or scrape and starts gathering the
+    /// telemetry that answers it.
+    fn metrics(&mut self, job: MetricsJob);
+
     /// Appends the descriptors to wait on this turn.
     fn register(&mut self, fds: &mut Vec<PollFd>);
 
     /// One reactor turn: `fds` are the entries [`Forward::register`]
-    /// appended, with poll's results. Pushes every batch answered since
-    /// the last turn onto `done`.
+    /// appended, with poll's results. Pushes every batch and
+    /// [`MetricsJob`] answered since the last turn onto `done`.
     fn turn(&mut self, fds: &[PollFd], done: &mut Vec<Forwarded>);
 }
 
@@ -420,27 +441,29 @@ impl QbsServer {
         let admission = Arc::new(Admission::new(config.admission));
         let wake = Arc::new(WakePipe::new()?);
         let completions: Arc<Mutex<Vec<Completion>>> = Arc::new(Mutex::new(Vec::new()));
-        let worker_count = config.workers.max(1);
+        let forward = Arc::clone(&backend).forwarder(Arc::clone(&wake));
+        // A forwarder takes every batch: nothing would reach a worker.
+        let worker_count = if forward.is_some() {
+            0
+        } else {
+            config.workers.max(1)
+        };
         let (jobs_tx, jobs_rx) = mpsc::channel::<Job>();
         let jobs_rx = Arc::new(Mutex::new(jobs_rx));
 
         let workers: Vec<JoinHandle<()>> = (0..worker_count)
             .map(|i| {
                 let backend = Arc::clone(&backend);
-                let admission = Arc::clone(&admission);
                 let rx = Arc::clone(&jobs_rx);
                 let completions = Arc::clone(&completions);
                 let wake = Arc::clone(&wake);
                 std::thread::Builder::new()
                     .name(format!("qbs-worker-{i}"))
-                    .spawn(move || {
-                        worker_loop(&*backend, &admission, &rx, &completions, &wake, slow_query)
-                    })
+                    .spawn(move || worker_loop(&*backend, &rx, &completions, &wake, slow_query))
                     .expect("spawn worker thread")
             })
             .collect();
 
-        let forward = Arc::clone(&backend).forwarder(Arc::clone(&wake));
         let reactor = {
             let backend = Arc::clone(&backend);
             let admission = Arc::clone(&admission);
@@ -526,12 +549,14 @@ impl ServerHandle {
         1
     }
 
-    /// Number of worker threads executing batches.
+    /// Number of worker threads executing batches (none for a backend
+    /// with a forwarder).
     pub fn worker_threads(&self) -> usize {
         self.workers.len()
     }
 
-    /// The server's telemetry — the value a `Metrics` frame returns.
+    /// The server's telemetry — the value a `Metrics` frame returns,
+    /// less what a forwarder gathers for one (a router's replicas).
     pub fn snapshot(&self) -> MetricsSnapshot {
         snapshot(&*self.backend, &self.admission)
     }
@@ -578,33 +603,19 @@ impl Drop for ServerHandle {
     }
 }
 
-/// A unit of work travelling from the reactor to a worker.
+/// An admitted batch travelling from the reactor to a worker.
 struct Job {
     token: u64,
     id: RequestId,
     /// Trace ID from the request's envelope, carried into the slow-query
-    /// log and the router's replica calls.
+    /// log.
     trace: TraceId,
     /// Peer address, for the slow-query log.
     peer: SocketAddr,
     /// When the reactor queued the job — the queue-wait stage clock.
     enqueued: Instant,
-    kind: JobKind,
-}
-
-/// What a worker does with a [`Job`]. Batches always run here; snapshots
-/// run here only for backends whose snapshot performs I/O (the router
-/// polls every replica) — see [`ServeBackend::snapshot_inline`].
-enum JobKind {
-    /// An admitted batch, carrying its admission permit.
-    Batch {
-        requests: Vec<QueryRequest>,
-        permit: InflightGuard,
-    },
-    /// A `Metrics` snapshot the backend gathers off-reactor. With
-    /// `http` set the completion carries a raw HTTP response for the
-    /// `/metrics` listener instead of a protocol frame.
-    Snapshot { http: bool },
+    requests: Vec<QueryRequest>,
+    permit: InflightGuard,
 }
 
 /// An encoded response travelling back from a worker to the reactor.
@@ -616,7 +627,6 @@ struct Completion {
 /// Worker thread body: execute jobs, encode, hand back, wake.
 fn worker_loop(
     backend: &dyn ServeBackend,
-    admission: &Admission,
     rx: &Mutex<Receiver<Job>>,
     completions: &Mutex<Vec<Completion>>,
     wake: &WakePipe,
@@ -631,15 +641,8 @@ fn worker_loop(
             break; // reactor gone, queue drained
         };
         let (token, id, trace) = (job.token, job.id, job.trace);
-        let http = matches!(job.kind, JobKind::Snapshot { http: true });
-        let bytes = contain(backend, || run_job(backend, admission, slow_query, job))
-            .unwrap_or_else(|fault| {
-                if http {
-                    http_error(500, "Internal Server Error")
-                } else {
-                    wire_response(id, trace, &ResponseFrame::Error(fault))
-                }
-            });
+        let bytes = contain(backend, || run_job(backend, slow_query, job))
+            .unwrap_or_else(|fault| wire_response(id, trace, &ResponseFrame::Error(fault)));
         completions
             .lock()
             .expect("completion queue poisoned")
@@ -666,49 +669,31 @@ fn contain<T>(backend: &dyn ServeBackend, body: impl FnOnce() -> T) -> Result<T,
     })
 }
 
-/// Executes one worker job and encodes its reply: a protocol frame under
-/// the request's envelope, or a complete HTTP response for a `/metrics`
-/// snapshot gathered off-reactor. Every admitted batch of a backend that
-/// executes runs here: it records its queue wait, and its slow-query line
-/// when execution crosses the configured threshold.
-fn run_job(
-    backend: &dyn ServeBackend,
-    admission: &Admission,
-    slow_query: Option<Duration>,
-    job: Job,
-) -> Vec<u8> {
-    let frame = match job.kind {
-        JobKind::Batch { requests, permit } => {
-            let queue_wait = job.enqueued.elapsed();
-            if let Some(m) = backend.obs() {
-                m.record_batch_stage(Stage::QueueWait, queue_wait);
-            }
-            let t_exec = Instant::now();
-            let (outcomes, stages) = backend.execute(&requests, job.trace);
-            let batch = SlowBatch {
-                peer: job.peer,
-                trace: job.trace,
-                len: requests.len(),
-                queue_wait,
-                exec: t_exec.elapsed(),
-            };
-            batch.log_if_slow(backend, slow_query, &stages);
-            // Release the permits before the response is queued —
-            // execution is what the in-flight bound meters.
-            drop(permit);
-            ResponseFrame::Batch(outcomes)
-        }
-        JobKind::Snapshot { http } => {
-            let snapshot = snapshot(backend, admission);
-            if http {
-                return http_ok(&snapshot.render_prometheus());
-            }
-            ResponseFrame::Metrics(snapshot)
-        }
+/// Executes one admitted batch and encodes its reply under the request's
+/// envelope. Every admitted batch of a backend that executes runs here:
+/// it records its queue wait, and its slow-query line when execution
+/// crosses the configured threshold.
+fn run_job(backend: &dyn ServeBackend, slow_query: Option<Duration>, job: Job) -> Vec<u8> {
+    let queue_wait = job.enqueued.elapsed();
+    if let Some(m) = backend.obs() {
+        m.record_batch_stage(Stage::QueueWait, queue_wait);
+    }
+    let t_exec = Instant::now();
+    let (outcomes, stages) = backend.execute(&job.requests, job.trace);
+    let batch = SlowBatch {
+        peer: job.peer,
+        trace: job.trace,
+        len: job.requests.len(),
+        queue_wait,
+        exec: t_exec.elapsed(),
     };
+    batch.log_if_slow(backend, slow_query, &stages);
+    // Release the permits before the response is queued — execution is
+    // what the in-flight bound meters.
+    drop(job.permit);
     let t_encode = Instant::now();
-    let bytes = wire_response(job.id, job.trace, &frame);
-    if let (Some(m), ResponseFrame::Batch(_)) = (backend.obs(), &frame) {
+    let bytes = wire_response(job.id, job.trace, &ResponseFrame::Batch(outcomes));
+    if let Some(m) = backend.obs() {
         m.record_batch_stage(Stage::WireEncode, t_encode.elapsed());
     }
     bytes
@@ -798,10 +783,12 @@ struct Conn {
     pipe: Pipe,
     /// Peer address, for the slow-query log.
     peer: SocketAddr,
-    _guard: crate::admission::ConnectionGuard,
+    /// The admission slot, or why the connection bound refused one: such
+    /// a connection is answered `Busy` once the peer greets, then closed.
+    slot: Result<ConnectionGuard, BusyReason>,
     /// Whether the client's preamble has arrived and been answered.
     greeted: bool,
-    /// Jobs dispatched to workers and not yet completed.
+    /// Jobs at the workers or the forwarder and not yet answered.
     inflight: usize,
     mode: ReadMode,
     /// Finish outstanding work, flush, then close.
@@ -813,19 +800,21 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: TcpStream, guard: crate::admission::ConnectionGuard) -> Conn {
+    fn new(stream: TcpStream, slot: Result<ConnectionGuard, BusyReason>) -> Conn {
         let peer = stream
             .peer_addr()
             .unwrap_or_else(|_| SocketAddr::from(([0, 0, 0, 0], 0)));
+        // A refused peer that never greets is dropped after the linger.
+        let deadline = slot.is_err().then(|| Instant::now() + FAULT_LINGER);
         Conn {
             pipe: Pipe::new(stream),
             peer,
-            _guard: guard,
+            slot,
             greeted: false,
             inflight: 0,
             mode: ReadMode::Frames,
             closing: false,
-            deadline: None,
+            deadline,
             dead: false,
         }
     }
@@ -841,13 +830,17 @@ impl Conn {
         self.dead |= !self.pipe.flush();
     }
 
-    /// Queues a fatal, connection-scoped fault: the frame goes out,
-    /// inbound bytes are drained (not parsed) for a bounded linger, then
-    /// the socket closes.
+    /// Queues a fatal, connection-scoped fault (see [`Conn::close_with`]).
     fn fault_close(&mut self, code: u8, message: String) {
-        let fault = ResponseFrame::Error(WireFault { code, message });
+        self.close_with(&ResponseFrame::Error(WireFault { code, message }));
+    }
+
+    /// Queues a last, connection-scoped frame: it goes out, inbound bytes
+    /// are drained (not parsed) for a bounded linger, then the socket
+    /// closes.
+    fn close_with(&mut self, frame: &ResponseFrame) {
         self.pipe
-            .queue(wire_response(RequestId::CONNECTION, TraceId::NONE, &fault));
+            .queue(wire_response(RequestId::CONNECTION, TraceId::NONE, frame));
         self.mode = ReadMode::Discard;
         self.closing = true;
         self.deadline = Some(Instant::now() + FAULT_LINGER);
@@ -863,10 +856,10 @@ struct Ctx<'a> {
 }
 
 /// Where the reactor sends work it does not finish in the turn that
-/// started it: worker jobs, and the forwarder's batches.
+/// started it: worker jobs, and the forwarder's batches and polls.
 struct Offload {
     jobs: Sender<Job>,
-    /// Worker jobs and forwarded batches not yet answered.
+    /// Worker jobs and forwarded batches and polls not yet answered.
     dispatched: usize,
     forward: Option<Box<dyn Forward>>,
 }
@@ -877,6 +870,18 @@ impl Offload {
     fn dispatch(&mut self, job: Job) {
         self.dispatched += 1;
         let _ = self.jobs.send(job);
+    }
+
+    /// Hands a `Metrics` request to the forwarder, if there is one (the
+    /// router gathers its replicas' telemetry): `false` when the reactor
+    /// answers it itself.
+    fn forward_metrics(&mut self, job: MetricsJob) -> bool {
+        let Some(forward) = self.forward.as_mut() else {
+            return false;
+        };
+        self.dispatched += 1;
+        forward.metrics(job);
+        true
     }
 }
 
@@ -899,10 +904,10 @@ fn reactor_loop(
         signal,
         slow_query,
     };
-    let shed_threads = Arc::new(AtomicUsize::new(0));
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     // HTTP `/metrics` connections, sharing the token space with `conns`
-    // so worker completions route by whichever map owns the token.
+    // so forwarded `Metrics` answers route by whichever map owns the
+    // token.
     let mut https: HashMap<u64, HttpConn> = HashMap::new();
     let mut next_token: u64 = 0;
     let mut forwarded: Vec<Forwarded> = Vec::new();
@@ -990,12 +995,6 @@ fn reactor_loop(
         };
         for completion in done {
             offload.dispatched -= 1;
-            if let Some(http) = https.get_mut(&completion.token) {
-                // A `/metrics` snapshot gathered off-reactor (the router):
-                // the bytes are a complete HTTP response.
-                http.respond(completion.bytes);
-                continue;
-            }
             let Some(conn) = conns.get_mut(&completion.token) else {
                 continue; // connection died while the batch executed
             };
@@ -1005,8 +1004,7 @@ fn reactor_loop(
 
         if let Some(slot) = listener_slot {
             if fds[slot].readable() {
-                accept_pause =
-                    accept_new(&listener, &ctx, &shed_threads, &mut conns, &mut next_token);
+                accept_pause = accept_new(&listener, &ctx, &mut conns, &mut next_token);
             }
         }
         if let (Some(slot), Some(l)) = (metrics_slot, metrics_listener.as_ref()) {
@@ -1047,7 +1045,7 @@ fn reactor_loop(
         }
         for reply in forwarded.drain(..) {
             offload.dispatched -= 1;
-            deliver_forwarded(&ctx, &mut conns, reply);
+            deliver_forwarded(&ctx, &mut conns, &mut https, reply);
         }
 
         // Reap finished and expired connections.
@@ -1075,8 +1073,8 @@ fn reactor_loop(
             if http.dead {
                 return false;
             }
-            // `responded` alone is not enough: a worker-dispatched
-            // `/metrics` request sets it before the completion lands —
+            // `responded` alone is not enough: a forwarded `/metrics`
+            // request sets it before the forwarder answers —
             // reap only once the response is queued and fully written.
             if http.queued && !http.pipe.pending() {
                 // Response delivered in full; `Connection: close`.
@@ -1093,36 +1091,54 @@ fn reactor_loop(
     }
 }
 
-/// Records a forwarded batch's routing-tier stages (and its slow-query
-/// line), then queues and writes its reply. The job, with its admission
-/// permit, goes only once the reply is queued.
-fn deliver_forwarded(ctx: &Ctx<'_>, conns: &mut HashMap<u64, Conn>, reply: Forwarded) {
-    let Forwarded {
-        job,
-        frame,
-        exec,
-        encode,
-    } = reply;
-    if let Some(m) = ctx.backend.obs() {
-        m.record_batch_stage(Stage::Execute, exec);
-        m.record_batch_stage(Stage::WireEncode, encode);
-    }
-    let mut stages = StageNanos::default();
-    stages.set(Stage::Execute, saturating_ns(exec));
-    let batch = SlowBatch {
-        peer: job.peer,
-        trace: job.trace,
-        len: job.len(),
-        queue_wait: Duration::ZERO,
-        exec,
+/// Queues and writes what the forwarder answered. A batch first records
+/// its routing-tier stages (and its slow-query line); its admission
+/// permit goes with the job, before the reactor reads again. A `Metrics`
+/// answer gains the admission counters and goes out as a frame or, for
+/// a scrape, as the HTTP response.
+fn deliver_forwarded(
+    ctx: &Ctx<'_>,
+    conns: &mut HashMap<u64, Conn>,
+    https: &mut HashMap<u64, HttpConn>,
+    reply: Forwarded,
+) {
+    let (token, bytes) = match reply {
+        Forwarded::Batch {
+            job,
+            frame,
+            exec,
+            encode,
+        } => {
+            if let Some(m) = ctx.backend.obs() {
+                m.record_batch_stage(Stage::Execute, exec);
+                m.record_batch_stage(Stage::WireEncode, encode);
+            }
+            let mut stages = StageNanos::default();
+            stages.set(Stage::Execute, saturating_ns(exec));
+            let batch = SlowBatch {
+                peer: job.peer,
+                trace: job.trace,
+                len: job.len(),
+                queue_wait: Duration::ZERO,
+                exec,
+            };
+            batch.log_if_slow(ctx.backend, ctx.slow_query, &stages);
+            (job.token, capped(job.id, job.trace, frame))
+        }
+        Forwarded::Metrics { job, mut snapshot } => {
+            ctx.admission.snapshot_into(&mut snapshot);
+            if let Some(http) = https.get_mut(&job.token) {
+                return http.respond(http_ok(&snapshot.render_prometheus()));
+            }
+            let frame = ResponseFrame::Metrics(snapshot);
+            (job.token, wire_response(job.id, job.trace, &frame))
+        }
     };
-    batch.log_if_slow(ctx.backend, ctx.slow_query, &stages);
-    let Some(conn) = conns.get_mut(&job.token) else {
-        return; // connection died while the batch was forwarded
+    let Some(conn) = conns.get_mut(&token) else {
+        return; // connection died while the forwarder worked
     };
     conn.inflight -= 1;
-    conn.send(capped(job.id, job.trace, frame));
-    drop(job);
+    conn.send(bytes);
 }
 
 /// Cap on parked `/metrics` connections — the ops port serves one probe
@@ -1183,8 +1199,8 @@ fn accept_http(listener: &TcpListener, https: &mut HashMap<u64, HttpConn>, next_
 }
 
 /// Reads an HTTP request head; answers `GET /metrics` with the
-/// Prometheus rendering (inline, or via a worker when the backend's
-/// snapshot performs I/O) and anything else with a 404.
+/// Prometheus rendering (inline, or through the forwarder when there is
+/// one) and anything else with a 404.
 fn http_read(
     ctx: &Ctx<'_>,
     http: &mut HttpConn,
@@ -1220,22 +1236,16 @@ fn http_read(
         http.respond(http_error(405, "Method Not Allowed"));
     } else if !metrics {
         http.respond(http_error(404, "Not Found"));
-    } else if ctx.backend.snapshot_inline() {
+    } else if offload.forward_metrics(MetricsJob {
+        token,
+        id: RequestId::CONNECTION,
+        trace: TraceId::NONE,
+    }) {
+        http.responded = true;
+    } else {
         http.respond(http_ok(
             &snapshot(ctx.backend, ctx.admission).render_prometheus(),
         ));
-    } else {
-        // The router gathers the snapshot from every replica over the
-        // network: answer on a worker, never on the reactor.
-        http.responded = true;
-        offload.dispatch(Job {
-            token,
-            id: RequestId::CONNECTION,
-            trace: TraceId::NONE,
-            peer: SocketAddr::from(([0, 0, 0, 0], 0)),
-            enqueued: Instant::now(),
-            kind: JobKind::Snapshot { http: true },
-        });
     }
 }
 
@@ -1270,14 +1280,18 @@ fn snapshot(backend: &dyn ServeBackend, admission: &Admission) -> MetricsSnapsho
     snapshot
 }
 
-/// Accepts every connection the backlog holds; admits or sheds each.
+/// Cap on refused connections waiting to be told `Busy`; refusals beyond
+/// it are closed outright — under a flood, bounded resources beat
+/// delivering every courtesy reply.
+const MAX_REFUSING: usize = 8;
+
+/// Accepts every connection the backlog holds; admits or refuses each.
 /// Returns the instant until which the reactor should stop polling the
 /// listener (set after a transient accept error such as EMFILE — the fd
 /// stays readable, so an immediate re-poll would spin).
 fn accept_new(
     listener: &TcpListener,
     ctx: &Ctx<'_>,
-    shed_threads: &Arc<AtomicUsize>,
     conns: &mut HashMap<u64, Conn>,
     next_token: &mut u64,
 ) -> Option<Instant> {
@@ -1293,13 +1307,12 @@ fn accept_new(
             continue;
         }
         stream.set_nodelay(true).ok();
-        match ctx.admission.admit_connection() {
-            Ok(guard) => {
-                *next_token += 1;
-                conns.insert(*next_token, Conn::new(stream, guard));
-            }
-            Err(reason) => shed_detached(shed_threads, stream, ResponseFrame::Busy(reason)),
+        let slot = ctx.admission.admit_connection();
+        if slot.is_err() && conns.values().filter(|c| c.slot.is_err()).count() >= MAX_REFUSING {
+            continue; // flood regime: close without the courtesy frame
         }
+        *next_token += 1;
+        conns.insert(*next_token, Conn::new(stream, slot));
     }
     None
 }
@@ -1367,6 +1380,11 @@ fn process_rbuf(ctx: &Ctx<'_>, conn: &mut Conn, token: u64, offload: &mut Offloa
         let mut preamble = Vec::with_capacity(PREAMBLE_LEN);
         let _ = protocol::write_preamble(&mut preamble);
         conn.pipe.queue(preamble);
+        if let Err(reason) = conn.slot {
+            // Over the connection bound: our preamble, the typed refusal,
+            // then close.
+            return conn.close_with(&ResponseFrame::Busy(reason));
+        }
         if protocol::negotiate(theirs).is_none() {
             // An older dialect: answer with our preamble and a typed
             // fault, then close.
@@ -1463,7 +1481,7 @@ fn handle_frame(
 }
 
 /// Executes a frame: control frames on the reactor, batches on the
-/// workers.
+/// workers, a router's `Metrics` through its forwarder.
 fn execute_frame(
     ctx: &Ctx<'_>,
     conn: &mut Conn,
@@ -1473,33 +1491,29 @@ fn execute_frame(
     frame: RequestFrame,
     offload: &mut Offload,
 ) {
-    // Hands a job to the worker pool; its completion decrements both
-    // counts again.
-    let mut dispatch = |conn: &mut Conn, kind: JobKind| {
-        conn.inflight += 1;
-        offload.dispatch(Job {
-            token,
-            id,
-            trace,
-            peer: conn.peer,
-            enqueued: Instant::now(),
-            kind,
-        });
-    };
     match frame {
         RequestFrame::Batch(requests) => match ctx.admission.admit_batch(requests.len()) {
-            Ok(permit) => dispatch(conn, JobKind::Batch { requests, permit }),
+            Ok(permit) => {
+                // Its completion decrements both counts again.
+                conn.inflight += 1;
+                offload.dispatch(Job {
+                    token,
+                    id,
+                    trace,
+                    peer: conn.peer,
+                    enqueued: Instant::now(),
+                    requests,
+                    permit,
+                });
+            }
             Err(reason) => queue_reply(conn, id, trace, &ResponseFrame::Busy(reason)),
         },
         RequestFrame::Metrics => {
-            if ctx.backend.snapshot_inline() {
+            if offload.forward_metrics(MetricsJob { token, id, trace }) {
+                conn.inflight += 1;
+            } else {
                 let snapshot = snapshot(ctx.backend, ctx.admission);
                 queue_reply(conn, id, trace, &ResponseFrame::Metrics(snapshot));
-            } else {
-                // The backend's snapshot performs I/O (the router rounds
-                // up every replica): answer it on a worker so the reactor
-                // never blocks on the network.
-                dispatch(conn, JobKind::Snapshot { http: false });
             }
         }
         RequestFrame::Ping => queue_reply(conn, id, trace, &ResponseFrame::Pong),
@@ -1518,65 +1532,4 @@ fn execute_frame(
 /// Encodes a reply and queues it; the read that made it flushes it.
 fn queue_reply(conn: &mut Conn, id: RequestId, trace: TraceId, frame: &ResponseFrame) {
     conn.pipe.queue(wire_response(id, trace, frame));
-}
-
-/// Cap on concurrent shed-refusal threads; refusals beyond it are dropped
-/// outright (plain close) — under a flood, bounded resources beat
-/// delivering every courtesy reply.
-const MAX_SHED_THREADS: usize = 8;
-
-/// Sheds a refused connection on a bounded helper thread. `refuse` paces
-/// at the client's speed (preamble drain + linger), so it must never run
-/// on the reactor thread.
-fn shed_detached(shed_threads: &Arc<AtomicUsize>, stream: TcpStream, frame: ResponseFrame) {
-    if shed_threads.fetch_add(1, Ordering::SeqCst) >= MAX_SHED_THREADS {
-        shed_threads.fetch_sub(1, Ordering::SeqCst);
-        return; // flood regime: close without the courtesy frame
-    }
-    let counter = Arc::clone(shed_threads);
-    let spawned = std::thread::Builder::new()
-        .name("qbs-shed".into())
-        .spawn(move || {
-            refuse(stream, frame);
-            counter.fetch_sub(1, Ordering::SeqCst);
-        });
-    if spawned.is_err() {
-        // Spawn failure (resource exhaustion): the stream was dropped with
-        // the unrun closure; release the slot it claimed.
-        shed_threads.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-/// Refuses a connection with one typed response frame, with short timeouts
-/// so a slow client cannot stall the helper. The client's own preamble is
-/// drained first and the close lingers, so the refusal is delivered as
-/// orderly data + FIN, never lost to a reset.
-fn refuse(mut stream: TcpStream, frame: ResponseFrame) {
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
-    let mut hello = [0u8; PREAMBLE_LEN];
-    let _ = Read::read_exact(&mut stream, &mut hello);
-    let _ = protocol::write_preamble(&mut stream);
-    let bytes = wire_response(RequestId::CONNECTION, TraceId::NONE, &frame);
-    let _ = stream.write_all(&bytes);
-    linger_close(stream);
-}
-
-/// Half-closes the write side and drains whatever the client still sends,
-/// so a close after a queued reply can never turn into a TCP reset that
-/// destroys the un-read reply. The drain is bounded by a hard deadline
-/// (not just per-read timeouts): a client uploading forever gets its FIN
-/// and then a plain close, it cannot pin the draining thread.
-fn linger_close(mut stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let _ = stream.shutdown(std::net::Shutdown::Write);
-    let deadline = Instant::now() + Duration::from_millis(500);
-    let mut sink = [0u8; 512];
-    while Instant::now() < deadline {
-        match Read::read(&mut stream, &mut sink) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {}
-        }
-    }
 }
