@@ -112,12 +112,13 @@ pub fn run(command: &Command) -> Result<String, CommandError> {
             let stats = index.stats();
             Ok(format!(
                 "built index over {} vertices / {} edges with {} landmarks in {:.3}s \
-                 (size(L)={} bytes, size(Δ)={} bytes) -> {}",
+                 (size(L)={} bytes, {} bytes resident, size(Δ)={} bytes) -> {}",
                 stats.num_vertices,
                 stats.num_edges,
                 stats.num_landmarks,
                 stats.total_build_time.as_secs_f64(),
                 stats.labelling_paper_bytes,
+                stats.labelling_memory_bytes,
                 stats.delta_bytes,
                 out.display()
             ))
@@ -416,7 +417,7 @@ fn inspect_index(path: &Path) -> Result<String, CommandError> {
          file size:       {} bytes\n\
          vertices:        {}\n\
          landmarks:       {}\n\
-         dist width:      {} byte(s) per label slot\n\
+         label slot:      {} bits ({} label bytes/vertex)\n\
          graph arcs:      {}\n\
          meta edges:      {}\n\
          delta edges:     {}\n\
@@ -429,6 +430,7 @@ fn inspect_index(path: &Path) -> Result<String, CommandError> {
         report.num_vertices,
         report.num_landmarks,
         report.dist_width,
+        report.label_bytes_per_vertex(),
         report.num_arcs,
         report.num_meta_edges,
         report.num_delta_edges,
@@ -879,8 +881,11 @@ mod tests {
             index: index_path.clone(),
         })
         .expect("inspect");
-        assert!(inspect.contains("qbs-index v5"), "{inspect}");
-        assert!(inspect.contains("dist width:      1 byte(s)"), "{inspect}");
+        assert!(inspect.contains("qbs-index v6"), "{inspect}");
+        assert!(
+            inspect.contains("label slot:      4 bits (3 label bytes/vertex)"),
+            "{inspect}"
+        );
         assert!(inspect.contains("fnv1a-64) ok"), "{inspect}");
         assert!(inspect.contains("verdict:         ok"), "{inspect}");
         assert!(inspect.contains("bytes/vertex"), "{inspect}");

@@ -21,13 +21,13 @@
 //!
 //! ```text
 //! header (48 bytes)
-//!   magic            8 bytes  "QBSIDX5\0"
-//!   version          u32      5
+//!   magic            8 bytes  "QBSIDX6\0"
+//!   version          u32      6
 //!   section_count    u32      9
 //!   num_vertices     u64
 //!   num_landmarks    u64
 //!   file_size        u64      total file length in bytes
-//!   dist_width       u8       bytes per label slot: 1 or 2
+//!   dist_width       u8       bits per label slot: 4, 8 or 16
 //!   reserved         7 bytes  0
 //! section table (9 × 24 bytes, in SectionKind order)
 //!   kind             u32
@@ -36,8 +36,9 @@
 //!   len              u64      payload bytes (padding excluded)
 //! sections
 //!   LANDMARKS        |R| × u32 vertex ids, column order
-//!   LABELS           |V| × |R| × dist_width bytes, row-major label
-//!                    distances; all-ones = no entry
+//!   LABELS           |V| rows of ⌈|R| · dist_width / 8⌉ bytes: row v is
+//!                    v's label distances in column order; all-ones = no
+//!                    entry
 //!   GRAPH_ROWS       (|V|+1) × (u32 start, u32 landmark_start) into
 //!                    GRAPH_NEIGHBORS; entry |V| is (arcs, arcs)
 //!   GRAPH_NEIGHBORS  2|E| × u32 neighbour ids; each row holds its
@@ -50,9 +51,18 @@
 //!   CHECKSUM         u64 word-wise FNV-1a 64 over file[0 .. checksum_offset)
 //! ```
 //!
-//! The writer picks `dist_width` from the data: 1 iff the largest label
-//! distance is at most 254 (255 is the one-byte "no entry" sentinel),
-//! otherwise 2 — the in-memory slot width.
+//! # Label slots
+//!
+//! The writer picks `dist_width`, the slot width in bits, from the data:
+//! the narrowest of 4, 8 and 16 whose all-ones "no entry" value exceeds the
+//! largest label distance (so 4 bits hold labels up to 14, 8 bits up to 254
+//! and 16 bits up to 65 534). A row is `⌈|R| · dist_width / 8⌉` bytes, so
+//! [`IndexView::label_row`] is a whole-byte slice. Four-bit slots pack two
+//! to a byte, column `2k` in the low nibble of row byte `k`; at odd `|R|`
+//! the high nibble of each row's last byte is padding and holds `0xF`,
+//! which the structural scan checks. Every reader decodes a slot through
+//! one function, `decode`, at all three widths: one slot at a time, or a
+//! whole row at a time into a sketch lane.
 //!
 //! # `G⁻` is a row prefix
 //!
@@ -80,10 +90,10 @@
 //! [`QbsError::Corrupt`] before any query can read it, instead of
 //! panicking or answering from bad bytes.
 //!
-//! Files written by earlier builds (the JSON index and the `QBSIDX2` /
-//! `QBSIDX3` / `QBSIDX4` binary layouts) are refused with one `Corrupt`
-//! error that names the old version: an index is derived data, so the
-//! migration is `qbs build`.
+//! Files written by earlier builds (the JSON index and the `QBSIDX2` to
+//! `QBSIDX5` binary layouts) are refused with one `Corrupt` error that
+//! names the old version: an index is derived data, so the migration is
+//! `qbs build`.
 
 use qbs_graph::{Distance, Graph, VertexFilter, VertexId};
 
@@ -92,10 +102,10 @@ use crate::serialize::{excerpt, EXCERPT_LEN};
 use crate::{QbsError, Result};
 
 /// Magic bytes opening every index file.
-pub const MAGIC: [u8; 8] = *b"QBSIDX5\0";
+pub const MAGIC: [u8; 8] = *b"QBSIDX6\0";
 
 /// Format version of every index file a build writes.
-pub const FORMAT_VERSION: u32 = 5;
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Byte length of the fixed header.
 pub const HEADER_LEN: usize = 48;
@@ -122,8 +132,9 @@ const DIST_WIDTH_POS: usize = 40;
 pub enum SectionKind {
     /// Landmark vertex ids in column order (`|R| × u32`).
     Landmarks = 1,
-    /// Dense row-major label matrix (`|V| × |R|` slots of `dist_width`
-    /// bytes; all-ones = no entry).
+    /// Dense row-major label matrix (`|V|` rows of `|R|` slots of
+    /// `dist_width` bits, each row a whole number of bytes; all-ones = no
+    /// entry).
     Labels = 2,
     /// Row bounds into [`SectionKind::GraphNeighbors`]: `(|V|+1) × (u32
     /// start, u32 landmark_start)`, entry `|V|` being `(arcs, arcs)`.
@@ -246,7 +257,7 @@ pub struct IndexView {
     sections: [SectionRecord; SECTION_COUNT],
     num_vertices: usize,
     num_landmarks: usize,
-    /// Bytes per label slot (1 or 2), from the header.
+    /// Bits per label slot (4, 8 or 16), from the header.
     dist_width: usize,
 }
 
@@ -287,9 +298,9 @@ impl IndexView {
             )));
         }
         let dist_width = data[DIST_WIDTH_POS] as usize;
-        if !matches!(dist_width, 1 | 2) {
+        if !SLOT_BITS.contains(&dist_width) {
             return Err(QbsError::Corrupt(format!(
-                "header declares dist_width {dist_width}; label slots are 1 or 2 bytes wide"
+                "header declares dist_width {dist_width}; label slots are 4, 8 or 16 bits wide"
             )));
         }
         if data[DIST_WIDTH_POS + 1..HEADER_LEN].iter().any(|&b| b != 0) {
@@ -322,7 +333,7 @@ impl IndexView {
         self.num_landmarks
     }
 
-    /// Bytes per label slot (1 or 2), as the header declares.
+    /// Bits per label slot (4, 8 or 16), as the header declares.
     #[inline]
     pub fn dist_width(&self) -> usize {
         self.dist_width
@@ -383,25 +394,20 @@ impl IndexView {
     #[inline]
     pub fn label_distance(&self, v: VertexId, landmark_idx: usize) -> Option<Distance> {
         debug_assert!(landmark_idx < self.num_landmarks);
-        let slot = v as usize * self.num_landmarks + landmark_idx;
-        let labels = self.section_bytes(SectionKind::Labels);
-        if self.dist_width == 1 {
-            slot_distance(&labels[slot..slot + 1])
-        } else {
-            slot_distance(&labels[2 * slot..2 * slot + 2])
-        }
+        slot_distance(self.label_row(v), landmark_idx, self.dist_width)
     }
 
     /// The bytes of `v`'s label row: `num_landmarks()` slots of
-    /// `dist_width()` bytes, all-ones where the row has no entry. The query
-    /// path unpacks it whole into a sketch lane.
+    /// `dist_width()` bits, all-ones where the row has no entry (and in a
+    /// four-bit row's padding nibble). The query path unpacks it whole into
+    /// a sketch lane.
     ///
     /// # Panics
     ///
     /// Panics if `v as usize >= num_vertices()`.
     #[inline]
     pub fn label_row(&self, v: VertexId) -> &[u8] {
-        let row_len = self.num_landmarks * self.dist_width;
+        let row_len = label_row_len(self.num_landmarks, self.dist_width);
         let base = v as usize * row_len;
         &self.section_bytes(SectionKind::Labels)[base..base + row_len]
     }
@@ -414,10 +420,7 @@ impl IndexView {
     /// Panics if `v as usize >= num_vertices()`.
     #[inline]
     pub fn label_entries(&self, v: VertexId) -> impl Iterator<Item = (usize, Distance)> + '_ {
-        self.label_row(v)
-            .chunks_exact(self.dist_width)
-            .enumerate()
-            .filter_map(|(idx, slot)| slot_distance(slot).map(|d| (idx, d)))
+        row_entries(self.label_row(v), self.num_landmarks, self.dist_width)
     }
 
     /// The graph's adjacency rows, with both graph sections sliced once:
@@ -550,9 +553,9 @@ impl IndexView {
             .checked_add(1)
             .and_then(|c| c.checked_mul(8))
             .ok_or_else(overflow)?;
-        let labels_len = n
-            .checked_mul(r)
-            .and_then(|c| c.checked_mul(self.dist_width as u64))
+        let labels_len = r
+            .checked_mul(self.dist_width as u64)
+            .and_then(|bits| n.checked_mul(bits.div_ceil(8)))
             .ok_or_else(overflow)?;
         let apsp_len = r
             .checked_mul(r)
@@ -586,9 +589,9 @@ impl IndexView {
     /// Validates every `O(file)` structural invariant the typed accessors
     /// and [`crate::QbsIndex`] rely on, so no later code path can panic on a
     /// file that passed the checksum (e.g. one crafted rather than
-    /// corrupted). The label matrix needs no scan: its length is pinned by
-    /// the header and every slot value is either a distance or the "no
-    /// entry" sentinel.
+    /// corrupted). Of the label matrix only four-bit padding is scanned:
+    /// its length is pinned by the header and every slot value is either a
+    /// distance or the "no entry" sentinel.
     fn validate_structure(&self) -> Result<()> {
         let n = self.num_vertices;
         let r = self.num_landmarks;
@@ -608,6 +611,7 @@ impl IndexView {
                 )));
             }
         }
+        self.validate_label_padding()?;
         self.validate_graph_rows(&landmark_seen)?;
         validate_csr(
             self.section_bytes(SectionKind::DeltaOffsets),
@@ -629,6 +633,26 @@ impl IndexView {
             }
         }
         Ok(())
+    }
+
+    /// At four bits and odd `|R|`, the high nibble of each label row's last
+    /// byte is padding and must be `0xF`, so every file has one encoding.
+    fn validate_label_padding(&self) -> Result<()> {
+        if self.dist_width != 4 || self.num_landmarks.is_multiple_of(2) {
+            return Ok(());
+        }
+        let row_len = label_row_len(self.num_landmarks, 4);
+        let labels = self.section_bytes(SectionKind::Labels);
+        match labels
+            .chunks_exact(row_len)
+            .position(|row| row[row_len - 1] >> 4 != 0xF)
+        {
+            None => Ok(()),
+            Some(v) => Err(QbsError::Corrupt(format!(
+                "label row of vertex {v} has padding nibble {:#x}; four-bit rows pad with 0xf",
+                labels[(v + 1) * row_len - 1] >> 4
+            ))),
+        }
     }
 
     /// The graph rows tile the neighbour section in vertex order, and each
@@ -814,7 +838,7 @@ fn section_lens(
     let (n, r) = (num_vertices, num_landmarks);
     [
         r * 4,
-        n * r * dist_width,
+        n * label_row_len(r, dist_width),
         (n + 1) * 8,
         num_arcs * 4,
         num_meta_edges * 12,
@@ -884,8 +908,12 @@ fn pad_to(out: &mut Vec<u8>, record: SectionRecord) {
 /// Starts a build's index buffer: zeroes where the header and the section
 /// table go, the landmark ids, and padding up to the label section, which
 /// the labelling build appends ([`crate::labelling::build_after`]). The
-/// capacity covers every section but Δ's edges at one byte per label slot,
-/// so the sections are written without moving the buffer.
+/// capacity covers every section but Δ's edges with eight-bit label slots,
+/// so an eight-bit labelling is written without moving the buffer, and a
+/// four-bit one leaves `|V| · ⌊|R|/2⌋` bytes free for Δ's edges, which
+/// [`append_delta`] then appends in place: moving a file-sized buffer
+/// leaves the moved-from block resident (see the allocator note in
+/// `ROADMAP.md`).
 pub(crate) fn start_buffer(
     num_vertices: usize,
     landmarks: &[VertexId],
@@ -896,7 +924,7 @@ pub(crate) fn start_buffer(
     let records = layout(section_lens(
         num_vertices,
         r,
-        1,
+        SLOT_BITS[1],
         num_arcs,
         max_meta_edges,
         0,
@@ -1056,7 +1084,7 @@ pub struct FileInspection {
     pub num_vertices: usize,
     /// `|R|` from the header.
     pub num_landmarks: usize,
-    /// Bytes per label slot from the header.
+    /// Bits per label slot from the header.
     pub dist_width: usize,
     /// Total file length in bytes.
     pub file_len: usize,
@@ -1082,6 +1110,11 @@ impl FileInspection {
     /// Whether the stored checksum matches the recomputed one.
     pub fn checksum_ok(&self) -> bool {
         self.stored_checksum == self.computed_checksum
+    }
+
+    /// Label bytes per vertex: one row of the label section.
+    pub fn label_bytes_per_vertex(&self) -> usize {
+        label_row_len(self.num_landmarks, self.dist_width)
     }
 
     /// A section's payload share of the whole file, in percent.
@@ -1118,15 +1151,16 @@ pub fn inspect(buf: ViewBuf) -> Result<FileInspection> {
 }
 
 /// The `qbs-index` version the leading bytes of a file announce, or `None`
-/// when they carry no qbs index magic at all. Versions 1–4 are the layouts
-/// earlier builds wrote (the JSON index and the three older binary ones);
+/// when they carry no qbs index magic at all. Versions 1–5 are the layouts
+/// earlier builds wrote (the JSON index and the four older binary ones);
 /// nothing reads them any more.
 pub fn index_version(head: &[u8]) -> Option<u32> {
-    const RETIRED: [(&[u8], u32); 4] = [
+    const RETIRED: [(&[u8], u32); 5] = [
         (b"qbs-index-v1", 1),
         (b"QBSIDX2\0", 2),
         (b"QBSIDX3\0", 3),
         (b"QBSIDX4\0", 4),
+        (b"QBSIDX5\0", 5),
     ];
     if head.starts_with(&MAGIC) {
         return Some(FORMAT_VERSION);
@@ -1235,17 +1269,117 @@ fn parse_section_table(data: &[u8]) -> Result<[SectionRecord; SECTION_COUNT]> {
     Ok(sections.try_into().expect("one record per section kind"))
 }
 
-/// Decodes one little-endian label slot of either width: `None` for the
-/// all-ones "no entry" value.
+/// The label slot widths in bits, narrowest first.
+pub(crate) const SLOT_BITS: [usize; 3] = [4, 8, 16];
+
+/// The longest label distance a `bits`-bit slot holds: all-ones is "no
+/// entry".
 #[inline]
-pub(crate) fn slot_distance(slot: &[u8]) -> Option<Distance> {
-    match *slot {
-        [d] => (d != u8::MAX).then_some(Distance::from(d)),
-        [lo, hi] => {
-            let d = u16::from_le_bytes([lo, hi]);
-            (d != u16::MAX).then_some(Distance::from(d))
+pub(crate) fn longest_label(bits: usize) -> Distance {
+    (1 << bits) - 2
+}
+
+/// Bytes of one label row: `num_landmarks` slots of `bits` bits, rounded up
+/// to a whole byte.
+#[inline]
+pub fn label_row_len(num_landmarks: usize, bits: usize) -> usize {
+    (num_landmarks * bits).div_ceil(8)
+}
+
+/// The label distance a `BITS`-bit slot's raw bits hold: `None` for the
+/// all-ones "no entry" value. Every label read, at every width, ends here.
+#[inline(always)]
+fn decode<const BITS: usize>(raw: u16) -> Option<Distance> {
+    (u32::from(raw) != (1 << BITS) - 1).then_some(Distance::from(raw))
+}
+
+/// Decodes slot `column` of a label row of `bits`-bit slots: four-bit
+/// slots pack column `2k` into the low nibble of byte `k`, wider ones are
+/// little-endian.
+#[inline]
+pub(crate) fn slot_distance(row: &[u8], column: usize, bits: usize) -> Option<Distance> {
+    match bits {
+        4 => decode::<4>(u16::from((row[column / 2] >> (4 * (column % 2))) & 0xF)),
+        8 => decode::<8>(u16::from(row[column])),
+        _ => decode::<16>(u16::from_le_bytes([row[2 * column], row[2 * column + 1]])),
+    }
+}
+
+/// The `(column, distance)` entries of a label row of `num_landmarks`
+/// `bits`-bit slots, in column order.
+#[inline]
+pub(crate) fn row_entries(
+    row: &[u8],
+    num_landmarks: usize,
+    bits: usize,
+) -> impl Iterator<Item = (usize, Distance)> + '_ {
+    (0..num_landmarks)
+        .filter_map(move |column| slot_distance(row, column, bits).map(|d| (column, d)))
+}
+
+/// Unpacks a whole label row of `bits`-bit slots into `out`, `out[c] =
+/// lane(slot c)`: every slot the row's bytes hold, so at four bits and odd
+/// `|R|` also the padding nibble, as `None`. The width is matched once per
+/// row, and each width's loop reads the row front to back with no bounds
+/// check, so the compiler can vectorise it.
+///
+/// # Panics
+///
+/// Panics if `out` is shorter than the row's slot count.
+#[inline]
+pub(crate) fn unpack_row<T>(
+    row: &[u8],
+    bits: usize,
+    out: &mut [T],
+    lane: impl Fn(Option<Distance>) -> T,
+) {
+    assert!(
+        out.len() >= row.len() * 8 / bits,
+        "a lane shorter than its row"
+    );
+    match bits {
+        4 => {
+            for (pair, &byte) in out.as_chunks_mut::<2>().0.iter_mut().zip(row) {
+                *pair = [
+                    lane(decode::<4>(u16::from(byte & 0xF))),
+                    lane(decode::<4>(u16::from(byte >> 4))),
+                ];
+            }
         }
-        _ => unreachable!("label slots are 1 or 2 bytes wide"),
+        8 => {
+            for (slot, &byte) in out.iter_mut().zip(row) {
+                *slot = lane(decode::<8>(u16::from(byte)));
+            }
+        }
+        _ => {
+            for (slot, &pair) in out.iter_mut().zip(row.as_chunks::<2>().0) {
+                *slot = lane(decode::<16>(u16::from_le_bytes(pair)));
+            }
+        }
+    }
+}
+
+/// Stores `d` (`None`: "no entry") in slot `column` of a label row of
+/// `bits`-bit slots. A four-bit slot is a read-modify-write of its byte.
+///
+/// # Panics
+///
+/// Panics if `d` exceeds [`longest_label`]`(bits)`.
+#[inline]
+pub(crate) fn put_slot(row: &mut [u8], column: usize, bits: usize, d: Option<Distance>) {
+    assert!(
+        d.is_none_or(|d| d <= longest_label(bits)),
+        "label {d:?} overflows a {bits}-bit slot"
+    );
+    let raw = d.unwrap_or(Distance::MAX);
+    match bits {
+        4 => {
+            let shift = 4 * (column % 2);
+            let byte = &mut row[column / 2];
+            *byte = (*byte & !(0xF << shift)) | (((raw & 0xF) as u8) << shift);
+        }
+        8 => row[column] = raw as u8,
+        _ => row[2 * column..2 * column + 2].copy_from_slice(&(raw as u16).to_le_bytes()),
     }
 }
 
@@ -1375,8 +1509,8 @@ mod tests {
         let view = IndexView::parse(ViewBuf::Heap(built.bytes().to_vec())).expect("parse");
         assert_eq!(view.num_vertices(), 15);
         assert_eq!(view.num_landmarks(), 3);
-        assert_eq!(view.dist_width(), 1, "figure-4 distances fit one byte");
-        assert_eq!(view.section_bytes(SectionKind::Labels).len(), 15 * 3);
+        assert_eq!(view.dist_width(), 4, "figure-4 distances fit four bits");
+        assert_eq!(view.section_bytes(SectionKind::Labels).len(), 15 * 2);
         assert_eq!(view.landmarks().collect::<Vec<_>>(), vec![1, 2, 3]);
         assert_eq!(view.landmark(2), 3);
         assert_eq!(view.num_arcs(), graph.num_arcs());
@@ -1552,6 +1686,7 @@ mod tests {
             (b"QBSIDX2\0", 2),
             (b"QBSIDX3\0", 3),
             (b"QBSIDX4\0", 4),
+            (b"QBSIDX5\0", 5),
         ] {
             assert_eq!(index_version(head), Some(version));
             let mut old = head.to_vec();
@@ -1566,6 +1701,35 @@ mod tests {
         assert_eq!(index_version(&bytes), Some(FORMAT_VERSION));
         assert_eq!(index_version(b"garbage!"), None);
         assert_eq!(index_version(b""), None);
+    }
+
+    /// Every slot of every width decodes what was stored in it, four-bit
+    /// columns `2k` and `2k + 1` sharing byte `k` low nibble first.
+    #[test]
+    fn slots_roundtrip_at_every_width() {
+        for bits in SLOT_BITS {
+            let r = 5;
+            let mut row = vec![0xFF; label_row_len(r, bits)];
+            let values = [Some(0), None, Some(longest_label(bits)), Some(7), None];
+            for (column, &d) in values.iter().enumerate() {
+                put_slot(&mut row, column, bits, d);
+            }
+            let slots: Vec<_> = (0..r).map(|c| slot_distance(&row, c, bits)).collect();
+            assert_eq!(slots, values);
+            let mut unpacked = vec![Some(99); 6];
+            unpack_row(&row, bits, &mut unpacked, |d| d);
+            let padding = if bits == 4 { None } else { Some(99) };
+            assert_eq!(unpacked[..r], values);
+            assert_eq!(unpacked[r], padding, "{bits} bits");
+            assert_eq!(
+                row_entries(&row, r, bits).collect::<Vec<_>>(),
+                [(0, 0), (2, longest_label(bits)), (3, 7)]
+            );
+            if bits == 4 {
+                assert_eq!(row, [0xF0, 0x7E, 0xFF]);
+            }
+        }
+        assert_eq!(SLOT_BITS.map(longest_label), [14, 254, 65_534]);
     }
 
     #[test]
@@ -1608,7 +1772,8 @@ mod tests {
         assert_eq!(report.fault, None);
         assert_eq!(report.num_vertices, 15);
         assert_eq!(report.num_landmarks, 3);
-        assert_eq!(report.dist_width, 1);
+        assert_eq!(report.dist_width, 4);
+        assert_eq!(report.label_bytes_per_vertex(), 2);
         assert_eq!(report.file_len, bytes.len());
         assert_eq!(report.sections.len(), SECTION_COUNT);
         let total_pct: f64 = report

@@ -23,46 +23,56 @@
 //! its BFS labels nothing.
 //!
 //! The labelling is built in the index file's own layout ([`crate::format`]):
-//! a dense row-major `|V| × |R|` slot matrix, one byte per slot while every
-//! distance fits and two bytes once one does not. The index build lays it
-//! out straight into the file buffer it is assembling, so no second copy
-//! of the labels ever exists.
+//! a dense row-major `|V| × |R|` slot matrix of four-bit slots while every
+//! distance is at most 14, widened in place to eight bits once one is
+//! longer, and to sixteen once one passes 254. The index build lays it out
+//! straight into the file buffer it is assembling, so no second copy of
+//! the labels ever exists.
 
 use qbs_graph::{Distance, Graph, VertexId};
 
-use crate::format::slot_distance;
+use crate::format::{
+    label_row_len, longest_label, put_slot, row_entries, slot_distance, SLOT_BITS,
+};
 use crate::{QbsError, Result};
 
 /// Slot value meaning "no label entry for this (vertex, landmark) pair" in
-/// a two-byte label slot, so the longest distance a label holds is one less.
+/// a sixteen-bit label slot, so the longest distance a label holds is one
+/// less.
 pub const NO_LABEL: u16 = u16::MAX;
 
 /// Dense per-vertex path labelling: row-major `[vertex][landmark]` slots of
-/// one little-endian byte while every distance is at most 254, widened to
-/// two bytes the first time a longer one is installed; all-ones means "no
-/// entry". The matrix is the tail of its buffer, which may begin with
-/// other bytes (the head of the index file being built).
+/// four bits while every distance is at most 14, widened to eight bits the
+/// first time a longer one is installed and to sixteen (little-endian) the
+/// first time one past 254 is; all-ones means "no entry". Each row is a
+/// whole number of bytes ([`label_row_len`]). The matrix is the tail of its
+/// buffer, which may begin with other bytes (the head of the index file
+/// being built).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PathLabelling {
     num_vertices: usize,
     num_landmarks: usize,
-    /// Bytes per slot: 1 or 2.
-    width: usize,
+    /// Bits per slot: 4, 8 or 16.
+    bits: usize,
     /// `buf[start..]` holds the slots.
     buf: Vec<u8>,
     start: usize,
 }
 
 impl PathLabelling {
-    /// Creates an empty labelling (all entries absent) whose slots follow
-    /// the bytes of `buf`.
+    /// Creates an empty labelling (all entries absent, four-bit slots)
+    /// whose slots follow the bytes of `buf`.
     pub(crate) fn after(mut buf: Vec<u8>, num_vertices: usize, num_landmarks: usize) -> Self {
         let start = buf.len();
-        buf.resize(start + num_vertices * num_landmarks, u8::MAX);
+        let bits = SLOT_BITS[0];
+        buf.resize(
+            start + num_vertices * label_row_len(num_landmarks, bits),
+            u8::MAX,
+        );
         PathLabelling {
             num_vertices,
             num_landmarks,
-            width: 1,
+            bits,
             buf,
             start,
         }
@@ -78,55 +88,88 @@ impl PathLabelling {
         self.num_landmarks
     }
 
-    /// Bytes per slot: 1, or 2 once some distance exceeded 254.
+    /// Bits per slot: 4, 8 once some distance exceeded 14, or 16 once one
+    /// exceeded 254.
     pub fn slot_width(&self) -> usize {
-        self.width
+        self.bits
+    }
+
+    /// Where `vertex`'s row lies in the buffer.
+    #[inline]
+    fn row_at(&self, vertex: VertexId) -> std::ops::Range<usize> {
+        let row_len = label_row_len(self.num_landmarks, self.bits);
+        let at = self.start + vertex as usize * row_len;
+        at..at + row_len
+    }
+
+    /// The slots of `vertex`'s row.
+    #[inline]
+    fn row(&self, vertex: VertexId) -> &[u8] {
+        &self.buf[self.row_at(vertex)]
     }
 
     /// The label entry of `vertex` for landmark column `landmark_idx`.
     #[inline]
     pub fn get(&self, vertex: VertexId, landmark_idx: usize) -> Option<Distance> {
-        let pos = self.start + (vertex as usize * self.num_landmarks + landmark_idx) * self.width;
-        slot_distance(&self.buf[pos..pos + self.width])
+        slot_distance(self.row(vertex), landmark_idx, self.bits)
     }
 
     /// Iterator over the label entries `(landmark_idx, distance)` of a vertex.
     pub fn entries(&self, vertex: VertexId) -> impl Iterator<Item = (usize, Distance)> + '_ {
-        (0..self.num_landmarks).filter_map(move |i| self.get(vertex, i).map(|d| (i, d)))
+        row_entries(self.row(vertex), self.num_landmarks, self.bits)
     }
 
-    /// Stores `d` in the slot of `vertex` for landmark column
-    /// `landmark_idx`, widening every slot to two bytes first if `d` does
-    /// not fit one. A distance two bytes cannot hold is refused.
-    fn set(&mut self, vertex: VertexId, landmark_idx: usize, d: Distance) -> Result<()> {
-        if d >= Distance::from(NO_LABEL) {
+    /// Stores `d` in the slots of `vertex` for landmark columns `first +
+    /// b`, one per bit `b` of `columns`, widening every slot first until `d`
+    /// fits. A distance sixteen bits cannot hold is refused.
+    fn set_columns(
+        &mut self,
+        vertex: VertexId,
+        first: usize,
+        mut columns: Mask,
+        d: Distance,
+    ) -> Result<()> {
+        if d > longest_label(16) {
             return Err(QbsError::LabelDistanceTooLarge { distance: d });
         }
-        if self.width == 1 && d >= Distance::from(u8::MAX) {
+        while d > longest_label(self.bits) {
             self.widen();
         }
-        let pos = self.start + (vertex as usize * self.num_landmarks + landmark_idx) * self.width;
-        match self.width {
-            1 => self.buf[pos] = d as u8,
-            _ => self.buf[pos..pos + 2].copy_from_slice(&(d as u16).to_le_bytes()),
+        let at = self.row_at(vertex);
+        let row = &mut self.buf[at];
+        while columns != 0 {
+            let column = first + columns.trailing_zeros() as usize;
+            columns &= columns - 1;
+            put_slot(row, column, self.bits, Some(d));
         }
         Ok(())
     }
 
-    /// Re-encodes every one-byte slot as two bytes, in place from the back
-    /// (slot `k` moves to byte `2k`, never onto a slot still to be read).
+    /// Stores `d` in the slot of `vertex` for landmark column
+    /// `landmark_idx`, as [`PathLabelling::set_columns`] does.
+    #[cfg(test)]
+    fn set(&mut self, vertex: VertexId, landmark_idx: usize, d: Distance) -> Result<()> {
+        self.set_columns(vertex, landmark_idx, 1, d)
+    }
+
+    /// Re-encodes every slot at twice its width, in place from the back.
+    /// Rows only lengthen and a slot's offset in its row only grows, so a
+    /// slot lands at or past the byte it is read from, after every slot
+    /// still to be read; a nibble landing on its own byte finds the other
+    /// nibble there read already.
     fn widen(&mut self) {
-        let slots = self.num_vertices * self.num_landmarks;
-        self.buf.resize(self.start + 2 * slots, 0);
+        let (r, from) = (self.num_landmarks, self.bits);
+        let to = 2 * from;
+        let (old_len, new_len) = (label_row_len(r, from), label_row_len(r, to));
+        self.buf.resize(self.start + self.num_vertices * new_len, 0);
         let matrix = &mut self.buf[self.start..];
-        for k in (0..slots).rev() {
-            let d = match matrix[k] {
-                u8::MAX => NO_LABEL,
-                d => u16::from(d),
-            };
-            matrix[2 * k..2 * k + 2].copy_from_slice(&d.to_le_bytes());
+        for v in (0..self.num_vertices).rev() {
+            for c in (0..r).rev() {
+                let d = slot_distance(&matrix[v * old_len..], c, from);
+                put_slot(&mut matrix[v * new_len..], c, to, d);
+            }
         }
-        self.width = 2;
+        self.bits = to;
     }
 
     /// The whole buffer, the slots last: only the slots for a scheme from
@@ -156,8 +199,8 @@ type Mask = u32;
 ///
 /// # Panics
 ///
-/// Panics if a label distance exceeds 65 534, the longest a two-byte slot
-/// holds; [`crate::Qbs::build`] returns
+/// Panics if a label distance exceeds 65 534, the longest a sixteen-bit
+/// slot holds; [`crate::Qbs::build`] returns
 /// [`QbsError::LabelDistanceTooLarge`] instead.
 pub fn build_sequential(graph: &Graph, landmarks: &[VertexId]) -> LabellingScheme {
     build_after(Vec::new(), graph, landmarks).unwrap_or_else(|err| panic!("{err}"))
@@ -231,21 +274,26 @@ pub(crate) fn build_after(
                     word &= word - 1;
                     let (any, labelled) = std::mem::take(&mut next[w as usize]);
                     seen[w as usize] |= any;
-                    // A landmark gets no label: each labelled arrival is a
-                    // meta edge (kept from its lower end), and it expands
-                    // as `QN`.
                     let j = column[w as usize];
-                    let mut bits = labelled;
-                    while bits != 0 {
-                        let i = first + bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        if j == u32::MAX {
-                            labelling.set(w, i, d)?;
-                        } else if i < j as usize {
-                            meta_edges.push((i, j as usize, d));
+                    let labelled = if j == u32::MAX {
+                        if labelled != 0 {
+                            labelling.set_columns(w, first, labelled, d)?;
                         }
-                    }
-                    let labelled = if j == u32::MAX { labelled } else { 0 };
+                        labelled
+                    } else {
+                        // A landmark gets no label: each labelled arrival is
+                        // a meta edge (kept from its lower end), and it
+                        // expands as `QN`.
+                        let mut bits = labelled;
+                        while bits != 0 {
+                            let i = first + bits.trailing_zeros() as usize;
+                            bits &= bits - 1;
+                            if i < j as usize {
+                                meta_edges.push((i, j as usize, d));
+                            }
+                        }
+                        0
+                    };
                     frontier.push((w, labelled, any));
                 }
             }
@@ -393,10 +441,11 @@ mod tests {
         let l = &scheme.labelling;
         assert_eq!(l.num_vertices(), 15);
         assert_eq!(l.num_landmarks(), 3);
-        assert_eq!(l.slot_width(), 1, "figure-4 distances fit one byte");
+        assert_eq!(l.slot_width(), 4, "figure-4 distances fit four bits");
         let bytes = l.clone().into_buffer();
-        assert_eq!(bytes.len(), 15 * 3, "one slot per (vertex, landmark)");
-        assert_eq!(bytes[4 * 3..5 * 3], [1, 0xFF, 1]);
+        assert_eq!(bytes.len(), 15 * 2, "three four-bit slots in two bytes");
+        // Vertex 4: column 0 low, column 1 high, column 2 low, padding high.
+        assert_eq!(bytes[4 * 2..5 * 2], [0xF1, 0xF1]);
         assert_eq!(l.entries(4).count(), 2);
         assert_eq!(l.entries(0).count(), 0);
     }
@@ -434,30 +483,89 @@ mod tests {
         assert_eq!(scheme.labelling.get(2, 2), Some(1));
     }
 
+    /// A path 0 — 1 — … — 299 with its one landmark at 0: labels 1..=299
+    /// cross the four-bit limit (14) and the eight-bit one (254), so one
+    /// build widens twice, 4 → 8 → 16 bits, inside its buffer, and every
+    /// slot ends up the BFS column.
     #[test]
-    fn slots_widen_once_a_distance_exceeds_one_byte() {
-        // A path 0 — 1 — … — 299 with the landmark at 0: distances 1..=299.
+    fn one_build_widens_twice_in_place_on_a_path_past_254() {
         let g = GraphBuilder::from_edges((1..300u32).map(|v| (v - 1, v))).build();
-        let scheme = build_sequential(&g, &[0]);
+        let buf = Vec::with_capacity(2 * 300);
+        let at = buf.as_ptr();
+        let scheme = build_after(buf, &g, &[0]).expect("fits sixteen bits");
         let l = &scheme.labelling;
-        assert_eq!(l.slot_width(), 2);
-        assert_eq!(l.get(0, 0), None);
+        assert_eq!(l.slot_width(), 16);
+        assert_eq!(l.buf.as_ptr(), at, "the slots never left their buffer");
+        let bfs = qbs_graph::traversal::bfs_distances(&g, 0);
+        assert_eq!(l.get(0, 0), None, "the landmark has no label");
         for v in 1..300u32 {
-            assert_eq!(l.get(v, 0), Some(v), "label of {v}");
+            assert_eq!(l.get(v, 0), Some(bfs[v as usize]), "label of {v}");
         }
+
+        // The same column installed in BFS order widens at 15 and at 255.
+        let mut replay = PathLabelling::after(Vec::new(), 300, 1);
+        let mut widths = Vec::new();
+        for v in 1..300u32 {
+            replay.set(v, 0, v).expect("fits sixteen bits");
+            if widths.last().map(|&(_, bits)| bits) != Some(replay.slot_width()) {
+                widths.push((v, replay.slot_width()));
+            }
+        }
+        assert_eq!(widths, [(1, 4), (15, 8), (255, 16)]);
+        assert_eq!(replay.into_buffer(), l.clone().into_buffer());
     }
 
     #[test]
-    fn widening_moves_every_one_byte_slot_after_the_head() {
-        // Appended to a head, the slots follow it untouched: a one-byte
-        // entry written before the widening keeps its value.
+    fn widening_moves_every_slot_after_the_head() {
+        // Appended to a head, the slots follow it untouched: an entry
+        // written before each widening keeps its value.
         let mut labelling = PathLabelling::after(vec![7, 7], 3, 1);
+        assert_eq!(labelling.clone().into_buffer(), [7, 7, 0xFF, 0xFF, 0xFF]);
         labelling.set(2, 0, 2).expect("fits");
-        assert_eq!(labelling.slot_width(), 1);
-        labelling.set(1, 0, 255).expect("fits two bytes");
-        assert_eq!(labelling.slot_width(), 2);
-        assert_eq!(labelling.get(0, 0), None);
-        assert_eq!(labelling.into_buffer(), [7, 7, 0xFF, 0xFF, 255, 0, 2, 0]);
+        assert_eq!(labelling.slot_width(), 4);
+        labelling.set(0, 0, 20).expect("fits eight bits");
+        assert_eq!(labelling.slot_width(), 8);
+        assert_eq!(labelling.clone().into_buffer(), [7, 7, 20, 0xFF, 2]);
+        labelling.set(1, 0, 255).expect("fits sixteen bits");
+        assert_eq!(labelling.slot_width(), 16);
+        assert_eq!(labelling.get(0, 0), Some(20));
+        assert_eq!(labelling.into_buffer(), [7, 7, 20, 0, 255, 0, 2, 0]);
+    }
+
+    /// Widening keeps every slot of rows that share bytes: odd and even
+    /// |R|, entries and holes in every column, and the padding nibble.
+    #[test]
+    fn widening_keeps_every_slot_of_multi_column_rows() {
+        for r in 1..6usize {
+            let mut labelling = PathLabelling::after(vec![9], 7, r);
+            let expected = |v: usize, c: usize| {
+                (!(v + c).is_multiple_of(3)).then_some(((v * r + c) % 14) as Distance)
+            };
+            for v in 0..7 {
+                for c in 0..r {
+                    if let Some(d) = expected(v, c) {
+                        labelling.set(v as VertexId, c, d).expect("fits");
+                    }
+                }
+            }
+            for (d, bits) in [(100, 8), (1_000, 16)] {
+                assert!(labelling.slot_width() < bits);
+                let mut wider = labelling.clone();
+                wider.set(6, 0, d).expect("fits");
+                assert_eq!(wider.slot_width(), bits, "|R| = {r}");
+                for v in 0..7 {
+                    for c in 0..r {
+                        let want = if (v, c) == (6, 0) {
+                            Some(d)
+                        } else {
+                            expected(v, c)
+                        };
+                        assert_eq!(wider.get(v as VertexId, c), want, "|R| = {r}, ({v}, {c})");
+                    }
+                }
+                assert_eq!(wider.into_buffer()[0], 9, "the head stays");
+            }
+        }
     }
 
     #[test]

@@ -30,7 +30,7 @@
 use qbs_graph::workspace::VisitedSet;
 use qbs_graph::{Distance, VertexId, INFINITE_DISTANCE};
 
-use crate::format::IndexView;
+use crate::format::{longest_label, IndexView};
 use crate::search::label_walk;
 use crate::sketch::{lane_width, Lane};
 use crate::store::QbsIndex;
@@ -70,19 +70,18 @@ pub(crate) enum LaneApsp {
 }
 
 impl LaneApsp {
-    /// Picks the lane type for labels of `label_width`-byte slots and the
-    /// row-major `|R| × |R|` matrix `apsp`, and lays the matrix out in it.
-    /// Refuses a landmark distance that even `i32` sums cannot carry.
-    fn new(num_landmarks: usize, apsp: &[Distance], label_width: usize) -> Result<Self> {
+    /// Picks the lane type for labels of `label_bits`-bit slots and the
+    /// row-major `|R| × |R|` matrix `apsp`, and lays the matrix out in it:
+    /// `i16` lanes need slots of at most eight bits. Refuses a landmark
+    /// distance that even `i32` sums cannot carry.
+    fn new(num_landmarks: usize, apsp: &[Distance], label_bits: usize) -> Result<Self> {
         let longest = apsp
             .iter()
             .copied()
             .filter(|&d| d != INFINITE_DISTANCE)
             .max()
             .unwrap_or(0);
-        // The longest label a slot holds: all-ones is "no entry".
-        let longest_label = (1u64 << (8 * label_width)) - 2;
-        let reach = 2 * longest_label + u64::from(longest);
+        let reach = 2 * u64::from(longest_label(label_bits)) + u64::from(longest);
         if reach < i16::GUARD {
             Ok(LaneApsp::Narrow(lay_out(num_landmarks, apsp)))
         } else if reach < i32::GUARD {
@@ -200,14 +199,14 @@ impl MetaGraph {
     }
 
     /// The meta-graph of `landmarks`, its `edges`, their `|R| × |R|`
-    /// distance matrix `apsp` and Δ, serving labels of `label_width`-byte
+    /// distance matrix `apsp` and Δ, serving labels of `label_bits`-bit
     /// slots.
     pub(crate) fn from_parts(
         landmarks: Vec<VertexId>,
         edges: Vec<(usize, usize, Distance)>,
         apsp: &[Distance],
         delta: Vec<Vec<(VertexId, VertexId)>>,
-        label_width: usize,
+        label_bits: usize,
     ) -> Result<Self> {
         let r = landmarks.len();
         let mut edge_slots = vec![NO_META_EDGE; r * r];
@@ -216,7 +215,7 @@ impl MetaGraph {
             edge_slots[j * r + i] = k as u32;
         }
         Ok(MetaGraph {
-            apsp: LaneApsp::new(r, apsp, label_width)?,
+            apsp: LaneApsp::new(r, apsp, label_bits)?,
             width: lane_width(r),
             landmarks,
             edges,

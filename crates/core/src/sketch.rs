@@ -50,6 +50,7 @@ use std::ops::Add;
 
 use qbs_graph::{Distance, VertexId, INFINITE_DISTANCE};
 
+use crate::format::unpack_row;
 use crate::meta_graph::{LaneApsp, MetaGraph};
 use crate::store::QbsIndex;
 use crate::QueryWorkspace;
@@ -251,38 +252,21 @@ pub(crate) struct SketchLanes {
 }
 
 /// Unpacks `v`'s label row from the index file's `LABELS` bytes into
-/// `lane`, at either slot width: [`lane_width`]`(|R|)` values, "no entry"
+/// `lane`, at any slot width: [`lane_width`]`(|R|)` values, "no entry"
 /// where the row has none and in the padding. A landmark's lane is 0 in its
 /// own column and "no entry" elsewhere (the paper's labels are defined on
 /// `V \ R` only).
 pub(crate) fn label_lane<T: Lane>(index: &QbsIndex, v: VertexId, lane: &mut Vec<T>) {
-    let width = lane_width(index.num_landmarks());
     lane.clear();
+    lane.resize(lane_width(index.num_landmarks()), T::NONE);
     if let Some(column) = index.landmark_column(v) {
-        lane.resize(width, T::NONE);
         lane[column] = T::from_distance(0);
         return;
     }
-    let row = index.view().label_row(v);
-    if index.view().dist_width() == 1 {
-        lane.extend(row.iter().map(|&d| {
-            if d == u8::MAX {
-                T::NONE
-            } else {
-                T::from_distance(d.into())
-            }
-        }));
-    } else {
-        lane.extend(row.as_chunks::<2>().0.iter().map(|&slot| {
-            let d = u16::from_le_bytes(slot);
-            if d == u16::MAX {
-                T::NONE
-            } else {
-                T::from_distance(d.into())
-            }
-        }));
-    }
-    lane.resize(width, T::NONE);
+    let view = index.view();
+    unpack_row(view.label_row(v), view.dist_width(), lane, |d| {
+        d.map_or(T::NONE, T::from_distance)
+    });
 }
 
 /// `min_j (row[j] + lane[j])` over whole blocks: the kernel's inner loop.
@@ -406,6 +390,7 @@ fn push_unique_hop(hops: &mut Vec<SketchHop>, landmark_idx: usize, distance: Dis
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::longest_label;
     use crate::landmark::LandmarkStrategy;
     use crate::meta_graph::all_pairs_distances;
     use crate::serialize::{self, MapMode};
@@ -860,11 +845,11 @@ mod tests {
 
     /// A meta-graph over `r` landmarks from arbitrary `(i, j, σ)` edges
     /// (folded into `i < j < r`, the first of each pair kept), serving
-    /// labels of `label_width`-byte slots.
+    /// labels of `label_bits`-bit slots.
     fn meta_graph_of(
         r: usize,
         edges: &[(usize, usize, Distance)],
-        label_width: usize,
+        label_bits: usize,
     ) -> crate::Result<MetaGraph> {
         let mut kept: Vec<(usize, usize, Distance)> = Vec::new();
         for &(a, b, sigma) in edges {
@@ -876,29 +861,24 @@ mod tests {
         }
         let apsp = all_pairs_distances(r, &kept);
         let delta = vec![Vec::new(); kept.len()];
-        MetaGraph::from_parts(
-            (0..r as VertexId).collect(),
-            kept,
-            &apsp,
-            delta,
-            label_width,
-        )
+        MetaGraph::from_parts((0..r as VertexId).collect(), kept, &apsp, delta, label_bits)
     }
 
     /// One random kernel case: |R|, the label slot width, meta edges and
     /// the two labels.
     struct LanesCase {
         r: usize,
-        label_width: usize,
+        label_bits: usize,
         edges: Vec<(usize, usize, Distance)>,
         source_label: Vec<(usize, Distance)>,
         target_label: Vec<(usize, Distance)>,
     }
 
     /// The case `seed` draws: |R| from the block boundaries (`r_pick`),
-    /// the label slot width and the weight class (`kind`), meta edges whose
-    /// weights are small or near the `i16` guard, and two labels whose
-    /// distances fit the slot width, each all sentinel one time in eight.
+    /// the label slot width (`kind % 3`) and the weight class (`kind / 3`),
+    /// meta edges whose weights are small or near the `i16` guard, and two
+    /// labels whose distances fit the slot width, each all sentinel one
+    /// time in eight.
     fn lanes_case(seed: u64, r_pick: usize, kind: usize) -> LanesCase {
         let mut k = 0u64;
         let mut next = |span: u64| {
@@ -907,8 +887,8 @@ mod tests {
                 % span
         };
         let r = [0usize, 1, 63, 64, 65, 80][r_pick];
-        let label_width = 1 + kind % 2;
-        let (low, span) = [(1, 3), (1, 300), (3_000, 5_500)][kind / 2];
+        let label_bits = [4, 8, 16][kind % 3];
+        let (low, span) = [(1, 3), (1, 300), (3_000, 5_500)][kind / 3];
         let edges = (0..next(2 * r as u64 + 1))
             .map(|_| {
                 (
@@ -918,7 +898,7 @@ mod tests {
                 )
             })
             .collect();
-        let cap = (1u64 << (8 * label_width)) - 1;
+        let cap = u64::from(longest_label(label_bits)) + 1;
         let mut label = || -> Vec<(usize, Distance)> {
             if next(8) == 0 {
                 return Vec::new();
@@ -933,7 +913,7 @@ mod tests {
         let (source_label, target_label) = (label(), label());
         LanesCase {
             r,
-            label_width,
+            label_bits,
             edges,
             source_label,
             target_label,
@@ -951,57 +931,65 @@ mod tests {
         fn kernel_equals_the_pair_loops_on_random_lanes(
             seed in 0u64..u64::MAX,
             r_pick in 0usize..6,
-            kind in 0usize..6,
+            kind in 0usize..9,
         ) {
             let case = lanes_case(seed, r_pick, kind);
             let (lu, lv) = (&case.source_label, &case.target_label);
-            let meta = meta_graph_of(case.r, &case.edges, case.label_width).expect("within i32 lanes");
+            let meta = meta_graph_of(case.r, &case.edges, case.label_bits).expect("within i32 lanes");
             let (bound, sketch) = kernel(&meta, 1, 2, lu, lv);
             prop_assert_eq!(bound, pair_loop_bound(&meta, lu, lv));
             prop_assert_eq!(sketch, reference(&meta, 1, 2, lu, lv));
         }
     }
 
-    /// One-byte labels (at most 254) keep `i16` lanes while the longest
+    /// Labels of at most eight bits keep `i16` lanes while the longest
     /// landmark distance leaves every finite sum below `i16`'s "no entry"
-    /// (16 383): up to 15 874. One more, or two-byte labels, take `i32`
-    /// lanes; a distance that even `i32` sums cannot carry is refused.
+    /// (16 383): up to 16 354 with four-bit labels (at most 14), up to
+    /// 15 874 with eight-bit ones (at most 254). One more, or sixteen-bit
+    /// labels, take `i32` lanes; a distance that even `i32` sums cannot
+    /// carry is refused.
     #[test]
     fn the_lane_type_switches_at_the_i16_guard() {
-        let longest = |sigma: Distance, width: usize| meta_graph_of(2, &[(0, 1, sigma)], width);
-        let far = [(0, 254)];
-        let near_other = [(1, 254)];
-        for (sigma, width, narrow) in [(15_874, 1, true), (15_875, 1, false), (1, 2, false)] {
-            let meta = longest(sigma, width).expect("fits");
+        let longest = |sigma: Distance, bits: usize| meta_graph_of(2, &[(0, 1, sigma)], bits);
+        for (sigma, bits, narrow) in [
+            (16_354, 4, true),
+            (16_355, 4, false),
+            (15_874, 8, true),
+            (15_875, 8, false),
+            (1, 16, false),
+        ] {
+            let meta = longest(sigma, bits).expect("fits");
             assert_eq!(
                 matches!(meta.lane_apsp(), LaneApsp::Narrow(_)),
                 narrow,
-                "σ = {sigma}"
+                "σ = {sigma}, {bits} bits"
             );
+            let label = longest_label(bits);
+            let (far, near_other) = ([(0, label)], [(1, label)]);
             let (bound, sketch) = kernel(&meta, 1, 2, &far, &near_other);
-            assert_eq!(bound, 508 + sigma, "σ = {sigma}");
+            assert_eq!(bound, 2 * label + sigma, "σ = {sigma}, {bits} bits");
             assert_eq!(sketch, reference(&meta, 1, 2, &far, &near_other));
             assert_eq!(meta.distance(0, 1), sigma);
         }
         let i32_limit = 0x3FFF_FFFF - 2 * 65_534 - 1;
-        let meta = longest(i32_limit, 2).expect("the longest i32 lanes carry");
+        let meta = longest(i32_limit, 16).expect("the longest i32 lanes carry");
         let (bound, _) = kernel(&meta, 1, 2, &[(0, 65_534)], &[(1, 65_534)]);
         assert_eq!(bound, i32_limit + 2 * 65_534);
         assert!(matches!(
-            longest(i32_limit + 1, 2),
+            longest(i32_limit + 1, 16),
             Err(QbsError::MetaDistanceTooLarge { distance }) if distance == i32_limit + 1
         ));
     }
 
     /// A 600-vertex path with one landmark in its middle: labels reach
-    /// 299, so label slots are two bytes wide and the lanes `i32`. Every
+    /// 299, so label slots are sixteen bits wide and the lanes `i32`. Every
     /// answer of every mode equals the BFS ground truth.
     #[test]
     fn two_byte_labels_take_i32_lanes_and_answer_exactly() {
         let graph = GraphBuilder::from_edges((1..600u32).map(|v| (v - 1, v))).build();
         let truth = GroundTruth::new(graph.clone());
         let index = QbsIndex::build(graph, QbsConfig::with_explicit_landmarks(vec![300]));
-        assert_eq!(index.view().dist_width(), 2);
+        assert_eq!(index.view().dist_width(), 16);
         assert!(matches!(index.meta_graph().lane_apsp(), LaneApsp::Wide(_)));
         let mut ws = QueryWorkspace::new();
         let pairs = (0..600u32)

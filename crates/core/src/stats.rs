@@ -18,10 +18,12 @@ pub struct IndexStats {
     /// Number of landmarks `|R|`.
     pub num_landmarks: usize,
     /// `size(L)` under the paper's accounting: `|R|` bytes per vertex
-    /// (8 bits per landmark slot), §6.1/§6.4.2.
+    /// (8 bits per landmark slot), §6.1/§6.4.2, whatever width the index
+    /// stores its slots at.
     pub labelling_paper_bytes: usize,
     /// Resident bytes of the label rows: the index file's label section,
-    /// at its declared slot width.
+    /// at its declared slot width — `⌈|R|/2⌉` bytes per vertex at four
+    /// bits, half the paper's figure.
     pub labelling_memory_bytes: usize,
     /// Number of non-empty label entries, `Σ_v |L(v)|`.
     pub labelling_entries: usize,
@@ -107,7 +109,10 @@ mod tests {
         assert_eq!(s.num_edges, 19);
         assert_eq!(s.num_landmarks, 3);
         assert_eq!(s.labelling_paper_bytes, 45);
-        assert_eq!(s.labelling_memory_bytes, 45, "one byte per slot");
+        assert_eq!(
+            s.labelling_memory_bytes, 30,
+            "two bytes per row of three four-bit slots"
+        );
         assert_eq!(s.labelling_entries, 18);
         assert_eq!(s.meta_edges, 3);
         assert_eq!(s.delta_bytes, 4 * 8);

@@ -1,6 +1,6 @@
 //! Integration tests of the index file format: the golden fixture, the
-//! `dist_width` boundary, header and geometry guards, the graph-row
-//! invariants, corruption sweeps, the retired-layout refusal through every
+//! `dist_width` boundaries, header and geometry guards, the four-bit
+//! padding nibble, the graph-row invariants, corruption sweeps, the retired-layout refusal through every
 //! door, a generator-family identity property, rebuilding a file that a
 //! live session maps, and the differential guarantee that queries answered
 //! through a reopened file are bit-identical to the freshly built index and
@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 
 use qbs_baselines::{GroundTruth, SpgEngine};
-use qbs_core::format::{checksum64, SectionKind, HEADER_LEN};
+use qbs_core::format::{checksum64, label_row_len, SectionKind, HEADER_LEN};
 use qbs_core::serialize::{self, MapMode, EXCERPT_LEN};
 use qbs_core::{
     IndexView, Qbs, QbsConfig, QbsError, QbsIndex, QueryRequest, QueryWorkspace, ViewBuf,
@@ -101,20 +101,23 @@ fn golden_fixture_loads_and_answers_figure4_queries() {
     assert_eq!(answer.distance(), 5);
     assert_eq!(answer.num_edges(), 13);
 
-    // The tiny graph's distances fit the one-byte slot: 15 × 3 label bytes.
+    // The tiny graph's distances fit the four-bit slot: 15 rows of two
+    // bytes, three slots and a padding nibble each.
     let view = serialize::load_view_from_file(fixture_path(), MapMode::Read).expect("view");
-    assert_eq!(view.dist_width(), 1);
-    assert_eq!(view.section_bytes(SectionKind::Labels).len(), 45);
+    assert_eq!(view.dist_width(), 4);
+    assert_eq!(view.section_bytes(SectionKind::Labels).len(), 30);
 }
 
 /// The writer picks the slot width from the measured maximum label
-/// distance — 254 is the last value that leaves 0xFF free for "no entry" —
-/// and every width answers bit-identically to the built index through
-/// `MapMode::Read`, `MapMode::Mmap` and `Qbs::load`.
+/// distance — 14 and 254 are the last values that leave 0xF and 0xFF free
+/// for "no entry" — and every width answers bit-identically to the built
+/// index through `MapMode::Read`, `MapMode::Mmap` and `Qbs::load`.
 #[test]
 fn dist_width_follows_the_largest_label_distance() {
     let dir = temp_dir("width");
-    for (max_distance, expected_width) in [(254usize, 1usize), (255, 2), (300, 2)] {
+    for (max_distance, expected_width) in
+        [(14usize, 4usize), (15, 8), (254, 8), (255, 16), (300, 16)]
+    {
         let n = max_distance + 1;
         let owned = QbsIndex::build(path_graph(n), QbsConfig::with_explicit_landmarks(vec![0]));
         assert_eq!(
@@ -126,7 +129,8 @@ fn dist_width_follows_the_largest_label_distance() {
         assert_eq!(view.dist_width(), expected_width, "max {max_distance}");
         assert_eq!(
             view.section_bytes(SectionKind::Labels).len(),
-            n * expected_width
+            n * label_row_len(1, expected_width),
+            "one row of one slot per vertex, a whole byte"
         );
         assert_eq!(
             owned.label_distance(0, 0),
@@ -182,8 +186,9 @@ fn header_rejects_bad_widths_reserved_bytes_and_label_lengths() {
         err.to_string()
     };
 
-    // dist_width lives in header byte 40; only 1 and 2 exist.
-    for width in [0u8, 3, 4, 0xFF] {
+    // dist_width lives in header byte 40; only 4, 8 and 16 (bits) exist.
+    // 1 and 2 are v5's byte widths.
+    for width in [0u8, 1, 2, 3, 5, 12, 32, 0xFF] {
         let mut crafted = valid.clone();
         crafted[40] = width;
         reseal(&mut crafted);
@@ -196,17 +201,61 @@ fn header_rejects_bad_widths_reserved_bytes_and_label_lengths() {
         reseal(&mut crafted);
         assert!(parse(&crafted).contains("reserved"), "byte {pos}");
     }
-    // A labels section whose length is not n · |R| · dist_width: declare
-    // the other width, and (separately) shrink the section record by one.
-    let mut crafted = valid.clone();
-    crafted[40] = 2;
-    reseal(&mut crafted);
-    assert!(parse(&crafted).contains("section 'labels' must be 90 bytes"));
+    // A labels section whose length is not n · ⌈|R| · dist_width / 8⌉:
+    // declare another width, and (separately) shrink the section record
+    // by one.
+    for (width, len) in [(8u8, 45), (16, 90)] {
+        let mut crafted = valid.clone();
+        crafted[40] = width;
+        reseal(&mut crafted);
+        let expected = format!("section 'labels' must be {len} bytes");
+        assert!(parse(&crafted).contains(&expected), "width {width}");
+    }
     let labels_len_pos = HEADER_LEN + 24 + 16;
     let mut crafted = valid.clone();
-    crafted[labels_len_pos..labels_len_pos + 8].copy_from_slice(&44u64.to_le_bytes());
+    crafted[labels_len_pos..labels_len_pos + 8].copy_from_slice(&29u64.to_le_bytes());
     reseal(&mut crafted);
-    assert!(parse(&crafted).contains("section 'labels' must be 45 bytes"));
+    assert!(parse(&crafted).contains("section 'labels' must be 30 bytes"));
+}
+
+/// At four bits and odd |R| the high nibble of each row's last byte is
+/// padding: a file with any value but 0xF there is corrupt even when its
+/// checksum is resealed, through the parse and `Qbs::open` alike. The
+/// golden fixture has |R| = 3, so row `v` is bytes `2v` and `2v + 1` of
+/// the label section and the padding is the high nibble of `2v + 1`.
+#[test]
+fn a_padding_nibble_other_than_0xf_is_corrupt() {
+    let valid = std::fs::read(fixture_path()).expect("fixture");
+    let view = IndexView::parse(ViewBuf::Heap(valid.clone())).expect("parse");
+    assert_eq!((view.dist_width(), view.num_landmarks()), (4, 3));
+    let labels_at = view.sections()[SectionKind::Labels as usize - 1].offset as usize;
+    for v in 0..15 {
+        assert_eq!(view.label_row(v)[1] >> 4, 0xF, "vertex {v} pads with 0xF");
+    }
+    let dir = temp_dir("padding");
+    for (v, padding) in [(0usize, 0x0u8), (7, 0xE), (14, 0x1)] {
+        let mut crafted = valid.clone();
+        let at = labels_at + 2 * v + 1;
+        crafted[at] = (crafted[at] & 0x0F) | (padding << 4);
+        reseal(&mut crafted);
+        let path = dir.join(format!("pad{v}_{}.qbs", std::process::id()));
+        std::fs::write(&path, &crafted).expect("write");
+        let rule = format!("label row of vertex {v} has padding nibble {padding:#x}");
+        for (door, err) in [
+            (
+                "parse",
+                IndexView::parse(ViewBuf::Heap(crafted)).unwrap_err(),
+            ),
+            ("Qbs::open", Qbs::open(&path, MapMode::Mmap).unwrap_err()),
+        ] {
+            assert!(matches!(err, QbsError::Corrupt(_)), "{door}: {err:?}");
+            assert!(
+                err.to_string().contains(&rule),
+                "{door}: {err} lacks {rule:?}"
+            );
+        }
+        std::fs::remove_file(&path).expect("remove");
+    }
 }
 
 /// Crafted files that each break one graph-row rule, resealed so only the
@@ -384,19 +433,22 @@ fn every_door(
     ]
 }
 
-/// Files an earlier build wrote (the JSON index, `QBSIDX2`, `QBSIDX3`,
-/// `QBSIDX4`) get the one rebuild message through every door; garbage is
-/// told it is not an index at all. Never a panic, never an unbounded
-/// excerpt.
+/// Files an earlier build wrote (the JSON index, `QBSIDX2` to `QBSIDX5`)
+/// get the one rebuild message through every door; garbage is told it is
+/// not an index at all. Never a panic, never an unbounded excerpt.
 #[test]
 fn retired_layouts_and_garbage_are_refused_through_every_door() {
     let dir = temp_dir("old_magic");
-    // A v4 file is this build's figure-4 file under the old magic: the same
-    // length, with the v5 graph rows where v4 kept its u64 offsets.
-    let mut v4 = std::fs::read(fixture_path()).expect("fixture");
-    v4[..12].copy_from_slice(b"QBSIDX4\0\x04\0\0\0");
-    reseal(&mut v4);
-    let cases: [(&str, Vec<u8>, Option<u32>); 6] = [
+    // A v4 or v5 file is this build's figure-4 file under the old magic and
+    // version: v5 is this layout with byte-wide label slots, v4 also kept
+    // u64 graph offsets.
+    let forge = |head: &[u8; 12]| {
+        let mut old = std::fs::read(fixture_path()).expect("fixture");
+        old[..12].copy_from_slice(head);
+        reseal(&mut old);
+        old
+    };
+    let cases: [(&str, Vec<u8>, Option<u32>); 7] = [
         ("v1.qbs", b"qbs-index-v1\n{\"graph\":{}}".to_vec(), Some(1)),
         (
             "v2.qbs",
@@ -408,7 +460,8 @@ fn retired_layouts_and_garbage_are_refused_through_every_door() {
             [b"QBSIDX3\0".as_slice(), &[7u8; 500]].concat(),
             Some(3),
         ),
-        ("v4.qbs", v4, Some(4)),
+        ("v4.qbs", forge(b"QBSIDX4\0\x04\0\0\0"), Some(4)),
+        ("v5.qbs", forge(b"QBSIDX5\0\x05\0\0\0"), Some(5)),
         ("junk.qbs", vec![0xEE; 4096], None),
         ("empty.qbs", Vec::new(), None),
     ];
@@ -439,8 +492,8 @@ fn retired_layouts_and_garbage_are_refused_through_every_door() {
 }
 
 /// One graph per generator family, sized by the proptest case. Family 4 is
-/// a path long enough to overflow the one-byte slot, so both widths are
-/// exercised.
+/// a path long enough to overflow the four-bit slot and often the
+/// eight-bit one, so every width is exercised.
 fn family_graph(family: u64, vertices: usize, seed: u64) -> Graph {
     match family % 5 {
         0 => barabasi_albert::generate(&BarabasiAlbertConfig {
@@ -473,7 +526,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
     // The writer/reader pair is an identity on every generator family and
-    // both slot widths: decoding the bytes reproduces the graph and every
+    // every slot width: decoding the bytes reproduces the graph and every
     // index component, and the decoded index holds the exact bytes.
     #[test]
     fn to_bytes_from_bytes_is_identity(

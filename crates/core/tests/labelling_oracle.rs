@@ -4,9 +4,9 @@
 //! bits of per-vertex masks, up to 32 landmarks per pass. The reference
 //! below is the builder that came before it, kept verbatim: one two-queue
 //! BFS per landmark, its column installed into the slot matrix, its meta
-//! edges merged. The two must agree on every slot byte, the slot width and
-//! the meta edges, for landmark counts on both sides of every pass
-//! boundary.
+//! edges merged. The two must agree on every slot byte, the slot width (4,
+//! 8 or 16 bits) and the meta edges, for landmark counts on both sides of
+//! every pass boundary.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::AtomicUsize;
@@ -104,7 +104,7 @@ fn saturate(d: Distance) -> u16 {
 }
 
 /// What the per-landmark builder produced: the slot matrix's bytes, its
-/// slot width and the merged meta edges.
+/// slot width in bits and the merged meta edges.
 struct Reference {
     slots: Vec<u8>,
     width: usize,
@@ -112,9 +112,11 @@ struct Reference {
 }
 
 /// The per-landmark builder: one [`landmark_bfs`] per landmark, each column
-/// installed into a row-major `|V| × |R|` matrix (one byte per slot unless
-/// some distance needs two, all-ones for no entry), and the meta edges of
-/// both roots merged under `(min, max)` keys.
+/// installed into a row-major `|V| × |R|` matrix, and the meta edges of
+/// both roots merged under `(min, max)` keys. The matrix is encoded at the
+/// narrowest slot width that holds its longest distance below all-ones:
+/// four bits (two slots a byte, the even column low, an odd row padded
+/// with `0xF`), one byte, or two little-endian bytes.
 fn reference(graph: &Graph, landmarks: &[VertexId]) -> Reference {
     let (n, r) = (graph.num_vertices(), landmarks.len());
     let mut landmark_column = vec![u32::MAX; n];
@@ -133,22 +135,23 @@ fn reference(graph: &Graph, landmarks: &[VertexId]) -> Reference {
             assert_eq!(*entry, sigma, "meta edge weight must agree from both roots");
         }
     }
-    let width = if matrix.iter().all(|&d| d == NO_LABEL || d < 255) {
-        1
-    } else {
-        2
+    let longest = matrix.iter().copied().filter(|&d| d != NO_LABEL).max();
+    let width = match longest.unwrap_or(0) {
+        0..15 => 4,
+        15..255 => 8,
+        _ => 16,
     };
-    let slots = matrix
-        .iter()
-        .flat_map(|&d| {
-            let bytes = match (width, d) {
-                (1, NO_LABEL) => [0xFF, 0],
-                (1, d) => [d as u8, 0],
-                _ => d.to_le_bytes(),
-            };
-            bytes.into_iter().take(width)
-        })
-        .collect();
+    let mut slots = Vec::new();
+    for row in matrix.chunks(r.max(1)) {
+        match width {
+            4 => slots.extend(row.chunks(2).map(|pair| {
+                let nibble = |d: Option<&u16>| d.map_or(0xF, |&d| d.min(0xF) as u8);
+                nibble(pair.first()) | nibble(pair.get(1)) << 4
+            })),
+            8 => slots.extend(row.iter().map(|&d| d.min(0xFF) as u8)),
+            _ => slots.extend(row.iter().flat_map(|&d| d.to_le_bytes())),
+        }
+    }
     Reference {
         slots,
         width,
@@ -171,7 +174,7 @@ fn assert_matches_reference(graph: &Graph, landmarks: &[VertexId], what: &str) -
     let slots = scheme.labelling.clone().into_buffer();
     assert_eq!(slots.len(), expected.slots.len(), "{what}: slot bytes");
     if let Some(k) = (0..slots.len()).find(|&k| slots[k] != expected.slots[k]) {
-        let row = k / (expected.width * landmarks.len());
+        let row = k / format::label_row_len(landmarks.len(), expected.width);
         panic!("{what}: slot byte {k} (vertex {row}) differs");
     }
     scheme
@@ -270,13 +273,20 @@ fn multi_source_labels_match_the_per_landmark_bfs_on_small_catalog_graphs() {
     });
 }
 
-/// On a path longer than 255 the slots widen to two bytes mid-build, in
-/// the first pass or after a whole pass has written one-byte slots.
+/// On a path longer than 255 the slots widen twice mid-build, to eight and
+/// then sixteen bits, in the first pass or after a whole pass has written
+/// four-bit slots; a shorter path stops at eight bits or stays at four.
 #[test]
 fn slots_widen_mid_build_on_a_path_past_255() {
+    for (vertices, bits) in [(15u32, 4), (16, 8), (255, 8), (256, 16)] {
+        let path = GraphBuilder::from_edges((1..vertices).map(|v| (v - 1, v))).build();
+        let scheme = assert_matches_reference(&path, &[0], &format!("{vertices}-vertex path"));
+        assert_eq!(scheme.labelling.slot_width(), bits, "{vertices} vertices");
+        assert_eq!(scheme.labelling.get(vertices - 1, 0), Some(vertices - 1));
+    }
     let path = GraphBuilder::from_edges((1..1_000u32).map(|v| (v - 1, v))).build();
     let first_pass = assert_matches_reference(&path, &[0], "one landmark at an end");
-    assert_eq!(first_pass.labelling.slot_width(), 2);
+    assert_eq!(first_pass.labelling.slot_width(), 16);
     assert_eq!(first_pass.labelling.get(999, 0), Some(999));
     assert_matches_reference(&path, &[300, 0, 999], "three landmarks");
     // Landmarks 0, 2, …, 62 fill the first pass and label only the odd
@@ -284,7 +294,7 @@ fn slots_widen_mid_build_on_a_path_past_255() {
     // pass, labels out to the far end.
     let landmarks: Vec<VertexId> = (0..=64).step_by(2).collect();
     let second_pass = assert_matches_reference(&path, &landmarks, "widening in pass two");
-    assert_eq!(second_pass.labelling.slot_width(), 2);
+    assert_eq!(second_pass.labelling.slot_width(), 16);
     assert_eq!(second_pass.labelling.get(61, 30), Some(1));
     assert_eq!(second_pass.labelling.get(63, 31), Some(1));
     assert_eq!(second_pass.labelling.get(63, 32), Some(1));
